@@ -24,8 +24,8 @@ Three checks ride along (what ``--check`` gates in CI):
 1. row-for-row equality — for every (node-query, node-database) pair the
    columnar pass returns exactly the row executor's rows, in order;
 2. engine equivalence — a full :class:`WebDisEngine` run is bit-identical
-   (status, completion time, result rows in order) under
-   ``executor="columnar"`` vs ``"row"``;
+   (status, completion time, result rows in order) on the default engine
+   vs the interpreter (``compiled_plans=False``);
 3. a conservative speedup floor (CI machines are noisy; the headline
    number in ``BENCH_PERF.json`` is measured with more repeats).
 
@@ -243,26 +243,26 @@ def check_rows_identical(workloads) -> int:
     return pairs
 
 
-def check_engine_identical() -> int:
-    """Full-engine bit-equality under executor="columnar" vs "row"."""
-    runs = {}
-    disql = ENGINE_QUERY.format(start=synthetic_start_url(WEB_CONFIG))
-    for executor in ("columnar", "row"):
-        engine = WebDisEngine(
-            build_synthetic_web(WEB_CONFIG),
-            config=EngineConfig(executor=executor),
-        )
+def check_engine_identical(web_config=WEB_CONFIG, query=ENGINE_QUERY) -> int:
+    """Full-engine bit-equality: default engine vs the interpreter."""
+    disql = query.format(start=synthetic_start_url(web_config))
+    runs = []
+    for config in (EngineConfig(), EngineConfig(compiled_plans=False)):
+        engine = WebDisEngine(build_synthetic_web(web_config), config=config)
         handle = engine.submit_disql(disql)
         done_at = engine.run()
         assert handle.status is QueryStatus.COMPLETE
-        runs[executor] = (
-            handle.status,
-            done_at,
-            [(label, row.header, row.values) for label, row, __ in handle.results],
+        runs.append(
+            (
+                handle.status,
+                done_at,
+                [(label, row.header, row.values) for label, row, __ in handle.results],
+            )
         )
-    assert runs["columnar"] == runs["row"], "engine results differ across executors"
-    assert runs["columnar"][2], "engine query returned no rows"
-    return len(runs["columnar"][2])
+    compiled, interpreted = runs
+    assert compiled == interpreted, "compiled engine results differ from the interpreter's"
+    assert compiled[2], "engine query returned no rows"
+    return len(compiled[2])
 
 
 def measure(repeats: int = 7, *, smoke: bool = False) -> dict:
@@ -275,9 +275,6 @@ def measure(repeats: int = 7, *, smoke: bool = False) -> dict:
     per_workload = []
     for name, query, databases, site_documents in workloads:
         plan = compile_node_query(query)
-        # Lower once up front so timing measures execution, not lowering
-        # (production amortizes it the same way through the plan cache).
-        plan.execute_columnar(databases[0], site_documents)
         row_s = _time_best(
             lambda p=plan, s=site_documents: [p.execute(db, s) for db in databases],
             repeats,
@@ -345,7 +342,7 @@ def _report(result: dict) -> str:
         f"{' (smoke sizing)' if result['smoke'] else ''}"
         f"\nchecked: {result['rows_identical_pairs']} (query, database) pairs"
         f" row-identical; engine run bit-identical"
-        f" ({result['engine_identical_rows']} result rows) across executors"
+        f" ({result['engine_identical_rows']} result rows) vs the interpreter"
         "\n'small-pages' is the honesty workload: paper-sized tables where"
         " batching has little to amortize"
     )

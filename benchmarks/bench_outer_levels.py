@@ -24,8 +24,9 @@ executor over the shapes EXP-P5 left on the table:
 
 The same three checks as EXP-P5 ride along (``--check`` gates them in CI):
 row-for-row equality per (node-query, node-database) pair, full-engine
-bit-equality across ``executor="columnar"``/``"row"`` — here with a
-*joined* DISQL query so the probe path itself is covered — and a
+bit-equality of the default engine vs the interpreter
+(``compiled_plans=False``) — here with a *joined* DISQL query so the probe
+path itself is covered — and a
 conservative speedup floor on the sitewide workload.
 
 Run directly to (re)generate ``BENCH_PERF.json`` at the repo root:
@@ -41,17 +42,15 @@ import sys
 import time
 from pathlib import Path
 
-from repro import EngineConfig, QueryStatus, WebDisEngine
 from repro.model.database import build_documents_table, build_node_database
 from repro.relational.compile import compile_node_query
 from repro.relational.expr import And, Attr, Compare, Contains, Literal
 from repro.relational.query import NodeQuery, TableDecl
 from repro.urlutils import parse_url
-from repro.web import SyntheticWebConfig, build_synthetic_web
-from repro.web.synthetic import synthetic_start_url
+from repro.web import SyntheticWebConfig
 
 sys.path.insert(0, str(Path(__file__).parent))
-from bench_columnar import _hot_page, _small_page  # noqa: E402
+from bench_columnar import _hot_page, _small_page, check_engine_identical  # noqa: E402
 from harness import format_table, merge_bench_record, ratio, report  # noqa: E402
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -231,42 +230,16 @@ def check_rows_identical(workloads) -> int:
     return pairs
 
 
-def check_engine_identical() -> int:
-    """Full-engine bit-equality under executor="columnar" vs "row"."""
-    runs = {}
-    disql = ENGINE_QUERY.format(start=synthetic_start_url(WEB_CONFIG))
-    for executor in ("columnar", "row"):
-        engine = WebDisEngine(
-            build_synthetic_web(WEB_CONFIG),
-            config=EngineConfig(executor=executor),
-        )
-        handle = engine.submit_disql(disql)
-        done_at = engine.run()
-        assert handle.status is QueryStatus.COMPLETE
-        runs[executor] = (
-            handle.status,
-            done_at,
-            [(label, row.header, row.values) for label, row, __ in handle.results],
-        )
-    assert runs["columnar"] == runs["row"], "engine results differ across executors"
-    assert runs["columnar"][2], "engine join query returned no rows"
-    return len(runs["columnar"][2])
-
-
 def measure(repeats: int = 7, *, smoke: bool = False) -> dict:
     """The EXP-P6 measurement: one dict, JSON-ready."""
     workloads = _workloads(smoke=smoke)
 
     pairs_checked = check_rows_identical(workloads)
-    engine_rows = check_engine_identical()
+    engine_rows = check_engine_identical(WEB_CONFIG, ENGINE_QUERY)
 
     per_workload = []
     for name, query, databases, site_documents in workloads:
         plan = compile_node_query(query)
-        # Lower once up front so timing measures execution, not lowering
-        # (production amortizes it the same way through the plan cache,
-        # which pre-lowers when executor="columnar").
-        plan.execute_columnar(databases[0], site_documents)
         row_s = _time_best(
             lambda p=plan, s=site_documents: [p.execute(db, s) for db in databases],
             repeats,
@@ -340,7 +313,7 @@ def _report(result: dict) -> str:
         f"\nchecked: {result['rows_identical_pairs']} (query, database) pairs"
         f" row-identical; engine run bit-identical"
         f" ({result['engine_identical_rows']} result rows, joined query)"
-        " across executors"
+        " vs the interpreter"
         "\nsitewide-scan and generic-conjunct were EXP-P5's weakest shapes;"
         "\nthe join-depth sweep rides the cached hash indexes end-to-end"
     )

@@ -8,7 +8,7 @@ watch→re-forward→escalate recovery, and a second query is cancelled
 mid-flight to exercise passive termination under fire.
 
 After every fault event *and* at quiescence the run is audited against the
-protocol invariants (``tools/invariants.py``):
+protocol invariants (``repro.testing.invariants``):
 
 * CHT accounting consistent (idempotent per dispatch identity);
 * no dispatch identity added or retired twice;
@@ -33,7 +33,6 @@ from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 from repro import (
     EngineConfig,
@@ -45,10 +44,10 @@ from repro import (
     RetryPolicy,
     WebDisEngine,
 )
+from repro.testing.invariants import Violation, check_handle, check_run, reference_rows
 from repro.web.builders import WebBuilder
 
 from harness import format_table, report
-from invariants import Violation, check_handle, check_run, reference_rows
 
 LEAVES = 8
 FULL_SEEDS = 24

@@ -37,7 +37,6 @@ from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 from repro import (
     EngineConfig,
@@ -51,10 +50,10 @@ from repro import (
 from repro.core.aio_engine import AsyncioWebDisEngine
 from repro.errors import SimulationError
 from repro.net.chaos import ChaosRules
+from repro.testing.invariants import check_run
 from repro.web.builders import WebBuilder
 
 from harness import format_table, report
-from invariants import check_run
 
 LEAVES = 6
 FULL_SEEDS = 12

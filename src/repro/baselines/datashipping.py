@@ -141,11 +141,7 @@ class DataShippingEngine:
             self.network, self.clock, self.config.retry_policy,
             name=f"datashipping:{user_site}",
         )
-        self.constructor = DatabaseConstructor(
-            self.config.db_cache_size,
-            storage=self.config.storage_backend,
-            stats=self.stats,
-        )
+        self.constructor = DatabaseConstructor(self.config.db_cache_size, stats=self.stats)
         self.log_table = NodeQueryLogTable(self.config.log_subsumption)
         self.plans = PlanCache(stats=self.stats)
         self._site_documents: dict[str, object] = {}

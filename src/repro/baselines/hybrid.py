@@ -80,9 +80,7 @@ class CentralProcessor:
         self.channel = ReliableChannel(
             network, clock, config.retry_policy, name=f"central:{user_site}"
         )
-        self.constructor = DatabaseConstructor(
-            config.db_cache_size, storage=config.storage_backend, stats=stats
-        )
+        self.constructor = DatabaseConstructor(config.db_cache_size, stats=stats)
         self.log_table = NodeQueryLogTable(config.log_subsumption)
         self.plans = PlanCache(stats=stats)
         self._queue: deque[QueryClone] = deque()

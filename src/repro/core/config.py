@@ -11,6 +11,11 @@ paper's mechanisms or optimizations so the benches can quantify it
 ``direct_result_return``     Section 2.6 — direct socket vs. path retrace
 ``strict_dead_end``          Figure 4's literal dead-end rule (see DESIGN.md §4.2)
 ===========================  =====================================================
+
+Node-queries run on one compiled executor (the batch pipeline, with the
+tree interpreter behind ``compiled_plans=False`` as the executable reference)
+over one storage (the paper's temporary in-memory tables, §2.4); neither is
+configurable — see "Removed knobs" in ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -39,9 +44,15 @@ class EngineConfig:
 
     #: Execute node-queries through compiled plans (per-process
     #: :class:`~repro.core.plancache.PlanCache`, cleared by crashes) instead
-    #: of the tree-walking interpreter.  Result-identical by construction —
-    #: the DST oracle cross-checks both paths — so the toggle exists for
-    #: that cross-check and for the EXP-P1 interpreted-vs-compiled bench.
+    #: of the tree-walking interpreter.  A compiled plan runs as a batch
+    #: pipeline over the tables' column arrays
+    #: (:mod:`repro.relational.columnar`) and, on any batch exception, rolls
+    #: back and replays through its row closure chain so lazily-raised
+    #: errors match the interpreter's (``TrafficStats.plan_replays`` counts
+    #: those).  Result-identical by construction — the DST oracle
+    #: cross-checks both paths — so the toggle exists for that cross-check
+    #: and for the EXP-P1 interpreted-vs-compiled bench; only wall-clock
+    #: changes, the simulated cost model is evaluator-independent.
     compiled_plans: bool = True
 
     #: Frontier-batched clone processing (EXP-P2): when a server pumps its
@@ -75,33 +86,6 @@ class EngineConfig:
     #: or off (hypothesis equivalence suite + DST draw it per case); only
     #: costs change.
     cross_query_caching: bool = True
-
-    #: Node-query executor (EXP-P5/P6): ``"columnar"`` (default) runs
-    #: *every* plan level of a compiled plan as a batch operator
-    #: (:mod:`repro.relational.columnar`) — a selection-vector batch of
-    #: candidate bindings flows through per-level batch filters, hash-index
-    #: probes on equality joins (:meth:`~repro.relational.table.Table.index`,
-    #: cached per table and mirrored in ``index_builds``/``index_hits``),
-    #: leaf conjunct kernels and batch projection, with tuples materialized
-    #: only at projection time — and emits forwards from the precomputed
-    #: per-``LinkType`` target selections; ``"row"`` keeps the
-    #: row-at-a-time closure chain, byte-identical to the pre-columnar
-    #: engine.  Rows, order and lazily-raised errors are identical on both
-    #: executors: the batch pipeline only skips evaluations that are
-    #: provably total, probes only when hash equality provably matches the
-    #: interpreter's coerced ``=``, and on any non-provable case (or any
-    #: batch exception) optimistically rolls back and replays the plan
-    #: through the row path (hypothesis equivalence suite + the DST harness
-    #: draw the knob per case); only wall-clock changes — the simulated
-    #: cost model is executor-independent.  With ``compiled_plans=False``
-    #: the interpreter runs regardless.
-    executor: str = "columnar"
-
-    #: Node-database storage backend: ``"memory"`` (the paper's temporary
-    #: in-memory databases) or ``"sqlite"`` (same relations behind stdlib
-    #: sqlite, :mod:`repro.model.storage`, for corpora that shouldn't live
-    #: as Python tuples).  Both executors run on both backends.
-    storage_backend: str = "memory"
 
     #: Ceiling on entries per server's cross-query ResultMemo (rows and
     #: fan-out entries combined, LRU-evicted; ``memo_evictions`` /
@@ -189,12 +173,6 @@ class EngineConfig:
     parse_time_per_kb: float = 0.001
     #: Cost per virtual-relation tuple scanned during node-query evaluation.
     eval_time_per_tuple: float = 0.0001
-
-    def __post_init__(self) -> None:
-        if self.executor not in ("row", "columnar"):
-            raise ValueError(f"unknown executor {self.executor!r}")
-        if self.storage_backend not in ("memory", "sqlite"):
-            raise ValueError(f"unknown storage backend {self.storage_backend!r}")
 
     def service_time(self, html_bytes: int, tuples_scanned: int) -> float:
         """CPU time to parse a document and evaluate node-queries over it."""

@@ -47,17 +47,14 @@ __all__ = ["PlanCache"]
 class PlanCache:
     """Bounded LRU of :class:`CompiledPlan` objects, structurally keyed.
 
-    Executor-independent: a cached plan carries the row runner and lazily
-    lowers its columnar runner on first batch execution, so one shared
-    entry amortizes compilation for whichever executor
-    (``EngineConfig.executor``) the engine selects — and both lowerings are
-    pure functions of the same structure, which keeps the structural key
-    sound unchanged.
+    A cached plan carries both lowerings (the batch pipeline and the row
+    chain it replays through), built once at compile time — both are pure
+    functions of the query structure, which keeps the structural key sound.
     """
 
     __slots__ = (
         "max_size", "hits", "misses", "shared_hits", "collisions",
-        "_plans", "_stats", "_hash_fn", "_prelower",
+        "_plans", "_stats", "_hash_fn",
     )
 
     def __init__(
@@ -65,17 +62,10 @@ class PlanCache:
         max_size: int = 256,
         stats: "TrafficStats | None" = None,
         hash_fn: Callable[[NodeQuery], str] | None = None,
-        prelower: bool = False,
     ) -> None:
         if max_size < 1:
             raise ValueError("plan cache needs room for at least one plan")
         self.max_size = max_size
-        #: When True, a cache miss also lowers the batch (columnar) runner
-        #: (:meth:`~repro.relational.compile.CompiledPlan.lower_batch`) at
-        #: insert time, so a columnar engine never pays lowering inside a
-        #: clone's evaluation — the same once-per-structure amortization
-        #: the row runner already gets from eager compilation.
-        self._prelower = prelower
         self.hits = 0
         self.misses = 0
         #: Verified hits where the plan was compiled on behalf of a
@@ -122,8 +112,6 @@ class PlanCache:
             self.collisions += 1
         self.misses += 1
         plan = compile_node_query(query)
-        if self._prelower:
-            plan.lower_batch()
         self._plans[digest] = (full_key, origin, plan)
         self._plans.move_to_end(digest)
         while len(self._plans) > self.max_size:

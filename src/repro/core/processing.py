@@ -126,13 +126,6 @@ def process_node(
     else:
         def resolve_db(db: NodeDatabase = database) -> NodeDatabase:
             return db
-    # The executor seam (EXP-P5/P6): "columnar" routes plan execution
-    # through the full batch pipeline — per-level batch filters, hash-probe
-    # joins, leaf kernels, batch projection — and forward emission through
-    # the precomputed per-LinkType target selections; "row" leaves both hot
-    # paths exactly as the pre-columnar engine ran them.  Interpreter
-    # evaluation (plan_for=None) is row-at-a-time on either executor.
-    columnar = config.executor == "columnar"
     pending: deque[tuple[int, Pre]] = deque([(step_index, rem)])
     seen: set[tuple[int, Pre]] = set()
 
@@ -150,10 +143,8 @@ def process_node(
                 db = resolve_db()
                 if plan_for is None:
                     rows = evaluate_node_query(step.query, db, site_documents)
-                elif columnar:
-                    rows = plan_for(k).execute_columnar(db, site_documents)
                 else:
-                    rows = plan_for(k).execute(db, site_documents)
+                    rows = plan_for(k).execute_columnar(db, site_documents)
                 outcome.tuples_scanned += db.tuple_count()
                 if step.query.sitewide_aliases and site_documents is not None:
                     outcome.tuples_scanned += len(site_documents)
@@ -170,7 +161,7 @@ def process_node(
                 forward_continuations = False
 
         if forward_continuations:
-            _emit_forwards(outcome, resolve_db, k, current, memo, columnar)
+            _emit_forwards(outcome, resolve_db, k, current, memo)
 
     return outcome
 
@@ -272,53 +263,24 @@ def _emit_forwards(
     k: int,
     rem: Pre,
     memo: "NodeMemoView | None" = None,
-    columnar: bool = False,
 ) -> None:
     """Append one forward per (link matching ``rem``'s first symbols).
 
-    With a memo bound, the per-link-type target tuples come from (and feed)
-    the cross-query fan-out memo; the anchor scan then only runs on a miss.
-    Without one, the original direct scan is preserved untouched on the row
-    executor — the uncached row hot path pays nothing for the feature
-    existing — while the columnar executor reads the database's precomputed
-    per-``LinkType`` target selections (same URLs, stripped once per
-    database instead of per probe).
+    Targets are the database's precomputed per-``LinkType`` selections
+    (:meth:`NodeDatabase.forward_targets` — fragments stripped once per
+    database, not per probe).  With a memo bound they come from (and feed)
+    the cross-query fan-out memo, and the database is only resolved on a
+    miss.
     """
     emitted = outcome._emitted
-    if memo is None:
-        database = resolve_db()
-        if columnar:
-            for ltype, next_rem in _fanout(rem):
-                for target in database.forward_targets(ltype):
-                    forward = Forward(k, next_rem, target)
-                    if forward not in emitted:
-                        emitted.add(forward)
-                        outcome.forwards.append(forward)
-            return
-        for ltype, next_rem in _fanout(rem):
-            for anchor in database.outgoing_links(ltype):
-                forward = Forward(k, next_rem, anchor.href.without_fragment())
-                if forward not in emitted:
-                    emitted.add(forward)
-                    outcome.forwards.append(forward)
-        return
-    targets = memo.fanout(rem)
+    fanout = _fanout(rem)
+    targets = memo.fanout(rem) if memo is not None else None
     if targets is None:
         database = resolve_db()
-        if columnar:
-            targets = {
-                ltype: database.forward_targets(ltype) for ltype, __ in _fanout(rem)
-            }
-        else:
-            targets = {
-                ltype: tuple(
-                    anchor.href.without_fragment()
-                    for anchor in database.outgoing_links(ltype)
-                )
-                for ltype, __ in _fanout(rem)
-            }
-        memo.store_fanout(rem, targets)
-    for ltype, next_rem in _fanout(rem):
+        targets = {ltype: database.forward_targets(ltype) for ltype, __ in fanout}
+        if memo is not None:
+            memo.store_fanout(rem, targets)
+    for ltype, next_rem in fanout:
         for target in targets.get(ltype, ()):
             forward = Forward(k, next_rem, target)
             if forward not in emitted:

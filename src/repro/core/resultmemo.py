@@ -81,9 +81,9 @@ class ResultMemo:
     share one LRU (hits refresh recency, stores evict the coldest entry
     once the ceiling is crossed), accounted in ``evictions`` and the
     ``bytes_est`` size gauge — mirrored to ``TrafficStats`` as
-    ``memo_evictions`` / ``memo_bytes_est``.  Entries are layout- and
-    executor-independent (plain ``ResultRow`` tuples and URL tuples), so a
-    memo populated under one executor serves the other unchanged.
+    ``memo_evictions`` / ``memo_bytes_est``.  Entries are plain
+    ``ResultRow`` tuples and URL tuples, independent of which evaluator
+    (compiled plan or interpreter) produced them.
     """
 
     __slots__ = ("version", "capacity", "evictions", "bytes_est", "_rows", "_fanout", "_lru", "_stats")

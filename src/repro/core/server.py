@@ -101,16 +101,12 @@ class QueryServer:
         self.config = config
         self.stats = stats
         self.tracer = tracer
-        self.constructor = DatabaseConstructor(
-            config.db_cache_size, storage=config.storage_backend, stats=stats
-        )
+        self.constructor = DatabaseConstructor(config.db_cache_size, stats=stats)
         self.log_table = NodeQueryLogTable(config.log_subsumption)
         #: Compiled node-query plans, structurally keyed so tenants share
         #: compilations — volatile process state, cleared by crash()
-        #: exactly like the db cache.  Under the columnar executor the
-        #: batch pipeline is lowered at compile time (prelower) so the
-        #: first clone's evaluation doesn't pay lowering on the hot path.
-        self.plans = PlanCache(stats=stats, prelower=config.executor == "columnar")
+        #: exactly like the db cache.
+        self.plans = PlanCache(stats=stats)
         #: Cross-query memo of per-node rows and forward fan-outs (EXP-P4);
         #: None when the knob is off.  Volatile like the plan cache, plus
         #: an explicit epoch hook for future live-web mutation.
@@ -176,11 +172,7 @@ class QueryServer:
         self._saturated_since = None
         self._active_workers = 0
         self.log_table = NodeQueryLogTable(self.config.log_subsumption)
-        self.constructor = DatabaseConstructor(
-            self.config.db_cache_size,
-            storage=self.config.storage_backend,
-            stats=self.stats,
-        )
+        self.constructor = DatabaseConstructor(self.config.db_cache_size, stats=self.stats)
         self.plans.clear()
         if self.memo is not None:
             self.memo.clear()

@@ -109,25 +109,13 @@ class DatabaseConstructor:
     Args:
         cache_size: number of node databases to retain (LRU).  ``0`` is the
             paper's default behaviour — construct, use, purge.
-        storage: ``"memory"`` builds plain in-memory :class:`NodeDatabase`
-            objects; ``"sqlite"`` builds them behind the same interface on
-            an sqlite store (:mod:`repro.model.storage`) for corpora that
-            should not live as Python tuples.
         stats: optional :class:`~repro.net.stats.TrafficStats` mirror for
             the hit/miss counters (``db_cache_hits`` / ``db_cache_misses``
             / ``parse_cache_hits``).
     """
 
-    def __init__(
-        self,
-        cache_size: int = 0,
-        storage: str = "memory",
-        stats: "object | None" = None,
-    ) -> None:
-        if storage not in ("memory", "sqlite"):
-            raise ValueError(f"unknown storage backend {storage!r}")
+    def __init__(self, cache_size: int = 0, stats: "object | None" = None) -> None:
         self._cache_size = cache_size
-        self._storage = storage
         self._stats = stats
         self._cache: OrderedDict[Url, NodeDatabase] = OrderedDict()
         #: Parsed documents, shared *across* LRU evictions: an evicted
@@ -163,16 +151,14 @@ class DatabaseConstructor:
         else:
             parsed = parse_html(html)
             self._parsed[key] = (html, parsed)
-        database = build_node_database(
-            key, html, parsed=parsed, storage=self._storage, stats=self._stats
-        )
+        database = build_node_database(key, html, parsed=parsed, stats=self._stats)
         if self._cache_size:
             self._cache[key] = database
             while len(self._cache) > self._cache_size:
                 self._cache.popitem(last=False)
         return database
 
-    def cache_info(self) -> dict[str, int | str]:
+    def cache_info(self) -> dict[str, int]:
         """Snapshot of both constructor caches for introspection.
 
         ``builds`` counts actual constructions (= misses), ``cache_hits``
@@ -180,7 +166,6 @@ class DatabaseConstructor:
         that skipped tokenization thanks to the parsed-document cache.
         """
         return {
-            "storage": self._storage,
             "cache_size": self._cache_size,
             "cached_databases": len(self._cache),
             "parsed_documents": len(self._parsed),
@@ -225,15 +210,12 @@ def build_node_database(
     url: Url,
     html: str,
     parsed: ParsedDocument | None = None,
-    storage: str = "memory",
     stats: "object | None" = None,
 ) -> NodeDatabase:
     """Single-pass construction of the virtual relations for ``url``.
 
     ``parsed`` short-circuits tokenization when the caller already holds the
     parse result (the constructor's shared parsed-document cache).
-    ``storage="sqlite"`` materializes the same relations behind the sqlite
-    backend (:mod:`repro.model.storage`) instead of in-memory tables.
     ``stats`` threads the :class:`~repro.net.stats.TrafficStats` mirror down
     to the tables' join-index counters (``index_builds`` / ``index_hits``).
     """
@@ -245,10 +227,6 @@ def build_node_database(
         RelInfonTuple(delimiter=infon.delimiter, url=url, text=infon.text, length=len(infon.text))
         for infon in parsed.relinfons
     )
-    if storage == "sqlite":
-        from .storage import SqliteNodeDatabase
-
-        return SqliteNodeDatabase(url, document, anchors, relinfons, stats=stats)
     return NodeDatabase(url, document, anchors, relinfons, stats=stats)
 
 

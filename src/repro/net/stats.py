@@ -152,6 +152,12 @@ class TrafficStats:
     #: the same node (or the long-lived sitewide table) hit instead of
     #: rebuilding, mirroring ``forward_targets``-style reuse.
     index_hits: int = 0
+    #: Batch-pipeline runs that raised, rolled their output back and
+    #: replayed the plan through the row closure chain
+    #: (:mod:`repro.relational.columnar`).  Correct either way — the replay
+    #: is what preserves lazy error semantics — but a plan that replays on
+    #: every call pays both executors, which this makes visible.
+    plan_replays: int = 0
 
     @property
     def events_saved(self) -> int:
@@ -260,6 +266,7 @@ class TrafficStats:
             "parse_cache_hits": self.parse_cache_hits,
             "index_builds": self.index_builds,
             "index_hits": self.index_hits,
+            "plan_replays": self.plan_replays,
             "events_saved": self.events_saved,
             "messages_saved": self.messages_saved,
         }

@@ -41,9 +41,11 @@ Any non-provable case — and any empty-probe ambiguity — degrades to a
 scan through the conjunct's own scalar closure, or to the row path
 wholesale.
 
-Equivalence with the row executor is property-tested in
+Equivalence with the interpreter oracle is property-tested in
 ``tests/test_columnar_executor.py`` (including hostile expressions whose
-only output *is* the error, at every plan level).
+only output *is* the error, and a poisoned cell at every plan level).
+Replays are counted in ``TrafficStats.plan_replays`` through the tables'
+stats mirror, so a plan that falls back on every call is visible.
 """
 
 from __future__ import annotations
@@ -86,7 +88,6 @@ def build_columnar_runner(
     select: Sequence[Attr],
     filter_plan: Sequence[Sequence[Expr]],
     scalar_filters: Sequence[tuple[_Scalar, ...]],
-    scalar_project: _Scalar,
     positions: dict[str, int],
     schemas: Sequence[Schema],
     header: tuple[str, ...],
@@ -171,6 +172,9 @@ def build_columnar_runner(
             # never reaches) surfaces at exactly the binding and conjunct
             # the row executor reports, or the correct rows come back.
             del out[mark:]
+            stats = table_objs[0].stats
+            if stats is not None:
+                stats.plan_replays += 1
             _fallback(env, tables, out)
 
     return runner

@@ -71,36 +71,21 @@ _Compiled = Callable[[list], object]
 class CompiledPlan:
     """One node-query, lowered and ready to execute against any database.
 
-    One plan carries *both* executors: the row runner built eagerly at
-    compile time, and a columnar (batch) runner lowered lazily from the
-    same compile-time artifacts on first :meth:`execute_columnar` call.
-    Both evaluate the identical query, so plans shared through
-    :class:`~repro.core.plancache.PlanCache` amortize whichever lowering
-    the engine's ``EngineConfig.executor`` selects.
+    :meth:`execute_columnar` — the batch pipeline — is the production
+    executor.  :meth:`execute` runs the row closure chain the pipeline
+    rolls back to and replays whenever batch evaluation raises; it is the
+    keeper of the interpreter's lazy error semantics, not a selectable
+    alternative.  Both are lowered at compile time from the same artifacts.
     """
 
-    __slots__ = (
-        "query",
-        "header",
-        "cost_weight",
-        "_scan_specs",
-        "_runner",
-        "_filter_plan",
-        "_scalar_filters",
-        "_scalar_project",
-        "_positions",
-        "_columnar",
-    )
+    __slots__ = ("query", "header", "cost_weight", "_scan_specs", "_runner", "_columnar")
 
     def __init__(
         self,
         query: NodeQuery,
         scan_specs: tuple[tuple[str, bool, Schema], ...],
         runner: Callable[[list, list, list], None],
-        filter_plan: tuple[tuple[Expr, ...], ...],
-        scalar_filters: tuple[tuple[_Compiled, ...], ...],
-        scalar_project: _Compiled,
-        positions: dict[str, int],
+        columnar: Callable[..., None],
     ) -> None:
         self.query = query
         self.header = query.header
@@ -108,20 +93,14 @@ class CompiledPlan:
         self.cost_weight = query.cost_weight()
         self._scan_specs = scan_specs
         self._runner = runner
-        self._filter_plan = filter_plan
-        self._scalar_filters = scalar_filters
-        self._scalar_project = scalar_project
-        self._positions = positions
-        self._columnar: Callable[[list, list, tuple, list], None] | None = None
+        self._columnar = columnar
 
-    def execute(
-        self,
-        database: "NodeDatabase",
-        site_documents: Table | None = None,
-    ) -> list[ResultRow]:
-        """Evaluate against one node's relations; same contract as
-        :func:`~repro.relational.query.evaluate_node_query`."""
-        tables: list[Sequence[tuple[object, ...]]] = []
+    def _bind_tables(
+        self, database: "NodeDatabase", site_documents: Table | None
+    ) -> list[Table]:
+        """The table scanned at each plan level, checked against the
+        compiled schemas."""
+        tables: list[Table] = []
         for relation, sitewide, schema in self._scan_specs:
             if sitewide:
                 if site_documents is None:
@@ -137,34 +116,20 @@ class CompiledPlan:
                     f"table for {relation!r} does not match the compiled schema "
                     f"{schema.attributes!r}"
                 )
-            tables.append(table.row_list())
+            tables.append(table)
+        return tables
+
+    def execute(
+        self,
+        database: "NodeDatabase",
+        site_documents: Table | None = None,
+    ) -> list[ResultRow]:
+        """Evaluate through the row closure chain; same contract as
+        :func:`~repro.relational.query.evaluate_node_query`."""
+        tables = [t.row_list() for t in self._bind_tables(database, site_documents)]
         results: list[ResultRow] = []
         self._runner([None] * len(tables), tables, results)
         return results
-
-    def lower_batch(self) -> None:
-        """Lower (and cache) the batch runner now instead of on first use.
-
-        :class:`~repro.core.plancache.PlanCache` calls this on a miss when
-        the engine runs columnar, so lowering happens once per structure at
-        compile time rather than inside the first clone's evaluation.
-        Idempotent; a pure function of the plan's compile-time artifacts.
-        """
-        if self._columnar is None:
-            schemas = [spec[2] for spec in self._scan_specs]
-            self._columnar = build_columnar_runner(
-                self.query.select,
-                self._filter_plan,
-                self._scalar_filters,
-                self._scalar_project,
-                self._positions,
-                schemas,
-                self.header,
-                compile_expr=lambda expr: _compile_expr(
-                    expr, self._positions, schemas
-                ),
-                row_runner=self._runner,
-            )
 
     def execute_columnar(
         self,
@@ -176,32 +141,11 @@ class CompiledPlan:
 
         Same rows, same order, same lazily-raised errors as
         :meth:`execute` — see :mod:`repro.relational.columnar` for how the
-        equivalence is preserved.  The batch runner is lowered on first
-        use and cached on the plan (or ahead of time via
-        :meth:`lower_batch`).  ``level_times`` optionally accumulates
+        equivalence is preserved.  ``level_times`` optionally accumulates
         per-pipeline-stage wall-clock for the profiling harness.
         """
-        tables: list[Sequence[tuple[object, ...]]] = []
-        table_objs: list[Table] = []
-        for relation, sitewide, schema in self._scan_specs:
-            if sitewide:
-                if site_documents is None:
-                    raise DisqlSemanticsError(
-                        f"node-query {self.query.label} needs site-wide documents "
-                        "but none were built"
-                    )
-                table = site_documents
-            else:
-                table = database.relation(relation)
-            if table.schema.attributes != schema.attributes:
-                raise SchemaError(
-                    f"table for {relation!r} does not match the compiled schema "
-                    f"{schema.attributes!r}"
-                )
-            tables.append(table.row_list())
-            table_objs.append(table)
-        if self._columnar is None:
-            self.lower_batch()
+        table_objs = self._bind_tables(database, site_documents)
+        tables = [t.row_list() for t in table_objs]
         results: list[ResultRow] = []
         self._columnar([None] * len(tables), tables, table_objs, results, level_times)
         return results
@@ -259,9 +203,17 @@ def compile_node_query(query: NodeQuery) -> CompiledPlan:
     ]
     project = _compile_projection(query.select, positions, schemas)
     runner = _build_runner(len(alias_order), filters, project, query.header)
-    return CompiledPlan(
-        query, scan_specs, runner, filter_plan, tuple(filters), project, positions
+    columnar = build_columnar_runner(
+        query.select,
+        filter_plan,
+        filters,
+        positions,
+        schemas,
+        query.header,
+        compile_expr=lambda expr: _compile_expr(expr, positions, schemas),
+        row_runner=runner,
     )
+    return CompiledPlan(query, scan_specs, runner, columnar)
 
 
 # -- the nested loop, pre-built as a closure chain ----------------------------

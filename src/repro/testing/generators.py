@@ -199,17 +199,16 @@ def generate_case(seed: int, schedule_seed: int | None = None) -> Spec:
     # faults and pressure draws byte-for-byte.
     config["cross_query_caching"] = rng.random() < 0.5
 
-    # Node-query executor (EXP-P5) — drawn after every earlier knob
-    # (ordering rule above).  Either executor must produce the same rows,
-    # statuses and log-table end states; the sweep proves it per case.
-    config["executor"] = "columnar" if rng.random() < 0.5 else "row"
+    # A retired knob's draw position (ordering rule above): discarding the
+    # value instead of skipping the draw keeps every seed's later draws.
+    rng.random()
 
     # Join-depth axis (EXP-P6) — newest draw, appended last (ordering rule
     # above).  An anchor alias joined on a shared variable
     # (``a.base = d.url``) deepens the main node-query by one plan level —
     # three levels when the relinfon join is also on — so the batch
-    # pipeline's hash-probe expansion and the row executor are
-    # cross-checked on multi-level joins per case, not just in the
+    # pipeline's hash-probe expansion is cross-checked against the
+    # interpreter on multi-level joins per case, not just in the
     # hypothesis suite.
     query["anchor"] = rng.random() < 0.35
 

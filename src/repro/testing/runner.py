@@ -125,7 +125,6 @@ def _engine_config(
         scheduler=config.get("scheduler", "fair"),
         pump_budget=config.get("pump_budget"),
         cross_query_caching=config.get("cross_query_caching", True),
-        executor=config.get("executor", "columnar"),
         per_query_queue_limit=config.get("per_query_queue_limit") if pressure else None,
         server_queue_limit=config.get("server_queue_limit") if pressure else None,
         shed_after=config.get("shed_after") if pressure else None,

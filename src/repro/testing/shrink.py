@@ -104,12 +104,12 @@ def _candidates(spec: Spec) -> Iterator[Spec]:
         candidate = copy.deepcopy(spec)
         candidate.setdefault("config", {})["cross_query_caching"] = False
         yield candidate
-    # 1d. Fall back to the row executor: a repro that still fails
-    # row-at-a-time rules out the whole columnar lowering (kernels, batch
-    # projection, fallback machinery) as the culprit.
-    if spec.get("config", {}).get("executor", "columnar") == "columnar":
+    # 1d. Fall back to the interpreter: a repro that still fails without
+    # compiled plans rules out plan compilation, the batch pipeline and its
+    # rollback-and-replay machinery as the culprit.
+    if spec.get("config", {}).get("compiled_plans", True):
         candidate = copy.deepcopy(spec)
-        candidate.setdefault("config", {})["executor"] = "row"
+        candidate.setdefault("config", {})["compiled_plans"] = False
         yield candidate
     # 2. Disable schedule jitter.
     if spec.get("schedule_seed") is not None:

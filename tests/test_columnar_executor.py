@@ -1,35 +1,37 @@
-"""Columnar execution (EXP-P5): batch operators, storage backends, memo bounds.
+"""Columnar execution (EXP-P5/P6): batch operators, replay, memo bounds.
 
-The columnar executor is a *performance* lowering — it must be
-semantically invisible, including the interpreter's lazy error semantics
-that the batch kernels reorder around.  Four property families:
+The batch pipeline is *the* compiled executor — it must be semantically
+invisible, including the interpreter's lazy error semantics that the
+batch kernels reorder around.  Property families:
 
-* **Plan-level equivalence** — compiled plans executed columnar vs
-  row-at-a-time over safe and *hostile* grammars (mixed-type literals,
+* **Plan-level equivalence** — ``execute_columnar`` vs the tree
+  interpreter over safe and *hostile* grammars (mixed-type literals,
   missing attributes): identical rows in identical order, or the same
   error class.  This is the direct check that the optimistic-batch /
-  rollback / scalar-replay machinery reproduces short-circuit errors.
-* **Engine-level equivalence** — random generated webs run end to end
-  under ``executor="columnar"`` vs ``"row"``: identical statuses,
+  rollback / row-replay machinery reproduces short-circuit errors.
+* **Fault-injected replay** — a poisoned cell (or missing attribute) at
+  each plan level, leaf kernel and projector forces the batch to raise;
+  the replayed outcome must equal the interpreter's and be counted in
+  ``TrafficStats.plan_replays``.
+* **Engine-level equivalence** — random generated webs run end to end on
+  the default engine vs ``compiled_plans=False``: identical statuses,
   per-tenant distinct rows and canonical log-table snapshots, crossed
-  with the cross-query memo (whose entries must be layout-independent).
-* **Storage-backend equivalence** — the same node database materialized
-  in memory vs behind sqlite answers every plan identically under both
-  executors, and a whole engine run on ``storage_backend="sqlite"``
-  matches the in-memory run bit-for-bit.
+  with the cross-query memo.
 * **Bounded memo / constructor caches** — LRU eviction respects
   capacity, moves the ``memo_evictions`` / ``memo_bytes_est`` gauges,
   and never changes answers; the constructor's parsed-document cache
   reports through ``cache_info()`` and ``TrafficStats``.
 
-Plus the DST wiring: the generator draws the executor knob, the runner
-threads it, and the shrinker proposes falling back to the row executor.
+Plus the DST wiring: the generator keeps the retired executor knob's draw
+position, the runner ignores the key in old repro files, and the shrinker
+proposes falling back to the interpreter.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import EngineConfig, QueryStatus, WebDisEngine
@@ -44,7 +46,12 @@ from repro.model.database import (
 from repro.net.stats import TrafficStats
 from repro.relational.compile import compile_node_query
 from repro.relational.expr import And, Attr, Compare, Contains, Literal, Not, Or
-from repro.relational.query import NodeQuery, TableDecl
+from repro.relational.query import (
+    NodeQuery,
+    TableDecl,
+    evaluate_node_query,
+    evaluate_node_query_naive,
+)
 from repro.testing.generators import build_web, generate_case, query_texts
 from repro.testing.runner import _engine_config
 from repro.testing.shrink import _candidates
@@ -158,7 +165,7 @@ def _query(select, where, *, tables=("document", "anchor", "relinfon"), sitewide
 
 
 def _outcome(run):
-    """Rows-in-order, or the error class: both executors must match exactly."""
+    """Rows-in-order, or the error class: both evaluators must match exactly."""
     try:
         return [(row.header, row.values) for row in run()]
     except EvaluationError:
@@ -167,52 +174,59 @@ def _outcome(run):
         return "key-error"
 
 
+def _assert_matches_interpreter(query, database=DATABASE, site_documents=None):
+    """The batch pipeline against the tree interpreter — the reference whose
+    pushdown placement (and therefore lazy error order) plans compile from."""
+    plan = compile_node_query(query)
+    assert _outcome(
+        lambda: plan.execute_columnar(database, site_documents)
+    ) == _outcome(lambda: evaluate_node_query(query, database, site_documents))
+
+
 class TestPlanEquivalence:
-    """execute_columnar() vs execute(): same rows, same order, same errors."""
+    """execute_columnar() vs the interpreter: same rows, order and errors."""
 
     @given(_selects, _hostile_exprs)
     @settings(max_examples=300, deadline=None)
-    def test_columnar_matches_row_hostile(self, select, where):
-        query = _query(select, where)
-        plan = compile_node_query(query)
-        assert _outcome(lambda: plan.execute_columnar(DATABASE)) == _outcome(
-            lambda: plan.execute(DATABASE)
-        )
+    def test_columnar_matches_interpreter_hostile(self, select, where):
+        _assert_matches_interpreter(_query(select, where))
 
     @given(_selects, _hostile_exprs)
     @settings(max_examples=150, deadline=None)
-    def test_columnar_matches_row_sitewide(self, select, where):
-        query = _query(select, where, sitewide=("d",))
+    def test_columnar_matches_interpreter_sitewide(self, select, where):
+        _assert_matches_interpreter(
+            _query(select, where, sitewide=("d",)), site_documents=SITE_DOCUMENTS
+        )
+
+    @given(_selects, _safe_exprs)
+    @settings(max_examples=150, deadline=None)
+    def test_columnar_matches_naive_oracle_safe(self, select, where):
+        """Type-safe grammar only: the naive oracle applies the predicate at
+        the leaf, so which conjunct raises first is not comparable."""
+        query = _query(select, where)
         plan = compile_node_query(query)
-        assert _outcome(
-            lambda: plan.execute_columnar(DATABASE, SITE_DOCUMENTS)
-        ) == _outcome(lambda: plan.execute(DATABASE, SITE_DOCUMENTS))
+        assert plan.execute_columnar(DATABASE) == evaluate_node_query_naive(
+            query, DATABASE
+        )
 
     @given(_d_only_exprs)
     @settings(max_examples=150, deadline=None)
     def test_single_table_shapes(self, where):
         """One-alias plans exercise the leaf-only batch path directly."""
-        query = _query(
-            [Attr("d", "url"), Attr("d", "title")],
-            where,
-            tables=("document",),
-        )
-        plan = compile_node_query(query)
-        assert _outcome(lambda: plan.execute_columnar(DATABASE)) == _outcome(
-            lambda: plan.execute(DATABASE)
+        _assert_matches_interpreter(
+            _query([Attr("d", "url"), Attr("d", "title")], where, tables=("document",))
         )
 
     @given(_hostile_exprs)
     @settings(max_examples=100, deadline=None)
     def test_columnar_plan_is_reusable(self, where):
-        """The lazily-lowered runner is cached: no state leaks between runs
-        and no divergence from a fresh row execution afterwards."""
+        """No state leaks between runs of one plan."""
         query = _query([Attr("a", "href")], where)
         plan = compile_node_query(query)
         first = _outcome(lambda: plan.execute_columnar(DATABASE))
         second = _outcome(lambda: plan.execute_columnar(DATABASE))
         assert first == second
-        assert first == _outcome(lambda: plan.execute(DATABASE))
+        assert first == _outcome(lambda: evaluate_node_query(query, DATABASE))
 
 
 # -- multi-level join plans (EXP-P6) -------------------------------------------
@@ -252,30 +266,25 @@ _join_wheres = st.lists(
 
 class TestMultiLevelJoins:
     """3+ level plans with shared join variables: the outer-level hash
-    probes and batch filters must stay row-identical, errors included."""
+    probes and batch filters must stay interpreter-identical, errors
+    included."""
 
     @given(_selects, _join_wheres)
     @settings(max_examples=200, deadline=None)
-    def test_three_level_joins_match_row(self, select, where):
-        query = _query(select, where)
-        plan = compile_node_query(query)
-        assert _outcome(lambda: plan.execute_columnar(DATABASE)) == _outcome(
-            lambda: plan.execute(DATABASE)
-        )
+    def test_three_level_joins_match_interpreter(self, select, where):
+        _assert_matches_interpreter(_query(select, where))
 
     @given(_selects, _join_wheres)
     @settings(max_examples=100, deadline=None)
     def test_three_level_joins_sitewide(self, select, where):
         """Sitewide document alias at level 0: multi-page outer batch."""
-        query = _query(select, where, sitewide=("d",))
-        plan = compile_node_query(query)
-        assert _outcome(
-            lambda: plan.execute_columnar(DATABASE, SITE_DOCUMENTS)
-        ) == _outcome(lambda: plan.execute(DATABASE, SITE_DOCUMENTS))
+        _assert_matches_interpreter(
+            _query(select, where, sitewide=("d",)), site_documents=SITE_DOCUMENTS
+        )
 
     @given(_join_wheres, _join_wheres)
     @settings(max_examples=100, deadline=None)
-    def test_four_level_joins_match_row(self, left, right):
+    def test_four_level_joins_match_interpreter(self, left, right):
         """Four aliases (two anchor scans) — deeper than anything the DST
         generator emits, so the expansion chain is covered past depth 3."""
         query = NodeQuery(
@@ -288,10 +297,7 @@ class TestMultiLevelJoins:
             ),
             where=And(left, Compare("=", Attr("a2", "base"), Attr("a", "base"))),
         )
-        plan = compile_node_query(query)
-        assert _outcome(lambda: plan.execute_columnar(DATABASE)) == _outcome(
-            lambda: plan.execute(DATABASE)
-        )
+        _assert_matches_interpreter(query)
 
     def test_join_probes_hit_the_cached_index(self):
         """The tentpole's point: an equality join is served by a cached
@@ -305,13 +311,79 @@ class TestMultiLevelJoins:
         )
         plan = compile_node_query(query)
         rows = plan.execute_columnar(database)
-        assert rows == plan.execute(database)
+        assert rows == evaluate_node_query(query, database)
         assert stats.index_builds >= 1
         plan.execute_columnar(database)
         assert stats.index_hits >= 1
+        assert stats.plan_replays == 0  # a clean batch never falls back
         summary = stats.summary()
         assert summary["index_builds"] == stats.index_builds
         assert summary["index_hits"] == stats.index_hits
+        assert summary["plan_replays"] == 0
+
+
+# -- fault-injected replay -----------------------------------------------------
+
+_ANY_URL = "http://a.example/page.html"
+# stage where the batch raises → (select, where, relation to poison,
+# poisoned row).  A poisoned cell is an int where the constant-needle ``contains`` kernels
+# expect a string: the batch raises AttributeError, which only the replay
+# turns back into the interpreter's own outcome.
+_REPLAY_CASES = {
+    "level-0-filter": (
+        [Attr("r", "text")],
+        Contains(Attr("d", "title"), Literal("alpha")),
+        "document", (_ANY_URL, 5, "text", 4),
+    ),
+    "level-1-filter": (
+        [Attr("r", "text")],
+        Contains(Attr("a", "label"), Literal("one")),
+        "anchor", (5, _ANY_URL, _ANY_URL, "L"),
+    ),
+    "leaf-kernel": (
+        [Attr("a", "href")],
+        Contains(Attr("r", "text"), Literal("bold")),
+        "relinfon", ("b", _ANY_URL, 5, 1),
+    ),
+    # No poison needed: DOCUMENT.length is an int column by schema.
+    "non-string-contains-cell": (
+        [Attr("d", "url")],
+        Contains(Attr("d", "length"), Literal("1")),
+        None, None,
+    ),
+    # The probe side raises, but the short-circuiting row loop never reaches
+    # it (the first conjunct is false on every anchor): the replay must come
+    # back with *rows* (none), not an error.
+    "join-probe": (
+        [Attr("a", "href")],
+        And(
+            Compare("!=", Attr("a", "ltype"), Attr("a", "ltype")),
+            Compare("=", Attr("a", "href"), _BROKEN),
+        ),
+        None, None,
+    ),
+    "projector": (
+        [Attr("a", "href"), _BROKEN_A],
+        Compare("=", Attr("a", "ltype"), Literal("G")),
+        None, None,
+    ),
+}
+
+
+class TestReplay:
+    """Force the batch to raise at every stage of the pipeline: the
+    rollback-and-replay outcome must be the interpreter's, and counted."""
+
+    @pytest.mark.parametrize("stage", sorted(_REPLAY_CASES))
+    def test_forced_batch_failure_replays_to_the_interpreter_outcome(self, stage):
+        select, where, relation, poisoned_row = _REPLAY_CASES[stage]
+        stats = TrafficStats()
+        database = build_node_database(URL, _HTML, stats=stats)
+        if relation is not None:
+            database.relation(relation).insert(poisoned_row)
+        query = _query(select, where)
+        _assert_matches_interpreter(query, database)
+        assert stats.plan_replays == 1
 
 
 class TestColumnIndexSafety:
@@ -391,8 +463,12 @@ def _run_batch(web, texts, **config):
     return engine, handles
 
 
+# Default engine (compiled plans on the batch pipeline) vs the interpreter.
+_EVALUATORS = ({}, {"compiled_plans": False})
+
+
 class TestEngineEquivalence:
-    """Whole-engine runs: the executor knob changes cost, never answers."""
+    """Whole-engine runs: compiling plans changes cost, never answers."""
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -400,110 +476,55 @@ class TestEngineEquivalence:
         spec = generate_case(seed)
         web = build_web(spec)
         texts = query_texts(spec)
-        runs = {}
-        for executor in ("columnar", "row"):
-            engine, handles = _run_batch(web, texts, executor=executor)
-            runs[executor] = _semantic_state(engine, handles)
-        assert runs["columnar"] == runs["row"]
+        compiled, interpreted = (
+            _semantic_state(*_run_batch(web, texts, **knobs)) for knobs in _EVALUATORS
+        )
+        assert compiled == interpreted
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_equivalence_crossed_with_memo(self, seed):
-        """Memo entries are layout-independent: a memo warmed by either
-        executor must leave answers identical to the other's."""
+        """Memo entries are evaluator-independent: a memo warmed by either
+        must leave answers identical to the other's."""
         spec = generate_case(seed)
         web = build_web(spec)
         # Duplicate the main query so the memo demonstrably engages.
         texts = query_texts(spec) + [query_texts(spec)[0]]
-        runs = {}
-        for executor in ("columnar", "row"):
-            engine, handles = _run_batch(
-                web, texts, executor=executor, cross_query_caching=True
+        compiled, interpreted = (
+            _semantic_state(
+                *_run_batch(web, texts, cross_query_caching=True, **knobs)
             )
-            runs[executor] = _semantic_state(engine, handles)
-        assert runs["columnar"] == runs["row"]
+            for knobs in _EVALUATORS
+        )
+        assert compiled == interpreted
 
     def test_campus_rows_identical(self, campus_web):
-        states = {}
-        for executor in ("columnar", "row"):
-            engine, (handle,) = _run_batch(
-                campus_web, [CAMPUS_QUERY_DISQL], executor=executor
-            )
+        states = []
+        for knobs in _EVALUATORS:
+            engine, (handle,) = _run_batch(campus_web, [CAMPUS_QUERY_DISQL], **knobs)
             assert handle.status is QueryStatus.COMPLETE
             assert {r.values for r in handle.unique_rows("q2")} == set(
                 EXPECTED_CONVENER_ROWS
             )
-            states[executor] = _semantic_state(engine, [handle])
-        assert states["columnar"] == states["row"]
+            states.append(_semantic_state(engine, [handle]))
+        assert states[0] == states[1]
 
 
 class TestMemoLayoutIndependence:
     def test_columnar_rows_round_trip_through_the_memo(self):
         """Rows computed by the batch path are plain ResultRow tuples: a
-        memo entry written under one executor serves the other unchanged."""
+        memo entry written by it serves an interpreter-side reader unchanged."""
         query = _query(
             [Attr("d", "url"), Attr("a", "href")],
             Compare("=", Attr("a", "ltype"), Literal("G")),
             tables=("document", "anchor"),
         )
-        plan = compile_node_query(query)
-        columnar = tuple(plan.execute_columnar(DATABASE))
-        row = tuple(plan.execute(DATABASE))
-        assert columnar == row
+        columnar = tuple(compile_node_query(query).execute_columnar(DATABASE))
+        interpreted = tuple(evaluate_node_query(query, DATABASE))
+        assert columnar == interpreted
         memo = ResultMemo()
         memo.store_rows(URL, query, columnar)
-        assert memo.rows_for(URL, query) == row
-
-
-# -- sqlite storage backend ----------------------------------------------------
-
-
-SQLITE_DATABASE = build_node_database(URL, _HTML, storage="sqlite")
-
-
-class TestSqliteBackend:
-    def test_relations_round_trip(self):
-        for name in ("document", "anchor", "relinfon"):
-            memory, sqlite = DATABASE.relation(name), SQLITE_DATABASE.relation(name)
-            assert memory.schema == sqlite.schema
-            assert memory.row_list() == sqlite.row_list()
-            assert memory.columns() == sqlite.columns()
-        assert DATABASE.tuple_count() == SQLITE_DATABASE.tuple_count()
-
-    def test_link_structure_round_trips(self):
-        from repro.model.relations import LinkType
-
-        for ltype in LinkType:
-            assert [
-                (a.base, a.href, a.label)
-                for a in DATABASE.outgoing_links(ltype)
-            ] == [
-                (a.base, a.href, a.label)
-                for a in SQLITE_DATABASE.outgoing_links(ltype)
-            ]
-            assert DATABASE.forward_targets(ltype) == SQLITE_DATABASE.forward_targets(
-                ltype
-            )
-
-    @given(_selects, _hostile_exprs)
-    @settings(max_examples=100, deadline=None)
-    def test_plans_blind_to_the_backend(self, select, where):
-        """executor × storage: all four combinations agree exactly."""
-        plan = compile_node_query(_query(select, where))
-        baseline = _outcome(lambda: plan.execute(DATABASE))
-        assert _outcome(lambda: plan.execute_columnar(DATABASE)) == baseline
-        assert _outcome(lambda: plan.execute(SQLITE_DATABASE)) == baseline
-        assert _outcome(lambda: plan.execute_columnar(SQLITE_DATABASE)) == baseline
-
-    def test_engine_on_sqlite_matches_memory(self, campus_web):
-        states = {}
-        for backend in ("memory", "sqlite"):
-            engine, (handle,) = _run_batch(
-                campus_web, [CAMPUS_QUERY_DISQL], storage_backend=backend
-            )
-            assert handle.status is QueryStatus.COMPLETE
-            states[backend] = _semantic_state(engine, [handle])
-        assert states["memory"] == states["sqlite"]
+        assert memo.rows_for(URL, query) == interpreted
 
 
 # -- bounded memo (S1) ---------------------------------------------------------
@@ -566,8 +587,6 @@ class TestBoundedMemo:
         assert len(memo) == 1
 
     def test_capacity_must_be_positive(self):
-        import pytest
-
         with pytest.raises(ValueError):
             ResultMemo(capacity=0)
 
@@ -604,7 +623,6 @@ class TestConstructorCaches:
         constructor.construct(SIBLING, _HTML)  # evicts URL
         constructor.construct(URL, _HTML)  # rebuild, but parse-cache hit
         info = constructor.cache_info()
-        assert info["storage"] == "memory"
         assert info["cache_size"] == 1
         assert info["cached_databases"] == 1
         assert info["parsed_documents"] == 2
@@ -625,12 +643,6 @@ class TestConstructorCaches:
         # The parse cache works even with the database cache off.
         assert stats.parse_cache_hits == 1
 
-    def test_rejects_unknown_backend(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            DatabaseConstructor(storage="parquet")
-
     def test_engine_surfaces_the_counters(self, campus_web):
         engine, (handle,) = _run_batch(
             campus_web, [CAMPUS_QUERY_DISQL], db_cache_size=16
@@ -645,37 +657,37 @@ class TestConstructorCaches:
 
 
 class TestDstIntegration:
-    def test_generator_draws_both_executor_values(self):
-        draws = {
-            generate_case(seed)["config"]["executor"] for seed in range(16)
-        }
-        assert draws == {"columnar", "row"}
+    def test_generator_keeps_the_retired_knobs_draw_position(self):
+        cases = [generate_case(seed) for seed in range(16)]
+        assert not any("executor" in case["config"] for case in cases)
+        # The ``anchor`` draw comes after the retired knob's: these are the
+        # values seeds 0..15 drew while the knob still existed.
+        drawn = "".join("01"[case["query"]["anchor"]] for case in cases)
+        assert drawn == "1001010001110001"
 
-    def test_runner_threads_the_knob(self):
-        spec = {"seed": 0, "config": {"executor": "row"}}
-        assert _engine_config(spec, inject_bug=False).executor == "row"
-        # Absent (older repro files) defaults to the engine default.
-        assert _engine_config(
-            {"seed": 0, "config": {}}, inject_bug=False
-        ).executor == "columnar"
+    def test_runner_ignores_the_retired_knob_in_old_repro_files(self):
+        old = {"seed": 0, "config": {"executor": "row", "compiled_plans": False}}
+        new = {"seed": 0, "config": {"compiled_plans": False}}
+        assert _engine_config(old, inject_bug=False) == _engine_config(
+            new, inject_bug=False
+        )
 
-    def test_shrinker_proposes_the_row_fallback(self):
+    def test_shrinker_proposes_the_interpreter_fallback(self):
         spec = generate_case(3)
-        spec["config"]["executor"] = "columnar"
+        spec["config"]["compiled_plans"] = True
+
+        def without_knob(config):
+            return {k: v for k, v in config.items() if k != "compiled_plans"}
+
         flipped = [
             candidate
             for candidate in _candidates(spec)
-            if candidate["config"].get("executor") == "row"
-            and {k: v for k, v in candidate["config"].items() if k != "executor"}
-            == {k: v for k, v in spec["config"].items() if k != "executor"}
+            if candidate["config"]["compiled_plans"] is False
+            and without_knob(candidate["config"]) == without_knob(spec["config"])
             and candidate["web"] == spec["web"]
             and candidate["faults"] == spec["faults"]
         ]
         assert flipped
-        # ...and never re-fires once the executor is already row.
-        spec["config"]["executor"] = "row"
-        assert not any(
-            candidate["config"].get("executor") == "row"
-            and candidate == spec
-            for candidate in _candidates(spec)
-        )
+        # ...and never re-fires once the interpreter is already selected.
+        spec["config"]["compiled_plans"] = False
+        assert not any(candidate == spec for candidate in _candidates(spec))

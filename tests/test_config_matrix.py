@@ -107,47 +107,13 @@ def test_figure8_invariant_under_caching_axis(campus_web, combo):
         assert handle.cht.imbalance() == 0
 
 
-# The executor seam (EXP-P5) crossed against the knobs that change *where*
-# node-queries run: the cross-query memo (columnar results must serve row
-# probes and vice versa), frontier batching (moves fan-out emission into
-# the pump, whose columnar path reads precomputed forward targets) and the
-# storage backend (both executors over both table materializations).  Two
-# identical tenants per combo so the memo genuinely engages.
-_EXECUTOR_AXES = {
-    "executor": ("columnar", "row"),
-    "cross_query_caching": (True, False),
-    "frontier_batching": (True, False),
-    "storage_backend": ("memory", "sqlite"),
-}
-
-_EXECUTOR_COMBOS = [
-    dict(zip(_EXECUTOR_AXES, values))
-    for values in itertools.product(*_EXECUTOR_AXES.values())
-]
-
-
-@pytest.mark.parametrize("combo", _EXECUTOR_COMBOS, ids=_combo_id)
-def test_figure8_invariant_under_executor_axis(campus_web, combo):
-    engine = WebDisEngine(campus_web, config=EngineConfig(**combo))
-    first = engine.submit_disql(CAMPUS_QUERY_DISQL)
-    second = engine.submit_disql(CAMPUS_QUERY_DISQL)
-    engine.run()
-    for handle in (first, second):
-        assert handle.status is QueryStatus.COMPLETE
-        assert {r.values for r in handle.unique_rows("q2")} == set(
-            EXPECTED_CONVENER_ROWS
-        )
-        handle.cht.check_consistency()
-        assert handle.cht.imbalance() == 0
-
-
 # The EXP-P6 outer-level batching crossed with join depth: node-queries of
 # 1, 2 and 3 aliases — the 3-alias one carries explicit equality joins on
 # shared variables (a.base = d.url, r.url = a.base), i.e. the shapes the
-# batch pipeline lowers to hash-index probes.  Every (executor, backend)
-# cell must match the row/memory baseline's statuses and distinct rows
-# exactly; the depth-1/2/3 queries between them cover leaf-only, one
-# expansion level and two expansion levels of the pipeline.
+# batch pipeline lowers to hash-index probes.  The default engine must match
+# the interpreter's statuses and distinct rows exactly; the depth-1/2/3
+# queries between them cover leaf-only, one expansion level and two
+# expansion levels of the pipeline.
 _JOIN_DEPTH_QUERIES = {
     1: """
 select d.url, d.title
@@ -169,9 +135,6 @@ where a.href != a.base
 """,
 }
 
-_JOIN_DEPTH_BASELINES: dict[int, tuple] = {}
-
-
 def _join_depth_state(campus_web, depth, **config):
     engine = WebDisEngine(campus_web, config=EngineConfig(**config))
     handle = engine.run_query(_JOIN_DEPTH_QUERIES[depth])
@@ -182,22 +145,10 @@ def _join_depth_state(campus_web, depth, **config):
 
 
 @pytest.mark.parametrize("depth", sorted(_JOIN_DEPTH_QUERIES))
-@pytest.mark.parametrize("backend", ("memory", "sqlite"))
-@pytest.mark.parametrize("executor", ("columnar", "row"))
-def test_join_depth_invariant_under_executor_and_storage(
-    campus_web, executor, backend, depth
-):
-    baseline = _JOIN_DEPTH_BASELINES.get(depth)
-    if baseline is None:
-        baseline = _JOIN_DEPTH_BASELINES[depth] = _join_depth_state(
-            campus_web, depth, executor="row", storage_backend="memory"
-        )
-    status, rows = baseline
+def test_join_depth_invariant_under_compiled_plans(campus_web, depth):
+    status, rows = baseline = _join_depth_state(
+        campus_web, depth, compiled_plans=False
+    )
     assert status is QueryStatus.COMPLETE
     assert rows  # every depth's query genuinely produces rows
-    assert (
-        _join_depth_state(
-            campus_web, depth, executor=executor, storage_backend=backend
-        )
-        == baseline
-    )
+    assert _join_depth_state(campus_web, depth) == baseline

@@ -261,7 +261,7 @@ class DataShippingEngine:
         outcome = process_node(
             work.url, database, query, work.step_index, work.rem, self.config,
             site_documents=self._site_documents_for(query, work.url.host),
-            plan_for=self._plan_for(query),
+            plan_for=self.plans.bind(query) if self.config.compiled_plans else None,
         )
         self.stats.node_queries_evaluated += len(outcome.evaluations)
         now = self.clock.now
@@ -295,15 +295,6 @@ class DataShippingEngine:
                 )
             )
         return self.config.service_time(len(html), outcome.tuples_scanned)
-
-    def _plan_for(self, query: WebQuery):
-        """Step-index → compiled plan, or None under the interpreter ablation."""
-        if not self.config.compiled_plans:
-            return None
-        qid = query.qid
-        steps = query.steps
-        cache = self.plans
-        return lambda k: cache.plan_for(steps[k].query, qid)
 
     def _site_documents_for(self, query: WebQuery, site_name: str):
         """Site-spanning DOCUMENT table for §7.1 multi-document queries.

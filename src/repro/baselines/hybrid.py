@@ -33,6 +33,7 @@ from ..core.logtable import LogAction, NodeQueryLogTable
 from ..core.messages import ChtEntry, CloneBundle, Disposition, NodeReport, ResultMessage
 from ..core.plancache import PlanCache
 from ..core.processing import process_node
+from ..core.server import stamp_identities
 from ..core.trace import Tracer
 from ..core.webquery import QueryClone, QueryId
 from ..model.database import DatabaseConstructor, build_documents_table
@@ -179,7 +180,7 @@ class CentralProcessor:
             outcome = process_node(
                 node, database, clone.query, clone.step_index, rem, self.config,
                 site_documents=self._site_documents_for(clone.query, node.host),
-                plan_for=self._plan_for(clone.query),
+                plan_for=self.plans.bind(clone.query) if self.config.compiled_plans else None,
             )
             service += self.config.service_time(len(html), outcome.tuples_scanned)
             self.stats.node_queries_evaluated += len(outcome.evaluations)
@@ -210,39 +211,10 @@ class CentralProcessor:
             QueryClone(clone.query, step_index, rem, tuple(dict.fromkeys(targets)))
             for (__, step_index, rem), targets in groups.items()
         ]
-        # Echo the clone's dispatch identity and mint the children's, exactly
-        # like a participating query-server would (see QueryServer).
-        if clone.dispatch_id:
-            child_of: dict[tuple[Url, object], str] = {}
-            for index, child in enumerate(clones):
-                stamped = child.with_identity(
-                    f"c{next(self._dispatch_serial)}@{self.site}", clone.epoch
-                )
-                clones[index] = stamped
-                for node in stamped.dest:
-                    child_of[(node, stamped.state)] = stamped.dispatch_id
-            reports = [
-                replace(
-                    report,
-                    dispatch_id=clone.dispatch_id,
-                    epoch=clone.epoch,
-                    child_ids=tuple(
-                        child_of.get((entry.node, entry.state), "")
-                        for entry in report.new_entries
-                    ),
-                )
-                for report in reports
-            ]
+        reports = stamp_identities(
+            clone, reports, clones, lambda: f"c{next(self._dispatch_serial)}@{self.site}"
+        )
         return reports, clones, service
-
-    def _plan_for(self, query):
-        """Step-index → compiled plan, or None under the interpreter ablation."""
-        if not self.config.compiled_plans:
-            return None
-        qid = query.qid
-        steps = query.steps
-        cache = self.plans
-        return lambda k: cache.plan_for(steps[k].query, qid)
 
     def _site_documents_for(self, query, site_name: str):
         """Site-spanning DOCUMENT table for §7.1 multi-document queries."""
@@ -334,8 +306,6 @@ class HybridEngine(WebDisEngine):
         user: str = "maya",
         trace: bool = False,
     ) -> None:
-        from dataclasses import replace
-
         base = config if config is not None else EngineConfig()
         super().__init__(
             web,

@@ -6,38 +6,29 @@ top, the new entries below) *before* forwarding clones, so the table always
 has complete knowledge and "all entries marked deleted" is an exact
 completion test.
 
-Two accounting modes coexist:
-
-**Legacy signed counts.**  Result messages from different servers are
-independent connections, so deltas can arrive out of order — a deletion may
-precede the arrival of the report that added the entry.  Unstamped
-operations therefore keep *signed pending counts* per ``(node, state)``
-key.  The balance argument: every deletion is paired with exactly one
-addition (by ``send_query`` or an upstream report), and any in-flight
-report keeps the entries it would retire positive.  Hence "all counts
-zero" still holds exactly when no clone is active and no report is in
-flight — transient negative counts never produce a false completion.
-
-**Dispatch-identity instances (self-healing extension).**  Signed counts
-break down under *recovery*: re-forwarding an entry whose original report
-is merely slow (not lost) makes two reports retire one addition, the
-balance goes negative, and the query hangs.  Stamped operations instead
-track one *instance* per ``(dispatch_id, node)`` — the identity minted by
-whoever dispatched the clone and echoed in its report.  Retirement is
-idempotent per instance: a second report for an already-retired instance
-is absorbed (``duplicates_absorbed``), a report for a dispatch that a
-re-forward superseded is absorbed as stale (``stale_absorbed``), and a
-retirement racing ahead of its own announcement is held as an *early*
-retirement until the announcement lands.  Completion is then "no pending
-instance and no unmatched early retirement" — exact under arbitrary
-re-forwarding, duplication and reordering.
+**One accounting: dispatch-identity instances.**  The paper's table is a
+bare multiset of ``(node, state)`` keys, which cannot survive recovery:
+re-forwarding an entry whose original report is merely slow (not lost)
+makes two reports retire one addition, and a signed count per key has no
+way to tell the second from a legitimate retirement.  (The retained race
+test, ``tests/test_self_healing.py::TestLegacyFootgun``, replays exactly
+that event sequence.)  Every operation therefore names one *instance* —
+``(dispatch_id, node)``, the identity minted by whoever dispatched the
+clone and echoed in its report.  Retirement is idempotent per instance: a
+second report for an already-retired instance is absorbed
+(``duplicates_absorbed``), a report for a dispatch that a re-forward
+superseded is absorbed as stale (``stale_absorbed``), and a retirement
+racing ahead of its own announcement — result messages from different
+servers are independent connections, so deltas can arrive out of order —
+is held as an *early* retirement until the announcement lands.  Completion
+is "no pending instance and no unmatched early retirement" — exact under
+arbitrary re-forwarding, duplication and reordering.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ProtocolError
 from ..urlutils import Url
@@ -68,7 +59,6 @@ class RetireResult(enum.Enum):
     EARLY = "early"  # retirement arrived before its announcement
     ABSORBED_DUPLICATE = "absorbed-duplicate"  # instance already retired
     ABSORBED_STALE = "absorbed-stale"  # instance superseded/abandoned
-    LEGACY = "legacy"  # unstamped signed-count retirement
 
 
 @dataclass
@@ -77,7 +67,7 @@ class DispatchInstance:
 
     dispatch_id: str
     node: Url
-    entry: ChtEntry | None
+    entry: ChtEntry
     epoch: int
     status: InstanceStatus
     added_at: float
@@ -100,11 +90,9 @@ class ChtRecord:
 
 
 class CurrentHostsTable:
-    """Dual-mode CHT: signed multiset plus dispatch-identity instances."""
+    """The CHT: one accounting instance per ``(dispatch_id, node)``."""
 
     def __init__(self) -> None:
-        self._pending: Counter[ChtEntry] = Counter()
-        self._legacy_nonzero = 0
         self._instances: dict[tuple[str, Url], DispatchInstance] = {}
         self._pending_count = 0
         self._early_unmatched = 0
@@ -116,17 +104,6 @@ class CurrentHostsTable:
         self._stale_absorbed = 0
         self._duplicate_adds_absorbed = 0
 
-    # -- legacy signed-count helpers ------------------------------------------
-
-    def _legacy_bump(self, entry: ChtEntry, delta: int) -> None:
-        before = self._pending[entry]
-        after = before + delta
-        self._pending[entry] = after
-        if before == 0 and after != 0:
-            self._legacy_nonzero += 1
-        elif before != 0 and after == 0:
-            self._legacy_nonzero -= 1
-
     # -- additions --------------------------------------------------------------
 
     def add(
@@ -134,19 +111,12 @@ class CurrentHostsTable:
         entry: ChtEntry,
         time: float = 0.0,
         *,
-        dispatch_id: str | None = None,
+        dispatch_id: str,
         epoch: int = 0,
     ) -> None:
-        """Record that a clone is (about to be) active at ``entry``.
-
-        With ``dispatch_id`` the addition registers an identity instance;
-        without it, the legacy signed count is incremented.
-        """
+        """Record that the clone ``dispatch_id`` is (about to be) active at ``entry``."""
         if not dispatch_id:
-            self._legacy_bump(entry, +1)
-            self._additions += 1
-            self._history.append(ChtRecord(entry, time, deleted=False))
-            return
+            raise ProtocolError(f"CHT addition for {entry} carries no dispatch id")
         key = (dispatch_id, entry.node)
         instance = self._instances.get(key)
         if instance is None:
@@ -178,14 +148,11 @@ class CurrentHostsTable:
         entry: ChtEntry,
         time: float = 0.0,
         *,
-        dispatch_id: str | None = None,
+        dispatch_id: str,
     ) -> RetireResult:
-        """Retire ``entry`` — idempotently per dispatch identity when stamped."""
+        """Retire ``entry`` — idempotently per dispatch identity."""
         if not dispatch_id:
-            self._legacy_bump(entry, -1)
-            self._deletions += 1
-            self._history.append(ChtRecord(entry, time, deleted=True))
-            return RetireResult.LEGACY
+            raise ProtocolError(f"CHT retirement for {entry} carries no dispatch id")
         key = (dispatch_id, entry.node)
         instance = self._instances.get(key)
         if instance is None:
@@ -248,7 +215,6 @@ class CurrentHostsTable:
         self._pending_count -= 1
         self._deletions += 1
         entry = instance.entry
-        assert entry is not None
         self._history.append(
             ChtRecord(entry, time, deleted=True, dispatch_id=dispatch_id, note="superseded")
         )
@@ -266,13 +232,12 @@ class CurrentHostsTable:
         self._pending_count -= 1
         self._deletions += 1
         self._abandoned.append(instance)
-        if instance.entry is not None:
-            self._history.append(
-                ChtRecord(
-                    instance.entry, time, deleted=True, dispatch_id=dispatch_id,
-                    note=f"abandoned: {reason}",
-                )
+        self._history.append(
+            ChtRecord(
+                instance.entry, time, deleted=True, dispatch_id=dispatch_id,
+                note=f"abandoned: {reason}",
             )
+        )
         return True
 
     # -- completion and introspection ---------------------------------------------
@@ -281,7 +246,6 @@ class CurrentHostsTable:
         """True exactly when the query has fully completed (see module doc)."""
         return (
             self._additions == self._deletions
-            and self._legacy_nonzero == 0
             and self._pending_count == 0
             and self._early_unmatched == 0
         )
@@ -306,12 +270,11 @@ class CurrentHostsTable:
 
     def pending_entries(self) -> list[ChtEntry]:
         """Entries still awaited (active clone locations), deduplicated."""
-        entries = {entry for entry, count in self._pending.items() if count > 0}
-        entries.update(
+        entries = {
             instance.entry
             for instance in self._instances.values()
-            if instance.status is InstanceStatus.PENDING and instance.entry is not None
-        )
+            if instance.status is InstanceStatus.PENDING
+        }
         return sorted(entries, key=str)
 
     def pending_instances(self) -> list[DispatchInstance]:
@@ -329,23 +292,6 @@ class CurrentHostsTable:
         """Instances written off by recovery escalation, in write-off order."""
         return list(self._abandoned)
 
-    def negative_legacy_entries(self) -> list[tuple[ChtEntry, int]]:
-        """Legacy ``(node, state)`` keys whose signed count is negative.
-
-        Transient negatives are legitimate mid-flight (a deletion's report
-        can outrun the addition's — see the module doc), but at quiescence
-        every count must be >= 0: Figure 3's ordering dispatches each
-        server's report (additions) before forwarding the clones whose
-        reports could delete them, so a *settled* negative count means two
-        reports retired an entry only one addition announced — the
-        pre-epoch-fence double-retire bug.  The DST invariant monitor checks
-        this at quiescence.
-        """
-        return sorted(
-            ((entry, count) for entry, count in self._pending.items() if count < 0),
-            key=lambda item: str(item[0]),
-        )
-
     def imbalance(self) -> int:
         """Net outstanding additions; 0 at completion."""
         return self._additions - self._deletions
@@ -357,18 +303,17 @@ class CurrentHostsTable:
         """Raise :class:`ProtocolError` if the accounting disagrees with itself.
 
         O(1): cross-checks the incrementally maintained aggregates.  The
-        invariant — additions minus deletions equals the legacy signed sum
-        plus pending instances minus unmatched early retirements — holds
-        after every message when accounting is correct; a double-retired or
-        double-added instance breaks it immediately.
+        invariant — additions minus deletions equals pending instances
+        minus unmatched early retirements — holds after every message when
+        accounting is correct; a double-retired or double-added instance
+        breaks it immediately.
         """
-        legacy_net = sum(self._pending.values())
-        expected = legacy_net + self._pending_count - self._early_unmatched
+        expected = self._pending_count - self._early_unmatched
         if self._additions - self._deletions != expected:
             raise ProtocolError(
                 "CHT counts diverged from addition/deletion totals: "
                 f"additions={self._additions} deletions={self._deletions} "
-                f"legacy_net={legacy_net} pending={self._pending_count} "
+                f"pending={self._pending_count} "
                 f"early={self._early_unmatched}"
             )
         if self._pending_count < 0 or self._early_unmatched < 0:
@@ -383,7 +328,6 @@ class CurrentHostsTable:
             1 for i in self._instances.values() if i.status is InstanceStatus.PENDING
         )
         early = sum(1 for i in self._instances.values() if i.early)
-        nonzero = sum(1 for count in self._pending.values() if count != 0)
         if pending != self._pending_count:
             raise ProtocolError(
                 f"CHT pending recount {pending} != counter {self._pending_count}"
@@ -391,9 +335,5 @@ class CurrentHostsTable:
         if early != self._early_unmatched:
             raise ProtocolError(
                 f"CHT early recount {early} != counter {self._early_unmatched}"
-            )
-        if nonzero != self._legacy_nonzero:
-            raise ProtocolError(
-                f"CHT legacy nonzero recount {nonzero} != counter {self._legacy_nonzero}"
             )
         self.check_consistency()

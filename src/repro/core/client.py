@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..errors import QueryLifecycleError
+from ..errors import ProtocolError, QueryLifecycleError
 from ..net.network import (
     FIRST_RESULT_PORT,
     HELPER_PORT,
@@ -81,7 +81,7 @@ class QueryHandle:
     #: superseded dispatches are recognizably stale.
     recovery_epoch: int = 0
     #: ``(node, state)`` pairs whose result rows were already ingested —
-    #: node processing is deterministic, so a second stamped report for the
+    #: node processing is deterministic, so a second report for the
     #: same pair (re-processing after a crash wiped the target's log table)
     #: carries rows the user already has.
     row_sources: set = field(default_factory=set)
@@ -182,6 +182,10 @@ class QueryHandle:
 class UserSiteClient:
     """The WEBDIS client process at one user site."""
 
+    #: Builds each submitted query's CHT.  The one substitution seam the
+    #: DST harness uses to swap in a deliberately broken table.
+    cht_factory: Callable[[], CurrentHostsTable] = CurrentHostsTable
+
     def __init__(
         self,
         site: str,
@@ -235,7 +239,7 @@ class UserSiteClient:
         query = query.with_qid(qid)
         handle = QueryHandle(
             query,
-            CurrentHostsTable(),
+            self.cht_factory(),
             submit_time=self.clock.now,
             on_result=on_result,
             on_complete=on_complete,
@@ -299,7 +303,7 @@ class UserSiteClient:
             for node in clone.dest:
                 handle.cht.mark_deleted(
                     ChtEntry(node, state), self.clock.now,
-                    dispatch_id=clone.dispatch_id or None,
+                    dispatch_id=clone.dispatch_id,
                 )
                 if self.tracer.enabled:
                     self.tracer.record(
@@ -323,13 +327,19 @@ class UserSiteClient:
         handle.last_message_time = now
         for report in payload.reports:
             if report.disposition is not Disposition.DATA_ONLY:
+                if not report.dispatch_id or len(report.child_ids) != len(report.new_entries):
+                    raise ProtocolError(
+                        f"malformed report for {report.entry} from {src}: dispatch "
+                        f"id {report.dispatch_id!r}, {len(report.child_ids)} child "
+                        f"id(s) for {len(report.new_entries)} new entr(ies)"
+                    )
                 if report.disposition is Disposition.OVERLOADED:
                     # A saturated server shed this pending clone: its entry
                     # retires like any retraction, but the coverage hole is
                     # remembered — completion degrades to PARTIAL.
                     handle.shed_nodes.add(report.entry.node)
                 outcome = handle.cht.mark_deleted(
-                    report.entry, now, dispatch_id=report.dispatch_id or None
+                    report.entry, now, dispatch_id=report.dispatch_id
                 )
                 if outcome is RetireResult.ABSORBED_DUPLICATE:
                     self.stats.duplicate_reports_absorbed += 1
@@ -347,45 +357,34 @@ class UserSiteClient:
                 # follow a *successful* report connect), so the CHT must
                 # expect their reports.  Idempotence comes from the child
                 # dispatch identities, not from dropping the announcement.
-                for index, entry in enumerate(report.new_entries):
-                    child_id = (
-                        report.child_ids[index]
-                        if index < len(report.child_ids)
-                        else ""
-                    )
-                    handle.cht.add(
-                        entry, now, dispatch_id=child_id or None, epoch=report.epoch
-                    )
+                for entry, child_id in zip(report.new_entries, report.child_ids):
+                    handle.cht.add(entry, now, dispatch_id=child_id, epoch=report.epoch)
             self._ingest_rows(handle, report, now)
-        if self.config.debug_consistency_checks:
-            handle.cht.check_consistency()
+        handle.cht.check_consistency()
         self._check_completion(handle)
 
     def _ingest_rows(self, handle: QueryHandle, report, now: float) -> None:
         """Store a report's rows, deduplicating re-processed work.
 
-        Node processing is deterministic, so two *stamped* reports for the
-        same ``(node, state)`` carry identical rows — the second is a
-        recovery artifact (the clone was re-forwarded and the target's log
-        table had been wiped by a crash).  Unstamped reports keep the legacy
-        behaviour: every row is stored and duplicate suppression is the
-        display layer's job.
+        Node processing is deterministic, so two reports for the same
+        ``(node, state)`` carry identical rows — the second is a recovery
+        artifact (the clone was re-forwarded and the target's log table had
+        been wiped by a crash).
         """
         if not report.results:
             return
-        if report.dispatch_id:
-            source = (report.entry.node, report.entry.state)
-            if source in handle.row_sources and handle.recovery_epoch > 0:
-                # Only queries that have been through a recovery round can
-                # see re-processing duplicates; before that, a repeated
-                # (node, state) is legitimate protocol traffic (e.g. the
-                # log-table-disabled ablation) and is kept, as before.
-                self.stats.duplicate_rows_dropped += len(report.results)
-                self._trace_transport(
-                    "rows-deduplicated", f"{report.entry.node} x{len(report.results)}"
-                )
-                return
-            handle.row_sources.add(source)
+        source = (report.entry.node, report.entry.state)
+        if source in handle.row_sources and handle.recovery_epoch > 0:
+            # Only queries that have been through a recovery round can
+            # see re-processing duplicates; before that, a repeated
+            # (node, state) is legitimate protocol traffic (e.g. the
+            # log-table-disabled ablation) and is kept.
+            self.stats.duplicate_rows_dropped += len(report.results)
+            self._trace_transport(
+                "rows-deduplicated", f"{report.entry.node} x{len(report.results)}"
+            )
+            return
+        handle.row_sources.add(source)
         for label, row in report.results:
             if handle.first_result_time is None:
                 handle.first_result_time = now
@@ -462,10 +461,11 @@ class UserSiteClient:
         new report (possibly a DUPLICATE drop at the target's log table) or,
         if the site stays unreachable, a retraction.
 
-        Call this only for entries believed *orphaned* — e.g. from the
-        :meth:`watch` stall detector.  Re-forwarding an entry whose original
-        report is still in flight would retire it twice and unbalance the
-        CHT.  Returns the number of clones re-forwarded.
+        Meant for entries believed *orphaned* — e.g. from the :meth:`watch`
+        stall detector — but safe when the original report is merely slow:
+        each pending instance is superseded under a new recovery epoch, so
+        the late report is absorbed as stale and only the re-forward's own
+        report retires the entry.  Returns the number of clones re-forwarded.
         """
         if handle.status is not QueryStatus.RUNNING:
             return 0
@@ -474,16 +474,11 @@ class UserSiteClient:
         handle.recovery_epoch += 1
         epoch = handle.recovery_epoch
 
-        if self.config.debug_unfenced_recovery:
-            return self._reforward_unfenced(handle, now)
-
-        # Identity-tracked instances: group, supersede under the new epoch,
-        # re-dispatch.  A late report from the old dispatch is absorbed as
-        # stale; the re-forward's own report retires the new instance.
+        # Group the pending instances, supersede under the new epoch,
+        # re-dispatch.
         instance_groups: dict[tuple[str, int, object], list] = {}
         for instance in handle.cht.pending_instances():
             entry = instance.entry
-            assert entry is not None
             step_index = len(query.steps) - entry.state.num_q
             key = (entry.node.host, step_index, entry.state.rem)
             instance_groups.setdefault(key, []).append(instance)
@@ -510,67 +505,7 @@ class UserSiteClient:
             count += 1
             self._dispatch_clone(handle, clone, "unreachable-reforward")
 
-        # Legacy (unstamped) entries keep the pre-identity behaviour: the
-        # rebuilt clone travels unstamped and its report retires the signed
-        # count — with the documented double-retire hazard.
-        legacy_groups: dict[tuple[str, int, object], list[Url]] = {}
-        for entry in handle.cht.pending_entries():
-            if any(
-                inst.entry == entry for inst in handle.cht.pending_instances()
-            ):
-                continue
-            step_index = len(query.steps) - entry.state.num_q
-            key = (entry.node.host, step_index, entry.state.rem)
-            legacy_groups.setdefault(key, []).append(entry.node)
-        for (site, step_index, rem), nodes in sorted(legacy_groups.items(), key=str):
-            clone = QueryClone(query, step_index, rem, tuple(dict.fromkeys(nodes)))
-            if self.tracer.enabled:
-                for node in clone.dest:
-                    self.tracer.record(
-                        now, str(node), site, clone.state, "-", "re-forwarded"
-                    )
-            self.stats.clones_reforwarded += 1
-            count += 1
-            self._dispatch_clone(handle, clone, "unreachable-reforward")
-        if self.config.debug_consistency_checks:
-            handle.cht.check_consistency()
-        return count
-
-    def _reforward_unfenced(self, handle: QueryHandle, now: float) -> int:
-        """DEBUG ONLY: the pre-epoch-fence recovery, preserved as a bug oracle.
-
-        Re-dispatches every pending stamped instance as an *unstamped*
-        legacy clone, without superseding the instance — exactly what
-        recovery did before dispatch identities existed.  The re-forward's
-        unstamped report then retires a legacy signed count that no legacy
-        addition ever announced (the original addition is instance-tracked),
-        driving the ``(node, state)`` count negative; the stamped instance
-        meanwhile stays pending until the original — possibly dead — server
-        reports.  Net effect: the query hangs or spuriously escalates
-        PARTIAL, and :meth:`CurrentHostsTable.negative_legacy_entries` is
-        non-empty at quiescence.  Exists so the DST shrinker has a known
-        bug to find (``EngineConfig.debug_unfenced_recovery``).
-        """
-        query = handle.query
-        groups: dict[tuple[str, int, object], list[Url]] = {}
-        for instance in handle.cht.pending_instances():
-            entry = instance.entry
-            assert entry is not None
-            step_index = len(query.steps) - entry.state.num_q
-            key = (entry.node.host, step_index, entry.state.rem)
-            groups.setdefault(key, []).append(entry.node)
-        count = 0
-        for (site, step_index, rem), nodes in sorted(groups.items(), key=str):
-            clone = QueryClone(query, step_index, rem, tuple(dict.fromkeys(nodes)))
-            if self.tracer.enabled:
-                for node in clone.dest:
-                    self.tracer.record(
-                        now, str(node), site, clone.state, "-", "re-forwarded",
-                        detail="unfenced (debug)",
-                    )
-            self.stats.clones_reforwarded += 1
-            count += 1
-            self._dispatch_clone(handle, clone, "unreachable-reforward")
+        handle.cht.check_consistency()
         return count
 
     # -- Section 2.8: passive termination ----------------------------------------

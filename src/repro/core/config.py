@@ -14,8 +14,10 @@ paper's mechanisms or optimizations so the benches can quantify it
 
 Node-queries run on one compiled executor (the batch pipeline, with the
 tree interpreter behind ``compiled_plans=False`` as the executable reference)
-over one storage (the paper's temporary in-memory tables, §2.4); neither is
-configurable — see "Removed knobs" in ``docs/performance.md``.
+over one storage (the paper's temporary in-memory tables, §2.4), and query
+completion rests on one CHT accounting (dispatch identities, cross-checked
+after every report); none of these is configurable — see "Removed knobs" in
+``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -109,22 +111,6 @@ class EngineConfig:
     #: (real TCP sockets on an asyncio event loop,
     #: :class:`~repro.core.aio_engine.AsyncioWebDisEngine`).
     transport: str = "sim"
-
-    #: DEBUG ONLY — re-introduces the pre-epoch-fence recovery bug for the
-    #: DST shrinker demo: ``reforward_pending`` re-dispatches pending stamped
-    #: instances as *unstamped legacy* clones without superseding them, so
-    #: the original report and the re-forward's report both retire what only
-    #: one addition announced.  The legacy signed count for the entry goes
-    #: negative and never recovers — the query hangs (or spuriously
-    #: escalates PARTIAL).  Never enable outside the testing harness.
-    debug_unfenced_recovery: bool = False
-
-    #: Self-healing extension: run the CHT's O(1) accounting cross-check
-    #: after every report message and recovery round, raising ProtocolError
-    #: on the first inconsistency instead of silently hanging or
-    #: double-counting.  Cheap enough to stay on by default; benches that
-    #: want the last few percent can switch it off.
-    debug_consistency_checks: bool = True
 
     # --- server resource management ------------------------------------------
     #: Query-processor threads per server.  The paper's design is a single

@@ -74,8 +74,9 @@ class NodeReport:
     the clone carrying ``new_entries[i]`` will travel under, minted by the
     reporting server *before* the forward.  The user-site's CHT keys its
     accounting on these identities so a late or duplicated report is
-    absorbed idempotently instead of unbalancing the table.  Empty strings
-    mean an unstamped (legacy) report, accounted by signed counts.
+    absorbed idempotently instead of unbalancing the table.  The user-site
+    rejects a bookkeeping report with no ``dispatch_id``, or with
+    ``child_ids`` not parallel to ``new_entries`` (``ProtocolError``).
     """
 
     entry: ChtEntry

@@ -36,7 +36,7 @@ from ..relational.compile import (
     structural_key,
 )
 from ..relational.query import NodeQuery
-from .webquery import QueryId
+from .webquery import QueryId, WebQuery
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..net.stats import TrafficStats
@@ -117,6 +117,16 @@ class PlanCache:
         while len(self._plans) > self.max_size:
             self._plans.popitem(last=False)
         return plan
+
+    def bind(self, query: WebQuery) -> Callable[[int], CompiledPlan]:
+        """A step-index → compiled-plan lookup bound to ``query``.
+
+        The ``plan_for`` argument of
+        :func:`~repro.core.processing.process_node`.
+        """
+        qid = query.qid
+        steps = query.steps
+        return lambda k: self.plan_for(steps[k].query, qid)
 
     def clear(self) -> None:
         """Drop every plan (process crash / incarnation boundary)."""

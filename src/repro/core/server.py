@@ -59,6 +59,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import replace
+from typing import Callable
 
 from ..model.database import DatabaseConstructor, build_documents_table
 from ..net.network import HELPER_PORT, QUERY_PORT, Network, SendOutcome
@@ -76,9 +77,43 @@ from .processing import Forward, process_frontier, process_node
 from .resultmemo import ResultMemo
 from .scheduler import make_scheduler
 from .trace import Tracer
-from .webquery import QueryClone, QueryId, WebQuery
+from .webquery import QueryClone, QueryId
 
-__all__ = ["QueryServer"]
+__all__ = ["QueryServer", "stamp_identities"]
+
+
+def stamp_identities(
+    clone: QueryClone,
+    reports: list[NodeReport],
+    clones: list[QueryClone],
+    mint: Callable[[], str],
+) -> list[NodeReport]:
+    """Echo the parent's dispatch identity and mint the children's.
+
+    Each outgoing clone gets a fresh dispatch id from ``mint`` (epoch
+    inherited from the parent); the reports announce it via ``child_ids``
+    so the user-site registers exactly the identity the child's own report
+    will later echo.  Mutates ``clones`` in place so the stamped copies are
+    the ones forwarded.
+    """
+    child_of: dict[tuple[Url, object], str] = {}
+    for index, child in enumerate(clones):
+        stamped = child.with_identity(mint(), clone.epoch)
+        clones[index] = stamped
+        for node in stamped.dest:
+            child_of[(node, stamped.state)] = stamped.dispatch_id
+    return [
+        replace(
+            report,
+            dispatch_id=clone.dispatch_id,
+            epoch=clone.epoch,
+            child_ids=tuple(
+                child_of.get((entry.node, entry.state), "")
+                for entry in report.new_entries
+            ),
+        )
+        for report in reports
+    ]
 
 
 class QueryServer:
@@ -363,13 +398,13 @@ class QueryServer:
         qid = clone.query.qid
         if qid in self._purged:
             # Passive termination already observed here; drop silently.
-            self._trace_nodes(clone, "purged", Disposition.PURGED)
+            self._trace_nodes(clone, "purged")
             return [], [], self.config.node_service_time
 
         reports: list[NodeReport] = []
         all_forwards: list[Forward] = []
         service = 0.0
-        plan_for = self._plan_for(clone.query)
+        plan_for = self.plans.bind(clone.query) if self.config.compiled_plans else None
         tracing = self.tracer.enabled
 
         # Bulk admission: one log-table pass for the clone's whole node
@@ -419,40 +454,29 @@ class QueryServer:
                 reports.append(NodeReport(entry, Disposition.MISSING))
                 continue
 
-            if self.memo is None:
-                database = self.constructor.construct(node, html)
-                self.stats.documents_parsed += 1
-                outcome = process_node(
-                    node, database, clone.query, clone.step_index, rem, self.config,
-                    site_documents=self._site_documents_for(clone.query),
-                    plan_for=plan_for,
-                )
+            # The database is built lazily: a node fully served from the
+            # cross-query memo (EXP-P4) never parses its document, and is
+            # charged only the base per-node service time (like a duplicate
+            # drop).  Without a memo the first worklist item always resolves
+            # the database, so ``built`` is set and parse + scan is charged.
+            built: list = []
+
+            def provider(node=node, html=html, built=built):
+                if not built:
+                    built.append(self.constructor.construct(node, html))
+                    self.stats.documents_parsed += 1
+                return built[0]
+
+            outcome = process_node(
+                node, provider, clone.query, clone.step_index, rem, self.config,
+                site_documents=self._site_documents_for(clone.query),
+                plan_for=plan_for,
+                memo=self.memo.view(node, clone.query) if self.memo is not None else None,
+            )
+            if built:
                 service += self.config.service_time(len(html), outcome.tuples_scanned)
             else:
-                # Cross-query caching (EXP-P4): the database is built lazily
-                # — a node fully served from the memo never parses its
-                # document, and is charged only the base per-node service
-                # time (like a duplicate drop) instead of parse + scan cost.
-                built: list = []
-
-                def provider(node=node, html=html, built=built):
-                    if not built:
-                        built.append(self.constructor.construct(node, html))
-                        self.stats.documents_parsed += 1
-                    return built[0]
-
-                outcome = process_node(
-                    node, provider, clone.query, clone.step_index, rem, self.config,
-                    site_documents=self._site_documents_for(clone.query),
-                    plan_for=plan_for,
-                    memo=self.memo.view(node, clone.query),
-                )
-                if built:
-                    service += self.config.service_time(
-                        len(html), outcome.tuples_scanned
-                    )
-                else:
-                    service += self.config.node_service_time
+                service += self.config.node_service_time
             self.stats.node_queries_evaluated += len(outcome.evaluations)
             self._trace_outcome(now, node, clone, outcome)
 
@@ -464,57 +488,8 @@ class QueryServer:
             reports.append(NodeReport(entry, disposition, new_entries, tuple(outcome.results)))
 
         clones = self._build_clones(clone, all_forwards)
-        return self._stamp_identities(clone, reports, clones), clones, service
-
-    def _stamp_identities(
-        self,
-        clone: QueryClone,
-        reports: list[NodeReport],
-        clones: list[QueryClone],
-    ) -> list[NodeReport]:
-        """Echo the parent's dispatch identity and mint the children's.
-
-        Each outgoing clone gets a fresh dispatch id (epoch inherited from
-        the parent); the reports announce it via ``child_ids`` so the
-        user-site registers exactly the identity the child's own report will
-        later echo.  Unstamped parents (legacy traffic) stay unstamped
-        throughout.  Mutates ``clones`` in place so the stamped copies are
-        the ones forwarded.
-        """
-        if not clone.dispatch_id:
-            return reports
-        child_of: dict[tuple[Url, object], str] = {}
-        for index, child in enumerate(clones):
-            stamped = child.with_identity(self._mint_dispatch_id(), clone.epoch)
-            clones[index] = stamped
-            for node in stamped.dest:
-                child_of[(node, stamped.state)] = stamped.dispatch_id
-        return [
-            replace(
-                report,
-                dispatch_id=clone.dispatch_id,
-                epoch=clone.epoch,
-                child_ids=tuple(
-                    child_of.get((entry.node, entry.state), "")
-                    for entry in report.new_entries
-                ),
-            )
-            for report in reports
-        ]
-
-    def _plan_for(self, query: WebQuery):
-        """Bind the plan cache to ``query``: a step-index → compiled-plan map.
-
-        Returns None when compiled plans are disabled, which makes
-        :func:`~repro.core.processing.process_node` fall back to the
-        interpreter (the EXP-P1 ablation / DST cross-check path).
-        """
-        if not self.config.compiled_plans:
-            return None
-        qid = query.qid
-        steps = query.steps
-        cache = self.plans
-        return lambda k: cache.plan_for(steps[k].query, qid)
+        reports = stamp_identities(clone, reports, clones, self._mint_dispatch_id)
+        return reports, clones, service
 
     def _site_documents_for(self, query):
         """The site-spanning DOCUMENT table, built lazily on first need.
@@ -795,7 +770,7 @@ class QueryServer:
     def _purge(self, clone: QueryClone) -> None:
         qid = clone.query.qid
         self._purged.add(qid)
-        self._trace_nodes(clone, "purged", Disposition.PURGED)
+        self._trace_nodes(clone, "purged")
         # Drop any queued clones of the same query right away.
         self._scheduler.drop_query(qid)
         self._update_saturation()
@@ -893,7 +868,7 @@ class QueryServer:
                 detail=f"{len(outcome.forwards)} link(s)",
             )
 
-    def _trace_nodes(self, clone: QueryClone, action: str, __: Disposition) -> None:
+    def _trace_nodes(self, clone: QueryClone, action: str) -> None:
         if not self.tracer.enabled:
             return
         for node in clone.dest:

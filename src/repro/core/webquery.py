@@ -114,7 +114,8 @@ class QueryClone:
     #: Dispatch identity, minted by whoever forwards this clone (the
     #: user-site client or a server) and echoed back in the resulting
     #: :class:`~repro.core.messages.NodeReport` so the CHT can retire the
-    #: clone's entries idempotently.  Empty = unstamped (legacy accounting).
+    #: clone's entries idempotently.  Empty only until the dispatcher
+    #: stamps the clone (:meth:`with_identity`); every sent clone has one.
     dispatch_id: str = ""
     #: Recovery epoch of the query when this dispatch chain was created;
     #: children inherit it, re-forwards bump it.

@@ -8,21 +8,14 @@ alive?*  Six invariants, each a direct consequence of the design:
 
 ``cht-consistent``
     The CHT's accounting agrees with itself: additions minus deletions
-    equals the legacy signed sum plus pending instances minus unmatched
-    early retirements, and the incremental counters match a full recount
+    equals pending instances minus unmatched early retirements, and the
+    incremental counters match a full recount
     (``CurrentHostsTable.audit``).
 
 ``retire-once``
     Per dispatch identity ``(dispatch_id, node)``, at most one *effective*
     retirement and at most one effective addition ever happened — duplicate
     and stale reports were absorbed, never double-counted.
-
-``legacy-nonnegative``
-    At quiescence no legacy ``(node, state)`` signed count is negative.
-    Transient negatives are legitimate mid-flight (reports are independent
-    connections and may reorder), but a *settled* negative means two
-    reports retired an entry only one addition announced — the signature
-    of the pre-epoch-fence double-retire bug.
 
 ``terminal``
     Every query reached COMPLETE, PARTIAL or CANCELLED — no handle left
@@ -114,8 +107,6 @@ def _check_retire_once(handle: QueryHandle) -> list[Violation]:
     adds: Counter = Counter()
     retires: Counter = Counter()
     for record in handle.cht.history():
-        if not record.dispatch_id:
-            continue  # legacy signed-count traffic has no identity to check
         key = (record.dispatch_id, record.entry.node)
         if record.deleted:
             if record.note in ("", "early"):
@@ -134,22 +125,6 @@ def _check_retire_once(handle: QueryHandle) -> list[Violation]:
                 Violation("retire-once", qid, f"{key} added {count} times")
             )
     return violations
-
-
-def _check_legacy_nonnegative(handle: QueryHandle) -> list[Violation]:
-    """At quiescence no legacy signed count may be negative (see module doc)."""
-    negatives = handle.cht.negative_legacy_entries()
-    if not negatives:
-        return []
-    entry, count = negatives[0]
-    return [
-        Violation(
-            "legacy-nonnegative", str(handle.qid),
-            f"{len(negatives)} legacy count(s) negative at quiescence, "
-            f"e.g. {entry} = {count} — an entry was retired more often than "
-            "announced (double-retire)",
-        )
-    ]
 
 
 def _check_terminal(handle: QueryHandle) -> list[Violation]:
@@ -311,17 +286,15 @@ def check_handle(
     """All invariant checks for one query handle.
 
     ``require_terminal=False`` is for mid-run checks (the query may still
-    legitimately be RUNNING, and legacy counts may be transiently
-    negative).  ``expect_full=True`` additionally demands a COMPLETE query
-    cover the whole reference answer set — only sound when every site was
-    reachable often enough for recovery to succeed.
+    legitimately be RUNNING).  ``expect_full=True`` additionally demands a
+    COMPLETE query cover the whole reference answer set — only sound when
+    every site was reachable often enough for recovery to succeed.
     """
     violations = []
     violations += _check_cht(handle)
     violations += _check_retire_once(handle)
     if require_terminal:
         violations += _check_terminal(handle)
-        violations += _check_legacy_nonnegative(handle)
     violations += _check_rows(handle, reference, expect_full)
     return violations
 

@@ -31,6 +31,7 @@ import dataclasses
 import hashlib
 from dataclasses import dataclass, field
 
+from ..core.cht import CurrentHostsTable, InstanceStatus
 from ..core.config import EngineConfig
 from ..core.engine import WebDisEngine
 from ..core.supervisor import QuerySupervisor, RecoveryPolicy
@@ -65,6 +66,23 @@ __all__ = [
 POLICY = RecoveryPolicy(
     quiet_timeout=2.0, max_recoveries=5, backoff_multiplier=1.6, deadline=60.0
 )
+
+
+class _UnfencedCht(CurrentHostsTable):
+    """The shrinker demo's known bug: recovery without the epoch fence.
+
+    ``supersede`` registers the re-forward and closes the old instance in
+    the books but leaves its status PENDING, so a late report from the
+    superseded dispatch retires it a second time instead of being absorbed
+    as stale.  Substituted through ``UserSiteClient.cht_factory`` by
+    ``inject_bug``.
+    """
+
+    def supersede(self, dispatch_id, node, new_dispatch_id, new_epoch, time=0.0):
+        superseded = super().supersede(dispatch_id, node, new_dispatch_id, new_epoch, time)
+        if superseded:
+            self._instances[(dispatch_id, node)].status = InstanceStatus.PENDING
+        return superseded
 
 
 @dataclass
@@ -109,9 +127,7 @@ class SeedResult:
         return found
 
 
-def _engine_config(
-    spec: Spec, *, inject_bug: bool, pressure: bool = True
-) -> EngineConfig:
+def _engine_config(spec: Spec, *, pressure: bool = True) -> EngineConfig:
     """The spec's engine knobs.  ``pressure=False`` strips the admission
     ceilings and shed timer: a run the oracle requires to be COMPLETE and
     exact (the clean control, or a faulted run whose plan shrank away)
@@ -132,7 +148,6 @@ def _engine_config(
             max_attempts=3, base_delay=0.2, multiplier=2.0, jitter=0.3,
             seed=spec["seed"],
         ),
-        debug_unfenced_recovery=inject_bug,
     )
 
 
@@ -144,7 +159,7 @@ def _run_clean(
     references is the cross-query isolation oracle on the clean path."""
     engine = WebDisEngine(
         build_web(spec),
-        config=_engine_config(spec, inject_bug=False, pressure=False),
+        config=_engine_config(spec, pressure=False),
         trace=True,
     )
     handles = [engine.submit_disql(text) for text in query_texts(spec)]
@@ -166,10 +181,12 @@ def _run_faulted(
         build_web(spec),
         # Pressure knobs only apply when faults actually install: a run the
         # oracle holds to clean exactness must not shed.
-        config=_engine_config(spec, inject_bug=inject_bug, pressure=plan is not None),
+        config=_engine_config(spec, pressure=plan is not None),
         net_config=NetworkConfig(latency_overrides=latency_overrides(spec)),
         trace=True,
     )
+    if inject_bug:
+        engine.client.cht_factory = _UnfencedCht
     engine.clock.set_tie_breaker(spec.get("schedule_seed"))
     message_log: list[tuple] = []
     engine.network.add_tap(
@@ -251,7 +268,7 @@ async def _run_case_asyncio(
 
     plan = build_fault_plan(spec)
     config = dataclasses.replace(
-        _engine_config(spec, inject_bug=False, pressure=plan is not None),
+        _engine_config(spec, pressure=plan is not None),
         transport="asyncio",
     )
     chaos = None if plan is None else ChaosRules.from_plan(plan, time_scale=time_scale)

@@ -1,14 +1,12 @@
-"""CHT dual-mode property test: arbitrary interleavings stay consistent.
+"""CHT property test: arbitrary interleavings stay consistent.
 
-Hypothesis builds a population of accounting "instances" — legacy signed
-pairs (in either order: addition-first or the out-of-order
-retirement-first), stamped add/retire with duplicate reports in any
+Hypothesis builds a population of dispatch-identity instances — plain
+add/retire, retirement-before-announcement, duplicate reports in any
 permutation, supersession chains and abandonments — then merges their
 per-instance event sequences into one random interleaving.  After every
 single operation the O(1) :meth:`check_consistency` must hold; at the end
-the O(n) :meth:`audit` must pass, the table must report completion, no
-stamped instance may have been effectively retired twice, and every
-transient negative legacy count must have settled back to zero.
+the O(n) :meth:`audit` must pass, the table must report completion, and no
+instance may have been effectively retired twice.
 """
 
 from __future__ import annotations
@@ -38,22 +36,19 @@ def instance_plans(draw):
     for i in range(n):
         entry = draw(st.sampled_from(ENTRIES))
         kind = draw(
-            st.sampled_from(
-                ["legacy", "legacy-early", "stamped", "superseded", "abandoned"]
-            )
+            st.sampled_from(["stamped", "early", "duplicate", "superseded", "abandoned"])
         )
         did = f"d{i}@{entry.node.host}"
-        if kind == "legacy":
-            plans.append([("ladd", entry), ("ldel", entry)])
-        elif kind == "legacy-early":
-            # Retirement outruns the addition: transient negative count.
-            plans.append([("ldel", entry), ("ladd", entry)])
-        elif kind == "stamped":
-            # One announcement plus 1-3 reports, in ANY order: whichever
-            # report lands first is the retirement, the rest are duplicates;
-            # a report before the announcement is an early retirement.
+        if kind == "stamped":
+            plans.append([("add", did, entry), ("ret", did, entry)])
+        elif kind == "early":
+            # The retirement outruns its own announcement.
+            plans.append([("ret", did, entry), ("add", did, entry)])
+        elif kind == "duplicate":
+            # One announcement plus 2-3 reports, in ANY order: whichever
+            # report lands first is the retirement, the rest are duplicates.
             events = [("add", did, entry)] + [
-                ("ret", did, entry) for __ in range(draw(st.integers(1, 3)))
+                ("ret", did, entry) for __ in range(draw(st.integers(2, 3)))
             ]
             plans.append(draw(st.permutations(events)))
         elif kind == "superseded":
@@ -92,12 +87,7 @@ def interleavings(draw):
 
 def _apply(cht: CurrentHostsTable, event, time: float):
     op = event[0]
-    if op == "ladd":
-        cht.add(event[1], time)
-    elif op == "ldel":
-        cht.mark_deleted(event[1], time)
-        return RetireResult.LEGACY, None
-    elif op == "add":
+    if op == "add":
         cht.add(event[2], time, dispatch_id=event[1])
     elif op == "ret":
         return cht.mark_deleted(event[2], time, dispatch_id=event[1]), (
@@ -123,13 +113,12 @@ class TestInterleavings:
                 effective[key] = effective.get(key, 0) + 1
             # The O(1) balance invariant holds after EVERY operation.
             cht.check_consistency()
-        # Never double-retire: each stamped key resolved at most once.
+        # Never double-retire: each key resolved at most once.
         assert all(count == 1 for count in effective.values())
-        # Quiescence: every instance resolved, every legacy count settled.
+        # Quiescence: every instance resolved.
         cht.audit()
         assert cht.all_deleted()
         assert cht.imbalance() == 0
-        assert cht.negative_legacy_entries() == []
         assert cht.pending_instances() == []
 
     @settings(max_examples=150, deadline=None)
@@ -144,33 +133,9 @@ class TestInterleavings:
             result, __ = _apply(cht, event, float(step))
             if result in _EFFECTIVE:
                 effective += 1
-        # Every stamped retirement attempt is either the one effective
+        # Every retirement attempt is either the one effective
         # resolution of its instance or explicitly absorbed — none leak
         # into the deletion totals twice.
         absorbed = cht.duplicates_absorbed + cht.stale_absorbed
         assert retire_attempts == effective + absorbed
 
-
-class TestNegativeLegacyAccessor:
-    def test_transient_negative_is_visible_then_settles(self):
-        cht = CurrentHostsTable()
-        entry = ENTRIES[0]
-        cht.mark_deleted(entry, 1.0)  # deletion outruns the addition
-        assert cht.negative_legacy_entries() == [(entry, -1)]
-        assert not cht.all_deleted()
-        cht.check_consistency()  # balance still holds mid-flight
-        cht.add(entry, 2.0)
-        assert cht.negative_legacy_entries() == []
-        assert cht.all_deleted()
-
-    def test_settled_negative_is_reported(self):
-        # The unfenced-recovery bug signature: two unstamped reports retire
-        # an entry only one addition announced.
-        cht = CurrentHostsTable()
-        entry = ENTRIES[1]
-        cht.add(entry, 0.0)
-        cht.mark_deleted(entry, 1.0)
-        cht.mark_deleted(entry, 2.0)
-        assert cht.negative_legacy_entries() == [(entry, -1)]
-        cht.check_consistency()  # the O(1) balance alone cannot see it
-        assert not cht.all_deleted()

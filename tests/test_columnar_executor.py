@@ -668,9 +668,7 @@ class TestDstIntegration:
     def test_runner_ignores_the_retired_knob_in_old_repro_files(self):
         old = {"seed": 0, "config": {"executor": "row", "compiled_plans": False}}
         new = {"seed": 0, "config": {"compiled_plans": False}}
-        assert _engine_config(old, inject_bug=False) == _engine_config(
-            new, inject_bug=False
-        )
+        assert _engine_config(old) == _engine_config(new)
 
     def test_shrinker_proposes_the_interpreter_fallback(self):
         spec = generate_case(3)

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.cht import CurrentHostsTable
+from repro.core.cht import CurrentHostsTable, RetireResult
 from repro.core.logtable import LogAction, NodeQueryLogTable
 from repro.core.messages import ChtEntry, Disposition, NodeReport, RelayMessage, ResultMessage
 from repro.core.state import QueryState
 from repro.core.webquery import QueryClone, QueryId, WebQuery, WebQueryStep
-from repro.errors import DisqlSemanticsError
+from repro.errors import DisqlSemanticsError, ProtocolError
 from repro.pre import parse_pre
 from repro.relational.expr import Attr
 from repro.relational.query import NodeQuery, ResultRow, TableDecl
@@ -127,59 +127,67 @@ class TestCurrentHostsTable:
 
     def test_pending_entry_blocks_completion(self):
         cht = CurrentHostsTable()
-        cht.add(ENTRY)
+        cht.add(ENTRY, dispatch_id="d1")
         assert not cht.all_deleted()
 
     def test_add_delete_completes(self):
         cht = CurrentHostsTable()
-        cht.add(ENTRY)
-        cht.mark_deleted(ENTRY)
+        cht.add(ENTRY, dispatch_id="d1")
+        cht.mark_deleted(ENTRY, dispatch_id="d1")
         assert cht.all_deleted()
 
-    def test_multiset_semantics(self):
+    def test_unstamped_operations_are_rejected(self):
         cht = CurrentHostsTable()
-        cht.add(ENTRY)
-        cht.add(ENTRY)
-        cht.mark_deleted(ENTRY)
+        pytest.raises(TypeError, cht.add, ENTRY)
+        pytest.raises(ProtocolError, cht.add, ENTRY, dispatch_id="")
+        pytest.raises(ProtocolError, cht.mark_deleted, ENTRY, dispatch_id="")
+        assert cht.additions == cht.deletions == 0
+
+    def test_multiset_semantics(self):
+        # Two clones at one (node, state) entry are two instances.
+        cht = CurrentHostsTable()
+        cht.add(ENTRY, dispatch_id="d1")
+        cht.add(ENTRY, dispatch_id="d2")
+        cht.mark_deleted(ENTRY, dispatch_id="d1")
         assert not cht.all_deleted()
-        cht.mark_deleted(ENTRY)
+        cht.mark_deleted(ENTRY, dispatch_id="d2")
         assert cht.all_deleted()
 
     def test_out_of_order_delete_before_add(self):
         """A delete arriving before its add must not fake completion."""
         cht = CurrentHostsTable()
-        cht.add(ENTRY)
+        cht.add(ENTRY, dispatch_id="d1")
         # Report for OTHER arrives before the report that adds OTHER:
-        cht.mark_deleted(OTHER)
-        cht.add(OTHER)
+        assert cht.mark_deleted(OTHER, dispatch_id="d2") is RetireResult.EARLY
+        cht.add(OTHER, dispatch_id="d2")
         assert not cht.all_deleted()  # ENTRY still pending
-        cht.mark_deleted(ENTRY)
+        cht.mark_deleted(ENTRY, dispatch_id="d1")
         assert cht.all_deleted()
 
     def test_pending_entries_listing(self):
         cht = CurrentHostsTable()
-        cht.add(ENTRY)
-        cht.add(OTHER)
-        cht.mark_deleted(ENTRY)
+        cht.add(ENTRY, dispatch_id="d1")
+        cht.add(OTHER, dispatch_id="d2")
+        cht.mark_deleted(ENTRY, dispatch_id="d1")
         assert cht.pending_entries() == [OTHER]
 
     def test_history_preserved(self):
         cht = CurrentHostsTable()
-        cht.add(ENTRY, time=1.0)
-        cht.mark_deleted(ENTRY, time=2.0)
+        cht.add(ENTRY, time=1.0, dispatch_id="d1")
+        cht.mark_deleted(ENTRY, time=2.0, dispatch_id="d1")
         history = cht.history()
         assert [(r.deleted, r.time) for r in history] == [(False, 1.0), (True, 2.0)]
 
     def test_consistency_check(self):
         cht = CurrentHostsTable()
-        cht.add(ENTRY)
+        cht.add(ENTRY, dispatch_id="d1")
         cht.check_consistency()
 
     def test_imbalance(self):
         cht = CurrentHostsTable()
-        cht.add(ENTRY)
-        cht.add(OTHER)
-        cht.mark_deleted(ENTRY)
+        cht.add(ENTRY, dispatch_id="d1")
+        cht.add(OTHER, dispatch_id="d2")
+        cht.mark_deleted(ENTRY, dispatch_id="d1")
         assert cht.imbalance() == 1
 
 
@@ -370,12 +378,12 @@ def test_cht_complete_exactly_after_last_report(tree):
     repro/core/cht.py, exercised exhaustively)."""
     entries, children, order = tree
     cht = CurrentHostsTable()
-    cht.add(entries[0])  # send_query seeds the root
+    cht.add(entries[0], dispatch_id="d0")  # send_query seeds the root
     for index, node in enumerate(order):
         # One report message: retire own entry, announce the children.
-        cht.mark_deleted(entries[node])
+        cht.mark_deleted(entries[node], dispatch_id=f"d{node}")
         for child in children[node]:
-            cht.add(entries[child])
+            cht.add(entries[child], dispatch_id=f"d{child}")
         assert cht.all_deleted() == (index == len(order) - 1)
     cht.check_consistency()
     assert cht.imbalance() == 0

@@ -19,6 +19,7 @@ the PR's center of gravity:
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import EngineConfig, QueryStatus, WebDisEngine
@@ -31,6 +32,7 @@ from repro.testing.runner import _engine_config
 from repro.testing.shrink import _candidates
 from repro.urlutils import parse_url
 from repro.web.builders import WebBuilder
+from repro.web.campus import CAMPUS_QUERY_DISQL
 
 GENERAL_QUERY = (
     'select d.url, d.title\n'
@@ -219,6 +221,21 @@ class TestInvalidation:
         assert engine.stats.memo_misses == 0
         assert check_memo_coherence(engine) == []
 
+    @pytest.mark.parametrize("strict_dead_end", [False, True])
+    def test_knob_off_costs_what_an_all_miss_memo_run_costs(self, campus_web, strict_dead_end):
+        # Without a memo the lazy database provider is always resolved, so
+        # every visited document is parsed once and charged parse + scan —
+        # exactly the cost of a cold run whose memo probes all miss.
+        def run(caching):
+            config = EngineConfig(cross_query_caching=caching, strict_dead_end=strict_dead_end)
+            engine = WebDisEngine(campus_web, config=config)
+            handle = engine.run_query(CAMPUS_QUERY_DISQL)
+            counters = engine.stats.summary()
+            assert counters["memo_hits"] == 0 and counters["documents_parsed"] > 0
+            counters = {k: v for k, v in counters.items() if not k.startswith("memo_")}
+            return handle.completion_time, counters
+        assert run(False) == run(True)
+
 
 class TestByteGaugeAudit:
     """The incremental ``bytes_est`` gauge must always match a recount.
@@ -299,11 +316,9 @@ class TestDstIntegration:
 
     def test_runner_threads_the_knob(self):
         spec = {"seed": 0, "config": {"cross_query_caching": False}}
-        assert _engine_config(spec, inject_bug=False).cross_query_caching is False
+        assert _engine_config(spec).cross_query_caching is False
         # Absent (older repro files) defaults to the engine default: on.
-        assert _engine_config(
-            {"seed": 0, "config": {}}, inject_bug=False
-        ).cross_query_caching is True
+        assert _engine_config({"seed": 0, "config": {}}).cross_query_caching is True
 
     def test_shrinker_proposes_clearing_the_knob(self):
         spec = generate_case(3)

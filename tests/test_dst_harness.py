@@ -1,10 +1,10 @@
 """End-to-end tests for the DST harness: generators, oracle, runner, shrinker.
 
 The acceptance-bar demo lives here too: with the unfenced-recovery bug
-re-introduced (``EngineConfig.debug_unfenced_recovery``) the corpus finds a
-failing seed, the new ``legacy-nonnegative`` invariant names the broken
-accounting, and the shrinker reduces the case to ≤ 5 sites and ≤ 3 fault
-events — replayable bit-identically from its JSON repro.
+injected (``inject_bug=True`` substitutes the harness's unfenced CHT) the
+corpus finds a failing seed, the ``cht-consistent`` invariant names the
+broken accounting, and the shrinker reduces the case to one site and ≤ 3
+fault events — replayable bit-identically from its JSON repro.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from repro.testing.shrink import from_json, to_json
 
 REPO = Path(__file__).resolve().parent.parent
 
-#: First corpus seed that trips the re-introduced unfenced-recovery bug
-#: (found by ``tools/dst.py --seeds 0..30 --inject-bug``; pinned because
+#: First corpus seed that trips the injected unfenced-recovery bug
+#: (found by ``tools/dst.py --seeds 0..40 --inject-bug``; pinned because
 #: ``generate_case`` is a pure function of the seed).
 BUGGY_SEED = 11
 
@@ -168,19 +168,18 @@ class TestShrinkerDemo:
         assert case_fails(spec, inject_bug=True), (
             "the unfenced-recovery bug should trip the invariant battery"
         )
-        # The bug is *only* visible with the debug flag: the same seed is
-        # green under the real epoch-fenced recovery.
+        # The bug is *only* visible with the substitute CHT: the same seed
+        # is green under the real epoch-fenced recovery.
         assert not case_fails(spec, inject_bug=False)
 
         result = run_case(spec, inject_bug=True)
         assert any(
-            v.invariant in {"legacy-nonnegative", "cht-complete", "terminal-status"}
-            for v in result.violations
+            v.invariant == "cht-consistent" for v in result.violations
         ), [str(v) for v in result.violations]
 
         minimal = shrink(spec, lambda s: case_fails(s, inject_bug=True))
-        # The ISSUE acceptance bar: ≤ 5 sites and ≤ 3 fault events.
-        assert len(minimal["web"]["sites"]) <= 5
+        # The acceptance bar: one site and ≤ 3 fault events.
+        assert len(minimal["web"]["sites"]) == 1
         assert len(minimal["faults"]) <= 3
         assert spec_size(minimal) <= spec_size(spec)
 

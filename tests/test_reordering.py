@@ -2,8 +2,8 @@
 
 Reports to the user travel on independent connections, so a slow link can
 deliver a *child's* report (which retires an entry) before the *parent's*
-report (which announced it).  The signed-multiset CHT absorbs this
-(`repro/core/cht.py` has the balance argument); these tests force the
+report (which announced it).  The CHT holds such an early retirement
+until its announcement lands (`repro/core/cht.py`); these tests force the
 scenario with per-link latency overrides and verify completion stays exact
 — neither premature nor missed.
 """

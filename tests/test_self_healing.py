@@ -7,16 +7,16 @@ fix — dispatch identities + recovery epochs — at three levels:
 
 * the :class:`~repro.core.cht.CurrentHostsTable` accounting itself
   (supersede / absorb / early / abandon);
-* a direct reproduction of the footgun: the same slow-report-races-re-forward
-  event sequence corrupts the legacy signed-count books but is absorbed
-  exactly by the identity books;
+* a direct reproduction of the footgun: the slow-report-races-re-forward
+  event sequence, which a bare ``(node, state)`` count cannot survive, is
+  absorbed exactly by the identity books;
 * end-to-end through the engine, with a slow network edge forcing the
   original report to genuinely lose the race against the re-forward;
 
 plus the satellites that ride along: the :class:`QuerySupervisor`
 watch→re-forward→degrade driver, cancel resetting the reliable channel
-(tag-scoped), the ``debug_consistency_checks`` flag, and the wire codec
-round-tripping dispatch identities.
+(tag-scoped), the recovery counters, and the wire codec round-tripping
+dispatch identities.
 """
 
 from __future__ import annotations
@@ -164,31 +164,14 @@ class TestIdentityAccounting:
 
 
 class TestLegacyFootgun:
-    """The PR-1 race, reproduced against both accounting modes.
+    """The PR-1 race against the identity books.
 
-    Event sequence (identical in both tests): an entry is dispatched, the
-    stall watchdog re-forwards it while the original report is merely slow,
-    the server's processing announces one child, then *both* reports — the
-    slow original and the re-forward's — arrive and retire the entry.
+    Event sequence: an entry is dispatched, the stall watchdog re-forwards
+    it while the original report is merely slow, the server's processing
+    announces one child, then *both* reports — the slow original and the
+    re-forward's — arrive and retire the entry.  A signed ``(node, state)``
+    count takes the second retirement for a real one and wedges.
     """
-
-    def test_signed_counts_corrupt_under_the_race(self):
-        # Legacy books: re-forwarding carries no identity, so the second
-        # retirement is indistinguishable from a real one.
-        cht = CurrentHostsTable()
-        parent, child = _entry("a.example"), _entry("b.example")
-        cht.add(parent)
-        cht.mark_deleted(parent)  # slow original report (retire + announce)
-        cht.add(child)
-        cht.mark_deleted(parent)  # re-forward's duplicate report: double retire
-        # The signed count for the parent is now negative...
-        assert cht.imbalance() == 0  # ...so the *sum* says "all reports in" —
-        assert cht.additions == cht.deletions  # the naive completion signal fires
-        # — while a clone is genuinely still active at the child.  The table
-        # is wedged: the child's real report can never rebalance it.
-        assert not cht.all_deleted()
-        cht.mark_deleted(child)
-        assert not cht.all_deleted()  # hung forever: additions=2, deletions=3
 
     def test_epoch_fencing_absorbs_the_same_race(self):
         cht = CurrentHostsTable()
@@ -409,7 +392,6 @@ class TestCancelResetsChannel:
 
 class TestConsistencyFlag:
     def test_on_by_default_and_counters_surfaced(self):
-        assert EngineConfig().debug_consistency_checks is True
         engine = WebDisEngine(_star_web())
         handle = engine.run_query(QUERY)  # every report ran the O(1) check
         assert handle.status is QueryStatus.COMPLETE
@@ -424,13 +406,9 @@ class TestConsistencyFlag:
         ):
             assert counter in summary
 
-    def test_flag_off_skips_the_check(self):
-        engine = WebDisEngine(
-            _star_web(), config=EngineConfig(debug_consistency_checks=False)
-        )
-        handle = engine.run_query(QUERY)
-        assert handle.status is QueryStatus.COMPLETE
-        assert handle.cht.imbalance() == 0
+    def test_removed_knobs_are_rejected(self):
+        pytest.raises(TypeError, EngineConfig, debug_unfenced_recovery=True)
+        pytest.raises(TypeError, EngineConfig, debug_consistency_checks=False)
 
 
 class TestWireIdentity:

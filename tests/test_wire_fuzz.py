@@ -5,19 +5,26 @@ dispatch-identity stamping — ``(qid, dispatch_id, recovery_epoch)`` plus
 ``child_ids`` — including the edge cases the self-healing protocol relies
 on: empty ``child_ids`` (leaf reports), unicode site names (the envelope
 is UTF-8 JSON with ``ensure_ascii=False``), and epoch 0 (elided on the
-wire, restored on decode).
+wire, restored on decode).  The codec also carries unstamped reports and
+mis-sized ``child_ids``; the user-site must refuse those (last suite).
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+from dataclasses import replace
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro import WebDisEngine
 from repro.core.messages import ChtEntry, Disposition, NodeReport, ResultMessage
 from repro.core.state import QueryState
 from repro.core.webquery import QueryId
+from repro.errors import ProtocolError
 from repro.pre import parse_pre
 from repro.relational.query import ResultRow
 from repro.urlutils import parse_url
+from repro.web.campus import CAMPUS_QUERY_DISQL
 from repro.wire import decode_message, encode_message
 
 HOSTS = st.sampled_from(
@@ -71,7 +78,7 @@ rows = st.builds(
 @st.composite
 def dispatch_ids(draw):
     if draw(st.booleans()):
-        return ""  # unstamped legacy report
+        return ""  # unstamped: legal on the wire, refused by the user-site
     n = draw(st.integers(0, 99))
     host = draw(HOSTS)
     return f"u{n}@{host}"
@@ -81,7 +88,7 @@ def dispatch_ids(draw):
 def reports(draw):
     n_children = draw(st.integers(0, 3))
     new_entries = tuple(draw(entries) for _ in range(n_children))
-    # child_ids runs parallel to new_entries — or is empty (legacy report).
+    # child_ids runs parallel to new_entries — or is empty.
     if n_children and draw(st.booleans()):
         child_ids = tuple(
             f"c{i}@{draw(HOSTS)}" for i in range(n_children)
@@ -133,10 +140,39 @@ class TestStampedRoundTrip:
             assert len(received.child_ids) in (0, len(received.new_entries))
 
 
+@st.composite
+def malformed_reports(draw):
+    """A bookkeeping report with no dispatch id, or with mis-sized ``child_ids``."""
+    report = draw(reports().filter(lambda r: r.disposition is not Disposition.DATA_ONLY))
+    if draw(st.booleans()):
+        return replace(report, dispatch_id="")
+    return replace(
+        report,
+        dispatch_id="u0@s0.example",
+        child_ids=("c0@s0.example",) * (len(report.new_entries) + 1),
+    )
+
+
+_ROOT = ChtEntry(parse_url("http://s0.example/"), QueryState(1, parse_pre("L")))
+
+
+class TestUserSiteRefusesMalformedReports:
+    @settings(max_examples=50, deadline=None)
+    @given(malformed_reports())
+    @example(NodeReport(_ROOT, Disposition.PROCESSED))  # unstamped
+    @example(NodeReport(_ROOT, Disposition.PROCESSED, (_ROOT,), dispatch_id="u1@s0.example"))
+    def test_receive_raises_protocol_error(self, campus_web, report):
+        engine = WebDisEngine(campus_web)
+        handle = engine.submit_disql(CAMPUS_QUERY_DISQL)
+        wire = encode_message(ResultMessage(handle.qid, (report,)))
+        with pytest.raises(ProtocolError):
+            engine.client._receive(handle, "s0.example", decode_message(wire))
+        assert handle.cht.deletions == 0
+
+
 class TestEdgeCases:
     def test_empty_child_ids_stays_empty_tuple(self):
-        entry = ChtEntry(parse_url("http://s0.example/"), QueryState(1, parse_pre("L")))
-        report = NodeReport(entry=entry, disposition=Disposition.PROCESSED)
+        report = NodeReport(entry=_ROOT, disposition=Disposition.PROCESSED)
         message = ResultMessage(QueryId("maya", "user.example", 5001, 7), (report,))
         decoded = decode_message(encode_message(message))
         assert decoded.reports[0].child_ids == ()

@@ -30,7 +30,7 @@ deterministic; wall-clock is reported alongside as a sanity signal.
 3. **reuse is real** — memo hits dominate misses and at least one
    residual (subsumption) filter fired.
 
-Run directly to merge the EXP-P4 record into ``BENCH_PERF.json``:
+Run directly for the table (also written to ``benchmarks/results/EXP-P4.txt``):
 
     PYTHONPATH=src python benchmarks/bench_cross_query.py
     PYTHONPATH=src python benchmarks/bench_cross_query.py --smoke --check
@@ -48,10 +48,7 @@ from repro import EngineConfig, QueryStatus, WebDisEngine
 from repro.web import SyntheticWebConfig, build_synthetic_web
 
 sys.path.insert(0, str(Path(__file__).parent))
-from harness import format_table, merge_bench_record, ratio, report  # noqa: E402
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULT_PATH = REPO_ROOT / "BENCH_PERF.json"
+from harness import format_table, ratio, report  # noqa: E402
 
 #: (draws, pool-size) cells.  The headline cell carries the >10x gate.
 SCALES = ((120, 8), (400, 16))
@@ -279,11 +276,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 0
 
-    merge_bench_record(RESULT_PATH, "EXP-P4", result)
-    print(
-        f"merged EXP-P4 into {RESULT_PATH}"
-        f" ({result['cells'][-1]['speedup']}x at the largest cell)"
-    )
+    print(f"{result['cells'][-1]['speedup']}x at the largest cell")
     return 0
 
 

@@ -33,7 +33,7 @@ gates in CI):
    ahead of remote clones that would have interleaved in the per-event
    schedule — but every schedule converges on the same covered languages.
 
-Run directly to merge the EXP-P2 record into ``BENCH_PERF.json``:
+Run directly for the table (also written to ``benchmarks/results/EXP-P2.txt``):
 
     PYTHONPATH=src python benchmarks/bench_frontier.py
     PYTHONPATH=src python benchmarks/bench_frontier.py --check   # CI gate
@@ -51,10 +51,7 @@ from repro.web import SyntheticWebConfig, build_synthetic_web
 from repro.web.synthetic import synthetic_start_url
 
 sys.path.insert(0, str(Path(__file__).parent))
-from harness import format_table, merge_bench_record, ratio, report  # noqa: E402
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULT_PATH = REPO_ROOT / "BENCH_PERF.json"
+from harness import format_table, ratio, report  # noqa: E402
 
 #: (name, disql template, pages per site).
 WORKLOADS = (
@@ -218,7 +215,6 @@ def _report(result: dict) -> str:
 def bench_frontier(benchmark):
     result = measure()
     _report(result)
-    merge_bench_record(RESULT_PATH, "EXP-P2", result)
     assert result["events_ratio"] >= 2.0, (
         f"events ratio {result['events_ratio']}x below the 2x EXP-P2 target"
     )
@@ -266,11 +262,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 0
 
-    merge_bench_record(RESULT_PATH, "EXP-P2", result)
-    print(
-        f"merged EXP-P2 into {RESULT_PATH}"
-        f" (drill-down events ratio {result['events_ratio']}x)"
-    )
+    print(f"drill-down events ratio {result['events_ratio']}x")
     if result["events_ratio"] < 2.0:
         print("WARNING: below the 2x EXP-P2 target", file=sys.stderr)
         return 1

@@ -31,7 +31,7 @@ fairness index ``(Σx)²/(n·Σx²)`` over the small-query latencies.
    cannot starve a small one);
 5. every query reaches COMPLETE under both schedulers.
 
-Run directly to merge the EXP-P3 record into ``BENCH_PERF.json``:
+Run directly for the table (also written to ``benchmarks/results/EXP-P3.txt``):
 
     PYTHONPATH=src python benchmarks/bench_multitenant.py
     PYTHONPATH=src python benchmarks/bench_multitenant.py --smoke --check
@@ -48,10 +48,7 @@ from repro import EngineConfig, QueryStatus, WebDisEngine
 from repro.web import SyntheticWebConfig, build_synthetic_web
 
 sys.path.insert(0, str(Path(__file__).parent))
-from harness import format_table, merge_bench_record, ratio, report  # noqa: E402
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULT_PATH = REPO_ROOT / "BENCH_PERF.json"
+from harness import format_table, ratio, report  # noqa: E402
 
 #: Total small queries per cell; the full sweep is the ISSUE's 100/1k/10k.
 SCALES = (100, 1_000, 10_000)
@@ -315,11 +312,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 0
 
-    merge_bench_record(RESULT_PATH, "EXP-P3", result)
-    print(
-        f"merged EXP-P3 into {RESULT_PATH}"
-        f" (p99 gain {result['cells'][-1]['p99_ratio']}x at the largest scale)"
-    )
+    print(f"p99 gain {result['cells'][-1]['p99_ratio']}x at the largest scale")
     return 0
 
 

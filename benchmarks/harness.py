@@ -8,7 +8,6 @@ so the numbers survive captured output and feed EXPERIMENTS.md.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Sequence
 
@@ -45,25 +44,3 @@ def ratio(numerator: float, denominator: float) -> str:
     if denominator == 0:
         return "inf"
     return f"{numerator / denominator:.2f}x"
-
-
-def merge_bench_record(path: Path, exp_id: str, record: dict) -> dict:
-    """Merge one experiment's record into the shared perf-results file.
-
-    ``path`` (normally ``BENCH_PERF.json``) holds a mapping
-    ``{experiment id: record}`` so every perf bench can write its own
-    result without clobbering the others'.  A legacy single-record file
-    (a bare record with an ``"experiment"`` key) is upgraded in place.
-    Returns the full merged mapping.
-    """
-    merged: dict = {}
-    if path.exists():
-        existing = json.loads(path.read_text())
-        if isinstance(existing, dict) and "experiment" in existing:
-            merged = {existing["experiment"]: existing}
-        elif isinstance(existing, dict):
-            merged = existing
-    merged[exp_id] = record
-    ordered = {key: merged[key] for key in sorted(merged)}
-    path.write_text(json.dumps(ordered, indent=2) + "\n")
-    return ordered

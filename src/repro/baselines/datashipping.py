@@ -32,7 +32,7 @@ from ..core.processing import process_node
 from ..core.trace import Tracer
 from ..core.webquery import WebQuery
 from ..disql.translate import compile_disql
-from ..model.database import DatabaseConstructor, build_documents_table
+from ..model.database import DatabaseConstructor, site_documents_for
 from ..net.network import Network, NetworkConfig, SendOutcome
 from ..net.reliable import ReliableChannel
 from ..net.simclock import SimClock
@@ -260,7 +260,9 @@ class DataShippingEngine:
         self.stats.documents_parsed += 1
         outcome = process_node(
             work.url, database, query, work.step_index, work.rem, self.config,
-            site_documents=self._site_documents_for(query, work.url.host),
+            site_documents=site_documents_for(
+                query, self.web, work.url.host, self._site_documents, self.stats
+            ),
             plan_for=self.plans.bind(query) if self.config.compiled_plans else None,
         )
         self.stats.node_queries_evaluated += len(outcome.evaluations)
@@ -295,25 +297,6 @@ class DataShippingEngine:
                 )
             )
         return self.config.service_time(len(html), outcome.tuples_scanned)
-
-    def _site_documents_for(self, query: WebQuery, site_name: str):
-        """Site-spanning DOCUMENT table for §7.1 multi-document queries.
-
-        Built from the web ground truth (simulation convenience — a real
-        centralized engine would have downloaded these pages anyway).
-        """
-        if not any(step.query.sitewide_aliases for step in query.steps):
-            return None
-        table = self._site_documents.get(site_name)
-        if table is None and self.web.has_site(site_name):
-            site = self.web.site(site_name)
-            pages = [
-                (site.url_of(path), page.html)
-                for path, page in sorted(site.pages.items())
-            ]
-            table = build_documents_table(pages)
-            self._site_documents[site_name] = table
-        return table
 
     # -- completion -----------------------------------------------------------
 

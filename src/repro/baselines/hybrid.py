@@ -29,14 +29,13 @@ from typing import Iterable
 
 from ..core.config import EngineConfig
 from ..core.engine import DEFAULT_USER_SITE, WebDisEngine
-from ..core.logtable import LogAction, NodeQueryLogTable
+from ..core.logtable import NodeQueryLogTable
 from ..core.messages import ChtEntry, CloneBundle, Disposition, NodeReport, ResultMessage
 from ..core.plancache import PlanCache
-from ..core.processing import process_node
-from ..core.server import stamp_identities
+from ..core.server import CloneProcessor
 from ..core.trace import Tracer
 from ..core.webquery import QueryClone, QueryId
-from ..model.database import DatabaseConstructor, build_documents_table
+from ..model.database import DatabaseConstructor
 from ..net.network import HELPER_PORT, QUERY_PORT, Network, NetworkConfig, SendOutcome
 from ..net.reliable import ReliableChannel
 from ..net.simclock import SimClock
@@ -50,10 +49,11 @@ __all__ = ["CentralProcessor", "HybridEngine"]
 _CENTRAL_FETCH_PORT = 4501
 
 
-class CentralProcessor:
+class CentralProcessor(CloneProcessor):
     """Processes clones for non-participating sites at the user-site.
 
-    Runs the same per-node logic as a query-server, except every document
+    Runs the query-server's own per-node loop
+    (:class:`~repro.core.server.CloneProcessor`), except every document
     must first be *fetched* over the network — the centralized cost the
     paper wants to migrate away from.
     """
@@ -67,7 +67,7 @@ class CentralProcessor:
         stats: TrafficStats,
         tracer: Tracer,
         participating: set[str],
-        web: Web | None = None,
+        web: Web,
     ) -> None:
         self.site = user_site
         self.web = web
@@ -146,92 +146,14 @@ class CentralProcessor:
         self.stats.record_processing(self.site, service)
         self.clock.schedule(service, lambda: self._complete(clone, reports, clones))
 
-    def _process(self, clone: QueryClone):
-        now = self.clock.now
-        qid = clone.query.qid
-        reports: list[NodeReport] = []
-        forwards = []
-        seen_forwards = set()
-        service = 0.0
+    def _html_for(self, node: Url) -> str | None:
+        return self._documents.get(node)
 
-        for node in clone.dest:
-            entry = ChtEntry(node, clone.state)
-            rem = clone.rem
-            disposition = Disposition.PROCESSED
-            if self.config.log_table_enabled:
-                observation = self.log_table.observe(node, qid, clone.state, now)
-                if observation.action is LogAction.DROP:
-                    self.stats.duplicates_dropped += 1
-                    service += self.config.node_service_time
-                    reports.append(NodeReport(entry, Disposition.DUPLICATE))
-                    continue
-                if observation.action is LogAction.REWRITE:
-                    assert observation.rewritten_rem is not None
-                    rem = observation.rewritten_rem
-                    disposition = Disposition.REWRITTEN
-                    self.stats.queries_rewritten += 1
-            html = self._documents.get(node)
-            if html is None:
-                service += self.config.node_service_time
-                reports.append(NodeReport(entry, Disposition.MISSING))
-                continue
-            database = self.constructor.construct(node, html)
-            self.stats.documents_parsed += 1
-            outcome = process_node(
-                node, database, clone.query, clone.step_index, rem, self.config,
-                site_documents=self._site_documents_for(clone.query, node.host),
-                plan_for=self.plans.bind(clone.query) if self.config.compiled_plans else None,
-            )
-            service += self.config.service_time(len(html), outcome.tuples_scanned)
-            self.stats.node_queries_evaluated += len(outcome.evaluations)
-            if self.tracer.enabled:
-                for step_index, success in outcome.evaluations:
-                    self.tracer.record(
-                        now, str(node), self.site, clone.state, outcome.role,
-                        "answered" if success else "failed",
-                        detail=f"central:{clone.query.step_label(step_index)}",
-                    )
-            fresh = [fw for fw in outcome.forwards if fw not in seen_forwards]
-            seen_forwards.update(fresh)
-            forwards.extend(fresh)
-            new_entries = tuple(
-                ChtEntry(
-                    fw.target,
-                    QueryClone(clone.query, fw.step_index, fw.rem, (fw.target,)).state,
-                )
-                for fw in fresh
-            )
-            reports.append(NodeReport(entry, disposition, new_entries, tuple(outcome.results)))
+    def _mint_dispatch_id(self) -> str:
+        return f"c{next(self._dispatch_serial)}@{self.site}"
 
-        groups: dict[tuple, list[Url]] = {}
-        for fw in forwards:
-            key = (fw.target.host, fw.step_index, fw.rem)
-            groups.setdefault(key, []).append(fw.target)
-        clones = [
-            QueryClone(clone.query, step_index, rem, tuple(dict.fromkeys(targets)))
-            for (__, step_index, rem), targets in groups.items()
-        ]
-        reports = stamp_identities(
-            clone, reports, clones, lambda: f"c{next(self._dispatch_serial)}@{self.site}"
-        )
-        return reports, clones, service
-
-    def _site_documents_for(self, query, site_name: str):
-        """Site-spanning DOCUMENT table for §7.1 multi-document queries."""
-        if self.web is None or not any(
-            step.query.sitewide_aliases for step in query.steps
-        ):
-            return None
-        table = self._site_documents.get(site_name)
-        if table is None and self.web.has_site(site_name):
-            site = self.web.site(site_name)
-            pages = [
-                (site.url_of(path), page.html)
-                for path, page in sorted(site.pages.items())
-            ]
-            table = build_documents_table(pages)
-            self._site_documents[site_name] = table
-        return table
+    def _child_history(self, clone: QueryClone) -> tuple[str, ...]:
+        return ()  # the helper sits at the user-site: nothing to retrace through
 
     def _complete(self, clone: QueryClone, reports, clones) -> None:
         qid = clone.query.qid

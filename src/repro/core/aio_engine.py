@@ -39,25 +39,25 @@ from __future__ import annotations
 import asyncio
 from typing import Iterable
 
-from ..disql.translate import compile_disql
 from ..errors import SimulationError
 from ..net.aio import AsyncioTransport, LoopClock, PortMap
 from ..net.chaos import ChaosRules
 from ..net.network import NetworkConfig
 from ..net.stats import TrafficStats
 from ..web.web import Web
-from .client import QueryHandle, QueryStatus, UserSiteClient
+from .client import QueryHandle, QueryStatus
 from .config import EngineConfig
-from .engine import DEFAULT_USER_SITE
-from .server import QueryServer
-from .trace import Tracer
-from .webquery import WebQuery
+from .engine import DEFAULT_USER_SITE, EngineBase
 
 __all__ = ["AsyncioWebDisEngine"]
 
 
-class AsyncioWebDisEngine:
-    """One runnable WEBDIS deployment over real asyncio sockets."""
+class AsyncioWebDisEngine(EngineBase):
+    """One runnable WEBDIS deployment over real asyncio sockets.
+
+    Submission, cancellation, crash/restart and introspection are
+    :class:`~repro.core.engine.EngineBase`'s.
+    """
 
     def __init__(
         self,
@@ -72,50 +72,26 @@ class AsyncioWebDisEngine:
         chaos: ChaosRules | None = None,
         port_map: PortMap | None = None,
     ) -> None:
-        self.web = web
-        self.config = config if config is not None else EngineConfig()
-        if self.config.central_fallback:
+        config = config if config is not None else EngineConfig()
+        if config.central_fallback:
             raise SimulationError(
                 "central_fallback reads the synchronous send outcome and is "
                 "not supported on the asyncio transport"
             )
-        self.clock = LoopClock()
-        self.stats = TrafficStats()
-        self.tracer = Tracer(enabled=trace)
-        self.network = AsyncioTransport(
-            self.clock, self.stats, net_config, chaos=chaos, port_map=port_map
+        clock = LoopClock()
+        stats = TrafficStats()
+        super().__init__(
+            web,
+            config,
+            clock,
+            stats,
+            AsyncioTransport(clock, stats, net_config, chaos=chaos, port_map=port_map),
+            user_site=user_site,
+            user=user,
+            participating_sites=participating_sites,
+            trace=trace,
         )
         self.chaos = chaos
-        self.user_site = user_site
-
-        participating = (
-            set(web.site_names)
-            if participating_sites is None
-            else {name.lower() for name in participating_sites}
-        )
-        self.network.register_site(user_site)
-        self.servers: dict[str, QueryServer] = {}
-        for site in web.site_names:
-            self.network.register_site(site)
-            if site in participating:
-                self.servers[site] = QueryServer(
-                    site, web, self.network, self.clock, self.config, self.stats, self.tracer
-                )
-        self.client = UserSiteClient(
-            user_site, self.network, self.clock, self.stats, self.tracer, self.config, user
-        )
-
-    # -- submission ----------------------------------------------------------
-
-    def submit(self, query: WebQuery, on_result=None, on_complete=None) -> QueryHandle:
-        return self.client.submit(query, on_result, on_complete)
-
-    def submit_disql(
-        self, text: str, on_result=None, on_complete=None, search_index=None
-    ) -> QueryHandle:
-        return self.submit(
-            compile_disql(text, search_index=search_index), on_result, on_complete
-        )
 
     # -- execution -----------------------------------------------------------
 
@@ -150,41 +126,6 @@ class AsyncioWebDisEngine:
                 )
             await asyncio.sleep(poll)
 
-    def cancel(self, handle: QueryHandle, at: float | None = None) -> None:
-        if at is None:
-            self.client.cancel(handle)
-        else:
-            self.clock.schedule_at(at, lambda: self.client.cancel(handle))
-
-    # -- crash / recovery ----------------------------------------------------
-
-    def crash_server(self, site: str, at: float | None = None) -> None:
-        """Crash ``site`` now (or at clock time ``at``): every socket the
-        site holds is torn down for real and its volatile state is lost."""
-        site = site.lower()
-        server = self._server_or_raise(site)
-        if at is not None:
-            self.clock.schedule_at(at, lambda: self.crash_server(site))
-            return
-        self.network.crash_site(site)
-        server.crash()
-
-    def restart_server(self, site: str, at: float | None = None) -> None:
-        """Restart a crashed server: re-bind its query port (a fresh real
-        port — the port map re-points, like a restarted process)."""
-        site = site.lower()
-        server = self._server_or_raise(site)
-        if at is not None:
-            self.clock.schedule_at(at, lambda: self.restart_server(site))
-            return
-        server.restart()
-
-    def _server_or_raise(self, site: str) -> QueryServer:
-        server = self.servers.get(site)
-        if server is None:
-            raise SimulationError(f"no query-server at {site!r}")
-        return server
-
     def apply_faults(self, plan) -> None:
         raise SimulationError(
             "FaultPlan.install targets the simulator; pass "
@@ -201,13 +142,7 @@ class AsyncioWebDisEngine:
             if restart_at is not None:
                 self.restart_server(site, at=restart_at)
 
-    # -- introspection / lifecycle -------------------------------------------
-
-    def server_for(self, site: str) -> QueryServer:
-        return self.servers[site.lower()]
-
-    def total_log_entries(self) -> int:
-        return sum(server.log_table.entry_count() for server in self.servers.values())
+    # -- lifecycle ----------------------------------------------------------
 
     async def aclose(self) -> None:
         """Close every socket and cancel in-flight transport tasks."""

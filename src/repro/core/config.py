@@ -48,11 +48,12 @@ class EngineConfig:
     #: :class:`~repro.core.plancache.PlanCache`, cleared by crashes) instead
     #: of the tree-walking interpreter.  A compiled plan runs as a batch
     #: pipeline over the tables' column arrays
-    #: (:mod:`repro.relational.columnar`) and, on any batch exception, rolls
-    #: back and replays through its row closure chain so lazily-raised
-    #: errors match the interpreter's (``TrafficStats.plan_replays`` counts
-    #: those).  Result-identical by construction — the DST oracle
-    #: cross-checks both paths — so the toggle exists for that cross-check
+    #: (:mod:`repro.relational.columnar`) and, on any batch exception, drops
+    #: its partial rows and replays through that same interpreter, so
+    #: lazily-raised errors are the interpreter's by construction
+    #: (``TrafficStats.plan_replays`` counts those).  Result-identical —
+    #: the DST oracle cross-checks both paths — so the toggle exists for
+    #: that cross-check
     #: and for the EXP-P1 interpreted-vs-compiled bench; only wall-clock
     #: changes, the simulated cost model is evaluator-independent.
     compiled_plans: bool = True

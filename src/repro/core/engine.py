@@ -34,7 +34,7 @@ from .server import QueryServer
 from .trace import Tracer
 from .webquery import WebQuery
 
-__all__ = ["WebDisEngine", "DEFAULT_USER_SITE", "build_engine"]
+__all__ = ["EngineBase", "WebDisEngine", "DEFAULT_USER_SITE", "build_engine"]
 
 DEFAULT_USER_SITE = "user.example"
 
@@ -61,26 +61,33 @@ def build_engine(web: Web, *, config: EngineConfig | None = None, **kwargs):
     )
 
 
-class WebDisEngine:
-    """One runnable WEBDIS deployment over a simulated web."""
+class EngineBase:
+    """Site/server/client wiring and the operations both transports share.
+
+    A subclass builds its clock and transport and hands them here; one
+    :class:`~repro.core.server.QueryServer` per participating site and the
+    :class:`~repro.core.client.UserSiteClient` are wired to them.
+    """
 
     def __init__(
         self,
         web: Web,
+        config: EngineConfig,
+        clock,
+        stats: TrafficStats,
+        network,
         *,
-        config: EngineConfig | None = None,
-        net_config: NetworkConfig | None = None,
-        user_site: str = DEFAULT_USER_SITE,
-        user: str = "maya",
-        participating_sites: Iterable[str] | None = None,
-        trace: bool = False,
+        user_site: str,
+        user: str,
+        participating_sites: Iterable[str] | None,
+        trace: bool,
     ) -> None:
         self.web = web
-        self.config = config if config is not None else EngineConfig()
-        self.clock = SimClock()
-        self.stats = TrafficStats()
+        self.config = config
+        self.clock = clock
+        self.stats = stats
         self.tracer = Tracer(enabled=trace)
-        self.network = Network(self.clock, self.stats, net_config)
+        self.network = network
         self.user_site = user_site
 
         participating = (
@@ -88,16 +95,16 @@ class WebDisEngine:
             if participating_sites is None
             else {name.lower() for name in participating_sites}
         )
-        self.network.register_site(user_site)
+        network.register_site(user_site)
         self.servers: dict[str, QueryServer] = {}
         for site in web.site_names:
-            self.network.register_site(site)
+            network.register_site(site)
             if site in participating:
                 self.servers[site] = QueryServer(
-                    site, web, self.network, self.clock, self.config, self.stats, self.tracer
+                    site, web, network, clock, config, stats, self.tracer
                 )
         self.client = UserSiteClient(
-            user_site, self.network, self.clock, self.stats, self.tracer, self.config, user
+            user_site, network, clock, stats, self.tracer, config, user
         )
 
     # -- submission ---------------------------------------------------------------
@@ -118,18 +125,6 @@ class WebDisEngine:
             compile_disql(text, search_index=search_index), on_result, on_complete
         )
 
-    # -- execution ------------------------------------------------------------------
-
-    def run(self, until: float | None = None) -> float:
-        """Drive the simulation until quiescence (or virtual time ``until``)."""
-        return self.clock.run(until)
-
-    def run_query(self, disql_text: str) -> QueryHandle:
-        """Submit DISQL and run to completion — the one-call happy path."""
-        handle = self.submit_disql(disql_text)
-        self.run()
-        return handle
-
     def cancel(self, handle: QueryHandle, at: float | None = None) -> None:
         """Cancel ``handle`` now, or schedule the cancellation at time ``at``."""
         if at is None:
@@ -142,13 +137,14 @@ class WebDisEngine:
     def crash_server(self, site: str, at: float | None = None) -> None:
         """Crash ``site``'s query-server host now (or at time ``at``).
 
-        The host goes down (connects to it return HOST_DOWN, in-flight
-        deliveries to it are lost), its sockets are dropped, and the server
-        process loses all volatile state: queue, log table, db cache and
-        pending retries.  Queries whose clones die inside the crash are
-        recovered by sender-side retries (the connect never succeeded), by
-        the client's :meth:`~repro.core.client.UserSiteClient.reforward_pending`
-        (the connect succeeded but the clone was lost), or by retraction.
+        The host goes down (connects to it return HOST_DOWN on the
+        simulator, are refused on real sockets; in-flight deliveries to it
+        are lost), its sockets are dropped, and the server process loses
+        all volatile state: queue, log table, db cache and pending retries.
+        Queries whose clones die inside the crash are recovered by
+        sender-side retries (the connect never succeeded), by the client's
+        :meth:`~repro.core.client.UserSiteClient.reforward_pending` (the
+        connect succeeded but the clone was lost), or by retraction.
         """
         site = site.lower()
         server = self._server_or_raise(site)
@@ -162,7 +158,9 @@ class WebDisEngine:
         """Restart a crashed query-server now (or at time ``at``).
 
         The host comes back up and the server re-binds its query port with
-        a blank state — exactly what a process restart provides.
+        a blank state — exactly what a process restart provides.  (On real
+        sockets "up" *is* the re-bind: a fresh real port the port map
+        re-points to, so ``set_site_up`` is a no-op there.)
         """
         site = site.lower()
         server = self._server_or_raise(site)
@@ -189,10 +187,6 @@ class WebDisEngine:
             raise SimulationError(f"no query-server at {site!r}")
         return server
 
-    def apply_faults(self, plan) -> None:
-        """Install a :class:`~repro.net.faults.FaultPlan` on this deployment."""
-        plan.install(self.network, self)
-
     # -- introspection -----------------------------------------------------------------
 
     def server_for(self, site: str) -> QueryServer:
@@ -200,3 +194,52 @@ class WebDisEngine:
 
     def total_log_entries(self) -> int:
         return sum(server.log_table.entry_count() for server in self.servers.values())
+
+
+class WebDisEngine(EngineBase):
+    """One runnable WEBDIS deployment over a simulated web.
+
+    Submission, cancellation, crash/restart and introspection are
+    :class:`EngineBase`'s.
+    """
+
+    def __init__(
+        self,
+        web: Web,
+        *,
+        config: EngineConfig | None = None,
+        net_config: NetworkConfig | None = None,
+        user_site: str = DEFAULT_USER_SITE,
+        user: str = "maya",
+        participating_sites: Iterable[str] | None = None,
+        trace: bool = False,
+    ) -> None:
+        clock = SimClock()
+        stats = TrafficStats()
+        super().__init__(
+            web,
+            config if config is not None else EngineConfig(),
+            clock,
+            stats,
+            Network(clock, stats, net_config),
+            user_site=user_site,
+            user=user,
+            participating_sites=participating_sites,
+            trace=trace,
+        )
+
+    # -- execution ------------------------------------------------------------------
+
+    def run(self, until: float | None = None) -> float:
+        """Drive the simulation until quiescence (or virtual time ``until``)."""
+        return self.clock.run(until)
+
+    def run_query(self, disql_text: str) -> QueryHandle:
+        """Submit DISQL and run to completion — the one-call happy path."""
+        handle = self.submit_disql(disql_text)
+        self.run()
+        return handle
+
+    def apply_faults(self, plan) -> None:
+        """Install a :class:`~repro.net.faults.FaultPlan` on this deployment."""
+        plan.install(self.network, self)

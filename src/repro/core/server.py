@@ -61,7 +61,7 @@ from collections import Counter
 from dataclasses import replace
 from typing import Callable
 
-from ..model.database import DatabaseConstructor, build_documents_table
+from ..model.database import DatabaseConstructor, site_documents_for
 from ..net.network import HELPER_PORT, QUERY_PORT, Network, SendOutcome
 from ..net.reliable import ReliableChannel
 from ..net.simclock import SimClock
@@ -79,7 +79,7 @@ from .scheduler import make_scheduler
 from .trace import Tracer
 from .webquery import QueryClone, QueryId
 
-__all__ = ["QueryServer", "stamp_identities"]
+__all__ = ["CloneProcessor", "QueryServer", "stamp_identities"]
 
 
 def stamp_identities(
@@ -116,7 +116,237 @@ def stamp_identities(
     ]
 
 
-class QueryServer:
+class CloneProcessor:
+    """Figure 3's per-node loop — the one copy.
+
+    :class:`QueryServer` runs it at a participating site; the hybrid
+    engine's :class:`~repro.baselines.hybrid.CentralProcessor` runs it at
+    the user-site over documents it had to download.  A subclass provides
+    the state the loop reads — ``site``, ``web``, ``clock``, ``config``,
+    ``stats``, ``tracer``, ``constructor``, ``log_table``, ``plans``,
+    ``_purged``, ``_site_documents`` — and the places the two differ:
+    :attr:`memo`, :meth:`_html_for`, :meth:`_mint_dispatch_id` and
+    :meth:`_child_history`.
+    """
+
+    #: Cross-query memo of per-node rows and forward fan-outs, or None.
+    memo: ResultMemo | None = None
+
+    def _html_for(self, node: Url) -> str | None:
+        """The document at ``node``, or None when it cannot be had."""
+        raise NotImplementedError
+
+    def _mint_dispatch_id(self) -> str:
+        """A fresh dispatch identity for one forwarded clone."""
+        raise NotImplementedError
+
+    def _child_history(self, clone: QueryClone) -> tuple[str, ...]:
+        """The retrace trail forwarded clones carry (§2.6 alternative)."""
+        if self.config.direct_result_return:
+            return ()
+        if clone.history and clone.history[-1] == self.site:
+            return clone.history  # local hop: the retrace chain is unchanged
+        return clone.history + (self.site,)
+
+    def _process(
+        self, clone: QueryClone
+    ) -> tuple[list[NodeReport], list[QueryClone], float]:
+        now = self.clock.now
+        qid = clone.query.qid
+        if qid in self._purged:
+            # Passive termination already observed here; drop silently.
+            self._trace_nodes(clone, "purged")
+            return [], [], self.config.node_service_time
+
+        reports: list[NodeReport] = []
+        all_forwards: list[Forward] = []
+        service = 0.0
+        plan_for = self.plans.bind(clone.query) if self.config.compiled_plans else None
+        tracing = self.tracer.enabled
+
+        # Bulk admission: one log-table pass for the clone's whole node
+        # list (all nodes share the clone's state, so the pass can share
+        # its subsumption comparisons).  Node order — and therefore every
+        # drop/rewrite outcome — is the per-node sequence.
+        observations = (
+            self.log_table.observe_bulk(clone.dest, qid, clone.state, now)
+            if self.config.log_table_enabled
+            else None
+        )
+
+        for index, node in enumerate(clone.dest):
+            entry = ChtEntry(node, clone.state)
+            rem: Pre = clone.rem
+            disposition = Disposition.PROCESSED
+
+            if observations is not None:
+                observation = observations[index]
+                if observation.action is LogAction.DROP:
+                    self.stats.duplicates_dropped += 1
+                    service += self.config.node_service_time
+                    if tracing:
+                        self.tracer.record(
+                            now, str(node), self.site, clone.state, "-", "duplicate-dropped"
+                        )
+                    reports.append(NodeReport(entry, Disposition.DUPLICATE))
+                    continue
+                if observation.action is LogAction.REWRITE:
+                    assert observation.rewritten_rem is not None
+                    rem = observation.rewritten_rem
+                    disposition = Disposition.REWRITTEN
+                    self.stats.queries_rewritten += 1
+                    if tracing:
+                        self.tracer.record(
+                            now, str(node), self.site, clone.state, "-", "rewritten",
+                            detail=f"rem -> {rem}",
+                        )
+
+            html = self._html_for(node)
+            if html is None:
+                service += self.config.node_service_time
+                if tracing:
+                    self.tracer.record(
+                        now, str(node), self.site, clone.state, "-", "missing"
+                    )
+                reports.append(NodeReport(entry, Disposition.MISSING))
+                continue
+
+            # The database is built lazily: a node fully served from the
+            # cross-query memo (EXP-P4) never parses its document, and is
+            # charged only the base per-node service time (like a duplicate
+            # drop).  Without a memo the first worklist item always resolves
+            # the database, so ``built`` is set and parse + scan is charged.
+            built: list = []
+
+            def provider(node=node, html=html, built=built):
+                if not built:
+                    built.append(self.constructor.construct(node, html))
+                    self.stats.documents_parsed += 1
+                return built[0]
+
+            outcome = process_node(
+                node, provider, clone.query, clone.step_index, rem, self.config,
+                site_documents=site_documents_for(
+                    clone.query, self.web, node.host, self._site_documents, self.stats
+                ),
+                plan_for=plan_for,
+                memo=self.memo.view(node, clone.query) if self.memo is not None else None,
+            )
+            if built:
+                service += self.config.service_time(len(html), outcome.tuples_scanned)
+            else:
+                service += self.config.node_service_time
+            self.stats.node_queries_evaluated += len(outcome.evaluations)
+            self._trace_outcome(now, node, clone, outcome)
+
+            new_forwards = self._dedupe_forwards(outcome.forwards, all_forwards)
+            new_entries = tuple(
+                ChtEntry(fw.target, self._forward_state(clone, fw)) for fw in new_forwards
+            )
+            all_forwards.extend(new_forwards)
+            reports.append(NodeReport(entry, disposition, new_entries, tuple(outcome.results)))
+
+        clones = self._build_clones(clone, all_forwards)
+        reports = stamp_identities(clone, reports, clones, self._mint_dispatch_id)
+        return reports, clones, service
+
+    @staticmethod
+    def _dedupe_forwards(
+        candidates: list[Forward], already: list[Forward]
+    ) -> list[Forward]:
+        """Keep only forwards not yet emitted during this clone's processing.
+
+        Without this, two destination nodes at one site pointing at the same
+        target would add two CHT entries for a single eventual visit and the
+        query would never be detected complete.
+        """
+        seen = set(already)
+        fresh: list[Forward] = []
+        for forward in candidates:
+            if forward not in seen:
+                seen.add(forward)
+                fresh.append(forward)
+        return fresh
+
+    def _forward_state(self, clone: QueryClone, forward: Forward):
+        return QueryClone(
+            clone.query, forward.step_index, forward.rem, (forward.target,)
+        ).state
+
+    def _build_clones(
+        self, clone: QueryClone, forwards: list[Forward]
+    ) -> list[QueryClone]:
+        """Group forwards into clones (optimization 4: one per site & state).
+
+        With a ``pump_budget`` configured, each group's node list is further
+        chunked to at most ``pump_budget`` nodes per clone: a whole BFS
+        layer coalesced into one fat clone would otherwise be indivisible —
+        one pump would process every node of the layer no matter the
+        budget, and the fair scheduler would have nothing to interleave.
+        Chunks keep the (site, state) grouping, travel in the same bundle,
+        and each carries its own dispatch identity, so CHT accounting is
+        exactly as without chunking.
+        """
+        groups: dict[tuple[str, int, Pre], list[Url]] = {}
+        for forward in forwards:
+            if self.config.batch_per_site:
+                key = (forward.target.host, forward.step_index, forward.rem)
+            else:
+                key = (str(forward.target), forward.step_index, forward.rem)  # type: ignore[assignment]
+            groups.setdefault(key, []).append(forward.target)
+        history = self._child_history(clone)
+        budget = self.config.pump_budget
+        clones = []
+        for (__, step_index, rem), targets in groups.items():
+            deduped = tuple(dict.fromkeys(targets))
+            if budget is None or len(deduped) <= budget:
+                clones.append(QueryClone(clone.query, step_index, rem, deduped, history))
+            else:
+                for start in range(0, len(deduped), budget):
+                    clones.append(
+                        QueryClone(
+                            clone.query, step_index, rem,
+                            deduped[start:start + budget], history,
+                        )
+                    )
+        return clones
+
+    # -- tracing ----------------------------------------------------------------
+
+    def _trace_outcome(self, now: float, node: Url, clone: QueryClone, outcome) -> None:
+        if not self.tracer.enabled:
+            # Keep the stats side effect; skip all event formatting.
+            if outcome.dead_end:
+                self.stats.dead_ends += 1
+            return
+        state = clone.state
+        for step_index, success in outcome.evaluations:
+            label = clone.query.step_label(step_index)
+            action = "answered" if success else "failed"
+            self.tracer.record(
+                now, str(node), self.site, state, outcome.role, action, detail=label
+            )
+        if not outcome.evaluations:
+            self.tracer.record(now, str(node), self.site, state, outcome.role, "routed")
+        if outcome.dead_end:
+            self.stats.dead_ends += 1
+            self.tracer.record(now, str(node), self.site, state, outcome.role, "dead-end")
+        elif outcome.forwards:
+            self.tracer.record(
+                now, str(node), self.site, state, outcome.role, "forwarded",
+                detail=f"{len(outcome.forwards)} link(s)",
+            )
+
+    def _trace_nodes(self, clone: QueryClone, action: str) -> None:
+        if not self.tracer.enabled:
+            return
+        for node in clone.dest:
+            self.tracer.record(
+                self.clock.now, str(node), self.site, clone.state, "-", action
+            )
+
+
+class QueryServer(CloneProcessor):
     """One site's query-server daemon, listening on :data:`QUERY_PORT`."""
 
     def __init__(
@@ -158,7 +388,7 @@ class QueryServer:
         #: round-robined under ``scheduler="fair"``, the paper's single
         #: FIFO under ``"fifo"`` — both enforcing the same queue ceilings.
         self._scheduler = make_scheduler(config)
-        self._site_documents = None  # lazy §7.1 multi-document table
+        self._site_documents: dict[str, object] = {}  # lazy §7.1 tables
         self._active_workers = 0
         self._purged: set[QueryId] = set()
         self._last_purge = 0.0
@@ -188,6 +418,9 @@ class QueryServer:
     def _mint_dispatch_id(self) -> str:
         return f"s{next(self._dispatch_serial)}@{self.site}"
 
+    def _html_for(self, node: Url) -> str | None:
+        return self.web.html_for(node)
+
     # -- crash / recovery (§7.1 open problem) ------------------------------------
 
     def crash(self) -> None:
@@ -211,7 +444,7 @@ class QueryServer:
         self.plans.clear()
         if self.memo is not None:
             self.memo.clear()
-        self._site_documents = None
+        self._site_documents = {}
         self._purged = set()
         self._last_purge = 0.0
         self.channel.reset()
@@ -388,192 +621,6 @@ class QueryServer:
         if now - self._last_purge >= interval:
             self._last_purge = now
             self.log_table.purge_older_than(now - self.config.log_max_age)
-
-    # -- the Figure 3 algorithm ------------------------------------------------
-
-    def _process(
-        self, clone: QueryClone
-    ) -> tuple[list[NodeReport], list[QueryClone], float]:
-        now = self.clock.now
-        qid = clone.query.qid
-        if qid in self._purged:
-            # Passive termination already observed here; drop silently.
-            self._trace_nodes(clone, "purged")
-            return [], [], self.config.node_service_time
-
-        reports: list[NodeReport] = []
-        all_forwards: list[Forward] = []
-        service = 0.0
-        plan_for = self.plans.bind(clone.query) if self.config.compiled_plans else None
-        tracing = self.tracer.enabled
-
-        # Bulk admission: one log-table pass for the clone's whole node
-        # list (all nodes share the clone's state, so the pass can share
-        # its subsumption comparisons).  Node order — and therefore every
-        # drop/rewrite outcome — is the per-node sequence.
-        observations = (
-            self.log_table.observe_bulk(clone.dest, qid, clone.state, now)
-            if self.config.log_table_enabled
-            else None
-        )
-
-        for index, node in enumerate(clone.dest):
-            entry = ChtEntry(node, clone.state)
-            rem: Pre = clone.rem
-            disposition = Disposition.PROCESSED
-
-            if observations is not None:
-                observation = observations[index]
-                if observation.action is LogAction.DROP:
-                    self.stats.duplicates_dropped += 1
-                    service += self.config.node_service_time
-                    if tracing:
-                        self.tracer.record(
-                            now, str(node), self.site, clone.state, "-", "duplicate-dropped"
-                        )
-                    reports.append(NodeReport(entry, Disposition.DUPLICATE))
-                    continue
-                if observation.action is LogAction.REWRITE:
-                    assert observation.rewritten_rem is not None
-                    rem = observation.rewritten_rem
-                    disposition = Disposition.REWRITTEN
-                    self.stats.queries_rewritten += 1
-                    if tracing:
-                        self.tracer.record(
-                            now, str(node), self.site, clone.state, "-", "rewritten",
-                            detail=f"rem -> {rem}",
-                        )
-
-            html = self.web.html_for(node)
-            if html is None:
-                service += self.config.node_service_time
-                if tracing:
-                    self.tracer.record(
-                        now, str(node), self.site, clone.state, "-", "missing"
-                    )
-                reports.append(NodeReport(entry, Disposition.MISSING))
-                continue
-
-            # The database is built lazily: a node fully served from the
-            # cross-query memo (EXP-P4) never parses its document, and is
-            # charged only the base per-node service time (like a duplicate
-            # drop).  Without a memo the first worklist item always resolves
-            # the database, so ``built`` is set and parse + scan is charged.
-            built: list = []
-
-            def provider(node=node, html=html, built=built):
-                if not built:
-                    built.append(self.constructor.construct(node, html))
-                    self.stats.documents_parsed += 1
-                return built[0]
-
-            outcome = process_node(
-                node, provider, clone.query, clone.step_index, rem, self.config,
-                site_documents=self._site_documents_for(clone.query),
-                plan_for=plan_for,
-                memo=self.memo.view(node, clone.query) if self.memo is not None else None,
-            )
-            if built:
-                service += self.config.service_time(len(html), outcome.tuples_scanned)
-            else:
-                service += self.config.node_service_time
-            self.stats.node_queries_evaluated += len(outcome.evaluations)
-            self._trace_outcome(now, node, clone, outcome)
-
-            new_forwards = self._dedupe_forwards(outcome.forwards, all_forwards)
-            new_entries = tuple(
-                ChtEntry(fw.target, self._forward_state(clone, fw)) for fw in new_forwards
-            )
-            all_forwards.extend(new_forwards)
-            reports.append(NodeReport(entry, disposition, new_entries, tuple(outcome.results)))
-
-        clones = self._build_clones(clone, all_forwards)
-        reports = stamp_identities(clone, reports, clones, self._mint_dispatch_id)
-        return reports, clones, service
-
-    def _site_documents_for(self, query):
-        """The site-spanning DOCUMENT table, built lazily on first need.
-
-        Only queries with sitewide document aliases (§7.1 multi-document
-        node-queries) pay for it; the build is charged once per server.
-        """
-        if not any(step.query.sitewide_aliases for step in query.steps):
-            return None
-        if self._site_documents is None:
-            site = self.web.site(self.site)
-            pages = [
-                (site.url_of(path), page.html)
-                for path, page in sorted(site.pages.items())
-            ]
-            self._site_documents = build_documents_table(pages, stats=self.stats)
-            self.stats.documents_parsed += len(pages)
-        return self._site_documents
-
-    @staticmethod
-    def _dedupe_forwards(
-        candidates: list[Forward], already: list[Forward]
-    ) -> list[Forward]:
-        """Keep only forwards not yet emitted during this clone's processing.
-
-        Without this, two destination nodes at one site pointing at the same
-        target would add two CHT entries for a single eventual visit and the
-        query would never be detected complete.
-        """
-        seen = set(already)
-        fresh: list[Forward] = []
-        for forward in candidates:
-            if forward not in seen:
-                seen.add(forward)
-                fresh.append(forward)
-        return fresh
-
-    def _forward_state(self, clone: QueryClone, forward: Forward):
-        return QueryClone(
-            clone.query, forward.step_index, forward.rem, (forward.target,)
-        ).state
-
-    def _build_clones(
-        self, clone: QueryClone, forwards: list[Forward]
-    ) -> list[QueryClone]:
-        """Group forwards into clones (optimization 4: one per site & state).
-
-        With a ``pump_budget`` configured, each group's node list is further
-        chunked to at most ``pump_budget`` nodes per clone: a whole BFS
-        layer coalesced into one fat clone would otherwise be indivisible —
-        one pump would process every node of the layer no matter the
-        budget, and the fair scheduler would have nothing to interleave.
-        Chunks keep the (site, state) grouping, travel in the same bundle,
-        and each carries its own dispatch identity, so CHT accounting is
-        exactly as without chunking.
-        """
-        groups: dict[tuple[str, int, Pre], list[Url]] = {}
-        for forward in forwards:
-            if self.config.batch_per_site:
-                key = (forward.target.host, forward.step_index, forward.rem)
-            else:
-                key = (str(forward.target), forward.step_index, forward.rem)  # type: ignore[assignment]
-            groups.setdefault(key, []).append(forward.target)
-        if self.config.direct_result_return:
-            history: tuple[str, ...] = ()
-        elif clone.history and clone.history[-1] == self.site:
-            history = clone.history  # local hop: the retrace chain is unchanged
-        else:
-            history = clone.history + (self.site,)
-        budget = self.config.pump_budget
-        clones = []
-        for (__, step_index, rem), targets in groups.items():
-            deduped = tuple(dict.fromkeys(targets))
-            if budget is None or len(deduped) <= budget:
-                clones.append(QueryClone(clone.query, step_index, rem, deduped, history))
-            else:
-                for start in range(0, len(deduped), budget):
-                    clones.append(
-                        QueryClone(
-                            clone.query, step_index, rem,
-                            deduped[start:start + budget], history,
-                        )
-                    )
-        return clones
 
     # -- completion: dispatch results first, then forward (Figure 3, 17-20) ----
 
@@ -843,35 +890,3 @@ class QueryServer:
         """Channel-level events (retries, exhaustion) — no node/state context."""
         if self.tracer.enabled:
             self.tracer.record(self.clock.now, "-", self.site, "-", "-", action, detail)
-
-    def _trace_outcome(self, now: float, node: Url, clone: QueryClone, outcome) -> None:
-        if not self.tracer.enabled:
-            # Keep the stats side effect; skip all event formatting.
-            if outcome.dead_end:
-                self.stats.dead_ends += 1
-            return
-        state = clone.state
-        for step_index, success in outcome.evaluations:
-            label = clone.query.step_label(step_index)
-            action = "answered" if success else "failed"
-            self.tracer.record(
-                now, str(node), self.site, state, outcome.role, action, detail=label
-            )
-        if not outcome.evaluations:
-            self.tracer.record(now, str(node), self.site, state, outcome.role, "routed")
-        if outcome.dead_end:
-            self.stats.dead_ends += 1
-            self.tracer.record(now, str(node), self.site, state, outcome.role, "dead-end")
-        elif outcome.forwards:
-            self.tracer.record(
-                now, str(node), self.site, state, outcome.role, "forwarded",
-                detail=f"{len(outcome.forwards)} link(s)",
-            )
-
-    def _trace_nodes(self, clone: QueryClone, action: str) -> None:
-        if not self.tracer.enabled:
-            return
-        for node in clone.dest:
-            self.tracer.record(
-                self.clock.now, str(node), self.site, clone.state, "-", action
-            )

@@ -8,24 +8,13 @@ in-memory database a query-server constructs for a node, queries, and purges.
 """
 
 from .database import DatabaseConstructor, NodeDatabase
-from .relations import (
-    ANCHOR_SCHEMA,
-    DOCUMENT_SCHEMA,
-    RELINFON_SCHEMA,
-    AnchorTuple,
-    DocumentTuple,
-    LinkType,
-    RelInfonTuple,
-)
+from .relations import ANCHOR_SCHEMA, DOCUMENT_SCHEMA, RELINFON_SCHEMA, LinkType
 
 __all__ = [
     "ANCHOR_SCHEMA",
-    "AnchorTuple",
     "DOCUMENT_SCHEMA",
     "DatabaseConstructor",
-    "DocumentTuple",
     "LinkType",
     "NodeDatabase",
     "RELINFON_SCHEMA",
-    "RelInfonTuple",
 ]

@@ -15,15 +15,7 @@ from collections import OrderedDict
 from ..errors import SchemaError, UrlError
 from ..html.parser import ParsedDocument, parse_html
 from ..urlutils import Url, classify_link, parse_url
-from .relations import (
-    ANCHOR_SCHEMA,
-    DOCUMENT_SCHEMA,
-    RELINFON_SCHEMA,
-    AnchorTuple,
-    DocumentTuple,
-    LinkType,
-    RelInfonTuple,
-)
+from .relations import ANCHOR_SCHEMA, DOCUMENT_SCHEMA, RELINFON_SCHEMA, LinkType
 from ..relational.table import Table
 
 __all__ = ["NodeDatabase", "DatabaseConstructor"]
@@ -34,37 +26,34 @@ class NodeDatabase:
 
     Databases are read-only once built, so lookup structures the hot path
     needs repeatedly — the name→relation map and the per-:class:`LinkType`
-    anchor buckets — are precomputed here instead of being rebuilt on every
-    :meth:`relation` / :meth:`outgoing_links` call.
+    link destinations — are kept here instead of being rebuilt on every
+    :meth:`relation` / :meth:`forward_targets` call.
     """
 
     __slots__ = (
-        "url", "document", "anchor", "relinfon", "_anchors",
+        "url", "document", "anchor", "relinfon",
         "_relations", "_links_by_type", "_forward_targets",
     )
 
     def __init__(
         self,
         url: Url,
-        document: DocumentTuple,
-        anchors: tuple[AnchorTuple, ...],
-        relinfons: tuple[RelInfonTuple, ...],
-        stats: "object | None" = None,
+        document: Table,
+        anchor: Table,
+        relinfon: Table,
+        links_by_type: dict[LinkType, list[Url]],
     ) -> None:
         self.url = url
-        self._anchors = anchors
-        self.document = Table(DOCUMENT_SCHEMA, [document.as_row()], stats=stats)
-        self.anchor = Table(ANCHOR_SCHEMA, [a.as_row() for a in anchors], stats=stats)
-        self.relinfon = Table(RELINFON_SCHEMA, [r.as_row() for r in relinfons], stats=stats)
+        self.document = document
+        self.anchor = anchor
+        self.relinfon = relinfon
         self._relations = {
-            "document": self.document,
-            "anchor": self.anchor,
-            "relinfon": self.relinfon,
+            "document": document,
+            "anchor": anchor,
+            "relinfon": relinfon,
         }
-        buckets: dict[LinkType, list[AnchorTuple]] = {ltype: [] for ltype in LinkType}
-        for anchor in anchors:
-            buckets[anchor.ltype].append(anchor)
-        self._links_by_type = buckets
+        #: Resolved hrefs per link type, in ANCHOR row order.
+        self._links_by_type = links_by_type
         self._forward_targets: dict[LinkType, tuple[Url, ...]] | None = None
 
     def relation(self, name: str) -> Table:
@@ -74,27 +63,19 @@ class NodeDatabase:
         except KeyError:
             raise SchemaError(f"no virtual relation named {name!r}") from None
 
-    def outgoing_links(self, ltype: LinkType) -> list[AnchorTuple]:
-        """Anchors of the given link type; the forwarding step's input.
-
-        Returns the precomputed bucket — callers must treat it as read-only.
-        """
-        return self._links_by_type[ltype]
-
     def forward_targets(self, ltype: LinkType) -> tuple[Url, ...]:
         """Fragment-stripped destinations of the given link type.
 
-        The columnar layout's per-:class:`LinkType` anchor *selection*: the
-        forwarding step only needs where each link leads, so the hrefs are
-        materialized once per database (lazily, so row-only consumers never
-        pay) instead of re-stripping fragments per fan-out probe.  Order
-        matches :meth:`outgoing_links`.
+        The forwarding step only needs where each link leads, so the hrefs
+        are stripped once per database (lazily, so a node that never
+        forwards does not pay) instead of per fan-out probe.  Order is the
+        ANCHOR relation's row order.
         """
         cached = self._forward_targets
         if cached is None:
             cached = self._forward_targets = {
-                bucket_type: tuple(a.href.without_fragment() for a in bucket)
-                for bucket_type, bucket in self._links_by_type.items()
+                bucket_type: tuple(href.without_fragment() for href in hrefs)
+                for bucket_type, hrefs in self._links_by_type.items()
             }
         return cached[ltype]
 
@@ -192,17 +173,33 @@ def build_documents_table(
     server's whole incarnation, so sitewide joins are where the cached
     :meth:`~repro.relational.table.Table.index` pays off most.
     """
-    table = Table(DOCUMENT_SCHEMA, stats=stats)
+    rows = []
     for url, html in pages:
         parsed = parse_html(html)
-        table.insert(
-            DocumentTuple(
-                url=url.without_fragment(),
-                title=parsed.title,
-                text=parsed.text,
-                length=len(html),
-            ).as_row()
-        )
+        rows.append((str(url.without_fragment()), parsed.title, parsed.text, len(html)))
+    return Table(DOCUMENT_SCHEMA, rows, stats=stats)
+
+
+def site_documents_for(
+    query, web, site_name: str, cache: "dict[str, Table]", stats
+) -> Table | None:
+    """The site-spanning DOCUMENT table for ``site_name``, built on first need.
+
+    Only web-queries with sitewide document aliases (§7.1 multi-document
+    node-queries) pay for it, once per ``cache`` — the caller's per-process
+    dict, so a crash that drops the dict drops the tables.  Built from the
+    web ground truth; a central engine uses that as a stand-in for pages it
+    would have downloaded anyway.  ``stats`` is charged the parses and
+    mirrors the table's join-index counters.
+    """
+    if not any(step.query.sitewide_aliases for step in query.steps):
+        return None
+    table = cache.get(site_name)
+    if table is None and web.has_site(site_name):
+        site = web.site(site_name)
+        pages = [(site.url_of(path), page.html) for path, page in sorted(site.pages.items())]
+        table = cache[site_name] = build_documents_table(pages, stats=stats)
+        stats.documents_parsed += len(pages)
     return table
 
 
@@ -221,33 +218,41 @@ def build_node_database(
     """
     if parsed is None:
         parsed = parse_html(html)
-    document = DocumentTuple(url=url, title=parsed.title, text=parsed.text, length=len(html))
-    anchors = _anchor_tuples(url, parsed)
-    relinfons = tuple(
-        RelInfonTuple(delimiter=infon.delimiter, url=url, text=infon.text, length=len(infon.text))
-        for infon in parsed.relinfons
-    )
-    return NodeDatabase(url, document, anchors, relinfons, stats=stats)
-
-
-def _anchor_tuples(base: Url, parsed: ParsedDocument) -> tuple[AnchorTuple, ...]:
+    base = str(url)
     # A <base href> redirects *resolution* of relative hrefs (HTML 2.0
     # §5.2.2); link classification still compares destinations against the
     # document's actual URL, since I/L/G is about where the link leads
     # relative to where the document lives.
-    resolve_base = base
+    resolve_base = url
     if parsed.base_href:
         try:
-            resolve_base = parse_url(parsed.base_href, base=base)
+            resolve_base = parse_url(parsed.base_href, base=url)
         except UrlError:
             pass
-    tuples = []
+    anchor_rows = []
+    links_by_type: dict[LinkType, list[Url]] = {ltype: [] for ltype in LinkType}
     for anchor in parsed.anchors:
         try:
             href = parse_url(anchor.href, base=resolve_base)
         except UrlError:
-            # Unresolvable hrefs (mailto:, malformed) carry no traversal value.
+            # Unresolvable hrefs (empty, malformed) carry no traversal value.
             continue
-        ltype = LinkType.from_symbol(classify_link(base, href))
-        tuples.append(AnchorTuple(label=anchor.label, base=base, href=href, ltype=ltype))
-    return tuple(tuples)
+        ltype = LinkType.from_symbol(classify_link(url, href))
+        anchor_rows.append((anchor.label, base, str(href), ltype.value))
+        links_by_type[ltype].append(href)
+    return NodeDatabase(
+        url,
+        Table(
+            DOCUMENT_SCHEMA, [(base, parsed.title, parsed.text, len(html))], stats=stats
+        ),
+        Table(ANCHOR_SCHEMA, anchor_rows, stats=stats),
+        Table(
+            RELINFON_SCHEMA,
+            [
+                (infon.delimiter, base, infon.text, len(infon.text))
+                for infon in parsed.relinfons
+            ],
+            stats=stats,
+        ),
+        links_by_type,
+    )

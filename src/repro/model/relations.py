@@ -1,4 +1,4 @@
-"""Link types and virtual-relation tuple definitions.
+"""Link types and virtual-relation schemas.
 
 The schemas here are the paper's, verbatim:
 
@@ -11,16 +11,11 @@ The schemas here are the paper's, verbatim:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from ..relational.schema import Schema
-from ..urlutils import Url
 
 __all__ = [
     "LinkType",
-    "DocumentTuple",
-    "AnchorTuple",
-    "RelInfonTuple",
     "DOCUMENT_SCHEMA",
     "ANCHOR_SCHEMA",
     "RELINFON_SCHEMA",
@@ -54,42 +49,3 @@ class LinkType(enum.Enum):
 DOCUMENT_SCHEMA = Schema("document", ("url", "title", "text", "length"))
 ANCHOR_SCHEMA = Schema("anchor", ("label", "base", "href", "ltype"))
 RELINFON_SCHEMA = Schema("relinfon", ("delimiter", "url", "text", "length"))
-
-
-@dataclass(frozen=True, slots=True)
-class DocumentTuple:
-    """One DOCUMENT entry.  ``length`` is the document's size in characters."""
-
-    url: Url
-    title: str
-    text: str
-    length: int
-
-    def as_row(self) -> tuple[object, ...]:
-        return (str(self.url), self.title, self.text, self.length)
-
-
-@dataclass(frozen=True, slots=True)
-class AnchorTuple:
-    """One ANCHOR entry: hyperlink ``base -> href`` with ``ltype`` category."""
-
-    label: str
-    base: Url
-    href: Url
-    ltype: LinkType
-
-    def as_row(self) -> tuple[object, ...]:
-        return (self.label, str(self.base), str(self.href), self.ltype.value)
-
-
-@dataclass(frozen=True, slots=True)
-class RelInfonTuple:
-    """One RELINFON entry for the document at ``url``."""
-
-    delimiter: str
-    url: Url
-    text: str
-    length: int
-
-    def as_row(self) -> tuple[object, ...]:
-        return (self.delimiter, str(self.url), self.text, self.length)

@@ -23,9 +23,12 @@ from __future__ import annotations
 
 import threading
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 __all__ = ["TrafficStats"]
+
+#: :meth:`TrafficStats.summary` keys that predate the ``*_sent`` field names.
+_SUMMARY_NAMES = {"messages_sent": "messages", "bytes_sent": "bytes"}
 
 
 @dataclass
@@ -152,11 +155,12 @@ class TrafficStats:
     #: the same node (or the long-lived sitewide table) hit instead of
     #: rebuilding, mirroring ``forward_targets``-style reuse.
     index_hits: int = 0
-    #: Batch-pipeline runs that raised, rolled their output back and
-    #: replayed the plan through the row closure chain
-    #: (:mod:`repro.relational.columnar`).  Correct either way — the replay
-    #: is what preserves lazy error semantics — but a plan that replays on
-    #: every call pays both executors, which this makes visible.
+    #: Batch-pipeline runs that raised, dropped their partial rows and
+    #: replayed the plan through the tree interpreter
+    #: (:meth:`~repro.relational.compile.CompiledPlan.execute_columnar`).
+    #: Correct either way — the replay is what preserves lazy error
+    #: semantics — but a plan that replays on every call pays both
+    #: evaluators, which this makes visible.
     plan_replays: int = 0
 
     @property
@@ -219,54 +223,16 @@ class TrafficStats:
         return (site, load)
 
     def summary(self) -> dict[str, object]:
-        """A flat dictionary for bench tables."""
-        return {
-            "messages": self.messages_sent,
-            "bytes": self.bytes_sent,
-            "failed_sends": self.failed_sends,
-            "frames_rejected": self.frames_rejected,
-            "refused_sends": self.refused_sends,
-            "down_sends": self.down_sends,
-            "unknown_host_sends": self.unknown_host_sends,
-            "retried_sends": self.retried_sends,
-            "retries_exhausted": self.retries_exhausted,
-            "sends_abandoned": self.sends_abandoned,
-            "overloaded_sends": self.overloaded_sends,
-            "sends_deferred": self.sends_deferred,
-            "clones_shed": self.clones_shed,
-            "queries_shed": self.queries_shed,
-            "clones_requeued": self.clones_requeued,
-            "clones_lost_in_crash": self.clones_lost_in_crash,
-            "duplicate_reports_absorbed": self.duplicate_reports_absorbed,
-            "stale_reports_absorbed": self.stale_reports_absorbed,
-            "duplicate_rows_dropped": self.duplicate_rows_dropped,
-            "clones_reforwarded": self.clones_reforwarded,
-            "queries_partial": self.queries_partial,
-            "documents_shipped": self.documents_shipped,
-            "document_bytes_shipped": self.document_bytes_shipped,
-            "documents_parsed": self.documents_parsed,
-            "node_queries_evaluated": self.node_queries_evaluated,
-            "duplicates_dropped": self.duplicates_dropped,
-            "queries_rewritten": self.queries_rewritten,
-            "clones_forwarded": self.clones_forwarded,
-            "dead_ends": self.dead_ends,
-            "local_hops": self.local_hops,
-            "frontier_batches": self.frontier_batches,
-            "frontier_clones_batched": self.frontier_clones_batched,
-            "clone_bundles_sent": self.clone_bundles_sent,
-            "clones_bundled": self.clones_bundled,
-            "memo_hits": self.memo_hits,
-            "memo_misses": self.memo_misses,
-            "plans_shared": self.plans_shared,
-            "residual_filters": self.residual_filters,
-            "memo_evictions": self.memo_evictions,
-            "memo_bytes_est": self.memo_bytes_est,
-            "db_cache_hits": self.db_cache_hits,
-            "db_cache_misses": self.db_cache_misses,
-            "parse_cache_hits": self.parse_cache_hits,
-            "index_builds": self.index_builds,
-            "index_hits": self.index_hits,
-            "plan_replays": self.plan_replays,
-            "events_saved": self.events_saved,
-            "messages_saved": self.messages_saved,
+        """A flat dictionary of every counter, for bench tables.
+
+        Int fields in declaration order (the two send totals under their
+        short names), then the derived savings.
+        """
+        flat: dict[str, object] = {
+            _SUMMARY_NAMES.get(spec.name, spec.name): getattr(self, spec.name)
+            for spec in fields(self)
+            if spec.type == "int"
         }
+        flat["events_saved"] = self.events_saved
+        flat["messages_saved"] = self.messages_saved
+        return flat

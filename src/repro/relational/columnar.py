@@ -1,15 +1,12 @@
-"""Batch (columnar) execution of compiled node-query plans — EXP-P5/P6.
+"""Batch (columnar) execution of compiled node-query plans.
 
 :class:`~repro.relational.compile.CompiledPlan` resolves pushdown placement
 and column positions at compile time; this module lowers the *whole*
 nested-loop join into a pipeline of batch operators over the tables'
 columnar views (:meth:`Table.columns`) and join-key hash indexes
-(:meth:`Table.index`).  EXP-P5 vectorized only the innermost (leaf) scan;
-every outer level was still a per-row closure chain, which the sitewide
-and join-heavy workloads exposed as the ceiling.  The pipeline now carries
-a **batch of candidate bindings** — one index tuple per partial binding,
-the multi-level generalization of a selection vector — through the join
-order:
+(:meth:`Table.index`).  The pipeline carries a **batch of candidate
+bindings** — one index tuple per partial binding, the multi-level
+generalization of a selection vector — through the join order:
 
 * each level's pushdown conjuncts become **batch filters** mapping a
   binding batch to a smaller one (specialized comprehensions for the hot
@@ -18,30 +15,29 @@ order:
   binding when an equality conjunct joins the new table to already-bound
   aliases (or to a constant), the cross product otherwise — bucket lists
   are insertion-ordered, so probing reproduces the scan order exactly;
-* the leaf level keeps EXP-P5's selection-vector kernels (now seeded by
-  the leaf join's probe result) and batch projectors; tuples materialize
-  only at projection.
+* the leaf level runs selection-vector kernels (seeded by the leaf join's
+  probe result) and batch projectors; tuples materialize only at
+  projection.
 
 Lazy error semantics are preserved *exactly*, not approximately.  Batch
 evaluation reorders work (conjunct-major, probe-before-filter), so the
 pipeline can hit an error the interpreter would never reach, or reach one
-late.  Evaluation is pure, so the whole pipeline is optimistic: on *any*
-exception the partial output is rolled back and the plan re-runs through
-the row executor's closure chain, reproducing the interpreter's outcome
-bit-for-bit — including which binding's which conjunct raises, or that
-nothing raises at all.  A batch that completes *cleanly* is row-identical
-by construction: every evaluation the row path performs and the batch
-skips is **provably total** (present attributes, literals, ``=``/``!=``
-and boolean combinators over them — checked at lowering time), and a hash
-probe substitutes for an equality conjunct only when
-:meth:`ColumnIndex.probe` proves dict equality coincides with the
-interpreter's coerced equality for that probe value (no numeric
-number-vs-numeric-string coercion possible, hash-exact value profile).
-Any non-provable case — and any empty-probe ambiguity — degrades to a
-scan through the conjunct's own scalar closure, or to the row path
-wholesale.
+late.  The runner built here therefore just raises;
+:meth:`CompiledPlan.execute_columnar` owns the rollback — it discards the
+run's rows and returns the tree interpreter's outcome instead, including
+which binding's which conjunct raises, or that nothing raises at all.  A
+batch that completes *cleanly* is row-identical by construction: every
+evaluation the interpreter performs and the batch skips is **provably
+total** (present attributes, literals, ``=``/``!=`` and boolean
+combinators over them — checked at lowering time), and a hash probe
+substitutes for an equality conjunct only when :meth:`ColumnIndex.probe`
+proves dict equality coincides with the interpreter's coerced equality
+for that probe value (no numeric number-vs-numeric-string coercion
+possible, hash-exact value profile).  Any non-provable case — and any
+empty-probe ambiguity — degrades to a scan through the conjunct's own
+scalar closure, or to the interpreter wholesale.
 
-Equivalence with the interpreter oracle is property-tested in
+Equivalence with the interpreter is property-tested in
 ``tests/test_columnar_executor.py`` (including hostile expressions whose
 only output *is* the error, and a poisoned cell at every plan level).
 Replays are counted in ``TrafficStats.plan_replays`` through the tables'
@@ -50,7 +46,6 @@ stats mirror, so a plan that falls back on every call is visible.
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Callable, Sequence
 
 from .expr import (
@@ -92,17 +87,14 @@ def build_columnar_runner(
     schemas: Sequence[Schema],
     header: tuple[str, ...],
     compile_expr: Callable[[Expr], _Scalar],
-    row_runner: Callable[[list, list, list], None],
-) -> Callable:
+) -> Callable[[list, list, list, list], None]:
     """Build the batch runner for one compiled plan.
 
-    The runner signature is ``runner(env, tables, table_objs, out,
-    level_times=None)``: ``tables`` are the scanned row lists (row-runner
-    compatible — the rollback replay hands them straight to
-    ``row_runner``), ``table_objs`` the table objects behind them (for
-    ``columns()`` / ``index()``), and ``level_times`` an optional dict
-    accumulating per-level wall-clock (``level-0`` … ``leaf``) for the
-    profiling harness.
+    The runner signature is ``runner(env, tables, table_objs, out)``:
+    ``tables`` are the scanned row lists, ``table_objs`` the table objects
+    behind them (for ``columns()`` / ``index()``).  It appends result rows
+    to ``out`` and lets any evaluation error propagate — the caller
+    discards ``out`` and replays through the interpreter.
     """
     count = len(schemas)
     leaf = count - 1
@@ -118,10 +110,10 @@ def build_columnar_runner(
         for depth in range(count)
     ]
 
-    stages: list[tuple[str, Callable]] = []
+    stages: list[Callable] = []
     for depth in range(leaf):
         entry = _entry_filters(depth, filter_plan, scalar_filters, joins, positions, schemas)
-        stages.append((f"level-{depth}", _build_expand_stage(depth, entry, joins[depth])))
+        stages.append(_build_expand_stage(depth, entry, joins[depth]))
 
     leaf_entry = _entry_filters(leaf, filter_plan, scalar_filters, joins, positions, schemas)
     leaf_join = joins[leaf]
@@ -137,45 +129,13 @@ def build_columnar_runner(
     leaf_stage = _build_leaf_stage(leaf, leaf_entry, leaf_join, kernels, projector)
     stage_list = tuple(stages)
 
-    def runner(
-        env, tables, table_objs, out, level_times=None,
-        _stages=stage_list, _leaf_stage=leaf_stage, _fallback=row_runner,
-    ):
-        mark = len(out)
-        try:
-            batch: list[tuple[int, ...]] = [()]
-            if level_times is None:
-                for __, stage in _stages:
-                    batch = stage(env, tables, table_objs, batch)
-                    if not batch:
-                        return
-                _leaf_stage(env, tables, table_objs, batch, out)
-            else:
-                for name, stage in _stages:
-                    started = perf_counter()
-                    batch = stage(env, tables, table_objs, batch)
-                    level_times[name] = (
-                        level_times.get(name, 0.0) + perf_counter() - started
-                    )
-                    if not batch:
-                        return
-                started = perf_counter()
-                _leaf_stage(env, tables, table_objs, batch, out)
-                level_times["leaf"] = (
-                    level_times.get("leaf", 0.0) + perf_counter() - started
-                )
-        except Exception:
-            # Evaluation is pure: roll back this run's rows and replay the
-            # whole plan through the row executor's closures, so the error
-            # (if the interpreter raises one — it may not: the batch also
-            # evaluates probe expressions the short-circuiting row loop
-            # never reaches) surfaces at exactly the binding and conjunct
-            # the row executor reports, or the correct rows come back.
-            del out[mark:]
-            stats = table_objs[0].stats
-            if stats is not None:
-                stats.plan_replays += 1
-            _fallback(env, tables, out)
+    def runner(env, tables, table_objs, out, _stages=stage_list, _leaf_stage=leaf_stage):
+        batch: list[tuple[int, ...]] = [()]
+        for stage in _stages:
+            batch = stage(env, tables, table_objs, batch)
+            if not batch:
+                return
+        _leaf_stage(env, tables, table_objs, batch, out)
 
     return runner
 
@@ -226,8 +186,9 @@ def _choose_join(
     being bound and whose other side references only already-bound aliases
     (or is constant).  A conjunct is only usable if every conjunct *before*
     it at this level is provably total — the probe skips their evaluation
-    on pruned rows, which must not be able to suppress an error the row
-    path would raise.  The search stops at the first non-total conjunct.
+    on pruned rows, which must not be able to suppress an error the
+    interpreter would raise.  The search stops at the first non-total
+    conjunct.
     """
     schema = schemas[depth]
     for position, conjunct in enumerate(conjuncts):
@@ -372,7 +333,7 @@ def _build_batch_filter(
         return specialized
     if width == 0:
         # Constant predicate (plan[0]): one evaluation gates the whole run,
-        # exactly like the row runner's outermost level.
+        # exactly like the interpreter's outermost level.
         def constant_filter(env, tables, table_objs, batch, _f=scalar):
             return batch if _f(env) else []
 
@@ -427,7 +388,7 @@ def _build_expand_stage(
                 return batch
         rows = tables[_d]
         if not rows:
-            # The row path never evaluates this level's join conjunct (or
+            # The interpreter never evaluates this level's join conjunct (or
             # its probe side) when the table is empty; neither may we.
             return []
         index = table_objs[_d].index(_c)
@@ -598,7 +559,7 @@ def _specialize(
         ):
             # Non-string haystacks raise out of the comprehension (ints have
             # no .lower(); bytes fail the `in`), which routes the run to the
-            # row-path replay and its EvaluationError — never a silent
+            # interpreter replay and its EvaluationError — never a silent
             # wrong answer for any type the virtual relations can hold.
             lowered = needle.value.lower()
 

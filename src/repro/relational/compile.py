@@ -16,15 +16,17 @@ That is fine for a one-shot evaluation, but a WEBDIS server evaluates the
   tuples* — column indices are resolved against the static virtual-relation
   schemas at compile time, so per-row evaluation is ``env[depth][col]``
   indexing instead of dict construction plus recursive AST dispatch;
-* the projection becomes a tuple picker over precomputed ``(depth, col)``
-  pairs;
-* the nested-loop itself is pre-built as a chain of per-depth closures.
+* those closures and the projection feed the batch pipeline of
+  :mod:`repro.relational.columnar`, the one compiled executor.
 
-The compiled plan is **semantically identical** to the interpreter — same
-rows, same order, same lazily-raised errors (property-tested against
-:func:`~repro.relational.query.evaluate_node_query_naive`, the unchanged
-oracle).  Compilation is database-independent: the virtual-relation schemas
-are static, so one plan serves every node database.
+There are two evaluators, not three: the batch pipeline, and the tree
+interpreter — which is both the executable specification and what a plan
+replays through when a batch run raises.  A clean batch run is
+row-identical to the interpreter by construction; any other run *is* the
+interpreter, so rows, order and lazily-raised errors (class and message)
+have one definition.  Compilation is database-independent: the
+virtual-relation schemas are static, so one plan serves every node
+database.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .expr import (
     Or,
     _coerce_pair,
 )
-from .query import NodeQuery, ResultRow, _plan_filters
+from .query import NodeQuery, ResultRow, _plan_filters, evaluate_node_query
 from .schema import Schema
 from .table import Table
 
@@ -71,28 +73,25 @@ _Compiled = Callable[[list], object]
 class CompiledPlan:
     """One node-query, lowered and ready to execute against any database.
 
-    :meth:`execute_columnar` — the batch pipeline — is the production
-    executor.  :meth:`execute` runs the row closure chain the pipeline
-    rolls back to and replays whenever batch evaluation raises; it is the
-    keeper of the interpreter's lazy error semantics, not a selectable
-    alternative.  Both are lowered at compile time from the same artifacts.
+    :meth:`execute_columnar` — the batch pipeline — is the compiled
+    executor.  :meth:`execute` is the reference entry: the tree
+    interpreter on this plan's query, which is also what the pipeline
+    replays through whenever a batch run raises.
     """
 
-    __slots__ = ("query", "header", "cost_weight", "_scan_specs", "_runner", "_columnar")
+    __slots__ = ("query", "header", "cost_weight", "_scan_specs", "_columnar")
 
     def __init__(
         self,
         query: NodeQuery,
         scan_specs: tuple[tuple[str, bool, Schema], ...],
-        runner: Callable[[list, list, list], None],
-        columnar: Callable[..., None],
+        columnar: Callable[[list, list, list, list], None],
     ) -> None:
         self.query = query
         self.header = query.header
         #: Precomputed evaluation-cost weight (the simulator's CPU model).
         self.cost_weight = query.cost_weight()
         self._scan_specs = scan_specs
-        self._runner = runner
         self._columnar = columnar
 
     def _bind_tables(
@@ -124,30 +123,38 @@ class CompiledPlan:
         database: "NodeDatabase",
         site_documents: Table | None = None,
     ) -> list[ResultRow]:
-        """Evaluate through the row closure chain; same contract as
-        :func:`~repro.relational.query.evaluate_node_query`."""
-        tables = [t.row_list() for t in self._bind_tables(database, site_documents)]
-        results: list[ResultRow] = []
-        self._runner([None] * len(tables), tables, results)
-        return results
+        """Evaluate through the tree interpreter: the reference entry.
+
+        Also what :meth:`execute_columnar` replays through.
+        """
+        return evaluate_node_query(self.query, database, site_documents)
 
     def execute_columnar(
         self,
         database: "NodeDatabase",
         site_documents: Table | None = None,
-        level_times: "dict[str, float] | None" = None,
     ) -> list[ResultRow]:
         """Evaluate through the batch (columnar) executor.
 
         Same rows, same order, same lazily-raised errors as
-        :meth:`execute` — see :mod:`repro.relational.columnar` for how the
-        equivalence is preserved.  ``level_times`` optionally accumulates
-        per-pipeline-stage wall-clock for the profiling harness.
+        :meth:`execute` — see :mod:`repro.relational.columnar` for why a
+        clean batch run is row-identical.  Batch evaluation reorders work,
+        so it can raise where the interpreter would not (or elsewhere);
+        evaluation is pure, so on *any* batch exception the partial rows
+        are dropped and the interpreter's outcome — its rows, or its
+        exception — is returned instead, counted in
+        ``TrafficStats.plan_replays``.
         """
         table_objs = self._bind_tables(database, site_documents)
         tables = [t.row_list() for t in table_objs]
         results: list[ResultRow] = []
-        self._columnar([None] * len(tables), tables, table_objs, results, level_times)
+        try:
+            self._columnar([None] * len(tables), tables, table_objs, results)
+        except Exception:
+            stats = table_objs[0].stats
+            if stats is not None:
+                stats.plan_replays += 1
+            return self.execute(database, site_documents)
         return results
 
 
@@ -201,8 +208,6 @@ def compile_node_query(query: NodeQuery) -> CompiledPlan:
         tuple(_compile_expr(conjunct, positions, schemas) for conjunct in level)
         for level in filter_plan
     ]
-    project = _compile_projection(query.select, positions, schemas)
-    runner = _build_runner(len(alias_order), filters, project, query.header)
     columnar = build_columnar_runner(
         query.select,
         filter_plan,
@@ -211,114 +216,21 @@ def compile_node_query(query: NodeQuery) -> CompiledPlan:
         schemas,
         query.header,
         compile_expr=lambda expr: _compile_expr(expr, positions, schemas),
-        row_runner=runner,
     )
-    return CompiledPlan(query, scan_specs, runner, columnar)
-
-
-# -- the nested loop, pre-built as a closure chain ----------------------------
-
-
-def _build_runner(
-    depth_count: int,
-    filters: list[tuple[_Compiled, ...]],
-    project: _Compiled,
-    header: tuple[str, ...],
-) -> Callable[[list, list, list], None]:
-    leaf_filters = filters[depth_count]
-
-    if leaf_filters:
-
-        def step(env, tables, out, _fs=leaf_filters, _p=project, _h=header):
-            for predicate in _fs:
-                if not predicate(env):
-                    return
-            out.append(ResultRow(_h, _p(env)))
-
-    else:
-
-        def step(env, tables, out, _p=project, _h=header):
-            out.append(ResultRow(_h, _p(env)))
-
-    for depth in range(depth_count - 1, -1, -1):
-        step = _make_level(depth, filters[depth], step)
-    return step
-
-
-def _make_level(
-    depth: int, level_filters: tuple[_Compiled, ...], inner: Callable
-) -> Callable[[list, list, list], None]:
-    if not level_filters:
-
-        def level(env, tables, out, _d=depth, _inner=inner):
-            for row in tables[_d]:
-                env[_d] = row
-                _inner(env, tables, out)
-
-    elif len(level_filters) == 1:
-        predicate = level_filters[0]
-
-        def level(env, tables, out, _d=depth, _f=predicate, _inner=inner):
-            if not _f(env):
-                return
-            for row in tables[_d]:
-                env[_d] = row
-                _inner(env, tables, out)
-
-    else:
-
-        def level(env, tables, out, _d=depth, _fs=level_filters, _inner=inner):
-            for predicate in _fs:
-                if not predicate(env):
-                    return
-            for row in tables[_d]:
-                env[_d] = row
-                _inner(env, tables, out)
-
-    return level
+    return CompiledPlan(query, scan_specs, columnar)
 
 
 # -- expression lowering -------------------------------------------------------
 
 
-def _compile_projection(
-    select: Sequence[Attr], positions: dict[str, int], schemas: Sequence[Schema]
-) -> _Compiled:
-    getters = tuple(_compile_attr(attr, positions, schemas, projection=True) for attr in select)
-    if len(getters) == 1:
-        getter = getters[0]
-
-        def project_one(env, _g=getter):
-            return (_g(env),)
-
-        return project_one
-
-    def project(env, _gs=getters):
-        return tuple(g(env) for g in _gs)
-
-    return project
-
-
 def _compile_attr(
-    attr: Attr,
-    positions: dict[str, int],
-    schemas: Sequence[Schema],
-    *,
-    projection: bool = False,
+    attr: Attr, positions: dict[str, int], schemas: Sequence[Schema]
 ) -> _Compiled:
     depth = positions[attr.alias]
     schema = schemas[depth]
     if attr.name not in schema:
-        # Mirror the interpreter's *lazy* failure exactly: projection raises
-        # KeyError(name) at the leaf, predicate evaluation raises
-        # EvaluationError — and neither fires unless actually reached.
-        if projection:
-
-            def missing_projection(env, _name=attr.name):
-                raise KeyError(_name)
-
-            return missing_projection
-
+        # Mirror the interpreter's *lazy* failure: predicate evaluation
+        # raises EvaluationError only if this attribute is actually reached.
         def missing_attr(env, _alias=attr.alias, _name=attr.name):
             raise EvaluationError(f"table {_alias!r} has no attribute {_name!r}")
 

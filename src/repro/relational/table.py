@@ -127,20 +127,21 @@ class Table:
     ) -> None:
         self.schema = schema
         self.stats = stats
-        self._rows: list[tuple[object, ...]] = []
+        self._rows: list[tuple[object, ...]] = [self._checked(row) for row in rows]
         self._columns: tuple[list[object], ...] | None = None
         self._indexes: dict[int, ColumnIndex] = {}
-        for row in rows:
-            self.insert(row)
 
-    def insert(self, row: tuple[object, ...]) -> None:
-        """Append ``row``; its arity must match the schema."""
+    def _checked(self, row: tuple[object, ...]) -> tuple[object, ...]:
         if len(row) != self.schema.arity:
             raise SchemaError(
                 f"row arity {len(row)} does not match schema "
                 f"{self.schema.name!r} arity {self.schema.arity}"
             )
-        self._rows.append(tuple(row))
+        return tuple(row)
+
+    def insert(self, row: tuple[object, ...]) -> None:
+        """Append ``row``; its arity must match the schema."""
+        self._rows.append(self._checked(row))
         self._columns = None
         if self._indexes:
             self._indexes.clear()

@@ -132,6 +132,27 @@ class TestHybrid:
             r.values for r in reference.unique_rows()
         }
 
+    def test_central_helper_runs_the_servers_per_node_loop(self, campus_web):
+        """One Figure-3 loop: a fully central run counts and traces every
+        node outcome exactly as the query-servers do."""
+
+        def per_node_view(engine):
+            engine.run_query(CAMPUS_QUERY_DISQL)
+            stats = engine.stats
+            return (
+                stats.dead_ends, stats.duplicates_dropped, stats.queries_rewritten,
+                stats.node_queries_evaluated, stats.documents_parsed,
+                sorted(
+                    (event.node, event.action)
+                    for event in engine.tracer.events
+                    if event.node != "-"
+                ),
+            )
+
+        central = per_node_view(HybridEngine(campus_web, [], trace=True))
+        assert central == per_node_view(WebDisEngine(campus_web, trace=True))
+        assert central[0] > 0  # the campus query has dead ends to count
+
     def test_central_processor_load_at_user_site(self, campus_web):
         hybrid = HybridEngine(campus_web, [])
         hybrid.run_query(CAMPUS_QUERY_DISQL)

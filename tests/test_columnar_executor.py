@@ -1,4 +1,4 @@
-"""Columnar execution (EXP-P5/P6): batch operators, replay, memo bounds.
+"""Columnar execution: batch operators, replay, memo bounds.
 
 The batch pipeline is *the* compiled executor — it must be semantically
 invisible, including the interpreter's lazy error semantics that the
@@ -7,11 +7,13 @@ batch kernels reorder around.  Property families:
 * **Plan-level equivalence** — ``execute_columnar`` vs the tree
   interpreter over safe and *hostile* grammars (mixed-type literals,
   missing attributes): identical rows in identical order, or the same
-  error class.  This is the direct check that the optimistic-batch /
-  rollback / row-replay machinery reproduces short-circuit errors.
+  error class *and message*.  This is the direct check that the
+  optimistic batch and its replay through the interpreter reproduce
+  short-circuit errors.
 * **Fault-injected replay** — a poisoned cell (or missing attribute) at
   each plan level, leaf kernel and projector forces the batch to raise;
-  the replayed outcome must equal the interpreter's and be counted in
+  the replayed outcome must equal the interpreter's — with no partial
+  batch output left behind — and be counted in
   ``TrafficStats.plan_replays``.
 * **Engine-level equivalence** — random generated webs run end to end on
   the default engine vs ``compiled_plans=False``: identical statuses,
@@ -104,8 +106,8 @@ _ATTRS = [
 ]
 _SAFE_LITERALS = [Literal(v) for v in ("G", "L", "b", "topic", "detail", "x")]
 # Mixed-type literals and a bogus attribute: the batch kernels must fall
-# back to the exact scalar replay and surface the interpreter's own error
-# class from the interpreter's own evaluation order.
+# back to the interpreter and surface its own error from its own
+# evaluation order.
 _HOSTILE_LITERALS = _SAFE_LITERALS + [Literal(5), Literal("5")]
 _BROKEN = Attr("d", "no_such_attribute")
 
@@ -165,13 +167,12 @@ def _query(select, where, *, tables=("document", "anchor", "relinfon"), sitewide
 
 
 def _outcome(run):
-    """Rows-in-order, or the error class: both evaluators must match exactly."""
+    """Rows-in-order, or the error's class and message: both evaluators
+    must match exactly."""
     try:
         return [(row.header, row.values) for row in run()]
-    except EvaluationError:
-        return "evaluation-error"
-    except KeyError:
-        return "key-error"
+    except (EvaluationError, KeyError) as exc:
+        return (type(exc), str(exc))
 
 
 def _assert_matches_interpreter(query, database=DATABASE, site_documents=None):
@@ -198,16 +199,17 @@ class TestPlanEquivalence:
             _query(select, where, sitewide=("d",)), site_documents=SITE_DOCUMENTS
         )
 
-    @given(_selects, _safe_exprs)
-    @settings(max_examples=150, deadline=None)
-    def test_columnar_matches_naive_oracle_safe(self, select, where):
+    @given(_selects, _safe_exprs, st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_columnar_matches_naive_oracle_safe(self, select, where, sitewide):
         """Type-safe grammar only: the naive oracle applies the predicate at
         the leaf, so which conjunct raises first is not comparable."""
-        query = _query(select, where)
+        query = _query(select, where, sitewide=("d",) if sitewide else ())
+        site_documents = SITE_DOCUMENTS if sitewide else None
         plan = compile_node_query(query)
-        assert plan.execute_columnar(DATABASE) == evaluate_node_query_naive(
-            query, DATABASE
-        )
+        assert plan.execute_columnar(
+            DATABASE, site_documents
+        ) == evaluate_node_query_naive(query, DATABASE, site_documents)
 
     @given(_d_only_exprs)
     @settings(max_examples=150, deadline=None)
@@ -235,7 +237,7 @@ class TestPlanEquivalence:
 # shapes the hash-probe expansion claims — mixed with conjuncts that are
 # *not* provably total (ordered compares, contains, numeric-coercion
 # literals, missing attributes at non-leaf levels), so every lowering
-# decision (probe vs scan vs wholesale row replay) gets exercised.
+# decision (probe vs scan vs wholesale replay) gets exercised.
 _BROKEN_A = Attr("a", "no_such_attribute")  # raises at a NON-leaf level
 _JOIN_POOL = [
     Compare("=", Attr("a", "base"), Attr("d", "url")),
@@ -325,65 +327,91 @@ class TestMultiLevelJoins:
 # -- fault-injected replay -----------------------------------------------------
 
 _ANY_URL = "http://a.example/page.html"
-# stage where the batch raises → (select, where, relation to poison,
-# poisoned row).  A poisoned cell is an int where the constant-needle ``contains`` kernels
-# expect a string: the batch raises AttributeError, which only the replay
-# turns back into the interpreter's own outcome.
+# A poisoned anchor: an int label where the constant-needle ``contains``
+# kernels expect a string, and base = href (true of no parsed anchor).
+_POISONED_ANCHOR = ("anchor", (5, _ANY_URL, _ANY_URL, "L"))
+# stage where the batch raises → (select, where, poisoned (relation, row)
+# pairs).  A poisoned cell is an int where a string is expected: the batch
+# raises AttributeError, which only the replay turns back into the
+# interpreter's own outcome.
 _REPLAY_CASES = {
     "level-0-filter": (
         [Attr("r", "text")],
         Contains(Attr("d", "title"), Literal("alpha")),
-        "document", (_ANY_URL, 5, "text", 4),
+        [("document", (_ANY_URL, 5, "text", 4))],
     ),
     "level-1-filter": (
         [Attr("r", "text")],
         Contains(Attr("a", "label"), Literal("one")),
-        "anchor", (5, _ANY_URL, _ANY_URL, "L"),
+        [_POISONED_ANCHOR],
     ),
     "leaf-kernel": (
         [Attr("a", "href")],
         Contains(Attr("r", "text"), Literal("bold")),
-        "relinfon", ("b", _ANY_URL, 5, 1),
+        [("relinfon", ("b", _ANY_URL, 5, 1))],
     ),
     # No poison needed: DOCUMENT.length is an int column by schema.
     "non-string-contains-cell": (
         [Attr("d", "url")],
         Contains(Attr("d", "length"), Literal("1")),
-        None, None,
+        [],
     ),
-    # The probe side raises, but the short-circuiting row loop never reaches
-    # it (the first conjunct is false on every anchor): the replay must come
-    # back with *rows* (none), not an error.
+    # The probe side raises, but the short-circuiting interpreter never
+    # reaches it (the first conjunct is false on every anchor): the replay
+    # must come back with *rows* (none), not an error.
     "join-probe": (
         [Attr("a", "href")],
         And(
             Compare("!=", Attr("a", "ltype"), Attr("a", "ltype")),
             Compare("=", Attr("a", "href"), _BROKEN),
         ),
-        None, None,
+        [],
+    ),
+    # The leaf join probes ``r.length`` with a boolean: true for the first
+    # two anchors, whose rows the batch has already emitted when the probe
+    # raises on the poisoned label.  The interpreter never evaluates that
+    # probe (the total first conjunct is false for base = href), so the
+    # replay returns exactly its two rows — none of the batch's.
+    "leaf-probe-after-partial-output": (
+        [Attr("a", "href"), Attr("r", "text")],
+        And(
+            Or(
+                Compare("!=", Attr("a", "base"), Attr("a", "href")),
+                Compare("=", Attr("r", "delimiter"), Literal("nope")),
+            ),
+            Compare(
+                "=", Attr("r", "length"), Contains(Attr("a", "label"), Literal("o"))
+            ),
+        ),
+        [("relinfon", ("b", _ANY_URL, "x", 1)), _POISONED_ANCHOR],
     ),
     "projector": (
         [Attr("a", "href"), _BROKEN_A],
         Compare("=", Attr("a", "ltype"), Literal("G")),
-        None, None,
+        [],
     ),
 }
 
 
 class TestReplay:
     """Force the batch to raise at every stage of the pipeline: the
-    rollback-and-replay outcome must be the interpreter's, and counted."""
+    replayed outcome must be the interpreter's, and counted."""
 
     @pytest.mark.parametrize("stage", sorted(_REPLAY_CASES))
     def test_forced_batch_failure_replays_to_the_interpreter_outcome(self, stage):
-        select, where, relation, poisoned_row = _REPLAY_CASES[stage]
+        select, where, poison = _REPLAY_CASES[stage]
         stats = TrafficStats()
         database = build_node_database(URL, _HTML, stats=stats)
-        if relation is not None:
-            database.relation(relation).insert(poisoned_row)
+        for relation, row in poison:
+            database.relation(relation).insert(row)
         query = _query(select, where)
         _assert_matches_interpreter(query, database)
         assert stats.plan_replays == 1
+        # The reference entry of a plan *is* the interpreter.
+        expected = _outcome(lambda: evaluate_node_query(query, database))
+        assert _outcome(lambda: compile_node_query(query).execute(database)) == expected
+        if stage == "leaf-probe-after-partial-output":
+            assert len(expected) == 2
 
 
 class TestColumnIndexSafety:
@@ -531,7 +559,7 @@ class TestMemoLayoutIndependence:
 
 
 def _rows_of(query):
-    return tuple(compile_node_query(query).execute(DATABASE))
+    return tuple(compile_node_query(query).execute_columnar(DATABASE))
 
 
 class TestBoundedMemo:

@@ -19,10 +19,13 @@ the PR's center of gravity:
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import EngineConfig, QueryStatus, WebDisEngine
+from repro.core.aio_engine import AsyncioWebDisEngine
 from repro.core.resultmemo import ResultMemo
 from repro.model.relations import LinkType
 from repro.pre.ast import Atom, alt, repeat
@@ -201,6 +204,36 @@ class TestInvalidation:
         assert engine.stats.memo_misses > misses_before
         assert len(server.memo) > 0
         assert check_memo_coherence(engine) == []
+
+    def test_epoch_bump_on_the_socket_engine(self):
+        """Both engines share one façade, so the hook exists — and
+        invalidates — on real sockets too."""
+
+        async def main():
+            engine = AsyncioWebDisEngine(_web())
+            try:
+                first = engine.submit_disql(GENERAL_QUERY)
+                await engine.run([first], timeout=30.0)
+                server = engine.servers["root.example"]
+                assert first.status is QueryStatus.COMPLETE
+                assert len(server.memo) > 0
+                version = server.memo.version
+                engine.advance_memo_epoch()
+                assert all(len(s.memo) == 0 for s in engine.servers.values())
+                assert server.memo.version == version + 1
+                misses_before = engine.stats.memo_misses
+                again = engine.submit_disql(GENERAL_QUERY)
+                await engine.run([again], timeout=30.0)
+                assert again.status is QueryStatus.COMPLETE
+                assert engine.stats.memo_misses > misses_before
+                assert {row.values for row in again.unique_rows()} == {
+                    row.values for row in first.unique_rows()
+                }
+                assert check_memo_coherence(engine) == []
+            finally:
+                await engine.aclose()
+
+        asyncio.run(main())
 
     def test_coherence_invariant_detects_a_leak(self):
         engine, server = self._warm_server()

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+
 from repro.html.generator import PageSpec, render_page
 from repro.model import LinkType
 from repro.model.database import DatabaseConstructor, build_node_database
 from repro.urlutils import Url, parse_url
+from repro.web.campus import build_campus_web
 
 URL = parse_url("http://a.example/dir/page.html")
 
@@ -54,11 +57,13 @@ class TestAnchorRelation:
         assert next(db.anchor.rows())[2] == "http://a.example/dir/sibling.html"
 
     def test_outgoing_links_filter(self):
-        spec = PageSpec(title="t", links=[("g", "http://b.example/"), ("l", "/x")])
+        spec = PageSpec(
+            title="t", links=[("g", "http://b.example/"), ("l", "/x#frag")]
+        )
         db = _db(spec)
-        assert len(db.outgoing_links(LinkType.GLOBAL)) == 1
-        assert len(db.outgoing_links(LinkType.LOCAL)) == 1
-        assert db.outgoing_links(LinkType.INTERIOR) == []
+        assert db.forward_targets(LinkType.GLOBAL) == (parse_url("http://b.example/"),)
+        assert db.forward_targets(LinkType.LOCAL) == (parse_url("http://a.example/x"),)
+        assert db.forward_targets(LinkType.INTERIOR) == ()
 
     def test_unresolvable_href_skipped(self):
         html = '<html><body><a href="">empty</a><a href="/ok">ok</a></body></html>'
@@ -165,3 +170,69 @@ class TestBaseHrefResolution:
         )
         db = build_node_database(URL, html)
         assert next(db.anchor.rows())[2] == "http://a.example/dir/x.html"
+
+
+def _anchor_rich_html() -> str:
+    """Sixty anchors cycling through relative, absolute-with-fragment,
+    global, fragment-only, ``mailto:`` and empty (unresolvable) hrefs,
+    under a ``<base href>`` on another host."""
+    anchors = []
+    for i in range(60):
+        href = (
+            f"sub/page{i}.html",
+            f"/abs/page{i}.html#sec{i}",
+            f"http://site{i % 5}.example/p{i}.html",
+            f"#frag{i}",
+            f"mailto:person{i}@example.org",
+            "",
+        )[i % 6]
+        anchors.append(f'<li><a href="{href}">link <b>{i}</b> label</a></li>')
+    return (
+        "<html><head><title>Anchor rich</title>"
+        '<base href="http://mirror.example/base/dir/"></head><body>'
+        "<h1>Anchor rich</h1><p>intro <i>text</i></p><ul>"
+        + "".join(anchors)
+        + "</ul><hr>CONVENER someone<hr></body></html>"
+    )
+
+
+def _rows_digest(databases) -> tuple[str, int]:
+    digest = hashlib.sha256()
+    for db in databases:
+        for name in ("document", "anchor", "relinfon"):
+            digest.update(repr((name, list(db.relation(name).rows()))).encode())
+    return digest.hexdigest(), sum(db.tuple_count() for db in databases)
+
+
+class TestRowsMatchTheTupleDataclassEra:
+    """Row contents, row order and tuple counts captured (as sha256 of the
+    row lists' repr) at the last commit that built ``DocumentTuple`` /
+    ``AnchorTuple`` / ``RelInfonTuple`` objects and ``as_row()``-ed them."""
+
+    def test_campus_web(self):
+        web = build_campus_web()
+        databases = [
+            build_node_database(url, web.html_for(url))
+            for url in sorted(web.urls(), key=str)
+        ]
+        assert _rows_digest(databases) == (
+            "8eb4c17411c99d3425a13c096b5487523ef2dd28e0af479cff58dfab9df5e73d",
+            135,
+        )
+
+    def test_anchor_rich_page(self):
+        db = build_node_database(
+            parse_url("http://a.example/dir/page.html#top"), _anchor_rich_html()
+        )
+        assert len(db.anchor) == 50  # the ten empty hrefs are unresolvable
+        assert _rows_digest([db]) == (
+            "ac2699166e9c3785de644e3a14db5d3cba718be21282f1260b0762d1c66c4f3a",
+            236,
+        )
+        targets = {
+            ltype.value: [str(url) for url in db.forward_targets(ltype)]
+            for ltype in LinkType
+        }
+        assert hashlib.sha256(repr(targets).encode()).hexdigest() == (
+            "462ccec7ac2792d06a67c4b5c9c8175c509df22cb2e44e762f0f588f11642333"
+        )

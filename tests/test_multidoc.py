@@ -171,6 +171,14 @@ class TestEndToEnd:
         assert handle.status is QueryStatus.COMPLETE
         assert {r.values for r in handle.unique_rows()} == self.EXPECTED
 
+    def test_every_engine_charges_the_site_table_parses(self):
+        """One ``site_documents_for`` helper: same parse count everywhere."""
+        web = _dept_web()
+        engines = (WebDisEngine(web), HybridEngine(web, []), DataShippingEngine(web))
+        for engine in engines:
+            engine.run_query(MULTIDOC_QUERY)
+        assert len({engine.stats.documents_parsed for engine in engines}) == 1
+
     def test_join_stays_site_local(self):
         """alpha's projects page must never join with beta's contact page."""
         engine = WebDisEngine(_dept_web())

@@ -263,5 +263,21 @@ class TestTrafficStats:
         assert TrafficStats().max_site_load() == ("", 0.0)
 
     def test_summary_keys(self):
-        summary = TrafficStats().summary()
-        assert {"messages", "bytes", "documents_shipped", "duplicates_dropped"} <= set(summary)
+        """summary() is derived from the dataclass fields; its keys (and
+        their order) are the hand-written dict's it replaced."""
+        assert list(TrafficStats().summary()) == [
+            "messages", "bytes", "failed_sends", "frames_rejected", "refused_sends",
+            "down_sends", "unknown_host_sends", "retried_sends", "retries_exhausted",
+            "sends_abandoned", "overloaded_sends", "sends_deferred", "clones_shed",
+            "queries_shed", "clones_requeued", "clones_lost_in_crash",
+            "duplicate_reports_absorbed", "stale_reports_absorbed",
+            "duplicate_rows_dropped", "clones_reforwarded", "queries_partial",
+            "documents_shipped", "document_bytes_shipped", "documents_parsed",
+            "node_queries_evaluated", "duplicates_dropped", "queries_rewritten",
+            "clones_forwarded", "dead_ends", "local_hops", "frontier_batches",
+            "frontier_clones_batched", "clone_bundles_sent", "clones_bundled",
+            "memo_hits", "memo_misses", "plans_shared", "residual_filters",
+            "memo_evictions", "memo_bytes_est", "db_cache_hits", "db_cache_misses",
+            "parse_cache_hits", "index_builds", "index_hits", "plan_replays",
+            "events_saved", "messages_saved",
+        ]

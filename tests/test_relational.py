@@ -62,6 +62,8 @@ class TestTable:
     def test_arity_mismatch(self):
         with pytest.raises(SchemaError):
             Table(self.SCHEMA).insert((1,))
+        with pytest.raises(SchemaError):
+            Table(self.SCHEMA, [(1, 2), (3,)])  # bulk load checks every row
 
     def test_column(self):
         table = Table(self.SCHEMA, [(1, "a"), (2, "b")])

@@ -8,33 +8,25 @@ without wiring up an external profiler::
     PYTHONPATH=src python tools/profile_hotpath.py                  # all
     PYTHONPATH=src python tools/profile_hotpath.py --workload p1
     PYTHONPATH=src python tools/profile_hotpath.py --workload p2 --top 40
-    PYTHONPATH=src python tools/profile_hotpath.py --workload p5
-    PYTHONPATH=src python tools/profile_hotpath.py --workload p6 --json
     PYTHONPATH=src python tools/profile_hotpath.py --sort tottime
     PYTHONPATH=src python tools/profile_hotpath.py --out p2.pstats  # dump
     PYTHONPATH=src python tools/profile_hotpath.py --json > prof.json
 
 The workloads are imported from the benches themselves, so the profile
-always matches what ``BENCH_PERF.json`` measures:
+always matches what the perf gates measure:
 
 * ``p1`` — EXP-P1: every (node-query, node-database) pair of the hot-path
-  bench, evaluated with compiled plans and with the interpreter;
+  bench — paper-sized pages, hot pages, the sitewide scan and the
+  join-depth 2/3/4 shapes — evaluated with compiled plans and with the
+  interpreter.  Each batch kernel (specialized equality, ``contains``,
+  the generic per-row fallback), each expansion stage and the projectors
+  show up as distinct frames of :mod:`repro.relational.columnar`;
 * ``p2`` — EXP-P2: the frontier-batching drill-down workload, one full
-  engine run with the knob on and one with it off;
-* ``p5`` — EXP-P5: the columnar workloads, one batch pass and one row
-  pass per (node-query, node-database) pair — the per-operator view, since
-  each batch kernel (specialized equality, ``contains``, the generic
-  per-row fallback) and the projector show up as distinct frames;
-* ``p6`` — EXP-P6: the outer-level workloads (sitewide scan, generic
-  conjunct, join-depth 2/3/4), batch and row passes per pair, with the
-  batch pass timed per pipeline level (``level-0`` … ``leaf``) through
-  ``execute_columnar(..., level_times=...)`` so a join-order or probe
-  regression is attributable to its level.
+  engine run with the knob on and one with it off.
 
-``--json`` emits the top-N table as machine-readable JSON (one object per
+``--json`` emits the top-N table as machine-readable JSON (one list per
 workload: function, ncalls, tottime, cumtime) for diffing profiles across
-commits; the ``p6`` entry additionally carries ``level_times_s`` — per
-workload, cumulative wall-clock per pipeline level.
+commits.
 """
 
 from __future__ import annotations
@@ -59,14 +51,13 @@ def _p1_pass() -> None:
     from repro.relational.compile import compile_node_query
     from repro.relational.query import evaluate_node_query
 
-    from bench_hotpath import _workload
+    from bench_hotpath import _workloads
 
-    __, node_queries, databases = _workload()
-    for __, query in node_queries:
+    for __, query, databases, site_documents in _workloads():
         plan = compile_node_query(query)
         for database in databases:
-            plan.execute(database)
-            evaluate_node_query(query, database)
+            plan.execute_columnar(database, site_documents)
+            evaluate_node_query(query, database, site_documents)
 
 
 def _p2_pass() -> None:
@@ -78,61 +69,16 @@ def _p2_pass() -> None:
     _run(4, False, template, pages)
 
 
-def _p5_pass() -> None:
-    """One full EXP-P5 cell: every columnar workload, batch and row passes.
-
-    Profiling this exposes the per-operator cost split: each specialized
-    kernel, the generic per-row kernel and the batch projectors are
-    separate functions in :mod:`repro.relational.columnar`.
-    """
-    from repro.relational.compile import compile_node_query
-
-    from bench_columnar import _workloads
-
-    for __, query, databases, site_documents in _workloads(smoke=True):
-        plan = compile_node_query(query)
-        for database in databases:
-            plan.execute_columnar(database, site_documents)
-            plan.execute(database, site_documents)
-
-
-def _p6_pass() -> dict:
-    """One full EXP-P6 cell: every outer-level workload, batch and row
-    passes — the batch pass additionally timed per pipeline level.
-
-    Returns ``{"level_times_s": {workload: {"level-0": s, …, "leaf": s}}}``
-    (cumulative across that workload's databases), so the profile shows
-    not only *which operator* is hot but *which plan level* it ran at.
-    """
-    from repro.relational.compile import compile_node_query
-
-    from bench_outer_levels import _workloads
-
-    level_times: dict[str, dict[str, float]] = {}
-    for name, query, databases, site_documents in _workloads(smoke=True):
-        plan = compile_node_query(query)
-        times: dict[str, float] = {}
-        for database in databases:
-            plan.execute_columnar(database, site_documents, level_times=times)
-            plan.execute(database, site_documents)
-        level_times[name] = {key: round(value, 6) for key, value in times.items()}
-    return {"level_times_s": level_times}
-
-
-WORKLOAD_PASSES = {"p1": _p1_pass, "p2": _p2_pass, "p5": _p5_pass, "p6": _p6_pass}
+WORKLOAD_PASSES = {"p1": _p1_pass, "p2": _p2_pass}
 
 
 def profile_workload(
     name: str, sort: str, top: int, out: str | None
-) -> tuple[str, list[dict], dict | None]:
-    """Profile one workload; returns (stats text, JSON rows, extras).
-
-    ``extras`` is whatever the workload pass returned (``p6`` reports its
-    per-level timing breakdown this way), or None.
-    """
+) -> tuple[str, list[dict]]:
+    """Profile one workload; returns (stats text, JSON rows)."""
     profiler = cProfile.Profile()
     profiler.enable()
-    extras = WORKLOAD_PASSES[name]()
+    WORKLOAD_PASSES[name]()
     profiler.disable()
 
     if out:
@@ -159,7 +105,7 @@ def profile_workload(
         ],
         reverse=True,
     )[:top]
-    return buffer.getvalue(), entries, extras
+    return buffer.getvalue(), entries
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -191,23 +137,12 @@ def main(argv: list[str] | None = None) -> int:
         out = None
         if args.out:
             out = args.out if len(names) == 1 else f"{name}-{args.out}"
-        text, entries, extras = profile_workload(name, args.sort, args.top, out)
+        text, entries = profile_workload(name, args.sort, args.top, out)
         if args.json:
-            as_json[name] = (
-                entries if extras is None else {"functions": entries, **extras}
-            )
+            as_json[name] = entries
         else:
             print(f"== {name.upper()} workload — top {args.top} by {args.sort} ==")
             print(text)
-            if extras is not None:
-                print("per-level wall-clock (cumulative, batch passes only):")
-                for workload, levels in extras["level_times_s"].items():
-                    split = "  ".join(
-                        f"{level} {seconds * 1e3:.2f}ms"
-                        for level, seconds in levels.items()
-                    )
-                    print(f"  {workload}: {split}")
-                print()
         if out and not args.json:
             print(f"raw profile dumped to {out}")
     if args.json:

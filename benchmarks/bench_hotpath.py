@@ -54,12 +54,13 @@ from pathlib import Path
 from repro import EngineConfig, QueryStatus, WebDisEngine
 from repro.disql import compile_disql
 from repro.html.generator import PageSpec, render_page
-from repro.model.database import build_documents_table, build_node_database
+from repro.model.database import DatabaseConstructor, build_node_database
 from repro.relational.compile import compile_node_query
 from repro.relational.expr import And, Attr, Compare, Contains, Literal
 from repro.relational.query import NodeQuery, TableDecl, evaluate_node_query
 from repro.urlutils import parse_url
 from repro.web import SyntheticWebConfig, build_synthetic_web
+from repro.web.site import Page, Site
 from repro.web.synthetic import synthetic_start_url
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -179,17 +180,15 @@ def _workloads():
         )
         for i in range(HOT_PAGES)
     ]
-    site_documents = build_documents_table(
-        [
-            (
-                parse_url(f"http://bench.example/site{i}.html"),
-                _hot_page(i, links=5, emphasized=3)
-                if i % 4
-                else _hot_page(i, links=30, emphasized=10),
-            )
-            for i in range(SITE_PAGES)
-        ]
-    )
+    site = Site("bench.example")
+    for i in range(SITE_PAGES):
+        html = (
+            _hot_page(i, links=5, emphasized=3)
+            if i % 4
+            else _hot_page(i, links=30, emphasized=10)
+        )
+        site.add(Page(f"/site{i:02d}.html", html=html))
+    site_documents = DatabaseConstructor().site_documents(site)
     d = TableDecl("document", "d")
     a = TableDecl("anchor", "a")
     a2 = TableDecl("anchor", "a2")

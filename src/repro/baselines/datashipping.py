@@ -32,7 +32,7 @@ from ..core.processing import process_node
 from ..core.trace import Tracer
 from ..core.webquery import WebQuery
 from ..disql.translate import compile_disql
-from ..model.database import DatabaseConstructor, site_documents_for
+from ..model.database import DatabaseConstructor
 from ..net.network import Network, NetworkConfig, SendOutcome
 from ..net.reliable import ReliableChannel
 from ..net.simclock import SimClock
@@ -141,10 +141,9 @@ class DataShippingEngine:
             self.network, self.clock, self.config.retry_policy,
             name=f"datashipping:{user_site}",
         )
-        self.constructor = DatabaseConstructor(self.config.db_cache_size, stats=self.stats)
+        self.constructor = DatabaseConstructor(stats=self.stats)
         self.log_table = NodeQueryLogTable(self.config.log_subsumption)
         self.plans = PlanCache(stats=self.stats)
-        self._site_documents: dict[str, object] = {}
         self._request_ids = itertools.count(1)
         self._frontier: deque[_Work] = deque()
         self._in_flight: dict[int, _Work] = {}
@@ -260,8 +259,10 @@ class DataShippingEngine:
         self.stats.documents_parsed += 1
         outcome = process_node(
             work.url, database, query, work.step_index, work.rem, self.config,
-            site_documents=site_documents_for(
-                query, self.web, work.url.host, self._site_documents, self.stats
+            site_documents=(
+                self.constructor.site_documents(self.web.site(work.url.host), self.stats)
+                if query.sitewide
+                else None
             ),
             plan_for=self.plans.bind(query) if self.config.compiled_plans else None,
         )

@@ -71,7 +71,6 @@ class CentralProcessor(CloneProcessor):
     ) -> None:
         self.site = user_site
         self.web = web
-        self._site_documents: dict[str, object] = {}
         self.network = network
         self.clock = clock
         self.config = config
@@ -81,7 +80,7 @@ class CentralProcessor(CloneProcessor):
         self.channel = ReliableChannel(
             network, clock, config.retry_policy, name=f"central:{user_site}"
         )
-        self.constructor = DatabaseConstructor(config.db_cache_size, stats=stats)
+        self.constructor = DatabaseConstructor(stats=stats)
         self.log_table = NodeQueryLogTable(config.log_subsumption)
         self.plans = PlanCache(stats=stats)
         self._queue: deque[QueryClone] = deque()

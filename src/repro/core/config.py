@@ -14,7 +14,9 @@ paper's mechanisms or optimizations so the benches can quantify it
 
 Node-queries run on one compiled executor (the batch pipeline, with the
 tree interpreter behind ``compiled_plans=False`` as the executable reference)
-over one storage (the paper's temporary in-memory tables, §2.4), and query
+over one storage (the paper's temporary in-memory tables, §2.4, retained
+per process in one bounded, content-checked document store — footnote 3,
+:class:`~repro.model.database.DatabaseConstructor`), and query
 completion rests on one CHT accounting (dispatch identities, cross-checked
 after every report); none of these is configurable — see "Removed knobs" in
 ``docs/performance.md``.
@@ -146,8 +148,6 @@ class EngineConfig:
     #: degrades that query to PARTIAL instead of letting the site stall.
     #: None = never shed.
     shed_after: float | None = None
-    #: Node databases retained per site (footnote 3); 0 = build-use-purge.
-    db_cache_size: int = 0
     #: Purge log entries older than this many simulated seconds (None = keep).
     log_max_age: float | None = None
     #: How often each server runs the purge (None = never).

@@ -140,8 +140,8 @@ class EngineBase:
         The host goes down (connects to it return HOST_DOWN on the
         simulator, are refused on real sockets; in-flight deliveries to it
         are lost), its sockets are dropped, and the server process loses
-        all volatile state: queue, log table, db cache and pending retries.
-        Queries whose clones die inside the crash are recovered by
+        all volatile state: queue, log table, document store and pending
+        retries.  Queries whose clones die inside the crash are recovered by
         sender-side retries (the connect never succeeded), by the client's
         :meth:`~repro.core.client.UserSiteClient.reforward_pending` (the
         connect succeeded but the clone was lost), or by retraction.
@@ -171,12 +171,12 @@ class EngineBase:
         server.restart()
 
     def advance_memo_epoch(self) -> None:
-        """Bump every server's cross-query memo epoch (EXP-P4 seam).
+        """Bump every server's web epoch (EXP-P4 seam).
 
-        Explicit, deployment-wide invalidation: nothing cached before the
-        bump can ever be served after it.  This is the hook a future
-        live-web mutation source drives; today tests and operators call it
-        to model "the web changed" without crashing anything.
+        Explicit, deployment-wide invalidation of memo and document store:
+        nothing cached before the bump can ever be served after it.  The
+        hook a future live-web mutation source drives; today tests and
+        operators call it to model "the web changed" without a crash.
         """
         for server in self.servers.values():
             server.advance_memo_epoch()

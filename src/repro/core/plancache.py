@@ -17,8 +17,8 @@ treated as a miss (recompiled, entry replaced) and counted in
 ``collisions`` — a collision may cost a recompile but can never serve the
 wrong plan.
 
-Plans are **volatile process state**, exactly like the server's node-database
-cache: a crash loses them (:meth:`~repro.core.server.QueryServer.crash`
+Plans are **volatile process state**, exactly like the server's document
+store: a crash loses them (:meth:`~repro.core.server.QueryServer.crash`
 calls :meth:`clear`), and the reborn process recompiles on first touch.
 That is what makes the cache trivially coherent — a stale entry can never
 be served across incarnations because nothing survives one.
@@ -47,9 +47,9 @@ __all__ = ["PlanCache"]
 class PlanCache:
     """Bounded LRU of :class:`CompiledPlan` objects, structurally keyed.
 
-    A cached plan carries both lowerings (the batch pipeline and the row
-    chain it replays through), built once at compile time — both are pure
-    functions of the query structure, which keeps the structural key sound.
+    A cached plan carries its batch-pipeline lowering, built once at compile
+    time — a pure function of the query structure, which keeps the structural
+    key sound (a replay goes through the tree interpreter, no lowering).
     """
 
     __slots__ = (

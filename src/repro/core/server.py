@@ -50,8 +50,8 @@ stays final because it is the passive-termination signal.  The Figure-3
 ordering survives retries: clones are forwarded only once the result
 dispatch has actually DELIVERED, however many attempts that took.  The
 server also supports crash/recovery: :meth:`crash` loses the queue, log
-table and db cache (and abandons pending retries); :meth:`restart` re-binds
-the query port with a blank process state.
+table and document store (and abandons pending retries); :meth:`restart`
+re-binds the query port with a blank process state.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from collections import Counter
 from dataclasses import replace
 from typing import Callable
 
-from ..model.database import DatabaseConstructor, site_documents_for
+from ..model.database import DatabaseConstructor
 from ..net.network import HELPER_PORT, QUERY_PORT, Network, SendOutcome
 from ..net.reliable import ReliableChannel
 from ..net.simclock import SimClock
@@ -124,7 +124,7 @@ class CloneProcessor:
     the user-site over documents it had to download.  A subclass provides
     the state the loop reads — ``site``, ``web``, ``clock``, ``config``,
     ``stats``, ``tracer``, ``constructor``, ``log_table``, ``plans``,
-    ``_purged``, ``_site_documents`` — and the places the two differ:
+    ``_purged`` — and the places the two differ:
     :attr:`memo`, :meth:`_html_for`, :meth:`_mint_dispatch_id` and
     :meth:`_child_history`.
     """
@@ -163,6 +163,8 @@ class CloneProcessor:
         service = 0.0
         plan_for = self.plans.bind(clone.query) if self.config.compiled_plans else None
         tracing = self.tracer.enabled
+        # §7.1 site table: fetched once per clone, at the first node evaluated.
+        sitewide, site_documents = clone.query.sitewide, None
 
         # Bulk admission: one log-table pass for the clone's whole node
         # list (all nodes share the clone's state, so the pass can share
@@ -224,11 +226,13 @@ class CloneProcessor:
                     self.stats.documents_parsed += 1
                 return built[0]
 
+            if sitewide and site_documents is None:
+                site_documents = self.constructor.site_documents(
+                    self.web.site(node.host), self.stats
+                )
             outcome = process_node(
                 node, provider, clone.query, clone.step_index, rem, self.config,
-                site_documents=site_documents_for(
-                    clone.query, self.web, node.host, self._site_documents, self.stats
-                ),
+                site_documents=site_documents,
                 plan_for=plan_for,
                 memo=self.memo.view(node, clone.query) if self.memo is not None else None,
             )
@@ -366,11 +370,11 @@ class QueryServer(CloneProcessor):
         self.config = config
         self.stats = stats
         self.tracer = tracer
-        self.constructor = DatabaseConstructor(config.db_cache_size, stats=stats)
+        self.constructor = DatabaseConstructor(stats=stats)
         self.log_table = NodeQueryLogTable(config.log_subsumption)
         #: Compiled node-query plans, structurally keyed so tenants share
         #: compilations — volatile process state, cleared by crash()
-        #: exactly like the db cache.
+        #: exactly like the document store.
         self.plans = PlanCache(stats=stats)
         #: Cross-query memo of per-node rows and forward fan-outs (EXP-P4);
         #: None when the knob is off.  Volatile like the plan cache, plus
@@ -388,7 +392,6 @@ class QueryServer(CloneProcessor):
         #: round-robined under ``scheduler="fair"``, the paper's single
         #: FIFO under ``"fifo"`` — both enforcing the same queue ceilings.
         self._scheduler = make_scheduler(config)
-        self._site_documents: dict[str, object] = {}  # lazy §7.1 tables
         self._active_workers = 0
         self._purged: set[QueryId] = set()
         self._last_purge = 0.0
@@ -426,9 +429,9 @@ class QueryServer(CloneProcessor):
     def crash(self) -> None:
         """The server process dies: all volatile state is lost.
 
-        The queue, log table, db cache, site-document table and purge memory
-        are gone; pending retries are abandoned; in-progress processing
-        never completes.  The caller (the engine) is responsible for the
+        The queue, log table, document store and purge memory are gone;
+        pending retries are abandoned; in-progress processing never
+        completes.  The caller (the engine) is responsible for the
         network side: marking the site down and dropping its sockets.
         """
         self._epoch += 1
@@ -440,11 +443,10 @@ class QueryServer(CloneProcessor):
         self._saturated_since = None
         self._active_workers = 0
         self.log_table = NodeQueryLogTable(self.config.log_subsumption)
-        self.constructor = DatabaseConstructor(self.config.db_cache_size, stats=self.stats)
+        self.constructor = DatabaseConstructor(stats=self.stats)
         self.plans.clear()
         if self.memo is not None:
             self.memo.clear()
-        self._site_documents = {}
         self._purged = set()
         self._last_purge = 0.0
         self.channel.reset()
@@ -459,14 +461,14 @@ class QueryServer(CloneProcessor):
             self.network.listen(self.site, QUERY_PORT, self._on_message)
 
     def advance_memo_epoch(self) -> None:
-        """Invalidate the cross-query memo without a crash.
+        """Invalidate everything derived from page content, without a crash.
 
-        The versioned epoch hook: the seam a live-web mutation source will
-        drive when this site's pages change under a running system.  No-op
-        with ``cross_query_caching`` off.
+        The seam a live-web mutation source will drive when this site's pages
+        change: drops the two caches an edit makes stale, memo and store.
         """
         if self.memo is not None:
             self.memo.advance_epoch()
+        self.constructor.purge()
 
     # -- ingress ----------------------------------------------------------------
 

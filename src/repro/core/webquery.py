@@ -82,6 +82,11 @@ class WebQuery:
     def num_steps(self) -> int:
         return len(self.steps)
 
+    @property
+    def sitewide(self) -> bool:
+        """Whether a node-query ranges a document alias over its whole site (§7.1)."""
+        return any(step.query.sitewide_aliases for step in self.steps)
+
     def step_label(self, index: int) -> str:
         return self.steps[index].query.label
 

@@ -17,10 +17,6 @@ class UrlError(WebDisError):
     """An URL could not be parsed or resolved."""
 
 
-class HtmlParseError(WebDisError):
-    """An HTML document is too malformed to tokenize."""
-
-
 class PreSyntaxError(WebDisError):
     """A Path Regular Expression failed to parse."""
 

@@ -20,6 +20,7 @@ the document.  Two delimiter styles are supported:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .tokenizer import EndTag, StartTag, Text, tokenize
@@ -98,6 +99,7 @@ def parse_html(html: str) -> ParsedDocument:
     # Stack of (tag, text-part-count-at-open) for open container delimiters;
     # the count marks where the container's inner text starts.
     container_stack: list[tuple[str, int]] = []
+    open_counts: Counter[str] = Counter()  # open containers per tag name
     # Text accumulated since the last block boundary (for void-tag infons).
     block_parts: list[str] = []
     current_anchor_href: str | None = None
@@ -134,6 +136,7 @@ def parse_html(html: str) -> ParsedDocument:
                 block_parts = []
             elif not token.self_closing:
                 container_stack.append((name, len(text_parts)))
+                open_counts[name] += 1
                 if name in _BLOCK_TAGS:
                     block_parts = []
             continue
@@ -150,7 +153,20 @@ def parse_html(html: str) -> ParsedDocument:
                 )
                 current_anchor_href = None
                 anchor_label_parts = []
-            _close_container(name, container_stack, text_parts, relinfons)
+            if open_counts[name]:
+                # Pop the innermost open ``name``; unclosed tags above it close
+                # implicitly, without segments (period browsers' recovery).  An
+                # end tag with no open partner never gets here, and every entry
+                # scanned is popped, so closing costs what opening did.
+                while True:
+                    tag, start = container_stack.pop()
+                    open_counts[tag] -= 1
+                    if tag == name:
+                        break
+                if name not in _STRUCTURAL_TAGS:
+                    inner = normalize_space("".join(text_parts[start:]))
+                    if inner:
+                        relinfons.append(RelInfon(name, inner))
             if name in _BLOCK_TAGS:
                 block_parts = []
             continue
@@ -163,27 +179,3 @@ def parse_html(html: str) -> ParsedDocument:
         relinfons=tuple(relinfons),
         base_href=base_href,
     )
-
-
-def _close_container(
-    name: str,
-    stack: list[tuple[str, int]],
-    text_parts: list[str],
-    relinfons: list[RelInfon],
-) -> None:
-    """Pop ``name`` off the container stack, emitting its rel-infon.
-
-    Unbalanced end tags (no matching open) are ignored; intervening unclosed
-    tags are implicitly closed without emitting segments, which matches the
-    forgiving recovery of period browsers.
-    """
-    for idx in range(len(stack) - 1, -1, -1):
-        if stack[idx][0] != name:
-            continue
-        __, start = stack[idx]
-        if name not in _STRUCTURAL_TAGS:
-            inner = normalize_space("".join(text_parts[start:]))
-            if inner:
-                relinfons.append(RelInfon(name, inner))
-        del stack[idx:]
-        return

@@ -70,8 +70,12 @@ def decode_entities(text: str) -> str:
             i += 1
             continue
         name = text[i + 1 : end]
-        if name.startswith("#") and name[1:].isdigit():
-            out.append(chr(int(name[1:])))
+        # Outside input: past U+10FFFF chr() raises, and a surrogate is text no
+        # UTF-8 encoder (the wire codec) accepts.  Both stay literal text.
+        if name.startswith("#") and name[1:].isascii() and name[1:].isdigit():
+            code = int(name[1:])
+            valid = code <= 0x10FFFF and not 0xD800 <= code <= 0xDFFF
+            out.append(chr(code) if valid else text[i : end + 1])
         elif name.lower() in _ENTITIES:
             out.append(_ENTITIES[name.lower()])
         else:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from ..errors import SchemaError, UrlError
-from ..html.parser import ParsedDocument, parse_html
+from ..html.parser import parse_html
 from ..urlutils import Url, classify_link, parse_url
 from .relations import ANCHOR_SCHEMA, DOCUMENT_SCHEMA, RELINFON_SCHEMA, LinkType
 from ..relational.table import Table
@@ -85,139 +85,110 @@ class NodeDatabase:
 
 
 class DatabaseConstructor:
-    """Builds (and optionally caches) :class:`NodeDatabase` objects.
+    """The one owner of everything a process derives from page content.
+
+    A bounded LRU of ``url → (html, NodeDatabase)`` records — the retained
+    databases of footnote 3 — plus the §7.1 site tables assembled from
+    them.  One rule decides what is served: a record only while the HTML
+    offered for its URL is the HTML it was built from, a site table only
+    while it is made of exactly those records' rows.  A replaced or evicted
+    record takes its site's table with it, so ``cache_size`` bounds all that
+    is kept.  Holders :meth:`purge` on a web-epoch bump, and crash without it.
 
     Args:
-        cache_size: number of node databases to retain (LRU).  ``0`` is the
-            paper's default behaviour — construct, use, purge.
+        cache_size: documents to retain; ``0`` is the paper's
+            build-use-purge (§2.4).
         stats: optional :class:`~repro.net.stats.TrafficStats` mirror for
-            the hit/miss counters (``db_cache_hits`` / ``db_cache_misses``
-            / ``parse_cache_hits``).
+            the hit/miss and join-index counters.
     """
 
-    def __init__(self, cache_size: int = 0, stats: "object | None" = None) -> None:
-        self._cache_size = cache_size
+    def __init__(self, cache_size: int = 1024, stats: "object | None" = None) -> None:
+        self.cache_size = cache_size
         self._stats = stats
-        self._cache: OrderedDict[Url, NodeDatabase] = OrderedDict()
-        #: Parsed documents, shared *across* LRU evictions: an evicted
-        #: database that comes back only re-runs tuple construction, never
-        #: HTML tokenization — each page is tokenized at most once per
-        #: constructor lifetime (i.e. per process incarnation).
-        self._parsed: dict[Url, tuple[str, ParsedDocument]] = {}
-        self.builds = 0
-        self.cache_hits = 0
-        self.parse_hits = 0
+        self._store: OrderedDict[Url, tuple[str, NodeDatabase]] = OrderedDict()
+        self._site_tables: dict[str, Table] = {}  # by site name
+        self.hits = 0
+        self.misses = 0
 
     def _count(self, counter: str) -> None:
         if self._stats is not None:
             setattr(self._stats, counter, getattr(self._stats, counter) + 1)
 
+    def _drop(self, key: Url) -> None:
+        del self._store[key]
+        self._site_tables.pop(key.host, None)
+
     def construct(self, url: Url, html: str) -> NodeDatabase:
-        """Parse ``html`` and build the node database for ``url``."""
+        """The node database of ``url``, whose document is ``html``."""
         key = url.without_fragment()
-        if self._cache_size:
-            cached = self._cache.get(key)
-            if cached is not None:
-                self._cache.move_to_end(key)
-                self.cache_hits += 1
+        record = self._store.get(key)
+        if record is not None:
+            if record[0] is html or record[0] == html:
+                self._store.move_to_end(key)
+                self.hits += 1
                 self._count("db_cache_hits")
-                return cached
-        self.builds += 1
+                return record[1]
+            self._drop(key)  # the page was edited
+        self.misses += 1
         self._count("db_cache_misses")
-        entry = self._parsed.get(key)
-        if entry is not None and (entry[0] is html or entry[0] == html):
-            parsed = entry[1]
-            self.parse_hits += 1
-            self._count("parse_cache_hits")
-        else:
-            parsed = parse_html(html)
-            self._parsed[key] = (html, parsed)
-        database = build_node_database(key, html, parsed=parsed, stats=self._stats)
-        if self._cache_size:
-            self._cache[key] = database
-            while len(self._cache) > self._cache_size:
-                self._cache.popitem(last=False)
+        database = build_node_database(key, html, stats=self._stats)
+        if self.cache_size:
+            self._store[key] = (html, database)
+            if len(self._store) > self.cache_size:
+                self._drop(next(iter(self._store)))
         return database
 
-    def cache_info(self) -> dict[str, int]:
-        """Snapshot of both constructor caches for introspection.
+    def site_documents(self, site, stats: "object | None" = None) -> Table:
+        """The DOCUMENT table spanning every page of ``site``, one row each.
 
-        ``builds`` counts actual constructions (= misses), ``cache_hits``
-        databases served without rebuilding, and ``parse_hits`` the builds
-        that skipped tokenization thanks to the parsed-document cache.
+        Multi-document node-queries range their extra document aliases over
+        it (paper §7.1 footnote 2), still without inter-site communication.
+        Every page of the :class:`~repro.web.site.Site` goes through
+        :meth:`construct`, so a sitewide query warms the per-node path and
+        vice versa; the table, with the join indexes cached on it, is reused
+        until a page is edited, added or removed.  ``stats`` is the *caller's*
+        counters (a constructor shared between engines has none of its own),
+        charged one ``documents_parsed`` per page assembled.
         """
+        rows = [
+            self.construct(site.url_of(path), page.html).document.row_list()[0]
+            for path, page in sorted(site.pages.items())
+        ]
+        table = self._site_tables.get(site.name)
+        if table is None or table.row_list() != rows:
+            table = Table(DOCUMENT_SCHEMA, rows, stats=self._stats)
+            if stats is not None:
+                stats.documents_parsed += len(rows)
+            if len(rows) <= self.cache_size:  # else some record is already gone
+                self._site_tables[site.name] = table
+        return table
+
+    def cache_info(self) -> dict[str, int]:
+        """Snapshot of the store for introspection."""
         return {
-            "cache_size": self._cache_size,
-            "cached_databases": len(self._cache),
-            "parsed_documents": len(self._parsed),
-            "builds": self.builds,
-            "cache_hits": self.cache_hits,
-            "parse_hits": self.parse_hits,
+            "capacity": self.cache_size,
+            "retained": len(self._store),
+            "hits": self.hits,
+            "misses": self.misses,
         }
 
+    def retained(self) -> list[tuple[Url, str]]:
+        """``(url, html)`` of every retained record, least recently used first."""
+        return [(url, html) for url, (html, __) in self._store.items()]
+
     def purge(self) -> None:
-        """Drop every cached database and parsed document."""
-        self._cache.clear()
-        self._parsed.clear()
+        """Drop every retained record and the site tables made from them."""
+        self._store.clear()
+        self._site_tables.clear()
 
 
-def build_documents_table(
-    pages: "list[tuple[Url, str]]", stats: "object | None" = None
-) -> Table:
-    """A DOCUMENT table spanning several pages (one row per page).
-
-    This is the site-wide relation multi-document node-queries range over
-    (paper §7.1 footnote 2): the extra document aliases join against every
-    page of the current site, still without any inter-site communication.
-    ``stats`` mirrors join-index reuse on this table — it lives for the
-    server's whole incarnation, so sitewide joins are where the cached
-    :meth:`~repro.relational.table.Table.index` pays off most.
-    """
-    rows = []
-    for url, html in pages:
-        parsed = parse_html(html)
-        rows.append((str(url.without_fragment()), parsed.title, parsed.text, len(html)))
-    return Table(DOCUMENT_SCHEMA, rows, stats=stats)
-
-
-def site_documents_for(
-    query, web, site_name: str, cache: "dict[str, Table]", stats
-) -> Table | None:
-    """The site-spanning DOCUMENT table for ``site_name``, built on first need.
-
-    Only web-queries with sitewide document aliases (§7.1 multi-document
-    node-queries) pay for it, once per ``cache`` — the caller's per-process
-    dict, so a crash that drops the dict drops the tables.  Built from the
-    web ground truth; a central engine uses that as a stand-in for pages it
-    would have downloaded anyway.  ``stats`` is charged the parses and
-    mirrors the table's join-index counters.
-    """
-    if not any(step.query.sitewide_aliases for step in query.steps):
-        return None
-    table = cache.get(site_name)
-    if table is None and web.has_site(site_name):
-        site = web.site(site_name)
-        pages = [(site.url_of(path), page.html) for path, page in sorted(site.pages.items())]
-        table = cache[site_name] = build_documents_table(pages, stats=stats)
-        stats.documents_parsed += len(pages)
-    return table
-
-
-def build_node_database(
-    url: Url,
-    html: str,
-    parsed: ParsedDocument | None = None,
-    stats: "object | None" = None,
-) -> NodeDatabase:
+def build_node_database(url: Url, html: str, stats: "object | None" = None) -> NodeDatabase:
     """Single-pass construction of the virtual relations for ``url``.
 
-    ``parsed`` short-circuits tokenization when the caller already holds the
-    parse result (the constructor's shared parsed-document cache).
     ``stats`` threads the :class:`~repro.net.stats.TrafficStats` mirror down
     to the tables' join-index counters (``index_builds`` / ``index_hits``).
     """
-    if parsed is None:
-        parsed = parse_html(html)
+    parsed = parse_html(html)
     base = str(url)
     # A <base href> redirects *resolution* of relative hrefs (HTML 2.0
     # §5.2.2); link classification still compares destinations against the

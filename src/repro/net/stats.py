@@ -138,13 +138,13 @@ class TrafficStats:
     #: counter: stores add their entry's estimate, evictions/clears subtract.
     memo_bytes_est: int = 0
 
-    # Database-constructor caches (EXP-P5 satellites).
-    #: Node databases served from the constructor's LRU without rebuilding.
+    # The constructor's document store (model/database.py).
+    #: Node databases served from the store without rebuilding.
     db_cache_hits: int = 0
-    #: Constructions that had to (re)build the node database.
+    #: Constructions that had to parse the page and (re)build its database.
     db_cache_misses: int = 0
-    #: Builds that skipped HTML tokenization because the parsed document was
-    #: already cached (a subset of ``db_cache_misses``).
+    #: Always 0 — no build can skip the parse any more.  Kept because
+    #: EXP-E1 (``benchmarks/e2e/spans.py::read_counters``) reads it.
     parse_cache_hits: int = 0
 
     # Join-key hash indexes (EXP-P6 outer-level batching).

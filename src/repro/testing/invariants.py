@@ -53,6 +53,7 @@ from ..errors import ProtocolError
 
 __all__ = [
     "Violation",
+    "check_document_store",
     "check_handle",
     "check_memo_coherence",
     "check_no_refused_retry",
@@ -212,6 +213,35 @@ def check_memo_coherence(engine) -> list[Violation]:
     return violations
 
 
+def check_document_store(engine) -> list[Violation]:
+    """Every server's document store is bounded and holds only current pages.
+
+    The other content-derived cache beside the memo, failing the same
+    silent way — rows from a page that no longer reads like that.  Per
+    server: at most ``cache_size`` records retained, each record's HTML
+    identical (``is``, the store's own fast path) to what the web serves for
+    its URL now.  Run-level; engines without per-site servers are skipped.
+    """
+    violations = []
+    for site, server in (getattr(engine, "servers", None) or {}).items():
+        records = server.constructor.retained()
+        capacity = server.constructor.cache_size
+        stale = [url for url, html in records if engine.web.html_for(url) is not html]
+        problems = []
+        if len(records) > capacity:
+            problems.append(f"{len(records)} document(s) (> capacity {capacity})")
+        if stale:
+            problems.append(
+                f"{len(stale)} record(s) built from HTML the web no longer "
+                f"serves, e.g. {stale[0]}"
+            )
+        violations += [
+            Violation("document-store", "-", f"server {site} retains {problem}")
+            for problem in problems
+        ]
+    return violations
+
+
 def check_queue_ceilings(engine) -> list[Violation]:
     """No server's per-query run-queue ever exceeded the configured ceiling.
 
@@ -328,4 +358,5 @@ def check_run(
     violations += check_no_refused_retry(engine.tracer)
     violations += check_queue_ceilings(engine)
     violations += check_memo_coherence(engine)
+    violations += check_document_store(engine)
     return violations

@@ -52,9 +52,6 @@ class Web:
         except KeyError:
             raise WebDisError(f"no site named {name!r}") from None
 
-    def has_site(self, name: str) -> bool:
-        return name.lower() in self._sites
-
     def html_for(self, url: Url) -> str | None:
         """The HTML at ``url`` (fragment ignored), or ``None`` when floating."""
         site = self._sites.get(url.host)

@@ -19,9 +19,9 @@ batch kernels reorder around.  Property families:
   the default engine vs ``compiled_plans=False``: identical statuses,
   per-tenant distinct rows and canonical log-table snapshots, crossed
   with the cross-query memo.
-* **Bounded memo / constructor caches** — LRU eviction respects
+* **Bounded memo / document store** — LRU eviction respects
   capacity, moves the ``memo_evictions`` / ``memo_bytes_est`` gauges,
-  and never changes answers; the constructor's parsed-document cache
+  and never changes answers; the constructor's document store
   reports through ``cache_info()`` and ``TrafficStats``.
 
 Plus the DST wiring: the generator keeps the retired executor knob's draw
@@ -40,11 +40,7 @@ from repro import EngineConfig, QueryStatus, WebDisEngine
 from repro.core.resultmemo import ResultMemo
 from repro.errors import EvaluationError
 from repro.html.generator import PageSpec, render_page
-from repro.model.database import (
-    DatabaseConstructor,
-    build_documents_table,
-    build_node_database,
-)
+from repro.model.database import DatabaseConstructor, build_node_database
 from repro.net.stats import TrafficStats
 from repro.relational.compile import compile_node_query
 from repro.relational.expr import And, Attr, Compare, Contains, Literal, Not, Or
@@ -59,6 +55,7 @@ from repro.testing.runner import _engine_config
 from repro.testing.shrink import _candidates
 from repro.urlutils import parse_url
 from repro.web.campus import CAMPUS_QUERY_DISQL, EXPECTED_CONVENER_ROWS
+from repro.web.site import Page, Site
 
 URL = parse_url("http://a.example/page.html")
 SIBLING = parse_url("http://a.example/other.html")
@@ -88,12 +85,12 @@ _HTML = _page(
 
 DATABASE = build_node_database(URL, _HTML)
 
-SITE_DOCUMENTS = build_documents_table(
-    [
-        (URL, _page("alpha topic page", [("one", "/other.html")], [("b", "x")])),
-        (SIBLING, _page("beta archive page", [("back", "/page.html")], [("i", "y")])),
-    ]
+_SITE = Site("a.example")
+_SITE.add(Page(URL.path, html=_page("alpha topic page", [("one", "/other.html")], [("b", "x")])))
+_SITE.add(
+    Page(SIBLING.path, html=_page("beta archive page", [("back", "/page.html")], [("i", "y")]))
 )
+SITE_DOCUMENTS = DatabaseConstructor().site_documents(_SITE)
 
 _ATTRS = [
     Attr("d", "title"),
@@ -647,34 +644,28 @@ class TestConstructorCaches:
         stats = TrafficStats()
         constructor = DatabaseConstructor(cache_size=1, stats=stats)
         constructor.construct(URL, _HTML)
-        constructor.construct(URL, _HTML)  # LRU hit
+        constructor.construct(URL, _HTML)  # served from the store
         constructor.construct(SIBLING, _HTML)  # evicts URL
-        constructor.construct(URL, _HTML)  # rebuild, but parse-cache hit
-        info = constructor.cache_info()
-        assert info["cache_size"] == 1
-        assert info["cached_databases"] == 1
-        assert info["parsed_documents"] == 2
-        assert info["builds"] == 3
-        assert info["cache_hits"] == 1
-        assert info["parse_hits"] == 1
+        constructor.construct(URL, _HTML)  # rebuilt: parse and all
+        assert constructor.cache_info() == {
+            "capacity": 1, "retained": 1, "hits": 1, "misses": 3,
+        }
         assert stats.db_cache_hits == 1
         assert stats.db_cache_misses == 3
-        assert stats.parse_cache_hits == 1
+        # Nothing of a page outlives its record, so no build can skip the parse.
+        assert stats.parse_cache_hits == 0
 
     def test_uncached_constructor_still_counts_misses(self):
         stats = TrafficStats()
-        constructor = DatabaseConstructor(stats=stats)
+        constructor = DatabaseConstructor(cache_size=0, stats=stats)
         constructor.construct(URL, _HTML)
         constructor.construct(URL, _HTML)
         assert stats.db_cache_hits == 0
         assert stats.db_cache_misses == 2
-        # The parse cache works even with the database cache off.
-        assert stats.parse_cache_hits == 1
+        assert constructor.cache_info()["retained"] == 0
 
     def test_engine_surfaces_the_counters(self, campus_web):
-        engine, (handle,) = _run_batch(
-            campus_web, [CAMPUS_QUERY_DISQL], db_cache_size=16
-        )
+        engine, (handle,) = _run_batch(campus_web, [CAMPUS_QUERY_DISQL])
         assert handle.status is QueryStatus.COMPLETE
         summary = engine.stats.summary()
         assert "db_cache_misses" in summary

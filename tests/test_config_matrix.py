@@ -49,8 +49,7 @@ def test_figure8_invariant_under_flags(campus_web, combo):
 _EXTENSION_AXES = [
     EngineConfig(log_subsumption="language"),
     EngineConfig(server_threads=4),
-    EngineConfig(db_cache_size=16),
-    EngineConfig(log_subsumption="language", server_threads=4, db_cache_size=16),
+    EngineConfig(log_subsumption="language", server_threads=4),
     EngineConfig(log_max_age=0.001, log_purge_interval=0.001),
     EngineConfig(strict_dead_end=False, server_threads=2, batch_per_site=False),
     EngineConfig(frontier_batching=False, log_subsumption="language"),

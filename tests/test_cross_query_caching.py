@@ -11,7 +11,10 @@ the PR's center of gravity:
   crucially — identical answers to a cold uncached run;
 * **Coherence** — no memo entry survives a crash or an epoch bump
   (:func:`~repro.testing.invariants.check_memo_coherence`), and the
-  invariant actually detects a manufactured leak;
+  invariant actually detects a manufactured leak; the same for the
+  document store (:func:`~repro.testing.invariants.check_document_store`):
+  edit a page, bump the epoch, resubmit — the new page answers, on both
+  transports, per-node and sitewide;
 * **DST integration** — the generator draws the knob (both values occur),
   the runner threads it into :class:`~repro.core.config.EngineConfig`, and
   the shrinker proposes clearing it.
@@ -27,15 +30,18 @@ from hypothesis import given, settings, strategies as st
 from repro import EngineConfig, QueryStatus, WebDisEngine
 from repro.core.aio_engine import AsyncioWebDisEngine
 from repro.core.resultmemo import ResultMemo
+from repro.html.generator import PageSpec, render_page
 from repro.model.relations import LinkType
 from repro.pre.ast import Atom, alt, repeat
 from repro.testing.generators import build_web, generate_case, query_texts
-from repro.testing.invariants import check_memo_coherence
+from repro.testing.invariants import check_document_store, check_memo_coherence
 from repro.testing.runner import _engine_config
 from repro.testing.shrink import _candidates
 from repro.urlutils import parse_url
 from repro.web.builders import WebBuilder
 from repro.web.campus import CAMPUS_QUERY_DISQL
+from repro.web.site import Page
+from tests.test_multidoc import MULTIDOC_QUERY, _dept_web
 
 GENERAL_QUERY = (
     'select d.url, d.title\n'
@@ -234,6 +240,88 @@ class TestInvalidation:
                 await engine.aclose()
 
         asyncio.run(main())
+
+    # -- page edits: edit, bump the epoch, resubmit → the new page ---------------
+
+    PER_NODE_QUERY = (
+        'select d.url, d.title from document d such that "http://alpha.example/" L*1 d\n'
+        'where d.title contains "contact"'
+    )
+    OLD_TITLE, NEW_TITLE = "contact the alpha office", "contact the relocated alpha office"
+
+    @classmethod
+    def _relocate_the_alpha_office(cls, web):
+        web.site("alpha.example").pages["/contact.html"] = Page(
+            "/contact.html", html=render_page(PageSpec(title=cls.NEW_TITLE))
+        )
+
+    @classmethod
+    def _alpha_titles(cls, handle):
+        assert handle.status is QueryStatus.COMPLETE
+        return {
+            row.values[-1] for row in handle.unique_rows() if "alpha" in row.values[0]
+        }
+
+    @pytest.mark.parametrize(
+        "query", [PER_NODE_QUERY, MULTIDOC_QUERY], ids=["per-node", "sitewide"]
+    )
+    def test_edit_then_epoch_bump_serves_the_new_page(self, query):
+        web = _dept_web()
+        engine = WebDisEngine(web)
+        assert self._alpha_titles(engine.run_query(query)) == {self.OLD_TITLE}
+        self._relocate_the_alpha_office(web)
+        engine.advance_memo_epoch()
+        assert all(s.constructor.retained() == [] for s in engine.servers.values())
+        assert self._alpha_titles(engine.run_query(query)) == {self.NEW_TITLE}
+        assert check_document_store(engine) == []
+
+    @pytest.mark.parametrize(
+        "query", [PER_NODE_QUERY, MULTIDOC_QUERY], ids=["per-node", "sitewide"]
+    )
+    def test_edit_then_epoch_bump_on_the_socket_engine(self, query):
+        async def main():
+            web = _dept_web()
+            engine = AsyncioWebDisEngine(web)
+            try:
+                before = engine.submit_disql(query)
+                await engine.run([before], timeout=30.0)
+                assert self._alpha_titles(before) == {self.OLD_TITLE}
+                self._relocate_the_alpha_office(web)
+                engine.advance_memo_epoch()
+                after = engine.submit_disql(query)
+                await engine.run([after], timeout=30.0)
+                assert self._alpha_titles(after) == {self.NEW_TITLE}
+                assert check_document_store(engine) == []
+            finally:
+                await engine.aclose()
+
+        asyncio.run(main())
+
+    def test_crash_drops_the_document_store(self):
+        engine, server = self._warm_server()
+        assert server.constructor.retained()
+        engine.crash_server("root.example")
+        assert server.constructor.retained() == []
+
+    def test_document_store_invariant_detects_staleness_and_overflow(self):
+        engine, server = self._warm_server()
+        assert check_document_store(engine) == []
+        # An edit nobody announced: the retained record is now stale.
+        engine.web.site("root.example").pages["/deep.html"] = Page(
+            "/deep.html", html=render_page(PageSpec(title="edited topic"))
+        )
+        (violation,) = check_document_store(engine)
+        assert violation.invariant == "document-store"
+        assert "root.example/deep.html" in violation.detail
+        engine.advance_memo_epoch()
+        assert check_document_store(engine) == []
+        # A store that outgrew its bound.
+        handle = engine.submit_disql(GENERAL_QUERY)
+        engine.run()
+        assert handle.status is QueryStatus.COMPLETE
+        server.constructor.cache_size = 1
+        (violation,) = check_document_store(engine)
+        assert "capacity 1" in violation.detail
 
     def test_coherence_invariant_detects_a_leak(self):
         engine, server = self._warm_server()

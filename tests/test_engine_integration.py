@@ -376,10 +376,11 @@ class TestConfigurationVariants:
         assert h2.response_time() > h1.response_time()
 
     def test_db_cache_avoids_rebuilds(self, figure5_web):
-        cached = WebDisEngine(figure5_web, config=EngineConfig(db_cache_size=16))
+        cached = WebDisEngine(figure5_web)
         cached.run_query(figure_query_disql(FIGURE5_START_URL))
-        hits = sum(s.constructor.cache_hits for s in cached.servers.values())
+        hits = sum(s.constructor.hits for s in cached.servers.values())
         assert hits > 0
+        assert cached.stats.db_cache_hits == hits
 
     def test_log_purge_causes_recomputation_not_wrong_answers(self, figure5_web):
         eager = WebDisEngine(

@@ -2,7 +2,19 @@
 
 from __future__ import annotations
 
+import asyncio
+import time
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro import QueryStatus, WebDisEngine
+from repro.core.aio_engine import AsyncioWebDisEngine
 from repro.html.parser import parse_html
+from repro.html.tokenizer import tokenize
+from repro.model.database import build_node_database
+from repro.urlutils import parse_url
+from repro.web.builders import WebBuilder
 
 
 class TestTitleAndText:
@@ -114,3 +126,121 @@ class TestBaseHref:
 
     def test_no_base_is_none(self):
         assert parse_html("<body>x</body>").base_href is None
+
+
+# -- hostile corpus (ROADMAP item 4(4)) ------------------------------------------
+#
+# Pages are outside input.  Whatever they contain, the document pipeline must
+# not raise, must emit at most one token per character, and must produce text
+# the wire codec can ship.  This corpus is also the differential oracle a
+# replacement scanner (ROADMAP item 1(a)) has to agree with.
+
+URL = parse_url("http://hostile.example/page.html")
+
+HOSTILE = {
+    "unclosed-quote": '<a href="http://x.example/never closed>label</a> tail',
+    "unclosed-comment": "before <!-- never closed <b>bold</b>",
+    "unclosed-tag": "text <a href='x'",
+    "unclosed-title": "<title>never closed <b>x</b>",
+    "attribute-soup": "<a href=x href=\"y\" =z \"q\"='1' ===>k</a>",
+    "lt-storm": "<" * 20_000,
+    "lt-gt-storm": "<" * 4_000 + ">" * 4_000,
+    "amp-storm": "&" * 10_000 + "&#" * 5_000,
+    "character-references": "<p>&#99999999; &#55296; &#1114112; &#57343;</p>",
+    "controls": "\x00<b\x00>\x01</b>\x7f",
+    "deep-nesting": "<b>" * 20_000 + "x" + "</b>" * 20_000,
+    "unmatched-end-tags": "<b>" * 20_000 + "x" + "</i>" * 20_000,
+    "padding": "<p>" + "lorem ipsum " * 90_000 + "</p>",  # > 1 MB
+}
+
+
+def _survives(html: str) -> None:
+    parse_html(html)
+    database = build_node_database(URL, html)
+    assert len(list(tokenize(html))) <= len(html) + 1
+    for row in (*database.document.rows(), *database.anchor.rows(), *database.relinfon.rows()):
+        for cell in row:
+            if isinstance(cell, str):
+                cell.encode("utf-8")
+
+
+class TestHostileCorpus:
+    @pytest.mark.parametrize("name", HOSTILE)
+    def test_hand_built(self, name):
+        _survives(HOSTILE[name])
+
+    def test_unmatched_end_tags_are_not_quadratic(self):
+        html = HOSTILE["unmatched-end-tags"]
+        started = time.perf_counter()
+        parsed = parse_html(html)
+        assert time.perf_counter() - started < 2.0
+        assert parsed.text == "x" and parsed.relinfons == ()
+
+    def test_unmatched_end_tags_leave_open_containers_alone(self):
+        doc = parse_html("<i>a <b>deep</u></b> z</x></i>")
+        assert [(r.delimiter, r.text) for r in doc.relinfons] == [
+            ("b", "deep"), ("i", "a deep z"),
+        ]
+
+    def test_implicitly_closed_tags_can_no_longer_be_closed(self):
+        # </i> closes <b> on its way; the later </b> then has no open partner.
+        doc = parse_html("<i>a <b>deep</i> z</b>")
+        assert [(r.delimiter, r.text) for r in doc.relinfons] == [("i", "a deep")]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(
+                    [
+                        "<b>", "</b>", "<i>", "</i>", "<p>", "<hr>", "<title>", "</title>",
+                        "<script>", "</script>", "<a href=", "</a>", "<base href='", "<!--",
+                        "-->", "<!", "&#", "&amp", "&#55296;", "&#1114112;",
+                    ]
+                ),
+                st.text(alphabet="<>/&#;=\"' abcdefghijklmnopqrstuvwxyz0123456789", max_size=12),
+            ),
+            max_size=40,
+        ).map("".join)
+    )
+    def test_generated(self, html):
+        _survives(html)
+
+
+def _hostile_web():
+    builder = WebBuilder()
+    builder.site("root.example").page(
+        "/", title="root", links=[("out", "http://hostile.example/")]
+    )
+    builder.site("hostile.example").raw_page(
+        "/", "<title>hostile &#99999999; &#55296; page</title><b>" + "</i>" * 500
+    )
+    return builder.build()
+
+
+_HOSTILE_QUERY = 'select d.url, d.title from document d such that "http://root.example/" G d'
+_HOSTILE_ROW = ("http://hostile.example/", "hostile &#99999999; &#55296; page")
+
+
+class TestHostilePagesEndToEnd:
+    """One hostile page must not take a query down, on either transport."""
+
+    def test_simulator(self):
+        handle = WebDisEngine(_hostile_web()).run_query(_HOSTILE_QUERY)
+        assert handle.status is QueryStatus.COMPLETE
+        assert [row.values for row in handle.unique_rows()] == [_HOSTILE_ROW]
+
+    def test_sockets(self):
+        # The row crosses the wire codec: a lone surrogate in it used to kill
+        # the sender task and leave the query RUNNING until the timeout.
+        async def main():
+            engine = AsyncioWebDisEngine(_hostile_web())
+            try:
+                handle = engine.submit_disql(_HOSTILE_QUERY)
+                await engine.run([handle], timeout=30.0)
+                assert handle.status is QueryStatus.COMPLETE
+                assert [row.values for row in handle.unique_rows()] == [_HOSTILE_ROW]
+            finally:
+                await engine.aclose()
+
+        asyncio.run(main())

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.html.tokenizer import Comment, EndTag, StartTag, Text, decode_entities, tokenize
 
 
@@ -116,3 +118,27 @@ class TestEntities:
 
     def test_in_text_token(self):
         assert toks("a &amp; b") == [Text("a & b")]
+
+    def test_numeric_range_ends(self):
+        assert decode_entities("&#0;&#55295;&#57344;&#1114111;") == "\x00\ud7ff\ue000\U0010ffff"
+
+    @pytest.mark.parametrize(
+        "reference",
+        [
+            "&#1114112;",  # one past U+10FFFF
+            "&#99999999;",  # chr() would raise ValueError
+            "&#55296;",  # U+D800, first surrogate
+            "&#57343;",  # U+DFFF, last surrogate
+            "&#\u00b2;",  # SUPERSCRIPT TWO: isdigit() but not int()-able
+            "&#;",
+        ],
+    )
+    def test_character_reference_naming_no_character_stays_literal(self, reference):
+        assert decode_entities(f"a{reference}b") == f"a{reference}b"
+        assert toks(f"<p>{reference}</p>")[1] == Text(reference)
+        (tag,) = toks(f'<a href="{reference}">')
+        assert tag.attrs["href"] == reference
+
+    def test_decoded_text_is_always_utf8_encodable(self):
+        for code in (0xD7FF, 0xD800, 0xDBFF, 0xDC00, 0xDFFF, 0xE000, 0x110000):
+            decode_entities(f"&#{code};").encode("utf-8")

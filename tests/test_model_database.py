@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import hashlib
 
+import pytest
+
 from repro.html.generator import PageSpec, render_page
 from repro.model import LinkType
 from repro.model.database import DatabaseConstructor, build_node_database
+from repro.net.stats import TrafficStats
 from repro.urlutils import Url, parse_url
 from repro.web.campus import build_campus_web
+from repro.web.site import Page, Site
 
 URL = parse_url("http://a.example/dir/page.html")
 
@@ -93,8 +97,9 @@ class TestConstructorCache:
         html = render_page(PageSpec(title="t"))
         constructor.construct(URL, html)
         constructor.construct(URL, html)
-        assert constructor.builds == 2
-        assert constructor.cache_hits == 0
+        assert constructor.misses == 2
+        assert constructor.hits == 0
+        assert constructor.retained() == []
 
     def test_cache_hit(self):
         constructor = DatabaseConstructor(cache_size=4)
@@ -102,8 +107,14 @@ class TestConstructorCache:
         first = constructor.construct(URL, html)
         second = constructor.construct(URL, html)
         assert first is second
-        assert constructor.builds == 1
-        assert constructor.cache_hits == 1
+        assert constructor.misses == 1
+        assert constructor.hits == 1
+
+    def test_retains_by_default(self):
+        constructor = DatabaseConstructor()
+        html = render_page(PageSpec(title="t"))
+        assert constructor.construct(URL, html) is constructor.construct(URL, html)
+        assert constructor.cache_info()["capacity"] == 1024
 
     def test_cache_eviction_lru(self):
         constructor = DatabaseConstructor(cache_size=1)
@@ -112,7 +123,19 @@ class TestConstructorCache:
         constructor.construct(URL, html)
         constructor.construct(other, html)
         constructor.construct(URL, html)  # evicted, rebuilt
-        assert constructor.builds == 3
+        assert constructor.misses == 3
+
+    def test_bound_holds_under_a_scan(self):
+        """capacity + k distinct pages retain exactly capacity, the newest."""
+        constructor = DatabaseConstructor(cache_size=5)
+        html = render_page(PageSpec(title="t"))
+        urls = [parse_url(f"http://a.example/p{i}") for i in range(5 + 3)]
+        for url in urls:
+            constructor.construct(url, html)
+        assert [url for url, __ in constructor.retained()] == urls[3:]
+        assert constructor.cache_info() == {
+            "capacity": 5, "retained": 5, "hits": 0, "misses": 8,
+        }
 
     def test_fragment_ignored_in_cache_key(self):
         constructor = DatabaseConstructor(cache_size=4)
@@ -127,11 +150,94 @@ class TestConstructorCache:
         constructor.construct(URL, html)
         constructor.purge()
         constructor.construct(URL, html)
-        assert constructor.builds == 2
+        assert constructor.misses == 2
+
+    def test_edited_page_is_never_served_from_the_old_record(self):
+        """The store is content-checked: no epoch bump needed, none trusted."""
+        constructor = DatabaseConstructor(cache_size=4)
+        html_a = render_page(PageSpec(title="before"))
+        html_b = render_page(PageSpec(title="after"))
+        old = constructor.construct(URL, html_a)
+        new = constructor.construct(URL, html_b)
+        assert new is not old
+        assert next(new.document.rows())[1] == "after"
+        assert constructor.retained() == [(URL, html_b)]  # replaced, not kept beside
+        # An equal copy of the retained HTML is the retained HTML.
+        assert constructor.construct(URL, "".join(list(html_b))) is new
+        # Editing back is an edit too.
+        assert next(constructor.construct(URL, html_a).document.rows())[1] == "before"
+
 
     def test_tuple_count(self):
         db = _db(PageSpec(title="t", links=[("x", "/y")], emphasized=[("b", "z")]))
         assert db.tuple_count() == len(db.document) + len(db.anchor) + len(db.relinfon)
+
+
+class TestSiteDocuments:
+    """The §7.1 site table is assembled from, and purged with, the records."""
+
+    def _site(self, pages=3):
+        site = Site("a.example")
+        for i in range(pages):
+            site.add(Page(f"/p{i}", html=render_page(PageSpec(title=f"page {i}"))))
+        return site
+
+    def test_rows_are_the_records_document_rows(self):
+        constructor, site = DatabaseConstructor(), self._site()
+        table = constructor.site_documents(site)
+        assert [row[1] for row in table.rows()] == ["page 0", "page 1", "page 2"]
+        for row, (path, page) in zip(table.rows(), sorted(site.pages.items())):
+            database = constructor.construct(site.url_of(path), page.html)
+            assert row is database.document.row_list()[0]
+
+    def test_retained_and_shared_with_the_per_node_path(self):
+        stats = TrafficStats()
+        constructor, site = DatabaseConstructor(), self._site()
+        constructor.construct(site.url_of("/p1"), site.pages["/p1"].html)
+        table = constructor.site_documents(site, stats)
+        assert constructor.misses == 3  # /p1 was already there
+        assert constructor.site_documents(site, stats) is table
+        assert constructor.misses == 3
+        assert stats.documents_parsed == 3  # charged per assembly, not per lookup
+
+    @pytest.mark.parametrize("change", ["edit", "add", "remove"])
+    def test_any_change_to_the_site_reassembles(self, change):
+        constructor, site = DatabaseConstructor(), self._site()
+        before = constructor.site_documents(site)
+        if change == "edit":
+            site.pages["/p1"] = Page("/p1", html=render_page(PageSpec(title="edited")))
+            expected = ["page 0", "edited", "page 2"]
+        elif change == "add":
+            site.add(Page("/p3", html=render_page(PageSpec(title="page 3"))))
+            expected = ["page 0", "page 1", "page 2", "page 3"]
+        else:
+            del site.pages["/p1"]
+            expected = ["page 0", "page 2"]
+        after = constructor.site_documents(site)
+        assert after is not before
+        assert [row[1] for row in after.rows()] == expected
+
+    def test_evicting_a_record_drops_its_sites_table(self):
+        constructor, site = DatabaseConstructor(cache_size=3), self._site()
+        table = constructor.site_documents(site)
+        constructor.construct(parse_url("http://b.example/"), "<p>elsewhere</p>")
+        assert len(constructor.retained()) == 3
+        assert constructor.site_documents(site) is not table
+
+    def test_a_site_larger_than_the_store_is_never_retained(self):
+        for capacity in (0, 2):
+            constructor, site = DatabaseConstructor(cache_size=capacity), self._site()
+            first = constructor.site_documents(site)
+            assert len(first) == 3
+            assert constructor.site_documents(site) is not first
+            assert len(constructor.retained()) == capacity
+
+    def test_purge_drops_the_tables_too(self):
+        constructor, site = DatabaseConstructor(), self._site()
+        table = constructor.site_documents(site)
+        constructor.purge()
+        assert constructor.retained() == []
+        assert constructor.site_documents(site) is not table
 
 
 class TestBaseHrefResolution:

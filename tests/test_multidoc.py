@@ -8,7 +8,7 @@ from repro import QueryStatus, WebDisEngine
 from repro.baselines import DataShippingEngine, HybridEngine
 from repro.disql import compile_disql, format_disql, parse_disql
 from repro.errors import DisqlSemanticsError, DisqlSyntaxError
-from repro.model.database import build_documents_table, build_node_database
+from repro.model.database import DatabaseConstructor, build_node_database
 from repro.relational.expr import Attr, Compare, Literal
 from repro.relational.query import NodeQuery, TableDecl, evaluate_node_query
 from repro.urlutils import parse_url
@@ -56,11 +56,7 @@ class TestRelationalLayer:
     URL = parse_url("http://alpha.example/projects.html")
 
     def _site_table(self):
-        web = _dept_web()
-        site = web.site("alpha.example")
-        return build_documents_table(
-            [(site.url_of(p), pg.html) for p, pg in sorted(site.pages.items())]
-        )
+        return DatabaseConstructor().site_documents(_dept_web().site("alpha.example"))
 
     def _db(self):
         web = _dept_web()
@@ -172,7 +168,7 @@ class TestEndToEnd:
         assert {r.values for r in handle.unique_rows()} == self.EXPECTED
 
     def test_every_engine_charges_the_site_table_parses(self):
-        """One ``site_documents_for`` helper: same parse count everywhere."""
+        """One ``site_documents`` method: same parse count everywhere."""
         web = _dept_web()
         engines = (WebDisEngine(web), HybridEngine(web, []), DataShippingEngine(web))
         for engine in engines:

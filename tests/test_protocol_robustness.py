@@ -12,7 +12,6 @@ import pytest
 
 from repro import EngineConfig, NetworkConfig, QueryStatus, WebDisEngine
 from repro.web import SyntheticWebConfig, build_synthetic_web
-from repro.web.campus import CAMPUS_QUERY_DISQL, EXPECTED_CONVENER_ROWS, build_campus_web
 from repro.web.synthetic import synthetic_start_url
 
 CONFIG = SyntheticWebConfig(sites=8, pages_per_site=5, seed=111)
@@ -125,22 +124,6 @@ class TestInterleavedQueries:
 
 
 class TestFeatureComposition:
-    def test_campus_with_everything_enabled(self, campus_web):
-        """All extensions on at once must still reproduce Figure 8."""
-        engine = WebDisEngine(
-            campus_web,
-            config=EngineConfig(
-                server_threads=4,
-                db_cache_size=8,
-                log_subsumption="language",
-            ),
-        )
-        handle = engine.run_query(CAMPUS_QUERY_DISQL)
-        assert handle.status is QueryStatus.COMPLETE
-        assert {r.values for r in handle.unique_rows("q2")} == set(
-            EXPECTED_CONVENER_ROWS
-        )
-
     def test_fuzzy_plus_sitewide(self):
         from repro.web.builders import WebBuilder
 

@@ -409,6 +409,7 @@ class TestConsistencyFlag:
     def test_removed_knobs_are_rejected(self):
         pytest.raises(TypeError, EngineConfig, debug_unfenced_recovery=True)
         pytest.raises(TypeError, EngineConfig, debug_consistency_checks=False)
+        pytest.raises(TypeError, EngineConfig, db_cache_size=1)
 
 
 class TestWireIdentity:

@@ -2,9 +2,10 @@
 
 Web builders (:mod:`repro.web`) describe pages structurally — title,
 paragraphs, links, emphasized segments — and this module renders them to real
-HTML text.  The rendered text then flows through the *actual* tokenizer and
-parser when a query-server constructs its virtual relations, so the whole
-pipeline is exercised exactly as it would be on live pages.
+HTML text.  The rendered text then flows through the *actual* scanner
+(:mod:`repro.html.parser`) when a query-server constructs its virtual
+relations, so the whole pipeline is exercised exactly as it would be on live
+pages.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """HTML document analysis for virtual-relation construction.
 
-A single pass over the token stream (mirroring the paper's Database
-Constructor, Section 4.4) produces everything the three virtual relations
-need:
+One scanner goes from the page string straight to everything the three
+virtual relations need (the paper's Database Constructor makes "a single
+pass over the associated document", Section 4.4):
 
 * the ``<title>`` and the visible text for DOCUMENT,
 * every ``<a href=...>label</a>`` for ANCHOR,
@@ -16,30 +16,89 @@ the document.  Two delimiter styles are supported:
 * **void tags** (``hr``, ``br``): the rel-infon is the text block *preceding*
   each occurrence — the paper's example query matches a convener name that
   "is usually succeeded by a horizontal line" with ``delimiter = "hr"``.
+
+The markup rules are those of the HTML 2.0 era ([6] in the paper is RFC
+1866) and of the browsers that read it: nothing raises, a ``<`` that opens
+no well-formed tag is character data, an unclosed comment swallows the rest
+of the page, attribute values may be quoted, unquoted or unterminated, and
+``&amp; &lt; &gt; &quot; &apos; &nbsp; &#N;`` are decoded in text and
+attribute values.
+
+Pages are outside input, so the scan is linear in ``len(html)`` whatever they
+contain: no pattern reads past the next ``<``, the position of the next ``>``
+is remembered across the ``<`` that fail to reach it, and a character
+reference is looked for within the ten characters it may span.  (What the
+RELINFON model itself asks for is not bounded that way: nested containers
+each repeat their inner text.)
+
+:mod:`repro.testing.html_reference` keeps the tokenizer and tree builder this
+scanner replaced; the test suite holds the two equal on every input it has.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import re
+from collections import defaultdict
 from dataclasses import dataclass
+from typing import Iterator
 
-from .tokenizer import EndTag, StartTag, Text, tokenize
+from ..errors import UrlError
+from ..urlutils import Url, classify_link, parse_url
 
-__all__ = ["Anchor", "RelInfon", "ParsedDocument", "parse_html", "VOID_TAGS"]
+__all__ = ["Anchor", "RelInfon", "ParsedDocument", "parse_html", "resolved_links"]
 
-#: Tags that never contain content; for these a rel-infon is the preceding block.
-VOID_TAGS = frozenset({"hr", "br", "img", "meta", "input", "link", "base"})
+# What the scanner does at a tag, by (lower-cased) name.  Any other name is a
+# plain container: its rel-infon is the text between the tag pair.
+_VOID = 1  # never has content; its rel-infon is the preceding text block
+_BLOCK = 2  # ends the "preceding block" a void tag's rel-infon takes
+_STRUCTURAL = 4  # a container that forms no rel-infon of its own
+_HIDDEN = 8  # content is not part of DOCUMENT.text
+_TITLE = 16
+_ANCHOR = 32
+_BASE = 64
+_STATEFUL = _HIDDEN | _TITLE | _ANCHOR | _BASE  # tags that change what is being read
+_TAG_KINDS = {
+    **dict.fromkeys(("img", "meta", "input", "link"), _VOID),
+    **dict.fromkeys(("hr", "br"), _VOID | _BLOCK),
+    **dict.fromkeys(
+        ("p", "div", "td", "th", "tr", "table", "ul", "ol", "li",
+         "h1", "h2", "h3", "h4", "h5", "h6"),
+        _BLOCK,
+    ),
+    **dict.fromkeys(("html", "body"), _BLOCK | _STRUCTURAL),
+    "head": _STRUCTURAL,
+    "script": _HIDDEN,
+    "style": _HIDDEN,
+    "title": _TITLE,
+    "a": _ANCHOR,
+    "base": _BASE | _VOID,
+}
 
-#: Tags whose content is invisible and must not leak into DOCUMENT.text.
-_INVISIBLE_TAGS = frozenset({"script", "style", "title"})
-
-#: Structural containers that never form rel-infons of their own.
-_STRUCTURAL_TAGS = frozenset({"html", "head", "body"})
-
-#: Tags that terminate the "preceding block" used for void-tag rel-infons.
-_BLOCK_TAGS = frozenset(
-    {"p", "div", "td", "th", "tr", "table", "ul", "ol", "li", "h1", "h2", "h3", "h4", "h5", "h6", "hr", "br", "body", "html"}
+# Character data up to the next "<", then a tag written the ordinary way: an
+# ASCII name right after the "<" (or "</"), attribute text with no "<" in it.
+# Groups: the character data, an end tag's name, a start tag's name, its
+# attribute text.  An end tag carries no attributes.  (One \s before the
+# attribute text, not \s+: with [^<>]* behind it that would try every split
+# of a whitespace run.)
+_ORDINARY = re.compile(
+    r"([^<]*)<(?:/([A-Za-z][A-Za-z0-9:_-]*)\s*>|([A-Za-z][A-Za-z0-9:_-]*)(?:\s([^<>]*))?>)"
 )
+# The full rule, matched just past a "<" the pattern above declined.
+# Whitespace may pad the inside of a tag; a name is letters, digits and "-_:"
+# by the Unicode rules of str.isalnum, which \w plus a first-character check
+# reproduce.  Group 1: the name of an end tag, which must close at once.
+# Group 2: the name of a start tag, which must be followed by whitespace, ">"
+# or a self-closing "/>"; its ">" may be anywhere further on.  Neither
+# pattern reads past the next "<".
+_ANY_TAG = re.compile(r"\s*(?:/\s*([\w:-]+)\s*>|([\w:-]+)(?=[\s>]|/\s*>))")
+_NAME = re.compile(r"[\w:-]+")
+# One attribute: a key (empty right before a "="), then optionally "=" and a
+# double-quoted, single-quoted or bare value; an unterminated quote takes the
+# rest of the tag.
+_ATTRIBUTE = re.compile(r"""([^\s=]+|(?==))\s*(?:=\s*(?:"([^"]*)"?|'([^']*)'?|(\S*)))?""")
+# "&", at most nine characters, ";" — whatever is in between.
+_REFERENCE = re.compile(r"&([^;]{0,9});")
+_ENTITIES = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'", "nbsp": " "}
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,101 +140,209 @@ class ParsedDocument:
     base_href: str | None = None
 
 
-def normalize_space(text: str) -> str:
-    """Collapse all whitespace runs to single spaces and strip the ends."""
-    return " ".join(text.split())
+def _reference_text(match: re.Match[str]) -> str:
+    name = match[1]
+    digits = name[1:]
+    if name[:1] == "#" and digits.isascii() and digits.isdigit():
+        # Outside input: past U+10FFFF chr() raises, and a surrogate is text
+        # no UTF-8 encoder (the wire codec) accepts.  Both stay literal.
+        code = int(digits)
+        if code <= 0x10FFFF and not 0xD800 <= code <= 0xDFFF:
+            return chr(code)
+        return match[0]
+    return _ENTITIES.get(name.lower(), match[0])
+
+
+def decode_entities(text: str) -> str:
+    """Decode ``&name;`` and ``&#N;``; anything else that starts with ``&`` stays."""
+    if "&" not in text or ";" not in text:
+        return text
+    return _REFERENCE.sub(_reference_text, text)
+
+
+def _href(attributes: str) -> str | None:
+    """The last ``href`` in a start tag's attribute text, ``None`` without one."""
+    value = None
+    for key, double_quoted, single_quoted, bare in _ATTRIBUTE.findall(attributes):
+        if key.lower() == "href":
+            value = double_quoted or single_quoted or bare
+    return value if value is None else decode_entities(value)
 
 
 def parse_html(html: str) -> ParsedDocument:
     """Parse ``html`` into a :class:`ParsedDocument` in one pass."""
-    title_parts: list[str] = []
-    text_parts: list[str] = []
+    find = html.find
+    ordinary_at = _ORDINARY.match
+    kind_of = _TAG_KINDS.get
+    size = len(html)
+    title_runs: list[str] = []
+    runs: list[str] = []  # the visible character data, in document order
+    # Where character data goes: the title inside <title>, nowhere inside
+    # <script> / <style>, the visible text otherwise.
+    sink: list[str] | None = runs
+    in_title = False
+    hidden = 0  # open <script> / <style>
     anchors: list[Anchor] = []
     relinfons: list[RelInfon] = []
-
-    in_title = False
-    invisible_depth = 0
+    # A block, an anchor label and a container are each the visible text from
+    # some point on, so each is a mark: an index into ``runs``.
+    block_mark = label_mark = 0
+    open_href: str | None = None  # of the <a href> being read
     base_href: str | None = None
-    # Stack of (tag, text-part-count-at-open) for open container delimiters;
-    # the count marks where the container's inner text starts.
-    container_stack: list[tuple[str, int]] = []
-    open_counts: Counter[str] = Counter()  # open containers per tag name
-    # Text accumulated since the last block boundary (for void-tag infons).
-    block_parts: list[str] = []
-    current_anchor_href: str | None = None
-    anchor_label_parts: list[str] = []
+    containers: list[tuple[str, int]] = []  # open container tags, (name, mark)
+    open_counts: defaultdict[str, int] = defaultdict(int)  # open containers per name
+    # The first ">" at or past the last place one was looked for, -1 once none
+    # remains: a run of "<" that open nothing looks for its ">" once.
+    gt = 0
+    pos = 0
+    while True:
+        tag = ordinary_at(html, pos)
+        if tag is not None:
+            run, end_name, name, attributes = tag.groups()
+            pos = tag.end()
+            if run and sink is not None:
+                sink.append(decode_entities(run) if "&" in run else run)
+        else:
+            i = find("<", pos)
+            if i < 0:
+                i = size
+            if i > pos and sink is not None:
+                sink.append(decode_entities(html[pos:i]))
+            if i == size:
+                break
+            end_name = name = attributes = None
+            tag = _ANY_TAG.match(html, i + 1)
+            if tag is None:
+                if html.startswith("!", i + 1):
+                    # A comment is skipped to its "-->", a declaration to its
+                    # ">"; without one the rest of the page is undecoded text.
+                    if html.startswith("--", i + 2):
+                        end = find("-->", i + 4)
+                        pos = end + 3
+                    else:
+                        end = find(">", i + 2)
+                        pos = end + 1
+                    if end >= 0:
+                        continue
+                    if sink is not None:
+                        sink.append(html[i:])
+                    break
+            elif tag.lastindex == 1:
+                lowered = tag[1].lower()  # which can break a name: "İ"
+                if lowered[0].isalpha() and (lowered.isascii() or _NAME.fullmatch(lowered)):
+                    end_name = lowered
+                    pos = tag.end()
+            elif tag[2][0].isalpha():
+                end = tag.end()
+                if 0 <= gt < end:
+                    gt = find(">", end)
+                if gt >= 0:
+                    name = tag[2]
+                    attributes = html[end:gt]
+                    pos = gt + 1
+            if end_name is None and name is None:
+                # A "<" that opens nothing is character data.
+                if sink is not None:
+                    sink.append("<")
+                pos = i + 1
+                continue
 
-    for token in tokenize(html):
-        if isinstance(token, Text):
-            if in_title:
-                title_parts.append(token.data)
-            elif invisible_depth == 0:
-                text_parts.append(token.data)
-                block_parts.append(token.data)
-                if current_anchor_href is not None:
-                    anchor_label_parts.append(token.data)
-            continue
-
-        if isinstance(token, StartTag):
-            name = token.name
-            if name == "title":
-                in_title = True
-            elif name in _INVISIBLE_TAGS:
-                invisible_depth += 1
-            elif name == "a":
-                href = token.attrs.get("href")
-                if href is not None:
-                    current_anchor_href = href
-                    anchor_label_parts = []
-            elif name == "base" and base_href is None:
-                base_href = token.attrs.get("href")
-            if name in VOID_TAGS:
-                block = normalize_space("".join(block_parts))
-                if block:
-                    relinfons.append(RelInfon(name, block))
-                block_parts = []
-            elif not token.self_closing:
-                container_stack.append((name, len(text_parts)))
-                open_counts[name] += 1
-                if name in _BLOCK_TAGS:
-                    block_parts = []
-            continue
-
-        if isinstance(token, EndTag):
-            name = token.name
-            if name == "title":
-                in_title = False
-            elif name in _INVISIBLE_TAGS:
-                invisible_depth = max(0, invisible_depth - 1)
-            elif name == "a" and current_anchor_href is not None:
-                anchors.append(
-                    Anchor(normalize_space("".join(anchor_label_parts)), current_anchor_href)
-                )
-                current_anchor_href = None
-                anchor_label_parts = []
+        if end_name is not None:
+            name = end_name.lower()
+            kind = kind_of(name, 0)
+            if kind & _STATEFUL:
+                if kind & _TITLE:
+                    in_title = False
+                    sink = None if hidden else runs
+                elif kind & _HIDDEN:
+                    if hidden:
+                        hidden -= 1
+                        if not hidden and not in_title:
+                            sink = runs
+                elif kind & _ANCHOR and open_href is not None:
+                    label = " ".join("".join(runs[label_mark:]).split())
+                    anchors.append(Anchor(label, open_href))
+                    open_href = None
             if open_counts[name]:
-                # Pop the innermost open ``name``; unclosed tags above it close
-                # implicitly, without segments (period browsers' recovery).  An
-                # end tag with no open partner never gets here, and every entry
-                # scanned is popped, so closing costs what opening did.
+                # Pop the innermost open ``name``; unclosed tags above it
+                # close implicitly, without segments (period browsers'
+                # recovery).  An end tag with no open partner never gets
+                # here, and every entry scanned is popped, so closing costs
+                # what opening did.
                 while True:
-                    tag, start = container_stack.pop()
-                    open_counts[tag] -= 1
-                    if tag == name:
+                    opened, mark = containers.pop()
+                    open_counts[opened] -= 1
+                    if opened == name:
                         break
-                if name not in _STRUCTURAL_TAGS:
-                    inner = normalize_space("".join(text_parts[start:]))
+                if not kind & _STRUCTURAL:
+                    inner = " ".join("".join(runs[mark:]).split())
                     if inner:
                         relinfons.append(RelInfon(name, inner))
-            if name in _BLOCK_TAGS:
-                block_parts = []
-            continue
-        # Comments carry no model content.
+            if kind & _BLOCK:
+                block_mark = len(runs)
+        else:
+            name = name.lower()
+            kind = kind_of(name, 0)
+            self_closing = False
+            if attributes:
+                attributes = attributes.strip()
+                if attributes.endswith("/"):
+                    self_closing = True
+                    attributes = attributes[:-1].rstrip()
+            if kind & _STATEFUL:
+                if kind & _TITLE:
+                    in_title = True
+                    sink = title_runs
+                elif kind & _HIDDEN:
+                    hidden += 1
+                    if not in_title:
+                        sink = None
+                else:
+                    href = _href(attributes) if attributes else None
+                    if kind & _ANCHOR:
+                        if href is not None:
+                            open_href = href
+                            label_mark = len(runs)
+                    elif base_href is None:
+                        base_href = href
+            if kind & _VOID:
+                block = " ".join("".join(runs[block_mark:]).split())
+                if block:
+                    relinfons.append(RelInfon(name, block))
+                block_mark = len(runs)
+            elif not self_closing:
+                containers.append((name, len(runs)))
+                open_counts[name] += 1
+                if kind & _BLOCK:
+                    block_mark = len(runs)
 
     return ParsedDocument(
-        title=normalize_space("".join(title_parts)),
-        text=normalize_space("".join(text_parts)),
+        title=" ".join("".join(title_runs).split()),
+        text=" ".join("".join(runs).split()),
         anchors=tuple(anchors),
         relinfons=tuple(relinfons),
         base_href=base_href,
     )
+
+
+def resolved_links(parsed: ParsedDocument, url: Url) -> Iterator[tuple[str, Url, str]]:
+    """``(label, href, link type symbol)`` of each anchor of the page at ``url``.
+
+    A ``<base href>`` redirects *resolution* of relative hrefs (HTML 2.0
+    §5.2.2); classification still compares destinations against the
+    document's actual URL, since I/L/G is about where the link leads
+    relative to where the document lives.  Unresolvable hrefs (empty,
+    malformed) carry no traversal value and are skipped.
+    """
+    resolve_base = url
+    if parsed.base_href:
+        try:
+            resolve_base = parse_url(parsed.base_href, base=url)
+        except UrlError:
+            pass
+    for anchor in parsed.anchors:
+        try:
+            href = parse_url(anchor.href, base=resolve_base)
+        except UrlError:
+            continue
+        yield anchor.label, href, classify_link(url, href)

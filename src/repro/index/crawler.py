@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from ..html.parser import parse_html
+from ..html.parser import parse_html, resolved_links
 from ..urlutils import Url, parse_url
 from ..web.web import Web
 from .inverted import InvertedIndex
@@ -61,7 +61,7 @@ def crawl(
         result.visited.append(url)
         parsed = parse_html(html)
         result.index.add_document(url, parsed.title, parsed.text)
-        for href, ltype in web.out_links(url):
+        for __, href, ltype in resolved_links(parsed, url):
             if ltype == "I" or (ltype == "G" and not follow_global):
                 continue
             target = href.without_fragment()

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from ..errors import SchemaError, UrlError
-from ..html.parser import parse_html
-from ..urlutils import Url, classify_link, parse_url
+from ..errors import SchemaError
+from ..html.parser import parse_html, resolved_links
+from ..urlutils import Url
 from .relations import ANCHOR_SCHEMA, DOCUMENT_SCHEMA, RELINFON_SCHEMA, LinkType
 from ..relational.table import Table
 
@@ -190,26 +190,11 @@ def build_node_database(url: Url, html: str, stats: "object | None" = None) -> N
     """
     parsed = parse_html(html)
     base = str(url)
-    # A <base href> redirects *resolution* of relative hrefs (HTML 2.0
-    # §5.2.2); link classification still compares destinations against the
-    # document's actual URL, since I/L/G is about where the link leads
-    # relative to where the document lives.
-    resolve_base = url
-    if parsed.base_href:
-        try:
-            resolve_base = parse_url(parsed.base_href, base=url)
-        except UrlError:
-            pass
     anchor_rows = []
     links_by_type: dict[LinkType, list[Url]] = {ltype: [] for ltype in LinkType}
-    for anchor in parsed.anchors:
-        try:
-            href = parse_url(anchor.href, base=resolve_base)
-        except UrlError:
-            # Unresolvable hrefs (empty, malformed) carry no traversal value.
-            continue
-        ltype = LinkType.from_symbol(classify_link(url, href))
-        anchor_rows.append((anchor.label, base, str(href), ltype.value))
+    for label, href, symbol in resolved_links(parsed, url):
+        ltype = LinkType.from_symbol(symbol)
+        anchor_rows.append((label, base, str(href), ltype.value))
         links_by_type[ltype].append(href)
     return NodeDatabase(
         url,

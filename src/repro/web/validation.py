@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from ..html.parser import parse_html
+from ..html.parser import ParsedDocument, parse_html, resolved_links
 from ..urlutils import Url, parse_url
 from .web import Web
 
@@ -93,10 +93,11 @@ def lint_web(web: Web, roots: list[str] | None = None) -> LintReport:
             )
 
     titles_by_site: dict[str, dict[str, list[str]]] = {}
+    parsed_pages: dict[tuple[str, str], ParsedDocument] = {}  # by (host, path)
     for url in web.urls():
         html = web.html_for(url)
         assert html is not None
-        parsed = parse_html(html)
+        parsed = parsed_pages[url.host, url.path] = parse_html(html)
         subject = str(url)
         if not parsed.title:
             findings.append(
@@ -110,9 +111,10 @@ def lint_web(web: Web, roots: list[str] | None = None) -> LintReport:
             findings.append(
                 Finding("warning", "empty-page", subject, "page has no visible text")
             )
-        links = web.out_links(url)
-        for href, __ in links:
-            target = href.without_fragment()
+        targets = [
+            href.without_fragment() for __, href, __ in resolved_links(parsed, url)
+        ]
+        for target in targets:
             if not web.resolves(target):
                 findings.append(
                     Finding(
@@ -120,9 +122,7 @@ def lint_web(web: Web, roots: list[str] | None = None) -> LintReport:
                         f"links to nonexistent {target}",
                     )
                 )
-        if links and all(
-            href.without_fragment() == url.without_fragment() for href, __ in links
-        ):
+        if targets and all(target == url for target in targets):
             findings.append(
                 Finding("info", "self-link-only", subject, "all links point at itself")
             )
@@ -137,11 +137,13 @@ def lint_web(web: Web, roots: list[str] | None = None) -> LintReport:
                     )
                 )
 
-    findings.extend(_reachability_findings(web, roots))
+    findings.extend(_reachability_findings(web, roots, parsed_pages))
     return LintReport(findings)
 
 
-def _reachability_findings(web: Web, roots: list[str] | None) -> list[Finding]:
+def _reachability_findings(
+    web: Web, roots: list[str] | None, parsed_pages: dict[tuple[str, str], ParsedDocument]
+) -> list[Finding]:
     if roots is None:
         root_urls = []
         for site_name in web.site_names:
@@ -156,7 +158,7 @@ def _reachability_findings(web: Web, roots: list[str] | None) -> list[Finding]:
     reachable.update(frontier)
     while frontier:
         url = frontier.popleft()
-        for href, __ in web.out_links(url):
+        for __, href, __ in resolved_links(parsed_pages[url.host, url.path], url):
             target = href.without_fragment()
             if target not in reachable and web.resolves(target):
                 reachable.add(target)

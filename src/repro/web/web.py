@@ -5,8 +5,8 @@ from __future__ import annotations
 from typing import Iterator
 
 from ..errors import WebDisError
-from ..html.parser import parse_html
-from ..urlutils import Url, classify_link, parse_url
+from ..html.parser import parse_html, resolved_links
+from ..urlutils import Url
 from .site import Site
 
 __all__ = ["Web"]
@@ -90,22 +90,8 @@ class Web:
         html = self.html_for(url)
         if html is None:
             return []
-        base = url.without_fragment()
-        parsed = parse_html(html)
-        resolve_base = base
-        if parsed.base_href:
-            try:
-                resolve_base = parse_url(parsed.base_href, base=base)
-            except Exception:
-                pass
-        links: list[tuple[Url, str]] = []
-        for anchor in parsed.anchors:
-            try:
-                href = parse_url(anchor.href, base=resolve_base)
-            except Exception:
-                continue
-            links.append((href, classify_link(base, href)))
-        return links
+        links = resolved_links(parse_html(html), url.without_fragment())
+        return [(href, symbol) for __, href, symbol in links]
 
     def to_networkx(self):  # pragma: no cover - convenience for notebooks
         """Export the link graph as a ``networkx.DiGraph`` (edge attr ``ltype``)."""

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import re
+import sys
 import time
 
 import pytest
@@ -10,11 +13,19 @@ from hypothesis import given, settings, strategies as st
 
 from repro import QueryStatus, WebDisEngine
 from repro.core.aio_engine import AsyncioWebDisEngine
-from repro.html.parser import parse_html
-from repro.html.tokenizer import tokenize
+from repro.html.parser import decode_entities, parse_html
 from repro.model.database import build_node_database
+from repro.testing import html_reference
 from repro.urlutils import parse_url
+from repro.web import (
+    SyntheticWebConfig,
+    build_campus_web,
+    build_figure1_web,
+    build_figure5_web,
+    build_synthetic_web,
+)
 from repro.web.builders import WebBuilder
+from repro.web.hierarchy import HierarchyConfig, build_hierarchy_web
 
 
 class TestTitleAndText:
@@ -131,9 +142,9 @@ class TestBaseHref:
 # -- hostile corpus (ROADMAP item 4(4)) ------------------------------------------
 #
 # Pages are outside input.  Whatever they contain, the document pipeline must
-# not raise, must emit at most one token per character, and must produce text
-# the wire codec can ship.  This corpus is also the differential oracle a
-# replacement scanner (ROADMAP item 1(a)) has to agree with.
+# not raise, must do work linear in the page's length, and must produce text
+# the wire codec can ship.  The same corpus feeds the differential oracle
+# below: the scanner against the token-stream parser it replaced.
 
 URL = parse_url("http://hostile.example/page.html")
 
@@ -154,10 +165,55 @@ HOSTILE = {
 }
 
 
+#: The per-document work ceiling: a megabyte of the markup that used to cost
+#: a ``str.find`` over the tail, or a slice of it, per character.
+WORK_CEILING = {
+    "lt-then-gt": "<" * 50_000 + ">" * 50_000,
+    "lt-only": "<" * 1_000_000,
+    "amp-only": "&" * 1_000_000,
+    "amp-then-semicolon": "&" * 500_000 + ";",
+    "open-tags-never-closed": "<a x " * 200_000,
+    "end-tags-with-attributes": "</b x " * 200_000 + ">",
+    "whitespace-inside-tags": ("<a" + " " * 250_000 + "</a" + " " * 250_000) * 2,
+}
+
+#: Markup fragments the generated pages are assembled from; the second half
+#: are the ones that broke faster prototypes of the scanner.
+_FRAGMENTS = [
+    "<b>", "</b>", "<i>", "</i>", "<p>", "<hr>", "<title>", "</title>",
+    "<script>", "</script>", "<a href=", "</a>", "<base href='", "<!--",
+    "-->", "<!", "&#", "&amp", "&#55296;", "&#1114112;",
+    "<BR />", "<br/>", "< /b >", '<A HREF="y&amp;z">', "<a\nhref=q>",
+    "<base href='< /b >", "<b x>", "<\u00e9>", "</\u00e9>", "</b x>",
+    "<\u0130>", "</\u0130>", "<a href='x />", "<a href=x/>", "<b:c-d_e>", "<a =href=1 href>",
+    "&#00000065;", "&#000000065;", "<base href=y />", "<title/>", "<!-->",
+    "<1>", "</1>", "<_b>", "</-b>", "<b1>",
+]
+
+_generated_pages = st.lists(
+    st.one_of(
+        st.sampled_from(_FRAGMENTS),
+        st.text(
+            alphabet="<>/&#;=\"' abcdefghijklmnopqrstuvwxyz0123456789\t\n\x0c\xa0", max_size=12
+        ),
+    ),
+    max_size=40,
+).map("".join)
+
+
+class _CountingPage(str):
+    """A page that adds up how many characters its ``find`` calls look at."""
+
+    scanned = 0
+
+    def find(self, sub, start=0, end=None):
+        at = super().find(sub, start, len(self) if end is None else end)
+        self.scanned += (at if at >= 0 else len(self)) + len(sub) - start
+        return at
+
+
 def _survives(html: str) -> None:
-    parse_html(html)
     database = build_node_database(URL, html)
-    assert len(list(tokenize(html))) <= len(html) + 1
     for row in (*database.document.rows(), *database.anchor.rows(), *database.relinfon.rows()):
         for cell in row:
             if isinstance(cell, str):
@@ -187,24 +243,113 @@ class TestHostileCorpus:
         doc = parse_html("<i>a <b>deep</i> z</b>")
         assert [(r.delimiter, r.text) for r in doc.relinfons] == [("i", "a deep")]
 
+    @pytest.mark.parametrize("name", WORK_CEILING)
+    def test_work_is_linear_in_the_page(self, name):
+        html = WORK_CEILING[name]
+        started = time.perf_counter()
+        _survives(html)
+        assert time.perf_counter() - started < 2.0
+
+    @pytest.mark.parametrize("name", WORK_CEILING)
+    def test_no_find_rescans_the_tail(self, name):
+        # The clock cannot see a quadratic memchr at a megabyte; a count can.
+        page = _CountingPage(WORK_CEILING[name])
+        parse_html(page)
+        assert page.scanned <= 3 * len(page)
+
     @settings(max_examples=300, deadline=None)
-    @given(
-        st.lists(
-            st.one_of(
-                st.sampled_from(
-                    [
-                        "<b>", "</b>", "<i>", "</i>", "<p>", "<hr>", "<title>", "</title>",
-                        "<script>", "</script>", "<a href=", "</a>", "<base href='", "<!--",
-                        "-->", "<!", "&#", "&amp", "&#55296;", "&#1114112;",
-                    ]
-                ),
-                st.text(alphabet="<>/&#;=\"' abcdefghijklmnopqrstuvwxyz0123456789", max_size=12),
-            ),
-            max_size=40,
-        ).map("".join)
-    )
+    @given(_generated_pages)
     def test_generated(self, html):
         _survives(html)
+
+
+# -- differential oracle ------------------------------------------------------------
+#
+# The engine's data-shipping oracle builds its databases through the same
+# ``parse_html`` as the query-servers, so it cannot see a scanner bug.  The
+# token-stream parser the scanner replaced can: same input, equal document.
+
+
+def _agrees_with_reference(html: str) -> None:
+    got, expected = parse_html(html), html_reference.parse_html(html)
+    for field in dataclasses.fields(expected):
+        assert getattr(got, field.name) == getattr(expected, field.name), (field.name, html[:200])
+    assert got == expected
+
+
+def _rich_web():
+    """The shape of EXP-E1's ``eval_join`` web: many anchors with fragments,
+    emphasized segments of six delimiters, ruled blocks."""
+    delimiters = ("b", "i", "em", "strong", "u", "tt")
+    builder = WebBuilder()
+    for site_index in range(2):
+        site = builder.site(f"rich{site_index}.example")
+        for page in range(6):
+            site.page(
+                f"/p{page}.html",
+                title=f"rich page {site_index}-{page} <&>",
+                links=[
+                    (f"{delimiters[j % 6]} ref {j}", f"/p{(page + j) % 6}.html#s{j}")
+                    for j in range(30 + page)
+                ],
+                emphasized=[
+                    (delimiters[j % 6], f"segment {j} of page {page}") for j in range(15 + page)
+                ],
+                ruled=[f"ruled {j} block" for j in range(5)],
+            )
+    return builder.build()
+
+
+_WEB_FAMILIES = {
+    "synthetic": lambda: build_synthetic_web(
+        SyntheticWebConfig(
+            sites=32, pages_per_site=20, local_out_degree=3,
+            global_out_degree=2, padding_words=50,
+        )
+    ),
+    "rich": _rich_web,
+    "campus": build_campus_web,
+    "figure1": build_figure1_web,
+    "figure5": build_figure5_web,
+    "hierarchy": lambda: build_hierarchy_web(HierarchyConfig()),
+}
+
+
+class TestDifferentialOracle:
+    @pytest.mark.parametrize("name", HOSTILE)
+    def test_hostile_corpus(self, name):
+        _agrees_with_reference(HOSTILE[name])
+
+    @pytest.mark.parametrize("family", _WEB_FAMILIES)
+    def test_every_page_of_the_web_families(self, family):
+        web = _WEB_FAMILIES[family]()
+        assert web.page_count()
+        for url in web.urls():
+            _agrees_with_reference(web.html_for(url))
+
+    def test_regex_classes_are_the_str_predicates(self):
+        # The reference asks str.isspace / str.isalnum per character; the
+        # scanner asks \s and \w.  Same sets, on every code point.
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert set(re.findall(r"\s", every)) == {c for c in every if c.isspace()}
+        assert set(re.findall(r"\w", every)) == {c for c in every if c.isalnum() or c == "_"}
+
+    def test_every_pair_of_fragments(self):
+        # What the random grammar reaches only by luck: each fragment in the
+        # state every other fragment leaves behind, with an anchor to close.
+        for first in _FRAGMENTS:
+            for second in _FRAGMENTS:
+                _agrees_with_reference(f"s{first}t{second}u</a>v<hr>")
+
+    @settings(max_examples=1000, deadline=None)
+    @given(_generated_pages)
+    def test_generated(self, html):
+        _agrees_with_reference(html)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.text(alphabet="&#;x0123456789ampltgquo "))
+    def test_decode_entities(self, text):
+        assert decode_entities(text) == html_reference.decode_entities(text)
 
 
 def _hostile_web():

@@ -1,14 +1,33 @@
-"""Tests for the HTML tokenizer."""
+"""Tests for the token-stream reference parser.
+
+The tokenizer left production with the fused scanner and lives on in
+``repro.testing.html_reference`` as its differential reference; these tests
+keep pinning what the reference does.  The entity cases run against both
+``decode_entities`` implementations, the reference's and the scanner's.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.html.tokenizer import Comment, EndTag, StartTag, Text, decode_entities, tokenize
+from repro.html import parser as scanner
+from repro.html.parser import parse_html
+from repro.testing.html_reference import (
+    Comment, EndTag, StartTag, Text, decode_entities, tokenize,
+)
+
+DECODERS = (decode_entities, scanner.decode_entities)
 
 
 def toks(html: str):
     return list(tokenize(html))
+
+
+def test_production_exports_no_token_stream():
+    with pytest.raises(ImportError):
+        from repro.html import tokenize  # noqa: F401
+    with pytest.raises(ImportError):
+        import repro.html.tokenizer  # noqa: F401
 
 
 class TestBasicTokens:
@@ -102,25 +121,33 @@ class TestMalformedInput:
 
 class TestEntities:
     def test_named(self):
-        assert decode_entities("a &amp; b") == "a & b"
+        for decode in DECODERS:
+            assert decode("a &amp; b") == "a & b"
+            assert decode("&AMP;&apos;&nbsp;&quot;") == "&' \""
 
     def test_lt_gt(self):
-        assert decode_entities("&lt;x&gt;") == "<x>"
+        for decode in DECODERS:
+            assert decode("&lt;x&gt;") == "<x>"
 
     def test_numeric(self):
-        assert decode_entities("&#65;") == "A"
+        for decode in DECODERS:
+            assert decode("&#65;") == "A"
 
     def test_unknown_left_alone(self):
-        assert decode_entities("&bogus;") == "&bogus;"
+        for decode in DECODERS:
+            assert decode("&bogus;") == "&bogus;"
 
     def test_unterminated_left_alone(self):
-        assert decode_entities("a & b") == "a & b"
+        for decode in DECODERS:
+            assert decode("a & b") == "a & b"
 
     def test_in_text_token(self):
         assert toks("a &amp; b") == [Text("a & b")]
+        assert parse_html("a &amp; b").text == "a & b"
 
     def test_numeric_range_ends(self):
-        assert decode_entities("&#0;&#55295;&#57344;&#1114111;") == "\x00\ud7ff\ue000\U0010ffff"
+        for decode in DECODERS:
+            assert decode("&#0;&#55295;&#57344;&#1114111;") == "\x00\ud7ff\ue000\U0010ffff"
 
     @pytest.mark.parametrize(
         "reference",
@@ -134,11 +161,22 @@ class TestEntities:
         ],
     )
     def test_character_reference_naming_no_character_stays_literal(self, reference):
-        assert decode_entities(f"a{reference}b") == f"a{reference}b"
+        for decode in DECODERS:
+            assert decode(f"a{reference}b") == f"a{reference}b"
         assert toks(f"<p>{reference}</p>")[1] == Text(reference)
         (tag,) = toks(f'<a href="{reference}">')
         assert tag.attrs["href"] == reference
+        assert parse_html(f"<p>{reference}</p>").text == reference
+        assert parse_html(f'<a href="{reference}">x</a>').anchors[0].href == reference
 
     def test_decoded_text_is_always_utf8_encodable(self):
-        for code in (0xD7FF, 0xD800, 0xDBFF, 0xDC00, 0xDFFF, 0xE000, 0x110000):
-            decode_entities(f"&#{code};").encode("utf-8")
+        for decode in DECODERS:
+            for code in (0xD7FF, 0xD800, 0xDBFF, 0xDC00, 0xDFFF, 0xE000, 0x110000):
+                decode(f"&#{code};").encode("utf-8")
+
+    def test_window_is_ten_characters(self):
+        # "&" + nine characters + ";" is the longest reference looked at.
+        for decode in DECODERS:
+            assert decode("&#00000065;") == "A"
+            assert decode("&#000000065;") == "&#000000065;"
+            assert decode("&" + "x" * 10 + "&amp;") == "&" + "x" * 10 + "&"

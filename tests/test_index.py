@@ -127,6 +127,10 @@ class TestCrawler:
         result = crawl(builder.build(), ["http://a.example/"])
         assert result.pages_fetched == 1
 
+    def test_each_page_is_parsed_once(self, campus_web, parse_calls):
+        result = crawl(campus_web, ["http://www.csa.iisc.ernet.in/"])
+        assert len(parse_calls) == result.pages_fetched
+
     def test_bfs_order(self, campus_web):
         result = crawl(campus_web, ["http://www.csa.iisc.ernet.in/"])
         assert str(result.visited[0]) == "http://www.csa.iisc.ernet.in/"

@@ -11,6 +11,7 @@ from repro.model import LinkType
 from repro.model.database import DatabaseConstructor, build_node_database
 from repro.net.stats import TrafficStats
 from repro.urlutils import Url, parse_url
+from repro.web.builders import WebBuilder
 from repro.web.campus import build_campus_web
 from repro.web.site import Page, Site
 
@@ -300,6 +301,17 @@ def _anchor_rich_html() -> str:
         + "".join(anchors)
         + "</ul><hr>CONVENER someone<hr></body></html>"
     )
+
+
+def test_out_links_are_the_constructors_links():
+    """One resolver: ``Web.out_links`` and the ANCHOR relation agree, link by
+    link, on a page with a foreign ``<base href>`` and unresolvable hrefs."""
+    builder = WebBuilder()
+    builder.site(URL.host).raw_page(URL.path, _anchor_rich_html())
+    web = builder.build()
+    rows = build_node_database(URL, web.html_for(URL)).anchor.rows()
+    assert web.out_links(URL) == [(parse_url(row[2]), row[3]) for row in rows]
+    assert len(web.out_links(URL)) == 50  # the ten empty hrefs are skipped
 
 
 def _rows_digest(databases) -> tuple[str, int]:

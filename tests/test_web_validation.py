@@ -88,6 +88,12 @@ class TestLintChecks:
         assert report.render().startswith("web lint:")
 
 
+def test_each_page_is_parsed_once(parse_calls):
+    web = build_campus_web()
+    lint_web(web)
+    assert len(parse_calls) == web.page_count()
+
+
 class TestLintCli:
     def test_clean_exit_zero(self, capsys):
         code = main(["lint", "--web", "campus"])

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""cProfile harness for the engine's hot paths (EXP-P1 / EXP-P2 workloads).
+"""cProfile harness for the engine's hot paths (EXP-P1 / EXP-P2 / first touch).
 
 Runs one of the perf-bench workloads under :mod:`cProfile` and prints the
 top-N functions by cumulative time, so a perf regression can be localized
@@ -8,12 +8,13 @@ without wiring up an external profiler::
     PYTHONPATH=src python tools/profile_hotpath.py                  # all
     PYTHONPATH=src python tools/profile_hotpath.py --workload p1
     PYTHONPATH=src python tools/profile_hotpath.py --workload p2 --top 40
+    PYTHONPATH=src python tools/profile_hotpath.py --workload build --sort tottime
     PYTHONPATH=src python tools/profile_hotpath.py --sort tottime
     PYTHONPATH=src python tools/profile_hotpath.py --out p2.pstats  # dump
     PYTHONPATH=src python tools/profile_hotpath.py --json > prof.json
 
-The workloads are imported from the benches themselves, so the profile
-always matches what the perf gates measure:
+The ``p1`` / ``p2`` workloads are imported from the benches themselves, so
+the profile always matches what the perf gates measure:
 
 * ``p1`` — EXP-P1: every (node-query, node-database) pair of the hot-path
   bench — paper-sized pages, hot pages, the sitewide scan and the
@@ -22,7 +23,12 @@ always matches what the perf gates measure:
   the generic per-row fallback), each expansion stage and the projectors
   show up as distinct frames of :mod:`repro.relational.columnar`;
 * ``p2`` — EXP-P2: the frontier-batching drill-down workload, one full
-  engine run with the knob on and one with it off.
+  engine run with the knob on and one with it off;
+* ``build`` — the first touch of a page: ``build_node_database`` (the HTML
+  scanner, link resolution, the three tables) over every page of EXP-E1's
+  32×20 spot-check web, the work ``cold_default`` pays per visit.  The web
+  is built here from its config; ``tools/`` does not import
+  ``benchmarks/e2e``.
 
 ``--json`` emits the top-N table as machine-readable JSON (one list per
 workload: function, ncalls, tottime, cumtime) for diffing profiles across
@@ -69,16 +75,41 @@ def _p2_pass() -> None:
     _run(4, False, template, pages)
 
 
-WORKLOAD_PASSES = {"p1": _p1_pass, "p2": _p2_pass}
+def _spot_check_pages() -> list:
+    """``(url, html)`` of EXP-E1's spot-check web, built outside the profile."""
+    from repro.web.synthetic import SyntheticWebConfig, build_synthetic_web
+
+    web = build_synthetic_web(
+        SyntheticWebConfig(
+            sites=32, pages_per_site=20, local_out_degree=3,
+            global_out_degree=2, padding_words=50,
+        )
+    )
+    return [(url, web.html_for(url)) for url in web.urls()]
+
+
+def _build_pass(pages: list) -> None:
+    """Every page of the spot-check web through the Database Constructor."""
+    from repro.model.database import build_node_database
+
+    for url, html in pages:
+        build_node_database(url, html)
+
+
+WORKLOAD_PASSES = {"p1": _p1_pass, "p2": _p2_pass, "build": _build_pass}
+#: Input a pass takes, prepared before the profiler is switched on.
+WORKLOAD_INPUTS = {"build": _spot_check_pages}
 
 
 def profile_workload(
     name: str, sort: str, top: int, out: str | None
 ) -> tuple[str, list[dict]]:
     """Profile one workload; returns (stats text, JSON rows)."""
+    prepare = WORKLOAD_INPUTS.get(name)
+    inputs = (prepare(),) if prepare else ()
     profiler = cProfile.Profile()
     profiler.enable()
-    WORKLOAD_PASSES[name]()
+    WORKLOAD_PASSES[name](*inputs)
     profiler.disable()
 
     if out:

@@ -314,6 +314,4 @@ class DataShippingEngine:
 
 
 def _state_of(query: WebQuery, work: _Work):
-    from ..core.state import QueryState
-
-    return QueryState(len(query.steps) - work.step_index, work.rem)
+    return query.program.row(work.step_index, work.rem).state

@@ -249,8 +249,8 @@ class UserSiteClient:
             self.site, port, lambda src, payload: self._receive(handle, src, payload)
         )
 
-        initial_pre = query.steps[0].pre
-        state = query.initial_state()
+        start = query.program.starts[0]
+        state = start.state
         by_site: dict[str, list[Url]] = {}
         for url in query.start_urls:
             node = url.without_fragment()
@@ -263,8 +263,9 @@ class UserSiteClient:
         for site, nodes in by_site.items():
             groups = [tuple(nodes)] if self.config.batch_per_site else [(n,) for n in nodes]
             for group in groups:
-                clone = QueryClone(query, 0, initial_pre, group).with_identity(
-                    self._mint_dispatch_id(), handle.recovery_epoch
+                clone = QueryClone.at(
+                    query, start, group,
+                    dispatch_id=self._mint_dispatch_id(), epoch=handle.recovery_epoch,
                 )
                 for node in group:
                     handle.cht.add(
@@ -490,8 +491,9 @@ class UserSiteClient:
             for instance in instances:
                 seen.setdefault(instance.node, instance)
             clone = QueryClone(
-                query, step_index, rem, tuple(seen)
-            ).with_identity(self._mint_dispatch_id(), epoch)
+                query, step_index, rem, tuple(seen),
+                dispatch_id=self._mint_dispatch_id(), epoch=epoch,
+            )
             for node, instance in seen.items():
                 handle.cht.supersede(
                     instance.dispatch_id, node, clone.dispatch_id, epoch, now

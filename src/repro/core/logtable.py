@@ -86,28 +86,23 @@ class NodeQueryLogTable:
         between states with equal ``num_q`` (the paper requires all fields
         equal except the PRE).
         """
-        return self._observe_entry(self._entries.setdefault((node, qid), []), state, now, None)
+        return self._observe_entry(self._entries.setdefault((node, qid), []), state, now)
 
     def observe_bulk(
         self, nodes: tuple[Url, ...], qid: QueryId, state: QueryState, now: float
     ) -> list[LogObservation]:
         """Admit one clone's whole destination list in a single pass.
 
-        All of a clone's nodes arrive in the same ``state``, so the
-        state-vs-logged-state relation is a pure function of the *logged*
-        PRE — the pass shares one relation cache across nodes instead of
-        re-deriving ``A*m·B`` comparisons per node.  Observation order (and
-        therefore every drop/rewrite/insert outcome and counter) is exactly
-        the per-node ``observe`` sequence.
+        All of a clone's nodes arrive in the same ``state``, so the rewrite
+        is derived once for the pass.  Observation order (and therefore
+        every drop/rewrite/insert outcome and counter) is exactly the
+        per-node ``observe`` sequence.
         """
         entries_map = self._entries
-        cache: dict[Pre, LogComparison] = {}
         rewritten: Pre | None = None
         observations = []
         for node in nodes:
-            obs = self._observe_entry(
-                entries_map.setdefault((node, qid), []), state, now, cache
-            )
+            obs = self._observe_entry(entries_map.setdefault((node, qid), []), state, now)
             if obs.action is LogAction.REWRITE:
                 # rewrite_superset(state.rem) is node-independent too.
                 if rewritten is None:
@@ -118,24 +113,18 @@ class NodeQueryLogTable:
         return observations
 
     def _observe_entry(
-        self,
-        entries: list[_LogEntry],
-        state: QueryState,
-        now: float,
-        cache: dict[Pre, LogComparison] | None,
+        self, entries: list[_LogEntry], state: QueryState, now: float
     ) -> LogObservation:
+        # A state minted by a query's protocol table remembers its §3.1.1
+        # relations (num_q already matched, so the logged PRE is the key).
+        row = state.row
         for entry in entries:
             if entry.state.num_q != state.num_q:
                 continue
-            if cache is None:
+            if row is None:
                 relation = compare_for_log(state.rem, entry.state.rem)
             else:
-                # Keyed by the logged PRE only: the incoming PRE is fixed
-                # for the pass, and num_q already matched above.
-                relation = cache.get(entry.state.rem)
-                if relation is None:
-                    relation = compare_for_log(state.rem, entry.state.rem)
-                    cache[entry.state.rem] = relation
+                relation = row.relation(entry.state.rem)
             if relation is LogComparison.DUPLICATE:
                 self.drops += 1
                 return LogObservation(LogAction.DROP)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from ..errors import DisqlSemanticsError
 from ..relational.query import ResultRow
+from ..storedhash import cache_field, stored_hash
 from ..urlutils import Url
 from .state import QueryState
 from .webquery import QueryClone, QueryId
@@ -44,11 +45,13 @@ class Disposition(enum.Enum):
 
 
 @dataclass(frozen=True, slots=True)
+@stored_hash
 class ChtEntry:
     """One ``(node URL, query state)`` pair — the CHT's key."""
 
     node: Url
     state: QueryState
+    _hash: int | None = cache_field()
 
     def size_bytes(self) -> int:
         return len(str(self.node)) + self.state.size_bytes()
@@ -91,7 +94,7 @@ class NodeReport:
         size = self.entry.size_bytes() + 1
         size += sum(entry.size_bytes() for entry in self.new_entries)
         for label, row in self.results:
-            size += len(label) + sum(len(str(value)) for value in row.values)
+            size += len(label) + row.value_bytes()
         size += len(self.dispatch_id) + 4 + sum(len(cid) for cid in self.child_ids)
         return size
 

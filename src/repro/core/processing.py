@@ -9,6 +9,11 @@ Given one destination node's virtual-relation database and the clone state
 * which result rows to return;
 * which ``(step_index, rem', target)`` forwards to emit.
 
+The state ``(step_index, rem)`` is a row of the query's protocol table
+(:mod:`repro.core.program`): what the PRE says about a state — nullable?
+which link types, leading where? — is read off the row, which derived it
+once per query by calling :mod:`repro.pre.ops`.
+
 State worklist: a successful node-query both *continues the current PRE*
 (deeper nodes may also satisfy ``q_k``) and *starts the next PRE* at this
 very node — when ``p_{k+1}`` is itself nullable the node immediately
@@ -23,35 +28,43 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from ..model.database import NodeDatabase
-from ..model.relations import LinkType
-from ..pre.ast import Never, Pre
-from ..pre.ops import advance, first_symbols, nullable
+from ..pre.ast import Pre
 from ..relational.query import ResultRow, evaluate_node_query
 from ..urlutils import Url
 from .config import EngineConfig
+from .program import StateRow
 from .trace import PURE_ROUTER, SERVER_ROUTER
 from .webquery import WebQuery
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..relational.compile import CompiledPlan
     from .messages import NodeReport
-    from .resultmemo import NodeMemoView
+    from .resultmemo import ResultMemo
     from .webquery import QueryClone
 
 __all__ = ["Forward", "FrontierResult", "NodeOutcome", "process_frontier", "process_node"]
 
 
-@dataclass(frozen=True, slots=True)
-class Forward:
-    """One outgoing clone seed: evaluate step ``step_index`` after ``rem``."""
+class Forward(NamedTuple):
+    """One outgoing clone seed: ``target`` is to be visited in state ``row``.
 
-    step_index: int
-    rem: Pre
+    Hashes and compares as ``(row identity, target)`` — within one query's
+    program that is ``(step_index, rem, target)``.
+    """
+
+    row: StateRow
     target: Url
+
+    @property
+    def step_index(self) -> int:
+        return self.row.step_index
+
+    @property
+    def rem(self) -> Pre:
+        return self.row.rem
 
 
 @dataclass
@@ -97,7 +110,7 @@ def process_node(
     config: EngineConfig,
     site_documents=None,
     plan_for: "Callable[[int], CompiledPlan] | None" = None,
-    memo: "NodeMemoView | None" = None,
+    memo: "ResultMemo | None" = None,
 ) -> NodeOutcome:
     """Run the ServerRouter/PureRouter logic for one node.
 
@@ -109,7 +122,7 @@ def process_node(
     query); when None, evaluation falls back to the tree-walking
     interpreter.  Both paths are result-identical — same rows, same order.
 
-    ``memo`` is the cross-query memo bound to this node (EXP-P4): rows and
+    ``memo`` is the site's cross-query memo (EXP-P4): this node's rows and
     forward fan-outs are served from it when present, and ``database`` may
     then be a zero-arg *provider* that is only invoked — paying the
     document parse and table build — if some probe actually misses.  A full
@@ -126,19 +139,21 @@ def process_node(
     else:
         def resolve_db(db: NodeDatabase = database) -> NodeDatabase:
             return db
-    pending: deque[tuple[int, Pre]] = deque([(step_index, rem)])
-    seen: set[tuple[int, Pre]] = set()
+    steps = query.steps
+    pending: deque[StateRow] = deque([query.program.row(step_index, rem)])
+    seen: set[StateRow] = set()
 
     while pending:
-        k, current = pending.popleft()
-        if (k, current) in seen:
+        row = pending.popleft()
+        if row in seen:
             continue
-        seen.add((k, current))
+        seen.add(row)
 
         forward_continuations = True
-        if nullable(current) and k < len(query.steps):
-            step = query.steps[k]
-            rows = memo.rows(k) if memo is not None else None
+        if row.nullable:
+            k = row.step_index
+            step = steps[k]
+            rows = memo.rows_for(node, step.query) if memo is not None else None
             if rows is None:
                 db = resolve_db()
                 if plan_for is None:
@@ -149,19 +164,19 @@ def process_node(
                 if step.query.sitewide_aliases and site_documents is not None:
                     outcome.tuples_scanned += len(site_documents)
                 if memo is not None:
-                    memo.store_rows(k, tuple(rows))
+                    memo.store_rows(node, step.query, tuple(rows))
             success = bool(rows)
             outcome.evaluations.append((k, success))
             if success:
-                label = query.step_label(k)
-                outcome.results.extend((label, row) for row in rows)
-                if k + 1 < len(query.steps):
-                    pending.append((k + 1, query.steps[k + 1].pre))
+                label = step.query.label
+                outcome.results.extend([(label, result) for result in rows])
+                if row.next_start is not None:
+                    pending.append(row.next_start)
             elif config.strict_dead_end:
                 forward_continuations = False
 
         if forward_continuations:
-            _emit_forwards(outcome, resolve_db, k, current, memo)
+            _emit_forwards(outcome, resolve_db, node, row, memo)
 
     return outcome
 
@@ -239,50 +254,34 @@ def process_frontier(
     return result
 
 
-@lru_cache(maxsize=65536)
-def _fanout(rem: Pre) -> tuple[tuple[LinkType, Pre], ...]:
-    """The ``(symbol, derivative)`` fan-out of ``rem``, memoized.
-
-    A run revisits the same handful of distinct ``rem`` states at every
-    node of the traversal; computing the first-symbol set, sorting it and
-    taking the derivatives once per distinct state removes that work from
-    the per-node hot path.  Pure function of ``rem`` (PREs are immutable),
-    so a shared cache is safe.
-    """
-    pairs = []
-    for ltype in sorted(first_symbols(rem), key=lambda lt: lt.value):
-        next_rem = advance(rem, ltype)
-        if not isinstance(next_rem, Never):
-            pairs.append((ltype, next_rem))
-    return tuple(pairs)
-
-
 def _emit_forwards(
     outcome: NodeOutcome,
     resolve_db: "Callable[[], NodeDatabase]",
-    k: int,
-    rem: Pre,
-    memo: "NodeMemoView | None" = None,
+    node: Url,
+    row: StateRow,
+    memo: "ResultMemo | None" = None,
 ) -> None:
-    """Append one forward per (link matching ``rem``'s first symbols).
+    """Append one forward per (link matching ``row``'s first symbols).
 
-    Targets are the database's precomputed per-``LinkType`` selections
-    (:meth:`NodeDatabase.forward_targets` — fragments stripped once per
-    database, not per probe).  With a memo bound they come from (and feed)
-    the cross-query fan-out memo, and the database is only resolved on a
-    miss.
+    Which link types to follow, and the row each leads to, come from the
+    row's fan-out.  Targets are the database's precomputed per-``LinkType``
+    selections (:meth:`NodeDatabase.forward_targets` — fragments stripped
+    once per database, not per probe).  With a memo they come from (and
+    feed) the cross-query fan-out memo, and the database is only resolved
+    on a miss.
     """
     emitted = outcome._emitted
-    fanout = _fanout(rem)
-    targets = memo.fanout(rem) if memo is not None else None
+    forwards = outcome.forwards
+    fanout = row.fanout()
+    targets = memo.fanout_for(node, row.rem) if memo is not None else None
     if targets is None:
         database = resolve_db()
         targets = {ltype: database.forward_targets(ltype) for ltype, __ in fanout}
         if memo is not None:
-            memo.store_fanout(rem, targets)
-    for ltype, next_rem in fanout:
+            memo.store_fanout(node, row.rem, targets)
+    for ltype, next_row in fanout:
         for target in targets.get(ltype, ()):
-            forward = Forward(k, next_rem, target)
+            forward = Forward(next_row, target)
             if forward not in emitted:
                 emitted.add(forward)
-                outcome.forwards.append(forward)
+                forwards.append(forward)

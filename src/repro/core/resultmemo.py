@@ -52,9 +52,8 @@ from ..urlutils import Url
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..net.stats import TrafficStats
-    from .webquery import WebQuery
 
-__all__ = ["NodeMemoView", "ResultMemo"]
+__all__ = ["ResultMemo"]
 
 #: Fan-out payload: per link type, the forward targets (fragment-stripped),
 #: in the page's link order.
@@ -122,11 +121,15 @@ class ResultMemo:
         """
         key = (node, structural_hash(query))
         entry = self._rows.get(key)
+        stats = self._stats
         if entry is None or entry.full_key != structural_key(query):
-            self._count("memo_misses")
+            if stats is not None:
+                stats.memo_misses += 1
             return None
-        self._touch(("r",) + key)
-        self._count("memo_hits")
+        if self.capacity is not None:
+            self._touch(("r",) + key)
+        if stats is not None:
+            stats.memo_hits += 1
         return entry.rows
 
     def store_rows(self, node: Url, query: NodeQuery, rows: tuple[ResultRow, ...]) -> None:
@@ -146,14 +149,18 @@ class ResultMemo:
         first symbols.  The filtered fan-out is promoted to an exact entry
         so the residual filter is paid once per (node, state).
         """
+        stats = self._stats
         per_node = self._fanout.get(node)
         if per_node is None:
-            self._count("memo_misses")
+            if stats is not None:
+                stats.memo_misses += 1
             return None
         entry = per_node.get(rem)
         if entry is not None:
-            self._touch(("f", node, rem))
-            self._count("memo_hits")
+            if self.capacity is not None:
+                self._touch(("f", node, rem))
+            if stats is not None:
+                stats.memo_hits += 1
             return entry.targets
         needed = first_symbols(rem)
         for general, candidate in per_node.items():
@@ -170,10 +177,12 @@ class ResultMemo:
             }
             per_node[rem] = _FanoutEntry(filtered, self.version)
             self._account(("f", node, rem), _fanout_bytes(filtered))
-            self._count("memo_hits")
-            self._count("residual_filters")
+            if stats is not None:
+                stats.memo_hits += 1
+                stats.residual_filters += 1
             return filtered
-        self._count("memo_misses")
+        if stats is not None:
+            stats.memo_misses += 1
         return None
 
     def store_fanout(self, node: Url, rem: Pre, targets: FanoutTargets) -> None:
@@ -241,14 +250,14 @@ class ResultMemo:
     def __len__(self) -> int:
         return len(self._rows) + sum(len(v) for v in self._fanout.values())
 
-    def view(self, node: Url, query: "WebQuery") -> "NodeMemoView":
-        """Bind the memo to one (node, web-query) for a process_node call."""
-        return NodeMemoView(self, node, query)
-
     # -- LRU bookkeeping ------------------------------------------------------
 
     def _touch(self, key: tuple) -> None:
-        """Refresh recency on a verified hit (no-op if unaccounted yet)."""
+        """Refresh recency on a verified hit (no-op if unaccounted yet).
+
+        Only called on a bounded memo: without a capacity nothing is ever
+        evicted, so recency has no reader.
+        """
         if key in self._lru:
             self._lru.move_to_end(key)
 
@@ -278,15 +287,12 @@ class ResultMemo:
             self.bytes_est -= victim_size
             self._gauge(-victim_size)
             self.evictions += 1
-            self._count("memo_evictions")
+            if self._stats is not None:
+                self._stats.memo_evictions += 1
 
     def _gauge(self, delta: int) -> None:
         if self._stats is not None and delta:
             self._stats.memo_bytes_est += delta
-
-    def _count(self, counter: str) -> None:
-        if self._stats is not None:
-            setattr(self._stats, counter, getattr(self._stats, counter) + 1)
 
 
 # Flat per-object size guesses (CPython-ish): this is a gauge for dashboards
@@ -311,35 +317,3 @@ def _fanout_bytes(targets: FanoutTargets) -> int:
     for urls in targets.values():
         total += 24 + _URL_EST * len(urls)
     return total
-
-
-class NodeMemoView:
-    """Memo access scoped to one node and one web-query's steps.
-
-    This is the adapter :func:`~repro.core.processing.process_node` talks
-    to: ``rows(k)`` / ``store_rows(k, rows)`` address step ``k``'s
-    node-query, ``fanout(rem)`` / ``store_fanout(rem, targets)`` address
-    the PRE state — the view owns the (node, step → structural key)
-    resolution so the processing hot path stays protocol-free.
-    """
-
-    __slots__ = ("_memo", "_node", "_query")
-
-    def __init__(self, memo: ResultMemo, node: Url, query: "WebQuery") -> None:
-        self._memo = memo
-        self._node = node
-        self._query = query
-
-    def rows(self, step_index: int) -> tuple[ResultRow, ...] | None:
-        return self._memo.rows_for(self._node, self._query.steps[step_index].query)
-
-    def store_rows(self, step_index: int, rows: tuple[ResultRow, ...]) -> None:
-        self._memo.store_rows(
-            self._node, self._query.steps[step_index].query, rows
-        )
-
-    def fanout(self, rem: Pre) -> FanoutTargets | None:
-        return self._memo.fanout_for(self._node, rem)
-
-    def store_fanout(self, rem: Pre, targets: FanoutTargets) -> None:
-        self._memo.store_fanout(self._node, rem, targets)

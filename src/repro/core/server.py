@@ -59,14 +59,12 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import replace
-from typing import Callable
 
 from ..model.database import DatabaseConstructor
 from ..net.network import HELPER_PORT, QUERY_PORT, Network, SendOutcome
 from ..net.reliable import ReliableChannel
 from ..net.simclock import SimClock
 from ..net.stats import TrafficStats
-from ..pre.ast import Pre
 from ..urlutils import Url
 from ..web.web import Web
 from .config import EngineConfig
@@ -79,41 +77,7 @@ from .scheduler import make_scheduler
 from .trace import Tracer
 from .webquery import QueryClone, QueryId
 
-__all__ = ["CloneProcessor", "QueryServer", "stamp_identities"]
-
-
-def stamp_identities(
-    clone: QueryClone,
-    reports: list[NodeReport],
-    clones: list[QueryClone],
-    mint: Callable[[], str],
-) -> list[NodeReport]:
-    """Echo the parent's dispatch identity and mint the children's.
-
-    Each outgoing clone gets a fresh dispatch id from ``mint`` (epoch
-    inherited from the parent); the reports announce it via ``child_ids``
-    so the user-site registers exactly the identity the child's own report
-    will later echo.  Mutates ``clones`` in place so the stamped copies are
-    the ones forwarded.
-    """
-    child_of: dict[tuple[Url, object], str] = {}
-    for index, child in enumerate(clones):
-        stamped = child.with_identity(mint(), clone.epoch)
-        clones[index] = stamped
-        for node in stamped.dest:
-            child_of[(node, stamped.state)] = stamped.dispatch_id
-    return [
-        replace(
-            report,
-            dispatch_id=clone.dispatch_id,
-            epoch=clone.epoch,
-            child_ids=tuple(
-                child_of.get((entry.node, entry.state), "")
-                for entry in report.new_entries
-            ),
-        )
-        for report in reports
-    ]
+__all__ = ["CloneProcessor", "QueryServer"]
 
 
 class CloneProcessor:
@@ -158,8 +122,18 @@ class CloneProcessor:
             self._trace_nodes(clone, "purged")
             return [], [], self.config.node_service_time
 
-        reports: list[NodeReport] = []
+        row = clone.row
+        state = row.state
+        #: Per visited node: its report minus the identities, which exist
+        #: only once the node list is done and the forwards are grouped into
+        #: clones — ``(entry, disposition, results, forwards announced)``.
+        visits: list[tuple[ChtEntry, Disposition, tuple, int]] = []
         all_forwards: list[Forward] = []
+        #: Forwards already announced for an earlier node of this clone.
+        #: Without it, two destination nodes at one site pointing at the same
+        #: target would add two CHT entries for a single eventual visit and
+        #: the query would never be detected complete.
+        announced: set[Forward] = set()
         service = 0.0
         plan_for = self.plans.bind(clone.query) if self.config.compiled_plans else None
         tracing = self.tracer.enabled
@@ -167,18 +141,17 @@ class CloneProcessor:
         sitewide, site_documents = clone.query.sitewide, None
 
         # Bulk admission: one log-table pass for the clone's whole node
-        # list (all nodes share the clone's state, so the pass can share
-        # its subsumption comparisons).  Node order — and therefore every
-        # drop/rewrite outcome — is the per-node sequence.
+        # list (all nodes share the clone's state).  Node order — and
+        # therefore every drop/rewrite outcome — is the per-node sequence.
         observations = (
-            self.log_table.observe_bulk(clone.dest, qid, clone.state, now)
+            self.log_table.observe_bulk(clone.dest, qid, state, now)
             if self.config.log_table_enabled
             else None
         )
 
         for index, node in enumerate(clone.dest):
-            entry = ChtEntry(node, clone.state)
-            rem: Pre = clone.rem
+            entry = ChtEntry(node, state)
+            visit_row = row
             disposition = Disposition.PROCESSED
 
             if observations is not None:
@@ -188,19 +161,18 @@ class CloneProcessor:
                     service += self.config.node_service_time
                     if tracing:
                         self.tracer.record(
-                            now, str(node), self.site, clone.state, "-", "duplicate-dropped"
+                            now, str(node), self.site, state, "-", "duplicate-dropped"
                         )
-                    reports.append(NodeReport(entry, Disposition.DUPLICATE))
+                    visits.append((entry, Disposition.DUPLICATE, (), 0))
                     continue
                 if observation.action is LogAction.REWRITE:
-                    assert observation.rewritten_rem is not None
-                    rem = observation.rewritten_rem
+                    visit_row = row.rewritten()
                     disposition = Disposition.REWRITTEN
                     self.stats.queries_rewritten += 1
                     if tracing:
                         self.tracer.record(
-                            now, str(node), self.site, clone.state, "-", "rewritten",
-                            detail=f"rem -> {rem}",
+                            now, str(node), self.site, state, "-", "rewritten",
+                            detail=f"rem -> {visit_row.rem}",
                         )
 
             html = self._html_for(node)
@@ -208,9 +180,9 @@ class CloneProcessor:
                 service += self.config.node_service_time
                 if tracing:
                     self.tracer.record(
-                        now, str(node), self.site, clone.state, "-", "missing"
+                        now, str(node), self.site, state, "-", "missing"
                     )
-                reports.append(NodeReport(entry, Disposition.MISSING))
+                visits.append((entry, Disposition.MISSING, (), 0))
                 continue
 
             # The database is built lazily: a node fully served from the
@@ -231,10 +203,11 @@ class CloneProcessor:
                     self.web.site(node.host), self.stats
                 )
             outcome = process_node(
-                node, provider, clone.query, clone.step_index, rem, self.config,
+                node, provider, clone.query, visit_row.step_index, visit_row.rem,
+                self.config,
                 site_documents=site_documents,
                 plan_for=plan_for,
-                memo=self.memo.view(node, clone.query) if self.memo is not None else None,
+                memo=self.memo,
             )
             if built:
                 service += self.config.service_time(len(html), outcome.tuples_scanned)
@@ -243,44 +216,45 @@ class CloneProcessor:
             self.stats.node_queries_evaluated += len(outcome.evaluations)
             self._trace_outcome(now, node, clone, outcome)
 
-            new_forwards = self._dedupe_forwards(outcome.forwards, all_forwards)
-            new_entries = tuple(
-                ChtEntry(fw.target, self._forward_state(clone, fw)) for fw in new_forwards
+            before = len(all_forwards)
+            for forward in outcome.forwards:
+                if forward not in announced:
+                    announced.add(forward)
+                    all_forwards.append(forward)
+            visits.append(
+                (entry, disposition, tuple(outcome.results), len(all_forwards) - before)
             )
-            all_forwards.extend(new_forwards)
-            reports.append(NodeReport(entry, disposition, new_entries, tuple(outcome.results)))
 
-        clones = self._build_clones(clone, all_forwards)
-        reports = stamp_identities(clone, reports, clones, self._mint_dispatch_id)
+        # Identities: each outgoing clone travels under a fresh dispatch id
+        # (epoch inherited from the parent), and the reports announce it via
+        # ``child_ids`` so the user-site registers exactly the identity the
+        # child's own report will later echo.
+        clones, child_ids = self._build_clones(clone, all_forwards)
+        reports: list[NodeReport] = []
+        start = 0
+        for entry, disposition, results, count in visits:
+            stop = start + count
+            reports.append(
+                NodeReport(
+                    entry, disposition,
+                    tuple(
+                        [ChtEntry(fw.target, fw.row.state) for fw in all_forwards[start:stop]]
+                    ),
+                    results, clone.dispatch_id, clone.epoch, tuple(child_ids[start:stop]),
+                )
+            )
+            start = stop
         return reports, clones, service
-
-    @staticmethod
-    def _dedupe_forwards(
-        candidates: list[Forward], already: list[Forward]
-    ) -> list[Forward]:
-        """Keep only forwards not yet emitted during this clone's processing.
-
-        Without this, two destination nodes at one site pointing at the same
-        target would add two CHT entries for a single eventual visit and the
-        query would never be detected complete.
-        """
-        seen = set(already)
-        fresh: list[Forward] = []
-        for forward in candidates:
-            if forward not in seen:
-                seen.add(forward)
-                fresh.append(forward)
-        return fresh
-
-    def _forward_state(self, clone: QueryClone, forward: Forward):
-        return QueryClone(
-            clone.query, forward.step_index, forward.rem, (forward.target,)
-        ).state
 
     def _build_clones(
         self, clone: QueryClone, forwards: list[Forward]
-    ) -> list[QueryClone]:
+    ) -> tuple[list[QueryClone], list[str]]:
         """Group forwards into clones (optimization 4: one per site & state).
+
+        Returns the clones, each stamped with a freshly minted dispatch
+        identity, and — parallel to ``forwards`` — the identity each forward
+        travels under.  ``forwards`` holds no duplicates (the caller's
+        ``announced`` set), so neither does a clone's node list.
 
         With a ``pump_budget`` configured, each group's node list is further
         chunked to at most ``pump_budget`` nodes per clone: a whole BFS
@@ -291,29 +265,29 @@ class CloneProcessor:
         and each carries its own dispatch identity, so CHT accounting is
         exactly as without chunking.
         """
-        groups: dict[tuple[str, int, Pre], list[Url]] = {}
-        for forward in forwards:
-            if self.config.batch_per_site:
-                key = (forward.target.host, forward.step_index, forward.rem)
-            else:
-                key = (str(forward.target), forward.step_index, forward.rem)  # type: ignore[assignment]
-            groups.setdefault(key, []).append(forward.target)
+        per_site = self.config.batch_per_site
+        groups: dict[tuple, list[int]] = {}
+        for index, (row, target) in enumerate(forwards):
+            groups.setdefault((target.host if per_site else target, row), []).append(index)
         history = self._child_history(clone)
         budget = self.config.pump_budget
-        clones = []
-        for (__, step_index, rem), targets in groups.items():
-            deduped = tuple(dict.fromkeys(targets))
-            if budget is None or len(deduped) <= budget:
-                clones.append(QueryClone(clone.query, step_index, rem, deduped, history))
-            else:
-                for start in range(0, len(deduped), budget):
-                    clones.append(
-                        QueryClone(
-                            clone.query, step_index, rem,
-                            deduped[start:start + budget], history,
-                        )
+        query, epoch = clone.query, clone.epoch
+        clones: list[QueryClone] = []
+        child_ids = [""] * len(forwards)
+        for (__, row), members in groups.items():
+            size = len(members) if budget is None else budget
+            for start in range(0, len(members), size):
+                chunk = members[start:start + size]
+                dispatch_id = self._mint_dispatch_id()
+                clones.append(
+                    QueryClone.at(
+                        query, row, tuple([forwards[i].target for i in chunk]),
+                        history, dispatch_id, epoch,
                     )
-        return clones
+                )
+                for i in chunk:
+                    child_ids[i] = dispatch_id
+        return clones, child_ids
 
     # -- tracing ----------------------------------------------------------------
 

@@ -15,13 +15,16 @@ from ..errors import DisqlSemanticsError
 from ..pre.ast import Pre
 from ..pre.ops import pre_size
 from ..relational.query import NodeQuery
+from ..storedhash import cache_field, stored_hash
 from ..urlutils import Url
+from .program import QueryProgram, StateRow
 from .state import QueryState
 
 __all__ = ["QueryId", "WebQueryStep", "WebQuery", "QueryClone"]
 
 
 @dataclass(frozen=True, slots=True)
+@stored_hash
 class QueryId:
     """Globally unique query identity + the user's return address (§4.1)."""
 
@@ -29,6 +32,7 @@ class QueryId:
     host: str
     port: int
     number: int
+    _hash: int | None = cache_field()
 
     def __str__(self) -> str:
         return f"{self.user}@{self.host}:{self.port}/{self.number}"
@@ -71,6 +75,7 @@ class WebQuery:
     display_order: tuple[tuple[str, bool], ...] = ()
     #: Cap on displayed rows per node-query (None = unlimited).
     display_limit: int | None = None
+    _program: QueryProgram | None = cache_field()
 
     def __post_init__(self) -> None:
         if not self.start_urls:
@@ -87,11 +92,24 @@ class WebQuery:
         """Whether a node-query ranges a document alias over its whole site (§7.1)."""
         return any(step.query.sitewide_aliases for step in self.steps)
 
+    @property
+    def program(self) -> QueryProgram:
+        """This query's protocol table, built on first use.
+
+        Belongs to this object, not to its value: a copy (:meth:`with_qid`,
+        a wire decode) builds its own.
+        """
+        program = self._program
+        if program is None:
+            program = QueryProgram(self.steps)
+            object.__setattr__(self, "_program", program)
+        return program
+
     def step_label(self, index: int) -> str:
         return self.steps[index].query.label
 
     def initial_state(self) -> QueryState:
-        return QueryState(len(self.steps), self.steps[0].pre)
+        return self.program.starts[0].state
 
     def with_qid(self, qid: QueryId) -> "WebQuery":
         return replace(self, qid=qid)
@@ -119,12 +137,12 @@ class QueryClone:
     #: Dispatch identity, minted by whoever forwards this clone (the
     #: user-site client or a server) and echoed back in the resulting
     #: :class:`~repro.core.messages.NodeReport` so the CHT can retire the
-    #: clone's entries idempotently.  Empty only until the dispatcher
-    #: stamps the clone (:meth:`with_identity`); every sent clone has one.
+    #: clone's entries idempotently.  Every sent clone has one.
     dispatch_id: str = ""
     #: Recovery epoch of the query when this dispatch chain was created;
     #: children inherit it, re-forwards bump it.
     epoch: int = 0
+    _row: StateRow | None = cache_field()
 
     def __post_init__(self) -> None:
         if not self.dest:
@@ -142,17 +160,37 @@ class QueryClone:
         """The destination site (all ``dest`` nodes share it)."""
         return self.dest[0].host
 
+    @classmethod
+    def at(
+        cls,
+        query: WebQuery,
+        row: StateRow,
+        dest: tuple[Url, ...],
+        history: tuple[str, ...] = (),
+        dispatch_id: str = "",
+        epoch: int = 0,
+    ) -> "QueryClone":
+        """A clone of ``query`` in the state of ``row`` (a row of its program)."""
+        clone = cls(query, row.step_index, row.rem, dest, history, dispatch_id, epoch)
+        object.__setattr__(clone, "_row", row)
+        return clone
+
+    @property
+    def row(self) -> StateRow:
+        """The row of the query's protocol table for ``(step_index, rem)``."""
+        row = self._row
+        if row is None:
+            row = self.query.program.row(self.step_index, self.rem)
+            object.__setattr__(self, "_row", row)
+        return row
+
     @property
     def state(self) -> QueryState:
-        return QueryState(len(self.query.steps) - self.step_index, self.rem)
+        return self.row.state
 
     @property
     def kind(self) -> str:
         return "query"
-
-    def with_identity(self, dispatch_id: str, epoch: int) -> "QueryClone":
-        """A copy stamped with a dispatch identity (see ``dispatch_id``)."""
-        return replace(self, dispatch_id=dispatch_id, epoch=epoch)
 
     def size_bytes(self) -> int:
         """Serialized size: qid + remaining steps + current PRE + node list.
@@ -160,11 +198,12 @@ class QueryClone:
         Only the *remaining* node-queries travel — the paper notes that a
         clone is the "rest of the query".
         """
-        remaining = sum(step.size_bytes() for step in self.query.steps[self.step_index :])
+        row = self.row
+        remaining = row.program.remaining_bytes[self.step_index]
         dests = sum(len(str(url)) for url in self.dest)
         trail = sum(len(site) + 2 for site in self.history)
         identity = len(self.dispatch_id) + 4
         return (
-            self.query.qid.size_bytes() + remaining + 4 * pre_size(self.rem)
+            self.query.qid.size_bytes() + remaining + row.rem_bytes
             + dests + trail + identity + 16
         )

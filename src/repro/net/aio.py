@@ -220,10 +220,12 @@ class StaticPortMap(PortMap):
 class _Link:
     """One persistent outbound connection, serialized by a FIFO lock."""
 
-    __slots__ = ("lock", "reader", "writer")
+    __slots__ = ("lock", "sends", "reader", "writer")
 
     def __init__(self) -> None:
         self.lock = asyncio.Lock()
+        #: Sends holding or waiting for ``lock``; a link is idle at zero.
+        self.sends = 0
         self.reader: asyncio.StreamReader | None = None
         self.writer: asyncio.StreamWriter | None = None
 
@@ -516,7 +518,18 @@ class AsyncioTransport:
         key = (src, dst, port)
         link = self._links.get(key)
         if link is None:
+            self._sweep_links()
             link = self._links[key] = _Link()
+        link.sends += 1
+        try:
+            return await self._transfer(link, frame, src, dst, port, payload)
+        finally:
+            link.sends -= 1
+
+    async def _transfer(
+        self, link: _Link, frame: bytes, src: str, dst: str, port: int, payload: Payload
+    ) -> SendOutcome:
+        """Write ``frame`` on ``link`` (connecting first if needed), await the ack."""
         async with link.lock:
             reused_first = link.writer is not None
             attempt = 0
@@ -565,6 +578,23 @@ class AsyncioTransport:
                 for tap in self._taps:
                     tap(self.clock.now, src, dst, port, payload)
                 return SendOutcome.DELIVERED
+
+    def _sweep_links(self) -> None:
+        """Drop idle links that no longer have a live connection.
+
+        A result port lives for one query, so the links to it would
+        otherwise pile up — one open socket each, or an empty entry after a
+        refused connect — until :meth:`aclose`.  Runs when a new link is
+        about to be added, which bounds the table by the links in use plus
+        those that died since the last new one.
+        """
+        for key, link in list(self._links.items()):
+            if link.sends:
+                continue
+            reader, writer = link.reader, link.writer
+            if reader is None or writer is None or reader.at_eof() or writer.is_closing():
+                _drop_link(link)
+                del self._links[key]
 
     async def _connect(
         self, link: _Link, dst: str, port: int

@@ -16,7 +16,9 @@ numbers is updates from a second loop or a worker thread.  Call
 :meth:`bind_owner` (the asyncio backend does) to *enforce* that rule:
 after binding, any counter write from a different thread raises instead of
 racing, so backend stats are trustworthy by construction rather than by
-convention.
+convention.  The check exists only between :meth:`~TrafficStats.bind_owner`
+and :meth:`~TrafficStats.unbind_owner`; the simulator's counters are plain
+attribute writes.
 """
 
 from __future__ import annotations
@@ -181,27 +183,21 @@ class TrafficStats:
         The asyncio backend binds its event-loop thread so that any stray
         update from another loop or worker thread raises immediately
         instead of silently losing increments to a read-modify-write race.
-        Scalar counter writes are checked in ``__setattr__``; the Counter
-        fields are only mutated through :meth:`record_send` /
-        :meth:`record_processing`, whose scalar twins trip the same check.
+        Scalar counter writes are checked by the ``__setattr__`` of
+        :class:`_OwnedTrafficStats`, which the instance becomes while
+        bound; the Counter fields are only mutated through
+        :meth:`record_send` / :meth:`record_processing`, whose scalar twins
+        trip the same check.
         """
         self.__dict__["_owner_thread"] = (
             threading.get_ident() if thread_id is None else thread_id
         )
+        self.__class__ = _OwnedTrafficStats
 
     def unbind_owner(self) -> None:
         """Lift the :meth:`bind_owner` restriction (single-threaded again)."""
+        object.__setattr__(self, "__class__", TrafficStats)
         self.__dict__.pop("_owner_thread", None)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        owner = self.__dict__.get("_owner_thread")
-        if owner is not None and threading.get_ident() != owner:
-            raise RuntimeError(
-                f"TrafficStats.{name} written from thread {threading.get_ident()}"
-                f" but the stats are owned by thread {owner}; counters are not"
-                " thread-safe — route updates through the owning event loop"
-            )
-        object.__setattr__(self, name, value)
 
     def record_send(self, src_site: str, kind: str, size: int) -> None:
         """Account one successfully initiated message."""
@@ -236,3 +232,21 @@ class TrafficStats:
         flat["events_saved"] = self.events_saved
         flat["messages_saved"] = self.messages_saved
         return flat
+
+
+class _OwnedTrafficStats(TrafficStats):
+    """A :class:`TrafficStats` while bound to an owner thread.
+
+    Same fields, same methods; the write check lives here so that an
+    unbound instance pays nothing for it.
+    """
+
+    def __setattr__(self, name: str, value: object) -> None:
+        owner = self.__dict__["_owner_thread"]
+        if threading.get_ident() != owner:
+            raise RuntimeError(
+                f"TrafficStats.{name} written from thread {threading.get_ident()}"
+                f" but the stats are owned by thread {owner}; counters are not"
+                " thread-safe — route updates through the owning event loop"
+            )
+        object.__setattr__(self, name, value)

@@ -1,7 +1,9 @@
 """PRE abstract syntax.
 
 Nodes are immutable and structurally hashable — the node-query log table and
-the CHT both key on query states that embed a PRE.  Construction goes
+the CHT both key on query states that embed a PRE — and each node computes
+its hash once (:func:`~repro.storedhash.stored_hash`): a tree is walked by
+``hash()`` the first time only.  Construction goes
 through the smart constructors :func:`concat`, :func:`alt` and
 :func:`repeat`, which apply *unit and absorption* simplifications only:
 
@@ -22,6 +24,7 @@ from typing import Iterable, Union
 
 from ..errors import PreSemanticsError
 from ..model.relations import LinkType
+from ..storedhash import cache_field, stored_hash
 
 __all__ = [
     "Pre",
@@ -44,27 +47,35 @@ UNBOUNDED: None = None
 
 
 @dataclass(frozen=True, slots=True)
+@stored_hash
 class Empty:
     """The zero-length path — what the paper writes as the null link ``N``."""
+
+    _hash: int | None = cache_field()
 
     def __str__(self) -> str:
         return "N"
 
 
 @dataclass(frozen=True, slots=True)
+@stored_hash
 class Never:
     """The empty path *set*: no path matches.  Appears only as a derivative
     result (a dead direction); it is not writable in PRE syntax."""
+
+    _hash: int | None = cache_field()
 
     def __str__(self) -> str:
         return "0"
 
 
 @dataclass(frozen=True, slots=True)
+@stored_hash
 class Atom:
     """A single link traversal of the given type (``I``, ``L`` or ``G``)."""
 
     ltype: LinkType
+    _hash: int | None = cache_field()
 
     def __post_init__(self) -> None:
         if self.ltype is LinkType.NULL:
@@ -75,26 +86,31 @@ class Atom:
 
 
 @dataclass(frozen=True, slots=True)
+@stored_hash
 class Concat:
     """``parts[0] · parts[1] · ...`` — always ≥ 2 parts after simplification."""
 
     parts: tuple["Pre", ...]
+    _hash: int | None = cache_field()
 
     def __str__(self) -> str:
         return ".".join(_wrap(part, for_concat=True) for part in self.parts)
 
 
 @dataclass(frozen=True, slots=True)
+@stored_hash
 class Alt:
     """``options[0] | options[1] | ...`` — always ≥ 2 options, deduplicated."""
 
     options: tuple["Pre", ...]
+    _hash: int | None = cache_field()
 
     def __str__(self) -> str:
         return "|".join(str(option) for option in self.options)
 
 
 @dataclass(frozen=True, slots=True)
+@stored_hash
 class Repeat:
     """Zero to ``bound`` repetitions of ``body`` (``bound=None`` = unbounded).
 
@@ -104,6 +120,7 @@ class Repeat:
 
     body: "Pre"
     bound: int | None
+    _hash: int | None = cache_field()
 
     def __post_init__(self) -> None:
         if self.bound is not None and self.bound < 1:

@@ -32,7 +32,6 @@ database.
 from __future__ import annotations
 
 import hashlib
-from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..errors import DisqlSemanticsError, EvaluationError, SchemaError
@@ -158,7 +157,22 @@ class CompiledPlan:
         return results
 
 
-@lru_cache(maxsize=65536)
+def _structure(query: NodeQuery) -> tuple[str, str]:
+    """``(structural key, digest)`` of ``query``, computed once per object.
+
+    Kept on the node-query itself (outside its value): the plan cache and
+    the memo ask on every node visit, and a cache keyed on the query would
+    have to hash the whole tree to answer.
+    """
+    structure = query._structure
+    if structure is None:
+        key = repr((query.select, query.tables, query.where, query.sitewide_aliases))
+        digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).hexdigest()
+        structure = (key, digest)
+        object.__setattr__(query, "_structure", structure)
+    return structure
+
+
 def structural_key(query: NodeQuery) -> str:
     """The qid-independent identity of a node-query's *structure*.
 
@@ -172,10 +186,9 @@ def structural_key(query: NodeQuery) -> str:
     prettified ``str(query)``, so no two distinct structures can collide
     on rendering.
     """
-    return repr((query.select, query.tables, query.where, query.sitewide_aliases))
+    return _structure(query)[0]
 
 
-@lru_cache(maxsize=65536)
 def structural_hash(query: NodeQuery) -> str:
     """Short digest of :func:`structural_key` — the cache key.
 
@@ -184,9 +197,7 @@ def structural_hash(query: NodeQuery) -> str:
     :class:`~repro.core.plancache.PlanCache`): a digest can collide, and a
     collision served silently would mean wrong rows.
     """
-    return hashlib.blake2b(
-        structural_key(query).encode("utf-8"), digest_size=8
-    ).hexdigest()
+    return _structure(query)[1]
 
 
 def compile_node_query(query: NodeQuery) -> CompiledPlan:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..errors import DisqlSemanticsError, SchemaError
+from ..storedhash import cache_field, stored_hash
 from .expr import TRUE, Attr, Expr, attrs_referenced, conjuncts, evaluate
 from .table import Table
 
@@ -46,6 +47,7 @@ class TableDecl:
 
 
 @dataclass(frozen=True, slots=True)
+@stored_hash
 class NodeQuery:
     """A locally evaluable select/from/where triple.
 
@@ -65,6 +67,10 @@ class NodeQuery:
     where: Expr = TRUE
     label: str = "q"
     sitewide_aliases: tuple[str, ...] = ()
+    _hash: int | None = cache_field()
+    #: ``(structural key, digest)``, filled on first use by
+    #: :func:`~repro.relational.compile.structural_key`.
+    _structure: tuple[str, str] | None = cache_field()
 
     def __post_init__(self) -> None:
         if not self.select:
@@ -115,6 +121,19 @@ class ResultRow:
 
     header: tuple[str, ...]
     values: tuple[object, ...]
+    _value_bytes: int | None = cache_field()
+
+    def value_bytes(self) -> int:
+        """Rendered size of the values: the row's share of ``size_bytes()``.
+
+        Memoized rows are re-sent by every query that visits their node, so
+        the rendering is done once per row.
+        """
+        size = self._value_bytes
+        if size is None:
+            size = sum(len(str(value)) for value in self.values)
+            object.__setattr__(self, "_value_bytes", size)
+        return size
 
     def as_mapping(self) -> dict[str, object]:
         return dict(zip(self.header, self.values))

@@ -14,7 +14,8 @@ lives here next to the URL type rather than in the link-model module.
 URLs in this library are the simplified ``scheme://host/path[#fragment]``
 shape that the 1999-era Web (and the paper's examples) used.  The type is a
 frozen dataclass so URLs can key dictionaries and sets — both the CHT and the
-node-query log table are keyed by node URL.
+node-query log table are keyed by node URL.  A URL computes its hash and its
+rendered text once, on first use; neither is part of its value.
 """
 
 from __future__ import annotations
@@ -24,12 +25,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import UrlError
+from .storedhash import cache_field, stored_hash
 
 DEFAULT_SCHEME = "http"
 _SCHEME_SEP = "://"
 
 
 @dataclass(frozen=True, slots=True)
+@stored_hash
 class Url:
     """A parsed, normalized URL.
 
@@ -45,6 +48,8 @@ class Url:
     path: str = "/"
     fragment: str = ""
     scheme: str = DEFAULT_SCHEME
+    _hash: int | None = cache_field()
+    _text: str | None = cache_field()
 
     def __post_init__(self) -> None:
         if not self.host:
@@ -68,8 +73,13 @@ class Url:
         return Url(self.host, self.path, fragment, self.scheme)
 
     def __str__(self) -> str:
-        base = f"{self.scheme}{_SCHEME_SEP}{self.host}{self.path}"
-        return f"{base}#{self.fragment}" if self.fragment else base
+        text = self._text
+        if text is None:
+            text = f"{self.scheme}{_SCHEME_SEP}{self.host}{self.path}"
+            if self.fragment:
+                text = f"{text}#{self.fragment}"
+            object.__setattr__(self, "_text", text)
+        return text
 
 
 def parse_url(text: str, *, base: Url | None = None) -> Url:

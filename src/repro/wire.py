@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import struct
+from collections import OrderedDict
 from typing import Any
 
 from .baselines.docservice import DocResponse, FetchRequest
@@ -237,7 +238,35 @@ def _webquery_to_wire(query: WebQuery) -> Any:
     return encoded
 
 
+#: The web-queries this process decoded most recently, by qid, each beside
+#: the JSON object it was decoded from.  Every clone of a query carries the
+#: whole query, so a site decodes the same object once per clone; serving a
+#: repeat from here also keeps the query's protocol table
+#: (:attr:`WebQuery.program`) — one ``WebQuery`` instance per query per
+#: process, as on the simulator.
+_DECODED_QUERIES: "OrderedDict[str, tuple[Any, WebQuery]]" = OrderedDict()
+
+
 def _webquery_from_wire(data: Any) -> WebQuery:
+    """Decode a web-query, reusing the retained decode of the same JSON.
+
+    A retained query is served only when the received object ``==`` the one
+    it was decoded from — the qid is the lookup key, never the proof.
+    """
+    key = repr(data["qid"])  # total on any JSON value, unlike hashing it
+    retained = _DECODED_QUERIES.get(key)
+    if retained is not None and retained[0] == data:
+        _DECODED_QUERIES.move_to_end(key)
+        return retained[1]
+    query = _decode_webquery(data)
+    _DECODED_QUERIES[key] = (data, query)
+    _DECODED_QUERIES.move_to_end(key)
+    while len(_DECODED_QUERIES) > 256:
+        _DECODED_QUERIES.popitem(last=False)
+    return query
+
+
+def _decode_webquery(data: Any) -> WebQuery:
     return WebQuery(
         qid=_qid_from_wire(data["qid"]),
         start_urls=tuple(parse_url(u) for u in data["starts"]),
@@ -313,42 +342,62 @@ _KIND_DOC = "doc"
 _KIND_BUNDLE = "clone-bundle"
 
 
+def _clone_body(clone: QueryClone) -> dict:
+    body = {
+        "query": _webquery_to_wire(clone.query),
+        "step": clone.step_index,
+        "rem": pre_to_wire(clone.rem),
+        "dest": [str(u) for u in clone.dest],
+        "hist": list(clone.history),
+    }
+    if clone.dispatch_id:
+        body["did"] = clone.dispatch_id
+    if clone.epoch:
+        body["ep"] = clone.epoch
+    return body
+
+
+def _clone_from_body(body: Any) -> QueryClone:
+    return QueryClone(
+        query=_webquery_from_wire(body["query"]),
+        step_index=body["step"],
+        rem=pre_from_wire(body["rem"]),
+        dest=tuple(parse_url(u) for u in body["dest"]),
+        history=tuple(body["hist"]),
+        dispatch_id=body.get("did", ""),
+        epoch=body.get("ep", 0),
+    )
+
+
+def _result_body(message: ResultMessage) -> dict:
+    return {
+        "qid": _qid_to_wire(message.qid),
+        "reports": [_report_to_wire(r) for r in message.reports],
+        "chan": message.kind,
+    }
+
+
+def _result_from_body(body: Any) -> ResultMessage:
+    return ResultMessage(
+        qid=_qid_from_wire(body["qid"]),
+        reports=tuple(_report_from_wire(r) for r in body["reports"]),
+        kind=body["chan"],
+    )
+
+
 def encode_message(message: object) -> bytes:
     """Serialize any WEBDIS payload to wire bytes."""
     if isinstance(message, CloneBundle):
-        body = {
-            "clones": [
-                json.loads(encode_message(clone).decode("utf-8"))["b"]
-                for clone in message.clones
-            ]
-        }
-        envelope = {"v": WIRE_VERSION, "k": _KIND_BUNDLE, "b": body}
-        return json.dumps(envelope, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
-    if isinstance(message, QueryClone):
-        body = {
-            "query": _webquery_to_wire(message.query),
-            "step": message.step_index,
-            "rem": pre_to_wire(message.rem),
-            "dest": [str(u) for u in message.dest],
-            "hist": list(message.history),
-        }
-        if message.dispatch_id:
-            body["did"] = message.dispatch_id
-        if message.epoch:
-            body["ep"] = message.epoch
+        body = {"clones": [_clone_body(clone) for clone in message.clones]}
+        kind = _KIND_BUNDLE
+    elif isinstance(message, QueryClone):
+        body = _clone_body(message)
         kind = _KIND_CLONE
     elif isinstance(message, ResultMessage):
-        body = {
-            "qid": _qid_to_wire(message.qid),
-            "reports": [_report_to_wire(r) for r in message.reports],
-            "chan": message.kind,
-        }
+        body = _result_body(message)
         kind = _KIND_RESULT
     elif isinstance(message, RelayMessage):
-        body = {
-            "path": list(message.remaining),
-            "inner": json.loads(encode_message(message.inner).decode("utf-8"))["b"],
-        }
+        body = {"path": list(message.remaining), "inner": _result_body(message.inner)}
         kind = _KIND_RELAY
     elif isinstance(message, FetchRequest):
         body = {
@@ -378,30 +427,11 @@ def decode_message(data: bytes) -> object:
     kind = envelope.get("k")
     body = envelope.get("b")
     if kind == _KIND_CLONE:
-        return QueryClone(
-            query=_webquery_from_wire(body["query"]),
-            step_index=body["step"],
-            rem=pre_from_wire(body["rem"]),
-            dest=tuple(parse_url(u) for u in body["dest"]),
-            history=tuple(body["hist"]),
-            dispatch_id=body.get("did", ""),
-            epoch=body.get("ep", 0),
-        )
+        return _clone_from_body(body)
     if kind == _KIND_RESULT:
-        return ResultMessage(
-            qid=_qid_from_wire(body["qid"]),
-            reports=tuple(_report_from_wire(r) for r in body["reports"]),
-            kind=body["chan"],
-        )
+        return _result_from_body(body)
     if kind == _KIND_RELAY:
-        inner_bytes = json.dumps(
-            {"v": WIRE_VERSION, "k": _KIND_RESULT, "b": body["inner"]},
-            separators=(",", ":"),
-            ensure_ascii=False,
-        ).encode("utf-8")
-        inner = decode_message(inner_bytes)
-        assert isinstance(inner, ResultMessage)
-        return RelayMessage(tuple(body["path"]), inner)
+        return RelayMessage(tuple(body["path"]), _result_from_body(body["inner"]))
     if kind == _KIND_FETCH:
         return FetchRequest(
             parse_url(body["url"]), body["site"], body["port"], body["id"]
@@ -409,17 +439,7 @@ def decode_message(data: bytes) -> object:
     if kind == _KIND_DOC:
         return DocResponse(parse_url(body["url"]), body["html"], body["id"])
     if kind == _KIND_BUNDLE:
-        clones = []
-        for clone_body in body["clones"]:
-            inner_bytes = json.dumps(
-                {"v": WIRE_VERSION, "k": _KIND_CLONE, "b": clone_body},
-                separators=(",", ":"),
-                ensure_ascii=False,
-            ).encode("utf-8")
-            inner = decode_message(inner_bytes)
-            assert isinstance(inner, QueryClone)
-            clones.append(inner)
-        return CloneBundle(tuple(clones))
+        return CloneBundle(tuple(_clone_from_body(clone) for clone in body["clones"]))
     raise WireError(f"unknown message kind {kind!r}")
 
 

@@ -14,6 +14,8 @@ Covers the four layers the optimization touches:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro import (
@@ -119,7 +121,7 @@ class TestCloneBundle:
 
     def test_wire_roundtrip(self):
         bundle = CloneBundle((
-            _clone("/x").with_identity("s1@a.example", 2),
+            replace(_clone("/x"), dispatch_id="s1@a.example", epoch=2),
             _clone("/y"),
         ))
         decoded = decode_message(encode_message(bundle))

@@ -9,8 +9,9 @@ Covers the perf-layer invariants the benchmarks rely on:
 * engine results are bit-identical with ``compiled_plans`` on and off;
 * a disabled tracer costs nothing on the hot path — zero ``record``
   calls, zero event allocations;
-* the per-``rem`` fan-out memo and the hoisted forward-dedup set keep
-  ``_emit_forwards`` linear in the link count.
+* a state's fan-out is derived once per query (a protocol-table row) and
+  the hoisted forward-dedup set keeps ``_emit_forwards`` linear in the link
+  count.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ import pytest
 
 from repro import EngineConfig, WebDisEngine
 from repro.core.plancache import PlanCache
-from repro.core.processing import _fanout
 from repro.core.trace import Tracer
 from repro.core.webquery import QueryId
 from repro.disql import compile_disql
 from repro.model.relations import LinkType
 from repro.pre.ast import Atom, alt, repeat
+from repro.pre.ops import advance
 from repro.web.builders import WebBuilder
 
 QUERY = (
@@ -199,12 +200,25 @@ class TestDisabledTracingIsFree:
 
 
 class TestFanoutMemo:
-    def test_fanout_matches_derivatives_and_is_cached(self):
+    def test_fanout_matches_derivatives_and_is_cached(self, monkeypatch):
+        import repro.core.program as program_module
+
         rem = repeat(alt([Atom(LinkType.LOCAL), Atom(LinkType.GLOBAL)]), 2)
-        _fanout.cache_clear()
-        first = _fanout(rem)
-        assert _fanout(rem) is first
-        assert _fanout.cache_info().hits >= 1
+        row = compile_disql(QUERY).program.row(0, rem)
+        derivations = []
+        original = program_module.first_symbols
+
+        def counting(pre):
+            derivations.append(pre)
+            return original(pre)
+
+        monkeypatch.setattr(program_module, "first_symbols", counting)
+        first = row.fanout()
+        assert row.fanout() is first
+        assert derivations == [rem]  # computed once
+        assert [(ltype, next_row.rem) for ltype, next_row in first] == [
+            (ltype, advance(rem, ltype)) for ltype, __ in first
+        ]
         kinds = {ltype for ltype, __ in first}
         assert kinds == {LinkType.LOCAL, LinkType.GLOBAL}
         # Order is deterministic (sorted by link-type value).

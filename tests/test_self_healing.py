@@ -424,8 +424,9 @@ class TestWireIdentity:
 
     def test_stamped_clone_round_trips(self):
         clone = QueryClone(
-            self._query(), 0, parse_pre("N|G"), (Url("root.example", "/"),)
-        ).with_identity("u3@user.example", 2)
+            self._query(), 0, parse_pre("N|G"), (Url("root.example", "/"),),
+            dispatch_id="u3@user.example", epoch=2,
+        )
         decoded = decode_message(encode_message(clone))
         assert decoded == clone
         assert decoded.dispatch_id == "u3@user.example"

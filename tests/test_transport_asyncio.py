@@ -16,6 +16,7 @@ No pytest-asyncio in the container: each test drives its own loop via
 from __future__ import annotations
 
 import asyncio
+import os
 import threading
 
 import pytest
@@ -45,6 +46,7 @@ from repro.net.reliable import ReliableChannel, RetryPolicy
 from repro.testing.invariants import check_run
 from repro.urlutils import parse_url
 from repro.web.builders import WebBuilder
+from repro.web.synthetic import SyntheticWebConfig, build_synthetic_web
 
 
 def _payload(request_id: int = 1) -> FetchRequest:
@@ -627,3 +629,93 @@ class TestAsyncioEngine:
                 await engine.aclose()
 
         asyncio.run(main())
+
+
+_ZERO_COST = {
+    "node_service_time": 0.0, "parse_time_per_kb": 0.0, "eval_time_per_tuple": 0.0,
+}
+
+
+def _mesh_web():
+    """Six small sites linked mostly across sites, so most hops use a socket."""
+    return build_synthetic_web(
+        SyntheticWebConfig(
+            sites=6, pages_per_site=12, local_out_degree=2,
+            global_out_degree=3, padding_words=30,
+        )
+    )
+
+
+def _mesh_query(site: int) -> str:
+    return (
+        f'select d.url, d.title from document d such that '
+        f'"http://site{site:03d}.example/" (L|G)*2 d where d.title contains "topic"'
+    )
+
+
+async def _finish(engine, text: str):
+    """Submit ``text`` and wait for its completion callback (no polling)."""
+    done = asyncio.get_running_loop().create_future()
+    handle = engine.submit_disql(text, on_complete=lambda __: done.set_result(None))
+    await asyncio.wait_for(done, 30.0)
+    return handle
+
+
+class TestLongLivedSocketEngine:
+    """One engine, many queries: per-query sockets must not pile up."""
+
+    def test_hundred_sequential_queries_leak_no_fds_or_links(self):
+        async def main():
+            engine = AsyncioWebDisEngine(
+                _mesh_web(), config=EngineConfig(transport="asyncio", **_ZERO_COST)
+            )
+            links = engine.network._links
+            try:
+                marks = {}
+                for serial in range(1, 101):
+                    handle = await _finish(engine, _mesh_query(serial % 6))
+                    assert handle.status is QueryStatus.COMPLETE
+                    if serial in (20, 100):
+                        # Let the servers' sends to the closed result port settle.
+                        await asyncio.sleep(0.05)
+                        marks[serial] = (len(os.listdir("/proc/self/fd")), len(links))
+                return marks
+            finally:
+                await engine.aclose()
+
+        marks = asyncio.run(main())
+        (fds_20, links_20), (fds_100, links_100) = marks[20], marks[100]
+        # Flat, not growing: 80 more queries used to add ~400 fds / ~480 links
+        # (a link per server per result port, each an open socket).
+        assert fds_100 - fds_20 <= 16
+        assert links_100 - links_20 <= 16
+
+    def test_cancel_mid_query_still_terminates_passively(self):
+        """§2.8 over sockets: cancel closes the result port, the servers'
+        next dispatch is REFUSED for real and they purge the query."""
+
+        async def main():
+            engine = AsyncioWebDisEngine(
+                _mesh_web(),
+                config=EngineConfig(
+                    transport="asyncio", node_service_time=0.05,
+                    parse_time_per_kb=0.0, eval_time_per_tuple=0.0,
+                ),
+            )
+            try:
+                handle = engine.submit_disql(_mesh_query(0))
+                await asyncio.sleep(0.02)  # start site is mid-service
+                engine.cancel(handle)
+                assert handle.status is QueryStatus.CANCELLED
+                await asyncio.sleep(0.5)
+                purged = [
+                    site for site, server in engine.servers.items()
+                    if handle.qid in server._purged
+                ]
+                return engine.stats.refused_sends, purged
+            finally:
+                await engine.aclose()
+
+        refused, purged = asyncio.run(main())
+        assert refused >= 1
+        assert purged

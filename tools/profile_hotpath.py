@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""cProfile harness for the engine's hot paths (EXP-P1 / EXP-P2 / first touch).
+"""cProfile harness for the engine's hot paths (EXP-P1 / EXP-P2 / first touch / warm).
 
 Runs one of the perf-bench workloads under :mod:`cProfile` and prints the
 top-N functions by cumulative time, so a perf regression can be localized
@@ -9,6 +9,7 @@ without wiring up an external profiler::
     PYTHONPATH=src python tools/profile_hotpath.py --workload p1
     PYTHONPATH=src python tools/profile_hotpath.py --workload p2 --top 40
     PYTHONPATH=src python tools/profile_hotpath.py --workload build --sort tottime
+    PYTHONPATH=src python tools/profile_hotpath.py --workload warm --json
     PYTHONPATH=src python tools/profile_hotpath.py --sort tottime
     PYTHONPATH=src python tools/profile_hotpath.py --out p2.pstats  # dump
     PYTHONPATH=src python tools/profile_hotpath.py --json > prof.json
@@ -28,11 +29,19 @@ the profile always matches what the perf gates measure:
   scanner, link resolution, the three tables) over every page of EXP-E1's
   32×20 spot-check web, the work ``cold_default`` pays per visit.  The web
   is built here from its config; ``tools/`` does not import
-  ``benchmarks/e2e``.
+  ``benchmarks/e2e``;
+* ``warm`` — the warm protocol path, what EXP-E1's ``warm_zipf`` pays: the
+  same web, one engine, the 16-query zipf pool run once so every later
+  probe is a memo hit, then 100 repeats under the profiler.  What is left
+  is protocol — log table, memo probes, clone and report construction,
+  CHT, message sizing — and hashing.
 
 ``--json`` emits the top-N table as machine-readable JSON (one list per
 workload: function, ncalls, tottime, cumtime) for diffing profiles across
-commits.
+commits.  For ``warm`` it adds ``warm_hash_frames_per_query``: the number of
+Python-level ``__hash__`` frames one warm query runs, by class — the count
+that says how much of the path is still hashing trees (it repeats exactly;
+cProfile itself folds every generated ``__hash__`` into one row).
 """
 
 from __future__ import annotations
@@ -77,14 +86,7 @@ def _p2_pass() -> None:
 
 def _spot_check_pages() -> list:
     """``(url, html)`` of EXP-E1's spot-check web, built outside the profile."""
-    from repro.web.synthetic import SyntheticWebConfig, build_synthetic_web
-
-    web = build_synthetic_web(
-        SyntheticWebConfig(
-            sites=32, pages_per_site=20, local_out_degree=3,
-            global_out_degree=2, padding_words=50,
-        )
-    )
+    web = _spot_check_web()
     return [(url, web.html_for(url)) for url in web.urls()]
 
 
@@ -96,9 +98,90 @@ def _build_pass(pages: list) -> None:
         build_node_database(url, html)
 
 
-WORKLOAD_PASSES = {"p1": _p1_pass, "p2": _p2_pass, "build": _build_pass}
+def _spot_check_web():
+    from repro.web.synthetic import SyntheticWebConfig, build_synthetic_web
+
+    return build_synthetic_web(
+        SyntheticWebConfig(
+            sites=32, pages_per_site=20, local_out_degree=3,
+            global_out_degree=2, padding_words=50,
+        )
+    )
+
+
+#: Timed queries of one ``warm`` pass (the size of an EXP-E1 block).
+WARM_REPEATS = 100
+
+
+def _warm_engine() -> tuple:
+    """``(engine, queries)``: a warmed engine and the zipf repeats to profile.
+
+    The pool is EXP-E1's ``warm_zipf`` one — ``(L|G)*3`` then ``(L|G)*2``
+    from eight start sites, zipf weights by rank — run once each so every
+    later probe is a memo hit; the repeats are drawn with a fixed seed.
+    """
+    import random
+
+    from repro import build_engine
+
+    pool = [
+        f'select d.url, d.title, a.href from document d such that '
+        f'"http://site{index:03d}.example/" (L|G)*{depth} d, anchor a '
+        f'where d.title contains "topic"'
+        for depth in (3, 2)
+        for index in range(0, 32, 4)
+    ]
+    engine = build_engine(_spot_check_web())
+    for text in pool:
+        engine.submit_disql(text)
+        engine.run()
+    weights = [1.0 / rank for rank in range(1, len(pool) + 1)]
+    queries = random.Random("profile-warm").choices(pool, weights, k=WARM_REPEATS)
+    return engine, queries
+
+
+def _warm_pass(warmed: tuple) -> None:
+    """The warm protocol path: every row and fan-out probe is a memo hit."""
+    engine, queries = warmed
+    for text in queries:
+        engine.submit_disql(text)
+        engine.run()
+
+
+def hash_frames_per_query() -> dict[str, float]:
+    """Python-level ``__hash__`` frames per warm query, by class of ``self``.
+
+    A second, unprofiled ``warm`` pass under :func:`sys.setprofile`: cProfile
+    merges every dataclass-generated ``__hash__`` into one ``<string>`` row,
+    so the per-class view needs the frame's ``self``.  A count, not a time —
+    it repeats exactly.
+    """
+    from collections import Counter
+
+    warmed = _warm_engine()
+    frames: Counter = Counter()
+
+    def on_event(frame, event, arg) -> None:
+        if event == "call" and frame.f_code.co_name == "__hash__":
+            frames[type(frame.f_locals.get("self")).__name__] += 1
+
+    sys.setprofile(on_event)
+    try:
+        _warm_pass(warmed)
+    finally:
+        sys.setprofile(None)
+    per_query = {
+        name: count / WARM_REPEATS for name, count in frames.most_common()
+    }
+    per_query["total"] = sum(frames.values()) / WARM_REPEATS
+    return per_query
+
+
+WORKLOAD_PASSES = {
+    "p1": _p1_pass, "p2": _p2_pass, "build": _build_pass, "warm": _warm_pass,
+}
 #: Input a pass takes, prepared before the profiler is switched on.
-WORKLOAD_INPUTS = {"build": _spot_check_pages}
+WORKLOAD_INPUTS = {"build": _spot_check_pages, "warm": _warm_engine}
 
 
 def profile_workload(
@@ -171,6 +254,8 @@ def main(argv: list[str] | None = None) -> int:
         text, entries = profile_workload(name, args.sort, args.top, out)
         if args.json:
             as_json[name] = entries
+            if name == "warm":
+                as_json["warm_hash_frames_per_query"] = hash_frames_per_query()
         else:
             print(f"== {name.upper()} workload — top {args.top} by {args.sort} ==")
             print(text)

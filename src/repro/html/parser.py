@@ -27,9 +27,23 @@ attribute values.
 Pages are outside input, so the scan is linear in ``len(html)`` whatever they
 contain: no pattern reads past the next ``<``, the position of the next ``>``
 is remembered across the ``<`` that fail to reach it, and a character
-reference is looked for within the ten characters it may span.  (What the
-RELINFON model itself asks for is not bounded that way: nested containers
-each repeat their inner text.)
+reference is looked for within the ten characters it may span.
+
+**What the scanner keeps.**  It joins nothing but the title.  It keeps the
+visible character runs it collects anyway, and integers into them: per anchor
+the href and the ``(start, end)`` run indexes of its label, per rel-infon the
+delimiter and the ``(start, end)`` of its segment.  A segment with no visible
+text is no rel-infon, and the scanner knows which those are without joining:
+it counts *ink* — the visible runs so far that are not all whitespace
+(``str.isspace`` is exactly the class ``str.split()`` splits on) — and a
+segment is non-empty iff ink rose between its two ends.
+:class:`ParsedDocument` joins and whitespace-normalises the text, the labels
+and the segments when each is first read, and drops the runs and marks once
+all three have been.  So the structural pass — and with it every count the cost model
+reads — is the same whatever a query touches, and what the RELINFON model
+asks for beyond it (nested containers each repeat their inner text:
+``"<b>x" * N + "</b>" * N`` is N marks, and N copies only once read) is paid
+by the reader.
 
 :mod:`repro.testing.html_reference` keeps the tokenizer and tree builder this
 scanner replaced; the test suite holds the two equal on every input it has.
@@ -117,9 +131,12 @@ class RelInfon:
     text: str
 
 
-@dataclass(frozen=True, slots=True)
 class ParsedDocument:
     """The structural summary of one HTML document.
+
+    Built by :func:`parse_html` from the scanner's runs and marks, or from
+    materialised parts (what the reference parser has); the two compare
+    equal when they describe the same document.
 
     Attributes:
         title: content of the first ``<title>`` element ("" when absent).
@@ -131,13 +148,118 @@ class ParsedDocument:
         base_href: the first ``<base href=...>`` value, if any — relative
             hyperlinks resolve against it instead of the document URL
             (HTML 2.0 §5.2.2).
+        anchor_hrefs / anchor_labels: ``anchors`` as two parallel columns.
+        relinfon_delimiters / relinfon_texts: ``relinfons`` likewise.
+
+    ``text``, ``anchor_labels`` and ``relinfon_texts`` are joined on first
+    read; the lists are shared with every reader and must not be mutated.
     """
 
-    title: str
-    text: str
-    anchors: tuple[Anchor, ...]
-    relinfons: tuple[RelInfon, ...]
-    base_href: str | None = None
+    __slots__ = (
+        "title", "base_href", "anchor_hrefs", "relinfon_delimiters",
+        "_text", "_labels", "_segments", "_runs", "_label_spans", "_segment_spans",
+    )
+
+    def __init__(
+        self,
+        title: str,
+        text: str,
+        anchors: "tuple[Anchor, ...]",
+        relinfons: "tuple[RelInfon, ...]",
+        base_href: str | None = None,
+    ) -> None:
+        self.title = title
+        self.base_href = base_href
+        self.anchor_hrefs = [anchor.href for anchor in anchors]
+        self.relinfon_delimiters = [infon.delimiter for infon in relinfons]
+        self._text: str | None = text
+        self._labels: list[str] | None = [anchor.label for anchor in anchors]
+        self._segments: list[str] | None = [infon.text for infon in relinfons]
+        self._runs = self._label_spans = self._segment_spans = None
+
+    @classmethod
+    def _scanned(
+        cls,
+        title: str,
+        base_href: str | None,
+        runs: list[str],
+        hrefs: list[str],
+        label_spans: list[tuple[int, int]],
+        delimiters: list[str],
+        segment_spans: list[tuple[int, int]],
+    ) -> "ParsedDocument":
+        """What the scanner found: nothing joined yet but the title."""
+        self = cls.__new__(cls)
+        self.title = title
+        self.base_href = base_href
+        self.anchor_hrefs = hrefs
+        self.relinfon_delimiters = delimiters
+        self._text = self._labels = self._segments = None
+        self._runs = runs
+        self._label_spans = label_spans
+        self._segment_spans = segment_spans
+        return self
+
+    def _joined(self, spans: list[tuple[int, int]]) -> list[str]:
+        runs = self._runs
+        return [" ".join("".join(runs[start:end]).split()) for start, end in spans]
+
+    def _release(self) -> None:
+        """Drop the runs and marks once nothing is left to join from them."""
+        if self._text is not None and self._labels is not None and self._segments is not None:
+            self._runs = self._label_spans = self._segment_spans = None
+
+    @property
+    def text(self) -> str:
+        text = self._text
+        if text is None:
+            text = self._text = " ".join("".join(self._runs).split())
+            self._release()
+        return text
+
+    @property
+    def anchor_labels(self) -> list[str]:
+        labels = self._labels
+        if labels is None:
+            labels = self._labels = self._joined(self._label_spans)
+            self._release()
+        return labels
+
+    @property
+    def relinfon_texts(self) -> list[str]:
+        segments = self._segments
+        if segments is None:
+            segments = self._segments = self._joined(self._segment_spans)
+            self._release()
+        return segments
+
+    @property
+    def anchors(self) -> tuple[Anchor, ...]:
+        return tuple(map(Anchor, self.anchor_labels, self.anchor_hrefs))
+
+    @property
+    def relinfons(self) -> tuple[RelInfon, ...]:
+        return tuple(map(RelInfon, self.relinfon_delimiters, self.relinfon_texts))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ParsedDocument):
+            return NotImplemented
+        return (
+            self.title == other.title
+            and self.base_href == other.base_href
+            and self.text == other.text
+            and self.anchor_hrefs == other.anchor_hrefs
+            and self.anchor_labels == other.anchor_labels
+            and self.relinfon_delimiters == other.relinfon_delimiters
+            and self.relinfon_texts == other.relinfon_texts
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"ParsedDocument(title={self.title!r}, text={self.text!r}, "
+            f"anchors={self.anchors!r}, relinfons={self.relinfons!r}, "
+            f"base_href={self.base_href!r})"
+        )
 
 
 def _reference_text(match: re.Match[str]) -> str:
@@ -182,14 +304,18 @@ def parse_html(html: str) -> ParsedDocument:
     sink: list[str] | None = runs
     in_title = False
     hidden = 0  # open <script> / <style>
-    anchors: list[Anchor] = []
-    relinfons: list[RelInfon] = []
+    ink = 0  # runs in ``runs`` that are not all whitespace
+    hrefs: list[str] = []  # per anchor, with its label's span of ``runs``
+    label_spans: list[tuple[int, int]] = []
+    delimiters: list[str] = []  # per rel-infon, with its segment's span
+    segment_spans: list[tuple[int, int]] = []
     # A block, an anchor label and a container are each the visible text from
-    # some point on, so each is a mark: an index into ``runs``.
-    block_mark = label_mark = 0
+    # some point on, so each is a mark: an index into ``runs``, and for the
+    # two that form rel-infons the ink there.
+    block_mark = block_ink = label_mark = 0
     open_href: str | None = None  # of the <a href> being read
     base_href: str | None = None
-    containers: list[tuple[str, int]] = []  # open container tags, (name, mark)
+    containers: list[tuple[str, int, int]] = []  # open container tags, (name, mark, ink)
     open_counts: defaultdict[str, int] = defaultdict(int)  # open containers per name
     # The first ">" at or past the last place one was looked for, -1 once none
     # remains: a run of "<" that open nothing looks for its ">" once.
@@ -201,13 +327,20 @@ def parse_html(html: str) -> ParsedDocument:
             run, end_name, name, attributes = tag.groups()
             pos = tag.end()
             if run and sink is not None:
-                sink.append(decode_entities(run) if "&" in run else run)
+                if "&" in run:
+                    run = decode_entities(run)
+                sink.append(run)
+                if sink is runs and not run.isspace():
+                    ink += 1
         else:
             i = find("<", pos)
             if i < 0:
                 i = size
             if i > pos and sink is not None:
-                sink.append(decode_entities(html[pos:i]))
+                run = decode_entities(html[pos:i])
+                sink.append(run)
+                if sink is runs and not run.isspace():
+                    ink += 1
             if i == size:
                 break
             end_name = name = attributes = None
@@ -215,7 +348,8 @@ def parse_html(html: str) -> ParsedDocument:
             if tag is None:
                 if html.startswith("!", i + 1):
                     # A comment is skipped to its "-->", a declaration to its
-                    # ">"; without one the rest of the page is undecoded text.
+                    # ">"; without one the rest of the page is undecoded text
+                    # (no mark is read after it, so its ink is not counted).
                     if html.startswith("--", i + 2):
                         end = find("-->", i + 4)
                         pos = end + 3
@@ -244,6 +378,8 @@ def parse_html(html: str) -> ParsedDocument:
                 # A "<" that opens nothing is character data.
                 if sink is not None:
                     sink.append("<")
+                    if sink is runs:
+                        ink += 1
                 pos = i + 1
                 continue
 
@@ -260,8 +396,8 @@ def parse_html(html: str) -> ParsedDocument:
                         if not hidden and not in_title:
                             sink = runs
                 elif kind & _ANCHOR and open_href is not None:
-                    label = " ".join("".join(runs[label_mark:]).split())
-                    anchors.append(Anchor(label, open_href))
+                    hrefs.append(open_href)
+                    label_spans.append((label_mark, len(runs)))
                     open_href = None
             if open_counts[name]:
                 # Pop the innermost open ``name``; unclosed tags above it
@@ -270,16 +406,16 @@ def parse_html(html: str) -> ParsedDocument:
                 # here, and every entry scanned is popped, so closing costs
                 # what opening did.
                 while True:
-                    opened, mark = containers.pop()
+                    opened, mark, inked = containers.pop()
                     open_counts[opened] -= 1
                     if opened == name:
                         break
-                if not kind & _STRUCTURAL:
-                    inner = " ".join("".join(runs[mark:]).split())
-                    if inner:
-                        relinfons.append(RelInfon(name, inner))
+                if ink > inked and not kind & _STRUCTURAL:
+                    delimiters.append(name)
+                    segment_spans.append((mark, len(runs)))
             if kind & _BLOCK:
                 block_mark = len(runs)
+                block_ink = ink
         else:
             name = name.lower()
             kind = kind_of(name, 0)
@@ -306,33 +442,34 @@ def parse_html(html: str) -> ParsedDocument:
                     elif base_href is None:
                         base_href = href
             if kind & _VOID:
-                block = " ".join("".join(runs[block_mark:]).split())
-                if block:
-                    relinfons.append(RelInfon(name, block))
+                if ink > block_ink:
+                    delimiters.append(name)
+                    segment_spans.append((block_mark, len(runs)))
                 block_mark = len(runs)
+                block_ink = ink
             elif not self_closing:
-                containers.append((name, len(runs)))
+                containers.append((name, len(runs), ink))
                 open_counts[name] += 1
                 if kind & _BLOCK:
                     block_mark = len(runs)
+                    block_ink = ink
 
-    return ParsedDocument(
-        title=" ".join("".join(title_runs).split()),
-        text=" ".join("".join(runs).split()),
-        anchors=tuple(anchors),
-        relinfons=tuple(relinfons),
-        base_href=base_href,
+    return ParsedDocument._scanned(
+        " ".join("".join(title_runs).split()),
+        base_href, runs, hrefs, label_spans, delimiters, segment_spans,
     )
 
 
-def resolved_links(parsed: ParsedDocument, url: Url) -> Iterator[tuple[str, Url, str]]:
-    """``(label, href, link type symbol)`` of each anchor of the page at ``url``.
+def resolved_links(parsed: ParsedDocument, url: Url) -> Iterator[tuple[int, Url, str]]:
+    """``(anchor position, href, link type symbol)`` per link of the page at ``url``.
 
-    A ``<base href>`` redirects *resolution* of relative hrefs (HTML 2.0
-    §5.2.2); classification still compares destinations against the
-    document's actual URL, since I/L/G is about where the link leads
-    relative to where the document lives.  Unresolvable hrefs (empty,
-    malformed) carry no traversal value and are skipped.
+    The position indexes ``parsed.anchors`` (and ``anchor_labels``): resolving
+    reads no label, so it joins none.  A ``<base href>`` redirects
+    *resolution* of relative hrefs (HTML 2.0 §5.2.2); classification still
+    compares destinations against the document's actual URL, since I/L/G is
+    about where the link leads relative to where the document lives.
+    Unresolvable hrefs (empty, malformed) carry no traversal value and are
+    skipped.
     """
     resolve_base = url
     if parsed.base_href:
@@ -340,9 +477,9 @@ def resolved_links(parsed: ParsedDocument, url: Url) -> Iterator[tuple[str, Url,
             resolve_base = parse_url(parsed.base_href, base=url)
         except UrlError:
             pass
-    for anchor in parsed.anchors:
+    for position, raw in enumerate(parsed.anchor_hrefs):
         try:
-            href = parse_url(anchor.href, base=resolve_base)
+            href = parse_url(raw, base=resolve_base)
         except UrlError:
             continue
-        yield anchor.label, href, classify_link(url, href)
+        yield position, href, classify_link(url, href)

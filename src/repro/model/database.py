@@ -6,6 +6,16 @@ and purges it afterwards (paper Section 2.4).  The Database Constructor
 makes "a single pass over the associated document" building the DOCUMENT,
 ANCHOR and RELINFON tuples (paper Section 4.4).  Sites expecting repeated
 queries may retain databases in a bounded cache (footnote 3).
+
+The single pass is the scanner's (:func:`repro.html.parser.parse_html`); a
+:class:`NodeDatabase` then *builds each relation on its first read*.
+DOCUMENT exists from construction — every visit reads it.  ANCHOR and
+RELINFON are joined, resolved and laid out as columns when a node-query (or
+anyone else) first asks for them, so a relation nobody reads is never built:
+it is absent, not empty, and asking always gets the page's rows.  What the
+*cost model* charges does not depend on who asked:
+:meth:`NodeDatabase.tuple_count` is the page's tuple count — what the
+single pass found — whether or not anything was materialised.
 """
 
 from __future__ import annotations
@@ -13,7 +23,7 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from ..errors import SchemaError
-from ..html.parser import parse_html, resolved_links
+from ..html.parser import ParsedDocument, parse_html, resolved_links
 from ..urlutils import Url
 from .relations import ANCHOR_SCHEMA, DOCUMENT_SCHEMA, RELINFON_SCHEMA, LinkType
 from ..relational.table import Table
@@ -24,44 +34,91 @@ __all__ = ["NodeDatabase", "DatabaseConstructor"]
 class NodeDatabase:
     """The three virtual relations for one node, ready for node-queries.
 
-    Databases are read-only once built, so lookup structures the hot path
-    needs repeatedly — the name→relation map and the per-:class:`LinkType`
-    link destinations — are kept here instead of being rebuilt on every
-    :meth:`relation` / :meth:`forward_targets` call.
+    Databases are read-only once built, so what the hot path needs
+    repeatedly — the relations themselves, the resolved links and the
+    per-:class:`LinkType` destinations — is derived once, on first need,
+    and kept.  ``document`` is a plain attribute; ``anchor`` and
+    ``relinfon`` build their table on first read.
     """
 
     __slots__ = (
-        "url", "document", "anchor", "relinfon",
-        "_relations", "_links_by_type", "_forward_targets",
+        "url", "document", "_parsed", "_stats",
+        "_anchor", "_relinfon", "_links", "_forward_targets",
     )
 
     def __init__(
-        self,
-        url: Url,
-        document: Table,
-        anchor: Table,
-        relinfon: Table,
-        links_by_type: dict[LinkType, list[Url]],
+        self, url: Url, parsed: ParsedDocument, length: int, stats: "object | None" = None
     ) -> None:
         self.url = url
-        self.document = document
-        self.anchor = anchor
-        self.relinfon = relinfon
-        self._relations = {
-            "document": document,
-            "anchor": anchor,
-            "relinfon": relinfon,
-        }
-        #: Resolved hrefs per link type, in ANCHOR row order.
-        self._links_by_type = links_by_type
+        self.document = Table(
+            DOCUMENT_SCHEMA, [(str(url), parsed.title, parsed.text, length)], stats=stats
+        )
+        #: What ANCHOR and RELINFON are built from; it drops its runs and
+        #: marks itself once text, labels and segments have all been joined.
+        self._parsed = parsed
+        self._stats = stats
+        self._anchor: Table | None = None
+        self._relinfon: Table | None = None
+        self._links: tuple[list[int], list[Url], list[str]] | None = None
         self._forward_targets: dict[LinkType, tuple[Url, ...]] | None = None
+
+    def _resolved(self) -> tuple[list[int], list[Url], list[str]]:
+        """The page's resolvable links as ``(anchor positions, hrefs, link
+        type symbols)``, in document order; resolved once per database."""
+        links = self._links
+        if links is None:
+            links = self._links = ([], [], [])
+            positions, hrefs, symbols = links
+            for position, href, symbol in resolved_links(self._parsed, self.url):
+                positions.append(position)
+                hrefs.append(href)
+                symbols.append(symbol)
+        return links
+
+    @property
+    def anchor(self) -> Table:
+        """ANCHOR: one row per resolvable hyperlink, in document order."""
+        table = self._anchor
+        if table is None:
+            positions, hrefs, symbols = self._resolved()
+            labels = self._parsed.anchor_labels
+            if len(positions) != len(labels):
+                labels = [labels[position] for position in positions]
+            table = self._anchor = Table.from_columns(
+                ANCHOR_SCHEMA,
+                (labels, [str(self.url)] * len(hrefs), [str(href) for href in hrefs], symbols),
+                stats=self._stats,
+            )
+        return table
+
+    @property
+    def relinfon(self) -> Table:
+        """RELINFON: one row per non-empty delimiter-scoped segment."""
+        table = self._relinfon
+        if table is None:
+            parsed = self._parsed
+            texts = parsed.relinfon_texts
+            table = self._relinfon = Table.from_columns(
+                RELINFON_SCHEMA,
+                (
+                    parsed.relinfon_delimiters,
+                    [str(self.url)] * len(texts),
+                    texts,
+                    [len(text) for text in texts],
+                ),
+                stats=self._stats,
+            )
+        return table
 
     def relation(self, name: str) -> Table:
         """Look up a virtual relation by its lowercase name."""
-        try:
-            return self._relations[name]
-        except KeyError:
-            raise SchemaError(f"no virtual relation named {name!r}") from None
+        if name == "document":
+            return self.document
+        if name == "anchor":
+            return self.anchor
+        if name == "relinfon":
+            return self.relinfon
+        raise SchemaError(f"no virtual relation named {name!r}")
 
     def forward_targets(self, ltype: LinkType) -> tuple[Url, ...]:
         """Fragment-stripped destinations of the given link type.
@@ -73,15 +130,24 @@ class NodeDatabase:
         """
         cached = self._forward_targets
         if cached is None:
+            by_symbol: dict[str, list[Url]] = {ltype.value: [] for ltype in LinkType}
+            __, hrefs, symbols = self._resolved()
+            for href, symbol in zip(hrefs, symbols):
+                by_symbol[symbol].append(href.without_fragment())
             cached = self._forward_targets = {
-                bucket_type: tuple(href.without_fragment() for href in hrefs)
-                for bucket_type, hrefs in self._links_by_type.items()
+                ltype: tuple(by_symbol[ltype.value]) for ltype in LinkType
             }
         return cached[ltype]
 
     def tuple_count(self) -> int:
-        """Total tuples across the three relations (a proxy for build cost)."""
-        return len(self.document) + len(self.anchor) + len(self.relinfon)
+        """Total tuples across the three relations (a proxy for build cost).
+
+        The *page's* count — one DOCUMENT row, its resolvable links, its
+        non-empty segments — whether or not ANCHOR or RELINFON has been
+        built: the cost model charges for the pass over the document, not
+        for what one query happened to read.
+        """
+        return 1 + len(self._resolved()[0]) + len(self._parsed.relinfon_delimiters)
 
 
 class DatabaseConstructor:
@@ -110,10 +176,6 @@ class DatabaseConstructor:
         self.hits = 0
         self.misses = 0
 
-    def _count(self, counter: str) -> None:
-        if self._stats is not None:
-            setattr(self._stats, counter, getattr(self._stats, counter) + 1)
-
     def _drop(self, key: Url) -> None:
         del self._store[key]
         self._site_tables.pop(key.host, None)
@@ -126,11 +188,13 @@ class DatabaseConstructor:
             if record[0] is html or record[0] == html:
                 self._store.move_to_end(key)
                 self.hits += 1
-                self._count("db_cache_hits")
+                if self._stats is not None:
+                    self._stats.db_cache_hits += 1
                 return record[1]
             self._drop(key)  # the page was edited
         self.misses += 1
-        self._count("db_cache_misses")
+        if self._stats is not None:
+            self._stats.db_cache_misses += 1
         database = build_node_database(key, html, stats=self._stats)
         if self.cache_size:
             self._store[key] = (html, database)
@@ -185,30 +249,8 @@ class DatabaseConstructor:
 def build_node_database(url: Url, html: str, stats: "object | None" = None) -> NodeDatabase:
     """Single-pass construction of the virtual relations for ``url``.
 
+    The pass and DOCUMENT happen here; ANCHOR and RELINFON on first read.
     ``stats`` threads the :class:`~repro.net.stats.TrafficStats` mirror down
     to the tables' join-index counters (``index_builds`` / ``index_hits``).
     """
-    parsed = parse_html(html)
-    base = str(url)
-    anchor_rows = []
-    links_by_type: dict[LinkType, list[Url]] = {ltype: [] for ltype in LinkType}
-    for label, href, symbol in resolved_links(parsed, url):
-        ltype = LinkType.from_symbol(symbol)
-        anchor_rows.append((label, base, str(href), ltype.value))
-        links_by_type[ltype].append(href)
-    return NodeDatabase(
-        url,
-        Table(
-            DOCUMENT_SCHEMA, [(base, parsed.title, parsed.text, len(html))], stats=stats
-        ),
-        Table(ANCHOR_SCHEMA, anchor_rows, stats=stats),
-        Table(
-            RELINFON_SCHEMA,
-            [
-                (infon.delimiter, base, infon.text, len(infon.text))
-                for infon in parsed.relinfons
-            ],
-            stats=stats,
-        ),
-        links_by_type,
-    )
+    return NodeDatabase(url, parse_html(html), len(html), stats)

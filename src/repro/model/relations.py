@@ -37,6 +37,9 @@ class LinkType(enum.Enum):
     @classmethod
     def from_symbol(cls, symbol: str) -> "LinkType":
         """Map ``"I"/"L"/"G"/"N"`` (case-insensitive) to a member."""
+        member = _BY_SYMBOL.get(symbol)
+        if member is not None:
+            return member
         try:
             return cls(symbol.upper())
         except ValueError:
@@ -45,6 +48,8 @@ class LinkType(enum.Enum):
     def __str__(self) -> str:
         return self.value
 
+
+_BY_SYMBOL = {ltype.value: ltype for ltype in LinkType}
 
 DOCUMENT_SCHEMA = Schema("document", ("url", "title", "text", "length"))
 ANCHOR_SCHEMA = Schema("anchor", ("label", "base", "href", "ltype"))

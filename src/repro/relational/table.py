@@ -110,9 +110,11 @@ class Table:
 
     The columnar executor (:mod:`repro.relational.columnar`) reads the same
     data as parallel per-attribute arrays via :meth:`columns` and probes
-    equality joins through per-column hash indexes via :meth:`index`; both
-    are built lazily on first use and cached until the next :meth:`insert`,
-    so row-only consumers never pay for them.  ``stats`` (a
+    equality joins through per-column hash indexes via :meth:`index`.  A
+    table is loaded from rows or, by :meth:`from_columns`, from the arrays;
+    whichever view it was not given is derived on first use and cached until
+    the next :meth:`insert`, so no consumer pays for the other's.  Either way
+    every row has the schema's arity.  ``stats`` (a
     :class:`~repro.net.stats.TrafficStats`) mirrors index reuse into the
     ``index_builds`` / ``index_hits`` counters when provided.
     """
@@ -127,9 +129,39 @@ class Table:
     ) -> None:
         self.schema = schema
         self.stats = stats
-        self._rows: list[tuple[object, ...]] = [self._checked(row) for row in rows]
+        # At least one of the two views is held at any time.
+        self._rows: list[tuple[object, ...]] | None = [self._checked(row) for row in rows]
         self._columns: tuple[list[object], ...] | None = None
         self._indexes: dict[int, ColumnIndex] = {}
+
+    @classmethod
+    def from_columns(
+        cls,
+        schema: Schema,
+        columns: Iterable[list[object]],
+        stats: "object | None" = None,
+    ) -> "Table":
+        """A table over pre-built ``columns``, one value list per attribute.
+
+        The arity guarantee is checked once for the table — as many columns
+        as the schema has attributes, all of one length — instead of once
+        per row.  The lists are adopted, not copied.
+        """
+        columns = tuple(columns)
+        if len(columns) != schema.arity:
+            raise SchemaError(
+                f"{len(columns)} columns do not match schema "
+                f"{schema.name!r} arity {schema.arity}"
+            )
+        if len({len(column) for column in columns}) > 1:
+            raise SchemaError(
+                f"columns for schema {schema.name!r} differ in length: "
+                f"{[len(column) for column in columns]}"
+            )
+        table = cls(schema, stats=stats)
+        table._rows = None
+        table._columns = columns
+        return table
 
     def _checked(self, row: tuple[object, ...]) -> tuple[object, ...]:
         if len(row) != self.schema.arity:
@@ -141,14 +173,14 @@ class Table:
 
     def insert(self, row: tuple[object, ...]) -> None:
         """Append ``row``; its arity must match the schema."""
-        self._rows.append(self._checked(row))
+        self.row_list().append(self._checked(row))
         self._columns = None
         if self._indexes:
             self._indexes.clear()
 
     def rows(self) -> Iterator[tuple[object, ...]]:
         """Iterate rows in insertion order."""
-        return iter(self._rows)
+        return iter(self.row_list())
 
     def row_list(self) -> list[tuple[object, ...]]:
         """The backing row list, re-iterable without copying.
@@ -156,7 +188,10 @@ class Table:
         Compiled scans (:mod:`repro.relational.compile`) loop this directly;
         callers must treat it as read-only.
         """
-        return self._rows
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = list(zip(*self._columns))
+        return rows
 
     def columns(self) -> tuple[list[object], ...]:
         """The columnar view: one value list per schema attribute.
@@ -195,11 +230,11 @@ class Table:
 
     def column(self, attribute: str) -> list[object]:
         """All values of ``attribute`` in insertion order."""
-        pos = self.schema.position(attribute)
-        return [row[pos] for row in self._rows]
+        return list(self.columns()[self.schema.position(attribute)])
 
     def __len__(self) -> int:
-        return len(self._rows)
+        rows = self._rows
+        return len(self._columns[0]) if rows is None else len(rows)
 
     def __repr__(self) -> str:
-        return f"Table({self.schema.name!r}, {len(self._rows)} rows)"
+        return f"Table({self.schema.name!r}, {len(self)} rows)"

@@ -147,6 +147,8 @@ def _normalize_path(path: str) -> str:
     A trailing slash is preserved (``/dir/`` is a directory reference and
     resolves relative URLs differently than ``/dir``).
     """
+    if path.startswith("/") and "/." not in path and "//" not in path:
+        return path  # nothing to collapse (a dotfile, "/.x", goes the long way)
     trailing = path.endswith("/") and path != "/"
     normalized = posixpath.normpath(path)
     if normalized == ".":

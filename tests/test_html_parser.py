@@ -3,18 +3,21 @@
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import re
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import QueryStatus, WebDisEngine
 from repro.core.aio_engine import AsyncioWebDisEngine
-from repro.html.parser import decode_entities, parse_html
+from repro.disql import compile_disql
+from repro.html.parser import ParsedDocument, decode_entities, parse_html
 from repro.model.database import build_node_database
+from repro.relational.compile import compile_node_query
+from repro.relational.query import evaluate_node_query
 from repro.testing import html_reference
 from repro.urlutils import parse_url
 from repro.web import (
@@ -162,6 +165,10 @@ HOSTILE = {
     "deep-nesting": "<b>" * 20_000 + "x" + "</b>" * 20_000,
     "unmatched-end-tags": "<b>" * 20_000 + "x" + "</i>" * 20_000,
     "padding": "<p>" + "lorem ipsum " * 90_000 + "</p>",  # > 1 MB
+    # RELINFON over N nested containers is N copies of the inner text — once
+    # it is read; until then the page costs N marks (see TestNestedContainers).
+    **{f"nested-containers-{n}": "<b>x" * n + "</b>" * n for n in (200, 2_000)},
+    **{f"reopened-containers-{n}": "<i><b>x</b>" * n for n in (200, 2_000)},
 }
 
 
@@ -263,6 +270,92 @@ class TestHostileCorpus:
         _survives(html)
 
 
+_REACH_QUERY = compile_disql(
+    'select d.url, d.title, a.href from document d such that "http://hostile.example/" L d,'
+    ' anchor a where d.title contains "topic"'
+).steps[0].query
+
+
+class TestNestedContainers:
+    """ROADMAP 4(c), the part that is no behaviour change: a page of N nested
+    containers is linear — in joins and in memory — until RELINFON is read."""
+
+    @staticmethod
+    def _visit(html):
+        database = build_node_database(URL, html)
+        compile_node_query(_REACH_QUERY).execute_columnar(database)
+        evaluate_node_query(_REACH_QUERY, database)
+        database.tuple_count()
+        return database
+
+    @pytest.mark.parametrize("shape", ["nested-containers", "reopened-containers"])
+    def test_no_segment_is_joined_until_relinfon_is_read(self, shape, monkeypatch):
+        joined = []
+        materialise = ParsedDocument._joined
+
+        def counting(self, spans):
+            joined.append(len(spans))
+            return materialise(self, spans)
+
+        monkeypatch.setattr(ParsedDocument, "_joined", counting)
+        for size in (200, 2_000):
+            html = HOSTILE[f"{shape}-{size}"]
+            database = self._visit(html)
+            assert joined == [0]  # the (empty) label column, for ANCHOR
+            assert database.tuple_count() == 1 + size
+            rows = database.relation("relinfon").row_list()
+            assert joined == [0, size]
+            reference = html_reference.parse_html(html)
+            assert rows == [
+                (r.delimiter, str(URL), r.text, len(r.text)) for r in reference.relinfons
+            ]
+            assert len(rows) == size
+            joined.clear()
+
+    @pytest.mark.parametrize("shape", ["nested-containers", "reopened-containers"])
+    def test_memory_is_linear_until_relinfon_is_read(self, shape):
+        peaks = []
+        for size in (200, 2_000):
+            html = HOSTILE[f"{shape}-{size}"]
+            tracemalloc.start()
+            try:
+                database = self._visit(html)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            del database
+        # Ten times the page: ten times the memory, give or take what a mark
+        # costs beside a run.  The N joined copies of "<b>x" * N would be a
+        # hundred times.
+        assert peaks[1] < 40 * peaks[0]
+
+
+class TestInk:
+    """A segment is a rel-infon iff it has visible text; the scanner decides
+    that by counting, without joining the segment."""
+
+    def test_isspace_is_the_class_split_splits_on(self):
+        for code in range(sys.maxunicode + 1):
+            assert chr(code).isspace() == (not chr(code).split()), hex(code)
+
+    @pytest.mark.parametrize(
+        "html, expected",
+        [
+            ("<b> \n\t</b><i>&nbsp;&#32;</i>", []),
+            ("<b><title>only a title</title></b>", []),
+            ("<b><script>x</script> </b>", []),
+            ("<b><</b>", [("b", "<")]),
+            ("<b> <i>x</i> </b><u> </u>", [("i", "x"), ("b", "x")]),
+            (" \n<hr>a<hr> <hr>", [("hr", "a")]),
+            ("<p>a</p> <br>", [("p", "a")]),
+        ],
+    )
+    def test_whitespace_is_not_ink(self, html, expected):
+        parsed = parse_html(html)
+        assert [(r.delimiter, r.text) for r in parsed.relinfons] == expected
+        assert parsed == html_reference.parse_html(html)
+
+
 # -- differential oracle ------------------------------------------------------------
 #
 # The engine's data-shipping oracle builds its databases through the same
@@ -272,8 +365,8 @@ class TestHostileCorpus:
 
 def _agrees_with_reference(html: str) -> None:
     got, expected = parse_html(html), html_reference.parse_html(html)
-    for field in dataclasses.fields(expected):
-        assert getattr(got, field.name) == getattr(expected, field.name), (field.name, html[:200])
+    for name in ("title", "text", "anchors", "relinfons", "base_href"):
+        assert getattr(got, name) == getattr(expected, name), (name, html[:200])
     assert got == expected
 
 

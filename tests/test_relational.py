@@ -73,6 +73,41 @@ class TestTable:
         table = Table(self.SCHEMA, [(2, 0), (1, 0)])
         assert [r[0] for r in table.rows()] == [2, 1]
 
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            ([1, 2],),  # too few
+            ([1, 2], ["a", "b"], [0, 0]),  # too many
+            ([1, 2], ["a"]),  # ragged
+            ([], ["a"]),
+        ],
+    )
+    def test_from_columns_keeps_the_arity_guarantee(self, columns):
+        with pytest.raises(SchemaError):
+            Table.from_columns(self.SCHEMA, columns)
+
+    @pytest.mark.parametrize("rows", [[], [(1, "a")], [(1, "a"), (2, "b"), (1, "c")]])
+    def test_from_columns_is_the_table_built_from_rows(self, rows):
+        def views(table):
+            return (
+                len(table), table.row_list(), list(table.rows()), table.columns(),
+                table.column("y"), table.index(0).buckets, repr(table),
+            )
+
+        by_rows = Table(self.SCHEMA, rows)
+        by_columns = Table.from_columns(
+            self.SCHEMA, ([row[0] for row in rows], [row[1] for row in rows])
+        )
+        assert len(by_columns) == len(rows)  # before any other view exists
+        assert views(by_columns) == views(by_rows)
+        for table in (by_rows, by_columns):
+            table.insert((1, "z"))
+            with pytest.raises(SchemaError):
+                table.insert((1,))
+        assert views(by_columns) == views(by_rows)
+        assert by_columns.row_list()[-1] == (1, "z")
+        assert by_columns.index(0).probe(1)[-1] == len(rows)
+
 
 BINDINGS = {"d": {"title": "Laboratories", "length": 120}, "a": {"ltype": "G"}}
 

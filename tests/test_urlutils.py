@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import posixpath
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import UrlError
-from repro.urlutils import Url, classify_link, parse_url
+from repro.model import LinkType
+from repro.urlutils import Url, _normalize_path, classify_link, parse_url
 
 
 class TestUrlType:
@@ -136,3 +140,52 @@ class TestClassifyLink:
 
     def test_same_path_different_host_is_global(self):
         assert classify_link(self.BASE, Url("b.example", "/page.html")) == "G"
+
+
+# -- the fast paths agree with what they skip -------------------------------------
+
+
+def _normalize_path_at_parent(path: str) -> str:
+    """``urlutils._normalize_path`` before it learned to skip ``normpath``."""
+    trailing = path.endswith("/") and path != "/"
+    normalized = posixpath.normpath(path)
+    if normalized == ".":
+        return "/"
+    if trailing and not normalized.endswith("/"):
+        normalized += "/"
+    if normalized.startswith("//"):
+        normalized = normalized[1:]
+    if not normalized.startswith("/"):
+        normalized = "/" + normalized
+    return normalized
+
+
+_segments = st.one_of(
+    st.sampled_from([".", "..", "", "...", ".hidden", "..a", "a.", "index.html"]),
+    st.text(alphabet="ab.-_~%20", min_size=1, max_size=6),
+)
+_paths = st.builds(
+    lambda absolute, segments, trailing: (
+        ("/" if absolute else "") + "/".join(segments) + ("/" if trailing else "")
+    ),
+    st.booleans(), st.lists(_segments, max_size=6), st.booleans(),
+)
+
+
+class TestFastPaths:
+    @settings(max_examples=500, deadline=None)
+    @given(_paths)
+    def test_normalize_path_equals_the_parents(self, path):
+        assert _normalize_path(path) == _normalize_path_at_parent(path)
+
+    def test_dotfiles_and_the_root_take_the_right_route(self):
+        for path in ("/", "/a", "/a/", "/a/b.html", "/.hidden", "/a/.hidden/", "//", "/a//b"):
+            assert _normalize_path(path) == _normalize_path_at_parent(path)
+
+    def test_link_type_from_symbol(self):
+        for symbol in "IiLlGgNn":
+            assert LinkType.from_symbol(symbol) is LinkType(symbol.upper())
+        for symbol in ("", "X", "IL", " i"):
+            with pytest.raises(ValueError) as raised:
+                LinkType.from_symbol(symbol)
+            assert str(raised.value) == f"unknown link type symbol {symbol!r}"

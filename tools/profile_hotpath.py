@@ -26,10 +26,14 @@ the profile always matches what the perf gates measure:
 * ``p2`` — EXP-P2: the frontier-batching drill-down workload, one full
   engine run with the knob on and one with it off;
 * ``build`` — the first touch of a page: ``build_node_database`` (the HTML
-  scanner, link resolution, the three tables) over every page of EXP-E1's
-  32×20 spot-check web, the work ``cold_default`` pays per visit.  The web
-  is built here from its config; ``tools/`` does not import
-  ``benchmarks/e2e``;
+  scanner and DOCUMENT) plus a read of all three relations — which is what
+  builds ANCHOR and RELINFON, link resolution included — over every page of
+  EXP-E1's 32×20 spot-check web: the *full* constructor, more than
+  ``cold_default`` pays per visit (its query never reads RELINFON).  After
+  the profile, two unprofiled lines say which build costs what — µs per
+  page for the full build and for scan + DOCUMENT only (``--json``:
+  ``build_us_per_page``).  The web is built here from its config;
+  ``tools/`` does not import ``benchmarks/e2e``;
 * ``warm`` — the warm protocol path, what EXP-E1's ``warm_zipf`` pays: the
   same web, one engine, the 16-query zipf pool run once so every later
   probe is a memo hit, then 100 repeats under the profiler.  What is left
@@ -52,6 +56,7 @@ import io
 import json
 import pstats
 import sys
+import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -90,12 +95,33 @@ def _spot_check_pages() -> list:
     return [(url, web.html_for(url)) for url in web.urls()]
 
 
-def _build_pass(pages: list) -> None:
-    """Every page of the spot-check web through the Database Constructor."""
+def _build_pass(pages: list, relations: tuple = ("document", "anchor", "relinfon")) -> None:
+    """Every page of the spot-check web through the Database Constructor,
+    reading ``relations`` of each (a relation is built by its first read)."""
     from repro.model.database import build_node_database
 
     for url, html in pages:
-        build_node_database(url, html)
+        database = build_node_database(url, html)
+        for name in relations:
+            database.relation(name).row_list()
+
+
+def build_us_per_page(repeats: int = 5) -> dict[str, float]:
+    """Unprofiled best-of-``repeats`` µs per page: the full build, and the
+    part every visit pays whatever it reads (scan + DOCUMENT)."""
+    pages = _spot_check_pages()
+    result = {}
+    for label, relations in (
+        ("full", ("document", "anchor", "relinfon")),
+        ("scan_and_document", ("document",)),
+    ):
+        best = float("inf")
+        for __ in range(repeats):
+            begin = time.perf_counter()
+            _build_pass(pages, relations)
+            best = min(best, time.perf_counter() - begin)
+        result[label] = round(best / len(pages) * 1e6, 2)
+    return result
 
 
 def _spot_check_web():
@@ -252,13 +278,19 @@ def main(argv: list[str] | None = None) -> int:
         if args.out:
             out = args.out if len(names) == 1 else f"{name}-{args.out}"
         text, entries = profile_workload(name, args.sort, args.top, out)
+        per_page = build_us_per_page() if name == "build" else None
         if args.json:
             as_json[name] = entries
             if name == "warm":
                 as_json["warm_hash_frames_per_query"] = hash_frames_per_query()
+            if per_page:
+                as_json["build_us_per_page"] = per_page
         else:
             print(f"== {name.upper()} workload — top {args.top} by {args.sort} ==")
             print(text)
+            if per_page:
+                print(f"full build (all three relations read): {per_page['full']} µs/page")
+                print(f"scan + DOCUMENT only: {per_page['scan_and_document']} µs/page\n")
         if out and not args.json:
             print(f"raw profile dumped to {out}")
     if args.json:

@@ -24,7 +24,7 @@ Chaos goes in at construction (``chaos=ChaosRules.from_plan(plan)``) so
 every listener is behind an in-path :class:`~repro.net.chaos.ChaosProxy`;
 :meth:`apply_chaos_crashes` schedules the plan's kill/restart rules as real
 socket teardowns.  Unlike the simulator there is no global quiescence:
-:meth:`run` polls the handles to a terminal status under a wall-clock
+:meth:`run` waits for the handles' terminal transitions under a wall-clock
 timeout, and a :class:`~repro.core.supervisor.QuerySupervisor` (same class,
 same policy) provides the re-forward→degrade path under real faults.
 
@@ -92,6 +92,10 @@ class AsyncioWebDisEngine(EngineBase):
             trace=trace,
         )
         self.chaos = chaos
+        #: What every :meth:`run` in progress waits on; resolved (and then
+        #: replaced) each time a query leaves RUNNING.
+        self._terminal: asyncio.Future | None = None
+        self.client.on_terminal = self._wake_runs
 
     # -- execution -----------------------------------------------------------
 
@@ -100,31 +104,42 @@ class AsyncioWebDisEngine(EngineBase):
         handles: Iterable[QueryHandle],
         *,
         timeout: float = 60.0,
-        poll: float = 0.02,
     ) -> float:
         """Wait until every handle reaches a terminal status.
 
-        There is no quiescence signal on real sockets, so this polls (the
-        terminal transition itself is event-driven — completion fires on
-        the report that exactly empties the CHT, escalation on a
-        supervisor timer).  Raises :class:`SimulationError` with the stuck
-        handles after ``timeout`` wall seconds — a run that trips it
-        without a supervisor usually just needs one.  Returns elapsed
-        wall-clock seconds.
+        There is no quiescence signal on real sockets, so this waits for
+        the terminal transitions themselves — completion fires on the
+        report that exactly empties the CHT, escalation on a supervisor
+        timer, cancellation on the call — and looks at the handles again
+        after each.  Raises :class:`SimulationError` with the stuck handles
+        after ``timeout`` wall seconds — a run that trips it without a
+        supervisor usually just needs one.  Returns elapsed wall-clock
+        seconds.
         """
         pending = list(handles)
         started = self.clock.now
-        deadline = started + timeout
         while True:
             pending = [h for h in pending if h.status is QueryStatus.RUNNING]
             if not pending:
                 return self.clock.now - started
-            if self.clock.now >= deadline:
+            remaining = started + timeout - self.clock.now
+            if remaining <= 0:
                 stuck = ", ".join(str(h.qid) for h in pending)
                 raise SimulationError(
                     f"run timed out after {timeout}s; still RUNNING: {stuck}"
                 )
-            await asyncio.sleep(poll)
+            if self._terminal is None or self._terminal.done():
+                self._terminal = asyncio.get_running_loop().create_future()
+            try:
+                # Shielded: the future is shared by every run() in progress,
+                # and one of them timing out must not cancel it for the rest.
+                await asyncio.wait_for(asyncio.shield(self._terminal), remaining)
+            except asyncio.TimeoutError:
+                pass  # the check above raises, with the handles still stuck
+
+    def _wake_runs(self, handle: QueryHandle) -> None:
+        if self._terminal is not None and not self._terminal.done():
+            self._terminal.set_result(None)
 
     def apply_faults(self, plan) -> None:
         raise SimulationError(

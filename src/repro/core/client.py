@@ -211,6 +211,16 @@ class UserSiteClient:
         self._ports = itertools.count(FIRST_RESULT_PORT)
         self._handles: dict[QueryId, QueryHandle] = {}
         self._dispatch_serial = itertools.count(1)
+        #: Called with the handle whenever a query leaves RUNNING — complete,
+        #: partial or cancelled.  An engine with no quiescence signal of its
+        #: own (real sockets) waits on this instead of polling.
+        self.on_terminal: Callable[[QueryHandle], None] | None = None
+
+    def _close_result_port(self, handle: QueryHandle) -> None:
+        """The step every way out of RUNNING shares (§2.8: close the socket)."""
+        self.network.close(self.site, handle.qid.port)
+        if self.on_terminal is not None:
+            self.on_terminal(handle)
 
     def _trace_transport(self, action: str, detail: str) -> None:
         if self.tracer.enabled:
@@ -411,7 +421,7 @@ class UserSiteClient:
             else:
                 handle.status = QueryStatus.COMPLETE
             handle.completion_time = self.clock.now
-            self.network.close(self.site, handle.qid.port)
+            self._close_result_port(handle)
             if handle.on_complete is not None:
                 handle.on_complete(handle)
 
@@ -523,7 +533,7 @@ class UserSiteClient:
             raise QueryLifecycleError(f"cannot cancel a {handle.status.value} query")
         handle.status = QueryStatus.CANCELLED
         handle.cancel_time = self.clock.now
-        self.network.close(self.site, handle.qid.port)
+        self._close_result_port(handle)
         abandoned = self.channel.reset(tag=handle.qid)
         if abandoned:
             self._trace_transport(
@@ -555,7 +565,7 @@ class UserSiteClient:
         handle.completion_time = now
         handle.cancel_time = now
         self.stats.queries_partial += 1
-        self.network.close(self.site, handle.qid.port)
+        self._close_result_port(handle)
         self.channel.reset(tag=handle.qid)
         self._trace_transport(
             "finished-partial", f"{handle.qid}: {written_off} written off ({reason})"

@@ -12,18 +12,42 @@ Wire format and delivery contract
 ---------------------------------
 
 Each message is one length-prefixed frame (:func:`repro.wire.encode_frame`)
-carrying a source-stamped envelope (:func:`repro.wire.encode_envelope`)
+carrying a source-stamped envelope (:func:`repro.wire.encode_envelope`) and,
+after it, a per-link sequence number (:func:`repro.wire.encode_sequenced`),
 over a persistent per-``(src, dst, port)`` connection.  After the receiving
-listener has *processed* a frame the receiver writes back a one-byte ack
-(:data:`ACK_BYTE`); the sender reports ``DELIVERED`` only on that ack, so —
-exactly as on the simulator, where ``DELIVERED`` means the delivery event
-is scheduled and listeners never observe a vanished delivered message —
-a delivered send has really been handled.  Sends on one link are
-serialized by an (FIFO-fair) ``asyncio.Lock``, preserving the simulator's
-per-edge FIFO ordering.  A write or ack failure on a *reused* connection is
-retried once on a fresh connection (the peer may simply have closed an
-idle keep-alive); the retry can duplicate a processed-but-unacked message,
-which is safe because the protocols are idempotent — the CHT's
+listener has *processed* a frame the receiver writes back one fixed-size
+record (:data:`repro.wire.ACK_RECORD`): :data:`~repro.wire.ACK_BYTE` and the frame's
+sequence number.  The sender reports ``DELIVERED`` only on the record that
+names the frame, so — exactly as on the simulator, where ``DELIVERED`` means
+the delivery event is scheduled and listeners never observe a vanished
+delivered message — a delivered send has really been handled.
+
+Frames are **pipelined**: a link is a FIFO of frames and one long-lived
+driver coroutine (:meth:`AsyncioTransport._drive`).  A send encodes its
+frame, appends it and — when the connection is up and its write buffer is
+below the high-water mark — writes everything queued in one ``write``;
+frames queued behind a connect leave together when it completes.  The
+driver connects, reads the acknowledgement stream and settles each frame's
+future; it is parked in that read whenever the link is idle, so a peer that
+closes a keep-alive is noticed when it closes, not by the next send.  Any
+number of frames may be unacknowledged at once, which is why an ack must
+name its frame: the chaos proxy (and a real middlebox) can swallow frame
+*k* and relay the ack of *k+1*, and a positional ack would then report
+``DELIVERED`` for a message no listener saw.  An ack for a sequence number
+the link is not waiting for, or of an unknown kind, drops the connection.
+Frames are written, and therefore processed, in send order: the simulator's
+per-edge FIFO.
+
+One ``loop.call_at`` watchdog per link, armed only while something is
+unacknowledged, drops the connection when the oldest written frame has
+waited ``read_timeout``.  When a connection is lost (reset, EOF, watchdog,
+bad ack) every frame still unacknowledged on it is settled: a frame written
+on a *reused* connection — one that had already carried an acknowledgement,
+so the peer may simply have closed an idle keep-alive — is written once more
+on a fresh connection, in order; any other frame reports ``FAULT``.  No
+frame is written more than twice.  The rewrite can duplicate a
+processed-but-unacked message — with *n* frames in flight, up to *n* of them
+— which is safe because the protocols are idempotent: the CHT's
 dispatch-identity accounting absorbs duplicate reports, the log table
 absorbs duplicate clones.  That is the same at-least-once envelope the
 :class:`~repro.net.reliable.ReliableChannel` already imposes.
@@ -34,8 +58,8 @@ REFUSED/HOST_DOWN split on refused connects):
 =============================  ==========================================
 real-socket event              ``SendOutcome``
 =============================  ==========================================
-frame written, ack received    DELIVERED
-frame written, nak received    OVERLOADED (admission refused; back off)
+frame written, its ack read    DELIVERED
+frame written, its nak read    OVERLOADED (admission refused; back off)
 ECONNREFUSED, result port      REFUSED (deliberate close = termination)
 ECONNREFUSED, daemon port      HOST_DOWN (server process is down)
 connect timeout / no route     HOST_DOWN
@@ -43,10 +67,14 @@ ack timeout / reset / EOF      FAULT (transient wire fault)
 destination never registered   HOST_DOWN (DNS failure analogue)
 =============================  ==========================================
 
-The nak (:data:`NAK_BYTE`) carries admission control across the wire: a
+Every row holds per frame.  A refused or timed-out connect settles (and
+counts) every frame queued behind it; :meth:`AsyncioTransport.crash_site`
+fails everything the dead site had in flight and never reconnects for it.
+
+The nak (:data:`~repro.wire.NAK_BYTE`) carries admission control across the wire: a
 listener guarded by an admission probe (:meth:`AsyncioTransport.set_admission`)
-that declines a frame never sees it — the receiver answers one nak byte on
-the same healthy connection, the sender reports the transient
+that declines a frame never sees it — the receiver answers a nak record for
+exactly that frame on the same healthy connection, the sender reports the transient
 ``OVERLOADED`` outcome, and the :class:`~repro.net.reliable.ReliableChannel`
 backs off and retries.  Distinct on purpose from a refused connect (§2.8
 termination, never retried) and from a missing ack (FAULT — the frame may
@@ -58,7 +86,8 @@ All outcomes settle through the deferred ``on_outcome`` callback;
 outcome directly, with ``on_outcome`` invoked inline like the simulator).
 
 Everything runs on one event loop: listeners are invoked synchronously
-from receive coroutines, settle callbacks from send tasks, and
+from receive coroutines, settle callbacks from send tasks (one task per
+send, alive from queueing to settlement), and
 :class:`LoopClock` timers from ``loop.call_later`` — so the protocol code
 (written for the single-threaded simulator) needs no locks.  The shared
 :class:`~repro.net.stats.TrafficStats` is bound to the loop thread
@@ -69,15 +98,21 @@ from __future__ import annotations
 
 import asyncio
 import socket
+from collections import deque
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..errors import NetworkError, SimulationError
 from ..wire import (
+    ACK_BYTE,
+    ACK_RECORD,
+    NAK_BYTE,
     WireError,
     FrameDecoder,
     decode_envelope,
     encode_envelope,
     encode_frame,
+    encode_sequenced,
+    split_sequenced,
 )
 from .network import (
     QUERY_PORT,
@@ -93,21 +128,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .chaos import ChaosRules
 
 __all__ = [
-    "ACK_BYTE",
-    "NAK_BYTE",
     "LoopClock",
     "PortMap",
     "StaticPortMap",
     "AsyncioTransport",
 ]
-
-#: Written by the receiver after its listener has processed one frame.
-ACK_BYTE = b"\x06"
-
-#: Written by the receiver when an admission probe declines a frame: the
-#: frame was *not* processed and the sender should back off and retry
-#: (SendOutcome.OVERLOADED).  The connection itself stays healthy.
-NAK_BYTE = b"\x15"
 
 _READ_CHUNK = 65536
 
@@ -217,17 +242,49 @@ class StaticPortMap(PortMap):
         return base + offset
 
 
-class _Link:
-    """One persistent outbound connection, serialized by a FIFO lock."""
+class _Frame:
+    """One send on a link, from queueing to settlement."""
 
-    __slots__ = ("lock", "sends", "reader", "writer")
+    __slots__ = ("sequence", "data", "outcome", "written_at", "reused")
+
+    def __init__(self, sequence: int, data: bytes, outcome: asyncio.Future) -> None:
+        self.sequence = sequence
+        self.data = data
+        #: Settled exactly once, with the frame's ``SendOutcome``.
+        self.outcome = outcome
+        self.written_at = 0.0
+        #: Whether the connection of the latest write had already carried an
+        #: acknowledgement (module docstring: the one internal retry).
+        self.reused = False
+
+
+class _Link:
+    """One ``(src, dst, port)`` edge: a FIFO of frames and its driver.
+
+    A link is in the transport's table exactly as long as its driver runs:
+    while it is connecting, and while its connection is up.
+    """
+
+    __slots__ = (
+        "queue", "unacked", "sequence", "reader", "writer", "proven",
+        "high_water", "driver", "watchdog", "connect_expired",
+    )
 
     def __init__(self) -> None:
-        self.lock = asyncio.Lock()
-        #: Sends holding or waiting for ``lock``; a link is idle at zero.
-        self.sends = 0
+        #: Frames not yet written (or waiting to be written again), in order.
+        self.queue: deque[_Frame] = deque()
+        #: Frames written on the current connection, by sequence number, in
+        #: the order they were written.
+        self.unacked: dict[int, _Frame] = {}
+        self.sequence = 0
         self.reader: asyncio.StreamReader | None = None
         self.writer: asyncio.StreamWriter | None = None
+        #: The current connection has carried at least one acknowledgement.
+        self.proven = False
+        self.high_water = 0
+        self.driver: asyncio.Task | None = None
+        self.watchdog: asyncio.TimerHandle | None = None
+        self.connect_expired = False
 
 
 class AsyncioTransport:
@@ -256,6 +313,9 @@ class AsyncioTransport:
         chaos: "ChaosRules | None" = None,
     ) -> None:
         self._loop = asyncio.get_running_loop()
+        #: What a link opens its connection with: ``(host, port) -> (reader,
+        #: writer)``.  Tests substitute a scripted in-memory peer.
+        self.open_connection = asyncio.open_connection
         self.clock = clock if clock is not None else LoopClock(self._loop)
         self.stats = stats if stats is not None else TrafficStats()
         self.stats.bind_owner()
@@ -377,7 +437,8 @@ class AsyncioTransport:
                     return
                 for body in frames:
                     try:
-                        src, message = decode_envelope(body)
+                        envelope, sequence = split_sequenced(body)
+                        src, message = decode_envelope(envelope)
                     except WireError:
                         self.stats.frames_rejected += 1
                         _abort(writer)
@@ -390,10 +451,12 @@ class AsyncioTransport:
                         return
                     probe = self._admission.get(key)
                     if probe is not None and not probe(src, message):
-                        writer.write(NAK_BYTE)
+                        writer.write(NAK_BYTE + sequence)
                         continue
                     listener(src, message)
-                    writer.write(ACK_BYTE)
+                    # Written per frame, not per chunk: a later frame's
+                    # listener may tear this connection down.
+                    writer.write(ACK_BYTE + sequence)
                 await writer.drain()
         except (ConnectionError, OSError):
             pass
@@ -435,8 +498,8 @@ class AsyncioTransport:
     ) -> None:
         """Install (or clear) an admission probe guarding ``site:port``.
 
-        A declined frame is answered with :data:`NAK_BYTE` instead of being
-        delivered to the listener; the sender observes the transient
+        A declined frame is answered with a :data:`~repro.wire.NAK_BYTE` record instead of
+        being delivered to the listener; the sender observes the transient
         ``OVERLOADED`` outcome (see module docstring).
         """
         key = (site, port)
@@ -452,14 +515,22 @@ class AsyncioTransport:
 
         Listeners close (connects now refused), inbound connections are
         reset, and the site's *outbound* links are torn down too — a dead
-        process keeps nothing open.  ``QueryServer.restart`` re-binds via
-        :meth:`listen`, which allocates a fresh real port.
+        process keeps nothing open, so every frame it had queued or
+        unacknowledged reports ``FAULT`` and its drivers stop without
+        reconnecting.  ``QueryServer.restart`` re-binds via :meth:`listen`,
+        which allocates a fresh real port.
         """
         for key in [key for key in self._listeners if key[0] == site]:
             self.close(*key)
-        for lkey in [lkey for lkey, _ in self._links.items() if lkey[0] == site]:
+        for lkey in [lkey for lkey in self._links if lkey[0] == site]:
             link = self._links.pop(lkey)
             _drop_link(link)
+            frames = [*link.unacked.values(), *link.queue]
+            link.unacked.clear()
+            link.queue.clear()
+            self._fault(frames)
+            assert link.driver is not None
+            link.driver.cancel()
 
     def set_site_up(self, site: str) -> None:
         """No-op on real sockets: a site is 'up' once its ports re-bind."""
@@ -501,100 +572,165 @@ class AsyncioTransport:
         payload: Payload,
         on_outcome: Callable[[SendOutcome], None] | None,
     ) -> None:
-        outcome = await self._attempt(src, dst, port, payload)
-        if on_outcome is not None:
-            on_outcome(outcome)
-
-    async def _attempt(
-        self, src: str, dst: str, port: int, payload: Payload
-    ) -> SendOutcome:
-        try:
-            frame = encode_frame(
-                encode_envelope(src, payload), self.config.max_frame_bytes
-            )
-        except WireError:
-            self.stats.frames_rejected += 1
-            return SendOutcome.FAULT
+        """One send: queue the frame on its link, wait for it to settle."""
         key = (src, dst, port)
         link = self._links.get(key)
         if link is None:
-            self._sweep_links()
             link = self._links[key] = _Link()
-        link.sends += 1
+            link.driver = self._spawn(self._drive(key, link))
+        sequence = link.sequence
+        link.sequence = (sequence + 1) & 0xFFFFFFFF
         try:
-            return await self._transfer(link, frame, src, dst, port, payload)
-        finally:
-            link.sends -= 1
-
-    async def _transfer(
-        self, link: _Link, frame: bytes, src: str, dst: str, port: int, payload: Payload
-    ) -> SendOutcome:
-        """Write ``frame`` on ``link`` (connecting first if needed), await the ack."""
-        async with link.lock:
-            reused_first = link.writer is not None
-            attempt = 0
-            while True:
-                attempt += 1
-                if link.writer is None:
-                    outcome = await self._connect(link, dst, port)
-                    if outcome is not None:
-                        return outcome
-                try:
-                    assert link.writer is not None and link.reader is not None
-                    link.writer.write(frame)
-                    await asyncio.wait_for(
-                        link.writer.drain(), self.config.read_timeout
-                    )
-                    ack = await asyncio.wait_for(
-                        link.reader.readexactly(1), self.config.read_timeout
-                    )
-                except (
-                    asyncio.TimeoutError,
-                    asyncio.IncompleteReadError,
-                    ConnectionError,
-                    OSError,
-                ):
-                    _drop_link(link)
-                    if reused_first and attempt == 1:
-                        # A stale keep-alive the peer closed: one internal
-                        # retry on a fresh connection.  May duplicate a
-                        # processed-but-unacked frame; the protocols are
-                        # idempotent (module docstring).
-                        continue
-                    self.stats.failed_sends += 1
-                    return SendOutcome.FAULT
-                if ack == NAK_BYTE:
-                    # Admission refused: the frame was definitely not
-                    # processed and the connection is still good — report
-                    # the transient OVERLOADED so the channel backs off.
-                    self.stats.overloaded_sends += 1
-                    return SendOutcome.OVERLOADED
-                if ack != ACK_BYTE:
-                    _drop_link(link)
-                    self.stats.failed_sends += 1
-                    return SendOutcome.FAULT
+            data = encode_frame(
+                encode_sequenced(encode_envelope(src, payload), sequence),
+                self.config.max_frame_bytes,
+            )
+        except WireError:
+            self.stats.frames_rejected += 1
+            outcome = SendOutcome.FAULT
+        else:
+            frame = _Frame(sequence, data, self._loop.create_future())
+            link.queue.append(frame)
+            self._write_queued(link)
+            outcome = await frame.outcome
+            if outcome is SendOutcome.DELIVERED:
                 size = payload.size_bytes() + self.config.envelope_bytes
                 self.stats.record_send(src, payload.kind, size)
                 for tap in self._taps:
                     tap(self.clock.now, src, dst, port, payload)
-                return SendOutcome.DELIVERED
+        if on_outcome is not None:
+            on_outcome(outcome)
 
-    def _sweep_links(self) -> None:
-        """Drop idle links that no longer have a live connection.
+    def _write_queued(self, link: _Link) -> None:
+        """Write every queued frame in one ``write``, if the connection can take it.
 
-        A result port lives for one query, so the links to it would
-        otherwise pile up — one open socket each, or an empty entry after a
-        refused connect — until :meth:`aclose`.  Runs when a new link is
-        about to be added, which bounds the table by the links in use plus
-        those that died since the last new one.
+        Called by whoever may have made that true: a send that queued a
+        frame, the driver after a connect and after each batch of acks.
+        Frames held back by a full write buffer need no wake-up of their
+        own — a buffer that is not draining means unacknowledged frames,
+        and those end in an ack or in the watchdog.
         """
-        for key, link in list(self._links.items()):
-            if link.sends:
-                continue
-            reader, writer = link.reader, link.writer
-            if reader is None or writer is None or reader.at_eof() or writer.is_closing():
-                _drop_link(link)
+        writer, queue = link.writer, link.queue
+        if writer is None or not queue:
+            return
+        if writer.transport.get_write_buffer_size() > link.high_water:
+            return
+        now = self._loop.time()
+        for frame in queue:
+            frame.written_at = now
+            frame.reused = link.proven
+            link.unacked[frame.sequence] = frame
+        writer.write(queue[0].data if len(queue) == 1 else b"".join(f.data for f in queue))
+        queue.clear()
+        if link.watchdog is None:
+            self._arm_watchdog(link)
+
+    def _arm_watchdog(self, link: _Link) -> None:
+        oldest = next(iter(link.unacked.values()))
+        link.watchdog = self._loop.call_at(
+            oldest.written_at + self.config.read_timeout, self._on_watchdog, link
+        )
+
+    def _on_watchdog(self, link: _Link) -> None:
+        """The oldest unacknowledged frame's deadline (or an earlier one's) passed."""
+        link.watchdog = None
+        oldest = next(iter(link.unacked.values()))
+        if self._loop.time() >= oldest.written_at + self.config.read_timeout:
+            self._connection_lost(link)
+        else:
+            self._arm_watchdog(link)
+
+    async def _drive(self, key: tuple[str, str, int], link: _Link) -> None:
+        """The link's driver: connect, write, read acks — until nothing is left.
+
+        Runs while there are frames to deliver or a connection to watch, and
+        takes the link out of the table when it stops.
+        """
+        __, dst, port = key
+        try:
+            while link.queue:
+                outcome = await self._connect(link, dst, port)
+                if outcome is not None:
+                    # Settles, and counts, every frame queued behind the connect.
+                    if outcome is SendOutcome.REFUSED:
+                        self.stats.refused_sends += len(link.queue)
+                    else:
+                        self.stats.down_sends += len(link.queue)
+                    while link.queue:
+                        link.queue.popleft().outcome.set_result(outcome)
+                    return
+                self._write_queued(link)
+                await self._read_acks(link)
+        finally:
+            _drop_link(link)
+            if self._links.get(key) is link:
                 del self._links[key]
+
+    async def _read_acks(self, link: _Link) -> None:
+        """Settle frames from the ack stream until the connection is lost."""
+        reader = link.reader
+        assert reader is not None
+        partial = b""
+        while True:
+            try:
+                chunk = await reader.read(_READ_CHUNK)
+            except OSError:
+                chunk = b""
+            if link.reader is not reader:
+                return  # the watchdog dropped it meanwhile: already settled
+            if not chunk:
+                break
+            data = partial + chunk if partial else chunk
+            whole = len(data) - len(data) % ACK_RECORD.size
+            partial = data[whole:]
+            if not self._take_acks(link, data[:whole]):
+                break
+            if not link.unacked and link.watchdog is not None:
+                link.watchdog.cancel()
+                link.watchdog = None
+            self._write_queued(link)
+        self._connection_lost(link)
+
+    def _take_acks(self, link: _Link, records: bytes) -> bool:
+        """Settle the frames ``records`` name; False = drop the connection."""
+        for kind, sequence in ACK_RECORD.iter_unpack(records):
+            frame = link.unacked.pop(sequence, None)
+            if frame is None:
+                return False  # names nothing this link is waiting for
+            if kind == ACK_BYTE:
+                frame.outcome.set_result(SendOutcome.DELIVERED)
+            elif kind == NAK_BYTE:
+                # Admission refused: definitely not processed, and the
+                # connection is still good — the channel backs off.
+                self.stats.overloaded_sends += 1
+                frame.outcome.set_result(SendOutcome.OVERLOADED)
+            else:
+                self._fault([frame])
+                return False
+            link.proven = True
+        return True
+
+    def _connection_lost(self, link: _Link) -> None:
+        """Drop the connection and settle what was unacknowledged on it.
+
+        A frame written on a reused connection goes back to the head of the
+        queue, in order (the driver reconnects for it); any other reports
+        ``FAULT`` (module docstring).  Once per frame, by construction: what
+        is put back leads the first write of the next connection, which has
+        carried no acknowledgement yet.
+        """
+        _drop_link(link)
+        again, lost = [], []
+        for frame in link.unacked.values():
+            (again if frame.reused else lost).append(frame)
+        link.unacked.clear()
+        link.queue.extendleft(reversed(again))
+        self._fault(lost)
+
+    def _fault(self, frames: Iterable[_Frame]) -> None:
+        for frame in frames:
+            self.stats.failed_sends += 1
+            frame.outcome.set_result(SendOutcome.FAULT)
 
     async def _connect(
         self, link: _Link, dst: str, port: int
@@ -603,31 +739,42 @@ class AsyncioTransport:
         real = self.port_map.lookup(dst, port)
         if real is None:
             # Never bound: same classification a refused connect would get.
-            outcome = refusal_outcome(port)
-        else:
-            try:
-                link.reader, link.writer = await asyncio.wait_for(
-                    asyncio.open_connection(self.port_map.host, real),
-                    self.config.connect_timeout,
-                )
-                return None
-            except ConnectionRefusedError:
-                outcome = refusal_outcome(port)
-            except (asyncio.TimeoutError, OSError):
-                self.stats.down_sends += 1
-                return SendOutcome.HOST_DOWN
-        if outcome is SendOutcome.REFUSED:
-            self.stats.refused_sends += 1
-        else:
-            self.stats.down_sends += 1
-        return outcome
+            return refusal_outcome(port)
+        # The deadline is a timer that cancels this very task — what
+        # ``asyncio.timeout`` does on 3.11+, which 3.10 does not have.
+        deadline = self._loop.call_later(
+            self.config.connect_timeout, self._expire_connect, link
+        )
+        try:
+            link.reader, link.writer = await self.open_connection(
+                self.port_map.host, real
+            )
+        except ConnectionRefusedError:
+            return refusal_outcome(port)
+        except OSError:
+            return SendOutcome.HOST_DOWN
+        except asyncio.CancelledError:
+            if not link.connect_expired:
+                raise
+            link.connect_expired = False
+            return SendOutcome.HOST_DOWN
+        finally:
+            deadline.cancel()
+        link.high_water = link.writer.transport.get_write_buffer_limits()[1]
+        return None
+
+    def _expire_connect(self, link: _Link) -> None:
+        link.connect_expired = True
+        assert link.driver is not None
+        link.driver.cancel()
 
     # -- lifecycle ----------------------------------------------------------
 
-    def _spawn(self, coro) -> None:
+    def _spawn(self, coro) -> asyncio.Task:
         task = self._loop.create_task(coro)
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
+        return task
 
     async def aclose(self) -> None:
         """Tear everything down (tests and runners call this on exit)."""
@@ -653,7 +800,12 @@ def _abort(writer: asyncio.StreamWriter) -> None:
 
 
 def _drop_link(link: _Link) -> None:
+    """Abort the link's connection, if any, and disarm its watchdog."""
     if link.writer is not None:
         _abort(link.writer)
     link.reader = None
     link.writer = None
+    link.proven = False
+    if link.watchdog is not None:
+        link.watchdog.cancel()
+        link.watchdog = None

@@ -28,7 +28,15 @@ with an oversized-frame guard, and :func:`encode_envelope` /
 the one piece of addressing information a raw socket does not carry but
 every :data:`~repro.net.network.Listener` receives.  The chaos proxy reads
 just the source stamp (:func:`envelope_source`) to apply partition rules
-without paying a full decode.
+without paying a full decode.  A frame body ends in its link's sequence
+number (:func:`encode_sequenced`), which the receiver echoes in a fixed-size
+:data:`ACK_RECORD` — that is what lets a link keep many frames in flight.
+``docs/protocol.md`` ("Wire format") is the specification;
+:data:`FRAME_REVISION` numbers it.
+
+The codec interns what every message repeats (URL text, CHT entries, the
+web-query each clone carries, query states) in bounded process-global tables;
+encoded bytes do not depend on them — see "what every message repeats" below.
 """
 
 from __future__ import annotations
@@ -67,7 +75,11 @@ from .urlutils import parse_url
 
 __all__ = [
     "WIRE_VERSION",
+    "FRAME_REVISION",
     "MAX_FRAME_BYTES",
+    "ACK_BYTE",
+    "NAK_BYTE",
+    "ACK_RECORD",
     "WireError",
     "encode_message",
     "decode_message",
@@ -81,9 +93,19 @@ __all__ = [
     "encode_envelope",
     "decode_envelope",
     "envelope_source",
+    "encode_sequenced",
+    "split_sequenced",
 ]
 
+#: Version of the message encoding (the ``"v"`` of every JSON envelope).
 WIRE_VERSION = 1
+
+#: Revision of the stream format *around* the messages — frames, sequence
+#: numbers, acknowledgement records (docs/protocol.md, "Wire format").
+#: 1: one positional ack byte per frame, one frame in flight per connection.
+#: 2: each frame body ends in a sequence number and each ack names it.
+#: Message bytes did not change between the two, so ``WIRE_VERSION`` did not.
+FRAME_REVISION = 2
 
 #: Hard ceiling on one framed message.  A length prefix beyond this is
 #: treated as protocol corruption (or an attack) and the connection is
@@ -91,6 +113,20 @@ WIRE_VERSION = 1
 MAX_FRAME_BYTES = 8 * 1024 * 1024
 
 _FRAME_HEADER = struct.Struct(">I")
+_SEQUENCE = struct.Struct(">I")
+
+#: Kind byte of the record a receiver writes after its listener has
+#: *processed* a frame.
+ACK_BYTE = b"\x06"
+
+#: Kind byte of the record a receiver writes when an admission probe declines
+#: a frame: it was *not* processed and the sender should back off and retry.
+#: The connection itself stays healthy.
+NAK_BYTE = b"\x15"
+
+#: One acknowledgement: a kind byte, then the sequence number of the frame it
+#: answers.  Fixed size, so a stream of them needs no framing of its own.
+ACK_RECORD = struct.Struct(">cI")
 
 
 class WireError(WebDisError):
@@ -185,6 +221,61 @@ def expr_from_wire(data: Any) -> Expr:
     raise WireError(f"bad expression wire data {data!r}")
 
 
+# --- what every message repeats ---------------------------------------------------
+#
+# A query's messages name the same few dozen URLs, the same handful of query
+# states and — in every clone — the same web-query, over and over.  The tables
+# below let the codec do the work for each distinct one once.  They are
+# process-global, like ``_DECODED_QUERIES``: a site's traffic is about its own
+# neighbourhood of the web whichever query it belongs to, so every process of
+# a deployment fills its own.  They are bounded (oldest out first), their sizes
+# are constants, and they never need resetting for correctness: a decode table
+# is keyed by the complete received value, so a hit returns exactly what a miss
+# would build; an encode table is keyed by the object being encoded.
+
+_DECODE_TABLE_SIZE = 4096
+_FRAGMENT_TABLE_SIZE = 1024
+
+#: URL text as received -> the ``Url`` it parses to.
+_DECODED_URLS: "dict[str, Url]" = {}
+#: ``repr`` of a CHT entry's JSON object as received -> the ``ChtEntry``.  The
+#: repr tells apart everything ``==`` on JSON values conflates — ``1`` /
+#: ``1.0`` / ``true``, key order — so equal keys *are* the equality proof.
+_DECODED_ENTRIES: "dict[str, ChtEntry]" = {}
+#: ``id`` of a ``WebQuery`` / ``QueryState`` being encoded -> that object (held,
+#: so the id cannot be reused) and what was built for it.
+_ENCODED_FRAGMENTS: "dict[int, tuple[object, Any]]" = {}
+
+
+def _remember(table: dict, key: Any, value: Any, limit: int) -> None:
+    if len(table) >= limit:
+        del table[next(iter(table))]
+    table[key] = value
+
+
+def _url_from_wire(text: Any) -> Url:
+    if type(text) is not str:
+        return parse_url(text)  # not a JSON string: fails as it always did
+    url = _DECODED_URLS.get(text)
+    if url is None:
+        url = parse_url(text)
+        _remember(_DECODED_URLS, text, url, _DECODE_TABLE_SIZE)
+    return url
+
+
+def _fragment(value: object, build: Any) -> Any:
+    """``build(value)``, built once per object for as long as the table holds it."""
+    held = _ENCODED_FRAGMENTS.get(id(value))
+    if held is not None and held[0] is value:
+        return held[1]
+    built = build(value)
+    _remember(_ENCODED_FRAGMENTS, id(value), (value, built), _FRAGMENT_TABLE_SIZE)
+    return built
+
+
+_dumps = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
+
+
 # --- query pieces ---------------------------------------------------------------
 
 
@@ -269,7 +360,7 @@ def _webquery_from_wire(data: Any) -> WebQuery:
 def _decode_webquery(data: Any) -> WebQuery:
     return WebQuery(
         qid=_qid_from_wire(data["qid"]),
-        start_urls=tuple(parse_url(u) for u in data["starts"]),
+        start_urls=tuple(_url_from_wire(u) for u in data["starts"]),
         steps=tuple(
             WebQueryStep(pre_from_wire(s["pre"]), _node_query_from_wire(s["q"]))
             for s in data["steps"]
@@ -290,11 +381,16 @@ def _state_from_wire(data: Any) -> QueryState:
 
 
 def _entry_to_wire(entry: ChtEntry) -> Any:
-    return {"node": str(entry.node), "state": _state_to_wire(entry.state)}
+    return {"node": str(entry.node), "state": _fragment(entry.state, _state_to_wire)}
 
 
 def _entry_from_wire(data: Any) -> ChtEntry:
-    return ChtEntry(parse_url(data["node"]), _state_from_wire(data["state"]))
+    key = repr(data)  # total on any JSON value
+    entry = _DECODED_ENTRIES.get(key)
+    if entry is None:
+        entry = ChtEntry(_url_from_wire(data["node"]), _state_from_wire(data["state"]))
+        _remember(_DECODED_ENTRIES, key, entry, _DECODE_TABLE_SIZE)
+    return entry
 
 
 def _report_to_wire(report: NodeReport) -> Any:
@@ -341,20 +437,30 @@ _KIND_FETCH = "fetch"
 _KIND_DOC = "doc"
 _KIND_BUNDLE = "clone-bundle"
 
+#: ``{"v":1,"k":"<kind>","b":`` per kind: what every message's text opens with.
+_ENVELOPE_HEADS = {
+    kind: f'{{"v":{_dumps(WIRE_VERSION)},"k":{_dumps(kind)},"b":'
+    for kind in (_KIND_CLONE, _KIND_RESULT, _KIND_RELAY, _KIND_FETCH, _KIND_DOC, _KIND_BUNDLE)
+}
 
-def _clone_body(clone: QueryClone) -> dict:
-    body = {
-        "query": _webquery_to_wire(clone.query),
+
+def _webquery_text(query: WebQuery) -> str:
+    return _dumps(_webquery_to_wire(query))
+
+
+def _clone_text(clone: QueryClone) -> str:
+    """A clone's JSON object: the query's text, then the clone's own fields."""
+    rest = {
         "step": clone.step_index,
         "rem": pre_to_wire(clone.rem),
         "dest": [str(u) for u in clone.dest],
         "hist": list(clone.history),
     }
     if clone.dispatch_id:
-        body["did"] = clone.dispatch_id
+        rest["did"] = clone.dispatch_id
     if clone.epoch:
-        body["ep"] = clone.epoch
-    return body
+        rest["ep"] = clone.epoch
+    return f'{{"query":{_fragment(clone.query, _webquery_text)},{_dumps(rest)[1:]}'
 
 
 def _clone_from_body(body: Any) -> QueryClone:
@@ -362,7 +468,7 @@ def _clone_from_body(body: Any) -> QueryClone:
         query=_webquery_from_wire(body["query"]),
         step_index=body["step"],
         rem=pre_from_wire(body["rem"]),
-        dest=tuple(parse_url(u) for u in body["dest"]),
+        dest=tuple(_url_from_wire(u) for u in body["dest"]),
         history=tuple(body["hist"]),
         dispatch_id=body.get("did", ""),
         epoch=body.get("ep", 0),
@@ -388,32 +494,37 @@ def _result_from_body(body: Any) -> ResultMessage:
 def encode_message(message: object) -> bytes:
     """Serialize any WEBDIS payload to wire bytes."""
     if isinstance(message, CloneBundle):
-        body = {"clones": [_clone_body(clone) for clone in message.clones]}
+        body = f'{{"clones":[{",".join([_clone_text(clone) for clone in message.clones])}]}}'
         kind = _KIND_BUNDLE
     elif isinstance(message, QueryClone):
-        body = _clone_body(message)
+        body = _clone_text(message)
         kind = _KIND_CLONE
     elif isinstance(message, ResultMessage):
-        body = _result_body(message)
+        body = _dumps(_result_body(message))
         kind = _KIND_RESULT
     elif isinstance(message, RelayMessage):
-        body = {"path": list(message.remaining), "inner": _result_body(message.inner)}
+        body = _dumps(
+            {"path": list(message.remaining), "inner": _result_body(message.inner)}
+        )
         kind = _KIND_RELAY
     elif isinstance(message, FetchRequest):
-        body = {
-            "url": str(message.url),
-            "site": message.reply_site,
-            "port": message.reply_port,
-            "id": message.request_id,
-        }
+        body = _dumps(
+            {
+                "url": str(message.url),
+                "site": message.reply_site,
+                "port": message.reply_port,
+                "id": message.request_id,
+            }
+        )
         kind = _KIND_FETCH
     elif isinstance(message, DocResponse):
-        body = {"url": str(message.url), "html": message.html, "id": message.request_id}
+        body = _dumps(
+            {"url": str(message.url), "html": message.html, "id": message.request_id}
+        )
         kind = _KIND_DOC
     else:
         raise WireError(f"unencodable message type {type(message).__name__}")
-    envelope = {"v": WIRE_VERSION, "k": kind, "b": body}
-    return json.dumps(envelope, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    return f'{_ENVELOPE_HEADS[kind]}{body}}}'.encode("utf-8")
 
 
 def decode_message(data: bytes) -> object:
@@ -434,10 +545,10 @@ def decode_message(data: bytes) -> object:
         return RelayMessage(tuple(body["path"]), _result_from_body(body["inner"]))
     if kind == _KIND_FETCH:
         return FetchRequest(
-            parse_url(body["url"]), body["site"], body["port"], body["id"]
+            _url_from_wire(body["url"]), body["site"], body["port"], body["id"]
         )
     if kind == _KIND_DOC:
-        return DocResponse(parse_url(body["url"]), body["html"], body["id"])
+        return DocResponse(_url_from_wire(body["url"]), body["html"], body["id"])
     if kind == _KIND_BUNDLE:
         return CloneBundle(tuple(_clone_from_body(clone) for clone in body["clones"]))
     raise WireError(f"unknown message kind {kind!r}")
@@ -534,6 +645,26 @@ def envelope_source(body: bytes) -> str:
         return stamp.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise WireError(f"undecodable source stamp: {exc}") from exc
+
+
+def encode_sequenced(envelope: bytes, sequence: int) -> bytes:
+    """A frame body: ``envelope`` followed by its per-link sequence number.
+
+    The number trails the envelope so everything that reads an envelope's
+    head — :func:`envelope_source` in the chaos proxy — is untouched by it.
+    """
+    return envelope + _SEQUENCE.pack(sequence)
+
+
+def split_sequenced(body: bytes) -> tuple[bytes, bytes]:
+    """Inverse of :func:`encode_sequenced`: ``(envelope, sequence bytes)``.
+
+    The sequence number comes back as the four bytes received: a receiver
+    only ever echoes it into an :data:`ACK_RECORD`.
+    """
+    if len(body) < _SEQUENCE.size:
+        raise WireError(f"frame body of {len(body)} bytes has no sequence number")
+    return body[: -_SEQUENCE.size], body[-_SEQUENCE.size :]
 
 
 def decode_envelope(body: bytes) -> tuple[str, object]:

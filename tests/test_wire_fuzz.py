@@ -6,11 +6,19 @@ dispatch-identity stamping — ``(qid, dispatch_id, recovery_epoch)`` plus
 on: empty ``child_ids`` (leaf reports), unicode site names (the envelope
 is UTF-8 JSON with ``ensure_ascii=False``), and epoch 0 (elided on the
 wire, restored on decode).  The codec also carries unstamped reports and
-mis-sized ``child_ids``; the user-site must refuse those (last suite).
+mis-sized ``child_ids``; the user-site must refuse those.
+
+The last suite poisons the codec's interning tables: frames whose CHT entry
+differs from an honest one only in what ``==`` on JSON values cannot see
+(``1`` / ``1.0`` / ``true``, key order) must decode exactly as they did before
+the tables existed, whatever was decoded before them.
 """
 
 from __future__ import annotations
 
+import copy
+import itertools
+import json
 from dataclasses import replace
 
 import pytest
@@ -26,6 +34,8 @@ from repro.relational.query import ResultRow
 from repro.urlutils import parse_url
 from repro.web.campus import CAMPUS_QUERY_DISQL
 from repro.wire import decode_message, encode_message
+
+from .test_wire_interning import _clear_tables
 
 HOSTS = st.sampled_from(
     [
@@ -194,3 +204,121 @@ class TestEdgeCases:
         )
         message = ResultMessage(QueryId("ユーザ", "sité-α.example", 5001, 7), (report,))
         assert decode_message(encode_message(message)) == message
+
+
+# --- poisoning the interning tables ----------------------------------------------
+
+_HONEST = {
+    "node": "http://b.example/x",
+    "state": {"n": 1, "rem": {"rep": {"alt": ["L", "G"]}, "max": 1}},
+}
+
+
+def _variant(**changes):
+    entry = copy.deepcopy(_HONEST)
+    for path, value in changes.items():
+        *parents, leaf = path.split("__")
+        target = entry
+        for key in parents:
+            target = target[key]
+        target[leaf] = value
+    return entry
+
+
+def _entry_repr(num_q="1", bound="1"):
+    return (
+        "ChtEntry(node=Url(host='b.example', path='/x', fragment='', scheme='http'), "
+        f"state=QueryState(num_q={num_q}, rem=Repeat(body=Alt(options=("
+        "Atom(ltype=<LinkType.LOCAL: 'L'>), Atom(ltype=<LinkType.GLOBAL: 'G'>))), "
+        f"bound={bound})))"
+    )
+
+
+#: ``name -> (entry as received, what the codec without tables made of it)``:
+#: the ``repr`` of the decoded entry — which shows ``1`` / ``1.0`` / ``True``
+#: apart — or the name of the exception, both captured at the previous commit.
+_POISON = {
+    "honest": (_HONEST, _entry_repr()),
+    "n_true": (_variant(state__n=True), _entry_repr(num_q="True")),
+    "n_float_one": (_variant(state__n=1.0), _entry_repr(num_q="1.0")),
+    "n_float": (_variant(state__n=1.5), _entry_repr(num_q="1.5")),
+    "n_string": (_variant(state__n="1"), "TypeError"),
+    "node_int": (_variant(node=5), "AttributeError"),
+    "node_list": (_variant(node=["http://b.example/x"]), "AttributeError"),
+    "node_null": (_variant(node=None), "AttributeError"),
+    "node_spaces": (_variant(node=" http://b.example/x "), _entry_repr()),
+    "node_upper": (_variant(node="HTTP://B.EXAMPLE/x"), _entry_repr()),
+    "rem_key_order": (
+        {"node": _HONEST["node"],
+         "state": {"n": 1, "rem": {"max": 1, "rep": {"alt": ["L", "G"]}}}},
+        _entry_repr(),
+    ),
+    "state_key_order": ({"state": _HONEST["state"], "node": _HONEST["node"]}, _entry_repr()),
+    "max_float": (_variant(state__rem__max=1.0), _entry_repr(bound="1.0")),
+    "max_true": (_variant(state__rem__max=True), _entry_repr(bound="True")),
+    "max_null": (_variant(state__rem__max=None), _entry_repr(bound="None")),
+    "extra_key": ({**_HONEST, "extra": 1}, _entry_repr()),
+    "entry_list": (["http://b.example/x", {"n": 1, "rem": "N"}], "TypeError"),
+    "missing_state": ({"node": _HONEST["node"]}, "KeyError"),
+}
+
+
+def _decoded_entries(entry):
+    """``(report.entry, report.new_entries[0])`` of a frame carrying ``entry`` twice."""
+    report = {"entry": entry, "disp": "processed", "new": [entry], "rows": [], "did": "u1"}
+    body = {"qid": ["maya", "user.example", 5001, 7], "reports": [report], "chan": "result"}
+    decoded = decode_message(json.dumps({"v": 1, "k": "result", "b": body}).encode())
+    return decoded.reports[0].entry, decoded.reports[0].new_entries[0]
+
+
+def _outcome(entry):
+    try:
+        first, second = _decoded_entries(entry)
+    except Exception as exc:  # noqa: BLE001 - the type is the assertion
+        return type(exc).__name__, None
+    assert first is second  # one frame, one value, one object
+    return repr(first), first
+
+
+class TestPoisonedEntriesNeverShareAnObject:
+    @pytest.mark.parametrize("name", sorted(_POISON))
+    def test_decodes_as_it_did_without_tables(self, name):
+        entry, expected = _POISON[name]
+        for warm_with in (None, "honest", name):
+            _clear_tables()
+            if warm_with is not None:
+                _outcome(_POISON[warm_with][0])
+            assert _outcome(entry)[0] == expected
+
+    def test_every_order_of_arrival_gives_every_frame_its_own_value(self):
+        """Whatever was decoded first, a frame gets the value it spells —
+        and two frames share an object only if they spell the same value."""
+        names = sorted(_POISON)
+        for order in (names, names[::-1], names[1::2] + names[::2]):
+            _clear_tables()
+            objects = {}
+            for name in itertools.chain(order, order):  # cold, then all warm
+                seen, decoded = _outcome(_POISON[name][0])
+                assert seen == _POISON[name][1], name
+                if decoded is not None:
+                    objects.setdefault(name, decoded)
+                    assert objects[name] is decoded  # a repeat is interned
+            for (a, first), (b, second) in itertools.combinations(objects.items(), 2):
+                if repr(first) != repr(second):
+                    assert first is not second, (a, b)
+
+    def test_a_poisoned_entry_does_not_change_what_honest_traffic_encodes(self):
+        _clear_tables()
+        honest, __ = _decoded_entries(_HONEST)
+        message = ResultMessage(
+            QueryId("maya", "user.example", 5001, 7),
+            (NodeReport(honest, Disposition.PROCESSED, dispatch_id="u1"),),
+        )
+        before = encode_message(message)
+        for name in ("n_true", "n_float_one", "max_true", "max_float"):
+            poisoned, __ = _decoded_entries(_POISON[name][0])
+            assert poisoned == honest  # equal to Python, and yet:
+            forged = replace(message, reports=(replace(message.reports[0], entry=poisoned),))
+            assert encode_message(forged) != before
+            assert decode_message(encode_message(forged)).reports[0].entry is poisoned
+        assert encode_message(message) == before

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""cProfile harness for the engine's hot paths (EXP-P1 / EXP-P2 / first touch / warm).
+"""cProfile harness for the engine's hot paths (EXP-P1 / EXP-P2 / first touch / warm / wire).
 
 Runs one of the perf-bench workloads under :mod:`cProfile` and prints the
 top-N functions by cumulative time, so a perf regression can be localized
@@ -10,6 +10,7 @@ without wiring up an external profiler::
     PYTHONPATH=src python tools/profile_hotpath.py --workload p2 --top 40
     PYTHONPATH=src python tools/profile_hotpath.py --workload build --sort tottime
     PYTHONPATH=src python tools/profile_hotpath.py --workload warm --json
+    PYTHONPATH=src python tools/profile_hotpath.py --workload wire
     PYTHONPATH=src python tools/profile_hotpath.py --sort tottime
     PYTHONPATH=src python tools/profile_hotpath.py --out p2.pstats  # dump
     PYTHONPATH=src python tools/profile_hotpath.py --json > prof.json
@@ -38,7 +39,16 @@ the profile always matches what the perf gates measure:
   same web, one engine, the 16-query zipf pool run once so every later
   probe is a memo hit, then 100 repeats under the profiler.  What is left
   is protocol — log table, memo probes, clone and report construction,
-  CHT, message sizing — and hashing.
+  CHT, message sizing — and hashing;
+* ``wire`` — the socket path, what EXP-E1's ``wire_tenants`` pays, with one
+  tenant instead of two: the 6×12 mostly-global web on
+  ``AsyncioWebDisEngine`` over loopback TCP with the cost model zeroed, the
+  12-query pool run once to warm every cache, then 108 sequential queries.
+  After the profile, an unprofiled pass of the same loop prints what a query
+  costs the event loop — wall, loop iterations, delivered messages, and
+  handles (callbacks the loop ran) grouped by callback (``--json``:
+  ``wire_loop_per_query``).  The counts repeat to within the few frames
+  whose arrival order the kernel decides.
 
 ``--json`` emits the top-N table as machine-readable JSON (one list per
 workload: function, ncalls, tottime, cumtime) for diffing profiles across
@@ -203,11 +213,109 @@ def hash_frames_per_query() -> dict[str, float]:
     return per_query
 
 
+#: Timed queries of one ``wire`` pass (the size of an EXP-E1 block).
+WIRE_REPEATS = 108
+
+
+def _wire_inputs() -> tuple:
+    """``(web, pool)`` of EXP-E1's ``wire_tenants``, built from their configs."""
+    from repro.web.synthetic import SyntheticWebConfig, build_synthetic_web
+
+    web = build_synthetic_web(
+        SyntheticWebConfig(
+            sites=6, pages_per_site=12, local_out_degree=2,
+            global_out_degree=3, padding_words=30,
+        )
+    )
+    web.total_bytes()  # pages render lazily
+    pool = [
+        f'select d.url, d.title, a.href from document d such that '
+        f'"http://site{site:03d}.example{path}" (L|G)*2 d, anchor a '
+        f'where d.title contains "topic"'
+        for site in range(6)
+        for path in ("/", "/page1.html")
+    ]
+    return web, pool
+
+
+def _wire_pass(inputs: tuple, measure: dict | None = None) -> None:
+    """One tenant's closed loop over real loopback sockets.
+
+    With ``measure`` the timed part runs under the loop counters and fills
+    it; without, it just runs (under whatever profiler the caller enabled).
+    """
+    import asyncio
+
+    from repro import EngineConfig
+    from repro.core.aio_engine import AsyncioWebDisEngine
+    from repro.testing.loopcost import count_handles
+
+    web, pool = inputs
+    config = EngineConfig(
+        transport="asyncio", node_service_time=0.0,
+        parse_time_per_kb=0.0, eval_time_per_tuple=0.0,
+    )
+
+    async def main() -> None:
+        engine = AsyncioWebDisEngine(web, config=config)
+        loop = asyncio.get_running_loop()
+        try:
+            async def one(text: str) -> None:
+                done = loop.create_future()
+                engine.submit_disql(text, on_complete=lambda handle: done.set_result(None))
+                await done
+
+            for text in pool:
+                await one(text)
+            queries = (pool * (WIRE_REPEATS // len(pool) + 1))[:WIRE_REPEATS]
+            if measure is None:
+                for text in queries:
+                    await one(text)
+                return
+            iterations = [0]
+            run_once = loop._run_once
+
+            def counted_run_once() -> None:
+                iterations[0] += 1
+                run_once()
+
+            loop._run_once = counted_run_once  # type: ignore[method-assign]
+            messages = engine.stats.messages_sent
+            with count_handles() as handles:
+                begin = time.perf_counter()
+                for text in queries:
+                    await one(text)
+                wall = time.perf_counter() - begin
+                by_callback = dict(handles.most_common())
+            del loop._run_once  # back to the class's method
+            measure.update(
+                wall_ms=round(wall / WIRE_REPEATS * 1e3, 3),
+                loop_iterations=round(iterations[0] / WIRE_REPEATS, 2),
+                messages=round((engine.stats.messages_sent - messages) / WIRE_REPEATS, 2),
+                handles=round(sum(by_callback.values()) / WIRE_REPEATS, 2),
+                handles_by_callback={
+                    name: round(count / WIRE_REPEATS, 2) for name, count in by_callback.items()
+                },
+            )
+        finally:
+            await engine.aclose()
+
+    asyncio.run(main())
+
+
+def wire_loop_per_query() -> dict:
+    """What one sequential socket query costs the event loop (unprofiled)."""
+    measured: dict = {}
+    _wire_pass(_wire_inputs(), measured)
+    return measured
+
+
 WORKLOAD_PASSES = {
     "p1": _p1_pass, "p2": _p2_pass, "build": _build_pass, "warm": _warm_pass,
+    "wire": _wire_pass,
 }
 #: Input a pass takes, prepared before the profiler is switched on.
-WORKLOAD_INPUTS = {"build": _spot_check_pages, "warm": _warm_engine}
+WORKLOAD_INPUTS = {"build": _spot_check_pages, "warm": _warm_engine, "wire": _wire_inputs}
 
 
 def profile_workload(
@@ -279,18 +387,31 @@ def main(argv: list[str] | None = None) -> int:
             out = args.out if len(names) == 1 else f"{name}-{args.out}"
         text, entries = profile_workload(name, args.sort, args.top, out)
         per_page = build_us_per_page() if name == "build" else None
+        per_query = wire_loop_per_query() if name == "wire" else None
         if args.json:
             as_json[name] = entries
             if name == "warm":
                 as_json["warm_hash_frames_per_query"] = hash_frames_per_query()
             if per_page:
                 as_json["build_us_per_page"] = per_page
+            if per_query:
+                as_json["wire_loop_per_query"] = per_query
         else:
             print(f"== {name.upper()} workload — top {args.top} by {args.sort} ==")
             print(text)
             if per_page:
                 print(f"full build (all three relations read): {per_page['full']} µs/page")
                 print(f"scan + DOCUMENT only: {per_page['scan_and_document']} µs/page\n")
+            if per_query:
+                print(
+                    f"per sequential query (unprofiled, {WIRE_REPEATS} queries): "
+                    f"{per_query['wall_ms']} ms wall, {per_query['loop_iterations']} loop "
+                    f"iterations, {per_query['messages']} delivered messages, "
+                    f"{per_query['handles']} handles:"
+                )
+                for callback, count in per_query["handles_by_callback"].items():
+                    print(f"  {count:8.2f}  {callback}")
+                print()
         if out and not args.json:
             print(f"raw profile dumped to {out}")
     if args.json:

@@ -133,6 +133,8 @@ def demo(args: argparse.Namespace) -> int:
                 Tracer(enabled=False), config,
             )
             supervisor = QuerySupervisor(client, POLICY)
+            finished = asyncio.get_running_loop().create_future()
+            client.on_terminal = lambda handle: finished.set_result(None)
             handle = client.submit(compile_disql(query_text(generate_case(args.seed))))
             supervisor.supervise(handle)
 
@@ -153,9 +155,10 @@ def demo(args: argparse.Namespace) -> int:
                 if restart_at is not None:
                     clock.schedule_at(restart_at, do_restart)
 
-            deadline = clock.now + args.timeout
-            while handle.status is QueryStatus.RUNNING and clock.now < deadline:
-                await asyncio.sleep(0.05)
+            try:
+                await asyncio.wait_for(finished, args.timeout)
+            except asyncio.TimeoutError:
+                pass  # reported below: the status is still RUNNING
             print(f"[demo] status={handle.status.value} rows={len(handle.results)} "
                   f"epoch={handle.recovery_epoch} t={clock.now:.2f}s", flush=True)
             print(handle.display_table())

@@ -22,9 +22,13 @@ over every shape the executor has a distinct path for:
   table (paper §7.1);
 * **join-depth 2/3/4** — node-queries whose equality joins on shared
   variables (``a.base = d.url``, ``r.url = a.base``) lower to hash-index
-  probes instead of nested scans.
+  probes instead of nested scans;
+* **selection-under-join** — EXP-E1's ``eval_join`` node-query (``anchor x
+  relinfon``: a leaf-local ``contains``, a cross-alias ``contains``, an
+  outer ``!=`` column pair), where the table-local conjuncts run once per
+  table per execution, below the join, instead of once per outer binding.
 
-Three checks ride along (they are what ``--check`` gates in CI):
+Four checks ride along (they are what ``--check`` gates in CI):
 
 1. row-for-row equality — for every (node-query, node-database) pair the
    compiled plan returns exactly the interpreter's rows, in order;
@@ -33,7 +37,13 @@ Three checks ride along (they are what ``--check`` gates in CI):
    bit-identical — status, completion time, result rows in order — on the
    default engine vs ``compiled_plans=False``;
 3. one conservative speedup floor on the *weakest* shape, so no shape can
-   regress behind another's large ratio.
+   regress behind another's large ratio;
+4. an evaluation *count* on selection-under-join — ``str.lower`` calls (one
+   per ``contains`` operand) and scalar comparisons per pass, against the
+   bound "one per segment, plus what the cross-alias conjunct needs per
+   (anchor, selected segment)".  A count repeats exactly, so it catches a
+   selection sliding back inside the join on a runner too noisy for a
+   timing floor.
 
 Run directly for the table (also written to ``benchmarks/results/EXP-P1.txt``):
 
@@ -49,14 +59,18 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 from repro import EngineConfig, QueryStatus, WebDisEngine
 from repro.disql import compile_disql
 from repro.html.generator import PageSpec, render_page
 from repro.model.database import DatabaseConstructor, build_node_database
+from repro.relational import columnar
 from repro.relational.compile import compile_node_query
-from repro.relational.expr import And, Attr, Compare, Contains, Literal
+from repro.relational.expr import And, Attr, Compare, Contains, Literal, _coerce_pair
 from repro.relational.query import NodeQuery, TableDecl, evaluate_node_query
 from repro.urlutils import parse_url
 from repro.web import SyntheticWebConfig, build_synthetic_web
@@ -116,6 +130,9 @@ HOT_PAGES = 4
 HOT_LINKS = 150
 HOT_MARKS = 40
 SITE_PAGES = 60
+#: selection-under-join's leaf-local literal: matches "fragment 1" and
+#: "fragment 10".."fragment 19" of a hot page.
+SELECTED_TEXT = "fragment 1"
 
 
 def _hot_page(index: int, *, links: int, emphasized: int) -> str:
@@ -305,6 +322,25 @@ def _workloads():
             hot[:2],
             None,
         ),
+        (
+            "selection-under-join",
+            # eval_join's node-query.  The interpreter nests all three
+            # conjuncts under both scans; the pipeline selects ANCHOR and
+            # RELINFON once each and runs only the middle one per binding.
+            _nq(
+                [Attr("d", "url"), Attr("a", "href"), Attr("r", "text")],
+                [d, a, r],
+                And(
+                    And(
+                        Contains(Attr("r", "text"), Literal(SELECTED_TEXT)),
+                        Contains(Attr("a", "label"), Attr("r", "delimiter")),
+                    ),
+                    Compare("!=", Attr("a", "href"), Attr("a", "base")),
+                ),
+            ),
+            hot[:2],
+            None,
+        ),
     ]
     return workloads
 
@@ -332,6 +368,72 @@ def check_rows_identical(workloads) -> int:
             ], f"compiled rows diverge for {name} at {database.url}"
             pairs += 1
     return pairs
+
+
+@contextmanager
+def counted_evaluations() -> Iterator[Counter]:
+    """Count what the executor evaluates inside the block — counts that
+    repeat exactly, taken under :func:`sys.setprofile`.
+
+    ``str.lower``: one call per ``contains`` operand that is not a literal;
+    ``scalar comparisons``: ``=``/``!=``/ordered closures and interpreter
+    nodes (:func:`_coerce_pair` frames); ``columnar.<name>``: calls per
+    batch stage and kernel.
+    """
+    counts: Counter = Counter()
+
+    def on_event(frame, event, arg) -> None:
+        if event == "c_call":
+            if getattr(arg, "__name__", "") == "lower":
+                counts["str.lower"] += 1
+        elif event == "call":
+            code = frame.f_code
+            if code is _coerce_pair.__code__:
+                counts["scalar comparisons"] += 1
+            elif (
+                code.co_filename == columnar.__file__
+                and code.co_name.endswith(("kernel", "stage"))
+                and not code.co_name.startswith("_")  # the builders
+            ):
+                counts[f"columnar.{code.co_name}"] += 1
+
+    sys.setprofile(on_event)
+    try:
+        yield counts
+    finally:
+        sys.setprofile(None)
+
+
+def check_selection_count(workloads) -> dict:
+    """Evaluations of one compiled pass over selection-under-join, counted.
+
+    ``lowered``: ``str.lower`` calls — one per ``contains`` with a literal
+    needle, two with a column needle; ``compared``: scalar ``=``/``!=``
+    closures.  ``bound`` is what selections below the join allow — one
+    ``lower`` per segment plus two per (anchor, selected segment), and no
+    scalar comparison at all (the column pair has a kernel); ``nested`` is
+    what evaluating the leaf-local conjunct per anchor would cost.
+    """
+    __, query, databases, site_documents = next(
+        workload for workload in workloads if workload[0] == "selection-under-join"
+    )
+    plan = compile_node_query(query)
+    with counted_evaluations() as counts:
+        for database in databases:
+            plan.execute_columnar(database, site_documents)
+    bound = nested = 0
+    for database in databases:
+        anchors = len(database.relation("anchor"))
+        texts = database.relation("relinfon").columns()[2]
+        selected = sum(SELECTED_TEXT in text.lower() for text in texts)
+        bound += len(texts) + 2 * anchors * selected
+        nested += anchors * len(texts) + 2 * anchors * selected
+    return {
+        "lowered": counts["str.lower"],
+        "compared": counts["scalar comparisons"],
+        "bound": bound,
+        "nested": nested,
+    }
 
 
 def check_engine_identical() -> int:
@@ -364,6 +466,7 @@ def measure(repeats: int = 7) -> dict:
 
     pairs_checked = check_rows_identical(workloads)
     engine_rows = check_engine_identical()
+    selection = check_selection_count(workloads)
 
     compile_begin = time.perf_counter()
     plans = [compile_node_query(query) for __, query, __dbs, __site in workloads]
@@ -407,7 +510,27 @@ def measure(repeats: int = 7) -> dict:
         "compile_once_s": compile_seconds,
         "rows_identical_pairs": pairs_checked,
         "engine_identical_rows": engine_rows,
+        "selection": selection,
     }
+
+
+def _failures(result: dict) -> list[str]:
+    """What the gate rejects: the weakest shape under the floor, or
+    selection-under-join evaluating more than selections below the join do."""
+    failures = []
+    if result["speedup"] < SPEEDUP_FLOOR:
+        failures.append(
+            f"{result['weakest_shape']} at {result['speedup']}x, below the"
+            f" {SPEEDUP_FLOOR}x floor"
+        )
+    selection = result["selection"]
+    if selection["lowered"] > selection["bound"] or selection["compared"]:
+        failures.append(
+            f"selection-under-join: {selection['lowered']} str.lower calls"
+            f" (bound {selection['bound']}) and {selection['compared']} scalar"
+            " comparisons (bound 0) per pass"
+        )
+    return failures
 
 
 def _report(result: dict) -> None:
@@ -449,6 +572,11 @@ def _report(result: dict) -> None:
         f" row-identical; engine runs bit-identical"
         f" ({result['engine_identical_rows']} result rows, filter + joined"
         " query) vs the interpreter"
+        f"\nselection-under-join, counted per compiled pass:"
+        f" {result['selection']['lowered']} str.lower calls (bound"
+        f" {result['selection']['bound']}; {result['selection']['nested']} if"
+        f" the leaf selection ran per anchor),"
+        f" {result['selection']['compared']} scalar comparisons (bound 0)"
     )
     report("EXP-P1", "node-query hot path: compiled plans vs interpreter", body)
 
@@ -456,10 +584,7 @@ def _report(result: dict) -> None:
 def bench_hotpath(benchmark):
     result = measure()
     _report(result)
-    assert result["speedup"] >= SPEEDUP_FLOOR, (
-        f"{result['weakest_shape']} at {result['speedup']}x, below the"
-        f" {SPEEDUP_FLOOR}x floor"
-    )
+    assert not _failures(result), _failures(result)
     __, query, databases, site_documents = _workloads()[0]
     plan = compile_node_query(query)
     benchmark(lambda: [plan.execute_columnar(db, site_documents) for db in databases])
@@ -469,7 +594,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--check", action="store_true",
-        help="CI sizing: same checks and floor, fewer timing repeats",
+        help="CI sizing: same checks, floor and count bound, fewer timing repeats",
     )
     parser.add_argument(
         "--repeats", type=int, default=None, help="timing passes per cell"
@@ -483,10 +608,13 @@ def main(argv: list[str] | None = None) -> int:
     verdict = (
         f"{result['rows_identical_pairs']} pairs row-identical, engine"
         f" bit-identical, weakest shape {result['weakest_shape']} at"
-        f" {result['speedup']}x (floor {SPEEDUP_FLOOR}x)"
+        f" {result['speedup']}x (floor {SPEEDUP_FLOOR}x), selection-under-join"
+        f" {result['selection']['lowered']} str.lower calls per pass (bound"
+        f" {result['selection']['bound']})"
     )
-    if result["speedup"] < SPEEDUP_FLOOR:
-        print(f"FAIL: {verdict}", file=sys.stderr)
+    failures = _failures(result)
+    if failures:
+        print(f"FAIL: {'; '.join(failures)}", file=sys.stderr)
         return 1
     print(f"OK: {verdict}")
     return 0

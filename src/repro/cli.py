@@ -90,6 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
     explain_source = explain.add_mutually_exclusive_group(required=True)
     explain_source.add_argument("--disql", help="the DISQL text")
     explain_source.add_argument("--file", help="file containing the DISQL text")
+    explain.add_argument(
+        "--plan", action="store_true",
+        help="also show, per node-query, where the executor runs each where-conjunct",
+    )
 
     subparsers.add_parser("demo", help="run the paper's sample query end to end")
     return parser
@@ -190,7 +194,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             disql = handle.read()
     else:
         disql = args.disql
-    print(explain_webquery(compile_disql(disql), narrate=True))
+    print(explain_webquery(compile_disql(disql), narrate=True, plans=args.plan))
     return 0
 
 

@@ -17,6 +17,7 @@ query — the tool a user reaches for to check what DISQL lowered to.
 from __future__ import annotations
 
 from ..core.webquery import WebQuery
+from ..relational.compile import compile_node_query
 from ..relational.expr import TRUE
 from ..relational.query import NodeQuery
 
@@ -38,11 +39,17 @@ def format_node_query(query: NodeQuery) -> str:
     return "\n".join(lines)
 
 
-def explain_webquery(query: WebQuery, *, narrate: bool = False) -> str:
+def explain_webquery(
+    query: WebQuery, *, narrate: bool = False, plans: bool = False
+) -> str:
     """The paper-style formalism: headline plus per-node-query listings.
 
     ``narrate=True`` adds an English reading of each traversal PRE
-    (:func:`repro.pre.describe.describe_pre`).
+    (:func:`repro.pre.describe.describe_pre`).  ``plans=True`` appends to
+    each node-query what a server's executor does with it
+    (:meth:`repro.relational.compile.CompiledPlan.describe`): per table,
+    which conjuncts select below the join, which one a hash index serves,
+    and which are left to run per binding.
     """
     headline_parts = []
     start = " | ".join(str(url) for url in query.start_urls)
@@ -62,5 +69,8 @@ def explain_webquery(query: WebQuery, *, narrate: bool = False) -> str:
     for step in query.steps:
         lines.append(f"where {step.query.label} is")
         lines.append(format_node_query(step.query))
+        if plans:
+            lines.append(f"plan of {step.query.label}:")
+            lines.append(compile_node_query(step.query).describe())
         lines.append("")
     return "\n".join(lines).rstrip() + "\n"

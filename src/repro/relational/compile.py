@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..errors import DisqlSemanticsError, EvaluationError, SchemaError
 from ..model.relations import ANCHOR_SCHEMA, DOCUMENT_SCHEMA, RELINFON_SCHEMA
-from .columnar import build_columnar_runner
+from .columnar import LevelPlan, build_columnar_runner
 from .expr import (
     _COMPARATORS,
     And,
@@ -78,13 +78,17 @@ class CompiledPlan:
     replays through whenever a batch run raises.
     """
 
-    __slots__ = ("query", "header", "cost_weight", "_scan_specs", "_columnar")
+    __slots__ = (
+        "query", "header", "cost_weight", "_scan_specs", "_columnar", "_gates", "_levels",
+    )
 
     def __init__(
         self,
         query: NodeQuery,
         scan_specs: tuple[tuple[str, bool, Schema], ...],
         columnar: Callable[[list, list, list, list], None],
+        gates: tuple[Expr, ...],
+        levels: tuple[LevelPlan, ...],
     ) -> None:
         self.query = query
         self.header = query.header
@@ -92,6 +96,32 @@ class CompiledPlan:
         self.cost_weight = query.cost_weight()
         self._scan_specs = scan_specs
         self._columnar = columnar
+        self._gates = gates
+        self._levels = levels
+
+    def describe(self) -> str:
+        """What the batch pipeline does with each conjunct, level by level.
+
+        One block per table in join order — the table, then whichever of
+        *selection* (evaluated over the whole table, once per execution),
+        *probe* (the equality served by a hash index, per outer binding)
+        and *residual* (per outer binding, over the survivors) the level
+        has, each in evaluation order.  Constant conjuncts gate the whole
+        run first.  See :mod:`repro.relational.columnar` for the rule that
+        decides which conjunct goes where.
+        """
+        lines = []
+        if self._gates:
+            lines.append("gate: " + " and ".join(str(gate) for gate in self._gates))
+        for decl, level in zip(self.query.tables, self._levels):
+            lines.append(f"bind {decl.relation} {decl.alias}")
+            for label, group in (
+                ("selection", level.selection),
+                ("probe", (level.probe,) if level.probe is not None else ()),
+                ("residual", level.residual),
+            ):
+                lines.extend(f"  {label}: {conjunct}" for conjunct in group)
+        return "\n".join(lines)
 
     def _bind_tables(
         self, database: "NodeDatabase", site_documents: Table | None
@@ -219,7 +249,7 @@ def compile_node_query(query: NodeQuery) -> CompiledPlan:
         tuple(_compile_expr(conjunct, positions, schemas) for conjunct in level)
         for level in filter_plan
     ]
-    columnar = build_columnar_runner(
+    columnar, levels = build_columnar_runner(
         query.select,
         filter_plan,
         filters,
@@ -228,7 +258,7 @@ def compile_node_query(query: NodeQuery) -> CompiledPlan:
         query.header,
         compile_expr=lambda expr: _compile_expr(expr, positions, schemas),
     )
-    return CompiledPlan(query, scan_specs, columnar)
+    return CompiledPlan(query, scan_specs, columnar, filter_plan[0], levels)
 
 
 # -- expression lowering -------------------------------------------------------

@@ -156,10 +156,6 @@ def evaluate_node_query(
     Returns the projected rows; an empty list means the node-query failed
     (the node becomes a dead end, paper Section 2.5).
     """
-    if query.sitewide_aliases and site_documents is None:
-        raise DisqlSemanticsError(
-            f"node-query {query.label} needs site-wide documents but none were built"
-        )
     scans = _scans_for(query, database, site_documents)
     filters = _plan_filters(query, [alias for alias, __ in scans])
     results: list[ResultRow] = []

@@ -104,9 +104,14 @@ class ColumnIndex:
 class Table:
     """A bag of rows conforming to a :class:`Schema`.
 
-    Rows are plain tuples in schema attribute order.  Node databases are
-    built once, scanned a handful of times, then purged, so the structure is
-    deliberately simple: an append-only list with full scans.
+    Rows are plain tuples in schema attribute order; the structure is
+    deliberately simple, an append-only list with full scans.  A node's
+    tables live as long as the document store keeps the page
+    (:class:`~repro.model.database.DatabaseConstructor`) and are scanned by
+    every query that visits the node, so what a table caches is only what
+    every query can share: its two views and the per-column hash indexes.
+    A query's selection over a table depends on the query's own literals,
+    so the executor computes it per execution and keeps nothing here.
 
     The columnar executor (:mod:`repro.relational.columnar`) reads the same
     data as parallel per-attribute arrays via :meth:`columns` and probes

@@ -15,6 +15,10 @@ batch kernels reorder around.  Property families:
   the replayed outcome must equal the interpreter's — with no partial
   batch output left behind — and be counted in
   ``TrafficStats.plan_replays``.
+* **Selections below the join** — table-local conjuncts run over whole
+  tables, ahead of their statement position: a poisoned cell in every
+  hoisted column of 3- and 4-level joins, the conjunct the hoisting rule
+  must leave in place, and empty tables at every level.
 * **Engine-level equivalence** — random generated webs run end to end on
   the default engine vs ``compiled_plans=False``: identical statuses,
   per-tenant distinct rows and canonical log-table snapshots, crossed
@@ -136,14 +140,29 @@ def _expr_strategy(operands, attrs):
     )
 
 
+def _hostile_over(attrs):
+    """Hostile trees over ``attrs`` plus a missing attribute of each alias."""
+    broken = [Attr(alias, "no_such_attribute") for alias in sorted({a.alias for a in attrs})]
+    return _expr_strategy(attrs + _HOSTILE_LITERALS + broken, attrs + broken)
+
+
 _safe_exprs = _expr_strategy(_ATTRS + _SAFE_LITERALS, _ATTRS)
-_hostile_exprs = _expr_strategy(
+_hostile_trees = _expr_strategy(
     _ATTRS + _HOSTILE_LITERALS + [_BROKEN], _ATTRS + [_BROKEN]
 )
-_D_ATTRS = [attr for attr in _ATTRS if attr.alias == "d"]
-_d_only_exprs = _expr_strategy(
-    _D_ATTRS + _HOSTILE_LITERALS + [_BROKEN], _D_ATTRS + [_BROKEN]
-)
+_local_exprs = {
+    alias: _hostile_over([attr for attr in _ATTRS if attr.alias == alias])
+    for alias in "dar"
+}
+_d_only_exprs = _local_exprs["d"]
+# Conjunct lists mixing table-local conjuncts (one alias: candidates for the
+# per-table selection) with cross-alias ones in any statement order, so a
+# table-local conjunct lands at every position of every plan level — before
+# and after total and non-total neighbours, which is what decides hoisting.
+_leveled_conjunctions = st.lists(
+    st.one_of(*_local_exprs.values(), _hostile_trees), min_size=2, max_size=6
+).map(lambda conjuncts: reduce(And, conjuncts))
+_hostile_exprs = st.one_of(_hostile_trees, _leveled_conjunctions)
 
 _selects = st.lists(
     st.sampled_from(_ATTRS),
@@ -256,6 +275,11 @@ _JOIN_POOL = [
     Contains(Attr("d", "text"), Literal("topic")),
     Compare("=", _BROKEN_A, Attr("d", "url")),
     Compare("!=", Attr("a", "href"), Attr("a", "base")),
+    # Table-local and not total: hoisted into the table's selection when
+    # nothing non-total precedes them, stepped over by the probe search.
+    Contains(Attr("a", "label"), Literal("o")),
+    Contains(Attr("r", "text"), Literal("detail")),
+    Compare("<", Attr("r", "length"), Literal(12)),
 ]
 
 _join_wheres = st.lists(
@@ -320,6 +344,25 @@ class TestMultiLevelJoins:
         assert summary["index_hits"] == stats.index_hits
         assert summary["plan_replays"] == 0
 
+    def test_statement_order_does_not_decide_whether_a_join_is_hashed(self):
+        """A table-local conjunct ahead of the equality is evaluated over the
+        whole table anyway (it is hoisted), so the probe search steps over
+        it: both orders probe the same index the same number of times."""
+        local = Contains(Attr("r", "text"), Literal("bold"))
+        equality = Compare("=", Attr("r", "url"), Attr("a", "base"))
+        counters = []
+        for where in (And(local, equality), And(equality, local)):
+            stats = TrafficStats()
+            database = build_node_database(URL, _HTML, stats=stats)
+            query = _query([Attr("a", "href"), Attr("r", "text")], where)
+            plan = compile_node_query(query)
+            assert "  probe: r.url = a.base" in plan.describe()
+            for __ in range(2):
+                rows = plan.execute_columnar(database)
+                assert rows and rows == evaluate_node_query(query, database)
+            counters.append((stats.index_builds, stats.index_hits, stats.plan_replays))
+        assert counters == [(1, 1, 0), (1, 1, 0)]
+
 
 # -- fault-injected replay -----------------------------------------------------
 
@@ -355,11 +398,13 @@ _REPLAY_CASES = {
     ),
     # The probe side raises, but the short-circuiting interpreter never
     # reaches it (the first conjunct is false on every anchor): the replay
-    # must come back with *rows* (none), not an error.
+    # must come back with *rows* (none), not an error.  The first conjunct
+    # spans two aliases, so it stays per binding: a table-local one would
+    # empty ANCHOR's selection and the batch would never probe at all.
     "join-probe": (
         [Attr("a", "href")],
         And(
-            Compare("!=", Attr("a", "ltype"), Attr("a", "ltype")),
+            Compare("!=", Attr("a", "base"), Attr("d", "url")),
             Compare("=", Attr("a", "href"), _BROKEN),
         ),
         [],
@@ -409,6 +454,117 @@ class TestReplay:
         assert _outcome(lambda: compile_node_query(query).execute(database)) == expected
         if stage == "leaf-probe-after-partial-output":
             assert len(expected) == 2
+
+
+# Join order of the 3- and 4-level plans below: per table the equality
+# joining it to the tables before it and a hoisted (table-local, non-total)
+# conjunct; per relation a row that poisons that conjunct — an int where
+# ``contains`` needs a string.
+_LEVELS = (
+    ("document", "d", None, Contains(Attr("d", "title"), Literal("alpha"))),
+    ("anchor", "a", Compare("=", Attr("a", "base"), Attr("d", "url")),
+     Contains(Attr("a", "label"), Literal("o"))),
+    ("relinfon", "r", Compare("=", Attr("r", "url"), Attr("a", "base")),
+     Contains(Attr("r", "text"), Literal("e"))),
+    ("anchor", "a2", Compare("=", Attr("a2", "base"), Attr("a", "base")),
+     Contains(Attr("a2", "label"), Literal("o"))),
+)
+_POISON = {
+    "document": (_ANY_URL, 5, "text", 4),
+    "anchor": _POISONED_ANCHOR[1],
+    "relinfon": ("b", _ANY_URL, 5, 1),
+}
+_LEVEL_CASES = [(levels, depth) for levels in (3, 4) for depth in range(levels)]
+
+
+def _leveled_query(levels, hoisted_at, *, hoisted_first=True):
+    """The ``levels``-table equality join with the hoisted conjuncts of the
+    depths in ``hoisted_at``, written before or after their level's join."""
+    conjuncts = []
+    for depth, (__, __, join, hoisted) in enumerate(_LEVELS[:levels]):
+        group = [join] if join is not None else []
+        if depth in hoisted_at:
+            group.insert(0 if hoisted_first else len(group), hoisted)
+        conjuncts += group
+    leaf_alias, leaf_hoisted = _LEVELS[levels - 1][1], _LEVELS[levels - 1][3]
+    return NodeQuery(
+        select=(Attr("d", "url"), Attr(leaf_alias, leaf_hoisted.haystack.name)),
+        tables=tuple(TableDecl(relation, alias) for relation, alias, *__ in _LEVELS[:levels]),
+        where=reduce(And, conjuncts),
+    )
+
+
+class TestSelectionErrorIdentity:
+    """Selections run below the join, over whole tables and ahead of their
+    statement position: rows and lazily-raised errors must still be the
+    interpreter's — by the replay where the batch over-evaluates, by the
+    hoisting rule where it would under-evaluate."""
+
+    @pytest.mark.parametrize("hoisted_first", [True, False])
+    @pytest.mark.parametrize("levels,depth", _LEVEL_CASES)
+    def test_poisoned_cell_in_a_hoisted_column(self, levels, depth, hoisted_first):
+        stats = TrafficStats()
+        database = build_node_database(URL, _HTML, stats=stats)
+        relation, alias, __, hoisted = _LEVELS[depth]
+        database.relation(relation).insert(_POISON[relation])
+        query = _leveled_query(levels, {depth}, hoisted_first=hoisted_first)
+        plan = compile_node_query(query)
+        assert f"bind {relation} {alias}\n  selection: {hoisted}" in plan.describe()
+        _assert_matches_interpreter(query, database)
+        assert stats.plan_replays == 1
+
+    def test_local_conjunct_after_a_non_total_one_is_not_hoisted(self):
+        """``r.text contains "bold"`` would deselect the row whose ``length``
+        makes the ordered comparison ahead of it raise; hoisted, the batch
+        would finish cleanly with rows where the interpreter raises."""
+        database = build_node_database(URL, _HTML)
+        database.relation("relinfon").insert(("b", _ANY_URL, "pruned by the selection", "x"))
+        ordered = Compare("<", Attr("d", "length"), Attr("r", "length"))
+        local = Contains(Attr("r", "text"), Literal("bold"))
+        query = _query([Attr("r", "text")], And(ordered, local))
+        plan = compile_node_query(query)
+        assert f"  residual: {ordered}\n  residual: {local}" in plan.describe()
+        outcome = _outcome(lambda: plan.execute_columnar(database))
+        assert outcome == (EvaluationError, "cannot compare int < str")
+        _assert_matches_interpreter(query, database)
+        # Written the other way round it is hoisted, the batch compares "x"
+        # too, and the replay restores the interpreter's clean rows (its
+        # short circuit never reaches the comparison on that row).
+        swapped = _query([Attr("r", "text")], And(local, ordered))
+        swapped_plan = compile_node_query(swapped).describe()
+        assert f"  selection: {local}\n  residual: {ordered}" in swapped_plan
+        _assert_matches_interpreter(swapped, database)
+
+    @pytest.mark.parametrize("levels,depth", _LEVEL_CASES)
+    def test_empty_table_evaluates_no_selection_behind_it(self, levels, depth):
+        """With the table at ``depth`` empty the interpreter never reaches a
+        deeper level, so poisoned cells there must stay unevaluated."""
+        from repro.relational.table import Table
+
+        stats = TrafficStats()
+        source = build_node_database(URL, _HTML)
+        emptied = _LEVELS[depth][0]
+        behind = {relation for relation, *__ in _LEVELS[depth + 1:levels]} - {emptied}
+        tables = {}
+        for relation in _POISON:
+            rows = [] if relation == emptied else source.relation(relation).row_list()
+            if relation in behind:
+                rows = rows + [_POISON[relation]]
+            tables[relation] = Table(source.relation(relation).schema, rows, stats=stats)
+        # ANCHOR is scanned at two depths: a level in front of the empty
+        # table keeps its hoisted conjunct only if its cells are clean.
+        hoisted_at = {
+            at for at, (relation, *__) in enumerate(_LEVELS[:levels])
+            if at > depth or relation not in behind
+        }
+
+        class Database:
+            relation = staticmethod(tables.__getitem__)
+
+        query = _leveled_query(levels, hoisted_at)
+        plan = compile_node_query(query)
+        assert plan.execute_columnar(Database) == evaluate_node_query(query, Database) == []
+        assert stats.plan_replays == 0
 
 
 class TestColumnIndexSafety:

@@ -9,6 +9,9 @@ Covers the perf-layer invariants the benchmarks rely on:
 * engine results are bit-identical with ``compiled_plans`` on and off;
 * a disabled tracer costs nothing on the hot path — zero ``record``
   calls, zero event allocations;
+* a selection runs below the join: a table-local conjunct is evaluated once
+  per row of its table per execution, not once per outer binding — counted,
+  not timed;
 * a state's fan-out is derived once per query (a protocol-table row) and
   the hoisted forward-dedup set keeps ``_emit_forwards`` linear in the link
   count;
@@ -29,11 +32,16 @@ from repro.core.plancache import PlanCache
 from repro.core.trace import Tracer
 from repro.core.webquery import QueryId
 from repro.disql import compile_disql
-from repro.model.relations import LinkType
+from repro.model.relations import ANCHOR_SCHEMA, DOCUMENT_SCHEMA, RELINFON_SCHEMA, LinkType
 from repro.net import FIRST_RESULT_PORT, QUERY_PORT, SendOutcome
 from repro.net.aio import AsyncioTransport
+from repro.net.stats import TrafficStats
 from repro.pre.ast import Atom, alt, repeat
 from repro.pre.ops import advance
+from repro.relational import compile as compile_module
+from repro.relational.compile import compile_node_query
+from repro.relational.query import evaluate_node_query
+from repro.relational.table import Table
 from repro.testing.loopcost import count_handles
 from repro.urlutils import parse_url
 from repro.web.builders import WebBuilder
@@ -235,6 +243,111 @@ class TestFanoutMemo:
         assert [lt for lt, __ in first] == sorted(
             (lt for lt, __ in first), key=lambda lt: lt.value
         )
+
+
+class _CountingCell(str):
+    """A string cell that counts its ``.lower()`` calls — what every
+    ``contains`` evaluation, kernel or closure, makes once per haystack."""
+
+    lowered = 0
+
+    def lower(self):
+        type(self).lowered += 1
+        return super().lower()
+
+
+class _Text(_CountingCell):
+    pass
+
+
+class _Label(_CountingCell):
+    pass
+
+
+class _Relations:
+    """The ``relation(name)`` side of a node database, over given tables."""
+
+    def __init__(self, **tables):
+        self._tables = tables
+
+    def relation(self, name):
+        return self._tables[name]
+
+
+class TestSelectionBelowJoin:
+    """Evaluations per ``execute_columnar`` of an ``anchor a, relinfon r``
+    join over A anchors x R segments: table-local conjuncts cost one pass
+    over their table, whatever the number of outer bindings."""
+
+    A, R = 7, 5
+    PAGE = "http://a.example/page.html"
+
+    def _database(self, stats=None):
+        document = Table(DOCUMENT_SCHEMA, [(self.PAGE, "a title", "text", 4)], stats=stats)
+        anchor = Table(
+            ANCHOR_SCHEMA,
+            [(_Label(f"b ref {j}"), self.PAGE, f"{self.PAGE}#s{j}", "I") for j in range(self.A)],
+            stats=stats,
+        )
+        relinfon = Table(
+            RELINFON_SCHEMA,
+            [("b", self.PAGE, _Text(f"segment {j} of page"), 17) for j in range(self.R)],
+            stats=stats,
+        )
+        return _Relations(document=document, anchor=anchor, relinfon=relinfon)
+
+    def _run(self, where, monkeypatch, stats=None):
+        """(rows, text lowers, label lowers, scalar comparisons) of one
+        batch execution, after checking its rows against the interpreter."""
+        query = compile_disql(
+            'select a.href, r.text from document d such that "http://a.example/" L d,\n'
+            f"     anchor a, relinfon r where {where}"
+        ).steps[0].query
+        database = self._database(stats)
+        plan = compile_node_query(query)
+        expected = evaluate_node_query(query, database)
+        compared = []
+        coerce_pair = compile_module._coerce_pair
+        monkeypatch.setattr(
+            compile_module, "_coerce_pair",
+            lambda *args: compared.append(args) or coerce_pair(*args),
+        )
+        _Text.lowered = _Label.lowered = 0
+        rows = plan.execute_columnar(database)
+        assert rows == expected
+        return rows, _Text.lowered, _Label.lowered, len(compared)
+
+    def test_leaf_local_contains_runs_once_per_segment(self, monkeypatch):
+        rows, texts, labels, __ = self._run('r.text contains "segment 3"', monkeypatch)
+        assert len(rows) == self.A
+        assert texts == self.R  # not A x R
+        assert labels == 0
+
+    def test_eval_join_shape(self, monkeypatch):
+        stats = TrafficStats()
+        rows, texts, labels, compared = self._run(
+            'r.text contains "segment 3" and a.label contains r.delimiter'
+            " and a.href != a.base",
+            monkeypatch, stats,
+        )
+        assert len(rows) == self.A
+        assert texts == self.R
+        # The cross-alias conjunct runs per anchor, over the one selected segment.
+        assert labels == self.A
+        # A comparisons through the column-pair kernel (it asked both
+        # columns' profiles), none through the scalar closure.
+        assert compared == 0
+        assert (stats.index_builds, stats.plan_replays) == (2, 0)
+
+    def test_empty_outer_batch_evaluates_neither(self, monkeypatch):
+        stats = TrafficStats()
+        rows, texts, labels, compared = self._run(
+            'd.title contains "no such title" and r.text contains "segment 3"'
+            " and a.label contains r.delimiter and a.href != a.base",
+            monkeypatch, stats,
+        )
+        assert (rows, texts, labels, compared) == ([], 0, 0, 0)
+        assert (stats.index_builds, stats.plan_replays) == (0, 0)
 
 
 class TestSocketFrameBudget:

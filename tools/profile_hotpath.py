@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""cProfile harness for the engine's hot paths (EXP-P1 / EXP-P2 / first touch / warm / wire).
+"""cProfile harness for the engine's hot paths (EXP-P1 / EXP-P2 / first touch / warm / join / wire).
 
 Runs one of the perf-bench workloads under :mod:`cProfile` and prints the
 top-N functions by cumulative time, so a perf regression can be localized
@@ -10,6 +10,7 @@ without wiring up an external profiler::
     PYTHONPATH=src python tools/profile_hotpath.py --workload p2 --top 40
     PYTHONPATH=src python tools/profile_hotpath.py --workload build --sort tottime
     PYTHONPATH=src python tools/profile_hotpath.py --workload warm --json
+    PYTHONPATH=src python tools/profile_hotpath.py --workload join
     PYTHONPATH=src python tools/profile_hotpath.py --workload wire
     PYTHONPATH=src python tools/profile_hotpath.py --sort tottime
     PYTHONPATH=src python tools/profile_hotpath.py --out p2.pstats  # dump
@@ -40,6 +41,15 @@ the profile always matches what the perf gates measure:
   probe is a memo hit, then 100 repeats under the profiler.  What is left
   is protocol — log table, memo probes, clone and report construction,
   CHT, message sizing — and hashing;
+* ``join`` — the executor, what EXP-E1's ``eval_join`` pays: the 6×24
+  anchor-rich web, one engine warmed by one traversal per start site, then
+  the 100 ``anchor × relinfon`` joins with distinct literals (seed 1's).
+  After the profile, two unprofiled passes print what one
+  ``execute_columnar`` costs — µs, and evaluations counted by the bench's
+  own ``counted_evaluations`` (the counter behind its ``--check`` bound):
+  ``str.lower`` calls (one per ``contains`` operand), scalar comparisons,
+  and calls per stage and batch kernel (``--json``:
+  ``join_per_execution``).  The counts repeat exactly;
 * ``wire`` — the socket path, what EXP-E1's ``wire_tenants`` pays, with one
   tenant instead of two: the 6×12 mostly-global web on
   ``AsyncioWebDisEngine`` over loopback TCP with the cost model zeroed, the
@@ -213,6 +223,114 @@ def hash_frames_per_query() -> dict[str, float]:
     return per_query
 
 
+#: eval_join's sizing (``benchmarks/e2e/workloads.py``; restated here
+#: because ``tools/`` does not import ``benchmarks/e2e``).
+_RICH_SITES, _RICH_PAGES, _TOKENS = 6, 24, 100
+_DELIMITERS = ("b", "i", "em", "strong", "u", "tt")
+
+
+def _join_inputs(seed: int = 1) -> tuple:
+    """``(web, warm-up queries, pool)`` of EXP-E1's ``eval_join``."""
+    import random
+
+    from repro import WebBuilder
+
+    rng = random.Random(f"e2e-tokens:{seed}")
+    tokens = [f"q{value:05x}" for value in rng.sample(range(16**5), _TOKENS)]
+    builder = WebBuilder()
+    for site_index in range(_RICH_SITES):
+        site = builder.site(f"rich{site_index}.example")
+        for page in range(_RICH_PAGES):
+            serial = site_index * _RICH_PAGES + page
+            other = (site_index + 1 + page % (_RICH_SITES - 1)) % _RICH_SITES
+            targets = (
+                f"/p{(page * 5 + 7) % _RICH_PAGES}.html",
+                f"http://rich{other}.example/p{(page * 7 + 3) % _RICH_PAGES}.html",
+            )
+            segments = 15 + (serial * 5) % 16
+            site.page(
+                f"/p{page}.html",
+                title=f"rich page {site_index}-{page}",
+                links=[
+                    (f"{_DELIMITERS[j % 6]} ref {j}", f"{targets[j % 2]}#s{j}")
+                    for j in range(30 + (serial * 7) % 61)
+                ],
+                emphasized=[
+                    (
+                        _DELIMITERS[j % 6],
+                        f"segment {tokens[(serial * 3 + j) % _TOKENS]} of page {page}",
+                    )
+                    for j in range(segments)
+                ],
+                ruled=[
+                    f"ruled {tokens[(serial * 11 + j) % _TOKENS]} block"
+                    for j in range(segments // 3)
+                ],
+            )
+
+    def query(index: int, literal: str) -> str:
+        return (
+            f'select d.url, a.href, r.text from document d such that '
+            f'"http://rich{index % _RICH_SITES}.example/p0.html" '
+            f"(G|L)*2 d, anchor a, relinfon r "
+            f'where r.text contains "{literal}" and a.label contains r.delimiter '
+            f"and a.href != a.base"
+        )
+
+    warmup = [query(index, "zzzzzz") for index in range(_RICH_SITES)]
+    pool = [query(index, literal) for index, literal in enumerate(tokens)]
+    return builder.build(), warmup, pool
+
+
+def _join_pass(inputs: tuple) -> None:
+    """One warmed engine, every pool query once: each node visit compiles
+    nothing new after the first and executes the join."""
+    from repro import build_engine
+
+    web, warmup, pool = inputs
+    engine = build_engine(web)
+    for text in (*warmup, *pool):
+        engine.submit_disql(text)
+        engine.run()
+
+
+def join_per_execution() -> dict:
+    """What one ``execute_columnar`` of ``eval_join`` costs (unprofiled):
+    wall µs, and evaluations counted on a second pass."""
+    from repro.relational.compile import CompiledPlan
+
+    from bench_hotpath import counted_evaluations
+
+    inputs = _join_inputs()
+    original = CompiledPlan.execute_columnar
+    spent = [0, 0.0]
+
+    def timed(self, database, site_documents=None):
+        begin = time.perf_counter()
+        try:
+            return original(self, database, site_documents)
+        finally:
+            spent[0] += 1
+            spent[1] += time.perf_counter() - begin
+
+    CompiledPlan.execute_columnar = timed  # type: ignore[method-assign]
+    try:
+        _join_pass(inputs)
+    finally:
+        CompiledPlan.execute_columnar = original  # type: ignore[method-assign]
+    executions = spent[0]
+
+    with counted_evaluations() as counts:
+        _join_pass(inputs)
+    return {
+        "executions": executions,
+        "us_per_execution": round(spent[1] / executions * 1e6, 2),
+        "evaluations_per_execution": {
+            name: round(count / executions, 2) for name, count in sorted(counts.items())
+        },
+    }
+
+
 #: Timed queries of one ``wire`` pass (the size of an EXP-E1 block).
 WIRE_REPEATS = 108
 
@@ -312,10 +430,13 @@ def wire_loop_per_query() -> dict:
 
 WORKLOAD_PASSES = {
     "p1": _p1_pass, "p2": _p2_pass, "build": _build_pass, "warm": _warm_pass,
-    "wire": _wire_pass,
+    "join": _join_pass, "wire": _wire_pass,
 }
 #: Input a pass takes, prepared before the profiler is switched on.
-WORKLOAD_INPUTS = {"build": _spot_check_pages, "warm": _warm_engine, "wire": _wire_inputs}
+WORKLOAD_INPUTS = {
+    "build": _spot_check_pages, "warm": _warm_engine, "join": _join_inputs,
+    "wire": _wire_inputs,
+}
 
 
 def profile_workload(
@@ -388,6 +509,7 @@ def main(argv: list[str] | None = None) -> int:
         text, entries = profile_workload(name, args.sort, args.top, out)
         per_page = build_us_per_page() if name == "build" else None
         per_query = wire_loop_per_query() if name == "wire" else None
+        per_execution = join_per_execution() if name == "join" else None
         if args.json:
             as_json[name] = entries
             if name == "warm":
@@ -396,12 +518,22 @@ def main(argv: list[str] | None = None) -> int:
                 as_json["build_us_per_page"] = per_page
             if per_query:
                 as_json["wire_loop_per_query"] = per_query
+            if per_execution:
+                as_json["join_per_execution"] = per_execution
         else:
             print(f"== {name.upper()} workload — top {args.top} by {args.sort} ==")
             print(text)
             if per_page:
                 print(f"full build (all three relations read): {per_page['full']} µs/page")
                 print(f"scan + DOCUMENT only: {per_page['scan_and_document']} µs/page\n")
+            if per_execution:
+                print(
+                    f"per execute_columnar (unprofiled, {per_execution['executions']} "
+                    f"executions): {per_execution['us_per_execution']} µs; evaluations:"
+                )
+                for name, count in per_execution["evaluations_per_execution"].items():
+                    print(f"  {count:10.2f}  {name}")
+                print()
             if per_query:
                 print(
                     f"per sequential query (unprofiled, {WIRE_REPEATS} queries): "

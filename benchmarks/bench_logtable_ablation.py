@@ -71,11 +71,7 @@ def bench_logtable_ablation(benchmark):
     )
     reference = None
     for max_age in (None, 10.0, 0.01, 0.0001):
-        engine_config = EngineConfig(
-            log_max_age=max_age,
-            log_purge_interval=None if max_age is None else max_age,
-        )
-        engine, handle = _run(config, 3, engine_config)
+        engine, handle = _run(config, 3, EngineConfig(log_max_age=max_age))
         answers = {r.values for r in handle.unique_rows()}
         if reference is None:
             reference = answers

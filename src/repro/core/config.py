@@ -1,16 +1,30 @@
-"""Engine configuration and ablation toggles.
+"""Engine configuration: paper ablations and operational settings.
 
-Defaults reproduce the paper's full design.  Each toggle disables one of the
-paper's mechanisms or optimizations so the benches can quantify it
-(DESIGN.md experiments EXP-C2..C4):
+Defaults run the paper's full design plus this repo's extensions.  The
+fields are of two kinds.
 
-===========================  =====================================================
-``log_table_enabled``        Section 3.1 duplicate suppression
-``batch_per_site``           Section 3.2 item 4 — one clone per destination site
-``combine_results_and_cht``  Section 3.2 item 3 — results + CHT in one message
-``direct_result_return``     Section 2.6 — direct socket vs. path retrace
-``strict_dead_end``          Figure 4's literal dead-end rule (see DESIGN.md §4.2)
-===========================  =====================================================
+**Paper ablations** — each switches off one of the paper's mechanisms (or
+one of our extensions, to get the paper's server back) so a bench can
+quantify it; the EXP-C*/F*/S*/X4 tables own them and nothing else should
+need them:
+
+============================  ====================================================
+``log_table_enabled``         Section 3.1 duplicate suppression (EXP-C3)
+``batch_per_site``            Section 3.2 item 4 — one clone per site (EXP-C4)
+``combine_results_and_cht``   Section 3.2 item 3 — results + CHT together (EXP-C4)
+``direct_result_return``      Section 2.6 — direct socket vs. path retrace (EXP-C2)
+``strict_dead_end``           Figure 4's literal dead-end rule (DESIGN.md §4.2)
+``server_threads``            §4.4's single query-processor thread (EXP-X4)
+``scheduler="fifo"``          §4.4's single queue of pending web-queries (EXP-P3)
+``frontier_batching=False``   §4.4's one clone per step (EXP-C*/F*/S*/X4, EXP-P2)
+============================  ====================================================
+
+**Operational** — everything else: which evaluator, cache and transport run
+(``compiled_plans``, ``cross_query_caching``, ``transport``,
+``log_subsumption``), reliability (``retry_policy``, ``central_fallback``),
+multi-tenant limits (``pump_budget``, ``per_query_queue_limit``,
+``server_queue_limit``, ``shed_after``, ``log_max_age``) and the three
+constants of the CPU cost model.
 
 Node-queries run on one compiled executor (the batch pipeline, with the
 tree interpreter behind ``compiled_plans=False`` as the executable reference)
@@ -67,13 +81,14 @@ class EngineConfig:
     #: costing a queue→log-table→process→dispatch round trip through the
     #: SimClock.  One combined result+CHT message goes to the user-site per
     #: frontier and forwards to the same destination site coalesce into one
-    #: :class:`~repro.core.messages.CloneBundle`.  Answers, CHT completion
-    #: outcomes and log-table end states are identical with the knob on or
-    #: off (the DST harness draws it per case and cross-checks); only event
-    #: and message counts change.  Engages only under
-    #: ``direct_result_return`` — the path-retrace alternative needs one
-    #: history trail per hop, which per-hop messages carry and a combined
-    #: frontier dispatch cannot.
+    #: :class:`~repro.core.messages.CloneBundle`.  Off, the same pump step
+    #: has a hop budget of one clone and sends each clone on its own — the
+    #: paper's server.  Answers, CHT completion outcomes and log-table end
+    #: states are identical either way (the DST harness draws it per case
+    #: and cross-checks); only event and message counts change.  Engages
+    #: only under ``direct_result_return`` — the path-retrace alternative
+    #: needs one history trail per hop, which per-hop messages carry and a
+    #: combined frontier dispatch cannot.
     frontier_batching: bool = True
 
     #: Cross-query result caching (EXP-P4): each server keeps a
@@ -91,11 +106,6 @@ class EngineConfig:
     #: or off (hypothesis equivalence suite + DST draw it per case); only
     #: costs change.
     cross_query_caching: bool = True
-
-    #: Ceiling on entries per server's cross-query ResultMemo (rows and
-    #: fan-out entries combined, LRU-evicted; ``memo_evictions`` /
-    #: ``memo_bytes_est`` account it).  None = unbounded (EXP-P4 behaviour).
-    memo_capacity: int | None = None
 
     #: §7.1 migration path: when a clone's destination site refuses the
     #: query connection (not participating in WEBDIS), redirect the clone to
@@ -122,18 +132,19 @@ class EngineConfig:
     server_threads: int = 1
 
     # --- multi-tenant scheduling / admission control (EXP-P3) -----------------
-    #: How a server orders its pending clones: ``"fair"`` keeps one
-    #: run-queue per query and round-robins across queries, so a hot
-    #: query's backlog cannot head-of-line-block other tenants; ``"fifo"``
-    #: is the paper's §4.4 single sequential queue.  With a single query
-    #: (or clones of only one query queued) the two are order-identical,
-    #: so single-tenant runs are unaffected by the default.
+    #: What a server's run-queues are keyed by: ``"fair"`` files each clone
+    #: under its query and round-robins across queries, so a hot query's
+    #: backlog cannot head-of-line-block other tenants; ``"fifo"`` files
+    #: them all under one key — the paper's §4.4 single sequential queue.
+    #: With a single query (or clones of only one query queued) the two are
+    #: order-identical, so single-tenant runs are unaffected by the default.
     scheduler: str = "fair"
-    #: Work-budget per pump step: at most this many clones of one query are
-    #: processed (frontier-batched or not) before the scheduler moves on to
-    #: the next query's run-queue.  Overflow clones go back on their own
-    #: run-queue (``clones_requeued``).  None = unbounded (a frontier runs
-    #: to exhaustion, as EXP-P2 measures).
+    #: Hop budget of a frontier-batched pump step: at most this many clones
+    #: of one query are processed before the scheduler moves on to the next
+    #: run-queue.  Same-site clones past it go back on their own run-queue
+    #: (``clones_requeued``), and forwarded clones carry at most this many
+    #: nodes each.  None = unbounded (a frontier runs to exhaustion, as
+    #: EXP-P2 measures).
     pump_budget: int | None = None
     #: Ceiling on one query's run-queue depth at one server.  Arriving
     #: clones that would exceed it are refused admission with the transient
@@ -148,10 +159,9 @@ class EngineConfig:
     #: degrades that query to PARTIAL instead of letting the site stall.
     #: None = never shed.
     shed_after: float | None = None
-    #: Purge log entries older than this many simulated seconds (None = keep).
+    #: Purge log entries older than this many simulated seconds, checking
+    #: once per that many seconds (None = keep; EXP-C3's purge column).
     log_max_age: float | None = None
-    #: How often each server runs the purge (None = never).
-    log_purge_interval: float | None = None
 
     # --- CPU cost model (simulated seconds) -----------------------------------
     #: Fixed cost of handling one destination node.

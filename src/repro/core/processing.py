@@ -47,6 +47,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["Forward", "FrontierResult", "NodeOutcome", "process_frontier", "process_node"]
 
+#: Runaway ceiling on one synchronous frontier pass: with duplicate
+#: suppression disabled a cyclic site would otherwise spin inside
+#: :func:`process_frontier` forever, invisible to the SimClock's
+#: ``max_events`` guard.
+MAX_FRONTIER_CLONES = 100_000
+
 
 class Forward(NamedTuple):
     """One outgoing clone seed: ``target`` is to be visited in state ``row``.
@@ -188,26 +194,26 @@ class FrontierResult:
     ``reports`` accumulate in BFS order — every parent's report precedes
     its children's, the announce-before-retire order the user-site's CHT
     relies on when the whole frontier ships as one message.  ``remote``
-    holds the clones that left the site, in emission order.
+    holds the clones still to be forwarded: those that left the site, in
+    emission order, then the same-site ones the budget left unprocessed.
     """
 
     reports: "list[NodeReport]" = field(default_factory=list)
     remote: "list[QueryClone]" = field(default_factory=list)
     #: Total simulated CPU time across the frontier (one schedule pays it).
     service: float = 0.0
-    #: Clones evaluated, including the seeds.
+    #: Clones evaluated: the seeds, then (FIFO) same-site children absorbed
+    #: into this pass instead of being re-queued through the event loop —
+    #: each of those is a saved SimClock round trip (schedule + complete +
+    #: re-pump).
     clones_processed: int = 0
-    #: Same-site child clones absorbed into the worklist instead of being
-    #: re-queued through the event loop — each one is a saved SimClock
-    #: round trip (schedule + complete + re-pump).
-    local_absorbed: int = 0
 
 
 def process_frontier(
     seeds: "list[QueryClone]",
     site: str,
     process_clone: "Callable[[QueryClone], tuple[list[NodeReport], list[QueryClone], float]]",
-    max_clones: int = 100_000,
+    max_clones: int = MAX_FRONTIER_CLONES,
 ) -> FrontierResult:
     """Traverse the PRE × site-link-graph product as one batched frontier.
 
@@ -225,13 +231,13 @@ def process_frontier(
     admission, node-query evaluation, report building and child identity
     stamping); this function owns only the product traversal.
 
-    ``max_clones`` bounds one synchronous pass: with duplicate suppression
-    disabled a cyclic site would otherwise spin here forever, invisible to
-    the SimClock's ``max_events`` runaway guard.  Leftover worklist entries
-    are returned in ``remote``-style continuation via the caller re-queuing
-    — see the return's ``pending`` note below — so a runaway query still
-    surfaces as a clock-level event storm.  Pure driver: no network, no
-    clock, no tables.
+    ``max_clones`` is the pass's hop budget — seeds plus absorbed hops.  The
+    server passes ``pump_budget`` (the default is only the runaway ceiling)
+    or 1, the paper's one clone per pump step.  Worklist entries past the
+    budget are handed back at the end of ``remote`` for the caller to
+    re-queue, so the traversal continues on a later pump under clock
+    supervision and a runaway query still surfaces as a clock-level event
+    storm.  Pure driver: no network, no clock, no tables.
     """
     worklist: deque["QueryClone"] = deque(seeds)
     result = FrontierResult()
@@ -244,12 +250,9 @@ def process_frontier(
         for child in children:
             if child.site == site:
                 worklist.append(child)
-                result.local_absorbed += 1
             else:
                 result.remote.append(child)
-    # Overflow (max_clones hit): hand unprocessed local clones back to the
-    # caller as if they were remote — the server re-queues same-site clones,
-    # so the traversal continues on the next pump under clock supervision.
+    # Past the budget: the rest of the worklist is the caller's to re-queue.
     result.remote.extend(worklist)
     return result
 

@@ -2,71 +2,72 @@
 
 The paper's §4.4 server "sequentially processes the queue of pending
 web-queries" — one FIFO shared by every tenant, so a hot query's backlog
-head-of-line-blocks every other query at its site.  This module factors
-that queue into a scheduler seam with two policies:
+head-of-line-blocks every other query at its site.  :class:`CloneScheduler`
+is that queue generalised by one choice, the *key* a clone is filed under:
 
-* :class:`SequentialScheduler` (``EngineConfig.scheduler = "fifo"``) —
-  the paper's single FIFO, order-identical to the historical behaviour;
-* :class:`FairScheduler` (``"fair"``, the default) — one run-queue per
-  query plus a round-robin ring across queries: each pump step serves the
-  next tenant, so a deep backlog only delays its own query.  With clones
-  of a single query queued the ring has one member and the policy
-  degenerates to FIFO, so single-tenant runs are bit-identical under
-  either setting.
+* ``EngineConfig.scheduler = "fifo"`` — every clone shares one key, so there
+  is one run-queue: the paper's single FIFO;
+* ``"fair"`` (the default) — the key is the clone's query id: one run-queue
+  per query on a round-robin ring, each pump step serves the next tenant,
+  and a deep backlog only delays its own query.
 
-Both policies share the same ceiling bookkeeping: :meth:`push` refuses a
-clone that would exceed the per-query or per-server queue limit, and
-:meth:`would_admit` answers the transport-level admission probe *before*
-a sender's message is delivered — the refusal then travels back as the
-transient ``OVERLOADED`` outcome and the sender's
-:class:`~repro.net.reliable.ReliableChannel` backs off (backpressure).
-:attr:`max_query_depth_seen` is the high-water mark the DST ceiling
-invariant audits after a run.
+Everything else is one code path.  With clones of a single query queued the
+ring has one member either way, so single-tenant runs are bit-identical
+under both settings.
+
+:meth:`~CloneScheduler.push` refuses a clone that would exceed the
+per-query or per-server queue limit, and :meth:`~CloneScheduler.would_admit`
+answers the transport-level admission probe *before* a sender's message is
+delivered — the refusal then travels back as the transient ``OVERLOADED``
+outcome and the sender's :class:`~repro.net.reliable.ReliableChannel` backs
+off (backpressure).  :attr:`~CloneScheduler.max_query_depth_seen` is the
+high-water mark the DST ceiling invariant audits after a run.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Hashable, Mapping
 
 from ..errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .config import EngineConfig
     from .webquery import QueryClone, QueryId
 
-__all__ = [
-    "CloneScheduler",
-    "SequentialScheduler",
-    "FairScheduler",
-    "make_scheduler",
-]
+__all__ = ["CloneScheduler"]
 
 
 class CloneScheduler:
-    """Ceiling bookkeeping shared by both policies.
+    """A ring of run-queues under queue ceilings.
 
-    Subclasses store the clones and decide ``pop`` order; this base tracks
-    per-query depths, the total, and the admission ceilings so both
-    policies enforce identical limits.
+    Invariant: ``_ring`` holds exactly the keys with a non-empty run-queue,
+    each once, in service order; ``pop`` serves the front key's next clone
+    and rotates it to the back.  Under ``"fifo"`` the one shared key makes
+    that a single queue in arrival order.
     """
 
-    def __init__(self, per_query_limit: int | None, server_limit: int | None) -> None:
+    def __init__(
+        self, policy: str, per_query_limit: int | None, server_limit: int | None
+    ) -> None:
+        if policy not in ("fair", "fifo"):
+            raise SimulationError(
+                f"unknown scheduler {policy!r}; expected 'fair' or 'fifo'"
+            )
+        self._per_query = policy == "fair"
         self.per_query_limit = per_query_limit
         self.server_limit = server_limit
         self.total = 0
         #: High-water mark of any single query's run-queue depth.
         self.max_query_depth_seen = 0
         self._depths: dict["QueryId", int] = {}
+        self._queues: dict[Hashable, deque["QueryClone"]] = {}
+        self._ring: deque[Hashable] = deque()
 
-    # -- shared bookkeeping --------------------------------------------------
+    # -- ceilings ------------------------------------------------------------
 
     def depths(self) -> dict["QueryId", int]:
         """Live per-query queue depths (only non-empty queues appear)."""
         return {qid: depth for qid, depth in self._depths.items() if depth}
-
-    def depth(self, qid: "QueryId") -> int:
-        return self._depths.get(qid, 0)
 
     def would_admit(self, counts: Mapping["QueryId", int]) -> bool:
         """Would a message carrying ``counts`` clones per query fit the
@@ -92,16 +93,6 @@ class CloneScheduler:
             return None
         return max(self._depths, key=lambda qid: (self._depths[qid], str(qid)))
 
-    def _admit_one(self, qid: "QueryId") -> bool:
-        if not self.would_admit({qid: 1}):
-            return False
-        depth = self._depths.get(qid, 0) + 1
-        self._depths[qid] = depth
-        self.total += 1
-        if depth > self.max_query_depth_seen:
-            self.max_query_depth_seen = depth
-        return True
-
     def _release(self, qid: "QueryId", count: int = 1) -> None:
         depth = self._depths.get(qid, 0) - count
         if depth > 0:
@@ -110,162 +101,75 @@ class CloneScheduler:
             self._depths.pop(qid, None)
         self.total -= count
 
-    # -- storage policy (subclasses) -----------------------------------------
+    # -- the run-queues ------------------------------------------------------
+
+    def _key(self, qid: "QueryId") -> Hashable:
+        return qid if self._per_query else None
 
     def push(self, clone: "QueryClone") -> bool:
         """Queue ``clone``; False if a ceiling refuses it (caller sheds)."""
-        raise NotImplementedError
-
-    def pop(self) -> "QueryClone | None":
-        """The next clone to process under this policy, or None if idle."""
-        raise NotImplementedError
-
-    def take_same_query(
-        self, qid: "QueryId", budget: int | None = None
-    ) -> list["QueryClone"]:
-        """Remove up to ``budget`` queued clones of ``qid`` (None = all) —
-        the frontier-batching seed gather."""
-        raise NotImplementedError
-
-    def drop_query(self, qid: "QueryId") -> list["QueryClone"]:
-        """Remove and return every queued clone of ``qid`` (purge / shed)."""
-        raise NotImplementedError
-
-    def drain(self) -> list["QueryClone"]:
-        """Remove and return everything (crash: the queue dies with the
-        process; the count feeds ``clones_lost_in_crash``)."""
-        raise NotImplementedError
-
-
-class SequentialScheduler(CloneScheduler):
-    """The paper's §4.4 single FIFO (``scheduler="fifo"``)."""
-
-    def __init__(self, per_query_limit: int | None, server_limit: int | None) -> None:
-        super().__init__(per_query_limit, server_limit)
-        self._queue: deque["QueryClone"] = deque()
-
-    def push(self, clone: "QueryClone") -> bool:
-        if not self._admit_one(clone.query.qid):
+        qid = clone.query.qid
+        if not self.would_admit({qid: 1}):
             return False
-        self._queue.append(clone)
+        depth = self._depths.get(qid, 0) + 1
+        self._depths[qid] = depth
+        self.total += 1
+        if depth > self.max_query_depth_seen:
+            self.max_query_depth_seen = depth
+        key = self._key(qid)
+        queue = self._queues.get(key)
+        if queue is None:
+            queue = self._queues[key] = deque()
+            self._ring.append(key)
+        queue.append(clone)
         return True
 
     def pop(self) -> "QueryClone | None":
-        if not self._queue:
+        """The next clone to process, or None if idle."""
+        if not self._ring:
             return None
-        clone = self._queue.popleft()
+        key = self._ring.popleft()
+        queue = self._queues[key]
+        clone = queue.popleft()
+        if queue:
+            self._ring.append(key)
+        else:
+            del self._queues[key]
         self._release(clone.query.qid)
         return clone
 
     def take_same_query(
         self, qid: "QueryId", budget: int | None = None
     ) -> list["QueryClone"]:
-        taken: list["QueryClone"] = []
-        kept: deque["QueryClone"] = deque()
-        for clone in self._queue:
-            if clone.query.qid == qid and (budget is None or len(taken) < budget):
-                taken.append(clone)
-            else:
-                kept.append(clone)
-        if taken:
-            self._queue = kept
-            self._release(qid, len(taken))
-        return taken
-
-    def drop_query(self, qid: "QueryId") -> list["QueryClone"]:
-        dropped = [clone for clone in self._queue if clone.query.qid == qid]
-        if dropped:
-            self._queue = deque(c for c in self._queue if c.query.qid != qid)
-            self._release(qid, len(dropped))
-        return dropped
-
-    def drain(self) -> list["QueryClone"]:
-        drained = list(self._queue)
-        self._queue.clear()
-        self._depths.clear()
-        self.total = 0
-        return drained
-
-
-class FairScheduler(CloneScheduler):
-    """Per-query run-queues + round-robin across queries (``"fair"``).
-
-    Invariant: ``_ring`` holds exactly the qids with a non-empty run-queue,
-    each once, in service order; ``pop`` serves the front qid's next clone
-    and rotates it to the back.
-    """
-
-    def __init__(self, per_query_limit: int | None, server_limit: int | None) -> None:
-        super().__init__(per_query_limit, server_limit)
-        self._queues: dict["QueryId", deque["QueryClone"]] = {}
-        self._ring: deque["QueryId"] = deque()
-
-    def push(self, clone: "QueryClone") -> bool:
-        qid = clone.query.qid
-        if not self._admit_one(qid):
-            return False
-        queue = self._queues.get(qid)
+        """Remove up to ``budget`` queued clones of ``qid`` (None = all), in
+        queue order — the frontier's seed gather.  Other tenants' clones in
+        the same run-queue keep their places."""
+        key = self._key(qid)
+        queue = self._queues.get(key)
         if queue is None:
-            queue = self._queues[qid] = deque()
-            self._ring.append(qid)
-        queue.append(clone)
-        return True
-
-    def pop(self) -> "QueryClone | None":
-        if not self._ring:
-            return None
-        qid = self._ring.popleft()
-        queue = self._queues[qid]
-        clone = queue.popleft()
-        if queue:
-            self._ring.append(qid)
-        else:
-            del self._queues[qid]
-        self._release(qid)
-        return clone
-
-    def take_same_query(
-        self, qid: "QueryId", budget: int | None = None
-    ) -> list["QueryClone"]:
-        queue = self._queues.get(qid)
-        if not queue:
             return []
-        if budget is None or budget >= len(queue):
-            taken = list(queue)
-            queue.clear()
-        else:
-            taken = [queue.popleft() for __ in range(budget)]
+        taken: list["QueryClone"] = []
+        passed: list["QueryClone"] = []
+        while queue and (budget is None or len(taken) < budget):
+            clone = queue.popleft()
+            (taken if clone.query.qid == qid else passed).append(clone)
+        queue.extendleft(reversed(passed))
         if not queue:
-            del self._queues[qid]
-            self._ring.remove(qid)
+            del self._queues[key]
+            self._ring.remove(key)
         self._release(qid, len(taken))
         return taken
 
     def drop_query(self, qid: "QueryId") -> list["QueryClone"]:
-        queue = self._queues.pop(qid, None)
-        if queue is None:
-            return []
-        self._ring.remove(qid)
-        self._release(qid, len(queue))
-        return list(queue)
+        """Remove and return every queued clone of ``qid`` (purge / shed)."""
+        return self.take_same_query(qid)
 
     def drain(self) -> list["QueryClone"]:
-        drained = [clone for qid in self._ring for clone in self._queues[qid]]
+        """Remove and return everything (crash: the queue dies with the
+        process; the count feeds ``clones_lost_in_crash``)."""
+        drained = [clone for key in self._ring for clone in self._queues[key]]
         self._queues.clear()
         self._ring.clear()
         self._depths.clear()
         self.total = 0
         return drained
-
-
-def make_scheduler(config: "EngineConfig") -> CloneScheduler:
-    """Build the scheduler ``config`` asks for."""
-    if config.scheduler == "fair":
-        cls: type[CloneScheduler] = FairScheduler
-    elif config.scheduler == "fifo":
-        cls = SequentialScheduler
-    else:
-        raise SimulationError(
-            f"unknown scheduler {config.scheduler!r}; expected 'fair' or 'fifo'"
-        )
-    return cls(config.per_query_queue_limit, config.server_queue_limit)

@@ -2,13 +2,14 @@
 
 Implements the algorithms of Figures 3 and 4 plus the optimizations of
 Section 3: the node-query log table, per-site clone batching, combined
-result + CHT shipping, and passive termination.  Each server processes one
-clone (or frontier) at a time under the engine's CPU cost model; *which*
-pending clone runs next is the scheduler's choice
-(:mod:`repro.core.scheduler`): the paper's §4.4 single FIFO under
-``scheduler="fifo"``, or per-query run-queues served round-robin under
-``"fair"`` (the default) so one hot query cannot head-of-line-block other
-tenants at the site.
+result + CHT shipping, and passive termination.  There is one pump loop
+(:meth:`QueryServer._pump`): each step takes the scheduler's next clone,
+traverses a frontier from it under a hop budget and the engine's CPU cost
+model, dispatches the reports and forwards what is left.  *Which* pending
+clone runs next is the scheduler's choice (:mod:`repro.core.scheduler`):
+the paper's §4.4 single FIFO under ``scheduler="fifo"``, or per-query
+run-queues served round-robin under ``"fair"`` (the default) so one hot
+query cannot head-of-line-block other tenants at the site.
 
 Multi-tenant overload control (EXP-P3): per-query and per-server queue
 ceilings (``per_query_queue_limit`` / ``server_queue_limit``) are enforced
@@ -29,9 +30,12 @@ absorbed synchronously, log-table admission is bulk per clone, the whole
 frontier's reports ship in **one** combined result+CHT message (BFS order,
 parents before children, so the user-site CHT sees announce-before-retire),
 and clone forwards coalesce into one :class:`CloneBundle` per destination
-site.  Costs change — far fewer SimClock events and network messages — but
-answers, CHT outcomes and log-table end states are identical with the knob
-on or off.
+site.  The paper's server — "sequentially processes the queue of pending
+web-queries", one clone per step (§4.4) — is the same traversal with a hop
+budget of 1 and no bundling, which is all ``frontier_batching=False`` (or
+path retrace) selects.  Costs change — far fewer SimClock events and
+network messages — but answers, CHT outcomes and log-table end states are
+identical with the knob on or off.
 
 Protocol ordering (Section 2.7.1, deliberately preserved): the result/CHT
 message is dispatched to the user-site **first**; clones are forwarded only
@@ -71,9 +75,9 @@ from .config import EngineConfig
 from .logtable import LogAction, NodeQueryLogTable
 from .messages import ChtEntry, CloneBundle, Disposition, NodeReport, RelayMessage, ResultMessage
 from .plancache import PlanCache
-from .processing import Forward, process_frontier, process_node
+from .processing import MAX_FRONTIER_CLONES, Forward, process_frontier, process_node
 from .resultmemo import ResultMemo
-from .scheduler import make_scheduler
+from .scheduler import CloneScheduler
 from .trace import Tracer
 from .webquery import QueryClone, QueryId
 
@@ -353,19 +357,17 @@ class QueryServer(CloneProcessor):
         #: Cross-query memo of per-node rows and forward fan-outs (EXP-P4);
         #: None when the knob is off.  Volatile like the plan cache, plus
         #: an explicit epoch hook for future live-web mutation.
-        self.memo = (
-            ResultMemo(stats, capacity=config.memo_capacity)
-            if config.cross_query_caching
-            else None
-        )
+        self.memo = ResultMemo(stats) if config.cross_query_caching else None
         self.channel = ReliableChannel(
             network, clock, config.retry_policy,
             name=f"server:{site}", trace=self._trace_transport,
         )
-        #: Pending clones, behind the scheduler seam: per-query run-queues
-        #: round-robined under ``scheduler="fair"``, the paper's single
-        #: FIFO under ``"fifo"`` — both enforcing the same queue ceilings.
-        self._scheduler = make_scheduler(config)
+        #: Pending clones: per-query run-queues round-robined under
+        #: ``scheduler="fair"``, the paper's single FIFO under ``"fifo"`` —
+        #: the same queue ceilings either way.
+        self._scheduler = CloneScheduler(
+            config.scheduler, config.per_query_queue_limit, config.server_queue_limit
+        )
         self._active_workers = 0
         self._purged: set[QueryId] = set()
         self._last_purge = 0.0
@@ -525,78 +527,78 @@ class QueryServer(CloneProcessor):
     @property
     def _frontier_enabled(self) -> bool:
         """Frontier batching needs direct result return: a combined frontier
-        dispatch cannot carry one retrace trail per hop (§2.6 alternative)."""
+        dispatch cannot carry one retrace trail per hop (§2.6 alternative).
+
+        Decides two numbers, no code path: how many clones one pump step may
+        traverse (:meth:`_pump`) and whether forwards bound for one site
+        share a message (:meth:`_forward_all`)."""
         return self.config.frontier_batching and self.config.direct_result_return
 
     def _pump(self) -> None:
+        """Start a pump step on every idle worker (EXP-P2, §4.4).
+
+        A step seeds the frontier with the scheduler's next clone plus queued
+        clones of the same query (they would each have cost their own pump
+        round trip), and :func:`~repro.core.processing.process_frontier`
+        runs the site-local BFS, absorbing Local/Interior hops
+        synchronously.  One combined report list and one clone list come
+        back; the summed service time is paid with a single SimClock event.
+
+        The hop budget bounds the whole step — seeds taken plus hops
+        absorbed.  With the frontier engaged it is ``pump_budget``, so under
+        multi-tenant load one query's frontier cannot monopolize the pump
+        (unset, only the runaway ceiling applies and a frontier runs to
+        exhaustion); disengaged it is 1, the paper's one clone per step.
+        Same-site clones past the budget come back with the remote ones and
+        re-enter this query's run-queue behind the other tenants' turns.
+        """
+        hop_budget = 1
+        if self._frontier_enabled:
+            hop_budget = self.config.pump_budget or MAX_FRONTIER_CLONES
         while self._active_workers < self.config.server_threads:
-            clone = self._scheduler.pop()
-            if clone is None:
+            head = self._scheduler.pop()
+            if head is None:
                 break
             self._active_workers += 1
             self._maybe_purge_log()
-            if self._frontier_enabled:
-                reports, clones, service = self._process_frontier(clone)
-            else:
-                reports, clones, service = self._process(clone)
-            self.stats.record_processing(self.site, service)
+            seeds = [head]
+            seeds += self._scheduler.take_same_query(head.query.qid, hop_budget - 1)
+            result = process_frontier(seeds, self.site, self._process, max_clones=hop_budget)
+            # A same-site clone is one local hop, counted where it is taken
+            # up: here if this pass absorbed it (every clone processed
+            # beyond the seeds), in enqueue_local if it was re-queued.
+            absorbed = result.clones_processed - len(seeds)
+            self.stats.local_hops += absorbed
+            if result.clones_processed > 1:
+                self.stats.frontier_batches += 1
+                self.stats.frontier_clones_batched += result.clones_processed
+                if self.tracer.enabled:
+                    self.tracer.record(
+                        self.clock.now, "-", self.site, "-", "-", "frontier-batched",
+                        detail=(
+                            f"{result.clones_processed} clones"
+                            f" ({absorbed} local hops absorbed)"
+                        ),
+                    )
+            self.stats.record_processing(self.site, result.service)
             epoch = self._epoch
             self.clock.schedule(
-                service,
-                lambda c=clone, r=reports, f=clones, e=epoch: self._complete(c, r, f, e),
+                result.service,
+                lambda c=head, r=result.reports, f=result.remote, e=epoch: self._complete(
+                    c, r, f, e
+                ),
             )
         self._update_saturation()
 
-    def _process_frontier(
-        self, head: QueryClone
-    ) -> tuple[list[NodeReport], list[QueryClone], float]:
-        """One frontier-batched pump step (EXP-P2).
-
-        Seeds the frontier with ``head`` plus every queued clone of the same
-        query (they would each have cost their own pump round trip), then
-        lets :func:`~repro.core.processing.process_frontier` run the
-        site-local BFS, absorbing Local/Interior hops synchronously.  One
-        combined report list and one remote-clone list come back; the
-        caller pays the summed service time with a single SimClock event.
-
-        ``pump_budget`` bounds the whole frontier — seeds taken plus hops
-        absorbed — so under multi-tenant load one query's frontier cannot
-        monopolize the pump; overflow continuations come back as same-site
-        remote clones and re-enter this query's run-queue behind the other
-        tenants' turns.
-        """
-        budget = self.config.pump_budget
-        qid = head.query.qid
-        seeds = [head]
-        seeds.extend(
-            self._scheduler.take_same_query(qid, None if budget is None else budget - 1)
-        )
-        if budget is not None:
-            result = process_frontier(seeds, self.site, self._process, max_clones=budget)
-        else:
-            result = process_frontier(seeds, self.site, self._process)
-        if result.clones_processed > 1:
-            self.stats.frontier_batches += 1
-            self.stats.frontier_clones_batched += result.clones_processed
-            if self.tracer.enabled:
-                self.tracer.record(
-                    self.clock.now, "-", self.site, "-", "-", "frontier-batched",
-                    detail=(
-                        f"{result.clones_processed} clones"
-                        f" ({result.local_absorbed} local hops absorbed)"
-                    ),
-                )
-        self.stats.local_hops += result.local_absorbed
-        return result.reports, result.remote, result.service
-
     def _maybe_purge_log(self) -> None:
-        interval = self.config.log_purge_interval
-        if interval is None or self.config.log_max_age is None:
+        """Purge log entries past ``log_max_age``, once per ``log_max_age``."""
+        max_age = self.config.log_max_age
+        if max_age is None:
             return
         now = self.clock.now
-        if now - self._last_purge >= interval:
+        if now - self._last_purge >= max_age:
             self._last_purge = now
-            self.log_table.purge_older_than(now - self.config.log_max_age)
+            self.log_table.purge_older_than(now - max_age)
 
     # -- completion: dispatch results first, then forward (Figure 3, 17-20) ----
 
@@ -700,68 +702,48 @@ class QueryServer(CloneProcessor):
         )
 
     def _forward_all(self, clones: list[QueryClone]) -> None:
-        """Forward a completed pump's clones — coalescing under batching.
+        """Forward a completed pump step's clones.
 
-        With frontier batching on, every clone bound for one destination
-        site travels in a single :class:`CloneBundle` (optimization 4 of
-        §3.2 taken one step further: one *message* per site per frontier,
-        whatever mix of states it carries).  Same-site clones — frontier
-        overflow continuations — re-enter the local queue.  With batching
-        off the per-clone sends are preserved exactly.
+        Same-site clones — the hops past the step's budget — re-enter the
+        local queue, behind other tenants' turns.  With the frontier engaged,
+        every clone bound for one destination site travels in a single
+        :class:`CloneBundle` (optimization 4 of §3.2 taken one step further:
+        one *message* per site per frontier, whatever mix of states it
+        carries); otherwise each clone is its own message, as in the paper.
         """
-        if not self._frontier_enabled:
-            for fclone in clones:
-                self._forward(fclone)
-            return
-        groups: dict[str, list[QueryClone]] = {}
+        bundling = self._frontier_enabled
+        groups: dict[object, list[QueryClone]] = {}
         for fclone in clones:
             if fclone.site == self.site:
-                # Frontier overflow continuation (pump_budget exhausted):
-                # back onto its own run-queue, behind other tenants' turns.
                 self.stats.clones_requeued += 1
                 self.enqueue_local(fclone)
             else:
-                groups.setdefault(fclone.site, []).append(fclone)
+                key = fclone.site if bundling else len(groups)  # unbundled: its own group
+                groups.setdefault(key, []).append(fclone)
         for group in groups.values():
-            if len(group) == 1:
-                self._forward(group[0])
-            else:
-                self._forward_bundle(CloneBundle(tuple(group)))
+            self._forward(group)
 
-    def _forward_bundle(self, bundle: CloneBundle) -> None:
-        epoch = self._epoch
-
-        def after_forward(outcome: SendOutcome) -> None:
-            if epoch != self._epoch or outcome is SendOutcome.ABANDONED:
-                return
-            if outcome.delivered:
-                self.stats.clones_forwarded += len(bundle.clones)
-                self.stats.clone_bundles_sent += 1
-                self.stats.clones_bundled += len(bundle.clones)
-            else:
-                # Per-clone failure handling: retractions (or the central
-                # fallback) resolve each inner clone's entries exactly as a
-                # separately-travelling clone's failure would.
-                for fclone in bundle.clones:
-                    self._forward_failed(fclone)
-
-        self.channel.send(self.site, bundle.site, QUERY_PORT, bundle, after_forward)
-
-    def _forward(self, fclone: QueryClone) -> None:
-        if fclone.site == self.site:
-            self.enqueue_local(fclone)
-            return
+    def _forward(self, group: list[QueryClone]) -> None:
+        """Send one destination site's clones as one message."""
         epoch = self._epoch
 
         def after_forward(outcome: SendOutcome) -> None:
             if epoch != self._epoch or outcome is SendOutcome.ABANDONED:
                 return  # a dead incarnation's send; the reborn process moved on
-            if outcome.delivered:
-                self.stats.clones_forwarded += 1
-            else:
-                self._forward_failed(fclone)
+            if not outcome.delivered:
+                # Per-clone failure handling: retractions (or the central
+                # fallback) resolve each clone's entries exactly as a
+                # separately-travelling clone's failure would.
+                for fclone in group:
+                    self._forward_failed(fclone)
+                return
+            self.stats.clones_forwarded += len(group)
+            if len(group) > 1:
+                self.stats.clone_bundles_sent += 1
+                self.stats.clones_bundled += len(group)
 
-        self.channel.send(self.site, fclone.site, QUERY_PORT, fclone, after_forward)
+        payload = group[0] if len(group) == 1 else CloneBundle(tuple(group))
+        self.channel.send(self.site, payload.site, QUERY_PORT, payload, after_forward)
 
     def _forward_failed(self, fclone: QueryClone) -> None:
         """The forward's connect refused, or exhausted its retries."""

@@ -74,8 +74,9 @@ class TrafficStats:
     clones_shed: int = 0
     #: Queries evicted from a saturated server's run-queues by shedding.
     queries_shed: int = 0
-    #: Frontier-overflow clones put back on their own run-queue instead of
-    #: being processed in the same pump (pump_budget backpressure).
+    #: Same-site clones put back on their own run-queue instead of being
+    #: processed in the same pump step: the hops past ``pump_budget``, and,
+    #: with ``frontier_batching`` off (hop budget 1), every local hop.
     clones_requeued: int = 0
     #: Queued clones lost when a server crashed (all run-queues drain);
     #: lets the oracle attribute PARTIAL coverage under multi-tenant load.
@@ -134,7 +135,7 @@ class TrafficStats:
     #: Memo hits served from a strictly more general logged PRE state via
     #: A*m·B containment plus a residual fan-out filter.
     residual_filters: int = 0
-    #: Memo entries dropped by the LRU bound (``EngineConfig.memo_capacity``).
+    #: Memo entries dropped by the LRU bound (``ResultMemo.capacity``).
     memo_evictions: int = 0
     #: Estimated bytes currently held by result memos — a gauge, not a
     #: counter: stores add their entry's estimate, evictions/clears subtract.

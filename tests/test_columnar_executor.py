@@ -782,9 +782,11 @@ class TestBoundedMemo:
         baseline, cold_handles = _run_batch(
             campus_web, [CAMPUS_QUERY_DISQL] * 2, cross_query_caching=False
         )
-        engine, bounded_handles = _run_batch(
-            campus_web, [CAMPUS_QUERY_DISQL] * 2, memo_capacity=2
-        )
+        engine = WebDisEngine(campus_web)
+        for server in engine.servers.values():
+            server.memo = ResultMemo(engine.stats, capacity=2)
+        bounded_handles = [engine.submit_disql(CAMPUS_QUERY_DISQL) for __ in range(2)]
+        engine.run()
         for bounded, cold in zip(bounded_handles, cold_handles):
             assert bounded.status is QueryStatus.COMPLETE
             assert _distinct_rows(bounded) == _distinct_rows(cold)

@@ -50,7 +50,7 @@ _EXTENSION_AXES = [
     EngineConfig(log_subsumption="language"),
     EngineConfig(server_threads=4),
     EngineConfig(log_subsumption="language", server_threads=4),
-    EngineConfig(log_max_age=0.001, log_purge_interval=0.001),
+    EngineConfig(log_max_age=0.001),
     EngineConfig(strict_dead_end=False, server_threads=2, batch_per_site=False),
     EngineConfig(frontier_batching=False, log_subsumption="language"),
     EngineConfig(frontier_batching=True, batch_per_site=False, server_threads=2),

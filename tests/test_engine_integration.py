@@ -385,7 +385,7 @@ class TestConfigurationVariants:
     def test_log_purge_causes_recomputation_not_wrong_answers(self, figure5_web):
         eager = WebDisEngine(
             figure5_web,
-            config=EngineConfig(log_max_age=0.0001, log_purge_interval=0.0001),
+            config=EngineConfig(log_max_age=0.0001),
         )
         handle = eager.run_query(figure_query_disql(FIGURE5_START_URL))
         assert handle.status is QueryStatus.COMPLETE

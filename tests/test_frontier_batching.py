@@ -245,6 +245,36 @@ class TestFrontierPump:
         assert on.clock.events_executed < off.clock.events_executed
         assert on.stats.messages_sent < off.stats.messages_sent
 
+    @pytest.mark.parametrize(
+        "config",
+        [{}, {"pump_budget": 2}, {"frontier_batching": False}],
+        ids=["unbounded", "pump_budget", "one-hop"],
+    )
+    def test_local_hops_counts_each_same_site_clone_once(self, config):
+        # Absorbed in the pass that minted it or re-queued past the hop
+        # budget, a same-site clone is one local hop — never both.
+        web, disql = _drill_web()
+        engine = WebDisEngine(web, config=EngineConfig(**config))
+        minted = []
+        for server in engine.servers.values():
+            def counting(clone, inner=server._process, site=server.site):
+                reports, children, service = inner(clone)
+                minted.extend(child for child in children if child.site == site)
+                return reports, children, service
+
+            server._process = counting
+        handle = engine.run_query(disql)
+        assert handle.status is QueryStatus.COMPLETE
+        stats = engine.stats
+        assert minted and stats.local_hops == len(minted)
+        assert stats.clones_requeued <= stats.local_hops
+        if config == {"pump_budget": 2}:
+            assert 0 < stats.clones_requeued < stats.local_hops
+        elif "frontier_batching" in config:
+            assert stats.clones_requeued == stats.local_hops
+        else:
+            assert stats.clones_requeued == 0
+
     def test_tracer_records_frontier_batches(self):
         web, disql = _drill_web()
         engine = WebDisEngine(web, trace=True)

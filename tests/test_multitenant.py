@@ -12,12 +12,14 @@ interleaved queries each compute exactly what they compute solo.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import EngineConfig, QueryStatus, WebDisEngine
 from repro.core.messages import Disposition
-from repro.core.scheduler import FairScheduler, SequentialScheduler, make_scheduler
+from repro.core.scheduler import CloneScheduler
 from repro.core.supervisor import QuerySupervisor, RecoveryPolicy
+from repro.errors import SimulationError
 from repro.net import Network, SendOutcome, SimClock, TrafficStats
 from repro.net.reliable import ReliableChannel, RetryPolicy
 from repro.wire import decode_message, encode_message
@@ -61,18 +63,40 @@ def _clones(qid, count: int, start: int = 0):
 
 
 class TestFairScheduler:
+    """The scheduler's mechanics under ``"fair"``.  One class for both
+    policies: :class:`TestSequentialScheduler` reruns every test below
+    under ``"fifo"``, so a test states what the key changes (the order
+    tenants are served in) and everything else must hold for both."""
+
+    policy = "fair"
+
+    def _scheduler(self, per_query_limit=None, server_limit=None):
+        return CloneScheduler(self.policy, per_query_limit, server_limit)
+
     def test_round_robin_interleaves_queries(self):
-        scheduler = FairScheduler(None, None)
+        scheduler = self._scheduler()
         a, b = _FakeQid("a"), _FakeQid("b")
         for clone in _clones(a, 3) + _clones(b, 2):
             assert scheduler.push(clone)
         order = [scheduler.pop().query.qid for __ in range(5)]
-        assert order == [a, b, a, b, a]
+        if self.policy == "fair":
+            assert order == [a, b, a, b, a]
+        else:
+            assert order == [a, a, a, b, b]  # arrival order
         assert scheduler.pop() is None
         assert scheduler.total == 0
 
+    def test_fifo_order_across_queries(self):
+        # One clone per tenant per round: arrival order is also RR order.
+        scheduler = self._scheduler()
+        a, b = _FakeQid("a"), _FakeQid("b")
+        scheduler.push(_FakeClone(a, 0))
+        scheduler.push(_FakeClone(b, 1))
+        scheduler.push(_FakeClone(a, 2))
+        assert [scheduler.pop().tag for __ in range(3)] == [0, 1, 2]
+
     def test_single_query_degenerates_to_fifo(self):
-        fair, fifo = FairScheduler(None, None), SequentialScheduler(None, None)
+        fair, fifo = CloneScheduler("fair", None, None), CloneScheduler("fifo", None, None)
         q = _FakeQid("solo")
         for clone in _clones(q, 5):
             fair.push(clone)
@@ -82,7 +106,7 @@ class TestFairScheduler:
         ]
 
     def test_per_query_ceiling_refuses_and_tracks_high_water(self):
-        scheduler = FairScheduler(per_query_limit=2, server_limit=None)
+        scheduler = self._scheduler(per_query_limit=2)
         q = _FakeQid("q")
         pushed = [scheduler.push(clone) for clone in _clones(q, 4)]
         assert pushed == [True, True, False, False]
@@ -93,7 +117,7 @@ class TestFairScheduler:
         assert not scheduler.would_admit({other: 3})
 
     def test_server_ceiling_spans_queries(self):
-        scheduler = FairScheduler(per_query_limit=None, server_limit=3)
+        scheduler = self._scheduler(server_limit=3)
         a, b = _FakeQid("a"), _FakeQid("b")
         assert all(scheduler.push(clone) for clone in _clones(a, 2))
         assert scheduler.push(_FakeClone(b, 0))
@@ -101,7 +125,7 @@ class TestFairScheduler:
         assert not scheduler.would_admit({a: 1})
 
     def test_victim_is_deepest_queue(self):
-        scheduler = FairScheduler(None, None)
+        scheduler = self._scheduler()
         a, b = _FakeQid("a"), _FakeQid("b")
         for clone in _clones(a, 1) + _clones(b, 3):
             scheduler.push(clone)
@@ -109,59 +133,71 @@ class TestFairScheduler:
         dropped = scheduler.drop_query(b)
         assert [clone.tag for clone in dropped] == [0, 1, 2]
         assert scheduler.depths() == {a: 1}
-        # The ring no longer serves the dropped query.
+        # The dropped query is no longer served.
         assert scheduler.pop().query.qid == a
         assert scheduler.pop() is None
+        assert scheduler.victim() is None
+
+    def test_drop_query_keeps_other_tenants_in_order(self):
+        scheduler = self._scheduler()
+        a, b = _FakeQid("a"), _FakeQid("b")
+        for tag, qid in enumerate((b, a, b, a, b)):
+            scheduler.push(_FakeClone(qid, tag))
+        assert [clone.tag for clone in scheduler.drop_query(a)] == [1, 3]
+        assert scheduler.drop_query(a) == []
+        assert scheduler.total == 3 and scheduler.depths() == {b: 3}
+        assert [scheduler.pop().tag for __ in range(3)] == [0, 2, 4]
 
     def test_take_same_query_respects_budget_and_ring(self):
-        scheduler = FairScheduler(None, None)
+        scheduler = self._scheduler()
         a, b = _FakeQid("a"), _FakeQid("b")
         for clone in _clones(a, 4) + _clones(b, 1):
             scheduler.push(clone)
         taken = scheduler.take_same_query(a, 2)
         assert [clone.tag for clone in taken] == [0, 1]
-        assert scheduler.depth(a) == 2
-        # Draining the rest removes the query from the ring entirely.
+        assert scheduler.depths()[a] == 2
+        # Draining the rest removes the query from service entirely.
         assert len(scheduler.take_same_query(a, None)) == 2
         assert scheduler.pop().query.qid == b
         assert scheduler.pop() is None
         assert scheduler.take_same_query(a, 0) == []
 
-    def test_drain_returns_everything_in_ring_order(self):
-        scheduler = FairScheduler(None, None)
+    def test_take_same_query_skips_other_tenants(self):
+        scheduler = self._scheduler()
         a, b = _FakeQid("a"), _FakeQid("b")
-        for clone in _clones(a, 2) + _clones(b, 1):
+        for tag, qid in enumerate((b, a, b, a, a, b)):
+            scheduler.push(_FakeClone(qid, tag))
+        # Budget 0 (a hop budget of one clone) takes nothing, moves nothing.
+        assert scheduler.take_same_query(a, 0) == []
+        assert scheduler.total == 6
+        assert [clone.tag for clone in scheduler.take_same_query(a, 1)] == [1]
+        assert [clone.tag for clone in scheduler.take_same_query(a, None)] == [3, 4]
+        assert scheduler.depths() == {b: 3} and scheduler.total == 3
+        # The other tenant's clones kept their places.
+        assert [scheduler.pop().tag for __ in range(3)] == [0, 2, 5]
+        assert scheduler.pop() is None
+
+    def test_drain_returns_everything_in_ring_order(self):
+        scheduler = self._scheduler()
+        a, b = _FakeQid("a"), _FakeQid("b")
+        for clone in _clones(a, 2) + _clones(b, 1, start=2):
             scheduler.push(clone)
         drained = scheduler.drain()
-        assert len(drained) == 3
+        assert [clone.tag for clone in drained] == [0, 1, 2]
         assert scheduler.total == 0 and scheduler.depths() == {}
-
-    def test_make_scheduler_dispatch(self):
-        assert isinstance(
-            make_scheduler(EngineConfig(scheduler="fair")), FairScheduler
-        )
-        assert isinstance(
-            make_scheduler(EngineConfig(scheduler="fifo")), SequentialScheduler
-        )
+        assert scheduler.pop() is None
+        assert scheduler.push(_FakeClone(a, 3)) and scheduler.pop().tag == 3
 
 
-class TestSequentialScheduler:
-    def test_fifo_order_across_queries(self):
-        scheduler = SequentialScheduler(None, None)
-        a, b = _FakeQid("a"), _FakeQid("b")
-        scheduler.push(_FakeClone(a, 0))
-        scheduler.push(_FakeClone(b, 1))
-        scheduler.push(_FakeClone(a, 2))
-        assert [scheduler.pop().tag for __ in range(3)] == [0, 1, 2]
+class TestSequentialScheduler(TestFairScheduler):
+    policy = "fifo"
 
-    def test_take_same_query_skips_other_tenants(self):
-        scheduler = SequentialScheduler(None, None)
-        a, b = _FakeQid("a"), _FakeQid("b")
-        scheduler.push(_FakeClone(a, 0))
-        scheduler.push(_FakeClone(b, 1))
-        scheduler.push(_FakeClone(a, 2))
-        assert [clone.tag for clone in scheduler.take_same_query(a, None)] == [0, 2]
-        assert scheduler.pop().tag == 1
+
+def test_unknown_scheduler_policy_is_rejected(campus_web):
+    with pytest.raises(SimulationError, match="unknown scheduler 'lifo'"):
+        CloneScheduler("lifo", None, None)
+    with pytest.raises(SimulationError, match="unknown scheduler"):
+        WebDisEngine(campus_web, config=EngineConfig(scheduler="lifo"))
 
 
 # -- OVERLOADED: transient admission refusal with backoff ----------------------

@@ -21,6 +21,8 @@ dispatch identities.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro import (
@@ -410,6 +412,11 @@ class TestConsistencyFlag:
         pytest.raises(TypeError, EngineConfig, debug_unfenced_recovery=True)
         pytest.raises(TypeError, EngineConfig, debug_consistency_checks=False)
         pytest.raises(TypeError, EngineConfig, db_cache_size=1)
+        pytest.raises(TypeError, EngineConfig, memo_capacity=2)
+        pytest.raises(TypeError, EngineConfig, log_purge_interval=1.0)
+        # Every field doubles the configurations to cover: adding one is a
+        # decision, so the count is pinned.
+        assert len(dataclasses.fields(EngineConfig)) == 22
 
 
 class TestWireIdentity:

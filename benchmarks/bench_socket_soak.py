@@ -13,8 +13,8 @@ collected before deduplication — the answer is the invariant, the
 multiplicity is schedule noise.
 
 **Chaos soak**: seeded schedules of wire-level faults — frame drops and
-connection resets through the in-path :class:`~repro.net.chaos.ChaosProxy`,
-a partition window between the user-site and a leaf group, plus a real
+connection resets decided per frame in the transport's receive loop
+(:class:`~repro.net.chaos.ChaosRules`), a partition window between the user-site and a leaf group, plus a real
 crash-and-restart (listener teardown mid-run) — under supervisor-driven
 recovery.  Acceptance: every run terminal (COMPLETE, or PARTIAL with its
 coverage report naming what was abandoned), zero invariant violations, and

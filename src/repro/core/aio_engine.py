@@ -21,8 +21,8 @@ Must be constructed (and driven) inside a running event loop::
         await engine.aclose()
 
 Chaos goes in at construction (``chaos=ChaosRules.from_plan(plan)``) so
-every listener is behind an in-path :class:`~repro.net.chaos.ChaosProxy`;
-:meth:`apply_chaos_crashes` schedules the plan's kill/restart rules as real
+every frame any listener receives gets a seeded verdict in the transport's
+receive loop (:mod:`repro.net.chaos`); :meth:`apply_chaos_crashes` schedules the plan's kill/restart rules as real
 socket teardowns.  Unlike the simulator there is no global quiescence:
 :meth:`run` waits for the handles' terminal transitions under a wall-clock
 timeout, and a :class:`~repro.core.supervisor.QuerySupervisor` (same class,

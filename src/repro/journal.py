@@ -112,7 +112,7 @@ class ProtocolJournal:
     @classmethod
     def attach(cls, network: Network) -> "ProtocolJournal":
         journal = cls()
-        network.set_tap(journal._record)
+        network.add_tap(journal._record)
         return journal
 
     def _record(self, time: float, src: str, dst: str, port: int, payload) -> None:

@@ -11,8 +11,8 @@ implementations:
   tier-1 tests, DST and the benches run here (DESIGN.md Section 2).
 * :mod:`repro.net.aio` — real TCP sockets on an asyncio event loop
   (length-prefixed frames, per-peer connections, connect/read timeouts),
-  with :mod:`repro.net.chaos` mapping the fault DSL onto in-path
-  socket-level chaos.
+  with :mod:`repro.net.chaos` mapping the fault DSL onto per-frame
+  verdicts taken in the socket receive loop.
 
 Shared layers, identical over either substrate:
 

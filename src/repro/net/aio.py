@@ -31,8 +31,8 @@ driver connects, reads the acknowledgement stream and settles each frame's
 future; it is parked in that read whenever the link is idle, so a peer that
 closes a keep-alive is noticed when it closes, not by the next send.  Any
 number of frames may be unacknowledged at once, which is why an ack must
-name its frame: the chaos proxy (and a real middlebox) can swallow frame
-*k* and relay the ack of *k+1*, and a positional ack would then report
+name its frame: a chaos verdict in the receive loop (or a real middlebox)
+can swallow frame *k* and ack *k+1*, and a positional ack would then report
 ``DELIVERED`` for a message no listener saw.  An ack for a sequence number
 the link is not waiting for, or of an unknown kind, drops the connection.
 Frames are written, and therefore processed, in send order: the simulator's
@@ -295,9 +295,9 @@ class AsyncioTransport:
     a multi-process worker passes its own site so a misrouted listen fails
     loudly instead of silently binding the wrong process.
 
-    ``chaos`` threads every *inbound* connection through an in-path
-    :class:`~repro.net.chaos.ChaosProxy` applying the rules at the socket
-    layer (see :mod:`repro.net.chaos`).
+    ``chaos`` applies :class:`~repro.net.chaos.ChaosRules` in the receive
+    loop: one verdict per received frame, before its listener sees it (see
+    :mod:`repro.net.chaos`).
     """
 
     synchronous = False
@@ -329,26 +329,23 @@ class AsyncioTransport:
         self._listeners: dict[tuple[str, int], Listener] = {}
         self._admission: dict[tuple[str, int], Callable[[str, Payload], bool]] = {}
         self._servers: dict[tuple[str, int], asyncio.AbstractServer] = {}
-        self._proxies: dict[tuple[str, int], object] = {}
         self._inbound: dict[tuple[str, int], set[asyncio.StreamWriter]] = {}
         self._links: dict[tuple[str, str, int], _Link] = {}
         self._tasks: set[asyncio.Task] = set()
         self._taps: list[Callable[[float, str, str, int, Payload], None]] = []
-        self._chaos_totals: dict[str, int] = {}
+        self._chaos_counts = dict.fromkeys(
+            ("frames_forwarded", "frames_swallowed", "frames_delayed", "connections_reset"),
+            0,
+        )
         self._closed = False
 
     # -- observation (same surface as the simulator) ------------------------
-
-    def set_tap(
-        self, tap: Callable[[float, str, str, int, Payload], None] | None
-    ) -> None:
-        self._taps = [tap] if tap is not None else []
 
     def add_tap(self, tap: Callable[[float, str, str, int, Payload], None]) -> None:
         self._taps.append(tap)
 
     def remove_tap(self, tap: Callable[[float, str, str, int, Payload], None]) -> None:
-        self._taps = [t for t in self._taps if t is not tap]
+        self._taps = [t for t in self._taps if t != tap]
 
     # -- topology -----------------------------------------------------------
 
@@ -378,29 +375,10 @@ class AsyncioTransport:
         key = (site, port)
         if key in self._listeners:
             raise NetworkError(f"port {port} already bound at {site}")
-        advertised = self.port_map.bind(site, port)  # may raise: nothing to undo yet
+        sock = self.port_map.bind(site, port)  # may raise: nothing to undo yet
         self._listeners[key] = listener
         self._inbound[key] = set()
-        if self.chaos is not None:
-            # In-path proxy: the advertised socket is served by the chaos
-            # proxy, which forwards (seeded drop/delay/partition/reset) to
-            # an inner socket served by the real handler.  One lifecycle:
-            # close/crash tears both down, so refused connects stay honest.
-            from .chaos import ChaosProxy
-
-            inner = PortMap(self.port_map.host)
-            inner_sock = inner.bind(site, port)
-            inner_port = inner.lookup(site, port)
-            assert inner_port is not None
-            proxy = ChaosProxy(
-                self.chaos, self.clock, site, port,
-                upstream_host=self.port_map.host, upstream_port=inner_port,
-            )
-            self._proxies[key] = proxy
-            self._spawn(self._start_server(key, inner_sock))
-            self._spawn(proxy.start(advertised))
-        else:
-            self._spawn(self._start_server(key, advertised))
+        self._spawn(self._start_server(key, sock))
 
     async def _start_server(self, key: tuple[str, int], sock: socket.socket) -> None:
         server = await asyncio.start_server(
@@ -424,6 +402,7 @@ class AsyncioTransport:
             return
         peers.add(writer)
         decoder = FrameDecoder(self.config.max_frame_bytes)
+        chaos, counts = self.chaos, self._chaos_counts
         try:
             while True:
                 chunk = await reader.read(_READ_CHUNK)
@@ -443,6 +422,22 @@ class AsyncioTransport:
                         self.stats.frames_rejected += 1
                         _abort(writer)
                         return
+                    if chaos is not None:
+                        action = chaos.verdict(src, *key, self.clock.now)
+                        if action == "reset":
+                            counts["connections_reset"] += 1
+                            return  # aborted below; acks already written stand
+                        if action == "swallow":
+                            # No ack record: the sender's watchdog reports FAULT.
+                            counts["frames_swallowed"] += 1
+                            continue
+                        delay = chaos.delay_draw()
+                        if delay > 0.0:
+                            counts["frames_delayed"] += 1
+                            await asyncio.sleep(delay)
+                            if writer.transport.is_closing():
+                                return  # the port closed (maybe re-opened) meanwhile
+                        counts["frames_forwarded"] += 1
                     listener = self._listeners.get(key)
                     if listener is None:
                         # Port closed mid-stream: refuse (no ack) so the
@@ -482,11 +477,6 @@ class AsyncioTransport:
         server = self._servers.pop(key, None)
         if server is not None:
             server.close()
-        proxy = self._proxies.pop(key, None)
-        if proxy is not None:
-            proxy.stop()  # type: ignore[attr-defined]
-            for name, value in proxy.summary().items():  # type: ignore[attr-defined]
-                self._chaos_totals[name] = self._chaos_totals.get(name, 0) + value
         for writer in self._inbound.pop(key, set()):
             _abort(writer)
 
@@ -536,12 +526,8 @@ class AsyncioTransport:
         """No-op on real sockets: a site is 'up' once its ports re-bind."""
 
     def chaos_summary(self) -> dict[str, int]:
-        """Aggregated chaos-proxy counters, live listeners plus closed ones."""
-        totals = dict(self._chaos_totals)
-        for proxy in self._proxies.values():
-            for name, value in proxy.summary().items():  # type: ignore[attr-defined]
-                totals[name] = totals.get(name, 0) + value
-        return totals
+        """Receive-loop chaos counters over every listener, closed ones included."""
+        return dict(self._chaos_counts)
 
     # -- transfer -----------------------------------------------------------
 

@@ -2,12 +2,13 @@
 
 On the simulator a :class:`~repro.net.faults.FaultPlan` installs a fault
 injector that breaks connects before they happen.  Real sockets offer no
-such hook, so the asyncio backend threads every inbound connection through
-an **in-path proxy**: the advertised port for a listener is served by a
-:class:`ChaosProxy`, which parses the sender's frames and — per frame,
-seeded — forwards, drops, delays or resets at the socket layer before the
-real handler ever sees a byte.  The fault *mechanisms* are therefore the
-real ones the transport must survive:
+such hook, so the asyncio backend asks for a **verdict per received frame**
+instead: ``AsyncioTransport._serve_connection`` — the one receive loop
+every inbound connection runs — calls :meth:`ChaosRules.verdict` once per
+frame, after decoding it and before the listener (or its admission probe)
+sees it.  There is no second server and no re-framing, so no frame can
+bypass chaos.  The fault *mechanisms* are the real ones the transport must
+survive:
 
 =================  =====================================================
 plan rule          wire behaviour (sender's view)
@@ -18,45 +19,42 @@ plan rule          wire behaviour (sender's view)
 ``partition``      every frame whose envelope source is across the cut
                    is dropped while the window is open — connects still
                    succeed, bytes die, exactly like a blackhole route
-``crash``          not the proxy's job: the engine/runner kills the
-                   site's sockets (and process) and restarts it —
-                   see ``AsyncioWebDisEngine.apply_chaos`` and
+``crash``          not the receive loop's job: the engine/runner kills
+                   the site's sockets (and process) and restarts it —
+                   see ``AsyncioWebDisEngine.apply_chaos_crashes`` and
                    ``tools/socket_cluster.py``
-delay (extra)      frame held for a seeded interval before forwarding —
-                   real reordering across links (no FaultPlan analogue
-                   because the simulator models latency directly)
+delay (extra)      frame held for a seeded interval before the listener
+                   runs — real reordering across links (no FaultPlan
+                   analogue because the simulator models latency directly)
 =================  =====================================================
 
-Windows in plan rules are *plan seconds*; ``time_scale`` (wall seconds per
-plan second) maps them onto the wall clock, so a DST repro whose faults
-fire at sim-time 3.0 can replay with the same shape in a faster or slower
-real run.  Decisions draw from one ``random.Random(seed)`` — seeded, but
-(unlike the simulator) not bit-reproducible, because real arrival order is
-not: the point here is a reproducible *distribution* of chaos, while
-bit-level determinism stays the simulator's job.
+Whether a frame is dropped is decided by the simulator's own matcher,
+:func:`~repro.net.faults.drops_message`; only the reset/swallow coin and
+the delay draws are the socket side's.  Windows in plan rules are *plan
+seconds*; ``time_scale`` (wall seconds per plan second) maps them onto the
+wall clock, so a DST repro whose faults fire at sim-time 3.0 can replay
+with the same shape in a faster or slower real run.  Decisions draw from
+one ``random.Random(seed)`` — seeded, but (unlike the simulator) not
+bit-reproducible, because real arrival order is not: the point here is a
+reproducible *distribution* of chaos, while bit-level determinism stays
+the simulator's job.
 """
 
 from __future__ import annotations
 
-import asyncio
 import random
-import socket
 from typing import TYPE_CHECKING, Sequence
 
-from ..wire import WireError, FrameDecoder, encode_frame, envelope_source
-from .faults import CrashRule, DropRule, PartitionRule
+from .faults import CrashRule, DropRule, PartitionRule, drops_message
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .faults import FaultPlan
-    from .transport import Clock
 
-__all__ = ["ChaosRules", "ChaosProxy"]
-
-_READ_CHUNK = 65536
+__all__ = ["ChaosRules"]
 
 
 class ChaosRules:
-    """Seeded per-frame fault decisions shared by all of a run's proxies.
+    """Seeded per-frame fault decisions shared by all of a run's listeners.
 
     Built directly or from a :class:`~repro.net.faults.FaultPlan` via
     :meth:`from_plan` (which carries over the plan's message rules; crash
@@ -120,164 +118,19 @@ class ChaosRules:
         return wall_now / self.time_scale
 
     def verdict(self, src: str, dst: str, port: int, wall_now: float) -> str | None:
-        """``"swallow"``, ``"reset"`` or None (forward) for one frame."""
-        now = self.plan_now(wall_now)
-        dropped = any(rule.severs(src, dst, now) for rule in self.partitions)
-        if not dropped:
-            for rule in self.drops:
-                if rule.matches(src, dst, port, now) and (
-                    rule.probability >= 1.0 or self._rng.random() < rule.probability
-                ):
-                    dropped = True
-                    break
-        if not dropped:
+        """``"swallow"``, ``"reset"`` or None (deliver) for one frame."""
+        if not drops_message(
+            self._rng, self.drops, self.partitions, src, dst, port,
+            self.plan_now(wall_now),
+        ):
             return None
         return "reset" if self._rng.random() < 0.5 else "swallow"
 
     def delay_draw(self) -> float:
-        """Extra forwarding delay for one frame (0.0 = none)."""
+        """Extra delay before one delivered frame reaches its listener (0.0 = none)."""
         lo, hi = self.delay_range
         if hi <= 0.0 or self.delay_probability <= 0.0:
             return 0.0
         if self._rng.random() >= self.delay_probability:
             return 0.0
         return self._rng.uniform(lo, hi)
-
-
-class ChaosProxy:
-    """In-path frame-level proxy for one listener (see module docstring).
-
-    Serves the listener's *advertised* socket; each inbound connection gets
-    a matching upstream connection to the real handler.  Downstream bytes
-    (delivery acks) pass through verbatim; upstream frames are re-framed
-    individually so a swallowed frame leaves the stream aligned.
-    """
-
-    def __init__(
-        self,
-        rules: ChaosRules,
-        clock: "Clock",
-        site: str,
-        port: int,
-        *,
-        upstream_host: str,
-        upstream_port: int,
-    ) -> None:
-        self.rules = rules
-        self.clock = clock
-        self.site = site
-        self.port = port
-        self.upstream_host = upstream_host
-        self.upstream_port = upstream_port
-        self.frames_forwarded = 0
-        self.frames_swallowed = 0
-        self.frames_delayed = 0
-        self.connections_reset = 0
-        self._server: asyncio.AbstractServer | None = None
-        self._writers: set[asyncio.StreamWriter] = set()
-        self._tasks: set[asyncio.Task] = set()
-        self._stopped = False
-
-    async def start(self, sock: socket.socket) -> None:
-        server = await asyncio.start_server(self._handle, sock=sock)
-        if self._stopped:
-            server.close()
-            return
-        self._server = server
-
-    def stop(self) -> None:
-        self._stopped = True
-        if self._server is not None:
-            self._server.close()
-            self._server = None
-        for writer in list(self._writers):
-            _abort(writer)
-        self._writers.clear()
-        for task in list(self._tasks):
-            task.cancel()
-
-    async def _handle(
-        self, client_reader: asyncio.StreamReader, client_writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            upstream_reader, upstream_writer = await asyncio.open_connection(
-                self.upstream_host, self.upstream_port
-            )
-        except OSError:
-            _abort(client_writer)
-            return
-        self._writers.add(client_writer)
-        self._writers.add(upstream_writer)
-        loop = asyncio.get_running_loop()
-        ack_pump = loop.create_task(self._pump_acks(upstream_reader, client_writer))
-        self._tasks.add(ack_pump)
-        ack_pump.add_done_callback(self._tasks.discard)
-        decoder = FrameDecoder()
-        try:
-            while True:
-                chunk = await client_reader.read(_READ_CHUNK)
-                if not chunk:
-                    break
-                try:
-                    frames = decoder.feed(chunk)
-                except WireError:
-                    break
-                for body in frames:
-                    try:
-                        src = envelope_source(body)
-                    except WireError:
-                        src = ""
-                    action = self.rules.verdict(
-                        src, self.site, self.port, self.clock.now
-                    )
-                    if action == "reset":
-                        self.connections_reset += 1
-                        return
-                    if action == "swallow":
-                        self.frames_swallowed += 1
-                        continue
-                    delay = self.rules.delay_draw()
-                    if delay > 0.0:
-                        self.frames_delayed += 1
-                        await asyncio.sleep(delay)
-                    self.frames_forwarded += 1
-                    upstream_writer.write(encode_frame(body))
-                    await upstream_writer.drain()
-        except (ConnectionError, OSError):
-            pass
-        except asyncio.CancelledError:
-            pass  # loop shutdown: both sockets are aborted below
-        finally:
-            ack_pump.cancel()
-            self._writers.discard(client_writer)
-            self._writers.discard(upstream_writer)
-            _abort(client_writer)
-            _abort(upstream_writer)
-
-    async def _pump_acks(
-        self, upstream_reader: asyncio.StreamReader, client_writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                chunk = await upstream_reader.read(_READ_CHUNK)
-                if not chunk:
-                    break
-                client_writer.write(chunk)
-                await client_writer.drain()
-        except (ConnectionError, OSError, asyncio.CancelledError):
-            pass
-
-    def summary(self) -> dict[str, int]:
-        return {
-            "frames_forwarded": self.frames_forwarded,
-            "frames_swallowed": self.frames_swallowed,
-            "frames_delayed": self.frames_delayed,
-            "connections_reset": self.connections_reset,
-        }
-
-
-def _abort(writer: asyncio.StreamWriter) -> None:
-    try:
-        writer.transport.abort()
-    except Exception:
-        pass

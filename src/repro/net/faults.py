@@ -1,9 +1,9 @@
 """A seeded, composable fault-injection plan DSL.
 
-Tests and chaos benches used to express failure scenarios as ad-hoc
-``set_failure_predicate`` lambdas, which cannot be combined, reused or
-reproduced across runs.  A :class:`FaultPlan` is a declarative bundle of
-fault rules sharing one seeded RNG:
+A bare :meth:`~repro.net.network.Network.set_fault_injector` callable
+cannot be combined, reused, described or replayed on real sockets.  A
+:class:`FaultPlan` is a declarative bundle of fault rules sharing one
+seeded RNG:
 
 * :meth:`drop` — per-edge drop probability, optionally filtered by source,
   destination, port and a time window;
@@ -16,7 +16,10 @@ fault rules sharing one seeded RNG:
 ``install`` wires the message rules into the network's port-aware fault
 injector and the crash schedule onto the engine.  Every probabilistic
 decision draws from ``random.Random(seed)`` in event order, so a plan
-replays identically on the deterministic simulator.
+replays identically on the deterministic simulator.  Both fault paths —
+the simulator's injector and the socket receive loop's
+:meth:`~repro.net.chaos.ChaosRules.verdict` — decide a message with the
+one matcher :func:`drops_message`.
 
 Injected message faults surface as ``SendOutcome.FAULT`` — transient, hence
 retryable by a :class:`repro.net.reliable.ReliableChannel`; crashes surface
@@ -32,7 +35,7 @@ from typing import Iterable, Protocol
 from ..errors import SimulationError
 from .network import Network
 
-__all__ = ["DropRule", "PartitionRule", "CrashRule", "FaultPlan"]
+__all__ = ["DropRule", "PartitionRule", "CrashRule", "FaultPlan", "drops_message"]
 
 
 class _CrashableEngine(Protocol):
@@ -88,6 +91,30 @@ class CrashRule:
     site: str
     at: float
     restart_at: float | None = None
+
+
+def drops_message(
+    rng: random.Random,
+    drops: Iterable[DropRule],
+    partitions: Iterable[PartitionRule],
+    src: str,
+    dst: str,
+    port: int,
+    now: float,
+) -> bool:
+    """Whether the rules break one message: partitions first, then one draw
+    per matching drop rule (``p = 1.0`` rules draw too) until one fires.
+
+    The draw sequence is part of every simulator fingerprint: change it and
+    every seeded DST replay changes.
+    """
+    for rule in partitions:
+        if rule.severs(src, dst, now):
+            return True
+    for rule in drops:
+        if rule.matches(src, dst, port, now) and rng.random() < rule.probability:
+            return True
+    return False
 
 
 class FaultPlan:
@@ -154,7 +181,7 @@ class FaultPlan:
 
     # -- rule inspection -----------------------------------------------------
     # Read-only views used by the real-socket backend to translate the plan
-    # into chaos-proxy rules and kill/restart schedules (repro.net.chaos).
+    # into receive-loop chaos rules and kill/restart schedules (repro.net.chaos).
 
     @property
     def drops(self) -> tuple[DropRule, ...]:
@@ -183,13 +210,7 @@ class FaultPlan:
         partitions = tuple(self._partitions)
 
         def injector(src: str, dst: str, port: int, now: float) -> bool:
-            for rule in partitions:
-                if rule.severs(src, dst, now):
-                    return True
-            for rule in drops:
-                if rule.matches(src, dst, port, now) and rng.random() < rule.probability:
-                    return True
-            return False
+            return drops_message(rng, drops, partitions, src, dst, port, now)
 
         if drops or partitions:
             network.set_fault_injector(injector)

@@ -198,28 +198,24 @@ class Network:
         self._down_sites: set[str] = set()
         self._taps: list[Callable[[float, str, str, int, Payload], None]] = []
 
-    def set_tap(self, tap: Callable[[float, str, str, int, "Payload"], None] | None) -> None:
-        """Install an observer called for every successfully sent message.
-
-        Used by :class:`repro.journal.ProtocolJournal` to record traffic;
-        the tap sees ``(time, src, dst, port, payload)`` and must not
-        mutate anything.  Replaces all previously installed taps (legacy
-        single-observer semantics); use :meth:`add_tap` to stack observers.
-        """
-        self._taps = [tap] if tap is not None else []
-
     def add_tap(self, tap: Callable[[float, str, str, int, "Payload"], None]) -> None:
-        """Add an observer alongside any already installed (see :meth:`set_tap`).
+        """Add an observer called for every successfully sent message.
 
-        Multiple subsystems — the protocol journal, the DST harness's
-        message-log fingerprint — can observe traffic simultaneously; taps
-        fire in installation order.
+        The tap sees ``(time, src, dst, port, payload)`` and must not mutate
+        anything.  Multiple subsystems — the protocol journal, the DST
+        harness's message-log fingerprint — can observe traffic
+        simultaneously; taps fire in installation order.
         """
         self._taps.append(tap)
 
     def remove_tap(self, tap: Callable[[float, str, str, int, "Payload"], None]) -> None:
-        """Remove a tap previously installed via :meth:`add_tap`/:meth:`set_tap`."""
-        self._taps = [t for t in self._taps if t is not tap]
+        """Remove a tap previously installed via :meth:`add_tap`.
+
+        Taps match by equality, not identity: ``obj.method`` is a new bound
+        method object on every access, and ``remove_tap(journal._record)``
+        must still find the one ``add_tap`` got.
+        """
+        self._taps = [t for t in self._taps if t != tap]
 
     # -- topology ---------------------------------------------------------
 
@@ -276,21 +272,11 @@ class Network:
         """
         self._fail_once.append((src, dst, port))
 
-    def set_failure_predicate(
-        self, predicate: Callable[[str, str, float], bool] | None
-    ) -> None:
-        """Install ``predicate(src, dst, now) -> bool`` deciding send failures.
-
-        Legacy form of :meth:`set_fault_injector` without port visibility;
-        prefer a :class:`repro.net.faults.FaultPlan` for new code.
-        """
-        if predicate is None:
-            self._fault_injector = None
-        else:
-            self._fault_injector = lambda src, dst, port, now: predicate(src, dst, now)
-
     def set_fault_injector(self, injector: FaultInjector | None) -> None:
-        """Install ``injector(src, dst, port, now) -> bool`` breaking connects."""
+        """Install ``injector(src, dst, port, now) -> bool`` breaking connects.
+
+        A :class:`repro.net.faults.FaultPlan` installs one from its rules.
+        """
         self._fault_injector = injector
 
     # -- whole-site failures (crash / recovery, §7.1 future work) -----------

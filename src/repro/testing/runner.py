@@ -248,10 +248,11 @@ def run_case_asyncio(
 
     This is an *approximate* replay, by design: the spec's fault windows
     map onto the wall clock (scaled by ``time_scale`` wall-seconds per
-    sim-second) through the in-path chaos proxy, and crash rules become
-    real socket teardowns — but arrival order is whatever the kernel
-    produces, so the question answered is "does the shrunk scenario still
-    self-heal on real sockets", not "is the run bit-identical".
+    sim-second) through the per-frame chaos verdicts of the transport's
+    receive loop, and crash rules become real socket teardowns — but
+    arrival order is whatever the kernel produces, so the question answered
+    is "does the shrunk scenario still self-heal on real sockets", not "is
+    the run bit-identical".
     Correspondingly the checks are the invariant battery plus terminal
     status (no fingerprint, no row-multiset reference — a different
     interleaving can legitimately change DUPLICATE/REWRITE multiplicities),

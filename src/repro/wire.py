@@ -26,9 +26,10 @@ implement length-prefixed framing (4-byte big-endian length, then the body)
 with an oversized-frame guard, and :func:`encode_envelope` /
 :func:`decode_envelope` stamp each framed message with its *source site* —
 the one piece of addressing information a raw socket does not carry but
-every :data:`~repro.net.network.Listener` receives.  The chaos proxy reads
-just the source stamp (:func:`envelope_source`) to apply partition rules
-without paying a full decode.  A frame body ends in its link's sequence
+every :data:`~repro.net.network.Listener` receives; it is also what the
+receive loop's chaos verdicts (:mod:`repro.net.chaos`) key partition rules
+on.  :func:`envelope_source` reads just that stamp, without decoding the
+message.  A frame body ends in its link's sequence
 number (:func:`encode_sequenced`), which the receiver echoes in a fixed-size
 :data:`ACK_RECORD` — that is what lets a link keep many frames in flight.
 ``docs/protocol.md`` ("Wire format") is the specification;
@@ -633,11 +634,7 @@ def encode_envelope(src: str, message: object) -> bytes:
 
 
 def envelope_source(body: bytes) -> str:
-    """The source-site stamp of an envelope, without decoding the message.
-
-    The chaos proxy uses this to apply partition rules (which are keyed by
-    source site) while forwarding the message bytes untouched.
-    """
+    """The source-site stamp of an envelope, without decoding the message."""
     stamp, separator, __ = body.partition(_ENVELOPE_SEPARATOR)
     if not separator:
         raise WireError("envelope missing source stamp")
@@ -650,8 +647,9 @@ def envelope_source(body: bytes) -> str:
 def encode_sequenced(envelope: bytes, sequence: int) -> bytes:
     """A frame body: ``envelope`` followed by its per-link sequence number.
 
-    The number trails the envelope so everything that reads an envelope's
-    head — :func:`envelope_source` in the chaos proxy — is untouched by it.
+    The number trails the envelope so the receiver splits it off the end
+    (:func:`split_sequenced`) and what reads an envelope's head —
+    :func:`envelope_source` — is untouched by it.
     """
     return envelope + _SEQUENCE.pack(sequence)
 

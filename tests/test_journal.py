@@ -39,7 +39,7 @@ class TestRecording:
     def test_detach(self, campus_web):
         engine = WebDisEngine(campus_web)
         journal = ProtocolJournal.attach(engine.network)
-        engine.network.set_tap(None)
+        engine.network.remove_tap(journal._record)
         engine.run_query(CAMPUS_QUERY_DISQL)
         assert len(journal) == 0
 

@@ -201,9 +201,9 @@ class TestNetwork:
     def test_failure_predicate(self):
         clock, network = _net()
         network.listen("b.example", 80, lambda s, p: None)
-        network.set_failure_predicate(lambda src, dst, now: dst == "b.example")
+        network.set_fault_injector(lambda src, dst, port, now: dst == "b.example")
         assert network.send("a.example", "b.example", 80, _Blob(1)) is SendOutcome.FAULT
-        network.set_failure_predicate(None)
+        network.set_fault_injector(None)
         assert network.send("a.example", "b.example", 80, _Blob(1)) is SendOutcome.DELIVERED
 
     def test_fault_injector_sees_port(self):

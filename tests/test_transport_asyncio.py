@@ -5,7 +5,7 @@ the simulator drives, but framed over real connections with delivery acks.
 Covers outcome classification off the simulator (REFUSED vs HOST_DOWN from
 actual connect errors), the :class:`ReliableChannel` retry properties on a
 deferred backend (the satellite requirement: same semantics on *both*
-transports), wire-level chaos through the in-path proxy, and end-to-end
+transports), wire-level chaos applied in the receive loop, and end-to-end
 engine runs including the sim-vs-socket equivalence check and crash
 recovery with real listener teardowns.
 
@@ -40,7 +40,7 @@ from repro.net import (
     refusal_outcome,
 )
 from repro.net.aio import AsyncioTransport, StaticPortMap
-from repro.net.chaos import ChaosProxy, ChaosRules
+from repro.net.chaos import ChaosRules
 from repro.net.faults import FaultPlan
 from repro.net.reliable import ReliableChannel, RetryPolicy
 from repro.testing.invariants import check_run
@@ -321,8 +321,8 @@ class TestPipelinedLink:
         asyncio.run(main())
 
     def test_proxy_swallowing_the_middle_frame_faults_only_that_frame(self):
-        """The case a positional ack gets wrong: the proxy eats frame 2 and
-        relays frame 3's ack, which must not be credited to frame 2."""
+        """The case a positional ack gets wrong: chaos eats frame 2 and the
+        receiver acks frame 3, which must not be credited to frame 2."""
 
         class SwallowSecond(ChaosRules):
             frames = 0
@@ -539,8 +539,8 @@ class TestChaosRules:
 
 class TestChaosProxyWire:
     def test_swallowed_frame_times_out_then_heals(self):
-        """A frame the proxy eats never acks (FAULT at the sender); once
-        the window closes the same link delivers."""
+        """A frame chaos eats never acks (FAULT at the sender); once the
+        window closes the same link delivers."""
 
         async def main():
             plan = FaultPlan(seed=3).drop(1.0, end=0.35)
@@ -597,19 +597,82 @@ class TestChaosProxyWire:
         asyncio.run(main())
 
     def test_proxy_is_in_path(self):
-        # The advertised port and the inner upstream port must differ —
-        # otherwise chaos could be bypassed by the transport dialing direct.
+        """Chaos is in the receive loop itself: a chaos listener binds one
+        socket, an idle inbound connection costs one server-side task, and
+        every received frame gets exactly one verdict — none bypasses it."""
+
+        class CountingRules(ChaosRules):
+            calls = 0
+
+            def verdict(self, src, dst, port, wall_now):
+                self.calls += 1
+                return super().verdict(src, dst, port, wall_now)
+
+        def open_fds() -> int:
+            return len(os.listdir("/proc/self/fd"))
+
+        async def main():
+            rules = CountingRules(seed=0)
+            transport = await _transport("a.example", "b.example", chaos=rules)
+            try:
+                seen = []
+                before = open_fds()
+                transport.listen(
+                    "b.example", QUERY_PORT, lambda src, msg: seen.append(msg.request_id)
+                )
+                await asyncio.sleep(0.02)  # the accept loop attaches
+                assert open_fds() - before == 1
+
+                tasks = len(asyncio.all_tasks())
+                real = transport.port_map.lookup("b.example", QUERY_PORT)
+                __, idle = await asyncio.open_connection(transport.port_map.host, real)
+                await asyncio.sleep(0.02)
+                assert len(asyncio.all_tasks()) - tasks == 1
+                idle.close()
+
+                transport.set_admission(
+                    "b.example", QUERY_PORT, lambda src, msg: msg.request_id != 3
+                )
+                outcomes = await _burst(transport, 5)
+                assert outcomes.count(SendOutcome.OVERLOADED) == 1
+                assert seen == [0, 1, 2, 4]
+                # The declined frame had its verdict too: chaos runs first.
+                assert rules.calls == 5
+                assert transport.chaos_summary()["frames_forwarded"] == 5
+            finally:
+                await transport.aclose()
+
+        asyncio.run(main())
+
+    def test_reset_on_the_middle_frame_credits_no_unseen_frame(self):
+        """A scripted reset on frame 2 of 3: frame 1 (processed before the
+        reset) is DELIVERED, and no frame the listener never saw is."""
+
+        class ResetSecond(ChaosRules):
+            frames = 0
+
+            def verdict(self, src, dst, port, wall_now):
+                self.frames += 1
+                return "reset" if self.frames == 2 else None
+
         async def main():
             transport = await _transport(
-                "a.example", "b.example", chaos=ChaosRules(seed=0)
+                "a.example", "b.example",
+                config=NetworkConfig(read_timeout=0.3),
+                chaos=ResetSecond(seed=0),
             )
             try:
-                transport.listen("b.example", QUERY_PORT, lambda s, m: None)
-                proxy = transport._proxies[("b.example", QUERY_PORT)]
-                assert isinstance(proxy, ChaosProxy)
-                advertised = transport.port_map.lookup("b.example", QUERY_PORT)
-                assert advertised is not None
-                assert advertised != proxy.upstream_port
+                seen = []
+                transport.listen(
+                    "b.example", QUERY_PORT, lambda src, msg: seen.append(msg.request_id)
+                )
+                outcomes = await _burst(transport, 3)
+                assert outcomes[0] is SendOutcome.DELIVERED
+                assert seen[0] == 0
+                for request_id, outcome in enumerate(outcomes):
+                    if outcome is SendOutcome.DELIVERED:
+                        assert request_id in seen
+                assert transport.chaos_summary()["connections_reset"] == 1
             finally:
                 await transport.aclose()
 

@@ -147,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
     replay_parser.add_argument(
         "--transport", choices=("sim", "asyncio"), default="sim",
         help="sim = deterministic replay; asyncio = approximate replay on "
-             "real sockets through the chaos proxy",
+             "real sockets with per-frame chaos verdicts",
     )
     replay_parser.add_argument(
         "--time-scale", type=float, default=1.0,

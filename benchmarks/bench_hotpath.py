@@ -31,7 +31,11 @@ over every shape the executor has a distinct path for:
 Four checks ride along (they are what ``--check`` gates in CI):
 
 1. row-for-row equality — for every (node-query, node-database) pair the
-   compiled plan returns exactly the interpreter's rows, in order;
+   compiled plan returns exactly the interpreter's rows, in order; and
+   **literal-varied**: selection-under-join with N different ``contains``
+   literals, compiled through one mapping of lowerings as a server's plan
+   cache does, lowers once and binds N times, with every bound plan's rows
+   the interpreter's on its own literal;
 2. engine equivalence — full :class:`WebDisEngine` runs (a filter query
    and a joined one, so the probe path runs inside the engine) are
    bit-identical — status, completion time, result rows in order — on the
@@ -59,7 +63,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from collections import Counter
+from collections import Counter, OrderedDict
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
@@ -133,6 +137,9 @@ SITE_PAGES = 60
 #: selection-under-join's leaf-local literal: matches "fragment 1" and
 #: "fragment 10".."fragment 19" of a hot page.
 SELECTED_TEXT = "fragment 1"
+#: The literal-varied check's ``contains`` literals: other rows, one shape —
+#: all non-numeric strings (a numeric one, such as "1", is another kind).
+VARIED_TEXTS = (SELECTED_TEXT, "fragment 2", "fragment 3", "aside", "DETAIL", "zzz", "", "item")
 
 
 def _hot_page(index: int, *, links: int, emphasized: int) -> str:
@@ -172,6 +179,21 @@ def _nq(select, tables, where, sitewide=()):
         tables=tuple(tables),
         where=where,
         sitewide_aliases=tuple(sitewide),
+    )
+
+
+def _selection_under_join(text: str) -> NodeQuery:
+    """EXP-E1's ``eval_join`` node-query with ``text`` as its literal."""
+    return _nq(
+        [Attr("d", "url"), Attr("a", "href"), Attr("r", "text")],
+        [TableDecl("document", "d"), TableDecl("anchor", "a"), TableDecl("relinfon", "r")],
+        And(
+            And(
+                Contains(Attr("r", "text"), Literal(text)),
+                Contains(Attr("a", "label"), Attr("r", "delimiter")),
+            ),
+            Compare("!=", Attr("a", "href"), Attr("a", "base")),
+        ),
     )
 
 
@@ -327,17 +349,7 @@ def _workloads():
             # eval_join's node-query.  The interpreter nests all three
             # conjuncts under both scans; the pipeline selects ANCHOR and
             # RELINFON once each and runs only the middle one per binding.
-            _nq(
-                [Attr("d", "url"), Attr("a", "href"), Attr("r", "text")],
-                [d, a, r],
-                And(
-                    And(
-                        Contains(Attr("r", "text"), Literal(SELECTED_TEXT)),
-                        Contains(Attr("a", "label"), Attr("r", "delimiter")),
-                    ),
-                    Compare("!=", Attr("a", "href"), Attr("a", "base")),
-                ),
-            ),
+            _selection_under_join(SELECTED_TEXT),
             hot[:2],
             None,
         ),
@@ -368,6 +380,28 @@ def check_rows_identical(workloads) -> int:
             ], f"compiled rows diverge for {name} at {database.url}"
             pairs += 1
     return pairs
+
+
+def check_literal_varied(workloads) -> dict:
+    """selection-under-join once per :data:`VARIED_TEXTS` literal through one
+    mapping of lowerings: rows of every bound plan against the interpreter
+    on every hot page, and how many lowerings the literals needed."""
+    __, __, databases, site_documents = next(
+        workload for workload in workloads if workload[0] == "selection-under-join"
+    )
+    lowerings: OrderedDict = OrderedDict()
+    pairs = 0
+    for text in VARIED_TEXTS:
+        varied = _selection_under_join(text)
+        plan = compile_node_query(varied, lowerings)
+        for database in databases:
+            expected = evaluate_node_query(varied, database, site_documents)
+            actual = plan.execute_columnar(database, site_documents)
+            assert [(r.header, r.values) for r in actual] == [
+                (r.header, r.values) for r in expected
+            ], f"bound plan rows diverge for literal {text!r} at {database.url}"
+            pairs += 1
+    return {"literals": len(VARIED_TEXTS), "lowerings": len(lowerings), "pairs": pairs}
 
 
 @contextmanager
@@ -465,6 +499,7 @@ def measure(repeats: int = 7) -> dict:
     workloads = _workloads()
 
     pairs_checked = check_rows_identical(workloads)
+    literal_varied = check_literal_varied(workloads)
     engine_rows = check_engine_identical()
     selection = check_selection_count(workloads)
 
@@ -509,15 +544,23 @@ def measure(repeats: int = 7) -> dict:
         "speedup": round(weakest["speedup"], 3),
         "compile_once_s": compile_seconds,
         "rows_identical_pairs": pairs_checked,
+        "literal_varied": literal_varied,
         "engine_identical_rows": engine_rows,
         "selection": selection,
     }
 
 
 def _failures(result: dict) -> list[str]:
-    """What the gate rejects: the weakest shape under the floor, or
-    selection-under-join evaluating more than selections below the join do."""
+    """What the gate rejects: the weakest shape under the floor,
+    selection-under-join evaluating more than selections below the join do,
+    or literal-varied lowering its one shape more than once."""
     failures = []
+    varied = result["literal_varied"]
+    if varied["lowerings"] != 1:
+        failures.append(
+            f"literal-varied: {varied['literals']} literals took {varied['lowerings']}"
+            " lowerings (bound 1)"
+        )
     if result["speedup"] < SPEEDUP_FLOOR:
         failures.append(
             f"{result['weakest_shape']} at {result['speedup']}x, below the"
@@ -569,7 +612,10 @@ def _report(result: dict) -> None:
         f"\nweakest shape: {result['weakest_shape']} at {result['speedup']}x"
         f" (floor {SPEEDUP_FLOOR}x)"
         f"\nchecked: {result['rows_identical_pairs']} (query, database) pairs"
-        f" row-identical; engine runs bit-identical"
+        f" row-identical; literal-varied: {result['literal_varied']['literals']}"
+        f" literals, {result['literal_varied']['lowerings']} lowering,"
+        f" {result['literal_varied']['pairs']} bound pairs row-identical;"
+        f" engine runs bit-identical"
         f" ({result['engine_identical_rows']} result rows, filter + joined"
         " query) vs the interpreter"
         f"\nselection-under-join, counted per compiled pass:"
@@ -606,7 +652,9 @@ def main(argv: list[str] | None = None) -> int:
     _report(result)
 
     verdict = (
-        f"{result['rows_identical_pairs']} pairs row-identical, engine"
+        f"{result['rows_identical_pairs']} pairs row-identical, literal-varied"
+        f" {result['literal_varied']['literals']} literals in"
+        f" {result['literal_varied']['lowerings']} lowering, engine"
         f" bit-identical, weakest shape {result['weakest_shape']} at"
         f" {result['speedup']}x (floor {SPEEDUP_FLOOR}x), selection-under-join"
         f" {result['selection']['lowered']} str.lower calls per pass (bound"

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from ..disql.template import TemplateCache
 from ..disql.translate import compile_disql
 from ..errors import SimulationError
 from ..net.network import Network, NetworkConfig
@@ -89,6 +90,8 @@ class EngineBase:
         self.tracer = Tracer(enabled=trace)
         self.network = network
         self.user_site = user_site
+        #: DISQL compiled once per template; later texts bind their strings.
+        self._templates = TemplateCache()
 
         participating = (
             set(web.site_names)
@@ -119,11 +122,12 @@ class EngineBase:
         """Parse, translate and submit a DISQL query.
 
         ``search_index`` resolves ``index("keywords", k)`` StartNode sources
-        (§1.1's automated pipeline, surfaced in the language).
+        (§1.1's automated pipeline, surfaced in the language).  A text of a
+        template this engine has compiled before is a bind of its strings
+        (:mod:`repro.disql.template`).
         """
-        return self.submit(
-            compile_disql(text, search_index=search_index), on_result, on_complete
-        )
+        query = compile_disql(text, search_index=search_index, templates=self._templates)
+        return self.submit(query, on_result, on_complete)
 
     def cancel(self, handle: QueryHandle, at: float | None = None) -> None:
         """Cancel ``handle`` now, or schedule the cancellation at time ``at``."""

@@ -17,11 +17,21 @@ treated as a miss (recompiled, entry replaced) and counted in
 ``collisions`` — a collision may cost a recompile but can never serve the
 wrong plan.
 
-Plans are **volatile process state**, exactly like the server's document
-store: a crash loses them (:meth:`~repro.core.server.QueryServer.crash`
-calls :meth:`clear`), and the reborn process recompiles on first touch.
-That is what makes the cache trivially coherent — a stale entry can never
-be served across incarnations because nothing survives one.
+Under the value-keyed plans sit **lowerings keyed by shape**: the query
+structure with each string or number literal replaced by a slot and its
+kind (:func:`~repro.relational.compile.compile_node_query`).  A value miss
+hands the second mapping to ``compile_node_query``, which lowers a shape it
+has not seen and otherwise only *binds* the new literals to the shared
+lowering — so a server that evaluates one node-query with a hundred
+different literals lowers it once.  Both mappings have the same bound.
+Lowerings stay per server, like plans: nothing is shared between sites.
+
+Plans and lowerings are **volatile process state**, exactly like the
+server's document store: a crash loses them
+(:meth:`~repro.core.server.QueryServer.crash` calls :meth:`clear`), and the
+reborn process recompiles on first touch.  That is what makes the cache
+trivially coherent — a stale entry can never be served across incarnations
+because nothing survives one.
 """
 
 from __future__ import annotations
@@ -45,16 +55,17 @@ __all__ = ["PlanCache"]
 
 
 class PlanCache:
-    """Bounded LRU of :class:`CompiledPlan` objects, structurally keyed.
+    """Bounded LRUs of compiled plans, by structure, and of their lowerings, by shape.
 
-    A cached plan carries its batch-pipeline lowering, built once at compile
-    time — a pure function of the query structure, which keeps the structural
-    key sound (a replay goes through the tree interpreter, no lowering).
+    A cached plan carries its batch-pipeline lowering — a pure function of
+    the query's shape — bound to the query's literals, which keeps the
+    structural key sound (a replay goes through the tree interpreter, no
+    lowering).
     """
 
     __slots__ = (
         "max_size", "hits", "misses", "shared_hits", "collisions",
-        "_plans", "_stats", "_hash_fn",
+        "_plans", "_lowerings", "_stats", "_hash_fn",
     )
 
     def __init__(
@@ -82,6 +93,8 @@ class PlanCache:
         self._plans: OrderedDict[str, tuple[str, QueryId | None, CompiledPlan]] = (
             OrderedDict()
         )
+        #: query shape → lowering, for :func:`compile_node_query`.
+        self._lowerings: OrderedDict = OrderedDict()
 
     def plan_for(self, query: NodeQuery, origin: QueryId | None = None) -> CompiledPlan:
         """The compiled plan for ``query``, shared across structural equals.
@@ -111,11 +124,12 @@ class PlanCache:
             # stored plan.  Recompile and let the newcomer take the slot.
             self.collisions += 1
         self.misses += 1
-        plan = compile_node_query(query)
+        plan = compile_node_query(query, lowerings=self._lowerings)
         self._plans[digest] = (full_key, origin, plan)
         self._plans.move_to_end(digest)
-        while len(self._plans) > self.max_size:
-            self._plans.popitem(last=False)
+        for entries in (self._plans, self._lowerings):
+            while len(entries) > self.max_size:
+                entries.popitem(last=False)
         return plan
 
     def bind(self, query: WebQuery) -> Callable[[int], CompiledPlan]:
@@ -129,8 +143,9 @@ class PlanCache:
         return lambda k: self.plan_for(steps[k].query, qid)
 
     def clear(self) -> None:
-        """Drop every plan (process crash / incarnation boundary)."""
+        """Drop every plan and lowering (process crash / incarnation boundary)."""
         self._plans.clear()
+        self._lowerings.clear()
 
     def __len__(self) -> int:
         return len(self._plans)

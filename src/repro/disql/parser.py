@@ -40,6 +40,11 @@ class _Parser:
         self.text = text
         self.tokens = tokenize_disql(text)
         self.pos = 0
+        #: What each string token consumed as an operand or a StartNode URL
+        #: became, in token order: the operand's ``Literal`` object, or the
+        #: URL's index in its ``StartSource``.  Strings used any other way
+        #: (``index(...)`` keywords, text inside a PRE) are not recorded.
+        self.strings: list[Literal | int] = []
 
     # -- token helpers ---------------------------------------------------------
 
@@ -242,8 +247,10 @@ class _Parser:
         source: StartSource | AliasSource | IndexSource
         if token.kind is TokenKind.STRING:
             urls = [str(self._next().value)]
+            self.strings.append(0)
             while self._peek().text == "|" and self._peek(1).kind is TokenKind.STRING:
                 self._next()
+                self.strings.append(len(urls))
                 urls.append(str(self._next().value))
             source = StartSource(tuple(urls))
         elif token.is_keyword("index") and self._peek(1).text == "(":
@@ -337,7 +344,9 @@ class _Parser:
         token = self._peek()
         if token.kind is TokenKind.STRING:
             self._next()
-            return Literal(str(token.value))
+            literal = Literal(str(token.value))
+            self.strings.append(literal)
+            return literal
         if token.kind is TokenKind.NUMBER:
             self._next()
             return Literal(int(str(token.value)))
@@ -348,6 +357,13 @@ class _Parser:
 
 def parse_disql(text: str) -> DisqlQuery:
     """Parse DISQL ``text`` into a :class:`DisqlQuery` AST."""
+    return _parse_recording_strings(text)[0]
+
+
+def _parse_recording_strings(text: str) -> tuple[DisqlQuery, list[Literal | int]]:
+    """:func:`parse_disql`, plus what its operand and StartNode strings
+    became (``_Parser.strings``)."""
     if not text or not text.strip():
         raise DisqlSyntaxError("empty DISQL query")
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    return parser.parse(), parser.strings

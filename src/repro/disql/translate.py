@@ -182,6 +182,15 @@ def _check_select_coverage(query: DisqlQuery) -> None:
             raise DisqlSemanticsError(f"select references undeclared alias {attr.alias!r}")
 
 
-def compile_disql(text: str, *, optimize: bool = False, search_index=None) -> WebQuery:
-    """Parse and translate in one step."""
+def compile_disql(
+    text: str, *, optimize: bool = False, search_index=None, templates=None
+) -> WebQuery:
+    """Parse and translate in one step.
+
+    ``templates`` (a :class:`~repro.disql.template.TemplateCache`) compiles
+    a text whose template it holds by binding the text's strings instead;
+    the result is the same.  ``optimize=True`` bypasses it.
+    """
+    if templates is not None and not optimize:
+        return templates.compile(text, search_index)
     return translate(parse_disql(text), optimize=optimize, search_index=search_index)

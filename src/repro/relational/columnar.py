@@ -47,15 +47,27 @@ instead, including which binding's which conjunct raises, or that nothing
 raises at all.  An empty table or an empty outer batch evaluates nothing
 of its level, exactly like the interpreter.
 
+**Constants are parameters.**  A runner is built for a query *shape*: every
+string or number constant of the ``where`` clause is a :class:`Param`, whose
+value the kernels and closures read from ``env`` at run time (a string's
+lowercased copy sits in the next slot, so a ``contains`` needle is lowered
+once per bound query, not per row).  What a lowering may know of a constant
+is its kind (:attr:`Param.kind`) — the one property the kernel choice below
+depends on (``=``/``!=`` are plain dict equality only for *non-numeric*
+strings) — so one runner serves every query that differs from it only in
+constant values of the same kinds.
+
 Equivalence with the interpreter is property-tested in
 ``tests/test_columnar_executor.py`` (including hostile expressions whose
-only output *is* the error, and a poisoned cell at every plan level).
-Replays are counted in ``TrafficStats.plan_replays`` through the tables'
-stats mirror, so a plan that falls back on every call is visible.
+only output *is* the error, a poisoned cell at every plan level, and
+literal-varied queries bound to one shared lowering).  Replays are counted
+in ``TrafficStats.plan_replays`` through the tables' stats mirror, so a plan
+that falls back on every call is visible.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from .expr import (
@@ -68,12 +80,35 @@ from .expr import (
     Not,
     Or,
     attrs_referenced,
-    _to_number,
 )
 from .query import ResultRow
 from .schema import Schema
 
-__all__ = ["LevelPlan", "build_columnar_runner"]
+__all__ = ["LevelPlan", "Param", "STR", "NUMERIC_STR", "build_columnar_runner"]
+
+#: :attr:`Param.kind` of a string constant that does not parse as a number.
+STR = "str"
+#: :attr:`Param.kind` of a string constant that does (``"12"``, ``"1e3"``):
+#: ``_coerce_pair`` may convert it, so ``=``/``!=`` must not be plain.
+NUMERIC_STR = "numeric str"
+
+
+@dataclass(frozen=True, slots=True)
+class Param:
+    """A constant of a shared lowering, bound per query.
+
+    Its value is ``env[index]``; a string's lowercased copy is
+    ``env[index + 1]``.  ``kind`` is :data:`STR`, :data:`NUMERIC_STR` or the
+    type of a non-string value — never the value itself.
+    """
+
+    index: int
+    kind: object
+
+    @property
+    def is_str(self) -> bool:
+        return self.kind == STR or self.kind == NUMERIC_STR
+
 
 #: A scalar compiled expression (see :mod:`repro.relational.compile`).
 _Scalar = Callable[[list], object]
@@ -91,14 +126,15 @@ _Join = "tuple[int, _Scalar, _Kernel] | None"
 
 
 class LevelPlan(NamedTuple):
-    """Where the conjuncts of one plan level run.
+    """Where the conjuncts of one plan level run, as positions in the
+    level's conjunct list — so one plan serves every query of its shape.
 
     Each group is in evaluation order; :meth:`CompiledPlan.describe` prints it.
     """
 
-    selection: tuple[Expr, ...]
-    probe: Expr | None
-    residual: tuple[Expr, ...]
+    selection: tuple[int, ...]
+    probe: int | None
+    residual: tuple[int, ...]
 
 
 def build_columnar_runner(
@@ -113,8 +149,10 @@ def build_columnar_runner(
     """Build the batch runner for one compiled plan, and its level plans.
 
     The runner signature is ``runner(env, tables, table_objs, out)``:
-    ``tables`` are the scanned row lists, ``table_objs`` the table objects
-    behind them (for ``columns()`` / ``index()``).  It appends result rows
+    ``env`` has one slot per table (the row bound at that depth) followed
+    by the bound constants (see :class:`Param`), ``tables`` are the scanned
+    row lists, ``table_objs`` the table objects behind them (for
+    ``columns()`` / ``index()``).  It appends result rows
     to ``out`` and lets any evaluation error propagate — the caller
     discards ``out`` and replays through the interpreter.
     """
@@ -167,7 +205,7 @@ def _provably_total(expr: Expr, positions: dict[str, int], schemas: Sequence[Sch
     total operands are total.  Ordered comparisons and ``contains`` can
     raise on type mismatches, so they are never claimed total.
     """
-    if isinstance(expr, Literal):
+    if isinstance(expr, (Literal, Param)):
         return True
     if isinstance(expr, Attr):
         return expr.name in schemas[positions[expr.alias]]
@@ -208,29 +246,29 @@ def _lower_level(
     everything stays residual, in order.
     """
     schema = schemas[depth]
-    selection: list[tuple[Expr, _Kernel]] = []
-    residual: list[tuple[Expr, _Kernel]] = []
-    probe: Expr | None = None
+    selection: list[tuple[int, _Kernel]] = []
+    residual: list[tuple[int, _Kernel]] = []
+    probe: int | None = None
     join: _Join = None
     covered = True
-    for conjunct, scalar in zip(conjuncts, scalars):
+    for position, (conjunct, scalar) in enumerate(zip(conjuncts, scalars)):
         kernel = _specialize(conjunct, scalar, depth, alias, schema)
         if kernel is None:
             kernel = _generic_kernel(scalar, depth)
         if covered and all(attr.alias == alias for attr in attrs_referenced(conjunct)):
-            selection.append((conjunct, kernel))
+            selection.append((position, kernel))
             continue
         sides = None
         if covered and join is None:
             sides = _join_sides(conjunct, depth, positions, schema)
         if sides is not None:
-            probe = conjunct
+            probe = position
             join = (schema.position(sides[0].name), compile_expr(sides[1]), kernel)
         else:
-            residual.append((conjunct, kernel))
+            residual.append((position, kernel))
         covered = covered and _provably_total(conjunct, positions, schemas)
     level = LevelPlan(
-        tuple(c for c, __ in selection), probe, tuple(c for c, __ in residual)
+        tuple(p for p, __ in selection), probe, tuple(p for p, __ in residual)
     )
     return level, tuple(k for __, k in selection), join, tuple(k for __, k in residual)
 
@@ -366,50 +404,47 @@ def _specialize(
     if isinstance(conjunct, Contains) and not conjunct.max_edits:
         column = _own_column(conjunct.haystack, alias, schema)
         needle = conjunct.needle
-        if (
-            column is not None
-            and isinstance(needle, Literal)
-            and isinstance(needle.value, str)
-        ):
+        if column is not None and isinstance(needle, Param) and needle.is_str:
             # Non-string haystacks raise out of the comprehension (ints have
             # no .lower(); bytes fail the `in`), which routes the run to the
             # interpreter replay and its EvaluationError — never a silent
             # wrong answer for any type the virtual relations can hold.
-            lowered = needle.value.lower()
 
-            def contains_kernel(env, cols, rows, sel, table, _c=column, _n=lowered):
+            def contains_kernel(env, cols, rows, sel, table, _c=column, _n=needle.index + 1):
+                lowered = env[_n]
                 col = cols[_c]
-                return [i for i in sel if _n in col[i].lower()]
+                return [i for i in sel if lowered in col[i].lower()]
 
             return contains_kernel
 
     if isinstance(conjunct, Compare) and conjunct.op in ("=", "!="):
-        column = None
-        constant: object = None
-        if isinstance(conjunct.right, Literal):
+        column = constant = None
+        if isinstance(conjunct.right, Param):
             column = _own_column(conjunct.left, alias, schema)
-            constant = conjunct.right.value
-        elif isinstance(conjunct.left, Literal):
+            constant = conjunct.right
+        elif isinstance(conjunct.left, Param):
             column = _own_column(conjunct.right, alias, schema)
-            constant = conjunct.left.value
+            constant = conjunct.left
         if column is not None:
             # Plain ==/!= is exact only for non-numeric string constants:
             # _coerce_pair never converts for those (conversion requires the
             # *string* side to parse as a number), and =/!= never raise.
-            plain = isinstance(constant, str) and _to_number(constant) is None
+            plain = constant.kind == STR
             if conjunct.op == "=":
 
-                def eq_kernel(env, cols, rows, sel, table, _c=column, _v=constant):
+                def eq_kernel(env, cols, rows, sel, table, _c=column, _i=constant.index):
+                    value = env[_i]
                     col = cols[_c]
-                    return [i for i in sel if col[i] == _v]
+                    return [i for i in sel if col[i] == value]
 
                 scan = eq_kernel if plain else _generic_kernel(scalar, depth)
-                return _indexed_eq_kernel(column, constant, scan)
+                return _indexed_eq_kernel(column, constant.index, scan)
             if plain:
 
-                def ne_kernel(env, cols, rows, sel, table, _c=column, _v=constant):
+                def ne_kernel(env, cols, rows, sel, table, _c=column, _i=constant.index):
+                    value = env[_i]
                     col = cols[_c]
-                    return [i for i in sel if col[i] != _v]
+                    return [i for i in sel if col[i] != value]
 
                 return ne_kernel
 
@@ -427,15 +462,15 @@ def _specialize(
     return None
 
 
-def _indexed_eq_kernel(column: int, constant: object, scan: _Kernel) -> _Kernel:
-    """``column = constant``: while nothing has been deselected the table's
-    cached hash index answers with its bucket (row order, so scan order);
-    a narrowed vector, or a constant the index refuses (possible numeric
-    coercion), goes through ``scan``."""
+def _indexed_eq_kernel(column: int, constant: int, scan: _Kernel) -> _Kernel:
+    """``column = env[constant]``: while nothing has been deselected the
+    table's cached hash index answers with its bucket (row order, so scan
+    order); a narrowed vector, or a constant the index refuses (possible
+    numeric coercion), goes through ``scan``."""
 
-    def indexed_eq_kernel(env, cols, rows, sel, table, _c=column, _v=constant, _scan=scan):
+    def indexed_eq_kernel(env, cols, rows, sel, table, _c=column, _i=constant, _scan=scan):
         if len(sel) == len(rows):
-            bucket = table.index(_c).probe(_v)
+            bucket = table.index(_c).probe(env[_i])
             if bucket is not None:
                 return bucket
         return _scan(env, cols, rows, sel, table)

@@ -27,16 +27,27 @@ interpreter, so rows, order and lazily-raised errors (class and message)
 have one definition.  Compilation is database-independent: the
 virtual-relation schemas are static, so one plan serves every node
 database.
+
+It is also independent of the literals' values.  A lowering is built for
+the query's *shape* — each string or number literal a slot that knows only
+its kind (non-numeric string, numeric string, int, ...) — and a
+:class:`CompiledPlan` is that lowering *bound* to one query's literals,
+which every closure and kernel reads per execution.  Given a server's
+mapping of lowerings (:class:`~repro.core.plancache.PlanCache` keeps one),
+:func:`compile_node_query` lowers a shape once and binds every later query
+of it: a server sees the same node-query with a different literal far more
+often than a new structure.  ``CompiledPlan.query`` is the bound query, so
+a replay interprets the right literals.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from ..errors import DisqlSemanticsError, EvaluationError, SchemaError
 from ..model.relations import ANCHOR_SCHEMA, DOCUMENT_SCHEMA, RELINFON_SCHEMA
-from .columnar import LevelPlan, build_columnar_runner
+from .columnar import NUMERIC_STR, STR, LevelPlan, Param, build_columnar_runner
 from .expr import (
     _COMPARATORS,
     And,
@@ -48,12 +59,15 @@ from .expr import (
     Not,
     Or,
     _coerce_pair,
+    _to_number,
 )
 from .query import NodeQuery, ResultRow, _plan_filters, evaluate_node_query
 from .schema import Schema
 from .table import Table
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from collections import OrderedDict
+
     from ..model.database import NodeDatabase
 
 __all__ = ["CompiledPlan", "compile_node_query", "structural_hash", "structural_key"]
@@ -65,8 +79,21 @@ _SCHEMAS = {
 }
 
 #: A compiled expression: evaluates against the positional environment
-#: (``env[depth]`` is the row tuple currently bound at loop depth).
+#: (``env[depth]`` is the row tuple currently bound at loop depth; the bound
+#: constants follow the per-depth slots).
 _Compiled = Callable[[list], object]
+
+
+class _Lowering(NamedTuple):
+    """What every node-query of one shape shares: the batch runner, built
+    over :class:`~repro.relational.columnar.Param` constants, and where it
+    runs each conjunct."""
+
+    header: tuple[str, ...]
+    cost_weight: int
+    scan_specs: tuple[tuple[str, bool, Schema], ...]
+    columnar: Callable[[list, list, list, list], None]
+    levels: tuple[LevelPlan, ...]
 
 
 class CompiledPlan:
@@ -75,29 +102,22 @@ class CompiledPlan:
     :meth:`execute_columnar` — the batch pipeline — is the compiled
     executor.  :meth:`execute` is the reference entry: the tree
     interpreter on this plan's query, which is also what the pipeline
-    replays through whenever a batch run raises.
+    replays through whenever a batch run raises.  ``query`` is the query
+    this plan was bound for; its lowering may be shared with every other
+    query of the same shape (see :func:`compile_node_query`).
     """
 
-    __slots__ = (
-        "query", "header", "cost_weight", "_scan_specs", "_columnar", "_gates", "_levels",
-    )
+    __slots__ = ("query", "header", "cost_weight", "_lowering", "_env")
 
-    def __init__(
-        self,
-        query: NodeQuery,
-        scan_specs: tuple[tuple[str, bool, Schema], ...],
-        columnar: Callable[[list, list, list, list], None],
-        gates: tuple[Expr, ...],
-        levels: tuple[LevelPlan, ...],
-    ) -> None:
+    def __init__(self, query: NodeQuery, lowering: _Lowering, constants: tuple) -> None:
         self.query = query
-        self.header = query.header
+        self.header = lowering.header
         #: Precomputed evaluation-cost weight (the simulator's CPU model).
-        self.cost_weight = query.cost_weight()
-        self._scan_specs = scan_specs
-        self._columnar = columnar
-        self._gates = gates
-        self._levels = levels
+        self.cost_weight = lowering.cost_weight
+        self._lowering = lowering
+        #: ``env`` before an execution binds rows: one slot per table, then
+        #: this query's constants.
+        self._env = [None] * len(lowering.scan_specs) + list(constants)
 
     def describe(self) -> str:
         """What the batch pipeline does with each conjunct, level by level.
@@ -107,20 +127,23 @@ class CompiledPlan:
         *probe* (the equality served by a hash index, per outer binding)
         and *residual* (per outer binding, over the survivors) the level
         has, each in evaluation order.  Constant conjuncts gate the whole
-        run first.  See :mod:`repro.relational.columnar` for the rule that
-        decides which conjunct goes where.
+        run first.  Conjuncts print as this plan's query spells them, with
+        its own literals.  See :mod:`repro.relational.columnar` for the rule
+        that decides which conjunct goes where.
         """
+        tables = self.query.tables
+        plan = _plan_filters(self.query.where, [decl.alias for decl in tables])
         lines = []
-        if self._gates:
-            lines.append("gate: " + " and ".join(str(gate) for gate in self._gates))
-        for decl, level in zip(self.query.tables, self._levels):
+        if plan[0]:
+            lines.append("gate: " + " and ".join(str(gate) for gate in plan[0]))
+        for decl, level, conjuncts in zip(tables, self._lowering.levels, plan[1:]):
             lines.append(f"bind {decl.relation} {decl.alias}")
             for label, group in (
                 ("selection", level.selection),
                 ("probe", (level.probe,) if level.probe is not None else ()),
                 ("residual", level.residual),
             ):
-                lines.extend(f"  {label}: {conjunct}" for conjunct in group)
+                lines.extend(f"  {label}: {conjuncts[position]}" for position in group)
         return "\n".join(lines)
 
     def _bind_tables(
@@ -129,7 +152,7 @@ class CompiledPlan:
         """The table scanned at each plan level, checked against the
         compiled schemas."""
         tables: list[Table] = []
-        for relation, sitewide, schema in self._scan_specs:
+        for relation, sitewide, schema in self._lowering.scan_specs:
             if sitewide:
                 if site_documents is None:
                     raise DisqlSemanticsError(
@@ -178,7 +201,7 @@ class CompiledPlan:
         tables = [t.row_list() for t in table_objs]
         results: list[ResultRow] = []
         try:
-            self._columnar([None] * len(tables), tables, table_objs, results)
+            self._lowering.columnar(self._env.copy(), tables, table_objs, results)
         except Exception:
             stats = table_objs[0].stats
             if stats is not None:
@@ -230,8 +253,53 @@ def structural_hash(query: NodeQuery) -> str:
     return _structure(query)[1]
 
 
-def compile_node_query(query: NodeQuery) -> CompiledPlan:
-    """Lower ``query`` into a :class:`CompiledPlan` (database-independent)."""
+def compile_node_query(
+    query: NodeQuery, lowerings: "OrderedDict | None" = None
+) -> CompiledPlan:
+    """Lower ``query`` into a :class:`CompiledPlan` (database-independent).
+
+    ``lowerings`` maps query *shapes* — the structure with each string or
+    number literal replaced by a slot and its kind (see
+    :func:`_parameterized`) — to lowerings, most recently used last; the caller
+    bounds it.  A query whose shape is there is *bound*: a plan over the
+    shared lowering with this query's literals as per-execution constants.
+    Otherwise it is lowered, and the lowering kept.
+    """
+    shape, constants, where = _shape(query)
+    lowering = None if lowerings is None else lowerings.get(shape)
+    if lowering is None:
+        lowering = _lower(query, where)
+        if lowerings is not None:
+            lowerings[shape] = lowering
+    else:
+        lowerings.move_to_end(shape)
+    return CompiledPlan(query, lowering, constants)
+
+
+def _shape(query: NodeQuery) -> tuple[tuple, tuple, Expr]:
+    """``(shape key, constants, where with Param constants)`` of ``query``
+    (see :func:`_parameterized`), computed once per object and kept on it,
+    like :func:`_structure`: one node-query object is compiled at every site
+    its clones reach."""
+    shape = query._shape
+    if shape is None:
+        constants: list = []
+        key, where = _parameterized(query.where, constants, len(query.tables))
+        shape = (
+            (
+                tuple((attr.alias, attr.name) for attr in query.select),
+                tuple((decl.relation, decl.alias) for decl in query.tables),
+                query.sitewide_aliases,
+                key,
+            ),
+            tuple(constants),
+            where,
+        )
+        object.__setattr__(query, "_shape", shape)
+    return shape
+def _lower(query: NodeQuery, where: Expr) -> _Lowering:
+    """The lowering of ``query``'s shape, whose ``where`` is given with
+    :class:`~repro.relational.columnar.Param` constants."""
     alias_order = [decl.alias for decl in query.tables]
     positions = {alias: index for index, alias in enumerate(alias_order)}
     sitewide = set(query.sitewide_aliases)
@@ -244,21 +312,80 @@ def compile_node_query(query: NodeQuery) -> CompiledPlan:
         for decl in query.tables
     )
     schemas = [spec[2] for spec in scan_specs]
-    filter_plan = tuple(tuple(level) for level in _plan_filters(query, alias_order))
+    filter_plan = tuple(tuple(level) for level in _plan_filters(where, alias_order))
     filters = [
         tuple(_compile_expr(conjunct, positions, schemas) for conjunct in level)
         for level in filter_plan
     ]
+    header = query.header
     columnar, levels = build_columnar_runner(
         query.select,
         filter_plan,
         filters,
         positions,
         schemas,
-        query.header,
+        header,
         compile_expr=lambda expr: _compile_expr(expr, positions, schemas),
     )
-    return CompiledPlan(query, scan_specs, columnar, filter_plan[0], levels)
+    return _Lowering(header, query.cost_weight(), scan_specs, columnar, levels)
+
+
+# -- query shapes ------------------------------------------------------------
+
+
+def _parameterized(expr: Expr, constants: list, base: int) -> tuple[object, Expr]:
+    """``expr`` with each string or number literal replaced by a
+    :class:`~repro.relational.columnar.Param` — numbered from ``base``, past
+    the per-table slots of ``env`` — whose value is appended to
+    ``constants`` (a string's lowercased copy right after it); and the same
+    tree as a key of nested tuples (of strings, so hashing it runs no
+    Python code per node).
+
+    A Param keeps its literal's kind, which the lowering may depend on
+    (:func:`_specialize <repro.relational.columnar._specialize>` picks plain
+    ``=``/``!=`` kernels for non-numeric strings only), and not its value.
+    Booleans stay literal: :func:`conjuncts` drops a literal ``True``, so
+    their value decides the plan.
+    """
+    if isinstance(expr, Literal) and not isinstance(expr.value, bool):
+        value = expr.value
+        index = base + len(constants)
+        if isinstance(value, str):
+            constants += (value, value.lower())
+            param = Param(index, STR if _to_number(value) is None else NUMERIC_STR)
+        else:
+            constants.append(value)
+            param = Param(index, type(value))
+        return (Param, index, param.kind), param
+    if isinstance(expr, Compare):
+        (left_key, left), (right_key, right) = (
+            _parameterized(expr.left, constants, base),
+            _parameterized(expr.right, constants, base),
+        )
+        return (Compare, expr.op, left_key, right_key), Compare(expr.op, left, right)
+    if isinstance(expr, Contains):
+        (haystack_key, haystack), (needle_key, needle) = (
+            _parameterized(expr.haystack, constants, base),
+            _parameterized(expr.needle, constants, base),
+        )
+        return (
+            (Contains, haystack_key, needle_key, expr.max_edits),
+            Contains(haystack, needle, expr.max_edits),
+        )
+    if isinstance(expr, (And, Or)):
+        (left_key, left), (right_key, right) = (
+            _parameterized(expr.left, constants, base),
+            _parameterized(expr.right, constants, base),
+        )
+        return (type(expr), left_key, right_key), type(expr)(left, right)
+    if isinstance(expr, Not):
+        operand_key, operand = _parameterized(expr.operand, constants, base)
+        return (Not, operand_key), Not(operand)
+    if isinstance(expr, Attr):
+        return (expr.alias, expr.name), expr
+    if isinstance(expr, Literal):
+        return (Literal, expr.value), expr
+    raise EvaluationError(f"unknown expression node {expr!r}")
 
 
 # -- expression lowering -------------------------------------------------------
@@ -287,13 +414,19 @@ def _compile_attr(
 def _compile_expr(
     expr: Expr, positions: dict[str, int], schemas: Sequence[Schema]
 ) -> _Compiled:
+    if isinstance(expr, Param):
+
+        def constant(env, _i=expr.index):
+            return env[_i]
+
+        return constant
     if isinstance(expr, Literal):
         value = expr.value
 
-        def constant(env, _v=value):
+        def literal(env, _v=value):
             return _v
 
-        return constant
+        return literal
     if isinstance(expr, Attr):
         return _compile_attr(expr, positions, schemas)
     if isinstance(expr, Compare):
@@ -365,15 +498,15 @@ def _compile_contains(
 
         return fuzzy
 
-    # Constant needle (the overwhelmingly common shape): lowercase it once.
-    if isinstance(expr.needle, Literal) and isinstance(expr.needle.value, str):
-        lowered = expr.needle.value.lower()
+    # Constant needle (the overwhelmingly common shape): its lowercased copy
+    # is bound with the query.
+    if isinstance(expr.needle, Param) and expr.needle.is_str:
 
-        def contains_const(env, _h=haystack, _n=lowered):
+        def contains_const(env, _h=haystack, _n=expr.needle.index + 1):
             hv = _h(env)
             if not isinstance(hv, str):
                 raise EvaluationError("contains requires string operands")
-            return _n in hv.lower()
+            return env[_n] in hv.lower()
 
         return contains_const
 

@@ -71,6 +71,9 @@ class NodeQuery:
     #: ``(structural key, digest)``, filled on first use by
     #: :func:`~repro.relational.compile.structural_key`.
     _structure: tuple[str, str] | None = cache_field()
+    #: ``(shape key, constants, where)``, filled on first use by
+    #: :func:`~repro.relational.compile.compile_node_query`.
+    _shape: tuple | None = cache_field()
 
     def __post_init__(self) -> None:
         if not self.select:
@@ -157,7 +160,7 @@ def evaluate_node_query(
     (the node becomes a dead end, paper Section 2.5).
     """
     scans = _scans_for(query, database, site_documents)
-    filters = _plan_filters(query, [alias for alias, __ in scans])
+    filters = _plan_filters(query.where, [alias for alias, __ in scans])
     results: list[ResultRow] = []
     _nested_loop(query, scans, filters, 0, {}, results)
     return results
@@ -198,8 +201,8 @@ def _scans_for(
     return scans
 
 
-def _plan_filters(query: NodeQuery, alias_order: Sequence[str]) -> list[list[Expr]]:
-    """Assign each WHERE conjunct to the earliest depth where it is evaluable.
+def _plan_filters(where: Expr, alias_order: Sequence[str]) -> list[list[Expr]]:
+    """Assign each conjunct of ``where`` to the earliest depth where it is evaluable.
 
     ``plan[d]`` holds conjuncts applicable right after binding alias ``d-1``
     (``plan[0]`` holds constant predicates).  Returned list has
@@ -207,7 +210,7 @@ def _plan_filters(query: NodeQuery, alias_order: Sequence[str]) -> list[list[Exp
     """
     positions = {alias: index for index, alias in enumerate(alias_order)}
     plan: list[list[Expr]] = [[] for __ in range(len(alias_order) + 1)]
-    for conjunct in conjuncts(query.where):
+    for conjunct in conjuncts(where):
         referenced = attrs_referenced(conjunct)
         depth = max((positions[attr.alias] + 1 for attr in referenced), default=0)
         plan[depth].append(conjunct)

@@ -9,7 +9,9 @@ batch kernels reorder around.  Property families:
   missing attributes): identical rows in identical order, or the same
   error class *and message*.  This is the direct check that the
   optimistic batch and its replay through the interpreter reproduce
-  short-circuit errors.
+  short-circuit errors.  Literal-varied queries (same shape, other values
+  of the same kinds) bound to one shared lowering must match the
+  interpreter on their own literals, and kinds never share a lowering.
 * **Fault-injected replay** — a poisoned cell (or missing attribute) at
   each plan level, leaf kernel and projector forces the batch to raise;
   the replayed outcome must equal the interpreter's — with no partial
@@ -35,6 +37,7 @@ proposes falling back to the interpreter.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from functools import reduce
 
 import pytest
@@ -191,13 +194,61 @@ def _outcome(run):
         return (type(exc), str(exc))
 
 
-def _assert_matches_interpreter(query, database=DATABASE, site_documents=None):
+def _assert_matches_interpreter(query, database=DATABASE, site_documents=None, lowerings=None):
     """The batch pipeline against the tree interpreter — the reference whose
-    pushdown placement (and therefore lazy error order) plans compile from."""
-    plan = compile_node_query(query)
+    pushdown placement (and therefore lazy error order) plans compile from.
+    With ``lowerings`` the plan may be bound to a lowering made for another
+    query of the same shape."""
+    plan = compile_node_query(query, lowerings)
+    assert plan.query is query
     assert _outcome(
         lambda: plan.execute_columnar(database, site_documents)
     ) == _outcome(lambda: evaluate_node_query(query, database, site_documents))
+
+
+#: Replacement values per literal kind: a query rebuilt from these has the
+#: shape of the original (see ``compile_node_query``), other constants.
+_SAME_KIND = {
+    "str": ["G", "L", "b", "i", "hr", "topic", "detail", "x", "zzz", "o", "", "ALPHA", "é"],
+    "numeric str": ["5", "12", "0", "1e1", "-3", " 7 "],
+    "int": [5, 0, 12, -1, 4],
+}
+
+
+def _kind(value):
+    if isinstance(value, str):
+        try:
+            float(value)
+        except ValueError:
+            return "str"
+        return "numeric str"
+    return type(value).__name__
+
+
+def _revalued(expr, data):
+    """``expr`` with every literal redrawn from its kind's values."""
+    if isinstance(expr, Literal):
+        return Literal(data.draw(st.sampled_from(_SAME_KIND[_kind(expr.value)])))
+    if isinstance(expr, Compare):
+        return Compare(expr.op, _revalued(expr.left, data), _revalued(expr.right, data))
+    if isinstance(expr, Contains):
+        return Contains(
+            _revalued(expr.haystack, data), _revalued(expr.needle, data), expr.max_edits
+        )
+    if isinstance(expr, (And, Or)):
+        return type(expr)(_revalued(expr.left, data), _revalued(expr.right, data))
+    if isinstance(expr, Not):
+        return Not(_revalued(expr.operand, data))
+    return expr
+
+
+def _assert_literal_variants_match(queries, database=DATABASE, site_documents=None):
+    """Every query through one mapping of lowerings: one lowering, and each
+    plan matches the interpreter on its own literals."""
+    lowerings = OrderedDict()
+    for query in queries:
+        _assert_matches_interpreter(query, database, site_documents, lowerings)
+    assert len(lowerings) == 1
 
 
 class TestPlanEquivalence:
@@ -234,6 +285,32 @@ class TestPlanEquivalence:
         _assert_matches_interpreter(
             _query([Attr("d", "url"), Attr("d", "title")], where, tables=("document",))
         )
+
+    @given(_selects, _hostile_exprs, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_literal_varied_queries_share_one_lowering(self, select, where, data):
+        _assert_literal_variants_match(
+            [_query(select, where)] + [_query(select, _revalued(where, data)) for __ in range(3)]
+        )
+
+    @given(_selects, _hostile_exprs, st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_literal_varied_queries_share_one_lowering_sitewide(self, select, where, data):
+        _assert_literal_variants_match(
+            [_query(select, w, sitewide=("d",)) for w in (where, _revalued(where, data))],
+            site_documents=SITE_DOCUMENTS,
+        )
+
+    def test_kinds_never_share_a_lowering(self):
+        """``_specialize`` picks plain ``=`` for non-numeric strings only,
+        so a string, a numeric string and a number are three shapes."""
+        lowerings = OrderedDict()
+        for value in ("x", "12", 12, "y", "13", 13, 1.5, 2.5):
+            _assert_matches_interpreter(
+                _query([Attr("d", "url")], Compare("=", Attr("d", "length"), Literal(value))),
+                lowerings=lowerings,
+            )
+        assert len(lowerings) == 4
 
     @given(_hostile_exprs)
     @settings(max_examples=100, deadline=None)
@@ -303,6 +380,15 @@ class TestMultiLevelJoins:
         """Sitewide document alias at level 0: multi-page outer batch."""
         _assert_matches_interpreter(
             _query(select, where, sitewide=("d",)), site_documents=SITE_DOCUMENTS
+        )
+
+    @given(_selects, _join_wheres, st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_literal_varied_joins_share_one_lowering(self, select, where, data):
+        """Constant probes (``_indexed_eq_kernel``) and hoisted selections
+        read the bound constant, not the one the lowering was made for."""
+        _assert_literal_variants_match(
+            [_query(select, where)] + [_query(select, _revalued(where, data)) for __ in range(3)]
         )
 
     @given(_join_wheres, _join_wheres)
@@ -432,6 +518,26 @@ _REPLAY_CASES = {
         Compare("=", Attr("a", "ltype"), Literal("G")),
         [],
     ),
+    # Lowered for ``r.delimiter = "i"`` (which deselects the poisoned
+    # segment), executed bound to ``"b"`` (which selects it, so the leaf
+    # ``contains`` kernel meets the int cell): a plan that kept the first
+    # literal would finish cleanly with the wrong rows.
+    "replay-after-rebind": (
+        [Attr("r", "text")],
+        And(
+            Compare("=", Attr("r", "delimiter"), Literal("b")),
+            Contains(Attr("r", "text"), Literal("bold")),
+        ),
+        [("relinfon", ("b", _ANY_URL, 5, 1))],
+    ),
+}
+#: Stage → the ``where`` its plan is lowered for before the stage's own
+#: query binds to the same lowering.
+_LOWERED_FOR = {
+    "replay-after-rebind": And(
+        Compare("=", Attr("r", "delimiter"), Literal("i")),
+        Contains(Attr("r", "text"), Literal("bold")),
+    ),
 }
 
 
@@ -447,7 +553,11 @@ class TestReplay:
         for relation, row in poison:
             database.relation(relation).insert(row)
         query = _query(select, where)
-        _assert_matches_interpreter(query, database)
+        lowerings = OrderedDict()
+        if stage in _LOWERED_FOR:
+            compile_node_query(_query(select, _LOWERED_FOR[stage]), lowerings)
+        _assert_matches_interpreter(query, database, lowerings=lowerings)
+        assert len(lowerings) == 1
         assert stats.plan_replays == 1
         # The reference entry of a plan *is* the interpreter.
         expected = _outcome(lambda: evaluate_node_query(query, database))

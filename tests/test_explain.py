@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 from repro.disql import compile_disql, explain_webquery, format_node_query
+from repro.relational.compile import compile_node_query
 from tests.test_disql_parser import EXAMPLE_2
 
 
@@ -109,6 +112,16 @@ class TestExplainPlans:
             "  residual: a.label contains d.title\n"
             '  residual: a.ltype = "G"\n'
         )
+
+    def test_plans_sharing_a_lowering_describe_their_own_literals(self):
+        lowerings = OrderedDict()
+        described = []
+        for literal in ("q0a1b2", "zzzzzz"):
+            query = compile_disql(EVAL_JOIN.replace("q0a1b2", literal)).steps[0].query
+            described.append(compile_node_query(query, lowerings).describe())
+        assert len(lowerings) == 1
+        assert '  selection: r.text contains "q0a1b2"\n' in described[0]
+        assert described[1] == described[0].replace("q0a1b2", "zzzzzz")
 
     def test_off_by_default(self):
         assert "plan of" not in explain_webquery(compile_disql(EVAL_JOIN))

@@ -4,8 +4,9 @@ Covers the perf-layer invariants the benchmarks rely on:
 
 * :class:`~repro.core.plancache.PlanCache` is a bounded LRU keyed by the
   node-query's structural hash — shared across qids, verified against the
-  full structural key on every hit (collision safety) — and a crash clears
-  it, so a stale plan is never served across server incarnations;
+  full structural key on every hit (collision safety) — over a bounded LRU
+  of shape-keyed lowerings that literal-varied queries bind, and a crash
+  clears both, so a stale plan is never served across server incarnations;
 * engine results are bit-identical with ``compiled_plans`` on and off;
 * a disabled tracer costs nothing on the hot path — zero ``record``
   calls, zero event allocations;
@@ -125,6 +126,24 @@ class TestPlanCache:
         assert len(cache) == 0
         assert cache.plan_for(query) is not before
 
+    def test_literal_variants_bind_one_lowering(self):
+        cache = PlanCache()
+        queries = _variant_queries(3)
+        plans = [cache.plan_for(query) for query in queries]
+        assert (len(cache), len(cache._lowerings)) == (3, 1)
+        assert [plan.query for plan in plans] == queries
+        assert len({id(plan._lowering) for plan in plans}) == 1
+
+    def test_lowerings_share_the_bound(self):
+        cache = PlanCache(max_size=2)
+        for attribute in ("title", "text", "url"):  # three shapes
+            cache.plan_for(
+                compile_disql(QUERY.replace("d.title", f"d.{attribute}")).steps[0].query
+            )
+        assert len(cache._lowerings) == 2
+        cache.clear()
+        assert len(cache._lowerings) == 0
+
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
             PlanCache(max_size=0)
@@ -157,8 +176,10 @@ class TestInvalidationAcrossIncarnations:
         pre_crash = {
             digest: plan for digest, (__, __, plan) in server.plans._plans.items()
         }
+        assert len(server.plans._lowerings) > 0
         engine.crash_server("root.example")
         assert len(server.plans) == 0
+        assert len(server.plans._lowerings) == 0
         engine.restart_server("root.example")
         # The reborn incarnation recompiles on first touch — the stale
         # plan objects are never served again.

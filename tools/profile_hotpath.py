@@ -49,7 +49,11 @@ the profile always matches what the perf gates measure:
   own ``counted_evaluations`` (the counter behind its ``--check`` bound):
   ``str.lower`` calls (one per ``contains`` operand), scalar comparisons,
   and calls per stage and batch kernel (``--json``:
-  ``join_per_execution``).  The counts repeat exactly;
+  ``join_per_execution``).  The counts repeat exactly.  Then what compiling
+  costs a query of that pool on the warmed engine: µs of ``compile_disql``
+  without and with the engine's templates, µs of plan lookups, and how many
+  node-query compiles lowered a shape vs bound one (``--json``:
+  ``compile_per_query``);
 * ``wire`` — the socket path, what EXP-E1's ``wire_tenants`` pays, with one
   tenant instead of two: the 6×12 mostly-global web on
   ``AsyncioWebDisEngine`` over loopback TCP with the cost model zeroed, the
@@ -331,6 +335,78 @@ def join_per_execution() -> dict:
     }
 
 
+def compile_per_query(repeats: int = 5) -> dict:
+    """What compiling costs one ``eval_join`` query on a warmed engine
+    (unprofiled): ``compile_disql`` µs without and with the engine's
+    templates (best of ``repeats`` passes over the pool), plan-lookup µs
+    (``PlanCache.plan_for``, value misses included), and the node-query
+    compiles of one pass over the pool that lowered a shape vs bound one."""
+    import repro.core.plancache as plancache_module
+    import repro.relational.compile as compile_module
+    from repro import build_engine
+    from repro.disql import compile_disql
+
+    web, warmup, pool = _join_inputs()
+    engine = build_engine(web)
+    for text in warmup:
+        engine.submit_disql(text)
+        engine.run()
+
+    plan_for = plancache_module.PlanCache.plan_for
+    compile_node_query = plancache_module.compile_node_query
+    lower = compile_module._lower
+    counts = {"lookup_s": 0.0, "compiles": 0, "lowerings": 0}
+
+    def timed_plan_for(self, query, origin=None):
+        begin = time.perf_counter()
+        try:
+            return plan_for(self, query, origin)
+        finally:
+            counts["lookup_s"] += time.perf_counter() - begin
+
+    def counted_compile(query, lowerings=None):
+        counts["compiles"] += 1
+        return compile_node_query(query, lowerings)
+
+    def counted_lower(query, where):
+        counts["lowerings"] += 1
+        return lower(query, where)
+
+    plancache_module.PlanCache.plan_for = timed_plan_for  # type: ignore[method-assign]
+    plancache_module.compile_node_query = counted_compile
+    compile_module._lower = counted_lower
+    try:
+        for text in pool:
+            engine.submit_disql(text)
+            engine.run()
+    finally:
+        plancache_module.PlanCache.plan_for = plan_for  # type: ignore[method-assign]
+        plancache_module.compile_node_query = compile_node_query
+        compile_module._lower = lower
+
+    def per_query_us(**kwargs) -> float:
+        best = float("inf")
+        for __ in range(repeats):
+            begin = time.perf_counter()
+            for text in pool:
+                compile_disql(text, **kwargs)
+            best = min(best, time.perf_counter() - begin)
+        return round(best / len(pool) * 1e6, 2)
+
+    return {
+        "queries": len(pool),
+        "disql_us": {
+            "compile": per_query_us(),
+            "template": per_query_us(templates=engine._templates),
+        },
+        "plan_lookup_us": round(counts["lookup_s"] / len(pool) * 1e6, 2),
+        "node_compiles": {
+            "lowerings": counts["lowerings"],
+            "binds": counts["compiles"] - counts["lowerings"],
+        },
+    }
+
+
 #: Timed queries of one ``wire`` pass (the size of an EXP-E1 block).
 WIRE_REPEATS = 108
 
@@ -510,6 +586,7 @@ def main(argv: list[str] | None = None) -> int:
         per_page = build_us_per_page() if name == "build" else None
         per_query = wire_loop_per_query() if name == "wire" else None
         per_execution = join_per_execution() if name == "join" else None
+        compiles = compile_per_query() if name == "join" else None
         if args.json:
             as_json[name] = entries
             if name == "warm":
@@ -520,6 +597,7 @@ def main(argv: list[str] | None = None) -> int:
                 as_json["wire_loop_per_query"] = per_query
             if per_execution:
                 as_json["join_per_execution"] = per_execution
+                as_json["compile_per_query"] = compiles
         else:
             print(f"== {name.upper()} workload — top {args.top} by {args.sort} ==")
             print(text)
@@ -533,7 +611,14 @@ def main(argv: list[str] | None = None) -> int:
                 )
                 for name, count in per_execution["evaluations_per_execution"].items():
                     print(f"  {count:10.2f}  {name}")
-                print()
+                print(
+                    f"per query (unprofiled, {compiles['queries']} queries, warmed engine):"
+                    f" compile_disql {compiles['disql_us']['compile']} µs, through the"
+                    f" engine's templates {compiles['disql_us']['template']} µs; plan"
+                    f" lookups {compiles['plan_lookup_us']} µs; node-query compiles:"
+                    f" {compiles['node_compiles']['lowerings']} lowered,"
+                    f" {compiles['node_compiles']['binds']} bound\n"
+                )
             if per_query:
                 print(
                     f"per sequential query (unprofiled, {WIRE_REPEATS} queries): "

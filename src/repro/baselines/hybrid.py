@@ -30,7 +30,7 @@ from typing import Iterable
 from ..core.config import EngineConfig
 from ..core.engine import DEFAULT_USER_SITE, WebDisEngine
 from ..core.logtable import NodeQueryLogTable
-from ..core.messages import ChtEntry, CloneBundle, Disposition, NodeReport, ResultMessage
+from ..core.messages import CloneBundle, CloneReport, Disposition, ResultMessage
 from ..core.plancache import PlanCache
 from ..core.server import CloneProcessor
 from ..core.trace import Tracer
@@ -201,15 +201,9 @@ class CentralProcessor(CloneProcessor):
 
     def _retract(self, fclone: QueryClone) -> None:
         qid = fclone.query.qid
-        retractions = tuple(
-            NodeReport(
-                ChtEntry(url, fclone.state), Disposition.UNREACHABLE,
-                dispatch_id=fclone.dispatch_id, epoch=fclone.epoch,
-            )
-            for url in fclone.dest
-        )
+        retraction = CloneReport.retraction(fclone, Disposition.UNREACHABLE)
         self.channel.send(
-            self.site, qid.host, qid.port, ResultMessage(qid, retractions, kind="cht")
+            self.site, qid.host, qid.port, ResultMessage(qid, (retraction,), kind="cht")
         )
 
 

@@ -20,7 +20,7 @@ This package implements the paper's system proper:
 from .config import EngineConfig
 from .client import QueryHandle, UserSiteClient
 from .engine import WebDisEngine
-from .messages import NodeReport, ResultMessage
+from .messages import CloneReport, ResultMessage
 from .plancache import PlanCache
 from .resultmemo import ResultMemo
 from .state import QueryState
@@ -28,8 +28,8 @@ from .trace import TraceEvent, Tracer
 from .webquery import QueryClone, QueryId, WebQuery, WebQueryStep
 
 __all__ = [
+    "CloneReport",
     "EngineConfig",
-    "NodeReport",
     "PlanCache",
     "QueryClone",
     "QueryHandle",

@@ -5,8 +5,9 @@ Implements Figure 2's ``send_query`` / ``receive_results`` pair:
 * ``submit`` allocates a result port, opens the listening socket, seeds the
   CHT with the StartNodes, and dispatches the initial clones (grouped per
   start site);
-* each arriving :class:`ResultMessage` retires its reports' CHT entries,
-  merges the new entries, and stores result rows; when the CHT shows all
+* each arriving :class:`ResultMessage` hands each clone's report to the
+  CHT in one call (retiring its nodes' entries, merging the new entries)
+  and stores its result rows; when the CHT shows all
   entries deleted the query is complete — exact completion detection with
   no timeouts;
 * ``cancel`` implements passive termination (Section 2.8): the listening
@@ -34,9 +35,9 @@ from ..net.simclock import SimClock
 from ..net.stats import TrafficStats
 from ..relational.query import ResultRow
 from ..urlutils import Url
-from .cht import CurrentHostsTable, RetireResult
+from .cht import CurrentHostsTable
 from .config import EngineConfig
-from .messages import ChtEntry, Disposition, ResultMessage
+from .messages import ChtEntry, CloneReport, Disposition, ResultMessage
 from .trace import START_NODE, Tracer
 from .webquery import QueryClone, QueryId, WebQuery
 
@@ -336,72 +337,81 @@ class UserSiteClient:
         now = self.clock.now
         handle.messages_received += 1
         handle.last_message_time = now
+        cht = handle.cht
         for report in payload.reports:
-            if report.disposition is not Disposition.DATA_ONLY:
+            if report.bookkeeping:
                 if not report.dispatch_id or len(report.child_ids) != len(report.new_entries):
                     raise ProtocolError(
-                        f"malformed report for {report.entry} from {src}: dispatch "
-                        f"id {report.dispatch_id!r}, {len(report.child_ids)} child "
+                        f"malformed report for {list(map(str, report.nodes))} from {src}: "
+                        f"dispatch id {report.dispatch_id!r}, {len(report.child_ids)} child "
                         f"id(s) for {len(report.new_entries)} new entr(ies)"
                     )
-                if report.disposition is Disposition.OVERLOADED:
-                    # A saturated server shed this pending clone: its entry
-                    # retires like any retraction, but the coverage hole is
+                if Disposition.OVERLOADED in report.dispositions:
+                    # A saturated server shed this pending clone: its entries
+                    # retire like any retraction, but the coverage hole is
                     # remembered — completion degrades to PARTIAL.
-                    handle.shed_nodes.add(report.entry.node)
-                outcome = handle.cht.mark_deleted(
-                    report.entry, now, dispatch_id=report.dispatch_id
-                )
-                if outcome is RetireResult.ABSORBED_DUPLICATE:
-                    self.stats.duplicate_reports_absorbed += 1
-                    self._trace_transport(
-                        "report-absorbed", f"duplicate {report.dispatch_id}"
+                    handle.shed_nodes.update(
+                        node
+                        for node, disposition in zip(report.nodes, report.dispositions)
+                        if disposition is Disposition.OVERLOADED
                     )
-                elif outcome is RetireResult.ABSORBED_STALE:
-                    self.stats.stale_reports_absorbed += 1
-                    self._trace_transport(
-                        "report-absorbed",
-                        f"stale {report.dispatch_id} epoch {report.epoch}",
-                    )
-                # The announcements are accepted even from an absorbed report:
+                # Announcements are accepted even from an absorbed report:
                 # the server really did forward those children (forwards
                 # follow a *successful* report connect), so the CHT must
                 # expect their reports.  Idempotence comes from the child
                 # dispatch identities, not from dropping the announcement.
-                for entry, child_id in zip(report.new_entries, report.child_ids):
-                    handle.cht.add(entry, now, dispatch_id=child_id, epoch=report.epoch)
-            self._ingest_rows(handle, report, now)
-        handle.cht.check_consistency()
+                duplicates, stale = cht.apply(report, now)
+                if duplicates:
+                    self.stats.duplicate_reports_absorbed += duplicates
+                    for __ in range(duplicates):
+                        self._trace_transport(
+                            "report-absorbed", f"duplicate {report.dispatch_id}"
+                        )
+                if stale:
+                    self.stats.stale_reports_absorbed += stale
+                    for __ in range(stale):
+                        self._trace_transport(
+                            "report-absorbed",
+                            f"stale {report.dispatch_id} epoch {report.epoch}",
+                        )
+            if report.rows:
+                self._ingest_rows(handle, report, now)
+        cht.check_consistency()
         self._check_completion(handle)
 
-    def _ingest_rows(self, handle: QueryHandle, report, now: float) -> None:
+    def _ingest_rows(self, handle: QueryHandle, report: CloneReport, now: float) -> None:
         """Store a report's rows, deduplicating re-processed work.
 
         Node processing is deterministic, so two reports for the same
         ``(node, state)`` carry identical rows — the second is a recovery
         artifact (the clone was re-forwarded and the target's log table had
-        been wiped by a crash).
+        been wiped by a crash).  Only queries that have been through a
+        recovery round can see those; before that, a repeated
+        ``(node, state)`` is legitimate protocol traffic (e.g. the
+        log-table-disabled ablation) and is kept.
         """
-        if not report.results:
-            return
-        source = (report.entry.node, report.entry.state)
-        if source in handle.row_sources and handle.recovery_epoch > 0:
-            # Only queries that have been through a recovery round can
-            # see re-processing duplicates; before that, a repeated
-            # (node, state) is legitimate protocol traffic (e.g. the
-            # log-table-disabled ablation) and is kept.
-            self.stats.duplicate_rows_dropped += len(report.results)
-            self._trace_transport(
-                "rows-deduplicated", f"{report.entry.node} x{len(report.results)}"
-            )
-            return
-        handle.row_sources.add(source)
-        for label, row in report.results:
+        state, rows = report.state, report.rows
+        sources = handle.row_sources
+        deduplicate = handle.recovery_epoch > 0
+        on_result = handle.on_result
+        start = 0
+        for node, stop in zip(report.nodes, report.row_ends):
+            if stop == start:
+                continue
+            source = (node, state)
+            if deduplicate and source in sources:
+                self.stats.duplicate_rows_dropped += stop - start
+                self._trace_transport("rows-deduplicated", f"{node} x{stop - start}")
+                start = stop
+                continue
+            sources.add(source)
             if handle.first_result_time is None:
                 handle.first_result_time = now
-            handle.results.append((label, row, now))
-            if handle.on_result is not None:
-                handle.on_result(label, row, now)
+            for label, row in rows[start:stop]:
+                handle.results.append((label, row, now))
+                if on_result is not None:
+                    on_result(label, row, now)
+            start = stop
 
     def _check_completion(self, handle: QueryHandle) -> None:
         if handle.status is QueryStatus.RUNNING and handle.cht.all_deleted():

@@ -41,7 +41,7 @@ from .webquery import WebQuery
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..relational.compile import CompiledPlan
-    from .messages import NodeReport
+    from .messages import CloneReport
     from .resultmemo import ResultMemo
     from .webquery import QueryClone
 
@@ -191,14 +191,15 @@ def process_node(
 class FrontierResult:
     """Aggregate outcome of one site-local frontier traversal (EXP-P2).
 
-    ``reports`` accumulate in BFS order — every parent's report precedes
+    ``reports`` — one :class:`~repro.core.messages.CloneReport` per clone
+    processed — accumulate in BFS order: every parent's report precedes
     its children's, the announce-before-retire order the user-site's CHT
     relies on when the whole frontier ships as one message.  ``remote``
     holds the clones still to be forwarded: those that left the site, in
     emission order, then the same-site ones the budget left unprocessed.
     """
 
-    reports: "list[NodeReport]" = field(default_factory=list)
+    reports: "list[CloneReport]" = field(default_factory=list)
     remote: "list[QueryClone]" = field(default_factory=list)
     #: Total simulated CPU time across the frontier (one schedule pays it).
     service: float = 0.0
@@ -212,7 +213,7 @@ class FrontierResult:
 def process_frontier(
     seeds: "list[QueryClone]",
     site: str,
-    process_clone: "Callable[[QueryClone], tuple[list[NodeReport], list[QueryClone], float]]",
+    process_clone: "Callable[[QueryClone], tuple[list[CloneReport], list[QueryClone], float]]",
     max_clones: int = MAX_FRONTIER_CLONES,
 ) -> FrontierResult:
     """Traverse the PRE × site-link-graph product as one batched frontier.

@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import replace
 
 from ..model.database import DatabaseConstructor
 from ..net.network import HELPER_PORT, QUERY_PORT, Network, SendOutcome
@@ -73,7 +72,7 @@ from ..urlutils import Url
 from ..web.web import Web
 from .config import EngineConfig
 from .logtable import LogAction, NodeQueryLogTable
-from .messages import ChtEntry, CloneBundle, Disposition, NodeReport, RelayMessage, ResultMessage
+from .messages import CloneBundle, CloneReport, Disposition, RelayMessage, ResultMessage
 from .plancache import PlanCache
 from .processing import MAX_FRONTIER_CLONES, Forward, process_frontier, process_node
 from .resultmemo import ResultMemo
@@ -118,7 +117,7 @@ class CloneProcessor:
 
     def _process(
         self, clone: QueryClone
-    ) -> tuple[list[NodeReport], list[QueryClone], float]:
+    ) -> tuple[list[CloneReport], list[QueryClone], float]:
         now = self.clock.now
         qid = clone.query.qid
         if qid in self._purged:
@@ -128,10 +127,13 @@ class CloneProcessor:
 
         row = clone.row
         state = row.state
-        #: Per visited node: its report minus the identities, which exist
-        #: only once the node list is done and the forwards are grouped into
-        #: clones — ``(entry, disposition, results, forwards announced)``.
-        visits: list[tuple[ChtEntry, Disposition, tuple, int]] = []
+        # The report's per-node columns, appended to node by node (see
+        # CloneReport): a disposition, then where the node's rows and the
+        # forwards it announced end in the shared lists.
+        dispositions: list[Disposition] = []
+        rows: list = []
+        row_ends: list[int] = []
+        forward_ends: list[int] = []
         all_forwards: list[Forward] = []
         #: Forwards already announced for an earlier node of this clone.
         #: Without it, two destination nodes at one site pointing at the same
@@ -154,7 +156,6 @@ class CloneProcessor:
         )
 
         for index, node in enumerate(clone.dest):
-            entry = ChtEntry(node, state)
             visit_row = row
             disposition = Disposition.PROCESSED
 
@@ -167,7 +168,9 @@ class CloneProcessor:
                         self.tracer.record(
                             now, str(node), self.site, state, "-", "duplicate-dropped"
                         )
-                    visits.append((entry, Disposition.DUPLICATE, (), 0))
+                    dispositions.append(Disposition.DUPLICATE)
+                    row_ends.append(len(rows))
+                    forward_ends.append(len(all_forwards))
                     continue
                 if observation.action is LogAction.REWRITE:
                     visit_row = row.rewritten()
@@ -186,7 +189,9 @@ class CloneProcessor:
                     self.tracer.record(
                         now, str(node), self.site, state, "-", "missing"
                     )
-                visits.append((entry, Disposition.MISSING, (), 0))
+                dispositions.append(Disposition.MISSING)
+                row_ends.append(len(rows))
+                forward_ends.append(len(all_forwards))
                 continue
 
             # The database is built lazily: a node fully served from the
@@ -220,35 +225,26 @@ class CloneProcessor:
             self.stats.node_queries_evaluated += len(outcome.evaluations)
             self._trace_outcome(now, node, clone, outcome)
 
-            before = len(all_forwards)
             for forward in outcome.forwards:
                 if forward not in announced:
                     announced.add(forward)
                     all_forwards.append(forward)
-            visits.append(
-                (entry, disposition, tuple(outcome.results), len(all_forwards) - before)
-            )
+            dispositions.append(disposition)
+            rows += outcome.results
+            row_ends.append(len(rows))
+            forward_ends.append(len(all_forwards))
 
         # Identities: each outgoing clone travels under a fresh dispatch id
-        # (epoch inherited from the parent), and the reports announce it via
+        # (epoch inherited from the parent), and the report announces it via
         # ``child_ids`` so the user-site registers exactly the identity the
         # child's own report will later echo.
         clones, child_ids = self._build_clones(clone, all_forwards)
-        reports: list[NodeReport] = []
-        start = 0
-        for entry, disposition, results, count in visits:
-            stop = start + count
-            reports.append(
-                NodeReport(
-                    entry, disposition,
-                    tuple(
-                        [ChtEntry(fw.target, fw.row.state) for fw in all_forwards[start:stop]]
-                    ),
-                    results, clone.dispatch_id, clone.epoch, tuple(child_ids[start:stop]),
-                )
-            )
-            start = stop
-        return reports, clones, service
+        report = CloneReport(
+            clone.dest, state, dispositions, rows, row_ends,
+            [(forward.target, forward.row.state) for forward in all_forwards],
+            child_ids, forward_ends, clone.dispatch_id, clone.epoch,
+        )
+        return [report], clones, service
 
     def _build_clones(
         self, clone: QueryClone, forwards: list[Forward]
@@ -257,8 +253,9 @@ class CloneProcessor:
 
         Returns the clones, each stamped with a freshly minted dispatch
         identity, and — parallel to ``forwards`` — the identity each forward
-        travels under.  ``forwards`` holds no duplicates (the caller's
-        ``announced`` set), so neither does a clone's node list.
+        travels under: the report's ``child_ids`` column.  ``forwards`` holds
+        no duplicates (the caller's ``announced`` set), so neither does a
+        clone's node list.
 
         With a ``pump_budget`` configured, each group's node list is further
         chunked to at most ``pump_budget`` nodes per clone: a whole BFS
@@ -605,7 +602,7 @@ class QueryServer(CloneProcessor):
     def _complete(
         self,
         clone: QueryClone,
-        reports: list[NodeReport],
+        reports: list[CloneReport],
         clones: list[QueryClone],
         epoch: int,
     ) -> None:
@@ -621,7 +618,7 @@ class QueryServer(CloneProcessor):
     def _dispatch_and_forward(
         self,
         clone: QueryClone,
-        reports: list[NodeReport],
+        reports: list[CloneReport],
         clones: list[QueryClone],
     ) -> None:
         qid = clone.query.qid
@@ -634,14 +631,9 @@ class QueryServer(CloneProcessor):
             )
             return
         # Ablation: CHT bookkeeping and result rows travel separately.
-        cht_half = tuple(replace(r, results=()) for r in reports)
+        cht_half = tuple([report.without_rows() for report in reports])
         data_half = tuple(
-            NodeReport(
-                r.entry, Disposition.DATA_ONLY, (), r.results,
-                dispatch_id=r.dispatch_id, epoch=r.epoch,
-            )
-            for r in reports
-            if r.results
+            [half for half in map(CloneReport.rows_only, reports) if half is not None]
         )
 
         def after_cht(outcome: SendOutcome) -> None:
@@ -757,20 +749,9 @@ class QueryServer(CloneProcessor):
         # Destination site unreachable: retire the CHT entries we announced.
         # The retraction echoes the clone's own dispatch identity — it is
         # resolving exactly the instances this server announced for it.
-        retractions = tuple(
-            NodeReport(
-                ChtEntry(url, fclone.state), Disposition.UNREACHABLE,
-                dispatch_id=fclone.dispatch_id, epoch=fclone.epoch,
-            )
-            for url in fclone.dest
-        )
-        if self.tracer.enabled:
-            for url in fclone.dest:
-                self.tracer.record(
-                    self.clock.now, str(url), self.site, fclone.state, "-",
-                    "unreachable-site",
-                )
-        self._send_to_user(qid, ResultMessage(qid, retractions, kind="cht"))
+        retraction = CloneReport.retraction(fclone, Disposition.UNREACHABLE)
+        self._trace_nodes(fclone, "unreachable-site")
+        self._send_to_user(qid, ResultMessage(qid, (retraction,), kind="cht"))
 
     def _purge(self, clone: QueryClone) -> None:
         qid = clone.query.qid
@@ -826,21 +807,12 @@ class QueryServer(CloneProcessor):
         PARTIAL with per-node attribution instead of hanging.
         """
         self.stats.clones_shed += len(clones)
-        retractions = []
+        retractions = tuple(
+            [CloneReport.retraction(clone, Disposition.OVERLOADED) for clone in clones]
+        )
         for clone in clones:
-            for url in clone.dest:
-                retractions.append(
-                    NodeReport(
-                        ChtEntry(url, clone.state), Disposition.OVERLOADED,
-                        dispatch_id=clone.dispatch_id, epoch=clone.epoch,
-                    )
-                )
-                if self.tracer.enabled:
-                    self.tracer.record(
-                        self.clock.now, str(url), self.site, clone.state, "-",
-                        "overload-shed",
-                    )
-        self._send_to_user(qid, ResultMessage(qid, tuple(retractions), kind="cht"))
+            self._trace_nodes(clone, "overload-shed")
+        self._send_to_user(qid, ResultMessage(qid, retractions, kind="cht"))
 
     # -- tracing ----------------------------------------------------------------
 

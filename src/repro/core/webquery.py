@@ -136,7 +136,7 @@ class QueryClone:
     history: tuple[str, ...] = ()
     #: Dispatch identity, minted by whoever forwards this clone (the
     #: user-site client or a server) and echoed back in the resulting
-    #: :class:`~repro.core.messages.NodeReport` so the CHT can retire the
+    #: :class:`~repro.core.messages.CloneReport` so the CHT can retire the
     #: clone's entries idempotently.  Every sent clone has one.
     dispatch_id: str = ""
     #: Recovery epoch of the query when this dispatch chain was created;

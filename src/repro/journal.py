@@ -180,7 +180,7 @@ class ProtocolJournal:
             if not isinstance(message, ResultMessage) or message.qid != qid:
                 continue
             audit.report_messages += 1
-            for report in message.reports:
+            for report in message.node_reports():
                 name = report.disposition.value
                 audit.dispositions[name] = audit.dispositions.get(name, 0) + 1
                 if report.disposition is Disposition.DATA_ONLY:

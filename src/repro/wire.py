@@ -55,6 +55,7 @@ from .core.messages import (
     NodeReport,
     RelayMessage,
     ResultMessage,
+    group_node_records,
 )
 from .core.state import QueryState
 from .core.webquery import QueryClone, QueryId, WebQuery, WebQueryStep
@@ -239,10 +240,12 @@ _FRAGMENT_TABLE_SIZE = 1024
 
 #: URL text as received -> the ``Url`` it parses to.
 _DECODED_URLS: "dict[str, Url]" = {}
-#: ``repr`` of a CHT entry's JSON object as received -> the ``ChtEntry``.  The
-#: repr tells apart everything ``==`` on JSON values conflates — ``1`` /
+#: ``repr`` of a query state's JSON object as received -> the ``QueryState``.
+#: The repr tells apart everything ``==`` on JSON values conflates — ``1`` /
 #: ``1.0`` / ``true``, key order — so equal keys *are* the equality proof.
-_DECODED_ENTRIES: "dict[str, ChtEntry]" = {}
+#: One object per spelling is also what lets a decoded result message
+#: regroup its per-node records into clone reports (``group_node_records``).
+_DECODED_STATES: "dict[str, QueryState]" = {}
 #: ``id`` of a ``WebQuery`` / ``QueryState`` being encoded -> that object (held,
 #: so the id cannot be reused) and what was built for it.
 _ENCODED_FRAGMENTS: "dict[int, tuple[object, Any]]" = {}
@@ -385,13 +388,16 @@ def _entry_to_wire(entry: ChtEntry) -> Any:
     return {"node": str(entry.node), "state": _fragment(entry.state, _state_to_wire)}
 
 
-def _entry_from_wire(data: Any) -> ChtEntry:
-    key = repr(data)  # total on any JSON value
-    entry = _DECODED_ENTRIES.get(key)
-    if entry is None:
-        entry = ChtEntry(_url_from_wire(data["node"]), _state_from_wire(data["state"]))
-        _remember(_DECODED_ENTRIES, key, entry, _DECODE_TABLE_SIZE)
-    return entry
+def _entry_from_wire(data: Any) -> "tuple[Url, QueryState]":
+    """A CHT entry as ``(node, state)``, both parts interned."""
+    node = _url_from_wire(data["node"])
+    spelled = data["state"]
+    key = repr(spelled)  # total on any JSON value
+    state = _DECODED_STATES.get(key)
+    if state is None:
+        state = _state_from_wire(spelled)
+        _remember(_DECODED_STATES, key, state, _DECODE_TABLE_SIZE)
+    return node, state
 
 
 def _report_to_wire(report: NodeReport) -> Any:
@@ -415,17 +421,18 @@ def _report_to_wire(report: NodeReport) -> Any:
     return encoded
 
 
-def _report_from_wire(data: Any) -> NodeReport:
-    return NodeReport(
-        entry=_entry_from_wire(data["entry"]),
-        disposition=Disposition(data["disp"]),
-        new_entries=tuple(_entry_from_wire(e) for e in data["new"]),
-        results=tuple(
-            (r["q"], ResultRow(tuple(r["h"]), tuple(r["v"]))) for r in data["rows"]
-        ),
-        dispatch_id=data.get("did", ""),
-        epoch=data.get("ep", 0),
-        child_ids=tuple(data.get("cids", ())),
+def _node_record_from_wire(data: Any) -> tuple:
+    """One node's report as the record :func:`group_node_records` takes."""
+    node, state = _entry_from_wire(data["entry"])
+    return (
+        node,
+        state,
+        Disposition(data["disp"]),
+        [_entry_from_wire(e) for e in data["new"]],
+        [(r["q"], ResultRow(tuple(r["h"]), tuple(r["v"]))) for r in data["rows"]],
+        data.get("did", ""),
+        data.get("ep", 0),
+        tuple(data.get("cids", ())),
     )
 
 
@@ -479,7 +486,7 @@ def _clone_from_body(body: Any) -> QueryClone:
 def _result_body(message: ResultMessage) -> dict:
     return {
         "qid": _qid_to_wire(message.qid),
-        "reports": [_report_to_wire(r) for r in message.reports],
+        "reports": [_report_to_wire(r) for r in message.node_reports()],
         "chan": message.kind,
     }
 
@@ -487,7 +494,9 @@ def _result_body(message: ResultMessage) -> dict:
 def _result_from_body(body: Any) -> ResultMessage:
     return ResultMessage(
         qid=_qid_from_wire(body["qid"]),
-        reports=tuple(_report_from_wire(r) for r in body["reports"]),
+        reports=tuple(
+            group_node_records([_node_record_from_wire(r) for r in body["reports"]])
+        ),
         kind=body["chan"],
     )
 

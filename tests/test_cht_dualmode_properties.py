@@ -7,6 +7,11 @@ per-instance event sequences into one random interleaving.  After every
 single operation the O(1) :meth:`check_consistency` must hold; at the end
 the O(n) :meth:`audit` must pass, the table must report completion, and no
 instance may have been effectively retired twice.
+
+A second property replays random clone reports — in any order, some twice,
+with supersessions and write-offs mixed in — once through
+:meth:`~CurrentHostsTable.apply` (a clone at a time) and once node by node,
+and asks for the same books.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.core.cht import CurrentHostsTable, RetireResult
-from repro.core.messages import ChtEntry
+from repro.core.messages import ChtEntry, CloneReport, Disposition
 from repro.core.state import QueryState
 from repro.pre import parse_pre
 from repro.urlutils import parse_url
@@ -139,3 +144,99 @@ class TestInterleavings:
         absorbed = cht.duplicates_absorbed + cht.stale_absorbed
         assert retire_attempts == effective + absorbed
 
+
+# --- a clone at a time is a node at a time ----------------------------------------
+# ``CurrentHostsTable.apply`` takes a whole clone's report in one call.  The
+# reference is what the user-site did before reports had columns: for each
+# node of the report's per-node view, ``mark_deleted`` of its entry, then
+# ``add`` of each entry it announced under the child's dispatch identity.
+
+_URLS = [parse_url(f"http://s{i % 2}.example/p{i}") for i in range(4)]
+_STATES = [QueryState(1, parse_pre(text)) for text in ("L", "G|L")]
+_IDS = [f"d{i}@s{i % 2}.example" for i in range(4)]
+
+
+@st.composite
+def clone_reports(draw):
+    """A report over distinct nodes whose announcements reuse the same small
+    pools of nodes, states and identities — so they collide with each other,
+    with the seeds and with later supersessions."""
+    nodes = draw(st.lists(st.sampled_from(_URLS), min_size=1, max_size=3, unique=True))
+    entries, child_ids, forward_ends, row_ends = [], [], [], []
+    for __ in nodes:
+        for __ in range(draw(st.integers(0, 2))):  # zero-forward nodes included
+            entries.append((draw(st.sampled_from(_URLS)), draw(st.sampled_from(_STATES))))
+            child_ids.append(draw(st.sampled_from(_IDS)))
+        forward_ends.append(len(entries))
+        row_ends.append(0)
+    dispositions = [
+        draw(st.sampled_from([Disposition.PROCESSED, Disposition.DUPLICATE])) for __ in nodes
+    ]
+    return CloneReport(
+        tuple(nodes), draw(st.sampled_from(_STATES)), dispositions, [], row_ends,
+        entries, child_ids, forward_ends, draw(st.sampled_from(_IDS)),
+        draw(st.sampled_from([0, 1])),
+    )
+
+
+@st.composite
+def report_schedules(draw):
+    """Seeds, then reports delivered in any order, some more than once, with
+    supersessions and write-offs of whatever the pools name mixed in."""
+    seeds = draw(st.lists(st.tuples(st.sampled_from(_IDS), st.sampled_from(_URLS)), max_size=3))
+    reports = draw(st.lists(clone_reports(), min_size=1, max_size=5))
+    events = [("report", index) for index in range(len(reports))]
+    events += [("report", draw(st.sampled_from(range(len(reports))))) for __ in range(
+        draw(st.integers(0, 3))
+    )]  # duplicates
+    for __ in range(draw(st.integers(0, 3))):
+        did, node = draw(st.sampled_from(_IDS)), draw(st.sampled_from(_URLS))
+        if draw(st.booleans()):
+            events.append(("sup", did, node, f"{did}'"))
+        else:
+            events.append(("aband", did, node))
+    return seeds, reports, draw(st.permutations(events))
+
+
+def _run(seeds, reports, events, per_clone: bool) -> tuple[CurrentHostsTable, list]:
+    cht = CurrentHostsTable()
+    for did, node in seeds:
+        cht.add(ChtEntry(node, _STATES[0]), 0.0, dispatch_id=did)
+    outcomes = []
+    for step, event in enumerate(events, start=1):
+        time = float(step)
+        if event[0] == "sup":
+            outcomes.append(cht.supersede(event[1], event[2], event[3], 1, time))
+        elif event[0] == "aband":
+            outcomes.append(cht.abandon(event[1], event[2], "written off", time))
+        elif per_clone:
+            outcomes.append(cht.apply(reports[event[1]], time))
+        else:
+            duplicates = stale = 0
+            for node in reports[event[1]].node_reports():
+                result = cht.mark_deleted(node.entry, time, dispatch_id=node.dispatch_id)
+                duplicates += result is RetireResult.ABSORBED_DUPLICATE
+                stale += result is RetireResult.ABSORBED_STALE
+                for entry, child_id in zip(node.new_entries, node.child_ids):
+                    cht.add(entry, time, dispatch_id=child_id, epoch=node.epoch)
+            outcomes.append((duplicates, stale))
+        cht.check_consistency()
+    cht.audit()
+    return cht, outcomes
+
+
+class TestCloneAtATime:
+    @settings(max_examples=300, deadline=None)
+    @given(report_schedules())
+    def test_apply_keeps_the_per_node_books(self, schedule):
+        by_clone, clone_outcomes = _run(*schedule, per_clone=True)
+        by_node, node_outcomes = _run(*schedule, per_clone=False)
+        assert clone_outcomes == node_outcomes
+        assert by_clone.history() == by_node.history()
+        assert by_clone.pending_instances() == by_node.pending_instances()
+        assert by_clone.pending_entries() == by_node.pending_entries()
+        assert by_clone.abandoned_instances() == by_node.abandoned_instances()
+        for counter in ("additions", "deletions", "duplicates_absorbed", "stale_absorbed"):
+            assert getattr(by_clone, counter) == getattr(by_node, counter), counter
+        assert by_clone.imbalance() == by_node.imbalance()
+        assert by_clone.all_deleted() == by_node.all_deleted()

@@ -326,20 +326,20 @@ class TestMessages:
         )
 
     def test_result_message_size(self):
-        message = ResultMessage(QID, (self._report(),))
+        message = ResultMessage.of_nodes(QID, (self._report(),))
         assert message.size_bytes() > 0
         assert message.result_count() == 1
 
     def test_empty_report_smaller(self):
-        full = ResultMessage(QID, (self._report(),))
-        empty = ResultMessage(QID, (NodeReport(ENTRY, Disposition.DUPLICATE),))
+        full = ResultMessage.of_nodes(QID, (self._report(),))
+        empty = ResultMessage.of_nodes(QID, (NodeReport(ENTRY, Disposition.DUPLICATE),))
         assert empty.size_bytes() < full.size_bytes()
 
     def test_kind_override(self):
         assert ResultMessage(QID, (), kind="cht").kind == "cht"
 
     def test_relay_wraps_inner(self):
-        inner = ResultMessage(QID, (self._report(),))
+        inner = ResultMessage.of_nodes(QID, (self._report(),))
         relay = RelayMessage(("a.example", "b.example"), inner)
         assert relay.kind == "relay"
         assert relay.size_bytes() > inner.size_bytes()

@@ -267,7 +267,7 @@ class TestOverloadedOutcome:
         from repro.core.webquery import QueryId
 
         entry = ChtEntry(Url("x.example", "/"), QueryState(0, parse_pre("L*1")))
-        message = ResultMessage(
+        message = ResultMessage.of_nodes(
             QueryId("user.example", "user.example", 9000, 1),
             (NodeReport(entry, Disposition.OVERLOADED, dispatch_id="d-1"),),
             kind="cht",

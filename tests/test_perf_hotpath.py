@@ -13,6 +13,7 @@ Covers the perf-layer invariants the benchmarks rely on:
 * a selection runs below the join: a table-local conjunct is evaluated once
   per row of its table per execution, not once per outer binding — counted,
   not timed;
+* a warm query's servers send one report per clone, not one per node;
 * a state's fan-out is derived once per query (a protocol-table row) and
   the hoisted forward-dedup set keeps ``_emit_forwards`` linear in the link
   count;
@@ -264,6 +265,50 @@ class TestFanoutMemo:
         assert [lt for lt, __ in first] == sorted(
             (lt for lt, __ in first), key=lambda lt: lt.value
         )
+
+
+class TestOneReportPerClone:
+    def test_a_warm_query_sends_one_report_per_clone_not_per_node(self, monkeypatch):
+        from repro.core.client import UserSiteClient
+        from repro.core.server import CloneProcessor
+        from repro.web.synthetic import (
+            SyntheticWebConfig,
+            build_synthetic_web,
+            synthetic_start_url,
+        )
+
+        config = SyntheticWebConfig(sites=4, local_out_degree=3, seed=3)
+        web = build_synthetic_web(config)
+        text = (
+            f'select d.url from document d such that "{synthetic_start_url(config)}"'
+            f' (L|G)*3 d where d.title contains "topic"'
+        )
+        engine = WebDisEngine(web)
+        engine.submit_disql(text)
+        engine.run()  # warm: every later row and fan-out probe is a memo hit
+
+        seen = {"clones": 0, "nodes": 0, "reports": 0}
+        process, receive = CloneProcessor._process, UserSiteClient._receive
+
+        def counting_process(self, clone):
+            seen["clones"] += 1
+            seen["nodes"] += len(clone.dest)
+            return process(self, clone)
+
+        def counting_receive(self, handle, src, payload):
+            seen["reports"] += len(payload.reports)
+            return receive(self, handle, src, payload)
+
+        monkeypatch.setattr(CloneProcessor, "_process", counting_process)
+        monkeypatch.setattr(UserSiteClient, "_receive", counting_receive)
+        handle = engine.submit_disql(text)
+        engine.run()
+        assert handle.results
+        assert seen["nodes"] > seen["clones"]  # non-vacuous: clones span nodes
+        assert seen["reports"] == seen["clones"]
+        # ...while the books still retire one instance per node.
+        retired = [record for record in handle.cht.history() if record.deleted]
+        assert len(retired) == seen["nodes"]
 
 
 class _CountingCell(str):

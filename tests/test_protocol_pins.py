@@ -10,14 +10,17 @@ with machine noise: what a warm repeat of a query allocates.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import fields, is_dataclass
+import json
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import EngineConfig, WebDisEngine
 from repro.core.messages import (
     ChtEntry,
     CloneBundle,
+    CloneReport,
     Disposition,
     NodeReport,
     RelayMessage,
@@ -36,7 +39,7 @@ from repro.urlutils import Url
 from repro.web import SyntheticWebConfig, build_campus_web, build_synthetic_web
 from repro.web.campus import CAMPUS_QUERY_DISQL
 from repro.web.synthetic import synthetic_start_url
-from repro.wire import decode_message, encode_message
+from repro.wire import decode_message, encode_message, pre_to_wire
 
 QID = QueryId("maya", "user.example", 5001, 7)
 
@@ -66,7 +69,7 @@ def _result() -> ResultMessage:
     state = QueryState(1, parse_pre("(L|G)*2"))
     child = QueryState(1, parse_pre("L|G"))
     row = ResultRow(("d.url", "d.title", "a.href"), ("http://b.example/x", "topic é", 3))
-    return ResultMessage(QID, (
+    return ResultMessage.of_nodes(QID, (
         NodeReport(
             ChtEntry(Url("b.example", "/x"), state), Disposition.PROCESSED,
             (ChtEntry(Url("c.example", "/"), child), ChtEntry(Url("b.example", "/q"), child)),
@@ -98,8 +101,10 @@ def _via_clone_rem(rem):
 
 
 def _via_report_entry(entry: ChtEntry) -> ChtEntry:
-    message = ResultMessage(QID, (NodeReport(entry, Disposition.PROCESSED, dispatch_id="u1"),))
-    return decode_message(encode_message(message)).reports[0].entry
+    message = ResultMessage.of_nodes(
+        QID, (NodeReport(entry, Disposition.PROCESSED, dispatch_id="u1"),)
+    )
+    return next(decode_message(encode_message(message)).node_reports()).entry
 
 
 #: ``(value, the same value after encode_message / decode_message)``.
@@ -152,7 +157,7 @@ def test_reprs_are_byte_identical_to_the_previous_implementation():
         "QueryState(num_q=1, rem=Repeat(body=Alt(options=(Atom(ltype=<LinkType.LOCAL: 'L'>), "
         "Atom(ltype=<LinkType.GLOBAL: 'G'>))), bound=2))"
     )
-    entry = _result().reports[0].entry
+    entry = next(_result().node_reports()).entry
     hash(entry), str(entry.node)
     assert repr(entry) == (
         "ChtEntry(node=Url(host='b.example', path='/x', fragment='', scheme='http'), "
@@ -279,7 +284,7 @@ def _report_size(report: NodeReport) -> int:
 
 
 def _result_size(message: ResultMessage) -> int:
-    return _qid_size(message.qid) + sum(_report_size(r) for r in message.reports) + 8
+    return _qid_size(message.qid) + sum(_report_size(r) for r in message.node_reports()) + 8
 
 
 def _reference_size(payload) -> int:
@@ -330,6 +335,113 @@ def test_every_tapped_message_has_the_previous_size(run):
         assert payload.size_bytes() == _reference_size(payload)  # and when cached
 
 
+# --- a clone's report is its nodes' reports ---------------------------------------
+# ``CloneReport`` keeps per-node columns; its modelled size and its bytes on the
+# wire must be what one report per node had — checked against the formula
+# above and against the per-node encoding, spelled out here.
+
+_NODE_URLS = [Url(f"s{i % 3}.example", f"/p{i}.html") for i in range(8)]
+_STATES = [QueryState(1, parse_pre(text)) for text in ("(L|G)*2", "L|G", "G.(G|L)", "N")]
+_DISPOSITIONS = [d for d in Disposition if d is not Disposition.DATA_ONLY]
+_ROWS = [
+    ("q1", ResultRow(("d.url",), ("http://s0.example/",))),
+    ("q2", ResultRow(("d.url", "d.title"), ("http://s1.example/x", "topic é"))),
+    ("q1", ResultRow(("a.href",), (7,))),
+]
+
+
+@st.composite
+def clone_reports(draw):
+    """A report as a server builds one: distinct nodes, parallel child ids."""
+    nodes = draw(st.lists(st.sampled_from(_NODE_URLS), min_size=1, max_size=5, unique=True))
+    data_only = draw(st.booleans())
+    dispatch_id = draw(st.sampled_from(["", "s1@a.example", "u12@user.example"]))
+    dispositions, rows, row_ends, entries, child_ids, forward_ends = [], [], [], [], [], []
+    for __ in nodes:
+        dispositions.append(
+            Disposition.DATA_ONLY if data_only else draw(st.sampled_from(_DISPOSITIONS))
+        )
+        rows += draw(st.lists(st.sampled_from(_ROWS), max_size=3))  # empty or many
+        row_ends.append(len(rows))
+        if not data_only:  # zero or more forwards
+            for target in draw(st.lists(st.sampled_from(_NODE_URLS), max_size=3)):
+                entries.append((target, draw(st.sampled_from(_STATES))))
+                child_ids.append(f"s{len(child_ids) + 4}@b.example")
+        forward_ends.append(len(entries))
+    return CloneReport(
+        tuple(nodes), draw(st.sampled_from(_STATES)), dispositions, rows, row_ends,
+        entries, child_ids, forward_ends, dispatch_id, draw(st.sampled_from([0, 0, 3])),
+    )
+
+
+def _node_encoding(message: ResultMessage) -> bytes:
+    """The wire bytes of ``message``, built one node report at a time."""
+
+    def entry(value: ChtEntry) -> dict:
+        return {
+            "node": _url_text(value.node),
+            "state": {"n": value.state.num_q, "rem": pre_to_wire(value.state.rem)},
+        }
+
+    reports = []
+    for report in message.node_reports():
+        encoded = {
+            "entry": entry(report.entry),
+            "disp": report.disposition.value,
+            "new": [entry(e) for e in report.new_entries],
+            "rows": [
+                {"q": label, "h": list(row.header), "v": list(row.values)}
+                for label, row in report.results
+            ],
+        }
+        if report.dispatch_id:
+            encoded["did"] = report.dispatch_id
+        if report.epoch:
+            encoded["ep"] = report.epoch
+        if report.child_ids:
+            encoded["cids"] = list(report.child_ids)
+        reports.append(encoded)
+    body = {"qid": [QID.user, QID.host, QID.port, QID.number], "reports": reports,
+            "chan": message.kind}
+    text = json.dumps({"v": 1, "k": "result", "b": body}, separators=(",", ":"),
+                      ensure_ascii=False)
+    return text.encode("utf-8")
+
+
+class TestCloneReportIsItsNodeReports:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(clone_reports(), max_size=3), st.sampled_from(["result", "cht"]))
+    def test_size_and_bytes_are_the_per_node_ones(self, reports, kind):
+        message = ResultMessage(QID, tuple(reports), kind)
+        for report in reports:
+            assert report.size_bytes() == sum(map(_report_size, report.node_reports()))
+            assert len(list(report.node_reports())) == len(report.nodes)
+        assert message.size_bytes() == _result_size(message)
+        encoded = encode_message(message)
+        assert encoded == _node_encoding(message)
+        decoded = decode_message(encoded)
+        assert decoded == message and decoded.size_bytes() == message.size_bytes()
+        assert encode_message(decoded) == encoded
+
+    @settings(max_examples=100, deadline=None)
+    @given(clone_reports())
+    def test_the_ablation_halves_split_the_columns(self, report):
+        cht_half, data_half = report.without_rows(), report.rows_only()
+        for node, half in zip(report.node_reports(), cht_half.node_reports()):
+            assert half == replace(node, results=())
+        expected = [
+            NodeReport(
+                node.entry, Disposition.DATA_ONLY, (), node.results,
+                dispatch_id=node.dispatch_id, epoch=node.epoch,
+            )
+            for node in report.node_reports()
+            if node.results
+        ]
+        assert (list(data_half.node_reports()) if data_half else []) == expected
+        for half in filter(None, (cht_half, data_half)):
+            assert half.size_bytes() == sum(map(_report_size, half.node_reports()))
+
+
 # --- what a warm repeat allocates -----------------------------------------------------
 
 
@@ -349,7 +461,7 @@ def test_a_warm_repeat_mints_one_state_per_row_and_copies_nothing(monkeypatch):
         states.append(self)
         original_post_init(self)
 
-    copies = {"server": 0, "webquery": 0}
+    copies = {"webquery": 0}
 
     def counting_replace(module_name, original):
         def replace(*args, **kwargs):
@@ -359,9 +471,6 @@ def test_a_warm_repeat_mints_one_state_per_row_and_copies_nothing(monkeypatch):
         return replace
 
     monkeypatch.setattr(QueryState, "__post_init__", counting_post_init)
-    monkeypatch.setattr(
-        server_module, "replace", counting_replace("server", server_module.replace)
-    )
     monkeypatch.setattr(
         webquery_module, "replace", counting_replace("webquery", webquery_module.replace)
     )
@@ -374,9 +483,10 @@ def test_a_warm_repeat_mints_one_state_per_row_and_copies_nothing(monkeypatch):
     # reports, CHT entries and log-table entries carried it...
     assert len(states) == len(program)
     assert all(state.row.state is state for state in states)
-    # ...and no dataclasses.replace per clone or per report: the one copy is
-    # submit's with_qid.
-    assert copies == {"server": 0, "webquery": 1}
+    # ...and no dataclasses.replace per clone (the server has none at all):
+    # the one copy is submit's with_qid.
+    assert copies == {"webquery": 1}
+    assert not hasattr(server_module, "replace")
 
 
 def test_every_cache_field_in_the_package_is_invisible():

@@ -442,7 +442,7 @@ class TestWireIdentity:
     def test_stamped_report_round_trips(self):
         parent = _entry("root.example")
         child = _entry("leaf0.example")
-        message = ResultMessage(
+        message = ResultMessage.of_nodes(
             self.QID,
             (
                 NodeReport(
@@ -457,7 +457,7 @@ class TestWireIdentity:
     def test_unstamped_traffic_unchanged_on_the_wire(self):
         # Legacy messages must not grow identity keys: the encoded form of
         # an unstamped report is byte-identical to the pre-extension codec.
-        message = ResultMessage(
+        message = ResultMessage.of_nodes(
             self.QID, (NodeReport(_entry(), Disposition.PROCESSED),)
         )
         encoded = encode_message(message)

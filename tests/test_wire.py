@@ -90,7 +90,7 @@ class TestMessageRoundTrips:
         row = ResultRow(("d1.url", "r.text"), ("http://x.example/", "CONVENER X"))
         entry = ChtEntry(Url("x.example", "/"), QueryState(1, parse_pre("L*1")))
         other = ChtEntry(Url("y.example", "/p"), QueryState(1, parse_pre("N")))
-        message = ResultMessage(
+        message = ResultMessage.of_nodes(
             QID,
             (
                 NodeReport(entry, Disposition.PROCESSED, (other,), (("q2", row),)),
@@ -147,7 +147,9 @@ class TestSizeEstimates:
     def test_result_estimate_within_factor(self):
         row = ResultRow(("d1.url",), ("http://x.example/path/page.html",))
         entry = ChtEntry(Url("x.example", "/"), QueryState(1, parse_pre("L*1")))
-        message = ResultMessage(QID, (NodeReport(entry, Disposition.PROCESSED, (), (("q1", row),)),))
+        message = ResultMessage.of_nodes(
+            QID, (NodeReport(entry, Disposition.PROCESSED, (), (("q1", row),)),)
+        )
         assert 0.2 <= self._ratio(message) <= 5.0
 
     def test_document_bytes_dominate_doc_response(self):

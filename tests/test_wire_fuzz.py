@@ -120,9 +120,9 @@ def reports(draw):
 
 
 messages = st.builds(
-    ResultMessage,
+    ResultMessage.of_nodes,
     qid=qids,
-    reports=st.lists(reports(), min_size=0, max_size=3).map(tuple),
+    reports=st.lists(reports(), min_size=0, max_size=3),
     kind=st.sampled_from(["result", "cht"]),
 )
 
@@ -143,7 +143,7 @@ class TestStampedRoundTrip:
     @given(messages)
     def test_stamping_survives(self, message):
         decoded = decode_message(encode_message(message))
-        for sent, received in zip(message.reports, decoded.reports):
+        for sent, received in zip(message.node_reports(), decoded.node_reports()):
             assert received.dispatch_id == sent.dispatch_id
             assert received.epoch == sent.epoch
             assert received.child_ids == sent.child_ids
@@ -174,7 +174,7 @@ class TestUserSiteRefusesMalformedReports:
     def test_receive_raises_protocol_error(self, campus_web, report):
         engine = WebDisEngine(campus_web)
         handle = engine.submit_disql(CAMPUS_QUERY_DISQL)
-        wire = encode_message(ResultMessage(handle.qid, (report,)))
+        wire = encode_message(ResultMessage.of_nodes(handle.qid, (report,)))
         with pytest.raises(ProtocolError):
             engine.client._receive(handle, "s0.example", decode_message(wire))
         assert handle.cht.deletions == 0
@@ -183,11 +183,11 @@ class TestUserSiteRefusesMalformedReports:
 class TestEdgeCases:
     def test_empty_child_ids_stays_empty_tuple(self):
         report = NodeReport(entry=_ROOT, disposition=Disposition.PROCESSED)
-        message = ResultMessage(QueryId("maya", "user.example", 5001, 7), (report,))
-        decoded = decode_message(encode_message(message))
-        assert decoded.reports[0].child_ids == ()
-        assert decoded.reports[0].dispatch_id == ""
-        assert decoded.reports[0].epoch == 0
+        message = ResultMessage.of_nodes(QueryId("maya", "user.example", 5001, 7), (report,))
+        [decoded] = decode_message(encode_message(message)).node_reports()
+        assert decoded.child_ids == ()
+        assert decoded.dispatch_id == ""
+        assert decoded.epoch == 0
 
     def test_unicode_site_name_round_trips(self):
         entry = ChtEntry(
@@ -202,7 +202,9 @@ class TestEdgeCases:
             epoch=1,
             child_ids=("c0@ドメイン.example",),
         )
-        message = ResultMessage(QueryId("ユーザ", "sité-α.example", 5001, 7), (report,))
+        message = ResultMessage.of_nodes(
+            QueryId("ユーザ", "sité-α.example", 5001, 7), (report,)
+        )
         assert decode_message(encode_message(message)) == message
 
 
@@ -264,11 +266,16 @@ _POISON = {
 
 
 def _decoded_entries(entry):
-    """``(report.entry, report.new_entries[0])`` of a frame carrying ``entry`` twice."""
+    """The retired and the announced ``(node, state)`` of a frame carrying
+    ``entry`` twice, as the decoded report's columns hold them."""
     report = {"entry": entry, "disp": "processed", "new": [entry], "rows": [], "did": "u1"}
     body = {"qid": ["maya", "user.example", 5001, 7], "reports": [report], "chan": "result"}
-    decoded = decode_message(json.dumps({"v": 1, "k": "result", "b": body}).encode())
-    return decoded.reports[0].entry, decoded.reports[0].new_entries[0]
+    [decoded] = decode_message(json.dumps({"v": 1, "k": "result", "b": body}).encode()).reports
+    return (decoded.nodes[0], decoded.state), decoded.new_entries[0]
+
+
+def _same_objects(first, second) -> bool:
+    return first[0] is second[0] and first[1] is second[1]
 
 
 def _outcome(entry):
@@ -276,8 +283,8 @@ def _outcome(entry):
         first, second = _decoded_entries(entry)
     except Exception as exc:  # noqa: BLE001 - the type is the assertion
         return type(exc).__name__, None
-    assert first is second  # one frame, one value, one object
-    return repr(first), first
+    assert _same_objects(first, second)  # one frame, one value, one object each
+    return repr(ChtEntry(*first)), first
 
 
 class TestPoisonedEntriesNeverShareAnObject:
@@ -302,23 +309,24 @@ class TestPoisonedEntriesNeverShareAnObject:
                 assert seen == _POISON[name][1], name
                 if decoded is not None:
                     objects.setdefault(name, decoded)
-                    assert objects[name] is decoded  # a repeat is interned
+                    assert _same_objects(objects[name], decoded)  # a repeat is interned
             for (a, first), (b, second) in itertools.combinations(objects.items(), 2):
-                if repr(first) != repr(second):
-                    assert first is not second, (a, b)
+                if repr(ChtEntry(*first)) != repr(ChtEntry(*second)):
+                    assert not _same_objects(first, second), (a, b)
 
     def test_a_poisoned_entry_does_not_change_what_honest_traffic_encodes(self):
         _clear_tables()
-        honest, __ = _decoded_entries(_HONEST)
-        message = ResultMessage(
-            QueryId("maya", "user.example", 5001, 7),
-            (NodeReport(honest, Disposition.PROCESSED, dispatch_id="u1"),),
+        qid = QueryId("maya", "user.example", 5001, 7)
+        report = NodeReport(
+            ChtEntry(*_decoded_entries(_HONEST)[0]), Disposition.PROCESSED, dispatch_id="u1"
         )
+        message = ResultMessage.of_nodes(qid, (report,))
         before = encode_message(message)
         for name in ("n_true", "n_float_one", "max_true", "max_float"):
-            poisoned, __ = _decoded_entries(_POISON[name][0])
-            assert poisoned == honest  # equal to Python, and yet:
-            forged = replace(message, reports=(replace(message.reports[0], entry=poisoned),))
+            (node, state), __ = _decoded_entries(_POISON[name][0])
+            poisoned = ChtEntry(node, state)
+            assert poisoned == report.entry  # equal to Python, and yet:
+            forged = ResultMessage.of_nodes(qid, (replace(report, entry=poisoned),))
             assert encode_message(forged) != before
-            assert decode_message(encode_message(forged)).reports[0].entry is poisoned
+            assert decode_message(encode_message(forged)).reports[0].state is state
         assert encode_message(message) == before

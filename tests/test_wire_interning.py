@@ -1,7 +1,7 @@
 """The codec's tables change what the codec costs, never what it says.
 
 ``repro.wire`` interns what every message repeats — URL text → ``Url`` and a
-CHT entry's JSON → ``ChtEntry`` on decode, a ``WebQuery``'s and a
+query state's JSON → ``QueryState`` on decode, a ``WebQuery``'s and a
 ``QueryState``'s fragment on encode.  These tests hold the other side of that
 bargain: encoded bytes are the previous implementation's, byte for byte,
 whether the tables are cold or warm; a decode returns ``==`` values whose
@@ -28,7 +28,7 @@ from repro.wire import decode_message, encode_message, wire_size
 
 from .test_protocol_pins import _WIRE_DIGESTS, _bundle, _relay, _result
 
-_TABLES = (wire._DECODED_URLS, wire._DECODED_ENTRIES, wire._ENCODED_FRAGMENTS)
+_TABLES = (wire._DECODED_URLS, wire._DECODED_STATES, wire._ENCODED_FRAGMENTS)
 
 
 def _clear_tables() -> None:
@@ -114,7 +114,7 @@ class TestEncodedBytesAreThePreviousOnes:
 
 
 def _interned_parts(message) -> list:
-    """Every ``Url``, ``ChtEntry`` and ``WebQuery`` a decoded message holds."""
+    """Every ``Url``, ``QueryState`` and ``WebQuery`` a decoded message holds."""
     if isinstance(message, CloneBundle):
         return [part for clone in message.clones for part in _interned_parts(clone)]
     if isinstance(message, QueryClone):
@@ -124,8 +124,9 @@ def _interned_parts(message) -> list:
     assert isinstance(message, ResultMessage)
     parts = []
     for report in message.reports:
-        for entry in (report.entry, *report.new_entries):
-            parts += [entry, entry.node]
+        parts += [report.state, *report.nodes]
+        for node, state in report.new_entries:
+            parts += [node, state]
     return parts
 
 
@@ -146,10 +147,11 @@ class TestDecodeInterns:
         result = decode_message(encode_message(_result()))
         bundle = decode_message(encode_message(_bundle()))
         relay = decode_message(encode_message(_relay()))
-        assert bundle.clones[0].dest[0] is result.reports[0].entry.node  # b.example/x
-        assert relay.inner.reports[0].entry is result.reports[0].entry
+        assert bundle.clones[0].dest[0] is result.reports[0].nodes[0]  # b.example/x
+        assert relay.inner.reports[0].nodes[0] is result.reports[0].nodes[0]
+        assert relay.inner.reports[0].state is result.reports[0].state
         # ...but a fragment makes a different URL, not a different spelling.
-        assert bundle.clones[1].dest[0] is not result.reports[0].entry.node
+        assert bundle.clones[1].dest[0] is not result.reports[0].nodes[0]
 
     def test_a_hit_is_what_a_miss_would_build(self):
         _clear_tables()
@@ -159,8 +161,10 @@ class TestDecodeInterns:
         again = decode_message(encode_message(_result()))
         assert cold == warm == again == _result()
         assert repr(cold) == repr(warm) == repr(again) == repr(_result())
-        assert warm.reports[0].entry is cold.reports[0].entry
-        assert again.reports[0].entry is not cold.reports[0].entry
+        assert warm.reports[0].nodes[0] is cold.reports[0].nodes[0]
+        assert warm.reports[0].state is cold.reports[0].state
+        assert again.reports[0].nodes[0] is not cold.reports[0].nodes[0]
+        assert again.reports[0].state is not cold.reports[0].state
 
 
 class TestTablesAreBounded:
@@ -174,9 +178,9 @@ class TestTablesAreBounded:
             message = decode_message(
                 template.replace(node, f'"node":"http://b.example/x{serial}"').encode()
             )
-            assert message.reports[0].entry.node.path == f"/x{serial}"
+            assert message.reports[0].nodes[0].path == f"/x{serial}"
         assert len(wire._DECODED_URLS) <= limit
-        assert len(wire._DECODED_ENTRIES) <= limit
+        assert len(wire._DECODED_STATES) <= limit
         # Oldest out first: the latest are still interned, the first are not.
         assert f"http://b.example/x{10 * limit - 1}" in wire._DECODED_URLS
         assert "http://b.example/x0" not in wire._DECODED_URLS

@@ -69,7 +69,10 @@ workload: function, ncalls, tottime, cumtime) for diffing profiles across
 commits.  For ``warm`` it adds ``warm_hash_frames_per_query``: the number of
 Python-level ``__hash__`` frames one warm query runs, by class — the count
 that says how much of the path is still hashing trees (it repeats exactly;
-cProfile itself folds every generated ``__hash__`` into one row).
+cProfile itself folds every generated ``__hash__`` into one row), and
+``report_objects_per_query``: the report, ``ChtEntry`` and CHT record objects
+one warm query constructs, by class, next to the clones and nodes it
+processed (it repeats exactly too).
 """
 
 from __future__ import annotations
@@ -224,6 +227,51 @@ def hash_frames_per_query() -> dict[str, float]:
         name: count / WARM_REPEATS for name, count in frames.most_common()
     }
     per_query["total"] = sum(frames.values()) / WARM_REPEATS
+    return per_query
+
+
+#: Classes whose constructions :func:`report_objects_per_query` counts: the
+#: report types (``NodeReport`` was the per-node one), CHT entries, and the
+#: CHT's records — history rows, read-side instances and the books' own.
+REPORT_OBJECT_CLASSES = (
+    "CloneReport", "NodeReport", "ChtEntry", "ChtRecord", "DispatchInstance", "_Instance",
+)
+
+
+def report_objects_per_query() -> dict[str, float]:
+    """Report and CHT objects one warm query constructs, by class.
+
+    A second, unprofiled ``warm`` pass under :func:`sys.setprofile`, counting
+    ``__init__`` frames of :data:`REPORT_OBJECT_CLASSES` and, as the yardstick,
+    ``clones`` (``CloneProcessor._process`` calls) and ``nodes`` (the
+    destination nodes those clones covered).  A count — it repeats exactly.
+    """
+    from collections import Counter
+
+    warmed = _warm_engine()
+    counts: Counter = Counter()
+
+    def on_event(frame, event, arg) -> None:
+        if event != "call":
+            return
+        name = frame.f_code.co_name
+        if name == "__init__":
+            kind = type(frame.f_locals.get("self")).__name__
+            if kind in REPORT_OBJECT_CLASSES:
+                counts[kind] += 1
+        elif name == "_process" and frame.f_code.co_filename.endswith("server.py"):
+            counts["clones"] += 1
+            counts["nodes"] += len(frame.f_locals["clone"].dest)
+
+    sys.setprofile(on_event)
+    try:
+        _warm_pass(warmed)
+    finally:
+        sys.setprofile(None)
+    per_query = {name: counts[name] / WARM_REPEATS for name in ("clones", "nodes")}
+    objects = {name: counts[name] / WARM_REPEATS for name in REPORT_OBJECT_CLASSES}
+    per_query.update(objects)
+    per_query["total"] = sum(objects.values())
     return per_query
 
 
@@ -591,6 +639,7 @@ def main(argv: list[str] | None = None) -> int:
             as_json[name] = entries
             if name == "warm":
                 as_json["warm_hash_frames_per_query"] = hash_frames_per_query()
+                as_json["report_objects_per_query"] = report_objects_per_query()
             if per_page:
                 as_json["build_us_per_page"] = per_page
             if per_query:

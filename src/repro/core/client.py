@@ -134,20 +134,20 @@ class QueryHandle:
     def display_rows(self, label: str | None = None) -> list[ResultRow]:
         """Rows after applying the query's display directives.
 
-        ``select distinct`` collapses duplicates; ``order by`` sorts by the
-        requested keys where they appear in a row's header (rows from steps
-        that lack a key keep arrival order).  This is the result collector's
-        "process results for display" step (Figure 2, line 13).
+        ``select distinct`` collapses duplicates; ``order by`` sorts, per key,
+        the rows whose own header has it (rows from steps that lack a key keep
+        their arrival places).  This is the result collector's "process
+        results for display" step (Figure 2, line 13).
         """
         rows = self.unique_rows(label) if self.query.display_distinct else self.rows(label)
-        keys = [
-            (name, descending)
-            for name, descending in self.query.display_order
-            if rows and name in rows[0].header
-        ]
-        for name, descending in reversed(keys):
-            index = rows[0].header.index(name)
-            rows = sorted(rows, key=lambda r: str(r.values[index]), reverse=descending)
+        for name, descending in reversed(self.query.display_order):
+            places = [i for i, row in enumerate(rows) if name in row.header]
+            ordered = sorted(
+                (rows[i] for i in places), reverse=descending,
+                key=lambda r: str(r.values[r.header.index(name)]),
+            )
+            for i, row in zip(places, ordered):
+                rows[i] = row
         if self.query.display_limit is not None:
             rows = rows[: self.query.display_limit]
         return rows

@@ -69,9 +69,8 @@ class EngineConfig:
     #: lazily-raised errors are the interpreter's by construction
     #: (``TrafficStats.plan_replays`` counts those).  Result-identical —
     #: the DST oracle cross-checks both paths — so the toggle exists for
-    #: that cross-check
-    #: and for the EXP-P1 interpreted-vs-compiled bench; only wall-clock
-    #: changes, the simulated cost model is evaluator-independent.
+    #: that cross-check and the executor tests; only wall-clock changes,
+    #: the simulated cost model is evaluator-independent.
     compiled_plans: bool = True
 
     #: Frontier-batched clone processing (EXP-P2): when a server pumps its
@@ -143,8 +142,7 @@ class EngineConfig:
     #: of one query are processed before the scheduler moves on to the next
     #: run-queue.  Same-site clones past it go back on their own run-queue
     #: (``clones_requeued``), and forwarded clones carry at most this many
-    #: nodes each.  None = unbounded (a frontier runs to exhaustion, as
-    #: EXP-P2 measures).
+    #: nodes each.  None = unbounded (a frontier runs to exhaustion).
     pump_budget: int | None = None
     #: Ceiling on one query's run-queue depth at one server.  Arriving
     #: clones that would exceed it are refused admission with the transient

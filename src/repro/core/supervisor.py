@@ -175,10 +175,10 @@ class QuerySupervisor:
         abandoned = tuple(
             AbandonedDispatch(
                 instance.node,
-                instance.entry.state if instance.entry is not None else None,
+                instance.entry.state,
                 instance.dispatch_id,
                 instance.reason,
-                instance.resolved_at if instance.resolved_at is not None else 0.0,
+                instance.resolved_at,
             )
             for instance in handle.cht.abandoned_instances()
         )

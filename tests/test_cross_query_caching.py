@@ -38,6 +38,7 @@ from repro.testing.invariants import check_document_store, check_memo_coherence
 from repro.testing.runner import _engine_config
 from repro.testing.shrink import _candidates
 from repro.urlutils import parse_url
+from repro.web import SyntheticWebConfig, build_synthetic_web
 from repro.web.builders import WebBuilder
 from repro.web.campus import CAMPUS_QUERY_DISQL
 from repro.web.site import Page
@@ -156,6 +157,34 @@ class TestSubsumptionReuse:
         )
         assert _distinct_rows(contained) == _distinct_rows(cold_contained)
         assert cold_contained.status is QueryStatus.COMPLETE
+
+    def test_repeated_queries_cut_the_virtual_makespan_tenfold(self):
+        # Four overlapping queries (depth 3 and 2 from two start sites) over
+        # heavily padded pages, submitted 20 times each: a memo hit is
+        # charged only the base per-node service time, not parse + scan, so
+        # the virtual makespan falls 43.8 s -> 3.9 s.  Virtual time is
+        # deterministic, so the floor needs no noise margin.
+        web = build_synthetic_web(
+            SyntheticWebConfig(
+                sites=4, pages_per_site=12, local_out_degree=3,
+                global_out_degree=2, padding_words=4000, seed=840,
+            )
+        )
+        pool = [
+            GENERAL_QUERY.replace("root.example", f"site{site:03d}.example")
+            .replace("(L|G)*3", f"(L|G)*{depth}")
+            for site in range(2)
+            for depth in (3, 2)
+        ]
+        runs = {}
+        for enabled in (True, False):
+            __, handles = _run_batch(web, pool * 20, cross_query_caching=enabled)
+            assert {handle.status for handle in handles} == {QueryStatus.COMPLETE}
+            makespan = max(handle.completion_time for handle in handles)
+            runs[enabled] = makespan, [_distinct_rows(handle) for handle in handles]
+        (cached, cached_rows), (uncached, uncached_rows) = runs[True], runs[False]
+        assert cached_rows == uncached_rows
+        assert uncached >= 10 * cached
 
     def test_fanout_subsumption_unit(self):
         memo = ResultMemo()

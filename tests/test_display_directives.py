@@ -116,6 +116,33 @@ class TestExecution:
         first_data_row = table.splitlines()[4]
         assert "c.example" in first_data_row
 
+    def test_order_by_across_steps_reads_each_rows_own_header(self):
+        # Unlabelled rows mix q1 (d.url, d.title) and q2 (e.title): the key
+        # is read from each row's header, and q2 rows, which lack it, keep
+        # their arrival places.
+        builder = WebBuilder()
+        builder.site("hub.example").page(
+            "/", title="hub", links=[(n, f"http://{n}.example/") for n in "cab"]
+        )
+        for name in "abc":
+            builder.site(f"{name}.example").page(
+                "/", title=f"{name} topic page", links=[("z", f"http://z{name}.example/")]
+            )
+            builder.site(f"z{name}.example").page("/", title=f"z{name} leaf")
+        handle = WebDisEngine(builder.build()).run_query(
+            "select d.url, d.title, e.title\n"
+            'from document d such that "http://hub.example/" G d\n'
+            'where d.title contains "topic"\n'
+            "     document e such that d G e\n"
+            "order by d.title desc"
+        )
+        arrived = handle.rows()
+        shown = handle.display_rows()
+        assert [row.header for row in shown] == [row.header for row in arrived]
+        titles = [row.values[1] for row in shown if row.header == ("d.url", "d.title")]
+        assert titles == ["c topic page", "b topic page", "a topic page"]
+        assert [row for row in shown if row.header == ("e.title",)] == handle.rows("q2")
+
     def test_no_directives_unchanged(self):
         engine = WebDisEngine(_web())
         handle = engine.run_query(QUERY.format(distinct="", order=""))

@@ -242,7 +242,9 @@ class TestFrontierPump:
         off, off_handle = _run(web2, disql2, frontier_batching=False)
         assert on_handle.status is QueryStatus.COMPLETE
         assert off_handle.status is QueryStatus.COMPLETE
-        assert on.clock.events_executed < off.clock.events_executed
+        # The drill-down shape is what batching targets: at least 2x fewer
+        # SimClock events (85 -> 30 here), not merely fewer.
+        assert 2 * on.clock.events_executed <= off.clock.events_executed
         assert on.stats.messages_sent < off.stats.messages_sent
 
     @pytest.mark.parametrize(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro import QueryStatus, WebDisEngine
@@ -139,3 +141,12 @@ class TestDotExport:
 
     def test_empty_trace(self):
         assert "digraph" in Tracer().to_dot()
+
+
+def test_every_bench_is_named_by_a_ci_step():
+    # A bench no CI job runs silently orphans its results file.
+    root = Path(__file__).resolve().parent.parent
+    workflow = (root / ".github" / "workflows" / "ci.yml").read_text()
+    benches = sorted(path.name for path in (root / "benchmarks").glob("bench_*.py"))
+    assert benches
+    assert [name for name in benches if name not in workflow] == []

@@ -404,6 +404,45 @@ class TestStarvationFreedom:
         assert small_fair < hot_fair
         assert small_fair <= small_fifo
 
+    @staticmethod
+    def _staggered_latencies(scheduler):
+        """The hot flood at t=0, then 20 point queries arriving 10 ms apart
+        while its backlog is queued: (small-query latencies, hot completion).
+        The memo is off, so every repeat of a point query queues real work."""
+        engine = WebDisEngine(
+            _dense_web(),
+            config=EngineConfig(
+                scheduler=scheduler, pump_budget=2, cross_query_caching=False
+            ),
+        )
+        hot = engine.submit_disql(HOT_DISQL)
+        smalls = []
+
+        def submit(index):
+            text = SMALL_DISQL.replace("site001", f"site{index % 6:03d}")
+            smalls.append((engine.clock.now, engine.submit_disql(text)))
+
+        for index in range(20):
+            engine.clock.schedule(index * 0.01, lambda index=index: submit(index))
+        engine.run()
+        assert hot.status is QueryStatus.COMPLETE
+        assert all(handle.status is QueryStatus.COMPLETE for __, handle in smalls)
+        return [handle.completion_time - at for at, handle in smalls], hot.completion_time
+
+    def test_staggered_small_queries_have_a_shorter_tail_under_fair(self):
+        fair, hot_fair = self._staggered_latencies("fair")
+        fifo, __ = self._staggered_latencies("fifo")
+
+        def jain(values):
+            return sum(values) ** 2 / (len(values) * sum(v * v for v in values))
+
+        # Fair cuts the small queries' tail (0.249 -> 0.157 virtual seconds
+        # here) and spreads their latencies more evenly; none of them waits
+        # for the flood.
+        assert max(fair) < max(fifo)
+        assert jain(fair) >= jain(fifo)
+        assert max(fair) < hot_fair
+
 
 # -- the isolation property ----------------------------------------------------
 

@@ -1,32 +1,19 @@
 #!/usr/bin/env python
-"""cProfile harness for the engine's hot paths (EXP-P1 / EXP-P2 / first touch / warm / join / wire).
+"""cProfile harness for the engine's hot paths (first touch / warm / join / wire).
 
-Runs one of the perf-bench workloads under :mod:`cProfile` and prints the
-top-N functions by cumulative time, so a perf regression can be localized
+Runs one of four workloads — each rebuilt from the config of the EXP-E1
+cell whose layer it isolates — under :mod:`cProfile` and prints the top-N
+functions by cumulative time, so a perf regression can be localized
 without wiring up an external profiler::
 
     PYTHONPATH=src python tools/profile_hotpath.py                  # all
-    PYTHONPATH=src python tools/profile_hotpath.py --workload p1
-    PYTHONPATH=src python tools/profile_hotpath.py --workload p2 --top 40
     PYTHONPATH=src python tools/profile_hotpath.py --workload build --sort tottime
     PYTHONPATH=src python tools/profile_hotpath.py --workload warm --json
-    PYTHONPATH=src python tools/profile_hotpath.py --workload join
+    PYTHONPATH=src python tools/profile_hotpath.py --workload join --top 40
     PYTHONPATH=src python tools/profile_hotpath.py --workload wire
-    PYTHONPATH=src python tools/profile_hotpath.py --sort tottime
-    PYTHONPATH=src python tools/profile_hotpath.py --out p2.pstats  # dump
+    PYTHONPATH=src python tools/profile_hotpath.py --out warm.pstats  # dump
     PYTHONPATH=src python tools/profile_hotpath.py --json > prof.json
 
-The ``p1`` / ``p2`` workloads are imported from the benches themselves, so
-the profile always matches what the perf gates measure:
-
-* ``p1`` — EXP-P1: every (node-query, node-database) pair of the hot-path
-  bench — paper-sized pages, hot pages, the sitewide scan and the
-  join-depth 2/3/4 shapes — evaluated with compiled plans and with the
-  interpreter.  Each batch kernel (specialized equality, ``contains``,
-  the generic per-row fallback), each expansion stage and the projectors
-  show up as distinct frames of :mod:`repro.relational.columnar`;
-* ``p2`` — EXP-P2: the frontier-batching drill-down workload, one full
-  engine run with the knob on and one with it off;
 * ``build`` — the first touch of a page: ``build_node_database`` (the HTML
   scanner and DOCUMENT) plus a read of all three relations — which is what
   builds ANCHOR and RELINFON, link resolution included — over every page of
@@ -45,15 +32,14 @@ the profile always matches what the perf gates measure:
   anchor-rich web, one engine warmed by one traversal per start site, then
   the 100 ``anchor × relinfon`` joins with distinct literals (seed 1's).
   After the profile, two unprofiled passes print what one
-  ``execute_columnar`` costs — µs, and evaluations counted by the bench's
-  own ``counted_evaluations`` (the counter behind its ``--check`` bound):
-  ``str.lower`` calls (one per ``contains`` operand), scalar comparisons,
-  and calls per stage and batch kernel (``--json``:
-  ``join_per_execution``).  The counts repeat exactly.  Then what compiling
-  costs a query of that pool on the warmed engine: µs of ``compile_disql``
-  without and with the engine's templates, µs of plan lookups, and how many
-  node-query compiles lowered a shape vs bound one (``--json``:
-  ``compile_per_query``);
+  ``execute_columnar`` costs — µs, and evaluations counted by
+  :func:`counted_evaluations`: ``str.lower`` calls (one per ``contains``
+  operand), scalar comparisons, and calls per stage and batch kernel
+  (``--json``: ``join_per_execution``).  The counts repeat exactly.  Then
+  what compiling costs a query of that pool on the warmed engine: µs of
+  ``compile_disql`` without and with the engine's templates, µs of plan
+  lookups, and how many node-query compiles lowered a shape vs bound one
+  (``--json``: ``compile_per_query``);
 * ``wire`` — the socket path, what EXP-E1's ``wire_tenants`` pays, with one
   tenant instead of two: the 6×12 mostly-global web on
   ``AsyncioWebDisEngine`` over loopback TCP with the cost model zeroed, the
@@ -84,36 +70,15 @@ import json
 import pstats
 import sys
 import time
+from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
-sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
 SORT_KEYS = ("cumulative", "tottime", "ncalls")
-
-
-def _p1_pass() -> None:
-    """One full EXP-P1 pass: compiled and interpreted evaluation."""
-    from repro.relational.compile import compile_node_query
-    from repro.relational.query import evaluate_node_query
-
-    from bench_hotpath import _workloads
-
-    for __, query, databases, site_documents in _workloads():
-        plan = compile_node_query(query)
-        for database in databases:
-            plan.execute_columnar(database, site_documents)
-            evaluate_node_query(query, database, site_documents)
-
-
-def _p2_pass() -> None:
-    """One full EXP-P2 cell: the drill-down query, knob on and off."""
-    from bench_frontier import WORKLOADS, _run
-
-    __, template, pages = WORKLOADS[1]
-    _run(4, True, template, pages)
-    _run(4, False, template, pages)
 
 
 def _spot_check_pages() -> list:
@@ -209,8 +174,6 @@ def hash_frames_per_query() -> dict[str, float]:
     so the per-class view needs the frame's ``self``.  A count, not a time —
     it repeats exactly.
     """
-    from collections import Counter
-
     warmed = _warm_engine()
     frames: Counter = Counter()
 
@@ -246,8 +209,6 @@ def report_objects_per_query() -> dict[str, float]:
     ``clones`` (``CloneProcessor._process`` calls) and ``nodes`` (the
     destination nodes those clones covered).  A count — it repeats exactly.
     """
-    from collections import Counter
-
     warmed = _warm_engine()
     counts: Counter = Counter()
 
@@ -346,12 +307,47 @@ def _join_pass(inputs: tuple) -> None:
         engine.run()
 
 
+@contextmanager
+def counted_evaluations() -> Iterator[Counter]:
+    """Count what the executor evaluates inside the block — counts that
+    repeat exactly, taken under :func:`sys.setprofile`.
+
+    ``str.lower``: one call per ``contains`` operand that is not a literal;
+    ``scalar comparisons``: ``=``/``!=``/ordered closures and interpreter
+    nodes (:func:`_coerce_pair` frames); ``columnar.<name>``: calls per
+    batch stage and kernel.
+    """
+    from repro.relational import columnar
+    from repro.relational.expr import _coerce_pair
+
+    counts: Counter = Counter()
+
+    def on_event(frame, event, arg) -> None:
+        if event == "c_call":
+            if getattr(arg, "__name__", "") == "lower":
+                counts["str.lower"] += 1
+        elif event == "call":
+            code = frame.f_code
+            if code is _coerce_pair.__code__:
+                counts["scalar comparisons"] += 1
+            elif (
+                code.co_filename == columnar.__file__
+                and code.co_name.endswith(("kernel", "stage"))
+                and not code.co_name.startswith("_")  # the builders
+            ):
+                counts[f"columnar.{code.co_name}"] += 1
+
+    sys.setprofile(on_event)
+    try:
+        yield counts
+    finally:
+        sys.setprofile(None)
+
+
 def join_per_execution() -> dict:
     """What one ``execute_columnar`` of ``eval_join`` costs (unprofiled):
     wall µs, and evaluations counted on a second pass."""
     from repro.relational.compile import CompiledPlan
-
-    from bench_hotpath import counted_evaluations
 
     inputs = _join_inputs()
     original = CompiledPlan.execute_columnar
@@ -552,14 +548,13 @@ def wire_loop_per_query() -> dict:
     return measured
 
 
-WORKLOAD_PASSES = {
-    "p1": _p1_pass, "p2": _p2_pass, "build": _build_pass, "warm": _warm_pass,
-    "join": _join_pass, "wire": _wire_pass,
-}
-#: Input a pass takes, prepared before the profiler is switched on.
-WORKLOAD_INPUTS = {
-    "build": _spot_check_pages, "warm": _warm_engine, "join": _join_inputs,
-    "wire": _wire_inputs,
+#: Per workload: what prepares its input before the profiler is switched on,
+#: and the pass that is profiled.
+WORKLOADS = {
+    "build": (_spot_check_pages, _build_pass),
+    "warm": (_warm_engine, _warm_pass),
+    "join": (_join_inputs, _join_pass),
+    "wire": (_wire_inputs, _wire_pass),
 }
 
 
@@ -567,11 +562,11 @@ def profile_workload(
     name: str, sort: str, top: int, out: str | None
 ) -> tuple[str, list[dict]]:
     """Profile one workload; returns (stats text, JSON rows)."""
-    prepare = WORKLOAD_INPUTS.get(name)
-    inputs = (prepare(),) if prepare else ()
+    prepare, run_pass = WORKLOADS[name]
+    inputs = prepare()
     profiler = cProfile.Profile()
     profiler.enable()
-    WORKLOAD_PASSES[name](*inputs)
+    run_pass(inputs)
     profiler.disable()
 
     if out:
@@ -604,7 +599,7 @@ def profile_workload(
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--workload", choices=(*WORKLOAD_PASSES, "all"), default="all",
+        "--workload", choices=(*WORKLOADS, "all"), default="all",
         help="which perf workload to profile (default: all)",
     )
     parser.add_argument(
@@ -624,7 +619,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    names = list(WORKLOAD_PASSES) if args.workload == "all" else [args.workload]
+    names = list(WORKLOADS) if args.workload == "all" else [args.workload]
     as_json: dict[str, object] = {}
     for name in names:
         out = None

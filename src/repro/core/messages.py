@@ -12,13 +12,13 @@ their clones travel under.  The server appends to the columns as it walks
 the clone's nodes and the user-site's CHT applies a report in one call, so
 no object is built per node on the warm path.
 
-Only the in-memory shape is per clone.  The accounting, the wire and the
-modelled bytes stay per node: :meth:`CloneReport.node_reports` is the
-per-node view (one :class:`NodeReport` record per node, with the field
-names the protocol has always used) that the wire codec encodes, the
-journal audits and tests read, and ``size_bytes()`` is exactly the sum of
-the per-node formula over the same nodes, computed once per report — on
-first use, so a report a receiver decoded and never sizes costs nothing.
+Only the in-memory shape is per clone.  The wire and the modelled bytes
+stay per node: :mod:`repro.wire` writes one JSON object per node straight
+from the columns and regroups them into reports on decode, and
+``size_bytes()`` is exactly the sum of the per-node formula over the same
+nodes, computed once per report — on first use, so a report a receiver
+decoded and never sizes costs nothing.  Reports, and so messages, compare
+by their columns.
 
 Frontier batching widens the batch: one :class:`ResultMessage` then covers
 *every* clone a site-local frontier processed, in BFS order.  That order is
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from ..errors import DisqlSemanticsError
 from ..relational.query import ResultRow
@@ -48,11 +48,15 @@ __all__ = [
     "Disposition",
     "ChtEntry",
     "CloneReport",
-    "NodeReport",
     "ResultMessage",
     "CloneBundle",
-    "group_node_records",
 ]
+
+#: The per-node columns of a :class:`CloneReport`, which equality compares as
+#: lists: a server builds some of them as tuples, a decoder as lists.
+_COLUMNS = (
+    "nodes", "dispositions", "rows", "row_ends", "new_entries", "child_ids", "forward_ends",
+)
 
 
 class Disposition(enum.Enum):
@@ -84,38 +88,6 @@ class ChtEntry:
         return f"{self.node} {self.state}"
 
 
-@dataclass(frozen=True, slots=True)
-class NodeReport:
-    """Everything the user-site learns about one processed node — a *view*.
-
-    Read side only: :meth:`CloneReport.node_reports` builds these from a
-    report's columns, and :meth:`ResultMessage.of_nodes` groups them back
-    into reports.  ``entry`` is the CHT entry this node retires (the
-    paper's "top-most entry in the list").  ``new_entries`` are the entries
-    for the clones the server is about to forward — sent *before* the
-    forwarding happens so the CHT always has complete knowledge (Section
-    2.7.1).  ``results`` pairs each row with the node-query label that
-    produced it.
-
-    Dispatch identity (self-healing extension): ``dispatch_id`` echoes the
-    identity of the clone dispatch this report resolves, and ``epoch`` the
-    recovery epoch that dispatch was issued under.  ``child_ids`` runs
-    parallel to ``new_entries`` — ``child_ids[i]`` is the dispatch identity
-    the clone carrying ``new_entries[i]`` will travel under, minted by the
-    reporting server *before* the forward.  The user-site rejects a
-    bookkeeping report with no ``dispatch_id``, or with ``child_ids`` not
-    parallel to ``new_entries`` (``ProtocolError``).
-    """
-
-    entry: ChtEntry
-    disposition: Disposition
-    new_entries: tuple[ChtEntry, ...] = ()
-    results: tuple[tuple[str, ResultRow], ...] = ()
-    dispatch_id: str = ""
-    epoch: int = 0
-    child_ids: tuple[str, ...] = ()
-
-
 @dataclass(slots=True, eq=False)
 class CloneReport:
     """The outcome of one clone at one site: per-node columns, shared fields.
@@ -128,11 +100,12 @@ class CloneReport:
     ``forward_ends[-1]`` read as 0).  Every node retires ``(node, state)``
     under the clone's own ``dispatch_id``.
 
-    A report is never mutated once built.  Either every disposition is
+    A report is never mutated once handed out (the decoder fills a report's
+    columns before it returns the report).  Either every disposition is
     DATA_ONLY (a rows-only report of the results/CHT-separation ablation)
     or none is.  The only report whose ``child_ids`` is not parallel to
     ``new_entries`` is a malformed one-node report off the wire, which the
-    user-site refuses; the view gives its ``child_ids`` back verbatim.
+    user-site refuses; the codec writes its ``child_ids`` back verbatim.
     """
 
     nodes: Sequence[Url]
@@ -209,120 +182,31 @@ class CloneReport:
             self._size = size
         return size
 
-    def node_reports(self) -> Iterator[NodeReport]:
-        """The per-node view, in node order."""
-        state, dispatch_id, epoch = self.state, self.dispatch_id, self.epoch
-        rows, new_entries, child_ids = self.rows, self.new_entries, self.child_ids
-        parallel = len(child_ids) == len(new_entries)
-        row_start = forward_start = 0
-        for node, disposition, row_stop, forward_stop in zip(
-            self.nodes, self.dispositions, self.row_ends, self.forward_ends
-        ):
-            yield NodeReport(
-                ChtEntry(node, state),
-                disposition,
-                tuple([ChtEntry(*pair) for pair in new_entries[forward_start:forward_stop]]),
-                tuple(rows[row_start:row_stop]),
-                dispatch_id,
-                epoch,
-                tuple(child_ids[forward_start:forward_stop] if parallel else child_ids),
-            )
-            row_start, forward_start = row_stop, forward_stop
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CloneReport):
             return NotImplemented
-        return list(self.node_reports()) == list(other.node_reports())
+        return (self.state, self.dispatch_id, self.epoch) == (
+            other.state, other.dispatch_id, other.epoch
+        ) and all(list(getattr(self, name)) == list(getattr(other, name)) for name in _COLUMNS)
 
 
-def group_node_records(records: Iterable[tuple]) -> list[CloneReport]:
-    """Regroup consecutive per-node records into :class:`CloneReport` s.
-
-    A record is ``(node, state, disposition, new entries, rows, dispatch_id,
-    epoch, child_ids)`` — a :class:`NodeReport` with its entries split into
-    ``(node, state)`` pairs.  It joins the report being filled when it
-    shares that report's state *object*, dispatch identity, epoch and
-    DATA_ONLY-ness, its node is not in the report yet, and both have
-    ``child_ids`` parallel to their new entries — so every report a server
-    built comes back as itself, and a malformed record stays on its own.
-    States are compared by identity: two ``==`` states spelled differently
-    on the wire must not share a report, or re-encoding would change bytes.
-    """
-    reports: list[CloneReport] = []
-    columns: tuple | None = None
-    key: tuple = ()
-    joinable = False
-    seen: set[Url] = set()
-    for node, state, disposition, new, rows, dispatch_id, epoch, child_ids in records:
-        parallel = len(child_ids) == len(new)
-        record_key = (id(state), dispatch_id, epoch, disposition is Disposition.DATA_ONLY)
-        if columns is None or record_key != key or not (parallel and joinable) or node in seen:
-            if columns is not None:
-                reports.append(CloneReport(*columns))
-            columns = ([], state, [], [], [], [], [], [], dispatch_id, epoch)
-            key, joinable, seen = record_key, parallel, set()
-        nodes, __, dispositions, all_rows, row_ends, entries, ids, forward_ends = columns[:8]
-        seen.add(node)
-        nodes.append(node)
-        dispositions.append(disposition)
-        all_rows.extend(rows)
-        row_ends.append(len(all_rows))
-        entries.extend(new)
-        ids.extend(child_ids)
-        forward_ends.append(len(entries))
-    if columns is not None:
-        reports.append(CloneReport(*columns))
-    return reports
-
-
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True)
 class ResultMessage:
     """A batch of clone reports sent directly to the user-site (§2.6, §3.2).
 
     ``kind`` is ``"result"`` for the paper's combined message; the
     results/CHT-separation ablation labels the CHT-only half ``"cht"``.
-    Two messages are equal when their per-node views are: how the nodes
-    are grouped into reports is an in-memory detail.
     """
 
     qid: QueryId
     reports: tuple[CloneReport, ...]
     kind: str = "result"
 
-    @classmethod
-    def of_nodes(
-        cls, qid: QueryId, reports: Iterable[NodeReport], kind: str = "result"
-    ) -> "ResultMessage":
-        """A message from per-node reports, grouped by :func:`group_node_records`."""
-        records = [
-            (
-                r.entry.node, r.entry.state, r.disposition,
-                [(e.node, e.state) for e in r.new_entries], list(r.results),
-                r.dispatch_id, r.epoch, list(r.child_ids),
-            )
-            for r in reports
-        ]
-        return cls(qid, tuple(group_node_records(records)), kind)
-
     def size_bytes(self) -> int:
         return self.qid.size_bytes() + sum([report.size_bytes() for report in self.reports]) + 8
 
     def result_count(self) -> int:
         return sum([len(report.rows) for report in self.reports])
-
-    def node_reports(self) -> Iterator[NodeReport]:
-        """Every report's per-node view, in message order."""
-        for report in self.reports:
-            yield from report.node_reports()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ResultMessage):
-            return NotImplemented
-        return (
-            self.qid == other.qid
-            and self.kind == other.kind
-            and list(self.node_reports()) == list(other.node_reports())
-        )
 
 
 @dataclass(frozen=True, slots=True)

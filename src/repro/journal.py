@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .core.messages import Disposition, ResultMessage
+from .core.messages import ResultMessage
 from .core.webquery import QueryId
 from .net.network import Network
 from .wire import WIRE_VERSION, decode_message, encode_message
@@ -180,13 +180,12 @@ class ProtocolJournal:
             if not isinstance(message, ResultMessage) or message.qid != qid:
                 continue
             audit.report_messages += 1
-            for report in message.node_reports():
-                name = report.disposition.value
-                audit.dispositions[name] = audit.dispositions.get(name, 0) + 1
-                if report.disposition is Disposition.DATA_ONLY:
-                    audit.result_rows += len(report.results)
-                    continue
-                audit.deletions += 1
-                audit.additions += len(report.new_entries)
-                audit.result_rows += len(report.results)
+            for report in message.reports:
+                for disposition in report.dispositions:
+                    name = disposition.value
+                    audit.dispositions[name] = audit.dispositions.get(name, 0) + 1
+                audit.result_rows += len(report.rows)
+                if report.bookkeeping:  # each node retires one entry
+                    audit.deletions += len(report.nodes)
+                    audit.additions += len(report.new_entries)
         return audit

@@ -38,24 +38,28 @@ number (:func:`encode_sequenced`), which the receiver echoes in a fixed-size
 The codec interns what every message repeats (URL text, CHT entries, the
 web-query each clone carries, query states) in bounded process-global tables;
 encoded bytes do not depend on them — see "what every message repeats" below.
+
+It is also the one module that knows a report's per-node form: a result
+message lists one JSON object per node, which the encoder writes straight from
+each :class:`~repro.core.messages.CloneReport`'s columns and the decoder
+regroups into reports (see "clone reports" below).
 """
 
 from __future__ import annotations
 
 import json
+import marshal
 import struct
 from collections import OrderedDict
 from typing import Any
 
 from .baselines.docservice import DocResponse, FetchRequest
 from .core.messages import (
-    ChtEntry,
     CloneBundle,
+    CloneReport,
     Disposition,
-    NodeReport,
     RelayMessage,
     ResultMessage,
-    group_node_records,
 )
 from .core.state import QueryState
 from .core.webquery import QueryClone, QueryId, WebQuery, WebQueryStep
@@ -73,7 +77,7 @@ from .relational.expr import (
     Or,
 )
 from .relational.query import NodeQuery, ResultRow, TableDecl
-from .urlutils import parse_url
+from .urlutils import Url, parse_url
 
 __all__ = [
     "WIRE_VERSION",
@@ -244,7 +248,7 @@ _DECODED_URLS: "dict[str, Url]" = {}
 #: The repr tells apart everything ``==`` on JSON values conflates — ``1`` /
 #: ``1.0`` / ``true``, key order — so equal keys *are* the equality proof.
 #: One object per spelling is also what lets a decoded result message
-#: regroup its per-node records into clone reports (``group_node_records``).
+#: regroup its per-node records into clone reports (``_reports_from_wire``).
 _DECODED_STATES: "dict[str, QueryState]" = {}
 #: ``id`` of a ``WebQuery`` / ``QueryState`` being encoded -> that object (held,
 #: so the id cannot be reused) and what was built for it.
@@ -333,29 +337,29 @@ def _webquery_to_wire(query: WebQuery) -> Any:
     return encoded
 
 
-#: The web-queries this process decoded most recently, by qid, each beside
-#: the JSON object it was decoded from.  Every clone of a query carries the
-#: whole query, so a site decodes the same object once per clone; serving a
-#: repeat from here also keeps the query's protocol table
-#: (:attr:`WebQuery.program`) — one ``WebQuery`` instance per query per
-#: process, as on the simulator.
-_DECODED_QUERIES: "OrderedDict[str, tuple[Any, WebQuery]]" = OrderedDict()
+#: The web-queries this process decoded most recently, keyed by the JSON
+#: object each was decoded from.  Every clone of a query carries the whole
+#: query, so a site decodes the same object once per clone; serving a repeat
+#: from here also keeps the query's protocol table (:attr:`WebQuery.program`)
+#: — one ``WebQuery`` instance per query per process, as on the simulator.
+_DECODED_QUERIES: "OrderedDict[bytes, WebQuery]" = OrderedDict()
 
 
 def _webquery_from_wire(data: Any) -> WebQuery:
     """Decode a web-query, reusing the retained decode of the same JSON.
 
-    A retained query is served only when the received object ``==`` the one
-    it was decoded from — the qid is the lookup key, never the proof.
+    The key is the received object's ``marshal`` serialization: unlike
+    ``==`` on JSON values it tells ``1`` / ``1.0`` / ``true`` apart (and
+    key orders), so an equal key *is* the proof, at a third of ``repr``'s
+    cost.  Version 2 writes no back-references, so the bytes depend on the
+    value alone.
     """
-    key = repr(data["qid"])  # total on any JSON value, unlike hashing it
-    retained = _DECODED_QUERIES.get(key)
-    if retained is not None and retained[0] == data:
+    key = marshal.dumps(data, 2)
+    query = _DECODED_QUERIES.get(key)
+    if query is not None:
         _DECODED_QUERIES.move_to_end(key)
-        return retained[1]
-    query = _decode_webquery(data)
-    _DECODED_QUERIES[key] = (data, query)
-    _DECODED_QUERIES.move_to_end(key)
+        return query
+    query = _DECODED_QUERIES[key] = _decode_webquery(data)
     while len(_DECODED_QUERIES) > 256:
         _DECODED_QUERIES.popitem(last=False)
     return query
@@ -384,10 +388,6 @@ def _state_from_wire(data: Any) -> QueryState:
     return QueryState(data["n"], pre_from_wire(data["rem"]))
 
 
-def _entry_to_wire(entry: ChtEntry) -> Any:
-    return {"node": str(entry.node), "state": _fragment(entry.state, _state_to_wire)}
-
-
 def _entry_from_wire(data: Any) -> "tuple[Url, QueryState]":
     """A CHT entry as ``(node, state)``, both parts interned."""
     node = _url_from_wire(data["node"])
@@ -400,40 +400,89 @@ def _entry_from_wire(data: Any) -> "tuple[Url, QueryState]":
     return node, state
 
 
-def _report_to_wire(report: NodeReport) -> Any:
-    encoded = {
-        "entry": _entry_to_wire(report.entry),
-        "disp": report.disposition.value,
-        "new": [_entry_to_wire(e) for e in report.new_entries],
-        "rows": [
-            {"q": label, "h": list(row.header), "v": list(row.values)}
-            for label, row in report.results
-        ],
-    }
-    # Dispatch identity travels only when stamped, so legacy traffic
-    # round-trips byte-identically.
-    if report.dispatch_id:
-        encoded["did"] = report.dispatch_id
-    if report.epoch:
-        encoded["ep"] = report.epoch
-    if report.child_ids:
-        encoded["cids"] = list(report.child_ids)
+# --- clone reports: one JSON object per node ------------------------------------------
+
+
+def _reports_to_wire(reports: "tuple[CloneReport, ...]") -> list:
+    """Every node of every report as its own JSON object, in message order."""
+    encoded = []
+    for report in reports:
+        state = _fragment(report.state, _state_to_wire)
+        dispatch_id, epoch = report.dispatch_id, report.epoch
+        rows, new_entries, child_ids = report.rows, report.new_entries, report.child_ids
+        parallel = len(child_ids) == len(new_entries)
+        row_start = forward_start = 0
+        for node, disposition, row_stop, forward_stop in zip(
+            report.nodes, report.dispositions, report.row_ends, report.forward_ends
+        ):
+            record = {
+                "entry": {"node": str(node), "state": state},
+                "disp": disposition.value,
+                "new": [
+                    {"node": str(target), "state": _fragment(target_state, _state_to_wire)}
+                    for target, target_state in new_entries[forward_start:forward_stop]
+                ],
+                "rows": [
+                    {"q": label, "h": list(row.header), "v": list(row.values)}
+                    for label, row in rows[row_start:row_stop]
+                ],
+            }
+            # Dispatch identity travels only when stamped, so legacy traffic
+            # round-trips byte-identically.
+            if dispatch_id:
+                record["did"] = dispatch_id
+            if epoch:
+                record["ep"] = epoch
+            ids = child_ids[forward_start:forward_stop] if parallel else child_ids
+            if ids:
+                record["cids"] = list(ids)
+            encoded.append(record)
+            row_start, forward_start = row_stop, forward_stop
     return encoded
 
 
-def _node_record_from_wire(data: Any) -> tuple:
-    """One node's report as the record :func:`group_node_records` takes."""
-    node, state = _entry_from_wire(data["entry"])
-    return (
-        node,
-        state,
-        Disposition(data["disp"]),
-        [_entry_from_wire(e) for e in data["new"]],
-        [(r["q"], ResultRow(tuple(r["h"]), tuple(r["v"]))) for r in data["rows"]],
-        data.get("did", ""),
-        data.get("ep", 0),
-        tuple(data.get("cids", ())),
-    )
+def _reports_from_wire(records: Any) -> "list[CloneReport]":
+    """Regroup consecutive per-node records into reports, filling the columns.
+
+    A record joins the report being filled when it has that report's state
+    *object*, dispatch identity, epoch and DATA_ONLY-ness, its node is not in
+    the report yet, and both have ``cids`` parallel to their new entries —
+    so every report a server built comes back as itself, and a malformed
+    record stands alone.  States compare by identity (one object per
+    spelling, ``_DECODED_STATES``): two ``==`` states spelled differently
+    must not share a report, or re-encoding would change bytes.
+    """
+    reports: "list[CloneReport]" = []
+    key: tuple = ()
+    joinable = False
+    seen: "set[Url]" = set()
+    for data in records:
+        node, state = _entry_from_wire(data["entry"])
+        disposition = Disposition(data["disp"])
+        new, child_ids = data["new"], data.get("cids", ())
+        dispatch_id, epoch = data.get("did", ""), data.get("ep", 0)
+        parallel = len(child_ids) == len(new)
+        record_key = (id(state), dispatch_id, epoch, disposition is Disposition.DATA_ONLY)
+        if record_key != key or not (parallel and joinable) or node in seen:
+            nodes, dispositions, rows, row_ends, entries, ids, forward_ends = (
+                [], [], [], [], [], [], []
+            )
+            reports.append(
+                CloneReport(
+                    nodes, state, dispositions, rows, row_ends, entries, ids, forward_ends,
+                    dispatch_id, epoch,
+                )
+            )
+            key, joinable, seen = record_key, parallel, set()
+        seen.add(node)
+        nodes.append(node)
+        dispositions.append(disposition)
+        rows += [(r["q"], ResultRow(tuple(r["h"]), tuple(r["v"]))) for r in data["rows"]]
+        row_ends.append(len(rows))
+        entries += [_entry_from_wire(e) for e in new]
+        ids += child_ids
+        forward_ends.append(len(entries))
+    return reports
 
 
 # --- top-level messages ----------------------------------------------------------
@@ -486,7 +535,7 @@ def _clone_from_body(body: Any) -> QueryClone:
 def _result_body(message: ResultMessage) -> dict:
     return {
         "qid": _qid_to_wire(message.qid),
-        "reports": [_report_to_wire(r) for r in message.node_reports()],
+        "reports": _reports_to_wire(message.reports),
         "chan": message.kind,
     }
 
@@ -494,9 +543,7 @@ def _result_body(message: ResultMessage) -> dict:
 def _result_from_body(body: Any) -> ResultMessage:
     return ResultMessage(
         qid=_qid_from_wire(body["qid"]),
-        reports=tuple(
-            group_node_records([_node_record_from_wire(r) for r in body["reports"]])
-        ),
+        reports=tuple(_reports_from_wire(body["reports"])),
         kind=body["chan"],
     )
 
@@ -537,16 +584,35 @@ def encode_message(message: object) -> bytes:
     return f'{_ENVELOPE_HEADS[kind]}{body}}}'.encode("utf-8")
 
 
+#: What decoding valid JSON of the wrong shape raises — a missing key or
+#: index, a value of the wrong type or range, a bad URL or PRE, nesting too
+#: deep to walk.  :func:`decode_message` reports each as a :class:`WireError`.
+_MALFORMED = (LookupError, TypeError, ValueError, AttributeError, RecursionError, WebDisError)
+
+
 def decode_message(data: bytes) -> object:
-    """Inverse of :func:`encode_message`."""
+    """Inverse of :func:`encode_message`.
+
+    Anything else raises :class:`WireError` — undecodable text, an unknown
+    version or kind, or a body of the wrong shape (chained to the error that
+    found it) — so a receiver has one exception to catch.
+    """
     try:
         envelope = json.loads(data.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise WireError(f"undecodable wire data: {exc}") from exc
     if not isinstance(envelope, dict) or envelope.get("v") != WIRE_VERSION:
         raise WireError(f"unsupported wire version in {envelope!r}")
     kind = envelope.get("k")
-    body = envelope.get("b")
+    try:
+        return _decode_body(kind, envelope.get("b"))
+    except WireError:
+        raise
+    except _MALFORMED as exc:
+        raise WireError(f"malformed {kind!r} message: {exc!r}") from exc
+
+
+def _decode_body(kind: Any, body: Any) -> object:
     if kind == _KIND_CLONE:
         return _clone_from_body(body)
     if kind == _KIND_RESULT:

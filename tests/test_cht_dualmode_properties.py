@@ -148,7 +148,7 @@ class TestInterleavings:
 # --- a clone at a time is a node at a time ----------------------------------------
 # ``CurrentHostsTable.apply`` takes a whole clone's report in one call.  The
 # reference is what the user-site did before reports had columns: for each
-# node of the report's per-node view, ``mark_deleted`` of its entry, then
+# node of the report, in column order, ``mark_deleted`` of its entry, then
 # ``add`` of each entry it announced under the child's dispatch identity.
 
 _URLS = [parse_url(f"http://s{i % 2}.example/p{i}") for i in range(4)]
@@ -212,13 +212,20 @@ def _run(seeds, reports, events, per_clone: bool) -> tuple[CurrentHostsTable, li
         elif per_clone:
             outcomes.append(cht.apply(reports[event[1]], time))
         else:
-            duplicates = stale = 0
-            for node in reports[event[1]].node_reports():
-                result = cht.mark_deleted(node.entry, time, dispatch_id=node.dispatch_id)
+            report = reports[event[1]]
+            duplicates = stale = start = 0
+            for node, stop in zip(report.nodes, report.forward_ends):
+                result = cht.mark_deleted(
+                    ChtEntry(node, report.state), time, dispatch_id=report.dispatch_id
+                )
                 duplicates += result is RetireResult.ABSORBED_DUPLICATE
                 stale += result is RetireResult.ABSORBED_STALE
-                for entry, child_id in zip(node.new_entries, node.child_ids):
-                    cht.add(entry, time, dispatch_id=child_id, epoch=node.epoch)
+                for position in range(start, stop):
+                    cht.add(
+                        ChtEntry(*report.new_entries[position]), time,
+                        dispatch_id=report.child_ids[position], epoch=report.epoch,
+                    )
+                start = stop
             outcomes.append((duplicates, stale))
         cht.check_consistency()
     cht.audit()

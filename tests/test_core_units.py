@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.cht import CurrentHostsTable, RetireResult
 from repro.core.logtable import LogAction, NodeQueryLogTable
-from repro.core.messages import ChtEntry, Disposition, NodeReport, RelayMessage, ResultMessage
+from repro.core.messages import ChtEntry, CloneReport, Disposition, RelayMessage, ResultMessage
 from repro.core.state import QueryState
 from repro.core.webquery import QueryClone, QueryId, WebQuery, WebQueryStep
 from repro.errors import DisqlSemanticsError, ProtocolError
@@ -317,29 +317,30 @@ class TestLanguageSubsumptionMode:
 
 class TestMessages:
     def _report(self):
+        """``ENTRY`` processed: one row, ``OTHER`` announced."""
         row = ResultRow(("d.url",), ("http://a.example/",))
-        return NodeReport(
-            ENTRY,
-            Disposition.PROCESSED,
-            new_entries=(OTHER,),
-            results=(("q1", row),),
+        return CloneReport(
+            (ENTRY.node,), ENTRY.state, (Disposition.PROCESSED,), (("q1", row),), (1,),
+            ((OTHER.node, OTHER.state),), ("c1",), (1,), "u1",
         )
 
     def test_result_message_size(self):
-        message = ResultMessage.of_nodes(QID, (self._report(),))
+        message = ResultMessage(QID, (self._report(),))
         assert message.size_bytes() > 0
         assert message.result_count() == 1
 
     def test_empty_report_smaller(self):
-        full = ResultMessage.of_nodes(QID, (self._report(),))
-        empty = ResultMessage.of_nodes(QID, (NodeReport(ENTRY, Disposition.DUPLICATE),))
-        assert empty.size_bytes() < full.size_bytes()
+        full = ResultMessage(QID, (self._report(),))
+        duplicate = CloneReport(
+            (ENTRY.node,), ENTRY.state, (Disposition.DUPLICATE,), (), (0,), (), (), (0,), "u1"
+        )
+        assert ResultMessage(QID, (duplicate,)).size_bytes() < full.size_bytes()
 
     def test_kind_override(self):
         assert ResultMessage(QID, (), kind="cht").kind == "cht"
 
     def test_relay_wraps_inner(self):
-        inner = ResultMessage.of_nodes(QID, (self._report(),))
+        inner = ResultMessage(QID, (self._report(),))
         relay = RelayMessage(("a.example", "b.example"), inner)
         assert relay.kind == "relay"
         assert relay.size_bytes() > inner.size_bytes()

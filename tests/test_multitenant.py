@@ -260,17 +260,18 @@ class TestOverloadedOutcome:
             is SendOutcome.DELIVERED
 
     def test_overloaded_disposition_round_trips_on_the_wire(self):
-        from repro.core.messages import ChtEntry, NodeReport, ResultMessage
+        from repro.core.messages import CloneReport, ResultMessage
         from repro.core.state import QueryState
         from repro.pre.parser import parse_pre
         from repro.urlutils import Url
         from repro.core.webquery import QueryId
 
-        entry = ChtEntry(Url("x.example", "/"), QueryState(0, parse_pre("L*1")))
-        message = ResultMessage.of_nodes(
-            QueryId("user.example", "user.example", 9000, 1),
-            (NodeReport(entry, Disposition.OVERLOADED, dispatch_id="d-1"),),
-            kind="cht",
+        report = CloneReport(
+            (Url("x.example", "/"),), QueryState(0, parse_pre("L*1")),
+            (Disposition.OVERLOADED,), (), (0,), (), (), (0,), dispatch_id="d-1",
+        )
+        message = ResultMessage(
+            QueryId("user.example", "user.example", 9000, 1), (report,), kind="cht"
         )
         assert decode_message(encode_message(message)) == message
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import fields, is_dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +22,6 @@ from repro.core.messages import (
     CloneBundle,
     CloneReport,
     Disposition,
-    NodeReport,
     RelayMessage,
     ResultMessage,
 )
@@ -66,19 +65,17 @@ def _bundle() -> CloneBundle:
 
 
 def _result() -> ResultMessage:
+    """One two-node report: the first node has rows and announces two
+    entries, the second was a duplicate.  Lists, as a decoder builds them."""
     state = QueryState(1, parse_pre("(L|G)*2"))
     child = QueryState(1, parse_pre("L|G"))
     row = ResultRow(("d.url", "d.title", "a.href"), ("http://b.example/x", "topic é", 3))
-    return ResultMessage.of_nodes(QID, (
-        NodeReport(
-            ChtEntry(Url("b.example", "/x"), state), Disposition.PROCESSED,
-            (ChtEntry(Url("c.example", "/"), child), ChtEntry(Url("b.example", "/q"), child)),
-            (("q1", row), ("q1", row)),
-            dispatch_id="s1@a.example", epoch=2, child_ids=("s4@b.example", "s5@b.example"),
-        ),
-        NodeReport(
-            ChtEntry(Url("b.example", "/y"), state), Disposition.DUPLICATE,
-            dispatch_id="s1@a.example", epoch=2,
+    return ResultMessage(QID, (
+        CloneReport(
+            [Url("b.example", "/x"), Url("b.example", "/y")], state,
+            [Disposition.PROCESSED, Disposition.DUPLICATE], [("q1", row), ("q1", row)], [2, 2],
+            [(Url("c.example", "/"), child), (Url("b.example", "/q"), child)],
+            ["s4@b.example", "s5@b.example"], [2, 2], "s1@a.example", 2,
         ),
     ))
 
@@ -101,10 +98,11 @@ def _via_clone_rem(rem):
 
 
 def _via_report_entry(entry: ChtEntry) -> ChtEntry:
-    message = ResultMessage.of_nodes(
-        QID, (NodeReport(entry, Disposition.PROCESSED, dispatch_id="u1"),)
+    report = CloneReport(
+        [entry.node], entry.state, [Disposition.PROCESSED], [], [0], [], [], [0], "u1"
     )
-    return next(decode_message(encode_message(message)).node_reports()).entry
+    [decoded] = decode_message(encode_message(ResultMessage(QID, (report,)))).reports
+    return ChtEntry(decoded.nodes[0], decoded.state)
 
 
 #: ``(value, the same value after encode_message / decode_message)``.
@@ -157,7 +155,8 @@ def test_reprs_are_byte_identical_to_the_previous_implementation():
         "QueryState(num_q=1, rem=Repeat(body=Alt(options=(Atom(ltype=<LinkType.LOCAL: 'L'>), "
         "Atom(ltype=<LinkType.GLOBAL: 'G'>))), bound=2))"
     )
-    entry = next(_result().node_reports()).entry
+    report = _result().reports[0]
+    entry = ChtEntry(report.nodes[0], report.state)
     hash(entry), str(entry.node)
     assert repr(entry) == (
         "ChtEntry(node=Url(host='b.example', path='/x', fragment='', scheme='http'), "
@@ -274,17 +273,42 @@ def _clone_size(clone: QueryClone) -> int:
     )
 
 
-def _report_size(report: NodeReport) -> int:
-    size = _entry_size(report.entry) + 1
-    size += sum(_entry_size(entry) for entry in report.new_entries)
-    for label, row in report.results:
-        size += len(label) + sum(len(str(value)) for value in row.values)
-    size += len(report.dispatch_id) + 4 + sum(len(cid) for cid in report.child_ids)
+def _per_node(report: CloneReport) -> list[dict]:
+    """What a report says about each of its nodes, spelled out one node at a
+    time: the retired entry, the disposition, the announced entries, the rows
+    and the child ids (all of them when they are not parallel to the
+    announced entries, as on a malformed report)."""
+    parallel = len(report.child_ids) == len(report.new_entries)
+    nodes, row_start, forward_start = [], 0, 0
+    for node, disposition, row_stop, forward_stop in zip(
+        report.nodes, report.dispositions, report.row_ends, report.forward_ends
+    ):
+        forwards = slice(forward_start, forward_stop)
+        nodes.append({
+            "entry": ChtEntry(node, report.state),
+            "disposition": disposition,
+            "new_entries": [ChtEntry(*pair) for pair in report.new_entries[forwards]],
+            "results": list(report.rows[row_start:row_stop]),
+            "child_ids": list(report.child_ids[forwards] if parallel else report.child_ids),
+        })
+        row_start, forward_start = row_stop, forward_stop
+    return nodes
+
+
+def _report_size(report: CloneReport) -> int:
+    """The previous per-node formula, summed over the report's nodes."""
+    size = 0
+    for node in _per_node(report):
+        size += _entry_size(node["entry"]) + 1
+        size += sum(_entry_size(entry) for entry in node["new_entries"])
+        for label, row in node["results"]:
+            size += len(label) + sum(len(str(value)) for value in row.values)
+        size += len(report.dispatch_id) + 4 + sum(len(cid) for cid in node["child_ids"])
     return size
 
 
 def _result_size(message: ResultMessage) -> int:
-    return _qid_size(message.qid) + sum(_report_size(r) for r in message.node_reports()) + 8
+    return _qid_size(message.qid) + sum(map(_report_size, message.reports)) + 8
 
 
 def _reference_size(payload) -> int:
@@ -343,6 +367,7 @@ def test_every_tapped_message_has_the_previous_size(run):
 _NODE_URLS = [Url(f"s{i % 3}.example", f"/p{i}.html") for i in range(8)]
 _STATES = [QueryState(1, parse_pre(text)) for text in ("(L|G)*2", "L|G", "G.(G|L)", "N")]
 _DISPOSITIONS = [d for d in Disposition if d is not Disposition.DATA_ONLY]
+_DISPATCH_IDS = ["", "s1@a.example", "u12@user.example", "s2@a.example"]
 _ROWS = [
     ("q1", ResultRow(("d.url",), ("http://s0.example/",))),
     ("q2", ResultRow(("d.url", "d.title"), ("http://s1.example/x", "topic é"))),
@@ -351,11 +376,12 @@ _ROWS = [
 
 
 @st.composite
-def clone_reports(draw):
+def clone_reports(draw, dispatch_id=None):
     """A report as a server builds one: distinct nodes, parallel child ids."""
     nodes = draw(st.lists(st.sampled_from(_NODE_URLS), min_size=1, max_size=5, unique=True))
     data_only = draw(st.booleans())
-    dispatch_id = draw(st.sampled_from(["", "s1@a.example", "u12@user.example"]))
+    if dispatch_id is None:
+        dispatch_id = draw(st.sampled_from(_DISPATCH_IDS))
     dispositions, rows, row_ends, entries, child_ids, forward_ends = [], [], [], [], [], []
     for __ in nodes:
         dispositions.append(
@@ -374,8 +400,17 @@ def clone_reports(draw):
     )
 
 
+@st.composite
+def server_messages(draw):
+    """A message shaped like a server's: each report under its own dispatch
+    id (adjacent reports sharing one would merge on decode, as one clone)."""
+    ids = draw(st.lists(st.sampled_from(_DISPATCH_IDS), max_size=3, unique=True))
+    reports = tuple(draw(clone_reports(dispatch_id)) for dispatch_id in ids)
+    return ResultMessage(QID, reports, draw(st.sampled_from(["result", "cht"])))
+
+
 def _node_encoding(message: ResultMessage) -> bytes:
-    """The wire bytes of ``message``, built one node report at a time."""
+    """The wire bytes of ``message``, built one node at a time."""
 
     def entry(value: ChtEntry) -> dict:
         return {
@@ -384,23 +419,24 @@ def _node_encoding(message: ResultMessage) -> bytes:
         }
 
     reports = []
-    for report in message.node_reports():
-        encoded = {
-            "entry": entry(report.entry),
-            "disp": report.disposition.value,
-            "new": [entry(e) for e in report.new_entries],
-            "rows": [
-                {"q": label, "h": list(row.header), "v": list(row.values)}
-                for label, row in report.results
-            ],
-        }
-        if report.dispatch_id:
-            encoded["did"] = report.dispatch_id
-        if report.epoch:
-            encoded["ep"] = report.epoch
-        if report.child_ids:
-            encoded["cids"] = list(report.child_ids)
-        reports.append(encoded)
+    for report in message.reports:
+        for node in _per_node(report):
+            encoded = {
+                "entry": entry(node["entry"]),
+                "disp": node["disposition"].value,
+                "new": [entry(e) for e in node["new_entries"]],
+                "rows": [
+                    {"q": label, "h": list(row.header), "v": list(row.values)}
+                    for label, row in node["results"]
+                ],
+            }
+            if report.dispatch_id:
+                encoded["did"] = report.dispatch_id
+            if report.epoch:
+                encoded["ep"] = report.epoch
+            if node["child_ids"]:
+                encoded["cids"] = node["child_ids"]
+            reports.append(encoded)
     body = {"qid": [QID.user, QID.host, QID.port, QID.number], "reports": reports,
             "chan": message.kind}
     text = json.dumps({"v": 1, "k": "result", "b": body}, separators=(",", ":"),
@@ -410,12 +446,11 @@ def _node_encoding(message: ResultMessage) -> bytes:
 
 class TestCloneReportIsItsNodeReports:
     @settings(max_examples=150, deadline=None)
-    @given(st.lists(clone_reports(), max_size=3), st.sampled_from(["result", "cht"]))
-    def test_size_and_bytes_are_the_per_node_ones(self, reports, kind):
-        message = ResultMessage(QID, tuple(reports), kind)
-        for report in reports:
-            assert report.size_bytes() == sum(map(_report_size, report.node_reports()))
-            assert len(list(report.node_reports())) == len(report.nodes)
+    @given(server_messages())
+    def test_size_and_bytes_are_the_per_node_ones(self, message):
+        for report in message.reports:
+            assert report.size_bytes() == _report_size(report)
+            assert len(_per_node(report)) == len(report.nodes)
         assert message.size_bytes() == _result_size(message)
         encoded = encode_message(message)
         assert encoded == _node_encoding(message)
@@ -427,19 +462,17 @@ class TestCloneReportIsItsNodeReports:
     @given(clone_reports())
     def test_the_ablation_halves_split_the_columns(self, report):
         cht_half, data_half = report.without_rows(), report.rows_only()
-        for node, half in zip(report.node_reports(), cht_half.node_reports()):
-            assert half == replace(node, results=())
+        for node, half in zip(_per_node(report), _per_node(cht_half)):
+            assert half == {**node, "results": []}
         expected = [
-            NodeReport(
-                node.entry, Disposition.DATA_ONLY, (), node.results,
-                dispatch_id=node.dispatch_id, epoch=node.epoch,
-            )
-            for node in report.node_reports()
-            if node.results
+            {**node, "disposition": Disposition.DATA_ONLY, "new_entries": [], "child_ids": []}
+            for node in _per_node(report)
+            if node["results"]
         ]
-        assert (list(data_half.node_reports()) if data_half else []) == expected
+        assert (_per_node(data_half) if data_half else []) == expected
         for half in filter(None, (cht_half, data_half)):
-            assert half.size_bytes() == sum(map(_report_size, half.node_reports()))
+            assert (half.dispatch_id, half.epoch) == (report.dispatch_id, report.epoch)
+            assert half.size_bytes() == _report_size(half)
 
 
 # --- what a warm repeat allocates -----------------------------------------------------

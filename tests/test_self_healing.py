@@ -35,7 +35,7 @@ from repro import (
     WebDisEngine,
 )
 from repro.core.cht import CurrentHostsTable, InstanceStatus, RetireResult
-from repro.core.messages import ChtEntry, Disposition, NodeReport, ResultMessage
+from repro.core.messages import ChtEntry, CloneReport, Disposition, ResultMessage
 from repro.core.state import QueryState
 from repro.core.webquery import QueryClone, QueryId
 from repro.disql import compile_disql
@@ -442,24 +442,22 @@ class TestWireIdentity:
     def test_stamped_report_round_trips(self):
         parent = _entry("root.example")
         child = _entry("leaf0.example")
-        message = ResultMessage.of_nodes(
-            self.QID,
-            (
-                NodeReport(
-                    parent, Disposition.PROCESSED, (child,),
-                    dispatch_id="u1@user.example", epoch=1,
-                    child_ids=("s9@root.example",),
-                ),
-            ),
+        report = CloneReport(
+            (parent.node,), parent.state, (Disposition.PROCESSED,), (), (0,),
+            ((child.node, child.state),), ("s9@root.example",), (1,),
+            dispatch_id="u1@user.example", epoch=1,
         )
+        message = ResultMessage(self.QID, (report,))
         assert decode_message(encode_message(message)) == message
 
     def test_unstamped_traffic_unchanged_on_the_wire(self):
         # Legacy messages must not grow identity keys: the encoded form of
         # an unstamped report is byte-identical to the pre-extension codec.
-        message = ResultMessage.of_nodes(
-            self.QID, (NodeReport(_entry(), Disposition.PROCESSED),)
+        entry = _entry()
+        report = CloneReport(
+            (entry.node,), entry.state, (Disposition.PROCESSED,), (), (0,), (), (), (0,)
         )
+        message = ResultMessage(self.QID, (report,))
         encoded = encode_message(message)
         for key in (b'"did"', b'"ep"', b'"cids"'):
             assert key not in encoded

@@ -47,6 +47,7 @@ from repro.testing.invariants import check_run
 from repro.urlutils import parse_url
 from repro.web.builders import WebBuilder
 from repro.web.synthetic import SyntheticWebConfig, build_synthetic_web
+from repro.wire import encode_frame, encode_sequenced
 
 
 def _payload(request_id: int = 1) -> FetchRequest:
@@ -255,6 +256,40 @@ class TestAsyncioTransportSends:
                 )
                 assert outcome is SendOutcome.FAULT
                 assert transport.stats.frames_rejected == 1
+            finally:
+                await transport.aclose()
+
+        asyncio.run(main())
+
+    def test_valid_json_of_the_wrong_shape_is_a_rejected_frame(self):
+        """A message body the codec cannot decode — here a result with no
+        fields — aborts the connection with no record and counts one
+        rejection; the receive loop ends there, not in the event loop's
+        exception handler."""
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            unhandled: list = []
+            loop.set_exception_handler(lambda loop, context: unhandled.append(context))
+            transport = await _transport("a.example", "b.example")
+            try:
+                seen = []
+                transport.listen("b.example", QUERY_PORT, lambda src, msg: seen.append(msg))
+                await asyncio.sleep(0.02)  # the accept loop attaches
+                real = transport.port_map.lookup("b.example", QUERY_PORT)
+                reader, writer = await asyncio.open_connection(transport.port_map.host, real)
+                envelope = b"a.example\x00" + b'{"v":1,"k":"result","b":{}}'
+                writer.write(encode_frame(encode_sequenced(envelope, 7)))
+                await writer.drain()
+                try:
+                    answer = await asyncio.wait_for(reader.read(), 5.0)
+                except ConnectionResetError:
+                    answer = b""
+                writer.close()
+                await asyncio.sleep(0.05)  # the handler's task has finished
+                assert answer == b""  # closed by the receiver, no ACK / NAK record
+                assert transport.stats.frames_rejected == 1
+                assert seen == [] and unhandled == []
             finally:
                 await transport.aclose()
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines.docservice import DocResponse, FetchRequest
-from repro.core.messages import ChtEntry, Disposition, NodeReport, RelayMessage, ResultMessage
+from repro.core.messages import CloneReport, Disposition, RelayMessage, ResultMessage
 from repro.core.state import QueryState
 from repro.core.webquery import QueryClone, QueryId, WebQuery, WebQueryStep
 from repro.disql import compile_disql
@@ -88,13 +88,15 @@ class TestMessageRoundTrips:
 
     def test_result_message(self):
         row = ResultRow(("d1.url", "r.text"), ("http://x.example/", "CONVENER X"))
-        entry = ChtEntry(Url("x.example", "/"), QueryState(1, parse_pre("L*1")))
-        other = ChtEntry(Url("y.example", "/p"), QueryState(1, parse_pre("N")))
-        message = ResultMessage.of_nodes(
+        other = (Url("y.example", "/p"), QueryState(1, parse_pre("N")))
+        message = ResultMessage(
             QID,
             (
-                NodeReport(entry, Disposition.PROCESSED, (other,), (("q2", row),)),
-                NodeReport(other, Disposition.DUPLICATE),
+                CloneReport(
+                    (Url("x.example", "/"),), QueryState(1, parse_pre("L*1")),
+                    (Disposition.PROCESSED,), (("q2", row),), (1,), (other,), (), (1,),
+                ),
+                CloneReport((other[0],), other[1], (Disposition.DUPLICATE,), (), (0,), (), (), (0,)),
             ),
         )
         assert decode_message(encode_message(message)) == message
@@ -146,10 +148,11 @@ class TestSizeEstimates:
 
     def test_result_estimate_within_factor(self):
         row = ResultRow(("d1.url",), ("http://x.example/path/page.html",))
-        entry = ChtEntry(Url("x.example", "/"), QueryState(1, parse_pre("L*1")))
-        message = ResultMessage.of_nodes(
-            QID, (NodeReport(entry, Disposition.PROCESSED, (), (("q1", row),)),)
+        report = CloneReport(
+            (Url("x.example", "/"),), QueryState(1, parse_pre("L*1")),
+            (Disposition.PROCESSED,), (("q1", row),), (1,), (), (), (0,),
         )
+        message = ResultMessage(QID, (report,))
         assert 0.2 <= self._ratio(message) <= 5.0
 
     def test_document_bytes_dominate_doc_response(self):

@@ -1,17 +1,21 @@
-"""Wire round-trip fuzz: stamped messages survive the codec bit-exactly.
+"""Wire round-trip fuzz: result messages survive the codec bit-exactly.
 
-Hypothesis generates ``ResultMessage``s whose reports carry the full
-dispatch-identity stamping — ``(qid, dispatch_id, recovery_epoch)`` plus
-``child_ids`` — including the edge cases the self-healing protocol relies
-on: empty ``child_ids`` (leaf reports), unicode site names (the envelope
-is UTF-8 JSON with ``ensure_ascii=False``), and epoch 0 (elided on the
-wire, restored on decode).  The codec also carries unstamped reports and
-mis-sized ``child_ids``; the user-site must refuse those.
+Hypothesis draws result messages two ways.  Messages shaped like a server's —
+one clone report per dispatch id, with the full dispatch-identity stamping
+``(qid, dispatch_id, recovery_epoch)`` plus ``child_ids`` — must come back
+column for column.  Arbitrary per-node result JSON must decode into reports
+that obey the decoder's grouping rule (the only code that builds reports from
+per-node records) and re-encode to the same bytes: states spelled alike and
+differently, repeated nodes, empty, parallel and mis-sized ``cids``,
+DATA_ONLY switches, ``did`` / ``ep`` changes, unicode site names (the
+envelope is UTF-8 JSON with ``ensure_ascii=False``), and epoch 0 (elided on
+the wire, restored on decode).  The user-site must refuse unstamped
+bookkeeping and mis-sized ``child_ids``.
 
-The last suite poisons the codec's interning tables: frames whose CHT entry
-differs from an honest one only in what ``==`` on JSON values cannot see
-(``1`` / ``1.0`` / ``true``, key order) must decode exactly as they did before
-the tables existed, whatever was decoded before them.
+The last suites poison the codec's tables: frames that differ from an honest
+one only in what ``==`` on JSON values cannot see (``1`` / ``1.0`` / ``true``,
+key order) must decode exactly as they did before the tables existed,
+whatever was decoded before them.
 """
 
 from __future__ import annotations
@@ -19,22 +23,22 @@ from __future__ import annotations
 import copy
 import itertools
 import json
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro import WebDisEngine
-from repro.core.messages import ChtEntry, Disposition, NodeReport, ResultMessage
+from repro.core.messages import ChtEntry, CloneReport, Disposition, ResultMessage
 from repro.core.state import QueryState
-from repro.core.webquery import QueryId
+from repro.core.webquery import QueryClone, QueryId
+from repro.disql import compile_disql
 from repro.errors import ProtocolError
 from repro.pre import parse_pre
-from repro.relational.query import ResultRow
 from repro.urlutils import parse_url
 from repro.web.campus import CAMPUS_QUERY_DISQL
 from repro.wire import decode_message, encode_message
 
+from .test_protocol_pins import clone_reports
 from .test_wire_interning import _clear_tables
 
 HOSTS = st.sampled_from(
@@ -47,41 +51,12 @@ HOSTS = st.sampled_from(
     ]
 )
 
-PRE_TEXTS = st.sampled_from(["N", "G", "L*1", "L*", "(L|G)*2", "G.(G|L)", "I.L.G"])
-
 qids = st.builds(
     QueryId,
     user=st.sampled_from(["maya", "u", "ユーザ", "op-7"]),
     host=HOSTS,
     port=st.integers(1024, 65535),
     number=st.integers(0, 10**6),
-)
-
-states = st.builds(
-    QueryState,
-    num_q=st.integers(0, 5),
-    rem=PRE_TEXTS.map(parse_pre),
-)
-
-
-@st.composite
-def urls(draw):
-    host = draw(HOSTS)
-    path = draw(st.sampled_from(["/", "/p1.html", "/a/b.html", "/p2.html#sec1"]))
-    return parse_url(f"http://{host}{path}")
-
-
-entries = st.builds(ChtEntry, node=urls(), state=states)
-
-rows = st.builds(
-    ResultRow,
-    header=st.tuples(st.sampled_from(["d.url", "d.title", "r.text"])),
-    values=st.tuples(
-        st.one_of(
-            st.text(max_size=12),  # includes "", unicode, quotes
-            st.integers(-1000, 1000),
-        )
-    ),
 )
 
 
@@ -95,97 +70,214 @@ def dispatch_ids(draw):
 
 
 @st.composite
-def reports(draw):
-    n_children = draw(st.integers(0, 3))
-    new_entries = tuple(draw(entries) for _ in range(n_children))
-    # child_ids runs parallel to new_entries — or is empty.
-    if n_children and draw(st.booleans()):
-        child_ids = tuple(
-            f"c{i}@{draw(HOSTS)}" for i in range(n_children)
-        )
-    else:
-        child_ids = ()
-    return NodeReport(
-        entry=draw(entries),
-        disposition=draw(st.sampled_from(list(Disposition))),
-        new_entries=new_entries,
-        results=tuple(
-            (draw(st.sampled_from(["d", "d0", "r"])), draw(rows))
-            for _ in range(draw(st.integers(0, 2)))
-        ),
-        dispatch_id=draw(dispatch_ids()),
-        epoch=draw(st.sampled_from([0, 0, 1, 2, 7])),
-        child_ids=child_ids,
+def stamped_messages(draw):
+    """Messages shaped like a server's: each report under its own dispatch
+    id, so no two of them are one clone to the decoder."""
+    ids = draw(st.lists(dispatch_ids(), max_size=3, unique=True))
+    reports = tuple(draw(clone_reports(dispatch_id)) for dispatch_id in ids)
+    return ResultMessage(draw(qids), reports, draw(st.sampled_from(["result", "cht"])))
+
+
+# --- arbitrary per-node result JSON -----------------------------------------------
+# Every value is spelled as the encoder spells it (no key an encoder would
+# elide, keys in its order), so re-encoding must give the bytes back.
+
+_NODES = [
+    "http://s0.example/",
+    "http://s0.example/p1.html",
+    "http://sité-α.example/a/b.html",
+    "http://ドメイン.example/p2.html#sec1",
+]
+
+#: State spellings: the first three are ``==`` as values and spelled
+#: differently, as are the two ``(L|G)*2`` ones.
+_STATE_SPELLINGS = [
+    {"n": 1, "rem": "L"},
+    {"n": 1.0, "rem": "L"},
+    {"n": True, "rem": "L"},
+    {"n": 2, "rem": {"rep": {"alt": ["L", "G"]}, "max": 2}},
+    {"n": 2, "rem": {"rep": {"alt": ["L", "G"]}, "max": 2.0}},
+    {"n": 0, "rem": "N"},
+]
+
+_entries_json = st.builds(
+    lambda node, state: {"node": node, "state": state},
+    st.sampled_from(_NODES), st.sampled_from(_STATE_SPELLINGS),
+)
+
+_rows_json = st.builds(
+    lambda label, header, value: {"q": label, "h": [header], "v": [value]},
+    st.sampled_from(["d", "d0", "r"]),
+    st.sampled_from(["d.url", "d.title", "r.text"]),
+    st.one_of(st.text(max_size=12), st.integers(-1000, 1000)),  # "", unicode, quotes
+)
+
+#: What a report's nodes share: the state as spelled, the dispatch id, the
+#: epoch and whether the node is DATA_ONLY.
+_shared_fields = st.tuples(
+    st.sampled_from(_STATE_SPELLINGS),
+    st.sampled_from(["", "u1@s0.example", "u2@sité-α.example"]),
+    st.sampled_from([0, 1, 7]),
+    st.booleans(),
+)
+
+_DISPOSITIONS = [d.value for d in Disposition if d is not Disposition.DATA_ONLY]
+
+
+@st.composite
+def node_record(draw, shared):
+    """One node's JSON object; ``cids`` parallel (mostly), absent or mis-sized."""
+    state, dispatch_id, epoch, data_only = shared
+    new = draw(st.lists(_entries_json, max_size=2))
+    record = {
+        "entry": {"node": draw(st.sampled_from(_NODES)), "state": state},
+        "disp": "data-only" if data_only else draw(st.sampled_from(_DISPOSITIONS)),
+        "new": new,
+        "rows": draw(st.lists(_rows_json, max_size=2)),
+    }
+    if dispatch_id:
+        record["did"] = dispatch_id
+    if epoch:
+        record["ep"] = epoch
+    shape = draw(st.sampled_from(["parallel"] * 4 + ["absent", "mis-sized"]))
+    if shape == "parallel" and new:
+        record["cids"] = [f"c{i}@{draw(HOSTS)}" for i in range(len(new))]
+    elif shape == "mis-sized":
+        size = draw(st.integers(1, 3).filter(lambda size: size != len(new)))
+        record["cids"] = [f"c{i}@s0.example" for i in range(size)]
+    return record
+
+
+@st.composite
+def node_records(draw):
+    """Up to seven records; each keeps the previous one's shared fields
+    three times in four, so runs that may join are common."""
+    records, shared = [], None
+    for __ in range(draw(st.integers(0, 7))):
+        if shared is None or draw(st.integers(0, 3)) == 0:
+            shared = draw(_shared_fields)
+        records.append(draw(node_record(shared)))
+    return records
+
+
+def _result_wire(records: list, kind: str = "result", qid: QueryId | None = None) -> bytes:
+    """A result message whose body lists ``records``, as the encoder spells it."""
+    qid = qid or QueryId("maya", "user.example", 5001, 7)
+    body = {"qid": [qid.user, qid.host, qid.port, qid.number], "reports": records, "chan": kind}
+    text = json.dumps({"v": 1, "k": "result", "b": body}, separators=(",", ":"),
+                      ensure_ascii=False)
+    return text.encode("utf-8")
+
+
+def _groups(records: list, message: ResultMessage) -> list[list]:
+    """The records each decoded report was built from, in order."""
+    groups, start = [], 0
+    for report in message.reports:
+        groups.append(records[start:start + len(report.nodes)])
+        start += len(report.nodes)
+    assert start == len(records)
+    return groups
+
+
+def _shares(record: dict) -> tuple:
+    return (
+        repr(record["entry"]["state"]), record.get("did", ""), record.get("ep", 0),
+        record["disp"] == "data-only",
     )
 
 
-messages = st.builds(
-    ResultMessage.of_nodes,
-    qid=qids,
-    reports=st.lists(reports(), min_size=0, max_size=3),
-    kind=st.sampled_from(["result", "cht"]),
-)
+def _parallel(record: dict) -> bool:
+    return len(record.get("cids", ())) == len(record["new"])
 
 
 class TestStampedRoundTrip:
     @settings(max_examples=200, deadline=None)
-    @given(messages)
+    @given(stamped_messages())
     def test_decode_inverts_encode(self, message):
         assert decode_message(encode_message(message)) == message
 
     @settings(max_examples=200, deadline=None)
-    @given(messages)
-    def test_reencode_is_bit_exact(self, message):
-        wire = encode_message(message)
+    @given(node_records(), st.sampled_from(["result", "cht"]))
+    def test_reencode_is_bit_exact(self, records, kind):
+        wire = _result_wire(records, kind)
         assert encode_message(decode_message(wire)) == wire
 
     @settings(max_examples=100, deadline=None)
-    @given(messages)
-    def test_stamping_survives(self, message):
-        decoded = decode_message(encode_message(message))
-        for sent, received in zip(message.node_reports(), decoded.node_reports()):
-            assert received.dispatch_id == sent.dispatch_id
-            assert received.epoch == sent.epoch
-            assert received.child_ids == sent.child_ids
-            assert len(received.child_ids) in (0, len(received.new_entries))
+    @given(node_records())
+    def test_stamping_survives(self, records):
+        decoded = decode_message(_result_wire(records))
+        for report, group in zip(decoded.reports, _groups(records, decoded)):
+            for record in group:
+                assert report.dispatch_id == record.get("did", "")
+                assert report.epoch == record.get("ep", 0)
+            assert list(report.child_ids) == [cid for r in group for cid in r.get("cids", [])]
+
+    @settings(max_examples=300, deadline=None)
+    @given(node_records())
+    def test_every_decoded_report_obeys_the_grouping_rule(self, records):
+        decoded = decode_message(_result_wire(records))
+        groups = _groups(records, decoded)
+        for report, group in zip(decoded.reports, groups):
+            # One state object, dispatch id, epoch and DATA_ONLY-ness...
+            assert len({_shares(record) for record in group}) == 1
+            assert len({d is Disposition.DATA_ONLY for d in report.dispositions}) == 1
+            # ...no repeated node, and a malformed record stands alone.
+            assert len(set(report.nodes)) == len(report.nodes)
+            assert len(group) == 1 or all(map(_parallel, group))
+        # Greedy: a report ends only where its next record could not join it.
+        pairs = itertools.pairwise(zip(decoded.reports, groups))
+        for (before, earlier), (report, group) in pairs:
+            joinable = _parallel(group[0]) and all(map(_parallel, earlier))
+            assert (
+                _shares(group[0]) != _shares(earlier[0]) or not joinable
+                or report.nodes[0] in before.nodes
+            )
 
 
 @st.composite
-def malformed_reports(draw):
-    """A bookkeeping report with no dispatch id, or with mis-sized ``child_ids``."""
-    report = draw(reports().filter(lambda r: r.disposition is not Disposition.DATA_ONLY))
+def malformed_records(draw):
+    """A bookkeeping node with no dispatch id, or with mis-sized ``cids``."""
+    state = draw(st.sampled_from(_STATE_SPELLINGS))
     if draw(st.booleans()):
-        return replace(report, dispatch_id="")
-    return replace(
-        report,
-        dispatch_id="u0@s0.example",
-        child_ids=("c0@s0.example",) * (len(report.new_entries) + 1),
-    )
+        return draw(node_record((state, "", 0, False)))
+    record = draw(node_record((state, "u0@s0.example", 0, False)))
+    record["cids"] = ["c0@s0.example"] * (len(record["new"]) + 1)
+    return record
 
 
-_ROOT = ChtEntry(parse_url("http://s0.example/"), QueryState(1, parse_pre("L")))
+_ROOT = {"node": "http://s0.example/", "state": {"n": 1, "rem": "L"}}
 
 
 class TestUserSiteRefusesMalformedReports:
     @settings(max_examples=50, deadline=None)
-    @given(malformed_reports())
-    @example(NodeReport(_ROOT, Disposition.PROCESSED))  # unstamped
-    @example(NodeReport(_ROOT, Disposition.PROCESSED, (_ROOT,), dispatch_id="u1@s0.example"))
-    def test_receive_raises_protocol_error(self, campus_web, report):
+    @given(malformed_records())
+    @example({"entry": _ROOT, "disp": "processed", "new": [], "rows": []})  # unstamped
+    @example(
+        {"entry": _ROOT, "disp": "processed", "new": [_ROOT], "rows": [], "did": "u1@s0.example"}
+    )
+    def test_receive_raises_protocol_error(self, campus_web, record):
         engine = WebDisEngine(campus_web)
         handle = engine.submit_disql(CAMPUS_QUERY_DISQL)
-        wire = encode_message(ResultMessage.of_nodes(handle.qid, (report,)))
+        wire = _result_wire([record], qid=handle.qid)
         with pytest.raises(ProtocolError):
             engine.client._receive(handle, "s0.example", decode_message(wire))
         assert handle.cht.deletions == 0
 
 
+def _one_node(entry: ChtEntry, new=(), dispatch_id="", epoch=0, child_ids=()) -> CloneReport:
+    """A one-node PROCESSED report with no rows."""
+    return CloneReport(
+        [entry.node], entry.state, [Disposition.PROCESSED], [], [0],
+        [(e.node, e.state) for e in new], list(child_ids), [len(new)], dispatch_id, epoch,
+    )
+
+
 class TestEdgeCases:
     def test_empty_child_ids_stays_empty_tuple(self):
-        report = NodeReport(entry=_ROOT, disposition=Disposition.PROCESSED)
-        message = ResultMessage.of_nodes(QueryId("maya", "user.example", 5001, 7), (report,))
-        [decoded] = decode_message(encode_message(message)).node_reports()
-        assert decoded.child_ids == ()
+        root = ChtEntry(parse_url(_ROOT["node"]), QueryState(1, parse_pre("L")))
+        message = ResultMessage(QueryId("maya", "user.example", 5001, 7), (_one_node(root),))
+        [decoded] = decode_message(encode_message(message)).reports
+        assert not decoded.child_ids
         assert decoded.dispatch_id == ""
         assert decoded.epoch == 0
 
@@ -194,17 +286,11 @@ class TestEdgeCases:
             parse_url("http://sité-α.example/p1.html"),
             QueryState(2, parse_pre("(L|G)*2")),
         )
-        report = NodeReport(
-            entry=entry,
-            disposition=Disposition.PROCESSED,
-            new_entries=(entry,),
-            dispatch_id="u3@sité-α.example",
-            epoch=1,
+        report = _one_node(
+            entry, (entry,), dispatch_id="u3@sité-α.example", epoch=1,
             child_ids=("c0@ドメイン.example",),
         )
-        message = ResultMessage.of_nodes(
-            QueryId("ユーザ", "sité-α.example", 5001, 7), (report,)
-        )
+        message = ResultMessage(QueryId("ユーザ", "sité-α.example", 5001, 7), (report,))
         assert decode_message(encode_message(message)) == message
 
 
@@ -238,16 +324,17 @@ def _entry_repr(num_q="1", bound="1"):
 
 #: ``name -> (entry as received, what the codec without tables made of it)``:
 #: the ``repr`` of the decoded entry — which shows ``1`` / ``1.0`` / ``True``
-#: apart — or the name of the exception, both captured at the previous commit.
+#: apart — captured before the tables existed, or the name of the exception:
+#: ``WireError`` for every entry of the wrong shape.
 _POISON = {
     "honest": (_HONEST, _entry_repr()),
     "n_true": (_variant(state__n=True), _entry_repr(num_q="True")),
     "n_float_one": (_variant(state__n=1.0), _entry_repr(num_q="1.0")),
     "n_float": (_variant(state__n=1.5), _entry_repr(num_q="1.5")),
-    "n_string": (_variant(state__n="1"), "TypeError"),
-    "node_int": (_variant(node=5), "AttributeError"),
-    "node_list": (_variant(node=["http://b.example/x"]), "AttributeError"),
-    "node_null": (_variant(node=None), "AttributeError"),
+    "n_string": (_variant(state__n="1"), "WireError"),
+    "node_int": (_variant(node=5), "WireError"),
+    "node_list": (_variant(node=["http://b.example/x"]), "WireError"),
+    "node_null": (_variant(node=None), "WireError"),
     "node_spaces": (_variant(node=" http://b.example/x "), _entry_repr()),
     "node_upper": (_variant(node="HTTP://B.EXAMPLE/x"), _entry_repr()),
     "rem_key_order": (
@@ -260,8 +347,8 @@ _POISON = {
     "max_true": (_variant(state__rem__max=True), _entry_repr(bound="True")),
     "max_null": (_variant(state__rem__max=None), _entry_repr(bound="None")),
     "extra_key": ({**_HONEST, "extra": 1}, _entry_repr()),
-    "entry_list": (["http://b.example/x", {"n": 1, "rem": "N"}], "TypeError"),
-    "missing_state": ({"node": _HONEST["node"]}, "KeyError"),
+    "entry_list": (["http://b.example/x", {"n": 1, "rem": "N"}], "WireError"),
+    "missing_state": ({"node": _HONEST["node"]}, "WireError"),
 }
 
 
@@ -317,16 +404,56 @@ class TestPoisonedEntriesNeverShareAnObject:
     def test_a_poisoned_entry_does_not_change_what_honest_traffic_encodes(self):
         _clear_tables()
         qid = QueryId("maya", "user.example", 5001, 7)
-        report = NodeReport(
-            ChtEntry(*_decoded_entries(_HONEST)[0]), Disposition.PROCESSED, dispatch_id="u1"
-        )
-        message = ResultMessage.of_nodes(qid, (report,))
+        honest = ChtEntry(*_decoded_entries(_HONEST)[0])
+        message = ResultMessage(qid, (_one_node(honest, dispatch_id="u1"),))
         before = encode_message(message)
         for name in ("n_true", "n_float_one", "max_true", "max_float"):
             (node, state), __ = _decoded_entries(_POISON[name][0])
             poisoned = ChtEntry(node, state)
-            assert poisoned == report.entry  # equal to Python, and yet:
-            forged = ResultMessage.of_nodes(qid, (replace(report, entry=poisoned),))
+            assert poisoned == honest  # equal to Python, and yet:
+            forged = ResultMessage(qid, (_one_node(poisoned, dispatch_id="u1"),))
             assert encode_message(forged) != before
             assert decode_message(encode_message(forged)).reports[0].state is state
         assert encode_message(message) == before
+
+
+# --- poisoning the decoded-query table --------------------------------------------
+
+_QID = QueryId("maya", "user.example", 5001, 7)
+
+#: The same ``where`` literal spelled three ways that ``==`` cannot tell apart.
+_LITERALS = {"int": 1, "float": 1.0, "true": True}
+
+
+def _clone_wire(spelling: str) -> bytes:
+    """A clone whose query's ``where`` compares ``d.length`` with the literal
+    spelled ``spelling`` — every clone under the one qid."""
+    query = compile_disql(
+        'select d.url from document d such that "http://b.example/" L d where d.length = 1'
+    ).with_qid(_QID)
+    clone = QueryClone.at(query, query.program.starts[0], (parse_url("http://b.example/"),))
+    envelope = json.loads(encode_message(clone))
+    envelope["b"]["query"]["steps"][0]["q"]["where"]["r"] = {"lit": _LITERALS[spelling]}
+    return json.dumps(envelope, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+
+
+def _decoded_where(spelling: str):
+    return decode_message(_clone_wire(spelling)).query.steps[0].query.where
+
+
+class TestPoisonedQueriesNeverShareAnObject:
+    @pytest.mark.parametrize("name", sorted(_LITERALS))
+    def test_decodes_as_it_did_without_the_table(self, name):
+        _clear_tables()
+        cold = repr(_decoded_where(name))
+        assert type(_decoded_where(name).right.value) is type(_LITERALS[name])
+        for warm_with in sorted(_LITERALS):
+            _clear_tables()
+            _decoded_where(warm_with)
+            assert repr(_decoded_where(name)) == cold, warm_with
+
+    def test_a_repeat_of_the_same_spelling_is_served_from_the_table(self):
+        _clear_tables()
+        for name in sorted(_LITERALS):
+            first = decode_message(_clone_wire(name)).query
+            assert decode_message(_clone_wire(name)).query is first

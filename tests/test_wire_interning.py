@@ -28,7 +28,9 @@ from repro.wire import decode_message, encode_message, wire_size
 
 from .test_protocol_pins import _WIRE_DIGESTS, _bundle, _relay, _result
 
-_TABLES = (wire._DECODED_URLS, wire._DECODED_STATES, wire._ENCODED_FRAGMENTS)
+_TABLES = (
+    wire._DECODED_URLS, wire._DECODED_STATES, wire._ENCODED_FRAGMENTS, wire._DECODED_QUERIES,
+)
 
 
 def _clear_tables() -> None:

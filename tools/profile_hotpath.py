@@ -48,7 +48,9 @@ without wiring up an external profiler::
   costs the event loop — wall, loop iterations, delivered messages, and
   handles (callbacks the loop ran) grouped by callback (``--json``:
   ``wire_loop_per_query``).  The counts repeat to within the few frames
-  whose arrival order the kernel decides.
+  whose arrival order the kernel decides.  Then what the codec costs one
+  result message that pass sent: µs to encode and to decode it again
+  (``--json``: ``result_codec_us_per_message``).
 
 ``--json`` emits the top-N table as machine-readable JSON (one list per
 workload: function, ncalls, tottime, cumtime) for diffing profiles across
@@ -194,10 +196,10 @@ def hash_frames_per_query() -> dict[str, float]:
 
 
 #: Classes whose constructions :func:`report_objects_per_query` counts: the
-#: report types (``NodeReport`` was the per-node one), CHT entries, and the
-#: CHT's records — history rows, read-side instances and the books' own.
+#: report type, CHT entries, and the CHT's records — history rows, read-side
+#: instances and the books' own.
 REPORT_OBJECT_CLASSES = (
-    "CloneReport", "NodeReport", "ChtEntry", "ChtRecord", "DispatchInstance", "_Instance",
+    "CloneReport", "ChtEntry", "ChtRecord", "DispatchInstance", "_Instance",
 )
 
 
@@ -476,16 +478,20 @@ def _wire_inputs() -> tuple:
     return web, pool
 
 
-def _wire_pass(inputs: tuple, measure: dict | None = None) -> None:
+def _wire_pass(
+    inputs: tuple, measure: dict | None = None, tapped: list | None = None
+) -> None:
     """One tenant's closed loop over real loopback sockets.
 
     With ``measure`` the timed part runs under the loop counters and fills
-    it; without, it just runs (under whatever profiler the caller enabled).
+    it, and every result message it sends is appended to ``tapped``;
+    without, it just runs (under whatever profiler the caller enabled).
     """
     import asyncio
 
     from repro import EngineConfig
     from repro.core.aio_engine import AsyncioWebDisEngine
+    from repro.core.messages import ResultMessage
     from repro.testing.loopcost import count_handles
 
     web, pool = inputs
@@ -518,6 +524,13 @@ def _wire_pass(inputs: tuple, measure: dict | None = None) -> None:
                 run_once()
 
             loop._run_once = counted_run_once  # type: ignore[method-assign]
+            if tapped is not None:
+
+                def tap(now, src, dst, port, payload) -> None:
+                    if isinstance(payload, ResultMessage):
+                        tapped.append(payload)
+
+                engine.network.add_tap(tap)
             messages = engine.stats.messages_sent
             with count_handles() as handles:
                 begin = time.perf_counter()
@@ -541,11 +554,37 @@ def _wire_pass(inputs: tuple, measure: dict | None = None) -> None:
     asyncio.run(main())
 
 
-def wire_loop_per_query() -> dict:
-    """What one sequential socket query costs the event loop (unprofiled)."""
+def wire_loop_per_query(tapped: list) -> dict:
+    """What one sequential socket query costs the event loop (unprofiled);
+    the result messages it sent are appended to ``tapped``."""
     measured: dict = {}
-    _wire_pass(_wire_inputs(), measured)
+    _wire_pass(_wire_inputs(), measured, tapped)
     return measured
+
+
+def result_codec_us_per_message(messages: list, repeats: int = 5) -> dict:
+    """µs per result message to encode, to decode, and both: the result
+    messages a ``wire`` pass sent, coded again here (unprofiled, best of
+    ``repeats``, the codec's tables warm as in the pass)."""
+    from repro.wire import decode_message, encode_message
+
+    best_encode = best_decode = float("inf")
+    for __ in range(repeats):
+        begin = time.perf_counter()
+        encoded = [encode_message(message) for message in messages]
+        middle = time.perf_counter()
+        for blob in encoded:
+            decode_message(blob)
+        best_encode = min(best_encode, middle - begin)
+        best_decode = min(best_decode, time.perf_counter() - middle)
+    count = len(messages)
+    return {
+        "messages": count,
+        "bytes": round(sum(map(len, encoded)) / count, 1),
+        "encode": round(best_encode / count * 1e6, 2),
+        "decode": round(best_decode / count * 1e6, 2),
+        "total": round((best_encode + best_decode) / count * 1e6, 2),
+    }
 
 
 #: Per workload: what prepares its input before the profiler is switched on,
@@ -627,7 +666,9 @@ def main(argv: list[str] | None = None) -> int:
             out = args.out if len(names) == 1 else f"{name}-{args.out}"
         text, entries = profile_workload(name, args.sort, args.top, out)
         per_page = build_us_per_page() if name == "build" else None
-        per_query = wire_loop_per_query() if name == "wire" else None
+        tapped: list = []
+        per_query = wire_loop_per_query(tapped) if name == "wire" else None
+        codec = result_codec_us_per_message(tapped) if tapped else None
         per_execution = join_per_execution() if name == "join" else None
         compiles = compile_per_query() if name == "join" else None
         if args.json:
@@ -639,6 +680,7 @@ def main(argv: list[str] | None = None) -> int:
                 as_json["build_us_per_page"] = per_page
             if per_query:
                 as_json["wire_loop_per_query"] = per_query
+                as_json["result_codec_us_per_message"] = codec
             if per_execution:
                 as_json["join_per_execution"] = per_execution
                 as_json["compile_per_query"] = compiles
@@ -672,7 +714,10 @@ def main(argv: list[str] | None = None) -> int:
                 )
                 for callback, count in per_query["handles_by_callback"].items():
                     print(f"  {count:8.2f}  {callback}")
-                print()
+                print(
+                    f"per result message ({codec['messages']} tapped, {codec['bytes']} bytes):"
+                    f" encode {codec['encode']} µs, decode {codec['decode']} µs\n"
+                )
         if out and not args.json:
             print(f"raw profile dumped to {out}")
     if args.json:

@@ -265,14 +265,17 @@ def _emit_forwards(
     row: StateRow,
     memo: "ResultMemo | None" = None,
 ) -> None:
-    """Append one forward per (link matching ``row``'s first symbols).
+    """Append one forward per (destination of a link matching ``row``'s
+    first symbols, next row), each once per node.
 
     Which link types to follow, and the row each leads to, come from the
-    row's fan-out.  Targets are the database's precomputed per-``LinkType``
-    selections (:meth:`NodeDatabase.forward_targets` — fragments stripped
-    once per database, not per probe).  With a memo they come from (and
-    feed) the cross-query fan-out memo, and the database is only resolved
-    on a miss.
+    row's fan-out.  Targets are the database's distinct per-``LinkType``
+    destinations (:meth:`NodeDatabase.forward_targets` — fragments stripped
+    and repeats dropped once per database, so this loop runs per
+    destination, not per anchor).  With a memo they come from (and feed)
+    the cross-query fan-out memo, and the database is only resolved on a
+    miss.  ``emitted`` drops what another link type or state already
+    forwarded.
     """
     emitted = outcome._emitted
     forwards = outcome.forwards

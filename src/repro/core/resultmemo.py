@@ -13,7 +13,8 @@ pure functions of per-node data:
   the evaluation — including the document parse feeding it — can be
   skipped entirely.  An empty tuple is a real entry: "evaluated, no rows"
   (the failed-evaluation outcome) is as reusable as a hit.
-* **forward fan-out** — ``(node, PRE-state) → {link type → targets}``.
+* **forward fan-out** — ``(node, PRE-state) → {link type → destinations}``
+  (:meth:`~repro.model.database.NodeDatabase.forward_targets`: each once).
   Which links leave a node per link type is *state-independent* node data;
   the PRE state only selects which link types matter.  That is what makes
   subsumption-aware reuse sound: an entry logged for a more general state
@@ -55,8 +56,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["ResultMemo"]
 
-#: Fan-out payload: per link type, the forward targets (fragment-stripped),
-#: in the page's link order.
+#: Fan-out payload: per link type, the distinct destinations
+#: (fragment-stripped), in first-occurrence order of the page's links.
 FanoutTargets = dict[LinkType, tuple[Url, ...]]
 
 

@@ -121,19 +121,21 @@ class NodeDatabase:
         raise SchemaError(f"no virtual relation named {name!r}")
 
     def forward_targets(self, ltype: LinkType) -> tuple[Url, ...]:
-        """Fragment-stripped destinations of the given link type.
+        """The distinct fragment-stripped destinations of the given link type.
 
-        The forwarding step only needs where each link leads, so the hrefs
-        are stripped once per database (lazily, so a node that never
-        forwards does not pay) instead of per fan-out probe.  Order is the
-        ANCHOR relation's row order.
+        The forwarding step only needs where the links lead — one clone per
+        destination (§3.2), however many anchors point there — so the hrefs
+        are stripped and deduplicated once per database (lazily, so a node
+        that never forwards does not pay) instead of per fan-out probe.
+        Each destination appears once, at its first occurrence in the ANCHOR
+        relation's row order.
         """
         cached = self._forward_targets
         if cached is None:
-            by_symbol: dict[str, list[Url]] = {ltype.value: [] for ltype in LinkType}
+            by_symbol: dict[str, dict[Url, None]] = {ltype.value: {} for ltype in LinkType}
             __, hrefs, symbols = self._resolved()
             for href, symbol in zip(hrefs, symbols):
-                by_symbol[symbol].append(href.without_fragment())
+                by_symbol[symbol][href.without_fragment()] = None
             cached = self._forward_targets = {
                 ltype: tuple(by_symbol[ltype.value]) for ltype in LinkType
             }

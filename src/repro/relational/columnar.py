@@ -23,7 +23,30 @@ stage has the same shape, **seed → kernels → emit**:
   the remaining *residual* conjuncts, each a selection-vector kernel over
   the survivors;
 * **emit** — an outer stage appends ``binding + (i,)`` per survivor, the
-  leaf projects; tuples materialize only at projection.
+  leaf projects; tuples materialize only at projection.  Projecting outer
+  values followed by one leaf column (``d.url, a.href, r.text``) builds the
+  outer prefix once per binding.
+
+**Selections before expansion.**  Every level before the first one with a
+probe or a residual — level *k*, or the leaf if none has — binds by its
+selection alone (level 0 always does), so level *k* is reached with a
+non-empty batch exactly when every selection before it is non-empty.  The
+runner therefore evaluates the selections of levels 0 to *k* first, in
+level order, returns at the first empty one, and only then builds the
+batch — as the cross product of the selections before *k*.  It evaluates
+exactly the selections per-stage seeding would, in the same order; it just
+never expands a batch that the next selection would discard.  Levels after
+*k* seed when their stage is reached, as above.
+
+**A batched cross-level ``contains``.**  When a level's first per-binding
+step (no probe, first residual) is ``outer.x contains own.y`` (or ``own.y
+contains outer.x``, no ``~k``), the stage lowers the selected own values
+once per execution and each outer binding's value once, then filters with
+``in`` — no scalar closure per (binding, row).  It runs before the binding
+is written into ``env``, so a binding without a match costs one lowered
+value and one ``in`` per selected row.  A non-``str`` operand raises into
+the replay below.  A cross-level ``contains`` anywhere else is a generic
+kernel.
 
 **The hoisting rule.**  A table-local conjunct joins the selection only if
 every conjunct before it at its level is itself in the selection or
@@ -70,6 +93,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
+from ..errors import EvaluationError
 from .expr import (
     And,
     Attr,
@@ -157,6 +181,7 @@ def build_columnar_runner(
     discards ``out`` and replays through the interpreter.
     """
     leaf = len(schemas) - 1
+    seeds = []
     stages = []
     levels = []
     for alias, depth in sorted(positions.items(), key=lambda item: item[1]):
@@ -168,27 +193,44 @@ def build_columnar_runner(
             select, positions, schemas, leaf, header
         )
         levels.append(level)
-        stages.append(_build_stage(depth, selection, join, residual, emit))
+        seeds.append(_build_seed(depth, selection))
+        stages.append(_build_stage(depth, seeds[-1], join, residual, emit))
     # Constant predicates (plan[0]): one evaluation each gates the whole
     # run, exactly like the interpreter's outermost level.
     gates = tuple(scalar_filters[0])
-    outer_stages = tuple(stages[:-1])
+    # Level k: the first with per-binding work; the selections up to it run
+    # ahead of any expansion (module doc, "Selections before expansion").
+    ahead = next(
+        (depth for depth, level in enumerate(levels) if level.probe is not None or level.residual),
+        leaf,
+    )
 
     def runner(
         env, tables, table_objs, out,
-        _gates=gates, _stages=outer_stages, _leaf_stage=stages[-1],
+        _gates=gates, _seeds=tuple(seeds[: ahead + 1]),
+        _stages=tuple(stages[ahead:-1]), _leaf_stage=stages[-1],
     ):
         for gate in _gates:
             if not gate(env):
                 return
+        selections = []
+        for seed in _seeds:
+            selected = seed(env, tables, table_objs)
+            if not selected:
+                return
+            selections.append(selected)
+        selected = selections.pop()
         batch: list[tuple[int, ...]] = [()]
+        for outer in selections:
+            batch = [binding + (i,) for binding in batch for i in outer]
         for stage in _stages:
             expanded: list[tuple[int, ...]] = []
-            stage(env, tables, table_objs, batch, expanded)
+            stage(env, tables, table_objs, batch, expanded, selected)
             if not expanded:
                 return
             batch = expanded
-        _leaf_stage(env, tables, table_objs, batch, out)
+            selected = None
+        _leaf_stage(env, tables, table_objs, batch, out, selected)
 
     return runner, tuple(levels)
 
@@ -233,7 +275,7 @@ def _lower_level(
     positions: dict[str, int],
     schemas: Sequence[Schema],
     compile_expr: Callable[[Expr], _Scalar],
-) -> tuple[LevelPlan, tuple[_Kernel, ...], _Join, tuple[_Kernel, ...]]:
+) -> tuple[LevelPlan, tuple[_Kernel, ...], _Join, "tuple[_Kernel | _CrossContains, ...]"]:
     """Split the conjuncts evaluated right after binding ``alias`` into the
     table's selection, at most one hash probe, and the per-binding residual.
 
@@ -243,11 +285,13 @@ def _lower_level(
     total: the batch then skips evaluations the interpreter performs on
     deselected / unprobed rows, which must not be able to suppress an error
     the interpreter would raise.  From the first conjunct that is neither,
-    everything stays residual, in order.
+    everything stays residual, in order.  A cross-level ``contains`` that is
+    the first residual of a level without a probe is a
+    :class:`_CrossContains`, which the stage runs before writing ``env``.
     """
     schema = schemas[depth]
     selection: list[tuple[int, _Kernel]] = []
-    residual: list[tuple[int, _Kernel]] = []
+    residual: list[tuple[int, "_Kernel | _CrossContains"]] = []
     probe: int | None = None
     join: _Join = None
     covered = True
@@ -265,7 +309,10 @@ def _lower_level(
             probe = position
             join = (schema.position(sides[0].name), compile_expr(sides[1]), kernel)
         else:
-            residual.append((position, kernel))
+            cross = None
+            if join is None and not residual:
+                cross = _cross_contains(conjunct, depth, alias, positions, schemas)
+            residual.append((position, kernel if cross is None else cross))
         covered = covered and _provably_total(conjunct, positions, schemas)
     level = LevelPlan(
         tuple(p for p, __ in selection), probe, tuple(p for p, __ in residual)
@@ -298,43 +345,74 @@ def _join_sides(
 # -- the stage -------------------------------------------------------------------
 
 
-def _build_stage(
-    depth: int,
-    selection: tuple[_Kernel, ...],
-    join: _Join,
-    residual: tuple[_Kernel, ...],
-    emit: Callable,
-) -> Callable:
-    """Stage ``depth``: bind the table at ``depth`` to every binding of the
-    batch — seed (the table's selection, once), kernels (probe and residual,
-    per binding), emit."""
-    build_col, probe, scan = join if join is not None else (None, None, None)
+def _build_seed(depth: int, selection: tuple[_Kernel, ...]) -> Callable:
+    """The seed of stage ``depth``: its table's selection, as a selection
+    vector — empty when the table is or the selection leaves nothing."""
 
-    def stage(
-        env, tables, table_objs, batch, out,
-        _d=depth, _sel=selection, _c=build_col, _p=probe, _scan=scan,
-        _res=residual, _emit=emit,
-    ):
+    def seed(env, tables, table_objs, _d=depth, _sel=selection):
         rows = tables[_d]
         if not rows:
             # The interpreter evaluates nothing of this level (conjuncts or
             # probe side) when the table is empty; neither may we.
-            return
+            return rows
         table = table_objs[_d]
         cols = table.columns()
         selected = range(len(rows))
         for kernel in _sel:
             selected = kernel(env, cols, rows, selected, table)
             if not selected:
+                break
+        return selected
+
+    return seed
+
+
+def _build_stage(
+    depth: int,
+    seed: Callable,
+    join: _Join,
+    residual: "tuple[_Kernel | _CrossContains, ...]",
+    emit: Callable,
+) -> Callable:
+    """Stage ``depth``: bind the table at ``depth`` to every binding of the
+    batch — seed (the table's selection, once; passed in when the runner ran
+    it ahead), kernels (probe and residual, per binding), emit."""
+    build_col, probe, scan = join if join is not None else (None, None, None)
+    # A cross-level contains is only ever first in line (see _lower_level):
+    # it filters each binding before the binding is written into env.
+    cross = None
+    if residual and isinstance(residual[0], _CrossContains):
+        cross, residual = residual[0], residual[1:]
+
+    def stage(
+        env, tables, table_objs, batch, out, selected,
+        _d=depth, _seed=seed, _c=build_col, _p=probe, _scan=scan,
+        _cross=cross, _res=residual, _emit=emit,
+    ):
+        if selected is None:
+            selected = _seed(env, tables, table_objs)
+            if not selected:
                 return
+        rows = tables[_d]
+        table = table_objs[_d]
+        cols = table.columns()
+        match = None
+        if _cross is not None:
+            match = _cross.matcher(cols, selected)
+            at = _cross.outer_depth
+            outer_rows = tables[at]
         index = members = None
         if _p is not None:
             index = table.index(_c)
         narrowed = len(selected) < len(rows)
         for binding in batch:
+            sel = selected
+            if match is not None:
+                sel = match(outer_rows[binding[at]])
+                if not sel:
+                    continue
             for outer in range(_d):
                 env[outer] = tables[outer][binding[outer]]
-            sel = selected
             if index is not None:
                 sel = index.probe(_p(env))
                 if sel is None:
@@ -362,6 +440,72 @@ def _build_stage(
 def _expand(env, cols, sel, binding, out) -> None:
     """Emit of an outer stage: the next batch's bindings."""
     out.extend([binding + (i,) for i in sel])
+
+
+class _CrossContains(NamedTuple):
+    """The first residual of a level without a probe, when it is ``outer.x
+    contains own.y`` (``own_is_needle``) or ``own.y contains outer.x``,
+    without ``~k``, over present attributes: lowered once per execution,
+    not per (binding, row)."""
+
+    outer_depth: int
+    outer_column: int
+    own_column: int
+    own_is_needle: bool
+
+    def matcher(self, cols: tuple, selected: "Sequence[int]") -> Callable:
+        """Lower every selected own value once; returns ``cross_kernel(
+        outer_row)`` → the positions of ``selected`` that satisfy the
+        conjunct against ``outer_row``.
+
+        Both operands must be ``str`` (subclasses included), as in the
+        interpreter; any other value raises, and the run replays.
+        """
+        column = cols[self.own_column]
+        lowered = []
+        for i in selected:
+            value = column[i]
+            if not isinstance(value, str):
+                raise EvaluationError("contains requires string operands")
+            lowered.append((i, value.lower()))
+
+        def cross_kernel(outer_row, _c=self.outer_column, _needle=self.own_is_needle):
+            value = outer_row[_c]
+            if not isinstance(value, str):
+                raise EvaluationError("contains requires string operands")
+            value = value.lower()
+            if _needle:
+                return [i for i, own in lowered if own in value]
+            return [i for i, own in lowered if value in own]
+
+        return cross_kernel
+
+
+def _cross_contains(
+    conjunct: Expr,
+    depth: int,
+    alias: str,
+    positions: dict[str, int],
+    schemas: Sequence[Schema],
+) -> _CrossContains | None:
+    """``conjunct`` as a :class:`_CrossContains` over the table bound as
+    ``alias`` at ``depth``, or ``None``."""
+    if not isinstance(conjunct, Contains) or conjunct.max_edits:
+        return None
+    for own, outer, own_is_needle in (
+        (conjunct.needle, conjunct.haystack, True),
+        (conjunct.haystack, conjunct.needle, False),
+    ):
+        own_column = _own_column(own, alias, schemas[depth])
+        if own_column is None or not isinstance(outer, Attr):
+            continue
+        outer_depth = positions[outer.alias]
+        outer_schema = schemas[outer_depth]
+        if outer_depth < depth and outer.name in outer_schema:
+            return _CrossContains(
+                outer_depth, outer_schema.position(outer.name), own_column, own_is_needle
+            )
+    return None
 
 
 # -- filter kernels --------------------------------------------------------------
@@ -593,24 +737,28 @@ def _build_projector(
 
         return project_const
 
+    if "missing" not in kinds and kinds[-1] == "col" and "col" not in kinds[:-1]:
+        # Outer values, then one leaf column (``d.url, r.text``,
+        # ``d.url, a.href, r.text``): the outer prefix is one tuple per
+        # surviving binding, the column is indexed directly.
+        outer = tuple((depth, column) for __, depth, column in specs[:-1])
+
+        def project_outer_col(
+            env, cols, sel, binding, out, _o=outer, _c=specs[-1][2], _h=header
+        ):
+            prefix = tuple([env[depth][column] for depth, column in _o])
+            col = cols[_c]
+            append = out.append
+            for index in sel:
+                append(ResultRow(_h, prefix + (col[index],)))
+
+        return project_outer_col
+
     if "missing" not in kinds and len(specs) == 2:
-        # The sitewide-scan hot shape (outer const + leaf column) and its
-        # mirror: resolve the constant once per binding, index the column
-        # directly — no per-row source dispatch.
+        # The mirror (leaf column + outer value) and two outer values:
+        # resolve the outer values once per binding — no per-row source
+        # dispatch.
         (kind0, depth0, col0), (kind1, depth1, col1) = specs
-        if kind0 == "env" and kind1 == "col":
-
-            def project_env_col(
-                env, cols, sel, binding, out, _d=depth0, _c0=col0, _c1=col1, _h=header
-            ):
-                value = env[_d][_c0]
-                col = cols[_c1]
-                append = out.append
-                for index in sel:
-                    append(ResultRow(_h, (value, col[index])))
-
-            return project_env_col
-
         if kind0 == "col" and kind1 == "env":
 
             def project_col_env(

@@ -212,6 +212,13 @@ def generate_case(seed: int, schedule_seed: int | None = None) -> Spec:
     # hypothesis suite.
     query["anchor"] = rng.random() < 0.35
 
+    # Cross-level contains axis — newest draw, appended last (ordering rule
+    # above).  With the relinfon and anchor axes both on, the query takes
+    # ``eval_join``'s shape — the relinfon leaf's first residual is
+    # ``a.label contains r.delimiter`` — so the batched cross-level kernel
+    # is checked against the oracle per case.
+    query["label_join"] = rng.random() < 0.5
+
     return {
         "seed": seed,
         "web": {"sites": sites},
@@ -347,7 +354,9 @@ def _render_query(query: dict) -> str:
     axes stack: ``relinfon`` adds the delimiter-keyed join, ``anchor``
     (absent in older repro files — ``.get`` keeps them byte-identical)
     adds an anchor alias equality-joined on the shared ``d.url`` variable.
-    With both on, the node-query is a three-level join.
+    With both on, the node-query is a three-level join, and ``label_join``
+    declares the anchor alias before the relinfon one and adds
+    ``eval_join``'s cross-level ``a.label contains r.delimiter``.
     """
     pre = pre_from_tree(query["pre"])
     decls = [f'document d such that "{query["start"]}" {pre} d']
@@ -360,8 +369,15 @@ def _render_query(query: dict) -> str:
         where = []
     if query.get("anchor"):
         select.append("a.href")
-        decls.append("anchor a such that a.base = d.url")
         where.append("a.href != a.base")
+        anchor = "anchor a such that a.base = d.url"
+        if query["relinfon"] and query.get("label_join"):
+            # eval_join's level order (d, a, r): the conjunct is then the
+            # first residual of a leaf without a probe — the batched kernel.
+            decls.insert(1, anchor)
+            where.append("a.label contains r.delimiter")
+        else:
+            decls.append(anchor)
     text = "select " + ", ".join(select) + "\nfrom " + ",\n     ".join(decls)
     if where:
         text += "\nwhere " + " and ".join(where)

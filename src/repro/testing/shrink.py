@@ -48,6 +48,7 @@ def spec_size(spec: Spec) -> tuple[int, ...]:
         1 if spec.get("schedule_seed") is not None else 0,
         1 if spec["query"]["relinfon"] else 0,
         1 if spec["query"].get("anchor") else 0,
+        1 if spec["query"].get("label_join") else 0,
     )
 
 
@@ -163,10 +164,15 @@ def _candidates(spec: Spec) -> Iterator[Spec]:
         candidate = copy.deepcopy(spec)
         candidate["query"]["pre"] = subtree
         yield candidate
-    # 8. Simplify the query: drop the anchor join level, then the relinfon
-    # join ("anchor" is absent in pre-EXP-P6 repro files).  Each drop
-    # removes one plan level, so a repro that still fails pinpoints the
-    # shallowest join depth that triggers it.
+    # 8. Simplify the query: drop the cross-level contains, the anchor join
+    # level, then the relinfon join ("anchor" and "label_join" are absent in
+    # older repro files).  Each level drop removes one plan level, so a
+    # repro that still fails pinpoints the shallowest join depth that
+    # triggers it.
+    if spec["query"].get("label_join"):
+        candidate = copy.deepcopy(spec)
+        candidate["query"]["label_join"] = False
+        yield candidate
     if spec["query"].get("anchor"):
         candidate = copy.deepcopy(spec)
         candidate["query"]["anchor"] = False

@@ -21,6 +21,7 @@ rendered text once, on first use; neither is part of its value.
 from __future__ import annotations
 
 import posixpath
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,6 +30,8 @@ from .storedhash import cache_field, stored_hash
 
 DEFAULT_SCHEME = "http"
 _SCHEME_SEP = "://"
+#: A URL scheme (RFC 3986): a letter, then letters, digits, ``+``, ``-``, ``.``.
+_SCHEME = re.compile(r"[A-Za-z][A-Za-z0-9+.\-]*")
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,6 +97,12 @@ def parse_url(text: str, *, base: Url | None = None) -> Url:
         path or ./path or ../p    document-relative      (requires base)
         #frag                     fragment-only          (requires base)
 
+    A ``?query`` stays part of the path, as written; ``://`` separates a
+    scheme only after a scheme token, so ``/go?to=http://b.example/`` is
+    host-relative and ``#a://b`` fragment-only.  An empty scheme is no
+    scheme token: ``://b.example/x`` is a document-relative path, as a
+    browser resolves it.
+
     Raises:
         UrlError: on empty input or when a relative form has no base.
     """
@@ -103,7 +112,8 @@ def parse_url(text: str, *, base: Url | None = None) -> Url:
 
     if _SCHEME_SEP in text:
         scheme, _, rest = text.partition(_SCHEME_SEP)
-        return _parse_host_rest(rest, scheme.lower() or DEFAULT_SCHEME)
+        if _SCHEME.fullmatch(scheme):
+            return _parse_host_rest(rest, scheme.lower())
 
     if text.startswith("#"):
         if base is None:
@@ -123,7 +133,7 @@ def parse_url(text: str, *, base: Url | None = None) -> Url:
     if base is None:
         raise UrlError(f"relative URL {text!r} needs a base URL")
     path, frag = _split_fragment(text)
-    directory = posixpath.dirname(base.path)
+    directory = posixpath.dirname(base.path.partition("?")[0])
     return Url(base.host, _normalize_path(posixpath.join(directory, path)), frag, base.scheme)
 
 
@@ -145,8 +155,12 @@ def _normalize_path(path: str) -> str:
     """Collapse ``.``/``..`` segments and duplicate slashes; keep it absolute.
 
     A trailing slash is preserved (``/dir/`` is a directory reference and
-    resolves relative URLs differently than ``/dir``).
+    resolves relative URLs differently than ``/dir``).  Everything from the
+    first ``?`` on is a query and is kept as written.
     """
+    if "?" in path:
+        path, mark, query = path.partition("?")
+        return _normalize_path(path) + mark + query
     if path.startswith("/") and "/." not in path and "//" not in path:
         return path  # nothing to collapse (a dotfile, "/.x", goes the long way)
     trailing = path.endswith("/") and path != "/"

@@ -21,6 +21,12 @@ batch kernels reorder around.  Property families:
   tables, ahead of their statement position: a poisoned cell in every
   hoisted column of 3- and 4-level joins, the conjunct the hoisting rule
   must leave in place, and empty tables at every level.
+* **Cross-level ``contains`` and selections before expansion** —
+  attribute-in-attribute ``contains`` in both operand orders, at the leaf
+  and at an outer level, first in line (the batched kernel) and behind a
+  probe or another residual (a generic kernel), over 2- to 4-level plans,
+  with non-``str`` cells at the outer and the leaf level; an outer
+  residual must stop the run-ahead of the leaf's selection.
 * **Engine-level equivalence** — random generated webs run end to end on
   the default engine vs ``compiled_plans=False``: identical statuses,
   per-tenant distinct rows and canonical log-table snapshots, crossed
@@ -31,8 +37,9 @@ batch kernels reorder around.  Property families:
   reports through ``cache_info()`` and ``TrafficStats``.
 
 Plus the DST wiring: the generator keeps the retired executor knob's draw
-position, the runner ignores the key in old repro files, and the shrinker
-proposes falling back to the interpreter.
+position, its last draw puts the batched cross-level kernel in the DST
+query, the runner ignores the retired key in old repro files, and the
+shrinker proposes falling back to the interpreter.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ from repro.html.generator import PageSpec, render_page
 from repro.model.database import DatabaseConstructor, build_node_database
 from repro.net.stats import TrafficStats
 from repro.relational.compile import compile_node_query
-from repro.relational.expr import And, Attr, Compare, Contains, Literal, Not, Or
+from repro.relational.expr import And, Attr, Compare, Contains, Literal, Not, Or, attrs_referenced
 from repro.relational.query import (
     NodeQuery,
     TableDecl,
@@ -128,7 +135,11 @@ def _comparisons(operands, attrs):
             [Literal("topic"), Literal("G"), Literal("b"), Literal("zzz")]
         ),
     )
-    return st.one_of(compares, contains)
+    # Attribute in attribute: across aliases, in either operand order, and
+    # first in line at a level without a probe, it is the batched
+    # cross-level kernel.
+    cross = st.builds(Contains, st.sampled_from(attrs), st.sampled_from(attrs))
+    return st.one_of(compares, contains, cross)
 
 
 def _expr_strategy(operands, attrs):
@@ -518,6 +529,19 @@ _REPLAY_CASES = {
         Compare("=", Attr("a", "ltype"), Literal("G")),
         [],
     ),
+    # The batched cross-level ``contains`` lowers every selected segment's
+    # delimiter once per execution: the int one raises there.
+    "cross-level-contains-leaf-cell": (
+        [Attr("a", "href")],
+        Contains(Attr("a", "label"), Attr("r", "delimiter")),
+        [("relinfon", (5, _ANY_URL, "x", 1))],
+    ),
+    # ...and each anchor's label once per binding: the int one raises there.
+    "cross-level-contains-outer-cell": (
+        [Attr("r", "text")],
+        Contains(Attr("r", "text"), Attr("a", "label")),
+        [_POISONED_ANCHOR],
+    ),
     # Lowered for ``r.delimiter = "i"`` (which deselects the poisoned
     # segment), executed bound to ``"b"`` (which selects it, so the leaf
     # ``contains`` kernel meets the int cell): a plan that kept the first
@@ -564,6 +588,119 @@ class TestReplay:
         assert _outcome(lambda: compile_node_query(query).execute(database)) == expected
         if stage == "leaf-probe-after-partial-output":
             assert len(expected) == 2
+
+
+# -- cross-level contains and selections before expansion ---------------------
+
+# Every cross-level ``contains`` shape — the outer attribute as haystack and
+# as needle, at the leaf and at an outer level, over int cells (DOCUMENT and
+# RELINFON ``length``) and a missing attribute — mixed with the probes and
+# non-total conjuncts of ``_JOIN_POOL``, over 2-, 3- and 4-level plans.
+_CROSS_POOL = _JOIN_POOL + [
+    Contains(Attr("a", "label"), Attr("r", "delimiter")),
+    Contains(Attr("r", "text"), Attr("a", "label")),
+    Contains(Attr("a", "href"), Attr("d", "url")),
+    Contains(Attr("d", "title"), Attr("a", "label")),
+    Contains(Attr("r", "url"), Attr("d", "url")),
+    Contains(Attr("d", "length"), Attr("r", "delimiter")),
+    Contains(Attr("a", "label"), Attr("r", "length")),
+    Contains(_BROKEN_A, Attr("r", "delimiter")),
+    # An outer-level residual that is not total: the run-ahead stops there.
+    Compare("<", Attr("a", "label"), Attr("d", "length")),
+    Contains(Attr("a", "label"), Attr("d", "title")),
+    Compare("=", Attr("a2", "base"), Attr("a", "base")),
+    Contains(Attr("a2", "label"), Attr("r", "delimiter")),
+    Contains(Attr("r", "text"), Attr("a2", "label")),
+]
+_CROSS_TABLES = {
+    ("document", "anchor"): ("d", "a"),
+    ("anchor", "relinfon"): ("a", "r"),
+    ("document", "relinfon"): ("d", "r"),
+    ("document", "anchor", "relinfon"): ("d", "a", "r"),
+    ("document", "anchor", "relinfon", "anchor"): ("d", "a", "r", "a2"),
+}
+#: A row with a non-``str`` cell where a cross-level ``contains`` reads one:
+#: an int label (outer level under ``relinfon``), an int delimiter (leaf).
+_CROSS_POISON = {
+    "clean": [],
+    "int label": [_POISONED_ANCHOR],
+    "int delimiter": [("relinfon", (5, _ANY_URL, "x", 1))],
+    "both": [_POISONED_ANCHOR, ("relinfon", (5, _ANY_URL, "x", 1))],
+}
+
+
+@st.composite
+def _cross_level_queries(draw):
+    tables, aliases = draw(st.sampled_from(sorted(_CROSS_TABLES.items())))
+    declared = set(aliases)
+    pool = [
+        conjunct for conjunct in _CROSS_POOL
+        if {attr.alias for attr in attrs_referenced(conjunct)} <= declared
+    ]
+    where = reduce(And, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4)))
+    attrs = [attr for attr in _ATTRS if attr.alias in declared]
+    if "a2" in declared:
+        attrs.append(Attr("a2", "href"))
+    select = draw(st.lists(st.sampled_from(attrs), min_size=1, max_size=3, unique=True))
+    return NodeQuery(
+        select=tuple(select),
+        tables=tuple(TableDecl(name, alias) for name, alias in zip(tables, aliases)),
+        where=where,
+    )
+
+
+class TestCrossLevelContains:
+    """The batched cross-level ``contains`` and the run-ahead of selections:
+    rows, order and error class stay the interpreter's."""
+
+    @given(_cross_level_queries(), st.sampled_from(sorted(_CROSS_POISON)))
+    @settings(max_examples=250, deadline=None)
+    def test_cross_level_plans_match_interpreter(self, query, poison):
+        database = build_node_database(URL, _HTML)
+        for relation, row in _CROSS_POISON[poison]:
+            database.relation(relation).insert(row)
+        _assert_matches_interpreter(query, database)
+
+    @pytest.mark.parametrize("haystack,needle", [("label", "delimiter"), ("text", "label")])
+    def test_both_operand_orders_select_by_containment(self, haystack, needle, monkeypatch):
+        """Outer haystack (``a.label contains r.delimiter``) and outer needle
+        (``r.text contains a.label``): the batched kernel, rows exactly where
+        it holds, no replay."""
+        from repro.relational import columnar
+
+        prepared = []
+        matcher = columnar._CrossContains.matcher
+        monkeypatch.setattr(
+            columnar._CrossContains, "matcher",
+            lambda self, *args: prepared.append(self) or matcher(self, *args),
+        )
+        alias = {"label": "a", "delimiter": "r", "text": "r"}
+        conjunct = Contains(Attr(alias[haystack], haystack), Attr(alias[needle], needle))
+        query = _query([Attr("a", "label"), Attr("r", "delimiter"), Attr("r", "text")], conjunct)
+        stats = TrafficStats()
+        database = build_node_database(URL, _HTML, stats=stats)
+        database.relation("anchor").insert(("bold", _ANY_URL, _ANY_URL, "L"))
+        plan = compile_node_query(query)
+        assert f"  residual: {conjunct}" in plan.describe()
+        rows = plan.execute_columnar(database)
+        assert [cross.own_is_needle for cross in prepared] == [haystack == "label"]
+        assert rows == evaluate_node_query(query, database)
+        values = [dict(zip(("label", "delimiter", "text"), row.values)) for row in rows]
+        assert values and all(v[needle].lower() in v[haystack].lower() for v in values)
+        assert stats.plan_replays == 0
+
+    def test_an_outer_residual_stops_the_run_ahead(self):
+        """``a.label contains d.title`` is residual at the anchor level, so
+        the leaf's selection runs only for anchors that survive it — none:
+        its poisoned cell stays unevaluated, as in the interpreter."""
+        leaf = Contains(Attr("r", "text"), Literal("bold"))
+        for outer, replays in ((Contains(Attr("a", "label"), Attr("d", "title")), 0), (None, 1)):
+            stats = TrafficStats()
+            database = build_node_database(URL, _HTML, stats=stats)
+            database.relation("relinfon").insert(("b", _ANY_URL, 5, 1))
+            query = _query([Attr("r", "text")], leaf if outer is None else And(outer, leaf))
+            _assert_matches_interpreter(query, database)
+            assert stats.plan_replays == replays
 
 
 # Join order of the 3- and 4-level plans below: per table the equality
@@ -951,6 +1088,43 @@ class TestDstIntegration:
         # values seeds 0..15 drew while the knob still existed.
         drawn = "".join("01"[case["query"]["anchor"]] for case in cases)
         assert drawn == "1001010001110001"
+
+    def test_the_label_join_draw_runs_the_batched_cross_level_kernel(self, monkeypatch):
+        """With the relinfon and anchor axes on, the last draw renders
+        ``eval_join``'s shape: ``a.label contains r.delimiter`` is the first
+        residual of a relinfon leaf without a probe, so executing it runs
+        the batched kernel, and the rows stay the interpreter's."""
+        from repro.disql import compile_disql
+        from repro.relational import columnar
+
+        drawn = [
+            spec for spec in map(generate_case, range(64))
+            if spec["query"]["relinfon"] and spec["query"]["anchor"]
+            and spec["query"]["label_join"]
+        ]
+        assert len(drawn) == 6
+        prepared = []
+        matcher = columnar._CrossContains.matcher
+        monkeypatch.setattr(
+            columnar._CrossContains, "matcher",
+            lambda self, *args: prepared.append(self) or matcher(self, *args),
+        )
+        for spec in drawn:
+            delimiter, word = spec["query"]["delimiter"], spec["query"]["contains"]
+            (step,) = compile_disql(query_texts(spec)[0]).steps
+            plan = compile_node_query(step.query)
+            assert plan.describe().endswith(
+                "bind relinfon r\n"
+                f'  selection: r.delimiter = "{delimiter}"\n'
+                f'  selection: r.text contains "{word}"\n'
+                "  residual: a.label contains r.delimiter"
+            )
+            html = _page("page", [(f"{delimiter} label", "/x.html")], [(delimiter, f"{word} text")])
+            database = build_node_database(URL, html)
+            rows = plan.execute_columnar(database)
+            assert rows and rows == plan.execute(database)
+        assert len(prepared) == len(drawn)
+        assert {cross.own_is_needle for cross in prepared} == {True}
 
     def test_runner_ignores_the_retired_knob_in_old_repro_files(self):
         old = {"seed": 0, "config": {"executor": "row", "compiled_plans": False}}

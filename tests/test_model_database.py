@@ -347,10 +347,20 @@ class TestRowsMatchTheTupleDataclassEra:
             "ac2699166e9c3785de644e3a14db5d3cba718be21282f1260b0762d1c66c4f3a",
             236,
         )
-        targets = {
-            ltype.value: [str(url) for url in db.forward_targets(ltype)]
+        # The pin is over every anchor's fragment-stripped href, per link
+        # type; ``forward_targets`` is that list with repeats dropped.
+        per_anchor = {
+            ltype.value: [
+                str(parse_url(row[2]).without_fragment())
+                for row in db.anchor.rows()
+                if row[3] == ltype.value
+            ]
             for ltype in LinkType
         }
-        assert hashlib.sha256(repr(targets).encode()).hexdigest() == (
+        assert hashlib.sha256(repr(per_anchor).encode()).hexdigest() == (
             "462ccec7ac2792d06a67c4b5c9c8175c509df22cb2e44e762f0f588f11642333"
         )
+        for ltype in LinkType:
+            assert [str(url) for url in db.forward_targets(ltype)] == list(
+                dict.fromkeys(per_anchor[ltype.value])
+            )

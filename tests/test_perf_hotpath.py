@@ -405,6 +405,29 @@ class TestSelectionBelowJoin:
         assert compared == 0
         assert (stats.index_builds, stats.plan_replays) == (2, 0)
 
+    def test_empty_leaf_selection_stops_before_the_join(self, monkeypatch):
+        """Selections run ahead of the expansion, in level order: the anchor
+        level's (the column-pair kernel) and then the leaf's, which selects
+        no segment — so no anchor binding reaches the leaf, no label is
+        lowered and the cross-level kernel is never prepared."""
+        from repro.relational import columnar
+
+        prepared = []
+        matcher = columnar._CrossContains.matcher
+        monkeypatch.setattr(
+            columnar._CrossContains, "matcher",
+            lambda self, *args: prepared.append(args) or matcher(self, *args),
+        )
+        stats = TrafficStats()
+        rows, texts, labels, compared = self._run(
+            'r.text contains "no such segment" and a.label contains r.delimiter'
+            " and a.href != a.base",
+            monkeypatch, stats,
+        )
+        assert (rows, texts, labels, compared) == ([], self.R, 0, 0)
+        assert prepared == []
+        assert (stats.index_builds, stats.plan_replays) == (2, 0)
+
     def test_empty_outer_batch_evaluates_neither(self, monkeypatch):
         stats = TrafficStats()
         rows, texts, labels, compared = self._run(

@@ -123,6 +123,50 @@ class TestParseRelative:
         assert parse_url("http://a.example//x//y.html").path == "/x/y.html"
 
 
+class TestSchemeSeparatorInData:
+    """``://`` after something that is not a scheme token is data: a
+    redirect-style query or a fragment, not the start of another host."""
+
+    BASE = parse_url("http://a.example/dir/page.html")
+
+    def test_host_relative_with_a_url_in_its_query_is_local(self):
+        url = parse_url("/go?to=http://b.example/x", base=self.BASE)
+        assert url == Url("a.example", "/go?to=http://b.example/x")
+        assert classify_link(self.BASE, url) == "L"
+
+    def test_document_relative_with_a_url_in_its_query_is_local(self):
+        url = parse_url("../go?to=http://b.example/x#top", base=self.BASE)
+        assert url == Url("a.example", "/go?to=http://b.example/x", "top")
+        assert classify_link(self.BASE, url) == "L"
+
+    def test_fragment_only_is_interior(self):
+        url = parse_url("#frag://x", base=self.BASE)
+        assert url == self.BASE.with_fragment("frag://x")
+        assert classify_link(self.BASE, url) == "I"
+
+    def test_the_query_is_kept_as_written_and_round_trips(self):
+        for href in ("/a/./b/../go?to=http://b.example//x", "go?to=http://b.example//x#f"):
+            url = parse_url(href, base=self.BASE)
+            assert url.path.endswith("go?to=http://b.example//x")
+            assert str(url).startswith("http://a.example/")
+            assert parse_url(str(url)) == url
+
+    def test_a_base_with_a_query_resolves_against_its_path(self):
+        base = parse_url("/dir/page.html?next=/other/x", base=self.BASE)
+        assert parse_url("sibling.html", base=base).path == "/dir/sibling.html"
+
+    def test_an_empty_scheme_is_a_relative_path(self):
+        url = parse_url("://b.example/x", base=self.BASE)
+        assert url == Url("a.example", "/dir/:/b.example/x")
+        assert classify_link(self.BASE, url) == "L"
+        with pytest.raises(UrlError):
+            parse_url("://b.example/x")
+
+    def test_a_real_scheme_still_separates(self):
+        assert parse_url("HTTPS://B.example/x?y=1").scheme == "https"
+        assert parse_url("svn+ssh://b.example/").host == "b.example"
+
+
 class TestClassifyLink:
     BASE = parse_url("http://a.example/page.html")
 

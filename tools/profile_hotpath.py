@@ -32,10 +32,13 @@ without wiring up an external profiler::
   anchor-rich web, one engine warmed by one traversal per start site, then
   the 100 ``anchor × relinfon`` joins with distinct literals (seed 1's).
   After the profile, two unprofiled passes print what one
-  ``execute_columnar`` costs — µs, and evaluations counted by
+  ``execute_columnar`` costs — µs, overall and split by whether the leaf's
+  selection is empty, and evaluations counted by
   :func:`counted_evaluations`: ``str.lower`` calls (one per ``contains``
   operand), scalar comparisons, and calls per stage and batch kernel
-  (``--json``: ``join_per_execution``).  The counts repeat exactly.  Then
+  (``--json``: ``join_per_execution``).  The counts repeat exactly.  A
+  third pass counts the fan-out per query: destinations iterated vs
+  forwards emitted (``--json``: ``fanout_per_query``).  Then
   what compiling costs a query of that pool on the warmed engine: µs of
   ``compile_disql`` without and with the engine's templates, µs of plan
   lookups, and how many node-query compiles lowered a shape vs bound one
@@ -346,38 +349,113 @@ def counted_evaluations() -> Iterator[Counter]:
         sys.setprofile(None)
 
 
+def _leaf_filter_is_empty(plan, database) -> bool:
+    """Whether the conjuncts of ``plan``'s query over its leaf alias alone
+    keep no row of ``database`` — for ``eval_join``, whether ``r.text
+    contains "<literal>"`` (the leaf's selection, as ``explain --plan``
+    shows) selects no segment.  Decided by the interpreter."""
+    from repro.relational.expr import Attr, attrs_referenced, conjoin, conjuncts
+    from repro.relational.query import NodeQuery, evaluate_node_query
+
+    query = plan.query
+    leaf = query.tables[-1]
+    local = [
+        conjunct for conjunct in conjuncts(query.where)
+        if all(attr.alias == leaf.alias for attr in attrs_referenced(conjunct))
+    ]
+    attribute = database.relation(leaf.relation).schema.attributes[0]
+    alone = NodeQuery((Attr(leaf.alias, attribute),), (leaf,), conjoin(local))
+    return not evaluate_node_query(alone, database)
+
+
 def join_per_execution() -> dict:
     """What one ``execute_columnar`` of ``eval_join`` costs (unprofiled):
-    wall µs, and evaluations counted on a second pass."""
+    wall µs, overall and split by whether the leaf's selection (``r.text
+    contains ...``) is empty — classified after the timed pass — and
+    evaluations counted on a second pass."""
     from repro.relational.compile import CompiledPlan
 
     inputs = _join_inputs()
     original = CompiledPlan.execute_columnar
-    spent = [0, 0.0]
+    timed_executions = []
 
     def timed(self, database, site_documents=None):
         begin = time.perf_counter()
         try:
             return original(self, database, site_documents)
         finally:
-            spent[0] += 1
-            spent[1] += time.perf_counter() - begin
+            timed_executions.append((self, database, time.perf_counter() - begin))
 
     CompiledPlan.execute_columnar = timed  # type: ignore[method-assign]
     try:
         _join_pass(inputs)
     finally:
         CompiledPlan.execute_columnar = original  # type: ignore[method-assign]
-    executions = spent[0]
+    spent = {True: [0, 0.0], False: [0, 0.0]}
+    for plan, database, seconds in timed_executions:
+        tally = spent[_leaf_filter_is_empty(plan, database)]
+        tally[0] += 1
+        tally[1] += seconds
+    executions = len(timed_executions)
+
+    def split(empty: bool) -> dict:
+        count, seconds = spent[empty]
+        return {
+            "executions": count,
+            "us_per_execution": round(seconds / count * 1e6, 2) if count else None,
+        }
 
     with counted_evaluations() as counts:
         _join_pass(inputs)
     return {
         "executions": executions,
-        "us_per_execution": round(spent[1] / executions * 1e6, 2),
+        "us_per_execution": round((spent[True][1] + spent[False][1]) / executions * 1e6, 2),
+        "leaf_selection_empty": split(True),
+        "leaf_selection_nonempty": split(False),
         "evaluations_per_execution": {
             name: round(count / executions, 2) for name, count in sorted(counts.items())
         },
+    }
+
+
+def fanout_per_query() -> dict:
+    """Fan-out work per ``eval_join`` query on a warmed engine: the
+    destinations ``_emit_forwards`` iterates (one ``Forward`` built per
+    destination and state) vs the forwards it emits.  Counts; they repeat
+    exactly."""
+    from repro import build_engine
+    from repro.core import processing
+
+    web, warmup, pool = _join_inputs()
+    engine = build_engine(web)
+    for text in warmup:
+        engine.submit_disql(text)
+        engine.run()
+    counts: Counter = Counter()
+    forward, emit_forwards = processing.Forward, processing._emit_forwards
+
+    def counted_forward(row, target):
+        counts["destinations"] += 1
+        return forward(row, target)
+
+    def counted_emit_forwards(outcome, *args):
+        before = len(outcome.forwards)
+        emit_forwards(outcome, *args)
+        counts["forwards"] += len(outcome.forwards) - before
+
+    processing.Forward = counted_forward
+    processing._emit_forwards = counted_emit_forwards
+    try:
+        for text in pool:
+            engine.submit_disql(text)
+            engine.run()
+    finally:
+        processing.Forward = forward
+        processing._emit_forwards = emit_forwards
+    return {
+        "queries": len(pool),
+        "destinations_iterated": round(counts["destinations"] / len(pool), 2),
+        "forwards_emitted": round(counts["forwards"] / len(pool), 2),
     }
 
 
@@ -671,6 +749,7 @@ def main(argv: list[str] | None = None) -> int:
         codec = result_codec_us_per_message(tapped) if tapped else None
         per_execution = join_per_execution() if name == "join" else None
         compiles = compile_per_query() if name == "join" else None
+        fanout = fanout_per_query() if name == "join" else None
         if args.json:
             as_json[name] = entries
             if name == "warm":
@@ -684,6 +763,7 @@ def main(argv: list[str] | None = None) -> int:
             if per_execution:
                 as_json["join_per_execution"] = per_execution
                 as_json["compile_per_query"] = compiles
+                as_json["fanout_per_query"] = fanout
         else:
             print(f"== {name.upper()} workload — top {args.top} by {args.sort} ==")
             print(text)
@@ -691,12 +771,22 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"full build (all three relations read): {per_page['full']} µs/page")
                 print(f"scan + DOCUMENT only: {per_page['scan_and_document']} µs/page\n")
             if per_execution:
+                empty = per_execution["leaf_selection_empty"]
+                nonempty = per_execution["leaf_selection_nonempty"]
                 print(
                     f"per execute_columnar (unprofiled, {per_execution['executions']} "
-                    f"executions): {per_execution['us_per_execution']} µs; evaluations:"
+                    f"executions): {per_execution['us_per_execution']} µs — leaf selection"
+                    f" empty {empty['executions']} × {empty['us_per_execution']} µs,"
+                    f" non-empty {nonempty['executions']} × {nonempty['us_per_execution']} µs;"
+                    " evaluations:"
                 )
                 for name, count in per_execution["evaluations_per_execution"].items():
                     print(f"  {count:10.2f}  {name}")
+                print(
+                    f"fan-out per query ({fanout['queries']} queries, warmed engine):"
+                    f" {fanout['destinations_iterated']} destinations iterated,"
+                    f" {fanout['forwards_emitted']} forwards emitted"
+                )
                 print(
                     f"per query (unprofiled, {compiles['queries']} queries, warmed engine):"
                     f" compile_disql {compiles['disql_us']['compile']} µs, through the"

@@ -249,9 +249,8 @@ class DataShippingEngine:
         query = self._result.query
         if html is None:
             if self.tracer.enabled:
-                self.tracer.record(
-                    self.clock.now, str(work.url), self.user_site,
-                    _state_of(query, work), "-", "missing",
+                self.tracer.node(
+                    self.clock.now, work.url, self.user_site, _state_of(query, work), "missing"
                 )
             return self.config.node_service_time
         self._result.documents_fetched += 1
@@ -276,10 +275,10 @@ class DataShippingEngine:
             self.stats.dead_ends += 1
         if self.tracer.enabled:
             for step_index, success in outcome.evaluations:
-                self.tracer.record(
-                    now, str(work.url), self.user_site, _state_of(query, work),
-                    outcome.role, "answered" if success else "failed",
-                    detail=query.step_label(step_index),
+                self.tracer.node(
+                    now, work.url, self.user_site, _state_of(query, work),
+                    "answered" if success else "failed", query.step_label(step_index),
+                    outcome.role,
                 )
         for forward in outcome.forwards:
             self._frontier.append(_Work(forward.target, forward.step_index, forward.rem))

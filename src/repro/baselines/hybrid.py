@@ -29,13 +29,10 @@ from typing import Iterable
 
 from ..core.config import EngineConfig
 from ..core.engine import DEFAULT_USER_SITE, WebDisEngine
-from ..core.logtable import NodeQueryLogTable
 from ..core.messages import CloneBundle, CloneReport, Disposition, ResultMessage
-from ..core.plancache import PlanCache
-from ..core.server import CloneProcessor
 from ..core.trace import Tracer
-from ..core.webquery import QueryClone, QueryId
-from ..model.database import DatabaseConstructor
+from ..core.visit import CloneProcessor
+from ..core.webquery import QueryClone
 from ..net.network import HELPER_PORT, QUERY_PORT, Network, NetworkConfig, SendOutcome
 from ..net.reliable import ReliableChannel
 from ..net.simclock import SimClock
@@ -53,10 +50,12 @@ class CentralProcessor(CloneProcessor):
     """Processes clones for non-participating sites at the user-site.
 
     Runs the query-server's own per-node loop
-    (:class:`~repro.core.server.CloneProcessor`), except every document
+    (:class:`~repro.core.visit.CloneProcessor`), except every document
     must first be *fetched* over the network — the centralized cost the
     paper wants to migrate away from.
     """
+
+    _dispatch_prefix = "c"
 
     def __init__(
         self,
@@ -69,25 +68,14 @@ class CentralProcessor(CloneProcessor):
         participating: set[str],
         web: Web,
     ) -> None:
-        self.site = user_site
-        self.web = web
-        self.network = network
-        self.clock = clock
-        self.config = config
-        self.stats = stats
-        self.tracer = tracer
+        super().__init__(user_site, web, network, clock, config, stats, tracer)
         self.participating = participating
         self.channel = ReliableChannel(
             network, clock, config.retry_policy, name=f"central:{user_site}"
         )
-        self.constructor = DatabaseConstructor(stats=stats)
-        self.log_table = NodeQueryLogTable(config.log_subsumption)
-        self.plans = PlanCache(stats=stats)
         self._queue: deque[QueryClone] = deque()
         self._busy = False
-        self._purged: set[QueryId] = set()
         self._request_ids = itertools.count(1)
-        self._dispatch_serial = itertools.count(1)
         self._awaiting: dict[int, Url] = {}
         self._documents: dict[Url, str | None] = {}
         self._current: QueryClone | None = None
@@ -147,9 +135,6 @@ class CentralProcessor(CloneProcessor):
 
     def _html_for(self, node: Url) -> str | None:
         return self._documents.get(node)
-
-    def _mint_dispatch_id(self) -> str:
-        return f"c{next(self._dispatch_serial)}@{self.site}"
 
     def _child_history(self, clone: QueryClone) -> tuple[str, ...]:
         return ()  # the helper sits at the user-site: nothing to retrace through

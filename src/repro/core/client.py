@@ -205,12 +205,12 @@ class UserSiteClient:
         self.config = config
         self.user = user
         self.channel = ReliableChannel(
-            network, clock, config.retry_policy,
-            name=f"client:{site}", trace=self._trace_transport,
+            network, clock, config.retry_policy, name=f"client:{site}",
+            trace=(lambda action, detail: tracer.site(clock.now, site, action, detail))
+            if tracer.enabled else None,
         )
         self._query_numbers = itertools.count(1)
         self._ports = itertools.count(FIRST_RESULT_PORT)
-        self._handles: dict[QueryId, QueryHandle] = {}
         self._dispatch_serial = itertools.count(1)
         #: Called with the handle whenever a query leaves RUNNING — complete,
         #: partial or cancelled.  An engine with no quiescence signal of its
@@ -222,10 +222,6 @@ class UserSiteClient:
         self.network.close(self.site, handle.qid.port)
         if self.on_terminal is not None:
             self.on_terminal(handle)
-
-    def _trace_transport(self, action: str, detail: str) -> None:
-        if self.tracer.enabled:
-            self.tracer.record(self.clock.now, "-", self.site, "-", "-", action, detail)
 
     def _mint_dispatch_id(self) -> str:
         """A dispatch identity unique across the run (site-scoped serial)."""
@@ -255,7 +251,6 @@ class UserSiteClient:
             on_result=on_result,
             on_complete=on_complete,
         )
-        self._handles[qid] = handle
         self.network.listen(
             self.site, port, lambda src, payload: self._receive(handle, src, payload)
         )
@@ -266,8 +261,8 @@ class UserSiteClient:
         for url in query.start_urls:
             node = url.without_fragment()
             if self.tracer.enabled:
-                self.tracer.record(
-                    self.clock.now, str(node), node.host, state, START_NODE, "dispatched"
+                self.tracer.node(
+                    self.clock.now, node, node.host, state, "dispatched", role=START_NODE
                 )
             by_site.setdefault(node.host, []).append(node)
 
@@ -318,9 +313,8 @@ class UserSiteClient:
                     dispatch_id=clone.dispatch_id,
                 )
                 if self.tracer.enabled:
-                    self.tracer.record(
-                        self.clock.now, str(node), clone.site, state, START_NODE,
-                        failure_action,
+                    self.tracer.node(
+                        self.clock.now, node, clone.site, state, failure_action, role=START_NODE
                     )
             self._check_completion(handle)
 
@@ -361,19 +355,13 @@ class UserSiteClient:
                 # expect their reports.  Idempotence comes from the child
                 # dispatch identities, not from dropping the announcement.
                 duplicates, stale = cht.apply(report, now)
-                if duplicates:
-                    self.stats.duplicate_reports_absorbed += duplicates
-                    for __ in range(duplicates):
-                        self._trace_transport(
-                            "report-absorbed", f"duplicate {report.dispatch_id}"
-                        )
-                if stale:
-                    self.stats.stale_reports_absorbed += stale
-                    for __ in range(stale):
-                        self._trace_transport(
-                            "report-absorbed",
-                            f"stale {report.dispatch_id} epoch {report.epoch}",
-                        )
+                self.stats.duplicate_reports_absorbed += duplicates
+                self.stats.stale_reports_absorbed += stale
+                if (duplicates or stale) and self.tracer.enabled:
+                    absorbed = [f"duplicate {report.dispatch_id}"] * duplicates
+                    absorbed += [f"stale {report.dispatch_id} epoch {report.epoch}"] * stale
+                    for detail in absorbed:
+                        self.tracer.site(self.clock.now, self.site, "report-absorbed", detail)
             if report.rows:
                 self._ingest_rows(handle, report, now)
         cht.check_consistency()
@@ -401,7 +389,10 @@ class UserSiteClient:
             source = (node, state)
             if deduplicate and source in sources:
                 self.stats.duplicate_rows_dropped += stop - start
-                self._trace_transport("rows-deduplicated", f"{node} x{stop - start}")
+                if self.tracer.enabled:
+                    self.tracer.site(
+                        self.clock.now, self.site, "rows-deduplicated", f"{node} x{stop - start}"
+                    )
                 start = stop
                 continue
             sources.add(source)
@@ -424,10 +415,11 @@ class UserSiteClient:
                     f"overload-shed ({len(handle.shed_nodes)} node(s))"
                 )
                 self.stats.queries_partial += 1
-                self._trace_transport(
-                    "finished-partial",
-                    f"{handle.qid}: {len(handle.shed_nodes)} node(s) shed",
-                )
+                if self.tracer.enabled:
+                    self.tracer.site(
+                        self.clock.now, self.site, "finished-partial",
+                        f"{handle.qid}: {len(handle.shed_nodes)} node(s) shed",
+                    )
             else:
                 handle.status = QueryStatus.COMPLETE
             handle.completion_time = self.clock.now
@@ -519,9 +511,9 @@ class UserSiteClient:
                     instance.dispatch_id, node, clone.dispatch_id, epoch, now
                 )
                 if self.tracer.enabled:
-                    self.tracer.record(
-                        now, str(node), site, clone.state, "-", "re-forwarded",
-                        detail=f"epoch {epoch} supersedes {instance.dispatch_id}",
+                    self.tracer.node(
+                        now, node, site, clone.state, "re-forwarded",
+                        f"epoch {epoch} supersedes {instance.dispatch_id}",
                     )
             self.stats.clones_reforwarded += 1
             count += 1
@@ -545,9 +537,9 @@ class UserSiteClient:
         handle.cancel_time = self.clock.now
         self._close_result_port(handle)
         abandoned = self.channel.reset(tag=handle.qid)
-        if abandoned:
-            self._trace_transport(
-                "cancel-abandoned-sends", f"{handle.qid}: {abandoned}"
+        if abandoned and self.tracer.enabled:
+            self.tracer.site(
+                self.clock.now, self.site, "cancel-abandoned-sends", f"{handle.qid}: {abandoned}"
             )
 
     # -- graceful degradation (extension): finish with partial coverage ------------
@@ -577,12 +569,11 @@ class UserSiteClient:
         self.stats.queries_partial += 1
         self._close_result_port(handle)
         self.channel.reset(tag=handle.qid)
-        self._trace_transport(
-            "finished-partial", f"{handle.qid}: {written_off} written off ({reason})"
-        )
+        if self.tracer.enabled:
+            self.tracer.site(
+                self.clock.now, self.site, "finished-partial",
+                f"{handle.qid}: {written_off} written off ({reason})",
+            )
         if handle.on_complete is not None:
             handle.on_complete(handle)
         return written_off
-
-    def handles(self) -> list[QueryHandle]:
-        return list(self._handles.values())

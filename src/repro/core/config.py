@@ -15,8 +15,8 @@ need them:
 ``direct_result_return``      Section 2.6 — direct socket vs. path retrace (EXP-C2)
 ``strict_dead_end``           Figure 4's literal dead-end rule (DESIGN.md §4.2)
 ``server_threads``            §4.4's single query-processor thread (EXP-X4)
-``scheduler="fifo"``          §4.4's single queue of pending web-queries (EXP-P3)
-``frontier_batching=False``   §4.4's one clone per step (EXP-C*/F*/S*/X4, EXP-P2)
+``scheduler="fifo"``          §4.4's single queue of pending web-queries
+``frontier_batching=False``   §4.4's one clone per step (EXP-C*/F*/S*/X4)
 ============================  ====================================================
 
 **Operational** — everything else: which evaluator, cache and transport run
@@ -73,7 +73,7 @@ class EngineConfig:
     #: the simulated cost model is evaluator-independent.
     compiled_plans: bool = True
 
-    #: Frontier-batched clone processing (EXP-P2): when a server pumps its
+    #: Frontier-batched clone processing: when a server pumps its
     #: queue it gathers every pending clone of the head clone's query and
     #: runs a site-local BFS over the PRE × site-link-graph product —
     #: Local/Interior hops are absorbed into the same pump instead of each
@@ -90,9 +90,9 @@ class EngineConfig:
     #: combined frontier dispatch cannot.
     frontier_batching: bool = True
 
-    #: Cross-query result caching (EXP-P4): each server keeps a
+    #: Cross-query result caching: each server keeps a
     #: :class:`~repro.core.resultmemo.ResultMemo` of ``(node, node-query
-    #: structural hash) → rows`` and ``(node, PRE state) → forward fan-out``,
+    #: structural key) → rows`` and ``(node, PRE state) → forward fan-out``,
     #: consulted before evaluation so overlapping queries — the
     #: millions-of-users traffic shape — reuse each other's per-node work
     #: instead of re-parsing and re-evaluating the same popular pages.
@@ -130,7 +130,7 @@ class EngineConfig:
     #: (§4.4); >1 is an ablation of that choice (bench EXP-X4).
     server_threads: int = 1
 
-    # --- multi-tenant scheduling / admission control (EXP-P3) -----------------
+    # --- multi-tenant scheduling / admission control ---------------------------
     #: What a server's run-queues are keyed by: ``"fair"`` files each clone
     #: under its query and round-robins across queries, so a hot query's
     #: backlog cannot head-of-line-block other tenants; ``"fifo"`` files

@@ -175,7 +175,7 @@ class EngineBase:
         server.restart()
 
     def advance_memo_epoch(self) -> None:
-        """Bump every server's web epoch (EXP-P4 seam).
+        """Bump every server's web epoch (the memo's invalidation seam).
 
         Explicit, deployment-wide invalidation of memo and document store:
         nothing cached before the bump can ever be served after it.  The

@@ -179,7 +179,7 @@ class NodeQueryLogTable:
         schedule converges on is the set of path-languages marked covered:
         per ``(node, qid)``, the logged states that no other logged state
         language-contains.  Equivalence tests (frontier batching on/off,
-        EXP-P2) compare these snapshots.
+        ``tests/test_frontier_batching.py``) compare these snapshots.
         """
         snapshot: dict[tuple[str, str], frozenset[str]] = {}
         for (node, qid), entries in self._entries.items():

@@ -213,7 +213,7 @@ class ResultMessage:
 class CloneBundle:
     """Several clones travelling to one destination site in one message.
 
-    Coalesced dispatch (frontier batching, EXP-P2): a frontier can seed
+    Coalesced dispatch (frontier batching): a frontier can seed
     clones in *different* states for the same remote site; instead of one
     network message per ``(site, state)`` group, the server ships them all
     under a single envelope.  The receiving server unpacks the bundle into

@@ -3,19 +3,13 @@
 A WEBDIS query-server evaluates the same node-query over and over as a
 web-query's clones arrive (paper §2.4); the DXQ line of work makes compiled
 per-site plans a first-class protocol object for exactly this reason.  The
-:class:`PlanCache` keys plans by the **structural hash** of the node-query
-(:func:`~repro.relational.compile.structural_hash`) — qid-independent, so
+:class:`PlanCache` keys plans by the **structural key** of the node-query
+(:func:`~repro.relational.compile.structural_key`) — qid-independent, so
 overlapping queries from different tenants share one compilation the moment
-their node-queries are structurally equal (EXP-P4 cross-query sharing).  A
-plan is a pure function of the query structure, which is what makes the
-qid-free key sound.
-
-Collision safety: the digest is short, so every entry stores its full
-:func:`~repro.relational.compile.structural_key` alongside the plan and a
-hit is only served after the full key verifies.  A colliding probe is
-treated as a miss (recompiled, entry replaced) and counted in
-``collisions`` — a collision may cost a recompile but can never serve the
-wrong plan.
+their node-queries are structurally equal (cross-query sharing).  A plan is
+a pure function of the query structure, which is what makes the qid-free
+key sound, and the key is the structure itself, so two distinct structures
+can never share an entry.
 
 Under the value-keyed plans sit **lowerings keyed by shape**: the query
 structure with each string or number literal replaced by a slot and its
@@ -39,12 +33,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable
 
-from ..relational.compile import (
-    CompiledPlan,
-    compile_node_query,
-    structural_hash,
-    structural_key,
-)
+from ..relational.compile import CompiledPlan, compile_node_query, structural_key
 from ..relational.query import NodeQuery
 from .webquery import QueryId, WebQuery
 
@@ -63,36 +52,20 @@ class PlanCache:
     lowering).
     """
 
-    __slots__ = (
-        "max_size", "hits", "misses", "shared_hits", "collisions",
-        "_plans", "_lowerings", "_stats", "_hash_fn",
-    )
+    __slots__ = ("max_size", "hits", "misses", "shared_hits", "_plans", "_lowerings", "_stats")
 
-    def __init__(
-        self,
-        max_size: int = 256,
-        stats: "TrafficStats | None" = None,
-        hash_fn: Callable[[NodeQuery], str] | None = None,
-    ) -> None:
+    def __init__(self, max_size: int = 256, stats: "TrafficStats | None" = None) -> None:
         if max_size < 1:
             raise ValueError("plan cache needs room for at least one plan")
         self.max_size = max_size
         self.hits = 0
         self.misses = 0
-        #: Verified hits where the plan was compiled on behalf of a
-        #: *different* query — the cross-query sharing EXP-P4 measures.
+        #: Hits where the plan was compiled on behalf of a *different*
+        #: query — cross-query sharing.
         self.shared_hits = 0
-        #: Probes whose digest matched but whose full key did not; each one
-        #: recompiled instead of serving the colliding entry's plan.
-        self.collisions = 0
         self._stats = stats
-        #: Injectable for the collision regression test; production always
-        #: uses the real structural digest.
-        self._hash_fn = structural_hash if hash_fn is None else hash_fn
-        #: digest → (full structural key, origin qid, plan).
-        self._plans: OrderedDict[str, tuple[str, QueryId | None, CompiledPlan]] = (
-            OrderedDict()
-        )
+        #: structural key → (origin qid, plan).
+        self._plans: OrderedDict[str, tuple[QueryId | None, CompiledPlan]] = OrderedDict()
         #: query shape → lowering, for :func:`compile_node_query`.
         self._lowerings: OrderedDict = OrderedDict()
 
@@ -103,30 +76,20 @@ class PlanCache:
         is the web-query asking — only used to tell a same-query re-hit from
         genuine cross-query sharing in the counters.
         """
-        digest = self._hash_fn(query)
-        full_key = structural_key(query)
-        entry = self._plans.get(digest)
+        key = structural_key(query)
+        entry = self._plans.get(key)
         if entry is not None:
-            stored_key, stored_origin, plan = entry
-            if stored_key == full_key:
-                self._plans.move_to_end(digest)
-                self.hits += 1
-                if (
-                    origin is not None
-                    and stored_origin is not None
-                    and origin != stored_origin
-                ):
-                    self.shared_hits += 1
-                    if self._stats is not None:
-                        self._stats.plans_shared += 1
-                return plan
-            # Digest collision between distinct structures: never serve the
-            # stored plan.  Recompile and let the newcomer take the slot.
-            self.collisions += 1
+            stored_origin, plan = entry
+            self._plans.move_to_end(key)
+            self.hits += 1
+            if origin is not None and stored_origin is not None and origin != stored_origin:
+                self.shared_hits += 1
+                if self._stats is not None:
+                    self._stats.plans_shared += 1
+            return plan
         self.misses += 1
         plan = compile_node_query(query, lowerings=self._lowerings)
-        self._plans[digest] = (full_key, origin, plan)
-        self._plans.move_to_end(digest)
+        self._plans[key] = (origin, plan)
         for entries in (self._plans, self._lowerings):
             while len(entries) > self.max_size:
                 entries.popitem(last=False)
@@ -151,5 +114,4 @@ class PlanCache:
         return len(self._plans)
 
     def __contains__(self, query: NodeQuery) -> bool:
-        entry = self._plans.get(self._hash_fn(query))
-        return entry is not None and entry[0] == structural_key(query)
+        return structural_key(query) in self._plans

@@ -128,7 +128,7 @@ def process_node(
     query); when None, evaluation falls back to the tree-walking
     interpreter.  Both paths are result-identical — same rows, same order.
 
-    ``memo`` is the site's cross-query memo (EXP-P4): this node's rows and
+    ``memo`` is the site's cross-query memo: this node's rows and
     forward fan-outs are served from it when present, and ``database`` may
     then be a zero-arg *provider* that is only invoked — paying the
     document parse and table build — if some probe actually misses.  A full
@@ -189,7 +189,7 @@ def process_node(
 
 @dataclass
 class FrontierResult:
-    """Aggregate outcome of one site-local frontier traversal (EXP-P2).
+    """Aggregate outcome of one site-local frontier traversal.
 
     ``reports`` — one :class:`~repro.core.messages.CloneReport` per clone
     processed — accumulate in BFS order: every parent's report precedes

@@ -1,4 +1,4 @@
-"""Cross-query result memoization — the EXP-P4 reuse layer.
+"""Cross-query result memoization — the reuse layer.
 
 The log table (paper §3.1) dedups clone visits *within* one qid and the
 plan cache shares *compilation*; this module shares the actual per-node
@@ -7,7 +7,7 @@ overlapping queries re-walk the same popular pages, and for a frozen web
 incarnation both halves of :func:`~repro.core.processing.process_node` are
 pure functions of per-node data:
 
-* **rows** — ``(node, structural hash of the node-query) → result rows``.
+* **rows** — ``(node, structural key of the node-query) → result rows``.
   Two structurally equal node-queries (same select/from/where/sitewide
   aliases, any label, any qid) compute the same rows at the same node, so
   the evaluation — including the document parse feeding it — can be
@@ -23,10 +23,9 @@ pure functions of per-node data:
   machinery) after a **residual filter** that restricts the stored buckets
   to the contained state's own first symbols.
 
-Keying and collision safety mirror the plan cache: rows entries are keyed
-by the short structural digest but store the full
-:func:`~repro.relational.compile.structural_key` and verify it on every
-hit, so a digest collision degrades to a miss instead of wrong rows.
+Rows entries are keyed, like the plan cache, by the
+:func:`~repro.relational.compile.structural_key` itself, so two distinct
+structures can never share an entry.
 
 Invalidation is explicit and coarse: the memo belongs to one *(process
 incarnation, web epoch)*.  :meth:`ResultMemo.clear` (called by
@@ -47,7 +46,7 @@ from typing import TYPE_CHECKING
 from ..model.relations import LinkType
 from ..pre.ast import Pre
 from ..pre.ops import LogComparison, compare_for_log, first_symbols
-from ..relational.compile import structural_hash, structural_key
+from ..relational.compile import structural_key
 from ..relational.query import NodeQuery, ResultRow
 from ..urlutils import Url
 
@@ -63,7 +62,6 @@ FanoutTargets = dict[LinkType, tuple[Url, ...]]
 
 @dataclass(frozen=True, slots=True)
 class _RowsEntry:
-    full_key: str
     rows: tuple[ResultRow, ...]
     version: int
 
@@ -107,9 +105,9 @@ class ResultMemo:
         self._rows: dict[tuple[Url, str], _RowsEntry] = {}
         self._fanout: dict[Url, dict[Pre, _FanoutEntry]] = {}
         #: Shared recency order over both entry kinds: key → byte estimate.
-        #: ``("r", node, digest)`` addresses ``_rows``; ``("f", node, rem)``
+        #: ``("r", node, key)`` addresses ``_rows``; ``("f", node, rem)``
         #: addresses ``_fanout``.  Holds exactly the stored entries' keys,
-        #: so a verified hit can move its key to the end unchecked.
+        #: so a hit can move its key to the end unchecked.
         self._lru: "OrderedDict[tuple, int]" = OrderedDict()
         self._stats = stats
 
@@ -122,10 +120,10 @@ class ResultMemo:
         contained PRE state) computes a genuinely different relation, so
         there is nothing sound to filter from.
         """
-        key = (node, structural_hash(query))
+        key = (node, structural_key(query))
         entry = self._rows.get(key)
         stats = self._stats
-        if entry is None or entry.full_key != structural_key(query):
+        if entry is None:
             if stats is not None:
                 stats.memo_misses += 1
             return None
@@ -135,10 +133,9 @@ class ResultMemo:
         return entry.rows
 
     def store_rows(self, node: Url, query: NodeQuery, rows: tuple[ResultRow, ...]) -> None:
-        key = (node, structural_hash(query))
-        entry = _RowsEntry(structural_key(query), rows, self.version)
-        self._rows[key] = entry
-        self._account(("r",) + key, _rows_bytes(entry))
+        key = (node, structural_key(query))
+        self._rows[key] = _RowsEntry(rows, self.version)
+        self._account(("r",) + key, _rows_bytes(key[1], rows))
 
     # -- forward fan-out ------------------------------------------------------
 
@@ -243,7 +240,7 @@ class ResultMemo:
         path that breaks the invariant fails loudly instead of skewing the
         dashboard gauge and the LRU's eviction pressure.
         """
-        total = sum(_rows_bytes(entry) for entry in self._rows.values())
+        total = sum(_rows_bytes(key[1], entry.rows) for key, entry in self._rows.items())
         for per_node in self._fanout.values():
             total += sum(_fanout_bytes(entry.targets) for entry in per_node.values())
         return total
@@ -292,9 +289,9 @@ _ENTRY_OVERHEAD = 80
 _URL_EST = 64
 
 
-def _rows_bytes(entry: _RowsEntry) -> int:
-    total = _ENTRY_OVERHEAD + len(entry.full_key)
-    for row in entry.rows:
+def _rows_bytes(key: str, rows: tuple[ResultRow, ...]) -> int:
+    total = _ENTRY_OVERHEAD + len(key)
+    for row in rows:
         total += _ROW_OVERHEAD
         for value in row.values:
             total += (len(value) + 49) if isinstance(value, str) else 28

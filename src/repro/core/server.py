@@ -2,16 +2,20 @@
 
 Implements the algorithms of Figures 3 and 4 plus the optimizations of
 Section 3: the node-query log table, per-site clone batching, combined
-result + CHT shipping, and passive termination.  There is one pump loop
-(:meth:`QueryServer._pump`): each step takes the scheduler's next clone,
-traverses a frontier from it under a hop budget and the engine's CPU cost
-model, dispatches the reports and forwards what is left.  *Which* pending
-clone runs next is the scheduler's choice (:mod:`repro.core.scheduler`):
-the paper's §4.4 single FIFO under ``scheduler="fifo"``, or per-query
-run-queues served round-robin under ``"fair"`` (the default) so one hot
-query cannot head-of-line-block other tenants at the site.
+result + CHT shipping, and passive termination.  Each clone runs through
+the stages of :class:`~repro.core.visit.CloneProcessor` (log-table
+admission, a visit per node, the report); this module owns the rest: clone
+ingress and queue admission, shedding, the pump, dispatch and recovery.
+There is one pump loop (:meth:`QueryServer._pump`): each step takes the
+scheduler's next clone, traverses a frontier from it under a hop budget and
+the engine's CPU cost model, dispatches the reports and forwards what is
+left.  *Which* pending clone runs next is the scheduler's choice
+(:mod:`repro.core.scheduler`): the paper's §4.4 single FIFO under
+``scheduler="fifo"``, or per-query run-queues served round-robin under
+``"fair"`` (the default) so one hot query cannot head-of-line-block other
+tenants at the site.
 
-Multi-tenant overload control (EXP-P3): per-query and per-server queue
+Multi-tenant overload control: per-query and per-server queue
 ceilings (``per_query_queue_limit`` / ``server_queue_limit``) are enforced
 twice — once at the transport layer via an admission probe, where an
 over-limit clone message is refused with the transient OVERLOADED outcome
@@ -22,7 +26,7 @@ seconds evicts the query with the deepest run-queue the same way, so the
 victim degrades to PARTIAL with per-node coverage attribution instead of
 starving every other tenant.
 
-Frontier batching (EXP-P2, ``EngineConfig.frontier_batching``): a pump step
+Frontier batching (``EngineConfig.frontier_batching``): a pump step
 gathers every queued clone of one query and traverses the site-local
 PRE × link-graph product as a single frontier
 (:func:`~repro.core.processing.process_frontier`) — Local/Interior hops are
@@ -60,7 +64,6 @@ re-binds the query port with a blank process state.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 
 from ..model.database import DatabaseConstructor
@@ -68,265 +71,24 @@ from ..net.network import HELPER_PORT, QUERY_PORT, Network, SendOutcome
 from ..net.reliable import ReliableChannel
 from ..net.simclock import SimClock
 from ..net.stats import TrafficStats
-from ..urlutils import Url
 from ..web.web import Web
 from .config import EngineConfig
-from .logtable import LogAction, NodeQueryLogTable
+from .logtable import NodeQueryLogTable
 from .messages import CloneBundle, CloneReport, Disposition, RelayMessage, ResultMessage
-from .plancache import PlanCache
-from .processing import MAX_FRONTIER_CLONES, Forward, process_frontier, process_node
+from .processing import MAX_FRONTIER_CLONES, process_frontier
 from .resultmemo import ResultMemo
 from .scheduler import CloneScheduler
 from .trace import Tracer
+from .visit import CloneProcessor
 from .webquery import QueryClone, QueryId
 
-__all__ = ["CloneProcessor", "QueryServer"]
-
-
-class CloneProcessor:
-    """Figure 3's per-node loop — the one copy.
-
-    :class:`QueryServer` runs it at a participating site; the hybrid
-    engine's :class:`~repro.baselines.hybrid.CentralProcessor` runs it at
-    the user-site over documents it had to download.  A subclass provides
-    the state the loop reads — ``site``, ``web``, ``clock``, ``config``,
-    ``stats``, ``tracer``, ``constructor``, ``log_table``, ``plans``,
-    ``_purged`` — and the places the two differ:
-    :attr:`memo`, :meth:`_html_for`, :meth:`_mint_dispatch_id` and
-    :meth:`_child_history`.
-    """
-
-    #: Cross-query memo of per-node rows and forward fan-outs, or None.
-    memo: ResultMemo | None = None
-
-    def _html_for(self, node: Url) -> str | None:
-        """The document at ``node``, or None when it cannot be had."""
-        raise NotImplementedError
-
-    def _mint_dispatch_id(self) -> str:
-        """A fresh dispatch identity for one forwarded clone."""
-        raise NotImplementedError
-
-    def _child_history(self, clone: QueryClone) -> tuple[str, ...]:
-        """The retrace trail forwarded clones carry (§2.6 alternative)."""
-        if self.config.direct_result_return:
-            return ()
-        if clone.history and clone.history[-1] == self.site:
-            return clone.history  # local hop: the retrace chain is unchanged
-        return clone.history + (self.site,)
-
-    def _process(
-        self, clone: QueryClone
-    ) -> tuple[list[CloneReport], list[QueryClone], float]:
-        now = self.clock.now
-        qid = clone.query.qid
-        if qid in self._purged:
-            # Passive termination already observed here; drop silently.
-            self._trace_nodes(clone, "purged")
-            return [], [], self.config.node_service_time
-
-        row = clone.row
-        state = row.state
-        # The report's per-node columns, appended to node by node (see
-        # CloneReport): a disposition, then where the node's rows and the
-        # forwards it announced end in the shared lists.
-        dispositions: list[Disposition] = []
-        rows: list = []
-        row_ends: list[int] = []
-        forward_ends: list[int] = []
-        all_forwards: list[Forward] = []
-        #: Forwards already announced for an earlier node of this clone.
-        #: Without it, two destination nodes at one site pointing at the same
-        #: target would add two CHT entries for a single eventual visit and
-        #: the query would never be detected complete.
-        announced: set[Forward] = set()
-        service = 0.0
-        plan_for = self.plans.bind(clone.query) if self.config.compiled_plans else None
-        tracing = self.tracer.enabled
-        # §7.1 site table: fetched once per clone, at the first node evaluated.
-        sitewide, site_documents = clone.query.sitewide, None
-
-        # Bulk admission: one log-table pass for the clone's whole node
-        # list (all nodes share the clone's state).  Node order — and
-        # therefore every drop/rewrite outcome — is the per-node sequence.
-        observations = (
-            self.log_table.observe_bulk(clone.dest, qid, state, now)
-            if self.config.log_table_enabled
-            else None
-        )
-
-        for index, node in enumerate(clone.dest):
-            visit_row = row
-            disposition = Disposition.PROCESSED
-
-            if observations is not None:
-                observation = observations[index]
-                if observation.action is LogAction.DROP:
-                    self.stats.duplicates_dropped += 1
-                    service += self.config.node_service_time
-                    if tracing:
-                        self.tracer.record(
-                            now, str(node), self.site, state, "-", "duplicate-dropped"
-                        )
-                    dispositions.append(Disposition.DUPLICATE)
-                    row_ends.append(len(rows))
-                    forward_ends.append(len(all_forwards))
-                    continue
-                if observation.action is LogAction.REWRITE:
-                    visit_row = row.rewritten()
-                    disposition = Disposition.REWRITTEN
-                    self.stats.queries_rewritten += 1
-                    if tracing:
-                        self.tracer.record(
-                            now, str(node), self.site, state, "-", "rewritten",
-                            detail=f"rem -> {visit_row.rem}",
-                        )
-
-            html = self._html_for(node)
-            if html is None:
-                service += self.config.node_service_time
-                if tracing:
-                    self.tracer.record(
-                        now, str(node), self.site, state, "-", "missing"
-                    )
-                dispositions.append(Disposition.MISSING)
-                row_ends.append(len(rows))
-                forward_ends.append(len(all_forwards))
-                continue
-
-            # The database is built lazily: a node fully served from the
-            # cross-query memo (EXP-P4) never parses its document, and is
-            # charged only the base per-node service time (like a duplicate
-            # drop).  Without a memo the first worklist item always resolves
-            # the database, so ``built`` is set and parse + scan is charged.
-            built: list = []
-
-            def provider(node=node, html=html, built=built):
-                if not built:
-                    built.append(self.constructor.construct(node, html))
-                    self.stats.documents_parsed += 1
-                return built[0]
-
-            if sitewide and site_documents is None:
-                site_documents = self.constructor.site_documents(
-                    self.web.site(node.host), self.stats
-                )
-            outcome = process_node(
-                node, provider, clone.query, visit_row.step_index, visit_row.rem,
-                self.config,
-                site_documents=site_documents,
-                plan_for=plan_for,
-                memo=self.memo,
-            )
-            if built:
-                service += self.config.service_time(len(html), outcome.tuples_scanned)
-            else:
-                service += self.config.node_service_time
-            self.stats.node_queries_evaluated += len(outcome.evaluations)
-            self._trace_outcome(now, node, clone, outcome)
-
-            for forward in outcome.forwards:
-                if forward not in announced:
-                    announced.add(forward)
-                    all_forwards.append(forward)
-            dispositions.append(disposition)
-            rows += outcome.results
-            row_ends.append(len(rows))
-            forward_ends.append(len(all_forwards))
-
-        # Identities: each outgoing clone travels under a fresh dispatch id
-        # (epoch inherited from the parent), and the report announces it via
-        # ``child_ids`` so the user-site registers exactly the identity the
-        # child's own report will later echo.
-        clones, child_ids = self._build_clones(clone, all_forwards)
-        report = CloneReport(
-            clone.dest, state, dispositions, rows, row_ends,
-            [(forward.target, forward.row.state) for forward in all_forwards],
-            child_ids, forward_ends, clone.dispatch_id, clone.epoch,
-        )
-        return [report], clones, service
-
-    def _build_clones(
-        self, clone: QueryClone, forwards: list[Forward]
-    ) -> tuple[list[QueryClone], list[str]]:
-        """Group forwards into clones (optimization 4: one per site & state).
-
-        Returns the clones, each stamped with a freshly minted dispatch
-        identity, and — parallel to ``forwards`` — the identity each forward
-        travels under: the report's ``child_ids`` column.  ``forwards`` holds
-        no duplicates (the caller's ``announced`` set), so neither does a
-        clone's node list.
-
-        With a ``pump_budget`` configured, each group's node list is further
-        chunked to at most ``pump_budget`` nodes per clone: a whole BFS
-        layer coalesced into one fat clone would otherwise be indivisible —
-        one pump would process every node of the layer no matter the
-        budget, and the fair scheduler would have nothing to interleave.
-        Chunks keep the (site, state) grouping, travel in the same bundle,
-        and each carries its own dispatch identity, so CHT accounting is
-        exactly as without chunking.
-        """
-        per_site = self.config.batch_per_site
-        groups: dict[tuple, list[int]] = {}
-        for index, (row, target) in enumerate(forwards):
-            groups.setdefault((target.host if per_site else target, row), []).append(index)
-        history = self._child_history(clone)
-        budget = self.config.pump_budget
-        query, epoch = clone.query, clone.epoch
-        clones: list[QueryClone] = []
-        child_ids = [""] * len(forwards)
-        for (__, row), members in groups.items():
-            size = len(members) if budget is None else budget
-            for start in range(0, len(members), size):
-                chunk = members[start:start + size]
-                dispatch_id = self._mint_dispatch_id()
-                clones.append(
-                    QueryClone.at(
-                        query, row, tuple([forwards[i].target for i in chunk]),
-                        history, dispatch_id, epoch,
-                    )
-                )
-                for i in chunk:
-                    child_ids[i] = dispatch_id
-        return clones, child_ids
-
-    # -- tracing ----------------------------------------------------------------
-
-    def _trace_outcome(self, now: float, node: Url, clone: QueryClone, outcome) -> None:
-        if not self.tracer.enabled:
-            # Keep the stats side effect; skip all event formatting.
-            if outcome.dead_end:
-                self.stats.dead_ends += 1
-            return
-        state = clone.state
-        for step_index, success in outcome.evaluations:
-            label = clone.query.step_label(step_index)
-            action = "answered" if success else "failed"
-            self.tracer.record(
-                now, str(node), self.site, state, outcome.role, action, detail=label
-            )
-        if not outcome.evaluations:
-            self.tracer.record(now, str(node), self.site, state, outcome.role, "routed")
-        if outcome.dead_end:
-            self.stats.dead_ends += 1
-            self.tracer.record(now, str(node), self.site, state, outcome.role, "dead-end")
-        elif outcome.forwards:
-            self.tracer.record(
-                now, str(node), self.site, state, outcome.role, "forwarded",
-                detail=f"{len(outcome.forwards)} link(s)",
-            )
-
-    def _trace_nodes(self, clone: QueryClone, action: str) -> None:
-        if not self.tracer.enabled:
-            return
-        for node in clone.dest:
-            self.tracer.record(
-                self.clock.now, str(node), self.site, clone.state, "-", action
-            )
+__all__ = ["QueryServer"]
 
 
 class QueryServer(CloneProcessor):
     """One site's query-server daemon, listening on :data:`QUERY_PORT`."""
+
+    _dispatch_prefix = "s"
 
     def __init__(
         self,
@@ -338,26 +100,15 @@ class QueryServer(CloneProcessor):
         stats: TrafficStats,
         tracer: Tracer,
     ) -> None:
-        self.site = site
-        self.web = web
-        self.network = network
-        self.clock = clock
-        self.config = config
-        self.stats = stats
-        self.tracer = tracer
-        self.constructor = DatabaseConstructor(stats=stats)
-        self.log_table = NodeQueryLogTable(config.log_subsumption)
-        #: Compiled node-query plans, structurally keyed so tenants share
-        #: compilations — volatile process state, cleared by crash()
-        #: exactly like the document store.
-        self.plans = PlanCache(stats=stats)
-        #: Cross-query memo of per-node rows and forward fan-outs (EXP-P4);
-        #: None when the knob is off.  Volatile like the plan cache, plus
+        super().__init__(site, web, network, clock, config, stats, tracer)
+        #: Cross-query memo of per-node rows and forward fan-outs; None when
+        #: the knob is off.  Volatile like the plan cache, plus
         #: an explicit epoch hook for future live-web mutation.
         self.memo = ResultMemo(stats) if config.cross_query_caching else None
         self.channel = ReliableChannel(
-            network, clock, config.retry_policy,
-            name=f"server:{site}", trace=self._trace_transport,
+            network, clock, config.retry_policy, name=f"server:{site}",
+            trace=(lambda action, detail: tracer.site(clock.now, site, action, detail))
+            if tracer.enabled else None,
         )
         #: Pending clones: per-query run-queues round-robined under
         #: ``scheduler="fair"``, the paper's single FIFO under ``"fifo"`` —
@@ -366,7 +117,6 @@ class QueryServer(CloneProcessor):
             config.scheduler, config.per_query_queue_limit, config.server_queue_limit
         )
         self._active_workers = 0
-        self._purged: set[QueryId] = set()
         self._last_purge = 0.0
         #: When the queue total first reached ``server_queue_limit`` and has
         #: stayed there since; None while below the limit.  Drives shedding.
@@ -374,11 +124,6 @@ class QueryServer(CloneProcessor):
         #: Bumped by crash(): callbacks scheduled by a dead process must not
         #: touch the reborn one's state.
         self._epoch = 0
-        #: Mints dispatch identities for forwarded clones.  Deliberately
-        #: *not* reset by crash(): identities must stay unique across the
-        #: server's incarnations or a reborn server could mint an id that
-        #: collides with a pre-crash dispatch still tracked by a user-site.
-        self._dispatch_serial = itertools.count(1)
         network.listen(site, QUERY_PORT, self._on_message)
         if (
             config.per_query_queue_limit is not None
@@ -390,12 +135,6 @@ class QueryServer(CloneProcessor):
             set_admission = getattr(network, "set_admission", None)
             if set_admission is not None:
                 set_admission(site, QUERY_PORT, self._admission_probe)
-
-    def _mint_dispatch_id(self) -> str:
-        return f"s{next(self._dispatch_serial)}@{self.site}"
-
-    def _html_for(self, node: Url) -> str | None:
-        return self.web.html_for(node)
 
     # -- crash / recovery (§7.1 open problem) ------------------------------------
 
@@ -532,7 +271,7 @@ class QueryServer(CloneProcessor):
         return self.config.frontier_batching and self.config.direct_result_return
 
     def _pump(self) -> None:
-        """Start a pump step on every idle worker (EXP-P2, §4.4).
+        """Start a pump step on every idle worker (§4.4).
 
         A step seeds the frontier with the scheduler's next clone plus queued
         clones of the same query (they would each have cost their own pump
@@ -570,12 +309,9 @@ class QueryServer(CloneProcessor):
                 self.stats.frontier_batches += 1
                 self.stats.frontier_clones_batched += result.clones_processed
                 if self.tracer.enabled:
-                    self.tracer.record(
-                        self.clock.now, "-", self.site, "-", "-", "frontier-batched",
-                        detail=(
-                            f"{result.clones_processed} clones"
-                            f" ({absorbed} local hops absorbed)"
-                        ),
+                    self.tracer.site(
+                        self.clock.now, self.site, "frontier-batched",
+                        f"{result.clones_processed} clones ({absorbed} local hops absorbed)",
                     )
             self.stats.record_processing(self.site, result.service)
             epoch = self._epoch
@@ -666,8 +402,8 @@ class QueryServer(CloneProcessor):
         if outcome.delivered:
             self._forward_all(clones)
             return
-        if not outcome.refused:
-            self._trace_transport("dispatch-exhausted", str(clone.query.qid))
+        if not outcome.refused and self.tracer.enabled:
+            self.tracer.site(self.clock.now, self.site, "dispatch-exhausted", str(clone.query.qid))
         self._purge(clone)
 
     def _send_to_user(self, qid: QueryId, message: ResultMessage, on_final=None) -> SendOutcome:
@@ -750,13 +486,15 @@ class QueryServer(CloneProcessor):
         # The retraction echoes the clone's own dispatch identity — it is
         # resolving exactly the instances this server announced for it.
         retraction = CloneReport.retraction(fclone, Disposition.UNREACHABLE)
-        self._trace_nodes(fclone, "unreachable-site")
+        if self.tracer.enabled:
+            self.tracer.nodes(self.clock.now, fclone, self.site, "unreachable-site")
         self._send_to_user(qid, ResultMessage(qid, (retraction,), kind="cht"))
 
     def _purge(self, clone: QueryClone) -> None:
         qid = clone.query.qid
         self._purged.add(qid)
-        self._trace_nodes(clone, "purged")
+        if self.tracer.enabled:
+            self.tracer.nodes(self.clock.now, clone, self.site, "purged")
         # Drop any queued clones of the same query right away.
         self._scheduler.drop_query(qid)
         self._update_saturation()
@@ -810,13 +548,7 @@ class QueryServer(CloneProcessor):
         retractions = tuple(
             [CloneReport.retraction(clone, Disposition.OVERLOADED) for clone in clones]
         )
-        for clone in clones:
-            self._trace_nodes(clone, "overload-shed")
-        self._send_to_user(qid, ResultMessage(qid, retractions, kind="cht"))
-
-    # -- tracing ----------------------------------------------------------------
-
-    def _trace_transport(self, action: str, detail: str) -> None:
-        """Channel-level events (retries, exhaustion) — no node/state context."""
         if self.tracer.enabled:
-            self.tracer.record(self.clock.now, "-", self.site, "-", "-", action, detail)
+            for clone in clones:
+                self.tracer.nodes(self.clock.now, clone, self.site, "overload-shed")
+        self._send_to_user(qid, ResultMessage(qid, retractions, kind="cht"))

@@ -244,12 +244,9 @@ class QuerySupervisor:
             sup.sites_recovered.add(instance.node.host)
         reforwarded = self.client.reforward_pending(handle)
         if self.client.tracer.enabled:
-            self.client.tracer.record(
-                self.clock.now, "-", self.client.site, "-", "-", "recovery-round",
-                detail=(
-                    f"{handle.qid}: round {sup.total_recoveries}, "
-                    f"{reforwarded} clone(s) re-forwarded"
-                ),
+            self.client.tracer.site(
+                self.clock.now, self.client.site, "recovery-round",
+                f"{handle.qid}: round {sup.total_recoveries}, {reforwarded} clone(s) re-forwarded",
             )
         if handle.finished:
             # Re-forwarding can complete the query synchronously (e.g. every

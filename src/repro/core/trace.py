@@ -9,8 +9,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .state import QueryState
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .processing import NodeOutcome
+    from .webquery import QueryClone, WebQuery
 
 __all__ = ["TraceEvent", "Tracer"]
 
@@ -41,24 +46,62 @@ class TraceEvent:
 
 
 class Tracer:
-    """Collects :class:`TraceEvent` objects when enabled."""
+    """Collects :class:`TraceEvent` objects when enabled.
+
+    One method per shape of event the engine emits: :meth:`node` (one
+    event at one node), :meth:`outcome` (a visit's outcome), :meth:`nodes`
+    (one event per node of a clone) and :meth:`site` (a site or transport
+    event, with no node or state).  Every call site checks :attr:`enabled`
+    first, so a run with tracing off makes no tracer call at all; a
+    disabled tracer that is called anyway still records nothing.
+    """
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self.events: list[TraceEvent] = []
 
-    def record(
-        self,
-        time: float,
-        node: str,
-        site: str,
-        state: QueryState,
-        role: str,
-        action: str,
-        detail: str = "",
+    def node(
+        self, time: float, node: object, site: str, state: QueryState, action: str,
+        detail: str = "", role: str = "-",
     ) -> None:
+        """One event at ``node``: an admission disposition, a dispatch, a re-forward."""
         if self.enabled:
-            self.events.append(TraceEvent(time, node, site, state, role, action, detail))
+            self.events.append(TraceEvent(time, str(node), site, state, role, action, detail))
+
+    def outcome(
+        self, time: float, node: object, site: str, state: QueryState,
+        outcome: "NodeOutcome | None", query: "WebQuery",
+    ) -> None:
+        """A visit's outcome at ``node``, one event per thing that happened.
+
+        ``missing`` when its document could not be had (``outcome`` None);
+        otherwise ``answered`` / ``failed`` per node-query evaluated
+        (``routed`` when none ran), then ``dead-end`` or ``forwarded``.
+        """
+        if outcome is None:
+            self.node(time, node, site, state, "missing")
+            return
+        role = outcome.role
+        for step_index, success in outcome.evaluations:
+            action = "answered" if success else "failed"
+            self.node(time, node, site, state, action, query.step_label(step_index), role)
+        if not outcome.evaluations:
+            self.node(time, node, site, state, "routed", role=role)
+        if outcome.dead_end:
+            self.node(time, node, site, state, "dead-end", role=role)
+        elif outcome.forwards:
+            self.node(
+                time, node, site, state, "forwarded", f"{len(outcome.forwards)} link(s)", role
+            )
+
+    def nodes(self, time: float, clone: "QueryClone", site: str, action: str) -> None:
+        """One ``action`` event per node of ``clone``: purged, shed, unreachable."""
+        for node in clone.dest:
+            self.node(time, node, site, clone.state, action)
+
+    def site(self, time: float, site: str, action: str, detail: str = "") -> None:
+        """An event at ``site`` with no node or state: a retry, a frontier batch."""
+        self.node(time, "-", site, "-", action, detail)
 
     # -- analysis helpers used by tests and benches ---------------------------
 

@@ -60,18 +60,6 @@ class NetworkError(WebDisError):
     """Base class for simulated-network failures."""
 
 
-class ConnectionRefusedError_(NetworkError):
-    """The destination site has no listener on the requested port.
-
-    Named with a trailing underscore to avoid shadowing the builtin
-    ``ConnectionRefusedError`` while keeping the intent obvious.
-    """
-
-
-class ConnectionFailedError(NetworkError):
-    """A transient, injected or simulated connection failure."""
-
-
 class SimulationError(WebDisError):
     """The discrete-event simulator was used inconsistently."""
 

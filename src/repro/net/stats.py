@@ -109,7 +109,7 @@ class TrafficStats:
     local_hops: int = 0
     processing_by_site: Counter = field(default_factory=Counter)
 
-    # Frontier batching (EXP-P2).
+    # Frontier batching (tests/test_frontier_batching.py).
     #: Pump steps that coalesced more than one clone into a frontier.
     frontier_batches: int = 0
     #: Clones processed inside those frontiers (seeds + absorbed local
@@ -122,7 +122,7 @@ class TrafficStats:
     clone_bundles_sent: int = 0
     clones_bundled: int = 0
 
-    # Cross-query caching (EXP-P4).
+    # Cross-query caching (tests/test_cross_query_caching.py).
     #: ResultMemo probes answered from cache — each one skipped a node-query
     #: evaluation (rows probe) or a link-graph fan-out scan (state probe).
     memo_hits: int = 0
@@ -150,7 +150,7 @@ class TrafficStats:
     #: EXP-E1 (``benchmarks/e2e/spans.py::read_counters``) reads it.
     parse_cache_hits: int = 0
 
-    # Join-key hash indexes (EXP-P6 outer-level batching).
+    # Join-key hash indexes (the batch executor's probes).
     #: Per-column hash indexes built by ``Table.index()`` — one per
     #: (table generation, column) the batch executor probed.
     index_builds: int = 0

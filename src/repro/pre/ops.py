@@ -9,7 +9,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..model.relations import LinkType
 from .ast import (
@@ -226,8 +226,3 @@ def rewrite_superset(incoming: Pre) -> Pre:
         raise ValueError(f"PRE {incoming} is not of the A*m.B shape")
     remaining = None if head.bound is None else head.bound - 1
     return concat((head.body, repeat(head.body, remaining), head.tail))
-
-
-def symbols_of(path: Iterable[str]) -> tuple[LinkType, ...]:
-    """Convenience: map ``"GLL"``-style strings to link-type tuples."""
-    return tuple(LinkType.from_symbol(ch) for ch in path)

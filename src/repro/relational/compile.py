@@ -42,7 +42,6 @@ a replay interprets the right literals.
 
 from __future__ import annotations
 
-import hashlib
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from ..errors import DisqlSemanticsError, EvaluationError, SchemaError
@@ -70,7 +69,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 
     from ..model.database import NodeDatabase
 
-__all__ = ["CompiledPlan", "compile_node_query", "structural_hash", "structural_key"]
+__all__ = ["CompiledPlan", "compile_node_query", "structural_key"]
 
 _SCHEMAS = {
     "document": DOCUMENT_SCHEMA,
@@ -210,22 +209,6 @@ class CompiledPlan:
         return results
 
 
-def _structure(query: NodeQuery) -> tuple[str, str]:
-    """``(structural key, digest)`` of ``query``, computed once per object.
-
-    Kept on the node-query itself (outside its value): the plan cache and
-    the memo ask on every node visit, and a cache keyed on the query would
-    have to hash the whole tree to answer.
-    """
-    structure = query._structure
-    if structure is None:
-        key = repr((query.select, query.tables, query.where, query.sitewide_aliases))
-        digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).hexdigest()
-        structure = (key, digest)
-        object.__setattr__(query, "_structure", structure)
-    return structure
-
-
 def structural_key(query: NodeQuery) -> str:
     """The qid-independent identity of a node-query's *structure*.
 
@@ -237,20 +220,15 @@ def structural_key(query: NodeQuery) -> str:
     for traces and result grouping but never affects evaluation.  Built
     from the dataclass reprs (complete by construction) rather than the
     prettified ``str(query)``, so no two distinct structures can collide
-    on rendering.
+    on rendering.  The plan cache and the memo key by it directly, so it
+    is computed once per object and kept on the node-query itself (outside
+    its value): they ask on every node visit.
     """
-    return _structure(query)[0]
-
-
-def structural_hash(query: NodeQuery) -> str:
-    """Short digest of :func:`structural_key` — the cache key.
-
-    64 bits is plenty for the handful of live node-queries a server sees,
-    but consumers must still verify the full key on a hit (see
-    :class:`~repro.core.plancache.PlanCache`): a digest can collide, and a
-    collision served silently would mean wrong rows.
-    """
-    return _structure(query)[1]
+    key = query._structure
+    if key is None:
+        key = repr((query.select, query.tables, query.where, query.sitewide_aliases))
+        object.__setattr__(query, "_structure", key)
+    return key
 
 
 def compile_node_query(
@@ -279,7 +257,7 @@ def compile_node_query(
 def _shape(query: NodeQuery) -> tuple[tuple, tuple, Expr]:
     """``(shape key, constants, where with Param constants)`` of ``query``
     (see :func:`_parameterized`), computed once per object and kept on it,
-    like :func:`_structure`: one node-query object is compiled at every site
+    like :func:`structural_key`: one node-query object is compiled at every site
     its clones reach."""
     shape = query._shape
     if shape is None:

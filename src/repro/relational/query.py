@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from ..errors import DisqlSemanticsError, SchemaError
+from ..errors import DisqlSemanticsError
 from ..storedhash import cache_field, stored_hash
 from .expr import TRUE, Attr, Expr, attrs_referenced, conjuncts, evaluate
 from .table import Table
@@ -68,9 +68,9 @@ class NodeQuery:
     label: str = "q"
     sitewide_aliases: tuple[str, ...] = ()
     _hash: int | None = cache_field()
-    #: ``(structural key, digest)``, filled on first use by
+    #: The structural key, filled on first use by
     #: :func:`~repro.relational.compile.structural_key`.
-    _structure: tuple[str, str] | None = cache_field()
+    _structure: str | None = cache_field()
     #: ``(shape key, constants, where)``, filled on first use by
     #: :func:`~repro.relational.compile.compile_node_query`.
     _shape: tuple | None = cache_field()
@@ -239,17 +239,3 @@ def _nested_loop(
         _nested_loop(query, scans, filters, depth + 1, bindings, results)
     bindings.pop(alias, None)
 
-
-def project_row(row: Mapping[str, object], attrs: Sequence[Attr]) -> tuple[object, ...]:
-    """Project ``row`` (qualified-name mapping) onto ``attrs``.
-
-    Raises:
-        SchemaError: when a requested attribute is missing from the row.
-    """
-    values = []
-    for attr in attrs:
-        key = str(attr)
-        if key not in row:
-            raise SchemaError(f"result row has no column {key!r}")
-        values.append(row[key])
-    return tuple(values)

@@ -194,7 +194,7 @@ def generate_case(seed: int, schedule_seed: int | None = None) -> Spec:
             config["server_queue_limit"] = rng.choice((16, 24, 32))
             config["shed_after"] = round(rng.uniform(0.5, 2.0), 3)
 
-    # Cross-query caching (EXP-P4) — drawn after every earlier knob
+    # Cross-query caching — drawn after every earlier knob
     # (ordering rule above), so existing seeds keep their webs, queries,
     # faults and pressure draws byte-for-byte.
     config["cross_query_caching"] = rng.random() < 0.5
@@ -203,7 +203,7 @@ def generate_case(seed: int, schedule_seed: int | None = None) -> Spec:
     # value instead of skipping the draw keeps every seed's later draws.
     rng.random()
 
-    # Join-depth axis (EXP-P6) — newest draw, appended last (ordering rule
+    # Join-depth axis — newest draw, appended last (ordering rule
     # above).  An anchor alias joined on a shared variable
     # (``a.base = d.url``) deepens the main node-query by one plan level —
     # three levels when the relinfon join is also on — so the batch

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import asyncio
+import gc
+import weakref
 from pathlib import Path
 
 import pytest
 
-from repro import QueryStatus, WebDisEngine
+from repro import EngineConfig, QueryStatus, WebDisEngine, build_engine
 from repro.core.state import QueryState
 from repro.core.trace import Tracer
 from repro.pre import parse_pre
@@ -17,10 +20,9 @@ class TestTracer:
     def _tracer(self) -> Tracer:
         tracer = Tracer()
         state = QueryState(1, parse_pre("G"))
-        tracer.record(0.5, "http://a.example/", "a.example", state, "PureRouter", "routed")
-        tracer.record(
-            1.0, "http://b.example/", "b.example", state, "ServerRouter",
-            "answered", detail="q1",
+        tracer.node(0.5, "http://a.example/", "a.example", state, "routed", role="PureRouter")
+        tracer.node(
+            1.0, "http://b.example/", "b.example", state, "answered", "q1", role="ServerRouter"
         )
         return tracer
 
@@ -34,7 +36,8 @@ class TestTracer:
 
     def test_disabled_tracer_records_nothing(self):
         tracer = Tracer(enabled=False)
-        tracer.record(0, "n", "s", QueryState(1, parse_pre("G")), "r", "a")
+        tracer.node(0, "n", "s", QueryState(1, parse_pre("G")), "a", role="r")
+        tracer.site(0, "s", "a")
         assert tracer.events == []
 
     def test_actions_counter(self):
@@ -79,6 +82,47 @@ class TestQueryHandleSurfaces:
         )
         assert handle.status is QueryStatus.COMPLETE
         assert "Results of the query" in handle.display_table()
+
+
+class TestCompletedHandlesAreReleased:
+    """The client keeps no handle past its query: once the caller drops a
+    completed handle, its rows and CHT history go with it."""
+
+    QUERIES = 5
+
+    def _sim(self, web) -> list:
+        engine = build_engine(web)
+        refs = []
+        for __ in range(self.QUERIES):
+            handle = engine.run_query(CAMPUS_QUERY_DISQL)
+            assert handle.status is QueryStatus.COMPLETE
+            refs.append(weakref.ref(handle))
+        del handle
+        gc.collect()
+        return [ref() is not None for ref in refs]
+
+    def _asyncio(self, web) -> list:
+        async def main() -> list:
+            engine = build_engine(web, config=EngineConfig(transport="asyncio"))
+            try:
+                refs = []
+                for __ in range(self.QUERIES):
+                    handle = engine.submit_disql(CAMPUS_QUERY_DISQL)
+                    await engine.run([handle], timeout=30.0)
+                    assert handle.status is QueryStatus.COMPLETE
+                    refs.append(weakref.ref(handle))
+                del handle
+                gc.collect()
+                return [ref() is not None for ref in refs]
+            finally:
+                await engine.aclose()
+
+        return asyncio.run(main())
+
+    @pytest.mark.parametrize("transport", ["sim", "asyncio"])
+    def test_dropped_handles_are_garbage_collected(self, campus_web, transport):
+        alive = getattr(self, f"_{transport}")(campus_web)
+        assert alive == [False] * self.QUERIES
 
 
 class TestEngineSurfaces:

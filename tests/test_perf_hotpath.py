@@ -3,13 +3,13 @@
 Covers the perf-layer invariants the benchmarks rely on:
 
 * :class:`~repro.core.plancache.PlanCache` is a bounded LRU keyed by the
-  node-query's structural hash — shared across qids, verified against the
-  full structural key on every hit (collision safety) — over a bounded LRU
-  of shape-keyed lowerings that literal-varied queries bind, and a crash
-  clears both, so a stale plan is never served across server incarnations;
+  node-query's structural key — shared across qids, never shared between
+  distinct structures — over a bounded LRU of shape-keyed lowerings that
+  literal-varied queries bind, and a crash clears both, so a stale plan is
+  never served across server incarnations;
 * engine results are bit-identical with ``compiled_plans`` on and off;
-* a disabled tracer costs nothing on the hot path — zero ``record``
-  calls, zero event allocations;
+* a disabled tracer costs nothing on the hot path — no call to any of its
+  methods, zero event allocations;
 * a selection runs below the join: a table-local conjunct is evaluated once
   per row of its table per execution, not once per outer binding — counted,
   not timed;
@@ -25,11 +25,13 @@ Covers the perf-layer invariants the benchmarks rely on:
 from __future__ import annotations
 
 import asyncio
+from collections import Counter
 
 import pytest
 
 from repro import EngineConfig, WebDisEngine
 from repro.baselines.docservice import FetchRequest
+from repro.core import plancache as plancache_module
 from repro.core.plancache import PlanCache
 from repro.core.trace import Tracer
 from repro.core.webquery import QueryId
@@ -37,11 +39,12 @@ from repro.disql import compile_disql
 from repro.model.relations import ANCHOR_SCHEMA, DOCUMENT_SCHEMA, RELINFON_SCHEMA, LinkType
 from repro.net import FIRST_RESULT_PORT, QUERY_PORT, SendOutcome
 from repro.net.aio import AsyncioTransport
+from repro.net.reliable import RetryPolicy
 from repro.net.stats import TrafficStats
 from repro.pre.ast import Atom, alt, repeat
 from repro.pre.ops import advance
 from repro.relational import compile as compile_module
-from repro.relational.compile import compile_node_query
+from repro.relational.compile import compile_node_query, structural_key
 from repro.relational.query import evaluate_node_query
 from repro.relational.table import Table
 from repro.testing.loopcost import count_handles
@@ -149,22 +152,24 @@ class TestPlanCache:
         with pytest.raises(ValueError):
             PlanCache(max_size=0)
 
-    def test_hash_collision_never_serves_the_wrong_plan(self):
-        # Regression (satellite fix): force every digest to collide; the
-        # full-key verification must still hand each structure its own
-        # correct plan instead of the colliding entry's.
-        cache = PlanCache(hash_fn=lambda query: "deadbeef")
+    def test_hash_collision_never_serves_the_wrong_plan(self, monkeypatch):
+        # The key is the structure itself, so distinct structures never
+        # share an entry — even when every key hashes alike, the dict's own
+        # equality check tells them apart.
+        class Colliding(str):
+            def __hash__(self):
+                return 0
+
+        monkeypatch.setattr(
+            plancache_module, "structural_key", lambda query: Colliding(structural_key(query))
+        )
+        cache = PlanCache()
         q1, q2 = _variant_queries(2)
-        p1 = cache.plan_for(q1)
-        p2 = cache.plan_for(q2)
-        assert cache.collisions == 1
+        p1, p2 = cache.plan_for(q1), cache.plan_for(q2)
         assert p1 is not p2
         assert p1.query is q1 and p2.query is q2
-        # The collision evicted q1's entry (same slot); a fresh q1 probe
-        # collides again and recompiles — correct, never silently wrong.
-        p1_again = cache.plan_for(q1)
-        assert cache.collisions == 2
-        assert p1_again.query is q1
+        assert len(cache) == 2 and (cache.hits, cache.misses) == (0, 2)
+        assert cache.plan_for(q1) is p1 and cache.plan_for(q2) is p2
 
 
 class TestInvalidationAcrossIncarnations:
@@ -174,9 +179,7 @@ class TestInvalidationAcrossIncarnations:
         engine.run()
         server = engine.server_for("root.example")
         assert len(server.plans) > 0
-        pre_crash = {
-            digest: plan for digest, (__, __, plan) in server.plans._plans.items()
-        }
+        pre_crash = {key: plan for key, (__, plan) in server.plans._plans.items()}
         assert len(server.plans._lowerings) > 0
         engine.crash_server("root.example")
         assert len(server.plans) == 0
@@ -187,8 +190,8 @@ class TestInvalidationAcrossIncarnations:
         handle = engine.submit_disql(QUERY)
         engine.run()
         assert handle.results
-        for digest, (__, __, plan) in server.plans._plans.items():
-            assert pre_crash.get(digest) is not plan
+        for key, (__, plan) in server.plans._plans.items():
+            assert pre_crash.get(key) is not plan
 
     def test_engine_results_identical_with_and_without_compilation(self):
         runs = {}
@@ -216,27 +219,43 @@ class TestInvalidationAcrossIncarnations:
 
 
 class TestDisabledTracingIsFree:
-    def test_zero_event_allocation_when_disabled(self, monkeypatch):
-        calls = []
-        original = Tracer.record
+    #: The methods the engine emits events through, and the read side.
+    EMITTERS = ("node", "outcome", "nodes", "site")
+    READERS = ("visits_to", "nodes_with_role", "actions", "to_dot", "render")
 
-        def counting(self, *args, **kwargs):
-            calls.append(args)
-            return original(self, *args, **kwargs)
+    def _run(self, monkeypatch, trace: bool):
+        """One query with a down leaf (retried sends, then a retraction),
+        counting calls of every emitting method of the tracer."""
+        calls: Counter = Counter()
+        for name in self.EMITTERS:
+            original = getattr(Tracer, name)
 
-        monkeypatch.setattr(Tracer, "record", counting)
-        engine = WebDisEngine(_web(), trace=False)
+            def counting(self, *args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(Tracer, name, counting)
+        config = EngineConfig(retry_policy=RetryPolicy(max_attempts=2, seed=1))
+        engine = WebDisEngine(_web(), config=config, trace=trace)
+        engine.network.set_site_down("leafb.example")
         handle = engine.submit_disql(QUERY)
         engine.run()
         assert handle.results  # the run did real work
-        assert calls == []  # ...without ever reaching the tracer
+        return engine, calls
+
+    def test_zero_event_allocation_when_disabled(self, monkeypatch):
+        public = {name for name in vars(Tracer) if not name.startswith("_")}
+        assert public == set(self.EMITTERS) | set(self.READERS)  # none escapes the count
+        engine, calls = self._run(monkeypatch, trace=False)
+        assert calls == {}  # no tracer method was reached
         assert engine.tracer.events == []
 
-    def test_enabled_tracing_still_records(self):
-        engine = WebDisEngine(_web(), trace=True)
-        engine.submit_disql(QUERY)
-        engine.run()
-        assert engine.tracer.events
+    def test_enabled_tracing_still_records(self, monkeypatch):
+        engine, calls = self._run(monkeypatch, trace=True)
+        assert {"retry-scheduled", "unreachable-site"} <= set(engine.tracer.actions())
+        # The same run reaches every emitting method when tracing is on, so
+        # the disabled run's empty count is not vacuous.
+        assert set(calls) == set(self.EMITTERS)
 
 
 class TestFanoutMemo:
@@ -270,7 +289,7 @@ class TestFanoutMemo:
 class TestOneReportPerClone:
     def test_a_warm_query_sends_one_report_per_clone_not_per_node(self, monkeypatch):
         from repro.core.client import UserSiteClient
-        from repro.core.server import CloneProcessor
+        from repro.core.visit import CloneProcessor
         from repro.web.synthetic import (
             SyntheticWebConfig,
             build_synthetic_web,

@@ -27,7 +27,10 @@ without wiring up an external profiler::
   same web, one engine, the 16-query zipf pool run once so every later
   probe is a memo hit, then 100 repeats under the profiler.  What is left
   is protocol — log table, memo probes, clone and report construction,
-  CHT, message sizing — and hashing;
+  CHT, message sizing — and hashing.  After the profile, one line per
+  server stage (``docs/architecture.md``, "The server's stages") says what
+  it cost a query in that profile — log-table admission, visit, report,
+  dispatch and the rest of the pump (``--json``: ``stage_us_per_query``);
 * ``join`` — the executor, what EXP-E1's ``eval_join`` pays: the 6×24
   anchor-rich web, one engine warmed by one traversal per start site, then
   the 100 ``anchor × relinfon`` joins with distinct literals (seed 1's).
@@ -225,7 +228,7 @@ def report_objects_per_query() -> dict[str, float]:
             kind = type(frame.f_locals.get("self")).__name__
             if kind in REPORT_OBJECT_CLASSES:
                 counts[kind] += 1
-        elif name == "_process" and frame.f_code.co_filename.endswith("server.py"):
+        elif name == "_process" and frame.f_code.co_filename.endswith("visit.py"):
             counts["clones"] += 1
             counts["nodes"] += len(frame.f_locals["clone"].dest)
 
@@ -239,6 +242,31 @@ def report_objects_per_query() -> dict[str, float]:
     per_query.update(objects)
     per_query["total"] = sum(objects.values())
     return per_query
+
+
+#: The server's stages: label → ``(file, function)`` whose cumulative
+#: profiled time is the stage's.
+STAGES = {
+    "admission": ("visit.py", "_observe"),
+    "visit": ("visit.py", "_visit"),
+    "report": ("visit.py", "_report"),
+    "dispatch": ("server.py", "_dispatch_and_forward"),
+}
+
+
+def stage_us_per_query(stats: pstats.Stats) -> dict[str, float]:
+    """Profiled µs per warm query in each of :data:`STAGES` — cumulative, a
+    stage's callees included — and in the rest of the pump:
+    ``QueryServer._pump`` minus the clone loop it runs
+    (``CloneProcessor._process``).  Read from the ``warm`` profile, so
+    the profiler's own overhead is in every number."""
+    cumulative: Counter = Counter()
+    for (filename, __, function), row in stats.stats.items():
+        cumulative[(Path(filename).name, function)] += row[3]
+    spent = {label: cumulative[key] for label, key in STAGES.items()}
+    pump, clone_loop = cumulative[("server.py", "_pump")], cumulative[("visit.py", "_process")]
+    spent["rest of pump"] = pump - clone_loop
+    return {label: round(seconds / WARM_REPEATS * 1e6, 1) for label, seconds in spent.items()}
 
 
 #: eval_join's sizing (``benchmarks/e2e/workloads.py``; restated here
@@ -677,8 +705,8 @@ WORKLOADS = {
 
 def profile_workload(
     name: str, sort: str, top: int, out: str | None
-) -> tuple[str, list[dict]]:
-    """Profile one workload; returns (stats text, JSON rows)."""
+) -> tuple[str, list[dict], pstats.Stats]:
+    """Profile one workload; returns (stats text, JSON rows, the stats)."""
     prepare, run_pass = WORKLOADS[name]
     inputs = prepare()
     profiler = cProfile.Profile()
@@ -710,7 +738,7 @@ def profile_workload(
         ],
         reverse=True,
     )[:top]
-    return buffer.getvalue(), entries
+    return buffer.getvalue(), entries, stats
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -742,7 +770,8 @@ def main(argv: list[str] | None = None) -> int:
         out = None
         if args.out:
             out = args.out if len(names) == 1 else f"{name}-{args.out}"
-        text, entries = profile_workload(name, args.sort, args.top, out)
+        text, entries, stats = profile_workload(name, args.sort, args.top, out)
+        stages = stage_us_per_query(stats) if name == "warm" else None
         per_page = build_us_per_page() if name == "build" else None
         tapped: list = []
         per_query = wire_loop_per_query(tapped) if name == "wire" else None
@@ -752,7 +781,8 @@ def main(argv: list[str] | None = None) -> int:
         fanout = fanout_per_query() if name == "join" else None
         if args.json:
             as_json[name] = entries
-            if name == "warm":
+            if stages:
+                as_json["stage_us_per_query"] = stages
                 as_json["warm_hash_frames_per_query"] = hash_frames_per_query()
                 as_json["report_objects_per_query"] = report_objects_per_query()
             if per_page:
@@ -767,6 +797,11 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print(f"== {name.upper()} workload — top {args.top} by {args.sort} ==")
             print(text)
+            if stages:
+                print(f"per warm query, by server stage (profiled µs, {WARM_REPEATS} queries):")
+                for label, us in stages.items():
+                    print(f"  {us:10.1f}  {label}")
+                print()
             if per_page:
                 print(f"full build (all three relations read): {per_page['full']} µs/page")
                 print(f"scan + DOCUMENT only: {per_page['scan_and_document']} µs/page\n")

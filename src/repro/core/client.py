@@ -81,10 +81,11 @@ class QueryHandle:
     #: re-dispatched by recovery carry the new epoch, so reports from the
     #: superseded dispatches are recognizably stale.
     recovery_epoch: int = 0
-    #: ``(node, state)`` pairs whose result rows were already ingested —
-    #: node processing is deterministic, so a second report for the
-    #: same pair (re-processing after a crash wiped the target's log table)
-    #: carries rows the user already has.
+    #: ``(node, step label)`` pairs whose result rows were already ingested
+    #: — a node-query's evaluation at a node is deterministic, so a second
+    #: report for the same pair (re-processing after a crash wiped the
+    #: target's log table, in whatever state) carries rows the user already
+    #: has.
     row_sources: set = field(default_factory=set)
     #: Why the query finished PARTIAL (empty otherwise).
     partial_reason: str = ""
@@ -370,39 +371,46 @@ class UserSiteClient:
     def _ingest_rows(self, handle: QueryHandle, report: CloneReport, now: float) -> None:
         """Store a report's rows, deduplicating re-processed work.
 
-        Node processing is deterministic, so two reports for the same
-        ``(node, state)`` carry identical rows — the second is a recovery
-        artifact (the clone was re-forwarded and the target's log table had
-        been wiped by a crash).  Only queries that have been through a
-        recovery round can see those; before that, a repeated
-        ``(node, state)`` is legitimate protocol traffic (e.g. the
+        A node-query's evaluation at a node is deterministic, so two reports
+        of rows for the same ``(node, step)`` carry identical rows — the
+        second is a recovery artifact (the clone was re-forwarded and the
+        target's log table had been wiped by a crash, so the node may act
+        again in a *different* state).  A row's label names its node-query
+        step, and a node that acts for two steps reports a run of rows per
+        step, so each run is keyed by ``(node, label)``.  Only queries that
+        have been through a recovery round can see those; before that, a
+        repeated ``(node, step)`` is legitimate protocol traffic (e.g. the
         log-table-disabled ablation) and is kept.
         """
-        state, rows = report.state, report.rows
+        rows = report.rows
         sources = handle.row_sources
         deduplicate = handle.recovery_epoch > 0
         on_result = handle.on_result
         start = 0
         for node, stop in zip(report.nodes, report.row_ends):
-            if stop == start:
-                continue
-            source = (node, state)
-            if deduplicate and source in sources:
-                self.stats.duplicate_rows_dropped += stop - start
-                if self.tracer.enabled:
-                    self.tracer.site(
-                        self.clock.now, self.site, "rows-deduplicated", f"{node} x{stop - start}"
-                    )
-                start = stop
-                continue
-            sources.add(source)
-            if handle.first_result_time is None:
-                handle.first_result_time = now
-            for label, row in rows[start:stop]:
-                handle.results.append((label, row, now))
-                if on_result is not None:
-                    on_result(label, row, now)
-            start = stop
+            while start < stop:
+                label = rows[start][0]
+                end = start + 1
+                while end < stop and rows[end][0] == label:
+                    end += 1
+                source = (node, label)
+                if deduplicate and source in sources:
+                    self.stats.duplicate_rows_dropped += end - start
+                    if self.tracer.enabled:
+                        self.tracer.site(
+                            self.clock.now, self.site, "rows-deduplicated",
+                            f"{node} x{end - start}",
+                        )
+                    start = end
+                    continue
+                sources.add(source)
+                if handle.first_result_time is None:
+                    handle.first_result_time = now
+                for __, row in rows[start:end]:
+                    handle.results.append((label, row, now))
+                    if on_result is not None:
+                        on_result(label, row, now)
+                start = end
 
     def _check_completion(self, handle: QueryHandle) -> None:
         if handle.status is QueryStatus.RUNNING and handle.cht.all_deleted():

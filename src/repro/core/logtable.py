@@ -11,6 +11,9 @@ query id is compared state-wise against the logged entries:
   node to act as a PureRouter for the rewritten clone;
 * otherwise — a genuinely new state: logged and processed normally.
 
+``A*0·B`` is written ``B``, so ``m = 0`` and ``n = 0`` are recognized by the
+tail (:func:`~repro.pre.ops.compare_for_log`).
+
 Old entries are purged periodically; an over-eager purge only costs
 recomputation, never correctness (Section 3.1.1), which the ablation bench
 EXP-C3 demonstrates.

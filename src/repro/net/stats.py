@@ -89,8 +89,8 @@ class TrafficStats:
     #: Reports for a superseded dispatch (an older recovery epoch) whose
     #: retirement was absorbed because a re-forward replaced the dispatch.
     stale_reports_absorbed: int = 0
-    #: Result-row batches dropped because the same (node, state) processing
-    #: already contributed rows under another dispatch identity.
+    #: Result rows dropped after a recovery round because the same
+    #: (node, node-query step) already contributed them.
     duplicate_rows_dropped: int = 0
     #: Clones re-dispatched by recovery (reforward_pending).
     clones_reforwarded: int = 0

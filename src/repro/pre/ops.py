@@ -179,9 +179,11 @@ def decompose_repeat_head(pre: Pre) -> _RepeatHead | None:
 class LogComparison(enum.Enum):
     """Relation of an incoming clone's PRE to a logged PRE (same node/query).
 
-    * ``DUPLICATE`` — drop the incoming clone (``m <= n`` or exact match);
+    * ``DUPLICATE`` — drop the incoming clone (``m <= n`` or exact match,
+      ``m = 0`` included);
     * ``SUPERSET`` — the incoming clone covers strictly more paths
-      (``m > n``): replace the log entry and rewrite the query;
+      (``m > n``, ``n = 0`` included): replace the log entry and rewrite
+      the query;
     * ``UNRELATED`` — no subsumption established; log and process normally.
     """
 
@@ -191,11 +193,21 @@ class LogComparison(enum.Enum):
 
 
 def compare_for_log(incoming: Pre, logged: Pre) -> LogComparison:
-    """Classify ``incoming`` against ``logged`` per paper Section 3.1.1."""
+    """Classify ``incoming`` against ``logged`` per paper Section 3.1.1.
+
+    ``A*0·B`` normalizes to plain ``B``, so the rule's zero cases are
+    recognized by the tail: an incoming ``B`` against a logged ``A*n·B`` is
+    ``m = 0 <= n``, and an incoming ``A*m·B`` against a logged ``B`` is
+    ``m > n = 0``.
+    """
     if incoming == logged:
         return LogComparison.DUPLICATE
     new = decompose_repeat_head(incoming)
     old = decompose_repeat_head(logged)
+    if old is not None and incoming == old.tail:
+        return LogComparison.DUPLICATE
+    if new is not None and new.tail == logged:
+        return LogComparison.SUPERSET
     if new is None or old is None:
         return LogComparison.UNRELATED
     if new.body != old.body or new.tail != old.tail:

@@ -162,8 +162,11 @@ class TestSubsumptionReuse:
         # Four overlapping queries (depth 3 and 2 from two start sites) over
         # heavily padded pages, submitted 20 times each: a memo hit is
         # charged only the base per-node service time, not parse + scan, so
-        # the virtual makespan falls 43.8 s -> 3.9 s.  Virtual time is
-        # deterministic, so the floor needs no noise margin.
+        # the virtual makespan falls 32.5 s -> 3.7 s (8.8x).  It was 43.8 s
+        # -> 3.9 s (11.2x) while the log table missed §3.1.1's zero-repeat
+        # cases: the uncached run evaluated those nodes again, paying a
+        # parse + scan each time.  Virtual time is deterministic, so the
+        # floor needs no noise margin.
         web = build_synthetic_web(
             SyntheticWebConfig(
                 sites=4, pages_per_site=12, local_out_degree=3,
@@ -184,7 +187,7 @@ class TestSubsumptionReuse:
             runs[enabled] = makespan, [_distinct_rows(handle) for handle in handles]
         (cached, cached_rows), (uncached, uncached_rows) = runs[True], runs[False]
         assert cached_rows == uncached_rows
-        assert uncached >= 10 * cached
+        assert uncached >= 8.5 * cached
 
     def test_fanout_subsumption_unit(self):
         memo = ResultMemo()

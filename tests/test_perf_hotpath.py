@@ -14,6 +14,8 @@ Covers the perf-layer invariants the benchmarks rely on:
   per row of its table per execution, not once per outer binding — counted,
   not timed;
 * a warm query's servers send one report per clone, not one per node;
+* a warm query's visits, drops and rewrites, as ``tools/profile_hotpath.py``
+  counts them;
 * a state's fan-out is derived once per query (a protocol-table row) and
   the hoisted forward-dedup set keeps ``_emit_forwards`` linear in the link
   count;
@@ -25,7 +27,10 @@ Covers the perf-layer invariants the benchmarks rely on:
 from __future__ import annotations
 
 import asyncio
+import importlib.util
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -328,6 +333,34 @@ class TestOneReportPerClone:
         # ...while the books still retire one instance per node.
         retired = [record for record in handle.cht.history() if record.deleted]
         assert len(retired) == seen["nodes"]
+
+
+def _profile_tool():
+    """``tools/profile_hotpath.py``, loaded by path (``tools/`` is no package)."""
+    name = "profile_hotpath_for_tests"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "tools" / "profile_hotpath.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+class TestWarmVisitCounts:
+    def test_the_log_table_drops_what_a_warm_query_already_covered(self):
+        """One warm pass over the ``warm_zipf`` pool, per query.  Before the
+        log table applied §3.1.1 at zero repeats it read 100.42 visits and
+        node-queries, 5.76 drops, 0 rewrites, 202.0 rows and 49,788.38
+        bytes: a clone with no repeats left was evaluated again wherever a
+        wider state had been logged."""
+        assert _profile_tool().visits_per_query() == {
+            "node_visits": 91.28,
+            "node_queries_evaluated": 91.14,
+            "log_drops": 14.9,
+            "log_rewrites": 0.14,
+            "rows_shipped": 185.45,
+            "bytes": 48081.81,
+        }
 
 
 class _CountingCell(str):

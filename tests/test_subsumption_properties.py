@@ -17,15 +17,17 @@ unbounded PRE never terminates on a cyclic web.
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from repro.core.client import QueryStatus
 from repro.core.config import EngineConfig
 from repro.core.engine import WebDisEngine
 from repro.model.relations import LinkType
 from repro.pre.ast import Atom, alt, concat, repeat
-from repro.pre.automaton import language_equivalent
+from repro.pre.automaton import language_equivalent, language_subsumes
 from repro.pre.ops import LogComparison, compare_for_log, nullable, rewrite_superset
 from repro.testing import build_web, generate_case
+from repro.testing.generators import query_specs, query_texts
 
 ATOMS = st.sampled_from([Atom(LinkType.LOCAL), Atom(LinkType.GLOBAL), Atom(LinkType.INTERIOR)])
 
@@ -104,8 +106,70 @@ class TestRewriteSuperset:
         assert compare_for_log(rewritten, original) != LogComparison.SUPERSET
 
 
+#: ``A*m·B`` families with zero repeats on either side: ``m = 0`` builds the
+#: plain tail ``B``.  Tails add a bounded repeat of an atom to the shapes
+#: above, so a tail can itself be repeat-headed.
+zero_bounds = st.one_of(st.just(0), bounds)
+family_tails = st.one_of(
+    tails,
+    st.tuples(ATOMS, st.integers(1, 3)).map(lambda pair: (repeat(*pair),)),
+)
+family_pres = st.builds(
+    lambda body, bound, tail: concat((repeat(body, bound), *tail)),
+    bodies, zero_bounds, family_tails,
+)
+
+
+class TestVerdictsAgainstTheAutomaton:
+    """Every verdict checked by language containment, not by the comparator.
+
+    The data-shipping reference and the log-table-on engine both classify
+    with :func:`compare_for_log`, so an unsound drop would pass a
+    comparison of the two.  :func:`language_subsumes` decides containment
+    on the automaton and shares nothing with it.
+    """
+
+    @staticmethod
+    def _check(incoming, logged):
+        verdict = compare_for_log(incoming, logged)
+        if verdict is LogComparison.DUPLICATE:
+            assert language_subsumes(logged, incoming)
+        elif verdict is LogComparison.SUPERSET:
+            assert language_subsumes(incoming, logged)
+            assert not language_subsumes(logged, incoming)
+            # The logged visit and the rewritten clone cover the incoming
+            # language together: the rewrite drops nothing unvisited.
+            assert language_subsumes(alt((rewrite_superset(incoming), logged)), incoming)
+        return verdict
+
+    @settings(max_examples=300, deadline=None)
+    @given(body=bodies, tail=family_tails, m=zero_bounds, n=zero_bounds)
+    def test_one_family_zero_repeats_included(self, body, tail, m, n):
+        incoming = concat((repeat(body, m), *tail))
+        logged = concat((repeat(body, n), *tail))
+        verdict = self._check(incoming, logged)
+        if incoming != logged and 0 in (m, n):
+            # §3.1.1's rule at zero: m = 0 <= n drops, m > n = 0 rewrites.
+            expected = LogComparison.DUPLICATE if m == 0 else LogComparison.SUPERSET
+            assert verdict is expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(incoming=family_pres, logged=family_pres)
+    def test_any_two_states(self, incoming, logged):
+        self._check(incoming, logged)
+
+
 def _distinct_rows(handle):
     return {(label, row.header, row.values) for label, row, __ in handle.results}
+
+
+def _bounded(tree) -> bool:
+    """No unbounded repeat in a generated JSON PRE tree."""
+    if isinstance(tree, str):
+        return True
+    if "rep" in tree:
+        return tree["bound"] is not None and _bounded(tree["rep"])
+    return all(map(_bounded, tree.get("cat", tree.get("alt", ()))))
 
 
 class TestEngineEquivalence:
@@ -128,3 +192,37 @@ class TestEngineEquivalence:
             engine.run()
             results[flag] = _distinct_rows(handle)
         assert results[True] == results[False]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 299))
+    @example(seed=38)
+    @example(seed=99)
+    def test_generated_queries_match_the_raw_traversal(self, seed):
+        """On generated webs and bounded generated PREs, the default
+        engine — log table, §3.1.1 drops and rewrites, fan-out memo — and
+        ``language`` mode with the memo off return the distinct rows of a
+        traversal with neither log table nor memo.
+
+        Seeds 38 and 99 are the two of 0..299 where dropping ``A*m·B``
+        against a logged ``B`` (instead of rewriting it) loses rows."""
+        spec = generate_case(seed)
+        queries = [
+            text for query, text in zip(query_specs(spec), query_texts(spec))
+            if _bounded(query["pre"])
+        ]
+        assume(queries)
+        web = build_web(spec)
+        configs = (
+            EngineConfig(log_table_enabled=False, cross_query_caching=False),
+            EngineConfig(),
+            EngineConfig(log_subsumption="language", cross_query_caching=False),
+        )
+        for text in queries:
+            results = []
+            for config in configs:
+                engine = WebDisEngine(web, config=config)
+                handle = engine.submit_disql(text)
+                engine.run()
+                assert handle.status is QueryStatus.COMPLETE
+                results.append(_distinct_rows(handle))
+            assert results[1] == results[0] and results[2] == results[0]

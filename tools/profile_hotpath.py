@@ -66,7 +66,9 @@ that says how much of the path is still hashing trees (it repeats exactly;
 cProfile itself folds every generated ``__hash__`` into one row), and
 ``report_objects_per_query``: the report, ``ChtEntry`` and CHT record objects
 one warm query constructs, by class, next to the clones and nodes it
-processed (it repeats exactly too).
+processed (it repeats exactly too), and ``visits_per_query``: node visits,
+node-queries evaluated, log-table drops and rewrites, rows shipped and
+modelled bytes per warm query — what the §3.1.1 log table saves, counted.
 """
 
 from __future__ import annotations
@@ -242,6 +244,42 @@ def report_objects_per_query() -> dict[str, float]:
     per_query.update(objects)
     per_query["total"] = sum(objects.values())
     return per_query
+
+
+def visits_per_query() -> dict[str, float]:
+    """What the node-query log table leaves a warm query to do, per query.
+
+    A second, unprofiled ``warm`` pass read from the engine's own counters:
+    node visits (the nodes the log tables admitted — inserted or rewritten),
+    node-queries evaluated, log-table drops and rewrites, result rows the
+    client received, and modelled bytes sent.  Counts — they repeat exactly.
+    """
+    engine, queries = _warm_engine()
+    stats = engine.stats
+
+    def counts() -> Counter:
+        tables = [server.log_table for server in engine.servers.values()]
+        return Counter(
+            node_visits=sum(table.inserts + table.rewrites for table in tables),
+            node_queries_evaluated=stats.node_queries_evaluated,
+            log_drops=sum(table.drops for table in tables),
+            log_rewrites=sum(table.rewrites for table in tables),
+            bytes=stats.bytes_sent,
+        )
+
+    before, rows = counts(), 0
+    for text in queries:
+        handle = engine.submit_disql(text)
+        engine.run()
+        rows += len(handle.results)
+    spent = counts()
+    spent.subtract(before)
+    spent["rows_shipped"] = rows
+    names = (
+        "node_visits", "node_queries_evaluated", "log_drops", "log_rewrites",
+        "rows_shipped", "bytes",
+    )
+    return {name: round(spent[name] / WARM_REPEATS, 2) for name in names}
 
 
 #: The server's stages: label → ``(file, function)`` whose cumulative
@@ -785,6 +823,7 @@ def main(argv: list[str] | None = None) -> int:
                 as_json["stage_us_per_query"] = stages
                 as_json["warm_hash_frames_per_query"] = hash_frames_per_query()
                 as_json["report_objects_per_query"] = report_objects_per_query()
+                as_json["visits_per_query"] = visits_per_query()
             if per_page:
                 as_json["build_us_per_page"] = per_page
             if per_query:

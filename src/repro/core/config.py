@@ -93,6 +93,7 @@ class EngineConfig:
     #: Cross-query result caching: each server keeps a
     #: :class:`~repro.core.resultmemo.ResultMemo` of ``(node, node-query
     #: structural key) → rows`` and ``(node, PRE state) → forward fan-out``,
+    #: and of whole visits built from them (one probe per warm visit),
     #: consulted before evaluation so overlapping queries — the
     #: millions-of-users traffic shape — reuse each other's per-node work
     #: instead of re-parsing and re-evaluating the same popular pages.

@@ -9,8 +9,8 @@ carrying everything the per-hop path asks about that state: the canonical
 :class:`~repro.core.state.QueryState` that reports, CHT entries and log-table
 entries reuse, whether the node-query runs here, the link types to follow
 and the row each leads to, the next step's start row, the state's share of a
-clone's ``size_bytes()``, the ``A*m·B`` rewritten row and the §3.1.1 relation
-to a logged PRE.
+clone's ``size_bytes()``, the ``A*m·B`` rewritten row, the §3.1.1 relation
+to a logged PRE, and the state's key in the cross-query memo's visit entries.
 
 Every cell is filled *by calling* :mod:`repro.pre.ops` — ``nullable``,
 ``first_symbols``, ``advance``, ``pre_size``, ``rewrite_superset``,
@@ -31,6 +31,7 @@ wire decode, the user-site's CHT) meets the same table entries.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from ..errors import DisqlSemanticsError
@@ -45,12 +46,18 @@ from ..pre.ops import (
     pre_size,
     rewrite_superset,
 )
+from ..relational.compile import structural_key
 from .state import QueryState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .webquery import WebQueryStep
 
 __all__ = ["QueryProgram", "StateRow"]
+
+#: ``str`` of a PRE, once per distinct tree: the states of every query meet
+#: the same few trees (``advance`` hands out cached results), and the
+#: rendering walks the tree in Python.
+_pre_text = lru_cache(maxsize=65536)(str)
 
 
 class StateRow:
@@ -62,7 +69,7 @@ class StateRow:
 
     __slots__ = (
         "program", "step_index", "rem", "state", "nullable", "rem_bytes",
-        "next_start", "_fanout", "_rewritten", "_relations",
+        "next_start", "_fanout", "_rewritten", "_relations", "_visit_key",
     )
 
     def __init__(self, program: "QueryProgram", step_index: int, rem: Pre) -> None:
@@ -86,6 +93,7 @@ class StateRow:
         self._fanout: tuple[tuple[LinkType, StateRow], ...] | None = None
         self._rewritten: StateRow | None = None
         self._relations: dict[Pre, LogComparison] = {}
+        self._visit_key: str | None = None
 
     def fanout(self) -> tuple[tuple["LinkType", "StateRow"], ...]:
         """``(link type, next row)`` per type ``rem`` can follow, by ``LinkType.value``.
@@ -122,6 +130,30 @@ class StateRow:
         if relation is None:
             relation = self._relations[logged] = compare_for_log(self.rem, logged)
         return relation
+
+    def visit_key(self) -> str:
+        """This state's key in the cross-query memo's visit entries.
+
+        Everything a visit in this state reads of its query: the step
+        index (forwards and evaluations name absolute steps), ``rem``, the
+        label (results carry it) and structure of every node-query from this
+        step on, and the PRE of every later step (a success starts the next
+        one at the same node).  Built once per row, as one string, so a
+        probe hashes it once.  ``str`` of a PRE has no spaces and parses
+        back to the same tree; the rest is length-prefixed, so no two
+        states share a key.
+        """
+        key = self._visit_key
+        if key is None:
+            parts = [f"{self.step_index} {_pre_text(self.rem)} "]
+            for offset, step in enumerate(self.program.steps[self.step_index:]):
+                pre = _pre_text(step.pre) if offset else ""
+                label, structure = step.query.label, structural_key(step.query)
+                parts.append(
+                    f"{len(pre)}:{pre}{len(label)}:{label}{len(structure)}:{structure}"
+                )
+            key = self._visit_key = "".join(parts)
+        return key
 
     def __repr__(self) -> str:
         return f"<StateRow step {self.step_index} rem {self.rem}>"

@@ -27,6 +27,21 @@ Rows entries are keyed, like the plan cache, by the
 :func:`~repro.relational.compile.structural_key` itself, so two distinct
 structures can never share an entry.
 
+A third kind of entry caches a whole visit, built from the two above:
+
+* **visit** — ``(node, visit key of the state) → evaluations, (label, row)
+  results and forwards``.  The key
+  (:meth:`~repro.core.program.StateRow.visit_key`) holds everything a visit
+  reads of its query: the step index, ``rem``, and the label and structure
+  of every node-query from that step on (with the PREs after it).  Forwards
+  are kept as ``(step, rem, targets)`` and rebound to the visiting query's
+  own rows on a hit.  An entry is stored only from a visit whose every part
+  probe hit — it resolved no database — so a hit serves exactly what the
+  part path would have, at the same base service time; it keeps the part
+  probes it stands for, and a hit adds their number to ``memo_hits``.  This
+  is the (node, automaton state) pair that *Processing Regular Path Queries
+  on Arbitrarily Distributed Data* visits once, used as a key.
+
 Invalidation is explicit and coarse: the memo belongs to one *(process
 incarnation, web epoch)*.  :meth:`ResultMemo.clear` (called by
 :meth:`~repro.core.server.QueryServer.crash`) and
@@ -34,12 +49,13 @@ incarnation, web epoch)*.  :meth:`ResultMemo.clear` (called by
 feature drives) both bump ``version`` and drop everything; every entry is
 stamped with the version that wrote it, so the DST
 ``check_memo_coherence`` invariant can audit that no entry ever outlives
-an invalidation.
+an invalidation.  The capacity bound drops everything the same way (a
+*flush*), so a visit entry and the part entries it was built from always
+leave together.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -52,8 +68,9 @@ from ..urlutils import Url
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..net.stats import TrafficStats
+    from .processing import NodeOutcome
 
-__all__ = ["ResultMemo"]
+__all__ = ["ResultMemo", "VisitEntry"]
 
 #: Fan-out payload: per link type, the distinct destinations
 #: (fragment-stripped), in first-occurrence order of the page's links.
@@ -64,28 +81,53 @@ FanoutTargets = dict[LinkType, tuple[Url, ...]]
 class _RowsEntry:
     rows: tuple[ResultRow, ...]
     version: int
+    #: The byte estimate the gauge was charged, subtracted on overwrite.
+    size: int
 
 
 @dataclass(frozen=True, slots=True)
 class _FanoutEntry:
     targets: FanoutTargets
     version: int
+    size: int
+
+
+@dataclass(frozen=True, slots=True)
+class VisitEntry:
+    """One whole visit, served by a single probe (see the module docstring)."""
+
+    #: ``(step index, success)`` per node-query evaluated, in order.
+    evaluations: tuple[tuple[int, bool], ...]
+    #: The ``(label, row)`` results, in order.
+    results: tuple[tuple[str, ResultRow], ...]
+    #: The forwards in order, as runs ``(step, rem, targets)`` of one state.
+    forwards: tuple[tuple[int, Pre, tuple[Url, ...]], ...]
+    #: One key per part probe the visit made, all hits: ``("r", node,
+    #: structural key)`` or ``("f", node, rem)``.
+    parts: tuple[tuple, ...]
+    version: int
 
 
 class ResultMemo:
-    """One site's cross-query memo of rows and forward fan-outs.
+    """One site's cross-query memo of rows, forward fan-outs and visits.
 
-    Bounded: rows and fan-out entries share one LRU of ``capacity`` entries
-    (hits refresh recency, stores evict the coldest entry once the ceiling
-    is crossed), accounted in ``evictions`` and the ``bytes_est`` size
-    gauge — mirrored to ``TrafficStats`` as ``memo_evictions`` /
-    ``memo_bytes_est``.  The default bound is a leak guard, not a tuning
-    knob: the benchmark workloads peak at 131 entries per site.  Entries
-    are plain ``ResultRow`` tuples and URL tuples, independent of which
-    evaluator (compiled plan or interpreter) produced them.
+    Bounded: the three kinds share one count of at most ``capacity``
+    entries.  A part store at the bound first *flushes* — drops every
+    entry, as :meth:`clear` does, counting them in ``evictions`` — so a hit
+    is one dict probe with no recency bookkeeping, and a visit entry never
+    outlives the part entries it stands for.  A visit entry is a shortcut,
+    not data: at the bound it is simply not stored.  Sizes go to the
+    ``bytes_est`` gauge; both are mirrored to ``TrafficStats`` as
+    ``memo_evictions`` / ``memo_bytes_est``.  The default bound is a leak
+    guard, not a tuning knob: the benchmark workloads never reach it.
+    Entries are plain ``ResultRow`` tuples and URL tuples, independent of
+    which evaluator (compiled plan or interpreter) produced them.
     """
 
-    __slots__ = ("version", "capacity", "evictions", "bytes_est", "_rows", "_fanout", "_lru", "_stats")
+    __slots__ = (
+        "version", "capacity", "evictions", "flushes", "bytes_est",
+        "_count", "_rows", "_fanout", "_visits", "_trail", "_stats",
+    )
 
     def __init__(
         self,
@@ -94,21 +136,27 @@ class ResultMemo:
     ) -> None:
         if capacity < 1:
             raise ValueError("memo capacity must be at least 1 entry")
-        #: Bumped by every invalidation; entries stamped with an older
-        #: version must not exist (audited by ``check_memo_coherence``).
+        #: Bumped by every invalidation and every flush; entries stamped
+        #: with an older version must not exist (audited by
+        #: ``check_memo_coherence``).
         self.version = 0
         self.capacity = capacity
+        #: Entries dropped by flushes, and the flushes themselves.
         self.evictions = 0
+        self.flushes = 0
         #: Rough retained-size gauge (strings + per-object overhead); an
         #: estimate for observability, not an allocator measurement.
         self.bytes_est = 0
+        #: Live entries of all three kinds.
+        self._count = 0
         self._rows: dict[tuple[Url, str], _RowsEntry] = {}
         self._fanout: dict[Url, dict[Pre, _FanoutEntry]] = {}
-        #: Shared recency order over both entry kinds: key → byte estimate.
-        #: ``("r", node, key)`` addresses ``_rows``; ``("f", node, rem)``
-        #: addresses ``_fanout``.  Holds exactly the stored entries' keys,
-        #: so a hit can move its key to the end unchecked.
-        self._lru: "OrderedDict[tuple, int]" = OrderedDict()
+        self._visits: dict[tuple[Url, str], VisitEntry] = {}
+        #: Part keys of the hits since the last :meth:`open_visit`, until
+        #: :meth:`store_visit` takes them (a visit that resolved a database
+        #: is not stored, and the next ``open_visit`` starts afresh); None
+        #: when nothing is being recorded.
+        self._trail: list[tuple] | None = None
         self._stats = stats
 
     # -- rows -----------------------------------------------------------------
@@ -127,15 +175,22 @@ class ResultMemo:
             if stats is not None:
                 stats.memo_misses += 1
             return None
-        self._lru.move_to_end(("r",) + key)
+        if self._trail is not None:
+            self._trail.append(("r",) + key)
         if stats is not None:
             stats.memo_hits += 1
         return entry.rows
 
     def store_rows(self, node: Url, query: NodeQuery, rows: tuple[ResultRow, ...]) -> None:
         key = (node, structural_key(query))
-        self._rows[key] = _RowsEntry(rows, self.version)
-        self._account(("r",) + key, _rows_bytes(key[1], rows))
+        size = _rows_bytes(key[1], rows)
+        previous = self._rows.get(key)
+        if previous is None:
+            self._make_room()
+        else:
+            self._gauge(-previous.size)
+        self._rows[key] = _RowsEntry(rows, self.version, size)
+        self._gauge(size)
 
     # -- forward fan-out ------------------------------------------------------
 
@@ -150,16 +205,26 @@ class ResultMemo:
         """
         stats = self._stats
         per_node = self._fanout.get(node)
-        if per_node is None:
+        entry = None if per_node is None else per_node.get(rem)
+        if entry is None and per_node is not None:
+            entry = self._residual(node, rem, per_node)
+            if entry is not None and stats is not None:
+                stats.residual_filters += 1
+        if entry is None:
             if stats is not None:
                 stats.memo_misses += 1
             return None
-        entry = per_node.get(rem)
-        if entry is not None:
-            self._lru.move_to_end(("f", node, rem))
-            if stats is not None:
-                stats.memo_hits += 1
-            return entry.targets
+        if self._trail is not None:
+            self._trail.append(("f", node, rem))
+        if stats is not None:
+            stats.memo_hits += 1
+        return entry.targets
+
+    def _residual(
+        self, node: Url, rem: Pre, per_node: dict[Pre, _FanoutEntry]
+    ) -> _FanoutEntry | None:
+        """``rem``'s fan-out filtered from a subsuming entry and promoted to
+        an exact one; None when no logged state at ``node`` serves it."""
         needed = first_symbols(rem)
         for general, candidate in per_node.items():
             if compare_for_log(rem, general) is not LogComparison.DUPLICATE:
@@ -170,22 +235,80 @@ class ResultMemo:
                 # follow.  (Containment implies it for the A*m·B shapes,
                 # but reuse must stay locally provable.)
                 continue
-            filtered: FanoutTargets = {
-                ltype: candidate.targets[ltype] for ltype in needed
-            }
-            per_node[rem] = _FanoutEntry(filtered, self.version)
-            self._account(("f", node, rem), _fanout_bytes(filtered))
-            if stats is not None:
-                stats.memo_hits += 1
-                stats.residual_filters += 1
-            return filtered
-        if stats is not None:
-            stats.memo_misses += 1
+            return self._put_fanout(
+                node, rem, {ltype: candidate.targets[ltype] for ltype in needed}
+            )
         return None
 
     def store_fanout(self, node: Url, rem: Pre, targets: FanoutTargets) -> None:
-        self._fanout.setdefault(node, {})[rem] = _FanoutEntry(targets, self.version)
-        self._account(("f", node, rem), _fanout_bytes(targets))
+        # A residual promotion is part of a probe, so it stores through
+        # ``_put_fanout`` and never counts as a call of this one.
+        self._put_fanout(node, rem, targets)
+
+    def _put_fanout(self, node: Url, rem: Pre, targets: FanoutTargets) -> _FanoutEntry:
+        size = _fanout_bytes(targets)
+        per_node = self._fanout.get(node)
+        previous = None if per_node is None else per_node.get(rem)
+        if previous is None:
+            self._make_room()  # may flush, so the node's bucket is looked up after
+            per_node = self._fanout.setdefault(node, {})
+        else:
+            self._gauge(-previous.size)
+        entry = per_node[rem] = _FanoutEntry(targets, self.version, size)  # type: ignore[index]
+        self._gauge(size)
+        return entry
+
+    # -- whole visits ---------------------------------------------------------
+
+    def visit_for(self, node: Url, key: str) -> VisitEntry | None:
+        """The memoized visit of ``node`` in the state whose visit key is
+        ``key``; None on a miss, which no counter records (the part probes
+        that follow do)."""
+        entry = self._visits.get((node, key))
+        if entry is not None and self._stats is not None:
+            self._stats.memo_hits += len(entry.parts)
+        return entry
+
+    def open_visit(self) -> int:
+        """Start recording a visit's part probes for :meth:`store_visit`.
+
+        Returns the version to hand back to it: a flush or an invalidation
+        in between changes the version, and the visit is then not stored.
+        """
+        self._trail = []
+        return self.version
+
+    def store_visit(self, node: Url, key: str, outcome: "NodeOutcome", version: int) -> None:
+        """Keep the visit just made as one entry.
+
+        The caller vouches that the visit resolved no database, i.e. every
+        part probe since :meth:`open_visit` hit.  Nothing is stored if the
+        memo was flushed or invalidated since that call returned
+        ``version``, if the memo is full, or if the entry is already there
+        (it holds this very visit: same node, same key, same parts).
+        """
+        parts, self._trail = self._trail, None
+        if (
+            parts is None
+            or version != self.version
+            or self._count >= self.capacity
+            or (node, key) in self._visits
+        ):
+            return
+        runs: list[tuple] = []
+        for row, target in outcome.forwards:
+            if runs and runs[-1][0] is row:
+                runs[-1][1].append(target)
+            else:
+                runs.append((row, [target]))
+        evaluations = tuple(outcome.evaluations)
+        results = tuple(outcome.results)
+        forwards = tuple([(row.step_index, row.rem, tuple(targets)) for row, targets in runs])
+        self._visits[(node, key)] = VisitEntry(
+            evaluations, results, forwards, tuple(parts), version
+        )
+        self._count += 1
+        self._gauge(_visit_bytes(key, evaluations, results, forwards, parts))
 
     # -- invalidation ---------------------------------------------------------
 
@@ -194,9 +317,9 @@ class ResultMemo:
         self.version += 1
         self._rows.clear()
         self._fanout.clear()
-        self._lru.clear()
+        self._visits.clear()
+        self._count = 0
         self._gauge(-self.bytes_est)
-        self.bytes_est = 0
 
     def advance_epoch(self) -> int:
         """The live-web mutation seam: declare every cached entry stale.
@@ -225,68 +348,89 @@ class ResultMemo:
             for rem, entry in per_node.items()
             if entry.version != self.version
         ]
+        stale += [
+            f"visit {key[1]} @ {key[0]} (v{entry.version} != v{self.version})"
+            for key, entry in self._visits.items()
+            if entry.version != self.version
+        ]
         return stale
+
+    def orphaned_visits(self) -> list[str]:
+        """Visit entries naming a part entry that is gone — always empty
+        unless some path dropped a part without its visits (the coherence
+        invariant).  Such a visit would serve what the part path would now
+        recompute, and charge less for it."""
+        orphans = []
+        for (node, key), entry in self._visits.items():
+            for part in entry.parts:
+                if part[0] == "r":
+                    present = (part[1], part[2]) in self._rows
+                else:
+                    present = part[2] in self._fanout.get(part[1], {})
+                if not present:
+                    orphans.append(f"visit {key} @ {node} names a dropped {part[0]} entry")
+                    break
+        return orphans
 
     def recount_bytes(self) -> int:
         """Recompute the byte gauge from scratch over the live entries.
 
         The audit twin of ``bytes_est``: the gauge is maintained
         incrementally (stores add, overwrites subtract the replaced entry's
-        estimate first, evictions and clears subtract), and overwrite-heavy
+        estimate first, flushes and clears subtract), and overwrite-heavy
         sequences are exactly where incremental accounting drifts if any
         path forgets the subtraction — an entry shrinking in place must
         *decrease* the gauge.  ``check_memo_coherence`` (and the regression
         test) assert ``recount_bytes() == bytes_est`` so any future store
         path that breaks the invariant fails loudly instead of skewing the
-        dashboard gauge and the LRU's eviction pressure.
+        dashboard gauge.
         """
         total = sum(_rows_bytes(key[1], entry.rows) for key, entry in self._rows.items())
         for per_node in self._fanout.values():
             total += sum(_fanout_bytes(entry.targets) for entry in per_node.values())
+        total += sum(
+            _visit_bytes(key[1], entry.evaluations, entry.results, entry.forwards, entry.parts)
+            for key, entry in self._visits.items()
+        )
         return total
 
+    def entry_counts(self) -> dict[str, int]:
+        """Live entries by kind: ``rows``, ``fanout`` and ``visits``."""
+        return {
+            "rows": len(self._rows),
+            "fanout": sum(len(per_node) for per_node in self._fanout.values()),
+            "visits": len(self._visits),
+        }
+
     def __len__(self) -> int:
-        return len(self._rows) + sum(len(v) for v in self._fanout.values())
+        return self._count
 
-    # -- LRU bookkeeping ------------------------------------------------------
+    # -- the bound ------------------------------------------------------------
 
-    def _account(self, key: tuple, size: int) -> None:
-        """Register a (re)stored entry under ``key`` and enforce capacity."""
-        lru = self._lru
-        previous = lru.pop(key, None)
-        if previous is not None:
-            self.bytes_est -= previous
-            self._gauge(-previous)
-        lru[key] = size
-        self.bytes_est += size
-        self._gauge(size)
-        while len(lru) > self.capacity:
-            victim, victim_size = lru.popitem(last=False)
-            if victim[0] == "r":
-                self._rows.pop((victim[1], victim[2]), None)
-            else:
-                per_node = self._fanout.get(victim[1])
-                if per_node is not None:
-                    per_node.pop(victim[2], None)
-                    if not per_node:
-                        del self._fanout[victim[1]]
-            self.bytes_est -= victim_size
-            self._gauge(-victim_size)
-            self.evictions += 1
+    def _make_room(self) -> None:
+        """Count one new part entry, flushing first if the memo is full."""
+        if self._count >= self.capacity:
+            dropped = self._count
+            self.evictions += dropped
+            self.flushes += 1
             if self._stats is not None:
-                self._stats.memo_evictions += 1
+                self._stats.memo_evictions += dropped
+            self.clear()
+        self._count += 1
 
     def _gauge(self, delta: int) -> None:
+        self.bytes_est += delta
         if self._stats is not None and delta:
             self._stats.memo_bytes_est += delta
 
 
 # Flat per-object size guesses (CPython-ish): this is a gauge for dashboards
-# and eviction sanity checks, not an allocator audit.  URLs are shared
-# objects, so they are charged as references plus a small constant.
+# and eviction sanity checks, not an allocator audit.  URLs and rows are
+# shared objects, so a visit entry is charged references plus a constant.
 _ROW_OVERHEAD = 56
 _ENTRY_OVERHEAD = 80
 _URL_EST = 64
+_REF = 8
 
 
 def _rows_bytes(key: str, rows: tuple[ResultRow, ...]) -> int:
@@ -302,4 +446,11 @@ def _fanout_bytes(targets: FanoutTargets) -> int:
     total = _ENTRY_OVERHEAD
     for urls in targets.values():
         total += 24 + _URL_EST * len(urls)
+    return total
+
+
+def _visit_bytes(key: str, evaluations, results, forwards, parts) -> int:
+    total = _ENTRY_OVERHEAD + len(key) + 40 * (len(evaluations) + len(results) + len(parts))
+    for __, ___, targets in forwards:
+        total += 48 + _REF * len(targets)
     return total

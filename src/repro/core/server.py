@@ -101,7 +101,7 @@ class QueryServer(CloneProcessor):
         tracer: Tracer,
     ) -> None:
         super().__init__(site, web, network, clock, config, stats, tracer)
-        #: Cross-query memo of per-node rows and forward fan-outs; None when
+        #: Cross-query memo of per-node rows, forward fan-outs and visits; None when
         #: the knob is off.  Volatile like the plan cache, plus
         #: an explicit epoch hook for future live-web mutation.
         self.memo = ResultMemo(stats) if config.cross_query_caching else None

@@ -3,8 +3,9 @@
 For each clone a query-server takes from its queue, the paper's per-node
 algorithm runs as three methods of :class:`CloneProcessor`: log-table
 admission (:meth:`~CloneProcessor._observe`), the visit of each admitted
-node — its document, then rows and forwards from the memo or the node's
-database (:meth:`~CloneProcessor._visit`) — and the clone's report and
+node — one memo probe for the whole visit, or else its document, then rows
+and forwards from the memo or the node's database
+(:meth:`~CloneProcessor._visit`) — and the clone's report and
 child clones (:meth:`~CloneProcessor._report`).  ``docs/architecture.md``
 ("The server's stages") lists each stage with the trace call it makes.
 Dispatching results before forwards, retries, shedding and recovery are
@@ -23,7 +24,7 @@ from .logtable import LogAction, NodeQueryLogTable
 from .messages import CloneReport, Disposition
 from .plancache import PlanCache
 from .processing import Forward, NodeOutcome, process_node
-from .resultmemo import ResultMemo
+from .resultmemo import ResultMemo, VisitEntry
 from .webquery import QueryClone, QueryId
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -33,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..relational.compile import CompiledPlan
     from ..web.web import Web
     from .config import EngineConfig
-    from .program import StateRow
+    from .program import QueryProgram, StateRow
     from .trace import Tracer
 
 __all__ = ["CloneProcessor"]
@@ -49,7 +50,7 @@ class CloneProcessor:
     :meth:`_child_history`.
     """
 
-    #: Cross-query memo of per-node rows and forward fan-outs, or None.
+    #: Cross-query memo of per-node rows, forward fan-outs and visits, or None.
     memo: ResultMemo | None = None
     #: Leads every dispatch identity this processor mints.
     _dispatch_prefix: str
@@ -165,37 +166,53 @@ class CloneProcessor:
         """One admitted node, visited in ``row``'s state.
 
         Returns the outcome — None when the document cannot be had — and the
-        service time charged.  The database is built lazily: a node fully
-        served from the cross-query memo never parses its document, and is
-        charged only the base per-node service time (like a duplicate drop).
-        Without a memo the first worklist item always resolves the database,
-        so ``built`` is set and parse + scan is charged.  ``sitewide`` holds
-        the clone's site table once fetched (None: the query needs none).
+        service time charged.  First one probe for the memo's visit entry of
+        (node, state): a hit is the whole visit — no document, no database,
+        no part probes — charged the base per-node service time.  Otherwise
+        the part path: the database is built lazily, so a node whose rows
+        and fan-out probes all hit never parses its document, is charged
+        only the base service time too (like a duplicate drop), and is kept
+        as a visit entry.  Without a memo the first worklist item always
+        resolves the database, so ``built`` is set and parse + scan is
+        charged.  ``sitewide`` holds the clone's site table once fetched
+        (None: the query needs none); such a clone keeps the part path.
         """
-        html = self._html_for(node)
-        outcome = None
+        memo = self.memo if sitewide is None else None
         service = self.config.node_service_time
-        if html is not None:
-            built: list = []
+        entry = None
+        if memo is not None:
+            key = row.visit_key()
+            entry = memo.visit_for(node, key)
+        if entry is not None:
+            outcome = _served(entry, row.program)
+        else:
+            html = self._html_for(node)
+            outcome = None
+            if html is not None:
+                version = memo.open_visit() if memo is not None else 0
+                built: list = []
 
-            def provider():
-                if not built:
-                    built.append(self.constructor.construct(node, html))
-                    self.stats.documents_parsed += 1
-                return built[0]
+                def provider():
+                    if not built:
+                        built.append(self.constructor.construct(node, html))
+                        self.stats.documents_parsed += 1
+                    return built[0]
 
-            if sitewide is not None and not sitewide:
-                sitewide.append(
-                    self.constructor.site_documents(self.web.site(node.host), self.stats)
+                if sitewide is not None and not sitewide:
+                    sitewide.append(
+                        self.constructor.site_documents(self.web.site(node.host), self.stats)
+                    )
+                outcome = process_node(
+                    node, provider, clone.query, row.step_index, row.rem, self.config,
+                    site_documents=sitewide[0] if sitewide else None,
+                    plan_for=plan_for,
+                    memo=self.memo,
                 )
-            outcome = process_node(
-                node, provider, clone.query, row.step_index, row.rem, self.config,
-                site_documents=sitewide[0] if sitewide else None,
-                plan_for=plan_for,
-                memo=self.memo,
-            )
-            if built:
-                service = self.config.service_time(len(html), outcome.tuples_scanned)
+                if built:
+                    service = self.config.service_time(len(html), outcome.tuples_scanned)
+                elif memo is not None:
+                    memo.store_visit(node, key, outcome, version)
+        if outcome is not None:
             self.stats.node_queries_evaluated += len(outcome.evaluations)
             if outcome.dead_end:
                 self.stats.dead_ends += 1
@@ -305,3 +322,14 @@ class CloneProcessor:
                 for i in chunk:
                     child_ids[i] = dispatch_id
         return clones, child_ids
+
+
+def _served(entry: VisitEntry, program: "QueryProgram") -> NodeOutcome:
+    """The outcome a visit entry stands for, its forwards bound to the rows
+    of the visiting query's ``program``."""
+    row_for = program.row
+    forwards: list[Forward] = []
+    for step_index, rem, targets in entry.forwards:
+        next_row = row_for(step_index, rem)
+        forwards += [Forward(next_row, target) for target in targets]
+    return NodeOutcome(list(entry.results), forwards, list(entry.evaluations))

@@ -69,9 +69,9 @@ def tokenize_disql(text: str) -> list[Token]:
             tokens.append(Token(TokenKind.STRING, text[pos:end], literal, pos, end, line, column))
             pos = end
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # what int() reads; "²".isdigit() but int("²") raises
             end = pos
-            while end < n and text[end].isdigit():
+            while end < n and text[end].isdecimal():
                 end += 1
             tokens.append(
                 Token(TokenKind.NUMBER, text[pos:end], int(text[pos:end]), pos, end, line, column)

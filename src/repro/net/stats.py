@@ -135,10 +135,10 @@ class TrafficStats:
     #: Memo hits served from a strictly more general logged PRE state via
     #: A*m·B containment plus a residual fan-out filter.
     residual_filters: int = 0
-    #: Memo entries dropped by the LRU bound (``ResultMemo.capacity``).
+    #: Memo entries dropped by the flushes of the bound (``ResultMemo.capacity``).
     memo_evictions: int = 0
     #: Estimated bytes currently held by result memos — a gauge, not a
-    #: counter: stores add their entry's estimate, evictions/clears subtract.
+    #: counter: stores add their entry's estimate, flushes/clears subtract.
     memo_bytes_est: int = 0
 
     # The constructor's document store (model/database.py).

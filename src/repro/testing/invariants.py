@@ -173,15 +173,19 @@ def check_memo_coherence(engine) -> list[Violation]:
     ``advance_epoch()`` bump the version *and* drop the entries, so any
     surviving entry stamped with an older version means an invalidation
     path leaked cached state across an incarnation or web-epoch boundary —
-    exactly the silently-wrong-rows failure mode caching introduces.
+    exactly the silently-wrong-rows failure mode caching introduces.  A
+    visit entry must also name only live part entries
+    (:meth:`~repro.core.resultmemo.ResultMemo.orphaned_visits`): one that
+    outlived a part would serve, at the base service time, a visit the part
+    path would now charge a parse for.
     The same sweep audits the memo's byte gauge: ``bytes_est`` is
-    maintained incrementally across stores, overwrites, evictions and
-    clears, and must always equal a from-scratch recount
+    maintained incrementally across stores, overwrites, flushes and
+    clears, over all three entry kinds, and must always equal a
+    from-scratch recount
     (:meth:`~repro.core.resultmemo.ResultMemo.recount_bytes`) — drift means
-    some store path forgot to subtract a replaced entry's estimate, which
-    silently skews both the dashboard gauge and the LRU's eviction
-    pressure.  Run-level check; engines without per-site servers, or with
-    ``cross_query_caching`` off, are skipped.
+    some store path forgot to subtract a replaced entry's estimate, or an
+    entry kind went uncounted.  Run-level check; engines without per-site
+    servers, or with ``cross_query_caching`` off, are skipped.
     """
     servers = getattr(engine, "servers", None)
     if not servers:
@@ -198,6 +202,15 @@ def check_memo_coherence(engine) -> list[Violation]:
                     "memo-coherence", "-",
                     f"server {site} memo holds {len(stale)} entr(y/ies) from "
                     f"a dead version, e.g. {stale[0]}",
+                )
+            )
+        orphans = memo.orphaned_visits()
+        if orphans:
+            violations.append(
+                Violation(
+                    "memo-coherence", "-",
+                    f"server {site} memo holds {len(orphans)} visit entr(y/ies) "
+                    f"outliving a part, e.g. {orphans[0]}",
                 )
             )
         recount = memo.recount_bytes()

@@ -31,7 +31,7 @@ batch kernels reorder around.  Property families:
   the default engine vs ``compiled_plans=False``: identical statuses,
   per-tenant distinct rows and canonical log-table snapshots, crossed
   with the cross-query memo.
-* **Bounded memo / document store** — LRU eviction respects
+* **Bounded memo / document store** — the memo's flush respects
   capacity, moves the ``memo_evictions`` / ``memo_bytes_est`` gauges,
   and never changes answers; the constructor's document store
   reports through ``cache_info()`` and ``TrafficStats``.
@@ -973,21 +973,26 @@ class TestBoundedMemo:
             for i in range(count)
         ]
 
-    def test_capacity_is_respected_with_lru_order(self):
+    def test_capacity_is_respected_by_a_flush(self):
         stats = TrafficStats()
         memo = ResultMemo(stats, capacity=2)
         q0, q1, q2 = self._queries(3)
         memo.store_rows(URL, q0, _rows_of(q0))
         memo.store_rows(URL, q1, _rows_of(q1))
-        # Touch q0 so q1 becomes the coldest entry...
+        version = memo.version
+        # A hit keeps no recency: touching q0 does not save it...
         assert memo.rows_for(URL, q0) is not None
         memo.store_rows(URL, q2, _rows_of(q2))
-        # ...and gets evicted; q0 and q2 survive.
-        assert len(memo) == 2
-        assert memo.evictions == 1
-        assert stats.memo_evictions == 1
+        # ...the store at the bound drops both entries, as a clear would,
+        # and only q2 is left.
+        assert len(memo) == 1
+        assert memo.flushes == 1
+        assert memo.evictions == 2
+        assert stats.memo_evictions == 2
+        assert memo.version == version + 1
+        assert memo.stale_entries() == []
+        assert memo.rows_for(URL, q0) is None
         assert memo.rows_for(URL, q1) is None
-        assert memo.rows_for(URL, q0) == _rows_of(q0)
         assert memo.rows_for(URL, q2) == _rows_of(q2)
 
     def test_bytes_gauge_tracks_stores_evictions_and_clear(self):
@@ -1032,12 +1037,16 @@ class TestBoundedMemo:
         engine = WebDisEngine(campus_web)
         for server in engine.servers.values():
             server.memo = ResultMemo(engine.stats, capacity=2)
-        bounded_handles = [engine.submit_disql(CAMPUS_QUERY_DISQL) for __ in range(2)]
-        engine.run()
+        bounded_handles = []
+        for __ in range(2):
+            bounded_handles.append(engine.submit_disql(CAMPUS_QUERY_DISQL))
+            engine.run()
+            assert all(len(server.memo) <= 2 for server in engine.servers.values())
         for bounded, cold in zip(bounded_handles, cold_handles):
             assert bounded.status is QueryStatus.COMPLETE
             assert _distinct_rows(bounded) == _distinct_rows(cold)
-        # The tiny bound genuinely bit: entries were evicted somewhere.
+        # The tiny bound genuinely bit: some memo flushed.
+        assert sum(server.memo.flushes for server in engine.servers.values()) > 0
         assert engine.stats.memo_evictions > 0
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import importlib
 import re
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import WebDisEngine
 from repro.disql import compile_disql, format_disql, tokenize_disql
@@ -199,6 +199,8 @@ class TestBlankingRegex:
         lambda texts: texts[-1]
     )))
     @settings(max_examples=400, deadline=None)
+    # A digit int() cannot read ("²".isdigit()) is a syntax error, not a crash.
+    @example('select *\nfrom document d0 such that "quo\\"ted" | ""²" L d0')
     def test_spans_are_the_lexers_string_tokens(self, text):
         key = '""'.join(template_module._STRING.split(text)[::2])
         try:

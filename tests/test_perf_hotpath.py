@@ -352,7 +352,12 @@ class TestWarmVisitCounts:
         log table applied §3.1.1 at zero repeats it read 100.42 visits and
         node-queries, 5.76 drops, 0 rewrites, 202.0 rows and 49,788.38
         bytes: a clone with no repeats left was evaluated again wherever a
-        wider state had been logged."""
+        wider state had been logged.
+
+        Of the visits, all but the first ones after the warm-up are served
+        whole by a visit entry of the memo; each part-path visit stores one
+        (its probes all hit).  68.28 visits are in a state with nothing to
+        forward.  No memo flushes, and no site's memo passes 97 entries."""
         assert _profile_tool().visits_per_query() == {
             "node_visits": 91.28,
             "node_queries_evaluated": 91.14,
@@ -360,6 +365,12 @@ class TestWarmVisitCounts:
             "log_rewrites": 0.14,
             "rows_shipped": 185.45,
             "bytes": 48081.81,
+            "visit_hits": 87.95,
+            "part_path_visits": 3.33,
+            "visits_stored": 3.33,
+            "no_fanout_visits": 68.28,
+            "memo_flushes": 0,
+            "memo_high_water": 97,
         }
 
 

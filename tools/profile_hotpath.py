@@ -247,15 +247,40 @@ def report_objects_per_query() -> dict[str, float]:
 
 
 def visits_per_query() -> dict[str, float]:
-    """What the node-query log table leaves a warm query to do, per query.
+    """What the node-query log table and the memo leave a warm query to do.
 
     A second, unprofiled ``warm`` pass read from the engine's own counters:
     node visits (the nodes the log tables admitted — inserted or rewritten),
     node-queries evaluated, log-table drops and rewrites, result rows the
-    client received, and modelled bytes sent.  Counts — they repeat exactly.
+    client received, and modelled bytes sent; then how the visits went —
+    served whole by a visit entry of the memo, or down the part path
+    (document, rows and fan-out probes), the visit entries stored, and the
+    visits in a state with nothing to forward — all per query; and, for the
+    whole pass, the flushes and the largest memo any one site held after a
+    query.  Counts — they repeat exactly.
     """
+    from repro.core import visit
+
     engine, queries = _warm_engine()
     stats = engine.stats
+    memos = [server.memo for server in engine.servers.values()]
+    seen: Counter = Counter()
+    visit_for, process_node, one_visit = (
+        visit.ResultMemo.visit_for, visit.process_node, visit.CloneProcessor._visit
+    )
+
+    def counting_visit_for(self, node, key):
+        entry = visit_for(self, node, key)
+        seen["visit_hits"] += entry is not None
+        return entry
+
+    def counting_process_node(*args, **kwargs):
+        seen["part_path_visits"] += 1
+        return process_node(*args, **kwargs)
+
+    def counting_visit(self, clone, node, row, *args):
+        seen["no_fanout_visits"] += not row.fanout()
+        return one_visit(self, clone, node, row, *args)
 
     def counts() -> Counter:
         tables = [server.log_table for server in engine.servers.values()]
@@ -265,21 +290,37 @@ def visits_per_query() -> dict[str, float]:
             log_drops=sum(table.drops for table in tables),
             log_rewrites=sum(table.rewrites for table in tables),
             bytes=stats.bytes_sent,
+            visits_stored=sum(memo.entry_counts()["visits"] for memo in memos),
+            memo_flushes=sum(memo.flushes for memo in memos),
         )
 
-    before, rows = counts(), 0
-    for text in queries:
-        handle = engine.submit_disql(text)
-        engine.run()
-        rows += len(handle.results)
+    before, rows, high_water = counts(), 0, 0
+    visit.ResultMemo.visit_for = counting_visit_for
+    visit.process_node = counting_process_node
+    visit.CloneProcessor._visit = counting_visit
+    try:
+        for text in queries:
+            handle = engine.submit_disql(text)
+            engine.run()
+            rows += len(handle.results)
+            high_water = max(high_water, max(len(memo) for memo in memos))
+    finally:
+        visit.ResultMemo.visit_for = visit_for
+        visit.process_node = process_node
+        visit.CloneProcessor._visit = one_visit
     spent = counts()
     spent.subtract(before)
+    spent.update(seen)
     spent["rows_shipped"] = rows
     names = (
         "node_visits", "node_queries_evaluated", "log_drops", "log_rewrites",
-        "rows_shipped", "bytes",
+        "rows_shipped", "bytes", "visit_hits", "part_path_visits", "visits_stored",
+        "no_fanout_visits",
     )
-    return {name: round(spent[name] / WARM_REPEATS, 2) for name in names}
+    per_query = {name: round(spent[name] / WARM_REPEATS, 2) for name in names}
+    per_query["memo_flushes"] = spent["memo_flushes"]
+    per_query["memo_high_water"] = high_water
+    return per_query
 
 
 #: The server's stages: label → ``(file, function)`` whose cumulative

@@ -20,7 +20,8 @@ per-hop retry/timeout layers in distributed XQuery network specs:
 
 Everything is deterministic: jitter comes from a ``random.Random`` seeded
 from the policy seed plus the channel's name, and retries are ordinary
-clock events.
+clock events.  The generator is built on a channel's first retry: its
+seeding is the dearest part of a channel, and most channels never retry.
 
 The channel runs over any :class:`~repro.net.transport.Transport`.  On the
 synchronous simulator each attempt's outcome is known when ``send``
@@ -113,7 +114,8 @@ class ReliableChannel:
         self.clock = clock
         self.policy = policy
         self.stats = network.stats
-        self._rng = random.Random(f"{policy.seed if policy is not None else 0}:{name}")
+        self._seed = f"{policy.seed if policy is not None else 0}:{name}"
+        self._rng: random.Random | None = None  # built on the first retry
         self._trace = trace
         self._send_serial = 0
         #: Unsettled sends: key -> (on_final, tag).  Registered *before*
@@ -233,7 +235,10 @@ class ReliableChannel:
                 on_final(outcome)
             return
         if self._retry_allowed(attempt, started):
-            delay = self.policy.backoff(attempt, self._rng)
+            rng = self._rng
+            if rng is None:
+                rng = self._rng = random.Random(self._seed)
+            delay = self.policy.backoff(attempt, rng)
             if (
                 self.policy.deadline is None
                 or (self.clock.now + delay) - started <= self.policy.deadline

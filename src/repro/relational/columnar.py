@@ -31,22 +31,33 @@ stage has the same shape, **seed → kernels → emit**:
 probe or a residual — level *k*, or the leaf if none has — binds by its
 selection alone (level 0 always does), so level *k* is reached with a
 non-empty batch exactly when every selection before it is non-empty.  The
-runner therefore evaluates the selections of levels 0 to *k* first, in
-level order, returns at the first empty one, and only then builds the
-batch — as the cross product of the selections before *k*.  It evaluates
-exactly the selections per-stage seeding would, in the same order; it just
-never expands a batch that the next selection would discard.  Levels after
-*k* seed when their stage is reached, as above.
+runner therefore evaluates the selections of levels 0 to *k* first, returns
+at the first empty one, and only then builds the batch — as the cross
+product of the selections before *k*.  It evaluates them in two passes:
+first each selection with a conjunct that is not provably total (see the
+hoisting rule), then the total ones, each pass in level order; a total
+selection that runs after a deeper non-total one is ``deferred`` in its
+:class:`LevelPlan`.  A total selection skipped behind an empty non-total one
+could not have raised.  A non-total one run ahead of a total one that would
+have emptied the batch may raise where the interpreter never looks — into
+the replay below.  With an empty table among levels 0 to *k* the runner
+keeps level order: the interpreter evaluates no level behind an empty
+table.  Levels after *k* seed when their stage is reached, as above.
+
+**Case folds.**  ``contains`` kernels read a column case-folded once per
+table (:meth:`Table.folded <repro.relational.table.Table.folded>`), not
+lowered per execution: a literal needle absent from the folded column's
+joined text selects nothing in one C call, and a present one filters the
+folded cells.  A non-``str`` cell folds to ``None``, whose ``in`` raises
+into the replay exactly when the cell is read.
 
 **A batched cross-level ``contains``.**  When a level's first per-binding
 step (no probe, first residual) is ``outer.x contains own.y`` (or ``own.y
-contains outer.x``, no ``~k``), the stage lowers the selected own values
-once per execution and each outer binding's value once, then filters with
-``in`` — no scalar closure per (binding, row).  It runs before the binding
-is written into ``env``, so a binding without a match costs one lowered
-value and one ``in`` per selected row.  A non-``str`` operand raises into
-the replay below.  A cross-level ``contains`` anywhere else is a generic
-kernel.
+contains outer.x``, no ``~k``), the stage reads both columns folded and,
+per distinct selected own value, makes one pass over the outer rows the
+batch holds, so each binding costs one dict lookup and a binding without a
+match is dropped before it is written into ``env``.  A cross-level
+``contains`` anywhere else is a generic kernel.
 
 **The hoisting rule.**  A table-local conjunct joins the selection only if
 every conjunct before it at its level is itself in the selection or
@@ -93,7 +104,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-from ..errors import EvaluationError
 from .expr import (
     And,
     Attr,
@@ -153,12 +163,16 @@ class LevelPlan(NamedTuple):
     """Where the conjuncts of one plan level run, as positions in the
     level's conjunct list — so one plan serves every query of its shape.
 
-    Each group is in evaluation order; :meth:`CompiledPlan.describe` prints it.
+    Each group is in evaluation order; ``deferred`` says the selection is
+    provably total and runs after a deeper level's non-total one (module
+    doc, "Selections before expansion").  :meth:`CompiledPlan.describe`
+    prints it.
     """
 
     selection: tuple[int, ...]
     probe: int | None
     residual: tuple[int, ...]
+    deferred: bool = False
 
 
 def build_columnar_runner(
@@ -199,26 +213,42 @@ def build_columnar_runner(
     # run, exactly like the interpreter's outermost level.
     gates = tuple(scalar_filters[0])
     # Level k: the first with per-binding work; the selections up to it run
-    # ahead of any expansion (module doc, "Selections before expansion").
+    # ahead of any expansion, those that can raise first (module doc,
+    # "Selections before expansion").
     ahead = next(
         (depth for depth, level in enumerate(levels) if level.probe is not None or level.residual),
         leaf,
     )
+    total = [
+        all(
+            _provably_total(filter_plan[depth + 1][position], positions, schemas)
+            for position in levels[depth].selection
+        )
+        for depth in range(ahead + 1)
+    ]
+    order = sorted(range(ahead + 1), key=total.__getitem__)  # stable: non-total first
+    for depth in range(ahead + 1):
+        if total[depth] and levels[depth].selection and not all(total[depth:]):
+            levels[depth] = levels[depth]._replace(deferred=True)
 
     def runner(
         env, tables, table_objs, out,
-        _gates=gates, _seeds=tuple(seeds[: ahead + 1]),
+        _gates=gates, _ahead=ahead + 1,
+        _in_order=tuple(enumerate(seeds[: ahead + 1])),
+        _reordered=tuple((depth, seeds[depth]) for depth in order),
         _stages=tuple(stages[ahead:-1]), _leaf_stage=stages[-1],
     ):
         for gate in _gates:
             if not gate(env):
                 return
-        selections = []
-        for seed in _seeds:
+        selections = [None] * _ahead
+        # An empty table ahead: the interpreter evaluates no level behind it,
+        # so neither may a reordered selection.
+        for depth, seed in _reordered if all(tables[:_ahead]) else _in_order:
             selected = seed(env, tables, table_objs)
             if not selected:
                 return
-            selections.append(selected)
+            selections[depth] = selected
         selected = selections.pop()
         batch: list[tuple[int, ...]] = [()]
         for outer in selections:
@@ -379,7 +409,7 @@ def _build_stage(
     it ahead), kernels (probe and residual, per binding), emit."""
     build_col, probe, scan = join if join is not None else (None, None, None)
     # A cross-level contains is only ever first in line (see _lower_level):
-    # it filters each binding before the binding is written into env.
+    # it filters the batch before any binding is written into env.
     cross = None
     if residual and isinstance(residual[0], _CrossContains):
         cross, residual = residual[0], residual[1:]
@@ -396,20 +426,21 @@ def _build_stage(
         rows = tables[_d]
         table = table_objs[_d]
         cols = table.columns()
-        match = None
+        found = None
         if _cross is not None:
-            match = _cross.matcher(cols, selected)
             at = _cross.outer_depth
-            outer_rows = tables[at]
+            found = _cross.matches(table, table_objs[at], selected, batch)
+            if not found:
+                return
         index = members = None
         if _p is not None:
             index = table.index(_c)
         narrowed = len(selected) < len(rows)
         for binding in batch:
             sel = selected
-            if match is not None:
-                sel = match(outer_rows[binding[at]])
-                if not sel:
+            if found is not None:
+                sel = found.get(binding[at])
+                if sel is None:
                     continue
             for outer in range(_d):
                 env[outer] = tables[outer][binding[outer]]
@@ -445,40 +476,44 @@ def _expand(env, cols, sel, binding, out) -> None:
 class _CrossContains(NamedTuple):
     """The first residual of a level without a probe, when it is ``outer.x
     contains own.y`` (``own_is_needle``) or ``own.y contains outer.x``,
-    without ``~k``, over present attributes: lowered once per execution,
-    not per (binding, row)."""
+    without ``~k``, over present attributes: both columns read folded
+    (:meth:`Table.folded`), not lowered per (binding, row)."""
 
     outer_depth: int
     outer_column: int
     own_column: int
     own_is_needle: bool
 
-    def matcher(self, cols: tuple, selected: "Sequence[int]") -> Callable:
-        """Lower every selected own value once; returns ``cross_kernel(
-        outer_row)`` → the positions of ``selected`` that satisfy the
-        conjunct against ``outer_row``.
+    def matches(
+        self, own: object, outer: object, selected: "Sequence[int]", batch: list
+    ) -> "dict[int, list[int]]":
+        """The positions of ``selected`` (rows of the ``own`` table) that
+        satisfy the conjunct, by the ``outer`` row a binding of ``batch``
+        holds; an outer row that no position satisfies is absent.
 
         Both operands must be ``str`` (subclasses included), as in the
-        interpreter; any other value raises, and the run replays.
+        interpreter; any other value is ``None`` in its folded column, the
+        ``in`` raises, and the run replays.
         """
-        column = cols[self.own_column]
-        lowered = []
-        for i in selected:
-            value = column[i]
-            if not isinstance(value, str):
-                raise EvaluationError("contains requires string operands")
-            lowered.append((i, value.lower()))
-
-        def cross_kernel(outer_row, _c=self.outer_column, _needle=self.own_is_needle):
-            value = outer_row[_c]
-            if not isinstance(value, str):
-                raise EvaluationError("contains requires string operands")
-            value = value.lower()
-            if _needle:
-                return [i for i, own in lowered if own in value]
-            return [i for i, own in lowered if value in own]
-
-        return cross_kernel
+        column = own.folded(self.own_column).column
+        values = outer.folded(self.outer_column).column
+        at = self.outer_depth
+        # One pass over the batch's outer rows per distinct own value;
+        # selection vectors ascend, so a merge is a sort.
+        groups: dict = {}
+        for j in selected:
+            groups.setdefault(column[j], []).append(j)
+        outer_rows = {binding[at] for binding in batch}
+        found: dict[int, list[int]] = {}
+        for value, kept in groups.items():
+            if self.own_is_needle:
+                hits = [i for i in outer_rows if value in values[i]]
+            else:
+                hits = [i for i in outer_rows if values[i] in value]
+            for i in hits:
+                earlier = found.get(i)
+                found[i] = kept if earlier is None else sorted(earlier + kept)
+        return found
 
 
 def _cross_contains(
@@ -549,15 +584,18 @@ def _specialize(
         column = _own_column(conjunct.haystack, alias, schema)
         needle = conjunct.needle
         if column is not None and isinstance(needle, Param) and needle.is_str:
-            # Non-string haystacks raise out of the comprehension (ints have
-            # no .lower(); bytes fail the `in`), which routes the run to the
-            # interpreter replay and its EvaluationError — never a silent
-            # wrong answer for any type the virtual relations can hold.
+            # Over the table's folded column (Table.folded): a needle absent
+            # from the joined text is in no cell, one C call; otherwise the
+            # filter lowers nothing.  A non-str cell is None there and raises
+            # out of the comprehension when selected, which routes the run to
+            # the interpreter replay and its EvaluationError.
 
             def contains_kernel(env, cols, rows, sel, table, _c=column, _n=needle.index + 1):
                 lowered = env[_n]
-                col = cols[_c]
-                return [i for i in sel if lowered in col[i].lower()]
+                folded, text = table.folded(_c)
+                if text is not None and lowered not in text:
+                    return []
+                return [i for i in sel if lowered in folded[i]]
 
             return contains_kernel
 

@@ -125,10 +125,12 @@ class CompiledPlan:
         *selection* (evaluated over the whole table, once per execution),
         *probe* (the equality served by a hash index, per outer binding)
         and *residual* (per outer binding, over the survivors) the level
-        has, each in evaluation order.  Constant conjuncts gate the whole
-        run first.  Conjuncts print as this plan's query spells them, with
-        its own literals.  See :mod:`repro.relational.columnar` for the rule
-        that decides which conjunct goes where.
+        has, each in evaluation order.  A provably total selection that
+        runs after a deeper level's non-total one prints as *selection
+        (after non-total)*.  Constant conjuncts gate the whole run first.
+        Conjuncts print as this plan's query spells them, with its own
+        literals.  See :mod:`repro.relational.columnar` for the rules that
+        decide which conjunct goes where, and which selection runs first.
         """
         tables = self.query.tables
         plan = _plan_filters(self.query.where, [decl.alias for decl in tables])
@@ -138,7 +140,10 @@ class CompiledPlan:
         for decl, level, conjuncts in zip(tables, self._lowering.levels, plan[1:]):
             lines.append(f"bind {decl.relation} {decl.alias}")
             for label, group in (
-                ("selection", level.selection),
+                (
+                    "selection (after non-total)" if level.deferred else "selection",
+                    level.selection,
+                ),
                 ("probe", (level.probe,) if level.probe is not None else ()),
                 ("residual", level.residual),
             ):

@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from ..errors import SchemaError
 from .expr import _to_number
 from .schema import Schema
 
-__all__ = ["ColumnIndex", "Table"]
+__all__ = ["ColumnIndex", "Folded", "Table"]
 
 #: Shared empty probe result — `ColumnIndex.probe` misses return this.
 _NO_ROWS: tuple[int, ...] = ()
+
+#: What joins a folded column's cells into its text.  Any separator is
+#: sound — a needle that spans two cells only costs the filter pass — and
+#: NUL is rare in page text.
+FOLD_SEPARATOR = "\x00"
 
 
 def _maybe_numeric_str(text: str) -> bool:
@@ -101,6 +106,55 @@ class ColumnIndex:
         return buckets.get(value, _NO_ROWS)
 
 
+class Folded(NamedTuple):
+    """A column case-folded once, for ``contains``.
+
+    ``column[i]`` is ``value.lower()`` for the ``str`` cell ``value`` — the
+    value itself when lowering leaves it equal, so an already-lower cell
+    costs a pointer, and an already-lower column nothing — and ``None`` for
+    a cell that is not a ``str``, which raises ``TypeError`` out of ``in``
+    on either side exactly when a kernel reads it.  ``text`` joins the
+    folded cells with :data:`FOLD_SEPARATOR` when every one of them is an
+    exact ``str`` (``None`` otherwise): a needle not in it is in no cell.
+    It joins the *folded* cells; the joined text is never folded itself,
+    because ``str.lower`` is context-sensitive (a final ``'Σ'`` lowers to
+    ``'ς'``).
+    """
+
+    column: list
+    text: str | None
+
+
+def _fold(values: list) -> Folded:
+    """The :class:`Folded` form of ``values`` — ``values`` itself as the
+    column when every cell is an already-lower ``str``.
+
+    A ``str`` subclass is lowered through its own ``lower`` and kept as
+    lowered, as the interpreter's ``contains`` evaluates it.
+    """
+    column: list = []
+    append = column.append
+    exact = True
+    changed = False
+    for value in values:
+        if type(value) is str:
+            folded = value.lower()
+            if folded == value:
+                append(value)
+                continue
+        elif isinstance(value, str):
+            folded = value.lower()
+            exact = exact and type(folded) is str
+        else:
+            folded = None
+            exact = False
+        append(folded)
+        changed = True
+    if not changed:
+        column = values
+    return Folded(column, FOLD_SEPARATOR.join(column) if exact else None)
+
+
 class Table:
     """A bag of rows conforming to a :class:`Schema`.
 
@@ -109,9 +163,10 @@ class Table:
     tables live as long as the document store keeps the page
     (:class:`~repro.model.database.DatabaseConstructor`) and are scanned by
     every query that visits the node, so what a table caches is only what
-    every query can share: its two views and the per-column hash indexes.
-    A query's selection over a table depends on the query's own literals,
-    so the executor computes it per execution and keeps nothing here.
+    every query can share: its two views, the per-column hash indexes and
+    the per-column case folds (:meth:`folded`).  A query's selection over a
+    table depends on the query's own literals, so the executor computes it
+    per execution and keeps nothing here.
 
     The columnar executor (:mod:`repro.relational.columnar`) reads the same
     data as parallel per-attribute arrays via :meth:`columns` and probes
@@ -124,7 +179,7 @@ class Table:
     ``index_builds`` / ``index_hits`` counters when provided.
     """
 
-    __slots__ = ("schema", "stats", "_rows", "_columns", "_indexes")
+    __slots__ = ("schema", "stats", "_rows", "_columns", "_indexes", "_folds")
 
     def __init__(
         self,
@@ -138,6 +193,7 @@ class Table:
         self._rows: list[tuple[object, ...]] | None = [self._checked(row) for row in rows]
         self._columns: tuple[list[object], ...] | None = None
         self._indexes: dict[int, ColumnIndex] = {}
+        self._folds: dict[int, Folded] = {}
 
     @classmethod
     def from_columns(
@@ -182,6 +238,8 @@ class Table:
         self._columns = None
         if self._indexes:
             self._indexes.clear()
+        if self._folds:
+            self._folds.clear()
 
     def rows(self) -> Iterator[tuple[object, ...]]:
         """Iterate rows in insertion order."""
@@ -232,6 +290,18 @@ class Table:
         elif stats is not None:
             stats.index_hits += 1
         return index
+
+    def folded(self, position: int) -> Folded:
+        """The cached :class:`Folded` form of the column at ``position``.
+
+        Built on the first ``contains`` read and invalidated by
+        :meth:`insert`, like :meth:`index`; it lives as long as the table,
+        so the document store's bound on databases is its bound too.
+        """
+        folded = self._folds.get(position)
+        if folded is None:
+            folded = self._folds[position] = _fold(self.columns()[position])
+        return folded
 
     def column(self, attribute: str) -> list[object]:
         """All values of ``attribute`` in insertion order."""

@@ -669,10 +669,10 @@ class TestCrossLevelContains:
         from repro.relational import columnar
 
         prepared = []
-        matcher = columnar._CrossContains.matcher
+        matches = columnar._CrossContains.matches
         monkeypatch.setattr(
-            columnar._CrossContains, "matcher",
-            lambda self, *args: prepared.append(self) or matcher(self, *args),
+            columnar._CrossContains, "matches",
+            lambda self, *args: prepared.append(self) or matches(self, *args),
         )
         alias = {"label": "a", "delimiter": "r", "text": "r"}
         conjunct = Contains(Attr(alias[haystack], haystack), Attr(alias[needle], needle))
@@ -1113,10 +1113,10 @@ class TestDstIntegration:
         ]
         assert len(drawn) == 6
         prepared = []
-        matcher = columnar._CrossContains.matcher
+        matches = columnar._CrossContains.matches
         monkeypatch.setattr(
-            columnar._CrossContains, "matcher",
-            lambda self, *args: prepared.append(self) or matcher(self, *args),
+            columnar._CrossContains, "matches",
+            lambda self, *args: prepared.append(self) or matches(self, *args),
         )
         for spec in drawn:
             delimiter, word = spec["query"]["delimiter"], spec["query"]["contains"]

@@ -91,10 +91,40 @@ class TestExplainPlans:
             "plan of q1:\n"
             "bind document d\n"
             "bind anchor a\n"
-            "  selection: a.href != a.base\n"
+            "  selection (after non-total): a.href != a.base\n"
             "bind relinfon r\n"
             '  selection: r.text contains "q0a1b2"\n'
             "  residual: a.label contains r.delimiter\n"
+        )
+
+    def test_a_total_selection_ahead_of_a_non_total_one_is_marked(self):
+        def plan(where, tables="anchor a, relinfon r"):
+            query = compile_disql(
+                'select d.url from document d such that "http://a.example/" L d,\n'
+                f"     {tables} where {where}"
+            )
+            return compile_node_query(query.steps[0].query).describe()
+
+        # Only totals: level order, nothing marked.
+        assert "after non-total" not in plan('a.href != a.base and r.delimiter = "b"')
+        # A total behind the last non-total already runs after it.
+        assert plan('d.title contains "x" and a.href != a.base', "anchor a") == (
+            "bind document d\n"
+            '  selection: d.title contains "x"\n'
+            "bind anchor a\n"
+            "  selection: a.href != a.base"
+        )
+        assert plan(
+            'd.title contains "x" and a.href != a.base and a.ltype = "G"'
+            ' and r.text contains "y"'
+        ) == (
+            "bind document d\n"
+            '  selection: d.title contains "x"\n'
+            "bind anchor a\n"
+            "  selection (after non-total): a.href != a.base\n"
+            '  selection (after non-total): a.ltype = "G"\n'
+            "bind relinfon r\n"
+            '  selection: r.text contains "y"'
         )
 
     def test_probe_and_gate_lines(self):

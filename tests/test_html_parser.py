@@ -182,6 +182,11 @@ WORK_CEILING = {
     "open-tags-never-closed": "<a x " * 200_000,
     "end-tags-with-attributes": "</b x " * 200_000 + ">",
     "whitespace-inside-tags": ("<a" + " " * 250_000 + "</a" + " " * 250_000) * 2,
+    # Back-to-back comments and declarations: a tokeniser that restarts a
+    # match after each one it consumes goes quadratic here.
+    "empty-comments": "<!---->" * 150_000,
+    "declarations": "<!x>" * 250_000,
+    "abrupt-comments": "<!-->" * 200_000,
 }
 
 #: Markup fragments the generated pages are assembled from; the second half

@@ -406,7 +406,9 @@ class _Relations:
 class TestSelectionBelowJoin:
     """Evaluations per ``execute_columnar`` of an ``anchor a, relinfon r``
     join over A anchors x R segments: table-local conjuncts cost one pass
-    over their table, whatever the number of outer bindings."""
+    over their table, whatever the number of outer bindings; a ``contains``
+    column is lowered once per table, not per execution; and the selections
+    that can raise run before the provably total ones."""
 
     A, R = 7, 5
     PAGE = "http://a.example/page.html"
@@ -425,14 +427,14 @@ class TestSelectionBelowJoin:
         )
         return _Relations(document=document, anchor=anchor, relinfon=relinfon)
 
-    def _run(self, where, monkeypatch, stats=None):
+    def _run(self, where, monkeypatch, stats=None, database=None):
         """(rows, text lowers, label lowers, scalar comparisons) of one
         batch execution, after checking its rows against the interpreter."""
         query = compile_disql(
             'select a.href, r.text from document d such that "http://a.example/" L d,\n'
             f"     anchor a, relinfon r where {where}"
         ).steps[0].query
-        database = self._database(stats)
+        database = database or self._database(stats)
         plan = compile_node_query(query)
         expected = evaluate_node_query(query, database)
         compared = []
@@ -461,7 +463,7 @@ class TestSelectionBelowJoin:
         )
         assert len(rows) == self.A
         assert texts == self.R
-        # The cross-alias conjunct runs per anchor, over the one selected segment.
+        # The cross-alias conjunct reads every anchor's label folded once.
         assert labels == self.A
         # A comparisons through the column-pair kernel (it asked both
         # columns' profiles), none through the scalar closure.
@@ -469,17 +471,17 @@ class TestSelectionBelowJoin:
         assert (stats.index_builds, stats.plan_replays) == (2, 0)
 
     def test_empty_leaf_selection_stops_before_the_join(self, monkeypatch):
-        """Selections run ahead of the expansion, in level order: the anchor
-        level's (the column-pair kernel) and then the leaf's, which selects
-        no segment — so no anchor binding reaches the leaf, no label is
-        lowered and the cross-level kernel is never prepared."""
+        """Selections run ahead of the expansion, the non-total leaf's
+        first: it selects no segment, so the anchor level's total one (the
+        column-pair kernel, which builds two column profiles) never runs, no
+        label is lowered and the cross-level kernel is never prepared."""
         from repro.relational import columnar
 
         prepared = []
-        matcher = columnar._CrossContains.matcher
+        matches = columnar._CrossContains.matches
         monkeypatch.setattr(
-            columnar._CrossContains, "matcher",
-            lambda self, *args: prepared.append(args) or matcher(self, *args),
+            columnar._CrossContains, "matches",
+            lambda self, *args: prepared.append(args) or matches(self, *args),
         )
         stats = TrafficStats()
         rows, texts, labels, compared = self._run(
@@ -489,7 +491,7 @@ class TestSelectionBelowJoin:
         )
         assert (rows, texts, labels, compared) == ([], self.R, 0, 0)
         assert prepared == []
-        assert (stats.index_builds, stats.plan_replays) == (2, 0)
+        assert (stats.index_builds, stats.plan_replays) == (0, 0)
 
     def test_empty_outer_batch_evaluates_neither(self, monkeypatch):
         stats = TrafficStats()
@@ -500,6 +502,46 @@ class TestSelectionBelowJoin:
         )
         assert (rows, texts, labels, compared) == ([], 0, 0, 0)
         assert (stats.index_builds, stats.plan_replays) == (0, 0)
+
+    def test_a_second_execution_lowers_nothing(self, monkeypatch):
+        where = 'r.text contains "segment 3" and a.label contains r.delimiter'
+        database = self._database()
+        first = self._run(where, monkeypatch, database=database)
+        assert first[1:3] == (self.R, self.A)
+        again = self._run(where.replace("segment 3", "segment 4"), monkeypatch, database=database)
+        assert len(again[0]) == self.A
+        assert again[1:3] == (0, 0)
+
+    def test_a_total_selection_is_skipped_behind_an_empty_non_total_one(self, monkeypatch):
+        # The anchor level's total selection goes through its scalar closure:
+        # 2 x A comparisons had it run first.
+        rows, texts, labels, compared = self._run(
+            'r.text contains "no such segment" and (a.href = "x" or a.base != "y")',
+            monkeypatch,
+        )
+        assert (rows, texts, labels, compared) == ([], self.R, 0, 0)
+
+    def test_a_non_total_outer_selection_still_runs_first(self, monkeypatch):
+        rows, texts, labels, compared = self._run(
+            'a.label contains "no such label" and r.text contains "segment 3"',
+            monkeypatch,
+        )
+        assert (rows, texts, labels, compared) == ([], 0, self.A, 0)
+
+    def test_a_raising_reordered_selection_replays_to_the_interpreters_rows(
+        self, monkeypatch
+    ):
+        """The leaf's ``contains`` runs ahead of the anchor level's total
+        selection, which keeps no anchor, and raises on an int cell the
+        interpreter never reaches: the replay returns its clean ``[]``."""
+        stats = TrafficStats()
+        database = self._database(stats)
+        database.relation("relinfon").insert(("b", self.PAGE, 5, 1))
+        rows, *__ = self._run(
+            'r.text contains "segment" and a.href = a.base', monkeypatch, database=database
+        )
+        assert rows == []
+        assert stats.plan_replays == 1
 
 
 class TestSocketFrameBudget:

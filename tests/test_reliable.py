@@ -175,3 +175,24 @@ class TestReliableChannel:
 
         assert run(7) == run(7)
         assert run(7) != run(8)  # different seed, different jitter
+
+    def test_a_channel_that_never_retries_builds_no_generator(self):
+        clock, network = _net()
+        network.listen("b.example", 80, lambda s, p: None)
+        channel = _channel(network, clock, RetryPolicy(max_attempts=5))
+        channel.send("a.example", "b.example", 80, _Blob(), None)
+        clock.run()
+        assert channel._rng is None
+
+    def test_the_first_retry_draws_what_an_eager_generator_would(self):
+        clock, network = _net()
+        network.listen("b.example", 80, lambda s, p: None)
+        fails = iter([True, True, True, False])
+        network.set_fault_injector(lambda *a: next(fails))
+        policy = RetryPolicy(max_attempts=5, seed=7)
+        channel = _channel(network, clock, policy, name="chan")
+        times = []
+        channel.send("a.example", "b.example", 80, _Blob(), lambda out: times.append(clock.now))
+        clock.run()
+        eager = random.Random("7:chan")
+        assert times == [pytest.approx(sum(policy.backoff(n, eager) for n in (1, 2, 3)))]

@@ -37,9 +37,11 @@ without wiring up an external profiler::
   After the profile, two unprofiled passes print what one
   ``execute_columnar`` costs — µs, overall and split by whether the leaf's
   selection is empty, and evaluations counted by
-  :func:`counted_evaluations`: ``str.lower`` calls (one per ``contains``
-  operand), scalar comparisons, and calls per stage and batch kernel
-  (``--json``: ``join_per_execution``).  The counts repeat exactly.  A
+  :func:`counted_evaluations`: column folds, ``str.lower`` calls, scalar
+  comparisons, and calls per stage and batch kernel, then how many
+  executions folded nothing and the ``str.lower`` calls they made — none,
+  once every column they read is folded (``--json``:
+  ``join_per_execution``).  The counts repeat exactly.  A
   third pass counts the fan-out per query: destinations iterated vs
   forwards emitted (``--json``: ``fanout_per_query``).  Then
   what compiling costs a query of that pool on the warmed engine: µs of
@@ -424,12 +426,14 @@ def counted_evaluations() -> Iterator[Counter]:
     """Count what the executor evaluates inside the block — counts that
     repeat exactly, taken under :func:`sys.setprofile`.
 
-    ``str.lower``: one call per ``contains`` operand that is not a literal;
+    ``str.lower``: one call per cell a column fold lowers, and per
+    ``contains`` operand a scalar closure lowers; ``table folds``: columns
+    case-folded (:meth:`Table.folded`, once per table and column);
     ``scalar comparisons``: ``=``/``!=``/ordered closures and interpreter
     nodes (:func:`_coerce_pair` frames); ``columnar.<name>``: calls per
     batch stage and kernel.
     """
-    from repro.relational import columnar
+    from repro.relational import columnar, table
     from repro.relational.expr import _coerce_pair
 
     counts: Counter = Counter()
@@ -442,6 +446,8 @@ def counted_evaluations() -> Iterator[Counter]:
             code = frame.f_code
             if code is _coerce_pair.__code__:
                 counts["scalar comparisons"] += 1
+            elif code is table._fold.__code__:
+                counts["table folds"] += 1
             elif (
                 code.co_filename == columnar.__file__
                 and code.co_name.endswith(("kernel", "stage"))
@@ -512,8 +518,24 @@ def join_per_execution() -> dict:
             "us_per_execution": round(seconds / count * 1e6, 2) if count else None,
         }
 
+    # An execution that folds nothing reads every column it needs folded.
+    unfolded = {"executions": 0, "str.lower": 0}
     with counted_evaluations() as counts:
-        _join_pass(inputs)
+
+        def counted(self, database, site_documents=None):
+            folds, lowers = counts["table folds"], counts["str.lower"]
+            try:
+                return original(self, database, site_documents)
+            finally:
+                if counts["table folds"] == folds:
+                    unfolded["executions"] += 1
+                    unfolded["str.lower"] += counts["str.lower"] - lowers
+
+        CompiledPlan.execute_columnar = counted  # type: ignore[method-assign]
+        try:
+            _join_pass(inputs)
+        finally:
+            CompiledPlan.execute_columnar = original  # type: ignore[method-assign]
     return {
         "executions": executions,
         "us_per_execution": round((spent[True][1] + spent[False][1]) / executions * 1e6, 2),
@@ -522,6 +544,7 @@ def join_per_execution() -> dict:
         "evaluations_per_execution": {
             name: round(count / executions, 2) for name, count in sorted(counts.items())
         },
+        "executions_folding_nothing": unfolded,
     }
 
 
@@ -897,6 +920,11 @@ def main(argv: list[str] | None = None) -> int:
                 )
                 for name, count in per_execution["evaluations_per_execution"].items():
                     print(f"  {count:10.2f}  {name}")
+                unfolded = per_execution["executions_folding_nothing"]
+                print(
+                    f"executions that folded nothing: {unfolded['executions']},"
+                    f" with {unfolded['str.lower']} str.lower calls between them"
+                )
                 print(
                     f"fan-out per query ({fanout['queries']} queries, warmed engine):"
                     f" {fanout['destinations_iterated']} destinations iterated,"

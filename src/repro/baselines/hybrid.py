@@ -99,7 +99,7 @@ class CentralProcessor(CloneProcessor):
         if self._busy or not self._queue:
             return
         clone = self._queue.popleft()
-        if clone.query.qid in self._purged:
+        if self._terminal(clone.query):
             self._pump()
             return
         self._busy = True
@@ -147,7 +147,7 @@ class CentralProcessor(CloneProcessor):
             # means the user-site is unreachable.  Either way the central
             # helper stops working on this query.
             if not outcome.delivered:
-                self._purged.add(qid)
+                self._note_purged(qid)
                 return
             for fclone in clones:
                 self._forward(fclone)

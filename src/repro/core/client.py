@@ -213,6 +213,9 @@ class UserSiteClient:
         self._query_numbers = itertools.count(1)
         self._ports = itertools.count(FIRST_RESULT_PORT)
         self._dispatch_serial = itertools.count(1)
+        #: Numbers of the submitted queries that are not yet terminal; the
+        #: smallest is the completion watermark each new query carries.
+        self._live: set[int] = set()
         #: Called with the handle whenever a query leaves RUNNING — complete,
         #: partial or cancelled.  An engine with no quiescence signal of its
         #: own (real sockets) waits on this instead of polling.
@@ -220,6 +223,7 @@ class UserSiteClient:
 
     def _close_result_port(self, handle: QueryHandle) -> None:
         """The step every way out of RUNNING shares (§2.8: close the socket)."""
+        self._live.discard(handle.qid.number)
         self.network.close(self.site, handle.qid.port)
         if self.on_terminal is not None:
             self.on_terminal(handle)
@@ -244,7 +248,9 @@ class UserSiteClient:
         number = next(self._query_numbers)
         port = next(self._ports)
         qid = QueryId(self.user, self.site, port, number)
-        query = query.with_qid(qid)
+        self._live.add(number)
+        oldest = min(self._live)
+        query = query.with_qid(qid, oldest if oldest < number else None)
         handle = QueryHandle(
             query,
             self.cht_factory(),

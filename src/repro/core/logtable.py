@@ -16,13 +16,17 @@ tail (:func:`~repro.pre.ops.compare_for_log`).
 
 Old entries are purged periodically; an over-eager purge only costs
 recomputation, never correctness (Section 3.1.1), which the ablation bench
-EXP-C3 demonstrates.
+EXP-C3 demonstrates.  Here the purge that runs is exact instead: a query
+server drops a query's entries once its user-site's completion watermark
+passes it (:meth:`NodeQueryLogTable.drop_below`); the periodic purge by age
+(``EngineConfig.log_max_age``) stays available.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Iterator
 
 from ..pre.ast import Pre
 from ..pre.automaton import AutomatonLimitError, language_subsumes
@@ -53,14 +57,23 @@ class LogObservation:
     rewritten_rem: Pre | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class _LogEntry:
     state: QueryState
     time: float
 
 
+#: The two outcomes that carry no rewrite, shared by every observation.
+_PROCESS = LogObservation(LogAction.PROCESS)
+_DROP = LogObservation(LogAction.DROP)
+
+
 class NodeQueryLogTable:
-    """Per-site log of node-query visits, keyed by ``(node, qid)``.
+    """Per-site log of node-query visits: per query, per node, the entries.
+
+    Query-major (``{qid: {node: [entry]}}``), so everything one query left
+    here goes in one step — :meth:`drop_below` when its origin's completion
+    watermark passes it.
 
     ``mode`` selects the equivalence test:
 
@@ -77,7 +90,7 @@ class NodeQueryLogTable:
         if mode not in ("paper", "language"):
             raise ValueError(f"unknown log-table mode {mode!r}")
         self.mode = mode
-        self._entries: dict[tuple[Url, QueryId], list[_LogEntry]] = {}
+        self._entries: dict[QueryId, dict[Url, list[_LogEntry]]] = {}
         self.drops = 0
         self.rewrites = 0
         self.inserts = 0
@@ -89,7 +102,7 @@ class NodeQueryLogTable:
         between states with equal ``num_q`` (the paper requires all fields
         equal except the PRE).
         """
-        return self._observe_entry(self._entries.setdefault((node, qid), []), state, now)
+        return self._observe_node(self._entries.setdefault(qid, {}), node, state, now)
 
     def observe_bulk(
         self, nodes: tuple[Url, ...], qid: QueryId, state: QueryState, now: float
@@ -101,11 +114,11 @@ class NodeQueryLogTable:
         every drop/rewrite/insert outcome and counter) is exactly the
         per-node ``observe`` sequence.
         """
-        entries_map = self._entries
+        per_node = self._entries.setdefault(qid, {})
         rewritten: Pre | None = None
         observations = []
         for node in nodes:
-            obs = self._observe_entry(entries_map.setdefault((node, qid), []), state, now)
+            obs = self._observe_node(per_node, node, state, now)
             if obs.action is LogAction.REWRITE:
                 # rewrite_superset(state.rem) is node-independent too.
                 if rewritten is None:
@@ -115,9 +128,14 @@ class NodeQueryLogTable:
             observations.append(obs)
         return observations
 
-    def _observe_entry(
-        self, entries: list[_LogEntry], state: QueryState, now: float
+    def _observe_node(
+        self, per_node: dict[Url, list[_LogEntry]], node: Url, state: QueryState, now: float
     ) -> LogObservation:
+        entries = per_node.get(node)
+        if entries is None:
+            per_node[node] = [_LogEntry(state, now)]
+            self.inserts += 1
+            return _PROCESS
         # A state minted by a query's protocol table remembers its §3.1.1
         # relations (num_q already matched, so the logged PRE is the key).
         row = state.row
@@ -130,7 +148,7 @@ class NodeQueryLogTable:
                 relation = row.relation(entry.state.rem)
             if relation is LogComparison.DUPLICATE:
                 self.drops += 1
-                return LogObservation(LogAction.DROP)
+                return _DROP
             if relation is LogComparison.SUPERSET:
                 # Replace the existing entry with the wider incoming state,
                 # then hand back the rewritten PRE (paper step 1 + 2).
@@ -140,10 +158,10 @@ class NodeQueryLogTable:
                 return LogObservation(LogAction.REWRITE, rewrite_superset(state.rem))
             if self.mode == "language" and self._language_covered(state.rem, entry.state.rem):
                 self.drops += 1
-                return LogObservation(LogAction.DROP)
+                return _DROP
         entries.append(_LogEntry(state, now))
         self.inserts += 1
-        return LogObservation(LogAction.PROCESS)
+        return _PROCESS
 
     @staticmethod
     def _language_covered(incoming: Pre, logged: Pre) -> bool:
@@ -160,17 +178,41 @@ class NodeQueryLogTable:
         recomputation, never wrong answers.
         """
         removed = 0
-        for key in list(self._entries):
-            kept = [entry for entry in self._entries[key] if entry.time >= cutoff]
-            removed += len(self._entries[key]) - len(kept)
-            if kept:
-                self._entries[key] = kept
-            else:
-                del self._entries[key]
+        for qid, per_node in list(self._entries.items()):
+            for node, entries in list(per_node.items()):
+                kept = [entry for entry in entries if entry.time >= cutoff]
+                removed += len(entries) - len(kept)
+                if kept:
+                    per_node[node] = kept
+                else:
+                    del per_node[node]
+            if not per_node:
+                del self._entries[qid]
         return removed
 
+    def drop_below(self, user: str, host: str, mark: int) -> None:
+        """Forget every query of origin ``(user, host)`` numbered below ``mark``.
+
+        The origin's completion watermark: each of those queries is terminal
+        at its user-site, so no observation can consult its entries again
+        (DESIGN.md, "The completion watermark").
+        """
+        entries = self._entries
+        for qid in list(entries):
+            if qid.number < mark and qid.host == host and qid.user == user:
+                del entries[qid]
+
+    def _logged(self) -> Iterator[tuple[Url, QueryId, list[_LogEntry]]]:
+        for qid, per_node in self._entries.items():
+            for node, entries in per_node.items():
+                yield node, qid, entries
+
     def entry_count(self) -> int:
-        return sum(len(entries) for entries in self._entries.values())
+        return sum(len(entries) for __, ___, entries in self._logged())
+
+    def queries(self) -> list[QueryId]:
+        """The queries that hold entries here."""
+        return list(self._entries)
 
     def canonical_snapshot(self) -> dict[tuple[str, str], frozenset[str]]:
         """The table's semantic end state: maximal logged states per key.
@@ -185,7 +227,7 @@ class NodeQueryLogTable:
         ``tests/test_frontier_batching.py``) compare these snapshots.
         """
         snapshot: dict[tuple[str, str], frozenset[str]] = {}
-        for (node, qid), entries in self._entries.items():
+        for node, qid, entries in self._logged():
             states = [entry.state for entry in entries]
             keep = set()
             for state in states:
@@ -208,4 +250,4 @@ class NodeQueryLogTable:
 
     def states_for(self, node: Url, qid: QueryId) -> list[QueryState]:
         """Logged states for one node/query (test and trace support)."""
-        return [entry.state for entry in self._entries.get((node, qid), [])]
+        return [entry.state for entry in self._entries.get(qid, {}).get(node, [])]

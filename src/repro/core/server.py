@@ -141,9 +141,9 @@ class QueryServer(CloneProcessor):
     def crash(self) -> None:
         """The server process dies: all volatile state is lost.
 
-        The queue, log table, document store and purge memory are gone;
-        pending retries are abandoned; in-progress processing never
-        completes.  The caller (the engine) is responsible for the
+        The queue, log table, document store, purge memory and watermarks
+        are gone; pending retries are abandoned; in-progress processing
+        never completes.  The caller (the engine) is responsible for the
         network side: marking the site down and dropping its sockets.
         """
         self._epoch += 1
@@ -160,6 +160,7 @@ class QueryServer(CloneProcessor):
         if self.memo is not None:
             self.memo.clear()
         self._purged = set()
+        self._marks = {}
         self._last_purge = 0.0
         self.channel.reset()
 
@@ -492,7 +493,7 @@ class QueryServer(CloneProcessor):
 
     def _purge(self, clone: QueryClone) -> None:
         qid = clone.query.qid
-        self._purged.add(qid)
+        self._note_purged(qid)
         if self.tracer.enabled:
             self.tracer.nodes(self.clock.now, clone, self.site, "purged")
         # Drop any queued clones of the same query right away.

@@ -25,7 +25,7 @@ from .messages import CloneReport, Disposition
 from .plancache import PlanCache
 from .processing import Forward, NodeOutcome, process_node
 from .resultmemo import ResultMemo, VisitEntry
-from .webquery import QueryClone, QueryId
+from .webquery import QueryClone, QueryId, WebQuery
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..net.network import Network
@@ -74,6 +74,10 @@ class CloneProcessor:
         self.plans = PlanCache(stats=stats)
         #: Queries whose passive termination was observed here.
         self._purged: set[QueryId] = set()
+        #: Completion watermark per origin ``(user, user-site)``: the highest
+        #: ``WebQuery.mark`` a clone brought here.  Every query of the origin
+        #: numbered below it is terminal.
+        self._marks: dict[tuple[str, str], int] = {}
         #: Mints dispatch identities for forwarded clones.  Deliberately
         #: *not* reset by a crash: identities must stay unique across the
         #: process's incarnations or a reborn one could mint an id that
@@ -104,8 +108,9 @@ class CloneProcessor:
         Returns the reports, the child clones and the service time charged.
         """
         now = self.clock.now
-        if clone.query.qid in self._purged:
-            # Passive termination already observed here; drop silently.
+        if self._terminal(clone.query):
+            # Passive termination already observed here, or the origin's
+            # watermark passed the query: drop silently.
             if self.tracer.enabled:
                 self.tracer.nodes(now, clone, self.site, "purged")
             return [], [], self.config.node_service_time
@@ -119,6 +124,36 @@ class CloneProcessor:
         return self._report(clone, visits)
 
     # -- the stages --------------------------------------------------------------
+
+    def _terminal(self, query: WebQuery) -> bool:
+        """Whether ``query`` is known terminal here; applies its watermark.
+
+        A watermark above the origin's held one purges what the origin's
+        queries below it left here — log entries and purge memory — once
+        per server per query.  Below the held watermark a query is
+        terminal without a purge record.
+        """
+        qid = query.qid
+        origin = (qid.user, qid.host)
+        held = self._marks.get(origin, 0)
+        mark = query.done_below or qid.number  # ``query.mark``, without the call
+        if mark > held:
+            self._marks[origin] = mark
+            self.log_table.drop_below(qid.user, qid.host, mark)
+            if self._purged:
+                self._purged = {gone for gone in self._purged if not self._below_mark(gone)}
+        elif qid.number < held:
+            return True
+        return qid in self._purged
+
+    def _below_mark(self, qid: QueryId) -> bool:
+        """Whether the held watermark of ``qid``'s origin passed it."""
+        return qid.number < self._marks.get((qid.user, qid.host), 0)
+
+    def _note_purged(self, qid: QueryId) -> None:
+        """Remember passive termination of ``qid`` — unless its watermark did."""
+        if not self._below_mark(qid):
+            self._purged.add(qid)
 
     def _observe(
         self, clone: QueryClone, now: float

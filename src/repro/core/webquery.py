@@ -75,6 +75,11 @@ class WebQuery:
     display_order: tuple[tuple[str, bool], ...] = ()
     #: Cap on displayed rows per node-query (None = unlimited).
     display_limit: int | None = None
+    #: The user-site's completion watermark when it submitted this query:
+    #: the smallest number among its queries not yet terminal, this one
+    #: counted.  None when that is this query's own number — nothing older
+    #: is live, the sequential case — and then it costs no bytes.
+    done_below: int | None = None
     _program: QueryProgram | None = cache_field()
 
     def __post_init__(self) -> None:
@@ -111,8 +116,13 @@ class WebQuery:
     def initial_state(self) -> QueryState:
         return self.program.starts[0].state
 
-    def with_qid(self, qid: QueryId) -> "WebQuery":
-        return replace(self, qid=qid)
+    @property
+    def mark(self) -> int:
+        """The watermark: every query of this origin numbered below it is terminal."""
+        return self.qid.number if self.done_below is None else self.done_below
+
+    def with_qid(self, qid: QueryId, done_below: int | None = None) -> "WebQuery":
+        return replace(self, qid=qid, done_below=done_below)
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,14 +206,17 @@ class QueryClone:
         """Serialized size: qid + remaining steps + current PRE + node list.
 
         Only the *remaining* node-queries travel — the paper notes that a
-        clone is the "rest of the query".
+        clone is the "rest of the query".  A watermark below the query's own
+        number travels too (4 bytes).
         """
         row = self.row
         remaining = row.program.remaining_bytes[self.step_index]
         dests = sum(len(str(url)) for url in self.dest)
         trail = sum(len(site) + 2 for site in self.history)
         identity = len(self.dispatch_id) + 4
+        query = self.query
+        mark = 0 if query.done_below is None else 4
         return (
-            self.query.qid.size_bytes() + remaining + row.rem_bytes
-            + dests + trail + identity + 16
+            query.qid.size_bytes() + remaining + row.rem_bytes
+            + dests + trail + identity + mark + 16
         )

@@ -4,7 +4,7 @@ The soak harness (``benchmarks/bench_soak.py``), the self-healing tests and
 the deterministic-simulation-testing runner (:mod:`repro.testing.runner`)
 drive seeded schedules of crashes, partitions and flaky windows, and after
 every run ask this module: *did the protocol stay correct, not just
-alive?*  Six invariants, each a direct consequence of the design:
+alive?*  Seven invariants, each a direct consequence of the design:
 
 ``cht-consistent``
     The CHT's accounting agrees with itself: additions minus deletions
@@ -40,6 +40,11 @@ alive?*  Six invariants, each a direct consequence of the design:
     :attr:`~repro.core.server.QueryServer.peak_query_queue_depth`) — the
     admission control actually held the line it advertises.
 
+``watermark``
+    No server holds a log entry or purge record of a query its origin's
+    completion watermark passed, and no server holds a watermark above a
+    query still running (:func:`check_watermark`).
+
 All checks are read-only and deterministic.
 """
 
@@ -59,6 +64,7 @@ __all__ = [
     "check_no_refused_retry",
     "check_queue_ceilings",
     "check_run",
+    "check_watermark",
     "reference_rows",
 ]
 
@@ -255,6 +261,42 @@ def check_document_store(engine) -> list[Violation]:
     return violations
 
 
+def check_watermark(engine, handles=()) -> list[Violation]:
+    """Every server applied the completion watermarks it saw, and only sound ones.
+
+    Per server and origin ``(user, user-site)``: no log entry and no purge
+    record of a query numbered below the watermark the server holds for
+    that origin; and no held watermark above a query of ``handles`` that is
+    still RUNNING (it would have purged a live query's log).  Run-level;
+    engines without per-site servers are skipped.
+    """
+    live: dict[tuple[str, str], int] = {}
+    for handle in handles:
+        if not handle.finished:
+            origin = (handle.qid.user, handle.qid.host)
+            live[origin] = min(live.get(origin, handle.qid.number), handle.qid.number)
+    violations = []
+    for site, server in (getattr(engine, "servers", None) or {}).items():
+        marks = server._marks
+        for origin, mark in marks.items():
+            if mark > live.get(origin, mark):
+                violations.append(Violation(
+                    "watermark", f"{origin[0]}@{origin[1]}",
+                    f"server {site} holds watermark {mark} above running query "
+                    f"{live[origin]}",
+                ))
+        held = [("log entries", qid) for qid in server.log_table.queries()]
+        held += [("a purge record", qid) for qid in server._purged]
+        for what, qid in held:
+            mark = marks.get((qid.user, qid.host), 0)
+            if qid.number < mark:
+                violations.append(Violation(
+                    "watermark", str(qid),
+                    f"server {site} holds {what} below its watermark {mark}",
+                ))
+    return violations
+
+
 def check_queue_ceilings(engine) -> list[Violation]:
     """No server's per-query run-queue ever exceeded the configured ceiling.
 
@@ -372,4 +414,5 @@ def check_run(
     violations += check_queue_ceilings(engine)
     violations += check_memo_coherence(engine)
     violations += check_document_store(engine)
+    violations += check_watermark(engine, handles)
     return violations

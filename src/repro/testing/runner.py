@@ -6,7 +6,9 @@ One *case* drives three simulations:
    provenance journal (:func:`repro.testing.oracle.reference_run`), run
    once per query: each query's reference is its *solo* answer.
 2. **Clean control** — WEBDIS with every query of the spec submitted
-   together, no faults, no queue pressure.  Each query must finish
+   together (or, for a spec with ``"sequential": true``, each when its
+   predecessor is terminal, so the user-site's completion watermark
+   advances), no faults, no queue pressure.  Each query must finish
    COMPLETE with exactly its solo reference rows (:func:`check_clean`) —
    this is the cross-query isolation oracle: interleaving tenants must
    not change any tenant's answer.  Each query's row multiset also
@@ -151,18 +153,48 @@ def _engine_config(spec: Spec, *, pressure: bool = True) -> EngineConfig:
     )
 
 
+def _submit(engine: WebDisEngine, spec: Spec, supervise=None) -> list:
+    """Submit the spec's queries; returns their handles, in submission order.
+
+    All at once, or — ``spec["sequential"]`` — each at the virtual time its
+    predecessor became terminal, so every query after the first raises the
+    user-site's completion watermark.  The list fills as the run goes.
+    """
+    handles: list = []
+    texts = query_texts(spec)
+    pending = iter(texts)
+
+    def submit_next() -> None:
+        text = next(pending, None)
+        if text is None:
+            return
+        handle = engine.submit_disql(text)
+        handles.append(handle)
+        if supervise is not None:
+            supervise(handle)
+
+    if spec.get("sequential"):
+        engine.client.on_terminal = lambda handle: engine.clock.schedule(0.0, submit_next)
+        submit_next()
+    else:
+        for __ in texts:
+            submit_next()
+    return handles
+
+
 def _run_clean(
     spec: Spec, references: list[Reference]
 ) -> tuple[list[Violation], list]:
-    """The fault-free WEBDIS control run — every query submitted together;
-    returns (violations, handles).  Per-query exactness against the solo
-    references is the cross-query isolation oracle on the clean path."""
+    """The fault-free WEBDIS control run — every query submitted together,
+    or one after another; returns (violations, handles).  Per-query
+    exactness against the solo references is the cross-query isolation
+    oracle on the clean path."""
     engine = WebDisEngine(
         build_web(spec),
         config=_engine_config(spec, pressure=False),
         trace=True,
     )
-    handles = [engine.submit_disql(text) for text in query_texts(spec)]
+    handles = _submit(engine, spec)
     engine.run()
     violations = []
     for handle, reference in zip(handles, references):
@@ -175,7 +207,7 @@ def _run_faulted(
     spec: Spec, references: list[Reference], clean_rows: dict, *, inject_bug: bool
 ) -> CaseResult:
     """The run under test: faults + schedule jitter + queue pressure +
-    supervision, all queries interleaved."""
+    supervision, all queries interleaved (or one after another)."""
     plan = build_fault_plan(spec)
     engine = WebDisEngine(
         build_web(spec),
@@ -197,9 +229,7 @@ def _run_faulted(
     if plan is not None:
         engine.apply_faults(plan)
     supervisor = QuerySupervisor(engine.client, POLICY)
-    handles = [engine.submit_disql(text) for text in query_texts(spec)]
-    for handle in handles:
-        supervisor.supervise(handle)
+    handles = _submit(engine, spec, supervisor.supervise)
     engine.run()
 
     violations = check_run(engine, handles, references=clean_rows)
@@ -257,6 +287,7 @@ def run_case_asyncio(
     status (no fingerprint, no row-multiset reference — a different
     interleaving can legitimately change DUPLICATE/REWRITE multiplicities),
     and latency overrides (a simulator cost-model knob) are not applied.
+    The queries are submitted together, also for a ``"sequential"`` spec.
     """
     return asyncio.run(_run_case_asyncio(spec, time_scale, timeout))
 
@@ -324,14 +355,18 @@ def run_seed(
     schedules: int = 2,
     inject_bug: bool = False,
     check_determinism: bool = True,
+    sequential: bool = False,
 ) -> SeedResult:
     """Run one seed: the reference and clean control once, then the run
     under test across ``schedules`` tie-break variants (the first is FIFO).
 
     ``check_determinism`` reruns the first variant and compares
     fingerprints — the "same seed ⇒ bit-identical" acceptance gate.
+    ``sequential`` submits the spec's queries one after another.
     """
     spec = generate_case(seed)
+    if sequential:
+        spec["sequential"] = True
     references = _references(spec)
     clean_violations, clean_handles = _run_clean(spec, references)
     clean_rows = {

@@ -334,6 +334,8 @@ def _webquery_to_wire(query: WebQuery) -> Any:
         encoded["order"] = [[name, desc] for name, desc in query.display_order]
     if query.display_limit is not None:
         encoded["limit"] = query.display_limit
+    if query.done_below is not None:
+        encoded["mark"] = query.done_below
     return encoded
 
 
@@ -366,8 +368,9 @@ def _webquery_from_wire(data: Any) -> WebQuery:
 
 
 def _decode_webquery(data: Any) -> WebQuery:
+    qid = _qid_from_wire(data["qid"])
     return WebQuery(
-        qid=_qid_from_wire(data["qid"]),
+        qid=qid,
         start_urls=tuple(_url_from_wire(u) for u in data["starts"]),
         steps=tuple(
             WebQueryStep(pre_from_wire(s["pre"]), _node_query_from_wire(s["q"]))
@@ -377,7 +380,18 @@ def _decode_webquery(data: Any) -> WebQuery:
         display_distinct=bool(data.get("distinct", False)),
         display_order=tuple((name, desc) for name, desc in data.get("order", ())),
         display_limit=data.get("limit"),
+        done_below=_mark_from_wire(data, qid),
     )
+
+
+def _mark_from_wire(data: Any, qid: QueryId) -> int | None:
+    """A web-query's completion watermark: absent, or in ``1..number``."""
+    if "mark" not in data:
+        return None
+    mark = data["mark"]
+    if type(mark) is not int or not 1 <= mark <= qid.number:
+        raise WireError(f"bad watermark {mark!r} for query {qid}")
+    return None if mark == qid.number else mark
 
 
 def _state_to_wire(state: QueryState) -> Any:

@@ -233,7 +233,8 @@ def test_a_query_is_decoded_once_per_process_and_only_when_identical():
 
 
 # --- the size model ----------------------------------------------------------------
-# The previous implementation's size_bytes() formulas, verbatim.
+# The previous implementation's size_bytes() formulas, verbatim, plus the one
+# term added since: a clone's completion watermark.
 
 
 def _url_text(url: Url) -> str:
@@ -261,9 +262,10 @@ def _clone_size(clone: QueryClone) -> int:
     dests = sum(len(_url_text(url)) for url in clone.dest)
     trail = sum(len(site) + 2 for site in clone.history)
     identity = len(clone.dispatch_id) + 4
+    mark = 0 if clone.query.done_below is None else 4
     return (
         _qid_size(clone.query.qid) + remaining + 4 * pre_size(clone.rem)
-        + dests + trail + identity + 16
+        + dests + trail + identity + mark + 16
     )
 
 
@@ -326,22 +328,30 @@ def _synthetic():
 
 
 _RUNS = {
-    "campus": (lambda: (build_campus_web(), CAMPUS_QUERY_DISQL), EngineConfig()),
-    "synthetic": (_synthetic, EngineConfig()),
-    "synthetic-retrace": (_synthetic, EngineConfig(direct_result_return=False)),
+    "campus": (lambda: (build_campus_web(), CAMPUS_QUERY_DISQL), EngineConfig(), 1),
+    "synthetic": (_synthetic, EngineConfig(), 1),
+    "synthetic-retrace": (_synthetic, EngineConfig(direct_result_return=False), 1),
+    # The second query is submitted while the first runs: it carries a mark.
+    "synthetic-overlapping": (_synthetic, EngineConfig(), 2),
 }
 
 
 @pytest.mark.parametrize("run", sorted(_RUNS))
 def test_every_tapped_message_has_the_previous_size(run):
-    build, config = _RUNS[run]
+    build, config, queries = _RUNS[run]
     web, text = build()
     engine = WebDisEngine(web, config=config)
     tapped = []
     engine.network.add_tap(lambda now, src, dst, port, payload: tapped.append(payload))
-    handle = engine.submit_disql(text)
+    handles = [engine.submit_disql(text) for __ in range(queries)]
     engine.run()
-    assert handle.results
+    assert all(handle.results for handle in handles)
+    marked = [
+        clone for payload in tapped if isinstance(payload, (QueryClone, CloneBundle))
+        for clone in getattr(payload, "clones", (payload,))
+        if clone.query.done_below is not None
+    ]
+    assert bool(marked) == (queries > 1)
     kinds = {type(payload) for payload in tapped}
     assert {QueryClone, ResultMessage} <= kinds
     if run == "synthetic":

@@ -28,30 +28,34 @@ _PRESSURE = {"per_query_queue_limit": 2, "server_queue_limit": 3, "shed_after": 
 #: the log table learned §3.1.1's zero-repeat cases (``B`` against a logged
 #: ``A*n·B`` is a duplicate, ``A*m·B`` against a logged ``B`` a rewrite):
 #: their streams now drop or rewrite clones they used to evaluate again.
+#: All six were re-captured when a query submitted while an older one is
+#: running began to carry the user-site's completion watermark (4 modelled
+#: bytes per clone): every stream is the same event sequence, its times
+#: shifted by the longer transfers.
 _PINS = {
     "5": (
-        "44d0bfcebe03e6d8b13bac995cd5b645e025a2fe47807cb7cabe5d44582895fa",
-        "0d0d1c742824e16973635c98fb60893a64c8b2c900b92c3644d1672772e6aa61",
+        "032411998a5d980495ee86b03002ad966d16e1efe8be0351a2ab4bef26e876c3",
+        "5836fe78811751a42475fbc0bf87d370b10d5b0c60774f14b0477f850e160a10",
     ),
     "259": (
-        "0c8462e5d289bdb5d96cc91363385e7b7f1be3da351d50b009d8220eaf25ca9f",
-        "1c1cf8a903237e90f970cf9737865d6e297140f2dd148cbbf6a3be0a2afd15d1",
+        "87fec161c881a3c4522fec44392d4379a1254c178ba7a70a90c8af62c7627ad6",
+        "7c211220ae97b598381eca1e0c18bedc57a50b9e146276f7cfe983a297171f5f",
     ),
     "263": (
-        "7ea0dae8fe455959ba61e934645277831e0d60df4d5ec39eccd48b1d9c78a8ba",
-        "10c6d715f8938d2df55a907e89af6ede064caec3bb74f05ca405e0b04fc6378c",
+        "e78d73afdcf21fed5138932094c42c14edf69c818c9bf023fefc6029560454ec",
+        "4efc84b681e3bdf4649b8717cbdde69def2276ebe56fb2b8f9673cabe91dd171",
     ),
     "345": (
-        "78fefeb57fbce758f1ee221468a351c5c4cd0e4accd0814368e43e04d368844d",
-        "d379b2c9f6429fa6e8ba2606c8a88df736cb5f9dfba748ba4332c4e903a68fb7",
+        "acd096c26f69aa5461b389d55e88e61e1e90e3f2120651b5d826f81c4a48cfc9",
+        "cc4db2653f30d8d760ab4be18de3dd4863c27475b61bced29352b4543ff5eac9",
     ),
     "812": (
-        "b0f6d27f497656c74473192ae793f0bd7238f5084778fe8aa18cf6d7b191e12d",
-        "f7a5782fe32bcceb3e7c5ec471ee1a34586308c97d259086422628521608d8c6",
+        "e617e8f640643d67b4e20a108c402320095859645838f90ae4079445049c54c5",
+        "cecd14b00f768bff65547f6d4160d865b9639967c839b700e75f5bb93108b457",
     ),
     "130-shed": (
-        "7d028bf0c926efe8554cbcd2f4dd9bf67cfd8177ab35b72f4a6391084f659bb6",
-        "2f726fd437fcf4f47024379bf0bbce1d640d3f6f344c15c16ac79e5987f20b08",
+        "a34ac53c4633d8c5ff94aad18ce2a7852e4a86692d8f34c451cd9feaaa37106c",
+        "fce2c75ebcce4565e470dab803d19d7f0f1cf4ed9cf427478eac41a6ae5b609d",
     ),
 }
 

@@ -36,7 +36,7 @@ from repro.errors import ProtocolError
 from repro.pre import parse_pre
 from repro.urlutils import parse_url
 from repro.web.campus import CAMPUS_QUERY_DISQL
-from repro.wire import decode_message, encode_message
+from repro.wire import WireError, decode_message, encode_message
 
 from .test_protocol_pins import clone_reports
 from .test_wire_interning import _clear_tables
@@ -457,3 +457,39 @@ class TestPoisonedQueriesNeverShareAnObject:
         for name in sorted(_LITERALS):
             first = decode_message(_clone_wire(name)).query
             assert decode_message(_clone_wire(name)).query is first
+
+
+# --- the completion watermark -------------------------------------------------------
+
+
+def _clone_with_mark(mark) -> bytes:
+    """A clone of query 7 whose web-query carries ``mark`` as its watermark."""
+    envelope = json.loads(_clone_wire("int"))
+    envelope["b"]["query"]["mark"] = mark
+    return json.dumps(envelope, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+
+
+class TestWatermarkOnTheWire:
+    @pytest.mark.parametrize(
+        "mark", ["3", 3.0, True, None, [3], {"n": 3}, 0, -1, 8, 2**40],
+        ids=["str", "float", "bool", "null", "list", "object", "zero", "negative",
+             "above-number", "huge"],
+    )
+    def test_a_malformed_mark_is_a_wire_error(self, mark):
+        _clear_tables()
+        with pytest.raises(WireError):
+            decode_message(_clone_with_mark(mark))
+
+    @pytest.mark.parametrize("mark", [1, 6])
+    def test_a_mark_below_the_number_round_trips(self, mark):
+        _clear_tables()
+        query = decode_message(_clone_with_mark(mark)).query
+        assert (query.done_below, query.mark) == (mark, mark)
+        clone = QueryClone.at(query, query.program.starts[0], (parse_url("http://b.example/"),))
+        assert decode_message(encode_message(clone)).query == query
+
+    def test_a_mark_equal_to_the_number_reads_as_absent(self):
+        _clear_tables()
+        query = decode_message(_clone_with_mark(7)).query
+        assert (query.done_below, query.mark) == (None, 7)
+        assert query == decode_message(_clone_wire("int")).query

@@ -7,6 +7,7 @@ schedule, run under several event orderings)::
     PYTHONPATH=src python tools/dst.py --seeds 0..255
     python tools/dst.py --seeds 0..63 --schedules 2          # CI smoke
     python tools/dst.py --seeds 0..40 --inject-bug           # bug-flag demo
+    python tools/dst.py --seeds 0..1023 --sequential         # watermark mode
 
 On a failing seed the case is shrunk to a minimal repro and written as
 JSON (default ``dst-repro-<seed>.json``); the exit code is non-zero.
@@ -59,6 +60,7 @@ def sweep(args: argparse.Namespace) -> int:
             schedules=args.schedules,
             inject_bug=args.inject_bug,
             check_determinism=not args.no_determinism,
+            sequential=args.sequential,
         )
         for case in result.cases:
             statuses[case.status] += 1
@@ -140,6 +142,9 @@ def main(argv: list[str] | None = None) -> int:
                             help="scan all seeds instead of stopping at the first failure")
     sweep_args.add_argument("--repro", default=None,
                             help="path for the shrunk repro JSON")
+    sweep_args.add_argument("--sequential", action="store_true",
+                            help="submit a seed's queries one after another, so the "
+                                 "user-site's completion watermark advances")
     sweep_args.add_argument("--quiet", action="store_true")
 
     replay_parser = sub.add_parser("replay", help="re-run a shrunk repro JSON")

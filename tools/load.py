@@ -1,0 +1,248 @@
+#!/usr/bin/env python
+"""Open-loop load on one warm engine: seeded Poisson arrivals of a query mix.
+
+One engine over EXP-E1's 32×20 spot-check web runs a cold / warm / join mix
+of DISQL queries arriving as a Poisson process in virtual time, so queries
+overlap — every query submitted while an older one runs carries the
+user-site's completion watermark explicitly::
+
+    PYTHONPATH=src python tools/load.py                  # 2,400 queries
+    PYTHONPATH=src python tools/load.py --gate           # exit 1 on growth
+    PYTHONPATH=src python tools/load.py --mix 0,1,0      # warm repeats only
+    PYTHONPATH=src python tools/load.py --smoke          # short run (CI)
+
+* ``warm`` — EXP-E1's ``warm_zipf`` pool (16 reach queries, zipf weights),
+  run once before the load so its probes are memo hits;
+* ``cold`` — a reach query from a random start site with a literal never
+  seen before: every node evaluates again (a memo miss per visit);
+* ``join`` — an anchor × relinfon join below a random start site, with a
+  literal drawn from the web's emphasized text.
+
+The mix (cold 1 : warm 2 : join 1), the offered rate (4 queries per
+virtual second) and the 2% of queries cancelled are an arbitrary synthetic
+choice, not measured traffic: enough overlap that queries run side by side,
+with every way out of RUNNING represented.
+
+It prints achieved queries per second and p50 / p99 latency, all in virtual
+time, then one line per interval: queries finished, queries running,
+``tracemalloc`` current, live log-table entries, memo entries and purge
+records over all servers, then the rise of each series' high-water mark per
+finished query over the second half of the run.  ``--gate`` fails (exit 1)
+when the rise of the log entries, the purge records or the running queries
+exceeds ``GATE_PER_QUERY``: the per-query state the completion watermark
+bounds.  Traced memory is reported, not gated: it also holds the engine's
+own bounded caches (the memo flushes at 4096 entries per server, the plan
+cache keeps 256 plans), which a 2,400-query mix with cold literals is still
+filling.  A query that does not finish COMPLETE, other than one cancelled
+on purpose, counts as failed; any failure exits 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import random
+import statistics
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from repro import QueryStatus, build_engine  # noqa: E402
+from repro.web.synthetic import SyntheticWebConfig, build_synthetic_web  # noqa: E402
+
+SITES, PAGES = 32, 20
+QUERIES, INTERVALS = 2400, 24
+#: Offered queries per virtual second, and the share of queries cancelled
+#: 0.02 virtual seconds after submission.
+RATE, CANCEL_SHARE = 4.0, 0.02
+
+#: Allowed rise of a series' high-water mark per finished query over the
+#: second half of a run.
+GATE_PER_QUERY = {
+    "log_entries": 0.5,
+    "purge_records": 0.05,
+    "running": 0.01,
+}
+#: Series whose rise is reported: the gated ones, then traced memory.
+REPORTED = (*GATE_PER_QUERY, "traced_kib")
+
+
+def _web():
+    return build_synthetic_web(
+        SyntheticWebConfig(
+            sites=SITES, pages_per_site=PAGES, local_out_degree=3,
+            global_out_degree=2, padding_words=50,
+        )
+    )
+
+
+def _reach(start: int, depth: int, literal: str) -> str:
+    return (
+        f'select d.url, d.title, a.href from document d such that '
+        f'"http://site{start:03d}.example/" (L|G)*{depth} d, anchor a '
+        f'where d.title contains "{literal}"'
+    )
+
+
+WARM_POOL = [_reach(index, depth, "topic") for depth in (3, 2) for index in range(0, 32, 4)]
+WARM_WEIGHTS = [1.0 / rank for rank in range(1, len(WARM_POOL) + 1)]
+
+
+def _join(start: int, literal: str) -> str:
+    return (
+        f'select d.url, a.href, r.text from document d such that '
+        f'"http://site{start:03d}.example/" (L|G)*2 d, anchor a, relinfon r '
+        f'where r.text contains "{literal}" and a.href != a.base'
+    )
+
+
+def _draw(rng: random.Random, kind: str, serial: int) -> str:
+    if kind == "warm":
+        return rng.choices(WARM_POOL, WARM_WEIGHTS)[0]
+    if kind == "cold":
+        return _reach(rng.randrange(SITES), 2, f"never {serial}")
+    return _join(rng.randrange(SITES), f"item {rng.randrange(SITES)}-")
+
+
+def _high_water_growth(done: list[int], series: list[float]) -> float:
+    """Rise of the series' running maximum per finished query, second half."""
+    half = len(series) // 2
+    if half == 0 or done[-1] <= done[half - 1]:
+        return 0.0
+    return (max(series) - max(series[:half])) / (done[-1] - done[half - 1])
+
+
+def run_load(
+    queries: int = QUERIES, mix: tuple[float, float, float] = (1, 2, 1), *,
+    intervals: int = INTERVALS, seed: int = 1, rate: float = RATE,
+    cancel_share: float = CANCEL_SHARE,
+) -> dict:
+    engine = build_engine(_web())
+    for text in WARM_POOL:
+        engine.submit_disql(text)
+        engine.run()
+    servers = list(engine.servers.values())
+    clock = engine.clock
+    rng = random.Random(f"load:{seed}")
+
+    latencies: list[float] = []
+    outcome = {"submitted": 0, "finished": 0, "failed": 0, "cancelled": 0}
+    cancelled: set[int] = set()
+
+    def on_terminal(handle) -> None:
+        outcome["finished"] += 1
+        if handle.qid.number in cancelled:
+            outcome["cancelled"] += 1
+            return
+        if handle.status is not QueryStatus.COMPLETE:
+            outcome["failed"] += 1
+            return
+        latencies.append(clock.now - handle.submit_time)
+
+    engine.client.on_terminal = on_terminal
+
+    def submit(text: str, cancel: bool) -> None:
+        handle = engine.submit_disql(text)
+        outcome["submitted"] += 1
+        if cancel:
+            cancelled.add(handle.qid.number)
+            clock.schedule(0.02, lambda: handle.finished or engine.cancel(handle))
+
+    start = clock.now
+    arrival = start
+    kinds = ("cold", "warm", "join")
+    for serial in range(queries):
+        arrival += rng.expovariate(rate)
+        text = _draw(rng, rng.choices(kinds, mix)[0], serial)
+        cancel = rng.random() < cancel_share
+        clock.schedule_at(arrival, lambda text=text, cancel=cancel: submit(text, cancel))
+
+    tracemalloc.start()
+    wall = time.perf_counter()
+    samples = []
+    step = (arrival - start) / intervals
+    for index in range(1, intervals + 1):
+        engine.run(until=start + index * step)
+        samples.append({
+            "finished": outcome["finished"],
+            "running": outcome["submitted"] - outcome["finished"],
+            "traced_kib": round(tracemalloc.get_traced_memory()[0] / 1024, 1),
+            "log_entries": engine.total_log_entries(),
+            "memo_entries": sum(len(server.memo) for server in servers),
+            "purge_records": sum(len(server._purged) for server in servers),
+        })
+    engine.run()
+    wall = time.perf_counter() - wall
+    tracemalloc.stop()
+
+    done = [sample["finished"] for sample in samples]
+    growth = {
+        name: round(_high_water_growth(done, [sample[name] for sample in samples]), 3)
+        for name in REPORTED
+    }
+    ordered = sorted(latencies)
+    return {
+        "queries": queries,
+        "offered_per_s": rate,
+        "achieved_per_s": round(outcome["finished"] / (clock.now - start), 2),
+        "wall_queries_per_s": round(outcome["finished"] / wall, 1),
+        "p50_ms": round(statistics.median(ordered) * 1e3, 2) if ordered else None,
+        "p99_ms": round(ordered[int(0.99 * (len(ordered) - 1))] * 1e3, 2) if ordered else None,
+        **outcome,
+        "intervals": samples,
+        "high_water_growth_per_query": growth,
+        "gate_failures": [
+            name for name, limit in GATE_PER_QUERY.items() if growth[name] > limit
+        ],
+    }
+
+
+def _print(result: dict) -> None:
+    print(
+        f"{result['finished']} of {result['queries']} queries finished "
+        f"({result['failed']} failed, {result['cancelled']} cancelled): "
+        f"offered {result['offered_per_s']}/s, achieved {result['achieved_per_s']}/s "
+        f"virtual ({result['wall_queries_per_s']}/s wall), "
+        f"p50 {result['p50_ms']} ms, p99 {result['p99_ms']} ms"
+    )
+    columns = ("finished", "running", "traced_kib", "log_entries", "memo_entries",
+               "purge_records")
+    print("  ".join(f"{name:>13}" for name in columns))
+    for sample in result["intervals"]:
+        print("  ".join(f"{sample[name]:>13}" for name in columns))
+    print(
+        "high-water growth per finished query over the second half: "
+        + ", ".join(
+            f"{name} {value}"
+            + (f" (gate {GATE_PER_QUERY[name]})" if name in GATE_PER_QUERY else "")
+            for name, value in result["high_water_growth_per_query"].items()
+        )
+    )
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--mix", default="1,2,1",
+                        help="cold,warm,join weights (default 1,2,1)")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--gate", action="store_true",
+                        help="exit 1 when log entries, purge records or running "
+                        "queries keep rising")
+    parser.add_argument("--smoke", action="store_true",
+                        help="a short run (120 queries, 6 intervals)")
+    args = parser.parse_args(argv)
+    queries, intervals = (120, 6) if args.smoke else (QUERIES, INTERVALS)
+    mix = tuple(float(weight) for weight in args.mix.split(","))
+    result = run_load(queries, mix, intervals=intervals, seed=args.seed)
+    _print(result)
+    failed = result["failed"] > 0
+    if args.gate and result["gate_failures"]:
+        print(f"GATE: still growing: {', '.join(result['gate_failures'])}")
+        failed = True
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -52,7 +52,9 @@ class PlanCache:
     lowering).
     """
 
-    __slots__ = ("max_size", "hits", "misses", "shared_hits", "_plans", "_lowerings", "_stats")
+    __slots__ = (
+        "max_size", "hits", "misses", "lowerings", "shared_hits", "_plans", "_lowerings", "_stats",
+    )
 
     def __init__(self, max_size: int = 256, stats: "TrafficStats | None" = None) -> None:
         if max_size < 1:
@@ -60,6 +62,8 @@ class PlanCache:
         self.max_size = max_size
         self.hits = 0
         self.misses = 0
+        #: Misses that lowered a new shape; the other misses bound one.
+        self.lowerings = 0
         #: Hits where the plan was compiled on behalf of a *different*
         #: query — cross-query sharing.
         self.shared_hits = 0
@@ -88,7 +92,9 @@ class PlanCache:
                     self._stats.plans_shared += 1
             return plan
         self.misses += 1
+        kept = len(self._lowerings)
         plan = compile_node_query(query, lowerings=self._lowerings)
+        self.lowerings += len(self._lowerings) - kept  # a new shape's lowering is kept
         self._plans[key] = (origin, plan)
         for entries in (self._plans, self._lowerings):
             while len(entries) > self.max_size:

@@ -106,6 +106,9 @@ class VisitEntry:
     #: structural key)`` or ``("f", node, rem)``.
     parts: tuple[tuple, ...]
     version: int
+    #: Whether the visited state has no link to follow (``StateRow.fanout()``
+    #: is empty), for ``CloneProcessor.no_fanout_visits``.
+    no_fanout: bool
 
 
 class ResultMemo:
@@ -125,7 +128,7 @@ class ResultMemo:
     """
 
     __slots__ = (
-        "version", "capacity", "evictions", "flushes", "bytes_est",
+        "version", "capacity", "evictions", "flushes", "visit_hits", "bytes_est",
         "_count", "_rows", "_fanout", "_visits", "_trail", "_stats",
     )
 
@@ -144,6 +147,8 @@ class ResultMemo:
         #: Entries dropped by flushes, and the flushes themselves.
         self.evictions = 0
         self.flushes = 0
+        #: :meth:`visit_for` probes that hit: visits served whole.
+        self.visit_hits = 0
         #: Rough retained-size gauge (strings + per-object overhead); an
         #: estimate for observability, not an allocator measurement.
         self.bytes_est = 0
@@ -265,8 +270,10 @@ class ResultMemo:
         ``key``; None on a miss, which no counter records (the part probes
         that follow do)."""
         entry = self._visits.get((node, key))
-        if entry is not None and self._stats is not None:
-            self._stats.memo_hits += len(entry.parts)
+        if entry is not None:
+            self.visit_hits += 1
+            if self._stats is not None:
+                self._stats.memo_hits += len(entry.parts)
         return entry
 
     def open_visit(self) -> int:
@@ -278,7 +285,9 @@ class ResultMemo:
         self._trail = []
         return self.version
 
-    def store_visit(self, node: Url, key: str, outcome: "NodeOutcome", version: int) -> None:
+    def store_visit(
+        self, node: Url, key: str, outcome: "NodeOutcome", version: int, no_fanout: bool
+    ) -> None:
         """Keep the visit just made as one entry.
 
         The caller vouches that the visit resolved no database, i.e. every
@@ -305,7 +314,7 @@ class ResultMemo:
         results = tuple(outcome.results)
         forwards = tuple([(row.step_index, row.rem, tuple(targets)) for row, targets in runs])
         self._visits[(node, key)] = VisitEntry(
-            evaluations, results, forwards, tuple(parts), version
+            evaluations, results, forwards, tuple(parts), version, no_fanout
         )
         self._count += 1
         self._gauge(_visit_bytes(key, evaluations, results, forwards, parts))

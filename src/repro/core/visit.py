@@ -74,6 +74,11 @@ class CloneProcessor:
         self.plans = PlanCache(stats=stats)
         #: Queries whose passive termination was observed here.
         self._purged: set[QueryId] = set()
+        #: Visits that took the part path (``process_node``), and visits in
+        #: a state with nothing to forward.  A visit served whole is counted
+        #: by ``memo.visit_hits``.
+        self.part_path_visits = 0
+        self.no_fanout_visits = 0
         #: Completion watermark per origin ``(user, user-site)``: the highest
         #: ``WebQuery.mark`` a clone brought here.  Every query of the origin
         #: numbered below it is terminal.
@@ -237,6 +242,7 @@ class CloneProcessor:
                     sitewide.append(
                         self.constructor.site_documents(self.web.site(node.host), self.stats)
                     )
+                self.part_path_visits += 1
                 outcome = process_node(
                     node, provider, clone.query, row.step_index, row.rem, self.config,
                     site_documents=sitewide[0] if sitewide else None,
@@ -246,7 +252,9 @@ class CloneProcessor:
                 if built:
                     service = self.config.service_time(len(html), outcome.tuples_scanned)
                 elif memo is not None:
-                    memo.store_visit(node, key, outcome, version)
+                    memo.store_visit(node, key, outcome, version, not row.fanout())
+        # A hit reads the flag its entry keeps: the row's fan-out may be underived.
+        self.no_fanout_visits += entry.no_fanout if entry is not None else not row.fanout()
         if outcome is not None:
             self.stats.node_queries_evaluated += len(outcome.evaluations)
             if outcome.dead_end:

@@ -15,10 +15,10 @@ Covers the perf-layer invariants the benchmarks rely on:
   not timed;
 * a warm query's servers send one report per clone, not one per node;
 * a warm query's visits, drops and rewrites, as ``tools/profile_hotpath.py``
-  counts them;
-* a state's fan-out is derived once per query (a protocol-table row) and
-  the hoisted forward-dedup set keeps ``_emit_forwards`` linear in the link
-  count;
+  counts them, and the engine counters it reads add up;
+* ``tools/`` rebinds nothing in ``repro``;
+* a state's fan-out is derived once per query (a protocol-table row), and
+  an anchor-rich page builds one forward per destination, not per anchor;
 * a frame on an established socket link costs the event loop a fixed, small
   number of handles — counted, not timed — with no ``asyncio.wait_for`` and
   no task but the send's own.
@@ -26,6 +26,7 @@ Covers the perf-layer invariants the benchmarks rely on:
 
 from __future__ import annotations
 
+import ast
 import asyncio
 import importlib.util
 import sys
@@ -37,6 +38,7 @@ import pytest
 from repro import EngineConfig, WebDisEngine
 from repro.baselines.docservice import FetchRequest
 from repro.core import plancache as plancache_module
+from repro.core import processing
 from repro.core.plancache import PlanCache
 from repro.core.trace import Tracer
 from repro.core.webquery import QueryId
@@ -291,6 +293,35 @@ class TestFanoutMemo:
         )
 
 
+class TestAnchorRichFanout:
+    def test_one_forward_per_destination_and_state_not_per_anchor(self, monkeypatch):
+        """A page shaped like ``eval_join``'s: 61 anchors onto two targets, one
+        local and one global, told apart by fragment.  Before
+        ``forward_targets`` an ``eval_join`` query built 169.48 forwards to
+        emit 6.0; now each one built is emitted."""
+        targets = ("/p1.html", "http://other.example/p2.html")
+        builder = WebBuilder()
+        builder.site("rich.example").page(
+            "/p0.html", title="rich",
+            links=[(f"b ref {j}", f"{targets[j % 2]}#s{j}") for j in range(61)],
+        ).page("/p1.html", title="local")
+        builder.site("other.example").page("/p2.html", title="global")
+        built = Counter()
+        forward = processing.Forward
+        monkeypatch.setattr(
+            processing, "Forward",
+            lambda row, target: built.update([(row, target)]) or forward(row, target),
+        )
+        engine = WebDisEngine(builder.build())
+        handle = engine.submit_disql(
+            'select d.url from document d such that "http://rich.example/p0.html" (G|L)*1 d'
+        )
+        engine.run()
+        assert len(handle.results) == 3  # the page and both targets
+        assert sorted(target.path for __, target in built) == ["/p1.html", "/p2.html"]
+        assert set(built.values()) == {1}
+
+
 class TestOneReportPerClone:
     def test_a_warm_query_sends_one_report_per_clone_not_per_node(self, monkeypatch):
         from repro.core.client import UserSiteClient
@@ -372,6 +403,138 @@ class TestWarmVisitCounts:
             "memo_flushes": 0,
             "memo_high_water": 97,
         }
+
+
+class TestEngineCounters:
+    """The counters ``tools/profile_hotpath.py`` reads where the engine
+    decides: each node the log tables admit is served whole by a visit entry
+    (``ResultMemo.visit_hits``), takes the part path
+    (``CloneProcessor.part_path_visits``) or has no document."""
+
+    QUERY = QUERY.replace("(L|G)*2", "(L|G)*1")
+
+    def _runs(self, **config) -> list[Counter]:
+        """Per run of :attr:`QUERY`, three on one engine: the first parses,
+        the second hits every part probe and stores visit entries, the
+        third is served by them.  One of the four nodes has no document."""
+        web = _web()
+        del web.site("leafb.example").pages["/"]
+        engine = WebDisEngine(web, config=EngineConfig(**config), trace=True)
+        servers = engine.servers.values()
+
+        def counts() -> Counter:
+            return Counter(
+                admitted=sum(s.log_table.inserts + s.log_table.rewrites for s in servers),
+                hits=sum(s.memo.visit_hits for s in servers if s.memo is not None),
+                part_path=sum(s.part_path_visits for s in servers),
+                missing=engine.tracer.actions()["missing"],
+                no_fanout=sum(s.no_fanout_visits for s in servers),
+            )
+
+        runs = []
+        for __ in range(3):
+            before = counts()
+            engine.submit_disql(self.QUERY)
+            engine.run()
+            runs.append(counts() - before)
+        return runs
+
+    def test_every_admitted_visit_is_a_hit_a_part_path_or_a_missing_document(self):
+        runs = self._runs()
+        for run in runs:
+            assert run["hits"] + run["part_path"] + run["missing"] == run["admitted"]
+        assert [run["hits"] for run in runs] == [0, 0, 3]
+        assert runs[0]["missing"] == 1
+        # The third run reads the flags its visit entries kept.
+        assert [run["no_fanout"] for run in runs] == [3, 3, 3]
+
+    def test_without_the_memo_no_visit_hits(self):
+        for run in self._runs(cross_query_caching=False):
+            assert run["hits"] == 0
+            assert run["part_path"] + run["missing"] == run["admitted"] == 4
+
+    def test_each_server_lowers_each_eval_join_shape_once(self):
+        """What ``compile_per_query`` prints: after the warm-up, the pool's
+        400 node-query compiles lower nothing and all bind."""
+        tool = _profile_tool()
+        web, warmup, pool = tool._join_inputs()
+        engine = WebDisEngine(web)
+        caches = [server.plans for server in engine.servers.values()]
+        totals = []
+        for texts in (warmup, pool):
+            tool._run_all(engine, texts)
+            totals.append([sum(cache.misses for cache in caches), sum(c.lowerings for c in caches)])
+        assert totals[0][1] > 0 and [b - a for a, b in zip(*totals)] == [400, 0]
+        assert all(cache.lowerings == len(cache._lowerings) <= cache.misses for cache in caches)
+
+
+class TestToolsPatchNothing:
+    """``tools/`` reads the engine; it rebinds no attribute of a ``repro``
+    module or class, nor of EXP-E1's ``workloads``, which it imports read
+    only.  Instance hooks (``engine.client.on_terminal``, the asyncio loop's
+    ``_run_once``) stay allowed."""
+
+    GUARDED = ("repro", "workloads")
+
+    def _patches(self, source: str) -> list[str]:
+        tree = ast.parse(source)
+        bound = {  # the names the imports of a guarded module bind
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+            if (getattr(node, "module", None) or alias.name).split(".")[0] in self.GUARDED
+        }
+
+        def root(node):
+            while isinstance(node, (ast.Attribute, ast.Subscript)):
+                node = node.value
+            return node.id if isinstance(node, ast.Name) else None
+
+        def leaves(target):  # what an unpacking assignment binds
+            if isinstance(target, (ast.Tuple, ast.List)):
+                return [leaf for element in target.elts for leaf in leaves(element)]
+            return [target.value if isinstance(target, ast.Starred) else target]
+
+        found = []
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", "") in (
+                "setattr", "delattr",
+            ):
+                targets = node.args[:1]
+            else:
+                continue
+            found += [
+                f"line {node.lineno}: {ast.unparse(target)}"
+                for target in (leaf for target in targets for leaf in leaves(target))
+                if root(target) in bound
+                and (isinstance(node, ast.Call) or not isinstance(target, ast.Name))
+            ]
+        return sorted(found)
+
+    def test_tools_rebind_nothing_in_repro(self):
+        tools = Path(__file__).resolve().parents[1] / "tools"
+        for path in sorted(tools.glob("*.py")):
+            assert self._patches(path.read_text()) == [], path.name
+        source = (
+            "import repro.core.plancache as plans\n"
+            "from repro.core import visit\n"
+            "from repro.relational.compile import CompiledPlan\n"
+            "visit.ResultMemo.visit_for = plans.PlanCache.plan_for = None\n"
+            "setattr(CompiledPlan, 'execute_columnar', None)\n"
+            "del visit.process_node\n"
+            "engine.client.on_terminal, (visit, *plans.MISS) = loop._run_once = 1, 2\n"
+        )
+        assert [found.split(":")[0] for found in self._patches(source)] == [
+            "line 4", "line 4", "line 5", "line 6", "line 7",
+        ]
+
+
+def test_out_names_one_file_per_workload():
+    assert _profile_tool().dump_path("out/p.pstats", "warm") == str(Path("out/warm-p.pstats"))
 
 
 class _CountingCell(str):

@@ -47,12 +47,17 @@ import time
 import tracemalloc
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.append(str(REPO_ROOT / "benchmarks" / "e2e"))  # workloads.py, read only
 
 from repro import QueryStatus, build_engine  # noqa: E402
-from repro.web.synthetic import SyntheticWebConfig, build_synthetic_web  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
 
-SITES, PAGES = 32, 20
+#: EXP-E1's ``warm_zipf``: the 32-site spot-check web and its zipf pool.
+WARM = next(workload for workload in WORKLOADS if workload.name == "warm_zipf")
+WARM_PLAN = WARM.plan(1)
+SITES = 32
 QUERIES, INTERVALS = 2400, 24
 #: Offered queries per virtual second, and the share of queries cancelled
 #: 0.02 virtual seconds after submission.
@@ -69,25 +74,12 @@ GATE_PER_QUERY = {
 REPORTED = (*GATE_PER_QUERY, "traced_kib")
 
 
-def _web():
-    return build_synthetic_web(
-        SyntheticWebConfig(
-            sites=SITES, pages_per_site=PAGES, local_out_degree=3,
-            global_out_degree=2, padding_words=50,
-        )
-    )
-
-
 def _reach(start: int, depth: int, literal: str) -> str:
     return (
         f'select d.url, d.title, a.href from document d such that '
         f'"http://site{start:03d}.example/" (L|G)*{depth} d, anchor a '
         f'where d.title contains "{literal}"'
     )
-
-
-WARM_POOL = [_reach(index, depth, "topic") for depth in (3, 2) for index in range(0, 32, 4)]
-WARM_WEIGHTS = [1.0 / rank for rank in range(1, len(WARM_POOL) + 1)]
 
 
 def _join(start: int, literal: str) -> str:
@@ -100,7 +92,7 @@ def _join(start: int, literal: str) -> str:
 
 def _draw(rng: random.Random, kind: str, serial: int) -> str:
     if kind == "warm":
-        return rng.choices(WARM_POOL, WARM_WEIGHTS)[0]
+        return rng.choices(WARM_PLAN.pool, WARM_PLAN.weights)[0]
     if kind == "cold":
         return _reach(rng.randrange(SITES), 2, f"never {serial}")
     return _join(rng.randrange(SITES), f"item {rng.randrange(SITES)}-")
@@ -119,8 +111,8 @@ def run_load(
     intervals: int = INTERVALS, seed: int = 1, rate: float = RATE,
     cancel_share: float = CANCEL_SHARE,
 ) -> dict:
-    engine = build_engine(_web())
-    for text in WARM_POOL:
+    engine = build_engine(WARM.build_web(1))
+    for text in WARM_PLAN.warmup:
         engine.submit_disql(text)
         engine.run()
     servers = list(engine.servers.values())

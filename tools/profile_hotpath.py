@@ -1,78 +1,54 @@
 #!/usr/bin/env python
 """cProfile harness for the engine's hot paths (first touch / warm / join / wire).
 
-Runs one of four workloads — each rebuilt from the config of the EXP-E1
-cell whose layer it isolates — under :mod:`cProfile` and prints the top-N
-functions by cumulative time, so a perf regression can be localized
-without wiring up an external profiler::
+Runs one of four workloads — each on the web and queries of the EXP-E1 cell
+whose layer it isolates, imported read-only from
+``benchmarks/e2e/workloads.py`` — under :mod:`cProfile`, prints the top-N
+functions by cumulative time, then the workload's derived figures as one
+JSON object (``--json`` puts its keys beside the top-N tables, for diffing a
+change against its parent)::
 
     PYTHONPATH=src python tools/profile_hotpath.py                  # all
     PYTHONPATH=src python tools/profile_hotpath.py --workload build --sort tottime
-    PYTHONPATH=src python tools/profile_hotpath.py --workload warm --json
     PYTHONPATH=src python tools/profile_hotpath.py --workload join --top 40
-    PYTHONPATH=src python tools/profile_hotpath.py --workload wire
     PYTHONPATH=src python tools/profile_hotpath.py --out warm.pstats  # dump
     PYTHONPATH=src python tools/profile_hotpath.py --json > prof.json
 
-* ``build`` — the first touch of a page: ``build_node_database`` (the HTML
-  scanner and DOCUMENT) plus a read of all three relations — which is what
-  builds ANCHOR and RELINFON, link resolution included — over every page of
-  EXP-E1's 32×20 spot-check web: the *full* constructor, more than
-  ``cold_default`` pays per visit (its query never reads RELINFON).  After
-  the profile, two unprofiled lines say which build costs what — µs per
-  page for the full build and for scan + DOCUMENT only (``--json``:
-  ``build_us_per_page``).  The web is built here from its config;
-  ``tools/`` does not import ``benchmarks/e2e``;
-* ``warm`` — the warm protocol path, what EXP-E1's ``warm_zipf`` pays: the
-  same web, one engine, the 16-query zipf pool run once so every later
-  probe is a memo hit, then 100 repeats under the profiler.  What is left
-  is protocol — log table, memo probes, clone and report construction,
-  CHT, message sizing — and hashing.  After the profile, one line per
-  server stage (``docs/architecture.md``, "The server's stages") says what
-  it cost a query in that profile — log-table admission, visit, report,
-  dispatch and the rest of the pump (``--json``: ``stage_us_per_query``);
-* ``join`` — the executor, what EXP-E1's ``eval_join`` pays: the 6×24
-  anchor-rich web, one engine warmed by one traversal per start site, then
-  the 100 ``anchor × relinfon`` joins with distinct literals (seed 1's).
-  After the profile, two unprofiled passes print what one
-  ``execute_columnar`` costs — µs, overall and split by whether the leaf's
-  selection is empty, and evaluations counted by
-  :func:`counted_evaluations`: column folds, ``str.lower`` calls, scalar
-  comparisons, and calls per stage and batch kernel, then how many
-  executions folded nothing and the ``str.lower`` calls they made — none,
-  once every column they read is folded (``--json``:
-  ``join_per_execution``).  The counts repeat exactly.  A
-  third pass counts the fan-out per query: destinations iterated vs
-  forwards emitted (``--json``: ``fanout_per_query``).  Then
-  what compiling costs a query of that pool on the warmed engine: µs of
-  ``compile_disql`` without and with the engine's templates, µs of plan
-  lookups, and how many node-query compiles lowered a shape vs bound one
-  (``--json``: ``compile_per_query``);
-* ``wire`` — the socket path, what EXP-E1's ``wire_tenants`` pays, with one
-  tenant instead of two: the 6×12 mostly-global web on
-  ``AsyncioWebDisEngine`` over loopback TCP with the cost model zeroed, the
-  12-query pool run once to warm every cache, then 108 sequential queries.
-  After the profile, an unprofiled pass of the same loop prints what a query
-  costs the event loop — wall, loop iterations, delivered messages, and
-  handles (callbacks the loop ran) grouped by callback (``--json``:
-  ``wire_loop_per_query``).  The counts repeat to within the few frames
-  whose arrival order the kernel decides.  Then what the codec costs one
-  result message that pass sent: µs to encode and to decode it again
-  (``--json``: ``result_codec_us_per_message``).
+* ``build`` — ``build_node_database`` plus a read of all three relations
+  (what builds ANCHOR and RELINFON) over every page of the 32×20 spot-check
+  web: the *full* constructor.  Then unprofiled µs per page for the full
+  build and for scan + DOCUMENT only (``build_us_per_page``);
+* ``warm`` — what ``warm_zipf`` pays: one engine, the 16-query zipf pool run
+  once so every later probe is a memo hit, then 100 repeats — protocol and
+  hashing.  Then the profiled µs per query of each server stage
+  (``stage_us_per_query``; ``docs/architecture.md``, "The server's
+  stages"), and counts per query from unprofiled passes: ``__hash__`` frames
+  and report / CHT objects constructed, by class
+  (``warm_hash_frames_per_query``, ``report_objects_per_query``), and what
+  the §3.1.1 log table and the memo leave a query to do
+  (``visits_per_query``);
+* ``join`` — what ``eval_join`` pays: the 6×24 anchor-rich web, one engine
+  warmed by one traversal per start site, then 100 ``anchor × relinfon``
+  joins with distinct literals.  Then calls of and profiled µs per
+  ``execute_columnar`` and the evaluations of one, counted by
+  :func:`counted_evaluations` (``join_per_execution``), and what compiling
+  costs a pool query on the warmed engine: ``compile_disql`` µs without and
+  with the engine's templates, node-query compiles lowered vs bound, and
+  profiled µs per plan lookup (``compile_per_query``);
+* ``wire`` — what ``wire_tenants`` pays with one tenant instead of two: the
+  6×12 web on ``AsyncioWebDisEngine`` over loopback TCP, the 12-query pool
+  run once, then 108 sequential queries.  Then, from an unprofiled pass,
+  wall, loop iterations, delivered messages and loop handles by callback
+  per query (``wire_loop_per_query``), and µs to encode and decode again
+  one result message that pass sent (``result_codec_us_per_message``).
 
-``--json`` emits the top-N table as machine-readable JSON (one list per
-workload: function, ncalls, tottime, cumtime) for diffing profiles across
-commits.  For ``warm`` it adds ``warm_hash_frames_per_query``: the number of
-Python-level ``__hash__`` frames one warm query runs, by class — the count
-that says how much of the path is still hashing trees (it repeats exactly;
-cProfile itself folds every generated ``__hash__`` into one row), and
-``report_objects_per_query``: the report, ``ChtEntry`` and CHT record objects
-one warm query constructs, by class, next to the clones and nodes it
-processed (it repeats exactly too), and ``visits_per_query``: node visits,
-node-queries evaluated, log-table drops and rewrites, rows shipped and
-modelled bytes per warm query — what the §3.1.1 log table saves, counted.
+Counts repeat exactly (``wire``'s to within the frames whose arrival order
+the kernel decides).  Each is read from the engine's own counters
+(``NodeQueryLogTable``, ``ResultMemo``, ``CloneProcessor``, ``PlanCache``,
+``TrafficStats``) or tallied under :func:`sys.setprofile`: the tool rebinds
+nothing in ``repro`` (``tests/test_perf_hotpath.py::TestToolsPatchNothing``).
+With several workloads, ``--out dir/p.pstats`` writes ``dir/<workload>-p.pstats``.
 """
-
 from __future__ import annotations
 
 import argparse
@@ -83,19 +59,34 @@ import pstats
 import sys
 import time
 from collections import Counter
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.append(str(REPO_ROOT / "benchmarks" / "e2e"))  # workloads.py, read only
 
 SORT_KEYS = ("cumulative", "tottime", "ncalls")
+#: The EXP-E1 seed every input is built with (it names ``eval_join``'s literals).
+SEED = 1
+
+
+def _e1(name: str):
+    """EXP-E1's workload ``name``: its web builder, query plan and config."""
+    from workloads import WORKLOADS
+
+    return next(workload for workload in WORKLOADS if workload.name == name)
+
+
+def _run_all(engine, texts) -> None:
+    """Each query of ``texts`` in turn, run to completion."""
+    for text in texts:
+        engine.submit_disql(text)
+        engine.run()
 
 
 def _spot_check_pages() -> list:
     """``(url, html)`` of EXP-E1's spot-check web, built outside the profile."""
-    web = _spot_check_web()
+    web = _e1("cold_default").build_web(SEED)
     return [(url, web.html_for(url)) for url in web.urls()]
 
 
@@ -128,17 +119,6 @@ def build_us_per_page(repeats: int = 5) -> dict[str, float]:
     return result
 
 
-def _spot_check_web():
-    from repro.web.synthetic import SyntheticWebConfig, build_synthetic_web
-
-    return build_synthetic_web(
-        SyntheticWebConfig(
-            sites=32, pages_per_site=20, local_out_degree=3,
-            global_out_degree=2, padding_words=50,
-        )
-    )
-
-
 #: Timed queries of one ``warm`` pass (the size of an EXP-E1 block).
 WARM_REPEATS = 100
 
@@ -154,81 +134,56 @@ def _warm_engine() -> tuple:
 
     from repro import build_engine
 
-    pool = [
-        f'select d.url, d.title, a.href from document d such that '
-        f'"http://site{index:03d}.example/" (L|G)*{depth} d, anchor a '
-        f'where d.title contains "topic"'
-        for depth in (3, 2)
-        for index in range(0, 32, 4)
-    ]
-    engine = build_engine(_spot_check_web())
-    for text in pool:
-        engine.submit_disql(text)
-        engine.run()
-    weights = [1.0 / rank for rank in range(1, len(pool) + 1)]
-    queries = random.Random("profile-warm").choices(pool, weights, k=WARM_REPEATS)
+    workload = _e1("warm_zipf")
+    plan = workload.plan(SEED)
+    engine = build_engine(workload.build_web(SEED))
+    _run_all(engine, plan.warmup)
+    queries = random.Random("profile-warm").choices(plan.pool, plan.weights, k=WARM_REPEATS)
     return engine, queries
 
 
 def _warm_pass(warmed: tuple) -> None:
     """The warm protocol path: every row and fan-out probe is a memo hit."""
-    engine, queries = warmed
-    for text in queries:
-        engine.submit_disql(text)
-        engine.run()
+    _run_all(*warmed)
 
 
-def hash_frames_per_query() -> dict[str, float]:
-    """Python-level ``__hash__`` frames per warm query, by class of ``self``.
-
-    A second, unprofiled ``warm`` pass under :func:`sys.setprofile`: cProfile
-    merges every dataclass-generated ``__hash__`` into one ``<string>`` row,
-    so the per-class view needs the frame's ``self``.  A count, not a time —
-    it repeats exactly.
-    """
-    warmed = _warm_engine()
-    frames: Counter = Counter()
-
-    def on_event(frame, event, arg) -> None:
-        if event == "call" and frame.f_code.co_name == "__hash__":
-            frames[type(frame.f_locals.get("self")).__name__] += 1
-
+def _tally(on_event, run_pass, inputs) -> None:
+    """``run_pass(inputs)``, unprofiled, with ``on_event`` as the
+    :func:`sys.setprofile` hook that counts its frames."""
     sys.setprofile(on_event)
     try:
-        _warm_pass(warmed)
+        run_pass(inputs)
     finally:
         sys.setprofile(None)
-    per_query = {
-        name: count / WARM_REPEATS for name, count in frames.most_common()
-    }
-    per_query["total"] = sum(frames.values()) / WARM_REPEATS
-    return per_query
 
 
-#: Classes whose constructions :func:`report_objects_per_query` counts: the
-#: report type, CHT entries, and the CHT's records — history rows, read-side
+#: Classes whose constructions :func:`frames_per_query` counts: the report
+#: type, CHT entries, and the CHT's records — history rows, read-side
 #: instances and the books' own.
-REPORT_OBJECT_CLASSES = (
-    "CloneReport", "ChtEntry", "ChtRecord", "DispatchInstance", "_Instance",
-)
+REPORT_OBJECT_CLASSES = ("CloneReport", "ChtEntry", "ChtRecord", "DispatchInstance", "_Instance")
 
 
-def report_objects_per_query() -> dict[str, float]:
-    """Report and CHT objects one warm query constructs, by class.
+def frames_per_query() -> tuple[dict[str, float], dict[str, float]]:
+    """``(hash frames, report objects)`` per warm query — counts that repeat
+    exactly, from a second, unprofiled ``warm`` pass under :func:`sys.setprofile`.
 
-    A second, unprofiled ``warm`` pass under :func:`sys.setprofile`, counting
-    ``__init__`` frames of :data:`REPORT_OBJECT_CLASSES` and, as the yardstick,
-    ``clones`` (``CloneProcessor._process`` calls) and ``nodes`` (the
-    destination nodes those clones covered).  A count — it repeats exactly.
+    Hash frames: Python-level ``__hash__`` frames by class of ``self``
+    (cProfile merges every dataclass-generated ``__hash__`` into one
+    ``<string>`` row, so the per-class view needs the frame's ``self``).
+    Report objects: ``__init__`` frames of :data:`REPORT_OBJECT_CLASSES`
+    and, as the yardstick, ``clones`` (``CloneProcessor._process`` calls)
+    and ``nodes`` (the destination nodes those clones covered).
     """
-    warmed = _warm_engine()
+    hashes: Counter = Counter()
     counts: Counter = Counter()
 
     def on_event(frame, event, arg) -> None:
         if event != "call":
             return
         name = frame.f_code.co_name
-        if name == "__init__":
+        if name == "__hash__":
+            hashes[type(frame.f_locals.get("self")).__name__] += 1
+        elif name == "__init__":
             kind = type(frame.f_locals.get("self")).__name__
             if kind in REPORT_OBJECT_CLASSES:
                 counts[kind] += 1
@@ -236,16 +191,14 @@ def report_objects_per_query() -> dict[str, float]:
             counts["clones"] += 1
             counts["nodes"] += len(frame.f_locals["clone"].dest)
 
-    sys.setprofile(on_event)
-    try:
-        _warm_pass(warmed)
-    finally:
-        sys.setprofile(None)
-    per_query = {name: counts[name] / WARM_REPEATS for name in ("clones", "nodes")}
-    objects = {name: counts[name] / WARM_REPEATS for name in REPORT_OBJECT_CLASSES}
-    per_query.update(objects)
-    per_query["total"] = sum(objects.values())
-    return per_query
+    _tally(on_event, _warm_pass, _warm_engine())
+    frames = {name: count / WARM_REPEATS for name, count in hashes.most_common()}
+    frames["total"] = sum(hashes.values()) / WARM_REPEATS
+    objects = {name: counts[name] / WARM_REPEATS for name in ("clones", "nodes")}
+    constructed = {name: counts[name] / WARM_REPEATS for name in REPORT_OBJECT_CLASSES}
+    objects.update(constructed)
+    objects["total"] = sum(constructed.values())
+    return frames, objects
 
 
 def visits_per_query() -> dict[str, float]:
@@ -255,74 +208,61 @@ def visits_per_query() -> dict[str, float]:
     node visits (the nodes the log tables admitted — inserted or rewritten),
     node-queries evaluated, log-table drops and rewrites, result rows the
     client received, and modelled bytes sent; then how the visits went —
-    served whole by a visit entry of the memo, or down the part path
-    (document, rows and fan-out probes), the visit entries stored, and the
-    visits in a state with nothing to forward — all per query; and, for the
-    whole pass, the flushes and the largest memo any one site held after a
-    query.  Counts — they repeat exactly.
+    served whole by a visit entry of the memo (``ResultMemo.visit_hits``),
+    or down the part path (``CloneProcessor.part_path_visits``: document,
+    rows and fan-out probes), the visit entries stored, and the visits in a
+    state with nothing to forward (``CloneProcessor.no_fanout_visits``) —
+    all per query; and, for the whole pass, the flushes and the largest memo
+    any one site held after a query.  Counts — they repeat exactly.
     """
-    from repro.core import visit
-
     engine, queries = _warm_engine()
     stats = engine.stats
-    memos = [server.memo for server in engine.servers.values()]
-    seen: Counter = Counter()
-    visit_for, process_node, one_visit = (
-        visit.ResultMemo.visit_for, visit.process_node, visit.CloneProcessor._visit
-    )
-
-    def counting_visit_for(self, node, key):
-        entry = visit_for(self, node, key)
-        seen["visit_hits"] += entry is not None
-        return entry
-
-    def counting_process_node(*args, **kwargs):
-        seen["part_path_visits"] += 1
-        return process_node(*args, **kwargs)
-
-    def counting_visit(self, clone, node, row, *args):
-        seen["no_fanout_visits"] += not row.fanout()
-        return one_visit(self, clone, node, row, *args)
+    servers = list(engine.servers.values())
+    memos = [server.memo for server in servers]
 
     def counts() -> Counter:
-        tables = [server.log_table for server in engine.servers.values()]
+        tables = [server.log_table for server in servers]
         return Counter(
             node_visits=sum(table.inserts + table.rewrites for table in tables),
             node_queries_evaluated=stats.node_queries_evaluated,
             log_drops=sum(table.drops for table in tables),
             log_rewrites=sum(table.rewrites for table in tables),
             bytes=stats.bytes_sent,
+            visit_hits=sum(memo.visit_hits for memo in memos),
+            part_path_visits=sum(server.part_path_visits for server in servers),
             visits_stored=sum(memo.entry_counts()["visits"] for memo in memos),
+            no_fanout_visits=sum(server.no_fanout_visits for server in servers),
             memo_flushes=sum(memo.flushes for memo in memos),
         )
 
     before, rows, high_water = counts(), 0, 0
-    visit.ResultMemo.visit_for = counting_visit_for
-    visit.process_node = counting_process_node
-    visit.CloneProcessor._visit = counting_visit
-    try:
-        for text in queries:
-            handle = engine.submit_disql(text)
-            engine.run()
-            rows += len(handle.results)
-            high_water = max(high_water, max(len(memo) for memo in memos))
-    finally:
-        visit.ResultMemo.visit_for = visit_for
-        visit.process_node = process_node
-        visit.CloneProcessor._visit = one_visit
+    for text in queries:
+        handle = engine.submit_disql(text)
+        engine.run()
+        rows += len(handle.results)
+        high_water = max(high_water, max(len(memo) for memo in memos))
     spent = counts()
-    spent.subtract(before)
-    spent.update(seen)
+    spent.subtract(before)  # keeps the zeros
     spent["rows_shipped"] = rows
-    names = (
-        "node_visits", "node_queries_evaluated", "log_drops", "log_rewrites",
-        "rows_shipped", "bytes", "visit_hits", "part_path_visits", "visits_stored",
-        "no_fanout_visits",
-    )
-    per_query = {name: round(spent[name] / WARM_REPEATS, 2) for name in names}
-    per_query["memo_flushes"] = spent["memo_flushes"]
-    per_query["memo_high_water"] = high_water
-    return per_query
+    flushes = spent.pop("memo_flushes")
+    per_query = {name: round(count / WARM_REPEATS, 2) for name, count in spent.items()}
+    return {**per_query, "memo_flushes": flushes, "memo_high_water": high_water}
+
+
+def _by_function(stats: pstats.Stats) -> tuple[Counter, Counter]:
+    """Calls and cumulative seconds per ``(file name, function)`` of a profile."""
+    calls: Counter = Counter()
+    cumulative: Counter = Counter()
+    for (filename, __, function), row in stats.stats.items():  # directories stripped
+        calls[(filename, function)] += row[1]
+        cumulative[(filename, function)] += row[3]
+    return calls, cumulative
+
+
+def _profiled_us_per_call(stats: pstats.Stats, key: tuple[str, str]) -> tuple[int, float]:
+    """``(calls, µs per call)`` of function ``key`` in a profile, its callees included."""
+    calls, cumulative = _by_function(stats)
+    return calls[key], round(cumulative[key] / calls[key] * 1e6, 2)
 
 
 #: The server's stages: label → ``(file, function)`` whose cumulative
@@ -341,72 +281,18 @@ def stage_us_per_query(stats: pstats.Stats) -> dict[str, float]:
     ``QueryServer._pump`` minus the clone loop it runs
     (``CloneProcessor._process``).  Read from the ``warm`` profile, so
     the profiler's own overhead is in every number."""
-    cumulative: Counter = Counter()
-    for (filename, __, function), row in stats.stats.items():
-        cumulative[(Path(filename).name, function)] += row[3]
+    __, cumulative = _by_function(stats)
     spent = {label: cumulative[key] for label, key in STAGES.items()}
     pump, clone_loop = cumulative[("server.py", "_pump")], cumulative[("visit.py", "_process")]
     spent["rest of pump"] = pump - clone_loop
     return {label: round(seconds / WARM_REPEATS * 1e6, 1) for label, seconds in spent.items()}
 
 
-#: eval_join's sizing (``benchmarks/e2e/workloads.py``; restated here
-#: because ``tools/`` does not import ``benchmarks/e2e``).
-_RICH_SITES, _RICH_PAGES, _TOKENS = 6, 24, 100
-_DELIMITERS = ("b", "i", "em", "strong", "u", "tt")
-
-
-def _join_inputs(seed: int = 1) -> tuple:
+def _join_inputs() -> tuple:
     """``(web, warm-up queries, pool)`` of EXP-E1's ``eval_join``."""
-    import random
-
-    from repro import WebBuilder
-
-    rng = random.Random(f"e2e-tokens:{seed}")
-    tokens = [f"q{value:05x}" for value in rng.sample(range(16**5), _TOKENS)]
-    builder = WebBuilder()
-    for site_index in range(_RICH_SITES):
-        site = builder.site(f"rich{site_index}.example")
-        for page in range(_RICH_PAGES):
-            serial = site_index * _RICH_PAGES + page
-            other = (site_index + 1 + page % (_RICH_SITES - 1)) % _RICH_SITES
-            targets = (
-                f"/p{(page * 5 + 7) % _RICH_PAGES}.html",
-                f"http://rich{other}.example/p{(page * 7 + 3) % _RICH_PAGES}.html",
-            )
-            segments = 15 + (serial * 5) % 16
-            site.page(
-                f"/p{page}.html",
-                title=f"rich page {site_index}-{page}",
-                links=[
-                    (f"{_DELIMITERS[j % 6]} ref {j}", f"{targets[j % 2]}#s{j}")
-                    for j in range(30 + (serial * 7) % 61)
-                ],
-                emphasized=[
-                    (
-                        _DELIMITERS[j % 6],
-                        f"segment {tokens[(serial * 3 + j) % _TOKENS]} of page {page}",
-                    )
-                    for j in range(segments)
-                ],
-                ruled=[
-                    f"ruled {tokens[(serial * 11 + j) % _TOKENS]} block"
-                    for j in range(segments // 3)
-                ],
-            )
-
-    def query(index: int, literal: str) -> str:
-        return (
-            f'select d.url, a.href, r.text from document d such that '
-            f'"http://rich{index % _RICH_SITES}.example/p0.html" '
-            f"(G|L)*2 d, anchor a, relinfon r "
-            f'where r.text contains "{literal}" and a.label contains r.delimiter '
-            f"and a.href != a.base"
-        )
-
-    warmup = [query(index, "zzzzzz") for index in range(_RICH_SITES)]
-    pool = [query(index, literal) for index, literal in enumerate(tokens)]
-    return builder.build(), warmup, pool
+    workload = _e1("eval_join")
+    plan = workload.plan(SEED)
+    return workload.build_web(SEED), plan.warmup, plan.pool
 
 
 def _join_pass(inputs: tuple) -> None:
@@ -415,16 +301,12 @@ def _join_pass(inputs: tuple) -> None:
     from repro import build_engine
 
     web, warmup, pool = inputs
-    engine = build_engine(web)
-    for text in (*warmup, *pool):
-        engine.submit_disql(text)
-        engine.run()
+    _run_all(build_engine(web), (*warmup, *pool))
 
 
-@contextmanager
-def counted_evaluations() -> Iterator[Counter]:
-    """Count what the executor evaluates inside the block — counts that
-    repeat exactly, taken under :func:`sys.setprofile`.
+def counted_evaluations(counts: Counter):
+    """A :func:`sys.setprofile` hook that counts into ``counts`` what the
+    executor evaluates — counts that repeat exactly.
 
     ``str.lower``: one call per cell a column fold lowers, and per
     ``contains`` operand a scalar closure lowers; ``table folds``: columns
@@ -435,8 +317,6 @@ def counted_evaluations() -> Iterator[Counter]:
     """
     from repro.relational import columnar, table
     from repro.relational.expr import _coerce_pair
-
-    counts: Counter = Counter()
 
     def on_event(frame, event, arg) -> None:
         if event == "c_call":
@@ -455,188 +335,45 @@ def counted_evaluations() -> Iterator[Counter]:
             ):
                 counts[f"columnar.{code.co_name}"] += 1
 
-    sys.setprofile(on_event)
-    try:
-        yield counts
-    finally:
-        sys.setprofile(None)
+    return on_event
 
 
-def _leaf_filter_is_empty(plan, database) -> bool:
-    """Whether the conjuncts of ``plan``'s query over its leaf alias alone
-    keep no row of ``database`` — for ``eval_join``, whether ``r.text
-    contains "<literal>"`` (the leaf's selection, as ``explain --plan``
-    shows) selects no segment.  Decided by the interpreter."""
-    from repro.relational.expr import Attr, attrs_referenced, conjoin, conjuncts
-    from repro.relational.query import NodeQuery, evaluate_node_query
-
-    query = plan.query
-    leaf = query.tables[-1]
-    local = [
-        conjunct for conjunct in conjuncts(query.where)
-        if all(attr.alias == leaf.alias for attr in attrs_referenced(conjunct))
-    ]
-    attribute = database.relation(leaf.relation).schema.attributes[0]
-    alone = NodeQuery((Attr(leaf.alias, attribute),), (leaf,), conjoin(local))
-    return not evaluate_node_query(alone, database)
-
-
-def join_per_execution() -> dict:
-    """What one ``execute_columnar`` of ``eval_join`` costs (unprofiled):
-    wall µs, overall and split by whether the leaf's selection (``r.text
-    contains ...``) is empty — classified after the timed pass — and
-    evaluations counted on a second pass."""
-    from repro.relational.compile import CompiledPlan
-
-    inputs = _join_inputs()
-    original = CompiledPlan.execute_columnar
-    timed_executions = []
-
-    def timed(self, database, site_documents=None):
-        begin = time.perf_counter()
-        try:
-            return original(self, database, site_documents)
-        finally:
-            timed_executions.append((self, database, time.perf_counter() - begin))
-
-    CompiledPlan.execute_columnar = timed  # type: ignore[method-assign]
-    try:
-        _join_pass(inputs)
-    finally:
-        CompiledPlan.execute_columnar = original  # type: ignore[method-assign]
-    spent = {True: [0, 0.0], False: [0, 0.0]}
-    for plan, database, seconds in timed_executions:
-        tally = spent[_leaf_filter_is_empty(plan, database)]
-        tally[0] += 1
-        tally[1] += seconds
-    executions = len(timed_executions)
-
-    def split(empty: bool) -> dict:
-        count, seconds = spent[empty]
-        return {
-            "executions": count,
-            "us_per_execution": round(seconds / count * 1e6, 2) if count else None,
-        }
-
-    # An execution that folds nothing reads every column it needs folded.
-    unfolded = {"executions": 0, "str.lower": 0}
-    with counted_evaluations() as counts:
-
-        def counted(self, database, site_documents=None):
-            folds, lowers = counts["table folds"], counts["str.lower"]
-            try:
-                return original(self, database, site_documents)
-            finally:
-                if counts["table folds"] == folds:
-                    unfolded["executions"] += 1
-                    unfolded["str.lower"] += counts["str.lower"] - lowers
-
-        CompiledPlan.execute_columnar = counted  # type: ignore[method-assign]
-        try:
-            _join_pass(inputs)
-        finally:
-            CompiledPlan.execute_columnar = original  # type: ignore[method-assign]
+def join_per_execution(stats: pstats.Stats) -> dict:
+    """What one ``execute_columnar`` of ``eval_join`` costs: the calls and
+    profiled µs per call in the ``join`` profile ``stats``, and evaluations
+    counted on an unprofiled pass."""
+    executions, us = _profiled_us_per_call(stats, ("compile.py", "execute_columnar"))
+    counts: Counter = Counter()
+    _tally(counted_evaluations(counts), _join_pass, _join_inputs())
     return {
         "executions": executions,
-        "us_per_execution": round((spent[True][1] + spent[False][1]) / executions * 1e6, 2),
-        "leaf_selection_empty": split(True),
-        "leaf_selection_nonempty": split(False),
+        "us_per_execution_profiled": us,
         "evaluations_per_execution": {
             name: round(count / executions, 2) for name, count in sorted(counts.items())
         },
-        "executions_folding_nothing": unfolded,
     }
 
 
-def fanout_per_query() -> dict:
-    """Fan-out work per ``eval_join`` query on a warmed engine: the
-    destinations ``_emit_forwards`` iterates (one ``Forward`` built per
-    destination and state) vs the forwards it emits.  Counts; they repeat
-    exactly."""
-    from repro import build_engine
-    from repro.core import processing
-
-    web, warmup, pool = _join_inputs()
-    engine = build_engine(web)
-    for text in warmup:
-        engine.submit_disql(text)
-        engine.run()
-    counts: Counter = Counter()
-    forward, emit_forwards = processing.Forward, processing._emit_forwards
-
-    def counted_forward(row, target):
-        counts["destinations"] += 1
-        return forward(row, target)
-
-    def counted_emit_forwards(outcome, *args):
-        before = len(outcome.forwards)
-        emit_forwards(outcome, *args)
-        counts["forwards"] += len(outcome.forwards) - before
-
-    processing.Forward = counted_forward
-    processing._emit_forwards = counted_emit_forwards
-    try:
-        for text in pool:
-            engine.submit_disql(text)
-            engine.run()
-    finally:
-        processing.Forward = forward
-        processing._emit_forwards = emit_forwards
-    return {
-        "queries": len(pool),
-        "destinations_iterated": round(counts["destinations"] / len(pool), 2),
-        "forwards_emitted": round(counts["forwards"] / len(pool), 2),
-    }
-
-
-def compile_per_query(repeats: int = 5) -> dict:
-    """What compiling costs one ``eval_join`` query on a warmed engine
-    (unprofiled): ``compile_disql`` µs without and with the engine's
-    templates (best of ``repeats`` passes over the pool), plan-lookup µs
-    (``PlanCache.plan_for``, value misses included), and the node-query
-    compiles of one pass over the pool that lowered a shape vs bound one."""
-    import repro.core.plancache as plancache_module
-    import repro.relational.compile as compile_module
+def compile_per_query(stats: pstats.Stats, repeats: int = 5) -> dict:
+    """What compiling costs one ``eval_join`` query on a warmed engine:
+    ``compile_disql`` µs without and with the engine's templates (unprofiled,
+    best of ``repeats`` passes over the pool), the node-query compiles of one
+    pass over the pool that lowered a shape vs bound one (``PlanCache``'s
+    ``lowerings`` and ``misses``), and the profiled µs of one plan lookup
+    (``PlanCache.plan_for``, value misses included) in the ``join`` profile
+    ``stats``."""
     from repro import build_engine
     from repro.disql import compile_disql
 
     web, warmup, pool = _join_inputs()
     engine = build_engine(web)
-    for text in warmup:
-        engine.submit_disql(text)
-        engine.run()
-
-    plan_for = plancache_module.PlanCache.plan_for
-    compile_node_query = plancache_module.compile_node_query
-    lower = compile_module._lower
-    counts = {"lookup_s": 0.0, "compiles": 0, "lowerings": 0}
-
-    def timed_plan_for(self, query, origin=None):
-        begin = time.perf_counter()
-        try:
-            return plan_for(self, query, origin)
-        finally:
-            counts["lookup_s"] += time.perf_counter() - begin
-
-    def counted_compile(query, lowerings=None):
-        counts["compiles"] += 1
-        return compile_node_query(query, lowerings)
-
-    def counted_lower(query, where):
-        counts["lowerings"] += 1
-        return lower(query, where)
-
-    plancache_module.PlanCache.plan_for = timed_plan_for  # type: ignore[method-assign]
-    plancache_module.compile_node_query = counted_compile
-    compile_module._lower = counted_lower
-    try:
-        for text in pool:
-            engine.submit_disql(text)
-            engine.run()
-    finally:
-        plancache_module.PlanCache.plan_for = plan_for  # type: ignore[method-assign]
-        plancache_module.compile_node_query = compile_node_query
-        compile_module._lower = lower
+    _run_all(engine, warmup)
+    caches = [server.plans for server in engine.servers.values()]
+    misses = sum(cache.misses for cache in caches)
+    lowerings = sum(cache.lowerings for cache in caches)
+    _run_all(engine, pool)
+    misses = sum(cache.misses for cache in caches) - misses
+    lowerings = sum(cache.lowerings for cache in caches) - lowerings
 
     def per_query_us(**kwargs) -> float:
         best = float("inf")
@@ -653,11 +390,8 @@ def compile_per_query(repeats: int = 5) -> dict:
             "compile": per_query_us(),
             "template": per_query_us(templates=engine._templates),
         },
-        "plan_lookup_us": round(counts["lookup_s"] / len(pool) * 1e6, 2),
-        "node_compiles": {
-            "lowerings": counts["lowerings"],
-            "binds": counts["compiles"] - counts["lowerings"],
-        },
+        "node_compiles": {"lowerings": lowerings, "binds": misses - lowerings},
+        "plan_lookup_us_profiled": _profiled_us_per_call(stats, ("plancache.py", "plan_for"))[1],
     }
 
 
@@ -666,47 +400,30 @@ WIRE_REPEATS = 108
 
 
 def _wire_inputs() -> tuple:
-    """``(web, pool)`` of EXP-E1's ``wire_tenants``, built from their configs."""
-    from repro.web.synthetic import SyntheticWebConfig, build_synthetic_web
+    """``(web, pool, engine config)`` of EXP-E1's ``wire_tenants``."""
+    from repro import EngineConfig
 
-    web = build_synthetic_web(
-        SyntheticWebConfig(
-            sites=6, pages_per_site=12, local_out_degree=2,
-            global_out_degree=3, padding_words=30,
-        )
-    )
+    workload = _e1("wire_tenants")
+    web = workload.build_web(SEED)
     web.total_bytes()  # pages render lazily
-    pool = [
-        f'select d.url, d.title, a.href from document d such that '
-        f'"http://site{site:03d}.example{path}" (L|G)*2 d, anchor a '
-        f'where d.title contains "topic"'
-        for site in range(6)
-        for path in ("/", "/page1.html")
-    ]
-    return web, pool
+    config = EngineConfig(transport=workload.transport, **workload.config)
+    return web, workload.plan(SEED).pool, config
 
 
-def _wire_pass(
-    inputs: tuple, measure: dict | None = None, tapped: list | None = None
-) -> None:
+def _wire_pass(inputs: tuple, measure: dict | None = None, tapped: list | None = None) -> None:
     """One tenant's closed loop over real loopback sockets.
 
     With ``measure`` the timed part runs under the loop counters and fills
-    it, and every result message it sends is appended to ``tapped``;
-    without, it just runs (under whatever profiler the caller enabled).
+    it, and appends every result message it sends to ``tapped``; without,
+    it just runs (under whatever profiler the caller enabled).
     """
     import asyncio
 
-    from repro import EngineConfig
     from repro.core.aio_engine import AsyncioWebDisEngine
     from repro.core.messages import ResultMessage
     from repro.testing.loopcost import count_handles
 
-    web, pool = inputs
-    config = EngineConfig(
-        transport="asyncio", node_service_time=0.0,
-        parse_time_per_kb=0.0, eval_time_per_tuple=0.0,
-    )
+    web, pool, config = inputs
 
     async def main() -> None:
         engine = AsyncioWebDisEngine(web, config=config)
@@ -732,13 +449,12 @@ def _wire_pass(
                 run_once()
 
             loop._run_once = counted_run_once  # type: ignore[method-assign]
-            if tapped is not None:
 
-                def tap(now, src, dst, port, payload) -> None:
-                    if isinstance(payload, ResultMessage):
-                        tapped.append(payload)
+            def tap(now, src, dst, port, payload) -> None:
+                if isinstance(payload, ResultMessage):
+                    tapped.append(payload)
 
-                engine.network.add_tap(tap)
+            engine.network.add_tap(tap)
             messages = engine.stats.messages_sent
             with count_handles() as handles:
                 begin = time.perf_counter()
@@ -760,14 +476,6 @@ def _wire_pass(
             await engine.aclose()
 
     asyncio.run(main())
-
-
-def wire_loop_per_query(tapped: list) -> dict:
-    """What one sequential socket query costs the event loop (unprofiled);
-    the result messages it sent are appended to ``tapped``."""
-    measured: dict = {}
-    _wire_pass(_wire_inputs(), measured, tapped)
-    return measured
 
 
 def result_codec_us_per_message(messages: list, repeats: int = 5) -> dict:
@@ -805,6 +513,39 @@ WORKLOADS = {
 }
 
 
+def derived(name: str, stats: pstats.Stats) -> dict[str, dict]:
+    """What follows workload ``name``'s profile ``stats``, by ``--json`` key."""
+    if name == "build":
+        return {"build_us_per_page": build_us_per_page()}
+    if name == "warm":
+        hashes, objects = frames_per_query()
+        return {
+            "stage_us_per_query": stage_us_per_query(stats),
+            "warm_hash_frames_per_query": hashes,
+            "report_objects_per_query": objects,
+            "visits_per_query": visits_per_query(),
+        }
+    if name == "join":
+        return {
+            "join_per_execution": join_per_execution(stats),
+            "compile_per_query": compile_per_query(stats),
+        }
+    per_query: dict = {}  # what one sequential socket query costs the event loop
+    tapped: list = []
+    _wire_pass(_wire_inputs(), per_query, tapped)
+    return {
+        "wire_loop_per_query": per_query,
+        "result_codec_us_per_message": result_codec_us_per_message(tapped),
+    }
+
+
+def dump_path(out: str, name: str) -> str:
+    """Where ``--out`` dumps workload ``name``'s profile when several run:
+    the name leads the file name, ``dir/p.pstats`` → ``dir/<name>-p.pstats``."""
+    path = Path(out)
+    return str(path.with_name(f"{name}-{path.name}"))
+
+
 def profile_workload(
     name: str, sort: str, top: int, out: str | None
 ) -> tuple[str, list[dict], pstats.Stats]:
@@ -823,23 +564,15 @@ def profile_workload(
     stats = pstats.Stats(profiler, stream=buffer)
     stats.strip_dirs().sort_stats(sort).print_stats(top)
 
-    sort_index = {"cumulative": 3, "tottime": 2, "ncalls": 1}[sort]
-    entries = sorted(
-        (
-            {
-                "function": f"{filename}:{line}({func})",
-                "ncalls": ncalls,
-                "tottime": round(tottime, 6),
-                "cumtime": round(cumtime, 6),
-            }
-            for (filename, line, func), (__, ncalls, tottime, cumtime, __c)
-            in stats.stats.items()
-        ),
-        key=lambda row: (row["ncalls"], row["tottime"], row["cumtime"])[
-            sort_index - 1
-        ],
-        reverse=True,
-    )[:top]
+    entries = []
+    for filename, line, function in stats.fcn_list[:top]:  # in the printed order
+        __, ncalls, tottime, cumtime, ___ = stats.stats[(filename, line, function)]
+        entries.append({
+            "function": f"{filename}:{line}({function})",
+            "ncalls": ncalls,
+            "tottime": round(tottime, 6),
+            "cumtime": round(cumtime, 6),
+        })
     return buffer.getvalue(), entries, stats
 
 
@@ -871,88 +604,18 @@ def main(argv: list[str] | None = None) -> int:
     for name in names:
         out = None
         if args.out:
-            out = args.out if len(names) == 1 else f"{name}-{args.out}"
+            out = args.out if len(names) == 1 else dump_path(args.out, name)
         text, entries, stats = profile_workload(name, args.sort, args.top, out)
-        stages = stage_us_per_query(stats) if name == "warm" else None
-        per_page = build_us_per_page() if name == "build" else None
-        tapped: list = []
-        per_query = wire_loop_per_query(tapped) if name == "wire" else None
-        codec = result_codec_us_per_message(tapped) if tapped else None
-        per_execution = join_per_execution() if name == "join" else None
-        compiles = compile_per_query() if name == "join" else None
-        fanout = fanout_per_query() if name == "join" else None
+        figures = derived(name, stats)
         if args.json:
             as_json[name] = entries
-            if stages:
-                as_json["stage_us_per_query"] = stages
-                as_json["warm_hash_frames_per_query"] = hash_frames_per_query()
-                as_json["report_objects_per_query"] = report_objects_per_query()
-                as_json["visits_per_query"] = visits_per_query()
-            if per_page:
-                as_json["build_us_per_page"] = per_page
-            if per_query:
-                as_json["wire_loop_per_query"] = per_query
-                as_json["result_codec_us_per_message"] = codec
-            if per_execution:
-                as_json["join_per_execution"] = per_execution
-                as_json["compile_per_query"] = compiles
-                as_json["fanout_per_query"] = fanout
+            as_json.update(figures)
         else:
             print(f"== {name.upper()} workload — top {args.top} by {args.sort} ==")
             print(text)
-            if stages:
-                print(f"per warm query, by server stage (profiled µs, {WARM_REPEATS} queries):")
-                for label, us in stages.items():
-                    print(f"  {us:10.1f}  {label}")
-                print()
-            if per_page:
-                print(f"full build (all three relations read): {per_page['full']} µs/page")
-                print(f"scan + DOCUMENT only: {per_page['scan_and_document']} µs/page\n")
-            if per_execution:
-                empty = per_execution["leaf_selection_empty"]
-                nonempty = per_execution["leaf_selection_nonempty"]
-                print(
-                    f"per execute_columnar (unprofiled, {per_execution['executions']} "
-                    f"executions): {per_execution['us_per_execution']} µs — leaf selection"
-                    f" empty {empty['executions']} × {empty['us_per_execution']} µs,"
-                    f" non-empty {nonempty['executions']} × {nonempty['us_per_execution']} µs;"
-                    " evaluations:"
-                )
-                for name, count in per_execution["evaluations_per_execution"].items():
-                    print(f"  {count:10.2f}  {name}")
-                unfolded = per_execution["executions_folding_nothing"]
-                print(
-                    f"executions that folded nothing: {unfolded['executions']},"
-                    f" with {unfolded['str.lower']} str.lower calls between them"
-                )
-                print(
-                    f"fan-out per query ({fanout['queries']} queries, warmed engine):"
-                    f" {fanout['destinations_iterated']} destinations iterated,"
-                    f" {fanout['forwards_emitted']} forwards emitted"
-                )
-                print(
-                    f"per query (unprofiled, {compiles['queries']} queries, warmed engine):"
-                    f" compile_disql {compiles['disql_us']['compile']} µs, through the"
-                    f" engine's templates {compiles['disql_us']['template']} µs; plan"
-                    f" lookups {compiles['plan_lookup_us']} µs; node-query compiles:"
-                    f" {compiles['node_compiles']['lowerings']} lowered,"
-                    f" {compiles['node_compiles']['binds']} bound\n"
-                )
-            if per_query:
-                print(
-                    f"per sequential query (unprofiled, {WIRE_REPEATS} queries): "
-                    f"{per_query['wall_ms']} ms wall, {per_query['loop_iterations']} loop "
-                    f"iterations, {per_query['messages']} delivered messages, "
-                    f"{per_query['handles']} handles:"
-                )
-                for callback, count in per_query["handles_by_callback"].items():
-                    print(f"  {count:8.2f}  {callback}")
-                print(
-                    f"per result message ({codec['messages']} tapped, {codec['bytes']} bytes):"
-                    f" encode {codec['encode']} µs, decode {codec['decode']} µs\n"
-                )
-        if out and not args.json:
-            print(f"raw profile dumped to {out}")
+            print(json.dumps(figures, indent=2, ensure_ascii=False))
+            if out:
+                print(f"raw profile dumped to {out}")
     if args.json:
         print(json.dumps(as_json, indent=2))
     return 0

@@ -16,7 +16,7 @@ off its :attr:`QueryState.row` instead of walking the PRE again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from ..pre.ast import Pre
 from ..pre.ops import pre_size
@@ -39,6 +39,8 @@ class QueryState:
     #: The protocol-table row this state was minted for; None for a state
     #: built anywhere else (wire decode, tests).  Not part of the value.
     row: "StateRow | None" = cache_field()
+    #: This object's wire form, built by :mod:`repro.wire` on first encode.
+    _wire: Any = cache_field()
 
     def __post_init__(self) -> None:
         if self.num_q < 0:

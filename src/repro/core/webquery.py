@@ -81,6 +81,9 @@ class WebQuery:
     #: is live, the sequential case — and then it costs no bytes.
     done_below: int | None = None
     _program: QueryProgram | None = cache_field()
+    #: This object's wire text, built by :mod:`repro.wire` on first encode:
+    #: it lives and dies with the query, like :attr:`program`.
+    _wire: str | None = cache_field()
 
     def __post_init__(self) -> None:
         if not self.start_urls:

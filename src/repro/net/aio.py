@@ -60,7 +60,7 @@ real-socket event              ``SendOutcome``
 =============================  ==========================================
 frame written, its ack read    DELIVERED
 frame written, its nak read    OVERLOADED (admission refused; back off)
-ECONNREFUSED, result port      REFUSED (deliberate close = termination)
+result port closed             REFUSED (deliberate close = termination)
 ECONNREFUSED, daemon port      HOST_DOWN (server process is down)
 connect timeout / no route     HOST_DOWN
 ack timeout / reset / EOF      FAULT (transient wire fault)
@@ -85,6 +85,20 @@ All outcomes settle through the deferred ``on_outcome`` callback;
 (or, for failures decidable without touching the network, the final
 outcome directly, with ``on_outcome`` invoked inline like the simulator).
 
+Read path
+---------
+
+Every connection of a transport, inbound or outbound, reads through one
+:class:`_BufferedStreamProtocol`: the event loop reads (``recv_into``) into
+one buffer the transport owns and hands the bytes straight to the
+connection's ``StreamReader``, which copies them.  One buffer serves every
+connection because the selector loop calls ``get_buffer``, ``recv_into``
+and ``buffer_updated`` back to back, with nothing in between.  The stock stream protocol instead
+reads each chunk into a fresh 256 KiB ``bytes`` and shrinks it, and the
+heap those reads are carved from keeps growing under sustained traffic.
+The receive loops (:meth:`AsyncioTransport._serve_connection`,
+:meth:`AsyncioTransport._read_acks`) still read their ``StreamReader``.
+
 Everything runs on one event loop: listeners are invoked synchronously
 from receive coroutines, settle callbacks from send tasks (one task per
 send, alive from queueing to settlement), and
@@ -99,6 +113,7 @@ from __future__ import annotations
 import asyncio
 import socket
 from collections import deque
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..errors import NetworkError, SimulationError
@@ -115,6 +130,7 @@ from ..wire import (
     split_sequenced,
 )
 from .network import (
+    FIRST_RESULT_PORT,
     QUERY_PORT,
     Listener,
     NetworkConfig,
@@ -165,11 +181,17 @@ class PortMap:
     """Dynamic ``(site, logical_port) -> real port`` registry (in-process).
 
     ``bind`` allocates an ephemeral real port and records it; ``lookup``
-    answers senders.  Entries survive :meth:`AsyncioTransport.close` on
-    purpose: connecting to the *closed* real socket yields a genuine
-    ``ECONNREFUSED``, which is exactly the signal the refusal-classification
-    policy feeds on.  Rebinding after a crash allocates a fresh port and
-    replaces the entry.
+    answers senders.  A daemon port's entry survives
+    :meth:`AsyncioTransport.close` on purpose: connecting to the *closed*
+    real socket yields a genuine ``ECONNREFUSED``, which the
+    refusal-classification policy turns into ``HOST_DOWN``, and rebinding
+    after a crash allocates a fresh port and replaces the entry.  A result
+    port's entry goes with its listener (:meth:`close`): each query binds a
+    new logical result port, so the entry would otherwise outlive the query,
+    and once the OS hands that real port to a newer listener a late frame
+    for the old query would reach it.  A sender then finds the port never
+    bound, which :func:`~repro.net.transport.refusal_outcome` classifies as
+    ``REFUSED``, exactly as the refused connect would have been.
     """
 
     def __init__(self, host: str = "127.0.0.1") -> None:
@@ -185,6 +207,11 @@ class PortMap:
     def lookup(self, site: str, logical_port: int) -> int | None:
         """The real port to connect to, or None if it was never bound."""
         return self._map.get((site, logical_port))
+
+    def close(self, site: str, logical_port: int) -> None:
+        """Its listener closed: forget a result port, keep a daemon port."""
+        if logical_port >= FIRST_RESULT_PORT:
+            self._map.pop((site, logical_port), None)
 
     def _bound_socket(self, real_port: int) -> socket.socket:
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -240,6 +267,41 @@ class StaticPortMap(PortMap):
         if base is None or not 0 <= offset < self.SPAN:
             return None
         return base + offset
+
+
+class _BufferedStreamProtocol(asyncio.StreamReaderProtocol, asyncio.BufferedProtocol):
+    """A stream protocol the loop reads into through a buffer it is given.
+
+    All connections of one transport share the buffer (module docstring,
+    "Read path"): ``feed_data`` copies what ``buffer_updated`` passes on
+    before the loop can read the next connection into it.
+    """
+
+    def __init__(
+        self,
+        reader: asyncio.StreamReader,
+        buffer: memoryview,
+        client_connected_cb: Callable | None = None,
+    ) -> None:
+        super().__init__(reader, client_connected_cb)
+        self._read_buffer = buffer
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._read_buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.data_received(self._read_buffer[:nbytes])
+
+
+async def _open_connection(
+    host: str, port: int, *, buffer: memoryview
+) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
+    """``asyncio.open_connection``, reading through ``buffer``."""
+    loop = asyncio.get_running_loop()
+    reader = asyncio.StreamReader(loop=loop)
+    protocol = _BufferedStreamProtocol(reader, buffer)
+    transport, __ = await loop.create_connection(lambda: protocol, host, port)
+    return reader, asyncio.StreamWriter(transport, protocol, reader, loop)
 
 
 class _Frame:
@@ -313,9 +375,11 @@ class AsyncioTransport:
         chaos: "ChaosRules | None" = None,
     ) -> None:
         self._loop = asyncio.get_running_loop()
+        #: What every connection of this transport reads into.
+        self._read_buffer = memoryview(bytearray(_READ_CHUNK))
         #: What a link opens its connection with: ``(host, port) -> (reader,
         #: writer)``.  Tests substitute a scripted in-memory peer.
-        self.open_connection = asyncio.open_connection
+        self.open_connection = partial(_open_connection, buffer=self._read_buffer)
         self.clock = clock if clock is not None else LoopClock(self._loop)
         self.stats = stats if stats is not None else TrafficStats()
         self.stats.bind_owner()
@@ -381,10 +445,14 @@ class AsyncioTransport:
         self._spawn(self._start_server(key, sock))
 
     async def _start_server(self, key: tuple[str, int], sock: socket.socket) -> None:
-        server = await asyncio.start_server(
-            lambda reader, writer: self._serve_connection(key, reader, writer),
-            sock=sock,
-        )
+        def protocol() -> _BufferedStreamProtocol:
+            return _BufferedStreamProtocol(
+                asyncio.StreamReader(loop=self._loop),
+                self._read_buffer,
+                lambda reader, writer: self._serve_connection(key, reader, writer),
+            )
+
+        server = await self._loop.create_server(protocol, sock=sock)
         if key in self._listeners and not self._closed:
             self._servers[key] = server
         else:
@@ -452,6 +520,9 @@ class AsyncioTransport:
                     # Written per frame, not per chunk: a later frame's
                     # listener may tear this connection down.
                     writer.write(ACK_BYTE + sequence)
+                # An idle keep-alive must not keep its last message (and so
+                # its query) alive until the next frame arrives.
+                frames = body = envelope = message = None
                 await writer.drain()
         except (ConnectionError, OSError):
             pass
@@ -465,14 +536,16 @@ class AsyncioTransport:
             _abort(writer)
 
     def close(self, site: str, port: int) -> None:
-        """Close the listener; later connects are refused for real.
+        """Close the listener; later connects are refused.
 
-        The port-map entry survives, so senders still find the (now
-        closed) real port and get ``ECONNREFUSED`` — which
-        :func:`~repro.net.transport.refusal_outcome` turns into the
-        termination signal on result ports.
+        A daemon port keeps its port-map entry, so senders still find the
+        (now closed) real port and get ``ECONNREFUSED``; a result port's
+        entry goes, and senders find it never bound.
+        :func:`~repro.net.transport.refusal_outcome` turns either into the
+        same outcome — on a result port, the termination signal.
         """
         key = (site, port)
+        self.port_map.close(site, port)
         self._listeners.pop(key, None)
         server = self._servers.pop(key, None)
         if server is not None:

@@ -35,9 +35,13 @@ number (:func:`encode_sequenced`), which the receiver echoes in a fixed-size
 ``docs/protocol.md`` ("Wire format") is the specification;
 :data:`FRAME_REVISION` numbers it.
 
-The codec interns what every message repeats (URL text, CHT entries, the
-web-query each clone carries, query states) in bounded process-global tables;
-encoded bytes do not depend on them — see "what every message repeats" below.
+The codec does the work for what every message repeats once.  On encode, a
+web-query's and a query state's wire form is kept on the object itself, so it
+lives exactly as long as the query.  On decode, URL text, query states and the
+web-query each clone carries are interned in bounded process-global tables;
+a decoded web-query is forgotten once its origin's completion watermark
+(:attr:`~repro.core.webquery.WebQuery.mark`) passes it.  Encoded bytes depend
+on none of this — see "what every message repeats" below.
 
 It is also the one module that knows a report's per-node form: a result
 message lists one JSON object per node, which the encoder writes straight from
@@ -230,17 +234,22 @@ def expr_from_wire(data: Any) -> Expr:
 # --- what every message repeats ---------------------------------------------------
 #
 # A query's messages name the same few dozen URLs, the same handful of query
-# states and — in every clone — the same web-query, over and over.  The tables
-# below let the codec do the work for each distinct one once.  They are
-# process-global, like ``_DECODED_QUERIES``: a site's traffic is about its own
+# states and — in every clone — the same web-query, over and over.  The codec
+# does the work for each distinct one once.
+#
+# Encoding keeps a ``WebQuery``'s text and a ``QueryState``'s JSON on the
+# object (its ``_wire`` cache field): an encoding is a function of the frozen
+# object, and it is freed with the query, so nothing a finished query touched
+# outlives it here.
+#
+# Decoding interns in process-global tables: a site's traffic is about its own
 # neighbourhood of the web whichever query it belongs to, so every process of
 # a deployment fills its own.  They are bounded (oldest out first), their sizes
 # are constants, and they never need resetting for correctness: a decode table
 # is keyed by the complete received value, so a hit returns exactly what a miss
-# would build; an encode table is keyed by the object being encoded.
+# would build.
 
 _DECODE_TABLE_SIZE = 4096
-_FRAGMENT_TABLE_SIZE = 1024
 
 #: URL text as received -> the ``Url`` it parses to.
 _DECODED_URLS: "dict[str, Url]" = {}
@@ -250,9 +259,6 @@ _DECODED_URLS: "dict[str, Url]" = {}
 #: One object per spelling is also what lets a decoded result message
 #: regroup its per-node records into clone reports (``_reports_from_wire``).
 _DECODED_STATES: "dict[str, QueryState]" = {}
-#: ``id`` of a ``WebQuery`` / ``QueryState`` being encoded -> that object (held,
-#: so the id cannot be reused) and what was built for it.
-_ENCODED_FRAGMENTS: "dict[int, tuple[object, Any]]" = {}
 
 
 def _remember(table: dict, key: Any, value: Any, limit: int) -> None:
@@ -269,16 +275,6 @@ def _url_from_wire(text: Any) -> Url:
         url = parse_url(text)
         _remember(_DECODED_URLS, text, url, _DECODE_TABLE_SIZE)
     return url
-
-
-def _fragment(value: object, build: Any) -> Any:
-    """``build(value)``, built once per object for as long as the table holds it."""
-    held = _ENCODED_FRAGMENTS.get(id(value))
-    if held is not None and held[0] is value:
-        return held[1]
-    built = build(value)
-    _remember(_ENCODED_FRAGMENTS, id(value), (value, built), _FRAGMENT_TABLE_SIZE)
-    return built
 
 
 _dumps = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
@@ -339,12 +335,19 @@ def _webquery_to_wire(query: WebQuery) -> Any:
     return encoded
 
 
-#: The web-queries this process decoded most recently, keyed by the JSON
-#: object each was decoded from.  Every clone of a query carries the whole
-#: query, so a site decodes the same object once per clone; serving a repeat
-#: from here also keeps the query's protocol table (:attr:`WebQuery.program`)
-#: — one ``WebQuery`` instance per query per process, as on the simulator.
+#: The web-queries this process decoded and whose origin has not finished
+#: them, keyed by the JSON object each was decoded from.  Every clone of a
+#: query carries the whole query, so a site decodes the same object once per
+#: clone; serving a repeat from here also keeps the query's protocol table
+#: (:attr:`WebQuery.program`) — one ``WebQuery`` instance per query per
+#: process, as on the simulator.
 _DECODED_QUERIES: "OrderedDict[bytes, WebQuery]" = OrderedDict()
+#: The same entries by origin ``(user, host)``: key -> query number.  A
+#: decode whose watermark is ``m`` drops its origin's entries numbered below
+#: ``m`` — the rule the admission stage applies to the log table.
+_QUERY_ORIGINS: "dict[tuple[str, str], dict[bytes, int]]" = {}
+#: The backstop for origins that go silent and for hostile frames.
+_QUERY_TABLE_SIZE = 256
 
 
 def _webquery_from_wire(data: Any) -> WebQuery:
@@ -362,9 +365,29 @@ def _webquery_from_wire(data: Any) -> WebQuery:
         _DECODED_QUERIES.move_to_end(key)
         return query
     query = _DECODED_QUERIES[key] = _decode_webquery(data)
-    while len(_DECODED_QUERIES) > 256:
-        _DECODED_QUERIES.popitem(last=False)
+    origin = _origin(query.qid)
+    if origin is not None:
+        entries = _QUERY_ORIGINS.setdefault(origin, {})
+        mark = query.mark
+        for finished in [old for old, number in entries.items() if number < mark]:
+            del entries[finished], _DECODED_QUERIES[finished]
+        entries[key] = query.qid.number
+    while len(_DECODED_QUERIES) > _QUERY_TABLE_SIZE:
+        evicted, old_query = _DECODED_QUERIES.popitem(last=False)
+        origin = _origin(old_query.qid)
+        if origin is not None:
+            entries = _QUERY_ORIGINS[origin]
+            del entries[evicted]
+            if not entries:
+                del _QUERY_ORIGINS[origin]
     return query
+
+
+def _origin(qid: QueryId) -> "tuple[str, str] | None":
+    """The origin a decoded query is indexed under; None for an ill-typed id."""
+    if type(qid.user) is str and type(qid.host) is str and type(qid.number) is int:
+        return qid.user, qid.host
+    return None
 
 
 def _decode_webquery(data: Any) -> WebQuery:
@@ -398,6 +421,15 @@ def _state_to_wire(state: QueryState) -> Any:
     return {"n": state.num_q, "rem": pre_to_wire(state.rem)}
 
 
+def _state_fragment(state: QueryState) -> Any:
+    """``state``'s wire form, built once and kept on the object."""
+    encoded = state._wire
+    if encoded is None:
+        encoded = _state_to_wire(state)
+        object.__setattr__(state, "_wire", encoded)
+    return encoded
+
+
 def _state_from_wire(data: Any) -> QueryState:
     return QueryState(data["n"], pre_from_wire(data["rem"]))
 
@@ -421,7 +453,7 @@ def _reports_to_wire(reports: "tuple[CloneReport, ...]") -> list:
     """Every node of every report as its own JSON object, in message order."""
     encoded = []
     for report in reports:
-        state = _fragment(report.state, _state_to_wire)
+        state = _state_fragment(report.state)
         dispatch_id, epoch = report.dispatch_id, report.epoch
         rows, new_entries, child_ids = report.rows, report.new_entries, report.child_ids
         parallel = len(child_ids) == len(new_entries)
@@ -433,7 +465,7 @@ def _reports_to_wire(reports: "tuple[CloneReport, ...]") -> list:
                 "entry": {"node": str(node), "state": state},
                 "disp": disposition.value,
                 "new": [
-                    {"node": str(target), "state": _fragment(target_state, _state_to_wire)}
+                    {"node": str(target), "state": _state_fragment(target_state)}
                     for target, target_state in new_entries[forward_start:forward_stop]
                 ],
                 "rows": [
@@ -516,7 +548,12 @@ _ENVELOPE_HEADS = {
 
 
 def _webquery_text(query: WebQuery) -> str:
-    return _dumps(_webquery_to_wire(query))
+    """``query``'s wire text, built once and kept on the object."""
+    text = query._wire
+    if text is None:
+        text = _dumps(_webquery_to_wire(query))
+        object.__setattr__(query, "_wire", text)
+    return text
 
 
 def _clone_text(clone: QueryClone) -> str:
@@ -531,7 +568,7 @@ def _clone_text(clone: QueryClone) -> str:
         rest["did"] = clone.dispatch_id
     if clone.epoch:
         rest["ep"] = clone.epoch
-    return f'{{"query":{_fragment(clone.query, _webquery_text)},{_dumps(rest)[1:]}'
+    return f'{{"query":{_webquery_text(clone.query)},{_dumps(rest)[1:]}'
 
 
 def _clone_from_body(body: Any) -> QueryClone:

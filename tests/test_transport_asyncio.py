@@ -191,8 +191,9 @@ class TestAsyncioTransportSends:
         asyncio.run(main())
 
     def test_closed_result_port_is_genuinely_refused(self):
-        # The §2.8 termination signal: the port-map entry survives close(),
-        # so a send hits a real ECONNREFUSED and classifies as REFUSED.
+        # The §2.8 termination signal: close() forgets a result port, so a
+        # send finds it never bound and classifies it as REFUSED, as a real
+        # ECONNREFUSED would be.
         async def main():
             transport = await _transport("a.example", "b.example")
             try:

@@ -15,7 +15,9 @@ bookkeeping and mis-sized ``child_ids``.
 The last suites poison the codec's tables: frames that differ from an honest
 one only in what ``==`` on JSON values cannot see (``1`` / ``1.0`` / ``true``,
 key order) must decode exactly as they did before the tables existed,
-whatever was decoded before them.
+whatever was decoded before them; and floods of origins and of watermarks
+that are hostile, go backwards or equal the query's number keep the
+decoded-query table and its origin index within their cap.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import copy
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -36,6 +39,7 @@ from repro.errors import ProtocolError
 from repro.pre import parse_pre
 from repro.urlutils import parse_url
 from repro.web.campus import CAMPUS_QUERY_DISQL
+from repro import wire
 from repro.wire import WireError, decode_message, encode_message
 
 from .test_protocol_pins import clone_reports
@@ -493,3 +497,72 @@ class TestWatermarkOnTheWire:
         query = decode_message(_clone_with_mark(7)).query
         assert (query.done_below, query.mark) == (None, 7)
         assert query == decode_message(_clone_wire("int")).query
+
+
+# --- floods of origins and marks ---------------------------------------------------
+
+#: Watermarks no honest user-site sends: wrong types, out of ``1..number``.
+_HOSTILE_MARKS = ("3", 3.0, True, None, [1], 0, -1, 2**40)
+
+
+def _flood(rng: random.Random, limit: int) -> list[bytes]:
+    """10× the cap of distinct origins, then 10× the cap of frames from a few
+    origins whose marks go forward, go backwards, equal the number or are
+    hostile — and some query ids of the wrong shape."""
+    template = json.loads(_clone_wire("int"))
+    frames = []
+
+    def frame(user, number, mark) -> None:
+        envelope = copy.deepcopy(template)
+        query = envelope["b"]["query"]
+        query["qid"][0], query["qid"][3] = user, number
+        if mark is not None:
+            query["mark"] = mark
+        frames.append(json.dumps(envelope, ensure_ascii=False).encode("utf-8"))
+
+    for serial in range(10 * limit):
+        frame(f"user{serial}", rng.randint(1, 40), None)
+    for __ in range(10 * limit):
+        number = rng.randint(1, 40)
+        draw = rng.random()
+        if draw < 0.4:
+            mark = rng.randint(1, number)  # forward or backwards, per origin
+        elif draw < 0.6:
+            mark = number
+        elif draw < 0.9:
+            mark = rng.choice(_HOSTILE_MARKS + (number + 1,))
+        else:
+            mark = None
+            number = rng.choice([str(number), float(number), None])
+        user = rng.choice(["maya", "ravi", "op-7", 5, ["maya"]])
+        frame(user, number, mark)
+    return frames
+
+
+def _decoded(frame: bytes) -> str:
+    try:
+        return repr(decode_message(frame))
+    except WireError as exc:
+        return f"WireError {exc}"
+
+
+class TestFloodsStayWithinTheCap:
+    def test_every_decode_equals_a_cold_decode_and_the_tables_stay_bounded(self):
+        limit = wire._QUERY_TABLE_SIZE
+        frames = _flood(random.Random("wire-flood"), limit)
+        cold = []
+        for frame in frames:
+            _clear_tables()
+            cold.append(_decoded(frame))
+        assert any(outcome.startswith("WireError") for outcome in cold)
+        _clear_tables()
+        fullest = 0
+        for frame, expected in zip(frames, cold):
+            assert _decoded(frame) == expected
+            fullest = max(fullest, len(wire._DECODED_QUERIES))
+            indexed = [key for entries in wire._QUERY_ORIGINS.values() for key in entries]
+            assert len(wire._DECODED_QUERIES) <= limit
+            assert len(indexed) == len(set(indexed)) <= limit
+            assert set(indexed) <= set(wire._DECODED_QUERIES)
+            assert all(wire._QUERY_ORIGINS.values())  # no origin left with nothing
+        assert fullest == limit  # the backstop did have to evict

@@ -1,16 +1,19 @@
 """The codec's tables change what the codec costs, never what it says.
 
-``repro.wire`` interns what every message repeats — URL text → ``Url`` and a
-query state's JSON → ``QueryState`` on decode, a ``WebQuery``'s and a
-``QueryState``'s fragment on encode.  These tests hold the other side of that
-bargain: encoded bytes are the previous implementation's, byte for byte,
-whether the tables are cold or warm; a decode returns ``==`` values whose
-repeated parts are the *same* objects; and the tables stay bounded.  (What a
-hostile frame can and cannot do to them is in ``test_wire_fuzz.py``.)
+``repro.wire`` interns what every message repeats — URL text → ``Url``, a
+query state's JSON → ``QueryState`` and a web-query's JSON → ``WebQuery`` on
+decode — and keeps a ``WebQuery``'s and a ``QueryState``'s wire form on the
+object on encode.  These tests hold the other side of that bargain: encoded
+bytes are the previous implementation's, byte for byte, whether the objects
+and tables are cold or warm; a decode returns ``==`` values whose repeated
+parts are the *same* objects; the tables stay bounded; and an encoded
+fragment lives exactly as long as its object.  (What a hostile frame can and
+cannot do to the tables is in ``test_wire_fuzz.py``.)
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import importlib.util
 import sys
@@ -21,7 +24,8 @@ import pytest
 
 from repro import EngineConfig, WebDisEngine, wire
 from repro.core.messages import CloneBundle, RelayMessage, ResultMessage
-from repro.core.webquery import QueryClone
+from repro.core.state import QueryState
+from repro.core.webquery import QueryClone, WebQuery
 from repro.web import build_campus_web
 from repro.web.campus import CAMPUS_QUERY_DISQL
 from repro.wire import decode_message, encode_message, wire_size
@@ -29,7 +33,7 @@ from repro.wire import decode_message, encode_message, wire_size
 from .test_protocol_pins import _WIRE_DIGESTS, _bundle, _relay, _result
 
 _TABLES = (
-    wire._DECODED_URLS, wire._DECODED_STATES, wire._ENCODED_FRAGMENTS, wire._DECODED_QUERIES,
+    wire._DECODED_URLS, wire._DECODED_STATES, wire._DECODED_QUERIES, wire._QUERY_ORIGINS,
 )
 
 
@@ -87,11 +91,14 @@ def e1_messages(request):
 
 class TestEncodedBytesAreThePreviousOnes:
     def test_cold_and_warm_tables_encode_the_pinned_bytes(self, e1_messages):
-        name, tapped = e1_messages
+        name, __ = e1_messages
+        fresh = _tapped(name)  # objects no encode has touched yet
+        holders = [part for payload in fresh for part in _encoded_parts(payload)]
+        assert holders and all(part._wire is None for part in holders)
         _clear_tables()
-        cold = [encode_message(payload) for payload in tapped]
-        assert wire._ENCODED_FRAGMENTS  # the run did go through the tables
-        warm = [encode_message(payload) for payload in tapped]
+        cold = [encode_message(payload) for payload in fresh]
+        assert all(part._wire is not None for part in holders)  # kept on the object
+        warm = [encode_message(payload) for payload in fresh]
         assert _digest(cold) == _digest(warm) == _E1_MESSAGES[name]
 
     def test_an_equal_but_distinct_object_encodes_identically(self, e1_messages):
@@ -116,6 +123,21 @@ class TestEncodedBytesAreThePreviousOnes:
             message = build()
             assert hashlib.sha256(encode_message(message)).hexdigest() == digest
             assert wire_size(message) == len(encode_message(message))
+
+
+def _encoded_parts(message) -> list:
+    """Every ``WebQuery`` / ``QueryState`` an encode keeps a fragment on."""
+    if isinstance(message, CloneBundle):
+        return [part for clone in message.clones for part in _encoded_parts(clone)]
+    if isinstance(message, QueryClone):
+        return [message.query]
+    if isinstance(message, RelayMessage):
+        return _encoded_parts(message.inner)
+    return [
+        state
+        for report in message.reports
+        for state in (report.state, *(state for __, state in report.new_entries))
+    ]
 
 
 def _interned_parts(message) -> list:
@@ -172,6 +194,54 @@ class TestDecodeInterns:
         assert again.reports[0].state is not cold.reports[0].state
 
 
+class TestFragmentsLiveWithTheirObject:
+    def test_an_equal_but_distinct_query_encodes_the_same_bytes(self):
+        clone = _bundle().clones[0]
+        expected = encode_message(clone)
+        assert clone.query._wire is not None
+        twin = replace(clone, query=clone.query.with_qid(clone.query.qid))
+        assert twin.query == clone.query and twin.query._wire is None
+        assert encode_message(twin) == expected
+        assert twin.query._wire == clone.query._wire
+        assert twin.query._wire is not clone.query._wire  # its own, built again
+
+    def test_an_equal_but_distinct_state_encodes_the_same_bytes(self):
+        message = _result()
+        expected = encode_message(message)
+        report = message.reports[0]
+        twin = QueryState(report.state.num_q, report.state.rem)
+        assert twin == report.state and twin._wire is None
+        twinned = replace(message, reports=(replace(report, state=twin), *message.reports[1:]))
+        assert encode_message(twinned) == expected
+        assert twin._wire == report.state._wire and twin._wire is not report.state._wire
+
+    def test_dropping_the_query_frees_its_fragment(self):
+        clone = _bundle().clones[0]
+        query = clone.query.with_qid(clone.query.qid)
+        qid = query.qid
+        encode_message(replace(clone, query=query))
+        fragment = query._wire
+        # Held by the query's slot and this frame only: no codec table has it.
+        assert sys.getrefcount(fragment) == 3
+        del query
+        gc.collect()
+        assert sys.getrefcount(fragment) == 2
+        assert not [
+            live for live in gc.get_objects()
+            if type(live) is WebQuery and live.qid == qid and live._wire is fragment
+        ]
+
+    def test_dropping_a_state_frees_its_fragment(self):
+        state = QueryState(3, _result().reports[0].state.rem)
+        message = _result()
+        report = message.reports[0]
+        encode_message(replace(message, reports=(replace(report, state=state),)))
+        fragment = state._wire
+        assert sys.getrefcount(fragment) == 3
+        del state
+        assert sys.getrefcount(fragment) == 2
+
+
 class TestTablesAreBounded:
     def test_ten_times_the_table_of_distinct_urls(self):
         _clear_tables()
@@ -191,15 +261,48 @@ class TestTablesAreBounded:
         assert "http://b.example/x0" not in wire._DECODED_URLS
 
     def test_ten_times_the_table_of_distinct_queries(self):
+        """Distinct queries of one origin that never advances its mark (every
+        clone marked 1), and of as many origins as queries: the cap holds."""
+        clone = _bundle().clones[0]
+        limit = wire._QUERY_TABLE_SIZE
+        for origins in ("one", "many"):
+            _clear_tables()
+            for serial in range(2, 10 * limit + 2):
+                user = "maya" if origins == "one" else f"user{serial}"
+                qid = replace(clone.query.qid, user=user, number=serial)
+                sent = replace(clone, query=clone.query.with_qid(qid, done_below=1))
+                assert decode_message(encode_message(sent)) == sent
+            assert len(wire._DECODED_QUERIES) == limit
+            assert sum(map(len, wire._QUERY_ORIGINS.values())) == limit
+            assert len(wire._QUERY_ORIGINS) == (1 if origins == "one" else limit)
+
+    def test_a_mark_drops_its_origins_older_queries(self):
+        """Decoding a query marked ``m`` forgets its origin's queries numbered
+        below ``m``, and nobody else's."""
         _clear_tables()
-        bundle = _bundle()
-        limit = wire._FRAGMENT_TABLE_SIZE
-        expected = encode_message(bundle.clones[0])
-        for serial in range(3 * limit):
-            query = bundle.clones[0].query.with_qid(bundle.clones[0].query.qid)
-            clone = replace(bundle.clones[0], query=query)  # equal, distinct object
-            assert encode_message(clone) == expected
-        assert len(wire._ENCODED_FRAGMENTS) <= limit
+        clone = _bundle().clones[0]
+        host = clone.query.qid.host
+
+        def decode(user: str, number: int, mark: int | None = None) -> None:
+            qid = replace(clone.query.qid, user=user, number=number)
+            sent = replace(clone, query=clone.query.with_qid(qid, done_below=mark))
+            assert decode_message(encode_message(sent)) == sent
+
+        def numbers(user: str) -> list[int]:
+            return sorted(wire._QUERY_ORIGINS.get((user, host), {}).values())
+
+        decode("maya", 1)
+        for number in (2, 3):
+            decode("maya", number, mark=1)
+        decode("ravi", 1)
+        assert numbers("maya") == [1, 2, 3]
+        decode("maya", 5, mark=3)
+        assert (numbers("maya"), numbers("ravi")) == ([3, 5], [1])
+        decode("maya", 4, mark=2)  # a late clone with an older mark drops nothing new
+        assert numbers("maya") == [3, 4, 5]
+        decode("maya", 6)  # sequential: nothing older is live
+        assert (numbers("maya"), numbers("ravi")) == ([6], [1])
+        assert len(wire._DECODED_QUERIES) == 2
 
     def test_no_reset_is_needed_between_engines_or_after_a_crash(self):
         """One engine's traffic warms the tables, a server crashes, a second

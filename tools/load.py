@@ -10,6 +10,7 @@ user-site's completion watermark explicitly::
     PYTHONPATH=src python tools/load.py --gate           # exit 1 on growth
     PYTHONPATH=src python tools/load.py --mix 0,1,0      # warm repeats only
     PYTHONPATH=src python tools/load.py --smoke          # short run (CI)
+    PYTHONPATH=src python tools/load.py --transport asyncio [--gate] [--smoke]
 
 * ``warm`` — EXP-E1's ``warm_zipf`` pool (16 reach queries, zipf weights),
   run once before the load so its probes are memo hits;
@@ -35,11 +36,24 @@ own bounded caches (the memo flushes at 4096 entries per server, the plan
 cache keeps 256 plans), which a 2,400-query mix with cold literals is still
 filling.  A query that does not finish COMPLETE, other than one cancelled
 on purpose, counts as failed; any failure exits 1.
+
+``--transport asyncio`` runs the socket path instead: one
+``AsyncioWebDisEngine`` on EXP-E1's ``wire_tenants`` web (6 sites over real
+loopback TCP), its pool run once as a warm-up, then 400 of its queries
+arriving as a Poisson process in wall time (40 per second).  Per interval it
+prints the process's ``VmRSS``, open fds, the transport's links and tasks,
+the port map's entries and the codec's decoded-query entries.  The run ends
+with one query submitted alone, whose watermark passes every earlier query;
+``--gate`` fails (exit 1) unless each count (``WIRE_GATED``) is then back
+at its value after the warm-up.  RSS is reported, not gated: it also moves
+with the allocator and the interpreter.  Latencies are wall time.
 """
 
 from __future__ import annotations
 
 import argparse
+import asyncio
+import os
 import random
 import statistics
 import sys
@@ -51,7 +65,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.append(str(REPO_ROOT / "benchmarks" / "e2e"))  # workloads.py, read only
 
-from repro import QueryStatus, build_engine  # noqa: E402
+from repro import EngineConfig, QueryStatus, build_engine, wire  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 #: EXP-E1's ``warm_zipf``: the 32-site spot-check web and its zipf pool.
@@ -191,6 +205,156 @@ def run_load(
     }
 
 
+# --- the socket path -------------------------------------------------------------
+
+#: EXP-E1's ``wire_tenants``: 6 sites over loopback TCP and its 12-query pool.
+WIRE = next(workload for workload in WORKLOADS if workload.name == "wire_tenants")
+WIRE_PLAN = WIRE.plan(1)
+WIRE_QUERIES, WIRE_INTERVALS = 400, 20
+#: Offered queries per wall second.
+WIRE_RATE = 40.0
+#: What the gate compares between the quiet point after the warm-up and the
+#: quiet point after the load: each must be back where it was.
+WIRE_GATED = ("fds", "links", "tasks", "port_map", "decoded_queries")
+
+
+def _rss_mib() -> float | None:
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmRSS:"):
+                    return round(int(line.split()[1]) / 1024, 1)
+    except OSError:
+        pass
+    return None
+
+
+def _open_fds() -> int | None:
+    try:
+        return len(os.listdir("/proc/self/fd"))
+    except OSError:
+        return None
+
+
+def _wire_counts(transport) -> dict:
+    return {
+        "fds": _open_fds(),
+        "links": len(transport._links),
+        "tasks": len(transport._tasks),
+        "port_map": len(transport.port_map._map),
+        "decoded_queries": len(wire._DECODED_QUERIES),
+    }
+
+
+async def _quiet_counts(transport) -> dict:
+    """The counts once they have held still for 50 ms (at most 2 s): the
+    servers' last sends to closed result ports settle after completion."""
+    counts, still = _wire_counts(transport), 0
+    for __ in range(200):
+        await asyncio.sleep(0.01)
+        previous, counts = counts, _wire_counts(transport)
+        still = still + 1 if counts == previous else 0
+        if still == 5:
+            break
+    return counts
+
+
+async def run_wire_load(
+    queries: int = WIRE_QUERIES, *, intervals: int = WIRE_INTERVALS, seed: int = 1,
+    rate: float = WIRE_RATE,
+) -> dict:
+    engine = build_engine(
+        WIRE.build_web(1), config=EngineConfig(transport="asyncio", **WIRE.config)
+    )
+    transport, clock = engine.network, engine.clock
+    loop = asyncio.get_running_loop()
+    try:
+        await asyncio.sleep(0)  # accept loops attach; sockets already bound
+        for text in WIRE_PLAN.warmup:
+            await engine.run([engine.submit_disql(text)])
+        warm = await _quiet_counts(transport)
+
+        latencies: list[float] = []
+        outcome = {"submitted": 0, "finished": 0, "failed": 0}
+        drained = loop.create_future()
+        wake_runs = engine.client.on_terminal
+
+        def on_terminal(handle) -> None:
+            wake_runs(handle)
+            outcome["finished"] += 1
+            if handle.status is QueryStatus.COMPLETE:
+                latencies.append(clock.now - handle.submit_time)
+            else:
+                outcome["failed"] += 1
+            if outcome["finished"] == queries and not drained.done():
+                drained.set_result(None)
+
+        engine.client.on_terminal = on_terminal
+
+        def submit(text: str) -> None:
+            engine.submit_disql(text)  # the handle is not kept: nothing pins it
+            outcome["submitted"] += 1
+
+        rng = random.Random(f"load-wire:{seed}")
+        start = loop.time()
+        arrival = start
+        for __ in range(queries):
+            arrival += rng.expovariate(rate)
+            loop.call_at(arrival, submit, rng.choices(WIRE_PLAN.pool, WIRE_PLAN.weights)[0])
+
+        samples = []
+        step = (arrival - start) / intervals
+        for index in range(1, intervals + 1):
+            await asyncio.sleep(max(start + index * step - loop.time(), 0.0))
+            samples.append({
+                "finished": outcome["finished"],
+                "running": outcome["submitted"] - outcome["finished"],
+                "rss_mib": _rss_mib(),
+                **_wire_counts(transport),
+            })
+        await asyncio.wait_for(drained, 60.0)
+        wall = loop.time() - start
+        # One query alone: its watermark passes every query of the load, as
+        # the next query of a user-site does.
+        engine.client.on_terminal = wake_runs
+        await engine.run([engine.submit_disql(WIRE_PLAN.pool[0])])
+        after = await _quiet_counts(transport)
+    finally:
+        await engine.aclose()
+
+    ordered = sorted(latencies)
+    return {
+        "queries": queries,
+        "offered_per_s": rate,
+        "achieved_per_s": round(outcome["finished"] / wall, 2),
+        "p50_ms": round(statistics.median(ordered) * 1e3, 2) if ordered else None,
+        "p99_ms": round(ordered[int(0.99 * (len(ordered) - 1))] * 1e3, 2) if ordered else None,
+        **outcome,
+        "intervals": samples,
+        "after_warmup": warm,
+        "after_load": after,
+        "gate_failures": [name for name in WIRE_GATED if after[name] != warm[name]],
+    }
+
+
+def _print_wire(result: dict) -> None:
+    print(
+        f"{result['finished']} of {result['queries']} wire queries finished "
+        f"({result['failed']} failed): offered {result['offered_per_s']}/s, "
+        f"achieved {result['achieved_per_s']}/s wall, "
+        f"p50 {result['p50_ms']} ms, p99 {result['p99_ms']} ms"
+    )
+    columns = ("finished", "running", "rss_mib", *WIRE_GATED)
+    print("  ".join(f"{name:>15}" for name in columns))
+    for sample in result["intervals"]:
+        print("  ".join(f"{sample[name]!s:>15}" for name in columns))
+    warm, after = result["after_warmup"], result["after_load"]
+    print(
+        "quiet after the warm-up -> after the load and one query alone: "
+        + ", ".join(f"{name} {warm[name]} -> {after[name]}" for name in WIRE_GATED)
+    )
+
+
 def _print(result: dict) -> None:
     print(
         f"{result['finished']} of {result['queries']} queries finished "
@@ -216,19 +380,27 @@ def _print(result: dict) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--transport", choices=("sim", "asyncio"), default="sim",
+                        help="sim: the warm mix in virtual time (default); "
+                        "asyncio: wire_tenants over real sockets in wall time")
     parser.add_argument("--mix", default="1,2,1",
-                        help="cold,warm,join weights (default 1,2,1)")
+                        help="cold,warm,join weights, sim only (default 1,2,1)")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--gate", action="store_true",
-                        help="exit 1 when log entries, purge records or running "
-                        "queries keep rising")
+                        help="exit 1 when the per-query state the run bounds "
+                        "keeps rising")
     parser.add_argument("--smoke", action="store_true",
                         help="a short run (120 queries, 6 intervals)")
     args = parser.parse_args(argv)
-    queries, intervals = (120, 6) if args.smoke else (QUERIES, INTERVALS)
-    mix = tuple(float(weight) for weight in args.mix.split(","))
-    result = run_load(queries, mix, intervals=intervals, seed=args.seed)
-    _print(result)
+    if args.transport == "asyncio":
+        queries, intervals = (120, 6) if args.smoke else (WIRE_QUERIES, WIRE_INTERVALS)
+        result = asyncio.run(run_wire_load(queries, intervals=intervals, seed=args.seed))
+        _print_wire(result)
+    else:
+        queries, intervals = (120, 6) if args.smoke else (QUERIES, INTERVALS)
+        mix = tuple(float(weight) for weight in args.mix.split(","))
+        result = run_load(queries, mix, intervals=intervals, seed=args.seed)
+        _print(result)
     failed = result["failed"] > 0
     if args.gate and result["gate_failures"]:
         print(f"GATE: still growing: {', '.join(result['gate_failures'])}")

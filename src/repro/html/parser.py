@@ -29,21 +29,23 @@ contain: no pattern reads past the next ``<``, the position of the next ``>``
 is remembered across the ``<`` that fail to reach it, and a character
 reference is looked for within the ten characters it may span.
 
-**What the scanner keeps.**  It joins nothing but the title.  It keeps the
-visible character runs it collects anyway, and integers into them: per anchor
-the href and the ``(start, end)`` run indexes of its label, per rel-infon the
-delimiter and the ``(start, end)`` of its segment.  A segment with no visible
-text is no rel-infon, and the scanner knows which those are without joining:
-it counts *ink* — the visible runs so far that are not all whitespace
-(``str.isspace`` is exactly the class ``str.split()`` splits on) — and a
-segment is non-empty iff ink rose between its two ends.
-:class:`ParsedDocument` joins and whitespace-normalises the text, the labels
-and the segments when each is first read, and drops the runs and marks once
-all three have been.  So the structural pass — and with it every count the cost model
-reads — is the same whatever a query touches, and what the RELINFON model
-asks for beyond it (nested containers each repeat their inner text:
-``"<b>x" * N + "</b>" * N`` is N marks, and N copies only once read) is paid
-by the reader.
+**What the scanner keeps.**  It joins nothing but the title.  It hands over
+the visible character data as one string, as written, and *marks* into it
+(character offsets): per anchor the href and the two ends of its label, per
+rel-infon the delimiter and the two ends of its segment.  The marks are
+arrays of machine integers, and tag names are lowered through a small
+bounded table (:data:`_LOWERED`), so every rel-infon of one delimiter shares
+one name.  A segment with no visible text is no rel-infon, and the scanner
+knows which those are without joining: it counts *ink* — the visible runs so
+far that are not all whitespace (``str.isspace`` is exactly the class
+``str.split()`` splits on) — and a segment is non-empty iff ink rose between
+its two ends.  :class:`ParsedDocument` joins and whitespace-normalises the
+text, the labels and the segments when each is first read, drops each mark
+array once joined, and the visible string once all three are.  So the
+structural pass — and with it every count the cost model reads — is the same
+whatever a query touches, and what the RELINFON model asks for beyond it
+(nested containers each repeat their inner text: ``"<b>x" * N + "</b>" * N``
+is N marks, and N copies only once read) is paid by the reader.
 
 :mod:`repro.testing.html_reference` keeps the tokenizer and tree builder this
 scanner replaced; the test suite holds the two equal on every input it has.
@@ -52,6 +54,7 @@ scanner replaced; the test suite holds the two equal on every input it has.
 from __future__ import annotations
 
 import re
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterator
@@ -134,8 +137,8 @@ class RelInfon:
 class ParsedDocument:
     """The structural summary of one HTML document.
 
-    Built by :func:`parse_html` from the scanner's runs and marks, or from
-    materialised parts (what the reference parser has); the two compare
+    Built by :func:`parse_html` from the scanner's visible text and marks, or
+    from materialised parts (what the reference parser has); the two compare
     equal when they describe the same document.
 
     Attributes:
@@ -153,11 +156,16 @@ class ParsedDocument:
 
     ``text``, ``anchor_labels`` and ``relinfon_texts`` are joined on first
     read; the lists are shared with every reader and must not be mutated.
+    Each join drops the marks it was made from, and the raw visible text goes
+    with the last of them.  A :class:`~repro.model.database.NodeDatabase`
+    owns the document it is built from and takes its anchors once ANCHOR
+    exists (:meth:`_release_anchors`): from then on the document has no
+    anchor columns.  ``repr`` joins without keeping anything.
     """
 
     __slots__ = (
         "title", "base_href", "anchor_hrefs", "relinfon_delimiters",
-        "_text", "_labels", "_segments", "_runs", "_label_spans", "_segment_spans",
+        "_text", "_labels", "_segments", "_raw", "_label_marks", "_segment_marks",
     )
 
     def __init__(
@@ -170,50 +178,62 @@ class ParsedDocument:
     ) -> None:
         self.title = title
         self.base_href = base_href
-        self.anchor_hrefs = [anchor.href for anchor in anchors]
+        self.anchor_hrefs: list[str] | None = [anchor.href for anchor in anchors]
         self.relinfon_delimiters = [infon.delimiter for infon in relinfons]
         self._text: str | None = text
         self._labels: list[str] | None = [anchor.label for anchor in anchors]
         self._segments: list[str] | None = [infon.text for infon in relinfons]
-        self._runs = self._label_spans = self._segment_spans = None
+        self._raw = self._label_marks = self._segment_marks = None
 
     @classmethod
     def _scanned(
         cls,
         title: str,
         base_href: str | None,
-        runs: list[str],
+        raw: str,
         hrefs: list[str],
-        label_spans: list[tuple[int, int]],
+        label_marks: list[int],
         delimiters: list[str],
-        segment_spans: list[tuple[int, int]],
+        segment_marks: list[int],
     ) -> "ParsedDocument":
-        """What the scanner found: nothing joined yet but the title."""
+        """What the scanner found: nothing joined yet but the title.
+
+        ``raw`` is the visible character data as written; each mark list
+        holds two character offsets into it per anchor label / segment, and
+        is kept as an array of machine integers.
+        """
         self = cls.__new__(cls)
         self.title = title
         self.base_href = base_href
         self.anchor_hrefs = hrefs
         self.relinfon_delimiters = delimiters
         self._text = self._labels = self._segments = None
-        self._runs = runs
-        self._label_spans = label_spans
-        self._segment_spans = segment_spans
+        self._raw = raw
+        typecode = "I" if len(raw) <= 0xFFFFFFFF else "Q"  # nothing raises, however long
+        self._label_marks = array(typecode, label_marks)
+        self._segment_marks = array(typecode, segment_marks)
         return self
 
-    def _joined(self, spans: list[tuple[int, int]]) -> list[str]:
-        runs = self._runs
-        return [" ".join("".join(runs[start:end]).split()) for start, end in spans]
+    def _joined(self, marks: "array[int]") -> list[str]:
+        raw = self._raw
+        bounds = iter(marks)
+        return [" ".join(raw[start:end].split()) for start, end in zip(bounds, bounds)]
 
     def _release(self) -> None:
-        """Drop the runs and marks once nothing is left to join from them."""
-        if self._text is not None and self._labels is not None and self._segments is not None:
-            self._runs = self._label_spans = self._segment_spans = None
+        """Drop the raw text once nothing is left to join from it."""
+        if self._text is not None and self._label_marks is None and self._segment_marks is None:
+            self._raw = None
+
+    def _release_anchors(self) -> None:
+        """Drop the anchor columns and their marks: the owner has built ANCHOR."""
+        self.anchor_hrefs = self._labels = self._label_marks = None
+        self._release()
 
     @property
     def text(self) -> str:
         text = self._text
         if text is None:
-            text = self._text = " ".join("".join(self._runs).split())
+            text = self._text = " ".join(self._raw.split())
             self._release()
         return text
 
@@ -221,7 +241,8 @@ class ParsedDocument:
     def anchor_labels(self) -> list[str]:
         labels = self._labels
         if labels is None:
-            labels = self._labels = self._joined(self._label_spans)
+            labels = self._labels = self._joined(self._label_marks)
+            self._label_marks = None
             self._release()
         return labels
 
@@ -229,7 +250,8 @@ class ParsedDocument:
     def relinfon_texts(self) -> list[str]:
         segments = self._segments
         if segments is None:
-            segments = self._segments = self._joined(self._segment_spans)
+            segments = self._segments = self._joined(self._segment_marks)
+            self._segment_marks = None
             self._release()
         return segments
 
@@ -255,11 +277,40 @@ class ParsedDocument:
         )
 
     def __repr__(self) -> str:
+        # Joined afresh where not joined yet, and not kept: printing a
+        # document must not change what it retains.
+        text = self._text
+        if text is None:
+            text = " ".join(self._raw.split())
+        labels = self._labels
+        if labels is None and self._label_marks is not None:
+            labels = self._joined(self._label_marks)
+        segments = self._segments
+        if segments is None:
+            segments = self._joined(self._segment_marks)
+        anchors = None if labels is None else tuple(map(Anchor, labels, self.anchor_hrefs))
+        relinfons = tuple(map(RelInfon, self.relinfon_delimiters, segments))
         return (
-            f"ParsedDocument(title={self.title!r}, text={self.text!r}, "
-            f"anchors={self.anchors!r}, relinfons={self.relinfons!r}, "
+            f"ParsedDocument(title={self.title!r}, text={text!r}, "
+            f"anchors={anchors!r}, relinfons={relinfons!r}, "
             f"base_href={self.base_href!r})"
         )
+
+
+#: Lower-cased tag names by the name as written, so that every segment of one
+#: delimiter shares one ``str``.  Bounded: past it a name is lowered afresh.
+_LOWERED: dict[str, str] = {}
+_LOWERED_SIZE = 256
+
+
+def _lowered(name: str) -> str:
+    """``name.lower()``, through :data:`_LOWERED` while it has room."""
+    lowered = name.lower()
+    if len(_LOWERED) < _LOWERED_SIZE:
+        # Lowering is idempotent, so the lowered form is its own entry: "B"
+        # and "b" share one "b".
+        lowered = _LOWERED[name] = _LOWERED.setdefault(lowered, lowered)
+    return lowered
 
 
 def _reference_text(match: re.Match[str]) -> str:
@@ -295,6 +346,7 @@ def parse_html(html: str) -> ParsedDocument:
     """Parse ``html`` into a :class:`ParsedDocument` in one pass."""
     find = html.find
     ordinary_at = _ORDINARY.match
+    lowered_of = _LOWERED.get
     kind_of = _TAG_KINDS.get
     size = len(html)
     title_runs: list[str] = []
@@ -304,14 +356,15 @@ def parse_html(html: str) -> ParsedDocument:
     sink: list[str] | None = runs
     in_title = False
     hidden = 0  # open <script> / <style>
+    length = 0  # characters in ``runs``
     ink = 0  # runs in ``runs`` that are not all whitespace
-    hrefs: list[str] = []  # per anchor, with its label's span of ``runs``
-    label_spans: list[tuple[int, int]] = []
-    delimiters: list[str] = []  # per rel-infon, with its segment's span
-    segment_spans: list[tuple[int, int]] = []
+    hrefs: list[str] = []  # per anchor, with its label's two marks
+    label_marks: list[int] = []
+    delimiters: list[str] = []  # per rel-infon, with its segment's two marks
+    segment_marks: list[int] = []
     # A block, an anchor label and a container are each the visible text from
-    # some point on, so each is a mark: an index into ``runs``, and for the
-    # two that form rel-infons the ink there.
+    # some point on, so each is a mark: a character offset into the visible
+    # text, and for the two that form rel-infons the ink there.
     block_mark = block_ink = label_mark = 0
     open_href: str | None = None  # of the <a href> being read
     base_href: str | None = None
@@ -330,8 +383,10 @@ def parse_html(html: str) -> ParsedDocument:
                 if "&" in run:
                     run = decode_entities(run)
                 sink.append(run)
-                if sink is runs and not run.isspace():
-                    ink += 1
+                if sink is runs:
+                    length += len(run)
+                    if not run.isspace():
+                        ink += 1
         else:
             i = find("<", pos)
             if i < 0:
@@ -339,8 +394,10 @@ def parse_html(html: str) -> ParsedDocument:
             if i > pos and sink is not None:
                 run = decode_entities(html[pos:i])
                 sink.append(run)
-                if sink is runs and not run.isspace():
-                    ink += 1
+                if sink is runs:
+                    length += len(run)
+                    if not run.isspace():
+                        ink += 1
             if i == size:
                 break
             end_name = name = attributes = None
@@ -349,7 +406,8 @@ def parse_html(html: str) -> ParsedDocument:
                 if html.startswith("!", i + 1):
                     # A comment is skipped to its "-->", a declaration to its
                     # ">"; without one the rest of the page is undecoded text
-                    # (no mark is read after it, so its ink is not counted).
+                    # (no mark is read after it, so neither its length nor
+                    # its ink is counted).
                     if html.startswith("--", i + 2):
                         end = find("-->", i + 4)
                         pos = end + 3
@@ -379,12 +437,13 @@ def parse_html(html: str) -> ParsedDocument:
                 if sink is not None:
                     sink.append("<")
                     if sink is runs:
+                        length += 1
                         ink += 1
                 pos = i + 1
                 continue
 
         if end_name is not None:
-            name = end_name.lower()
+            name = lowered_of(end_name) or _lowered(end_name)
             kind = kind_of(name, 0)
             if kind & _STATEFUL:
                 if kind & _TITLE:
@@ -397,7 +456,7 @@ def parse_html(html: str) -> ParsedDocument:
                             sink = runs
                 elif kind & _ANCHOR and open_href is not None:
                     hrefs.append(open_href)
-                    label_spans.append((label_mark, len(runs)))
+                    label_marks += (label_mark, length)
                     open_href = None
             if open_counts[name]:
                 # Pop the innermost open ``name``; unclosed tags above it
@@ -412,12 +471,12 @@ def parse_html(html: str) -> ParsedDocument:
                         break
                 if ink > inked and not kind & _STRUCTURAL:
                     delimiters.append(name)
-                    segment_spans.append((mark, len(runs)))
+                    segment_marks += (mark, length)
             if kind & _BLOCK:
-                block_mark = len(runs)
+                block_mark = length
                 block_ink = ink
         else:
-            name = name.lower()
+            name = lowered_of(name) or _lowered(name)
             kind = kind_of(name, 0)
             self_closing = False
             if attributes:
@@ -438,25 +497,25 @@ def parse_html(html: str) -> ParsedDocument:
                     if kind & _ANCHOR:
                         if href is not None:
                             open_href = href
-                            label_mark = len(runs)
+                            label_mark = length
                     elif base_href is None:
                         base_href = href
             if kind & _VOID:
                 if ink > block_ink:
                     delimiters.append(name)
-                    segment_spans.append((block_mark, len(runs)))
-                block_mark = len(runs)
+                    segment_marks += (block_mark, length)
+                block_mark = length
                 block_ink = ink
             elif not self_closing:
-                containers.append((name, len(runs), ink))
+                containers.append((name, length, ink))
                 open_counts[name] += 1
                 if kind & _BLOCK:
-                    block_mark = len(runs)
+                    block_mark = length
                     block_ink = ink
 
     return ParsedDocument._scanned(
         " ".join("".join(title_runs).split()),
-        base_href, runs, hrefs, label_spans, delimiters, segment_spans,
+        base_href, "".join(runs), hrefs, label_marks, delimiters, segment_marks,
     )
 
 

@@ -16,6 +16,14 @@ it is absent, not empty, and asking always gets the page's rows.  What the
 *cost model* charges does not depend on who asked:
 :meth:`NodeDatabase.tuple_count` is the page's tuple count — what the
 single pass found — whether or not anything was materialised.
+
+A retained database keeps what its relations still need and nothing else.
+Until a relation is built it holds the scanner's compact output for it (one
+visible-text string, integer marks, the raw hrefs); building ANCHOR drops
+the hrefs and label marks, and once ANCHOR and the forward targets both
+exist the resolved links go too, leaving the link count that
+:meth:`NodeDatabase.tuple_count` reads.  What a cached page costs is
+``retained_bytes_per_page`` of ``tools/profile_hotpath.py --workload build``.
 """
 
 from __future__ import annotations
@@ -35,15 +43,17 @@ class NodeDatabase:
     """The three virtual relations for one node, ready for node-queries.
 
     Databases are read-only once built, so what the hot path needs
-    repeatedly — the relations themselves, the resolved links and the
-    per-:class:`LinkType` destinations — is derived once, on first need,
-    and kept.  ``document`` is a plain attribute; ``anchor`` and
-    ``relinfon`` build their table on first read.
+    repeatedly — the relations themselves and the per-:class:`LinkType`
+    destinations — is derived once, on first need, and kept.  ``document``
+    is a plain attribute; ``anchor`` and ``relinfon`` build their table on
+    first read.  What only feeds a derivation is dropped once nothing is
+    left to derive from it: the hrefs and label marks with ANCHOR, the
+    resolved links once ANCHOR and the destinations both exist.
     """
 
     __slots__ = (
         "url", "document", "_parsed", "_stats",
-        "_anchor", "_relinfon", "_links", "_forward_targets",
+        "_anchor", "_relinfon", "_links", "_link_count", "_forward_targets",
     )
 
     def __init__(
@@ -53,18 +63,22 @@ class NodeDatabase:
         self.document = Table(
             DOCUMENT_SCHEMA, [(str(url), parsed.title, parsed.text, length)], stats=stats
         )
-        #: What ANCHOR and RELINFON are built from; it drops its runs and
-        #: marks itself once text, labels and segments have all been joined.
+        #: What ANCHOR and RELINFON are built from, owned by this database:
+        #: it drops each column's marks once that column is joined, and the
+        #: visible text after the last; building ANCHOR takes its anchors.
         self._parsed = parsed
         self._stats = stats
         self._anchor: Table | None = None
         self._relinfon: Table | None = None
         self._links: tuple[list[int], list[Url], list[str]] | None = None
+        self._link_count: int | None = None
         self._forward_targets: dict[LinkType, tuple[Url, ...]] | None = None
 
     def _resolved(self) -> tuple[list[int], list[Url], list[str]]:
         """The page's resolvable links as ``(anchor positions, hrefs, link
-        type symbols)``, in document order; resolved once per database."""
+        type symbols)``, in document order; resolved once per database, and
+        dropped (:meth:`_release_links`) once ANCHOR and the forward targets
+        both hold what they need of them."""
         links = self._links
         if links is None:
             links = self._links = ([], [], [])
@@ -73,7 +87,12 @@ class NodeDatabase:
                 positions.append(position)
                 hrefs.append(href)
                 symbols.append(symbol)
+            self._link_count = len(positions)
         return links
+
+    def _release_links(self) -> None:
+        if self._anchor is not None and self._forward_targets is not None:
+            self._links = None
 
     @property
     def anchor(self) -> Table:
@@ -81,7 +100,8 @@ class NodeDatabase:
         table = self._anchor
         if table is None:
             positions, hrefs, symbols = self._resolved()
-            labels = self._parsed.anchor_labels
+            parsed = self._parsed
+            labels = parsed.anchor_labels
             if len(positions) != len(labels):
                 labels = [labels[position] for position in positions]
             table = self._anchor = Table.from_columns(
@@ -89,6 +109,8 @@ class NodeDatabase:
                 (labels, [str(self.url)] * len(hrefs), [str(href) for href in hrefs], symbols),
                 stats=self._stats,
             )
+            parsed._release_anchors()
+            self._release_links()
         return table
 
     @property
@@ -139,6 +161,7 @@ class NodeDatabase:
             cached = self._forward_targets = {
                 ltype: tuple(by_symbol[ltype.value]) for ltype in LinkType
             }
+            self._release_links()
         return cached[ltype]
 
     def tuple_count(self) -> int:
@@ -149,7 +172,9 @@ class NodeDatabase:
         built: the cost model charges for the pass over the document, not
         for what one query happened to read.
         """
-        return 1 + len(self._resolved()[0]) + len(self._parsed.relinfon_delimiters)
+        if self._link_count is None:
+            self._resolved()
+        return 1 + self._link_count + len(self._parsed.relinfon_delimiters)
 
 
 class DatabaseConstructor:

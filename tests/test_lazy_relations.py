@@ -119,9 +119,10 @@ class TestNothingIsBuiltUnread:
         database = build_node_database(url, html)
         parsed = database._parsed
         database.relinfon
-        assert parsed._runs is not None and parsed._segment_spans is not None  # labels pending
+        assert parsed._segment_marks is None  # joined
+        assert parsed._raw is not None and parsed._label_marks is not None  # labels pending
         database.anchor
-        assert parsed._runs is parsed._label_spans is parsed._segment_spans is None
+        assert parsed._raw is parsed._label_marks is parsed._segment_marks is None
         assert database.tuple_count() == 1 + len(database.anchor) + len(database.relinfon)
 
 

@@ -17,7 +17,10 @@ change against its parent)::
 * ``build`` — ``build_node_database`` plus a read of all three relations
   (what builds ANCHOR and RELINFON) over every page of the 32×20 spot-check
   web: the *full* constructor.  Then unprofiled µs per page for the full
-  build and for scan + DOCUMENT only (``build_us_per_page``);
+  build and for scan + DOCUMENT only (``build_us_per_page``), and the bytes
+  a cached database keeps per page after scan + DOCUMENT and after a reach
+  visit on that web, and after a full read of ``eval_join``'s rich web
+  (``retained_bytes_per_page``);
 * ``warm`` — what ``warm_zipf`` pays: one engine, the 16-query zipf pool run
   once so every later probe is a memo hit, then 100 repeats — protocol and
   hashing.  Then the profiled µs per query of each server stage
@@ -53,11 +56,13 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import io
 import json
 import pstats
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -84,10 +89,15 @@ def _run_all(engine, texts) -> None:
         engine.run()
 
 
-def _spot_check_pages() -> list:
-    """``(url, html)`` of EXP-E1's spot-check web, built outside the profile."""
-    web = _e1("cold_default").build_web(SEED)
+def _pages(workload: str) -> list:
+    """``(url, html)`` of EXP-E1 ``workload``'s web, built outside the profile."""
+    web = _e1(workload).build_web(SEED)
     return [(url, web.html_for(url)) for url in web.urls()]
+
+
+def _spot_check_pages() -> list:
+    """``(url, html)`` of EXP-E1's spot-check web (``cold_default``)."""
+    return _pages("cold_default")
 
 
 def _build_pass(pages: list, relations: tuple = ("document", "anchor", "relinfon")) -> None:
@@ -117,6 +127,65 @@ def build_us_per_page(repeats: int = 5) -> dict[str, float]:
             best = min(best, time.perf_counter() - begin)
         result[label] = round(best / len(pages) * 1e6, 2)
     return result
+
+
+def read_document(database) -> None:
+    """What every visit reads of a database: DOCUMENT and the tuple count."""
+    database.document
+    database.tuple_count()
+
+
+def read_reach(database) -> None:
+    """What a visit of ``cold_default``'s reach query reads: DOCUMENT, ANCHOR
+    and where the page's links lead."""
+    from repro.model import LinkType
+
+    read_document(database)
+    database.anchor
+    database.forward_targets(LinkType.LOCAL)
+
+
+def read_all(database) -> None:
+    """A reach visit's reads, then RELINFON: every relation built."""
+    read_reach(database)
+    database.relinfon
+
+
+def retained_bytes(pages: list, read) -> float:
+    """Bytes per page that the database of each of ``pages`` keeps once
+    ``read`` has read it: traced by :mod:`tracemalloc` after
+    :func:`gc.collect`, beyond what the pages and the process held before.
+    An untraced pass goes first, so what a first build fills once per
+    process (the tag-name table, each URL's cached text) is not counted."""
+    from repro.model.database import build_node_database
+
+    for url, html in pages:
+        read(build_node_database(url, html))
+    databases = [None] * len(pages)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for index, (url, html) in enumerate(pages):
+            databases[index] = database = build_node_database(url, html)
+            read(database)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return retained / len(pages)
+
+
+def retained_bytes_per_page() -> dict[str, int]:
+    """What a cached page costs, for three read patterns: scan + DOCUMENT
+    and a reach visit on the spot-check web, a full read on ``eval_join``'s
+    rich web (``tests/test_retained_pages.py`` bounds the last two)."""
+    spot, rich = _spot_check_pages(), _pages("eval_join")
+    return {
+        "spot_scan_and_document": round(retained_bytes(spot, read_document)),
+        "spot_reach_visit": round(retained_bytes(spot, read_reach)),
+        "rich_full_read": round(retained_bytes(rich, read_all)),
+    }
 
 
 #: Timed queries of one ``warm`` pass (the size of an EXP-E1 block).
@@ -516,7 +585,10 @@ WORKLOADS = {
 def derived(name: str, stats: pstats.Stats) -> dict[str, dict]:
     """What follows workload ``name``'s profile ``stats``, by ``--json`` key."""
     if name == "build":
-        return {"build_us_per_page": build_us_per_page()}
+        return {
+            "build_us_per_page": build_us_per_page(),
+            "retained_bytes_per_page": retained_bytes_per_page(),
+        }
     if name == "warm":
         hashes, objects = frames_per_query()
         return {

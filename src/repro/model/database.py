@@ -60,8 +60,8 @@ class NodeDatabase:
         self, url: Url, parsed: ParsedDocument, length: int, stats: "object | None" = None
     ) -> None:
         self.url = url
-        self.document = Table(
-            DOCUMENT_SCHEMA, [(str(url), parsed.title, parsed.text, length)], stats=stats
+        self.document = Table.from_columns(
+            DOCUMENT_SCHEMA, ((str(url),), (parsed.title,), (parsed.text,), (length,)), stats=stats
         )
         #: What ANCHOR and RELINFON are built from, owned by this database:
         #: it drops each column's marks once that column is joined, and the
@@ -236,21 +236,24 @@ class DatabaseConstructor:
         it (paper §7.1 footnote 2), still without inter-site communication.
         Every page of the :class:`~repro.web.site.Site` goes through
         :meth:`construct`, so a sitewide query warms the per-node path and
-        vice versa; the table, with the join indexes cached on it, is reused
-        until a page is edited, added or removed.  ``stats`` is the *caller's*
+        vice versa; the table is assembled from the pages' DOCUMENT columns
+        (the same cell objects) and, with the join indexes cached on it,
+        reused while its columns equal theirs: until a page is edited, added
+        or removed.  ``stats`` is the *caller's*
         counters (a constructor shared between engines has none of its own),
         charged one ``documents_parsed`` per page assembled.
         """
-        rows = [
-            self.construct(site.url_of(path), page.html).document.row_list()[0]
-            for path, page in sorted(site.pages.items())
-        ]
+        columns = tuple([] for __ in DOCUMENT_SCHEMA.attributes)
+        for path, page in sorted(site.pages.items()):
+            document = self.construct(site.url_of(path), page.html).document
+            for column, cells in zip(columns, document.columns()):
+                column.extend(cells)
         table = self._site_tables.get(site.name)
-        if table is None or table.row_list() != rows:
-            table = Table(DOCUMENT_SCHEMA, rows, stats=self._stats)
+        if table is None or table.columns() != columns:
+            table = Table.from_columns(DOCUMENT_SCHEMA, columns, stats=self._stats)
             if stats is not None:
-                stats.documents_parsed += len(rows)
-            if len(rows) <= self.cache_size:  # else some record is already gone
+                stats.documents_parsed += len(table)
+            if len(table) <= self.cache_size:  # else some record is already gone
                 self._site_tables[site.name] = table
         return table
 

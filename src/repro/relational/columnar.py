@@ -27,6 +27,10 @@ stage has the same shape, **seed → kernels → emit**:
   values followed by one leaf column (``d.url, a.href, r.text``) builds the
   outer prefix once per binding.
 
+No stage builds a row: a binding is its tables' row positions, and every
+closure reads the cells it needs out of the columns by position (the
+``env`` layout of :func:`build_columnar_runner`).
+
 **Selections before expansion.**  Every level before the first one with a
 probe or a residual — level *k*, or the leaf if none has — binds by its
 selection alone (level 0 always does), so level *k* is reached with a
@@ -147,11 +151,11 @@ class Param:
 #: A scalar compiled expression (see :mod:`repro.relational.compile`).
 _Scalar = Callable[[list], object]
 
-#: A batch kernel: ``(env, cols, rows, sel, table) -> sel`` — selection
-#: vector in, selection vector out, over the table being bound.  ``table``
-#: is the table object, for kernels that need its runtime column profiles
-#: (:meth:`Table.index`).
-_Kernel = Callable[[list, tuple, list, "Sequence[int]", object], "list[int]"]
+#: A batch kernel: ``(env, cols, sel, table) -> sel`` — selection vector
+#: in, selection vector out, over the columns of the table being bound.
+#: ``table`` is the table object, for kernels that need what it caches per
+#: column (:meth:`Table.index`, :meth:`Table.profile`, :meth:`Table.folded`).
+_Kernel = Callable[[list, tuple, "Sequence[int]", object], "list[int]"]
 
 #: A hash-join choice: (build-side column on the table being bound,
 #: probe-side scalar, the full conjunct as a scan kernel for probe values
@@ -183,16 +187,18 @@ def build_columnar_runner(
     schemas: Sequence[Schema],
     header: tuple[str, ...],
     compile_expr: Callable[[Expr], _Scalar],
-) -> tuple[Callable[[list, list, list, list], None], tuple[LevelPlan, ...]]:
+) -> tuple[Callable[[list, list, list], None], tuple[LevelPlan, ...]]:
     """Build the batch runner for one compiled plan, and its level plans.
 
-    The runner signature is ``runner(env, tables, table_objs, out)``:
-    ``env`` has one slot per table (the row bound at that depth) followed
-    by the bound constants (see :class:`Param`), ``tables`` are the scanned
-    row lists, ``table_objs`` the table objects behind them (for
-    ``columns()`` / ``index()``).  It appends result rows
-    to ``out`` and lets any evaluation error propagate — the caller
-    discards ``out`` and replays through the interpreter.
+    The runner signature is ``runner(env, tables, out)``: ``tables`` are
+    the scanned tables, one per depth, and ``env`` has one slot per table
+    (the *position* of the row bound at that depth), then one per table for
+    its columns (the runner fills them), then the bound constants (see
+    :class:`Param`) — so a compiled attribute reads its cell as
+    ``env[n + depth][column][env[depth]]`` over ``n`` tables, and no row is
+    ever built.  It appends result rows to ``out`` and lets any evaluation
+    error propagate — the caller discards ``out`` and replays through the
+    interpreter.
     """
     leaf = len(schemas) - 1
     seeds = []
@@ -232,12 +238,13 @@ def build_columnar_runner(
             levels[depth] = levels[depth]._replace(deferred=True)
 
     def runner(
-        env, tables, table_objs, out,
-        _gates=gates, _ahead=ahead + 1,
+        env, tables, out,
+        _gates=gates, _ahead=ahead + 1, _slots=slice(leaf + 1, 2 * leaf + 2),
         _in_order=tuple(enumerate(seeds[: ahead + 1])),
         _reordered=tuple((depth, seeds[depth]) for depth in order),
         _stages=tuple(stages[ahead:-1]), _leaf_stage=stages[-1],
     ):
+        env[_slots] = [table.columns() for table in tables]
         for gate in _gates:
             if not gate(env):
                 return
@@ -245,7 +252,7 @@ def build_columnar_runner(
         # An empty table ahead: the interpreter evaluates no level behind it,
         # so neither may a reordered selection.
         for depth, seed in _reordered if all(tables[:_ahead]) else _in_order:
-            selected = seed(env, tables, table_objs)
+            selected = seed(env, tables)
             if not selected:
                 return
             selections[depth] = selected
@@ -255,12 +262,12 @@ def build_columnar_runner(
             batch = [binding + (i,) for binding in batch for i in outer]
         for stage in _stages:
             expanded: list[tuple[int, ...]] = []
-            stage(env, tables, table_objs, batch, expanded, selected)
+            stage(env, tables, batch, expanded, selected)
             if not expanded:
                 return
             batch = expanded
             selected = None
-        _leaf_stage(env, tables, table_objs, batch, out, selected)
+        _leaf_stage(env, tables, batch, out, selected)
 
     return runner, tuple(levels)
 
@@ -379,17 +386,17 @@ def _build_seed(depth: int, selection: tuple[_Kernel, ...]) -> Callable:
     """The seed of stage ``depth``: its table's selection, as a selection
     vector — empty when the table is or the selection leaves nothing."""
 
-    def seed(env, tables, table_objs, _d=depth, _sel=selection):
-        rows = tables[_d]
-        if not rows:
+    def seed(env, tables, _d=depth, _sel=selection):
+        table = tables[_d]
+        cols = table.columns()
+        size = len(cols[0])
+        if not size:
             # The interpreter evaluates nothing of this level (conjuncts or
             # probe side) when the table is empty; neither may we.
-            return rows
-        table = table_objs[_d]
-        cols = table.columns()
-        selected = range(len(rows))
+            return ()
+        selected = range(size)
         for kernel in _sel:
-            selected = kernel(env, cols, rows, selected, table)
+            selected = kernel(env, cols, selected, table)
             if not selected:
                 break
         return selected
@@ -415,42 +422,42 @@ def _build_stage(
         cross, residual = residual[0], residual[1:]
 
     def stage(
-        env, tables, table_objs, batch, out, selected,
+        env, tables, batch, out, selected,
         _d=depth, _seed=seed, _c=build_col, _p=probe, _scan=scan,
         _cross=cross, _res=residual, _emit=emit,
     ):
         if selected is None:
-            selected = _seed(env, tables, table_objs)
+            selected = _seed(env, tables)
             if not selected:
                 return
-        rows = tables[_d]
-        table = table_objs[_d]
+        table = tables[_d]
         cols = table.columns()
+        size = len(cols[0])
         found = None
         if _cross is not None:
             at = _cross.outer_depth
-            found = _cross.matches(table, table_objs[at], selected, batch)
+            found = _cross.matches(table, tables[at], selected, batch)
             if not found:
                 return
         index = members = None
         if _p is not None:
             index = table.index(_c)
-        narrowed = len(selected) < len(rows)
+        narrowed = len(selected) < size
         for binding in batch:
             sel = selected
             if found is not None:
                 sel = found.get(binding[at])
                 if sel is None:
                     continue
-            for outer in range(_d):
-                env[outer] = tables[outer][binding[outer]]
+            # The outer rows' positions; their cells stay in the columns.
+            env[:_d] = binding
             if index is not None:
                 sel = index.probe(_p(env))
                 if sel is None:
                     # Not provably hash-exact for this probe value: scan the
                     # selection with the conjunct's own scalar closure.
-                    sel = _scan(env, cols, rows, selected, table)
-                elif len(sel) == len(rows):
+                    sel = _scan(env, cols, selected, table)
+                elif len(sel) == size:
                     sel = selected  # the bucket is the whole table
                 elif narrowed:
                     if members is None:
@@ -459,7 +466,7 @@ def _build_stage(
                 if not sel:
                     continue
             for kernel in _res:
-                sel = kernel(env, cols, rows, sel, table)
+                sel = kernel(env, cols, sel, table)
                 if not sel:
                     break
             else:
@@ -550,11 +557,11 @@ def _generic_kernel(scalar: _Scalar, depth: int) -> _Kernel:
     """Per-row evaluation through the scalar closure — correct for every
     conjunct shape; no batch win beyond skipping the level dispatch."""
 
-    def generic_kernel(env, cols, rows, sel, table, _d=depth, _f=scalar):
+    def generic_kernel(env, cols, sel, table, _d=depth, _f=scalar):
         kept = []
         append = kept.append
         for index in sel:
-            env[_d] = rows[index]
+            env[_d] = index
             if _f(env):
                 append(index)
         return kept
@@ -590,7 +597,7 @@ def _specialize(
             # out of the comprehension when selected, which routes the run to
             # the interpreter replay and its EvaluationError.
 
-            def contains_kernel(env, cols, rows, sel, table, _c=column, _n=needle.index + 1):
+            def contains_kernel(env, cols, sel, table, _c=column, _n=needle.index + 1):
                 lowered = env[_n]
                 folded, text = table.folded(_c)
                 if text is not None and lowered not in text:
@@ -614,7 +621,7 @@ def _specialize(
             plain = constant.kind == STR
             if conjunct.op == "=":
 
-                def eq_kernel(env, cols, rows, sel, table, _c=column, _i=constant.index):
+                def eq_kernel(env, cols, sel, table, _c=column, _i=constant.index):
                     value = env[_i]
                     col = cols[_c]
                     return [i for i in sel if col[i] == value]
@@ -623,7 +630,7 @@ def _specialize(
                 return _indexed_eq_kernel(column, constant.index, scan)
             if plain:
 
-                def ne_kernel(env, cols, rows, sel, table, _c=column, _i=constant.index):
+                def ne_kernel(env, cols, sel, table, _c=column, _i=constant.index):
                     value = env[_i]
                     col = cols[_c]
                     return [i for i in sel if col[i] != value]
@@ -650,12 +657,12 @@ def _indexed_eq_kernel(column: int, constant: int, scan: _Kernel) -> _Kernel:
     order); a narrowed vector, or a constant the index refuses (possible
     numeric coercion), goes through ``scan``."""
 
-    def indexed_eq_kernel(env, cols, rows, sel, table, _c=column, _i=constant, _scan=scan):
-        if len(sel) == len(rows):
+    def indexed_eq_kernel(env, cols, sel, table, _c=column, _i=constant, _scan=scan):
+        if len(sel) == len(cols[0]):
             bucket = table.index(_c).probe(env[_i])
             if bucket is not None:
                 return bucket
-        return _scan(env, cols, rows, sel, table)
+        return _scan(env, cols, sel, table)
 
     return indexed_eq_kernel
 
@@ -667,19 +674,19 @@ def _pair_kernel(
     equality = op == "="
 
     def pair_kernel(
-        env, cols, rows, sel, table,
+        env, cols, sel, table,
         _c1=left_col, _c2=right_col, _eq=equality, _g=generic,
     ):
         # One profile per column per call — and in the selection a call is
-        # one execution; the indexes are cached on the table.
-        left = table.index(_c1)
-        right = table.index(_c2)
+        # one execution; the profiles are cached on the table.
+        left_exact, left_number, left_numeric_str = table.profile(_c1)
+        right_exact, right_number, right_numeric_str = table.profile(_c2)
         if (
-            not (left.hash_exact and right.hash_exact)
-            or (left.has_number and right.has_numeric_str)
-            or (right.has_number and left.has_numeric_str)
+            not (left_exact and right_exact)
+            or (left_number and right_numeric_str)
+            or (right_number and left_numeric_str)
         ):
-            return _g(env, cols, rows, sel, table)
+            return _g(env, cols, sel, table)
         a = cols[_c1]
         b = cols[_c2]
         if _eq:
@@ -692,31 +699,6 @@ def _pair_kernel(
 # -- batch projection ---------------------------------------------------------
 
 
-class _ConstSource:
-    """Projection source for an outer-alias attribute: one value per batch."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: object) -> None:
-        self.value = value
-
-    def __getitem__(self, index: int) -> object:
-        return self.value
-
-
-class _MissingSource:
-    """Projection source for an absent attribute — the interpreter's lazy
-    ``KeyError(name)``, raised only if a row actually projects."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    def __getitem__(self, index: int) -> object:
-        raise KeyError(self.name)
-
-
 def _build_projector(
     select: Sequence[Attr],
     positions: dict[str, int],
@@ -724,25 +706,26 @@ def _build_projector(
     leaf: int,
     header: tuple[str, ...],
 ) -> Callable:
-    """Emit of the leaf stage: one result row per surviving leaf position."""
+    """Emit of the leaf stage: one result row per surviving leaf position.
+
+    An outer-alias attribute is the cell ``env[n + depth][column][env[depth]]``
+    (see :func:`build_columnar_runner`), read once per binding."""
+    n = leaf + 1
     specs: list[tuple[str, object, object]] = []
-    all_leaf = True
     for attr in select:
         depth = positions[attr.alias]
         schema = schemas[depth]
         if attr.name not in schema:
             specs.append(("missing", attr.name, None))
-            all_leaf = False
         elif depth == leaf:
             specs.append(("col", None, schema.position(attr.name)))
         else:
             specs.append(("env", depth, schema.position(attr.name)))
-            all_leaf = False
+    kinds = tuple(kind for kind, __, __ in specs)
 
-    if all_leaf and len(specs) == 1:
-        column = specs[0][2]
+    if kinds == ("col",):
 
-        def project_one(env, cols, sel, binding, out, _c=column, _h=header):
+        def project_one(env, cols, sel, binding, out, _c=specs[0][2], _h=header):
             col = cols[_c]
             append = out.append
             for index in sel:
@@ -750,10 +733,11 @@ def _build_projector(
 
         return project_one
 
-    if all_leaf and len(specs) == 2:
-        first, second = specs[0][2], specs[1][2]
+    if kinds == ("col", "col"):
 
-        def project_two(env, cols, sel, binding, out, _c0=first, _c1=second, _h=header):
+        def project_two(
+            env, cols, sel, binding, out, _c0=specs[0][2], _c1=specs[1][2], _h=header
+        ):
             col0 = cols[_c0]
             col1 = cols[_c1]
             append = out.append
@@ -762,29 +746,16 @@ def _build_projector(
 
         return project_two
 
-    kinds = tuple(spec[0] for spec in specs)
-    if "missing" not in kinds and len(specs) == 1:
-        # Single outer-alias attribute: one value per surviving binding.
-        __, depth, column = specs[0]
-
-        def project_const(env, cols, sel, binding, out, _d=depth, _c=column, _h=header):
-            value = env[_d][_c]
-            append = out.append
-            for __ in sel:
-                append(ResultRow(_h, (value,)))
-
-        return project_const
-
-    if "missing" not in kinds and kinds[-1] == "col" and "col" not in kinds[:-1]:
+    if kinds[-1:] == ("col",) and set(kinds[:-1]) == {"env"}:
         # Outer values, then one leaf column (``d.url, r.text``,
         # ``d.url, a.href, r.text``): the outer prefix is one tuple per
         # surviving binding, the column is indexed directly.
         outer = tuple((depth, column) for __, depth, column in specs[:-1])
 
         def project_outer_col(
-            env, cols, sel, binding, out, _o=outer, _c=specs[-1][2], _h=header
+            env, cols, sel, binding, out, _o=outer, _c=specs[-1][2], _h=header, _n=n
         ):
-            prefix = tuple([env[depth][column] for depth, column in _o])
+            prefix = tuple([env[_n + depth][column][env[depth]] for depth, column in _o])
             col = cols[_c]
             append = out.append
             for index in sel:
@@ -792,53 +763,31 @@ def _build_projector(
 
         return project_outer_col
 
-    if "missing" not in kinds and len(specs) == 2:
-        # The mirror (leaf column + outer value) and two outer values:
-        # resolve the outer values once per binding — no per-row source
-        # dispatch.
-        (kind0, depth0, col0), (kind1, depth1, col1) = specs
-        if kind0 == "col" and kind1 == "env":
+    # Any other mix: the outer cells once per binding into a template row,
+    # the leaf cells per position.  An absent attribute raises the
+    # interpreter's lazy ``KeyError(name)`` only if a row projects.
+    outer = tuple(
+        (slot, depth, column)
+        for slot, (kind, depth, column) in enumerate(specs)
+        if kind == "env"
+    )
+    own = tuple((slot, column) for slot, (kind, __, column) in enumerate(specs) if kind == "col")
+    missing = next((name for kind, name, __ in specs if kind == "missing"), None)
 
-            def project_col_env(
-                env, cols, sel, binding, out, _c0=col0, _d=depth1, _c1=col1, _h=header
-            ):
-                col = cols[_c0]
-                value = env[_d][_c1]
-                append = out.append
-                for index in sel:
-                    append(ResultRow(_h, (col[index], value)))
-
-            return project_col_env
-
-        def project_env_env(
-            env, cols, sel, binding, out,
-            _d0=depth0, _c0=col0, _d1=depth1, _c1=col1, _h=header,
-        ):
-            values = (env[_d0][_c0], env[_d1][_c1])
-            append = out.append
-            for __ in sel:
-                append(ResultRow(_h, values))
-
-        return project_env_env
-
-    frozen = tuple(specs)
-
-    def project(env, cols, sel, binding, out, _specs=frozen, _h=header):
-        sources: list = []
-        for kind, first, second in _specs:
-            if kind == "col":
-                sources.append(cols[second])
-            elif kind == "env":
-                sources.append(_ConstSource(env[first][second]))
-            else:
-                sources.append(_MissingSource(first))
+    def project(
+        env, cols, sel, binding, out,
+        _o=outer, _own=own, _m=missing, _w=len(specs), _h=header, _n=n,
+    ):
+        if _m is not None and sel:
+            raise KeyError(_m)
+        values = [None] * _w
+        for slot, depth, column in _o:
+            values[slot] = env[_n + depth][column][env[depth]]
+        leaf_cols = [(slot, cols[column]) for slot, column in _own]
         append = out.append
-        if len(sources) == 1:
-            source = sources[0]
-            for index in sel:
-                append(ResultRow(_h, (source[index],)))
-        else:
-            for index in sel:
-                append(ResultRow(_h, tuple(s[index] for s in sources)))
+        for index in sel:
+            for slot, col in leaf_cols:
+                values[slot] = col[index]
+            append(ResultRow(_h, tuple(values)))
 
     return project

@@ -12,10 +12,11 @@ That is fine for a one-shot evaluation, but a WEBDIS server evaluates the
 
 * pushdown placement (:func:`~repro.relational.query._plan_filters`) is
   resolved once at compile time;
-* every WHERE conjunct becomes a Python closure over *positional row
-  tuples* — column indices are resolved against the static virtual-relation
-  schemas at compile time, so per-row evaluation is ``env[depth][col]``
-  indexing instead of dict construction plus recursive AST dispatch;
+* every WHERE conjunct becomes a Python closure over *row positions* —
+  column indices are resolved against the static virtual-relation schemas
+  at compile time, so per-row evaluation reads a cell straight out of the
+  table's columns instead of building a row, a dict and a recursive AST
+  dispatch;
 * those closures and the projection feed the batch pipeline of
   :mod:`repro.relational.columnar`, the one compiled executor.
 
@@ -78,8 +79,9 @@ _SCHEMAS = {
 }
 
 #: A compiled expression: evaluates against the positional environment
-#: (``env[depth]`` is the row tuple currently bound at loop depth; the bound
-#: constants follow the per-depth slots).
+#: (``env[depth]`` is the position of the row currently bound at loop depth,
+#: ``env[n + depth]`` that table's columns over ``n`` tables; the bound
+#: constants follow).
 _Compiled = Callable[[list], object]
 
 
@@ -91,7 +93,7 @@ class _Lowering(NamedTuple):
     header: tuple[str, ...]
     cost_weight: int
     scan_specs: tuple[tuple[str, bool, Schema], ...]
-    columnar: Callable[[list, list, list, list], None]
+    columnar: Callable[[list, list, list], None]
     levels: tuple[LevelPlan, ...]
 
 
@@ -114,9 +116,10 @@ class CompiledPlan:
         #: Precomputed evaluation-cost weight (the simulator's CPU model).
         self.cost_weight = lowering.cost_weight
         self._lowering = lowering
-        #: ``env`` before an execution binds rows: one slot per table, then
-        #: this query's constants.
-        self._env = [None] * len(lowering.scan_specs) + list(constants)
+        #: ``env`` before an execution binds rows: two slots per table (the
+        #: bound row's position, the table's columns), then this query's
+        #: constants.
+        self._env = [None] * (2 * len(lowering.scan_specs)) + list(constants)
 
     def describe(self) -> str:
         """What the batch pipeline does with each conjunct, level by level.
@@ -201,13 +204,12 @@ class CompiledPlan:
         exception — is returned instead, counted in
         ``TrafficStats.plan_replays``.
         """
-        table_objs = self._bind_tables(database, site_documents)
-        tables = [t.row_list() for t in table_objs]
+        tables = self._bind_tables(database, site_documents)
         results: list[ResultRow] = []
         try:
-            self._lowering.columnar(self._env.copy(), tables, table_objs, results)
+            self._lowering.columnar(self._env.copy(), tables, results)
         except Exception:
-            stats = table_objs[0].stats
+            stats = tables[0].stats
             if stats is not None:
                 stats.plan_replays += 1
             return self.execute(database, site_documents)
@@ -267,7 +269,7 @@ def _shape(query: NodeQuery) -> tuple[tuple, tuple, Expr]:
     shape = query._shape
     if shape is None:
         constants: list = []
-        key, where = _parameterized(query.where, constants, len(query.tables))
+        key, where = _parameterized(query.where, constants, 2 * len(query.tables))
         shape = (
             (
                 tuple((attr.alias, attr.name) for attr in query.select),
@@ -319,7 +321,7 @@ def _lower(query: NodeQuery, where: Expr) -> _Lowering:
 def _parameterized(expr: Expr, constants: list, base: int) -> tuple[object, Expr]:
     """``expr`` with each string or number literal replaced by a
     :class:`~repro.relational.columnar.Param` — numbered from ``base``, past
-    the per-table slots of ``env`` — whose value is appended to
+    the two per-table slots of ``env`` — whose value is appended to
     ``constants`` (a string's lowercased copy right after it); and the same
     tree as a key of nested tuples (of strings, so hashing it runs no
     Python code per node).
@@ -388,8 +390,8 @@ def _compile_attr(
         return missing_attr
     column = schema.position(attr.name)
 
-    def fetch(env, _d=depth, _c=column):
-        return env[_d][_c]
+    def fetch(env, _d=depth, _s=len(schemas) + depth, _c=column):
+        return env[_s][_c][env[_d]]
 
     return fetch
 

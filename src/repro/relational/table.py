@@ -1,14 +1,14 @@
-"""In-memory tables of immutable rows."""
+"""In-memory tables, stored as columns."""
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from ..errors import SchemaError
 from .expr import _to_number
 from .schema import Schema
 
-__all__ = ["ColumnIndex", "Folded", "Table"]
+__all__ = ["ColumnIndex", "Folded", "Profile", "Table"]
 
 #: Shared empty probe result — `ColumnIndex.probe` misses return this.
 _NO_ROWS: tuple[int, ...] = ()
@@ -35,40 +35,58 @@ def _maybe_numeric_str(text: str) -> bool:
     return _to_number(text) is not None
 
 
+class Profile(NamedTuple):
+    """What a column's value kinds allow a batch kernel to assume.
+
+    Python ``==`` (what dict lookup and plain comparison use) is the
+    interpreter's *coerced* equality only when numeric coercion provably
+    cannot apply: :func:`~repro.relational.expr._coerce_pair` makes ``5 =
+    "5"`` true.  ``hash_exact`` is false when the column holds values for
+    which dict equality may diverge from the interpreter's (floats: NaN
+    identity shortcut; unhashables; exotic types with custom
+    ``__eq__``/``__hash__``).
+    """
+
+    hash_exact: bool
+    has_number: bool
+    has_numeric_str: bool
+
+
+def _profile(values: Iterable[object]) -> Profile:
+    has_number = False
+    has_numeric_str = False
+    hash_exact = True
+    for value in values:
+        kind = type(value)
+        if kind is str:
+            if not has_numeric_str and _maybe_numeric_str(value):
+                has_numeric_str = True
+        elif kind is int or kind is bool:
+            has_number = True
+        else:
+            hash_exact = False
+            if isinstance(value, float):
+                has_number = True
+    return Profile(hash_exact, has_number, has_numeric_str)
+
+
 class ColumnIndex:
     """Hash index over one column: value → row positions, insertion-ordered.
 
     Bucket lists preserve row order, so probing reproduces the row
-    executor's scan order exactly.  The index also profiles the column's
-    value kinds, because Python ``==`` (what dict lookup uses) is only the
-    interpreter's *coerced* equality when numeric coercion provably cannot
-    apply: :func:`~repro.relational.expr._coerce_pair` makes ``5 = "5"``
-    true, which a hash lookup on mixed keys would miss.  :meth:`probe`
-    refuses (returns ``None``) whenever the profile cannot rule that out.
+    executor's scan order exactly.  The column's :class:`Profile` (computed
+    here unless given) decides when a hash lookup is the interpreter's
+    equality: :meth:`probe` refuses (returns ``None``) whenever the profile
+    cannot rule out coercion.
     """
 
-    __slots__ = ("buckets", "has_number", "has_numeric_str", "hash_exact")
+    __slots__ = ("buckets", "profile")
 
-    def __init__(self, values: Iterable[object]) -> None:
+    def __init__(self, values: Sequence[object], profile: Profile | None = None) -> None:
+        self.profile = _profile(values) if profile is None else profile
         buckets: dict[object, list[int]] | None = {}
-        has_number = False
-        has_numeric_str = False
-        #: False when the column holds values for which dict equality may
-        #: diverge from the interpreter's (floats: NaN identity shortcut;
-        #: unhashables; exotic types with custom __eq__/__hash__).
-        hash_exact = True
         try:
             for position, value in enumerate(values):
-                kind = type(value)
-                if kind is str:
-                    if not has_numeric_str and _maybe_numeric_str(value):
-                        has_numeric_str = True
-                elif kind is int or kind is bool:
-                    has_number = True
-                else:
-                    hash_exact = False
-                    if isinstance(value, float):
-                        has_number = True
                 bucket = buckets.get(value)
                 if bucket is None:
                     buckets[value] = [position]
@@ -77,9 +95,6 @@ class ColumnIndex:
         except TypeError:
             buckets = None  # unhashable value: the index can only refuse
         self.buckets = buckets
-        self.has_number = has_number
-        self.has_numeric_str = has_numeric_str
-        self.hash_exact = hash_exact
 
     def probe(self, value: object) -> "list[int] | tuple[int, ...] | None":
         """Positions whose value compares ``=``-equal to ``value``.
@@ -92,14 +107,15 @@ class ColumnIndex:
         means "fall back to a scan", never "no rows".
         """
         buckets = self.buckets
-        if buckets is None or not self.hash_exact:
+        hash_exact, has_number, has_numeric_str = self.profile
+        if buckets is None or not hash_exact:
             return None
         kind = type(value)
         if kind is str:
-            if self.has_number and _to_number(value) is not None:
+            if has_number and _to_number(value) is not None:
                 return None
         elif kind is int or kind is bool:
-            if self.has_numeric_str:
+            if has_numeric_str:
                 return None
         else:
             return None
@@ -121,11 +137,11 @@ class Folded(NamedTuple):
     ``'ς'``).
     """
 
-    column: list
+    column: Sequence
     text: str | None
 
 
-def _fold(values: list) -> Folded:
+def _fold(values: Sequence) -> Folded:
     """The :class:`Folded` form of ``values`` — ``values`` itself as the
     column when every cell is an already-lower ``str``.
 
@@ -156,30 +172,27 @@ def _fold(values: list) -> Folded:
 
 
 class Table:
-    """A bag of rows conforming to a :class:`Schema`.
+    """A bag of rows conforming to a :class:`Schema`, stored as columns.
 
-    Rows are plain tuples in schema attribute order; the structure is
-    deliberately simple, an append-only list with full scans.  A node's
-    tables live as long as the document store keeps the page
+    The one stored form is one value sequence per schema attribute, in
+    insertion order (:meth:`columns`); :meth:`rows` and :meth:`row_list`
+    zip them into tuples on every call and keep nothing.  A node's tables
+    live as long as the document store keeps the page
     (:class:`~repro.model.database.DatabaseConstructor`) and are scanned by
     every query that visits the node, so what a table caches is only what
-    every query can share: its two views, the per-column hash indexes and
-    the per-column case folds (:meth:`folded`).  A query's selection over a
-    table depends on the query's own literals, so the executor computes it
-    per execution and keeps nothing here.
+    every query can share, each built on first use: the per-column hash
+    indexes (:meth:`index`), value profiles (:meth:`profile`) and case
+    folds (:meth:`folded`).  A query's selection over a table depends on
+    the query's own literals, so the executor computes it per execution and
+    keeps nothing here.
 
-    The columnar executor (:mod:`repro.relational.columnar`) reads the same
-    data as parallel per-attribute arrays via :meth:`columns` and probes
-    equality joins through per-column hash indexes via :meth:`index`.  A
-    table is loaded from rows or, by :meth:`from_columns`, from the arrays;
-    whichever view it was not given is derived on first use and cached until
-    the next :meth:`insert`, so no consumer pays for the other's.  Either way
-    every row has the schema's arity.  ``stats`` (a
-    :class:`~repro.net.stats.TrafficStats`) mirrors index reuse into the
-    ``index_builds`` / ``index_hits`` counters when provided.
+    A table is loaded from rows or, by :meth:`from_columns`, from the
+    columns themselves; either way every row has the schema's arity.
+    ``stats`` (a :class:`~repro.net.stats.TrafficStats`) mirrors index reuse
+    into the ``index_builds`` / ``index_hits`` counters when provided.
     """
 
-    __slots__ = ("schema", "stats", "_rows", "_columns", "_indexes", "_folds")
+    __slots__ = ("schema", "stats", "_columns", "_indexes", "_profiles", "_folds")
 
     def __init__(
         self,
@@ -189,24 +202,33 @@ class Table:
     ) -> None:
         self.schema = schema
         self.stats = stats
-        # At least one of the two views is held at any time.
-        self._rows: list[tuple[object, ...]] | None = [self._checked(row) for row in rows]
-        self._columns: tuple[list[object], ...] | None = None
-        self._indexes: dict[int, ColumnIndex] = {}
-        self._folds: dict[int, Folded] = {}
+        rows = list(rows)
+        for row in rows:
+            if len(row) != schema.arity:
+                raise SchemaError(
+                    f"row arity {len(row)} does not match schema "
+                    f"{schema.name!r} arity {schema.arity}"
+                )
+        self._columns: tuple[Sequence[object], ...] = (
+            tuple(map(list, zip(*rows))) if rows else tuple([] for __ in schema.attributes)
+        )
+        self._indexes: dict[int, ColumnIndex] | None = None
+        self._profiles: dict[int, Profile] | None = None
+        self._folds: dict[int, Folded] | None = None
 
     @classmethod
     def from_columns(
         cls,
         schema: Schema,
-        columns: Iterable[list[object]],
+        columns: Iterable[Sequence[object]],
         stats: "object | None" = None,
     ) -> "Table":
-        """A table over pre-built ``columns``, one value list per attribute.
+        """A table over pre-built ``columns``, one value sequence (a list, or
+        a tuple) per attribute.
 
         The arity guarantee is checked once for the table — as many columns
         as the schema has attributes, all of one length — instead of once
-        per row.  The lists are adopted, not copied.
+        per row.  The sequences are adopted, not copied.
         """
         columns = tuple(columns)
         if len(columns) != schema.arity:
@@ -220,96 +242,96 @@ class Table:
                 f"{[len(column) for column in columns]}"
             )
         table = cls(schema, stats=stats)
-        table._rows = None
         table._columns = columns
         return table
 
-    def _checked(self, row: tuple[object, ...]) -> tuple[object, ...]:
-        if len(row) != self.schema.arity:
-            raise SchemaError(
-                f"row arity {len(row)} does not match schema "
-                f"{self.schema.name!r} arity {self.schema.arity}"
-            )
-        return tuple(row)
-
     def insert(self, row: tuple[object, ...]) -> None:
-        """Append ``row``; its arity must match the schema."""
-        self.row_list().append(self._checked(row))
-        self._columns = None
-        if self._indexes:
-            self._indexes.clear()
-        if self._folds:
-            self._folds.clear()
+        """Append ``row``; its arity must match the schema.
+
+        The row goes onto copies of the columns, so sequences adopted by
+        :meth:`from_columns` are never changed; what was derived from the
+        old columns is dropped.
+        """
+        self._columns = Table(self.schema, [*self.rows(), row])._columns
+        self._indexes = self._profiles = self._folds = None
 
     def rows(self) -> Iterator[tuple[object, ...]]:
-        """Iterate rows in insertion order."""
-        return iter(self.row_list())
+        """Iterate rows in insertion order, zipped from the columns."""
+        return zip(*self._columns)
 
     def row_list(self) -> list[tuple[object, ...]]:
-        """The backing row list, re-iterable without copying.
+        """The rows as a new list (nothing is kept)."""
+        return list(zip(*self._columns))
 
-        Compiled scans (:mod:`repro.relational.compile`) loop this directly;
-        callers must treat it as read-only.
-        """
-        rows = self._rows
-        if rows is None:
-            rows = self._rows = list(zip(*self._columns))
-        return rows
-
-    def columns(self) -> tuple[list[object], ...]:
-        """The columnar view: one value list per schema attribute.
+    def columns(self) -> tuple[Sequence[object], ...]:
+        """The stored form: one value sequence per schema attribute.
 
         ``columns()[schema.position(a)][i] == row_list()[i][position(a)]``.
-        Built once per table generation and cached; callers must treat the
-        lists as read-only.
+        Callers must treat the sequences as read-only.
         """
-        cols = self._columns
-        if cols is None:
-            rows = self._rows
-            cols = self._columns = tuple(
-                [row[index] for row in rows] for index in range(self.schema.arity)
-            )
-        return cols
+        return self._columns
 
     def index(self, position: int) -> ColumnIndex:
         """The cached :class:`ColumnIndex` for the column at ``position``.
 
-        Built on first use, invalidated by :meth:`insert` — so repeated
-        node-queries joining on the same column reuse one build, exactly
-        like :meth:`~repro.model.database.NodeDatabase.forward_targets`
-        reuses its per-link-type selections.  Reuse is visible in
+        Built on first use over the column's cached :meth:`profile`,
+        dropped by :meth:`insert` — so repeated node-queries joining on the
+        same column reuse one build, exactly like
+        :meth:`~repro.model.database.NodeDatabase.forward_targets` reuses
+        its per-link-type selections.  Reuse is visible in
         ``TrafficStats.index_hits`` / ``index_builds`` when the table
         carries a stats mirror.
         """
-        index = self._indexes.get(position)
+        indexes = self._indexes
+        if indexes is None:
+            indexes = self._indexes = {}
+        index = indexes.get(position)
         stats = self.stats
         if index is None:
-            index = self._indexes[position] = ColumnIndex(self.columns()[position])
+            index = indexes[position] = ColumnIndex(
+                self._columns[position], self.profile(position)
+            )
             if stats is not None:
                 stats.index_builds += 1
         elif stats is not None:
             stats.index_hits += 1
         return index
 
+    def profile(self, position: int) -> Profile:
+        """The cached :class:`Profile` of the column at ``position``.
+
+        What a kernel comparing two columns needs, without an index's
+        buckets; :meth:`index` builds over it.
+        """
+        profiles = self._profiles
+        if profiles is None:
+            profiles = self._profiles = {}
+        profile = profiles.get(position)
+        if profile is None:
+            profile = profiles[position] = _profile(self._columns[position])
+        return profile
+
     def folded(self, position: int) -> Folded:
         """The cached :class:`Folded` form of the column at ``position``.
 
-        Built on the first ``contains`` read and invalidated by
-        :meth:`insert`, like :meth:`index`; it lives as long as the table,
-        so the document store's bound on databases is its bound too.
+        Built on the first ``contains`` read and dropped by :meth:`insert`,
+        like :meth:`index`; it lives as long as the table, so the document
+        store's bound on databases is its bound too.
         """
-        folded = self._folds.get(position)
+        folds = self._folds
+        if folds is None:
+            folds = self._folds = {}
+        folded = folds.get(position)
         if folded is None:
-            folded = self._folds[position] = _fold(self.columns()[position])
+            folded = folds[position] = _fold(self._columns[position])
         return folded
 
     def column(self, attribute: str) -> list[object]:
         """All values of ``attribute`` in insertion order."""
-        return list(self.columns()[self.schema.position(attribute)])
+        return list(self._columns[self.schema.position(attribute)])
 
     def __len__(self) -> int:
-        rows = self._rows
-        return len(self._columns[0]) if rows is None else len(rows)
+        return len(self._columns[0])
 
     def __repr__(self) -> str:
         return f"Table({self.schema.name!r}, {len(self)} rows)"

@@ -189,7 +189,10 @@ class TestSiteDocuments:
         assert [row[1] for row in table.rows()] == ["page 0", "page 1", "page 2"]
         for row, (path, page) in zip(table.rows(), sorted(site.pages.items())):
             database = constructor.construct(site.url_of(path), page.html)
-            assert row is database.document.row_list()[0]
+            # Cell identity: the site table holds the records' own objects.
+            assert all(
+                cell is column[0] for cell, column in zip(row, database.document.columns())
+            )
 
     def test_retained_and_shared_with_the_per_node_path(self):
         stats = TrafficStats()

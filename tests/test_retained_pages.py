@@ -28,6 +28,11 @@ SPOT_REACH_BUDGET = 6_500
 #: Bytes per page, ``eval_join``'s rich web, after all three relations are
 #: read (57,637 before).
 RICH_FULL_BUDGET = 33_000
+#: Bytes per page after a full read and the pool's compiled plans and the
+#: interpreter ran on it (``pool_read``): spot-check web 7,727 and rich web
+#: 51,874 while a table kept a row list beside its columns.
+SPOT_POOL_BUDGET = 7_000
+RICH_POOL_BUDGET = 36_000
 
 
 class TestBytesPerCachedPage:
@@ -38,6 +43,17 @@ class TestBytesPerCachedPage:
     def test_rich_web_after_a_full_read(self):
         tool = _profile_tool()
         assert tool.retained_bytes(tool._pages("eval_join"), tool.read_all) <= RICH_FULL_BUDGET
+
+    def test_spot_web_after_the_pools_executors(self):
+        tool = _profile_tool()
+        read = tool.pool_read("cold_default")
+        assert tool.retained_bytes(tool._spot_check_pages(), read) <= SPOT_POOL_BUDGET
+
+    def test_rich_web_after_the_pools_executors(self):
+        """Every third page: the interpreter's join is slow under tracing."""
+        tool = _profile_tool()
+        read = tool.pool_read("eval_join")
+        assert tool.retained_bytes(tool._pages("eval_join")[::3], read) <= RICH_POOL_BUDGET
 
     @pytest.mark.parametrize("name", HOSTILE)
     def test_a_hostile_page_keeps_bytes_linear_in_its_length(self, name):

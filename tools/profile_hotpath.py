@@ -18,8 +18,10 @@ change against its parent)::
   (what builds ANCHOR and RELINFON) over every page of the 32×20 spot-check
   web: the *full* constructor.  Then unprofiled µs per page for the full
   build and for scan + DOCUMENT only (``build_us_per_page``), and the bytes
-  a cached database keeps per page after scan + DOCUMENT and after a reach
-  visit on that web, and after a full read of ``eval_join``'s rich web
+  a cached database keeps per page after scan + DOCUMENT, after a reach
+  visit and after the ``cold_default`` pool's plans and the interpreter ran
+  on that web, and after a full read and after the ``eval_join`` pool's
+  plans and the interpreter ran on ``eval_join``'s rich web
   (``retained_bytes_per_page``);
 * ``warm`` — what ``warm_zipf`` pays: one engine, the 16-query zipf pool run
   once so every later probe is a memo hit, then 100 repeats — protocol and
@@ -151,6 +153,34 @@ def read_all(database) -> None:
     database.relinfon
 
 
+def pool_read(workload: str):
+    """A read that runs every node-query shape of EXP-E1 ``workload``'s pool
+    (the first query of each) through its compiled plan and through the
+    interpreter, after a full read: what the executors leave on a cached
+    page.  The plans are compiled here, before anything is traced."""
+    from collections import OrderedDict
+
+    from repro.disql import compile_disql
+    from repro.relational.compile import compile_node_query
+
+    lowerings: OrderedDict = OrderedDict()
+    plans = []
+    for text in _e1(workload).plan(SEED).pool:
+        for step in compile_disql(text).steps:
+            shapes = len(lowerings)
+            plan = compile_node_query(step.query, lowerings)
+            if len(lowerings) > shapes and not step.query.sitewide_aliases:
+                plans.append(plan)
+
+    def read_pool(database) -> None:
+        read_all(database)
+        for plan in plans:
+            plan.execute_columnar(database)
+            plan.execute(database)
+
+    return read_pool
+
+
 def retained_bytes(pages: list, read) -> float:
     """Bytes per page that the database of each of ``pages`` keeps once
     ``read`` has read it: traced by :mod:`tracemalloc` after
@@ -177,14 +207,17 @@ def retained_bytes(pages: list, read) -> float:
 
 
 def retained_bytes_per_page() -> dict[str, int]:
-    """What a cached page costs, for three read patterns: scan + DOCUMENT
-    and a reach visit on the spot-check web, a full read on ``eval_join``'s
-    rich web (``tests/test_retained_pages.py`` bounds the last two)."""
+    """What a cached page costs, for five read patterns: scan + DOCUMENT, a
+    reach visit and the pool's executors (:func:`pool_read`) on the
+    spot-check web, a full read and the pool's executors on ``eval_join``'s
+    rich web (``tests/test_retained_pages.py`` bounds all but the first)."""
     spot, rich = _spot_check_pages(), _pages("eval_join")
     return {
         "spot_scan_and_document": round(retained_bytes(spot, read_document)),
         "spot_reach_visit": round(retained_bytes(spot, read_reach)),
+        "spot_pool_read": round(retained_bytes(spot, pool_read("cold_default"))),
         "rich_full_read": round(retained_bytes(rich, read_all)),
+        "rich_pool_read": round(retained_bytes(rich, pool_read("eval_join"))),
     }
 
 

@@ -143,7 +143,7 @@ class DataShippingEngine:
         )
         self.constructor = DatabaseConstructor(stats=self.stats)
         self.log_table = NodeQueryLogTable(self.config.log_subsumption)
-        self.plans = PlanCache(stats=self.stats)
+        self.plans = PlanCache()
         self._request_ids = itertools.count(1)
         self._frontier: deque[_Work] = deque()
         self._in_flight: dict[int, _Work] = {}
@@ -263,7 +263,7 @@ class DataShippingEngine:
                 if query.sitewide
                 else None
             ),
-            plan_for=self.plans.bind(query) if self.config.compiled_plans else None,
+            plans=self.plans if self.config.compiled_plans else None,
         )
         self.stats.node_queries_evaluated += len(outcome.evaluations)
         now = self.clock.now

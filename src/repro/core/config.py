@@ -60,7 +60,8 @@ class EngineConfig:
     direct_result_return: bool = True
     strict_dead_end: bool = False
 
-    #: Execute node-queries through compiled plans (per-process
+    #: Execute node-queries through compiled plans (each bound per lookup
+    #: from the lowering of its shape, kept in the per-process
     #: :class:`~repro.core.plancache.PlanCache`, cleared by crashes) instead
     #: of the tree-walking interpreter.  A compiled plan runs as a batch
     #: pipeline over the tables' column arrays

@@ -40,8 +40,8 @@ from .trace import PURE_ROUTER, SERVER_ROUTER
 from .webquery import WebQuery
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..relational.compile import CompiledPlan
     from .messages import CloneReport
+    from .plancache import PlanCache
     from .resultmemo import ResultMemo
     from .webquery import QueryClone
 
@@ -115,7 +115,7 @@ def process_node(
     rem: Pre,
     config: EngineConfig,
     site_documents=None,
-    plan_for: "Callable[[int], CompiledPlan] | None" = None,
+    plans: "PlanCache | None" = None,
     memo: "ResultMemo | None" = None,
 ) -> NodeOutcome:
     """Run the ServerRouter/PureRouter logic for one node.
@@ -123,10 +123,10 @@ def process_node(
     ``site_documents`` is the site-spanning DOCUMENT table required by
     node-queries with sitewide aliases (§7.1 multi-document extension).
 
-    ``plan_for`` maps a step index to that step's compiled node-query plan
-    (normally a :class:`~repro.core.plancache.PlanCache` lookup bound to the
-    query); when None, evaluation falls back to the tree-walking
-    interpreter.  Both paths are result-identical — same rows, same order.
+    ``plans`` is the server's :class:`~repro.core.plancache.PlanCache`,
+    which binds each step's node-query to its shape's lowering; when None,
+    evaluation falls back to the tree-walking interpreter.  Both paths are
+    result-identical — same rows, same order.
 
     ``memo`` is the site's cross-query memo: this node's rows and
     forward fan-outs are served from it when present, and ``database`` may
@@ -162,10 +162,10 @@ def process_node(
             rows = memo.rows_for(node, step.query) if memo is not None else None
             if rows is None:
                 db = resolve_db()
-                if plan_for is None:
+                if plans is None:
                     rows = evaluate_node_query(step.query, db, site_documents)
                 else:
-                    rows = plan_for(k).execute_columnar(db, site_documents)
+                    rows = plans.plan_for(step.query).execute_columnar(db, site_documents)
                 outcome.tuples_scanned += db.tuple_count()
                 if step.query.sitewide_aliases and site_documents is not None:
                     outcome.tuples_scanned += len(site_documents)

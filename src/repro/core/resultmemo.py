@@ -1,7 +1,7 @@
 """Cross-query result memoization — the reuse layer.
 
 The log table (paper §3.1) dedups clone visits *within* one qid and the
-plan cache shares *compilation*; this module shares the actual per-node
+plan cache shares *lowerings*; this module shares the actual per-node
 work across queries.  Under the millions-of-users traffic shape, many
 overlapping queries re-walk the same popular pages, and for a frozen web
 incarnation both halves of :func:`~repro.core.processing.process_node` are
@@ -23,7 +23,7 @@ pure functions of per-node data:
   machinery) after a **residual filter** that restricts the stored buckets
   to the contained state's own first symbols.
 
-Rows entries are keyed, like the plan cache, by the
+Rows entries are keyed by the
 :func:`~repro.relational.compile.structural_key` itself, so two distinct
 structures can never share an entry.
 

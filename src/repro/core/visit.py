@@ -16,7 +16,7 @@ site, :class:`~repro.baselines.hybrid.CentralProcessor` at the user-site.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from ..model.database import DatabaseConstructor
 from ..urlutils import Url
@@ -31,7 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..net.network import Network
     from ..net.simclock import SimClock
     from ..net.stats import TrafficStats
-    from ..relational.compile import CompiledPlan
     from ..web.web import Web
     from .config import EngineConfig
     from .program import QueryProgram, StateRow
@@ -68,10 +67,9 @@ class CloneProcessor:
         self.tracer = tracer
         self.constructor = DatabaseConstructor(stats=stats)
         self.log_table = NodeQueryLogTable(config.log_subsumption)
-        #: Compiled node-query plans, structurally keyed so tenants share
-        #: compilations — volatile process state, lost in a crash exactly
-        #: like the document store.
-        self.plans = PlanCache(stats=stats)
+        #: Node-query lowerings by shape, bound per lookup — volatile
+        #: process state, lost in a crash exactly like the document store.
+        self.plans = PlanCache()
         #: Queries whose passive termination was observed here.
         self._purged: set[QueryId] = set()
         #: Visits that took the part path (``process_node``), and visits in
@@ -119,11 +117,10 @@ class CloneProcessor:
             if self.tracer.enabled:
                 self.tracer.nodes(now, clone, self.site, "purged")
             return [], [], self.config.node_service_time
-        plan_for = self.plans.bind(clone.query) if self.config.compiled_plans else None
         # §7.1 site table: fetched once per clone, at its first node with a document.
         sitewide: list | None = [] if clone.query.sitewide else None
         visits = [
-            (row, None if row is None else self._visit(clone, node, row, now, plan_for, sitewide))
+            (row, None if row is None else self._visit(clone, node, row, now, sitewide))
             for node, row in self._observe(clone, now)
         ]
         return self._report(clone, visits)
@@ -200,7 +197,6 @@ class CloneProcessor:
         node: Url,
         row: "StateRow",
         now: float,
-        plan_for: "Callable[[int], CompiledPlan] | None",
         sitewide: list | None,
     ) -> tuple[NodeOutcome | None, float]:
         """One admitted node, visited in ``row``'s state.
@@ -246,7 +242,7 @@ class CloneProcessor:
                 outcome = process_node(
                     node, provider, clone.query, row.step_index, row.rem, self.config,
                     site_documents=sitewide[0] if sitewide else None,
-                    plan_for=plan_for,
+                    plans=self.plans if self.config.compiled_plans else None,
                     memo=self.memo,
                 )
                 if built:

@@ -129,9 +129,6 @@ class TrafficStats:
     #: ResultMemo probes that missed and paid the full computation (which
     #: then populated the memo for the next structurally-equal query).
     memo_misses: int = 0
-    #: Plan-cache hits where the plan had been compiled for a *different*
-    #: web-query — structural sharing across qids.
-    plans_shared: int = 0
     #: Memo hits served from a strictly more general logged PRE state via
     #: A*m·B containment plus a residual fan-out filter.
     residual_filters: int = 0

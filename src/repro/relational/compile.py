@@ -34,10 +34,11 @@ the query's *shape* — each string or number literal a slot that knows only
 its kind (non-numeric string, numeric string, int, ...) — and a
 :class:`CompiledPlan` is that lowering *bound* to one query's literals,
 which every closure and kernel reads per execution.  Given a server's
-mapping of lowerings (:class:`~repro.core.plancache.PlanCache` keeps one),
+mapping of lowerings (:class:`~repro.core.plancache.PlanCache` is one),
 :func:`compile_node_query` lowers a shape once and binds every later query
-of it: a server sees the same node-query with a different literal far more
-often than a new structure.  ``CompiledPlan.query`` is the bound query, so
+of it, on every lookup: a server sees the same node-query with a different
+literal far more often than a new structure, and a bind is cheap next to
+keeping a plan per literal.  ``CompiledPlan.query`` is the bound query, so
 a replay interprets the right literals.
 """
 
@@ -221,15 +222,16 @@ def structural_key(query: NodeQuery) -> str:
 
     Two node-queries with equal keys compute the same function of a node
     database — same select list, same table declarations, same predicate,
-    same sitewide aliases — so compiled plans and memoized results are
-    interchangeable between them even when they belong to different
-    web-queries.  The ``label`` is deliberately excluded: it names the step
-    for traces and result grouping but never affects evaluation.  Built
-    from the dataclass reprs (complete by construction) rather than the
-    prettified ``str(query)``, so no two distinct structures can collide
-    on rendering.  The plan cache and the memo key by it directly, so it
-    is computed once per object and kept on the node-query itself (outside
-    its value): they ask on every node visit.
+    same sitewide aliases — so memoized results are interchangeable
+    between them even when they belong to different web-queries.  The
+    ``label`` is deliberately excluded: it names the step for traces and
+    result grouping but never affects evaluation.  Built from the dataclass
+    reprs (complete by construction) rather than the prettified
+    ``str(query)``, so no two distinct structures can collide on rendering.
+    The result memo keys its rows (and a state's visit key) by it directly,
+    so it is computed once per object and kept on the node-query itself
+    (outside its value): the memo asks on every node visit.  The plan cache
+    keys by the query's shape instead (:func:`compile_node_query`).
     """
     key = query._structure
     if key is None:

@@ -1,10 +1,10 @@
 """Hash-once support for the frozen value types that key the protocol tables.
 
 ``Url``, ``QueryId``, ``QueryState``, the PRE nodes, ``NodeQuery`` and
-``ChtEntry`` are immutable trees that the log table, the memo, the CHT and
-the plan cache hash on every hop.  A dataclass-generated ``__hash__``
-re-walks the whole tree each time; :func:`stored_hash` replaces it with one
-that walks it once and keeps the number on the object.
+``ChtEntry`` are immutable trees that the log table, the memo and the CHT
+hash on every hop.  A dataclass-generated ``__hash__`` re-walks the whole
+tree each time; :func:`stored_hash` replaces it with one that walks it once
+and keeps the number on the object.
 
 Equality is untouched — the stored hash is the hash of exactly the fields
 ``==`` compares — and the cache slot is not part of the value: the class

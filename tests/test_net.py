@@ -276,7 +276,7 @@ class TestTrafficStats:
             "node_queries_evaluated", "duplicates_dropped", "queries_rewritten",
             "clones_forwarded", "dead_ends", "local_hops", "frontier_batches",
             "frontier_clones_batched", "clone_bundles_sent", "clones_bundled",
-            "memo_hits", "memo_misses", "plans_shared", "residual_filters",
+            "memo_hits", "memo_misses", "residual_filters",
             "memo_evictions", "memo_bytes_est", "db_cache_hits", "db_cache_misses",
             "parse_cache_hits", "index_builds", "index_hits", "plan_replays",
             "events_saved", "messages_saved",

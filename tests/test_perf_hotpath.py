@@ -2,11 +2,11 @@
 
 Covers the perf-layer invariants the benchmarks rely on:
 
-* :class:`~repro.core.plancache.PlanCache` is a bounded LRU keyed by the
-  node-query's structural key — shared across qids, never shared between
-  distinct structures — over a bounded LRU of shape-keyed lowerings that
-  literal-varied queries bind, and a crash clears both, so a stale plan is
-  never served across server incarnations;
+* :class:`~repro.core.plancache.PlanCache` is one bounded LRU of lowerings
+  keyed by the node-query's shape — shared across qids and literals, never
+  shared between distinct shapes — that every lookup binds, and a crash
+  clears it, so a stale lowering is never served across server
+  incarnations;
 * engine results are bit-identical with ``compiled_plans`` on and off;
 * a disabled tracer costs nothing on the hot path — no call to any of its
   methods, zero event allocations;
@@ -37,11 +37,9 @@ import pytest
 
 from repro import EngineConfig, WebDisEngine
 from repro.baselines.docservice import FetchRequest
-from repro.core import plancache as plancache_module
 from repro.core import processing
 from repro.core.plancache import PlanCache
 from repro.core.trace import Tracer
-from repro.core.webquery import QueryId
 from repro.disql import compile_disql
 from repro.model.relations import ANCHOR_SCHEMA, DOCUMENT_SCHEMA, RELINFON_SCHEMA, LinkType
 from repro.net import FIRST_RESULT_PORT, QUERY_PORT, SendOutcome
@@ -51,7 +49,7 @@ from repro.net.stats import TrafficStats
 from repro.pre.ast import Atom, alt, repeat
 from repro.pre.ops import advance
 from repro.relational import compile as compile_module
-from repro.relational.compile import compile_node_query, structural_key
+from repro.relational.compile import compile_node_query
 from repro.relational.query import evaluate_node_query
 from repro.relational.table import Table
 from repro.testing.loopcost import count_handles
@@ -86,97 +84,116 @@ def _node_query():
 
 
 def _variant_queries(count):
-    """Structurally distinct node-queries (different contains-words)."""
+    """Structurally distinct node-queries of one shape (different contains-words)."""
     return [
         compile_disql(QUERY.replace('"topic"', f'"topic{n}"')).steps[0].query
         for n in range(count)
     ]
 
 
+def _shape_variants(*attributes):
+    """Node-queries of distinct shapes (a different attribute each)."""
+    return [
+        compile_disql(QUERY.replace("d.title", f"d.{attribute}")).steps[0].query
+        for attribute in attributes
+    ]
+
+
 class TestPlanCache:
-    def test_hit_returns_same_plan_object(self):
+    def test_hit_binds_the_same_lowering(self):
         cache = PlanCache()
-        qid = QueryId("maya", "user.example", 4000, 1)
         query = _node_query()
-        first = cache.plan_for(query, qid)
-        second = cache.plan_for(query, qid)
-        assert first is second
-        assert (cache.hits, cache.misses) == (1, 1)
+        first = cache.plan_for(query)
+        second = cache.plan_for(query)
+        assert first._lowering is second._lowering
+        assert first.query is query and second.query is query
+        assert (cache.hits, cache.misses, len(cache)) == (1, 1, 1)
 
     def test_structural_equals_share_one_plan_across_qids(self):
-        # The EXP-P4 rekeying: two tenants submitting the same node-query
-        # structure get ONE compilation, counted as cross-query sharing.
+        # Two tenants compiling the same question hold equal, distinct
+        # node-queries (no qid in them): one lowering serves both.
         cache = PlanCache()
-        query = _node_query()
-        a = cache.plan_for(query, QueryId("maya", "user.example", 4000, 1))
-        b = cache.plan_for(query, QueryId("noor", "user.example", 4000, 2))
-        assert a is b
+        a, b = _node_query(), _node_query()
+        assert a is not b
+        assert cache.plan_for(a)._lowering is cache.plan_for(b)._lowering
         assert len(cache) == 1
-        assert cache.shared_hits == 1
 
     def test_distinct_structures_get_distinct_plans(self):
         cache = PlanCache()
-        q1, q2 = _variant_queries(2)
-        assert cache.plan_for(q1) is not cache.plan_for(q2)
+        q1, q2 = _shape_variants("title", "text")
+        assert cache.plan_for(q1)._lowering is not cache.plan_for(q2)._lowering
         assert len(cache) == 2
 
     def test_lru_eviction_is_bounded(self):
         cache = PlanCache(max_size=2)
-        queries = _variant_queries(3)
-        plans = [cache.plan_for(query) for query in queries]
+        queries = _shape_variants("title", "text", "url")
+        lowerings = [cache.plan_for(query)._lowering for query in queries]
         assert len(cache) == 2
-        assert queries[0] not in cache  # oldest evicted
-        # Re-requesting the evicted structure recompiles: a new plan object.
-        assert cache.plan_for(queries[0]) is not plans[0]
+        assert (cache.hits, cache.misses) == (0, 3)
+        # Re-requesting the evicted (oldest) shape lowers it again.
+        assert cache.plan_for(queries[0])._lowering is not lowerings[0]
+        assert (cache.misses, len(cache)) == (4, 2)
 
     def test_clear_forces_recompilation(self):
         cache = PlanCache()
         query = _node_query()
-        before = cache.plan_for(query)
+        before = cache.plan_for(query)._lowering
         cache.clear()
         assert len(cache) == 0
-        assert cache.plan_for(query) is not before
+        assert cache.plan_for(query)._lowering is not before
 
     def test_literal_variants_bind_one_lowering(self):
         cache = PlanCache()
         queries = _variant_queries(3)
         plans = [cache.plan_for(query) for query in queries]
-        assert (len(cache), len(cache._lowerings)) == (3, 1)
         assert [plan.query for plan in plans] == queries
         assert len({id(plan._lowering) for plan in plans}) == 1
 
+    def test_literal_variants_keep_one_entry(self):
+        cache = PlanCache()
+        for query in _variant_queries(8):
+            cache.plan_for(query)
+        assert len(cache) == 1
+        assert (cache.hits, cache.misses) == (7, 1)
+
     def test_lowerings_share_the_bound(self):
+        # The bound counts shapes: literal variants of one shape take one
+        # entry between them, so they evict nothing.
         cache = PlanCache(max_size=2)
-        for attribute in ("title", "text", "url"):  # three shapes
-            cache.plan_for(
-                compile_disql(QUERY.replace("d.title", f"d.{attribute}")).steps[0].query
-            )
-        assert len(cache._lowerings) == 2
-        cache.clear()
-        assert len(cache._lowerings) == 0
+        title, text = _shape_variants("title", "text")
+        kept = cache.plan_for(title)._lowering
+        cache.plan_for(text)
+        for query in _variant_queries(5):  # literal variants of ``title``
+            cache.plan_for(query)
+        assert len(cache) == 2 and cache.misses == 2
+        assert cache.plan_for(title)._lowering is kept
 
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
             PlanCache(max_size=0)
 
     def test_hash_collision_never_serves_the_wrong_plan(self, monkeypatch):
-        # The key is the structure itself, so distinct structures never
-        # share an entry — even when every key hashes alike, the dict's own
+        # The key is the shape itself, so distinct shapes never share an
+        # entry — even when every key hashes alike, the dict's own
         # equality check tells them apart.
-        class Colliding(str):
+        class Colliding(tuple):
             def __hash__(self):
                 return 0
 
+        shape = compile_module._shape
         monkeypatch.setattr(
-            plancache_module, "structural_key", lambda query: Colliding(structural_key(query))
+            compile_module, "_shape",
+            lambda query: (Colliding(shape(query)[0]), *shape(query)[1:]),
         )
         cache = PlanCache()
-        q1, q2 = _variant_queries(2)
+        q1, q2 = _shape_variants("title", "text")
         p1, p2 = cache.plan_for(q1), cache.plan_for(q2)
-        assert p1 is not p2
+        assert p1._lowering is not p2._lowering
         assert p1.query is q1 and p2.query is q2
         assert len(cache) == 2 and (cache.hits, cache.misses) == (0, 2)
-        assert cache.plan_for(q1) is p1 and cache.plan_for(q2) is p2
+        assert cache.plan_for(q1)._lowering is p1._lowering
+        assert cache.plan_for(q2)._lowering is p2._lowering
+        assert (cache.hits, cache.misses) == (2, 2)
 
 
 class TestInvalidationAcrossIncarnations:
@@ -186,19 +203,21 @@ class TestInvalidationAcrossIncarnations:
         engine.run()
         server = engine.server_for("root.example")
         assert len(server.plans) > 0
-        pre_crash = {key: plan for key, (__, plan) in server.plans._plans.items()}
-        assert len(server.plans._lowerings) > 0
+        pre_crash = list(server.plans._lowerings.values())
         engine.crash_server("root.example")
         assert len(server.plans) == 0
-        assert len(server.plans._lowerings) == 0
         engine.restart_server("root.example")
-        # The reborn incarnation recompiles on first touch — the stale
-        # plan objects are never served again.
+        # The reborn incarnation lowers again on first touch — the stale
+        # lowerings are never served again.
         handle = engine.submit_disql(QUERY)
         engine.run()
         assert handle.results
-        for key, (__, plan) in server.plans._plans.items():
-            assert pre_crash.get(key) is not plan
+        assert len(server.plans) > 0
+        assert not any(
+            lowering is stale
+            for lowering in server.plans._lowerings.values()
+            for stale in pre_crash
+        )
 
     def test_engine_results_identical_with_and_without_compilation(self):
         runs = {}
@@ -455,7 +474,7 @@ class TestEngineCounters:
 
     def test_each_server_lowers_each_eval_join_shape_once(self):
         """What ``compile_per_query`` prints: after the warm-up, the pool's
-        400 node-query compiles lower nothing and all bind."""
+        700 plan lookups lower nothing and all bind."""
         tool = _profile_tool()
         web, warmup, pool = tool._join_inputs()
         engine = WebDisEngine(web)
@@ -463,9 +482,9 @@ class TestEngineCounters:
         totals = []
         for texts in (warmup, pool):
             tool._run_all(engine, texts)
-            totals.append([sum(cache.misses for cache in caches), sum(c.lowerings for c in caches)])
-        assert totals[0][1] > 0 and [b - a for a, b in zip(*totals)] == [400, 0]
-        assert all(cache.lowerings == len(cache._lowerings) <= cache.misses for cache in caches)
+            totals.append([sum(cache.hits for cache in caches), sum(c.misses for c in caches)])
+        assert totals[0][1] > 0 and [b - a for a, b in zip(*totals)] == [700, 0]
+        assert all(cache.misses == len(cache) for cache in caches)
 
 
 class TestToolsPatchNothing:

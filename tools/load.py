@@ -9,7 +9,7 @@ user-site's completion watermark explicitly::
     PYTHONPATH=src python tools/load.py                  # 2,400 queries
     PYTHONPATH=src python tools/load.py --gate           # exit 1 on growth
     PYTHONPATH=src python tools/load.py --mix 0,1,0      # warm repeats only
-    PYTHONPATH=src python tools/load.py --smoke          # short run (CI)
+    PYTHONPATH=src python tools/load.py --smoke          # short run
     PYTHONPATH=src python tools/load.py --transport asyncio [--gate] [--smoke]
 
 * ``warm`` — EXP-E1's ``warm_zipf`` pool (16 reach queries, zipf weights),
@@ -26,16 +26,19 @@ with every way out of RUNNING represented.
 
 It prints achieved queries per second and p50 / p99 latency, all in virtual
 time, then one line per interval: queries finished, queries running,
-``tracemalloc`` current, live log-table entries, memo entries and purge
-records over all servers, then the rise of each series' high-water mark per
-finished query over the second half of the run.  ``--gate`` fails (exit 1)
-when the rise of the log entries, the purge records or the running queries
-exceeds ``GATE_PER_QUERY``: the per-query state the completion watermark
-bounds.  Traced memory is reported, not gated: it also holds the engine's
-own bounded caches (the memo flushes at 4096 entries per server, the plan
-cache keeps 256 plans), which a 2,400-query mix with cold literals is still
-filling.  A query that does not finish COMPLETE, other than one cancelled
-on purpose, counts as failed; any failure exits 1.
+``tracemalloc`` current, live log-table entries, memo entries, purge
+records and plan-cache entries over all servers, then the rise of each
+series' high-water mark per finished query over the second half of the run.
+``--gate`` fails (exit 1) when the rise of the log entries, the purge
+records, the running queries or the plan-cache entries exceeds
+``GATE_PER_QUERY``: the per-query state the completion watermark bounds,
+and the lowerings, one per node-query shape a server has seen, which the
+mix's literals must not multiply.  Traced memory is reported, not gated: it
+also holds the memo (flushed at 4096 entries per server), which a
+2,400-query mix with cold literals is still filling.  The ``--gate`` run
+needs the default length: a ``--smoke`` run is too short for the log
+entries to level off.  A query that does not finish COMPLETE, other than
+one cancelled on purpose, counts as failed; any failure exits 1.
 
 ``--transport asyncio`` runs the socket path instead: one
 ``AsyncioWebDisEngine`` on EXP-E1's ``wire_tenants`` web (6 sites over real
@@ -83,6 +86,7 @@ GATE_PER_QUERY = {
     "log_entries": 0.5,
     "purge_records": 0.05,
     "running": 0.01,
+    "plan_entries": 0.01,
 }
 #: Series whose rise is reported: the gated ones, then traced memory.
 REPORTED = (*GATE_PER_QUERY, "traced_kib")
@@ -178,6 +182,7 @@ def run_load(
             "log_entries": engine.total_log_entries(),
             "memo_entries": sum(len(server.memo) for server in servers),
             "purge_records": sum(len(server._purged) for server in servers),
+            "plan_entries": sum(len(server.plans) for server in servers),
         })
     engine.run()
     wall = time.perf_counter() - wall
@@ -364,7 +369,7 @@ def _print(result: dict) -> None:
         f"p50 {result['p50_ms']} ms, p99 {result['p99_ms']} ms"
     )
     columns = ("finished", "running", "traced_kib", "log_entries", "memo_entries",
-               "purge_records")
+               "purge_records", "plan_entries")
     print("  ".join(f"{name:>13}" for name in columns))
     for sample in result["intervals"]:
         print("  ".join(f"{sample[name]:>13}" for name in columns))

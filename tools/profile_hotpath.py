@@ -461,8 +461,8 @@ def compile_per_query(stats: pstats.Stats, repeats: int = 5) -> dict:
     ``compile_disql`` µs without and with the engine's templates (unprofiled,
     best of ``repeats`` passes over the pool), the node-query compiles of one
     pass over the pool that lowered a shape vs bound one (``PlanCache``'s
-    ``lowerings`` and ``misses``), and the profiled µs of one plan lookup
-    (``PlanCache.plan_for``, value misses included) in the ``join`` profile
+    ``misses`` and ``hits``), and the profiled µs of one plan lookup
+    (``PlanCache.plan_for``, a bind or a lowering) in the ``join`` profile
     ``stats``."""
     from repro import build_engine
     from repro.disql import compile_disql
@@ -471,11 +471,11 @@ def compile_per_query(stats: pstats.Stats, repeats: int = 5) -> dict:
     engine = build_engine(web)
     _run_all(engine, warmup)
     caches = [server.plans for server in engine.servers.values()]
+    hits = sum(cache.hits for cache in caches)
     misses = sum(cache.misses for cache in caches)
-    lowerings = sum(cache.lowerings for cache in caches)
     _run_all(engine, pool)
+    hits = sum(cache.hits for cache in caches) - hits
     misses = sum(cache.misses for cache in caches) - misses
-    lowerings = sum(cache.lowerings for cache in caches) - lowerings
 
     def per_query_us(**kwargs) -> float:
         best = float("inf")
@@ -492,7 +492,7 @@ def compile_per_query(stats: pstats.Stats, repeats: int = 5) -> dict:
             "compile": per_query_us(),
             "template": per_query_us(templates=engine._templates),
         },
-        "node_compiles": {"lowerings": lowerings, "binds": misses - lowerings},
+        "node_compiles": {"lowerings": misses, "binds": hits},
         "plan_lookup_us_profiled": _profiled_us_per_call(stats, ("plancache.py", "plan_for"))[1],
     }
 

@@ -281,6 +281,7 @@ def build_node_database(url: Url, html: str, stats: "object | None" = None) -> N
 
     The pass and DOCUMENT happen here; ANCHOR and RELINFON on first read.
     ``stats`` threads the :class:`~repro.net.stats.TrafficStats` mirror down
-    to the tables' join-index counters (``index_builds`` / ``index_hits``).
+    to the tables, where a compiled plan counts its replays
+    (``plan_replays``).
     """
     return NodeDatabase(url, parse_html(html), len(html), stats)

@@ -147,13 +147,10 @@ class TrafficStats:
     #: EXP-E1 (``benchmarks/e2e/spans.py::read_counters``) reads it.
     parse_cache_hits: int = 0
 
-    # Join-key hash indexes (the batch executor's probes).
-    #: Per-column hash indexes built by ``Table.index()`` — one per
-    #: (table generation, column) the batch executor probed.
+    #: Always 0 — the batch executor builds no hash index any more.  Kept
+    #: because EXP-E1 (``benchmarks/e2e/spans.py::read_counters``) reads it.
     index_builds: int = 0
-    #: Probes served from an already-built index; repeated node-queries on
-    #: the same node (or the long-lived sitewide table) hit instead of
-    #: rebuilding, mirroring ``forward_targets``-style reuse.
+    #: Always 0, like ``index_builds``; kept because EXP-E1 reads it.
     index_hits: int = 0
     #: Batch-pipeline runs that raised, dropped their partial rows and
     #: replayed the plan through the tree interpreter

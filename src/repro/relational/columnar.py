@@ -3,10 +3,9 @@
 :class:`~repro.relational.compile.CompiledPlan` resolves pushdown placement
 and column positions at compile time; this module lowers the *whole*
 nested-loop join into one batch stage per table, over the tables' columnar
-views (:meth:`Table.columns`) and join-key hash indexes
-(:meth:`Table.index`).  The stages carry a **batch of candidate bindings**
-— one index tuple per partial binding — through the join order, and every
-stage has the same shape, **seed → kernels → emit**:
+views (:meth:`Table.columns`).  The stages carry a **batch of candidate
+bindings** — one position tuple per partial binding — through the join
+order, and every stage has the same shape, **seed → kernels → emit**:
 
 * **seed** — the table's *selection*: the conjuncts of the stage's plan
   level that reference only the table being bound, run as selection-vector
@@ -16,12 +15,12 @@ stage has the same shape, **seed → kernels → emit**:
   execution, not one per outer binding.  Nothing is kept across executions
   — databases are shared by every query that visits their node (the
   document store), and the selection belongs to one query's literals;
-* **kernels** — per outer binding, only what depends on the binding: a
-  hash-index probe when an equality conjunct joins the table to
-  already-bound aliases (bucket lists are insertion-ordered, so a probe
-  keeps the scan order; unselected positions are dropped from it), then
-  the remaining *residual* conjuncts, each a selection-vector kernel over
-  the survivors;
+* **kernels** — per outer binding, only what depends on the binding: the
+  *residual* conjuncts, in statement order, each a selection-vector kernel
+  over the survivors.  An equality that joins the table to already-bound
+  aliases is a residual like any other: a node-query's tables are one
+  document's relations (paper §2.4), tens of rows, too few for a hash
+  index to repay its build;
 * **emit** — an outer stage appends ``binding + (i,)`` per survivor, the
   leaf projects; tuples materialize only at projection.  Projecting outer
   values followed by one leaf column (``d.url, a.href, r.text``) builds the
@@ -32,12 +31,12 @@ closure reads the cells it needs out of the columns by position (the
 ``env`` layout of :func:`build_columnar_runner`).
 
 **Selections before expansion.**  Every level before the first one with a
-probe or a residual — level *k*, or the leaf if none has — binds by its
-selection alone (level 0 always does), so level *k* is reached with a
-non-empty batch exactly when every selection before it is non-empty.  The
-runner therefore evaluates the selections of levels 0 to *k* first, returns
-at the first empty one, and only then builds the batch — as the cross
-product of the selections before *k*.  It evaluates them in two passes:
+residual — level *k*, or the leaf if none has — binds by its selection
+alone (level 0 always does), so level *k* is reached with a non-empty
+batch exactly when every selection before it is non-empty.  The runner
+therefore evaluates the selections of levels 0 to *k* first, returns at
+the first empty one, and only then builds the batch — as the cross product
+of the selections before *k*.  It evaluates them in two passes:
 first each selection with a conjunct that is not provably total (see the
 hoisting rule), then the total ones, each pass in level order; a total
 selection that runs after a deeper non-total one is ``deferred`` in its
@@ -55,35 +54,30 @@ joined text selects nothing in one C call, and a present one filters the
 folded cells.  A non-``str`` cell folds to ``None``, whose ``in`` raises
 into the replay exactly when the cell is read.
 
-**A batched cross-level ``contains``.**  When a level's first per-binding
-step (no probe, first residual) is ``outer.x contains own.y`` (or ``own.y
-contains outer.x``, no ``~k``), the stage reads both columns folded and,
-per distinct selected own value, makes one pass over the outer rows the
-batch holds, so each binding costs one dict lookup and a binding without a
-match is dropped before it is written into ``env``.  A cross-level
-``contains`` anywhere else is a generic kernel.
+**A batched cross-level ``contains``.**  When a level's first residual is
+``outer.x contains own.y`` (or ``own.y contains outer.x``, no ``~k``), the
+stage reads both columns folded and, per distinct selected own value, makes
+one pass over the outer rows the batch holds, so each binding costs one
+dict lookup and a binding without a match is dropped before it is written
+into ``env``.  A cross-level ``contains`` anywhere else is a generic
+kernel.
 
 **The hoisting rule.**  A table-local conjunct joins the selection only if
 every conjunct before it at its level is itself in the selection or
 *provably total* (present attributes, literals, ``=``/``!=`` and boolean
-combinators over them — checked at lowering time); the probe conjunct is
-chosen under the same rule, so statement order never decides whether a
-join is hashed.  Lazy error semantics are therefore preserved *exactly*,
-not approximately: every evaluation the interpreter performs and a clean
-batch run skips is either a duplicate of one the batch did perform (the
-same pure conjunct on the same row, under another outer binding) or
-provably total, and a hash probe substitutes for an equality conjunct only
-when :meth:`ColumnIndex.probe` proves dict equality coincides with the
-interpreter's coerced equality for that probe value (otherwise the
-conjunct's own scalar closure scans the selection).  Batch evaluation also
-*adds* evaluations the short-circuiting interpreter never reaches
-(conjunct-major, selection-before-probe), so it can hit an error the
-interpreter would not, or reach one late.  The runner built here therefore
-just raises; :meth:`CompiledPlan.execute_columnar` owns the rollback — it
-discards the run's rows and returns the tree interpreter's outcome
-instead, including which binding's which conjunct raises, or that nothing
-raises at all.  An empty table or an empty outer batch evaluates nothing
-of its level, exactly like the interpreter.
+combinators over them — checked at lowering time).  Lazy error semantics
+are therefore preserved *exactly*, not approximately: every evaluation the
+interpreter performs and a clean batch run skips is either a duplicate of
+one the batch did perform (the same pure conjunct on the same row, under
+another outer binding) or provably total.  Batch evaluation also *adds*
+evaluations the short-circuiting interpreter never reaches (conjunct-major,
+selection first), so it can hit an error the interpreter would not, or
+reach one late.  The runner built here therefore just raises;
+:meth:`CompiledPlan.execute_columnar` owns the rollback — it discards the
+run's rows and returns the tree interpreter's outcome instead, including
+which binding's which conjunct raises, or that nothing raises at all.  An
+empty table or an empty outer batch evaluates nothing of its level, exactly
+like the interpreter.
 
 **Constants are parameters.**  A runner is built for a query *shape*: every
 string or number constant of the ``where`` clause is a :class:`Param`, whose
@@ -91,7 +85,7 @@ value the kernels and closures read from ``env`` at run time (a string's
 lowercased copy sits in the next slot, so a ``contains`` needle is lowered
 once per bound query, not per row).  What a lowering may know of a constant
 is its kind (:attr:`Param.kind`) — the one property the kernel choice below
-depends on (``=``/``!=`` are plain dict equality only for *non-numeric*
+depends on (``=``/``!=`` are plain ``==``/``!=`` only for *non-numeric*
 strings) — so one runner serves every query that differs from it only in
 constant values of the same kinds.
 
@@ -154,13 +148,8 @@ _Scalar = Callable[[list], object]
 #: A batch kernel: ``(env, cols, sel, table) -> sel`` — selection vector
 #: in, selection vector out, over the columns of the table being bound.
 #: ``table`` is the table object, for kernels that need what it caches per
-#: column (:meth:`Table.index`, :meth:`Table.profile`, :meth:`Table.folded`).
+#: column (:meth:`Table.profile`, :meth:`Table.folded`).
 _Kernel = Callable[[list, tuple, "Sequence[int]", object], "list[int]"]
-
-#: A hash-join choice: (build-side column on the table being bound,
-#: probe-side scalar, the full conjunct as a scan kernel for probe values
-#: the index refuses).
-_Join = "tuple[int, _Scalar, _Kernel] | None"
 
 
 class LevelPlan(NamedTuple):
@@ -174,7 +163,6 @@ class LevelPlan(NamedTuple):
     """
 
     selection: tuple[int, ...]
-    probe: int | None
     residual: tuple[int, ...]
     deferred: bool = False
 
@@ -186,7 +174,6 @@ def build_columnar_runner(
     positions: dict[str, int],
     schemas: Sequence[Schema],
     header: tuple[str, ...],
-    compile_expr: Callable[[Expr], _Scalar],
 ) -> tuple[Callable[[list, list, list], None], tuple[LevelPlan, ...]]:
     """Build the batch runner for one compiled plan, and its level plans.
 
@@ -205,26 +192,23 @@ def build_columnar_runner(
     stages = []
     levels = []
     for alias, depth in sorted(positions.items(), key=lambda item: item[1]):
-        level, selection, join, residual = _lower_level(
+        level, selection, residual = _lower_level(
             filter_plan[depth + 1], scalar_filters[depth + 1],
-            depth, alias, positions, schemas, compile_expr,
+            depth, alias, positions, schemas,
         )
         emit = _expand if depth < leaf else _build_projector(
             select, positions, schemas, leaf, header
         )
         levels.append(level)
         seeds.append(_build_seed(depth, selection))
-        stages.append(_build_stage(depth, seeds[-1], join, residual, emit))
+        stages.append(_build_stage(depth, seeds[-1], residual, emit))
     # Constant predicates (plan[0]): one evaluation each gates the whole
     # run, exactly like the interpreter's outermost level.
     gates = tuple(scalar_filters[0])
     # Level k: the first with per-binding work; the selections up to it run
     # ahead of any expansion, those that can raise first (module doc,
     # "Selections before expansion").
-    ahead = next(
-        (depth for depth, level in enumerate(levels) if level.probe is not None or level.residual),
-        leaf,
-    )
+    ahead = next((depth for depth, level in enumerate(levels) if level.residual), leaf)
     total = [
         all(
             _provably_total(filter_plan[depth + 1][position], positions, schemas)
@@ -311,26 +295,22 @@ def _lower_level(
     alias: str,
     positions: dict[str, int],
     schemas: Sequence[Schema],
-    compile_expr: Callable[[Expr], _Scalar],
-) -> tuple[LevelPlan, tuple[_Kernel, ...], _Join, "tuple[_Kernel | _CrossContains, ...]"]:
+) -> tuple[LevelPlan, tuple[_Kernel, ...], "tuple[_Kernel | _CrossContains, ...]"]:
     """Split the conjuncts evaluated right after binding ``alias`` into the
-    table's selection, at most one hash probe, and the per-binding residual.
+    table's selection and the per-binding residual.
 
-    A conjunct may leave statement order — into the selection (it references
-    only ``alias``) or into the probe (see :func:`_join_sides`) — only while
-    every conjunct before it at this level is in the selection or provably
-    total: the batch then skips evaluations the interpreter performs on
-    deselected / unprobed rows, which must not be able to suppress an error
-    the interpreter would raise.  From the first conjunct that is neither,
-    everything stays residual, in order.  A cross-level ``contains`` that is
-    the first residual of a level without a probe is a
+    A conjunct may leave statement order — into the selection, because it
+    references only ``alias`` — only while every conjunct before it at this
+    level is in the selection or provably total: the batch then skips
+    evaluations the interpreter performs on deselected rows, which must not
+    be able to suppress an error the interpreter would raise.  From the
+    first conjunct that is neither, everything stays residual, in order.  A
+    cross-level ``contains`` that is the level's first residual is a
     :class:`_CrossContains`, which the stage runs before writing ``env``.
     """
     schema = schemas[depth]
     selection: list[tuple[int, _Kernel]] = []
     residual: list[tuple[int, "_Kernel | _CrossContains"]] = []
-    probe: int | None = None
-    join: _Join = None
     covered = True
     for position, (conjunct, scalar) in enumerate(zip(conjuncts, scalars)):
         kernel = _specialize(conjunct, scalar, depth, alias, schema)
@@ -339,44 +319,13 @@ def _lower_level(
         if covered and all(attr.alias == alias for attr in attrs_referenced(conjunct)):
             selection.append((position, kernel))
             continue
-        sides = None
-        if covered and join is None:
-            sides = _join_sides(conjunct, depth, positions, schema)
-        if sides is not None:
-            probe = position
-            join = (schema.position(sides[0].name), compile_expr(sides[1]), kernel)
-        else:
-            cross = None
-            if join is None and not residual:
-                cross = _cross_contains(conjunct, depth, alias, positions, schemas)
-            residual.append((position, kernel if cross is None else cross))
+        cross = None
+        if not residual:
+            cross = _cross_contains(conjunct, depth, alias, positions, schemas)
+        residual.append((position, kernel if cross is None else cross))
         covered = covered and _provably_total(conjunct, positions, schemas)
-    level = LevelPlan(
-        tuple(p for p, __ in selection), probe, tuple(p for p, __ in residual)
-    )
-    return level, tuple(k for __, k in selection), join, tuple(k for __, k in residual)
-
-
-def _join_sides(
-    conjunct: Expr, depth: int, positions: dict[str, int], schema: Schema
-) -> tuple[Attr, Expr] | None:
-    """``(build attribute, probe expression)`` if ``conjunct`` can bind the
-    table at ``depth`` through a hash probe: an ``=`` whose one side is a
-    present attribute of the alias being bound and whose other side
-    references only already-bound aliases."""
-    if isinstance(conjunct, Compare) and conjunct.op == "=":
-        for build, probe in (
-            (conjunct.left, conjunct.right),
-            (conjunct.right, conjunct.left),
-        ):
-            if (
-                isinstance(build, Attr)
-                and positions[build.alias] == depth
-                and build.name in schema
-                and all(positions[attr.alias] < depth for attr in attrs_referenced(probe))
-            ):
-                return build, probe
-    return None
+    level = LevelPlan(tuple(p for p, __ in selection), tuple(p for p, __ in residual))
+    return level, tuple(k for __, k in selection), tuple(k for __, k in residual)
 
 
 # -- the stage -------------------------------------------------------------------
@@ -391,8 +340,8 @@ def _build_seed(depth: int, selection: tuple[_Kernel, ...]) -> Callable:
         cols = table.columns()
         size = len(cols[0])
         if not size:
-            # The interpreter evaluates nothing of this level (conjuncts or
-            # probe side) when the table is empty; neither may we.
+            # The interpreter evaluates no conjunct of this level when the
+            # table is empty; neither may we.
             return ()
         selected = range(size)
         for kernel in _sel:
@@ -407,14 +356,12 @@ def _build_seed(depth: int, selection: tuple[_Kernel, ...]) -> Callable:
 def _build_stage(
     depth: int,
     seed: Callable,
-    join: _Join,
     residual: "tuple[_Kernel | _CrossContains, ...]",
     emit: Callable,
 ) -> Callable:
     """Stage ``depth``: bind the table at ``depth`` to every binding of the
     batch — seed (the table's selection, once; passed in when the runner ran
-    it ahead), kernels (probe and residual, per binding), emit."""
-    build_col, probe, scan = join if join is not None else (None, None, None)
+    it ahead), kernels (the residual, per binding), emit."""
     # A cross-level contains is only ever first in line (see _lower_level):
     # it filters the batch before any binding is written into env.
     cross = None
@@ -423,8 +370,7 @@ def _build_stage(
 
     def stage(
         env, tables, batch, out, selected,
-        _d=depth, _seed=seed, _c=build_col, _p=probe, _scan=scan,
-        _cross=cross, _res=residual, _emit=emit,
+        _d=depth, _seed=seed, _cross=cross, _res=residual, _emit=emit,
     ):
         if selected is None:
             selected = _seed(env, tables)
@@ -432,17 +378,12 @@ def _build_stage(
                 return
         table = tables[_d]
         cols = table.columns()
-        size = len(cols[0])
         found = None
         if _cross is not None:
             at = _cross.outer_depth
             found = _cross.matches(table, tables[at], selected, batch)
             if not found:
                 return
-        index = members = None
-        if _p is not None:
-            index = table.index(_c)
-        narrowed = len(selected) < size
         for binding in batch:
             sel = selected
             if found is not None:
@@ -451,20 +392,6 @@ def _build_stage(
                     continue
             # The outer rows' positions; their cells stay in the columns.
             env[:_d] = binding
-            if index is not None:
-                sel = index.probe(_p(env))
-                if sel is None:
-                    # Not provably hash-exact for this probe value: scan the
-                    # selection with the conjunct's own scalar closure.
-                    sel = _scan(env, cols, selected, table)
-                elif len(sel) == size:
-                    sel = selected  # the bucket is the whole table
-                elif narrowed:
-                    if members is None:
-                        members = set(selected)
-                    sel = [i for i in sel if i in members]
-                if not sel:
-                    continue
             for kernel in _res:
                 sel = kernel(env, cols, sel, table)
                 if not sel:
@@ -481,10 +408,10 @@ def _expand(env, cols, sel, binding, out) -> None:
 
 
 class _CrossContains(NamedTuple):
-    """The first residual of a level without a probe, when it is ``outer.x
-    contains own.y`` (``own_is_needle``) or ``own.y contains outer.x``,
-    without ``~k``, over present attributes: both columns read folded
-    (:meth:`Table.folded`), not lowered per (binding, row)."""
+    """The first residual of a level, when it is ``outer.x contains own.y``
+    (``own_is_needle``) or ``own.y contains outer.x``, without ``~k``, over
+    present attributes: both columns read folded (:meth:`Table.folded`), not
+    lowered per (binding, row)."""
 
     outer_depth: int
     outer_column: int
@@ -618,7 +545,8 @@ def _specialize(
             # Plain ==/!= is exact only for non-numeric string constants:
             # _coerce_pair never converts for those (conversion requires the
             # *string* side to parse as a number), and =/!= never raise.
-            plain = constant.kind == STR
+            if constant.kind != STR:
+                return None
             if conjunct.op == "=":
 
                 def eq_kernel(env, cols, sel, table, _c=column, _i=constant.index):
@@ -626,45 +554,27 @@ def _specialize(
                     col = cols[_c]
                     return [i for i in sel if col[i] == value]
 
-                scan = eq_kernel if plain else _generic_kernel(scalar, depth)
-                return _indexed_eq_kernel(column, constant.index, scan)
-            if plain:
+                return eq_kernel
 
-                def ne_kernel(env, cols, sel, table, _c=column, _i=constant.index):
-                    value = env[_i]
-                    col = cols[_c]
-                    return [i for i in sel if col[i] != value]
+            def ne_kernel(env, cols, sel, table, _c=column, _i=constant.index):
+                value = env[_i]
+                col = cols[_c]
+                return [i for i in sel if col[i] != value]
 
-                return ne_kernel
+            return ne_kernel
 
         # Column-vs-column =/!= on one table (the generic-conjunct hot
         # shape, e.g. ``a.base != a.href``): plain ==/!= is exact unless
         # numeric coercion could apply between the two columns' values,
         # which the runtime column profiles rule out per database.  The
         # profiles themselves are only trustworthy over the system value
-        # types (hash_exact); anything else scans through the scalar.
+        # types (plain_exact); anything else scans through the scalar.
         left_col = _own_column(conjunct.left, alias, schema)
         right_col = _own_column(conjunct.right, alias, schema)
         if left_col is not None and right_col is not None:
             return _pair_kernel(conjunct.op, left_col, right_col, scalar, depth)
 
     return None
-
-
-def _indexed_eq_kernel(column: int, constant: int, scan: _Kernel) -> _Kernel:
-    """``column = env[constant]``: while nothing has been deselected the
-    table's cached hash index answers with its bucket (row order, so scan
-    order); a narrowed vector, or a constant the index refuses (possible
-    numeric coercion), goes through ``scan``."""
-
-    def indexed_eq_kernel(env, cols, sel, table, _c=column, _i=constant, _scan=scan):
-        if len(sel) == len(cols[0]):
-            bucket = table.index(_c).probe(env[_i])
-            if bucket is not None:
-                return bucket
-        return _scan(env, cols, sel, table)
-
-    return indexed_eq_kernel
 
 
 def _pair_kernel(

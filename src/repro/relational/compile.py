@@ -126,8 +126,7 @@ class CompiledPlan:
         """What the batch pipeline does with each conjunct, level by level.
 
         One block per table in join order — the table, then whichever of
-        *selection* (evaluated over the whole table, once per execution),
-        *probe* (the equality served by a hash index, per outer binding)
+        *selection* (evaluated over the whole table, once per execution)
         and *residual* (per outer binding, over the survivors) the level
         has, each in evaluation order.  A provably total selection that
         runs after a deeper level's non-total one prints as *selection
@@ -148,7 +147,6 @@ class CompiledPlan:
                     "selection (after non-total)" if level.deferred else "selection",
                     level.selection,
                 ),
-                ("probe", (level.probe,) if level.probe is not None else ()),
                 ("residual", level.residual),
             ):
                 lines.extend(f"  {label}: {conjuncts[position]}" for position in group)
@@ -312,7 +310,6 @@ def _lower(query: NodeQuery, where: Expr) -> _Lowering:
         positions,
         schemas,
         header,
-        compile_expr=lambda expr: _compile_expr(expr, positions, schemas),
     )
     return _Lowering(header, query.cost_weight(), scan_specs, columnar, levels)
 

@@ -8,10 +8,7 @@ from ..errors import SchemaError
 from .expr import _to_number
 from .schema import Schema
 
-__all__ = ["ColumnIndex", "Folded", "Profile", "Table"]
-
-#: Shared empty probe result — `ColumnIndex.probe` misses return this.
-_NO_ROWS: tuple[int, ...] = ()
+__all__ = ["Folded", "Profile", "Table"]
 
 #: What joins a folded column's cells into its text.  Any separator is
 #: sound — a needle that spans two cells only costs the filter pass — and
@@ -25,9 +22,9 @@ def _maybe_numeric_str(text: str) -> bool:
     A string that compares equal to a *finite* number under
     :func:`~repro.relational.expr._coerce_pair` must start with a digit,
     a sign, a dot or whitespace.  Spellings like ``"inf"``/``"nan"`` slip
-    through the filter, but they can never equal an ``int`` probe value
-    (and ``float`` probes always bypass the hash path), so missing them
-    keeps :meth:`ColumnIndex.probe` sound.
+    through the filter, but they can never equal an ``int`` cell (and a
+    column holding a ``float`` is not ``plain_exact``), so missing them
+    keeps the plain comparisons a :class:`Profile` allows sound.
     """
     head = text[:1]
     if not (head.isdigit() or head in "+-." or head.isspace()):
@@ -38,16 +35,16 @@ def _maybe_numeric_str(text: str) -> bool:
 class Profile(NamedTuple):
     """What a column's value kinds allow a batch kernel to assume.
 
-    Python ``==`` (what dict lookup and plain comparison use) is the
+    Python ``==`` (what a plain comparison of two columns uses) is the
     interpreter's *coerced* equality only when numeric coercion provably
     cannot apply: :func:`~repro.relational.expr._coerce_pair` makes ``5 =
-    "5"`` true.  ``hash_exact`` is false when the column holds values for
-    which dict equality may diverge from the interpreter's (floats: NaN
-    identity shortcut; unhashables; exotic types with custom
-    ``__eq__``/``__hash__``).
+    "5"`` true.  ``plain_exact`` is false when the column holds a value
+    outside the system's ``str`` / ``int`` / ``bool`` types (a float, a
+    ``str`` subclass, an exotic type with a custom ``__eq__``); a kernel
+    then compares through the interpreter's own closure.
     """
 
-    hash_exact: bool
+    plain_exact: bool
     has_number: bool
     has_numeric_str: bool
 
@@ -55,7 +52,7 @@ class Profile(NamedTuple):
 def _profile(values: Iterable[object]) -> Profile:
     has_number = False
     has_numeric_str = False
-    hash_exact = True
+    plain_exact = True
     for value in values:
         kind = type(value)
         if kind is str:
@@ -64,62 +61,10 @@ def _profile(values: Iterable[object]) -> Profile:
         elif kind is int or kind is bool:
             has_number = True
         else:
-            hash_exact = False
+            plain_exact = False
             if isinstance(value, float):
                 has_number = True
-    return Profile(hash_exact, has_number, has_numeric_str)
-
-
-class ColumnIndex:
-    """Hash index over one column: value → row positions, insertion-ordered.
-
-    Bucket lists preserve row order, so probing reproduces the row
-    executor's scan order exactly.  The column's :class:`Profile` (computed
-    here unless given) decides when a hash lookup is the interpreter's
-    equality: :meth:`probe` refuses (returns ``None``) whenever the profile
-    cannot rule out coercion.
-    """
-
-    __slots__ = ("buckets", "profile")
-
-    def __init__(self, values: Sequence[object], profile: Profile | None = None) -> None:
-        self.profile = _profile(values) if profile is None else profile
-        buckets: dict[object, list[int]] | None = {}
-        try:
-            for position, value in enumerate(values):
-                bucket = buckets.get(value)
-                if bucket is None:
-                    buckets[value] = [position]
-                else:
-                    bucket.append(position)
-        except TypeError:
-            buckets = None  # unhashable value: the index can only refuse
-        self.buckets = buckets
-
-    def probe(self, value: object) -> "list[int] | tuple[int, ...] | None":
-        """Positions whose value compares ``=``-equal to ``value``.
-
-        Returns the bucket (row positions in insertion order; a shared
-        empty tuple on a miss), or ``None`` when a hash lookup is not
-        provably the interpreter's equality for this value — numeric
-        coercion could apply, the column profile is not hash-exact, or the
-        probe value is outside the ``str``/``int`` system types.  ``None``
-        means "fall back to a scan", never "no rows".
-        """
-        buckets = self.buckets
-        hash_exact, has_number, has_numeric_str = self.profile
-        if buckets is None or not hash_exact:
-            return None
-        kind = type(value)
-        if kind is str:
-            if has_number and _to_number(value) is not None:
-                return None
-        elif kind is int or kind is bool:
-            if has_numeric_str:
-                return None
-        else:
-            return None
-        return buckets.get(value, _NO_ROWS)
+    return Profile(plain_exact, has_number, has_numeric_str)
 
 
 class Folded(NamedTuple):
@@ -180,19 +125,19 @@ class Table:
     live as long as the document store keeps the page
     (:class:`~repro.model.database.DatabaseConstructor`) and are scanned by
     every query that visits the node, so what a table caches is only what
-    every query can share, each built on first use: the per-column hash
-    indexes (:meth:`index`), value profiles (:meth:`profile`) and case
-    folds (:meth:`folded`).  A query's selection over a table depends on
-    the query's own literals, so the executor computes it per execution and
-    keeps nothing here.
+    every query can share, each built on first use: the per-column value
+    profiles (:meth:`profile`) and case folds (:meth:`folded`).  A query's
+    selection over a table depends on the query's own literals, so the
+    executor computes it per execution and keeps nothing here.
 
     A table is loaded from rows or, by :meth:`from_columns`, from the
     columns themselves; either way every row has the schema's arity.
-    ``stats`` (a :class:`~repro.net.stats.TrafficStats`) mirrors index reuse
-    into the ``index_builds`` / ``index_hits`` counters when provided.
+    ``stats`` (a :class:`~repro.net.stats.TrafficStats`), when provided, is
+    where a compiled plan over the table counts its replays
+    (``plan_replays``).
     """
 
-    __slots__ = ("schema", "stats", "_columns", "_indexes", "_profiles", "_folds")
+    __slots__ = ("schema", "stats", "_columns", "_profiles", "_folds")
 
     def __init__(
         self,
@@ -212,7 +157,6 @@ class Table:
         self._columns: tuple[Sequence[object], ...] = (
             tuple(map(list, zip(*rows))) if rows else tuple([] for __ in schema.attributes)
         )
-        self._indexes: dict[int, ColumnIndex] | None = None
         self._profiles: dict[int, Profile] | None = None
         self._folds: dict[int, Folded] | None = None
 
@@ -253,7 +197,7 @@ class Table:
         old columns is dropped.
         """
         self._columns = Table(self.schema, [*self.rows(), row])._columns
-        self._indexes = self._profiles = self._folds = None
+        self._profiles = self._folds = None
 
     def rows(self) -> Iterator[tuple[object, ...]]:
         """Iterate rows in insertion order, zipped from the columns."""
@@ -271,37 +215,10 @@ class Table:
         """
         return self._columns
 
-    def index(self, position: int) -> ColumnIndex:
-        """The cached :class:`ColumnIndex` for the column at ``position``.
-
-        Built on first use over the column's cached :meth:`profile`,
-        dropped by :meth:`insert` — so repeated node-queries joining on the
-        same column reuse one build, exactly like
-        :meth:`~repro.model.database.NodeDatabase.forward_targets` reuses
-        its per-link-type selections.  Reuse is visible in
-        ``TrafficStats.index_hits`` / ``index_builds`` when the table
-        carries a stats mirror.
-        """
-        indexes = self._indexes
-        if indexes is None:
-            indexes = self._indexes = {}
-        index = indexes.get(position)
-        stats = self.stats
-        if index is None:
-            index = indexes[position] = ColumnIndex(
-                self._columns[position], self.profile(position)
-            )
-            if stats is not None:
-                stats.index_builds += 1
-        elif stats is not None:
-            stats.index_hits += 1
-        return index
-
     def profile(self, position: int) -> Profile:
         """The cached :class:`Profile` of the column at ``position``.
 
-        What a kernel comparing two columns needs, without an index's
-        buckets; :meth:`index` builds over it.
+        What a kernel comparing two columns needs.
         """
         profiles = self._profiles
         if profiles is None:
@@ -315,7 +232,7 @@ class Table:
         """The cached :class:`Folded` form of the column at ``position``.
 
         Built on the first ``contains`` read and dropped by :meth:`insert`,
-        like :meth:`index`; it lives as long as the table, so the document
+        like :meth:`profile`; it lives as long as the table, so the document
         store's bound on databases is its bound too.
         """
         folds = self._folds

@@ -4,7 +4,10 @@ The reference is the **data-shipping baseline** run fault-free on the same
 web and query — an independent, centralized evaluator that shares the
 traversal semantics but none of the distributed machinery (no CHT, no
 clone forwarding, no report messages), so an agreement between the two is
-evidence about the protocols, not a tautology.
+evidence about the protocols, not a tautology.  It evaluates node-queries
+with the tree interpreter (``compiled_plans=False``), while the servers
+under test run compiled plans on the batch executor, so the same agreement
+cross-checks the executor against the interpreter on every case.
 
 Comparison rules:
 
@@ -36,6 +39,7 @@ from dataclasses import dataclass
 
 from ..baselines.datashipping import DataShippingEngine
 from ..core.client import QueryHandle, QueryStatus
+from ..core.config import EngineConfig
 from .generators import Spec, build_web, query_texts
 from .invariants import Violation
 
@@ -80,7 +84,9 @@ def reference_run(spec: Spec, index: int = 0) -> Reference:
     which is what makes the multi-query comparison an isolation oracle:
     an interleaved run must match what every query computes alone.
     """
-    engine = DataShippingEngine(build_web(spec), record_journal=True)
+    engine = DataShippingEngine(
+        build_web(spec), config=EngineConfig(compiled_plans=False), record_journal=True
+    )
     result = engine.run_query(query_texts(spec)[index])
     assert result.completion_time is not None, "reference run did not quiesce"
     producers: dict[RowKey, set[str]] = {}

@@ -23,8 +23,8 @@ batch kernels reorder around.  Property families:
   must leave in place, and empty tables at every level.
 * **Cross-level ``contains`` and selections before expansion** —
   attribute-in-attribute ``contains`` in both operand orders, at the leaf
-  and at an outer level, first in line (the batched kernel) and behind a
-  probe or another residual (a generic kernel), over 2- to 4-level plans,
+  and at an outer level, first in line (the batched kernel) and behind
+  another residual (a generic kernel), over 2- to 4-level plans,
   with non-``str`` cells at the outer and the leaf level; an outer
   residual must stop the run-ahead of the leaf's selection.
 * **Engine-level equivalence** — random generated webs run end to end on
@@ -36,10 +36,11 @@ batch kernels reorder around.  Property families:
   and never changes answers; the constructor's document store
   reports through ``cache_info()`` and ``TrafficStats``.
 
-Plus the DST wiring: the generator keeps the retired executor knob's draw
-position, its last draw puts the batched cross-level kernel in the DST
-query, the runner ignores the retired key in old repro files, and the
-shrinker proposes falling back to the interpreter.
+Plus the DST wiring: the generator keeps the retired knobs' draw
+positions, its last draw puts the batched cross-level kernel in the DST
+query, the oracle catches a faulty batch kernel, the runner ignores the
+retired key in old repro files, and the shrinker proposes falling back to
+the interpreter.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from repro.relational.query import (
     evaluate_node_query_naive,
 )
 from repro.testing.generators import build_web, generate_case, query_texts
-from repro.testing.runner import _engine_config
+from repro.testing.runner import _engine_config, run_case
 from repro.testing.shrink import _candidates
 from repro.urlutils import parse_url
 from repro.web.campus import CAMPUS_QUERY_DISQL, EXPECTED_CONVENER_ROWS
@@ -136,7 +137,7 @@ def _comparisons(operands, attrs):
         ),
     )
     # Attribute in attribute: across aliases, in either operand order, and
-    # first in line at a level without a probe, it is the batched
+    # first in line among a level's residuals, it is the batched
     # cross-level kernel.
     cross = st.builds(Contains, st.sampled_from(attrs), st.sampled_from(attrs))
     return st.one_of(compares, contains, cross)
@@ -337,22 +338,22 @@ class TestPlanEquivalence:
 
 # -- multi-level join plans (EXP-P6) -------------------------------------------
 
-# Equality joins over shared variables at every plan level — the conjunct
-# shapes the hash-probe expansion claims — mixed with conjuncts that are
-# *not* provably total (ordered compares, contains, numeric-coercion
-# literals, missing attributes at non-leaf levels), so every lowering
-# decision (probe vs scan vs wholesale replay) gets exercised.
+# Equality joins over shared variables at every plan level — residual
+# kernels per outer binding — mixed with conjuncts that are *not* provably
+# total (ordered compares, contains, numeric-coercion literals, missing
+# attributes at non-leaf levels), so every lowering decision (selection vs
+# residual, plain vs generic kernel, wholesale replay) gets exercised.
 _BROKEN_A = Attr("a", "no_such_attribute")  # raises at a NON-leaf level
 _JOIN_POOL = [
     Compare("=", Attr("a", "base"), Attr("d", "url")),
     Compare("=", Attr("d", "url"), Attr("a", "href")),
     Compare("=", Attr("r", "url"), Attr("d", "url")),
     Compare("=", Attr("r", "url"), Attr("a", "base")),
-    # int = int cross-level join: probe values are numbers, the build
-    # column is all ints — hash-safe, and must stay row-identical.
+    # int = int cross-level join: both columns are all ints, and it must
+    # stay row-identical.
     Compare("=", Attr("d", "length"), Attr("r", "length")),
-    # Constant-equality probes, including a *numeric string* constant where
-    # dict lookup would diverge from coerced `=` if probed carelessly.
+    # Constant equalities, including a *numeric string* constant where a
+    # plain `==` kernel would diverge from coerced `=`.
     Compare("=", Attr("r", "delimiter"), Literal("b")),
     Compare("=", Attr("a", "ltype"), Literal("G")),
     Compare("=", Attr("r", "length"), Literal("5")),
@@ -364,7 +365,7 @@ _JOIN_POOL = [
     Compare("=", _BROKEN_A, Attr("d", "url")),
     Compare("!=", Attr("a", "href"), Attr("a", "base")),
     # Table-local and not total: hoisted into the table's selection when
-    # nothing non-total precedes them, stepped over by the probe search.
+    # nothing non-total precedes them.
     Contains(Attr("a", "label"), Literal("o")),
     Contains(Attr("r", "text"), Literal("detail")),
     Compare("<", Attr("r", "length"), Literal(12)),
@@ -376,8 +377,8 @@ _join_wheres = st.lists(
 
 
 class TestMultiLevelJoins:
-    """3+ level plans with shared join variables: the outer-level hash
-    probes and batch filters must stay interpreter-identical, errors
+    """3+ level plans with shared join variables: the per-binding
+    residuals and batch filters must stay interpreter-identical, errors
     included."""
 
     @given(_selects, _join_wheres)
@@ -396,8 +397,8 @@ class TestMultiLevelJoins:
     @given(_selects, _join_wheres, st.data())
     @settings(max_examples=100, deadline=None)
     def test_literal_varied_joins_share_one_lowering(self, select, where, data):
-        """Constant probes (``_indexed_eq_kernel``) and hoisted selections
-        read the bound constant, not the one the lowering was made for."""
+        """Constant-equality kernels and hoisted selections read the bound
+        constant, not the one the lowering was made for."""
         _assert_literal_variants_match(
             [_query(select, where)] + [_query(select, _revalued(where, data)) for __ in range(3)]
         )
@@ -419,46 +420,31 @@ class TestMultiLevelJoins:
         )
         _assert_matches_interpreter(query)
 
-    def test_join_probes_hit_the_cached_index(self):
-        """The tentpole's point: an equality join is served by a cached
-        per-column hash index, visible in the stats counters."""
-        stats = TrafficStats()
-        database = build_node_database(URL, _HTML, stats=stats)
-        query = _query(
-            [Attr("d", "url"), Attr("a", "href")],
-            Compare("=", Attr("a", "base"), Attr("d", "url")),
-            tables=("document", "anchor"),
-        )
-        plan = compile_node_query(query)
-        rows = plan.execute_columnar(database)
-        assert rows == evaluate_node_query(query, database)
-        assert stats.index_builds >= 1
-        plan.execute_columnar(database)
-        assert stats.index_hits >= 1
-        assert stats.plan_replays == 0  # a clean batch never falls back
-        summary = stats.summary()
-        assert summary["index_builds"] == stats.index_builds
-        assert summary["index_hits"] == stats.index_hits
-        assert summary["plan_replays"] == 0
-
     def test_statement_order_does_not_decide_whether_a_join_is_hashed(self):
-        """A table-local conjunct ahead of the equality is evaluated over the
-        whole table anyway (it is hoisted), so the probe search steps over
-        it: both orders probe the same index the same number of times."""
+        """No join is hashed: an equality join is a residual in either
+        statement order, and a table-local conjunct ahead of it or behind it
+        (the equality is total) is hoisted into the selection — so both
+        orders lower to the same groups and return the same rows."""
         local = Contains(Attr("r", "text"), Literal("bold"))
         equality = Compare("=", Attr("r", "url"), Attr("a", "base"))
-        counters = []
+        outcomes = []
         for where in (And(local, equality), And(equality, local)):
             stats = TrafficStats()
             database = build_node_database(URL, _HTML, stats=stats)
             query = _query([Attr("a", "href"), Attr("r", "text")], where)
             plan = compile_node_query(query)
-            assert "  probe: r.url = a.base" in plan.describe()
+            described = plan.describe()
+            assert described.endswith(
+                "bind relinfon r\n"
+                '  selection: r.text contains "bold"\n'
+                "  residual: r.url = a.base"
+            )
             for __ in range(2):
                 rows = plan.execute_columnar(database)
                 assert rows and rows == evaluate_node_query(query, database)
-            counters.append((stats.index_builds, stats.index_hits, stats.plan_replays))
-        assert counters == [(1, 1, 0), (1, 1, 0)]
+            outcomes.append((rows, described, stats.plan_replays))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][2] == 0
 
 
 # -- fault-injected replay -----------------------------------------------------
@@ -493,11 +479,11 @@ _REPLAY_CASES = {
         Contains(Attr("d", "length"), Literal("1")),
         [],
     ),
-    # The probe side raises, but the short-circuiting interpreter never
-    # reaches it (the first conjunct is false on every anchor): the replay
-    # must come back with *rows* (none), not an error.  The first conjunct
-    # spans two aliases, so it stays per binding: a table-local one would
-    # empty ANCHOR's selection and the batch would never probe at all.
+    # The join's outer side raises, but the short-circuiting interpreter
+    # never reaches it (the first conjunct is false on every anchor), and
+    # neither does the batch: both conjuncts are residuals in statement
+    # order, so the first empties every binding's survivors.  The outcome is
+    # *rows* (none), not an error, without a replay.
     "join-probe": (
         [Attr("a", "href")],
         And(
@@ -506,11 +492,11 @@ _REPLAY_CASES = {
         ),
         [],
     ),
-    # The leaf join probes ``r.length`` with a boolean: true for the first
-    # two anchors, whose rows the batch has already emitted when the probe
-    # raises on the poisoned label.  The interpreter never evaluates that
-    # probe (the total first conjunct is false for base = href), so the
-    # replay returns exactly its two rows — none of the batch's.
+    # The leaf join compares ``r.length`` with a boolean that raises on the
+    # poisoned label.  The interpreter never evaluates it there (the total
+    # first conjunct is false for base = href), and the batch, running the
+    # residuals in statement order, does not either: exactly the
+    # interpreter's two rows, without a replay.
     "leaf-probe-after-partial-output": (
         [Attr("a", "href"), Attr("r", "text")],
         And(
@@ -563,11 +549,16 @@ _LOWERED_FOR = {
         Contains(Attr("r", "text"), Literal("bold")),
     ),
 }
+#: Stages whose error only an out-of-order evaluation could reach: the
+#: batch runs the residuals in statement order, so it finishes cleanly
+#: with the interpreter's outcome, and nothing replays.
+_NO_REPLAY = {"join-probe", "leaf-probe-after-partial-output"}
 
 
 class TestReplay:
     """Force the batch to raise at every stage of the pipeline: the
-    replayed outcome must be the interpreter's, and counted."""
+    replayed outcome must be the interpreter's, and counted — and where the
+    batch cannot raise, its own outcome must be the interpreter's."""
 
     @pytest.mark.parametrize("stage", sorted(_REPLAY_CASES))
     def test_forced_batch_failure_replays_to_the_interpreter_outcome(self, stage):
@@ -582,7 +573,7 @@ class TestReplay:
             compile_node_query(_query(select, _LOWERED_FOR[stage]), lowerings)
         _assert_matches_interpreter(query, database, lowerings=lowerings)
         assert len(lowerings) == 1
-        assert stats.plan_replays == 1
+        assert stats.plan_replays == (0 if stage in _NO_REPLAY else 1)
         # The reference entry of a plan *is* the interpreter.
         expected = _outcome(lambda: evaluate_node_query(query, database))
         assert _outcome(lambda: compile_node_query(query).execute(database)) == expected
@@ -594,7 +585,7 @@ class TestReplay:
 
 # Every cross-level ``contains`` shape — the outer attribute as haystack and
 # as needle, at the leaf and at an outer level, over int cells (DOCUMENT and
-# RELINFON ``length``) and a missing attribute — mixed with the probes and
+# RELINFON ``length``) and a missing attribute — mixed with the joins and
 # non-total conjuncts of ``_JOIN_POOL``, over 2-, 3- and 4-level plans.
 _CROSS_POOL = _JOIN_POOL + [
     Contains(Attr("a", "label"), Attr("r", "delimiter")),
@@ -812,56 +803,6 @@ class TestSelectionErrorIdentity:
         plan = compile_node_query(query)
         assert plan.execute_columnar(Database) == evaluate_node_query(query, Database) == []
         assert stats.plan_replays == 0
-
-
-class TestColumnIndexSafety:
-    """ColumnIndex.probe must refuse whenever dict equality is not provably
-    the interpreter's coerced `=` — `5 = "5"` is TRUE in the interpreter."""
-
-    def _index(self, values):
-        from repro.relational.table import ColumnIndex
-
-        return ColumnIndex(values)
-
-    def test_buckets_preserve_insertion_order(self):
-        index = self._index(["x", "y", "x", "x"])
-        assert index.probe("x") == [0, 2, 3]
-        assert index.probe("zzz") == ()
-
-    def test_numeric_string_probe_refused_on_numeric_column(self):
-        index = self._index([5, 7])
-        assert index.probe("5") is None  # coerced `=` would match row 0
-        assert index.probe(6) == ()
-
-    def test_int_probe_refused_when_column_holds_numeric_strings(self):
-        index = self._index(["5", "x"])
-        assert index.probe(5) is None
-        assert index.probe("x") == [1]
-
-    def test_float_and_exotic_columns_always_refuse(self):
-        assert self._index([1.0, 2.0]).probe(1) is None
-        assert self._index([float("nan")]).probe(float("nan")) is None
-        assert self._index([(1, 2)]).probe((1, 2)) is None
-
-    def test_unhashable_column_refuses(self):
-        assert self._index([["a"]]).probe("a") is None
-
-    def test_table_index_invalidated_by_insert(self):
-        from repro.model.relations import DOCUMENT_SCHEMA
-        from repro.relational.table import Table
-
-        stats = TrafficStats()
-        table = Table(DOCUMENT_SCHEMA, stats=stats)
-        table.insert(("u1", "t", "x", 1))
-        first = table.index(0)
-        assert table.index(0) is first  # cached
-        assert stats.index_builds == 1
-        assert stats.index_hits == 1
-        table.insert(("u2", "t", "y", 2))
-        rebuilt = table.index(0)
-        assert rebuilt is not first
-        assert rebuilt.probe("u2") == [1]
-        assert stats.index_builds == 2
 
 
 # -- engine level --------------------------------------------------------------
@@ -1092,7 +1033,10 @@ class TestConstructorCaches:
 class TestDstIntegration:
     def test_generator_keeps_the_retired_knobs_draw_position(self):
         cases = [generate_case(seed) for seed in range(16)]
-        assert not any("executor" in case["config"] for case in cases)
+        assert not any(
+            "executor" in case["config"] or "compiled_plans" in case["config"]
+            for case in cases
+        )
         # The ``anchor`` draw comes after the retired knob's: these are the
         # values seeds 0..15 drew while the knob still existed.
         drawn = "".join("01"[case["query"]["anchor"]] for case in cases)
@@ -1101,7 +1045,7 @@ class TestDstIntegration:
     def test_the_label_join_draw_runs_the_batched_cross_level_kernel(self, monkeypatch):
         """With the relinfon and anchor axes on, the last draw renders
         ``eval_join``'s shape: ``a.label contains r.delimiter`` is the first
-        residual of a relinfon leaf without a probe, so executing it runs
+        residual of the relinfon leaf, so executing it runs
         the batched kernel, and the rows stay the interpreter's."""
         from repro.disql import compile_disql
         from repro.relational import columnar
@@ -1134,6 +1078,26 @@ class TestDstIntegration:
             assert rows and rows == plan.execute(database)
         assert len(prepared) == len(drawn)
         assert {cross.own_is_needle for cross in prepared} == {True}
+
+    def test_the_oracle_catches_a_batch_kernel_that_drops_a_row(self, monkeypatch):
+        """The reference interprets while the servers under test compile, so
+        a faulty batch kernel is a violation on a generated case — here seed
+        3, whose servers compile (its old ``compiled_plans`` draw was true)."""
+        from repro.relational import columnar
+
+        specialize = columnar._specialize
+
+        def dropping_last_match(*args):
+            kernel = specialize(*args)
+            if kernel is None or kernel.__name__ != "contains_kernel":
+                return kernel
+            return lambda *call: kernel(*call)[:-1]
+
+        spec = generate_case(3)
+        assert run_case(spec).ok
+        monkeypatch.setattr(columnar, "_specialize", dropping_last_match)
+        violations = run_case(spec).violations
+        assert "oracle-exact" in {violation.invariant for violation in violations}
 
     def test_runner_ignores_the_retired_knob_in_old_repro_files(self):
         old = {"seed": 0, "config": {"executor": "row", "compiled_plans": False}}

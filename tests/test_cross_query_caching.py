@@ -126,7 +126,6 @@ class TestEquivalenceProperty:
         web = build_web(spec)
         texts = query_texts(spec) + [query_texts(spec)[0]]
         knobs = {
-            "compiled_plans": spec["config"]["compiled_plans"],
             "frontier_batching": spec["config"]["frontier_batching"],
             "scheduler": spec["config"]["scheduler"],
         }

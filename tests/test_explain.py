@@ -138,7 +138,7 @@ class TestExplainPlans:
             'gate: "x" = "x"\n'
             "bind document d\n"
             "bind anchor a\n"
-            "  probe: a.base = d.url\n"
+            "  residual: a.base = d.url\n"
             "  residual: a.label contains d.title\n"
             '  residual: a.ltype = "G"\n'
         )

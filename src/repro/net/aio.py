@@ -1,26 +1,40 @@
 """Real TCP transport: the WEBDIS protocols over asyncio sockets.
 
 This is the second implementation of the :class:`~repro.net.transport.Transport`
-seam.  Sites live on ``127.0.0.1`` with one real TCP listening socket per
-``(site, logical_port)``; a :class:`PortMap` translates the protocol's
-logical ports (:data:`~repro.net.network.QUERY_PORT`, per-query result
-ports, ...) into distinct real ports so any number of sites share one
-loopback interface — within one process (sites as asyncio tasks) or across
-OS processes (:class:`StaticPortMap` + ``tools/socket_cluster.py``).
+seam.  Sites live on ``127.0.0.1``, each with **one** real TCP listening
+socket, opened by its first :meth:`~AsyncioTransport.listen` and closed only
+when the site crashes or the transport closes.  The protocol's *logical*
+ports (:data:`~repro.net.network.QUERY_PORT`, per-query result ports, ...)
+are not bound: each frame names its port and the receiver hands it to the
+listener registered for ``(site, port)``.  A :class:`PortMap` translates a
+site into its real port so any number of sites share one loopback interface
+— within one process (sites as asyncio tasks) or across OS processes
+(:class:`StaticPortMap` + ``tools/socket_cluster.py``).  Opening and closing
+a per-query result port (§2.6, §2.8) therefore touches no connection.
 
 Wire format and delivery contract
 ---------------------------------
 
 Each message is one length-prefixed frame (:func:`repro.wire.encode_frame`)
 carrying a source-stamped envelope (:func:`repro.wire.encode_envelope`) and,
-after it, a per-link sequence number (:func:`repro.wire.encode_sequenced`),
-over a persistent per-``(src, dst, port)`` connection.  After the receiving
-listener has *processed* a frame the receiver writes back one fixed-size
-record (:data:`repro.wire.ACK_RECORD`): :data:`~repro.wire.ACK_BYTE` and the frame's
-sequence number.  The sender reports ``DELIVERED`` only on the record that
-names the frame, so — exactly as on the simulator, where ``DELIVERED`` means
-the delivery event is scheduled and listeners never observe a vanished
-delivered message — a delivered send has really been handled.
+after it, the logical port and a per-link sequence number
+(:func:`repro.wire.encode_sequenced`), over one persistent connection per
+``(src, dst)`` site pair, whatever ports its frames name.  After the
+receiving listener has *processed* a frame the receiver writes back one
+fixed-size record (:data:`repro.wire.ACK_RECORD`): :data:`~repro.wire.ACK_BYTE`
+and the frame's sequence number.  The sender reports ``DELIVERED`` only on
+the record that names the frame, so — exactly as on the simulator, where
+``DELIVERED`` means the delivery event is scheduled and listeners never
+observe a vanished delivered message — a delivered send has really been
+handled.
+
+A frame for a port nothing listens on is answered with a
+:data:`~repro.wire.REFUSE_BYTE` record instead, and the sender settles it
+as :func:`~repro.net.transport.refusal_outcome` of the frame's port — what
+a refused connect to that port would give.  So is the frame whose own
+listener closed its port (a user-site's completing report): it was
+processed, but the port it was for is gone, and the sender learns it from
+that frame as from the next.
 
 Frames are **pipelined**: a link is a FIFO of frames and one long-lived
 driver coroutine (:meth:`AsyncioTransport._drive`).  A send encodes its
@@ -30,19 +44,19 @@ frames queued behind a connect leave together when it completes.  The
 driver connects, reads the acknowledgement stream and settles each frame's
 future; it is parked in that read whenever the link is idle, so a peer that
 closes a keep-alive is noticed when it closes, not by the next send.  Any
-number of frames may be unacknowledged at once, which is why an ack must
+number of frames may be unacknowledged at once, which is why a record must
 name its frame: a chaos verdict in the receive loop (or a real middlebox)
 can swallow frame *k* and ack *k+1*, and a positional ack would then report
-``DELIVERED`` for a message no listener saw.  An ack for a sequence number
+``DELIVERED`` for a message no listener saw.  A record for a sequence number
 the link is not waiting for, or of an unknown kind, drops the connection.
 Frames are written, and therefore processed, in send order: the simulator's
-per-edge FIFO.
+per-edge FIFO, here per site pair.
 
 One ``loop.call_at`` watchdog per link, armed only while something is
 unacknowledged, drops the connection when the oldest written frame has
 waited ``read_timeout``.  When a connection is lost (reset, EOF, watchdog,
-bad ack) every frame still unacknowledged on it is settled: a frame written
-on a *reused* connection — one that had already carried an acknowledgement,
+bad record) every frame still unacknowledged on it is settled: a frame
+written on a *reused* connection — one that had already carried a record,
 so the peer may simply have closed an idle keep-alive — is written once more
 on a fresh connection, in order; any other frame reports ``FAULT``.  No
 frame is written more than twice.  The rewrite can duplicate a
@@ -53,23 +67,25 @@ absorbs duplicate clones.  That is the same at-least-once envelope the
 :class:`~repro.net.reliable.ReliableChannel` already imposes.
 
 Outcome mapping (see :func:`repro.net.transport.refusal_outcome` for the
-REFUSED/HOST_DOWN split on refused connects):
+REFUSED/HOST_DOWN split by port):
 
-=============================  ==========================================
-real-socket event              ``SendOutcome``
-=============================  ==========================================
-frame written, its ack read    DELIVERED
-frame written, its nak read    OVERLOADED (admission refused; back off)
-result port closed             REFUSED (deliberate close = termination)
-ECONNREFUSED, daemon port      HOST_DOWN (server process is down)
-connect timeout / no route     HOST_DOWN
-ack timeout / reset / EOF      FAULT (transient wire fault)
-destination never registered   HOST_DOWN (DNS failure analogue)
-=============================  ==========================================
+=================================  ==========================================
+real-socket event                  ``SendOutcome``
+=================================  ==========================================
+frame written, its ack read        DELIVERED
+frame written, its nak read        OVERLOADED (admission refused; back off)
+refuse read, result port           REFUSED (deliberate close = termination)
+refuse read, daemon port           HOST_DOWN (nothing serves it there)
+ECONNREFUSED / site never bound    as a refuse, by each queued frame's port
+connect timeout / no route         HOST_DOWN
+ack timeout / reset / EOF          FAULT (transient wire fault)
+destination never registered       HOST_DOWN (DNS failure analogue)
+=================================  ==========================================
 
 Every row holds per frame.  A refused or timed-out connect settles (and
-counts) every frame queued behind it; :meth:`AsyncioTransport.crash_site`
-fails everything the dead site had in flight and never reconnects for it.
+counts) every frame queued behind it, each by its own port;
+:meth:`AsyncioTransport.crash_site` fails everything the dead site had in
+flight and never reconnects for it.
 
 The nak (:data:`~repro.wire.NAK_BYTE`) carries admission control across the wire: a
 listener guarded by an admission probe (:meth:`AsyncioTransport.set_admission`)
@@ -98,6 +114,9 @@ reads each chunk into a fresh 256 KiB ``bytes`` and shrinks it, and the
 heap those reads are carved from keeps growing under sustained traffic.
 The receive loops (:meth:`AsyncioTransport._serve_connection`,
 :meth:`AsyncioTransport._read_acks`) still read their ``StreamReader``.
+A site's receive loop, one per inbound connection, routes each frame by the
+port it names; a frame for a port with no listener is refused before its
+message is decoded.
 
 Everything runs on one event loop: listeners are invoked synchronously
 from receive coroutines, settle callbacks from send tasks (one task per
@@ -121,17 +140,17 @@ from ..wire import (
     ACK_BYTE,
     ACK_RECORD,
     NAK_BYTE,
+    REFUSE_BYTE,
     WireError,
     FrameDecoder,
     decode_envelope,
     encode_envelope,
+    envelope_source,
     encode_frame,
     encode_sequenced,
     split_sequenced,
 )
 from .network import (
-    FIRST_RESULT_PORT,
-    QUERY_PORT,
     Listener,
     NetworkConfig,
     Payload,
@@ -178,43 +197,38 @@ class LoopClock:
 
 
 class PortMap:
-    """Dynamic ``(site, logical_port) -> real port`` registry (in-process).
+    """Dynamic ``site -> real port`` registry (in-process).
 
-    ``bind`` allocates an ephemeral real port and records it; ``lookup``
-    answers senders.  A daemon port's entry survives
-    :meth:`AsyncioTransport.close` on purpose: connecting to the *closed*
-    real socket yields a genuine ``ECONNREFUSED``, which the
-    refusal-classification policy turns into ``HOST_DOWN``, and rebinding
-    after a crash allocates a fresh port and replaces the entry.  A result
-    port's entry goes with its listener (:meth:`close`): each query binds a
-    new logical result port, so the entry would otherwise outlive the query,
-    and once the OS hands that real port to a newer listener a late frame
-    for the old query would reach it.  A sender then finds the port never
-    bound, which :func:`~repro.net.transport.refusal_outcome` classifies as
-    ``REFUSED``, exactly as the refused connect would have been.
+    A site has one real listening socket, whatever logical ports it serves:
+    the logical port rides in each frame (module docstring).  ``bind``
+    allocates an ephemeral real port and records it; ``lookup`` answers
+    senders.  The entry survives a crash on purpose: connecting to the
+    *closed* real socket yields a genuine ``ECONNREFUSED``, which the
+    refusal-classification policy turns into ``HOST_DOWN`` for a daemon
+    port, and the restarted site's :meth:`bind` allocates a fresh port and
+    replaces the entry.
     """
 
     def __init__(self, host: str = "127.0.0.1") -> None:
         self.host = host
-        self._map: dict[tuple[str, int], int] = {}
+        self._map: dict[str, int] = {}
 
-    def bind(self, site: str, logical_port: int) -> socket.socket:
-        """Bind (and start listening on) the real socket for a logical port."""
+    def bind(self, site: str) -> socket.socket:
+        """Bind (and start listening on) the site's real socket."""
         sock = self._bound_socket(0)
-        self._map[(site, logical_port)] = sock.getsockname()[1]
+        self._map[site] = sock.getsockname()[1]
         return sock
 
-    def lookup(self, site: str, logical_port: int) -> int | None:
-        """The real port to connect to, or None if it was never bound."""
-        return self._map.get((site, logical_port))
-
-    def close(self, site: str, logical_port: int) -> None:
-        """Its listener closed: forget a result port, keep a daemon port."""
-        if logical_port >= FIRST_RESULT_PORT:
-            self._map.pop((site, logical_port), None)
+    def lookup(self, site: str) -> int | None:
+        """The real port to connect to, or None if the site never bound one."""
+        return self._map.get(site)
 
     def _bound_socket(self, real_port: int) -> socket.socket:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        # IPPROTO_TCP, not 0: asyncio sets TCP_NODELAY only on sockets that
+        # say so, and accepted sockets inherit the listener's protocol.
+        # Without it a reused connection's second small record waits for the
+        # peer's delayed ACK (Nagle).
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM, socket.IPPROTO_TCP)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
             sock.bind((self.host, real_port))
@@ -230,14 +244,9 @@ class StaticPortMap(PortMap):
     """Arithmetic port map shared by cooperating OS processes.
 
     Every process derives the same mapping from the same ordered site list,
-    with no registry to synchronize: site ``i`` owns the real-port range
-    ``[first_base + i*SPAN, first_base + (i+1)*SPAN)`` and logical port
-    ``p`` lands on ``base + (p - QUERY_PORT)``.  ``SPAN = 2000`` leaves
-    room for the daemon ports (offsets 0 and 500) plus ~1000 per-query
-    result ports per site.
+    with no registry to synchronize: site ``i`` owns real port
+    ``first_base + i``, and every logical port it serves rides on it.
     """
-
-    SPAN = 2000
 
     def __init__(
         self,
@@ -246,27 +255,13 @@ class StaticPortMap(PortMap):
         first_base: int = 20000,
     ) -> None:
         super().__init__(host)
-        self._bases = {
-            site: first_base + index * self.SPAN
-            for index, site in enumerate(sorted(sites))
-        }
+        self._map = {site: first_base + index for index, site in enumerate(sorted(sites))}
 
-    def bind(self, site: str, logical_port: int) -> socket.socket:
-        real = self.lookup(site, logical_port)
+    def bind(self, site: str) -> socket.socket:
+        real = self.lookup(site)
         if real is None:
-            raise SimulationError(
-                f"no static port mapping for {site!r}:{logical_port}"
-            )
-        sock = self._bound_socket(real)
-        self._map[(site, logical_port)] = real
-        return sock
-
-    def lookup(self, site: str, logical_port: int) -> int | None:
-        base = self._bases.get(site)
-        offset = logical_port - QUERY_PORT
-        if base is None or not 0 <= offset < self.SPAN:
-            return None
-        return base + offset
+            raise SimulationError(f"no static port mapping for {site!r}")
+        return self._bound_socket(real)
 
 
 class _BufferedStreamProtocol(asyncio.StreamReaderProtocol, asyncio.BufferedProtocol):
@@ -307,9 +302,11 @@ async def _open_connection(
 class _Frame:
     """One send on a link, from queueing to settlement."""
 
-    __slots__ = ("sequence", "data", "outcome", "written_at", "reused")
+    __slots__ = ("port", "sequence", "data", "outcome", "written_at", "reused")
 
-    def __init__(self, sequence: int, data: bytes, outcome: asyncio.Future) -> None:
+    def __init__(self, port: int, sequence: int, data: bytes, outcome: asyncio.Future) -> None:
+        #: The logical port at the destination, which settles a refusal.
+        self.port = port
         self.sequence = sequence
         self.data = data
         #: Settled exactly once, with the frame's ``SendOutcome``.
@@ -321,7 +318,7 @@ class _Frame:
 
 
 class _Link:
-    """One ``(src, dst, port)`` edge: a FIFO of frames and its driver.
+    """One ``(src, dst)`` edge: a FIFO of frames, whatever their ports, and its driver.
 
     A link is in the transport's table exactly as long as its driver runs:
     while it is connecting, and while its connection is up.
@@ -392,15 +389,19 @@ class AsyncioTransport:
         self._sites: set[str] = set()
         self._listeners: dict[tuple[str, int], Listener] = {}
         self._admission: dict[tuple[str, int], Callable[[str, Payload], bool]] = {}
-        self._servers: dict[tuple[str, int], asyncio.AbstractServer] = {}
-        self._inbound: dict[tuple[str, int], set[asyncio.StreamWriter]] = {}
-        self._links: dict[tuple[str, str, int], _Link] = {}
+        #: A site's real listener, once its accept loop has attached.
+        self._servers: dict[str, asyncio.AbstractServer] = {}
+        #: The inbound connections of every site whose real socket is bound.
+        self._inbound: dict[str, set[asyncio.StreamWriter]] = {}
+        self._links: dict[tuple[str, str], _Link] = {}
         self._tasks: set[asyncio.Task] = set()
         self._taps: list[Callable[[float, str, str, int, Payload], None]] = []
         self._chaos_counts = dict.fromkeys(
             ("frames_forwarded", "frames_swallowed", "frames_delayed", "connections_reset"),
             0,
         )
+        #: Connections this transport's links have opened, ever.
+        self.connections_opened = 0
         self._closed = False
 
     # -- observation (same surface as the simulator) ------------------------
@@ -423,12 +424,13 @@ class AsyncioTransport:
     # -- listeners ----------------------------------------------------------
 
     def listen(self, site: str, port: int, listener: Listener) -> None:
-        """Bind ``site:port`` for real and start accepting.
+        """Serve logical ``port`` at ``site``.
 
-        The OS socket is bound *synchronously* — connects succeed (queueing
-        in the backlog) from this call on, killing the race between a
-        result-port listen and the first server's result dispatch — while
-        the asyncio accept loop attaches as a task moments later.
+        The site's first listen binds its one real socket *synchronously* —
+        connects succeed (queueing in the backlog) from this call on, killing
+        the race between a result-port listen and the first server's result
+        dispatch — while the asyncio accept loop attaches as a task moments
+        later.  Every later listen only registers ``listener``.
         """
         if site not in self._sites:
             raise SimulationError(f"unknown site {site!r}; register it first")
@@ -439,38 +441,41 @@ class AsyncioTransport:
         key = (site, port)
         if key in self._listeners:
             raise NetworkError(f"port {port} already bound at {site}")
-        sock = self.port_map.bind(site, port)  # may raise: nothing to undo yet
+        if site not in self._inbound:
+            sock = self.port_map.bind(site)  # may raise: nothing to undo yet
+            peers = self._inbound[site] = set()
+            self._spawn(self._start_server(site, sock, peers))
         self._listeners[key] = listener
-        self._inbound[key] = set()
-        self._spawn(self._start_server(key, sock))
 
-    async def _start_server(self, key: tuple[str, int], sock: socket.socket) -> None:
+    async def _start_server(
+        self, site: str, sock: socket.socket, peers: set[asyncio.StreamWriter]
+    ) -> None:
         def protocol() -> _BufferedStreamProtocol:
             return _BufferedStreamProtocol(
                 asyncio.StreamReader(loop=self._loop),
                 self._read_buffer,
-                lambda reader, writer: self._serve_connection(key, reader, writer),
+                lambda reader, writer: self._serve_connection(site, reader, writer),
             )
 
         server = await self._loop.create_server(protocol, sock=sock)
-        if key in self._listeners and not self._closed:
-            self._servers[key] = server
+        if self._inbound.get(site) is peers and not self._closed:
+            self._servers[site] = server
         else:
-            server.close()  # closed before the accept loop attached
+            server.close()  # the site crashed before the accept loop attached
 
     async def _serve_connection(
         self,
-        key: tuple[str, int],
+        site: str,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
-        peers = self._inbound.get(key)
-        if peers is None:  # listener closed while the connect was in flight
+        peers = self._inbound.get(site)
+        if peers is None:  # the site crashed while the connect was in flight
             _abort(writer)
             return
         peers.add(writer)
         decoder = FrameDecoder(self.config.max_frame_bytes)
-        chaos, counts = self.chaos, self._chaos_counts
+        chaos, counts, listeners = self.chaos, self._chaos_counts, self._listeners
         try:
             while True:
                 chunk = await reader.read(_READ_CHUNK)
@@ -484,19 +489,19 @@ class AsyncioTransport:
                     return
                 for body in frames:
                     try:
-                        envelope, sequence = split_sequenced(body)
-                        src, message = decode_envelope(envelope)
+                        envelope, port, sequence = split_sequenced(body)
+                        src = envelope_source(envelope)
                     except WireError:
                         self.stats.frames_rejected += 1
                         _abort(writer)
                         return
                     if chaos is not None:
-                        action = chaos.verdict(src, *key, self.clock.now)
+                        action = chaos.verdict(src, site, port, self.clock.now)
                         if action == "reset":
                             counts["connections_reset"] += 1
-                            return  # aborted below; acks already written stand
+                            return  # aborted below; records already written stand
                         if action == "swallow":
-                            # No ack record: the sender's watchdog reports FAULT.
+                            # No record: the sender's watchdog reports FAULT.
                             counts["frames_swallowed"] += 1
                             continue
                         delay = chaos.delay_draw()
@@ -504,12 +509,19 @@ class AsyncioTransport:
                             counts["frames_delayed"] += 1
                             await asyncio.sleep(delay)
                             if writer.transport.is_closing():
-                                return  # the port closed (maybe re-opened) meanwhile
+                                return  # the site crashed meanwhile
                         counts["frames_forwarded"] += 1
-                    listener = self._listeners.get(key)
+                    key = (site, port)
+                    listener = listeners.get(key)
                     if listener is None:
-                        # Port closed mid-stream: refuse (no ack) so the
-                        # sender's retry meets the real refused connect.
+                        # Nothing listens there: what a refused connect to
+                        # the port says, on a connection that stays up.
+                        writer.write(REFUSE_BYTE + sequence)
+                        continue
+                    try:
+                        __, message = decode_envelope(envelope)
+                    except WireError:
+                        self.stats.frames_rejected += 1
                         _abort(writer)
                         return
                     probe = self._admission.get(key)
@@ -518,11 +530,14 @@ class AsyncioTransport:
                         continue
                     listener(src, message)
                     # Written per frame, not per chunk: a later frame's
-                    # listener may tear this connection down.
-                    writer.write(ACK_BYTE + sequence)
+                    # listener may crash this site.  A listener that closed
+                    # its own port (the completing report) refuses the frame
+                    # that closed it, as the closed port refuses the next.
+                    kind = ACK_BYTE if listeners.get(key) is listener else REFUSE_BYTE
+                    writer.write(kind + sequence)
                 # An idle keep-alive must not keep its last message (and so
                 # its query) alive until the next frame arrives.
-                frames = body = envelope = message = None
+                frames = body = envelope = message = listener = probe = None
                 await writer.drain()
         except (ConnectionError, OSError):
             pass
@@ -531,27 +546,18 @@ class AsyncioTransport:
             # handler quietly; the socket is aborted below either way.
             pass
         finally:
-            if peers is not None:
-                peers.discard(writer)
+            peers.discard(writer)
             _abort(writer)
 
     def close(self, site: str, port: int) -> None:
-        """Close the listener; later connects are refused.
+        """Stop serving logical ``port`` at ``site``; later frames for it are refused.
 
-        A daemon port keeps its port-map entry, so senders still find the
-        (now closed) real port and get ``ECONNREFUSED``; a result port's
-        entry goes, and senders find it never bound.
-        :func:`~repro.net.transport.refusal_outcome` turns either into the
-        same outcome — on a result port, the termination signal.
+        No connection is touched: a frame for the port gets a
+        :data:`~repro.wire.REFUSE_BYTE` record, and
+        :func:`~repro.net.transport.refusal_outcome` settles it — on a result
+        port, the termination signal.
         """
-        key = (site, port)
-        self.port_map.close(site, port)
-        self._listeners.pop(key, None)
-        server = self._servers.pop(key, None)
-        if server is not None:
-            server.close()
-        for writer in self._inbound.pop(key, set()):
-            _abort(writer)
+        self._listeners.pop((site, port), None)
 
     def is_listening(self, site: str, port: int) -> bool:
         return (site, port) in self._listeners
@@ -576,15 +582,16 @@ class AsyncioTransport:
     def crash_site(self, site: str) -> None:
         """Kill every socket the site's process would hold.
 
-        Listeners close (connects now refused), inbound connections are
-        reset, and the site's *outbound* links are torn down too — a dead
-        process keeps nothing open, so every frame it had queued or
-        unacknowledged reports ``FAULT`` and its drivers stop without
-        reconnecting.  ``QueryServer.restart`` re-binds via :meth:`listen`,
-        which allocates a fresh real port.
+        Its ports and its real listener close (connects now refused),
+        inbound connections are reset, and the site's *outbound* links are
+        torn down too — a dead process keeps nothing open, so every frame it
+        had queued or unacknowledged reports ``FAULT`` and its drivers stop
+        without reconnecting.  ``QueryServer.restart`` re-binds via
+        :meth:`listen`, which binds the site's real socket anew.
         """
         for key in [key for key in self._listeners if key[0] == site]:
             self.close(*key)
+        self._close_socket(site)
         for lkey in [lkey for lkey in self._links if lkey[0] == site]:
             link = self._links.pop(lkey)
             _drop_link(link)
@@ -594,6 +601,14 @@ class AsyncioTransport:
             self._fault(frames)
             assert link.driver is not None
             link.driver.cancel()
+
+    def _close_socket(self, site: str) -> None:
+        """Close the site's real listener and reset its inbound connections."""
+        server = self._servers.pop(site, None)
+        if server is not None:
+            server.close()
+        for writer in self._inbound.pop(site, ()):
+            _abort(writer)
 
     def set_site_up(self, site: str) -> None:
         """No-op on real sockets: a site is 'up' once its ports re-bind."""
@@ -632,7 +647,7 @@ class AsyncioTransport:
         on_outcome: Callable[[SendOutcome], None] | None,
     ) -> None:
         """One send: queue the frame on its link, wait for it to settle."""
-        key = (src, dst, port)
+        key = (src, dst)
         link = self._links.get(key)
         if link is None:
             link = self._links[key] = _Link()
@@ -641,14 +656,14 @@ class AsyncioTransport:
         link.sequence = (sequence + 1) & 0xFFFFFFFF
         try:
             data = encode_frame(
-                encode_sequenced(encode_envelope(src, payload), sequence),
+                encode_sequenced(encode_envelope(src, payload), port, sequence),
                 self.config.max_frame_bytes,
             )
         except WireError:
             self.stats.frames_rejected += 1
             outcome = SendOutcome.FAULT
         else:
-            frame = _Frame(sequence, data, self._loop.create_future())
+            frame = _Frame(port, sequence, data, self._loop.create_future())
             link.queue.append(frame)
             self._write_queued(link)
             outcome = await frame.outcome
@@ -699,24 +714,25 @@ class AsyncioTransport:
         else:
             self._arm_watchdog(link)
 
-    async def _drive(self, key: tuple[str, str, int], link: _Link) -> None:
+    async def _drive(self, key: tuple[str, str], link: _Link) -> None:
         """The link's driver: connect, write, read acks — until nothing is left.
 
         Runs while there are frames to deliver or a connection to watch, and
         takes the link out of the table when it stops.
         """
-        __, dst, port = key
         try:
             while link.queue:
-                outcome = await self._connect(link, dst, port)
-                if outcome is not None:
-                    # Settles, and counts, every frame queued behind the connect.
-                    if outcome is SendOutcome.REFUSED:
-                        self.stats.refused_sends += len(link.queue)
-                    else:
-                        self.stats.down_sends += len(link.queue)
+                failure = await self._connect(link, key[1])
+                if failure is not None:
+                    # Settles, and counts, every frame queued behind the
+                    # connect: a refused one by each frame's own port.
                     while link.queue:
-                        link.queue.popleft().outcome.set_result(outcome)
+                        frame = link.queue.popleft()
+                        if failure is SendOutcome.REFUSED:
+                            self._refuse(frame)
+                        else:
+                            self.stats.down_sends += 1
+                            frame.outcome.set_result(failure)
                     return
                 self._write_queued(link)
                 await self._read_acks(link)
@@ -758,6 +774,10 @@ class AsyncioTransport:
                 return False  # names nothing this link is waiting for
             if kind == ACK_BYTE:
                 frame.outcome.set_result(SendOutcome.DELIVERED)
+            elif kind == REFUSE_BYTE:
+                # Nothing listens on the frame's port: not processed, and the
+                # connection is still good for the site's other ports.
+                self._refuse(frame)
             elif kind == NAK_BYTE:
                 # Admission refused: definitely not processed, and the
                 # connection is still good — the channel backs off.
@@ -768,6 +788,15 @@ class AsyncioTransport:
                 return False
             link.proven = True
         return True
+
+    def _refuse(self, frame: _Frame) -> None:
+        """Settle a frame its port refused, as a refused connect to it would be."""
+        outcome = refusal_outcome(frame.port)
+        if outcome is SendOutcome.REFUSED:
+            self.stats.refused_sends += 1
+        else:
+            self.stats.down_sends += 1
+        frame.outcome.set_result(outcome)
 
     def _connection_lost(self, link: _Link) -> None:
         """Drop the connection and settle what was unacknowledged on it.
@@ -791,14 +820,17 @@ class AsyncioTransport:
             self.stats.failed_sends += 1
             frame.outcome.set_result(SendOutcome.FAULT)
 
-    async def _connect(
-        self, link: _Link, dst: str, port: int
-    ) -> SendOutcome | None:
-        """Populate ``link``; None on success, else the failure outcome."""
-        real = self.port_map.lookup(dst, port)
+    async def _connect(self, link: _Link, dst: str) -> SendOutcome | None:
+        """Populate ``link``; None on success, else how the connect failed.
+
+        ``REFUSED`` stands for a refused connect (or a site that never
+        bound), which each frame settles by its own port; ``HOST_DOWN`` for
+        any other failure.
+        """
+        real = self.port_map.lookup(dst)
         if real is None:
             # Never bound: same classification a refused connect would get.
-            return refusal_outcome(port)
+            return SendOutcome.REFUSED
         # The deadline is a timer that cancels this very task — what
         # ``asyncio.timeout`` does on 3.11+, which 3.10 does not have.
         deadline = self._loop.call_later(
@@ -809,7 +841,7 @@ class AsyncioTransport:
                 self.port_map.host, real
             )
         except ConnectionRefusedError:
-            return refusal_outcome(port)
+            return SendOutcome.REFUSED
         except OSError:
             return SendOutcome.HOST_DOWN
         except asyncio.CancelledError:
@@ -819,6 +851,7 @@ class AsyncioTransport:
             return SendOutcome.HOST_DOWN
         finally:
             deadline.cancel()
+        self.connections_opened += 1
         link.high_water = link.writer.transport.get_write_buffer_limits()[1]
         return None
 
@@ -838,8 +871,9 @@ class AsyncioTransport:
     async def aclose(self) -> None:
         """Tear everything down (tests and runners call this on exit)."""
         self._closed = True
-        for key in list(self._listeners):
-            self.close(*key)
+        self._listeners.clear()
+        for site in list(self._inbound):
+            self._close_socket(site)
         for link in self._links.values():
             _drop_link(link)
         self._links.clear()

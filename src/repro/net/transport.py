@@ -27,9 +27,11 @@ Refusal classification on real sockets
 
 The simulator knows authoritatively whether a refused connect means
 "nothing listens on that port" (REFUSED — the active passive-termination
-signal, §2.8) or "the host is down" (HOST_DOWN — transient, retryable).  A
-raw TCP stack reports both as ``ECONNREFUSED``, so the real backend applies
-a *port-role* policy, :func:`refusal_outcome`:
+signal, §2.8) or "the host is down" (HOST_DOWN — transient, retryable).  On
+real sockets a frame for a port nothing listens on is answered with a
+refuse record, and a crashed site's connect gets ``ECONNREFUSED``; neither
+says which of the two it means, so the real backend applies a *port-role*
+policy to the frame's port, :func:`refusal_outcome`:
 
 * daemon ports (:data:`~repro.net.network.QUERY_PORT`,
   :data:`~repro.net.network.HELPER_PORT`) are expected to be listening for

@@ -29,9 +29,11 @@ the one piece of addressing information a raw socket does not carry but
 every :data:`~repro.net.network.Listener` receives; it is also what the
 receive loop's chaos verdicts (:mod:`repro.net.chaos`) key partition rules
 on.  :func:`envelope_source` reads just that stamp, without decoding the
-message.  A frame body ends in its link's sequence
-number (:func:`encode_sequenced`), which the receiver echoes in a fixed-size
-:data:`ACK_RECORD` — that is what lets a link keep many frames in flight.
+message.  A frame body ends in the logical port it is for and its link's
+sequence number (:func:`encode_sequenced`): one connection carries every
+port between two sites, and the receiver echoes the sequence number in a
+fixed-size :data:`ACK_RECORD` — that is what lets a link keep many frames
+in flight.
 ``docs/protocol.md`` ("Wire format") is the specification;
 :data:`FRAME_REVISION` numbers it.
 
@@ -89,6 +91,7 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "ACK_BYTE",
     "NAK_BYTE",
+    "REFUSE_BYTE",
     "ACK_RECORD",
     "WireError",
     "encode_message",
@@ -114,8 +117,11 @@ WIRE_VERSION = 1
 #: numbers, acknowledgement records (docs/protocol.md, "Wire format").
 #: 1: one positional ack byte per frame, one frame in flight per connection.
 #: 2: each frame body ends in a sequence number and each ack names it.
-#: Message bytes did not change between the two, so ``WIRE_VERSION`` did not.
-FRAME_REVISION = 2
+#: 3: the logical port rides in the frame, before the sequence number, so one
+#:    connection per site pair carries every port; a frame for a port with no
+#:    listener is answered with a :data:`REFUSE_BYTE` record.
+#: Message bytes did not change between them, so ``WIRE_VERSION`` did not.
+FRAME_REVISION = 3
 
 #: Hard ceiling on one framed message.  A length prefix beyond this is
 #: treated as protocol corruption (or an attack) and the connection is
@@ -123,7 +129,8 @@ FRAME_REVISION = 2
 MAX_FRAME_BYTES = 8 * 1024 * 1024
 
 _FRAME_HEADER = struct.Struct(">I")
-_SEQUENCE = struct.Struct(">I")
+#: What ends every frame body: the logical port, then the sequence number.
+_TRAILER = struct.Struct(">II")
 
 #: Kind byte of the record a receiver writes after its listener has
 #: *processed* a frame.
@@ -133,6 +140,13 @@ ACK_BYTE = b"\x06"
 #: a frame: it was *not* processed and the sender should back off and retry.
 #: The connection itself stays healthy.
 NAK_BYTE = b"\x15"
+
+#: Kind byte of the record a receiver writes when nothing listens on the
+#: frame's port — never bound, closed before the frame arrived, or closed by
+#: that frame's own listener.  The frame counts as not delivered, and the
+#: sender settles it as a refused connect to that port would settle.  The
+#: connection itself stays healthy.
+REFUSE_BYTE = b"\x18"
 
 #: One acknowledgement: a kind byte, then the sequence number of the frame it
 #: answers.  Fixed size, so a stream of them needs no framing of its own.
@@ -770,25 +784,26 @@ def envelope_source(body: bytes) -> str:
         raise WireError(f"undecodable source stamp: {exc}") from exc
 
 
-def encode_sequenced(envelope: bytes, sequence: int) -> bytes:
-    """A frame body: ``envelope`` followed by its per-link sequence number.
+def encode_sequenced(envelope: bytes, port: int, sequence: int) -> bytes:
+    """A frame body: ``envelope``, the logical port, the per-link sequence number.
 
-    The number trails the envelope so the receiver splits it off the end
+    The trailer follows the envelope so the receiver splits it off the end
     (:func:`split_sequenced`) and what reads an envelope's head —
     :func:`envelope_source` — is untouched by it.
     """
-    return envelope + _SEQUENCE.pack(sequence)
+    return envelope + _TRAILER.pack(port, sequence)
 
 
-def split_sequenced(body: bytes) -> tuple[bytes, bytes]:
-    """Inverse of :func:`encode_sequenced`: ``(envelope, sequence bytes)``.
+def split_sequenced(body: bytes) -> tuple[bytes, int, bytes]:
+    """Inverse of :func:`encode_sequenced`: ``(envelope, port, sequence bytes)``.
 
     The sequence number comes back as the four bytes received: a receiver
     only ever echoes it into an :data:`ACK_RECORD`.
     """
-    if len(body) < _SEQUENCE.size:
-        raise WireError(f"frame body of {len(body)} bytes has no sequence number")
-    return body[: -_SEQUENCE.size], body[-_SEQUENCE.size :]
+    if len(body) < _TRAILER.size:
+        raise WireError(f"frame body of {len(body)} bytes has no port and sequence number")
+    end = len(body) - _TRAILER.size
+    return body[:end], int.from_bytes(body[end:end + 4], "big"), body[end + 4:]
 
 
 def decode_envelope(body: bytes) -> tuple[str, object]:

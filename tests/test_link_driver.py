@@ -28,6 +28,7 @@ from repro.wire import (
     ACK_BYTE,
     ACK_RECORD,
     NAK_BYTE,
+    REFUSE_BYTE,
     FrameDecoder,
     decode_envelope,
     split_sequenced,
@@ -47,6 +48,8 @@ class ScriptedPeer:
     def __init__(self) -> None:
         self.reader = asyncio.StreamReader()
         self.frames: list[tuple[int, int]] = []
+        #: The logical port each of ``frames`` named.
+        self.ports: list[int] = []
         #: How many of ``frames`` a script has already answered.
         self.answered = 0
         self.writes = 0
@@ -64,9 +67,10 @@ class ScriptedPeer:
     def write(self, data: bytes) -> None:
         self.writes += 1
         for body in self._decoder.feed(data):
-            envelope, sequence = split_sequenced(body)
+            envelope, port, sequence = split_sequenced(body)
             __, message = decode_envelope(envelope)
             self.frames.append((int.from_bytes(sequence, "big"), message.request_id))
+            self.ports.append(port)
 
     def get_write_buffer_size(self) -> int:
         return self.buffered
@@ -90,7 +94,7 @@ class ScriptedPeer:
 class _AnyPort(PortMap):
     """Every destination resolves; the scripted connect decides what happens."""
 
-    def lookup(self, site: str, logical_port: int) -> int:
+    def lookup(self, site: str) -> int:
         return 1
 
 
@@ -142,8 +146,8 @@ class Harness:
         self._skew += seconds
         await self.turn()
 
-    def link(self, port: int = QUERY_PORT):
-        return self.transport._links.get(("a.example", "b.example", port))
+    def link(self):
+        return self.transport._links.get(("a.example", "b.example"))
 
     def settled(self) -> dict[int, SendOutcome]:
         assert all(len(seen) <= 1 for seen in self.outcomes.values())
@@ -405,17 +409,37 @@ async def test_ack_of_an_unknown_kind_drops_the_connection(make):
 
 @scripted
 async def test_refused_connect_settles_and_counts_every_queued_frame(make):
-    for port, outcome, counter in (
-        (FIRST_RESULT_PORT, SendOutcome.REFUSED, "refused_sends"),
-        (QUERY_PORT, SendOutcome.HOST_DOWN, "down_sends"),
-    ):
-        h = make(ConnectionRefusedError())
-        for rid in range(4):
-            h.send(rid, port)
-        await h.turn()
-        assert h.settled() == dict.fromkeys(range(4), outcome)
-        assert getattr(h.transport.stats, counter) == 4
-        assert h.link(port) is None and h.connects == 1
+    """One link carries every port: a refused connect settles each queued
+    frame by its own port."""
+    h = make(ConnectionRefusedError())
+    ports = [FIRST_RESULT_PORT, QUERY_PORT, FIRST_RESULT_PORT, QUERY_PORT]
+    for rid, port in enumerate(ports):
+        h.send(rid, port)
+    await h.turn()
+    assert h.settled() == {
+        0: SendOutcome.REFUSED, 1: SendOutcome.HOST_DOWN,
+        2: SendOutcome.REFUSED, 3: SendOutcome.HOST_DOWN,
+    }
+    assert (h.transport.stats.refused_sends, h.transport.stats.down_sends) == (2, 2)
+    assert h.link() is None and h.connects == 1
+
+
+@scripted
+async def test_refuse_record_settles_by_the_frames_port_and_keeps_the_connection(make):
+    peer = ScriptedPeer()
+    h = make(peer)
+    h.send(0, FIRST_RESULT_PORT)
+    h.send(1, QUERY_PORT)
+    h.send(2, FIRST_RESULT_PORT + 1)
+    await h.turn()
+    assert peer.ports == [FIRST_RESULT_PORT, QUERY_PORT, FIRST_RESULT_PORT + 1]
+    peer.ack(0, 1, kind=REFUSE_BYTE)
+    peer.ack(2)
+    await h.turn()
+    assert h.settled() == {0: SendOutcome.REFUSED, 1: SendOutcome.HOST_DOWN, 2: D}
+    stats = h.transport.stats
+    assert (stats.refused_sends, stats.down_sends, stats.messages_sent) == (1, 1, 1)
+    assert not peer.aborted and h.connects == 1
 
 
 @scripted
@@ -514,7 +538,7 @@ async def test_aclose_leaves_no_future_pending_and_no_task_running(make):
     h.send(0)
     h.send(1)
     await h.turn()
-    h.send(2, FIRST_RESULT_PORT)  # its driver is stuck in a connect
+    h.send(2, src="b.example")  # its driver is stuck in a connect
     await h.turn()
     futures = [
         frame.outcome
@@ -532,7 +556,9 @@ async def test_aclose_leaves_no_future_pending_and_no_task_running(make):
 
 # --- the invariant, over seeded scripts -----------------------------------------
 
-_FATES = st.sampled_from(["ack", "ack", "ack", "nak", "swallow", "unknown", "garbage"])
+_FATES = st.sampled_from(
+    ["ack", "ack", "ack", "nak", "refuse", "swallow", "unknown", "garbage"]
+)
 
 
 @st.composite
@@ -586,7 +612,7 @@ async def _run_script(script: dict) -> None:
             fate = fates.popleft() if fates else "ack"
             if fate == "swallow":
                 continue
-            kind = {"nak": NAK_BYTE, "garbage": b"?"}.get(fate, ACK_BYTE)
+            kind = {"nak": NAK_BYTE, "refuse": REFUSE_BYTE, "garbage": b"?"}.get(fate, ACK_BYTE)
             records.append((sequence + 1000 if fate == "unknown" else sequence, kind))
         stream = b"".join(ACK_RECORD.pack(kind, s) for s, kind in records)
         consumed = 0

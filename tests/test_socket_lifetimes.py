@@ -28,7 +28,7 @@ from repro.baselines.docservice import FetchRequest
 from repro.core.client import QueryStatus
 from repro.core.webquery import WebQuery
 from repro.net import FIRST_RESULT_PORT, QUERY_PORT, SendOutcome
-from repro.net.aio import AsyncioTransport, PortMap, StaticPortMap, _BufferedStreamProtocol
+from repro.net.aio import AsyncioTransport, StaticPortMap, _BufferedStreamProtocol
 from repro.urlutils import parse_url
 from repro.wire import (
     ACK_RECORD,
@@ -147,6 +147,10 @@ def _payload(request_id: int) -> FetchRequest:
 
 
 class TestPortMapForgetsClosedResultPorts:
+    """Closing a logical port touches neither the port map nor a connection:
+    the site keeps its one real port, and the live connection refuses the
+    closed port's frames."""
+
     def test_a_closed_result_port_is_forgotten_and_still_refused(self):
         async def main() -> None:
             transport = AsyncioTransport()
@@ -156,12 +160,10 @@ class TestPortMapForgetsClosedResultPorts:
                 transport.listen("b.example", QUERY_PORT, lambda src, message: None)
                 transport.listen("b.example", FIRST_RESULT_PORT, lambda src, message: None)
                 ports = transport.port_map
-                daemon = ports.lookup("b.example", QUERY_PORT)
-                assert ports.lookup("b.example", FIRST_RESULT_PORT) is not None
+                real = ports.lookup("b.example")
                 transport.close("b.example", FIRST_RESULT_PORT)
                 transport.close("b.example", QUERY_PORT)
-                assert ports.lookup("b.example", FIRST_RESULT_PORT) is None
-                assert ports.lookup("b.example", QUERY_PORT) == daemon
+                assert ports._map == {"b.example": real}
                 loop = asyncio.get_running_loop()
                 for port, expected in (
                     (FIRST_RESULT_PORT, SendOutcome.REFUSED),
@@ -172,26 +174,38 @@ class TestPortMapForgetsClosedResultPorts:
                                    on_outcome=settled.set_result)
                     assert await asyncio.wait_for(settled, 10.0) is expected
                 assert (transport.stats.refused_sends, transport.stats.down_sends) == (1, 1)
+                # Both answered as records on one connection, which is still up.
+                assert transport.connections_opened == 1
+                assert transport._links[("a.example", "b.example")].writer is not None
             finally:
                 await transport.aclose()
 
         asyncio.run(main())
 
     def test_the_static_map_still_answers_by_arithmetic(self):
-        ports = StaticPortMap(["a.example"], first_base=21000)
-        before = ports.lookup("a.example", FIRST_RESULT_PORT)
-        ports.close("a.example", FIRST_RESULT_PORT)
-        assert ports.lookup("a.example", FIRST_RESULT_PORT) == before
+        ports = StaticPortMap(["b.example", "a.example"], first_base=21000)
+        assert (ports.lookup("a.example"), ports.lookup("b.example")) == (21000, 21001)
+        assert ports._map == {"a.example": 21000, "b.example": 21001}
 
     def test_daemon_entries_survive(self):
-        ports = PortMap()
-        sock = ports.bind("a.example", QUERY_PORT)
-        try:
-            real = ports.lookup("a.example", QUERY_PORT)
-            ports.close("a.example", QUERY_PORT)
-            assert ports.lookup("a.example", QUERY_PORT) == real
-        finally:
-            sock.close()
+        """A crashed site keeps its entry, so a connect meets the closed real
+        port (ECONNREFUSED); its restart binds a fresh one."""
+
+        async def main() -> None:
+            transport = AsyncioTransport()
+            transport.register_site("a.example")
+            try:
+                transport.listen("a.example", QUERY_PORT, lambda src, message: None)
+                real = transport.port_map.lookup("a.example")
+                transport.crash_site("a.example")
+                assert transport.port_map._map == {"a.example": real}
+                transport.listen("a.example", QUERY_PORT, lambda src, message: None)
+                assert len(transport.port_map._map) == 1
+                assert transport.port_map.lookup("a.example") is not None
+            finally:
+                await transport.aclose()
+
+        asyncio.run(main())
 
 
 # --- the read path ------------------------------------------------------------
@@ -199,7 +213,7 @@ class TestPortMapForgetsClosedResultPorts:
 
 def _stream(sequences: range, src: str = "a.example") -> bytes:
     return b"".join(
-        encode_frame(encode_sequenced(encode_envelope(src, _payload(n)), n))
+        encode_frame(encode_sequenced(encode_envelope(src, _payload(n)), QUERY_PORT, n))
         for n in sequences
     )
 
@@ -207,8 +221,8 @@ def _stream(sequences: range, src: str = "a.example") -> bytes:
 def _received(data: bytes) -> list[tuple[str, object, bytes]]:
     decoded = []
     for body in FrameDecoder().feed(data):
-        envelope, sequence = split_sequenced(body)
-        decoded.append((*decode_envelope(envelope), sequence))
+        envelope, port, sequence = split_sequenced(body)
+        decoded.append((*decode_envelope(envelope), port, sequence))
     return decoded
 
 
@@ -256,7 +270,7 @@ class TestSharedReadBuffer:
                              lambda src, message: received.append(message.request_id))
             try:
                 await asyncio.sleep(0)
-                real = transport.port_map.lookup("b.example", QUERY_PORT)
+                real = transport.port_map.lookup("b.example")
                 sequences = [range(3), range(10, 13)]
                 streams = [_stream(sequences[0]), _stream(sequences[1], "c.example")]
                 connections = [

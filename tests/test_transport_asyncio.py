@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import asyncio
 import os
+import socket
 import threading
 
 import pytest
@@ -87,6 +88,8 @@ class TestRefusalClassification:
 
 
 class TestStaticPortMap:
+    """One real port per site: every logical port rides on it."""
+
     def test_same_mapping_in_every_process(self):
         sites = ["b.example", "a.example", "user.example"]
         one = StaticPortMap(sites, first_base=21000)
@@ -94,19 +97,41 @@ class TestStaticPortMap:
         # (different order — the map sorts) and must agree byte-for-byte.
         two = StaticPortMap(sorted(sites), first_base=21000)
         for site in sites:
-            for port in (QUERY_PORT, HELPER_PORT, FIRST_RESULT_PORT + 3):
-                assert one.lookup(site, port) == two.lookup(site, port)
+            assert one.lookup(site) == two.lookup(site)
 
     def test_ranges_do_not_overlap(self):
-        ports = StaticPortMap(["a", "b"], first_base=21000)
-        assert ports.lookup("a", QUERY_PORT) == 21000
-        assert ports.lookup("b", QUERY_PORT) == 21000 + StaticPortMap.SPAN
+        ports = StaticPortMap(["b", "a", "c"], first_base=21000)
+        assert [ports.lookup(site) for site in "abc"] == [21000, 21001, 21002]
 
-    def test_unknown_site_or_out_of_range_port(self):
+    def test_unknown_site_has_no_port(self):
         ports = StaticPortMap(["a"], first_base=21000)
-        assert ports.lookup("ghost", QUERY_PORT) is None
-        assert ports.lookup("a", QUERY_PORT - 1) is None
-        assert ports.lookup("a", QUERY_PORT + StaticPortMap.SPAN) is None
+        assert ports.lookup("ghost") is None
+
+    def test_any_logical_port_rides_on_the_sites_one_real_port(self):
+        """A user-site's result ports are not capped by a port range: result
+        port 7000 is served on the same real socket as the daemon port."""
+
+        async def main():
+            probe = socket.create_server(("127.0.0.1", 0))  # a free real port
+            free = probe.getsockname()[1]
+            probe.close()
+            # Only b.example binds: the second site in sorted order.
+            ports = StaticPortMap(["a.example", "b.example"], first_base=free - 1)
+            transport = await _transport("a.example", "b.example", port_map=ports)
+            try:
+                seen = []
+                for port in (QUERY_PORT, 7000):
+                    transport.listen("b.example", port, lambda s, m, port=port: seen.append(port))
+                for port in (QUERY_PORT, 7000):
+                    outcome = await _send(transport, "a.example", "b.example", port, _payload())
+                    assert outcome is SendOutcome.DELIVERED
+                assert seen == [QUERY_PORT, 7000]
+                assert list(transport._inbound) == ["b.example"]
+                assert transport.connections_opened == 1
+            finally:
+                await transport.aclose()
+
+        asyncio.run(main())
 
 
 class TestTrafficStatsOwnership:
@@ -191,9 +216,9 @@ class TestAsyncioTransportSends:
         asyncio.run(main())
 
     def test_closed_result_port_is_genuinely_refused(self):
-        # The §2.8 termination signal: close() forgets a result port, so a
-        # send finds it never bound and classifies it as REFUSED, as a real
-        # ECONNREFUSED would be.
+        # The §2.8 termination signal: after close() the receiver answers a
+        # frame for the result port with a refuse record, which the sender
+        # classifies as REFUSED, as a refused connect to the port would be.
         async def main():
             transport = await _transport("a.example", "b.example")
             try:
@@ -277,10 +302,10 @@ class TestAsyncioTransportSends:
                 seen = []
                 transport.listen("b.example", QUERY_PORT, lambda src, msg: seen.append(msg))
                 await asyncio.sleep(0.02)  # the accept loop attaches
-                real = transport.port_map.lookup("b.example", QUERY_PORT)
+                real = transport.port_map.lookup("b.example")
                 reader, writer = await asyncio.open_connection(transport.port_map.host, real)
                 envelope = b"a.example\x00" + b'{"v":1,"k":"result","b":{}}'
-                writer.write(encode_frame(encode_sequenced(envelope, 7)))
+                writer.write(encode_frame(encode_sequenced(envelope, QUERY_PORT, 7)))
                 await writer.drain()
                 try:
                     answer = await asyncio.wait_for(reader.read(), 5.0)
@@ -392,15 +417,134 @@ class TestPipelinedLink:
         asyncio.run(main())
 
     def test_refused_connect_settles_every_frame_queued_behind_it(self):
+        """A crashed site's real port refuses the connect (the port map
+        keeps its entry), and every frame queued behind it settles as its
+        result port says."""
+
         async def main():
             transport = await _transport("a.example", "b.example")
             try:
                 transport.listen("b.example", FIRST_RESULT_PORT, lambda s, m: None)
-                transport.close("b.example", FIRST_RESULT_PORT)
+                transport.crash_site("b.example")
                 outcomes = await _burst(transport, 4, FIRST_RESULT_PORT)
                 assert outcomes == [SendOutcome.REFUSED] * 4
                 assert transport.stats.refused_sends == 4
                 assert not transport._links
+            finally:
+                await transport.aclose()
+
+        asyncio.run(main())
+
+
+class TestOneListenerPerSite:
+    """Logical ports ride in the frame: one real listener per site, one
+    connection per ``(src, dst)``, and a closed port is a record, not a
+    torn-down connection."""
+
+    def test_accepted_connections_have_nodelay(self):
+        """The listener is created as IPPROTO_TCP, so asyncio sets
+        TCP_NODELAY on every socket it accepts."""
+
+        async def main():
+            transport = await _transport("a.example", "b.example")
+            try:
+                transport.listen("b.example", QUERY_PORT, lambda s, m: None)
+                outcome = await _send(transport, "a.example", "b.example", QUERY_PORT, _payload())
+                assert outcome is SendOutcome.DELIVERED
+                (accepted,) = transport._inbound["b.example"]
+                sock = accepted.get_extra_info("socket")
+                assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            finally:
+                await transport.aclose()
+
+        asyncio.run(main())
+
+    def test_two_pipelined_frames_on_a_reused_link_settle_without_a_nagle_stall(self):
+        """Without TCP_NODELAY on the accepted socket the receiver's second
+        small record waits for the sender's delayed ACK (≈ 40 ms)."""
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            transport = await _transport("a.example", "b.example")
+            try:
+                transport.listen("b.example", QUERY_PORT, lambda s, m: None)
+                await _burst(transport, 1)  # the link is up and proven
+                rounds = []
+                for __ in range(5):
+                    start = loop.time()
+                    assert await _burst(transport, 2) == [SendOutcome.DELIVERED] * 2
+                    rounds.append(loop.time() - start)
+                assert sorted(rounds)[2] < 0.02, rounds
+                assert transport.connections_opened == 1
+            finally:
+                await transport.aclose()
+
+        asyncio.run(main())
+
+    def test_the_frame_that_closes_its_own_port_is_refused(self):
+        """A user-site's completing report: its listener closes the result
+        port, so the frame is answered REFUSE — not counted as delivered."""
+
+        async def main():
+            transport = await _transport("a.example", "b.example")
+            try:
+                seen = []
+
+                def last_report(src, message):
+                    seen.append(message.request_id)
+                    transport.close("b.example", FIRST_RESULT_PORT)
+
+                transport.listen("b.example", FIRST_RESULT_PORT, last_report)
+                outcome = await _send(
+                    transport, "a.example", "b.example", FIRST_RESULT_PORT, _payload(5)
+                )
+                assert outcome is SendOutcome.REFUSED and seen == [5]
+                stats = transport.stats
+                assert (stats.refused_sends, stats.failed_sends) == (1, 0)
+                assert (stats.messages_sent, stats.bytes_sent) == (0, 0)
+            finally:
+                await transport.aclose()
+
+        asyncio.run(main())
+
+    def test_an_unlistened_daemon_port_on_a_live_site_is_host_down(self):
+        async def main():
+            transport = await _transport("a.example", "b.example")
+            try:
+                transport.listen("b.example", QUERY_PORT, lambda s, m: None)
+                first = await _send(transport, "a.example", "b.example", QUERY_PORT, _payload())
+                assert first is SendOutcome.DELIVERED
+                outcome = await _send(
+                    transport, "a.example", "b.example", HELPER_PORT, _payload()
+                )
+                assert outcome is SendOutcome.HOST_DOWN
+                assert transport.stats.down_sends == 1
+                assert transport.connections_opened == 1
+            finally:
+                await transport.aclose()
+
+        asyncio.run(main())
+
+    def test_a_closed_result_port_leaves_the_connection_up(self):
+        async def main():
+            transport = await _transport("a.example", "b.example")
+            try:
+                transport.listen("b.example", QUERY_PORT, lambda s, m: None)
+                transport.listen("b.example", FIRST_RESULT_PORT, lambda s, m: None)
+                first = await _send(
+                    transport, "a.example", "b.example", FIRST_RESULT_PORT, _payload(1)
+                )
+                assert first is SendOutcome.DELIVERED
+                writer = transport._links[("a.example", "b.example")].writer
+                transport.close("b.example", FIRST_RESULT_PORT)
+                refused = await _send(
+                    transport, "a.example", "b.example", FIRST_RESULT_PORT, _payload(2)
+                )
+                assert refused is SendOutcome.REFUSED
+                after = await _send(transport, "a.example", "b.example", QUERY_PORT, _payload(3))
+                assert after is SendOutcome.DELIVERED
+                assert transport._links[("a.example", "b.example")].writer is writer
+                assert transport.connections_opened == 1
             finally:
                 await transport.aclose()
 
@@ -660,7 +804,7 @@ class TestChaosProxyWire:
                 assert open_fds() - before == 1
 
                 tasks = len(asyncio.all_tasks())
-                real = transport.port_map.lookup("b.example", QUERY_PORT)
+                real = transport.port_map.lookup("b.example")
                 __, idle = await asyncio.open_connection(transport.port_map.host, real)
                 await asyncio.sleep(0.02)
                 assert len(asyncio.all_tasks()) - tasks == 1
@@ -905,6 +1049,30 @@ class TestLongLivedSocketEngine:
         assert fds_100 - fds_20 <= 16
         assert links_100 - links_20 <= 16
         assert tasks_100 - tasks_20 <= 16
+
+    def test_a_warm_engine_opens_no_connection_per_query(self):
+        """Per-query result ports are logical: once every site pair a query
+        uses is connected, twelve more queries open no connection at all."""
+
+        async def main():
+            engine = AsyncioWebDisEngine(
+                _mesh_web(), config=EngineConfig(transport="asyncio", **_ZERO_COST)
+            )
+            try:
+                for site in range(6):
+                    assert (await _finish(engine, _mesh_query(site))).status is QueryStatus.COMPLETE
+                await asyncio.sleep(0.05)  # the last sends to a closed port settle
+                warm = engine.network.connections_opened
+                assert warm > 0
+                for serial in range(12):
+                    handle = await _finish(engine, _mesh_query(serial % 6))
+                    assert handle.status is QueryStatus.COMPLETE
+                await asyncio.sleep(0.05)
+                assert engine.network.connections_opened == warm
+            finally:
+                await engine.aclose()
+
+        asyncio.run(main())
 
     def test_run_wakes_on_the_terminal_transition(self):
         """``run()`` returns when the query completes, not at the next tick of

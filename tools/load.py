@@ -45,11 +45,14 @@ one cancelled on purpose, counts as failed; any failure exits 1.
 loopback TCP), its pool run once as a warm-up, then 400 of its queries
 arriving as a Poisson process in wall time (40 per second).  Per interval it
 prints the process's ``VmRSS``, open fds, the transport's links and tasks,
-the port map's entries and the codec's decoded-query entries.  The run ends
-with one query submitted alone, whose watermark passes every earlier query;
-``--gate`` fails (exit 1) unless each count (``WIRE_GATED``) is then back
-at its value after the warm-up.  RSS is reported, not gated: it also moves
-with the allocator and the interpreter.  Latencies are wall time.
+the port map's entries, the connections the transport has opened so far and
+the codec's decoded-query entries.  The run ends with one query submitted
+alone, whose watermark passes every earlier query; ``--gate`` fails (exit 1)
+unless each count (``WIRE_GATED``) is then back at its value after the
+warm-up — for the connections opened, that no query of the load opened one:
+a per-query result port is a logical port on the user-site's one listener.
+RSS is reported, not gated: it also moves with the allocator and the
+interpreter.  Latencies are wall time.
 """
 
 from __future__ import annotations
@@ -220,7 +223,7 @@ WIRE_QUERIES, WIRE_INTERVALS = 400, 20
 WIRE_RATE = 40.0
 #: What the gate compares between the quiet point after the warm-up and the
 #: quiet point after the load: each must be back where it was.
-WIRE_GATED = ("fds", "links", "tasks", "port_map", "decoded_queries")
+WIRE_GATED = ("fds", "links", "tasks", "port_map", "connections_opened", "decoded_queries")
 
 
 def _rss_mib() -> float | None:
@@ -247,6 +250,7 @@ def _wire_counts(transport) -> dict:
         "links": len(transport._links),
         "tasks": len(transport._tasks),
         "port_map": len(transport.port_map._map),
+        "connections_opened": transport.connections_opened,
         "decoded_queries": len(wire._DECODED_QUERIES),
     }
 
@@ -350,9 +354,9 @@ def _print_wire(result: dict) -> None:
         f"p50 {result['p50_ms']} ms, p99 {result['p99_ms']} ms"
     )
     columns = ("finished", "running", "rss_mib", *WIRE_GATED)
-    print("  ".join(f"{name:>15}" for name in columns))
+    print("  ".join(f"{name:>18}" for name in columns))
     for sample in result["intervals"]:
-        print("  ".join(f"{sample[name]!s:>15}" for name in columns))
+        print("  ".join(f"{sample[name]!s:>18}" for name in columns))
     warm, after = result["after_warmup"], result["after_load"]
     print(
         "quiet after the warm-up -> after the load and one query alone: "

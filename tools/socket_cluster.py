@@ -20,8 +20,10 @@ Workers are started internally as::
 
 Every process derives the same deterministic web from ``--seed`` and the
 same :class:`repro.net.aio.StaticPortMap` from the sorted site list, so
-there is no registry to coordinate: site *i* owns a fixed real-port range
-and a respawned worker re-binds exactly the ports its predecessor held.
+there is no registry to coordinate: site *i* owns one real port,
+``--first-base`` + *i*, that carries every logical port it serves (its
+daemon port; the user-site's per-query result ports, however many), and a
+respawned worker re-binds exactly the port its predecessor held.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ def serve(args: argparse.Namespace) -> int:
             args.site, web, transport, transport.clock,
             cluster_config(args.seed), transport.stats, Tracer(enabled=False),
         )
-        print(f"[{args.site}] serving on static ports (base {args.first_base})",
+        print(f"[{args.site}] serving on static port {transport.port_map.lookup(args.site)}",
               flush=True)
         stop = asyncio.Event()
         loop = asyncio.get_running_loop()

@@ -48,6 +48,8 @@ from .messages import ChtEntry
 from .state import QueryState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from collections.abc import Collection
+
     from .messages import CloneReport
 
 __all__ = [
@@ -250,7 +252,9 @@ class CurrentHostsTable:
 
     # -- a whole clone at once ------------------------------------------------------
 
-    def apply(self, report: "CloneReport", time: float = 0.0) -> tuple[int, int]:
+    def apply(
+        self, report: CloneReport, time: float = 0.0, held: Collection[int] = ()
+    ) -> tuple[int, int]:
         """Apply one clone's report: retire each node, then take its announcements.
 
         Exactly :meth:`mark_deleted` of ``(node, report.state)`` under
@@ -258,20 +262,28 @@ class CurrentHostsTable:
         node announced, node by node — one call and one log item instead of
         one object per node.  The announcements are taken even when the
         retirement was absorbed: the server really did forward those
-        children.  Returns how many retirements were absorbed as
-        ``(duplicates, stale)``.  The caller checks the report's columns.
+        children.  The nodes at the positions in ``held`` are not retired
+        here: their rows are still to come, and the caller retires them
+        with :meth:`mark_deleted` once they are in.  Returns how many
+        retirements were absorbed as ``(duplicates, stale)``.  The caller
+        checks the report's columns.
         """
         dispatch_id = report.dispatch_id
         if not dispatch_id:
             raise ProtocolError(f"CHT report for {report.nodes} carries no dispatch id")
         state, epoch = report.state, report.epoch
         nodes, new_entries, child_ids = report.nodes, report.new_entries, report.child_ids
-        retire_notes: list[str] | None = None
+        retire_notes: list[str | None] | None = None
         add_notes: list[str | None] | None = None
         duplicates = stale = 0
         start = 0
+        if held:
+            retire_notes = [None if index in held else "" for index in range(len(nodes))]
         for index, (node, stop) in enumerate(zip(nodes, report.forward_ends)):
-            result = self._retire((dispatch_id, node), state, time)
+            result = (
+                self._retire((dispatch_id, node), state, time)
+                if index not in held else RetireResult.RETIRED
+            )
             if result is not RetireResult.RETIRED:
                 duplicates += result is RetireResult.ABSORBED_DUPLICATE
                 stale += result is RetireResult.ABSORBED_STALE
@@ -420,7 +432,10 @@ class CurrentHostsTable:
             start = 0
             for index, (node, stop) in enumerate(zip(nodes, forward_ends)):
                 note = retire_notes[index] if retire_notes is not None else ""
-                records.append(ChtRecord(ChtEntry(node, state), time, True, dispatch_id, note))
+                if note is not None:  # None: held for its rows, retired later
+                    records.append(
+                        ChtRecord(ChtEntry(node, state), time, True, dispatch_id, note)
+                    )
                 for position in range(start, stop):
                     note = add_notes[position] if add_notes is not None else ""
                     if note is not None:

@@ -35,7 +35,7 @@ from ..net.simclock import SimClock
 from ..net.stats import TrafficStats
 from ..relational.query import ResultRow
 from ..urlutils import Url
-from .cht import CurrentHostsTable
+from .cht import CurrentHostsTable, RetireResult
 from .config import EngineConfig
 from .messages import ChtEntry, CloneReport, Disposition, ResultMessage
 from .trace import START_NODE, Tracer
@@ -93,6 +93,11 @@ class QueryHandle:
     #: retractions).  Non-empty at quiescence ⇒ the query's coverage has a
     #: hole, so completion finishes it PARTIAL, never COMPLETE.
     shed_nodes: set = field(default_factory=set)
+    #: The results/CHT-separation ablation's halves that arrived alone, by
+    #: ``(dispatch id, node)``: the state of a CHT half whose node waits for
+    #: its rows before it retires, or None for rows whose CHT half is still
+    #: to come.
+    lone_halves: dict = field(default_factory=dict)
 
     @property
     def stalled(self) -> bool:
@@ -361,7 +366,8 @@ class UserSiteClient:
                 # follow a *successful* report connect), so the CHT must
                 # expect their reports.  Idempotence comes from the child
                 # dispatch identities, not from dropping the announcement.
-                duplicates, stale = cht.apply(report, now)
+                held = self._hold_for_rows(handle, report) if report.rows_follow else ()
+                duplicates, stale = cht.apply(report, now, held)
                 self.stats.duplicate_reports_absorbed += duplicates
                 self.stats.stale_reports_absorbed += stale
                 if (duplicates or stale) and self.tracer.enabled:
@@ -371,8 +377,45 @@ class UserSiteClient:
                         self.tracer.site(self.clock.now, self.site, "report-absorbed", detail)
             if report.rows:
                 self._ingest_rows(handle, report, now)
+                if not report.bookkeeping:
+                    self._rows_arrived(handle, report, now)
         cht.check_consistency()
         self._check_completion(handle)
+
+    # The results/CHT-separation ablation sends a report as two messages: the
+    # CHT half (every column but the rows; ``row_ends`` still counts them) and
+    # the rows.  The half that retires a node could otherwise complete the
+    # query — and close its result port — before the rows are in, so a node
+    # with rows retires only once both halves have arrived, in either order.
+
+    def _hold_for_rows(self, handle: QueryHandle, report: CloneReport) -> set[int]:
+        """The positions of a CHT half's nodes whose rows are not in yet."""
+        halves, dispatch_id, state = handle.lone_halves, report.dispatch_id, report.state
+        held: set[int] = set()
+        start = 0
+        for index, (node, stop) in enumerate(zip(report.nodes, report.row_ends)):
+            if stop > start:
+                key = (dispatch_id, node)
+                if key in halves and halves[key] is None:
+                    del halves[key]  # its rows came first: it retires now
+                else:
+                    halves[key] = state
+                    held.add(index)
+            start = stop
+        return held
+
+    def _rows_arrived(self, handle: QueryHandle, report: CloneReport, now: float) -> None:
+        """Retire the nodes whose CHT half came first; remember the others."""
+        halves, dispatch_id = handle.lone_halves, report.dispatch_id
+        for node in report.nodes:
+            key = (dispatch_id, node)
+            state = halves.pop(key, None)
+            if state is None:
+                halves[key] = None  # retired when its CHT half arrives
+                continue
+            result = handle.cht.mark_deleted(ChtEntry(node, state), now, dispatch_id=dispatch_id)
+            self.stats.duplicate_reports_absorbed += result is RetireResult.ABSORBED_DUPLICATE
+            self.stats.stale_reports_absorbed += result is RetireResult.ABSORBED_STALE
 
     def _ingest_rows(self, handle: QueryHandle, report: CloneReport, now: float) -> None:
         """Store a report's rows, deduplicating re-processed work.

@@ -12,13 +12,13 @@ their clones travel under.  The server appends to the columns as it walks
 the clone's nodes and the user-site's CHT applies a report in one call, so
 no object is built per node on the warm path.
 
-Only the in-memory shape is per clone.  The wire and the modelled bytes
-stay per node: :mod:`repro.wire` writes one JSON object per node straight
-from the columns and regroups them into reports on decode, and
-``size_bytes()`` is exactly the sum of the per-node formula over the same
-nodes, computed once per report — on first use, so a report a receiver
-decoded and never sizes costs nothing.  Reports, and so messages, compare
-by their columns.
+The wire and the modelled bytes are per report too: :mod:`repro.wire` writes
+the columns as they are — the state and dispatch identity once, a row whose
+label and header repeat the row above as a bare value list in which a value
+repeating the one above is a one-byte *ditto* — and ``size_bytes()`` charges
+exactly what that body writes (docs/protocol.md, "Messages"), computed once
+per report on first use, so a report a receiver decoded and never sizes
+costs nothing.  Reports, and so messages, compare by their columns.
 
 Frontier batching widens the batch: one :class:`ResultMessage` then covers
 *every* clone a site-local frontier processed, in BFS order.  That order is
@@ -88,6 +88,41 @@ class ChtEntry:
         return f"{self.node} {self.state}"
 
 
+#: Values that a bare row cannot hold unless they repeat the value above: the
+#: ditto is itself an empty JSON array.
+_ARRAYS = (list, tuple)
+
+
+def _rows_size(rows: Sequence[tuple[str, ResultRow]]) -> int:
+    """What a report's rows column writes (see ``CloneReport.size_bytes``).
+
+    A row is bare when its label and header are the row above's and none of
+    its values is an empty array that is not a ditto; otherwise it is
+    written in full, label and header names included.  A value is a ditto
+    when it has the type of the value above and ``==`` it, and is not a
+    float: ``-0.0 == 0.0`` and NaN is not equal to itself.
+    """
+    size = 0
+    last_label = last_header = last_values = None
+    for label, row in rows:
+        header, values = row.header, row.values
+        if label == last_label and header == last_header:
+            bare = 1 + row.value_bytes()
+            for value, above in zip(values, last_values):
+                if value == above:  # equal arrays are of one type: never a misread
+                    if type(value) is type(above) and type(value) is not float:
+                        bare -= len(str(value)) - 1
+                elif not value and type(value) in _ARRAYS:
+                    break
+            else:
+                size += bare
+                last_values = values
+                continue
+        size += len(label) + sum(map(len, header)) + row.value_bytes()
+        last_label, last_header, last_values = label, header, values
+    return size
+
+
 @dataclass(slots=True, eq=False)
 class CloneReport:
     """The outcome of one clone at one site: per-node columns, shared fields.
@@ -103,9 +138,9 @@ class CloneReport:
     A report is never mutated once handed out (the decoder fills a report's
     columns before it returns the report).  Either every disposition is
     DATA_ONLY (a rows-only report of the results/CHT-separation ablation)
-    or none is.  The only report whose ``child_ids`` is not parallel to
-    ``new_entries`` is a malformed one-node report off the wire, which the
-    user-site refuses; the codec writes its ``child_ids`` back verbatim.
+    or none is.  The CHT half of that ablation (:meth:`without_rows`) ships
+    no rows but keeps ``row_ends``: they count the rows its data twin
+    carries for each node (:attr:`rows_follow`).
     """
 
     nodes: Sequence[Url]
@@ -137,9 +172,14 @@ class CloneReport:
         )
 
     def without_rows(self) -> "CloneReport":
-        """The CHT half of this report: every column but the rows."""
+        """The CHT half of this report: every column but the rows.
+
+        Its ``row_ends`` stay, so the user-site knows which nodes have a
+        data twin still to come and retires those only once both halves
+        are in, whichever arrives first.
+        """
         return CloneReport(
-            self.nodes, self.state, self.dispositions, [], [0] * len(self.nodes),
+            self.nodes, self.state, self.dispositions, [], self.row_ends,
             self.new_entries, self.child_ids, self.forward_ends,
             self.dispatch_id, self.epoch,
         )
@@ -165,20 +205,37 @@ class CloneReport:
         """False for a rows-only (DATA_ONLY) report, which the CHT ignores."""
         return not self.dispositions or self.dispositions[0] is not Disposition.DATA_ONLY
 
+    @property
+    def rows_follow(self) -> bool:
+        """True for a CHT half whose nodes' rows travel in a data twin."""
+        ends = self.row_ends
+        return bool(ends) and ends[-1] > len(self.rows)
+
     def size_bytes(self) -> int:
-        """The per-node formula summed over ``nodes``, computed once."""
+        """What the report's columnar wire body writes, computed once.
+
+        Per report the state, the dispatch id and 4; per node its URL and
+        5; per announced entry its URL, its state and its child id, the
+        last two at 1 byte each when they repeat the previous entry's (the
+        same state object: one per protocol state on a server, one per
+        spelling off the wire; an equal child id); per
+        row its label and header names when they differ from the row
+        above, else 1, and each value at ``len(str(value))``, or 1 when it
+        repeats the value above it (:func:`_rows_size`).
+        """
         size = self._size
         if size is None:
             nodes = self.nodes
-            size = len(nodes) * (self.state.size_bytes() + 5 + len(self.dispatch_id))
+            size = self.state.size_bytes() + len(self.dispatch_id) + 4 + 5 * len(nodes)
             for node in nodes:
                 size += len(str(node))
-            for node, state in self.new_entries:
-                size += len(str(node)) + state.size_bytes()
-            for label, row in self.rows:
-                size += len(label) + row.value_bytes()
-            for child_id in self.child_ids:
-                size += len(child_id)
+            last_state = last_id = None
+            for (node, state), child_id in zip(self.new_entries, self.child_ids):
+                size += len(str(node))
+                size += 1 if state is last_state else state.size_bytes()
+                size += 1 if child_id == last_id else len(child_id)
+                last_state, last_id = state, child_id
+            size += _rows_size(self.rows)
             self._size = size
         return size
 

@@ -389,6 +389,8 @@ class AsyncioTransport:
         self._sites: set[str] = set()
         self._listeners: dict[tuple[str, int], Listener] = {}
         self._admission: dict[tuple[str, int], Callable[[str, Payload], bool]] = {}
+        #: A site's bound real socket until its accept loop attaches to it.
+        self._unattached: dict[str, socket.socket] = {}
         #: A site's real listener, once its accept loop has attached.
         self._servers: dict[str, asyncio.AbstractServer] = {}
         #: The inbound connections of every site whose real socket is bound.
@@ -443,13 +445,27 @@ class AsyncioTransport:
             raise NetworkError(f"port {port} already bound at {site}")
         if site not in self._inbound:
             sock = self.port_map.bind(site)  # may raise: nothing to undo yet
-            peers = self._inbound[site] = set()
-            self._spawn(self._start_server(site, sock, peers))
+            self._inbound[site] = set()
+            self._unattached[site] = sock
+            self._spawn(self._start_server(site, sock))
         self._listeners[key] = listener
 
-    async def _start_server(
-        self, site: str, sock: socket.socket, peers: set[asyncio.StreamWriter]
-    ) -> None:
+    async def _start_server(self, site: str, sock: socket.socket) -> None:
+        """Attach the accept loop to ``sock``, unless the site closed it first.
+
+        Until this task's first step the transport owns the socket
+        (``_unattached``), so a crash or ``aclose`` before then — which
+        also cancels this task — closes it; from that step on the server
+        does.  Creating the server with ``start_serving=False`` does not
+        suspend, so no step sees the socket owned by neither.
+        """
+        if self._unattached.get(site) is not sock:
+            return  # the site closed its socket before the accept loop attached
+        del self._unattached[site]
+        if self._closed:  # a listen after aclose: nothing would close the server
+            sock.close()
+            return
+
         def protocol() -> _BufferedStreamProtocol:
             return _BufferedStreamProtocol(
                 asyncio.StreamReader(loop=self._loop),
@@ -457,11 +473,13 @@ class AsyncioTransport:
                 lambda reader, writer: self._serve_connection(site, reader, writer),
             )
 
-        server = await self._loop.create_server(protocol, sock=sock)
-        if self._inbound.get(site) is peers and not self._closed:
-            self._servers[site] = server
-        else:
-            server.close()  # the site crashed before the accept loop attached
+        try:
+            server = await self._loop.create_server(protocol, sock=sock, start_serving=False)
+        except BaseException:
+            sock.close()
+            raise
+        self._servers[site] = server
+        await server.start_serving()
 
     async def _serve_connection(
         self,
@@ -604,6 +622,9 @@ class AsyncioTransport:
 
     def _close_socket(self, site: str) -> None:
         """Close the site's real listener and reset its inbound connections."""
+        sock = self._unattached.pop(site, None)
+        if sock is not None:
+            sock.close()
         server = self._servers.pop(site, None)
         if server is not None:
             server.close()

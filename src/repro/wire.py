@@ -45,10 +45,9 @@ a decoded web-query is forgotten once its origin's completion watermark
 (:attr:`~repro.core.webquery.WebQuery.mark`) passes it.  Encoded bytes depend
 on none of this — see "what every message repeats" below.
 
-It is also the one module that knows a report's per-node form: a result
-message lists one JSON object per node, which the encoder writes straight from
-each :class:`~repro.core.messages.CloneReport`'s columns and the decoder
-regroups into reports (see "clone reports" below).
+A result message writes each :class:`~repro.core.messages.CloneReport` as its
+columns, and the decoder fills a report's columns straight from them, checking
+their shape (see "clone reports: columns" below).
 """
 
 from __future__ import annotations
@@ -61,6 +60,7 @@ from typing import Any
 
 from .baselines.docservice import DocResponse, FetchRequest
 from .core.messages import (
+    _ARRAYS,
     CloneBundle,
     CloneReport,
     Disposition,
@@ -111,7 +111,10 @@ __all__ = [
 ]
 
 #: Version of the message encoding (the ``"v"`` of every JSON envelope).
-WIRE_VERSION = 1
+#: 1: a result message listed one JSON object per node.
+#: 2: a result message writes each clone report once, as columns, a repeat
+#:    of the value above as a ditto ("clone reports: columns" below).
+WIRE_VERSION = 2
 
 #: Revision of the stream format *around* the messages — frames, sequence
 #: numbers, acknowledgement records (docs/protocol.md, "Wire format").
@@ -120,7 +123,7 @@ WIRE_VERSION = 1
 #: 3: the logical port rides in the frame, before the sequence number, so one
 #:    connection per site pair carries every port; a frame for a port with no
 #:    listener is answered with a :data:`REFUSE_BYTE` record.
-#: Message bytes did not change between them, so ``WIRE_VERSION`` did not.
+#: Message bytes did not change between them.
 FRAME_REVISION = 3
 
 #: Hard ceiling on one framed message.  A length prefix beyond this is
@@ -270,8 +273,6 @@ _DECODED_URLS: "dict[str, Url]" = {}
 #: ``repr`` of a query state's JSON object as received -> the ``QueryState``.
 #: The repr tells apart everything ``==`` on JSON values conflates — ``1`` /
 #: ``1.0`` / ``true``, key order — so equal keys *are* the equality proof.
-#: One object per spelling is also what lets a decoded result message
-#: regroup its per-node records into clone reports (``_reports_from_wire``).
 _DECODED_STATES: "dict[str, QueryState]" = {}
 
 
@@ -291,7 +292,9 @@ def _url_from_wire(text: Any) -> Url:
     return url
 
 
-_dumps = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
+_dumps = json.JSONEncoder(
+    separators=(",", ":"), ensure_ascii=False, check_circular=False
+).encode
 
 
 # --- query pieces ---------------------------------------------------------------
@@ -448,101 +451,189 @@ def _state_from_wire(data: Any) -> QueryState:
     return QueryState(data["n"], pre_from_wire(data["rem"]))
 
 
-def _entry_from_wire(data: Any) -> "tuple[Url, QueryState]":
-    """A CHT entry as ``(node, state)``, both parts interned."""
-    node = _url_from_wire(data["node"])
-    spelled = data["state"]
+def _state_from_spelling(spelled: Any) -> QueryState:
+    """A query state, interned by its spelling (``_DECODED_STATES``)."""
     key = repr(spelled)  # total on any JSON value
     state = _DECODED_STATES.get(key)
     if state is None:
         state = _state_from_wire(spelled)
         _remember(_DECODED_STATES, key, state, _DECODE_TABLE_SIZE)
-    return node, state
+    return state
 
 
-# --- clone reports: one JSON object per node ------------------------------------------
+# --- clone reports: columns -------------------------------------------------------
+#
+# A report is one JSON object holding its columns, and its shared fields once:
+# ``{"state":…,"did":…,"ep":…,"nodes":[…],"disp":[…],"rows":[…],"rend":[…],
+# "new":[…],"fend":[…]}``, ``did`` / ``ep`` absent when empty.  A row is
+# ``{"q":label,"h":[…],"v":[…]}`` when its label or header differs from the
+# row above, else a bare value list in which a value repeating the one above
+# is a ditto, ``[]``; an entry of ``new`` is ``[url, state, child id]``, its
+# state a ditto when it is the previous entry's state object (one per protocol
+# state on a server, one per spelling here), its child id when it equals the
+# previous entry's.  ``CloneReport.size_bytes()`` charges what this writes,
+# by the same rules (``core.messages._rows_size`` for the rows).
+
+#: What a repeated value is written as.
+_DITTO: list = []
+_DISPOSITIONS = {disposition.value: disposition for disposition in Disposition}
 
 
-def _reports_to_wire(reports: "tuple[CloneReport, ...]") -> list:
-    """Every node of every report as its own JSON object, in message order."""
-    encoded = []
-    for report in reports:
-        state = _state_fragment(report.state)
-        dispatch_id, epoch = report.dispatch_id, report.epoch
-        rows, new_entries, child_ids = report.rows, report.new_entries, report.child_ids
-        parallel = len(child_ids) == len(new_entries)
-        row_start = forward_start = 0
-        for node, disposition, row_stop, forward_stop in zip(
-            report.nodes, report.dispositions, report.row_ends, report.forward_ends
-        ):
-            record = {
-                "entry": {"node": str(node), "state": state},
-                "disp": disposition.value,
-                "new": [
-                    {"node": str(target), "state": _state_fragment(target_state)}
-                    for target, target_state in new_entries[forward_start:forward_stop]
-                ],
-                "rows": [
-                    {"q": label, "h": list(row.header), "v": list(row.values)}
-                    for label, row in rows[row_start:row_stop]
-                ],
-            }
-            # Dispatch identity travels only when stamped, so legacy traffic
-            # round-trips byte-identically.
-            if dispatch_id:
-                record["did"] = dispatch_id
-            if epoch:
-                record["ep"] = epoch
-            ids = child_ids[forward_start:forward_stop] if parallel else child_ids
-            if ids:
-                record["cids"] = list(ids)
-            encoded.append(record)
-            row_start, forward_start = row_stop, forward_stop
+def _rows_to_wire(rows: Any) -> list:
+    encoded: list = []
+    last_label = last_header = last_values = None
+    for label, row in rows:
+        header, values = row.header, row.values
+        if label == last_label and header == last_header:
+            bare = []
+            for value, above in zip(values, last_values):
+                if type(value) is type(above) and type(value) is not float and value == above:
+                    bare.append(_DITTO)
+                elif not value and type(value) in _ARRAYS:
+                    break  # would read back as a ditto: write the row in full
+                else:
+                    bare.append(value)
+            else:
+                encoded.append(bare)
+                last_values = values
+                continue
+        encoded.append({"q": label, "h": header, "v": values})
+        last_label, last_header, last_values = label, header, values
     return encoded
 
 
-def _reports_from_wire(records: Any) -> "list[CloneReport]":
-    """Regroup consecutive per-node records into reports, filling the columns.
+def _entries_to_wire(report: CloneReport) -> list:
+    new_entries, child_ids = report.new_entries, report.child_ids
+    if len(child_ids) != len(new_entries):
+        raise WireError(
+            f"{len(child_ids)} child id(s) for {len(new_entries)} new entr(ies)"
+        )
+    encoded = []
+    last_state = last_id = None
+    for (node, state), child_id in zip(new_entries, child_ids):
+        encoded.append([
+            str(node),
+            _DITTO if state is last_state else _state_fragment(state),
+            _DITTO if child_id == last_id else child_id,
+        ])
+        last_state, last_id = state, child_id
+    return encoded
 
-    A record joins the report being filled when it has that report's state
-    *object*, dispatch identity, epoch and DATA_ONLY-ness, its node is not in
-    the report yet, and both have ``cids`` parallel to their new entries —
-    so every report a server built comes back as itself, and a malformed
-    record stands alone.  States compare by identity (one object per
-    spelling, ``_DECODED_STATES``): two ``==`` states spelled differently
-    must not share a report, or re-encoding would change bytes.
+
+def _report_to_wire(report: CloneReport) -> dict:
+    encoded: dict = {"state": _state_fragment(report.state)}
+    if report.dispatch_id:
+        encoded["did"] = report.dispatch_id
+    if report.epoch:
+        encoded["ep"] = report.epoch
+    encoded["nodes"] = [str(node) for node in report.nodes]
+    encoded["disp"] = [disposition.value for disposition in report.dispositions]
+    encoded["rows"] = _rows_to_wire(report.rows)
+    encoded["rend"] = report.row_ends
+    encoded["new"] = _entries_to_wire(report)
+    encoded["fend"] = report.forward_ends
+    return encoded
+
+
+def _is_ditto(value: Any) -> bool:
+    return type(value) is list and not value
+
+
+def _rows_from_wire(data: Any) -> list:
+    rows: list = []
+    label = header = values = None
+    for item in data:
+        if type(item) is dict:
+            label, header, values = item["q"], item["h"], item["v"]
+            if type(label) is not str or type(header) is not list or type(values) is not list:
+                raise WireError(f"bad row {item!r}")
+            if not all(type(name) is str for name in header) or len(values) != len(header):
+                raise WireError(f"bad row header, or values that do not fit it: {item!r}")
+            header, values = tuple(header), tuple(values)
+        elif type(item) is list and header is not None:
+            if len(item) != len(header):
+                raise WireError(f"row {item!r} does not match its header {list(header)!r}")
+            values = tuple([
+                above if type(value) is list and not value else value
+                for value, above in zip(item, values)
+            ])
+        else:
+            raise WireError(f"bad row {item!r}: not a row, or a ditto with no row above")
+        rows.append((label, ResultRow(header, values)))
+    return rows
+
+
+def _entries_from_wire(data: Any) -> tuple[list, list]:
+    entries: list = []
+    child_ids: list = []
+    state = child_id = None
+    for item in data:
+        if type(item) is not list or len(item) != 3:
+            raise WireError(f"bad new entry {item!r}")
+        node, spelled, spelled_id = item
+        if not _is_ditto(spelled):
+            state = _state_from_spelling(spelled)
+        if not _is_ditto(spelled_id):
+            if type(spelled_id) is not str:
+                raise WireError(f"bad child id {spelled_id!r}")
+            child_id = spelled_id
+        if state is None or child_id is None:
+            raise WireError(f"new entry {item!r} repeats a previous entry there is none of")
+        entries.append((_url_from_wire(node), state))
+        child_ids.append(child_id)
+    return entries, child_ids
+
+
+def _check_ends(ends: Any, count: int, total: "int | None", name: str) -> None:
+    """``ends``: one non-decreasing end per node, the last one ``total``
+    (unless ``total`` is None)."""
+    if type(ends) is not list or len(ends) != count:
+        raise WireError(f"{name} is not one end per node: {ends!r}")
+    previous = 0
+    for end in ends:
+        if type(end) is not int or end < previous:
+            raise WireError(f"{name} goes backwards or is not an integer: {ends!r}")
+        previous = end
+    if total is not None and previous != total:
+        raise WireError(f"{name} ends at {previous}, not at {total}: {ends!r}")
+
+
+def _column(data: Any, key: str) -> list:
+    column = data[key]
+    if type(column) is not list:
+        raise WireError(f"{key} is not a list: {column!r}")
+    return column
+
+
+def _report_from_wire(data: Any, cht_half: bool) -> CloneReport:
+    """One report's columns, checked for shape.
+
+    In a CHT half (``"chan":"cht"``) ``rows`` is empty and ``rend`` counts
+    the rows the data twin carries, so it need not end at 0.
     """
-    reports: "list[CloneReport]" = []
-    key: tuple = ()
-    joinable = False
-    seen: "set[Url]" = set()
-    for data in records:
-        node, state = _entry_from_wire(data["entry"])
-        disposition = Disposition(data["disp"])
-        new, child_ids = data["new"], data.get("cids", ())
-        dispatch_id, epoch = data.get("did", ""), data.get("ep", 0)
-        parallel = len(child_ids) == len(new)
-        record_key = (id(state), dispatch_id, epoch, disposition is Disposition.DATA_ONLY)
-        if record_key != key or not (parallel and joinable) or node in seen:
-            nodes, dispositions, rows, row_ends, entries, ids, forward_ends = (
-                [], [], [], [], [], [], []
-            )
-            reports.append(
-                CloneReport(
-                    nodes, state, dispositions, rows, row_ends, entries, ids, forward_ends,
-                    dispatch_id, epoch,
-                )
-            )
-            key, joinable, seen = record_key, parallel, set()
-        seen.add(node)
-        nodes.append(node)
-        dispositions.append(disposition)
-        rows += [(r["q"], ResultRow(tuple(r["h"]), tuple(r["v"]))) for r in data["rows"]]
-        row_ends.append(len(rows))
-        entries += [_entry_from_wire(e) for e in new]
-        ids += child_ids
-        forward_ends.append(len(entries))
-    return reports
+    dispatch_id, epoch = data.get("did", ""), data.get("ep", 0)
+    if type(dispatch_id) is not str or type(epoch) is not int:
+        raise WireError(f"bad dispatch id {dispatch_id!r} or epoch {epoch!r}")
+    nodes = [_url_from_wire(url) for url in _column(data, "nodes")]
+    dispositions = [_DISPOSITIONS[value] for value in _column(data, "disp")]
+    count = len(nodes)
+    if len(dispositions) != count:
+        raise WireError(f"{len(dispositions)} dispositions for {count} nodes")
+    data_only = dispositions.count(Disposition.DATA_ONLY)
+    if data_only and data_only != count:
+        raise WireError("a report mixes DATA_ONLY with other dispositions")
+    rows = _rows_from_wire(_column(data, "rows"))
+    if cht_half and rows:
+        raise WireError("a CHT half carries rows")
+    row_ends = data["rend"]
+    _check_ends(row_ends, count, None if cht_half else len(rows), "rend")
+    entries, child_ids = _entries_from_wire(_column(data, "new"))
+    forward_ends = data["fend"]
+    _check_ends(forward_ends, count, len(entries), "fend")
+    return CloneReport(
+        nodes, _state_from_spelling(data["state"]), dispositions, rows, row_ends,
+        entries, child_ids, forward_ends, dispatch_id, epoch,
+    )
 
 
 # --- top-level messages ----------------------------------------------------------
@@ -600,16 +691,18 @@ def _clone_from_body(body: Any) -> QueryClone:
 def _result_body(message: ResultMessage) -> dict:
     return {
         "qid": _qid_to_wire(message.qid),
-        "reports": _reports_to_wire(message.reports),
+        "reports": [_report_to_wire(report) for report in message.reports],
         "chan": message.kind,
     }
 
 
 def _result_from_body(body: Any) -> ResultMessage:
+    kind = body["chan"]
+    cht_half = kind == "cht"
     return ResultMessage(
         qid=_qid_from_wire(body["qid"]),
-        reports=tuple(_reports_from_wire(body["reports"])),
-        kind=body["chan"],
+        reports=tuple([_report_from_wire(report, cht_half) for report in body["reports"]]),
+        kind=kind,
     )
 
 

@@ -2,9 +2,10 @@
 
 The per-query protocol table and the stored hashes are accelerators.  These
 tests hold the values they must leave alone to what the previous
-implementation produced — literals and digests captured there, and its
-``size_bytes()`` formulas kept verbatim — plus the one count that cannot drift
-with machine noise: what a warm repeat of a query allocates.
+implementation produced — literals and digests captured there, and the
+``size_bytes()`` formulas written out: a clone's kept verbatim, a result
+message's read back off its columnar wire body — plus the one count that
+cannot drift with machine noise: what a warm repeat of a query allocates.
 """
 
 from __future__ import annotations
@@ -202,11 +203,13 @@ def test_structural_keys_did_not_move(workload):
 
 
 # --- wire bytes -------------------------------------------------------------------
+# Re-captured when result messages became columnar (``WIRE_VERSION`` 2): the
+# bundle's bytes differ from the previous ones only in the envelope's ``"v"``.
 
 _WIRE_DIGESTS = {
-    "bundle": (_bundle, "0a563c28a27a83ffa1b29f99d159559ad12aa976dcb28c924ac9306ddfc39700"),
-    "relay": (_relay, "a1ebb07f05a94272427631b149f9bb8fcbcc7984e3e6d0096810358458ba4d2b"),
-    "result": (_result, "a7126f9616aa57562efb707033ac02dccea6e19aa9fd2eba4979203e340e92fc"),
+    "bundle": (_bundle, "a8488bf99d16bc13481f90ae3108ffe2088624738a681eeb176c2d2201b0a8d2"),
+    "relay": (_relay, "2e28209feb41952e16266d32c3e76423ba260b24c93861451a45487cacfbc70c"),
+    "result": (_result, "ecf6e0a924b7fae3db04554c1f32dc78ff18023d145179096908c150da54c492"),
 }
 
 
@@ -233,8 +236,10 @@ def test_a_query_is_decoded_once_per_process_and_only_when_identical():
 
 
 # --- the size model ----------------------------------------------------------------
-# The previous implementation's size_bytes() formulas, verbatim, plus the one
-# term added since: a clone's completion watermark.
+# A clone's size_bytes() formula as the previous implementation had it,
+# verbatim, plus the one term added since: its completion watermark.  A result
+# message is charged what its columnar body writes, so its formula reads that
+# body: the encoded message itself.
 
 
 def _url_text(url: Url) -> str:
@@ -248,10 +253,6 @@ def _qid_size(qid: QueryId) -> int:
 
 def _state_size(state: QueryState) -> int:
     return 4 + 4 * pre_size(state.rem)
-
-
-def _entry_size(entry: ChtEntry) -> int:
-    return len(_url_text(entry.node)) + _state_size(entry.state)
 
 
 def _clone_size(clone: QueryClone) -> int:
@@ -269,42 +270,34 @@ def _clone_size(clone: QueryClone) -> int:
     )
 
 
-def _per_node(report: CloneReport) -> list[dict]:
-    """What a report says about each of its nodes, spelled out one node at a
-    time: the retired entry, the disposition, the announced entries, the rows
-    and the child ids (all of them when they are not parallel to the
-    announced entries, as on a malformed report)."""
-    parallel = len(report.child_ids) == len(report.new_entries)
-    nodes, row_start, forward_start = [], 0, 0
-    for node, disposition, row_stop, forward_stop in zip(
-        report.nodes, report.dispositions, report.row_ends, report.forward_ends
-    ):
-        forwards = slice(forward_start, forward_stop)
-        nodes.append({
-            "entry": ChtEntry(node, report.state),
-            "disposition": disposition,
-            "new_entries": [ChtEntry(*pair) for pair in report.new_entries[forwards]],
-            "results": list(report.rows[row_start:row_stop]),
-            "child_ids": list(report.child_ids[forwards] if parallel else report.child_ids),
-        })
-        row_start, forward_start = row_stop, forward_stop
-    return nodes
+_DITTO: list = []
 
 
-def _report_size(report: CloneReport) -> int:
-    """The previous per-node formula, summed over the report's nodes."""
-    size = 0
-    for node in _per_node(report):
-        size += _entry_size(node["entry"]) + 1
-        size += sum(_entry_size(entry) for entry in node["new_entries"])
-        for label, row in node["results"]:
-            size += len(label) + sum(len(str(value)) for value in row.values)
-        size += len(report.dispatch_id) + 4 + sum(len(cid) for cid in node["child_ids"])
+def _report_size(report: CloneReport, body: dict) -> int:
+    """What ``body``, the report's wire form, writes: its state, dispatch id
+    and 4; 5 and the URL per node; per entry the URL, the state and the child
+    id, each ditto at 1; per row the label and header names of a full row or
+    1 for a bare one, and each value at ``len(str(value))``, a ditto at 1."""
+    size = _state_size(report.state) + len(body.get("did", "")) + 4
+    size += sum(len(url) + 5 for url in body["nodes"])
+    for (url, state, child_id), (__, entry_state) in zip(body["new"], report.new_entries):
+        size += len(url)
+        size += 1 if state == _DITTO else _state_size(entry_state)
+        size += 1 if child_id == _DITTO else len(child_id)
+    for row in body["rows"]:
+        if isinstance(row, dict):
+            size += len(row["q"]) + sum(map(len, row["h"]))
+            size += sum(len(str(value)) for value in row["v"])
+        else:
+            size += 1 + sum(1 if value == _DITTO else len(str(value)) for value in row)
     return size
 
 
-def _result_size(message: ResultMessage) -> int:
-    return _qid_size(message.qid) + sum(map(_report_size, message.reports)) + 8
+def _result_size(message: ResultMessage, body: dict | None = None) -> int:
+    if body is None:
+        body = json.loads(encode_message(message))["b"]
+    reports = sum(map(_report_size, message.reports, body["reports"]))
+    return _qid_size(message.qid) + reports + 8
 
 
 def _reference_size(payload) -> int:
@@ -315,7 +308,10 @@ def _reference_size(payload) -> int:
     if isinstance(payload, ResultMessage):
         return _result_size(payload)
     assert isinstance(payload, RelayMessage)
-    return _result_size(payload.inner) + sum(len(s) + 2 for s in payload.remaining) + 8
+    inner = json.loads(encode_message(payload))["b"]["inner"]
+    return (
+        _result_size(payload.inner, inner) + sum(len(s) + 2 for s in payload.remaining) + 8
+    )
 
 
 def _synthetic():
@@ -363,10 +359,10 @@ def test_every_tapped_message_has_the_previous_size(run):
         assert payload.size_bytes() == _reference_size(payload)  # and when cached
 
 
-# --- a clone's report is its nodes' reports ---------------------------------------
-# ``CloneReport`` keeps per-node columns; its modelled size and its bytes on the
-# wire must be what one report per node had — checked against the formula
-# above and against the per-node encoding, spelled out here.
+# --- a report's bytes are its columns ----------------------------------------------
+# ``CloneReport`` keeps per-node columns and the wire writes them as they are:
+# its bytes are checked against the columnar encoding spelled out here, and its
+# modelled size against the formula above, read off those bytes.
 
 _NODE_URLS = [Url(f"s{i % 3}.example", f"/p{i}.html") for i in range(8)]
 _STATES = [QueryState(1, parse_pre(text)) for text in ("(L|G)*2", "L|G", "G.(G|L)", "N")]
@@ -374,14 +370,21 @@ _DISPOSITIONS = [d for d in Disposition if d is not Disposition.DATA_ONLY]
 _DISPATCH_IDS = ["", "s1@a.example", "u12@user.example", "s2@a.example"]
 _ROWS = [
     ("q1", ResultRow(("d.url",), ("http://s0.example/",))),
+    ("q1", ResultRow(("d.url",), ("http://s1.example/",))),
     ("q2", ResultRow(("d.url", "d.title"), ("http://s1.example/x", "topic é"))),
+    ("q2", ResultRow(("d.url", "d.title"), ("http://s1.example/x", None))),
     ("q1", ResultRow(("a.href",), (7,))),
+    ("q1", ResultRow(("a.href",), (7.0,))),
+    ("q1", ResultRow(("a.href",), (True,))),
+    ("q1", ResultRow(("a.href",), (-0.0,))),
+    ("q1", ResultRow(("a.href",), (0.0,))),
 ]
 
 
 @st.composite
 def clone_reports(draw, dispatch_id=None):
-    """A report as a server builds one: distinct nodes, parallel child ids."""
+    """A report as a server builds one: distinct nodes, parallel child ids
+    that often repeat, rows that often repeat the row above."""
     nodes = draw(st.lists(st.sampled_from(_NODE_URLS), min_size=1, max_size=5, unique=True))
     data_only = draw(st.booleans())
     if dispatch_id is None:
@@ -391,12 +394,12 @@ def clone_reports(draw, dispatch_id=None):
         dispositions.append(
             Disposition.DATA_ONLY if data_only else draw(st.sampled_from(_DISPOSITIONS))
         )
-        rows += draw(st.lists(st.sampled_from(_ROWS), max_size=3))  # empty or many
+        rows += draw(st.lists(st.sampled_from(_ROWS), max_size=4))  # empty or many
         row_ends.append(len(rows))
         if not data_only:  # zero or more forwards
             for target in draw(st.lists(st.sampled_from(_NODE_URLS), max_size=3)):
                 entries.append((target, draw(st.sampled_from(_STATES))))
-                child_ids.append(f"s{len(child_ids) + 4}@b.example")
+                child_ids.append(f"s{draw(st.integers(4, 6))}@b.example")
         forward_ends.append(len(entries))
     return CloneReport(
         tuple(nodes), draw(st.sampled_from(_STATES)), dispositions, rows, row_ends,
@@ -406,77 +409,111 @@ def clone_reports(draw, dispatch_id=None):
 
 @st.composite
 def server_messages(draw):
-    """A message shaped like a server's: each report under its own dispatch
-    id (adjacent reports sharing one would merge on decode, as one clone)."""
+    """A message shaped like a server's: up to three reports, each under its
+    own dispatch id — or their CHT halves, which ship no rows."""
     ids = draw(st.lists(st.sampled_from(_DISPATCH_IDS), max_size=3, unique=True))
     reports = tuple(draw(clone_reports(dispatch_id)) for dispatch_id in ids)
-    return ResultMessage(QID, reports, draw(st.sampled_from(["result", "cht"])))
+    if draw(st.booleans()):
+        return ResultMessage(QID, reports)
+    return ResultMessage(QID, tuple(report.without_rows() for report in reports), "cht")
 
 
-def _node_encoding(message: ResultMessage) -> bytes:
-    """The wire bytes of ``message``, built one node at a time."""
+def _typed_rows(message: ResultMessage) -> list:
+    """Every row's values with their types: ``==`` takes ``7`` for ``7.0``."""
+    return [
+        (label, row.header, [(type(value), repr(value)) for value in row.values])
+        for report in message.reports
+        for label, row in report.rows
+    ]
 
-    def entry(value: ChtEntry) -> dict:
-        return {
-            "node": _url_text(value.node),
-            "state": {"n": value.state.num_q, "rem": pre_to_wire(value.state.rem)},
-        }
+
+def _repeats(value, above) -> bool:
+    return type(value) is type(above) and not isinstance(value, float) and value == above
+
+
+def _column_encoding(message: ResultMessage) -> bytes:
+    """The wire bytes of ``message``, spelled out column by column."""
+
+    def state(value: QueryState) -> dict:
+        return {"n": value.num_q, "rem": pre_to_wire(value.rem)}
 
     reports = []
     for report in message.reports:
-        for node in _per_node(report):
-            encoded = {
-                "entry": entry(node["entry"]),
-                "disp": node["disposition"].value,
-                "new": [entry(e) for e in node["new_entries"]],
-                "rows": [
-                    {"q": label, "h": list(row.header), "v": list(row.values)}
-                    for label, row in node["results"]
-                ],
-            }
-            if report.dispatch_id:
-                encoded["did"] = report.dispatch_id
-            if report.epoch:
-                encoded["ep"] = report.epoch
-            if node["child_ids"]:
-                encoded["cids"] = node["child_ids"]
-            reports.append(encoded)
+        encoded = {"state": state(report.state)}
+        if report.dispatch_id:
+            encoded["did"] = report.dispatch_id
+        if report.epoch:
+            encoded["ep"] = report.epoch
+        encoded["nodes"] = [_url_text(node) for node in report.nodes]
+        encoded["disp"] = [disposition.value for disposition in report.dispositions]
+        rows, above = [], None
+        for label, row in report.rows:
+            if above is None or (label, row.header) != (above[0], above[1].header):
+                rows.append({"q": label, "h": list(row.header), "v": list(row.values)})
+            else:
+                rows.append([
+                    [] if _repeats(value, old) else value
+                    for value, old in zip(row.values, above[1].values)
+                ])
+            above = (label, row)
+        encoded["rows"] = rows
+        encoded["rend"] = list(report.row_ends)
+        new, last = [], (None, None)
+        for (node, target_state), child_id in zip(report.new_entries, report.child_ids):
+            new.append([
+                _url_text(node),
+                [] if target_state is last[0] else state(target_state),
+                [] if child_id == last[1] else child_id,
+            ])
+            last = (target_state, child_id)
+        encoded["new"] = new
+        encoded["fend"] = list(report.forward_ends)
+        reports.append(encoded)
     body = {"qid": [QID.user, QID.host, QID.port, QID.number], "reports": reports,
             "chan": message.kind}
-    text = json.dumps({"v": 1, "k": "result", "b": body}, separators=(",", ":"),
+    text = json.dumps({"v": 2, "k": "result", "b": body}, separators=(",", ":"),
                       ensure_ascii=False)
     return text.encode("utf-8")
 
 
-class TestCloneReportIsItsNodeReports:
+class TestAReportsBytesAreItsColumns:
     @settings(max_examples=150, deadline=None)
     @given(server_messages())
-    def test_size_and_bytes_are_the_per_node_ones(self, message):
-        for report in message.reports:
-            assert report.size_bytes() == _report_size(report)
-            assert len(_per_node(report)) == len(report.nodes)
-        assert message.size_bytes() == _result_size(message)
+    def test_size_and_bytes_are_the_columns(self, message):
         encoded = encode_message(message)
-        assert encoded == _node_encoding(message)
+        assert encoded == _column_encoding(message)
+        assert message.size_bytes() == _result_size(message)
         decoded = decode_message(encoded)
         assert decoded == message and decoded.size_bytes() == message.size_bytes()
+        assert _typed_rows(decoded) == _typed_rows(message)
         assert encode_message(decoded) == encoded
 
     @settings(max_examples=100, deadline=None)
     @given(clone_reports())
     def test_the_ablation_halves_split_the_columns(self, report):
         cht_half, data_half = report.without_rows(), report.rows_only()
-        for node, half in zip(_per_node(report), _per_node(cht_half)):
-            assert half == {**node, "results": []}
-        expected = [
-            {**node, "disposition": Disposition.DATA_ONLY, "new_entries": [], "child_ids": []}
-            for node in _per_node(report)
-            if node["results"]
+        assert not cht_half.rows and list(cht_half.row_ends) == list(report.row_ends)
+        assert cht_half.rows_follow == bool(report.rows)
+        for name in ("nodes", "dispositions", "new_entries", "child_ids", "forward_ends"):
+            assert list(getattr(cht_half, name)) == list(getattr(report, name))
+        with_rows = [
+            (node, stop) for node, start, stop in
+            zip(report.nodes, [0, *report.row_ends], report.row_ends) if stop > start
         ]
-        assert (_per_node(data_half) if data_half else []) == expected
-        for half in filter(None, (cht_half, data_half)):
+        if data_half is None:
+            assert not with_rows
+        else:
+            assert list(zip(data_half.nodes, data_half.row_ends)) == with_rows
+            assert set(data_half.dispositions) == {Disposition.DATA_ONLY}
+            assert list(data_half.rows) == list(report.rows) and not data_half.new_entries
+            assert not data_half.rows_follow
+        for half, kind in ((cht_half, "cht"), (data_half, "result")):
+            if half is None:
+                continue
             assert (half.dispatch_id, half.epoch) == (report.dispatch_id, report.epoch)
-            assert half.size_bytes() == _report_size(half)
+            message = ResultMessage(QID, (half,), kind)
+            assert message.size_bytes() == _result_size(message)
+            assert decode_message(encode_message(message)) == message
 
 
 # --- what a warm repeat allocates -----------------------------------------------------

@@ -208,6 +208,55 @@ class TestPortMapForgetsClosedResultPorts:
         asyncio.run(main())
 
 
+class TestABoundSocketIsAlwaysClosed:
+    """``listen`` binds a site's real socket at once and a task attaches the
+    accept loop to it a step later; whatever closes the site in between
+    closes the socket."""
+
+    @staticmethod
+    def _recording(transport: AsyncioTransport) -> list:
+        bound: list = []
+        bind = transport.port_map.bind
+
+        def recording_bind(site: str):
+            bound.append(bind(site))
+            return bound[-1]
+
+        transport.port_map.bind = recording_bind
+        return bound
+
+    def test_aclose_before_the_accept_loop_attaches(self):
+        async def main() -> None:
+            transport = AsyncioTransport()
+            transport.register_site("a.example")
+            bound = self._recording(transport)
+            transport.listen("a.example", QUERY_PORT, lambda src, message: None)
+            await transport.aclose()  # cancels the accept-loop task before its first step
+            assert [sock.fileno() for sock in bound] == [-1]
+
+        asyncio.run(main())
+
+    def test_a_crash_and_restart_before_it_attaches(self):
+        async def main() -> None:
+            transport = AsyncioTransport()
+            transport.register_site("a.example")
+            bound = self._recording(transport)
+            try:
+                transport.listen("a.example", QUERY_PORT, lambda src, message: None)
+                transport.crash_site("a.example")
+                transport.listen("a.example", QUERY_PORT, lambda src, message: None)
+                for __ in range(3):
+                    await asyncio.sleep(0)
+                first, second = bound
+                assert first.fileno() == -1
+                assert transport._servers["a.example"].sockets[0].fileno() == second.fileno()
+            finally:
+                await transport.aclose()
+            assert [sock.fileno() for sock in bound] == [-1, -1]
+
+        asyncio.run(main())
+
+
 # --- the read path ------------------------------------------------------------
 
 

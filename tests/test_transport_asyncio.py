@@ -304,7 +304,7 @@ class TestAsyncioTransportSends:
                 await asyncio.sleep(0.02)  # the accept loop attaches
                 real = transport.port_map.lookup("b.example")
                 reader, writer = await asyncio.open_connection(transport.port_map.host, real)
-                envelope = b"a.example\x00" + b'{"v":1,"k":"result","b":{}}'
+                envelope = b"a.example\x00" + b'{"v":2,"k":"result","b":{}}'
                 writer.write(encode_frame(encode_sequenced(envelope, QUERY_PORT, 7)))
                 await writer.drain()
                 try:

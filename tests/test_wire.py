@@ -94,7 +94,8 @@ class TestMessageRoundTrips:
             (
                 CloneReport(
                     (Url("x.example", "/"),), QueryState(1, parse_pre("L*1")),
-                    (Disposition.PROCESSED,), (("q2", row),), (1,), (other,), (), (1,),
+                    (Disposition.PROCESSED,), (("q2", row),), (1,), (other,), ("s2@x.example",),
+                    (1,),
                 ),
                 CloneReport((other[0],), other[1], (Disposition.DUPLICATE,), (), (0,), (), (), (0,)),
             ),

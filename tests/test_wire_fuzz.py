@@ -1,16 +1,19 @@
 """Wire round-trip fuzz: result messages survive the codec bit-exactly.
 
 Hypothesis draws result messages two ways.  Messages shaped like a server's —
-one clone report per dispatch id, with the full dispatch-identity stamping
-``(qid, dispatch_id, recovery_epoch)`` plus ``child_ids`` — must come back
-column for column.  Arbitrary per-node result JSON must decode into reports
-that obey the decoder's grouping rule (the only code that builds reports from
-per-node records) and re-encode to the same bytes: states spelled alike and
-differently, repeated nodes, empty, parallel and mis-sized ``cids``,
-DATA_ONLY switches, ``did`` / ``ep`` changes, unicode site names (the
-envelope is UTF-8 JSON with ``ensure_ascii=False``), and epoch 0 (elided on
-the wire, restored on decode).  The user-site must refuse unstamped
-bookkeeping and mis-sized ``child_ids``.
+clone reports with the full dispatch-identity stamping ``(qid, dispatch_id,
+recovery_epoch)`` plus ``child_ids`` — must come back column for column,
+every row value with its type.  Arbitrary columnar report JSON, spelled as
+the encoder spells it, must decode into the columns it writes — a bare row's
+dittos read as the values above, an entry's as the previous entry's — and
+re-encode to the same bytes: states spelled alike and differently, repeated
+nodes, DATA_ONLY reports, CHT halves, ``did`` / ``ep`` present or absent,
+unicode site names (the envelope is UTF-8 JSON with ``ensure_ascii=False``),
+epoch 0 (elided on the wire, restored on decode), and floats next to equal
+ints.  Hostile columns — lengths that disagree, ends that go backwards or do
+not close, a ditto with nothing above it, a row that does not fit its header
+— are a ``WireError``, and so is a version 1 body.  The user-site must refuse
+unstamped bookkeeping.
 
 The last suites poison the codec's tables: frames that differ from an honest
 one only in what ``==`` on JSON values cannot see (``1`` / ``1.0`` / ``true``,
@@ -25,6 +28,7 @@ from __future__ import annotations
 import copy
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -37,12 +41,13 @@ from repro.core.webquery import QueryClone, QueryId
 from repro.disql import compile_disql
 from repro.errors import ProtocolError
 from repro.pre import parse_pre
+from repro.relational.query import ResultRow
 from repro.urlutils import parse_url
 from repro.web.campus import CAMPUS_QUERY_DISQL
 from repro import wire
 from repro.wire import WireError, decode_message, encode_message
 
-from .test_protocol_pins import clone_reports
+from .test_protocol_pins import _repeats, _result_size, _typed_rows, clone_reports
 from .test_wire_interning import _clear_tables
 
 HOSTS = st.sampled_from(
@@ -76,15 +81,18 @@ def dispatch_ids(draw):
 @st.composite
 def stamped_messages(draw):
     """Messages shaped like a server's: each report under its own dispatch
-    id, so no two of them are one clone to the decoder."""
+    id, or a CHT half of each."""
     ids = draw(st.lists(dispatch_ids(), max_size=3, unique=True))
     reports = tuple(draw(clone_reports(dispatch_id)) for dispatch_id in ids)
-    return ResultMessage(draw(qids), reports, draw(st.sampled_from(["result", "cht"])))
+    if draw(st.booleans()):
+        return ResultMessage(draw(qids), reports)
+    return ResultMessage(draw(qids), tuple(r.without_rows() for r in reports), "cht")
 
 
-# --- arbitrary per-node result JSON -----------------------------------------------
+# --- arbitrary columnar result JSON ------------------------------------------------
 # Every value is spelled as the encoder spells it (no key an encoder would
-# elide, keys in its order), so re-encoding must give the bytes back.
+# elide, keys in its order, a ditto wherever it would write one), so
+# re-encoding must give the bytes back.
 
 _NODES = [
     "http://s0.example/",
@@ -104,165 +112,336 @@ _STATE_SPELLINGS = [
     {"n": 0, "rem": "N"},
 ]
 
-_entries_json = st.builds(
-    lambda node, state: {"node": node, "state": state},
-    st.sampled_from(_NODES), st.sampled_from(_STATE_SPELLINGS),
-)
+_HEADERS = [["d.url"], ["d.url", "d.title"], ["r.text"]]
 
-_rows_json = st.builds(
-    lambda label, header, value: {"q": label, "h": [header], "v": [value]},
-    st.sampled_from(["d", "d0", "r"]),
-    st.sampled_from(["d.url", "d.title", "r.text"]),
-    st.one_of(st.text(max_size=12), st.integers(-1000, 1000)),  # "", unicode, quotes
-)
-
-#: What a report's nodes share: the state as spelled, the dispatch id, the
-#: epoch and whether the node is DATA_ONLY.
-_shared_fields = st.tuples(
-    st.sampled_from(_STATE_SPELLINGS),
-    st.sampled_from(["", "u1@s0.example", "u2@sité-α.example"]),
-    st.sampled_from([0, 1, 7]),
-    st.booleans(),
+#: Row values: text ("", unicode, quotes), small ints, and the values ``==``
+#: conflates — ``1`` / ``1.0`` / ``true``, ``-0.0`` / ``0.0`` — plus null.
+_VALUES = st.one_of(
+    st.text(max_size=6), st.integers(-2, 2),
+    st.sampled_from([None, True, False, 1.0, -0.0, 0.0, 2.5]),
 )
 
 _DISPOSITIONS = [d.value for d in Disposition if d is not Disposition.DATA_ONLY]
 
+_rows = st.lists(
+    st.tuples(
+        st.sampled_from(["d", "d0"]), st.sampled_from(range(len(_HEADERS))),
+        st.lists(_VALUES, min_size=2, max_size=2),
+    ).map(lambda row: (row[0], _HEADERS[row[1]], row[2][: len(_HEADERS[row[1]])])),
+    max_size=3,
+)
+
+
+def _spell_rows(rows: list) -> list:
+    """``(label, header, values)`` rows as the encoder writes them."""
+    spelled, above = [], None
+    for label, header, values in rows:
+        if above is None or (label, header) != above[:2]:
+            spelled.append({"q": label, "h": header, "v": values})
+        else:
+            spelled.append([[] if _repeats(v, a) else v for v, a in zip(values, above[2])])
+        above = (label, header, values)
+    return spelled
+
+
+def _state_value(spelled) -> QueryState:
+    return wire._state_from_wire(spelled)
+
+
+def _spell_entries(entries: list) -> list:
+    """``(node, state spelling, child id)`` entries as the encoder writes them:
+    a state spelled as the previous one decodes to the same object, a ditto."""
+    spelled, last_state, last_id = [], None, None
+    for node, state, child_id in entries:
+        spelled.append([
+            node, [] if repr(state) == repr(last_state) else state,
+            [] if child_id == last_id else child_id,
+        ])
+        last_state, last_id = state, child_id
+    return spelled
+
 
 @st.composite
-def node_record(draw, shared):
-    """One node's JSON object; ``cids`` parallel (mostly), absent or mis-sized."""
-    state, dispatch_id, epoch, data_only = shared
-    new = draw(st.lists(_entries_json, max_size=2))
-    record = {
-        "entry": {"node": draw(st.sampled_from(_NODES)), "state": state},
-        "disp": "data-only" if data_only else draw(st.sampled_from(_DISPOSITIONS)),
-        "new": new,
-        "rows": draw(st.lists(_rows_json, max_size=2)),
-    }
+def reports_json(draw, cht_half=False):
+    """One report's JSON object and the rows and entries it spells."""
+    count = draw(st.integers(0, 4))
+    data_only = draw(st.booleans()) and not cht_half
+    dispatch_id = draw(st.sampled_from(["", "u1@s0.example", "u2@sité-α.example"]))
+    epoch = draw(st.sampled_from([0, 1, 7]))
+    rows, row_ends, entries, forward_ends = [], [], [], []
+    for __ in range(count):
+        rows += draw(_rows)
+        row_ends.append(len(rows))
+        if not data_only:
+            for node in draw(st.lists(st.sampled_from(_NODES), max_size=2)):
+                child_id = f"c{draw(st.integers(0, 1))}@{draw(HOSTS)}"
+                entries.append((node, draw(st.sampled_from(_STATE_SPELLINGS)), child_id))
+        forward_ends.append(len(entries))
+    report = {"state": draw(st.sampled_from(_STATE_SPELLINGS))}
     if dispatch_id:
-        record["did"] = dispatch_id
+        report["did"] = dispatch_id
     if epoch:
-        record["ep"] = epoch
-    shape = draw(st.sampled_from(["parallel"] * 4 + ["absent", "mis-sized"]))
-    if shape == "parallel" and new:
-        record["cids"] = [f"c{i}@{draw(HOSTS)}" for i in range(len(new))]
-    elif shape == "mis-sized":
-        size = draw(st.integers(1, 3).filter(lambda size: size != len(new)))
-        record["cids"] = [f"c{i}@s0.example" for i in range(size)]
-    return record
+        report["ep"] = epoch
+    report["nodes"] = draw(st.lists(st.sampled_from(_NODES), min_size=count, max_size=count))
+    report["disp"] = (
+        ["data-only"] * count if data_only
+        else draw(st.lists(st.sampled_from(_DISPOSITIONS), min_size=count, max_size=count))
+    )
+    if cht_half:
+        rows = []
+    report["rows"] = _spell_rows(rows)
+    report["rend"] = row_ends
+    report["new"] = _spell_entries(entries)
+    report["fend"] = forward_ends
+    return report, rows, entries
 
 
 @st.composite
-def node_records(draw):
-    """Up to seven records; each keeps the previous one's shared fields
-    three times in four, so runs that may join are common."""
-    records, shared = [], None
-    for __ in range(draw(st.integers(0, 7))):
-        if shared is None or draw(st.integers(0, 3)) == 0:
-            shared = draw(_shared_fields)
-        records.append(draw(node_record(shared)))
-    return records
+def results_json(draw):
+    kind = draw(st.sampled_from(["result", "cht"]))
+    drawn = draw(st.lists(reports_json(cht_half=kind == "cht"), max_size=3))
+    return kind, drawn
 
 
-def _result_wire(records: list, kind: str = "result", qid: QueryId | None = None) -> bytes:
-    """A result message whose body lists ``records``, as the encoder spells it."""
+def _result_wire(reports: list, kind: str = "result", qid: QueryId | None = None) -> bytes:
+    """A result message whose body lists ``reports``, as the encoder spells it."""
     qid = qid or QueryId("maya", "user.example", 5001, 7)
-    body = {"qid": [qid.user, qid.host, qid.port, qid.number], "reports": records, "chan": kind}
-    text = json.dumps({"v": 1, "k": "result", "b": body}, separators=(",", ":"),
+    body = {"qid": [qid.user, qid.host, qid.port, qid.number], "reports": reports, "chan": kind}
+    text = json.dumps({"v": 2, "k": "result", "b": body}, separators=(",", ":"),
                       ensure_ascii=False)
     return text.encode("utf-8")
 
 
-def _groups(records: list, message: ResultMessage) -> list[list]:
-    """The records each decoded report was built from, in order."""
-    groups, start = [], 0
-    for report in message.reports:
-        groups.append(records[start:start + len(report.nodes)])
-        start += len(report.nodes)
-    assert start == len(records)
-    return groups
+def _read_entries(new: list) -> list:
+    """The ``new`` column with its dittos read as the previous entry's."""
+    read, state, child_id = [], None, None
+    for node, spelled_state, spelled_id in new:
+        state = state if spelled_state == [] else spelled_state
+        child_id = child_id if spelled_id == [] else spelled_id
+        read.append((node, state, child_id))
+    return read
 
 
-def _shares(record: dict) -> tuple:
-    return (
-        repr(record["entry"]["state"]), record.get("did", ""), record.get("ep", 0),
-        record["disp"] == "data-only",
-    )
-
-
-def _parallel(record: dict) -> bool:
-    return len(record.get("cids", ())) == len(record["new"])
+def _typed(values) -> list:
+    return [(type(value), repr(value)) for value in values]
 
 
 class TestStampedRoundTrip:
     @settings(max_examples=200, deadline=None)
     @given(stamped_messages())
     def test_decode_inverts_encode(self, message):
-        assert decode_message(encode_message(message)) == message
+        decoded = decode_message(encode_message(message))
+        assert decoded == message and _typed_rows(decoded) == _typed_rows(message)
 
     @settings(max_examples=200, deadline=None)
-    @given(node_records(), st.sampled_from(["result", "cht"]))
-    def test_reencode_is_bit_exact(self, records, kind):
-        wire = _result_wire(records, kind)
-        assert encode_message(decode_message(wire)) == wire
+    @given(results_json())
+    def test_reencode_is_bit_exact(self, drawn):
+        kind, reports = drawn
+        wire = _result_wire([report for report, __, __ in reports], kind)
+        decoded = decode_message(wire)
+        assert encode_message(decoded) == wire
+        assert decoded.size_bytes() == _result_size(decoded)
 
     @settings(max_examples=100, deadline=None)
-    @given(node_records())
-    def test_stamping_survives(self, records):
-        decoded = decode_message(_result_wire(records))
-        for report, group in zip(decoded.reports, _groups(records, decoded)):
-            for record in group:
-                assert report.dispatch_id == record.get("did", "")
-                assert report.epoch == record.get("ep", 0)
-            assert list(report.child_ids) == [cid for r in group for cid in r.get("cids", [])]
+    @given(results_json())
+    def test_stamping_survives(self, drawn):
+        kind, reports = drawn
+        decoded = decode_message(_result_wire([report for report, __, __ in reports], kind))
+        for report, (spelled, __, entries) in zip(decoded.reports, reports):
+            assert report.dispatch_id == spelled.get("did", "")
+            assert report.epoch == spelled.get("ep", 0)
+            assert list(report.child_ids) == [child_id for __, __, child_id in entries]
+            assert list(report.child_ids) == [cid for __, __, cid in _read_entries(spelled["new"])]
 
     @settings(max_examples=300, deadline=None)
-    @given(node_records())
-    def test_every_decoded_report_obeys_the_grouping_rule(self, records):
-        decoded = decode_message(_result_wire(records))
-        groups = _groups(records, decoded)
-        for report, group in zip(decoded.reports, groups):
-            # One state object, dispatch id, epoch and DATA_ONLY-ness...
-            assert len({_shares(record) for record in group}) == 1
-            assert len({d is Disposition.DATA_ONLY for d in report.dispositions}) == 1
-            # ...no repeated node, and a malformed record stands alone.
-            assert len(set(report.nodes)) == len(report.nodes)
-            assert len(group) == 1 or all(map(_parallel, group))
-        # Greedy: a report ends only where its next record could not join it.
-        pairs = itertools.pairwise(zip(decoded.reports, groups))
-        for (before, earlier), (report, group) in pairs:
-            joinable = _parallel(group[0]) and all(map(_parallel, earlier))
-            assert (
-                _shares(group[0]) != _shares(earlier[0]) or not joinable
-                or report.nodes[0] in before.nodes
-            )
+    @given(results_json())
+    def test_decoded_columns_are_the_wire_columns(self, drawn):
+        """Dittos read as the value above; every other column as written."""
+        kind, reports = drawn
+        decoded = decode_message(_result_wire([report for report, __, __ in reports], kind))
+        assert len(decoded.reports) == len(reports)
+        for report, (spelled, rows, __) in zip(decoded.reports, reports):
+            assert [str(node) for node in report.nodes] == [
+                str(parse_url(node)) for node in spelled["nodes"]
+            ]
+            assert [d.value for d in report.dispositions] == spelled["disp"]
+            assert list(report.row_ends) == spelled["rend"]
+            assert list(report.forward_ends) == spelled["fend"]
+            assert [(label, list(row.header), _typed(row.values)) for label, row in report.rows] == [
+                (label, header, _typed(values)) for label, header, values in rows
+            ]
+            assert [
+                (str(node), repr(state)) for node, state in report.new_entries
+            ] == [
+                (str(parse_url(node)), repr(_state_value(state)))
+                for node, state, __ in _read_entries(spelled["new"])
+            ]
+            ends = spelled["rend"]
+            assert report.rows_follow == (kind == "cht" and bool(ends) and ends[-1] > 0)
 
 
-@st.composite
-def malformed_records(draw):
-    """A bookkeeping node with no dispatch id, or with mis-sized ``cids``."""
-    state = draw(st.sampled_from(_STATE_SPELLINGS))
-    if draw(st.booleans()):
-        return draw(node_record((state, "", 0, False)))
-    record = draw(node_record((state, "u0@s0.example", 0, False)))
-    record["cids"] = ["c0@s0.example"] * (len(record["new"]) + 1)
-    return record
+# --- hostile columns ------------------------------------------------------------------
+
+_N0, _N1 = _NODES[:2]
+_STATE = {"n": 1, "rem": "L"}
+
+#: A valid report, spelled as the encoder spells it: a bare row dittoing the
+#: first value above it, a header change, an entry repeating the previous
+#: entry's state and child id.
+_VALID = {
+    "state": _STATE,
+    "did": "u1@s0.example",
+    "nodes": [_N0, _N1],
+    "disp": ["processed", "duplicate"],
+    "rows": [
+        {"q": "q1", "h": ["d.url", "d.title"], "v": [_N0, "t"]},
+        [[], "u"],
+        {"q": "q1", "h": ["d.url"], "v": ["x"]},
+    ],
+    "rend": [2, 3],
+    "new": [[_N0, _STATE, "c1@s0.example"], [_N1, [], []]],
+    "fend": [1, 2],
+}
 
 
-_ROOT = {"node": "http://s0.example/", "state": {"n": 1, "rem": "L"}}
+def _set(path: str, value):
+    def mutate(report: dict) -> None:
+        *parents, leaf = path.split(".")
+        target = report
+        for key in parents:
+            target = target[int(key) if isinstance(target, list) else key]
+        target[int(leaf) if isinstance(target, list) else leaf] = value
+    return mutate
+
+
+def _append(key: str, value):
+    return lambda report: report[key].append(value)
+
+
+#: ``name -> how it spoils _VALID``; every one is a ``WireError``.
+_HOSTILE = {
+    "nodes-longer": _append("nodes", _NODES[2]),
+    "disp-shorter": _set("disp", ["processed"]),
+    "rend-shorter": _set("rend", [3]),
+    "fend-longer": _append("fend", 2),
+    "rend-backwards": _set("rend", [3, 2]),
+    "fend-backwards": _set("fend", [2, 1]),
+    "rend-open": _set("rend", [2, 2]),
+    "fend-past-the-end": _set("fend", [1, 3]),
+    "rend-negative": _set("rend", [-1, 3]),
+    "rend-float": _set("rend", [2.0, 3]),
+    "rend-bool": _set("rend", [True, 3]),
+    "ditto-in-the-first-row": _set("rows.0", [[], "t"]),
+    "bare-first-row": _set("rows.0", [_N0, "t"]),
+    "bare-row-after-a-header-change": _append("rows", [[], "y"]),
+    "bare-row-too-short": _set("rows.1", [[]]),
+    "full-row-misfit": _set("rows.0.v", [_N0]),
+    "header-not-text": _set("rows.0.h", ["d.url", 5]),
+    "label-not-text": _set("rows.0.q", 1),
+    "values-not-a-list": _set("rows.2.v", "x"),
+    "state-ditto-in-the-first-entry": _set("new.0.1", []),
+    "child-id-ditto-in-the-first-entry": _set("new.0.2", []),
+    "entry-without-child-id": _set("new.0", [_N0, _STATE]),
+    "child-id-not-text": _set("new.0.2", 5),
+    "mixed-data-only": _set("disp", ["data-only", "processed"]),
+    "unknown-disposition": _set("disp.0", "gone"),
+    "dispatch-id-not-text": _set("did", 5),
+    "epoch-not-an-int": _set("ep", 1.0),
+    "nodes-an-object": _set("nodes", {_N0: 1, _N1: 2}),
+    "rows-an-object": _set("rows", {}),
+    "no-state": lambda report: report.pop("state"),
+}
+
+
+class TestHostileColumnsAreWireErrors:
+    def test_the_valid_report_decodes_and_reencodes(self):
+        wire = _result_wire([_VALID])
+        [report] = decode_message(wire).reports
+        assert [row.values for __, row in report.rows] == [(_N0, "t"), (_N0, "u"), ("x",)]
+        assert report.new_entries[1][1] is report.new_entries[0][1]
+        assert list(report.child_ids) == ["c1@s0.example"] * 2
+        assert encode_message(decode_message(wire)) == wire
+
+    @pytest.mark.parametrize("name", sorted(_HOSTILE))
+    def test_is_a_wire_error(self, name):
+        report = copy.deepcopy(_VALID)
+        _HOSTILE[name](report)
+        with pytest.raises(WireError):
+            decode_message(_result_wire([report]))
+
+    def test_a_cht_half_carries_no_rows(self):
+        with pytest.raises(WireError):
+            decode_message(_result_wire([_VALID], "cht"))
+        half = {**_VALID, "rows": []}
+        [report] = decode_message(_result_wire([half], "cht")).reports
+        assert not report.rows and list(report.row_ends) == [2, 3] and report.rows_follow
+        with pytest.raises(WireError):  # ...and only a CHT half may count rows it lacks
+            decode_message(_result_wire([half]))
+
+    def test_a_version_1_body_is_an_unsupported_version(self):
+        record = {"entry": {"node": _N0, "state": _STATE}, "disp": "processed", "new": [],
+                  "rows": [], "did": "u1@s0.example"}
+        body = {"qid": ["maya", "user.example", 5001, 7], "reports": [record], "chan": "result"}
+        with pytest.raises(WireError, match="unsupported wire version"):
+            decode_message(json.dumps({"v": 1, "k": "result", "b": body}).encode())
+
+
+def _one_column(values: list) -> ResultMessage:
+    """One node whose rows are ``values`` under one label and header."""
+    rows = [("q1", ResultRow(("a.x",), (value,))) for value in values]
+    report = CloneReport(
+        [parse_url(_N0)], QueryState(1, parse_pre("L")), [Disposition.PROCESSED], rows,
+        [len(rows)], [], [], [0], "u1@s0.example",
+    )
+    return ResultMessage(QueryId("maya", "user.example", 5001, 7), (report,))
+
+
+class TestOnlyTheSameTypeAndValueIsADitto:
+    def test_a_float_next_to_an_equal_int_is_written_out(self):
+        values = [1, 1, 1.0, 1.0, True, 1, -0.0, 0.0, 0.0, None, None, "1", "1"]
+        message = _one_column(values)
+        text = encode_message(message).decode()
+        assert '"rows":[{"q":"q1","h":["a.x"],"v":[1]},[[]],[1.0],[1.0],[true],[1],' in text
+        assert '[1],[-0.0],[0.0],[0.0],[null],[[]],["1"],[[]]],' in text
+        decoded = decode_message(encode_message(message))
+        assert _typed_rows(decoded) == _typed_rows(message)
+        assert message.size_bytes() == _result_size(message)
+
+    def test_nan_is_never_a_ditto(self):
+        message = _one_column([math.nan, math.nan])
+        rows = json.loads(encode_message(message))["b"]["reports"][0]["rows"]
+        assert rows[1] != [[]]
+        [first, second] = [row.values[0] for __, row in decode_message(
+            encode_message(message)).reports[0].rows]
+        assert math.isnan(first) and math.isnan(second)
+
+    def test_an_empty_list_value_is_never_read_as_a_ditto(self):
+        message = _one_column(["x", [], []])
+        rows = json.loads(encode_message(message))["b"]["reports"][0]["rows"]
+        assert rows[1] == {"q": "q1", "h": ["a.x"], "v": [[]]} and rows[2] == [[]]
+        decoded = decode_message(encode_message(message))
+        assert [row.values for __, row in decoded.reports[0].rows] == [("x",), ([],), ([],)]
+        assert message.size_bytes() == _result_size(message)
+
+
+def _unstamped(report: dict) -> dict:
+    report = dict(report)
+    report.pop("did", None)
+    return report
 
 
 class TestUserSiteRefusesMalformedReports:
     @settings(max_examples=50, deadline=None)
-    @given(malformed_records())
-    @example({"entry": _ROOT, "disp": "processed", "new": [], "rows": []})  # unstamped
-    @example(
-        {"entry": _ROOT, "disp": "processed", "new": [_ROOT], "rows": [], "did": "u1@s0.example"}
-    )
-    def test_receive_raises_protocol_error(self, campus_web, record):
+    @given(reports_json())
+    @example(({**_VALID}, [], []))
+    def test_receive_raises_protocol_error(self, campus_web, drawn):
+        """A bookkeeping report with no dispatch id."""
+        report = _unstamped(drawn[0])
+        if not report["nodes"] or "data-only" in report["disp"]:
+            report = _unstamped(_VALID)
         engine = WebDisEngine(campus_web)
         handle = engine.submit_disql(CAMPUS_QUERY_DISQL)
-        wire = _result_wire([record], qid=handle.qid)
+        wire = _result_wire([report], qid=handle.qid)
         with pytest.raises(ProtocolError):
             engine.client._receive(handle, "s0.example", decode_message(wire))
         assert handle.cht.deletions == 0
@@ -278,7 +457,7 @@ def _one_node(entry: ChtEntry, new=(), dispatch_id="", epoch=0, child_ids=()) ->
 
 class TestEdgeCases:
     def test_empty_child_ids_stays_empty_tuple(self):
-        root = ChtEntry(parse_url(_ROOT["node"]), QueryState(1, parse_pre("L")))
+        root = ChtEntry(parse_url(_N0), QueryState(1, parse_pre("L")))
         message = ResultMessage(QueryId("maya", "user.example", 5001, 7), (_one_node(root),))
         [decoded] = decode_message(encode_message(message)).reports
         assert not decoded.child_ids
@@ -356,12 +535,32 @@ _POISON = {
 }
 
 
+def _report_carrying(entry) -> dict:
+    """A report that retires ``entry`` and announces it: its node in ``nodes``
+    and an entry of ``new``, its state as the report's and the entry's, each
+    spelled as received and in the received key order.  An entry that is not
+    an object stands in ``new`` as it is, short of a child id."""
+    if not isinstance(entry, dict):
+        return {"state": entry[1], "nodes": [entry[0]], "new": [entry]}
+    report = {}
+    for key, value in entry.items():
+        if key == "node":
+            report["nodes"] = [value]
+        else:
+            report[key] = value
+    report["new"] = [[entry["node"], entry["state"], "c1"]] if "state" in entry else []
+    return report
+
+
 def _decoded_entries(entry):
     """The retired and the announced ``(node, state)`` of a frame carrying
     ``entry`` twice, as the decoded report's columns hold them."""
-    report = {"entry": entry, "disp": "processed", "new": [entry], "rows": [], "did": "u1"}
+    report = {
+        **_report_carrying(entry), "did": "u1", "disp": ["processed"], "rows": [], "rend": [0],
+        "fend": [1],
+    }
     body = {"qid": ["maya", "user.example", 5001, 7], "reports": [report], "chan": "result"}
-    [decoded] = decode_message(json.dumps({"v": 1, "k": "result", "b": body}).encode()).reports
+    [decoded] = decode_message(json.dumps({"v": 2, "k": "result", "b": body}).encode()).reports
     return (decoded.nodes[0], decoded.state), decoded.new_entries[0]
 
 

@@ -4,8 +4,8 @@
 query state's JSON → ``QueryState`` and a web-query's JSON → ``WebQuery`` on
 decode — and keeps a ``WebQuery``'s and a ``QueryState``'s wire form on the
 object on encode.  These tests hold the other side of that bargain: encoded
-bytes are the previous implementation's, byte for byte, whether the objects
-and tables are cold or warm; a decode returns ``==`` values whose repeated
+bytes are the pinned ones, byte for byte, whether the objects and tables are
+cold or warm; a decode returns ``==`` values whose repeated
 parts are the *same* objects; the tables stay bounded; and an encoded
 fragment lives exactly as long as its object.  (What a hostile frame can and
 cannot do to the tables is in ``test_wire_fuzz.py``.)
@@ -56,15 +56,22 @@ def _e1_workloads():
 
 #: Per EXP-E1 workload: messages tapped while the simulator runs the first
 #: two pool queries of the seed-1 plan, their encoded bytes in total, and the
-#: sha256 of those bytes in delivery order — captured at the previous commit.
-#: ``cold_default``, ``warm_zipf`` and ``wire_tenants`` were re-captured when
-#: the log table learned §3.1.1's zero-repeat cases: nodes it now drops or
-#: rewrites no longer report rows, so the same messages carry fewer bytes.
+#: sha256 of those bytes in delivery order.  Re-captured when result messages
+#: became columnar (``WIRE_VERSION`` 2); ``_E1_PARENT`` holds what they were.
 _E1_MESSAGES = {
-    "cold_default": (50, 49260, "8cfdd7c1798dee7354260271981f42b12911d177c4b85f674d191689f8bd8613"),
-    "warm_zipf": (190, 198090, "179dfd1e700d241b68f85f5a8650e2f346a1e8953fe4eec0f794e25181add477"),
-    "eval_join": (16, 14432, "b91e9871af794738c8459b10ec8c138553f3a6c9f376231d23c6ccc4c9dbbe10"),
-    "wire_tenants": (48, 45327, "4ce86c111b61e09f57213b221d1cd111b4f2c868615d35d70a746852c146aa38"),
+    "cold_default": (50, 33277, "77c2d137dbc40b1a21b738bcb6d141a24e72fa99f4b94ca1391c924d89005f65"),
+    "warm_zipf": (190, 133956, "d8ef3dbe4babc8b8a1420e99bbdd8bddafbc303455120bdda2e156bd6e3515de"),
+    "eval_join": (16, 11120, "e305f7e3ebb5a6c55297b21bc5bc411788335cfb3db3a327d30b20feecb43889"),
+    "wire_tenants": (48, 33251, "36fbc21ddcf65eedec40bafd0fa18b705fe3f68ed906f84865144ce1942f9ad0"),
+}
+
+#: The same message sets with one JSON object per node in each result message
+#: (``WIRE_VERSION`` 1): ``(encoded bytes, modelled bytes)`` in total.
+_E1_PARENT = {
+    "cold_default": (49260, 26348),
+    "warm_zipf": (198090, 105463),
+    "eval_join": (14432, 7137),
+    "wire_tenants": (45327, 23456),
 }
 
 
@@ -113,6 +120,15 @@ class TestEncodedBytesAreThePreviousOnes:
     def test_wire_size_is_unchanged(self, e1_messages):
         name, tapped = e1_messages
         assert sum(wire_size(payload) for payload in tapped) == _E1_MESSAGES[name][1]
+
+    def test_real_bytes_fell_by_at_least_the_modelled_fraction(self, e1_messages):
+        """The size model may understate what columnar messages save, never
+        overstate it: encoded bytes fall at least as far as modelled ones."""
+        name, tapped = e1_messages
+        real_before, modelled_before = _E1_PARENT[name]
+        real = sum(wire_size(payload) for payload in tapped)
+        modelled = sum(payload.size_bytes() for payload in tapped)
+        assert real / real_before <= modelled / modelled_before < 1
 
     @pytest.mark.parametrize("pin", sorted(_WIRE_DIGESTS))
     def test_protocol_pin_messages_cold_and_warm(self, pin):
@@ -247,11 +263,11 @@ class TestTablesAreBounded:
         _clear_tables()
         limit = wire._DECODE_TABLE_SIZE
         template = encode_message(_result()).decode()
-        node = '"node":"http://b.example/x"'
+        node = '"nodes":["http://b.example/x"'
         assert template.count(node) == 1
         for serial in range(10 * limit):
             message = decode_message(
-                template.replace(node, f'"node":"http://b.example/x{serial}"').encode()
+                template.replace(node, f'"nodes":["http://b.example/x{serial}"').encode()
             )
             assert message.reports[0].nodes[0].path == f"/x{serial}"
         assert len(wire._DECODED_URLS) <= limit

@@ -43,9 +43,10 @@ change against its parent)::
 * ``wire`` — what ``wire_tenants`` pays with one tenant instead of two: the
   6×12 web on ``AsyncioWebDisEngine`` over loopback TCP, the 12-query pool
   run once, then 108 sequential queries.  Then, from an unprofiled pass,
-  wall, loop iterations, delivered messages and loop handles by callback
-  per query (``wire_loop_per_query``), and µs to encode and decode again
-  one result message that pass sent (``result_codec_us_per_message``).
+  wall, loop iterations, delivered messages, the real bytes of the frames
+  they travelled in beside their modelled ``net.bytes``, and loop handles by
+  callback per query (``wire_loop_per_query``), and µs to encode and decode
+  again one result message that pass sent (``result_codec_us_per_message``).
 
 Counts repeat exactly (``wire``'s to within the frames whose arrival order
 the kernel decides).  Each is read from the engine's own counters
@@ -516,7 +517,7 @@ def _wire_pass(inputs: tuple, measure: dict | None = None, tapped: list | None =
     """One tenant's closed loop over real loopback sockets.
 
     With ``measure`` the timed part runs under the loop counters and fills
-    it, and appends every result message it sends to ``tapped``; without,
+    it, and appends every result message it delivers to ``tapped``; without,
     it just runs (under whatever profiler the caller enabled).
     """
     import asyncio
@@ -524,6 +525,7 @@ def _wire_pass(inputs: tuple, measure: dict | None = None, tapped: list | None =
     from repro.core.aio_engine import AsyncioWebDisEngine
     from repro.core.messages import ResultMessage
     from repro.testing.loopcost import count_handles
+    from repro.wire import encode_envelope, encode_frame, encode_sequenced
 
     web, pool, config = inputs
 
@@ -552,12 +554,11 @@ def _wire_pass(inputs: tuple, measure: dict | None = None, tapped: list | None =
 
             loop._run_once = counted_run_once  # type: ignore[method-assign]
 
-            def tap(now, src, dst, port, payload) -> None:
-                if isinstance(payload, ResultMessage):
-                    tapped.append(payload)
-
-            engine.network.add_tap(tap)
-            messages = engine.stats.messages_sent
+            delivered: list = []
+            engine.network.add_tap(
+                lambda now, src, dst, port, payload: delivered.append((src, port, payload))
+            )
+            messages, modelled = engine.stats.messages_sent, engine.stats.bytes_sent
             with count_handles() as handles:
                 begin = time.perf_counter()
                 for text in queries:
@@ -565,10 +566,21 @@ def _wire_pass(inputs: tuple, measure: dict | None = None, tapped: list | None =
                 wall = time.perf_counter() - begin
                 by_callback = dict(handles.most_common())
             del loop._run_once  # back to the class's method
+            # The frames the delivered messages travelled in, encoded again
+            # (port and sequence number are fixed-size, so any will do).
+            frame_bytes = sum(
+                len(encode_frame(encode_sequenced(encode_envelope(src, payload), port, 0)))
+                for src, port, payload in delivered
+            )
+            tapped.extend(
+                payload for __, __, payload in delivered if isinstance(payload, ResultMessage)
+            )
             measure.update(
                 wall_ms=round(wall / WIRE_REPEATS * 1e3, 3),
                 loop_iterations=round(iterations[0] / WIRE_REPEATS, 2),
                 messages=round((engine.stats.messages_sent - messages) / WIRE_REPEATS, 2),
+                frame_bytes=round(frame_bytes / WIRE_REPEATS, 1),
+                modelled_bytes=round((engine.stats.bytes_sent - modelled) / WIRE_REPEATS, 1),
                 handles=round(sum(by_callback.values()) / WIRE_REPEATS, 2),
                 handles_by_callback={
                     name: round(count / WIRE_REPEATS, 2) for name, count in by_callback.items()

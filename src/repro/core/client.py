@@ -72,10 +72,11 @@ class QueryHandle:
     #: GUI, which showed rows as they arrived rather than at completion.
     on_result: Callable[[str, ResultRow, float], None] | None = None
     on_complete: Callable[["QueryHandle"], None] | None = None
-    #: Set by the watchdog when the query made no progress past a deadline.
-    #: Note this is a *failure detector*, not completion detection — the
-    #: CHT makes completion exact without timeouts (§2.7); the watchdog
-    #: only flags queries stalled by lost messages or dead servers.
+    #: Set by the :class:`~repro.core.supervisor.QuerySupervisor` when the
+    #: query made no progress past a deadline.  Note this is a *failure
+    #: detector*, not completion detection — the CHT makes completion exact
+    #: without timeouts (§2.7); the supervisor only flags queries stalled by
+    #: lost messages or dead servers.
     stall_detected_at: float | None = None
     #: Bumped by each :meth:`UserSiteClient.reforward_pending` round; clones
     #: re-dispatched by recovery carry the new epoch, so reports from the
@@ -484,39 +485,6 @@ class UserSiteClient:
             if handle.on_complete is not None:
                 handle.on_complete(handle)
 
-    # -- failure detection (extension) --------------------------------------------
-
-    def watch(
-        self,
-        handle: QueryHandle,
-        quiet_timeout: float,
-        on_stall: Callable[[QueryHandle], None] | None = None,
-    ) -> None:
-        """Flag ``handle`` as stalled after ``quiet_timeout`` silent seconds.
-
-        "Silent" means no report message arrived.  Progress re-arms the
-        timer; completion or cancellation disarms it.  The handle stays
-        RUNNING (late messages are still accepted) — the caller decides
-        whether to cancel and retry.
-        """
-
-        def arm() -> None:
-            # Capture the count *now*; the check compares against it later.
-            count_at_arm = handle.messages_received
-            self.clock.schedule(quiet_timeout, lambda: check(count_at_arm))
-
-        def check(expected_count: int) -> None:
-            if handle.status is not QueryStatus.RUNNING:
-                return
-            if handle.messages_received != expected_count:
-                arm()  # progress since the timer was set: re-arm
-                return
-            handle.stall_detected_at = self.clock.now
-            if on_stall is not None:
-                on_stall(handle)
-
-        arm()
-
     # -- crash recovery (extension): re-forward orphaned clones --------------------
 
     def reforward_pending(self, handle: QueryHandle) -> int:
@@ -531,11 +499,11 @@ class UserSiteClient:
         new report (possibly a DUPLICATE drop at the target's log table) or,
         if the site stays unreachable, a retraction.
 
-        Meant for entries believed *orphaned* — e.g. from the :meth:`watch`
-        stall detector — but safe when the original report is merely slow:
-        each pending instance is superseded under a new recovery epoch, so
-        the late report is absorbed as stale and only the re-forward's own
-        report retires the entry.  Returns the number of clones re-forwarded.
+        Meant for entries believed *orphaned* — e.g. by the
+        :class:`~repro.core.supervisor.QuerySupervisor` — but safe when the
+        original report is merely slow: each pending instance is superseded
+        under a new recovery epoch, so the late report is absorbed as stale
+        and only the re-forward's own report retires the entry.  Returns the number of clones re-forwarded.
         """
         if handle.status is not QueryStatus.RUNNING:
             return 0

@@ -15,24 +15,26 @@ need them:
 ``direct_result_return``      Section 2.6 — direct socket vs. path retrace (EXP-C2)
 ``strict_dead_end``           Figure 4's literal dead-end rule (DESIGN.md §4.2)
 ``server_threads``            §4.4's single query-processor thread (EXP-X4)
-``scheduler="fifo"``          §4.4's single queue of pending web-queries
 ``frontier_batching=False``   §4.4's one clone per step (EXP-C*/F*/S*/X4)
 ============================  ====================================================
 
-**Operational** — everything else: which evaluator, cache and transport run
-(``compiled_plans``, ``cross_query_caching``, ``transport``,
-``log_subsumption``), reliability (``retry_policy``, ``central_fallback``),
-multi-tenant limits (``pump_budget``, ``per_query_queue_limit``,
-``server_queue_limit``, ``shed_after``, ``log_max_age``) and the three
-constants of the CPU cost model.
+**Operational** — everything else: which evaluator and transport run
+(``compiled_plans``, ``transport``, ``log_subsumption``), reliability
+(``retry_policy``, ``central_fallback``), multi-tenant limits
+(``pump_budget``, ``per_query_queue_limit``, ``server_queue_limit``,
+``shed_after``, ``log_max_age``) and the three constants of the CPU cost
+model.
 
 Node-queries run on one compiled executor (the batch pipeline, with the
 tree interpreter behind ``compiled_plans=False`` as the executable reference)
 over one storage (the paper's temporary in-memory tables, §2.4, retained
 per process in one bounded, content-checked document store — footnote 3,
-:class:`~repro.model.database.DatabaseConstructor`), and query
-completion rests on one CHT accounting (dispatch identities, cross-checked
-after every report); none of these is configurable — see "Removed knobs" in
+:class:`~repro.model.database.DatabaseConstructor`); every server keeps a
+cross-query memo (:class:`~repro.core.resultmemo.ResultMemo`) and serves
+its pending clones from per-query run-queues in round-robin
+(:class:`~repro.core.scheduler.CloneScheduler`); and query completion rests
+on one CHT accounting (dispatch identities, cross-checked after every
+report).  None of these is configurable — see "Removed knobs" in
 ``docs/performance.md``.
 """
 
@@ -91,23 +93,6 @@ class EngineConfig:
     #: combined frontier dispatch cannot.
     frontier_batching: bool = True
 
-    #: Cross-query result caching: each server keeps a
-    #: :class:`~repro.core.resultmemo.ResultMemo` of ``(node, node-query
-    #: structural key) → rows`` and ``(node, PRE state) → forward fan-out``,
-    #: and of whole visits built from them (one probe per warm visit),
-    #: consulted before evaluation so overlapping queries — the
-    #: millions-of-users traffic shape — reuse each other's per-node work
-    #: instead of re-parsing and re-evaluating the same popular pages.
-    #: Reuse is subsumption-aware (an entry for a more general A*m·B state
-    #: serves a contained one after a residual filter) and invalidation is
-    #: explicit: a crash clears the memo with the rest of the process
-    #: state, and the versioned epoch hook
-    #: (:meth:`~repro.core.resultmemo.ResultMemo.advance_epoch`) is the
-    #: seam for live-web mutation.  Answers are identical with the knob on
-    #: or off (hypothesis equivalence suite + DST draw it per case); only
-    #: costs change.
-    cross_query_caching: bool = True
-
     #: §7.1 migration path: when a clone's destination site refuses the
     #: query connection (not participating in WEBDIS), redirect the clone to
     #: the central helper at the user-site instead of retiring its entries.
@@ -133,13 +118,6 @@ class EngineConfig:
     server_threads: int = 1
 
     # --- multi-tenant scheduling / admission control ---------------------------
-    #: What a server's run-queues are keyed by: ``"fair"`` files each clone
-    #: under its query and round-robins across queries, so a hot query's
-    #: backlog cannot head-of-line-block other tenants; ``"fifo"`` files
-    #: them all under one key — the paper's §4.4 single sequential queue.
-    #: With a single query (or clones of only one query queued) the two are
-    #: order-identical, so single-tenant runs are unaffected by the default.
-    scheduler: str = "fair"
     #: Hop budget of a frontier-batched pump step: at most this many clones
     #: of one query are processed before the scheduler moves on to the next
     #: run-queue.  Same-site clones past it go back on their own run-queue

@@ -3,17 +3,10 @@
 The paper's §4.4 server "sequentially processes the queue of pending
 web-queries" — one FIFO shared by every tenant, so a hot query's backlog
 head-of-line-blocks every other query at its site.  :class:`CloneScheduler`
-is that queue generalised by one choice, the *key* a clone is filed under:
-
-* ``EngineConfig.scheduler = "fifo"`` — every clone shares one key, so there
-  is one run-queue: the paper's single FIFO;
-* ``"fair"`` (the default) — the key is the clone's query id: one run-queue
-  per query on a round-robin ring, each pump step serves the next tenant,
-  and a deep backlog only delays its own query.
-
-Everything else is one code path.  With clones of a single query queued the
-ring has one member either way, so single-tenant runs are bit-identical
-under both settings.
+files each clone under its query instead: one run-queue per query on a
+round-robin ring, each pump step serves the next tenant, and a deep backlog
+only delays its own query.  With clones of a single query queued the ring
+has one member, so a single-tenant run is the paper's FIFO.
 
 :meth:`~CloneScheduler.push` refuses a clone that would exceed the
 per-query or per-server queue limit, and :meth:`~CloneScheduler.would_admit`
@@ -27,9 +20,7 @@ high-water mark the DST ceiling invariant audits after a run.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Hashable, Mapping
-
-from ..errors import SimulationError
+from typing import TYPE_CHECKING, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .webquery import QueryClone, QueryId
@@ -38,36 +29,28 @@ __all__ = ["CloneScheduler"]
 
 
 class CloneScheduler:
-    """A ring of run-queues under queue ceilings.
+    """A ring of per-query run-queues under queue ceilings.
 
-    Invariant: ``_ring`` holds exactly the keys with a non-empty run-queue,
-    each once, in service order; ``pop`` serves the front key's next clone
-    and rotates it to the back.  Under ``"fifo"`` the one shared key makes
-    that a single queue in arrival order.
+    Invariant: ``_ring`` holds exactly the queries with a non-empty
+    run-queue, each once, in service order; ``pop`` serves the front
+    query's next clone and rotates it to the back.  A query's depth is its
+    run-queue's length.
     """
 
-    def __init__(
-        self, policy: str, per_query_limit: int | None, server_limit: int | None
-    ) -> None:
-        if policy not in ("fair", "fifo"):
-            raise SimulationError(
-                f"unknown scheduler {policy!r}; expected 'fair' or 'fifo'"
-            )
-        self._per_query = policy == "fair"
+    def __init__(self, per_query_limit: int | None, server_limit: int | None) -> None:
         self.per_query_limit = per_query_limit
         self.server_limit = server_limit
         self.total = 0
         #: High-water mark of any single query's run-queue depth.
         self.max_query_depth_seen = 0
-        self._depths: dict["QueryId", int] = {}
-        self._queues: dict[Hashable, deque["QueryClone"]] = {}
-        self._ring: deque[Hashable] = deque()
+        self._queues: dict["QueryId", deque["QueryClone"]] = {}
+        self._ring: deque["QueryId"] = deque()
 
     # -- ceilings ------------------------------------------------------------
 
     def depths(self) -> dict["QueryId", int]:
         """Live per-query queue depths (only non-empty queues appear)."""
-        return {qid: depth for qid, depth in self._depths.items() if depth}
+        return {qid: len(queue) for qid, queue in self._queues.items()}
 
     def would_admit(self, counts: Mapping["QueryId", int]) -> bool:
         """Would a message carrying ``counts`` clones per query fit the
@@ -79,7 +62,8 @@ class CloneScheduler:
             return False
         if self.per_query_limit is not None:
             for qid, count in counts.items():
-                if self._depths.get(qid, 0) + count > self.per_query_limit:
+                queue = self._queues.get(qid)
+                if (len(queue) if queue else 0) + count > self.per_query_limit:
                     return False
         return True
 
@@ -89,75 +73,55 @@ class CloneScheduler:
         Ties break on the qid's string form so the choice is deterministic
         regardless of dict insertion history.
         """
-        if not self._depths:
+        if not self._queues:
             return None
-        return max(self._depths, key=lambda qid: (self._depths[qid], str(qid)))
-
-    def _release(self, qid: "QueryId", count: int = 1) -> None:
-        depth = self._depths.get(qid, 0) - count
-        if depth > 0:
-            self._depths[qid] = depth
-        else:
-            self._depths.pop(qid, None)
-        self.total -= count
+        return max(self._queues, key=lambda qid: (len(self._queues[qid]), str(qid)))
 
     # -- the run-queues ------------------------------------------------------
-
-    def _key(self, qid: "QueryId") -> Hashable:
-        return qid if self._per_query else None
 
     def push(self, clone: "QueryClone") -> bool:
         """Queue ``clone``; False if a ceiling refuses it (caller sheds)."""
         qid = clone.query.qid
         if not self.would_admit({qid: 1}):
             return False
-        depth = self._depths.get(qid, 0) + 1
-        self._depths[qid] = depth
-        self.total += 1
-        if depth > self.max_query_depth_seen:
-            self.max_query_depth_seen = depth
-        key = self._key(qid)
-        queue = self._queues.get(key)
+        queue = self._queues.get(qid)
         if queue is None:
-            queue = self._queues[key] = deque()
-            self._ring.append(key)
+            queue = self._queues[qid] = deque()
+            self._ring.append(qid)
         queue.append(clone)
+        self.total += 1
+        if len(queue) > self.max_query_depth_seen:
+            self.max_query_depth_seen = len(queue)
         return True
 
     def pop(self) -> "QueryClone | None":
         """The next clone to process, or None if idle."""
         if not self._ring:
             return None
-        key = self._ring.popleft()
-        queue = self._queues[key]
+        qid = self._ring.popleft()
+        queue = self._queues[qid]
         clone = queue.popleft()
         if queue:
-            self._ring.append(key)
+            self._ring.append(qid)
         else:
-            del self._queues[key]
-        self._release(clone.query.qid)
+            del self._queues[qid]
+        self.total -= 1
         return clone
 
     def take_same_query(
         self, qid: "QueryId", budget: int | None = None
     ) -> list["QueryClone"]:
         """Remove up to ``budget`` queued clones of ``qid`` (None = all), in
-        queue order — the frontier's seed gather.  Other tenants' clones in
-        the same run-queue keep their places."""
-        key = self._key(qid)
-        queue = self._queues.get(key)
+        queue order — the frontier's seed gather."""
+        queue = self._queues.get(qid)
         if queue is None:
             return []
-        taken: list["QueryClone"] = []
-        passed: list["QueryClone"] = []
-        while queue and (budget is None or len(taken) < budget):
-            clone = queue.popleft()
-            (taken if clone.query.qid == qid else passed).append(clone)
-        queue.extendleft(reversed(passed))
+        count = len(queue) if budget is None else min(budget, len(queue))
+        taken = [queue.popleft() for __ in range(count)]
         if not queue:
-            del self._queues[key]
-            self._ring.remove(key)
-        self._release(qid, len(taken))
+            del self._queues[qid]
+            self._ring.remove(qid)
+        self.total -= count
         return taken
 
     def drop_query(self, qid: "QueryId") -> list["QueryClone"]:
@@ -167,9 +131,8 @@ class CloneScheduler:
     def drain(self) -> list["QueryClone"]:
         """Remove and return everything (crash: the queue dies with the
         process; the count feeds ``clones_lost_in_crash``)."""
-        drained = [clone for key in self._ring for clone in self._queues[key]]
+        drained = [clone for qid in self._ring for clone in self._queues[qid]]
         self._queues.clear()
         self._ring.clear()
-        self._depths.clear()
         self.total = 0
         return drained

@@ -10,10 +10,8 @@ There is one pump loop (:meth:`QueryServer._pump`): each step takes the
 scheduler's next clone, traverses a frontier from it under a hop budget and
 the engine's CPU cost model, dispatches the reports and forwards what is
 left.  *Which* pending clone runs next is the scheduler's choice
-(:mod:`repro.core.scheduler`): the paper's §4.4 single FIFO under
-``scheduler="fifo"``, or per-query run-queues served round-robin under
-``"fair"`` (the default) so one hot query cannot head-of-line-block other
-tenants at the site.
+(:mod:`repro.core.scheduler`): per-query run-queues served round-robin,
+so one hot query cannot head-of-line-block other tenants at the site.
 
 Multi-tenant overload control: per-query and per-server queue
 ceilings (``per_query_queue_limit`` / ``server_queue_limit``) are enforced
@@ -101,20 +99,18 @@ class QueryServer(CloneProcessor):
         tracer: Tracer,
     ) -> None:
         super().__init__(site, web, network, clock, config, stats, tracer)
-        #: Cross-query memo of per-node rows, forward fan-outs and visits; None when
-        #: the knob is off.  Volatile like the plan cache, plus
-        #: an explicit epoch hook for future live-web mutation.
-        self.memo = ResultMemo(stats) if config.cross_query_caching else None
+        #: Cross-query memo of per-node rows, forward fan-outs and visits.
+        #: Volatile like the plan cache, plus an explicit epoch hook for
+        #: live-web mutation.
+        self.memo = ResultMemo(stats)
         self.channel = ReliableChannel(
             network, clock, config.retry_policy, name=f"server:{site}",
             trace=(lambda action, detail: tracer.site(clock.now, site, action, detail))
             if tracer.enabled else None,
         )
-        #: Pending clones: per-query run-queues round-robined under
-        #: ``scheduler="fair"``, the paper's single FIFO under ``"fifo"`` —
-        #: the same queue ceilings either way.
+        #: Pending clones: per-query run-queues served round-robin.
         self._scheduler = CloneScheduler(
-            config.scheduler, config.per_query_queue_limit, config.server_queue_limit
+            config.per_query_queue_limit, config.server_queue_limit
         )
         self._active_workers = 0
         self._last_purge = 0.0
@@ -157,8 +153,7 @@ class QueryServer(CloneProcessor):
         self.log_table = NodeQueryLogTable(self.config.log_subsumption)
         self.constructor = DatabaseConstructor(stats=self.stats)
         self.plans.clear()
-        if self.memo is not None:
-            self.memo.clear()
+        self.memo.clear()
         self._purged = set()
         self._marks = {}
         self._last_purge = 0.0
@@ -179,8 +174,7 @@ class QueryServer(CloneProcessor):
         The seam a live-web mutation source will drive when this site's pages
         change: drops the two caches an edit makes stale, memo and store.
         """
-        if self.memo is not None:
-            self.memo.advance_epoch()
+        self.memo.advance_epoch()
         self.constructor.purge()
 
     # -- ingress ----------------------------------------------------------------

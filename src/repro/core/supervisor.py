@@ -2,9 +2,9 @@
 
 The paper's completion detection is exact but *passive* — a query whose
 clones died inside a crashed server would simply never complete (§7.1 lists
-node failures as an open problem).  PR 1 added the pieces (stall watchdog,
-``reforward_pending``); this module closes the loop into an automatic
-driver:
+node failures as an open problem).  The user-site can re-forward a query's
+outstanding clones (``reforward_pending``); this module is the loop that
+decides when, and the client's only stall detector:
 
 1. **Watch.**  After ``quiet_timeout`` simulated seconds with no *effective*
    progress — CHT movement or new result rows; absorbed stale/duplicate

@@ -333,7 +333,7 @@ class CloneProcessor:
         chunked to at most ``pump_budget`` nodes per clone: a whole BFS
         layer coalesced into one fat clone would otherwise be indivisible —
         one pump would process every node of the layer no matter the
-        budget, and the fair scheduler would have nothing to interleave.
+        budget, and the scheduler would have nothing to interleave.
         Chunks keep the (site, state) grouping, travel in the same bundle,
         and each carries its own dispatch identity, so CHT accounting is
         exactly as without chunking.

@@ -84,10 +84,10 @@ string or number constant of the ``where`` clause is a :class:`Param`, whose
 value the kernels and closures read from ``env`` at run time (a string's
 lowercased copy sits in the next slot, so a ``contains`` needle is lowered
 once per bound query, not per row).  What a lowering may know of a constant
-is its kind (:attr:`Param.kind`) — the one property the kernel choice below
-depends on (``=``/``!=`` are plain ``==``/``!=`` only for *non-numeric*
-strings) — so one runner serves every query that differs from it only in
-constant values of the same kinds.
+is its type (:attr:`Param.kind`) — the one property the kernel choice below
+depends on (a ``contains`` is batched over a string needle only) — so one
+runner serves every query that differs from it only in constant values of
+the same types.
 
 Equivalence with the interpreter is property-tested in
 ``tests/test_columnar_executor.py`` (including hostile expressions whose
@@ -116,13 +116,7 @@ from .expr import (
 from .query import ResultRow
 from .schema import Schema
 
-__all__ = ["LevelPlan", "Param", "STR", "NUMERIC_STR", "build_columnar_runner"]
-
-#: :attr:`Param.kind` of a string constant that does not parse as a number.
-STR = "str"
-#: :attr:`Param.kind` of a string constant that does (``"12"``, ``"1e3"``):
-#: ``_coerce_pair`` may convert it, so ``=``/``!=`` must not be plain.
-NUMERIC_STR = "numeric str"
+__all__ = ["LevelPlan", "Param", "build_columnar_runner"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,16 +124,16 @@ class Param:
     """A constant of a shared lowering, bound per query.
 
     Its value is ``env[index]``; a string's lowercased copy is
-    ``env[index + 1]``.  ``kind`` is :data:`STR`, :data:`NUMERIC_STR` or the
-    type of a non-string value — never the value itself.
+    ``env[index + 1]``.  ``kind`` is the value's type — never the value
+    itself.
     """
 
     index: int
-    kind: object
+    kind: type
 
     @property
     def is_str(self) -> bool:
-        return self.kind == STR or self.kind == NUMERIC_STR
+        return self.kind is str
 
 
 #: A scalar compiled expression (see :mod:`repro.relational.compile`).
@@ -509,10 +503,10 @@ def _specialize(
     """Vectorized kernels for the hot predicate shapes over the table bound
     as ``alias``, or ``None``.
 
-    Only shapes that are provably value-exact are specialized; anything
-    else (cross-level joins, numeric comparisons, boolean combinators,
-    fuzzy match) goes through the generic kernel — still correct, just not
-    batched.
+    Only shapes that are provably value-exact and that a workload runs are
+    specialized; anything else (column-vs-constant equality, cross-level
+    joins, numeric comparisons, boolean combinators, fuzzy match) goes
+    through the generic kernel — still correct, just not batched.
     """
     if isinstance(conjunct, Contains) and not conjunct.max_edits:
         column = _own_column(conjunct.haystack, alias, schema)
@@ -534,35 +528,6 @@ def _specialize(
             return contains_kernel
 
     if isinstance(conjunct, Compare) and conjunct.op in ("=", "!="):
-        column = constant = None
-        if isinstance(conjunct.right, Param):
-            column = _own_column(conjunct.left, alias, schema)
-            constant = conjunct.right
-        elif isinstance(conjunct.left, Param):
-            column = _own_column(conjunct.right, alias, schema)
-            constant = conjunct.left
-        if column is not None:
-            # Plain ==/!= is exact only for non-numeric string constants:
-            # _coerce_pair never converts for those (conversion requires the
-            # *string* side to parse as a number), and =/!= never raise.
-            if constant.kind != STR:
-                return None
-            if conjunct.op == "=":
-
-                def eq_kernel(env, cols, sel, table, _c=column, _i=constant.index):
-                    value = env[_i]
-                    col = cols[_c]
-                    return [i for i in sel if col[i] == value]
-
-                return eq_kernel
-
-            def ne_kernel(env, cols, sel, table, _c=column, _i=constant.index):
-                value = env[_i]
-                col = cols[_c]
-                return [i for i in sel if col[i] != value]
-
-            return ne_kernel
-
         # Column-vs-column =/!= on one table (the generic-conjunct hot
         # shape, e.g. ``a.base != a.href``): plain ==/!= is exact unless
         # numeric coercion could apply between the two columns' values,
@@ -633,33 +598,11 @@ def _build_projector(
             specs.append(("env", depth, schema.position(attr.name)))
     kinds = tuple(kind for kind, __, __ in specs)
 
-    if kinds == ("col",):
-
-        def project_one(env, cols, sel, binding, out, _c=specs[0][2], _h=header):
-            col = cols[_c]
-            append = out.append
-            for index in sel:
-                append(ResultRow(_h, (col[index],)))
-
-        return project_one
-
-    if kinds == ("col", "col"):
-
-        def project_two(
-            env, cols, sel, binding, out, _c0=specs[0][2], _c1=specs[1][2], _h=header
-        ):
-            col0 = cols[_c0]
-            col1 = cols[_c1]
-            append = out.append
-            for index in sel:
-                append(ResultRow(_h, (col0[index], col1[index])))
-
-        return project_two
-
-    if kinds[-1:] == ("col",) and set(kinds[:-1]) == {"env"}:
+    if kinds[-1:] == ("col",) and set(kinds[:-1]) <= {"env"}:
         # Outer values, then one leaf column (``d.url, r.text``,
-        # ``d.url, a.href, r.text``): the outer prefix is one tuple per
-        # surviving binding, the column is indexed directly.
+        # ``d.url, a.href, r.text``, or a lone ``d.url`` with an empty
+        # prefix): the outer prefix is one tuple per surviving binding, the
+        # column is indexed directly.
         outer = tuple((depth, column) for __, depth, column in specs[:-1])
 
         def project_outer_col(

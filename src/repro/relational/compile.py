@@ -31,7 +31,7 @@ database.
 
 It is also independent of the literals' values.  A lowering is built for
 the query's *shape* — each string or number literal a slot that knows only
-its kind (non-numeric string, numeric string, int, ...) — and a
+its type (``str``, ``int``, ...) — and a
 :class:`CompiledPlan` is that lowering *bound* to one query's literals,
 which every closure and kernel reads per execution.  Given a server's
 mapping of lowerings (:class:`~repro.core.plancache.PlanCache` is one),
@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from ..errors import DisqlSemanticsError, EvaluationError, SchemaError
 from ..model.relations import ANCHOR_SCHEMA, DOCUMENT_SCHEMA, RELINFON_SCHEMA
-from .columnar import NUMERIC_STR, STR, LevelPlan, Param, build_columnar_runner
+from .columnar import LevelPlan, Param, build_columnar_runner
 from .expr import (
     _COMPARATORS,
     And,
@@ -60,7 +60,6 @@ from .expr import (
     Not,
     Or,
     _coerce_pair,
-    _to_number,
 )
 from .query import NodeQuery, ResultRow, _plan_filters, evaluate_node_query
 from .schema import Schema
@@ -244,7 +243,7 @@ def compile_node_query(
     """Lower ``query`` into a :class:`CompiledPlan` (database-independent).
 
     ``lowerings`` maps query *shapes* — the structure with each string or
-    number literal replaced by a slot and its kind (see
+    number literal replaced by a slot and its type (see
     :func:`_parameterized`) — to lowerings, most recently used last; the caller
     bounds it.  A query whose shape is there is *bound*: a plan over the
     shared lowering with this query's literals as per-execution constants.
@@ -282,6 +281,8 @@ def _shape(query: NodeQuery) -> tuple[tuple, tuple, Expr]:
         )
         object.__setattr__(query, "_shape", shape)
     return shape
+
+
 def _lower(query: NodeQuery, where: Expr) -> _Lowering:
     """The lowering of ``query``'s shape, whose ``where`` is given with
     :class:`~repro.relational.columnar.Param` constants."""
@@ -325,9 +326,9 @@ def _parameterized(expr: Expr, constants: list, base: int) -> tuple[object, Expr
     tree as a key of nested tuples (of strings, so hashing it runs no
     Python code per node).
 
-    A Param keeps its literal's kind, which the lowering may depend on
-    (:func:`_specialize <repro.relational.columnar._specialize>` picks plain
-    ``=``/``!=`` kernels for non-numeric strings only), and not its value.
+    A Param keeps its literal's type, which the lowering may depend on
+    (:func:`_specialize <repro.relational.columnar._specialize>` batches a
+    ``contains`` only over a string needle), and not its value.
     Booleans stay literal: :func:`conjuncts` drops a literal ``True``, so
     their value decides the plan.
     """
@@ -336,10 +337,9 @@ def _parameterized(expr: Expr, constants: list, base: int) -> tuple[object, Expr
         index = base + len(constants)
         if isinstance(value, str):
             constants += (value, value.lower())
-            param = Param(index, STR if _to_number(value) is None else NUMERIC_STR)
         else:
             constants.append(value)
-            param = Param(index, type(value))
+        param = Param(index, type(value))
         return (Param, index, param.kind), param
     if isinstance(expr, Compare):
         (left_key, left), (right_key, right) = (

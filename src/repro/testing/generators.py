@@ -156,7 +156,8 @@ def generate_case(seed: int, schedule_seed: int | None = None) -> Spec:
     # its servers, because the oracle's reference interprets.
     rng.random()
     config["frontier_batching"] = rng.random() < 0.5
-    config["scheduler"] = "fifo" if rng.random() < 0.25 else "fair"
+    # ``scheduler``'s draw position, discarded: every server is fair.
+    rng.random()
     config["pump_budget"] = rng.choice((None, None, None, 2, 4, 8))
 
     # Extra tenants: 0–2 more queries on the same web, so fair scheduling
@@ -196,13 +197,11 @@ def generate_case(seed: int, schedule_seed: int | None = None) -> Spec:
             config["server_queue_limit"] = rng.choice((16, 24, 32))
             config["shed_after"] = round(rng.uniform(0.5, 2.0), 3)
 
-    # Cross-query caching — drawn after every earlier knob
-    # (ordering rule above), so existing seeds keep their webs, queries,
-    # faults and pressure draws byte-for-byte.
-    config["cross_query_caching"] = rng.random() < 0.5
-
-    # A retired knob's draw position (ordering rule above): discarding the
-    # value instead of skipping the draw keeps every seed's later draws.
+    # Two retired knobs' draw positions (ordering rule above), the
+    # ``cross_query_caching`` one first: discarding the values instead of
+    # skipping the draws keeps every seed's later draws.  Every server
+    # keeps a memo.
+    rng.random()
     rng.random()
 
     # Join-depth axis — newest draw, appended last (ordering rule

@@ -191,7 +191,7 @@ def check_memo_coherence(engine) -> list[Violation]:
     (:meth:`~repro.core.resultmemo.ResultMemo.recount_bytes`) — drift means
     some store path forgot to subtract a replaced entry's estimate, or an
     entry kind went uncounted.  Run-level check; engines without per-site
-    servers, or with ``cross_query_caching`` off, are skipped.
+    servers, and servers without a memo, are skipped.
     """
     servers = getattr(engine, "servers", None)
     if not servers:

@@ -14,7 +14,7 @@ One *case* drives three simulations:
    not change any tenant's answer.  Each query's row multiset also
    becomes its ``rows-sound`` ground truth for the faulted run.
 3. **Run under test** — WEBDIS with the spec's fault schedule, latency
-   overrides, scheduler/admission knobs and tie-break schedule seed, all
+   overrides, pump-budget/admission knobs and tie-break schedule seed, all
    queries driven by a :class:`~repro.core.supervisor.QuerySupervisor`.
    Checked against the full invariant battery
    (:mod:`repro.testing.invariants`) and the coverage-aware oracle
@@ -133,16 +133,15 @@ def _engine_config(spec: Spec, *, pressure: bool = True) -> EngineConfig:
     """The spec's engine knobs.  ``pressure=False`` strips the admission
     ceilings and shed timer: a run the oracle requires to be COMPLETE and
     exact (the clean control, or a faulted run whose plan shrank away)
-    must never legitimately shed coverage."""
+    must never legitimately shed coverage.  Keys of retired knobs in an
+    older repro file (``scheduler``, ``cross_query_caching``) are ignored."""
     config = spec.get("config", {})
     return EngineConfig(
         log_subsumption=config.get("log_subsumption", "paper"),
         batch_per_site=config.get("batch_per_site", True),
         compiled_plans=config.get("compiled_plans", True),
         frontier_batching=config.get("frontier_batching", True),
-        scheduler=config.get("scheduler", "fair"),
         pump_budget=config.get("pump_budget"),
-        cross_query_caching=config.get("cross_query_caching", True),
         per_query_queue_limit=config.get("per_query_queue_limit") if pressure else None,
         server_queue_limit=config.get("server_queue_limit") if pressure else None,
         shed_after=config.get("shed_after") if pressure else None,

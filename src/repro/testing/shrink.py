@@ -98,14 +98,7 @@ def _candidates(spec: Spec) -> Iterator[Spec]:
             candidate = copy.deepcopy(spec)
             candidate["config"][knob] = None
             yield candidate
-    # 1c. Clear the cross-query memo knob: a repro that still fails with
-    # caching off has nothing to do with the memo, which halves the
-    # suspect surface for the debugging human.
-    if spec.get("config", {}).get("cross_query_caching", True):
-        candidate = copy.deepcopy(spec)
-        candidate.setdefault("config", {})["cross_query_caching"] = False
-        yield candidate
-    # 1d. Fall back to the interpreter: a repro that still fails without
+    # 1c. Fall back to the interpreter: a repro that still fails without
     # compiled plans rules out plan compilation, the batch pipeline and its
     # rollback-and-replay machinery as the culprit.
     if spec.get("config", {}).get("compiled_plans", True):

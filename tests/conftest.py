@@ -49,3 +49,12 @@ def parse_calls(monkeypatch):
     for module in (crawler, validation, web):
         monkeypatch.setattr(module, "parse_html", counting)
     return calls
+
+
+def without_memo(engine):
+    """``engine`` with every server's cross-query memo taken away: each
+    visit evaluates its node, as the hybrid engine's central processor
+    does — the memo-off reference of the memo's equivalence tests."""
+    for server in engine.servers.values():
+        server.memo = None
+    return engine

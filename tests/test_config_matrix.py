@@ -14,6 +14,7 @@ import pytest
 
 from repro import EngineConfig, QueryStatus, WebDisEngine
 from repro.web.campus import CAMPUS_QUERY_DISQL, EXPECTED_CONVENER_ROWS
+from tests.conftest import without_memo
 
 _FLAG_AXES = {
     "log_table_enabled": (True, False),
@@ -21,19 +22,23 @@ _FLAG_AXES = {
     "combine_results_and_cht": (True, False),
     "direct_result_return": (True, False),
     "frontier_batching": (True, False),
-    "scheduler": ("fair", "fifo"),
 }
 
+# Frontier batching engages only under direct result return, so with
+# ``direct_result_return=False`` both of its settings are one engine: the
+# matrix runs that engine once.
 _COMBOS = [
-    dict(zip(_FLAG_AXES, values))
-    for values in itertools.product(*_FLAG_AXES.values())
+    combo
+    for combo in (
+        dict(zip(_FLAG_AXES, values))
+        for values in itertools.product(*_FLAG_AXES.values())
+    )
+    if combo["direct_result_return"] or combo["frontier_batching"]
 ]
 
 
 def _combo_id(combo: dict) -> str:
-    parts = [k for k, v in combo.items() if v is False]
-    parts += [v for v in combo.values() if isinstance(v, str)]
-    return ",".join(parts) or "all-on"
+    return ",".join(k for k, v in combo.items() if v is False) or "all-on"
 
 
 @pytest.mark.parametrize("combo", _COMBOS, ids=_combo_id)
@@ -57,10 +62,10 @@ _EXTENSION_AXES = [
     # Multi-tenancy knobs: bounded pump budgets chunk the frontier but must
     # not change answers; generous ceilings must never shed the campus query.
     EngineConfig(pump_budget=1),
-    EngineConfig(scheduler="fifo", pump_budget=3),
+    EngineConfig(pump_budget=3),
     EngineConfig(pump_budget=2, per_query_queue_limit=64, server_queue_limit=128,
                  shed_after=30.0),
-    EngineConfig(scheduler="fifo", pump_budget=4, per_query_queue_limit=64,
+    EngineConfig(pump_budget=4, per_query_queue_limit=64,
                  log_subsumption="language", server_threads=2),
 ]
 
@@ -73,14 +78,13 @@ def test_figure8_invariant_under_extensions(campus_web, config):
     assert {r.values for r in handle.unique_rows("q2")} == set(EXPECTED_CONVENER_ROWS)
 
 
-# Cross-query caching (EXP-P4) crossed against the knobs it interacts with
-# on the hot path: the scheduler (interleaves tenants, so memo warm-up
-# order varies), frontier batching (moves probes into the frontier pump)
-# and compiled plans (plan sharing vs interpreter).  Two identical tenants
-# run per combo so the memo genuinely engages — both must stay row-exact.
+# The cross-query memo (EXP-P4) crossed against the knobs it interacts
+# with on the hot path: frontier batching (moves probes into the frontier
+# pump) and compiled plans (plan sharing vs interpreter).  ``memo=False``
+# takes the servers' memos away.  Two identical tenants run per combo so
+# the memo genuinely engages — both must stay row-exact.
 _CACHING_AXES = {
-    "cross_query_caching": (True, False),
-    "scheduler": ("fair", "fifo"),
+    "memo": (True, False),
     "frontier_batching": (True, False),
     "compiled_plans": (True, False),
 }
@@ -93,7 +97,10 @@ _CACHING_COMBOS = [
 
 @pytest.mark.parametrize("combo", _CACHING_COMBOS, ids=_combo_id)
 def test_figure8_invariant_under_caching_axis(campus_web, combo):
-    engine = WebDisEngine(campus_web, config=EngineConfig(**combo))
+    config = {k: v for k, v in combo.items() if k != "memo"}
+    engine = WebDisEngine(campus_web, config=EngineConfig(**config))
+    if not combo["memo"]:
+        without_memo(engine)
     first = engine.submit_disql(CAMPUS_QUERY_DISQL)
     second = engine.submit_disql(CAMPUS_QUERY_DISQL)
     engine.run()
@@ -109,7 +116,7 @@ def test_figure8_invariant_under_caching_axis(campus_web, combo):
 # The EXP-P6 outer-level batching crossed with join depth: node-queries of
 # 1, 2 and 3 aliases — the 3-alias one carries explicit equality joins on
 # shared variables (a.base = d.url, r.url = a.base), i.e. the shapes the
-# batch pipeline lowers to hash-index probes.  The default engine must match
+# batch pipeline runs as per-binding residuals.  The default engine must match
 # the interpreter's statuses and distinct rows exactly; the depth-1/2/3
 # queries between them cover leaf-only, one expansion level and two
 # expansion levels of the pipeline.

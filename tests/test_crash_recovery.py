@@ -6,8 +6,9 @@ Three recovery paths keep completion exact when a server crashes mid-query:
   :class:`~repro.net.reliable.ReliableChannel` keeps trying until the site
   restarts;
 * client re-forwarding — the connect *did* succeed and the clone died
-  inside the crash; the stall watchdog triggers
-  :meth:`~repro.core.client.UserSiteClient.reforward_pending`;
+  inside the crash; :meth:`~repro.core.client.UserSiteClient.reforward_pending`
+  (which a :class:`~repro.core.supervisor.QuerySupervisor` calls on a
+  stall) sends it again;
 * retraction — the site never comes back; the forwarder retires the
   entries once its retry budget is spent.
 """
@@ -87,18 +88,16 @@ class TestInFlightLoss:
 
     def test_reforward_recovers_clone_lost_in_crash(self):
         """Connect succeeded, clone lost inside the crash: no retry fires
-        (the sender saw success), so the watchdog + reforward path is the
-        one that resolves the orphaned CHT entry."""
+        (the sender saw success), so a re-forward is what resolves the
+        orphaned CHT entry."""
         engine = WebDisEngine(_star_web(), net_config=NetworkConfig(latency_base=1.0))
         handle = engine.submit_disql(QUERY)
         # Root forwards at ~t=1.0 (connects succeed); deliveries land at
         # ~t=2.0.  Crash at 1.5 eats the clone in flight to leaf1.
         engine.crash_server("leaf1.example", at=1.5)
         engine.restart_server("leaf1.example", at=2.5)
-        engine.client.watch(
-            handle, quiet_timeout=3.0,
-            on_stall=lambda h: engine.client.reforward_pending(h),
-        )
+        # Re-forward once the surviving clones have reported.
+        engine.clock.schedule(9.0, lambda: engine.client.reforward_pending(handle))
         engine.run()
         assert handle.status is QueryStatus.COMPLETE
         assert handle.cht.imbalance() == 0
@@ -111,7 +110,7 @@ class TestInFlightLoss:
 class TestCrashRecovery:
     def test_retry_bridges_crash_and_restart(self):
         """Crash *before* the forward: the connect fails HOST_DOWN and the
-        forwarder's retries bridge the outage — no watchdog needed."""
+        forwarder's retries bridge the outage — no re-forward needed."""
         engine = WebDisEngine(
             _star_web(),
             config=EngineConfig(retry_policy=RETRIES),

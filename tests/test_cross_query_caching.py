@@ -5,7 +5,8 @@ the PR's center of gravity:
 
 * **Equivalence property** — random generated webs × overlapping query
   batches must produce bit-identical per-tenant distinct rows, statuses
-  and canonical log-table snapshots with ``cross_query_caching`` on vs off;
+  and canonical log-table snapshots with the memo and without it (the
+  servers' memos taken away: :func:`tests.conftest.without_memo`);
 * **Subsumption reuse** — a general ``(L|G)*3`` query warms the memo for a
   contained ``(L|G)*2`` one, observable as ``residual_filters`` hits and —
   crucially — identical answers to a cold uncached run;
@@ -14,10 +15,7 @@ the PR's center of gravity:
   invariant actually detects a manufactured leak; the same for the
   document store (:func:`~repro.testing.invariants.check_document_store`):
   edit a page, bump the epoch, resubmit — the new page answers, on both
-  transports, per-node and sitewide;
-* **DST integration** — the generator draws the knob (both values occur),
-  the runner threads it into :class:`~repro.core.config.EngineConfig`, and
-  the shrinker proposes clearing it.
+  transports, per-node and sitewide.
 """
 
 from __future__ import annotations
@@ -35,13 +33,12 @@ from repro.model.relations import LinkType
 from repro.pre.ast import Atom, alt, repeat
 from repro.testing.generators import build_web, generate_case, query_texts
 from repro.testing.invariants import check_document_store, check_memo_coherence
-from repro.testing.runner import _engine_config
-from repro.testing.shrink import _candidates
 from repro.urlutils import parse_url
 from repro.web import SyntheticWebConfig, build_synthetic_web
 from repro.web.builders import WebBuilder
 from repro.web.campus import CAMPUS_QUERY_DISQL
 from repro.web.site import Page
+from tests.conftest import without_memo
 from tests.test_multidoc import MULTIDOC_QUERY, _dept_web
 
 GENERAL_QUERY = (
@@ -83,8 +80,10 @@ def _log_snapshots(engine):
     }
 
 
-def _run_batch(web, texts, **config):
+def _run_batch(web, texts, memo=True, **config):
     engine = WebDisEngine(web, config=EngineConfig(**config))
+    if not memo:
+        without_memo(engine)
     handles = [engine.submit_disql(text) for text in texts]
     engine.run()
     return engine, handles
@@ -112,7 +111,7 @@ class TestEquivalenceProperty:
         runs = {}
         for enabled in (True, False):
             engine, handles = _run_batch(
-                web, texts, cross_query_caching=enabled
+                web, texts, memo=enabled
             )
             runs[enabled] = _semantic_state(engine, handles)
             assert check_memo_coherence(engine) == []
@@ -121,18 +120,15 @@ class TestEquivalenceProperty:
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_equivalence_survives_the_other_knobs(self, seed):
-        """The caching axis crossed with the spec's own drawn knobs."""
+        """The memo crossed with the spec's own drawn knobs."""
         spec = generate_case(seed)
         web = build_web(spec)
         texts = query_texts(spec) + [query_texts(spec)[0]]
-        knobs = {
-            "frontier_batching": spec["config"]["frontier_batching"],
-            "scheduler": spec["config"]["scheduler"],
-        }
+        knobs = {"frontier_batching": spec["config"]["frontier_batching"]}
         runs = {}
         for enabled in (True, False):
             engine, handles = _run_batch(
-                web, texts, cross_query_caching=enabled, **knobs
+                web, texts, memo=enabled, **knobs
             )
             runs[enabled] = _semantic_state(engine, handles)
         assert runs[True] == runs[False]
@@ -152,7 +148,7 @@ class TestSubsumptionReuse:
         assert engine.stats.memo_hits > 0
         # ...and the answers are exactly a cold uncached run's.
         cold, (cold_contained,) = _run_batch(
-            web, [CONTAINED_QUERY], cross_query_caching=False
+            web, [CONTAINED_QUERY], memo=False
         )
         assert _distinct_rows(contained) == _distinct_rows(cold_contained)
         assert cold_contained.status is QueryStatus.COMPLETE
@@ -180,7 +176,7 @@ class TestSubsumptionReuse:
         ]
         runs = {}
         for enabled in (True, False):
-            __, handles = _run_batch(web, pool * 20, cross_query_caching=enabled)
+            __, handles = _run_batch(web, pool * 20, memo=enabled)
             assert {handle.status for handle in handles} == {QueryStatus.COMPLETE}
             makespan = max(handle.completion_time for handle in handles)
             runs[enabled] = makespan, [_distinct_rows(handle) for handle in handles]
@@ -364,23 +360,15 @@ class TestInvalidation:
         assert violations[0].invariant == "memo-coherence"
         assert "root.example" in violations[0].detail
 
-    def test_knob_off_means_no_memo(self):
-        engine = WebDisEngine(_web(), config=EngineConfig(cross_query_caching=False))
-        engine.submit_disql(GENERAL_QUERY)
-        engine.run()
-        assert all(server.memo is None for server in engine.servers.values())
-        assert engine.stats.memo_hits == 0
-        assert engine.stats.memo_misses == 0
-        assert check_memo_coherence(engine) == []
-
     @pytest.mark.parametrize("strict_dead_end", [False, True])
     def test_knob_off_costs_what_an_all_miss_memo_run_costs(self, campus_web, strict_dead_end):
         # Without a memo the lazy database provider is always resolved, so
         # every visited document is parsed once and charged parse + scan —
         # exactly the cost of a cold run whose memo probes all miss.
-        def run(caching):
-            config = EngineConfig(cross_query_caching=caching, strict_dead_end=strict_dead_end)
-            engine = WebDisEngine(campus_web, config=config)
+        def run(memo):
+            engine = WebDisEngine(campus_web, config=EngineConfig(strict_dead_end=strict_dead_end))
+            if not memo:
+                without_memo(engine)
             handle = engine.run_query(CAMPUS_QUERY_DISQL)
             counters = engine.stats.summary()
             assert counters["memo_hits"] == 0 and counters["documents_parsed"] > 0
@@ -457,43 +445,3 @@ class TestByteGaugeAudit:
             assert memo.bytes_est == memo.recount_bytes()
         assert memo.evictions > 0
 
-
-class TestDstIntegration:
-    def test_generator_draws_both_knob_values(self):
-        draws = {
-            generate_case(seed)["config"]["cross_query_caching"]
-            for seed in range(16)
-        }
-        assert draws == {True, False}
-
-    def test_runner_threads_the_knob(self):
-        spec = {"seed": 0, "config": {"cross_query_caching": False}}
-        assert _engine_config(spec).cross_query_caching is False
-        # Absent (older repro files) defaults to the engine default: on.
-        assert _engine_config({"seed": 0, "config": {}}).cross_query_caching is True
-
-    def test_shrinker_proposes_clearing_the_knob(self):
-        spec = generate_case(3)
-        spec["config"]["cross_query_caching"] = True
-        flipped = [
-            candidate
-            for candidate in _candidates(spec)
-            if candidate["config"].get("cross_query_caching") is False
-            and {k: v for k, v in candidate["config"].items()
-                 if k != "cross_query_caching"}
-            == {k: v for k, v in spec["config"].items()
-                if k != "cross_query_caching"}
-            and candidate["web"] == spec["web"]
-            and candidate["faults"] == spec["faults"]
-        ]
-        assert flipped  # the clear-knob pass fired exactly as designed
-        # ...and never re-fires once the knob is already off (termination).
-        spec["config"]["cross_query_caching"] = False
-        assert not any(
-            candidate["config"].get("cross_query_caching") is False
-            and candidate["web"] == spec["web"]
-            and candidate["faults"] == spec["faults"]
-            and candidate["config"] == spec["config"]
-            and candidate == spec
-            for candidate in _candidates(spec)
-        )

@@ -34,6 +34,7 @@ from repro.testing import (
     spec_size,
 )
 from repro.testing.oracle import observed_rows
+from repro.testing.runner import _engine_config
 from repro.testing.shrink import from_json, to_json
 
 REPO = Path(__file__).resolve().parent.parent
@@ -67,6 +68,22 @@ class TestGenerators:
         assert spec["faults"], "seed 11 should carry fault events"
         spec["web"]["sites"] = spec["web"]["sites"][:1]
         build_fault_plan(spec)  # must not raise
+
+    def test_retired_knobs_keep_their_draw_positions(self):
+        cases = [generate_case(seed) for seed in range(16)]
+        assert not any(
+            "scheduler" in case["config"] or "cross_query_caching" in case["config"]
+            for case in cases
+        )
+        # The draws after each retired knob's: the values seeds 0..15 drew
+        # while the knobs still existed (``pump_budget`` follows
+        # ``scheduler``, the ``anchor`` axis ``cross_query_caching``).
+        assert [case["config"]["pump_budget"] for case in cases] == [
+            8, 4, 4, 8, 2, None, 8, None, 4, 2, None, None, None, 2, 2, 8,
+        ]
+        assert "".join("01"[case["query"]["anchor"]] for case in cases) == (
+            "1001010001110001"
+        )
 
     def test_roughly_a_quarter_of_cases_are_clean(self):
         clean = sum(1 for seed in range(80) if not generate_case(seed)["faults"])
@@ -153,6 +170,11 @@ class TestRunner:
         assert first.cases[0].fingerprint == second.cases[0].fingerprint
         assert first.cases[0].fingerprint  # non-empty sha256 hex
 
+    def test_retired_knobs_in_an_old_repro_file_are_ignored(self):
+        old = generate_case(0)
+        old["config"].update(scheduler="fifo", cross_query_caching=False)
+        assert _engine_config(old) == _engine_config(generate_case(0))
+
     def test_case_fails_is_false_on_passing_spec(self):
         assert case_fails(generate_case(0)) is False
 
@@ -211,6 +233,15 @@ class TestCli:
     def test_replay_round_trip(self, tmp_path):
         repro = tmp_path / "repro.json"
         repro.write_text(to_json(generate_case(1)) + "\n")
+        proc = self._dst("replay", str(repro))
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "OK: no violations" in proc.stdout
+
+    def test_replay_accepts_a_repro_with_retired_knobs(self, tmp_path):
+        document = json.loads(to_json(generate_case(5)))
+        document["spec"]["config"].update(scheduler="fifo", cross_query_caching=False)
+        repro = tmp_path / "old.json"
+        repro.write_text(json.dumps(document))
         proc = self._dst("replay", str(repro))
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "OK: no violations" in proc.stdout

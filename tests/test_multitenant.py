@@ -1,7 +1,7 @@
 """Multi-tenant robustness: fair scheduling, admission control, shedding.
 
-The scheduler seam (``repro.core.scheduler``) replaces the §4.4 single
-FIFO with per-query run-queues; these tests pin down the policy mechanics
+The scheduler (``repro.core.scheduler``) replaces the §4.4 single FIFO
+with per-query run-queues; these tests pin down the ring's mechanics
 (RR order, ceilings, victim choice), the transport-level admission path
 (``SendOutcome.OVERLOADED`` — transient, retried with backoff, distinct
 from the never-retried §2.8 REFUSED), graceful load shedding (saturated
@@ -12,19 +12,18 @@ interleaved queries each compute exactly what they compute solo.
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import EngineConfig, QueryStatus, WebDisEngine
 from repro.core.messages import Disposition
 from repro.core.scheduler import CloneScheduler
 from repro.core.supervisor import QuerySupervisor, RecoveryPolicy
-from repro.errors import SimulationError
 from repro.net import Network, SendOutcome, SimClock, TrafficStats
 from repro.net.reliable import ReliableChannel, RetryPolicy
 from repro.wire import decode_message, encode_message
 from repro.testing.invariants import check_handle, check_queue_ceilings
 from repro.web import SyntheticWebConfig, build_synthetic_web
+from tests.conftest import without_memo
 
 
 def _rows(handle):
@@ -63,15 +62,10 @@ def _clones(qid, count: int, start: int = 0):
 
 
 class TestFairScheduler:
-    """The scheduler's mechanics under ``"fair"``.  One class for both
-    policies: :class:`TestSequentialScheduler` reruns every test below
-    under ``"fifo"``, so a test states what the key changes (the order
-    tenants are served in) and everything else must hold for both."""
-
-    policy = "fair"
+    """The ring of per-query run-queues."""
 
     def _scheduler(self, per_query_limit=None, server_limit=None):
-        return CloneScheduler(self.policy, per_query_limit, server_limit)
+        return CloneScheduler(per_query_limit, server_limit)
 
     def test_round_robin_interleaves_queries(self):
         scheduler = self._scheduler()
@@ -79,10 +73,7 @@ class TestFairScheduler:
         for clone in _clones(a, 3) + _clones(b, 2):
             assert scheduler.push(clone)
         order = [scheduler.pop().query.qid for __ in range(5)]
-        if self.policy == "fair":
-            assert order == [a, b, a, b, a]
-        else:
-            assert order == [a, a, a, b, b]  # arrival order
+        assert order == [a, b, a, b, a]
         assert scheduler.pop() is None
         assert scheduler.total == 0
 
@@ -96,14 +87,10 @@ class TestFairScheduler:
         assert [scheduler.pop().tag for __ in range(3)] == [0, 1, 2]
 
     def test_single_query_degenerates_to_fifo(self):
-        fair, fifo = CloneScheduler("fair", None, None), CloneScheduler("fifo", None, None)
-        q = _FakeQid("solo")
-        for clone in _clones(q, 5):
-            fair.push(clone)
-            fifo.push(clone)
-        assert [fair.pop().tag for __ in range(5)] == [
-            fifo.pop().tag for __ in range(5)
-        ]
+        scheduler = self._scheduler()
+        for clone in _clones(_FakeQid("solo"), 5):
+            scheduler.push(clone)
+        assert [scheduler.pop().tag for __ in range(5)] == [0, 1, 2, 3, 4]
 
     def test_per_query_ceiling_refuses_and_tracks_high_water(self):
         scheduler = self._scheduler(per_query_limit=2)
@@ -187,17 +174,6 @@ class TestFairScheduler:
         assert scheduler.total == 0 and scheduler.depths() == {}
         assert scheduler.pop() is None
         assert scheduler.push(_FakeClone(a, 3)) and scheduler.pop().tag == 3
-
-
-class TestSequentialScheduler(TestFairScheduler):
-    policy = "fifo"
-
-
-def test_unknown_scheduler_policy_is_rejected(campus_web):
-    with pytest.raises(SimulationError, match="unknown scheduler 'lifo'"):
-        CloneScheduler("lifo", None, None)
-    with pytest.raises(SimulationError, match="unknown scheduler"):
-        WebDisEngine(campus_web, config=EngineConfig(scheduler="lifo"))
 
 
 # -- OVERLOADED: transient admission refusal with backoff ----------------------
@@ -386,35 +362,25 @@ class TestCrashQueueLoss:
 
 class TestStarvationFreedom:
     def test_small_query_overtakes_hot_flood_under_fair(self):
-        completions = {}
-        for scheduler in ("fair", "fifo"):
-            engine = WebDisEngine(
-                _dense_web(),
-                config=EngineConfig(scheduler=scheduler, pump_budget=2),
-            )
-            hot = engine.submit_disql(HOT_DISQL)
-            small = engine.submit_disql(SMALL_DISQL)
-            engine.run()
-            assert hot.status is QueryStatus.COMPLETE
-            assert small.status is QueryStatus.COMPLETE
-            completions[scheduler] = (small.completion_time, hot.completion_time)
-        small_fair, hot_fair = completions["fair"]
-        small_fifo, __ = completions["fifo"]
+        engine = WebDisEngine(_dense_web(), config=EngineConfig(pump_budget=2))
+        hot = engine.submit_disql(HOT_DISQL)
+        small = engine.submit_disql(SMALL_DISQL)
+        engine.run()
+        assert hot.status is QueryStatus.COMPLETE
+        assert small.status is QueryStatus.COMPLETE
         # The adversarial flood cannot starve the point query: it finishes
-        # well before the flood does, and no later than under FIFO.
-        assert small_fair < hot_fair
-        assert small_fair <= small_fifo
+        # well before the flood does (0.121 vs 0.338 virtual seconds).
+        assert small.completion_time < hot.completion_time
+        assert small.completion_time < 0.121
 
     @staticmethod
-    def _staggered_latencies(scheduler):
+    def _staggered_latencies():
         """The hot flood at t=0, then 20 point queries arriving 10 ms apart
         while its backlog is queued: (small-query latencies, hot completion).
-        The memo is off, so every repeat of a point query queues real work."""
-        engine = WebDisEngine(
-            _dense_web(),
-            config=EngineConfig(
-                scheduler=scheduler, pump_budget=2, cross_query_caching=False
-            ),
+        The memo is taken away, so every repeat of a point query queues real
+        work."""
+        engine = without_memo(
+            WebDisEngine(_dense_web(), config=EngineConfig(pump_budget=2))
         )
         hot = engine.submit_disql(HOT_DISQL)
         smalls = []
@@ -431,17 +397,14 @@ class TestStarvationFreedom:
         return [handle.completion_time - at for at, handle in smalls], hot.completion_time
 
     def test_staggered_small_queries_have_a_shorter_tail_under_fair(self):
-        fair, hot_fair = self._staggered_latencies("fair")
-        fifo, __ = self._staggered_latencies("fifo")
-
-        def jain(values):
-            return sum(values) ** 2 / (len(values) * sum(v * v for v in values))
-
-        # Fair cuts the small queries' tail (0.249 -> 0.157 virtual seconds
-        # here) and spreads their latencies more evenly; none of them waits
-        # for the flood.
-        assert max(fair) < max(fifo)
-        assert jain(fair) >= jain(fifo)
+        fair, hot_fair = self._staggered_latencies()
+        jain = sum(fair) ** 2 / (len(fair) * sum(v * v for v in fair))
+        # Round-robin keeps the small queries' tail at 0.155 virtual seconds
+        # and their Jain index at 0.992; one shared FIFO (every clone filed
+        # under one key) gives 0.247 and 0.938.  None of them waits for the
+        # flood.
+        assert max(fair) < 0.16
+        assert jain > 0.99
         assert max(fair) < hot_fair
 
 
@@ -478,7 +441,7 @@ def test_interleaved_queries_match_solo_runs(config, pres, pump_budget):
         )
         for i, pre in enumerate(pres)
     ]
-    engine_config = EngineConfig(scheduler="fair", pump_budget=pump_budget)
+    engine_config = EngineConfig(pump_budget=pump_budget)
 
     solo_rows = []
     for text in texts:

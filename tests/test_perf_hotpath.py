@@ -55,6 +55,7 @@ from repro.relational.table import Table
 from repro.testing.loopcost import count_handles
 from repro.urlutils import parse_url
 from repro.web.builders import WebBuilder
+from tests.conftest import without_memo
 
 QUERY = (
     'select d.url, d.title\n'
@@ -434,13 +435,15 @@ class TestEngineCounters:
 
     QUERY = QUERY.replace("(L|G)*2", "(L|G)*1")
 
-    def _runs(self, **config) -> list[Counter]:
+    def _runs(self, memo=True) -> list[Counter]:
         """Per run of :attr:`QUERY`, three on one engine: the first parses,
         the second hits every part probe and stores visit entries, the
         third is served by them.  One of the four nodes has no document."""
         web = _web()
         del web.site("leafb.example").pages["/"]
-        engine = WebDisEngine(web, config=EngineConfig(**config), trace=True)
+        engine = WebDisEngine(web, trace=True)
+        if not memo:
+            without_memo(engine)
         servers = engine.servers.values()
 
         def counts() -> Counter:
@@ -470,7 +473,7 @@ class TestEngineCounters:
         assert [run["no_fanout"] for run in runs] == [3, 3, 3]
 
     def test_without_the_memo_no_visit_hits(self):
-        for run in self._runs(cross_query_caching=False):
+        for run in self._runs(memo=False):
             assert run["hits"] == 0
             assert run["part_path"] + run["missing"] == run["admitted"] == 4
 

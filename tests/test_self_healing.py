@@ -168,8 +168,8 @@ class TestIdentityAccounting:
 class TestLegacyFootgun:
     """The PR-1 race against the identity books.
 
-    Event sequence: an entry is dispatched, the stall watchdog re-forwards
-    it while the original report is merely slow, the server's processing
+    Event sequence: an entry is dispatched, the user-site re-forwards it
+    while the original report is merely slow, the server's processing
     announces one child, then *both* reports — the slow original and the
     re-forward's — arrive and retire the entry.  A signed ``(node, state)``
     count takes the second retirement for a real one and wedges.
@@ -193,13 +193,13 @@ class TestLegacyFootgun:
 
 class TestReforwardRace:
     """End-to-end: a slow network edge makes the original report lose the
-    race against the watchdog's re-forward."""
+    race against a re-forward."""
 
     def test_slow_report_after_reforward_absorbed_exactly(self):
-        # leaf1's report path takes 6s; everything else 0.4s.  The watchdog
-        # declares a stall at ~4s and re-forwards; leaf1's log table drops
-        # the re-forwarded clone as a DUPLICATE; the original (stale) report
-        # and the duplicate-drop report then both arrive.
+        # leaf1's report path takes 6s; everything else 0.4s.  The user-site
+        # re-forwards at 4s, while leaf1's report is still on its way; leaf1's
+        # log table drops the re-forwarded clone as a DUPLICATE; the original
+        # (stale) report and the duplicate-drop report then both arrive.
         engine = WebDisEngine(
             _star_web(),
             net_config=NetworkConfig(
@@ -209,10 +209,7 @@ class TestReforwardRace:
             trace=True,
         )
         handle = engine.submit_disql(QUERY)
-        engine.client.watch(
-            handle, quiet_timeout=2.0,
-            on_stall=lambda h: engine.client.reforward_pending(h),
-        )
+        engine.clock.schedule(4.0, lambda: engine.client.reforward_pending(handle))
         engine.run()
         assert handle.status is QueryStatus.COMPLETE
         assert handle.cht.imbalance() == 0
@@ -246,10 +243,7 @@ class TestReforwardRace:
         # crashes; in-flight messages *from* a crashed site still deliver.
         engine.crash_server("leaf1.example", at=1.0)
         engine.restart_server("leaf1.example", at=1.5)
-        engine.client.watch(
-            handle, quiet_timeout=2.0,
-            on_stall=lambda h: engine.client.reforward_pending(h),
-        )
+        engine.clock.schedule(4.0, lambda: engine.client.reforward_pending(handle))
         engine.run()
         assert handle.status is QueryStatus.COMPLETE
         assert handle.cht.imbalance() == 0
@@ -258,17 +252,6 @@ class TestReforwardRace:
         assert {row.values[1] for row in handle.unique_rows()} == ANSWERS
         # leaf1's answer appears once despite two full reports carrying it.
         assert len(handle.results) == len(handle.unique_rows())
-
-    def test_watch_rearms_on_progress(self):
-        # No faults, generous timeout: the watchdog must never fire.
-        stalls = []
-        engine = WebDisEngine(_star_web(), net_config=NetworkConfig(latency_base=0.4))
-        handle = engine.submit_disql(QUERY)
-        engine.client.watch(handle, quiet_timeout=5.0, on_stall=stalls.append)
-        engine.run()
-        assert handle.status is QueryStatus.COMPLETE
-        assert stalls == []
-        assert engine.stats.clones_reforwarded == 0
 
 
 class TestSupervisor:
@@ -414,9 +397,11 @@ class TestConsistencyFlag:
         pytest.raises(TypeError, EngineConfig, db_cache_size=1)
         pytest.raises(TypeError, EngineConfig, memo_capacity=2)
         pytest.raises(TypeError, EngineConfig, log_purge_interval=1.0)
+        pytest.raises(TypeError, EngineConfig, scheduler="fifo")
+        pytest.raises(TypeError, EngineConfig, cross_query_caching=False)
         # Every field doubles the configurations to cover: adding one is a
         # decision, so the count is pinned.
-        assert len(dataclasses.fields(EngineConfig)) == 22
+        assert len(dataclasses.fields(EngineConfig)) == 20
 
 
 class TestWireIdentity:

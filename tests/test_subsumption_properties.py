@@ -28,6 +28,7 @@ from repro.pre.automaton import language_equivalent, language_subsumes
 from repro.pre.ops import LogComparison, compare_for_log, nullable, rewrite_superset
 from repro.testing import build_web, generate_case
 from repro.testing.generators import query_specs, query_texts
+from tests.conftest import without_memo
 
 ATOMS = st.sampled_from([Atom(LinkType.LOCAL), Atom(LinkType.GLOBAL), Atom(LinkType.INTERIOR)])
 
@@ -213,14 +214,16 @@ class TestEngineEquivalence:
         assume(queries)
         web = build_web(spec)
         configs = (
-            EngineConfig(log_table_enabled=False, cross_query_caching=False),
-            EngineConfig(),
-            EngineConfig(log_subsumption="language", cross_query_caching=False),
+            (EngineConfig(log_table_enabled=False), False),
+            (EngineConfig(), True),
+            (EngineConfig(log_subsumption="language"), False),
         )
         for text in queries:
             results = []
-            for config in configs:
+            for config, memo in configs:
                 engine = WebDisEngine(web, config=config)
+                if not memo:
+                    without_memo(engine)
                 handle = engine.submit_disql(text)
                 engine.run()
                 assert handle.status is QueryStatus.COMPLETE

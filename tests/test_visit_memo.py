@@ -155,7 +155,7 @@ class TestOracle:
         """Three passes: the first parses, the second stores visit entries
         (its part probes all hit), the third is served by them."""
         spec = generate_case(seed)
-        config = replace(_engine_config(spec, pressure=False), cross_query_caching=True)
+        config = _engine_config(spec, pressure=False)
         texts = query_texts(spec)
         hits, __ = _assert_same(
             monkeypatch, web=build_web(spec), batches=[texts] * 3, config=config

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import replace
+from functools import partial
 from typing import Iterable
 
 from ..core.config import EngineConfig
@@ -105,22 +105,29 @@ class CentralProcessor(CloneProcessor):
         self._busy = True
         self._current = clone
         self._documents = {}
-        self._awaiting = {}
-        for node in clone.dest:
-            request_id = next(self._request_ids)
+        # Every fetch is awaited before any is sent: a refused one settles
+        # inline on the simulator and must not find the rest unregistered.
+        self._awaiting = {next(self._request_ids): node for node in clone.dest}
+        for request_id, node in list(self._awaiting.items()):
             request = FetchRequest(node, self.site, _CENTRAL_FETCH_PORT, request_id)
-            if self.network.send(self.site, node.host, DOC_PORT, request):
-                self._awaiting[request_id] = node
-            else:
-                self._documents[node] = None
-        self._maybe_process()
+            self.network.send(
+                self.site, node.host, DOC_PORT, request,
+                on_outcome=partial(self._fetch_sent, request_id),
+            )
+
+    def _fetch_sent(self, request_id: int, outcome: SendOutcome) -> None:
+        if not outcome.delivered:
+            self._fetched(request_id, None)  # unreachable: a missing document
 
     def _on_document(self, src: str, payload: object) -> None:
         assert isinstance(payload, DocResponse)
-        node = self._awaiting.pop(payload.request_id, None)
+        self._fetched(payload.request_id, payload.html)
+
+    def _fetched(self, request_id: int, html: str | None) -> None:
+        node = self._awaiting.pop(request_id, None)
         if node is None:
             return
-        self._documents[node] = payload.html
+        self._documents[node] = html
         self._maybe_process()
 
     # -- local processing -----------------------------------------------------------
@@ -167,22 +174,22 @@ class CentralProcessor(CloneProcessor):
             self._pump()
 
     def _forward(self, fclone: QueryClone) -> None:
-        qid = fclone.query.qid
-        if fclone.site in self.participating:
+        participating = fclone.site in self.participating
 
-            def after_forward(outcome: SendOutcome) -> None:
-                if outcome.delivered:
-                    self.stats.clones_forwarded += 1
-                else:
-                    self._retract(fclone)
+        def after_forward(outcome: SendOutcome) -> None:
+            if not outcome.delivered:
+                self._retract(fclone)
+            elif participating:
+                self.stats.clones_forwarded += 1
+            else:
+                self.stats.local_hops += 1  # not participating: keep it central
 
+        if participating:
             self.channel.send(self.site, fclone.site, QUERY_PORT, fclone, after_forward)
-            return
-        if self.network.send(self.site, self.site, HELPER_PORT, fclone):
-            # Not participating: keep it central.
-            self.stats.local_hops += 1
-            return
-        self._retract(fclone)
+        else:
+            self.network.send(
+                self.site, self.site, HELPER_PORT, fclone, on_outcome=after_forward
+            )
 
     def _retract(self, fclone: QueryClone) -> None:
         qid = fclone.query.qid
@@ -206,16 +213,17 @@ class HybridEngine(WebDisEngine):
         user: str = "maya",
         trace: bool = False,
     ) -> None:
-        base = config if config is not None else EngineConfig()
         super().__init__(
             web,
-            config=replace(base, central_fallback=True),
+            config=config,
             net_config=net_config,
             user_site=user_site,
             user=user,
             participating_sites=participating_sites,
             trace=trace,
         )
+        for process in (*self.servers.values(), self.client):
+            process.redirect_to_helper = True
         install_doc_servers(web, self.network, self.clock, self.stats)
         self.central = CentralProcessor(
             user_site,

@@ -28,10 +28,8 @@ socket teardowns.  Unlike the simulator there is no global quiescence:
 timeout, and a :class:`~repro.core.supervisor.QuerySupervisor` (same class,
 same policy) provides the re-forward→degrade path under real faults.
 
-Two simulator-only conveniences are rejected here rather than silently
-misbehaving: ``central_fallback`` (its legacy call site reads the
-*synchronous* send outcome, which a deferred transport cannot provide) and
-fault plans installed via ``apply_faults`` (use ``chaos=``).
+Fault plans installed via ``apply_faults`` are a simulator convenience and
+are rejected here rather than silently misbehaving (use ``chaos=``).
 """
 
 from __future__ import annotations
@@ -73,11 +71,6 @@ class AsyncioWebDisEngine(EngineBase):
         port_map: PortMap | None = None,
     ) -> None:
         config = config if config is not None else EngineConfig()
-        if config.central_fallback:
-            raise SimulationError(
-                "central_fallback reads the synchronous send outcome and is "
-                "not supported on the asyncio transport"
-            )
         clock = LoopClock()
         stats = TrafficStats()
         super().__init__(

@@ -194,6 +194,11 @@ class UserSiteClient:
     #: DST harness uses to swap in a deliberately broken table.
     cht_factory: Callable[[], CurrentHostsTable] = CurrentHostsTable
 
+    #: §7.1 migration path: a start clone whose site refuses it goes to the
+    #: central helper instead of retiring.  Set by
+    #: :class:`~repro.baselines.hybrid.HybridEngine`, which installs one.
+    redirect_to_helper = False
+
     def __init__(
         self,
         site: str,
@@ -301,20 +306,21 @@ class UserSiteClient:
         """Send ``clone`` to its site reliably; retire its entries on failure.
 
         The channel retries transient faults; the callback fires with the
-        final outcome (synchronously when the first connect settles it).
-        All of the clone's CHT entries must already be in the table —
-        retirement on failure keeps completion exact.
+        final outcome (inside ``send`` when the simulator's first connect
+        settles it).  All of the clone's CHT entries must already be in the
+        table — retirement on failure keeps completion exact.
         """
         state = clone.state
 
-        def after_send(outcome: SendOutcome) -> None:
+        def to_helper(outcome: SendOutcome) -> None:
+            # §7.1: a clone its start site refuses goes to the central helper.
+            if outcome.delivered or outcome is SendOutcome.ABANDONED:
+                settled(outcome)
+            else:
+                self.network.send(self.site, self.site, HELPER_PORT, clone, on_outcome=settled)
+
+        def settled(outcome: SendOutcome) -> None:
             if outcome.delivered:
-                self.stats.clones_forwarded += 1
-                return
-            if outcome is not SendOutcome.ABANDONED and (
-                self.config.central_fallback
-                and self.network.send(self.site, self.site, HELPER_PORT, clone)
-            ):
                 self.stats.clones_forwarded += 1
                 return
             if handle.status is not QueryStatus.RUNNING:
@@ -332,7 +338,8 @@ class UserSiteClient:
             self._check_completion(handle)
 
         self.channel.send(
-            self.site, clone.site, QUERY_PORT, clone, after_send, tag=handle.qid
+            self.site, clone.site, QUERY_PORT, clone,
+            to_helper if self.redirect_to_helper else settled, tag=handle.qid,
         )
 
     # -- Figure 2: receive_results ------------------------------------------------

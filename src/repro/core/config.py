@@ -20,7 +20,7 @@ need them:
 
 **Operational** — everything else: which evaluator and transport run
 (``compiled_plans``, ``transport``, ``log_subsumption``), reliability
-(``retry_policy``, ``central_fallback``), multi-tenant limits
+(``retry_policy``), multi-tenant limits
 (``pump_budget``, ``per_query_queue_limit``, ``server_queue_limit``,
 ``shed_after``, ``log_max_age``) and the three constants of the CPU cost
 model.
@@ -34,8 +34,10 @@ cross-query memo (:class:`~repro.core.resultmemo.ResultMemo`) and serves
 its pending clones from per-query run-queues in round-robin
 (:class:`~repro.core.scheduler.CloneScheduler`); and query completion rests
 on one CHT accounting (dispatch identities, cross-checked after every
-report).  None of these is configurable — see "Removed knobs" in
-``docs/performance.md``.
+report).  The §7.1 redirect to a central helper is on exactly where one is
+installed: :class:`~repro.baselines.hybrid.HybridEngine` turns it on for its
+own servers and client.  None of these is configurable — see "Removed
+knobs" in ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -92,11 +94,6 @@ class EngineConfig:
     #: needs one history trail per hop, which per-hop messages carry and a
     #: combined frontier dispatch cannot.
     frontier_batching: bool = True
-
-    #: §7.1 migration path: when a clone's destination site refuses the
-    #: query connection (not participating in WEBDIS), redirect the clone to
-    #: the central helper at the user-site instead of retiring its entries.
-    central_fallback: bool = False
 
     #: Reliability extension (DESIGN.md §4.6): retry transient send faults
     #: (HOST_DOWN / FAULT — never REFUSED) through a per-process

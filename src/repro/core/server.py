@@ -88,6 +88,11 @@ class QueryServer(CloneProcessor):
 
     _dispatch_prefix = "s"
 
+    #: §7.1 migration path: a clone whose forward fails goes to the
+    #: user-site's central helper instead of being retracted.  Set by
+    #: :class:`~repro.baselines.hybrid.HybridEngine`, which installs one.
+    redirect_to_helper = False
+
     def __init__(
         self,
         site: str,
@@ -127,10 +132,7 @@ class QueryServer(CloneProcessor):
         ):
             # Admission control: refuse clone traffic at the transport layer
             # (OVERLOADED, retryable-with-backoff) before it is delivered.
-            # Guarded getattr: minimal Transport fakes need not implement it.
-            set_admission = getattr(network, "set_admission", None)
-            if set_admission is not None:
-                set_admission(site, QUERY_PORT, self._admission_probe)
+            network.set_admission(site, QUERY_PORT, self._admission_probe)
 
     # -- crash / recovery (§7.1 open problem) ------------------------------------
 
@@ -401,12 +403,12 @@ class QueryServer(CloneProcessor):
             self.tracer.site(self.clock.now, self.site, "dispatch-exhausted", str(clone.query.qid))
         self._purge(clone)
 
-    def _send_to_user(self, qid: QueryId, message: ResultMessage, on_final=None) -> SendOutcome:
-        return self.channel.send(self.site, qid.host, qid.port, message, on_final)
+    def _send_to_user(self, qid: QueryId, message: ResultMessage, on_final=None) -> None:
+        self.channel.send(self.site, qid.host, qid.port, message, on_final)
 
     def _dispatch_report(
         self, clone: QueryClone, message: ResultMessage, on_final=None
-    ) -> SendOutcome:
+    ) -> None:
         """Send a report either directly (§2.6 design) or by path retrace.
 
         ``on_final`` observes the channel's final outcome — DELIVERED,
@@ -417,10 +419,11 @@ class QueryServer(CloneProcessor):
         """
         qid = clone.query.qid
         if self.config.direct_result_return or not clone.history:
-            return self._send_to_user(qid, message, on_final)
+            self._send_to_user(qid, message, on_final)
+            return
         trail = clone.history
         first_hop, rest = trail[-1], tuple(reversed(trail[:-1]))
-        return self.channel.send(
+        self.channel.send(
             self.site, first_hop, QUERY_PORT, RelayMessage(rest, message), on_final
         )
 
@@ -470,16 +473,31 @@ class QueryServer(CloneProcessor):
 
     def _forward_failed(self, fclone: QueryClone) -> None:
         """The forward's connect refused, or exhausted its retries."""
-        qid = fclone.query.qid
-        if self.config.central_fallback:
-            # §7.1: the destination site does not participate — ship the
-            # clone to the user-site's central helper for local processing.
-            if self.network.send(self.site, qid.host, HELPER_PORT, fclone):
+        if not self.redirect_to_helper:
+            self._retract(fclone)
+            return
+        epoch = self._epoch
+
+        def after_redirect(outcome: SendOutcome) -> None:
+            if epoch != self._epoch:
+                return  # a dead incarnation's send
+            if outcome.delivered:
                 self.stats.clones_forwarded += 1
-                return
-        # Destination site unreachable: retire the CHT entries we announced.
-        # The retraction echoes the clone's own dispatch identity — it is
-        # resolving exactly the instances this server announced for it.
+            else:
+                self._retract(fclone)
+
+        # §7.1: the destination site does not participate — ship the clone
+        # to the user-site's central helper for local processing.
+        qid = fclone.query.qid
+        self.network.send(self.site, qid.host, HELPER_PORT, fclone, on_outcome=after_redirect)
+
+    def _retract(self, fclone: QueryClone) -> None:
+        """Destination site unreachable: retire the CHT entries we announced.
+
+        The retraction echoes the clone's own dispatch identity — it is
+        resolving exactly the instances this server announced for it.
+        """
+        qid = fclone.query.qid
         retraction = CloneReport.retraction(fclone, Disposition.UNREACHABLE)
         if self.tracer.enabled:
             self.tracer.nodes(self.clock.now, fclone, self.site, "unreachable-site")

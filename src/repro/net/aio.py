@@ -96,10 +96,9 @@ backs off and retries.  Distinct on purpose from a refused connect (§2.8
 termination, never retried) and from a missing ack (FAULT — the frame may
 or may not have been processed; a nak'd frame definitely was not).
 
-All outcomes settle through the deferred ``on_outcome`` callback;
-``send`` itself returns :data:`~repro.net.network.SendOutcome.IN_FLIGHT`
-(or, for failures decidable without touching the network, the final
-outcome directly, with ``on_outcome`` invoked inline like the simulator).
+Every outcome settles through the ``on_outcome`` callback — later, on the
+loop, or inline for a destination never registered, the one failure
+decidable without touching the network; ``send`` itself returns nothing.
 
 Read path
 ---------
@@ -135,7 +134,7 @@ from collections import deque
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from ..errors import NetworkError, SimulationError
+from ..errors import SimulationError
 from ..wire import (
     ACK_BYTE,
     ACK_RECORD,
@@ -157,7 +156,7 @@ from .network import (
     SendOutcome,
 )
 from .stats import TrafficStats
-from .transport import refusal_outcome
+from .transport import Transport, refusal_outcome
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .chaos import ChaosRules
@@ -346,7 +345,7 @@ class _Link:
         self.connect_expired = False
 
 
-class AsyncioTransport:
+class AsyncioTransport(Transport):
     """Real TCP sockets on one asyncio event loop (see module docstring).
 
     Must be constructed on a running loop.  ``local_sites`` restricts which
@@ -359,8 +358,6 @@ class AsyncioTransport:
     :mod:`repro.net.chaos`).
     """
 
-    synchronous = False
-
     def __init__(
         self,
         clock: LoopClock | None = None,
@@ -371,6 +368,7 @@ class AsyncioTransport:
         local_sites: Iterable[str] | None = None,
         chaos: "ChaosRules | None" = None,
     ) -> None:
+        super().__init__()
         self._loop = asyncio.get_running_loop()
         #: What every connection of this transport reads into.
         self._read_buffer = memoryview(bytearray(_READ_CHUNK))
@@ -386,9 +384,6 @@ class AsyncioTransport:
         self._local_sites = (
             None if local_sites is None else {site.lower() for site in local_sites}
         )
-        self._sites: set[str] = set()
-        self._listeners: dict[tuple[str, int], Listener] = {}
-        self._admission: dict[tuple[str, int], Callable[[str, Payload], bool]] = {}
         #: A site's bound real socket until its accept loop attaches to it.
         self._unattached: dict[str, socket.socket] = {}
         #: A site's real listener, once its accept loop has attached.
@@ -397,7 +392,6 @@ class AsyncioTransport:
         self._inbound: dict[str, set[asyncio.StreamWriter]] = {}
         self._links: dict[tuple[str, str], _Link] = {}
         self._tasks: set[asyncio.Task] = set()
-        self._taps: list[Callable[[float, str, str, int, Payload], None]] = []
         self._chaos_counts = dict.fromkeys(
             ("frames_forwarded", "frames_swallowed", "frames_delayed", "connections_reset"),
             0,
@@ -405,23 +399,6 @@ class AsyncioTransport:
         #: Connections this transport's links have opened, ever.
         self.connections_opened = 0
         self._closed = False
-
-    # -- observation (same surface as the simulator) ------------------------
-
-    def add_tap(self, tap: Callable[[float, str, str, int, Payload], None]) -> None:
-        self._taps.append(tap)
-
-    def remove_tap(self, tap: Callable[[float, str, str, int, Payload], None]) -> None:
-        self._taps = [t for t in self._taps if t != tap]
-
-    # -- topology -----------------------------------------------------------
-
-    def register_site(self, site: str) -> None:
-        self._sites.add(site)
-
-    @property
-    def sites(self) -> frozenset[str]:
-        return frozenset(self._sites)
 
     # -- listeners ----------------------------------------------------------
 
@@ -434,21 +411,17 @@ class AsyncioTransport:
         dispatch — while the asyncio accept loop attaches as a task moments
         later.  Every later listen only registers ``listener``.
         """
-        if site not in self._sites:
-            raise SimulationError(f"unknown site {site!r}; register it first")
+        self._check_bindable(site, port)
         if self._local_sites is not None and site not in self._local_sites:
             raise SimulationError(
                 f"site {site!r} is not hosted by this process"
             )
-        key = (site, port)
-        if key in self._listeners:
-            raise NetworkError(f"port {port} already bound at {site}")
         if site not in self._inbound:
             sock = self.port_map.bind(site)  # may raise: nothing to undo yet
             self._inbound[site] = set()
             self._unattached[site] = sock
             self._spawn(self._start_server(site, sock))
-        self._listeners[key] = listener
+        self._listeners[(site, port)] = listener
 
     async def _start_server(self, site: str, sock: socket.socket) -> None:
         """Attach the accept loop to ``sock``, unless the site closed it first.
@@ -567,34 +540,6 @@ class AsyncioTransport:
             peers.discard(writer)
             _abort(writer)
 
-    def close(self, site: str, port: int) -> None:
-        """Stop serving logical ``port`` at ``site``; later frames for it are refused.
-
-        No connection is touched: a frame for the port gets a
-        :data:`~repro.wire.REFUSE_BYTE` record, and
-        :func:`~repro.net.transport.refusal_outcome` settles it — on a result
-        port, the termination signal.
-        """
-        self._listeners.pop((site, port), None)
-
-    def is_listening(self, site: str, port: int) -> bool:
-        return (site, port) in self._listeners
-
-    def set_admission(
-        self, site: str, port: int, probe: Callable[[str, Payload], bool] | None
-    ) -> None:
-        """Install (or clear) an admission probe guarding ``site:port``.
-
-        A declined frame is answered with a :data:`~repro.wire.NAK_BYTE` record instead of
-        being delivered to the listener; the sender observes the transient
-        ``OVERLOADED`` outcome (see module docstring).
-        """
-        key = (site, port)
-        if probe is None:
-            self._admission.pop(key, None)
-        else:
-            self._admission[key] = probe
-
     # -- whole-site failures ------------------------------------------------
 
     def crash_site(self, site: str) -> None:
@@ -648,16 +593,15 @@ class AsyncioTransport:
         payload: Payload,
         *,
         on_outcome: Callable[[SendOutcome], None] | None = None,
-    ) -> SendOutcome:
+    ) -> None:
         if src not in self._sites:
             raise SimulationError(f"send from unregistered site {src!r}")
         if dst not in self._sites:
             self.stats.unknown_host_sends += 1
             if on_outcome is not None:
                 on_outcome(SendOutcome.HOST_DOWN)
-            return SendOutcome.HOST_DOWN
+            return
         self._spawn(self._send_task(src, dst, port, payload, on_outcome))
-        return SendOutcome.IN_FLIGHT
 
     async def _send_task(
         self,

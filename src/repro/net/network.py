@@ -2,11 +2,11 @@
 
 Semantics mirror what the WEBDIS protocols rely on:
 
-* ``send`` models a TCP connect + transfer.  The *connect* outcome is known
-  synchronously (this is what Figure 3's "if dispatch of results is
-  successful" tests, and what passive termination exploits when the
-  user-site closes its listening socket); the *delivery* happens after the
-  modelled latency.
+* ``send`` models a TCP connect + transfer.  The *connect* outcome is
+  resolved inside ``send`` and reported to ``on_outcome`` before it returns
+  (this is what Figure 3's "if dispatch of results is successful" tests,
+  and what passive termination exploits when the user-site closes its
+  listening socket); the *delivery* happens after the modelled latency.
 * The connect outcome is a :class:`SendOutcome`, not a bare bool, because
   the protocols assign opposite meanings to different failures: a REFUSED
   connect is an *active* signal (the peer is up but not listening — passive
@@ -16,6 +16,8 @@ Semantics mirror what the WEBDIS protocols rely on:
   it would erase the paper's zero-message termination protocol (§2.8).
 * Every site hosts listeners on numbered ports.  Query-servers all listen on
   the common :data:`QUERY_PORT`; each user query opens its own result port.
+  The port vocabulary, :class:`SendOutcome` and the port table live in
+  :mod:`repro.net.transport`; they are re-exported here.
 * Failure injection: one-shot scheduled failures (optionally per port), a
   port-aware fault injector (see :mod:`repro.net.faults` for the composable
   plan DSL), and whole-site crash/recovery.
@@ -23,13 +25,21 @@ Semantics mirror what the WEBDIS protocols rely on:
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Callable, Mapping, Protocol
+from typing import Callable, Mapping
 
-from ..errors import NetworkError, SimulationError
+from ..errors import SimulationError
 from .simclock import SimClock
 from .stats import TrafficStats
+from .transport import (
+    FIRST_RESULT_PORT,
+    HELPER_PORT,
+    QUERY_PORT,
+    Listener,
+    Payload,
+    SendOutcome,
+    Transport,
+)
 
 __all__ = [
     "Payload",
@@ -41,86 +51,6 @@ __all__ = [
     "HELPER_PORT",
     "FIRST_RESULT_PORT",
 ]
-
-#: The "common pre-specified port number" all query-servers listen on (§4.4).
-QUERY_PORT = 4000
-
-#: Port of the user-site central helper (hybrid engine, paper §7.1).
-HELPER_PORT = 4500
-
-#: First per-query result port the user-site client allocates (Figure 2's
-#: ``receive_results`` socket).  Everything at or above this is an
-#: ephemeral, query-scoped port; the real transport's refusal
-#: classification (:func:`repro.net.transport.refusal_outcome`) keys on it.
-FIRST_RESULT_PORT = 5000
-
-
-class SendOutcome(enum.Enum):
-    """The synchronously-known result of one connect attempt.
-
-    Truthiness equals "connect succeeded", so legacy ``if network.send(...)``
-    call sites keep working; callers that must tell termination apart from
-    faults test the named predicates instead.
-    """
-
-    #: Connect succeeded; delivery is scheduled after the transfer time.
-    DELIVERED = "delivered"
-    #: The destination host is up but nothing listens on the port.  This is
-    #: an *active* refusal — the termination signal — and must never be
-    #: retried.
-    REFUSED = "refused"
-    #: The destination host is crashed or unknown; connect timed out.
-    HOST_DOWN = "host-down"
-    #: A transient network fault broke this particular connect.
-    FAULT = "fault"
-    #: The destination accepted the connect but refused to *admit* the
-    #: payload: its queues are at their configured ceiling (admission
-    #: control).  Transient — the sender's reliability layer retries with
-    #: backoff, which is the backpressure.  Distinct from REFUSED: an
-    #: overloaded server is alive and still working the query; a refused
-    #: connect is the §2.8 termination signal and must never be retried.
-    OVERLOADED = "overloaded"
-    #: The sending process gave the send up before it could settle — its
-    #: channel was reset (process crash, query cancellation).  Terminal:
-    #: the payload was never delivered and no further attempt will be made.
-    ABANDONED = "abandoned"
-    #: Returned (never delivered to callbacks) by *deferred* transports —
-    #: real sockets cannot know the connect outcome synchronously, so
-    #: ``send`` returns this placeholder and the final outcome arrives via
-    #: the ``on_outcome`` callback.  The simulator never returns it.
-    IN_FLIGHT = "in-flight"
-
-    def __bool__(self) -> bool:
-        return self is SendOutcome.DELIVERED
-
-    @property
-    def delivered(self) -> bool:
-        return self is SendOutcome.DELIVERED
-
-    @property
-    def refused(self) -> bool:
-        return self is SendOutcome.REFUSED
-
-    @property
-    def transient(self) -> bool:
-        """True for outcomes a retry could plausibly fix."""
-        return self in (SendOutcome.HOST_DOWN, SendOutcome.FAULT, SendOutcome.OVERLOADED)
-
-
-class Payload(Protocol):
-    """Anything sendable: must know its serialized size and kind."""
-
-    def size_bytes(self) -> int: ...
-
-    @property
-    def kind(self) -> str: ...
-
-
-Listener = Callable[[str, "Payload"], None]  # (src_site, payload) -> None
-
-#: ``probe(src, payload) -> bool`` — True admits the payload; False turns the
-#: connect into :attr:`SendOutcome.OVERLOADED` (admission control).
-AdmissionProbe = Callable[[str, "Payload"], bool]
 
 #: ``injector(src, dst, port, now) -> bool`` — True breaks the connect.
 FaultInjector = Callable[[str, str, int, float], bool]
@@ -142,7 +72,7 @@ class NetworkConfig:
 
     The timeout fields are the **one policy surface shared by both
     transport backends** (they used to live as scattered literals).  The
-    simulator resolves connects synchronously and ignores them; the real
+    simulator resolves connects at once and ignores them; the real
     asyncio backend (:mod:`repro.net.aio`) bounds every TCP connect with
     ``connect_timeout`` and every framed write's delivery ack with
     ``read_timeout`` (both wall-clock seconds), surfacing expiry as the
@@ -174,12 +104,8 @@ class NetworkConfig:
         return base + size / self.bandwidth
 
 
-class Network:
+class Network(Transport):
     """Message fabric between sites."""
-
-    #: The simulator resolves every connect before ``send`` returns; real
-    #: transports set this ``False`` and settle through ``on_outcome``.
-    synchronous = True
 
     def __init__(
         self,
@@ -187,77 +113,18 @@ class Network:
         stats: TrafficStats | None = None,
         config: NetworkConfig | None = None,
     ) -> None:
+        super().__init__()
         self.clock = clock
         self.stats = stats if stats is not None else TrafficStats()
         self.config = config if config is not None else NetworkConfig()
-        self._listeners: dict[tuple[str, int], Listener] = {}
-        self._admission: dict[tuple[str, int], AdmissionProbe] = {}
-        self._sites: set[str] = set()
         self._fail_once: list[tuple[str, str, int | None]] = []
         self._fault_injector: FaultInjector | None = None
         self._down_sites: set[str] = set()
-        self._taps: list[Callable[[float, str, str, int, Payload], None]] = []
-
-    def add_tap(self, tap: Callable[[float, str, str, int, "Payload"], None]) -> None:
-        """Add an observer called for every successfully sent message.
-
-        The tap sees ``(time, src, dst, port, payload)`` and must not mutate
-        anything.  Multiple subsystems — the protocol journal, the DST
-        harness's message-log fingerprint — can observe traffic
-        simultaneously; taps fire in installation order.
-        """
-        self._taps.append(tap)
-
-    def remove_tap(self, tap: Callable[[float, str, str, int, "Payload"], None]) -> None:
-        """Remove a tap previously installed via :meth:`add_tap`.
-
-        Taps match by equality, not identity: ``obj.method`` is a new bound
-        method object on every access, and ``remove_tap(journal._record)``
-        must still find the one ``add_tap`` got.
-        """
-        self._taps = [t for t in self._taps if t != tap]
-
-    # -- topology ---------------------------------------------------------
-
-    def register_site(self, site: str) -> None:
-        """Declare that ``site`` exists (needed before listening/sending)."""
-        self._sites.add(site)
-
-    @property
-    def sites(self) -> frozenset[str]:
-        return frozenset(self._sites)
-
-    # -- listeners (sockets) ----------------------------------------------
 
     def listen(self, site: str, port: int, listener: Listener) -> None:
         """Open a listening socket at ``site:port``."""
-        if site not in self._sites:
-            raise SimulationError(f"unknown site {site!r}; register it first")
-        key = (site, port)
-        if key in self._listeners:
-            raise NetworkError(f"port {port} already bound at {site}")
-        self._listeners[key] = listener
-
-    def close(self, site: str, port: int) -> None:
-        """Close the socket; later connects to it are refused (termination)."""
-        self._listeners.pop((site, port), None)
-
-    def is_listening(self, site: str, port: int) -> bool:
-        return (site, port) in self._listeners
-
-    def set_admission(self, site: str, port: int, probe: AdmissionProbe | None) -> None:
-        """Install (or clear) an admission probe guarding ``site:port``.
-
-        The probe is consulted after a connect reaches a live listener and
-        before any bytes are accounted; rejecting returns
-        :attr:`SendOutcome.OVERLOADED` to the sender, whose
-        :class:`~repro.net.reliable.ReliableChannel` backs off and retries.
-        """
-        key = (site, port)
-        if probe is None:
-            self._admission.pop(key, None)
-        else:
-            self._admission[key] = probe
+        self._check_bindable(site, port)
+        self._listeners[(site, port)] = listener
 
     # -- failure injection --------------------------------------------------
 
@@ -316,63 +183,59 @@ class Network:
         payload: Payload,
         *,
         on_outcome: Callable[[SendOutcome], None] | None = None,
-    ) -> SendOutcome:
+    ) -> None:
         """Attempt a connect + transfer of ``payload`` from ``src`` to ``dst:port``.
 
-        Returns the connect's :class:`SendOutcome`.  On DELIVERED, delivery
-        to the listener is scheduled after the modelled transfer time (but
-        may still be lost if the listener closes or the site crashes before
-        it — see :meth:`_deliver`).  The caller decides what each failure
-        means; for WEBDIS, REFUSED means "do not forward" / "purge the
-        query", while transient outcomes may be retried by a
+        The connect's :class:`SendOutcome` goes to ``on_outcome`` before
+        ``send`` returns.  On DELIVERED, delivery to the listener is
+        scheduled after the modelled transfer time (but may still be lost if
+        the listener closes or the site crashes before it — see
+        :meth:`_deliver`).  The caller decides what each failure means; for
+        WEBDIS, REFUSED means "do not forward" / "purge the query", while
+        transient outcomes may be retried by a
         :class:`repro.net.reliable.ReliableChannel`.
-
-        ``on_outcome`` is the backend-agnostic way to learn the outcome
-        (see :class:`repro.net.transport.Transport`): the simulator invokes
-        it inline with the same value it returns, so callers written
-        against the deferred contract behave identically here.
         """
-        outcome = self._send_impl(src, dst, port, payload)
-        if on_outcome is not None:
-            on_outcome(outcome)
-        return outcome
-
-    def _send_impl(self, src: str, dst: str, port: int, payload: Payload) -> SendOutcome:
         if src not in self._sites:
             raise SimulationError(f"send from unregistered site {src!r}")
+        stats = self.stats
         if dst not in self._sites:
             # Unknown destination host: behaves like a DNS failure / connect
             # timeout, which is what forwarding to a nonexistent site hits.
-            self.stats.unknown_host_sends += 1
-            return SendOutcome.HOST_DOWN
-        if dst in self._down_sites:
-            self.stats.down_sends += 1
-            return SendOutcome.HOST_DOWN
+            stats.unknown_host_sends += 1
+            outcome = SendOutcome.HOST_DOWN
+        elif dst in self._down_sites:
+            stats.down_sends += 1
+            outcome = SendOutcome.HOST_DOWN
+        elif self._faulted(src, dst, port):
+            stats.failed_sends += 1
+            outcome = SendOutcome.FAULT
+        elif (dst, port) not in self._listeners:
+            stats.refused_sends += 1
+            outcome = SendOutcome.REFUSED
+        elif (probe := self._admission.get((dst, port))) is not None and not probe(
+            src, payload
+        ):
+            stats.overloaded_sends += 1
+            outcome = SendOutcome.OVERLOADED
+        else:
+            size = payload.size_bytes() + self.config.envelope_bytes
+            stats.record_send(src, payload.kind, size)
+            for tap in self._taps:
+                tap(self.clock.now, src, dst, port, payload)
+            delay = self.config.transfer_time(src, dst, size)
+            self.clock.schedule(delay, lambda: self._deliver(src, dst, port, payload))
+            outcome = SendOutcome.DELIVERED
+        if on_outcome is not None:
+            on_outcome(outcome)
+
+    def _faulted(self, src: str, dst: str, port: int) -> bool:
+        """Whether a :meth:`fail_next` failure (used up) or the injector breaks it."""
         for index, (fsrc, fdst, fport) in enumerate(self._fail_once):
             if fsrc == src and fdst == dst and (fport is None or fport == port):
                 del self._fail_once[index]
-                self.stats.failed_sends += 1
-                return SendOutcome.FAULT
-        if self._fault_injector is not None and self._fault_injector(
-            src, dst, port, self.clock.now
-        ):
-            self.stats.failed_sends += 1
-            return SendOutcome.FAULT
-        listener = self._listeners.get((dst, port))
-        if listener is None:
-            self.stats.refused_sends += 1
-            return SendOutcome.REFUSED
-        probe = self._admission.get((dst, port))
-        if probe is not None and not probe(src, payload):
-            self.stats.overloaded_sends += 1
-            return SendOutcome.OVERLOADED
-        size = payload.size_bytes() + self.config.envelope_bytes
-        self.stats.record_send(src, payload.kind, size)
-        for tap in self._taps:
-            tap(self.clock.now, src, dst, port, payload)
-        delay = self.config.transfer_time(src, dst, size)
-        self.clock.schedule(delay, lambda: self._deliver(src, dst, port, payload))
-        return SendOutcome.DELIVERED
+                return True
+        injector = self._fault_injector
+        return injector is not None and injector(src, dst, port, self.clock.now)
 
     def _deliver(self, src: str, dst: str, port: int, payload: Payload) -> None:
         # The listener may have closed — or the whole site crashed — between

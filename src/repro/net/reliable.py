@@ -23,12 +23,11 @@ from the policy seed plus the channel's name, and retries are ordinary
 clock events.  The generator is built on a channel's first retry: its
 seeding is the dearest part of a channel, and most channels never retry.
 
-The channel runs over any :class:`~repro.net.transport.Transport`.  On the
-synchronous simulator each attempt's outcome is known when ``send``
-returns; on a deferred backend (real sockets) the outcome arrives through
-the transport's ``on_outcome`` callback and ``send`` returns
-:data:`~repro.net.network.SendOutcome.IN_FLIGHT` — either way the retry
-loop and the caller's ``on_final`` behave identically.
+The channel runs over any :class:`~repro.net.transport.Transport`: each
+attempt settles through the transport's ``on_outcome`` callback — inline on
+the simulator, later on real sockets — so the retry loop and the caller's
+``on_final`` behave identically over either backend.  Like the transport's,
+the channel's ``send`` returns nothing.
 """
 
 from __future__ import annotations
@@ -87,14 +86,10 @@ class RetryPolicy:
 class ReliableChannel:
     """Connect-with-retry over one :class:`~repro.net.transport.Transport`.
 
-    On the simulator ``send`` performs the first connect synchronously and
-    returns its outcome, so existing dispatch-before-forward ordering still
-    observes immediate REFUSED/DELIVERED results.  On a deferred backend
-    ``send`` returns :data:`~repro.net.network.SendOutcome.IN_FLIGHT` and
-    settles later.  Either way, when the outcome is transient and the
-    policy allows, retries are scheduled on the clock; ``on_final`` fires
-    exactly once with the final outcome (synchronously when the backend is
-    synchronous and no retry is needed).
+    When an attempt's outcome is transient and the policy allows, retries
+    are scheduled on the clock; ``on_final`` fires exactly once with the
+    final outcome (inside ``send`` when the simulator settles the first
+    attempt and no retry is needed).
 
     With ``policy=None`` the channel is a passthrough — a single attempt
     whose transient failure is immediately final — which reproduces the
@@ -119,15 +114,15 @@ class ReliableChannel:
         self._trace = trace
         self._send_serial = 0
         #: Unsettled sends: key -> (on_final, tag).  Registered *before*
-        #: the transport attempt (a deferred backend may settle — or the
-        #: channel may be reset — while the connect is in flight) and
+        #: the transport attempt (real sockets settle later, and the channel
+        #: may be reset while the connect is in flight) and
         #: removed on the final outcome.  A key removed by :meth:`reset`
         #: makes any scheduled retry or late transport callback a no-op.
         self._pending: dict[int, tuple[FinalCallback | None, object]] = {}
 
     def pending_sends(self, tag: object | None = None) -> int:
-        """Sends not yet settled — awaiting a scheduled retry or, on a
-        deferred backend, an in-flight connect (optionally by tag)."""
+        """Sends not yet settled — awaiting a scheduled retry or, on real
+        sockets, an in-flight connect (optionally by tag)."""
         if tag is None:
             return len(self._pending)
         return sum(1 for __, t in self._pending.values() if t == tag)
@@ -166,15 +161,14 @@ class ReliableChannel:
         on_final: FinalCallback | None = None,
         *,
         tag: object | None = None,
-    ) -> SendOutcome:
-        """Reliably send ``payload``; returns the *first* attempt's outcome
-        (or :data:`SendOutcome.IN_FLIGHT` on a deferred backend).
+    ) -> None:
+        """Reliably send ``payload``; ``on_final`` gets the final outcome.
 
         ``tag`` labels the send for selective :meth:`reset` (e.g. the qid of
         the query the send belongs to).
         """
         self._send_serial += 1
-        return self._attempt(
+        self._attempt(
             src, dst, port, payload, on_final,
             attempt=1, started=self.clock.now, key=self._send_serial, tag=tag,
         )
@@ -192,22 +186,19 @@ class ReliableChannel:
         started: float,
         key: int,
         tag: object | None,
-    ) -> SendOutcome:
-        # Register the pending entry *before* the transport attempt: on a
-        # deferred backend the connect may still be in flight when a crash
-        # or cancellation calls reset(), and the entry is what lets the
+    ) -> None:
+        # Register the pending entry *before* the transport attempt: on real
+        # sockets the connect may still be in flight when a crash or
+        # cancellation calls reset(), and the entry is what lets the
         # abandonment win (the late transport callback then no-ops).
         self._pending[key] = (on_final, tag)
-        first: list[SendOutcome] = []
 
         def settle(outcome: SendOutcome) -> None:
-            first.append(outcome)
             self._settle(
                 src, dst, port, payload, on_final, attempt, started, key, tag, outcome
             )
 
         self.network.send(src, dst, port, payload, on_outcome=settle)
-        return first[0] if first else SendOutcome.IN_FLIGHT
 
     def _settle(
         self,

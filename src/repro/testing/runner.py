@@ -139,6 +139,7 @@ def _engine_config(spec: Spec, *, pressure: bool = True) -> EngineConfig:
     return EngineConfig(
         log_subsumption=config.get("log_subsumption", "paper"),
         batch_per_site=config.get("batch_per_site", True),
+        combine_results_and_cht=config.get("combine_results_and_cht", True),
         compiled_plans=config.get("compiled_plans", True),
         frontier_batching=config.get("frontier_batching", True),
         pump_budget=config.get("pump_budget"),

@@ -58,3 +58,15 @@ def without_memo(engine):
     for server in engine.servers.values():
         server.memo = None
     return engine
+
+
+def outcome_of(network, src, dst, port, payload):
+    """How one simulator ``send`` settled, read through its ``on_outcome``.
+
+    ``send`` returns nothing; the simulator settles the connect before it
+    returns, so exactly one outcome is in by then.
+    """
+    outcomes = []
+    network.send(src, dst, port, payload, on_outcome=outcomes.append)
+    (outcome,) = outcomes
+    return outcome

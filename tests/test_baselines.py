@@ -6,6 +6,8 @@ import pytest
 
 from repro import EngineConfig, QueryStatus, WebDisEngine
 from repro.baselines import DataShippingEngine, HybridEngine
+from repro.core import engine as engine_module
+from repro.net import Network
 from repro.web import SyntheticWebConfig, build_synthetic_web
 from repro.web.campus import CAMPUS_QUERY_DISQL, EXPECTED_CONVENER_ROWS
 from repro.web.synthetic import synthetic_start_url
@@ -90,6 +92,17 @@ class TestDataShipping:
         assert {r.values for r in result.unique_rows("q2")} == set(EXPECTED_CONVENER_ROWS)
 
 
+class _DeferredNetwork(Network):
+    """The simulator settling every send one clock event later: ``send``
+    returns before ``on_outcome`` fires, as on real sockets."""
+
+    def send(self, src, dst, port, payload, *, on_outcome=None):
+        outcomes = []
+        super().send(src, dst, port, payload, on_outcome=outcomes.append)
+        if on_outcome is not None:
+            self.clock.schedule(0.0, lambda: on_outcome(outcomes[0]))
+
+
 class TestHybrid:
     def test_full_participation_equals_query_shipping(self, campus_web):
         hybrid = HybridEngine(campus_web, campus_web.site_names)
@@ -131,6 +144,26 @@ class TestHybrid:
         assert {r.values for r in handle.unique_rows()} == {
             r.values for r in reference.unique_rows()
         }
+
+    @pytest.mark.parametrize("participating", [0, 2, "all"])
+    def test_deferred_settlement_returns_the_inline_answer(
+        self, campus_web, monkeypatch, participating
+    ):
+        """Every reader of a send's outcome waits for its callback: the
+        helper's document fetches, its forwards and both redirects to it."""
+        if participating == "all":
+            sites = campus_web.site_names
+        else:
+            sites = ["www.csa.iisc.ernet.in", "dsl.serc.iisc.ernet.in"][:participating]
+
+        def answer():
+            handle = HybridEngine(campus_web, sites).run_query(CAMPUS_QUERY_DISQL)
+            return handle.status, {r.values for r in handle.unique_rows("q2")}
+
+        inline = answer()
+        assert inline == (QueryStatus.COMPLETE, set(EXPECTED_CONVENER_ROWS))
+        monkeypatch.setattr(engine_module, "Network", _DeferredNetwork)
+        assert answer() == inline
 
     def test_central_helper_runs_the_servers_per_node_loop(self, campus_web):
         """One Figure-3 loop: a fully central run counts and traces every

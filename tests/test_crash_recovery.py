@@ -29,6 +29,7 @@ from repro.net import Network, SimClock, TrafficStats
 from repro.net.network import QUERY_PORT
 from repro.web.builders import WebBuilder
 from repro.web.campus import CAMPUS_QUERY_DISQL
+from tests.conftest import outcome_of
 
 
 def _star_web():
@@ -73,7 +74,7 @@ class TestInFlightLoss:
         network.register_site("b.example")
         received = []
         network.listen("b.example", 80, lambda s, p: received.append(p))
-        assert network.send("a.example", "b.example", 80, _Blob())  # connect ok
+        assert outcome_of(network, "a.example", "b.example", 80, _Blob()).delivered
         clock.schedule(0.5, lambda: network.crash_site("b.example"))
         clock.run()
         assert received == []  # lost in flight
@@ -82,7 +83,7 @@ class TestInFlightLoss:
         # this is what protocol-level retries/re-forwards ride on.
         network.set_site_up("b.example")
         network.listen("b.example", 80, lambda s, p: received.append(p))
-        assert network.send("a.example", "b.example", 80, _Blob())
+        assert outcome_of(network, "a.example", "b.example", 80, _Blob()).delivered
         clock.run()
         assert len(received) == 1
 

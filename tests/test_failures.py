@@ -8,6 +8,7 @@ from repro import NetworkConfig, QueryStatus, SendOutcome, WebDisEngine
 from repro.baselines import HybridEngine
 from repro.errors import SimulationError
 from repro.web.builders import WebBuilder
+from tests.conftest import outcome_of
 
 
 def _star_web():
@@ -40,9 +41,8 @@ class TestSiteDown:
         assert not engine.network.is_site_up("leaf0.example")
         from repro.net.network import QUERY_PORT
 
-        ok = engine.network.send("root.example", "leaf0.example", QUERY_PORT, _blob())
-        assert not ok
-        assert ok is SendOutcome.HOST_DOWN  # transient, unlike an active REFUSED
+        outcome = outcome_of(engine.network, "root.example", "leaf0.example", QUERY_PORT, _blob())
+        assert outcome is SendOutcome.HOST_DOWN  # transient, unlike an active REFUSED
 
     def test_crash_unregistered_site_rejected(self):
         engine = WebDisEngine(_star_web())

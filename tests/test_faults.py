@@ -12,6 +12,7 @@ from repro.net import Network, SimClock, TrafficStats
 from repro.net.faults import DropRule, PartitionRule
 from repro.net.network import QUERY_PORT
 from repro.web.builders import WebBuilder
+from tests.conftest import outcome_of
 
 
 @dataclass(frozen=True)
@@ -77,35 +78,35 @@ class TestInstalledInjector:
     def test_certain_drop_faults_matching_sends(self):
         clock, network = _net()
         FaultPlan().drop(1.0, src="a.example", dst="b.example").install(network)
-        assert network.send("a.example", "b.example", 80, _Blob()) is SendOutcome.FAULT
+        assert outcome_of(network, "a.example", "b.example", 80, _Blob()) is SendOutcome.FAULT
         # The reverse edge does not match the rule.
-        assert network.send("b.example", "a.example", 80, _Blob()) is SendOutcome.DELIVERED
+        assert outcome_of(network, "b.example", "a.example", 80, _Blob()) is SendOutcome.DELIVERED
 
     def test_flaky_window(self):
         clock, network = _net()
         FaultPlan().flaky("a.example", "b.example", start=1.0, end=2.0).install(network)
-        assert network.send("a.example", "b.example", 80, _Blob()) is SendOutcome.DELIVERED
+        assert outcome_of(network, "a.example", "b.example", 80, _Blob()) is SendOutcome.DELIVERED
         clock.schedule_at(1.5, lambda: None)
         clock.run()
-        assert network.send("a.example", "b.example", 80, _Blob()) is SendOutcome.FAULT
+        assert outcome_of(network, "a.example", "b.example", 80, _Blob()) is SendOutcome.FAULT
         clock.schedule_at(3.0, lambda: None)
         clock.run()
-        assert network.send("a.example", "b.example", 80, _Blob()) is SendOutcome.DELIVERED
+        assert outcome_of(network, "a.example", "b.example", 80, _Blob()) is SendOutcome.DELIVERED
 
     def test_partition_blocks_both_directions(self):
         clock, network = _net("a.example", "b.example", "c.example")
         FaultPlan().partition(["a.example"], ["b.example"], end=10.0).install(network)
-        assert network.send("a.example", "b.example", 80, _Blob()) is SendOutcome.FAULT
-        assert network.send("b.example", "a.example", 80, _Blob()) is SendOutcome.FAULT
+        assert outcome_of(network, "a.example", "b.example", 80, _Blob()) is SendOutcome.FAULT
+        assert outcome_of(network, "b.example", "a.example", 80, _Blob()) is SendOutcome.FAULT
         # c is on neither side: unaffected.
-        assert network.send("a.example", "c.example", 80, _Blob()) is SendOutcome.DELIVERED
+        assert outcome_of(network, "a.example", "c.example", 80, _Blob()) is SendOutcome.DELIVERED
 
     def test_seeded_drops_replay_identically(self):
         def outcomes(seed):
             clock, network = _net()
             FaultPlan(seed=seed).drop(0.5).install(network)
             return [
-                network.send("a.example", "b.example", 80, _Blob()) for __ in range(32)
+                outcome_of(network, "a.example", "b.example", 80, _Blob()) for __ in range(32)
             ]
 
         first, second = outcomes(3), outcomes(3)
@@ -117,7 +118,7 @@ class TestInstalledInjector:
         clock, network = _net()
         FaultPlan().drop(0.0).install(network)
         for __ in range(16):
-            assert network.send("a.example", "b.example", 80, _Blob())
+            assert outcome_of(network, "a.example", "b.example", 80, _Blob()).delivered
 
 
 class TestCrashSchedule:

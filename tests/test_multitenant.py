@@ -23,7 +23,7 @@ from repro.net.reliable import ReliableChannel, RetryPolicy
 from repro.wire import decode_message, encode_message
 from repro.testing.invariants import check_handle, check_queue_ceilings
 from repro.web import SyntheticWebConfig, build_synthetic_web
-from tests.conftest import without_memo
+from tests.conftest import outcome_of, without_memo
 
 
 def _rows(handle):
@@ -198,11 +198,10 @@ class TestOverloadedOutcome:
         clock, network = self._net()
         network.listen("b.example", 80, lambda s, p: None)
         network.set_admission("b.example", 80, lambda src, payload: False)
-        outcome = network.send("a.example", "b.example", 80, _Blob())
+        outcome = outcome_of(network, "a.example", "b.example", 80, _Blob())
         assert outcome is SendOutcome.OVERLOADED
         assert outcome.transient
         assert outcome is not SendOutcome.REFUSED
-        assert not outcome  # falsy, like every failure outcome
         assert network.stats.overloaded_sends == 1
 
     def test_reliable_channel_backs_off_and_recovers(self):
@@ -217,8 +216,8 @@ class TestOverloadedOutcome:
             network, clock, RetryPolicy(max_attempts=3, jitter=0.0), name="test"
         )
         finals = []
-        first = channel.send("a.example", "b.example", 80, _Blob(), finals.append)
-        assert first is SendOutcome.OVERLOADED
+        channel.send("a.example", "b.example", 80, _Blob(), finals.append)
+        assert network.stats.overloaded_sends == 1 and finals == []
         admitted["open"] = True  # pressure clears before the retry fires
         clock.run()
         assert finals == [SendOutcome.DELIVERED]
@@ -229,10 +228,10 @@ class TestOverloadedOutcome:
         clock, network = self._net()
         network.listen("b.example", 80, lambda s, p: None)
         network.set_admission("b.example", 80, lambda src, payload: False)
-        assert network.send("a.example", "b.example", 80, _Blob()) \
+        assert outcome_of(network, "a.example", "b.example", 80, _Blob()) \
             is SendOutcome.OVERLOADED
         network.set_admission("b.example", 80, None)
-        assert network.send("a.example", "b.example", 80, _Blob()) \
+        assert outcome_of(network, "a.example", "b.example", 80, _Blob()) \
             is SendOutcome.DELIVERED
 
     def test_overloaded_disposition_round_trips_on_the_wire(self):
@@ -362,16 +361,27 @@ class TestCrashQueueLoss:
 
 class TestStarvationFreedom:
     def test_small_query_overtakes_hot_flood_under_fair(self):
+        """The point query arrives once the flood's backlog is queued at its
+        start site, and does not wait for that backlog."""
         engine = WebDisEngine(_dense_web(), config=EngineConfig(pump_budget=2))
         hot = engine.submit_disql(HOT_DISQL)
-        small = engine.submit_disql(SMALL_DISQL)
+        arrival, backlog, smalls = 0.15, [], []
+
+        def submit_small():
+            backlog.append(engine.servers["site001.example"].queue_depth)
+            smalls.append(engine.submit_disql(SMALL_DISQL))
+
+        engine.clock.schedule(arrival, submit_small)
         engine.run()
+        (small,) = smalls
         assert hot.status is QueryStatus.COMPLETE
         assert small.status is QueryStatus.COMPLETE
-        # The adversarial flood cannot starve the point query: it finishes
-        # well before the flood does (0.121 vs 0.338 virtual seconds).
+        assert backlog[0] > 0  # the flood's clones are queued at site001
+        # Round-robin serves the point query between the flood's clones:
+        # 0.148 virtual seconds.  One shared queue (every clone filed under
+        # one key) puts it behind the backlog: 0.204.
+        assert small.completion_time - arrival < 0.16
         assert small.completion_time < hot.completion_time
-        assert small.completion_time < 0.121
 
     @staticmethod
     def _staggered_latencies():

@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import NetworkError, SimulationError
 from repro.net import Network, NetworkConfig, SendOutcome, SimClock, TrafficStats
+from tests.conftest import outcome_of
 
 
 @dataclass(frozen=True)
@@ -100,8 +101,7 @@ class TestNetwork:
         clock, network = _net()
         received = []
         network.listen("b.example", 80, lambda src, p: received.append((src, p, clock.now)))
-        ok = network.send("a.example", "b.example", 80, _Blob(1000))
-        assert ok
+        assert outcome_of(network, "a.example", "b.example", 80, _Blob(1000)).delivered
         assert received == []  # not yet delivered
         clock.run()
         src, payload, when = received[0]
@@ -120,16 +120,16 @@ class TestNetwork:
 
     def test_refused_when_no_listener(self):
         __, network = _net()
-        outcome = network.send("a.example", "b.example", 81, _Blob(1))
+        outcome = outcome_of(network, "a.example", "b.example", 81, _Blob(1))
         assert outcome is SendOutcome.REFUSED
-        assert not outcome and outcome.refused and not outcome.transient
+        assert outcome.refused and not outcome.delivered and not outcome.transient
         assert network.stats.refused_sends == 1
 
     def test_send_to_unregistered_destination_host_down(self):
         # Unknown hosts behave like DNS failures, not programming errors —
         # and not like active refusals: they are transient, hence retryable.
         __, network = _net()
-        outcome = network.send("a.example", "zzz.example", 80, _Blob(1))
+        outcome = outcome_of(network, "a.example", "zzz.example", 80, _Blob(1))
         assert outcome is SendOutcome.HOST_DOWN
         assert outcome.transient
         assert network.stats.unknown_host_sends == 1
@@ -155,7 +155,7 @@ class TestNetwork:
         clock, network = _net()
         network.listen("b.example", 80, lambda s, p: None)
         network.close("b.example", 80)
-        assert network.send("a.example", "b.example", 80, _Blob(1)) is SendOutcome.REFUSED
+        assert outcome_of(network, "a.example", "b.example", 80, _Blob(1)) is SendOutcome.REFUSED
 
     def test_close_is_idempotent(self):
         __, network = _net()
@@ -165,7 +165,7 @@ class TestNetwork:
         clock, network = _net()
         received = []
         network.listen("b.example", 80, lambda s, p: received.append(p))
-        assert network.send("a.example", "b.example", 80, _Blob(1))
+        assert outcome_of(network, "a.example", "b.example", 80, _Blob(1)).delivered
         network.close("b.example", 80)
         clock.run()
         assert received == []
@@ -174,10 +174,10 @@ class TestNetwork:
         clock, network = _net()
         network.listen("b.example", 80, lambda s, p: None)
         network.fail_next("a.example", "b.example")
-        outcome = network.send("a.example", "b.example", 80, _Blob(1))
+        outcome = outcome_of(network, "a.example", "b.example", 80, _Blob(1))
         assert outcome is SendOutcome.FAULT
         assert outcome.transient
-        assert network.send("a.example", "b.example", 80, _Blob(1)) is SendOutcome.DELIVERED
+        assert outcome_of(network, "a.example", "b.example", 80, _Blob(1)) is SendOutcome.DELIVERED
         assert network.stats.failed_sends == 1
 
     def test_fail_next_port_specific(self):
@@ -187,38 +187,38 @@ class TestNetwork:
         network.listen("b.example", 80, lambda s, p: None)
         network.listen("b.example", 81, lambda s, p: None)
         network.fail_next("a.example", "b.example", port=81)
-        assert network.send("a.example", "b.example", 80, _Blob(1)) is SendOutcome.DELIVERED
-        assert network.send("a.example", "b.example", 81, _Blob(1)) is SendOutcome.FAULT
-        assert network.send("a.example", "b.example", 81, _Blob(1)) is SendOutcome.DELIVERED
+        assert outcome_of(network, "a.example", "b.example", 80, _Blob(1)) is SendOutcome.DELIVERED
+        assert outcome_of(network, "a.example", "b.example", 81, _Blob(1)) is SendOutcome.FAULT
+        assert outcome_of(network, "a.example", "b.example", 81, _Blob(1)) is SendOutcome.DELIVERED
         assert network.stats.failed_sends == 1
 
     def test_fail_next_portless_matches_any_port(self):
         clock, network = _net()
         network.listen("b.example", 80, lambda s, p: None)
         network.fail_next("a.example", "b.example")
-        assert network.send("a.example", "b.example", 80, _Blob(1)) is SendOutcome.FAULT
+        assert outcome_of(network, "a.example", "b.example", 80, _Blob(1)) is SendOutcome.FAULT
 
     def test_failure_predicate(self):
         clock, network = _net()
         network.listen("b.example", 80, lambda s, p: None)
         network.set_fault_injector(lambda src, dst, port, now: dst == "b.example")
-        assert network.send("a.example", "b.example", 80, _Blob(1)) is SendOutcome.FAULT
+        assert outcome_of(network, "a.example", "b.example", 80, _Blob(1)) is SendOutcome.FAULT
         network.set_fault_injector(None)
-        assert network.send("a.example", "b.example", 80, _Blob(1)) is SendOutcome.DELIVERED
+        assert outcome_of(network, "a.example", "b.example", 80, _Blob(1)) is SendOutcome.DELIVERED
 
     def test_fault_injector_sees_port(self):
         clock, network = _net()
         network.listen("b.example", 80, lambda s, p: None)
         network.listen("b.example", 81, lambda s, p: None)
         network.set_fault_injector(lambda src, dst, port, now: port == 81)
-        assert network.send("a.example", "b.example", 80, _Blob(1)) is SendOutcome.DELIVERED
-        assert network.send("a.example", "b.example", 81, _Blob(1)) is SendOutcome.FAULT
+        assert outcome_of(network, "a.example", "b.example", 80, _Blob(1)) is SendOutcome.DELIVERED
+        assert outcome_of(network, "a.example", "b.example", 81, _Blob(1)) is SendOutcome.FAULT
 
     def test_site_down_is_host_down_not_refused(self):
         clock, network = _net()
         network.listen("b.example", 80, lambda s, p: None)
         network.set_site_down("b.example")
-        outcome = network.send("a.example", "b.example", 80, _Blob(1))
+        outcome = outcome_of(network, "a.example", "b.example", 80, _Blob(1))
         assert outcome is SendOutcome.HOST_DOWN
         assert outcome.transient
         assert network.stats.down_sends == 1
@@ -231,7 +231,7 @@ class TestNetwork:
         assert not network.is_listening("b.example", 80)
         # Recovery without re-binding: connects are now REFUSED, not served.
         network.set_site_up("b.example")
-        assert network.send("a.example", "b.example", 80, _Blob(1)) is SendOutcome.REFUSED
+        assert outcome_of(network, "a.example", "b.example", 80, _Blob(1)) is SendOutcome.REFUSED
 
     def test_stats_accounting(self):
         clock, network = _net()

@@ -399,9 +399,11 @@ class TestConsistencyFlag:
         pytest.raises(TypeError, EngineConfig, log_purge_interval=1.0)
         pytest.raises(TypeError, EngineConfig, scheduler="fifo")
         pytest.raises(TypeError, EngineConfig, cross_query_caching=False)
+        # The §7.1 helper redirect is HybridEngine's, on every transport.
+        pytest.raises(TypeError, EngineConfig, central_fallback=True)
         # Every field doubles the configurations to cover: adding one is a
         # decision, so the count is pinned.
-        assert len(dataclasses.fields(EngineConfig)) == 20
+        assert len(dataclasses.fields(EngineConfig)) == 19
 
 
 class TestWireIdentity:

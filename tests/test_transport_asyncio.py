@@ -71,9 +71,7 @@ async def _send(transport: AsyncioTransport, *args) -> SendOutcome:
     """Send and await the settled outcome (inline or deferred)."""
     loop = asyncio.get_running_loop()
     fut: asyncio.Future = loop.create_future()
-    first = transport.send(*args, on_outcome=fut.set_result)
-    if first is not SendOutcome.IN_FLIGHT:
-        return first
+    transport.send(*args, on_outcome=fut.set_result)
     return await asyncio.wait_for(fut, 10.0)
 
 
@@ -194,10 +192,12 @@ class TestAsyncioTransportSends:
         async def main():
             transport = await _transport("a.example")
             try:
-                outcome = transport.send(
-                    "a.example", "ghost.example", QUERY_PORT, _payload()
+                settled = []
+                transport.send(
+                    "a.example", "ghost.example", QUERY_PORT, _payload(),
+                    on_outcome=settled.append,
                 )
-                assert outcome is SendOutcome.HOST_DOWN
+                assert settled == [SendOutcome.HOST_DOWN]
                 assert transport.stats.unknown_host_sends == 1
             finally:
                 await transport.aclose()
@@ -327,11 +327,11 @@ async def _burst(transport: AsyncioTransport, count: int, port: int = QUERY_PORT
     loop = asyncio.get_running_loop()
     futures = [loop.create_future() for __ in range(count)]
     for request_id, future in enumerate(futures):
-        first = transport.send(
+        transport.send(
             "a.example", "b.example", port, _payload(request_id),
             on_outcome=future.set_result,
         )
-        assert first is SendOutcome.IN_FLIGHT
+        assert not future.done()  # settles later, on the loop
     return await asyncio.wait_for(asyncio.gather(*futures), 10.0)
 
 
@@ -921,16 +921,6 @@ class TestAsyncioEngine:
             engine = build_engine(_small_web(), config=_retrying_config())
             assert isinstance(engine, AsyncioWebDisEngine)
             await engine.aclose()
-
-        asyncio.run(main())
-
-    def test_central_fallback_rejected(self):
-        async def main():
-            with pytest.raises(SimulationError, match="central_fallback"):
-                AsyncioWebDisEngine(
-                    _small_web(),
-                    config=EngineConfig(transport="asyncio", central_fallback=True),
-                )
 
         asyncio.run(main())
 

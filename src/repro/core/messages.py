@@ -12,13 +12,17 @@ their clones travel under.  The server appends to the columns as it walks
 the clone's nodes and the user-site's CHT applies a report in one call, so
 no object is built per node on the warm path.
 
-The wire and the modelled bytes are per report too: :mod:`repro.wire` writes
-the columns as they are — the state and dispatch identity once, a row whose
-label and header repeat the row above as a bare value list in which a value
-repeating the one above is a one-byte *ditto* — and ``size_bytes()`` charges
-exactly what that body writes (docs/protocol.md, "Messages"), computed once
-per report on first use, so a report a receiver decoded and never sizes
-costs nothing.  Reports, and so messages, compare by their columns.
+The wire and the modelled bytes are written by one walk over the message
+(``_write_reports``, docs/protocol.md "Messages"): :mod:`repro.wire`
+writes the columns as they are — the state and dispatch identity once per
+report, a row whose label and header repeat the row above as a bare value
+list in which a value repeating the one above is a one-byte *ditto* — and a
+URL or dispatch identity that the message already wrote as its index into
+the message's one table of strings, when the index is shorter.
+``ResultMessage.size_bytes()`` charges exactly what that body writes,
+computed once per message on first use, so a message a receiver decoded and
+never sizes costs nothing.  Reports, and so messages, compare by their
+columns.
 
 Frontier batching widens the batch: one :class:`ResultMessage` then covers
 *every* clone a site-local frontier processed, in BFS order.  That order is
@@ -91,33 +95,134 @@ class ChtEntry:
 #: Values that a bare row cannot hold unless they repeat the value above: the
 #: ditto is itself an empty JSON array.
 _ARRAYS = (list, tuple)
+#: What a repeated value is written as.
+_DITTO: list = []
 
 
-def _rows_size(rows: Sequence[tuple[str, ResultRow]]) -> int:
-    """What a report's rows column writes (see ``CloneReport.size_bytes``).
+def _write_reports(reports: Sequence["CloneReport"], out: "list | None" = None) -> int:
+    """What ``reports``' version 3 bodies charge; each body appended to ``out``.
 
-    A row is bare when its label and header are the row above's and none of
-    its values is an empty array that is not a ditto; otherwise it is
-    written in full, label and header names included.  A value is a ditto
-    when it has the type of the value above and ``==`` it, and is not a
-    float: ``-0.0 == 0.0`` and NaN is not equal to itself.
+    The one walk behind both :meth:`ResultMessage.size_bytes` (``out`` None:
+    no body is built) and the encoder (docs/protocol.md, "Messages").  Every
+    string the bodies write enters one table, in write order, the first time
+    it is written: report ``did``s, node URLs, string row values, entry URLs
+    and child ids.  A ``did``, node URL, entry URL or child id already in the
+    table is written as its index when the index is shorter; a row never
+    holds an index.  States stay ``QueryState`` objects in ``out``: the
+    encoder writes each as its wire form.
+
+    The charge: per report the state, its ``did`` and 4; per node its URL
+    and 5; per announced entry its URL, its state and its child id, the last
+    two at 1 byte each when a ditto (the previous entry's state object, an
+    equal child id); per row its label and header names when they differ
+    from the row above, else 1, and each value at ``len(str(value))``, or 1
+    when it repeats the value above it.  A string costs its length, an index
+    its digits.
+    """
+    table: dict[str, int] = {}
+    size = 0
+
+    def put(text: str) -> "str | int":
+        """``text`` as written — its index when that is shorter — charged."""
+        nonlocal size
+        index = table.get(text)
+        if index is None:
+            table[text] = len(table)
+        elif len(str(index)) < len(text):
+            size += len(str(index))
+            return index
+        size += len(text)
+        return text
+
+    for report in reports:
+        nodes = report.nodes
+        size += report.state.size_bytes() + 4 + 5 * len(nodes)
+        did = report.dispatch_id
+        if did:
+            did = put(did)
+        urls = [put(str(node)) for node in nodes]
+        rows = None if out is None else []
+        size += _write_rows(report.rows, rows, table)
+        new_entries, child_ids = report.new_entries, report.child_ids
+        if len(child_ids) != len(new_entries):
+            raise ValueError(f"{len(child_ids)} child id(s) for {len(new_entries)} new entr(ies)")
+        new = None if out is None else []
+        last_state = last_id = None
+        for (node, state), child_id in zip(new_entries, child_ids):
+            url = put(str(node))
+            if state is last_state:
+                state = _DITTO
+                size += 1
+            else:
+                last_state = state
+                size += state.size_bytes()
+            if child_id == last_id:
+                written_id = _DITTO
+                size += 1
+            else:
+                last_id = child_id
+                written_id = put(child_id)
+            if new is not None:
+                new.append([url, state, written_id])
+        if out is not None:
+            body: dict = {"state": report.state}
+            if report.dispatch_id:
+                body["did"] = did
+            if report.epoch:
+                body["ep"] = report.epoch
+            body["nodes"] = urls
+            body["disp"] = [disposition.value for disposition in report.dispositions]
+            body["rows"] = rows
+            body["rend"] = report.row_ends
+            body["new"] = new
+            body["fend"] = report.forward_ends
+            out.append(body)
+    return size
+
+
+def _write_rows(
+    rows: Sequence[tuple[str, ResultRow]], out: "list | None", table: dict
+) -> int:
+    """What a report's rows column charges; each row appended to ``out``.
+
+    A row is bare — a value list — when its label and header are the row
+    above's and none of its values is an empty array that is not a ditto;
+    otherwise it is written in full, label and header names included.  A
+    value is a ditto when it has the type of the value above and ``==`` it,
+    and is not a float: ``-0.0 == 0.0`` and NaN is not equal to itself.
+    Every string value written enters ``table`` (a bare attempt that falls
+    back to a full row enters nothing the full row would not, in its order).
     """
     size = 0
     last_label = last_header = last_values = None
     for label, row in rows:
         header, values = row.header, row.values
         if label == last_label and header == last_header:
-            bare = 1 + row.value_bytes()
+            bare = None if out is None else []
+            cost = 1 + row.value_bytes()
             for value, above in zip(values, last_values):
-                if value == above:  # equal arrays are of one type: never a misread
-                    if type(value) is type(above) and type(value) is not float:
-                        bare -= len(str(value)) - 1
+                if type(value) is type(above) and type(value) is not float and value == above:
+                    cost -= len(str(value)) - 1
+                    if bare is not None:
+                        bare.append(_DITTO)
                 elif not value and type(value) in _ARRAYS:
-                    break
+                    break  # would read back as a ditto: write the row in full
+                else:
+                    if type(value) is str and value not in table:
+                        table[value] = len(table)
+                    if bare is not None:
+                        bare.append(value)
             else:
-                size += bare
+                if bare is not None:
+                    out.append(bare)
+                size += cost
                 last_values = values
                 continue
+        for value in values:
+            if type(value) is str and value not in table:
+                table[value] = len(table)
+        if out is not None:
+            out.append({"q": label, "h": header, "v": values})
         size += len(label) + sum(map(len, header)) + row.value_bytes()
         last_label, last_header, last_values = label, header, values
     return size
@@ -153,8 +258,6 @@ class CloneReport:
     forward_ends: Sequence[int]
     dispatch_id: str = ""
     epoch: int = 0
-    #: The modelled size, filled by the first ``size_bytes()``.
-    _size: int | None = cache_field()
 
     @classmethod
     def retraction(cls, clone: QueryClone, disposition: Disposition) -> "CloneReport":
@@ -211,34 +314,6 @@ class CloneReport:
         ends = self.row_ends
         return bool(ends) and ends[-1] > len(self.rows)
 
-    def size_bytes(self) -> int:
-        """What the report's columnar wire body writes, computed once.
-
-        Per report the state, the dispatch id and 4; per node its URL and
-        5; per announced entry its URL, its state and its child id, the
-        last two at 1 byte each when they repeat the previous entry's (the
-        same state object: one per protocol state on a server, one per
-        spelling off the wire; an equal child id); per
-        row its label and header names when they differ from the row
-        above, else 1, and each value at ``len(str(value))``, or 1 when it
-        repeats the value above it (:func:`_rows_size`).
-        """
-        size = self._size
-        if size is None:
-            nodes = self.nodes
-            size = self.state.size_bytes() + len(self.dispatch_id) + 4 + 5 * len(nodes)
-            for node in nodes:
-                size += len(str(node))
-            last_state = last_id = None
-            for (node, state), child_id in zip(self.new_entries, self.child_ids):
-                size += len(str(node))
-                size += 1 if state is last_state else state.size_bytes()
-                size += 1 if child_id == last_id else len(child_id)
-                last_state, last_id = state, child_id
-            size += _rows_size(self.rows)
-            self._size = size
-        return size
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CloneReport):
             return NotImplemented
@@ -258,9 +333,26 @@ class ResultMessage:
     qid: QueryId
     reports: tuple[CloneReport, ...]
     kind: str = "result"
+    #: The modelled size, filled by the first ``size_bytes()``.
+    _size: int | None = cache_field()
 
     def size_bytes(self) -> int:
-        return self.qid.size_bytes() + sum([report.size_bytes() for report in self.reports]) + 8
+        """What the version 3 body writes, computed once (:meth:`walk`).
+
+        A message a receiver decoded and never sizes costs nothing.
+        """
+        size = self._size
+        if size is None:
+            size = self.walk()
+        return size
+
+    def walk(self, out: "list | None" = None) -> int:
+        """The one walk over the reports (:func:`_write_reports`): keeps and
+        returns the modelled size and, with ``out``, appends each report's
+        body to it — the encoder's pass sizes the message too."""
+        size = self.qid.size_bytes() + _write_reports(self.reports, out) + 8
+        object.__setattr__(self, "_size", size)
+        return size
 
     def result_count(self) -> int:
         return sum([len(report.rows) for report in self.reports])
@@ -275,7 +367,8 @@ class CloneBundle:
     network message per ``(site, state)`` group, the server ships them all
     under a single envelope.  The receiving server unpacks the bundle into
     its queue — each inner clone keeps its own dispatch identity, so CHT
-    accounting is exactly as if the clones had travelled separately.
+    accounting is exactly as if the clones had travelled separately.  The
+    clones are of one query, which the bundle carries once.
     """
 
     clones: tuple[QueryClone, ...]
@@ -286,6 +379,9 @@ class CloneBundle:
         sites = {clone.site for clone in self.clones}
         if len(sites) != 1:
             raise DisqlSemanticsError(f"bundle spans multiple sites: {sorted(sites)}")
+        query = self.clones[0].query
+        if any(clone.query is not query and clone.query != query for clone in self.clones):
+            raise DisqlSemanticsError("bundle carries clones of different queries")
 
     @property
     def site(self) -> str:
@@ -296,7 +392,11 @@ class CloneBundle:
         return "query-batch"
 
     def size_bytes(self) -> int:
-        return sum(clone.size_bytes() for clone in self.clones) + 8
+        """The query once, at the earliest step a clone is at, then each
+        clone's own fields (:meth:`QueryClone.size_bytes`)."""
+        clones = self.clones
+        query = max([clone.query_bytes() for clone in clones])
+        return query + sum([clone.own_bytes() for clone in clones]) + 8
 
 
 @dataclass(frozen=True, slots=True)

@@ -210,16 +210,22 @@ class QueryClone:
 
         Only the *remaining* node-queries travel — the paper notes that a
         clone is the "rest of the query".  A watermark below the query's own
-        number travels too (4 bytes).
+        number travels too (4 bytes).  A
+        :class:`~repro.core.messages.CloneBundle` charges the query's share
+        (:meth:`query_bytes`) once for all its clones.
         """
-        row = self.row
-        remaining = row.program.remaining_bytes[self.step_index]
-        dests = sum(len(str(url)) for url in self.dest)
-        trail = sum(len(site) + 2 for site in self.history)
-        identity = len(self.dispatch_id) + 4
+        return self.query_bytes() + self.own_bytes()
+
+    def query_bytes(self) -> int:
+        """The query's share: its id, the steps from this clone's on, a mark."""
         query = self.query
         mark = 0 if query.done_below is None else 4
         return (
-            query.qid.size_bytes() + remaining + row.rem_bytes
-            + dests + trail + identity + mark + 16
+            query.qid.size_bytes() + self.row.program.remaining_bytes[self.step_index] + mark
         )
+
+    def own_bytes(self) -> int:
+        """The clone's own share: current PRE, nodes, trail and identity."""
+        dests = sum(len(str(url)) for url in self.dest)
+        trail = sum(len(site) + 2 for site in self.history)
+        return self.row.rem_bytes + dests + trail + len(self.dispatch_id) + 4 + 16

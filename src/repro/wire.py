@@ -46,8 +46,12 @@ a decoded web-query is forgotten once its origin's completion watermark
 on none of this — see "what every message repeats" below.
 
 A result message writes each :class:`~repro.core.messages.CloneReport` as its
-columns, and the decoder fills a report's columns straight from them, checking
-their shape (see "clone reports: columns" below).
+columns, and a URL or dispatch id the message already wrote as its index into
+the message's one string table; the decoder rebuilds that table in body order
+and fills a report's columns straight from the body, checking their shape and
+every index (see "result bodies" below).  A clone bundle writes its query
+once.  These back-references are per message: no table outlives the message,
+so no peer has to remember what another sent.
 """
 
 from __future__ import annotations
@@ -60,7 +64,6 @@ from typing import Any
 
 from .baselines.docservice import DocResponse, FetchRequest
 from .core.messages import (
-    _ARRAYS,
     CloneBundle,
     CloneReport,
     Disposition,
@@ -113,8 +116,10 @@ __all__ = [
 #: Version of the message encoding (the ``"v"`` of every JSON envelope).
 #: 1: a result message listed one JSON object per node.
 #: 2: a result message writes each clone report once, as columns, a repeat
-#:    of the value above as a ditto ("clone reports: columns" below).
-WIRE_VERSION = 2
+#:    of the value above as a ditto ("result bodies" below).
+#: 3: a result body writes a URL or dispatch id it already wrote as an index
+#:    into its one string table, and a clone bundle writes its query once.
+WIRE_VERSION = 3
 
 #: Revision of the stream format *around* the messages — frames, sequence
 #: numbers, acknowledgement records (docs/protocol.md, "Wire format").
@@ -292,8 +297,16 @@ def _url_from_wire(text: Any) -> Url:
     return url
 
 
+def _state_form(value: Any) -> Any:
+    """What a body holds that JSON has no form for: a query state, written as
+    its wire form (``core.messages._write_reports`` leaves states as they are)."""
+    if type(value) is QueryState:
+        return _state_fragment(value)
+    raise TypeError(f"{type(value).__name__} is not encodable")
+
+
 _dumps = json.JSONEncoder(
-    separators=(",", ":"), ensure_ascii=False, check_circular=False
+    separators=(",", ":"), ensure_ascii=False, check_circular=False, default=_state_form
 ).encode
 
 
@@ -373,8 +386,8 @@ def _webquery_from_wire(data: Any) -> WebQuery:
     The key is the received object's ``marshal`` serialization: unlike
     ``==`` on JSON values it tells ``1`` / ``1.0`` / ``true`` apart (and
     key orders), so an equal key *is* the proof, at a third of ``repr``'s
-    cost.  Version 2 writes no back-references, so the bytes depend on the
-    value alone.
+    cost.  A query is never written as references, so the bytes depend on
+    the value alone.
     """
     key = marshal.dumps(data, 2)
     query = _DECODED_QUERIES.get(key)
@@ -461,7 +474,7 @@ def _state_from_spelling(spelled: Any) -> QueryState:
     return state
 
 
-# --- clone reports: columns -------------------------------------------------------
+# --- result bodies: columns and one string table ----------------------------------
 #
 # A report is one JSON object holding its columns, and its shared fields once:
 # ``{"state":…,"did":…,"ep":…,"nodes":[…],"disp":[…],"rows":[…],"rend":[…],
@@ -471,75 +484,55 @@ def _state_from_spelling(spelled: Any) -> QueryState:
 # is a ditto, ``[]``; an entry of ``new`` is ``[url, state, child id]``, its
 # state a ditto when it is the previous entry's state object (one per protocol
 # state on a server, one per spelling here), its child id when it equals the
-# previous entry's.  ``CloneReport.size_bytes()`` charges what this writes,
-# by the same rules (``core.messages._rows_size`` for the rows).
+# previous entry's.
+#
+# Every string a body writes enters one table per body, in write order, the
+# first time it is written: ``did``s, node URLs, string row values, entry URLs
+# and child ids.  A ``did``, node URL, entry URL or child id that is already in
+# the table may be written as its index, an integer (the encoder does so when
+# the index is shorter); a row never holds an index, so an integer there is a
+# value.  ``ResultMessage.walk`` (``core.messages._write_reports``) is the one
+# walk that both writes a body and charges it: an encoded message is sized.
 
-#: What a repeated value is written as.
-_DITTO: list = []
 _DISPOSITIONS = {disposition.value: disposition for disposition in Disposition}
-
-
-def _rows_to_wire(rows: Any) -> list:
-    encoded: list = []
-    last_label = last_header = last_values = None
-    for label, row in rows:
-        header, values = row.header, row.values
-        if label == last_label and header == last_header:
-            bare = []
-            for value, above in zip(values, last_values):
-                if type(value) is type(above) and type(value) is not float and value == above:
-                    bare.append(_DITTO)
-                elif not value and type(value) in _ARRAYS:
-                    break  # would read back as a ditto: write the row in full
-                else:
-                    bare.append(value)
-            else:
-                encoded.append(bare)
-                last_values = values
-                continue
-        encoded.append({"q": label, "h": header, "v": values})
-        last_label, last_header, last_values = label, header, values
-    return encoded
-
-
-def _entries_to_wire(report: CloneReport) -> list:
-    new_entries, child_ids = report.new_entries, report.child_ids
-    if len(child_ids) != len(new_entries):
-        raise WireError(
-            f"{len(child_ids)} child id(s) for {len(new_entries)} new entr(ies)"
-        )
-    encoded = []
-    last_state = last_id = None
-    for (node, state), child_id in zip(new_entries, child_ids):
-        encoded.append([
-            str(node),
-            _DITTO if state is last_state else _state_fragment(state),
-            _DITTO if child_id == last_id else child_id,
-        ])
-        last_state, last_id = state, child_id
-    return encoded
-
-
-def _report_to_wire(report: CloneReport) -> dict:
-    encoded: dict = {"state": _state_fragment(report.state)}
-    if report.dispatch_id:
-        encoded["did"] = report.dispatch_id
-    if report.epoch:
-        encoded["ep"] = report.epoch
-    encoded["nodes"] = [str(node) for node in report.nodes]
-    encoded["disp"] = [disposition.value for disposition in report.dispositions]
-    encoded["rows"] = _rows_to_wire(report.rows)
-    encoded["rend"] = report.row_ends
-    encoded["new"] = _entries_to_wire(report)
-    encoded["fend"] = report.forward_ends
-    return encoded
 
 
 def _is_ditto(value: Any) -> bool:
     return type(value) is list and not value
 
 
-def _rows_from_wire(data: Any) -> list:
+class _StringTable:
+    """A body's string table as its decoder rebuilds it, in body order."""
+
+    __slots__ = ("strings", "known")
+
+    def __init__(self) -> None:
+        self.strings: list[str] = []
+        self.known: set[str] = set()
+
+    def enter(self, text: str) -> None:
+        if text not in self.known:
+            self.known.add(text)
+            self.strings.append(text)
+
+    def read(self, spelled: Any, what: str) -> str:
+        """A string written in full (which enters the table) or as its index."""
+        if type(spelled) is str:
+            self.enter(spelled)
+            return spelled
+        if type(spelled) is not int:  # a bool is not an index
+            raise WireError(f"{what} {spelled!r} is neither a string nor an index")
+        if not 0 <= spelled < len(self.strings):
+            raise WireError(
+                f"{what} index {spelled} is outside the {len(self.strings)} strings before it"
+            )
+        return self.strings[spelled]
+
+    def url(self, spelled: Any) -> Url:
+        return _url_from_wire(self.read(spelled, "URL"))
+
+
+def _rows_from_wire(data: Any, table: _StringTable) -> list:
     rows: list = []
     label = header = values = None
     for item in data:
@@ -550,6 +543,7 @@ def _rows_from_wire(data: Any) -> list:
             if not all(type(name) is str for name in header) or len(values) != len(header):
                 raise WireError(f"bad row header, or values that do not fit it: {item!r}")
             header, values = tuple(header), tuple(values)
+            written = values
         elif type(item) is list and header is not None:
             if len(item) != len(header):
                 raise WireError(f"row {item!r} does not match its header {list(header)!r}")
@@ -557,13 +551,17 @@ def _rows_from_wire(data: Any) -> list:
                 above if type(value) is list and not value else value
                 for value, above in zip(item, values)
             ])
+            written = item
         else:
             raise WireError(f"bad row {item!r}: not a row, or a ditto with no row above")
+        for value in written:
+            if type(value) is str:
+                table.enter(value)
         rows.append((label, ResultRow(header, values)))
     return rows
 
 
-def _entries_from_wire(data: Any) -> tuple[list, list]:
+def _entries_from_wire(data: Any, table: _StringTable) -> tuple[list, list]:
     entries: list = []
     child_ids: list = []
     state = child_id = None
@@ -571,15 +569,14 @@ def _entries_from_wire(data: Any) -> tuple[list, list]:
         if type(item) is not list or len(item) != 3:
             raise WireError(f"bad new entry {item!r}")
         node, spelled, spelled_id = item
+        url = table.url(node)
         if not _is_ditto(spelled):
             state = _state_from_spelling(spelled)
         if not _is_ditto(spelled_id):
-            if type(spelled_id) is not str:
-                raise WireError(f"bad child id {spelled_id!r}")
-            child_id = spelled_id
+            child_id = table.read(spelled_id, "child id")
         if state is None or child_id is None:
             raise WireError(f"new entry {item!r} repeats a previous entry there is none of")
-        entries.append((_url_from_wire(node), state))
+        entries.append((url, state))
         child_ids.append(child_id)
     return entries, child_ids
 
@@ -605,16 +602,17 @@ def _column(data: Any, key: str) -> list:
     return column
 
 
-def _report_from_wire(data: Any, cht_half: bool) -> CloneReport:
-    """One report's columns, checked for shape.
+def _report_from_wire(data: Any, cht_half: bool, table: _StringTable) -> CloneReport:
+    """One report's columns, checked for shape, its strings read through ``table``.
 
     In a CHT half (``"chan":"cht"``) ``rows`` is empty and ``rend`` counts
     the rows the data twin carries, so it need not end at 0.
     """
-    dispatch_id, epoch = data.get("did", ""), data.get("ep", 0)
-    if type(dispatch_id) is not str or type(epoch) is not int:
-        raise WireError(f"bad dispatch id {dispatch_id!r} or epoch {epoch!r}")
-    nodes = [_url_from_wire(url) for url in _column(data, "nodes")]
+    dispatch_id = table.read(data["did"], "dispatch id") if "did" in data else ""
+    epoch = data.get("ep", 0)
+    if type(epoch) is not int:
+        raise WireError(f"bad epoch {epoch!r}")
+    nodes = [table.url(url) for url in _column(data, "nodes")]
     dispositions = [_DISPOSITIONS[value] for value in _column(data, "disp")]
     count = len(nodes)
     if len(dispositions) != count:
@@ -622,12 +620,12 @@ def _report_from_wire(data: Any, cht_half: bool) -> CloneReport:
     data_only = dispositions.count(Disposition.DATA_ONLY)
     if data_only and data_only != count:
         raise WireError("a report mixes DATA_ONLY with other dispositions")
-    rows = _rows_from_wire(_column(data, "rows"))
+    rows = _rows_from_wire(_column(data, "rows"), table)
     if cht_half and rows:
         raise WireError("a CHT half carries rows")
     row_ends = data["rend"]
     _check_ends(row_ends, count, None if cht_half else len(rows), "rend")
-    entries, child_ids = _entries_from_wire(_column(data, "new"))
+    entries, child_ids = _entries_from_wire(_column(data, "new"), table)
     forward_ends = data["fend"]
     _check_ends(forward_ends, count, len(entries), "fend")
     return CloneReport(
@@ -661,8 +659,8 @@ def _webquery_text(query: WebQuery) -> str:
     return text
 
 
-def _clone_text(clone: QueryClone) -> str:
-    """A clone's JSON object: the query's text, then the clone's own fields."""
+def _clone_rest(clone: QueryClone) -> str:
+    """A clone's own fields as a JSON object, the query left out."""
     rest = {
         "step": clone.step_index,
         "rem": pre_to_wire(clone.rem),
@@ -673,12 +671,12 @@ def _clone_text(clone: QueryClone) -> str:
         rest["did"] = clone.dispatch_id
     if clone.epoch:
         rest["ep"] = clone.epoch
-    return f'{{"query":{_webquery_text(clone.query)},{_dumps(rest)[1:]}'
+    return _dumps(rest)
 
 
-def _clone_from_body(body: Any) -> QueryClone:
+def _clone_from_rest(query: WebQuery, body: Any) -> QueryClone:
     return QueryClone(
-        query=_webquery_from_wire(body["query"]),
+        query=query,
         step_index=body["step"],
         rem=pre_from_wire(body["rem"]),
         dest=tuple(_url_from_wire(u) for u in body["dest"]),
@@ -689,19 +687,18 @@ def _clone_from_body(body: Any) -> QueryClone:
 
 
 def _result_body(message: ResultMessage) -> dict:
-    return {
-        "qid": _qid_to_wire(message.qid),
-        "reports": [_report_to_wire(report) for report in message.reports],
-        "chan": message.kind,
-    }
+    reports: list = []
+    message.walk(reports)
+    return {"qid": _qid_to_wire(message.qid), "reports": reports, "chan": message.kind}
 
 
 def _result_from_body(body: Any) -> ResultMessage:
     kind = body["chan"]
     cht_half = kind == "cht"
+    table = _StringTable()
     return ResultMessage(
         qid=_qid_from_wire(body["qid"]),
-        reports=tuple([_report_from_wire(report, cht_half) for report in body["reports"]]),
+        reports=tuple([_report_from_wire(report, cht_half, table) for report in body["reports"]]),
         kind=kind,
     )
 
@@ -709,10 +706,11 @@ def _result_from_body(body: Any) -> ResultMessage:
 def encode_message(message: object) -> bytes:
     """Serialize any WEBDIS payload to wire bytes."""
     if isinstance(message, CloneBundle):
-        body = f'{{"clones":[{",".join([_clone_text(clone) for clone in message.clones])}]}}'
+        clones = ",".join([_clone_rest(clone) for clone in message.clones])
+        body = f'{{"query":{_webquery_text(message.clones[0].query)},"clones":[{clones}]}}'
         kind = _KIND_BUNDLE
     elif isinstance(message, QueryClone):
-        body = _clone_text(message)
+        body = f'{{"query":{_webquery_text(message.query)},{_clone_rest(message)[1:]}'
         kind = _KIND_CLONE
     elif isinstance(message, ResultMessage):
         body = _dumps(_result_body(message))
@@ -772,7 +770,7 @@ def decode_message(data: bytes) -> object:
 
 def _decode_body(kind: Any, body: Any) -> object:
     if kind == _KIND_CLONE:
-        return _clone_from_body(body)
+        return _clone_from_rest(_webquery_from_wire(body["query"]), body)
     if kind == _KIND_RESULT:
         return _result_from_body(body)
     if kind == _KIND_RELAY:
@@ -784,7 +782,8 @@ def _decode_body(kind: Any, body: Any) -> object:
     if kind == _KIND_DOC:
         return DocResponse(_url_from_wire(body["url"]), body["html"], body["id"])
     if kind == _KIND_BUNDLE:
-        return CloneBundle(tuple(_clone_from_body(clone) for clone in body["clones"]))
+        query = _webquery_from_wire(body["query"])
+        return CloneBundle(tuple([_clone_from_rest(query, clone) for clone in body["clones"]]))
     raise WireError(f"unknown message kind {kind!r}")
 
 

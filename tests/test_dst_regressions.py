@@ -13,12 +13,17 @@ occurrence the fault-free run did not:
   state; the client deduplicated recovered rows by ``(node, state)``, so the
   second report's rows were kept.  They are keyed by ``(node, step)`` now.
 
-Two more are open, strict ``xfail``: seeds 225 and 286 of ``--seeds 0..1023
---schedules 2`` with ``combine_results_and_cht`` drawn off (ROADMAP item
-22).  Under drops, a PARTIAL query misses a row whose producer was never
+Six more are open, strict ``xfail``: seeds 225 and 286 of ``--seeds 0..1023
+--schedules 2``, and seeds 127, 354, 813 and 970 of the same sweep with
+``--sequential``, each with ``combine_results_and_cht`` drawn off (ROADMAP
+item 22).  Under drops, a PARTIAL query misses a row whose producer was never
 abandoned or retracted (``oracle-partial``): a server sends a report's data
 half only after its CHT half is delivered, and nothing notices when the
 data half is lost.  With the halves combined both cases are clean.
+
+One more strict ``xfail`` pins ROADMAP item 19: seed 8's case with one slow
+link, where a recovery round supersedes a report still in flight and the query
+ends COMPLETE without that report's rows.
 """
 
 from __future__ import annotations
@@ -27,7 +32,9 @@ import copy
 
 import pytest
 
-from repro.testing import run_case
+import repro.core.engine as engine_module
+from repro.net.network import Network
+from repro.testing import generate_case, run_case
 
 _L_OR_G_3 = {"bound": 3, "rep": {"alt": ["L", "G"]}}
 
@@ -213,7 +220,219 @@ SEED_286 = {
     ]},
 }
 
-_SPLIT_HALVES = pytest.mark.parametrize("spec", [SEED_225, SEED_286], ids=["225", "286"])
+#: The shrunk repros of the four seeds that fail only with ``--sequential``.
+SEED_127_SEQUENTIAL = {'config': {'batch_per_site': True,
+                'combine_results_and_cht': False,
+                'compiled_plans': False,
+                'frontier_batching': False,
+                'log_subsumption': 'paper',
+                'pump_budget': None},
+     'faults': [{'end': 2.818, 'kind': 'drop', 'p': 0.245}],
+     'latency': [],
+     'queries': [{'contains': 'sigma',
+                  'delimiter': 'b',
+                  'pre': {'bound': 3, 'rep': {'alt': ['L', 'G']}},
+                  'relinfon': False,
+                  'start': 'http://s4.example/'}],
+     'query': {'anchor': False,
+               'contains': 'archive',
+               'delimiter': 'i',
+               'label_join': False,
+               'pre': {'bound': 2, 'rep': {'alt': ['L', 'G']}},
+               'relinfon': True,
+               'start': 'http://s0.example/'},
+     'schedule_seed': None,
+     'seed': 127,
+     'sequential': True,
+     'web': {'sites': [{'name': 's0.example',
+                        'pages': [{'emphasized': [['i', 'archive beta']],
+                                   'links': [['index', 'http://s2.example/'],
+                                             ['sigma', '/p9.html']],
+                                   'paragraphs': ['answer report report'],
+                                   'path': '/',
+                                   'title': 'delta 0/'}]},
+                       {'name': 's1.example',
+                        'pages': [{'emphasized': [],
+                                   'links': [['omega', 'http://s2.example/'],
+                                             ['query', '/p1.html']],
+                                   'paragraphs': ['delta query alpha', 'delta answer lab'],
+                                   'path': '/',
+                                   'title': 'omega 1/'}]},
+                       {'name': 's2.example',
+                        'pages': [{'emphasized': [],
+                                   'links': [['query', 'http://s4.example/'],
+                                             ['gamma', '/p6.html']],
+                                   'paragraphs': [],
+                                   'path': '/',
+                                   'title': 'gamma 2/'}]},
+                       {'name': 's3.example', 'pages': []},
+                       {'name': 's4.example',
+                        'pages': [{'emphasized': [],
+                                   'links': [['report', 'http://s3.example/p3.html'],
+                                             ['sigma', '/p1.html']],
+                                   'paragraphs': [],
+                                   'path': '/',
+                                   'title': 'lab 4/'},
+                                  {'emphasized': [],
+                                   'links': [['sigma', 'http://s1.example/'],
+                                             ['delta', '/p8.html']],
+                                   'paragraphs': [],
+                                   'path': '/p1.html',
+                                   'title': 'alpha 4/p1.html'}]}]}}
+
+SEED_354_SEQUENTIAL = {'config': {'batch_per_site': True,
+                'combine_results_and_cht': False,
+                'compiled_plans': False,
+                'frontier_batching': True,
+                'log_subsumption': 'paper',
+                'pump_budget': None},
+     'faults': [{'end': 2.015, 'kind': 'drop', 'p': 0.235},
+                {'a': ['user.example'],
+                 'b': ['s1.example', 's0.example'],
+                 'end': 2.941,
+                 'kind': 'partition',
+                 'start': 0.901}],
+     'latency': [],
+     'queries': [{'contains': 'answer',
+                  'delimiter': 'i',
+                  'pre': {'bound': 1, 'rep': {'alt': ['L', 'G']}},
+                  'relinfon': False,
+                  'start': 'http://s1.example/'}],
+     'query': {'anchor': False,
+               'contains': 'alpha',
+               'delimiter': 'b',
+               'label_join': False,
+               'pre': 'N',
+               'relinfon': False,
+               'start': 'http://s0.example/'},
+     'schedule_seed': None,
+     'seed': 354,
+     'sequential': True,
+     'web': {'sites': [{'name': 's0.example',
+                        'pages': [{'emphasized': [],
+                                   'links': [],
+                                   'paragraphs': ['archive delta index', 'omega delta query'],
+                                   'path': '/',
+                                   'title': 'sigma 0/'}]},
+                       {'name': 's1.example',
+                        'pages': [{'emphasized': [],
+                                   'links': [],
+                                   'paragraphs': [],
+                                   'path': '/',
+                                   'title': 'index 1/'}]}]}}
+
+SEED_813_SEQUENTIAL = {'config': {'batch_per_site': True,
+                'combine_results_and_cht': False,
+                'compiled_plans': False,
+                'frontier_batching': True,
+                'log_subsumption': 'paper',
+                'pump_budget': 2},
+     'faults': [{'end': 4.326, 'kind': 'drop', 'p': 0.118},
+                {'end': 2.489, 'kind': 'drop', 'p': 0.113}],
+     'latency': [],
+     'queries': [],
+     'query': {'anchor': False,
+               'contains': 'lab',
+               'delimiter': 'i',
+               'label_join': False,
+               'pre': {'bound': 2, 'rep': {'alt': ['L', 'G']}},
+               'relinfon': False,
+               'start': 'http://s0.example/'},
+     'schedule_seed': None,
+     'seed': 813,
+     'sequential': True,
+     'web': {'sites': [{'name': 's0.example',
+                        'pages': [{'emphasized': [],
+                                   'links': [['sigma', '/p2.html'], ['archive', '/p1.html']],
+                                   'paragraphs': [],
+                                   'path': '/',
+                                   'title': 'delta 0/'},
+                                  {'emphasized': [],
+                                   'links': [['lab', 'http://s2.example/']],
+                                   'paragraphs': ['delta omega gamma'],
+                                   'path': '/p1.html',
+                                   'title': 'lab 0/p1.html'},
+                                  {'emphasized': [],
+                                   'links': [['report', 'http://s1.example/p1.html'],
+                                             ['sigma', '/p6.html']],
+                                   'paragraphs': ['query report query', 'query index archive'],
+                                   'path': '/p2.html',
+                                   'title': 'lab 0/p2.html'}]},
+                       {'name': 's1.example', 'pages': []},
+                       {'name': 's2.example',
+                        'pages': [{'emphasized': [],
+                                   'links': [],
+                                   'paragraphs': ['alpha archive lab'],
+                                   'path': '/',
+                                   'title': 'alpha 2/'}]}]}}
+
+SEED_970_SEQUENTIAL = {'config': {'batch_per_site': True,
+                'combine_results_and_cht': False,
+                'compiled_plans': False,
+                'frontier_batching': True,
+                'log_subsumption': 'paper',
+                'pump_budget': None},
+     'faults': [{'a': ['user.example'],
+                 'b': ['s3.example'],
+                 'end': 2.047,
+                 'kind': 'partition',
+                 'start': 0.141},
+                {'end': 4.465, 'kind': 'drop', 'p': 0.086}],
+     'latency': [],
+     'queries': [],
+     'query': {'anchor': False,
+               'contains': 'alpha',
+               'delimiter': 'i',
+               'label_join': False,
+               'pre': {'bound': 2, 'rep': {'alt': ['L', 'G']}},
+               'relinfon': True,
+               'start': 'http://s0.example/'},
+     'schedule_seed': None,
+     'seed': 970,
+     'sequential': True,
+     'web': {'sites': [{'name': 's0.example',
+                        'pages': [{'emphasized': [],
+                                   'links': [['report', 'http://s2.example/'],
+                                             ['delta', 'http://s5.example/'],
+                                             ['beta', '/p1.html']],
+                                   'paragraphs': ['alpha gamma omega'],
+                                   'path': '/',
+                                   'title': 'gamma 0/'},
+                                  {'emphasized': [],
+                                   'links': [['alpha', 'http://s3.example/'],
+                                             ['index', 'http://s5.example/'],
+                                             ['beta', 'http://s1.example/']],
+                                   'paragraphs': ['sigma answer sigma'],
+                                   'path': '/p1.html',
+                                   'title': 'delta 0/p1.html'}]},
+                       {'name': 's1.example',
+                        'pages': [{'emphasized': [],
+                                   'links': [['sigma', 'http://s4.example/']],
+                                   'paragraphs': ['delta answer sigma'],
+                                   'path': '/',
+                                   'title': 'report 1/'}]},
+                       {'name': 's2.example',
+                        'pages': [{'emphasized': [],
+                                   'links': [['omega', '/p3.html']],
+                                   'paragraphs': [],
+                                   'path': '/',
+                                   'title': 'query 2/'}]},
+                       {'name': 's3.example',
+                        'pages': [{'emphasized': [['i', 'alpha index']],
+                                   'links': [],
+                                   'paragraphs': ['archive omega beta', 'report index index'],
+                                   'path': '/',
+                                   'title': 'query 3/'}]},
+                       {'name': 's5.example', 'pages': []}]}}
+
+_SPLIT_HALVES = pytest.mark.parametrize(
+    "spec",
+    [
+        SEED_225, SEED_286, SEED_127_SEQUENTIAL, SEED_354_SEQUENTIAL, SEED_813_SEQUENTIAL,
+        SEED_970_SEQUENTIAL,
+    ],
+    ids=["225", "286", "127-sequential", "354-sequential", "813-sequential", "970-sequential"],
+)
 
 
 @pytest.mark.xfail(
@@ -231,4 +450,49 @@ def test_the_same_cases_are_clean_with_the_halves_combined(spec):
     combined = copy.deepcopy(spec)
     combined["config"]["combine_results_and_cht"] = True
     result = run_case(combined)
+    assert result.ok, [str(v) for v in result.violations]
+
+
+# --- slow is not dead (ROADMAP item 19) --------------------------------------------
+# Seed 8's generated case, with s0's messages to the user-site held back
+# ``_SLOW`` seconds until the supervisor's first recovery round (its quiet
+# timeout is 2 s).  s0's first report is then still in flight when the round
+# supersedes its dispatch; s0's log table drops the re-forward as a duplicate,
+# and that report — sent after the round, so not held — retires the new
+# instance with no rows.  The CHT balances and the query ends COMPLETE without
+# the slow report's rows.  The delay is fixed per link and window, not drawn
+# and not a function of message size.
+
+_SLOW = 3.0
+_FIRST_ROUND = 2.0
+
+
+class _SlowLinkNetwork(Network):
+    """The simulator with s0 → user-site sends leaving ``_SLOW`` seconds late
+    before ``_FIRST_ROUND``."""
+
+    def send(self, src, dst, port, payload, *, on_outcome=None):
+        if (src, dst) == ("s0.example", "user.example") and self.clock.now < _FIRST_ROUND:
+            self.clock.schedule(
+                _SLOW,
+                lambda: Network.send(self, src, dst, port, payload, on_outcome=on_outcome),
+            )
+        else:
+            super().send(src, dst, port, payload, on_outcome=on_outcome)
+
+
+def test_seed_8_is_clean_without_the_slow_link():
+    result = run_case(generate_case(8))
+    assert result.ok, [str(v) for v in result.violations]
+    assert result.status == "complete"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a report superseded by a recovery round is lost when the re-forward is "
+    "dropped as a duplicate (ROADMAP item 19)",
+)
+def test_a_slow_report_superseded_by_a_recovery_round_keeps_its_rows(monkeypatch):
+    monkeypatch.setattr(engine_module, "Network", _SlowLinkNetwork)
+    result = run_case(generate_case(8))
     assert result.ok, [str(v) for v in result.violations]

@@ -112,12 +112,22 @@ class TestCloneBundle:
         with pytest.raises(DisqlSemanticsError, match="multiple sites"):
             CloneBundle((_clone("/x"), _clone("/", site="a.example")))
 
+    def test_rejects_clones_of_different_queries(self):
+        other = compile_disql(FANOUT_QUERY.replace("\"hit\"", "\"miss\""))
+        assert other != _clone("/x").query
+        stranger = QueryClone(other, 0, other.steps[0].pre, (Url("b.example", "/y"),))
+        with pytest.raises(DisqlSemanticsError, match="different queries"):
+            CloneBundle((_clone("/x"), stranger))
+
     def test_kind_site_and_size(self):
+        """The bundle carries its query once (``WIRE_VERSION`` 3): it saves
+        every clone's query share but one, and costs an 8-byte envelope."""
         clones = (_clone("/x"), _clone("/y"))
         bundle = CloneBundle(clones)
         assert bundle.kind == "query-batch"
         assert bundle.site == "b.example"
-        assert bundle.size_bytes() > sum(c.size_bytes() for c in clones)
+        apart = sum(c.size_bytes() for c in clones)
+        assert bundle.size_bytes() == apart - clones[1].query_bytes() + 8 < apart
 
     def test_wire_roundtrip(self):
         bundle = CloneBundle((

@@ -149,10 +149,15 @@ def _pin(web, text):
 
 
 class TestCostModelDidNotMove:
+    # Completion times re-captured when a result message began to write a
+    # repeated URL or dispatch id as an index (``WIRE_VERSION`` 3): the last
+    # reports are shorter, so they arrive sooner.  Service times per site and
+    # event counts did not move; the synthetic run's trace digest moved with
+    # the transfer times its events carry.
     def test_campus_run(self):
         assert _pin(build_campus_web(), CAMPUS_QUERY_DISQL) == (
             "COMPLETE",
-            0.189759453125,
+            0.18846945312500002,
             [
                 ("dsl.serc.iisc.ernet.in", 0.0124716796875),
                 ("www-compiler.csa.iisc.ernet.in", 0.009212890625000001),
@@ -180,7 +185,7 @@ class TestCostModelDidNotMove:
         # unchanged (sites 3 and 6 visit the same nodes and read the same).
         assert _pin(web, text) == (
             "COMPLETE",
-            0.39431386718750006,
+            0.39053386718750005,
             [
                 ("site000.example", 0.05178144531250001),
                 ("site001.example", 0.05040859375000001),
@@ -192,7 +197,7 @@ class TestCostModelDidNotMove:
                 ("site007.example", 0.0419078125),
             ],
             144,
-            "a12d6cb6e998d9f21dd32e6b3c323a307f120a9e7170fc4c858cf6f899f71ff8",
+            "ce02c158fe9d1ebbd05ad3c117a4a93edd20b6bf5009a0d5abcfb341f7d49c62",
         )
 
 

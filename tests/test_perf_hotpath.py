@@ -409,15 +409,17 @@ class TestWarmVisitCounts:
         whole by a visit entry of the memo; each part-path visit stores one
         (its probes all hit).  68.28 visits are in a state with nothing to
         forward.  No memo flushes, and no site's memo passes 97 entries.
-        Bytes were 48,081.81 before result messages became columnar, with
-        every other count as here."""
+        Bytes were 48,081.81 before result messages became columnar and
+        35,618.28 before a result message wrote a repeated URL or dispatch id
+        as an index and a bundle its query once, with every other count as
+        here."""
         assert _profile_tool().visits_per_query() == {
             "node_visits": 91.28,
             "node_queries_evaluated": 91.14,
             "log_drops": 14.9,
             "log_rewrites": 0.14,
             "rows_shipped": 185.45,
-            "bytes": 35618.28,
+            "bytes": 31214.07,
             "visit_hits": 87.95,
             "part_path_visits": 3.33,
             "visits_stored": 3.33,

@@ -81,6 +81,25 @@ def _result() -> ResultMessage:
     ))
 
 
+def _referring_result() -> ResultMessage:
+    """A parent report and the child report it announced, as one frontier
+    batch sends them: the child's dispatch id and node were written above it,
+    and the parent's entry URL is the ``a.href`` of its own row."""
+    state = QueryState(1, parse_pre("(L|G)*2"))
+    child = QueryState(1, parse_pre("L|G"))
+    b_x, b_y = Url("b.example", "/x"), Url("b.example", "/y")
+    row = ResultRow(("d.url", "d.title", "a.href"), ("http://b.example/x", "topic", str(b_y)))
+    return ResultMessage(QID, (
+        CloneReport(
+            [b_x], state, [Disposition.PROCESSED], [("q1", row)], [1], [(b_y, child)],
+            ["s4@b.example"], [1], "s1@a.example",
+        ),
+        CloneReport(
+            [b_y], child, [Disposition.PROCESSED], [], [0], [], [], [0], "s4@b.example",
+        ),
+    ))
+
+
 def _relay() -> RelayMessage:
     return RelayMessage(("a.example", "root.example"), _result())
 
@@ -203,13 +222,18 @@ def test_structural_keys_did_not_move(workload):
 
 
 # --- wire bytes -------------------------------------------------------------------
-# Re-captured when result messages became columnar (``WIRE_VERSION`` 2): the
-# bundle's bytes differ from the previous ones only in the envelope's ``"v"``.
+# Re-captured at ``WIRE_VERSION`` 3: the bundle writes its query once; the
+# result and the relay repeat no URL or dispatch id, so their bytes differ from
+# version 2's only in the envelope's ``"v"``; ``result-references`` writes the
+# child report's dispatch id and node, and the parent's entry URL, as indexes.
 
 _WIRE_DIGESTS = {
-    "bundle": (_bundle, "a8488bf99d16bc13481f90ae3108ffe2088624738a681eeb176c2d2201b0a8d2"),
-    "relay": (_relay, "2e28209feb41952e16266d32c3e76423ba260b24c93861451a45487cacfbc70c"),
-    "result": (_result, "ecf6e0a924b7fae3db04554c1f32dc78ff18023d145179096908c150da54c492"),
+    "bundle": (_bundle, "d22689b3aa543745a1e02669e13b0c202b6731bf09c6d4554c1fd0eae13960a3"),
+    "relay": (_relay, "6c560b7959f97118933ae78f7411e98daaab9dfa6cb77f2355b78f34fa178959"),
+    "result": (_result, "7749fdbcb829ca9cb394f083f4412fa520d8bd60302a46f24694d9c0a5258329"),
+    "result-references": (
+        _referring_result, "9775830c75b87456486556d3232934985b503e799eb2b4d9140a1cac469f483a"
+    ),
 }
 
 
@@ -237,9 +261,11 @@ def test_a_query_is_decoded_once_per_process_and_only_when_identical():
 
 # --- the size model ----------------------------------------------------------------
 # A clone's size_bytes() formula as the previous implementation had it,
-# verbatim, plus the one term added since: its completion watermark.  A result
-# message is charged what its columnar body writes, so its formula reads that
-# body: the encoded message itself.
+# verbatim, plus the one term added since: its completion watermark.  A bundle
+# charges its query's share once, at its clones' earliest step.  A result
+# message is charged what its body writes, so its formula reads that body: the
+# encoded message itself, where a string costs its length and an index its
+# digits.
 
 
 def _url_text(url: Url) -> str:
@@ -255,22 +281,37 @@ def _state_size(state: QueryState) -> int:
     return 4 + 4 * pre_size(state.rem)
 
 
-def _clone_size(clone: QueryClone) -> int:
+def _clone_shares(clone: QueryClone) -> tuple[int, int]:
+    """``(the query's share, the clone's own share)`` of a clone's size."""
     remaining = sum(
         4 * pre_size(step.pre) + len(str(step.query))
         for step in clone.query.steps[clone.step_index:]
     )
+    mark = 0 if clone.query.done_below is None else 4
     dests = sum(len(_url_text(url)) for url in clone.dest)
     trail = sum(len(site) + 2 for site in clone.history)
     identity = len(clone.dispatch_id) + 4
-    mark = 0 if clone.query.done_below is None else 4
     return (
-        _qid_size(clone.query.qid) + remaining + 4 * pre_size(clone.rem)
-        + dests + trail + identity + mark + 16
+        _qid_size(clone.query.qid) + remaining + mark,
+        4 * pre_size(clone.rem) + dests + trail + identity + 16,
     )
 
 
+def _clone_size(clone: QueryClone) -> int:
+    return sum(_clone_shares(clone))
+
+
+def _bundle_size(bundle: CloneBundle) -> int:
+    queries, owns = zip(*map(_clone_shares, bundle.clones))
+    return max(queries) + sum(owns) + 8
+
+
 _DITTO: list = []
+
+
+def _written(spelled) -> int:
+    """What a string or an index costs: its length, or its digits."""
+    return len(spelled) if isinstance(spelled, str) else len(str(spelled))
 
 
 def _report_size(report: CloneReport, body: dict) -> int:
@@ -278,12 +319,12 @@ def _report_size(report: CloneReport, body: dict) -> int:
     and 4; 5 and the URL per node; per entry the URL, the state and the child
     id, each ditto at 1; per row the label and header names of a full row or
     1 for a bare one, and each value at ``len(str(value))``, a ditto at 1."""
-    size = _state_size(report.state) + len(body.get("did", "")) + 4
-    size += sum(len(url) + 5 for url in body["nodes"])
+    size = _state_size(report.state) + _written(body.get("did", "")) + 4
+    size += sum(_written(url) + 5 for url in body["nodes"])
     for (url, state, child_id), (__, entry_state) in zip(body["new"], report.new_entries):
-        size += len(url)
+        size += _written(url)
         size += 1 if state == _DITTO else _state_size(entry_state)
-        size += 1 if child_id == _DITTO else len(child_id)
+        size += 1 if child_id == _DITTO else _written(child_id)
     for row in body["rows"]:
         if isinstance(row, dict):
             size += len(row["q"]) + sum(map(len, row["h"]))
@@ -304,7 +345,7 @@ def _reference_size(payload) -> int:
     if isinstance(payload, QueryClone):
         return _clone_size(payload)
     if isinstance(payload, CloneBundle):
-        return sum(_clone_size(clone) for clone in payload.clones) + 8
+        return _bundle_size(payload)
     if isinstance(payload, ResultMessage):
         return _result_size(payload)
     assert isinstance(payload, RelayMessage)
@@ -359,20 +400,27 @@ def test_every_tapped_message_has_the_previous_size(run):
         assert payload.size_bytes() == _reference_size(payload)  # and when cached
 
 
-# --- a report's bytes are its columns ----------------------------------------------
-# ``CloneReport`` keeps per-node columns and the wire writes them as they are:
-# its bytes are checked against the columnar encoding spelled out here, and its
-# modelled size against the formula above, read off those bytes.
+# --- a message's bytes are its reports' columns and one string table -------------
+# ``CloneReport`` keeps per-node columns and the wire writes them as they are,
+# a string the message already wrote as its index: a message's bytes are
+# checked against the encoding spelled out here, and its modelled size against
+# the formula above, read off those bytes.
 
 _NODE_URLS = [Url(f"s{i % 3}.example", f"/p{i}.html") for i in range(8)]
 _STATES = [QueryState(1, parse_pre(text)) for text in ("(L|G)*2", "L|G", "G.(G|L)", "N")]
 _DISPOSITIONS = [d for d in Disposition if d is not Disposition.DATA_ONLY]
-_DISPATCH_IDS = ["", "s1@a.example", "u12@user.example", "s2@a.example"]
+#: Dispatch ids: unstamped, a user-site's, servers' — and the child ids a
+#: report announces, so a later report's ``did`` can repeat one.  ``"a"`` is
+#: too short for any index to be shorter.
+_CHILD_IDS = ["s4@b.example", "s5@b.example", "a"]
+_DISPATCH_IDS = ["", "s1@a.example", "u12@user.example", *_CHILD_IDS]
 _ROWS = [
     ("q1", ResultRow(("d.url",), ("http://s0.example/",))),
     ("q1", ResultRow(("d.url",), ("http://s1.example/",))),
     ("q2", ResultRow(("d.url", "d.title"), ("http://s1.example/x", "topic é"))),
     ("q2", ResultRow(("d.url", "d.title"), ("http://s1.example/x", None))),
+    ("q3", ResultRow(("d.title", "a.href"), ("topic", "http://s1.example/p1.html"))),
+    ("q3", ResultRow(("d.title", "a.href"), ("s5@b.example", "http://s2.example/p5.html"))),
     ("q1", ResultRow(("a.href",), (7,))),
     ("q1", ResultRow(("a.href",), (7.0,))),
     ("q1", ResultRow(("a.href",), (True,))),
@@ -399,7 +447,7 @@ def clone_reports(draw, dispatch_id=None):
         if not data_only:  # zero or more forwards
             for target in draw(st.lists(st.sampled_from(_NODE_URLS), max_size=3)):
                 entries.append((target, draw(st.sampled_from(_STATES))))
-                child_ids.append(f"s{draw(st.integers(4, 6))}@b.example")
+                child_ids.append(draw(st.sampled_from(_CHILD_IDS)))
         forward_ends.append(len(entries))
     return CloneReport(
         tuple(nodes), draw(st.sampled_from(_STATES)), dispositions, rows, row_ends,
@@ -409,9 +457,9 @@ def clone_reports(draw, dispatch_id=None):
 
 @st.composite
 def server_messages(draw):
-    """A message shaped like a server's: up to three reports, each under its
+    """A message shaped like a server's: up to four reports, each under its
     own dispatch id — or their CHT halves, which ship no rows."""
-    ids = draw(st.lists(st.sampled_from(_DISPATCH_IDS), max_size=3, unique=True))
+    ids = draw(st.lists(st.sampled_from(_DISPATCH_IDS), max_size=4, unique=True))
     reports = tuple(draw(clone_reports(dispatch_id)) for dispatch_id in ids)
     if draw(st.booleans()):
         return ResultMessage(QID, reports)
@@ -431,28 +479,51 @@ def _repeats(value, above) -> bool:
     return type(value) is type(above) and not isinstance(value, float) and value == above
 
 
+class _Strings:
+    """A message's string table: each string it writes, once, in write order."""
+
+    def __init__(self) -> None:
+        self.written: list[str] = []
+
+    def refer(self, text: str):
+        """A URL, dispatch id or child id: its index when that is shorter."""
+        if text in self.written:
+            index = self.written.index(text)
+            return index if len(str(index)) < len(text) else text
+        self.written.append(text)
+        return text
+
+    def value(self, value):
+        """A row value: it enters the table, and is always written as itself."""
+        if isinstance(value, str) and value not in self.written:
+            self.written.append(value)
+        return value
+
+
 def _column_encoding(message: ResultMessage) -> bytes:
     """The wire bytes of ``message``, spelled out column by column."""
 
     def state(value: QueryState) -> dict:
         return {"n": value.num_q, "rem": pre_to_wire(value.rem)}
 
+    strings = _Strings()
     reports = []
     for report in message.reports:
         encoded = {"state": state(report.state)}
         if report.dispatch_id:
-            encoded["did"] = report.dispatch_id
+            encoded["did"] = strings.refer(report.dispatch_id)
         if report.epoch:
             encoded["ep"] = report.epoch
-        encoded["nodes"] = [_url_text(node) for node in report.nodes]
+        encoded["nodes"] = [strings.refer(_url_text(node)) for node in report.nodes]
         encoded["disp"] = [disposition.value for disposition in report.dispositions]
         rows, above = [], None
         for label, row in report.rows:
             if above is None or (label, row.header) != (above[0], above[1].header):
-                rows.append({"q": label, "h": list(row.header), "v": list(row.values)})
+                rows.append({"q": label, "h": list(row.header),
+                             "v": [strings.value(value) for value in row.values]})
             else:
                 rows.append([
-                    [] if _repeats(value, old) else value
+                    [] if _repeats(value, old) else strings.value(value)
                     for value, old in zip(row.values, above[1].values)
                 ])
             above = (label, row)
@@ -461,9 +532,9 @@ def _column_encoding(message: ResultMessage) -> bytes:
         new, last = [], (None, None)
         for (node, target_state), child_id in zip(report.new_entries, report.child_ids):
             new.append([
-                _url_text(node),
+                strings.refer(_url_text(node)),
                 [] if target_state is last[0] else state(target_state),
-                [] if child_id == last[1] else child_id,
+                [] if child_id == last[1] else strings.refer(child_id),
             ])
             last = (target_state, child_id)
         encoded["new"] = new
@@ -471,13 +542,13 @@ def _column_encoding(message: ResultMessage) -> bytes:
         reports.append(encoded)
     body = {"qid": [QID.user, QID.host, QID.port, QID.number], "reports": reports,
             "chan": message.kind}
-    text = json.dumps({"v": 2, "k": "result", "b": body}, separators=(",", ":"),
+    text = json.dumps({"v": 3, "k": "result", "b": body}, separators=(",", ":"),
                       ensure_ascii=False)
     return text.encode("utf-8")
 
 
 class TestAReportsBytesAreItsColumns:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(server_messages())
     def test_size_and_bytes_are_the_columns(self, message):
         encoded = encode_message(message)

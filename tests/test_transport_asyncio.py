@@ -48,7 +48,7 @@ from repro.testing.invariants import check_run
 from repro.urlutils import parse_url
 from repro.web.builders import WebBuilder
 from repro.web.synthetic import SyntheticWebConfig, build_synthetic_web
-from repro.wire import encode_frame, encode_sequenced
+from repro.wire import WIRE_VERSION, encode_frame, encode_sequenced
 
 
 def _payload(request_id: int = 1) -> FetchRequest:
@@ -304,7 +304,8 @@ class TestAsyncioTransportSends:
                 await asyncio.sleep(0.02)  # the accept loop attaches
                 real = transport.port_map.lookup("b.example")
                 reader, writer = await asyncio.open_connection(transport.port_map.host, real)
-                envelope = b"a.example\x00" + b'{"v":2,"k":"result","b":{}}'
+                body = b'{"v":%d,"k":"result","b":{}}' % WIRE_VERSION
+                envelope = b"a.example\x00" + body
                 writer.write(encode_frame(encode_sequenced(envelope, QUERY_PORT, 7)))
                 await writer.drain()
                 try:

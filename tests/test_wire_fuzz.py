@@ -5,14 +5,17 @@ clone reports with the full dispatch-identity stamping ``(qid, dispatch_id,
 recovery_epoch)`` plus ``child_ids`` — must come back column for column,
 every row value with its type.  Arbitrary columnar report JSON, spelled as
 the encoder spells it, must decode into the columns it writes — a bare row's
-dittos read as the values above, an entry's as the previous entry's — and
-re-encode to the same bytes: states spelled alike and differently, repeated
+dittos read as the values above, an entry's as the previous entry's, an index
+as the string of the message's table it names — and re-encode to the same
+bytes: states spelled alike and differently, repeated
 nodes, DATA_ONLY reports, CHT halves, ``did`` / ``ep`` present or absent,
 unicode site names (the envelope is UTF-8 JSON with ``ensure_ascii=False``),
 epoch 0 (elided on the wire, restored on decode), and floats next to equal
 ints.  Hostile columns — lengths that disagree, ends that go backwards or do
-not close, a ditto with nothing above it, a row that does not fit its header
-— are a ``WireError``, and so is a version 1 body.  The user-site must refuse
+not close, a ditto with nothing above it, a row that does not fit its header,
+an index outside the table, negative, a bool or a float, an index in a URL
+column that names a title — are a ``WireError``, and so are version 1 and 2
+bodies; an integer in a row is a value, never an index.  The user-site must refuse
 unstamped bookkeeping.
 
 The last suites poison the codec's tables: frames that differ from an honest
@@ -47,7 +50,7 @@ from repro.web.campus import CAMPUS_QUERY_DISQL
 from repro import wire
 from repro.wire import WireError, decode_message, encode_message
 
-from .test_protocol_pins import _repeats, _result_size, _typed_rows, clone_reports
+from .test_protocol_pins import _repeats, _result_size, _Strings, _typed_rows, clone_reports
 from .test_wire_interning import _clear_tables
 
 HOSTS = st.sampled_from(
@@ -91,8 +94,9 @@ def stamped_messages(draw):
 
 # --- arbitrary columnar result JSON ------------------------------------------------
 # Every value is spelled as the encoder spells it (no key an encoder would
-# elide, keys in its order, a ditto wherever it would write one), so
-# re-encoding must give the bytes back.
+# elide, keys in its order, a ditto wherever it would write one, an index for
+# a URL, dispatch id or child id the message already wrote wherever the index
+# is shorter), so re-encoding must give the bytes back.
 
 _NODES = [
     "http://s0.example/",
@@ -114,10 +118,12 @@ _STATE_SPELLINGS = [
 
 _HEADERS = [["d.url"], ["d.url", "d.title"], ["r.text"]]
 
-#: Row values: text ("", unicode, quotes), small ints, and the values ``==``
-#: conflates — ``1`` / ``1.0`` / ``true``, ``-0.0`` / ``0.0`` — plus null.
+#: Row values: text ("", unicode, quotes, a URL a column also writes), small
+#: ints — which a row reads as values, never as indexes — and the values
+#: ``==`` conflates — ``1`` / ``1.0`` / ``true``, ``-0.0`` / ``0.0`` — plus
+#: null.
 _VALUES = st.one_of(
-    st.text(max_size=6), st.integers(-2, 2),
+    st.text(max_size=6), st.sampled_from(_NODES), st.integers(-2, 2),
     st.sampled_from([None, True, False, 1.0, -0.0, 0.0, 2.5]),
 )
 
@@ -132,14 +138,16 @@ _rows = st.lists(
 )
 
 
-def _spell_rows(rows: list) -> list:
+def _spell_rows(rows: list, strings: _Strings) -> list:
     """``(label, header, values)`` rows as the encoder writes them."""
     spelled, above = [], None
     for label, header, values in rows:
         if above is None or (label, header) != above[:2]:
-            spelled.append({"q": label, "h": header, "v": values})
+            spelled.append({"q": label, "h": header, "v": [strings.value(v) for v in values]})
         else:
-            spelled.append([[] if _repeats(v, a) else v for v, a in zip(values, above[2])])
+            spelled.append([
+                [] if _repeats(v, a) else strings.value(v) for v, a in zip(values, above[2])
+            ])
         above = (label, header, values)
     return spelled
 
@@ -148,26 +156,30 @@ def _state_value(spelled) -> QueryState:
     return wire._state_from_wire(spelled)
 
 
-def _spell_entries(entries: list) -> list:
+def _spell_entries(entries: list, strings: _Strings) -> list:
     """``(node, state spelling, child id)`` entries as the encoder writes them:
     a state spelled as the previous one decodes to the same object, a ditto."""
     spelled, last_state, last_id = [], None, None
     for node, state, child_id in entries:
         spelled.append([
-            node, [] if repr(state) == repr(last_state) else state,
-            [] if child_id == last_id else child_id,
+            strings.refer(node), [] if repr(state) == repr(last_state) else state,
+            [] if child_id == last_id else strings.refer(child_id),
         ])
         last_state, last_id = state, child_id
     return spelled
 
 
+#: Report dispatch ids: unstamped, two, and one a report's entries announce.
+_REPORT_IDS = ["", "u1@s0.example", "u2@sité-α.example", "c0@s0.example"]
+
+
 @st.composite
-def reports_json(draw, cht_half=False):
-    """One report's JSON object and the rows and entries it spells."""
+def raw_reports(draw, cht_half=False):
+    """One report's fields as a report holds them, unspelled: its rows as
+    ``(label, header, values)`` and its entries as ``(node, state spelling,
+    child id)``."""
     count = draw(st.integers(0, 4))
     data_only = draw(st.booleans()) and not cht_half
-    dispatch_id = draw(st.sampled_from(["", "u1@s0.example", "u2@sité-α.example"]))
-    epoch = draw(st.sampled_from([0, 1, 7]))
     rows, row_ends, entries, forward_ends = [], [], [], []
     for __ in range(count):
         rows += draw(_rows)
@@ -177,49 +189,58 @@ def reports_json(draw, cht_half=False):
                 child_id = f"c{draw(st.integers(0, 1))}@{draw(HOSTS)}"
                 entries.append((node, draw(st.sampled_from(_STATE_SPELLINGS)), child_id))
         forward_ends.append(len(entries))
-    report = {"state": draw(st.sampled_from(_STATE_SPELLINGS))}
-    if dispatch_id:
-        report["did"] = dispatch_id
-    if epoch:
-        report["ep"] = epoch
-    report["nodes"] = draw(st.lists(st.sampled_from(_NODES), min_size=count, max_size=count))
-    report["disp"] = (
-        ["data-only"] * count if data_only
-        else draw(st.lists(st.sampled_from(_DISPOSITIONS), min_size=count, max_size=count))
-    )
-    if cht_half:
-        rows = []
-    report["rows"] = _spell_rows(rows)
-    report["rend"] = row_ends
-    report["new"] = _spell_entries(entries)
-    report["fend"] = forward_ends
-    return report, rows, entries
+    return {
+        "state": draw(st.sampled_from(_STATE_SPELLINGS)),
+        "did": draw(st.sampled_from(_REPORT_IDS)),
+        "ep": draw(st.sampled_from([0, 1, 7])),
+        "nodes": draw(st.lists(st.sampled_from(_NODES), min_size=count, max_size=count)),
+        "disp": (
+            ["data-only"] * count if data_only
+            else draw(st.lists(st.sampled_from(_DISPOSITIONS), min_size=count, max_size=count))
+        ),
+        "rows": [] if cht_half else rows,
+        "rend": row_ends,
+        "entries": entries,
+        "fend": forward_ends,
+    }
+
+
+def _spell(raws: list) -> list:
+    """The reports' JSON objects as the encoder writes them: one string table
+    for the whole message."""
+    strings = _Strings()
+    spelled = []
+    for raw in raws:
+        report = {"state": raw["state"]}
+        if raw["did"]:
+            report["did"] = strings.refer(raw["did"])
+        if raw["ep"]:
+            report["ep"] = raw["ep"]
+        report["nodes"] = [strings.refer(node) for node in raw["nodes"]]
+        report["disp"] = raw["disp"]
+        report["rows"] = _spell_rows(raw["rows"], strings)
+        report["rend"] = raw["rend"]
+        report["new"] = _spell_entries(raw["entries"], strings)
+        report["fend"] = raw["fend"]
+        spelled.append(report)
+    return spelled
 
 
 @st.composite
 def results_json(draw):
+    """A message's kind and its reports, each as ``(JSON object, raw fields)``."""
     kind = draw(st.sampled_from(["result", "cht"]))
-    drawn = draw(st.lists(reports_json(cht_half=kind == "cht"), max_size=3))
-    return kind, drawn
+    raws = draw(st.lists(raw_reports(cht_half=kind == "cht"), max_size=3))
+    return kind, list(zip(_spell(raws), raws))
 
 
 def _result_wire(reports: list, kind: str = "result", qid: QueryId | None = None) -> bytes:
     """A result message whose body lists ``reports``, as the encoder spells it."""
     qid = qid or QueryId("maya", "user.example", 5001, 7)
     body = {"qid": [qid.user, qid.host, qid.port, qid.number], "reports": reports, "chan": kind}
-    text = json.dumps({"v": 2, "k": "result", "b": body}, separators=(",", ":"),
-                      ensure_ascii=False)
+    text = json.dumps({"v": wire.WIRE_VERSION, "k": "result", "b": body},
+                      separators=(",", ":"), ensure_ascii=False)
     return text.encode("utf-8")
-
-
-def _read_entries(new: list) -> list:
-    """The ``new`` column with its dittos read as the previous entry's."""
-    read, state, child_id = [], None, None
-    for node, spelled_state, spelled_id in new:
-        state = state if spelled_state == [] else spelled_state
-        child_id = child_id if spelled_id == [] else spelled_id
-        read.append((node, state, child_id))
-    return read
 
 
 def _typed(values) -> list:
@@ -237,7 +258,7 @@ class TestStampedRoundTrip:
     @given(results_json())
     def test_reencode_is_bit_exact(self, drawn):
         kind, reports = drawn
-        wire = _result_wire([report for report, __, __ in reports], kind)
+        wire = _result_wire([report for report, __ in reports], kind)
         decoded = decode_message(wire)
         assert encode_message(decoded) == wire
         assert decoded.size_bytes() == _result_size(decoded)
@@ -246,37 +267,37 @@ class TestStampedRoundTrip:
     @given(results_json())
     def test_stamping_survives(self, drawn):
         kind, reports = drawn
-        decoded = decode_message(_result_wire([report for report, __, __ in reports], kind))
-        for report, (spelled, __, entries) in zip(decoded.reports, reports):
-            assert report.dispatch_id == spelled.get("did", "")
-            assert report.epoch == spelled.get("ep", 0)
-            assert list(report.child_ids) == [child_id for __, __, child_id in entries]
-            assert list(report.child_ids) == [cid for __, __, cid in _read_entries(spelled["new"])]
+        decoded = decode_message(_result_wire([report for report, __ in reports], kind))
+        for report, (__, raw) in zip(decoded.reports, reports):
+            assert report.dispatch_id == raw["did"]
+            assert report.epoch == raw["ep"]
+            assert list(report.child_ids) == [child_id for __, __, child_id in raw["entries"]]
 
     @settings(max_examples=300, deadline=None)
     @given(results_json())
     def test_decoded_columns_are_the_wire_columns(self, drawn):
-        """Dittos read as the value above; every other column as written."""
+        """Dittos read as the value above, indexes as the string they name;
+        every other column as written."""
         kind, reports = drawn
-        decoded = decode_message(_result_wire([report for report, __, __ in reports], kind))
+        decoded = decode_message(_result_wire([report for report, __ in reports], kind))
         assert len(decoded.reports) == len(reports)
-        for report, (spelled, rows, __) in zip(decoded.reports, reports):
+        for report, (__, raw) in zip(decoded.reports, reports):
             assert [str(node) for node in report.nodes] == [
-                str(parse_url(node)) for node in spelled["nodes"]
+                str(parse_url(node)) for node in raw["nodes"]
             ]
-            assert [d.value for d in report.dispositions] == spelled["disp"]
-            assert list(report.row_ends) == spelled["rend"]
-            assert list(report.forward_ends) == spelled["fend"]
+            assert [d.value for d in report.dispositions] == raw["disp"]
+            assert list(report.row_ends) == raw["rend"]
+            assert list(report.forward_ends) == raw["fend"]
             assert [(label, list(row.header), _typed(row.values)) for label, row in report.rows] == [
-                (label, header, _typed(values)) for label, header, values in rows
+                (label, header, _typed(values)) for label, header, values in raw["rows"]
             ]
             assert [
                 (str(node), repr(state)) for node, state in report.new_entries
             ] == [
                 (str(parse_url(node)), repr(_state_value(state)))
-                for node, state, __ in _read_entries(spelled["new"])
+                for node, state, __ in raw["entries"]
             ]
-            ends = spelled["rend"]
+            ends = raw["rend"]
             assert report.rows_follow == (kind == "cht" and bool(ends) and ends[-1] > 0)
 
 
@@ -285,9 +306,28 @@ class TestStampedRoundTrip:
 _N0, _N1 = _NODES[:2]
 _STATE = {"n": 1, "rem": "L"}
 
-#: A valid report, spelled as the encoder spells it: a bare row dittoing the
-#: first value above it, a header change, an entry repeating the previous
-#: entry's state and child id.
+#: A valid report as a report holds it: a bare row dittoing the first value
+#: above it, a header change, an entry repeating the previous entry's state
+#: and child id.
+_VALID_RAW = {
+    "state": _STATE,
+    "did": "u1@s0.example",
+    "ep": 0,
+    "nodes": [_N0, _N1],
+    "disp": ["processed", "duplicate"],
+    "rows": [
+        ("q1", ["d.url", "d.title"], [_N0, "t"]),
+        ("q1", ["d.url", "d.title"], [_N0, "u"]),
+        ("q1", ["d.url"], ["x"]),
+    ],
+    "rend": [2, 3],
+    "entries": [(_N0, _STATE, "c1@s0.example"), (_N1, _STATE, "c1@s0.example")],
+    "fend": [1, 2],
+}
+
+#: ``_VALID_RAW`` spelled by hand as the encoder spells it.  Its string table
+#: is ``u1@s0.example``, ``_N0``, ``_N1``, ``t``, ``u``, ``x``,
+#: ``c1@s0.example``: the entries' URLs are indexes 1 and 2.
 _VALID = {
     "state": _STATE,
     "did": "u1@s0.example",
@@ -299,7 +339,7 @@ _VALID = {
         {"q": "q1", "h": ["d.url"], "v": ["x"]},
     ],
     "rend": [2, 3],
-    "new": [[_N0, _STATE, "c1@s0.example"], [_N1, [], []]],
+    "new": [[1, _STATE, "c1@s0.example"], [2, [], []]],
     "fend": [1, 2],
 }
 
@@ -342,10 +382,19 @@ _HOSTILE = {
     "state-ditto-in-the-first-entry": _set("new.0.1", []),
     "child-id-ditto-in-the-first-entry": _set("new.0.2", []),
     "entry-without-child-id": _set("new.0", [_N0, _STATE]),
-    "child-id-not-text": _set("new.0.2", 5),
+    "child-id-not-text": _set("new.0.2", {"c": 1}),
     "mixed-data-only": _set("disp", ["data-only", "processed"]),
     "unknown-disposition": _set("disp.0", "gone"),
-    "dispatch-id-not-text": _set("did", 5),
+    "dispatch-id-not-text": _set("did", {"d": 1}),
+    "dispatch-id-index-before-any-string": _set("did", 0),
+    "url-index-past-the-table": _set("new.0.0", 6),
+    "url-index-negative": _set("nodes.1", -1),
+    "url-index-bool": _set("nodes.1", True),
+    "url-index-float": _set("new.0.0", 1.0),
+    "url-index-null": _set("nodes.0", None),
+    "url-index-names-a-title": _set("new.1.0", 3),
+    "child-id-index-past-the-table": _set("new.0.2", 9),
+    "child-id-index-bool": _set("new.0.2", False),
     "epoch-not-an-int": _set("ep", 1.0),
     "nodes-an-object": _set("nodes", {_N0: 1, _N1: 2}),
     "rows-an-object": _set("rows", {}),
@@ -355,12 +404,25 @@ _HOSTILE = {
 
 class TestHostileColumnsAreWireErrors:
     def test_the_valid_report_decodes_and_reencodes(self):
+        assert _spell([_VALID_RAW]) == [_VALID]
         wire = _result_wire([_VALID])
         [report] = decode_message(wire).reports
         assert [row.values for __, row in report.rows] == [(_N0, "t"), (_N0, "u"), ("x",)]
+        assert [str(node) for node, __ in report.new_entries] == [_N0, _N1]
         assert report.new_entries[1][1] is report.new_entries[0][1]
         assert list(report.child_ids) == ["c1@s0.example"] * 2
         assert encode_message(decode_message(wire)) == wire
+
+    def test_an_integer_in_a_row_is_a_value(self):
+        report = copy.deepcopy(_VALID)
+        report["rows"][2]["v"] = [1]  # index 1 would be _N0
+        [decoded] = decode_message(_result_wire([report])).reports
+        assert _typed(decoded.rows[2][1].values) == [(int, "1")]
+        # ...and enters no table: with "x" gone there are five strings before
+        # the first child id, so index 5 names nothing.
+        report["new"][0][2] = 5
+        with pytest.raises(WireError, match="outside the 5 strings"):
+            decode_message(_result_wire([report]))
 
     @pytest.mark.parametrize("name", sorted(_HOSTILE))
     def test_is_a_wire_error(self, name):
@@ -377,6 +439,11 @@ class TestHostileColumnsAreWireErrors:
         assert not report.rows and list(report.row_ends) == [2, 3] and report.rows_follow
         with pytest.raises(WireError):  # ...and only a CHT half may count rows it lacks
             decode_message(_result_wire([half]))
+
+    def test_a_version_2_body_is_an_unsupported_version(self):
+        body = {"qid": ["maya", "user.example", 5001, 7], "reports": [_VALID], "chan": "result"}
+        with pytest.raises(WireError, match="unsupported wire version"):
+            decode_message(json.dumps({"v": 2, "k": "result", "b": body}).encode())
 
     def test_a_version_1_body_is_an_unsupported_version(self):
         record = {"entry": {"node": _N0, "state": _STATE}, "disp": "processed", "new": [],
@@ -424,21 +491,15 @@ class TestOnlyTheSameTypeAndValueIsADitto:
         assert message.size_bytes() == _result_size(message)
 
 
-def _unstamped(report: dict) -> dict:
-    report = dict(report)
-    report.pop("did", None)
-    return report
-
-
 class TestUserSiteRefusesMalformedReports:
     @settings(max_examples=50, deadline=None)
-    @given(reports_json())
-    @example(({**_VALID}, [], []))
-    def test_receive_raises_protocol_error(self, campus_web, drawn):
+    @given(raw_reports())
+    @example(_VALID_RAW)
+    def test_receive_raises_protocol_error(self, campus_web, raw):
         """A bookkeeping report with no dispatch id."""
-        report = _unstamped(drawn[0])
-        if not report["nodes"] or "data-only" in report["disp"]:
-            report = _unstamped(_VALID)
+        if not raw["nodes"] or "data-only" in raw["disp"]:
+            raw = _VALID_RAW
+        [report] = _spell([{**raw, "did": ""}])
         engine = WebDisEngine(campus_web)
         handle = engine.submit_disql(CAMPUS_QUERY_DISQL)
         wire = _result_wire([report], qid=handle.qid)
@@ -560,7 +621,8 @@ def _decoded_entries(entry):
         "fend": [1],
     }
     body = {"qid": ["maya", "user.example", 5001, 7], "reports": [report], "chan": "result"}
-    [decoded] = decode_message(json.dumps({"v": 2, "k": "result", "b": body}).encode()).reports
+    envelope = {"v": wire.WIRE_VERSION, "k": "result", "b": body}
+    [decoded] = decode_message(json.dumps(envelope).encode()).reports
     return (decoded.nodes[0], decoded.state), decoded.new_entries[0]
 
 

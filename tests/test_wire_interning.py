@@ -56,22 +56,33 @@ def _e1_workloads():
 
 #: Per EXP-E1 workload: messages tapped while the simulator runs the first
 #: two pool queries of the seed-1 plan, their encoded bytes in total, and the
-#: sha256 of those bytes in delivery order.  Re-captured when result messages
-#: became columnar (``WIRE_VERSION`` 2); ``_E1_PARENT`` holds what they were.
+#: sha256 of those bytes in delivery order.  Re-captured at ``WIRE_VERSION`` 3,
+#: where a result body writes a URL or dispatch id it already wrote as an
+#: index and a bundle writes its query once (the message count is unchanged);
+#: ``_E1_PARENTS`` holds what they were.
 _E1_MESSAGES = {
-    "cold_default": (50, 33277, "77c2d137dbc40b1a21b738bcb6d141a24e72fa99f4b94ca1391c924d89005f65"),
-    "warm_zipf": (190, 133956, "d8ef3dbe4babc8b8a1420e99bbdd8bddafbc303455120bdda2e156bd6e3515de"),
-    "eval_join": (16, 11120, "e305f7e3ebb5a6c55297b21bc5bc411788335cfb3db3a327d30b20feecb43889"),
-    "wire_tenants": (48, 33251, "36fbc21ddcf65eedec40bafd0fa18b705fe3f68ed906f84865144ce1942f9ad0"),
+    "cold_default": (50, 30230, "9e7fa6a0efe72ae66515d3027077778b6988d4ceecae81abd9474024003acffc"),
+    "warm_zipf": (190, 119738, "366cefb2c6946d856aa5643da95cea48d7b8fd5929ca0db89e068cc1a84d5219"),
+    "eval_join": (16, 10848, "4d708a25790b938f7952ab703e904d1602260061b3c39ab3d164dd6811b63a03"),
+    "wire_tenants": (48, 29755, "08eef38e77dc254645c0da3fde762cb17cd8918fbff5bb3bf018c46c78a9fc7a"),
 }
 
-#: The same message sets with one JSON object per node in each result message
-#: (``WIRE_VERSION`` 1): ``(encoded bytes, modelled bytes)`` in total.
-_E1_PARENT = {
-    "cold_default": (49260, 26348),
-    "warm_zipf": (198090, 105463),
-    "eval_join": (14432, 7137),
-    "wire_tenants": (45327, 23456),
+#: The same message sets at earlier versions, ``(encoded bytes, modelled
+#: bytes)`` in total: ``WIRE_VERSION`` 1 wrote one JSON object per node in
+#: each result message, version 2 each report once, as columns.
+_E1_PARENTS = {
+    1: {
+        "cold_default": (49260, 26348),
+        "warm_zipf": (198090, 105463),
+        "eval_join": (14432, 7137),
+        "wire_tenants": (45327, 23456),
+    },
+    2: {
+        "cold_default": (33277, 18695),
+        "warm_zipf": (133956, 75549),
+        "eval_join": (11120, 5580),
+        "wire_tenants": (33251, 17841),
+    },
 }
 
 
@@ -121,14 +132,19 @@ class TestEncodedBytesAreThePreviousOnes:
         name, tapped = e1_messages
         assert sum(wire_size(payload) for payload in tapped) == _E1_MESSAGES[name][1]
 
-    def test_real_bytes_fell_by_at_least_the_modelled_fraction(self, e1_messages):
-        """The size model may understate what columnar messages save, never
-        overstate it: encoded bytes fall at least as far as modelled ones."""
+    @pytest.mark.parametrize("version", sorted(_E1_PARENTS))
+    def test_real_bytes_fell_by_at_least_the_modelled_bytes(self, e1_messages, version):
+        """The size model may understate what a leaner body saves, never
+        overstate it: encoded bytes fall by at least as many bytes as
+        modelled ones.  Against version 2 the *fraction* does not hold: the
+        model charges no JSON syntax, so a change that saves only content
+        (an index for a string) shrinks the larger encoded total by fewer
+        percent while saving more bytes — a string's quotes go with it."""
         name, tapped = e1_messages
-        real_before, modelled_before = _E1_PARENT[name]
+        real_before, modelled_before = _E1_PARENTS[version][name]
         real = sum(wire_size(payload) for payload in tapped)
         modelled = sum(payload.size_bytes() for payload in tapped)
-        assert real / real_before <= modelled / modelled_before < 1
+        assert real_before - real >= modelled_before - modelled > 0
 
     @pytest.mark.parametrize("pin", sorted(_WIRE_DIGESTS))
     def test_protocol_pin_messages_cold_and_warm(self, pin):

@@ -31,7 +31,11 @@ change against its parent)::
   and report / CHT objects constructed, by class
   (``warm_hash_frames_per_query``, ``report_objects_per_query``), and what
   the §3.1.1 log table and the memo leave a query to do
-  (``visits_per_query``);
+  (``visits_per_query``); then the modelled bytes per query of an
+  unprofiled pass by part — envelope, clone query text, clone rest, report
+  URLs, ids, rows, states and ends (``bytes_per_query_by_part``) — and the
+  µs per query of the ``ResultMessage.size_bytes()`` walks of that pass's
+  result messages, a micro-benchmark figure (``sizing_us_per_query``);
 * ``join`` — what ``eval_join`` pays: the 6×24 anchor-rich web, one engine
   warmed by one traversal per start site, then 100 ``anchor × relinfon``
   joins with distinct literals.  Then calls of and profiled µs per
@@ -45,8 +49,10 @@ change against its parent)::
   run once, then 108 sequential queries.  Then, from an unprofiled pass,
   wall, loop iterations, delivered messages, the real bytes of the frames
   they travelled in beside their modelled ``net.bytes``, and loop handles by
-  callback per query (``wire_loop_per_query``), and µs to encode and decode
-  again one result message that pass sent (``result_codec_us_per_message``).
+  callback per query (``wire_loop_per_query``), µs to encode and decode
+  again one result message that pass sent (``result_codec_us_per_message``),
+  and the modelled bytes per query of that pass by part
+  (``bytes_per_query_by_part``).
 
 Counts repeat exactly (``wire``'s to within the frames whose arrival order
 the kernel decides).  Each is read from the engine's own counters
@@ -352,6 +358,114 @@ def visits_per_query() -> dict[str, float]:
     return {**per_query, "memo_flushes": flushes, "memo_high_water": high_water}
 
 
+#: The parts ``bytes_per_query_by_part`` splits modelled bytes into.
+BYTE_PARTS = (
+    "envelope", "clone_query", "clone_rest", "report_urls", "ids", "rows", "states_ends",
+)
+
+
+def _report_parts(message, parts: Counter) -> None:
+    """Add one result message's report bytes to ``parts``, read off the body
+    its one sizing walk writes (``core.messages._write_reports``): URLs and
+    ids as written — a string at its length, an index at its digits, a ditto
+    at 1 — states with the per-report and per-node framing, and the rest of
+    the walk's charge, the rows."""
+    from repro.core.messages import _write_reports
+
+    def written(spelled) -> int:
+        if type(spelled) is list:  # a ditto
+            return 1
+        return len(spelled) if type(spelled) is str else len(str(spelled))
+
+    bodies: list = []
+    total = _write_reports(message.reports, bodies)
+    charged = 0
+    for report, body in zip(message.reports, bodies):
+        urls = sum(map(written, body["nodes"])) + sum(written(url) for url, __, __ in body["new"])
+        ids = written(body.get("did", "")) + sum(written(cid) for __, __, cid in body["new"])
+        states = report.state.size_bytes() + 4 + 5 * len(report.nodes) + sum(
+            1 if type(state) is list else state.size_bytes() for __, state, __ in body["new"]
+        )
+        parts["report_urls"] += urls
+        parts["ids"] += ids
+        parts["states_ends"] += states
+        charged += urls + ids + states
+    parts["rows"] += total - charged
+
+
+def bytes_by_part(payloads: list, queries: int, envelope: int) -> dict[str, float]:
+    """Modelled bytes per query of ``payloads``, by what carries them.
+
+    ``envelope``: each message's network envelope (``envelope`` bytes,
+    ``NetworkConfig.envelope_bytes``) and its own fixed fields
+    (a result message's query id, a relay's path); ``clone_query`` /
+    ``clone_rest``: a clone's query share — once per bundle — and its own
+    fields; ``report_urls``, ``ids`` (dispatch and child ids), ``rows`` and
+    ``states_ends`` (states and the per-report and per-node framing): what
+    the reports of result messages write.  ``total`` is their sum, which is
+    what ``TrafficStats.bytes_sent`` counted for them.
+    """
+    from repro.core.messages import CloneBundle, RelayMessage, ResultMessage
+    from repro.core.webquery import QueryClone
+
+    parts: Counter = Counter({part: 0 for part in BYTE_PARTS})
+    total = 0
+    for payload in payloads:
+        size = payload.size_bytes()
+        total += size + envelope
+        parts["envelope"] += envelope
+        if isinstance(payload, RelayMessage):
+            parts["envelope"] += size - payload.inner.size_bytes()
+            payload = payload.inner
+        if isinstance(payload, ResultMessage):
+            parts["envelope"] += payload.qid.size_bytes() + 8
+            _report_parts(payload, parts)
+            continue
+        clones = payload.clones if isinstance(payload, CloneBundle) else (payload,)
+        if not isinstance(payload, (CloneBundle, QueryClone)):
+            raise TypeError(f"no parts for {type(payload).__name__}")
+        query = max(clone.query_bytes() for clone in clones)
+        own = sum(clone.own_bytes() for clone in clones)
+        parts["clone_query"] += query
+        parts["clone_rest"] += own
+        parts["envelope"] += size - query - own
+    assert sum(parts.values()) == total, (parts, total)
+    by_part = {part: round(parts[part] / queries, 2) for part in BYTE_PARTS}
+    by_part["total"] = round(total / queries, 2)
+    return by_part
+
+
+def sizing_us_per_query(payloads: list, queries: int, repeats: int = 5) -> dict[str, float]:
+    """µs to size the result messages of ``payloads`` once, per query: one
+    ``ResultMessage.size_bytes()`` walk each, on fresh copies so no cached
+    size is read (unprofiled, best of ``repeats``).  A micro-benchmark: the
+    figure leaves out everything else a send does."""
+    from repro.core.messages import ResultMessage
+
+    messages = [payload for payload in payloads if isinstance(payload, ResultMessage)]
+    best = float("inf")
+    for __ in range(repeats):
+        copies = [ResultMessage(m.qid, m.reports, m.kind) for m in messages]
+        begin = time.perf_counter()
+        for message in copies:
+            message.size_bytes()
+        best = min(best, time.perf_counter() - begin)
+    return {
+        "micro_only": round(best / queries * 1e6, 1),
+        "messages": round(len(messages) / queries, 2),
+    }
+
+
+def warm_bytes_per_query() -> tuple[dict[str, float], dict[str, float]]:
+    """``bytes_by_part`` and ``sizing_us_per_query`` of one unprofiled warm pass."""
+    engine, queries = _warm_engine()
+    sent: list = []
+    engine.network.add_tap(lambda now, src, dst, port, payload: sent.append(payload))
+    _warm_pass((engine, queries))
+    envelope = engine.network.config.envelope_bytes
+    return bytes_by_part(sent, WARM_REPEATS, envelope), sizing_us_per_query(sent, WARM_REPEATS)
+
+
 def _by_function(stats: pstats.Stats) -> tuple[Counter, Counter]:
     """Calls and cumulative seconds per ``(file name, function)`` of a profile."""
     calls: Counter = Counter()
@@ -518,12 +632,12 @@ def _wire_pass(inputs: tuple, measure: dict | None = None, tapped: list | None =
 
     With ``measure`` the timed part runs under the loop counters and fills
     it, and appends every result message it delivers to ``tapped``; without,
-    it just runs (under whatever profiler the caller enabled).
+    it just runs (under whatever profiler the caller enabled).  ``tapped``
+    gets every message the timed part delivered.
     """
     import asyncio
 
     from repro.core.aio_engine import AsyncioWebDisEngine
-    from repro.core.messages import ResultMessage
     from repro.testing.loopcost import count_handles
     from repro.wire import encode_envelope, encode_frame, encode_sequenced
 
@@ -572,9 +686,7 @@ def _wire_pass(inputs: tuple, measure: dict | None = None, tapped: list | None =
                 len(encode_frame(encode_sequenced(encode_envelope(src, payload), port, 0)))
                 for src, port, payload in delivered
             )
-            tapped.extend(
-                payload for __, __, payload in delivered if isinstance(payload, ResultMessage)
-            )
+            tapped.extend(payload for __, __, payload in delivered)
             measure.update(
                 wall_ms=round(wall / WIRE_REPEATS * 1e3, 3),
                 loop_iterations=round(iterations[0] / WIRE_REPEATS, 2),
@@ -592,12 +704,14 @@ def _wire_pass(inputs: tuple, measure: dict | None = None, tapped: list | None =
     asyncio.run(main())
 
 
-def result_codec_us_per_message(messages: list, repeats: int = 5) -> dict:
+def result_codec_us_per_message(payloads: list, repeats: int = 5) -> dict:
     """µs per result message to encode, to decode, and both: the result
     messages a ``wire`` pass sent, coded again here (unprofiled, best of
     ``repeats``, the codec's tables warm as in the pass)."""
+    from repro.core.messages import ResultMessage
     from repro.wire import decode_message, encode_message
 
+    messages = [payload for payload in payloads if isinstance(payload, ResultMessage)]
     best_encode = best_decode = float("inf")
     for __ in range(repeats):
         begin = time.perf_counter()
@@ -636,11 +750,14 @@ def derived(name: str, stats: pstats.Stats) -> dict[str, dict]:
         }
     if name == "warm":
         hashes, objects = frames_per_query()
+        by_part, sizing = warm_bytes_per_query()
         return {
             "stage_us_per_query": stage_us_per_query(stats),
             "warm_hash_frames_per_query": hashes,
             "report_objects_per_query": objects,
             "visits_per_query": visits_per_query(),
+            "bytes_per_query_by_part": by_part,
+            "sizing_us_per_query": sizing,
         }
     if name == "join":
         return {
@@ -650,9 +767,13 @@ def derived(name: str, stats: pstats.Stats) -> dict[str, dict]:
     per_query: dict = {}  # what one sequential socket query costs the event loop
     tapped: list = []
     _wire_pass(_wire_inputs(), per_query, tapped)
+    from repro.net.network import NetworkConfig
+
+    envelope = NetworkConfig().envelope_bytes  # the pass's engine runs the default
     return {
         "wire_loop_per_query": per_query,
         "result_codec_us_per_message": result_codec_us_per_message(tapped),
+        "bytes_per_query_by_part": bytes_by_part(tapped, WIRE_REPEATS, envelope),
     }
 
 

@@ -19,10 +19,9 @@ report, a row whose label and header repeat the row above as a bare value
 list in which a value repeating the one above is a one-byte *ditto* — and a
 URL or dispatch identity that the message already wrote as its index into
 the message's one table of strings, when the index is shorter.
-``ResultMessage.size_bytes()`` charges exactly what that body writes,
-computed once per message on first use, so a message a receiver decoded and
-never sizes costs nothing.  Reports, and so messages, compare by their
-columns.
+``ResultMessage.size_bytes()`` charges what that walk charges, computed
+once per message on first use, so a message a receiver decoded and never
+sizes costs nothing.  Reports, and so messages, compare by their columns.
 
 Frontier batching widens the batch: one :class:`ResultMessage` then covers
 *every* clone a site-local frontier processed, in BFS order.  That order is
@@ -38,7 +37,7 @@ import enum
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..errors import DisqlSemanticsError
+from ..errors import DisqlSemanticsError, WireError
 from ..relational.query import ResultRow
 from ..storedhash import cache_field, stored_hash
 from ..urlutils import Url
@@ -97,75 +96,88 @@ class ChtEntry:
 _ARRAYS = (list, tuple)
 #: What a repeated value is written as.
 _DITTO: list = []
+#: ``_INDEX_BELOW[n]``: the indexes below it have fewer digits than ``n``
+#: characters — none for one character, ``0``–``9`` for two.  Every index a
+#: message can hold has fewer digits than a longer string.
+_INDEX_BELOW = (0, 0, *(10 ** digits for digits in range(1, 10)))
+
+
+def _spell(table: dict, text: str) -> "tuple[str | int, int]":
+    """``text`` as a body writes it, and its charge: its index when ``table``
+    holds it and the index is shorter, else the string, which enters
+    ``table`` the first time and costs its length and its two quotes."""
+    index = table.get(text)
+    if index is None:
+        table[text] = len(table)
+    elif len(text) >= len(_INDEX_BELOW) or index < _INDEX_BELOW[len(text)]:
+        return index, len(str(index))
+    return text, len(text) + 2
 
 
 def _write_reports(reports: Sequence["CloneReport"], out: "list | None" = None) -> int:
     """What ``reports``' version 3 bodies charge; each body appended to ``out``.
 
     The one walk behind both :meth:`ResultMessage.size_bytes` (``out`` None:
-    no body is built) and the encoder (docs/protocol.md, "Messages").  Every
-    string the bodies write enters one table, in write order, the first time
-    it is written: report ``did``s, node URLs, string row values, entry URLs
-    and child ids.  A ``did``, node URL, entry URL or child id already in the
-    table is written as its index when the index is shorter; a row never
-    holds an index.  States stay ``QueryState`` objects in ``out``: the
-    encoder writes each as its wire form.
+    no body is built) and :mod:`repro.wire`'s encoder, which writes ``out``
+    as it is (docs/protocol.md, "Messages"): states are in their wire form
+    (:meth:`QueryState.wire_form`).  Every string the bodies write enters
+    one table, in write order, the first time it is written: report
+    ``did``s, node URLs, string row values, entry URLs and child ids.  A
+    ``did``, node URL, entry URL or child id already in the table is written
+    as its index when the index is shorter; a row never holds an index.  A
+    report whose child ids do not fit its entries is a :class:`WireError`.
 
     The charge: per report the state, its ``did`` and 4; per node its URL
     and 5; per announced entry its URL, its state and its child id, the last
     two at 1 byte each when a ditto (the previous entry's state object, an
     equal child id); per row its label and header names when they differ
     from the row above, else 1, and each value at ``len(str(value))``, or 1
-    when it repeats the value above it.  A string costs its length, an index
-    its digits.
+    when it repeats the value above it.  A ``did``, URL or child id written
+    in full costs its length and its two quotes, as an index its digits.
     """
     table: dict[str, int] = {}
     size = 0
-
-    def put(text: str) -> "str | int":
-        """``text`` as written — its index when that is shorter — charged."""
-        nonlocal size
-        index = table.get(text)
-        if index is None:
-            table[text] = len(table)
-        elif len(str(index)) < len(text):
-            size += len(str(index))
-            return index
-        size += len(text)
-        return text
-
     for report in reports:
         nodes = report.nodes
         size += report.state.size_bytes() + 4 + 5 * len(nodes)
         did = report.dispatch_id
         if did:
-            did = put(did)
-        urls = [put(str(node)) for node in nodes]
+            did, cost = _spell(table, did)
+            size += cost
+        urls = None if out is None else []
+        for node in nodes:
+            url, cost = _spell(table, str(node))
+            size += cost
+            if urls is not None:
+                urls.append(url)
         rows = None if out is None else []
         size += _write_rows(report.rows, rows, table)
         new_entries, child_ids = report.new_entries, report.child_ids
         if len(child_ids) != len(new_entries):
-            raise ValueError(f"{len(child_ids)} child id(s) for {len(new_entries)} new entr(ies)")
+            raise WireError(f"{len(child_ids)} child id(s) for {len(new_entries)} new entr(ies)")
         new = None if out is None else []
         last_state = last_id = None
         for (node, state), child_id in zip(new_entries, child_ids):
-            url = put(str(node))
+            url, cost = _spell(table, str(node))
+            size += cost
             if state is last_state:
-                state = _DITTO
+                written_state = _DITTO
                 size += 1
             else:
                 last_state = state
+                written_state = None if new is None else state.wire_form()
                 size += state.size_bytes()
             if child_id == last_id:
                 written_id = _DITTO
                 size += 1
             else:
                 last_id = child_id
-                written_id = put(child_id)
+                written_id, cost = _spell(table, child_id)
+                size += cost
             if new is not None:
-                new.append([url, state, written_id])
+                new.append([url, written_state, written_id])
         if out is not None:
-            body: dict = {"state": report.state}
+            body: dict = {"state": report.state.wire_form()}
             if report.dispatch_id:
                 body["did"] = did
             if report.epoch:
@@ -201,17 +213,19 @@ def _write_rows(
             bare = None if out is None else []
             cost = 1 + row.value_bytes()
             for value, above in zip(values, last_values):
-                if type(value) is type(above) and type(value) is not float and value == above:
+                kind = type(value)
+                if value == above and kind is type(above) and kind is not float:
                     cost -= len(str(value)) - 1
                     if bare is not None:
                         bare.append(_DITTO)
-                elif not value and type(value) in _ARRAYS:
-                    break  # would read back as a ditto: write the row in full
-                else:
-                    if type(value) is str and value not in table:
+                    continue
+                if kind is str:
+                    if value not in table:
                         table[value] = len(table)
-                    if bare is not None:
-                        bare.append(value)
+                elif not value and kind in _ARRAYS:
+                    break  # would read back as a ditto: write the row in full
+                if bare is not None:
+                    bare.append(value)
             else:
                 if bare is not None:
                     out.append(bare)
@@ -337,7 +351,7 @@ class ResultMessage:
     _size: int | None = cache_field()
 
     def size_bytes(self) -> int:
-        """What the version 3 body writes, computed once (:meth:`walk`).
+        """What the version 3 body charges, computed once (:meth:`walk`).
 
         A message a receiver decoded and never sizes costs nothing.
         """

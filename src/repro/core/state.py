@@ -39,7 +39,7 @@ class QueryState:
     #: The protocol-table row this state was minted for; None for a state
     #: built anywhere else (wire decode, tests).  Not part of the value.
     row: "StateRow | None" = cache_field()
-    #: This object's wire form, built by :mod:`repro.wire` on first encode.
+    #: This object's wire form, built by the first :meth:`wire_form`.
     _wire: Any = cache_field()
 
     def __post_init__(self) -> None:
@@ -50,6 +50,19 @@ class QueryState:
         """Serialized size estimate (4 bytes per PRE node + the counter)."""
         row = self.row
         return 4 + (4 * pre_size(self.rem) if row is None else row.rem_bytes)
+
+    def wire_form(self) -> Any:
+        """The codec's spelling, ``{"n": num_q, "rem": …}``, kept on the object.
+
+        Built on first use.  Only an encode asks, so the codec is loaded.
+        """
+        encoded = self._wire
+        if encoded is None:
+            from ..wire import pre_to_wire  # the codec imports this module
+
+            encoded = {"n": self.num_q, "rem": pre_to_wire(self.rem)}
+            object.__setattr__(self, "_wire", encoded)
+        return encoded
 
     def __str__(self) -> str:
         return f"({self.num_q}, {self.rem})"

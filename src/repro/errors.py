@@ -70,3 +70,7 @@ class ProtocolError(WebDisError):
 
 class QueryLifecycleError(WebDisError):
     """A client-side query object was used outside its legal lifecycle."""
+
+
+class WireError(WebDisError):
+    """Malformed, unsupported or unencodable wire data."""

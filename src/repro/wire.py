@@ -72,7 +72,7 @@ from .core.messages import (
 )
 from .core.state import QueryState
 from .core.webquery import QueryClone, QueryId, WebQuery, WebQueryStep
-from .errors import WebDisError
+from .errors import WebDisError, WireError
 from .model.relations import LinkType
 from .pre.ast import Alt, Atom, Concat, Empty, Never, Pre, Repeat
 from .relational.expr import (
@@ -159,10 +159,6 @@ REFUSE_BYTE = b"\x18"
 #: One acknowledgement: a kind byte, then the sequence number of the frame it
 #: answers.  Fixed size, so a stream of them needs no framing of its own.
 ACK_RECORD = struct.Struct(">cI")
-
-
-class WireError(WebDisError):
-    """Malformed or unsupported wire data."""
 
 
 # --- PRE <-> wire -----------------------------------------------------------
@@ -297,16 +293,8 @@ def _url_from_wire(text: Any) -> Url:
     return url
 
 
-def _state_form(value: Any) -> Any:
-    """What a body holds that JSON has no form for: a query state, written as
-    its wire form (``core.messages._write_reports`` leaves states as they are)."""
-    if type(value) is QueryState:
-        return _state_fragment(value)
-    raise TypeError(f"{type(value).__name__} is not encodable")
-
-
 _dumps = json.JSONEncoder(
-    separators=(",", ":"), ensure_ascii=False, check_circular=False, default=_state_form
+    separators=(",", ":"), ensure_ascii=False, check_circular=False
 ).encode
 
 
@@ -445,19 +433,6 @@ def _mark_from_wire(data: Any, qid: QueryId) -> int | None:
     if type(mark) is not int or not 1 <= mark <= qid.number:
         raise WireError(f"bad watermark {mark!r} for query {qid}")
     return None if mark == qid.number else mark
-
-
-def _state_to_wire(state: QueryState) -> Any:
-    return {"n": state.num_q, "rem": pre_to_wire(state.rem)}
-
-
-def _state_fragment(state: QueryState) -> Any:
-    """``state``'s wire form, built once and kept on the object."""
-    encoded = state._wire
-    if encoded is None:
-        encoded = _state_to_wire(state)
-        object.__setattr__(state, "_wire", encoded)
-    return encoded
 
 
 def _state_from_wire(data: Any) -> QueryState:

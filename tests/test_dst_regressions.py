@@ -489,10 +489,16 @@ def test_seed_8_is_clean_without_the_slow_link():
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="a report superseded by a recovery round is lost when the re-forward is "
     "dropped as a duplicate (ROADMAP item 19)",
 )
 def test_a_slow_report_superseded_by_a_recovery_round_keeps_its_rows(monkeypatch):
     monkeypatch.setattr(engine_module, "Network", _SlowLinkNetwork)
     result = run_case(generate_case(8))
+    broken = {violation.invariant for violation in result.violations}
+    if result.status != "complete" or not broken <= {"oracle-exact"}:
+        # Not the pinned defect (a COMPLETE run short of reference rows):
+        # fail, rather than count as the expected failure.
+        raise RuntimeError(f"{result.status}: {[str(v) for v in result.violations]}")
     assert result.ok, [str(v) for v in result.violations]

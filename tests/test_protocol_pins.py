@@ -310,16 +310,19 @@ _DITTO: list = []
 
 
 def _written(spelled) -> int:
-    """What a string or an index costs: its length, or its digits."""
-    return len(spelled) if isinstance(spelled, str) else len(str(spelled))
+    """What a string or an index costs: its length and its quotes, or its digits."""
+    return len(spelled) + 2 if isinstance(spelled, str) else len(str(spelled))
 
 
 def _report_size(report: CloneReport, body: dict) -> int:
     """What ``body``, the report's wire form, writes: its state, dispatch id
     and 4; 5 and the URL per node; per entry the URL, the state and the child
     id, each ditto at 1; per row the label and header names of a full row or
-    1 for a bare one, and each value at ``len(str(value))``, a ditto at 1."""
-    size = _state_size(report.state) + _written(body.get("did", "")) + 4
+    1 for a bare one, and each value at ``len(str(value))``, a ditto at 1.
+    A dispatch id, URL or child id costs what :func:`_written` says."""
+    size = _state_size(report.state) + 4
+    if "did" in body:
+        size += _written(body["did"])
     size += sum(_written(url) + 5 for url in body["nodes"])
     for (url, state, child_id), (__, entry_state) in zip(body["new"], report.new_entries):
         size += _written(url)

@@ -26,6 +26,9 @@ from repro.baselines.docservice import FetchRequest
 from repro.core.aio_engine import AsyncioWebDisEngine
 from repro.core.client import QueryStatus
 from repro.core.engine import WebDisEngine, build_engine
+from repro.core.messages import CloneReport, Disposition, ResultMessage
+from repro.core.state import QueryState
+from repro.core.webquery import QueryId
 from repro.core.config import EngineConfig
 from repro.core.supervisor import QuerySupervisor, RecoveryPolicy
 from repro.errors import SimulationError
@@ -44,6 +47,7 @@ from repro.net.aio import AsyncioTransport, StaticPortMap
 from repro.net.chaos import ChaosRules
 from repro.net.faults import FaultPlan
 from repro.net.reliable import ReliableChannel, RetryPolicy
+from repro.pre import parse_pre
 from repro.testing.invariants import check_run
 from repro.urlutils import parse_url
 from repro.web.builders import WebBuilder
@@ -280,6 +284,28 @@ class TestAsyncioTransportSends:
                 outcome = await _send(
                     transport, "a.example", "b.example", QUERY_PORT, _payload()
                 )
+                assert outcome is SendOutcome.FAULT
+                assert transport.stats.frames_rejected == 1
+            finally:
+                await transport.aclose()
+
+        asyncio.run(main())
+
+    def test_an_unencodable_result_is_a_rejected_frame(self):
+        """A report whose child ids do not fit its entries never reaches the
+        wire: the send settles FAULT and counts one rejection."""
+        state = QueryState(1, parse_pre("L"))
+        node = parse_url("http://b.example/")
+        report = CloneReport(
+            [node], state, [Disposition.PROCESSED], [], [0], [(node, state)], [], [1],
+        )
+        message = ResultMessage(QueryId("maya", "user.example", 5000, 1), (report,))
+
+        async def main():
+            transport = await _transport("a.example", "b.example")
+            try:
+                transport.listen("b.example", QUERY_PORT, lambda s, m: None)
+                outcome = await _send(transport, "a.example", "b.example", QUERY_PORT, message)
                 assert outcome is SendOutcome.FAULT
                 assert transport.stats.frames_rejected == 1
             finally:

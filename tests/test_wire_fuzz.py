@@ -453,6 +453,19 @@ class TestHostileColumnsAreWireErrors:
             decode_message(json.dumps({"v": 1, "k": "result", "b": body}).encode())
 
 
+class TestUnencodableReportsAreWireErrors:
+    def test_a_child_id_column_that_does_not_fit_the_entries(self):
+        """What a transport catches as an unsendable frame: a wire error."""
+        state = QueryState(1, parse_pre("L"))
+        report = CloneReport(
+            [parse_url(_N0)], state, [Disposition.PROCESSED], [], [0],
+            [(parse_url(_N1), state)], ["c1@s0.example", "c2@s0.example"], [1],
+        )
+        message = ResultMessage(QueryId("maya", "user.example", 5001, 7), (report,))
+        with pytest.raises(WireError, match="2 child id"):
+            encode_message(message)
+
+
 def _one_column(values: list) -> ResultMessage:
     """One node whose rows are ``values`` under one label and header."""
     rows = [("q1", ResultRow(("a.x",), (value,))) for value in values]

@@ -86,6 +86,14 @@ _E1_PARENTS = {
 }
 
 
+def _fell_to(name: str, tapped: list, version: int) -> tuple[float, float]:
+    """``tapped``'s encoded and modelled totals as fractions of ``version``'s."""
+    real_before, modelled_before = _E1_PARENTS[version][name]
+    real = sum(wire_size(payload) for payload in tapped)
+    modelled = sum(payload.size_bytes() for payload in tapped)
+    return real / real_before, modelled / modelled_before
+
+
 def _tapped(name: str) -> list:
     workload = _e1_workloads()[name]
     engine = WebDisEngine(workload.build_web(1), config=EngineConfig(**workload.config))
@@ -132,19 +140,25 @@ class TestEncodedBytesAreThePreviousOnes:
         name, tapped = e1_messages
         assert sum(wire_size(payload) for payload in tapped) == _E1_MESSAGES[name][1]
 
-    @pytest.mark.parametrize("version", sorted(_E1_PARENTS))
-    def test_real_bytes_fell_by_at_least_the_modelled_bytes(self, e1_messages, version):
+    def test_real_bytes_fell_by_at_least_the_modelled_fraction(self, e1_messages):
         """The size model may understate what a leaner body saves, never
-        overstate it: encoded bytes fall by at least as many bytes as
-        modelled ones.  Against version 2 the *fraction* does not hold: the
-        model charges no JSON syntax, so a change that saves only content
-        (an index for a string) shrinks the larger encoded total by fewer
-        percent while saving more bytes — a string's quotes go with it."""
-        name, tapped = e1_messages
-        real_before, modelled_before = _E1_PARENTS[version][name]
-        real = sum(wire_size(payload) for payload in tapped)
-        modelled = sum(payload.size_bytes() for payload in tapped)
-        assert real_before - real >= modelled_before - modelled > 0
+        overstate it: since version 1, encoded bytes fell at least as far as
+        modelled ones."""
+        real, modelled = _fell_to(*e1_messages, version=1)
+        assert real <= modelled < 1
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="the size model charges a string's quotes but no other JSON syntax, so an "
+        "index for a string is a larger share of the modelled bytes than of the encoded "
+        "ones (ROADMAP item 8)",
+    )
+    def test_since_version_2_real_bytes_fell_by_at_least_the_modelled_fraction(
+        self, e1_messages
+    ):
+        real, modelled = _fell_to(*e1_messages, version=2)
+        assert real <= modelled < 1
 
     @pytest.mark.parametrize("pin", sorted(_WIRE_DIGESTS))
     def test_protocol_pin_messages_cold_and_warm(self, pin):

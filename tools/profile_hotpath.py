@@ -367,24 +367,27 @@ BYTE_PARTS = (
 def _report_parts(message, parts: Counter) -> None:
     """Add one result message's report bytes to ``parts``, read off the body
     its one sizing walk writes (``core.messages._write_reports``): URLs and
-    ids as written — a string at its length, an index at its digits, a ditto
-    at 1 — states with the per-report and per-node framing, and the rest of
-    the walk's charge, the rows."""
+    ids as written — a string at its length and two quotes, an index at its
+    digits, a ditto at 1 — states with the per-report and per-node framing,
+    and the rest of the walk's charge, the rows."""
     from repro.core.messages import _write_reports
 
     def written(spelled) -> int:
         if type(spelled) is list:  # a ditto
             return 1
-        return len(spelled) if type(spelled) is str else len(str(spelled))
+        return len(spelled) + 2 if type(spelled) is str else len(str(spelled))
 
     bodies: list = []
     total = _write_reports(message.reports, bodies)
     charged = 0
     for report, body in zip(message.reports, bodies):
         urls = sum(map(written, body["nodes"])) + sum(written(url) for url, __, __ in body["new"])
-        ids = written(body.get("did", "")) + sum(written(cid) for __, __, cid in body["new"])
+        ids = sum(written(cid) for __, __, cid in body["new"])
+        if "did" in body:
+            ids += written(body["did"])
         states = report.state.size_bytes() + 4 + 5 * len(report.nodes) + sum(
-            1 if type(state) is list else state.size_bytes() for __, state, __ in body["new"]
+            1 if type(spelled) is list else state.size_bytes()
+            for (__, spelled, __), (__, state) in zip(body["new"], report.new_entries)
         )
         parts["report_urls"] += urls
         parts["ids"] += ids

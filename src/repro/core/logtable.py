@@ -14,6 +14,15 @@ query id is compared state-wise against the logged entries:
 ``A*0·B`` is written ``B``, so ``m = 0`` and ``n = 0`` are recognized by the
 tail (:func:`~repro.pre.ops.compare_for_log`).
 
+An entry keeps the recovery epoch of the clone that logged it.  A recovery
+round re-forwards what the user-site no longer counts on under a newer epoch,
+and an entry of an older epoch neither drops nor rewrites such a clone: it is
+processed, and the entry takes its state and epoch, so the report the round
+waits for carries the rows and announcements again (a slow report of the old
+epoch may have been superseded in flight; the user-site deduplicates the
+rows of a query with a recovery epoch).  Paper runs never recover, so every
+entry and clone is at epoch 0 and the comparison is the paper's.
+
 Old entries are purged periodically; an over-eager purge only costs
 recomputation, never correctness (Section 3.1.1), which the ablation bench
 EXP-C3 demonstrates.  Here the purge that runs is exact instead: a query
@@ -61,6 +70,8 @@ class LogObservation:
 class _LogEntry:
     state: QueryState
     time: float
+    #: The recovery epoch of the clone that logged the entry.
+    epoch: int = 0
 
 
 #: The two outcomes that carry no rewrite, shared by every observation.
@@ -95,17 +106,24 @@ class NodeQueryLogTable:
         self.rewrites = 0
         self.inserts = 0
 
-    def observe(self, node: Url, qid: QueryId, state: QueryState, now: float) -> LogObservation:
+    def observe(
+        self, node: Url, qid: QueryId, state: QueryState, now: float, epoch: int = 0
+    ) -> LogObservation:
         """Check (and update) the table for a clone arriving at ``node``.
 
         Implements the paper's three-way outcome; comparisons only apply
         between states with equal ``num_q`` (the paper requires all fields
-        equal except the PRE).
+        equal except the PRE) and with entries logged under the clone's
+        recovery ``epoch`` or a newer one.  A clone of a newer epoch than an
+        entry that would drop or rewrite it is a recovery round's re-forward
+        of a dispatch the user-site no longer counts on: it is processed, and
+        that entry takes its state and epoch.
         """
-        return self._observe_node(self._entries.setdefault(qid, {}), node, state, now)
+        return self._observe_node(self._entries.setdefault(qid, {}), node, state, now, epoch)
 
     def observe_bulk(
-        self, nodes: tuple[Url, ...], qid: QueryId, state: QueryState, now: float
+        self, nodes: tuple[Url, ...], qid: QueryId, state: QueryState, now: float,
+        epoch: int = 0,
     ) -> list[LogObservation]:
         """Admit one clone's whole destination list in a single pass.
 
@@ -118,7 +136,7 @@ class NodeQueryLogTable:
         rewritten: Pre | None = None
         observations = []
         for node in nodes:
-            obs = self._observe_node(per_node, node, state, now)
+            obs = self._observe_node(per_node, node, state, now, epoch)
             if obs.action is LogAction.REWRITE:
                 # rewrite_superset(state.rem) is node-independent too.
                 if rewritten is None:
@@ -129,16 +147,18 @@ class NodeQueryLogTable:
         return observations
 
     def _observe_node(
-        self, per_node: dict[Url, list[_LogEntry]], node: Url, state: QueryState, now: float
+        self, per_node: dict[Url, list[_LogEntry]], node: Url, state: QueryState, now: float,
+        epoch: int,
     ) -> LogObservation:
         entries = per_node.get(node)
         if entries is None:
-            per_node[node] = [_LogEntry(state, now)]
+            per_node[node] = [_LogEntry(state, now, epoch)]
             self.inserts += 1
             return _PROCESS
         # A state minted by a query's protocol table remembers its §3.1.1
         # relations (num_q already matched, so the logged PRE is the key).
         row = state.row
+        stale = None  # an older epoch's entry that would drop or rewrite the clone
         for entry in entries:
             if entry.state.num_q != state.num_q:
                 continue
@@ -146,9 +166,15 @@ class NodeQueryLogTable:
                 relation = compare_for_log(state.rem, entry.state.rem)
             else:
                 relation = row.relation(entry.state.rem)
-            if relation is LogComparison.DUPLICATE:
-                self.drops += 1
-                return _DROP
+            covered = relation is not LogComparison.UNRELATED or (
+                self.mode == "language" and self._language_covered(state.rem, entry.state.rem)
+            )
+            if not covered:
+                continue
+            if entry.epoch < epoch:
+                if stale is None:
+                    stale = entry
+                continue
             if relation is LogComparison.SUPERSET:
                 # Replace the existing entry with the wider incoming state,
                 # then hand back the rewritten PRE (paper step 1 + 2).
@@ -156,10 +182,12 @@ class NodeQueryLogTable:
                 entry.time = now
                 self.rewrites += 1
                 return LogObservation(LogAction.REWRITE, rewrite_superset(state.rem))
-            if self.mode == "language" and self._language_covered(state.rem, entry.state.rem):
-                self.drops += 1
-                return _DROP
-        entries.append(_LogEntry(state, now))
+            self.drops += 1
+            return _DROP
+        if stale is None:
+            entries.append(_LogEntry(state, now, epoch))
+        else:
+            stale.state, stale.time, stale.epoch = state, now, epoch
         self.inserts += 1
         return _PROCESS
 

@@ -16,12 +16,14 @@ The wire and the modelled bytes are written by one walk over the message
 (``_write_reports``, docs/protocol.md "Messages"): :mod:`repro.wire`
 writes the columns as they are — the state and dispatch identity once per
 report, a row whose label and header repeat the row above as a bare value
-list in which a value repeating the one above is a one-byte *ditto* — and a
-URL or dispatch identity that the message already wrote as its index into
-the message's one table of strings, when the index is shorter.
-``ResultMessage.size_bytes()`` charges what that walk charges, computed
-once per message on first use, so a message a receiver decoded and never
-sizes costs nothing.  Reports, and so messages, compare by their columns.
+list in which a value repeating the one above is a one-byte *ditto* — and
+refers back into the message's one table of strings wherever that is
+shorter: a URL or dispatch identity the message already wrote as its index,
+a row value as ``[index]``.  A child identity that is the previous one with
+its serial raised by ``k`` is written ``-k``.  ``ResultMessage.size_bytes()``
+charges what that walk charges, computed once per message on first use, so
+a message a receiver decoded and never sizes costs nothing.  Reports, and
+so messages, compare by their columns.
 
 Frontier batching widens the batch: one :class:`ResultMessage` then covers
 *every* clone a site-local frontier processed, in BFS order.  That order is
@@ -34,6 +36,7 @@ it would across separate per-hop messages.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -91,15 +94,33 @@ class ChtEntry:
         return f"{self.node} {self.state}"
 
 
-#: Values that a bare row cannot hold unless they repeat the value above: the
-#: ditto is itself an empty JSON array.
-_ARRAYS = (list, tuple)
 #: What a repeated value is written as.
 _DITTO: list = []
 #: ``_INDEX_BELOW[n]``: the indexes below it have fewer digits than ``n``
 #: characters — none for one character, ``0``–``9`` for two.  Every index a
 #: message can hold has fewer digits than a longer string.
 _INDEX_BELOW = (0, 0, *(10 ** digits for digits in range(1, 10)))
+#: ``_REFERENCE_BELOW[n]``: the indexes whose reference, ``[index]``, is
+#: shorter than ``n`` characters.
+_REFERENCE_BELOW = (0, 0, *_INDEX_BELOW)
+#: A disposition as a report's ``d`` column writes it: one character per node.
+_DISPOSITION_CODES = {
+    Disposition.PROCESSED: "p",
+    Disposition.DATA_ONLY: "d",
+    Disposition.DUPLICATE: "u",
+    Disposition.REWRITTEN: "r",
+    Disposition.MISSING: "m",
+    Disposition.UNREACHABLE: "n",
+    Disposition.PURGED: "x",
+    Disposition.OVERLOADED: "o",
+}
+#: Row values written escaped, ``{"=": value}``.
+_ESCAPED = (list, tuple, dict)
+#: An id of the minted form, ``<prefix><serial>@<minter>``: the serial is the
+#: run of 1 to 18 ASCII digits that ends just before the first ``@`` (a
+#: longer run is not read as a serial, so no step is written from it).
+_MINTED = re.compile(r"([^@]*?)(?<![0-9])([0-9]{1,18})(@.*)", re.DOTALL)
+_SERIAL_LIMIT = 10**18
 
 
 def _spell(table: dict, text: str) -> "tuple[str | int, int]":
@@ -114,8 +135,24 @@ def _spell(table: dict, text: str) -> "tuple[str | int, int]":
     return text, len(text) + 2
 
 
+def _minted(dispatch_id: str) -> "tuple[str, int, str] | None":
+    """``(prefix, serial, "@minter")`` of an id of the minted form
+    (:data:`_MINTED`), else None."""
+    match = _MINTED.fullmatch(dispatch_id)
+    if match is None:
+        return None
+    prefix, serial, minter = match.groups()
+    return prefix, int(serial), minter
+
+
+def _stepped(previous: "tuple[str, int, str]", k: int) -> str:
+    """The id a step of ``k`` from ``previous`` (as :func:`_minted` reads it) names."""
+    prefix, serial, minter = previous
+    return f"{prefix}{serial + k}{minter}"
+
+
 def _write_reports(reports: Sequence["CloneReport"], out: "list | None" = None) -> int:
-    """What ``reports``' version 3 bodies charge; each body appended to ``out``.
+    """What ``reports``' version 4 bodies charge; each body appended to ``out``.
 
     The one walk behind both :meth:`ResultMessage.size_bytes` (``out`` None:
     no body is built) and :mod:`repro.wire`'s encoder, which writes ``out``
@@ -124,19 +161,25 @@ def _write_reports(reports: Sequence["CloneReport"], out: "list | None" = None) 
     one table, in write order, the first time it is written: report
     ``did``s, node URLs, string row values, entry URLs and child ids.  A
     ``did``, node URL, entry URL or child id already in the table is written
-    as its index when the index is shorter; a row never holds an index.  A
-    report whose child ids do not fit its entries is a :class:`WireError`.
+    as its index when the index is shorter, a row value as a reference
+    (:func:`_write_rows`).  A child id that is the body's previous child id
+    with its serial (:func:`_minted`) raised by ``k >= 1`` is written ``-k``
+    when that is shorter than its index or the string; it enters the table
+    all the same.  A report whose child ids do not fit its entries is a
+    :class:`WireError`.
 
     The charge: per report the state, its ``did`` and 4; per node its URL
     and 5; per announced entry its URL, its state and its child id, the last
     two at 1 byte each when a ditto (the previous entry's state object, an
-    equal child id); per row its label and header names when they differ
-    from the row above, else 1, and each value at ``len(str(value))``, or 1
-    when it repeats the value above it.  A ``did``, URL or child id written
-    in full costs its length and its two quotes, as an index its digits.
+    equal child id); the rows as :func:`_write_rows` charges them.  A
+    ``did``, URL or child id written in full costs its length and its two
+    quotes, as an index its digits, as a step its length.
     """
     table: dict[str, int] = {}
     size = 0
+    # The body's previous child id as _minted() reads it (prefix None: none,
+    # or not of the minted form).
+    prefix = serial = minter = None
     for report in reports:
         nodes = report.nodes
         size += report.state.size_bytes() + 4 + 5 * len(nodes)
@@ -173,21 +216,37 @@ def _write_reports(reports: Sequence["CloneReport"], out: "list | None" = None) 
             else:
                 last_id = child_id
                 written_id, cost = _spell(table, child_id)
+                if prefix is not None and child_id == f"{prefix}{serial + 1}{minter}":
+                    # The usual case: the next serial of one minter.
+                    if cost > 2:
+                        written_id, cost = -1, 2
+                    serial += 1
+                    if serial >= _SERIAL_LIMIT:
+                        prefix = None
+                else:
+                    current = _minted(child_id)
+                    if current is not None and prefix is not None and current[1] > serial:
+                        step = serial - current[1]
+                        if len(str(step)) < cost and _stepped(
+                            (prefix, serial, minter), -step
+                        ) == child_id:
+                            written_id, cost = step, len(str(step))
+                    prefix, serial, minter = current or (None, None, None)
                 size += cost
             if new is not None:
                 new.append([url, written_state, written_id])
         if out is not None:
-            body: dict = {"state": report.state.wire_form()}
+            body: dict = {"s": report.state.wire_form()}
             if report.dispatch_id:
-                body["did"] = did
+                body["i"] = did
             if report.epoch:
-                body["ep"] = report.epoch
-            body["nodes"] = urls
-            body["disp"] = [disposition.value for disposition in report.dispositions]
-            body["rows"] = rows
-            body["rend"] = report.row_ends
-            body["new"] = new
-            body["fend"] = report.forward_ends
+                body["e"] = report.epoch
+            body["n"] = urls
+            body["d"] = "".join([_DISPOSITION_CODES[d] for d in report.dispositions])
+            body["r"] = rows
+            body["re"] = report.row_ends
+            body["a"] = new
+            body["fe"] = report.forward_ends
             out.append(body)
     return size
 
@@ -198,47 +257,55 @@ def _write_rows(
     """What a report's rows column charges; each row appended to ``out``.
 
     A row is bare — a value list — when its label and header are the row
-    above's and none of its values is an empty array that is not a ditto;
-    otherwise it is written in full, label and header names included.  A
-    value is a ditto when it has the type of the value above and ``==`` it,
-    and is not a float: ``-0.0 == 0.0`` and NaN is not equal to itself.
-    Every string value written enters ``table`` (a bare attempt that falls
-    back to a full row enters nothing the full row would not, in its order).
+    above's; otherwise it is written in full, label and header names
+    included.  In a bare row a value is a ditto, ``[]``, when it has the type
+    of the value above and ``==`` it and is not a float (``-0.0 == 0.0`` and
+    NaN is not equal to itself).  Otherwise, in either kind of row, a string
+    that is already in ``table`` is written as a reference, ``[index]``,
+    when that is shorter than the string; any other string is written as
+    itself and enters ``table``.  A value that is itself an array or an
+    object is written inside one, ``{"=": value}``, so it reads as neither a
+    ditto nor a reference.
+
+    The charge: per row its label and header names in full, else 1; each
+    value at ``len(str(value))``, a ditto at 1, a reference at its digits
+    and 2.
     """
     size = 0
     last_label = last_header = last_values = None
     for label, row in rows:
         header, values = row.header, row.values
-        if label == last_label and header == last_header:
-            bare = None if out is None else []
+        written = None if out is None else []
+        bare = label == last_label and header == last_header
+        if bare:
             cost = 1 + row.value_bytes()
-            for value, above in zip(values, last_values):
-                kind = type(value)
-                if value == above and kind is type(above) and kind is not float:
-                    cost -= len(str(value)) - 1
-                    if bare is not None:
-                        bare.append(_DITTO)
-                    continue
-                if kind is str:
-                    if value not in table:
-                        table[value] = len(table)
-                elif not value and kind in _ARRAYS:
-                    break  # would read back as a ditto: write the row in full
-                if bare is not None:
-                    bare.append(value)
-            else:
-                if bare is not None:
-                    out.append(bare)
-                size += cost
-                last_values = values
+        else:
+            cost = len(label) + sum(map(len, header)) + row.value_bytes()
+            last_label, last_header = label, header
+        for value, old in zip(values, last_values if bare else values):
+            kind = type(value)
+            if bare and value == old and kind is type(old) and kind is not float:
+                cost -= len(str(value)) - 1
+                if written is not None:
+                    written.append(_DITTO)
                 continue
-        for value in values:
-            if type(value) is str and value not in table:
-                table[value] = len(table)
+            if kind is str:
+                index = table.get(value)
+                if index is None:
+                    table[value] = len(table)
+                elif len(value) >= len(_REFERENCE_BELOW) or index < _REFERENCE_BELOW[len(value)]:
+                    cost -= len(value) - len(str(index)) - 2
+                    if written is not None:
+                        written.append([index])
+                    continue
+            elif kind in _ESCAPED:
+                value = {"=": value}
+            if written is not None:
+                written.append(value)
         if out is not None:
-            out.append({"q": label, "h": header, "v": values})
-        size += len(label) + sum(map(len, header)) + row.value_bytes()
-        last_label, last_header, last_values = label, header, values
+            out.append(written if bare else {"q": label, "h": header, "v": written})
+        size += cost
+        last_values = values
     return size
 
 
@@ -351,7 +418,7 @@ class ResultMessage:
     _size: int | None = cache_field()
 
     def size_bytes(self) -> int:
-        """What the version 3 body charges, computed once (:meth:`walk`).
+        """What the version 4 body charges, computed once (:meth:`walk`).
 
         A message a receiver decoded and never sizes costs nothing.
         """

@@ -175,7 +175,9 @@ class CloneProcessor:
                 yield node, row
             return
         tracing = self.tracer.enabled
-        observations = self.log_table.observe_bulk(clone.dest, clone.query.qid, row.state, now)
+        observations = self.log_table.observe_bulk(
+            clone.dest, clone.query.qid, row.state, now, clone.epoch
+        )
         for node, observation in zip(clone.dest, observations):
             if observation.action is LogAction.DROP:
                 self.stats.duplicates_dropped += 1

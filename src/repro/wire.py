@@ -46,12 +46,13 @@ a decoded web-query is forgotten once its origin's completion watermark
 on none of this — see "what every message repeats" below.
 
 A result message writes each :class:`~repro.core.messages.CloneReport` as its
-columns, and a URL or dispatch id the message already wrote as its index into
-the message's one string table; the decoder rebuilds that table in body order
-and fills a report's columns straight from the body, checking their shape and
-every index (see "result bodies" below).  A clone bundle writes its query
-once.  These back-references are per message: no table outlives the message,
-so no peer has to remember what another sent.
+columns, and a string the message already wrote — a URL, a dispatch id, a row
+value — as a back-reference into the message's one string table; a child id
+that continues the previous one's serials is a step.  The decoder rebuilds
+that table in body order and fills a report's columns straight from the body,
+checking their shape, every index and every step (see "result bodies" below).
+A clone bundle writes its query once.  These back-references are per message:
+no table outlives the message, so no peer has to remember what another sent.
 """
 
 from __future__ import annotations
@@ -64,11 +65,14 @@ from typing import Any
 
 from .baselines.docservice import DocResponse, FetchRequest
 from .core.messages import (
+    _DISPOSITION_CODES,
     CloneBundle,
     CloneReport,
     Disposition,
     RelayMessage,
     ResultMessage,
+    _minted,
+    _stepped,
 )
 from .core.state import QueryState
 from .core.webquery import QueryClone, QueryId, WebQuery, WebQueryStep
@@ -119,7 +123,10 @@ __all__ = [
 #:    of the value above as a ditto ("result bodies" below).
 #: 3: a result body writes a URL or dispatch id it already wrote as an index
 #:    into its one string table, and a clone bundle writes its query once.
-WIRE_VERSION = 3
+#: 4: a row value the table holds may be a reference, ``[index]``; a child id
+#:    may be a step, ``-k``, from the body's previous one; a disposition is one
+#:    character and a report's keys are one or two letters.
+WIRE_VERSION = 4
 
 #: Revision of the stream format *around* the messages — frames, sequence
 #: numbers, acknowledgement records (docs/protocol.md, "Wire format").
@@ -452,24 +459,29 @@ def _state_from_spelling(spelled: Any) -> QueryState:
 # --- result bodies: columns and one string table ----------------------------------
 #
 # A report is one JSON object holding its columns, and its shared fields once:
-# ``{"state":…,"did":…,"ep":…,"nodes":[…],"disp":[…],"rows":[…],"rend":[…],
-# "new":[…],"fend":[…]}``, ``did`` / ``ep`` absent when empty.  A row is
-# ``{"q":label,"h":[…],"v":[…]}`` when its label or header differs from the
-# row above, else a bare value list in which a value repeating the one above
-# is a ditto, ``[]``; an entry of ``new`` is ``[url, state, child id]``, its
-# state a ditto when it is the previous entry's state object (one per protocol
-# state on a server, one per spelling here), its child id when it equals the
-# previous entry's.
+# ``{"s":…,"i":…,"e":…,"n":[…],"d":"…","r":[…],"re":[…],"a":[…],"fe":[…]}`` —
+# state, dispatch id, epoch, nodes, one disposition code per node, rows, row
+# ends, announced entries, forward ends — ``i`` / ``e`` absent when empty.  A
+# row is ``{"q":label,"h":[…],"v":[…]}`` when its label or header differs from
+# the row above, else a bare value list in which a value repeating the one
+# above is a ditto, ``[]``; an entry of ``a`` is ``[url, state, child id]``,
+# its state a ditto when it is the previous entry's state object (one per
+# protocol state on a server, one per spelling here), its child id when it
+# equals the previous entry's.
 #
 # Every string a body writes enters one table per body, in write order, the
-# first time it is written: ``did``s, node URLs, string row values, entry URLs
-# and child ids.  A ``did``, node URL, entry URL or child id that is already in
-# the table may be written as its index, an integer (the encoder does so when
-# the index is shorter); a row never holds an index, so an integer there is a
-# value.  ``ResultMessage.walk`` (``core.messages._write_reports``) is the one
-# walk that both writes a body and charges it: an encoded message is sized.
+# first time it is written: ``i``s, node URLs, string row values, entry URLs
+# and child ids.  A string already in the table may be written as a reference
+# (the encoder does so when it is shorter): an ``i``, node URL, entry URL or
+# child id as its index, a non-negative integer; a row value as ``[index]``.
+# A child id may also be a step, ``-k``: the body's previous child id with its
+# serial raised by ``k`` (``core.messages._minted``).  A row value that is an
+# array or an object is escaped, ``{"=":value}``, so in a row ``[]`` is always
+# a ditto, ``[n]`` a reference and a bare integer a value.
+# ``ResultMessage.walk`` (``core.messages._write_reports``) is the one walk
+# that both writes a body and charges it: an encoded message is sized.
 
-_DISPOSITIONS = {disposition.value: disposition for disposition in Disposition}
+_DISPOSITIONS = {code: disposition for disposition, code in _DISPOSITION_CODES.items()}
 
 
 def _is_ditto(value: Any) -> bool:
@@ -477,18 +489,27 @@ def _is_ditto(value: Any) -> bool:
 
 
 class _StringTable:
-    """A body's string table as its decoder rebuilds it, in body order."""
+    """A body's string table as its decoder rebuilds it, in body order, and
+    the body's previous child id (what a step counts from)."""
 
-    __slots__ = ("strings", "known")
+    __slots__ = ("strings", "known", "child")
 
     def __init__(self) -> None:
         self.strings: list[str] = []
         self.known: set[str] = set()
+        self.child: str | None = None
 
     def enter(self, text: str) -> None:
         if text not in self.known:
             self.known.add(text)
             self.strings.append(text)
+
+    def index(self, spelled: int, what: str) -> str:
+        if not 0 <= spelled < len(self.strings):
+            raise WireError(
+                f"{what} index {spelled} is outside the {len(self.strings)} strings before it"
+            )
+        return self.strings[spelled]
 
     def read(self, spelled: Any, what: str) -> str:
         """A string written in full (which enters the table) or as its index."""
@@ -497,41 +518,76 @@ class _StringTable:
             return spelled
         if type(spelled) is not int:  # a bool is not an index
             raise WireError(f"{what} {spelled!r} is neither a string nor an index")
-        if not 0 <= spelled < len(self.strings):
-            raise WireError(
-                f"{what} index {spelled} is outside the {len(self.strings)} strings before it"
-            )
-        return self.strings[spelled]
+        return self.index(spelled, what)
 
     def url(self, spelled: Any) -> Url:
         return _url_from_wire(self.read(spelled, "URL"))
+
+    def child_id(self, spelled: Any) -> str:
+        """A child id: in full, an index, or ``-k``, a step of ``k`` from the
+        body's previous child id.  However it is spelled it enters the table."""
+        if type(spelled) is int and spelled < 0:
+            previous = None if self.child is None else _minted(self.child)
+            if previous is None:
+                raise WireError(f"child id step {spelled} from {self.child!r}, not a minted id")
+            child = _stepped(previous, -spelled)
+            self.enter(child)
+        else:
+            child = self.read(spelled, "child id")
+        self.child = child
+        return child
+
+    def reference(self, spelled: list) -> str:
+        """A row value written as a reference, ``[index]``."""
+        if len(spelled) != 1 or type(spelled[0]) is not int:  # a bool is not an index
+            raise WireError(f"row value {spelled!r} is not a reference")
+        return self.index(spelled[0], "row value")
+
+
+def _escaped(spelled: dict) -> Any:
+    """A row value that is an array or an object, written ``{"=": value}``."""
+    if len(spelled) != 1 or type(spelled.get("=")) not in (list, dict):
+        raise WireError(f"row value {spelled!r} is not an escaped array or object")
+    return spelled["="]
 
 
 def _rows_from_wire(data: Any, table: _StringTable) -> list:
     rows: list = []
     label = header = values = None
+    known, strings = table.known, table.strings  # _StringTable.enter, inlined
     for item in data:
         if type(item) is dict:
-            label, header, values = item["q"], item["h"], item["v"]
-            if type(label) is not str or type(header) is not list or type(values) is not list:
+            label, header, written = item["q"], item["h"], item["v"]
+            if type(label) is not str or type(header) is not list or type(written) is not list:
                 raise WireError(f"bad row {item!r}")
-            if not all(type(name) is str for name in header) or len(values) != len(header):
+            if not all(type(name) is str for name in header) or len(written) != len(header):
                 raise WireError(f"bad row header, or values that do not fit it: {item!r}")
-            header, values = tuple(header), tuple(values)
-            written = values
+            header = tuple(header)
+            bare = False
         elif type(item) is list and header is not None:
             if len(item) != len(header):
                 raise WireError(f"row {item!r} does not match its header {list(header)!r}")
-            values = tuple([
-                above if type(value) is list and not value else value
-                for value, above in zip(item, values)
-            ])
-            written = item
+            written, bare = item, True
         else:
             raise WireError(f"bad row {item!r}: not a row, or a ditto with no row above")
-        for value in written:
-            if type(value) is str:
-                table.enter(value)
+        read = []
+        for value, old in zip(written, values if bare else written):
+            kind = type(value)
+            if kind is str:
+                if value not in known:
+                    known.add(value)
+                    strings.append(value)
+            elif kind is list:
+                if value:
+                    value = table.reference(value)
+                elif bare:
+                    value = old
+                else:
+                    raise WireError(f"row {item!r} holds a ditto with no row above")
+            elif kind is dict:
+                value = _escaped(value)
+            read.append(value)
+        values = tuple(read)
         rows.append((label, ResultRow(header, values)))
     return rows
 
@@ -548,7 +604,7 @@ def _entries_from_wire(data: Any, table: _StringTable) -> tuple[list, list]:
         if not _is_ditto(spelled):
             state = _state_from_spelling(spelled)
         if not _is_ditto(spelled_id):
-            child_id = table.read(spelled_id, "child id")
+            child_id = table.child_id(spelled_id)
         if state is None or child_id is None:
             raise WireError(f"new entry {item!r} repeats a previous entry there is none of")
         entries.append((url, state))
@@ -583,28 +639,31 @@ def _report_from_wire(data: Any, cht_half: bool, table: _StringTable) -> CloneRe
     In a CHT half (``"chan":"cht"``) ``rows`` is empty and ``rend`` counts
     the rows the data twin carries, so it need not end at 0.
     """
-    dispatch_id = table.read(data["did"], "dispatch id") if "did" in data else ""
-    epoch = data.get("ep", 0)
+    dispatch_id = table.read(data["i"], "dispatch id") if "i" in data else ""
+    epoch = data.get("e", 0)
     if type(epoch) is not int:
         raise WireError(f"bad epoch {epoch!r}")
-    nodes = [table.url(url) for url in _column(data, "nodes")]
-    dispositions = [_DISPOSITIONS[value] for value in _column(data, "disp")]
+    nodes = [table.url(url) for url in _column(data, "n")]
+    codes = data["d"]
+    if type(codes) is not str:
+        raise WireError(f"d is not a string of disposition codes: {codes!r}")
+    dispositions = [_DISPOSITIONS[code] for code in codes]
     count = len(nodes)
     if len(dispositions) != count:
         raise WireError(f"{len(dispositions)} dispositions for {count} nodes")
     data_only = dispositions.count(Disposition.DATA_ONLY)
     if data_only and data_only != count:
         raise WireError("a report mixes DATA_ONLY with other dispositions")
-    rows = _rows_from_wire(_column(data, "rows"), table)
+    rows = _rows_from_wire(_column(data, "r"), table)
     if cht_half and rows:
         raise WireError("a CHT half carries rows")
-    row_ends = data["rend"]
-    _check_ends(row_ends, count, None if cht_half else len(rows), "rend")
-    entries, child_ids = _entries_from_wire(_column(data, "new"), table)
-    forward_ends = data["fend"]
-    _check_ends(forward_ends, count, len(entries), "fend")
+    row_ends = data["re"]
+    _check_ends(row_ends, count, None if cht_half else len(rows), "re")
+    entries, child_ids = _entries_from_wire(_column(data, "a"), table)
+    forward_ends = data["fe"]
+    _check_ends(forward_ends, count, len(entries), "fe")
     return CloneReport(
-        nodes, _state_from_spelling(data["state"]), dispositions, rows, row_ends,
+        nodes, _state_from_spelling(data["s"]), dispositions, rows, row_ends,
         entries, child_ids, forward_ends, dispatch_id, epoch,
     )
 

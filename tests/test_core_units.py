@@ -267,6 +267,43 @@ class TestNodeQueryLogTable:
         assert table.entry_count() == 1
 
 
+class TestRecoveryEpochs:
+    """A recovery round re-forwards under a newer epoch: an entry logged
+    under an older one neither drops nor rewrites it (ROADMAP item 19)."""
+
+    def test_a_newer_epoch_is_processed_and_the_entry_takes_it(self):
+        table = NodeQueryLogTable()
+        state = QueryState(1, parse_pre("G"))
+        table.observe(NODE, QID, state, 0.0)
+        assert table.observe(NODE, QID, state, 1.0, epoch=1).action is LogAction.PROCESS
+        assert table.entry_count() == 1 and table._entries[QID][NODE][0].epoch == 1
+        # ...and within the new epoch the table drops as before.
+        assert table.observe(NODE, QID, state, 2.0, epoch=1).action is LogAction.DROP
+        assert (table.inserts, table.drops) == (2, 1)
+
+    def test_a_wider_state_of_a_newer_epoch_is_processed_not_rewritten(self):
+        table = NodeQueryLogTable()
+        table.observe(NODE, QID, QueryState(1, parse_pre("L*2.G")), 0.0)
+        obs = table.observe(NODE, QID, QueryState(1, parse_pre("L*4.G")), 1.0, epoch=2)
+        assert obs.action is LogAction.PROCESS and table.rewrites == 0
+        assert table.states_for(NODE, QID) == [QueryState(1, parse_pre("L*4.G"))]
+
+    def test_a_late_clone_of_an_older_epoch_is_still_a_duplicate(self):
+        table = NodeQueryLogTable()
+        state = QueryState(1, parse_pre("G"))
+        table.observe(NODE, QID, state, 0.0, epoch=1)
+        assert table.observe(NODE, QID, state, 1.0, epoch=0).action is LogAction.DROP
+
+    def test_the_bulk_pass_carries_the_epoch(self):
+        table = NodeQueryLogTable()
+        state = QueryState(1, parse_pre("G"))
+        other = Url("a.example", "/other")
+        table.observe_bulk((NODE, other), QID, state, 0.0)
+        observations = table.observe_bulk((NODE, other), QID, state, 1.0, epoch=1)
+        assert [obs.action for obs in observations] == [LogAction.PROCESS] * 2
+        assert table.entry_count() == 2
+
+
 class TestLanguageSubsumptionMode:
     """The generalized (language-containment) log-table mode."""
 

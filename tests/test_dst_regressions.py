@@ -13,17 +13,20 @@ occurrence the fault-free run did not:
   state; the client deduplicated recovered rows by ``(node, state)``, so the
   second report's rows were kept.  They are keyed by ``(node, step)`` now.
 
-Six more are open, strict ``xfail``: seeds 225 and 286 of ``--seeds 0..1023
+Six more failed ``oracle-partial``: seeds 225 and 286 of ``--seeds 0..1023
 --schedules 2``, and seeds 127, 354, 813 and 970 of the same sweep with
 ``--sequential``, each with ``combine_results_and_cht`` drawn off (ROADMAP
-item 22).  Under drops, a PARTIAL query misses a row whose producer was never
-abandoned or retracted (``oracle-partial``): a server sends a report's data
-half only after its CHT half is delivered, and nothing notices when the
-data half is lost.  With the halves combined both cases are clean.
+item 22).  A server sends a report's data half only after its CHT half is
+delivered, and under drops the data half can be lost with nothing noticing:
+the user-site holds the node until a recovery round re-forwards it, and the
+server's log table used to drop that re-forward as a duplicate, so the query
+ended PARTIAL without the row.  Since the log table is epoch-aware (ROADMAP
+item 19) the re-forward is answered again and its rows arrive; with the
+halves combined the cases were clean all along.
 
-One more strict ``xfail`` pins ROADMAP item 19: seed 8's case with one slow
-link, where a recovery round supersedes a report still in flight and the query
-ends COMPLETE without that report's rows.
+Item 19's own case is seed 8 with one slow link, where a recovery round
+supersedes a report still in flight: the query used to end COMPLETE without
+that report's rows.
 """
 
 from __future__ import annotations
@@ -435,12 +438,8 @@ _SPLIT_HALVES = pytest.mark.parametrize(
 )
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="a lost data half goes unnoticed once its CHT half is delivered (ROADMAP item 22)",
-)
 @_SPLIT_HALVES
-def test_a_lost_data_half_is_written_off(spec):
+def test_a_lost_data_half_comes_back_with_the_recovery_round(spec):
     result = run_case(spec)
     assert result.ok, [str(v) for v in result.violations]
 
@@ -457,11 +456,13 @@ def test_the_same_cases_are_clean_with_the_halves_combined(spec):
 # Seed 8's generated case, with s0's messages to the user-site held back
 # ``_SLOW`` seconds until the supervisor's first recovery round (its quiet
 # timeout is 2 s).  s0's first report is then still in flight when the round
-# supersedes its dispatch; s0's log table drops the re-forward as a duplicate,
-# and that report — sent after the round, so not held — retires the new
-# instance with no rows.  The CHT balances and the query ends COMPLETE without
-# the slow report's rows.  The delay is fixed per link and window, not drawn
-# and not a function of message size.
+# supersedes its dispatch and re-forwards it under epoch 1.  When s0's log
+# table dropped that re-forward as a duplicate of its epoch-0 entry, the
+# report it sent retired the new instance with no rows, the CHT balanced and
+# the query ended COMPLETE without the slow report's rows.  The log table is
+# epoch-aware: the re-forward is processed again, so its report carries the
+# rows and announces the children.  The delay is fixed per link and window,
+# not drawn and not a function of message size.
 
 _SLOW = 3.0
 _FIRST_ROUND = 2.0
@@ -487,18 +488,8 @@ def test_seed_8_is_clean_without_the_slow_link():
     assert result.status == "complete"
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="a report superseded by a recovery round is lost when the re-forward is "
-    "dropped as a duplicate (ROADMAP item 19)",
-)
 def test_a_slow_report_superseded_by_a_recovery_round_keeps_its_rows(monkeypatch):
     monkeypatch.setattr(engine_module, "Network", _SlowLinkNetwork)
     result = run_case(generate_case(8))
-    broken = {violation.invariant for violation in result.violations}
-    if result.status != "complete" or not broken <= {"oracle-exact"}:
-        # Not the pinned defect (a COMPLETE run short of reference rows):
-        # fail, rather than count as the expected failure.
-        raise RuntimeError(f"{result.status}: {[str(v) for v in result.violations]}")
     assert result.ok, [str(v) for v in result.violations]
+    assert result.status == "complete"

@@ -411,16 +411,18 @@ class TestWarmVisitCounts:
         forward.  No memo flushes, and no site's memo passes 97 entries.
         Bytes were 48,081.81 before result messages became columnar and
         35,618.28 before a result message wrote a repeated URL or dispatch id
-        as an index and a bundle its query once, and 31,214.07 before the
+        as an index and a bundle its query once, 31,214.07 before the
         size model charged the quotes of a URL or dispatch id written in
-        full, with every other count as here."""
+        full, and 31,603.43 before a row value the message's table holds
+        became a reference and a child id a step from the previous one, with
+        every other count as here."""
         assert _profile_tool().visits_per_query() == {
             "node_visits": 91.28,
             "node_queries_evaluated": 91.14,
             "log_drops": 14.9,
             "log_rewrites": 0.14,
             "rows_shipped": 185.45,
-            "bytes": 31603.43,
+            "bytes": 29004.01,
             "visit_hits": 87.95,
             "part_path_visits": 3.33,
             "visits_stored": 3.33,

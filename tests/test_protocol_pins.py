@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import fields, is_dataclass
 
 import pytest
@@ -222,17 +223,19 @@ def test_structural_keys_did_not_move(workload):
 
 
 # --- wire bytes -------------------------------------------------------------------
-# Re-captured at ``WIRE_VERSION`` 3: the bundle writes its query once; the
-# result and the relay repeat no URL or dispatch id, so their bytes differ from
-# version 2's only in the envelope's ``"v"``; ``result-references`` writes the
+# Re-captured at ``WIRE_VERSION`` 4.  The bundle moved only in the envelope's
+# ``"v"``.  The result and the relay write the row's ``d.url`` as a reference to
+# the node URL, ``[1]``, the second entry's child id as a step, ``-1``, the
+# dispositions as one code each and a report's keys as one or two letters;
+# ``result-references`` writes its ``d.url`` as a reference too, and still the
 # child report's dispatch id and node, and the parent's entry URL, as indexes.
 
 _WIRE_DIGESTS = {
-    "bundle": (_bundle, "d22689b3aa543745a1e02669e13b0c202b6731bf09c6d4554c1fd0eae13960a3"),
-    "relay": (_relay, "6c560b7959f97118933ae78f7411e98daaab9dfa6cb77f2355b78f34fa178959"),
-    "result": (_result, "7749fdbcb829ca9cb394f083f4412fa520d8bd60302a46f24694d9c0a5258329"),
+    "bundle": (_bundle, "dbff341c8da9a53408956ac47e965d869a444384319bc7383c905d2f66c04c22"),
+    "relay": (_relay, "188facf7c0a20ebb88a2535ef8287920225e601d1d2f90a9854f61ccec64aed7"),
+    "result": (_result, "c1d5813814d167347ac296e8ab96d0aeae6f510c0c1a7d7b657a3fff2777945a"),
     "result-references": (
-        _referring_result, "9775830c75b87456486556d3232934985b503e799eb2b4d9140a1cac469f483a"
+        _referring_result, "6956d201f97921fc16ecb5a0e1d543da8db031315d6d3814fea147a68a9d0e50"
     ),
 }
 
@@ -310,30 +313,43 @@ _DITTO: list = []
 
 
 def _written(spelled) -> int:
-    """What a string or an index costs: its length and its quotes, or its digits."""
+    """What a string, an index or a step costs: its length and its quotes, or
+    its digits (and a step's sign)."""
     return len(spelled) + 2 if isinstance(spelled, str) else len(str(spelled))
+
+
+def _value_size(value) -> int:
+    """What a row value costs as a body writes it: a reference ``[index]``
+    its digits and 2, an escaped array or object ``{"=": value}`` what the
+    value renders to, anything else what it renders to."""
+    if isinstance(value, list):
+        (index,) = value
+        return len(str(index)) + 2
+    if isinstance(value, dict):
+        return len(str(value["="]))
+    return len(str(value))
 
 
 def _report_size(report: CloneReport, body: dict) -> int:
     """What ``body``, the report's wire form, writes: its state, dispatch id
     and 4; 5 and the URL per node; per entry the URL, the state and the child
     id, each ditto at 1; per row the label and header names of a full row or
-    1 for a bare one, and each value at ``len(str(value))``, a ditto at 1.
-    A dispatch id, URL or child id costs what :func:`_written` says."""
+    1 for a bare one, and each value as :func:`_value_size` says, a ditto at
+    1.  A dispatch id, URL or child id costs what :func:`_written` says."""
     size = _state_size(report.state) + 4
-    if "did" in body:
-        size += _written(body["did"])
-    size += sum(_written(url) + 5 for url in body["nodes"])
-    for (url, state, child_id), (__, entry_state) in zip(body["new"], report.new_entries):
+    if "i" in body:
+        size += _written(body["i"])
+    size += sum(_written(url) + 5 for url in body["n"])
+    for (url, state, child_id), (__, entry_state) in zip(body["a"], report.new_entries):
         size += _written(url)
         size += 1 if state == _DITTO else _state_size(entry_state)
         size += 1 if child_id == _DITTO else _written(child_id)
-    for row in body["rows"]:
+    for row in body["r"]:
         if isinstance(row, dict):
             size += len(row["q"]) + sum(map(len, row["h"]))
-            size += sum(len(str(value)) for value in row["v"])
+            size += sum(map(_value_size, row["v"]))
         else:
-            size += 1 + sum(1 if value == _DITTO else len(str(value)) for value in row)
+            size += 1 + sum(1 if value == _DITTO else _value_size(value) for value in row)
     return size
 
 
@@ -405,9 +421,13 @@ def test_every_tapped_message_has_the_previous_size(run):
 
 # --- a message's bytes are its reports' columns and one string table -------------
 # ``CloneReport`` keeps per-node columns and the wire writes them as they are,
-# a string the message already wrote as its index: a message's bytes are
-# checked against the encoding spelled out here, and its modelled size against
-# the formula above, read off those bytes.
+# a string the message already wrote as its index (a row value as
+# ``[index]``) and a child id that continues the previous one's serial as a
+# step: a message's bytes are checked against the encoding spelled out here —
+# the reference and step rules written out again, independently of
+# ``core.messages`` — and its modelled size against the formula above, read
+# off those bytes.  The child ids step (``s4`` → ``s5``), and rows repeat node
+# URLs, entry URLs and child ids, so every rule is drawn.
 
 _NODE_URLS = [Url(f"s{i % 3}.example", f"/p{i}.html") for i in range(8)]
 _STATES = [QueryState(1, parse_pre(text)) for text in ("(L|G)*2", "L|G", "G.(G|L)", "N")]
@@ -429,6 +449,9 @@ _ROWS = [
     ("q1", ResultRow(("a.href",), (True,))),
     ("q1", ResultRow(("a.href",), (-0.0,))),
     ("q1", ResultRow(("a.href",), (0.0,))),
+    ("q1", ResultRow(("a.href",), ([],))),
+    ("q1", ResultRow(("a.href",), ([3],))),
+    ("q1", ResultRow(("a.href",), ({"=": [3]},))),
 ]
 
 
@@ -482,11 +505,23 @@ def _repeats(value, above) -> bool:
     return type(value) is type(above) and not isinstance(value, float) and value == above
 
 
+def _serial(child_id: str):
+    """``(text before the serial, serial, "@" and the rest)`` of a minted id —
+    a serial of at most 18 digits just before its first ``@`` — or None."""
+    head, at, rest = child_id.partition("@")
+    match = re.fullmatch(r"(.*?)([0-9]+)", head)
+    if not at or match is None or len(match[2]) > 18:
+        return None
+    return match[1], int(match[2]), at + rest
+
+
 class _Strings:
-    """A message's string table: each string it writes, once, in write order."""
+    """A message's string table: each string it writes, once, in write order;
+    and the last child id it wrote."""
 
     def __init__(self) -> None:
         self.written: list[str] = []
+        self.child: str | None = None
 
     def refer(self, text: str):
         """A URL, dispatch id or child id: its index when that is shorter."""
@@ -496,11 +531,41 @@ class _Strings:
         self.written.append(text)
         return text
 
+    def child_id(self, text: str):
+        """A child id: ``-k`` when it is the last child id with its serial
+        raised by ``k`` and that is shorter than what :meth:`refer` writes."""
+        spelled = self.refer(text)
+        previous, current = self.child and _serial(self.child), _serial(text)
+        self.child = text
+        if previous and current and current[1] > previous[1]:
+            k = current[1] - previous[1]
+            if f"{previous[0]}{previous[1] + k}{previous[2]}" == text and (
+                len(str(-k)) < _written(spelled)
+            ):
+                return -k
+        return spelled
+
     def value(self, value):
-        """A row value: it enters the table, and is always written as itself."""
-        if isinstance(value, str) and value not in self.written:
-            self.written.append(value)
+        """A row value: a string the table holds as ``[index]`` when that is
+        shorter than the string, else as itself, entering the table; an
+        array or an object as ``{"=": value}``."""
+        if isinstance(value, (list, tuple, dict)):
+            return {"=": value}
+        if isinstance(value, str):
+            if value in self.written:
+                index = self.written.index(value)
+                if len(str(index)) + 2 < len(value):
+                    return [index]
+            else:
+                self.written.append(value)
         return value
+
+
+_CODES = {
+    Disposition.PROCESSED: "p", Disposition.DATA_ONLY: "d", Disposition.DUPLICATE: "u",
+    Disposition.REWRITTEN: "r", Disposition.MISSING: "m", Disposition.UNREACHABLE: "n",
+    Disposition.PURGED: "x", Disposition.OVERLOADED: "o",
+}
 
 
 def _column_encoding(message: ResultMessage) -> bytes:
@@ -512,13 +577,13 @@ def _column_encoding(message: ResultMessage) -> bytes:
     strings = _Strings()
     reports = []
     for report in message.reports:
-        encoded = {"state": state(report.state)}
+        encoded = {"s": state(report.state)}
         if report.dispatch_id:
-            encoded["did"] = strings.refer(report.dispatch_id)
+            encoded["i"] = strings.refer(report.dispatch_id)
         if report.epoch:
-            encoded["ep"] = report.epoch
-        encoded["nodes"] = [strings.refer(_url_text(node)) for node in report.nodes]
-        encoded["disp"] = [disposition.value for disposition in report.dispositions]
+            encoded["e"] = report.epoch
+        encoded["n"] = [strings.refer(_url_text(node)) for node in report.nodes]
+        encoded["d"] = "".join(_CODES[disposition] for disposition in report.dispositions)
         rows, above = [], None
         for label, row in report.rows:
             if above is None or (label, row.header) != (above[0], above[1].header):
@@ -530,22 +595,22 @@ def _column_encoding(message: ResultMessage) -> bytes:
                     for value, old in zip(row.values, above[1].values)
                 ])
             above = (label, row)
-        encoded["rows"] = rows
-        encoded["rend"] = list(report.row_ends)
+        encoded["r"] = rows
+        encoded["re"] = list(report.row_ends)
         new, last = [], (None, None)
         for (node, target_state), child_id in zip(report.new_entries, report.child_ids):
             new.append([
                 strings.refer(_url_text(node)),
                 [] if target_state is last[0] else state(target_state),
-                [] if child_id == last[1] else strings.refer(child_id),
+                [] if child_id == last[1] else strings.child_id(child_id),
             ])
             last = (target_state, child_id)
-        encoded["new"] = new
-        encoded["fend"] = list(report.forward_ends)
+        encoded["a"] = new
+        encoded["fe"] = list(report.forward_ends)
         reports.append(encoded)
     body = {"qid": [QID.user, QID.host, QID.port, QID.number], "reports": reports,
             "chan": message.kind}
-    text = json.dumps({"v": 3, "k": "result", "b": body}, separators=(",", ":"),
+    text = json.dumps({"v": 4, "k": "result", "b": body}, separators=(",", ":"),
                       ensure_ascii=False)
     return text.encode("utf-8")
 

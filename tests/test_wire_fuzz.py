@@ -6,17 +6,22 @@ recovery_epoch)`` plus ``child_ids`` — must come back column for column,
 every row value with its type.  Arbitrary columnar report JSON, spelled as
 the encoder spells it, must decode into the columns it writes — a bare row's
 dittos read as the values above, an entry's as the previous entry's, an index
-as the string of the message's table it names — and re-encode to the same
-bytes: states spelled alike and differently, repeated
-nodes, DATA_ONLY reports, CHT halves, ``did`` / ``ep`` present or absent,
-unicode site names (the envelope is UTF-8 JSON with ``ensure_ascii=False``),
-epoch 0 (elided on the wire, restored on decode), and floats next to equal
-ints.  Hostile columns — lengths that disagree, ends that go backwards or do
-not close, a ditto with nothing above it, a row that does not fit its header,
-an index outside the table, negative, a bool or a float, an index in a URL
-column that names a title — are a ``WireError``, and so are version 1 and 2
-bodies; an integer in a row is a value, never an index.  The user-site must refuse
-unstamped bookkeeping.
+or a row reference as the string of the message's table it names, a child id
+step as the previous child id's serial raised by the step, an escaped array
+or object as itself — and re-encode to the same bytes: states spelled alike
+and differently, repeated nodes, DATA_ONLY reports, CHT halves, ``did`` /
+``ep`` present or absent, unicode site names (the envelope is UTF-8 JSON with
+``ensure_ascii=False``), epoch 0 (elided on the wire, restored on decode),
+floats next to equal ints, and row values that are arrays or objects shaped
+like a ditto, a reference or the escape.  Hostile columns — lengths that
+disagree, ends that go backwards or do not close, a ditto with nothing above
+it or in a full row, a row that does not fit its header, an index outside
+the table, negative, a bool or a float, an index in a URL column that names a
+title, a row reference that is not one int or names nothing, an escape of a
+string, a step with no minted child id before it or that is not an int, an
+unknown disposition code — are a ``WireError``, and so are version 1, 2 and
+3 bodies; a bare integer in a row is a value, never an index.  The user-site
+must refuse unstamped bookkeeping.
 
 The last suites poison the codec's tables: frames that differ from an honest
 one only in what ``==`` on JSON values cannot see (``1`` / ``1.0`` / ``true``,
@@ -33,24 +38,33 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import repro.core.engine as engine_module
+import repro.testing.runner as runner_module
 from repro import WebDisEngine
-from repro.core.messages import ChtEntry, CloneReport, Disposition, ResultMessage
+from repro.core.messages import ChtEntry, CloneReport, Disposition, RelayMessage, ResultMessage
 from repro.core.state import QueryState
 from repro.core.webquery import QueryClone, QueryId
 from repro.disql import compile_disql
 from repro.errors import ProtocolError
+from repro.net.network import Network
 from repro.pre import parse_pre
 from repro.relational.query import ResultRow
+from repro.testing import generate_case, run_case
 from repro.urlutils import parse_url
 from repro.web.campus import CAMPUS_QUERY_DISQL
 from repro import wire
-from repro.wire import WireError, decode_message, encode_message
+from repro.wire import WireError, decode_message, encode_message, wire_size
 
-from .test_protocol_pins import _repeats, _result_size, _Strings, _typed_rows, clone_reports
+from . import test_dst_regressions as dst_regressions
+from .test_protocol_pins import (
+    _CODES, _repeats, _result_size, _Strings, _typed_rows, clone_reports,
+)
 from .test_wire_interning import _clear_tables
 
 HOSTS = st.sampled_from(
@@ -119,15 +133,17 @@ _STATE_SPELLINGS = [
 _HEADERS = [["d.url"], ["d.url", "d.title"], ["r.text"]]
 
 #: Row values: text ("", unicode, quotes, a URL a column also writes), small
-#: ints — which a row reads as values, never as indexes — and the values
-#: ``==`` conflates — ``1`` / ``1.0`` / ``true``, ``-0.0`` / ``0.0`` — plus
-#: null.
+#: ints — which a row reads as values, never as indexes — the values ``==``
+#: conflates — ``1`` / ``1.0`` / ``true``, ``-0.0`` / ``0.0`` — null, and
+#: arrays and objects, which no relation produces and a row writes escaped:
+#: ones that look like a ditto, a reference or the escape itself.
 _VALUES = st.one_of(
     st.text(max_size=6), st.sampled_from(_NODES), st.integers(-2, 2),
     st.sampled_from([None, True, False, 1.0, -0.0, 0.0, 2.5]),
+    st.sampled_from([[], [0], [1], [[]], [True], {}, {"=": [2]}, {"=": 1}]),
 )
 
-_DISPOSITIONS = [d.value for d in Disposition if d is not Disposition.DATA_ONLY]
+_DISPOSITIONS = [_CODES[d] for d in Disposition if d is not Disposition.DATA_ONLY]
 
 _rows = st.lists(
     st.tuples(
@@ -163,7 +179,7 @@ def _spell_entries(entries: list, strings: _Strings) -> list:
     for node, state, child_id in entries:
         spelled.append([
             strings.refer(node), [] if repr(state) == repr(last_state) else state,
-            [] if child_id == last_id else strings.refer(child_id),
+            [] if child_id == last_id else strings.child_id(child_id),
         ])
         last_state, last_id = state, child_id
     return spelled
@@ -195,8 +211,10 @@ def raw_reports(draw, cht_half=False):
         "ep": draw(st.sampled_from([0, 1, 7])),
         "nodes": draw(st.lists(st.sampled_from(_NODES), min_size=count, max_size=count)),
         "disp": (
-            ["data-only"] * count if data_only
-            else draw(st.lists(st.sampled_from(_DISPOSITIONS), min_size=count, max_size=count))
+            "d" * count if data_only
+            else "".join(
+                draw(st.lists(st.sampled_from(_DISPOSITIONS), min_size=count, max_size=count))
+            )
         ),
         "rows": [] if cht_half else rows,
         "rend": row_ends,
@@ -211,17 +229,17 @@ def _spell(raws: list) -> list:
     strings = _Strings()
     spelled = []
     for raw in raws:
-        report = {"state": raw["state"]}
+        report = {"s": raw["state"]}
         if raw["did"]:
-            report["did"] = strings.refer(raw["did"])
+            report["i"] = strings.refer(raw["did"])
         if raw["ep"]:
-            report["ep"] = raw["ep"]
-        report["nodes"] = [strings.refer(node) for node in raw["nodes"]]
-        report["disp"] = raw["disp"]
-        report["rows"] = _spell_rows(raw["rows"], strings)
-        report["rend"] = raw["rend"]
-        report["new"] = _spell_entries(raw["entries"], strings)
-        report["fend"] = raw["fend"]
+            report["e"] = raw["ep"]
+        report["n"] = [strings.refer(node) for node in raw["nodes"]]
+        report["d"] = raw["disp"]
+        report["r"] = _spell_rows(raw["rows"], strings)
+        report["re"] = raw["rend"]
+        report["a"] = _spell_entries(raw["entries"], strings)
+        report["fe"] = raw["fend"]
         spelled.append(report)
     return spelled
 
@@ -285,7 +303,7 @@ class TestStampedRoundTrip:
             assert [str(node) for node in report.nodes] == [
                 str(parse_url(node)) for node in raw["nodes"]
             ]
-            assert [d.value for d in report.dispositions] == raw["disp"]
+            assert "".join(_CODES[d] for d in report.dispositions) == raw["disp"]
             assert list(report.row_ends) == raw["rend"]
             assert list(report.forward_ends) == raw["fend"]
             assert [(label, list(row.header), _typed(row.values)) for label, row in report.rows] == [
@@ -308,39 +326,43 @@ _STATE = {"n": 1, "rem": "L"}
 
 #: A valid report as a report holds it: a bare row dittoing the first value
 #: above it, a header change, an entry repeating the previous entry's state
-#: and child id.
+#: and child id, then one whose child id is a step from it.
 _VALID_RAW = {
     "state": _STATE,
     "did": "u1@s0.example",
     "ep": 0,
     "nodes": [_N0, _N1],
-    "disp": ["processed", "duplicate"],
+    "disp": "pu",
     "rows": [
         ("q1", ["d.url", "d.title"], [_N0, "t"]),
         ("q1", ["d.url", "d.title"], [_N0, "u"]),
         ("q1", ["d.url"], ["x"]),
     ],
     "rend": [2, 3],
-    "entries": [(_N0, _STATE, "c1@s0.example"), (_N1, _STATE, "c1@s0.example")],
-    "fend": [1, 2],
+    "entries": [
+        (_N0, _STATE, "c1@s0.example"), (_N1, _STATE, "c1@s0.example"),
+        (_N1, _STATE, "c2@s0.example"),
+    ],
+    "fend": [1, 3],
 }
 
 #: ``_VALID_RAW`` spelled by hand as the encoder spells it.  Its string table
 #: is ``u1@s0.example``, ``_N0``, ``_N1``, ``t``, ``u``, ``x``,
-#: ``c1@s0.example``: the entries' URLs are indexes 1 and 2.
+#: ``c1@s0.example``, ``c2@s0.example``: the first row's ``_N0`` is reference
+#: 1, the entries' URLs are indexes 1 and 2, the last child id a step of 1.
 _VALID = {
-    "state": _STATE,
-    "did": "u1@s0.example",
-    "nodes": [_N0, _N1],
-    "disp": ["processed", "duplicate"],
-    "rows": [
-        {"q": "q1", "h": ["d.url", "d.title"], "v": [_N0, "t"]},
+    "s": _STATE,
+    "i": "u1@s0.example",
+    "n": [_N0, _N1],
+    "d": "pu",
+    "r": [
+        {"q": "q1", "h": ["d.url", "d.title"], "v": [[1], "t"]},
         [[], "u"],
         {"q": "q1", "h": ["d.url"], "v": ["x"]},
     ],
-    "rend": [2, 3],
-    "new": [[1, _STATE, "c1@s0.example"], [2, [], []]],
-    "fend": [1, 2],
+    "re": [2, 3],
+    "a": [[1, _STATE, "c1@s0.example"], [2, [], []], [2, [], -1]],
+    "fe": [1, 3],
 }
 
 
@@ -360,45 +382,66 @@ def _append(key: str, value):
 
 #: ``name -> how it spoils _VALID``; every one is a ``WireError``.
 _HOSTILE = {
-    "nodes-longer": _append("nodes", _NODES[2]),
-    "disp-shorter": _set("disp", ["processed"]),
-    "rend-shorter": _set("rend", [3]),
-    "fend-longer": _append("fend", 2),
-    "rend-backwards": _set("rend", [3, 2]),
-    "fend-backwards": _set("fend", [2, 1]),
-    "rend-open": _set("rend", [2, 2]),
-    "fend-past-the-end": _set("fend", [1, 3]),
-    "rend-negative": _set("rend", [-1, 3]),
-    "rend-float": _set("rend", [2.0, 3]),
-    "rend-bool": _set("rend", [True, 3]),
-    "ditto-in-the-first-row": _set("rows.0", [[], "t"]),
-    "bare-first-row": _set("rows.0", [_N0, "t"]),
-    "bare-row-after-a-header-change": _append("rows", [[], "y"]),
-    "bare-row-too-short": _set("rows.1", [[]]),
-    "full-row-misfit": _set("rows.0.v", [_N0]),
-    "header-not-text": _set("rows.0.h", ["d.url", 5]),
-    "label-not-text": _set("rows.0.q", 1),
-    "values-not-a-list": _set("rows.2.v", "x"),
-    "state-ditto-in-the-first-entry": _set("new.0.1", []),
-    "child-id-ditto-in-the-first-entry": _set("new.0.2", []),
-    "entry-without-child-id": _set("new.0", [_N0, _STATE]),
-    "child-id-not-text": _set("new.0.2", {"c": 1}),
-    "mixed-data-only": _set("disp", ["data-only", "processed"]),
-    "unknown-disposition": _set("disp.0", "gone"),
-    "dispatch-id-not-text": _set("did", {"d": 1}),
-    "dispatch-id-index-before-any-string": _set("did", 0),
-    "url-index-past-the-table": _set("new.0.0", 6),
-    "url-index-negative": _set("nodes.1", -1),
-    "url-index-bool": _set("nodes.1", True),
-    "url-index-float": _set("new.0.0", 1.0),
-    "url-index-null": _set("nodes.0", None),
-    "url-index-names-a-title": _set("new.1.0", 3),
-    "child-id-index-past-the-table": _set("new.0.2", 9),
-    "child-id-index-bool": _set("new.0.2", False),
-    "epoch-not-an-int": _set("ep", 1.0),
-    "nodes-an-object": _set("nodes", {_N0: 1, _N1: 2}),
-    "rows-an-object": _set("rows", {}),
-    "no-state": lambda report: report.pop("state"),
+    "nodes-longer": _append("n", _NODES[2]),
+    "disp-shorter": _set("d", "p"),
+    "disp-a-list": _set("d", ["p", "u"]),
+    "rend-shorter": _set("re", [3]),
+    "fend-longer": _append("fe", 3),
+    "rend-backwards": _set("re", [3, 2]),
+    "fend-backwards": _set("fe", [3, 1]),
+    "rend-open": _set("re", [2, 2]),
+    "fend-past-the-end": _set("fe", [1, 4]),
+    "rend-negative": _set("re", [-1, 3]),
+    "rend-float": _set("re", [2.0, 3]),
+    "rend-bool": _set("re", [True, 3]),
+    "ditto-in-the-first-row": _set("r.0", [[], "t"]),
+    "ditto-in-a-full-row": _set("r.2.v", [[]]),
+    "bare-first-row": _set("r.0", [_N0, "t"]),
+    "bare-row-after-a-header-change": _append("r", [[], "y"]),
+    "bare-row-too-short": _set("r.1", [[]]),
+    "full-row-misfit": _set("r.0.v", [_N0]),
+    "header-not-text": _set("r.0.h", ["d.url", 5]),
+    "label-not-text": _set("r.0.q", 1),
+    "values-not-a-list": _set("r.2.v", "x"),
+    "row-reference-bool": _set("r.0.v.0", [True]),
+    "row-reference-float": _set("r.0.v.0", [1.0]),
+    "row-reference-null": _set("r.0.v.0", [None]),
+    "row-reference-a-list": _set("r.0.v.0", [[1]]),
+    "row-reference-a-string": _set("r.0.v.0", ["x"]),
+    "row-reference-two-indexes": _set("r.0.v.0", [1, 1]),
+    "row-reference-past-the-table": _set("r.0.v.0", [3]),
+    "row-reference-negative": _set("r.0.v.0", [-1]),
+    "bare-row-reference-past-the-table": _set("r.1.1", [5]),
+    "escape-of-a-string": _set("r.2.v.0", {"=": "x"}),
+    "escape-of-nothing": _set("r.2.v.0", {}),
+    "escape-with-another-key": _set("r.2.v.0", {"=": [], "x": 1}),
+    "an-object-unescaped": _set("r.2.v.0", {"x": []}),
+    "state-ditto-in-the-first-entry": _set("a.0.1", []),
+    "child-id-ditto-in-the-first-entry": _set("a.0.2", []),
+    "entry-without-child-id": _set("a.0", [_N0, _STATE]),
+    "child-id-not-text": _set("a.0.2", {"c": 1}),
+    "step-in-the-first-entry": _set("a.0.2", -1),
+    "step-bool": _set("a.2.2", True),
+    "step-float": _set("a.2.2", -1.0),
+    "step-from-an-unminted-id": _set("a.0.2", "c1-s0.example"),
+    "mixed-data-only": _set("d", "dp"),
+    "unknown-disposition": _set("d", "pq"),
+    "disposition-name": _set("d", "processed"),
+    "dispatch-id-not-text": _set("i", {"d": 1}),
+    "dispatch-id-index-before-any-string": _set("i", 0),
+    "dispatch-id-step": _set("i", -1),
+    "url-index-past-the-table": _set("a.0.0", 6),
+    "url-index-negative": _set("n.1", -1),
+    "url-index-bool": _set("n.1", True),
+    "url-index-float": _set("a.0.0", 1.0),
+    "url-index-null": _set("n.0", None),
+    "url-index-names-a-title": _set("a.1.0", 3),
+    "child-id-index-past-the-table": _set("a.0.2", 9),
+    "child-id-index-bool": _set("a.0.2", False),
+    "epoch-not-an-int": _set("e", 1.0),
+    "nodes-an-object": _set("n", {_N0: 1, _N1: 2}),
+    "rows-an-object": _set("r", {}),
+    "no-state": lambda report: report.pop("s"),
 }
 
 
@@ -408,19 +451,19 @@ class TestHostileColumnsAreWireErrors:
         wire = _result_wire([_VALID])
         [report] = decode_message(wire).reports
         assert [row.values for __, row in report.rows] == [(_N0, "t"), (_N0, "u"), ("x",)]
-        assert [str(node) for node, __ in report.new_entries] == [_N0, _N1]
+        assert [str(node) for node, __ in report.new_entries] == [_N0, _N1, _N1]
         assert report.new_entries[1][1] is report.new_entries[0][1]
-        assert list(report.child_ids) == ["c1@s0.example"] * 2
+        assert list(report.child_ids) == ["c1@s0.example"] * 2 + ["c2@s0.example"]
         assert encode_message(decode_message(wire)) == wire
 
     def test_an_integer_in_a_row_is_a_value(self):
         report = copy.deepcopy(_VALID)
-        report["rows"][2]["v"] = [1]  # index 1 would be _N0
+        report["r"][2]["v"] = [1]  # reference [1] would be _N0
         [decoded] = decode_message(_result_wire([report])).reports
         assert _typed(decoded.rows[2][1].values) == [(int, "1")]
         # ...and enters no table: with "x" gone there are five strings before
         # the first child id, so index 5 names nothing.
-        report["new"][0][2] = 5
+        report["a"][0][2] = 5
         with pytest.raises(WireError, match="outside the 5 strings"):
             decode_message(_result_wire([report]))
 
@@ -434,11 +477,31 @@ class TestHostileColumnsAreWireErrors:
     def test_a_cht_half_carries_no_rows(self):
         with pytest.raises(WireError):
             decode_message(_result_wire([_VALID], "cht"))
-        half = {**_VALID, "rows": []}
+        half = {**_VALID, "r": []}
         [report] = decode_message(_result_wire([half], "cht")).reports
         assert not report.rows and list(report.row_ends) == [2, 3] and report.rows_follow
         with pytest.raises(WireError):  # ...and only a CHT half may count rows it lacks
             decode_message(_result_wire([half]))
+
+    def test_a_version_3_body_is_an_unsupported_version(self):
+        """``_VALID`` as version 3 spelled it: long keys, disposition names,
+        every row value and child id in full."""
+        report = {
+            "state": _STATE, "did": "u1@s0.example", "nodes": [_N0, _N1],
+            "disp": ["processed", "duplicate"],
+            "rows": [
+                {"q": "q1", "h": ["d.url", "d.title"], "v": [_N0, "t"]}, [[], "u"],
+                {"q": "q1", "h": ["d.url"], "v": ["x"]},
+            ],
+            "rend": [2, 3],
+            "new": [[1, _STATE, "c1@s0.example"], [2, [], []], [2, [], "c2@s0.example"]],
+            "fend": [1, 3],
+        }
+        body = {"qid": ["maya", "user.example", 5001, 7], "reports": [report], "chan": "result"}
+        with pytest.raises(WireError, match="unsupported wire version"):
+            decode_message(json.dumps({"v": 3, "k": "result", "b": body}).encode())
+        with pytest.raises(WireError, match="malformed"):  # nor is it a version 4 body
+            decode_message(json.dumps({"v": 4, "k": "result", "b": body}).encode())
 
     def test_a_version_2_body_is_an_unsupported_version(self):
         body = {"qid": ["maya", "user.example", 5001, 7], "reports": [_VALID], "chan": "result"}
@@ -481,7 +544,7 @@ class TestOnlyTheSameTypeAndValueIsADitto:
         values = [1, 1, 1.0, 1.0, True, 1, -0.0, 0.0, 0.0, None, None, "1", "1"]
         message = _one_column(values)
         text = encode_message(message).decode()
-        assert '"rows":[{"q":"q1","h":["a.x"],"v":[1]},[[]],[1.0],[1.0],[true],[1],' in text
+        assert '"r":[{"q":"q1","h":["a.x"],"v":[1]},[[]],[1.0],[1.0],[true],[1],' in text
         assert '[1],[-0.0],[0.0],[0.0],[null],[[]],["1"],[[]]],' in text
         decoded = decode_message(encode_message(message))
         assert _typed_rows(decoded) == _typed_rows(message)
@@ -489,7 +552,7 @@ class TestOnlyTheSameTypeAndValueIsADitto:
 
     def test_nan_is_never_a_ditto(self):
         message = _one_column([math.nan, math.nan])
-        rows = json.loads(encode_message(message))["b"]["reports"][0]["rows"]
+        rows = json.loads(encode_message(message))["b"]["reports"][0]["r"]
         assert rows[1] != [[]]
         [first, second] = [row.values[0] for __, row in decode_message(
             encode_message(message)).reports[0].rows]
@@ -497,8 +560,8 @@ class TestOnlyTheSameTypeAndValueIsADitto:
 
     def test_an_empty_list_value_is_never_read_as_a_ditto(self):
         message = _one_column(["x", [], []])
-        rows = json.loads(encode_message(message))["b"]["reports"][0]["rows"]
-        assert rows[1] == {"q": "q1", "h": ["a.x"], "v": [[]]} and rows[2] == [[]]
+        rows = json.loads(encode_message(message))["b"]["reports"][0]["r"]
+        assert rows[1] == [{"=": []}] and rows[2] == [[]]
         decoded = decode_message(encode_message(message))
         assert [row.values for __, row in decoded.reports[0].rows] == [("x",), ([],), ([],)]
         assert message.size_bytes() == _result_size(message)
@@ -510,7 +573,7 @@ class TestUserSiteRefusesMalformedReports:
     @example(_VALID_RAW)
     def test_receive_raises_protocol_error(self, campus_web, raw):
         """A bookkeeping report with no dispatch id."""
-        if not raw["nodes"] or "data-only" in raw["disp"]:
+        if not raw["nodes"] or "d" in raw["disp"]:  # "d": DATA_ONLY
             raw = _VALID_RAW
         [report] = _spell([{**raw, "did": ""}])
         engine = WebDisEngine(campus_web)
@@ -615,14 +678,16 @@ def _report_carrying(entry) -> dict:
     spelled as received and in the received key order.  An entry that is not
     an object stands in ``new`` as it is, short of a child id."""
     if not isinstance(entry, dict):
-        return {"state": entry[1], "nodes": [entry[0]], "new": [entry]}
+        return {"s": entry[1], "n": [entry[0]], "a": [entry]}
     report = {}
     for key, value in entry.items():
         if key == "node":
-            report["nodes"] = [value]
+            report["n"] = [value]
+        elif key == "state":
+            report["s"] = value
         else:
             report[key] = value
-    report["new"] = [[entry["node"], entry["state"], "c1"]] if "state" in entry else []
+    report["a"] = [[entry["node"], entry["state"], "c1"]] if "state" in entry else []
     return report
 
 
@@ -630,8 +695,7 @@ def _decoded_entries(entry):
     """The retired and the announced ``(node, state)`` of a frame carrying
     ``entry`` twice, as the decoded report's columns hold them."""
     report = {
-        **_report_carrying(entry), "did": "u1", "disp": ["processed"], "rows": [], "rend": [0],
-        "fend": [1],
+        **_report_carrying(entry), "i": "u1", "d": "p", "r": [], "re": [0], "fe": [1],
     }
     body = {"qid": ["maya", "user.example", 5001, 7], "reports": [report], "chan": "result"}
     envelope = {"v": wire.WIRE_VERSION, "k": "result", "b": body}
@@ -840,3 +904,85 @@ class TestFloodsStayWithinTheCap:
             assert set(indexed) <= set(wire._DECODED_QUERIES)
             assert all(wire._QUERY_ORIGINS.values())  # no origin left with nothing
         assert fullest == limit  # the backstop did have to evict
+
+
+# --- every payload a DST case sends ------------------------------------------------
+# The E1 message sets never retract, split a report into its CHT and data
+# halves, relay, or stamp a recovery epoch; DST cases do all of these.  Every
+# payload the simulator is handed in a case — delivered, refused or dropped —
+# must survive the codec: decode to an ``==`` message that re-encodes to the
+# same bytes and, for a result, sizes the same.  A case's engine config has no
+# retrace knob, so relays come from the same cases run with results retracing
+# the query's path.
+
+class _RecordingNetwork(Network):
+    """The simulator, keeping every payload it is asked to send."""
+
+    sent: list = []
+
+    def send(self, src, dst, port, payload, *, on_outcome=None):
+        _RecordingNetwork.sent.append(payload)
+        super().send(src, dst, port, payload, on_outcome=on_outcome)
+
+
+def _sent_by(spec: dict, monkeypatch, *, retrace: bool = False) -> list:
+    monkeypatch.setattr(engine_module, "Network", _RecordingNetwork)
+    if retrace:
+        drawn = runner_module._engine_config
+        monkeypatch.setattr(
+            runner_module, "_engine_config",
+            lambda spec, **kwargs: replace(drawn(spec, **kwargs), direct_result_return=False),
+        )
+    _RecordingNetwork.sent = []
+    try:
+        run_case(spec)
+    finally:
+        monkeypatch.undo()
+    return _RecordingNetwork.sent
+
+
+def _check_codec(payloads: list) -> Counter:
+    """Every payload round-trips; the count of each kind and disposition."""
+    seen: Counter = Counter()
+    for payload in payloads:
+        encoded = encode_message(payload)
+        decoded = decode_message(encoded)
+        assert decoded == payload, payload
+        assert encode_message(decoded) == encoded
+        assert wire_size(payload) == len(encoded)
+        seen[payload.kind] += 1
+        if isinstance(payload, (ResultMessage, RelayMessage)):
+            assert decoded.size_bytes() == payload.size_bytes()
+            result = payload.inner if isinstance(payload, RelayMessage) else payload
+            for report in result.reports:
+                seen.update(disposition.value for disposition in report.dispositions)
+                seen["epoch"] += report.epoch > 0
+    return seen
+
+
+def _with_halves_split(spec: dict) -> dict:
+    split = copy.deepcopy(spec)
+    split.setdefault("config", {})["combine_results_and_cht"] = False
+    return split
+
+
+_SHRUNK = {
+    name: value for name, value in sorted(vars(dst_regressions).items())
+    if name.startswith("SEED_") and isinstance(value, dict)
+}
+
+
+class TestEveryDstPayloadRoundTrips:
+    def test_seeds_0_to_63_as_drawn_with_the_halves_split_and_retracing(self, monkeypatch):
+        seen: Counter = Counter()
+        for seed in range(64):
+            spec = generate_case(seed)
+            seen += _check_codec(_sent_by(spec, monkeypatch))
+            seen += _check_codec(_sent_by(_with_halves_split(spec), monkeypatch))
+            seen += _check_codec(_sent_by(spec, monkeypatch, retrace=True))
+        kinds = {"query", "query-batch", "result", "cht", "relay", "epoch", "unreachable"}
+        assert kinds <= set(seen), seen
+
+    @pytest.mark.parametrize("name", sorted(_SHRUNK))
+    def test_the_shrunk_regression_specs(self, name, monkeypatch):
+        assert _check_codec(_sent_by(_SHRUNK[name], monkeypatch))

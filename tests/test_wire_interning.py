@@ -13,6 +13,7 @@ cannot do to the tables is in ``test_wire_fuzz.py``.)
 
 from __future__ import annotations
 
+import functools
 import gc
 import hashlib
 import importlib.util
@@ -56,20 +57,23 @@ def _e1_workloads():
 
 #: Per EXP-E1 workload: messages tapped while the simulator runs the first
 #: two pool queries of the seed-1 plan, their encoded bytes in total, and the
-#: sha256 of those bytes in delivery order.  Re-captured at ``WIRE_VERSION`` 3,
-#: where a result body writes a URL or dispatch id it already wrote as an
-#: index and a bundle writes its query once (the message count is unchanged);
-#: ``_E1_PARENTS`` holds what they were.
+#: sha256 of those bytes in delivery order.  Re-captured at ``WIRE_VERSION`` 4,
+#: where a row value the body's table holds is a reference, a child id a step
+#: from the previous one, a disposition one character and a report's keys one
+#: or two letters (the message count is unchanged); ``_E1_PARENTS`` holds what
+#: they were.
 _E1_MESSAGES = {
-    "cold_default": (50, 30230, "9e7fa6a0efe72ae66515d3027077778b6988d4ceecae81abd9474024003acffc"),
-    "warm_zipf": (190, 119738, "366cefb2c6946d856aa5643da95cea48d7b8fd5929ca0db89e068cc1a84d5219"),
-    "eval_join": (16, 10848, "4d708a25790b938f7952ab703e904d1602260061b3c39ab3d164dd6811b63a03"),
-    "wire_tenants": (48, 29755, "08eef38e77dc254645c0da3fde762cb17cd8918fbff5bb3bf018c46c78a9fc7a"),
+    "cold_default": (50, 27317, "d4bbc9df66cc408bde1e802c52a44da4e82a9047fbd12b65c741649aa5cfbe30"),
+    "warm_zipf": (190, 107564, "8ef90a53b1de5ca4b5c297df7ae89b77ccf10a8e83d61c38adf573fb75b24903"),
+    "eval_join": (16, 10137, "cec57f2548f293f56d25127f8651a6ad741c917fa2528b3bd1b7d3967830b010"),
+    "wire_tenants": (48, 26773, "fdf00cc132c39db12d7b44f335bd8cd3080ece4c6257d08eb9577b404e19559b"),
 }
 
 #: The same message sets at earlier versions, ``(encoded bytes, modelled
 #: bytes)`` in total: ``WIRE_VERSION`` 1 wrote one JSON object per node in
-#: each result message, version 2 each report once, as columns.
+#: each result message, version 2 each report once, as columns.  Version 3
+#: wrote cold_default in (30230, 16249), warm_zipf in (119738, 65165),
+#: eval_join in (10848, 5412) and wire_tenants in (29755, 15856).
 _E1_PARENTS = {
     1: {
         "cold_default": (49260, 26348),
@@ -110,9 +114,15 @@ def _digest(blobs) -> tuple[int, int, str]:
     return len(blobs), sum(map(len, blobs)), hashlib.sha256(b"".join(blobs)).hexdigest()
 
 
+@functools.cache
+def _tapped_once(name: str) -> list:
+    """``_tapped(name)``, run once per test session."""
+    return _tapped(name)
+
+
 @pytest.fixture(scope="module", params=sorted(_E1_MESSAGES))
 def e1_messages(request):
-    return request.param, _tapped(request.param)
+    return request.param, _tapped_once(request.param)
 
 
 class TestEncodedBytesAreThePreviousOnes:
@@ -147,17 +157,20 @@ class TestEncodedBytesAreThePreviousOnes:
         real, modelled = _fell_to(*e1_messages, version=1)
         assert real <= modelled < 1
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="the size model charges a string's quotes but no other JSON syntax, so an "
-        "index for a string is a larger share of the modelled bytes than of the encoded "
-        "ones (ROADMAP item 8)",
-    )
-    def test_since_version_2_real_bytes_fell_by_at_least_the_modelled_fraction(
-        self, e1_messages
-    ):
-        real, modelled = _fell_to(*e1_messages, version=2)
+    @pytest.mark.parametrize("name", [
+        "eval_join",
+        "wire_tenants",
+        *(pytest.param(name, marks=pytest.mark.xfail(
+            strict=True,
+            raises=AssertionError,
+            reason="the size model charges a string's quotes but no other JSON syntax, so "
+            "what the model counts is a larger share of the modelled bytes than of the "
+            "encoded ones: since version 2, real/modelled fractions are 0.821/0.792 on "
+            "cold_default and 0.803/0.782 on warm_zipf (ROADMAP item 8)",
+        )) for name in ("cold_default", "warm_zipf")),
+    ])
+    def test_since_version_2_real_bytes_fell_by_at_least_the_modelled_fraction(self, name):
+        real, modelled = _fell_to(name, _tapped_once(name), version=2)
         assert real <= modelled < 1
 
     @pytest.mark.parametrize("pin", sorted(_WIRE_DIGESTS))
@@ -293,11 +306,11 @@ class TestTablesAreBounded:
         _clear_tables()
         limit = wire._DECODE_TABLE_SIZE
         template = encode_message(_result()).decode()
-        node = '"nodes":["http://b.example/x"'
+        node = '"n":["http://b.example/x"'
         assert template.count(node) == 1
         for serial in range(10 * limit):
             message = decode_message(
-                template.replace(node, f'"nodes":["http://b.example/x{serial}"').encode()
+                template.replace(node, f'"n":["http://b.example/x{serial}"').encode()
             )
             assert message.reports[0].nodes[0].path == f"/x{serial}"
         assert len(wire._DECODED_URLS) <= limit

@@ -33,9 +33,11 @@ change against its parent)::
   the §3.1.1 log table and the memo leave a query to do
   (``visits_per_query``); then the modelled bytes per query of an
   unprofiled pass by part — envelope, clone query text, clone rest, report
-  URLs, ids, rows, states and ends (``bytes_per_query_by_part``) — and the
-  µs per query of the ``ResultMessage.size_bytes()`` walks of that pass's
-  result messages, a micro-benchmark figure (``sizing_us_per_query``);
+  URLs, ids, rows, states and ends (``bytes_per_query_by_part``) — the
+  clone query text a link, or a destination, had already been sent for the
+  same query (``repeated_query_bytes_per_query``), and the µs per query of
+  the ``ResultMessage.size_bytes()`` walks of that pass's result messages, a
+  micro-benchmark figure (``sizing_us_per_query``);
 * ``join`` — what ``eval_join`` pays: the 6×24 anchor-rich web, one engine
   warmed by one traversal per start site, then 100 ``anchor × relinfon``
   joins with distinct literals.  Then calls of and profiled µs per
@@ -52,7 +54,8 @@ change against its parent)::
   callback per query (``wire_loop_per_query``), µs to encode and decode
   again one result message that pass sent (``result_codec_us_per_message``),
   and the modelled bytes per query of that pass by part
-  (``bytes_per_query_by_part``).
+  (``bytes_per_query_by_part``) and of repeated clone query text
+  (``repeated_query_bytes_per_query``).
 
 Counts repeat exactly (``wire``'s to within the frames whose arrival order
 the kernel decides).  Each is read from the engine's own counters
@@ -367,9 +370,9 @@ BYTE_PARTS = (
 def _report_parts(message, parts: Counter) -> None:
     """Add one result message's report bytes to ``parts``, read off the body
     its one sizing walk writes (``core.messages._write_reports``): URLs and
-    ids as written — a string at its length and two quotes, an index at its
-    digits, a ditto at 1 — states with the per-report and per-node framing,
-    and the rest of the walk's charge, the rows."""
+    ids as written — a string at its length and two quotes, an index or a
+    child id step at its length, a ditto at 1 — states with the per-report
+    and per-node framing, and the rest of the walk's charge, the rows."""
     from repro.core.messages import _write_reports
 
     def written(spelled) -> int:
@@ -381,13 +384,13 @@ def _report_parts(message, parts: Counter) -> None:
     total = _write_reports(message.reports, bodies)
     charged = 0
     for report, body in zip(message.reports, bodies):
-        urls = sum(map(written, body["nodes"])) + sum(written(url) for url, __, __ in body["new"])
-        ids = sum(written(cid) for __, __, cid in body["new"])
-        if "did" in body:
-            ids += written(body["did"])
+        urls = sum(map(written, body["n"])) + sum(written(url) for url, __, __ in body["a"])
+        ids = sum(written(cid) for __, __, cid in body["a"])
+        if "i" in body:
+            ids += written(body["i"])
         states = report.state.size_bytes() + 4 + 5 * len(report.nodes) + sum(
             1 if type(spelled) is list else state.size_bytes()
-            for (__, spelled, __), (__, state) in zip(body["new"], report.new_entries)
+            for (__, spelled, __), (__, state) in zip(body["a"], report.new_entries)
         )
         parts["report_urls"] += urls
         parts["ids"] += ids
@@ -459,14 +462,53 @@ def sizing_us_per_query(payloads: list, queries: int, repeats: int = 5) -> dict[
     }
 
 
-def warm_bytes_per_query() -> tuple[dict[str, float], dict[str, float]]:
-    """``bytes_by_part`` and ``sizing_us_per_query`` of one unprofiled warm pass."""
+def repeated_query_bytes(sends: list, queries: int) -> dict[str, float]:
+    """Modelled clone query text per query that a link, or a destination,
+    had already been sent for the same query.
+
+    ``sends`` are ``(src, dst, payload)``; a clone or bundle carries its
+    query's share once (``clone_query`` of :func:`bytes_by_part`).
+    ``after_first_per_link``: the shares sent on a ``(src, dst, qid)`` after
+    its first; ``after_first_per_destination``: the shares sent to a
+    ``(dst, qid)`` after its first, from any source — what sending the query
+    once per link, or once per destination, would leave out.
+    """
+    from repro.core.messages import CloneBundle
+    from repro.core.webquery import QueryClone
+
+    links: set = set()
+    destinations: set = set()
+    repeated = Counter(after_first_per_link=0, after_first_per_destination=0)
+    for src, dst, payload in sends:
+        if not isinstance(payload, (QueryClone, CloneBundle)):
+            continue
+        clones = payload.clones if isinstance(payload, CloneBundle) else (payload,)
+        share = max(clone.query_bytes() for clone in clones)
+        qid = clones[0].query.qid
+        for name, key, seen in (
+            ("after_first_per_link", (src, dst, qid), links),
+            ("after_first_per_destination", (dst, qid), destinations),
+        ):
+            if key in seen:
+                repeated[name] += share
+            seen.add(key)
+    return {name: round(count / queries, 2) for name, count in repeated.items()}
+
+
+def warm_bytes_per_query() -> tuple[dict[str, float], dict[str, float], dict[str, float]]:
+    """``bytes_by_part``, ``repeated_query_bytes`` and ``sizing_us_per_query``
+    of one unprofiled warm pass."""
     engine, queries = _warm_engine()
-    sent: list = []
-    engine.network.add_tap(lambda now, src, dst, port, payload: sent.append(payload))
+    sends: list = []
+    engine.network.add_tap(lambda now, src, dst, port, payload: sends.append((src, dst, payload)))
     _warm_pass((engine, queries))
     envelope = engine.network.config.envelope_bytes
-    return bytes_by_part(sent, WARM_REPEATS, envelope), sizing_us_per_query(sent, WARM_REPEATS)
+    sent = [payload for __, __, payload in sends]
+    return (
+        bytes_by_part(sent, WARM_REPEATS, envelope),
+        repeated_query_bytes(sends, WARM_REPEATS),
+        sizing_us_per_query(sent, WARM_REPEATS),
+    )
 
 
 def _by_function(stats: pstats.Stats) -> tuple[Counter, Counter]:
@@ -634,9 +676,9 @@ def _wire_pass(inputs: tuple, measure: dict | None = None, tapped: list | None =
     """One tenant's closed loop over real loopback sockets.
 
     With ``measure`` the timed part runs under the loop counters and fills
-    it, and appends every result message it delivers to ``tapped``; without,
-    it just runs (under whatever profiler the caller enabled).  ``tapped``
-    gets every message the timed part delivered.
+    it, and appends ``(src, dst, payload)`` for every message it delivered
+    to ``tapped``; without, it just runs (under whatever profiler the caller
+    enabled).
     """
     import asyncio
 
@@ -673,7 +715,7 @@ def _wire_pass(inputs: tuple, measure: dict | None = None, tapped: list | None =
 
             delivered: list = []
             engine.network.add_tap(
-                lambda now, src, dst, port, payload: delivered.append((src, port, payload))
+                lambda now, src, dst, port, payload: delivered.append((src, dst, port, payload))
             )
             messages, modelled = engine.stats.messages_sent, engine.stats.bytes_sent
             with count_handles() as handles:
@@ -687,9 +729,9 @@ def _wire_pass(inputs: tuple, measure: dict | None = None, tapped: list | None =
             # (port and sequence number are fixed-size, so any will do).
             frame_bytes = sum(
                 len(encode_frame(encode_sequenced(encode_envelope(src, payload), port, 0)))
-                for src, port, payload in delivered
+                for src, __, port, payload in delivered
             )
-            tapped.extend(payload for __, __, payload in delivered)
+            tapped.extend((src, dst, payload) for src, dst, __, payload in delivered)
             measure.update(
                 wall_ms=round(wall / WIRE_REPEATS * 1e3, 3),
                 loop_iterations=round(iterations[0] / WIRE_REPEATS, 2),
@@ -753,13 +795,14 @@ def derived(name: str, stats: pstats.Stats) -> dict[str, dict]:
         }
     if name == "warm":
         hashes, objects = frames_per_query()
-        by_part, sizing = warm_bytes_per_query()
+        by_part, repeated, sizing = warm_bytes_per_query()
         return {
             "stage_us_per_query": stage_us_per_query(stats),
             "warm_hash_frames_per_query": hashes,
             "report_objects_per_query": objects,
             "visits_per_query": visits_per_query(),
             "bytes_per_query_by_part": by_part,
+            "repeated_query_bytes_per_query": repeated,
             "sizing_us_per_query": sizing,
         }
     if name == "join":
@@ -768,15 +811,17 @@ def derived(name: str, stats: pstats.Stats) -> dict[str, dict]:
             "compile_per_query": compile_per_query(stats),
         }
     per_query: dict = {}  # what one sequential socket query costs the event loop
-    tapped: list = []
-    _wire_pass(_wire_inputs(), per_query, tapped)
+    sends: list = []
+    _wire_pass(_wire_inputs(), per_query, sends)
     from repro.net.network import NetworkConfig
 
     envelope = NetworkConfig().envelope_bytes  # the pass's engine runs the default
+    tapped = [payload for __, __, payload in sends]
     return {
         "wire_loop_per_query": per_query,
         "result_codec_us_per_message": result_codec_us_per_message(tapped),
         "bytes_per_query_by_part": bytes_by_part(tapped, WIRE_REPEATS, envelope),
+        "repeated_query_bytes_per_query": repeated_query_bytes(sends, WIRE_REPEATS),
     }
 
 
